@@ -17,8 +17,7 @@
 //! operations can appear at several history positions, the match is found
 //! by backtracking with memoization; minimality is tracked incrementally
 //! with predecessor counts, so the common case (few duplicate operations)
-//! runs in near-linear time after an `O(n²)` precomputation of the
-//! order relation.
+//! costs one count update per ordered pair of operations.
 
 use std::collections::{HashMap, HashSet};
 
@@ -95,7 +94,7 @@ pub fn agrees_under(history: &History, trace: &CaTrace, hb: &HbRelation) -> Opti
     }
     let n = spans.len();
     // pending[i] = number of unmatched predecessors of i under hb.
-    let pending: Vec<usize> = (0..n).map(|i| hb.preds(i).len()).collect();
+    let pending: Vec<usize> = (0..n).map(|i| hb.pred_count(i)).collect();
     // Positions of each concrete operation value.
     let mut by_op: HashMap<Operation, Vec<usize>> = HashMap::new();
     for (i, s) in spans.iter().enumerate() {
@@ -160,20 +159,15 @@ impl AgreeSearch<'_> {
                 self.matched.insert(i);
                 self.assignment[i] = k;
             }
+            let hb = self.hb;
             for &i in chosen.iter() {
-                for s in 0..self.hb.succs(i).len() {
-                    let j = self.hb.succs(i)[s];
-                    self.pending[j] -= 1;
-                }
+                hb.for_each_succ(i, |j| self.pending[j] -= 1);
             }
             if self.element(k + 1) {
                 return true;
             }
             for &i in chosen.iter() {
-                for s in 0..self.hb.succs(i).len() {
-                    let j = self.hb.succs(i)[s];
-                    self.pending[j] += 1;
-                }
+                hb.for_each_succ(i, |j| self.pending[j] += 1);
             }
             for &i in chosen.iter() {
                 self.matched.remove(i);

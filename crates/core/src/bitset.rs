@@ -66,9 +66,72 @@ impl BitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Iterates over the indices in ascending order.
+    /// Iterates over the indices in ascending order, one step per set bit
+    /// plus one per word.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.capacity).filter(move |&i| self.contains(i))
+        Ones { rest: self.words.iter().copied(), loaded: 0, word: 0 }
+    }
+
+    /// Iterates over the indices in `0..capacity` that are *not* in the
+    /// set, ascending; a fully set word costs one step.
+    pub fn iter_unset(&self) -> impl Iterator<Item = usize> + '_ {
+        // Bits at and above `capacity` in the last word are never set, so
+        // their complement has to be masked off.
+        let last = self.words.len().wrapping_sub(1);
+        let tail = self.capacity % 64;
+        let last_mask = if tail == 0 { !0 } else { (1u64 << tail) - 1 };
+        let rest = self
+            .words
+            .iter()
+            .enumerate()
+            .map(move |(k, &w)| if k == last { !w & last_mask } else { !w });
+        Ones { rest, loaded: 0, word: 0 }
+    }
+
+    /// Returns `true` if every element of `self` is also in `other`.
+    pub fn is_subset(&self, other: &BitSet) -> bool {
+        // Words `other` is too short to have must be empty here.
+        let (shared, beyond) = self.words.split_at(self.words.len().min(other.words.len()));
+        shared.iter().zip(&other.words).all(|(w, o)| w & !o == 0) && beyond.iter().all(|&w| w == 0)
+    }
+
+    /// Adds every element of `other` to `self`, a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has a larger capacity than `self`.
+    pub fn union_with(&mut self, other: &BitSet) {
+        assert!(
+            other.capacity <= self.capacity,
+            "union of capacity {} into capacity {}",
+            other.capacity,
+            self.capacity
+        );
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+}
+
+/// The positions of the one-bits of a word sequence, ascending.
+struct Ones<I> {
+    rest: I,
+    /// Words taken from `rest` so far; `word` is what is left of the last.
+    loaded: usize,
+    word: u64,
+}
+
+impl<I: Iterator<Item = u64>> Iterator for Ones<I> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.word = self.rest.next()?;
+            self.loaded += 1;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some((self.loaded - 1) * 64 + bit)
     }
 }
 
@@ -111,6 +174,112 @@ mod tests {
         s.insert(2);
         s.insert(9);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 7, 9]);
+    }
+
+    /// A set over `0..capacity` holding exactly `members`.
+    fn set_of(capacity: usize, members: &[usize]) -> BitSet {
+        let mut s = BitSet::new(capacity);
+        for &i in members {
+            s.insert(i);
+        }
+        s
+    }
+
+    #[test]
+    fn iteration_at_word_boundaries() {
+        for capacity in [63usize, 64, 65, 127, 128, 129] {
+            let empty = BitSet::new(capacity);
+            assert_eq!(empty.iter().count(), 0, "capacity {capacity}");
+            assert_eq!(
+                empty.iter_unset().collect::<Vec<_>>(),
+                (0..capacity).collect::<Vec<_>>(),
+                "capacity {capacity}"
+            );
+            let full = set_of(capacity, &(0..capacity).collect::<Vec<_>>());
+            assert_eq!(
+                full.iter().collect::<Vec<_>>(),
+                (0..capacity).collect::<Vec<_>>(),
+                "capacity {capacity}"
+            );
+            assert_eq!(full.iter_unset().count(), 0, "capacity {capacity}");
+            // The edge members: first, last, and either side of bit 64.
+            let edges: Vec<usize> =
+                [0, 62, 63, 64, capacity - 1].into_iter().filter(|&i| i < capacity).collect();
+            let mut expect = edges.clone();
+            expect.sort_unstable();
+            expect.dedup();
+            let s = set_of(capacity, &edges);
+            assert_eq!(s.iter().collect::<Vec<_>>(), expect, "capacity {capacity}");
+            assert_eq!(
+                s.iter_unset().collect::<Vec<_>>(),
+                (0..capacity).filter(|i| !expect.contains(i)).collect::<Vec<_>>(),
+                "capacity {capacity}"
+            );
+        }
+        assert_eq!(BitSet::new(0).iter_unset().count(), 0);
+    }
+
+    #[test]
+    fn subset_and_union_at_word_boundaries() {
+        for capacity in [63usize, 64, 65] {
+            let low = set_of(capacity, &[0, 61]);
+            let high = set_of(capacity, &[capacity - 1]);
+            assert!(BitSet::new(capacity).is_subset(&low));
+            assert!(low.is_subset(&low));
+            assert!(!low.is_subset(&high) && !high.is_subset(&low));
+            let mut both = low.clone();
+            both.union_with(&high);
+            assert!(low.is_subset(&both) && high.is_subset(&both));
+            assert!(!both.is_subset(&low));
+            assert_eq!(both.len(), 3);
+        }
+        // A smaller set unions into, and is compared against, a larger one.
+        let mut wide = set_of(130, &[129]);
+        let narrow = set_of(65, &[64]);
+        wide.union_with(&narrow);
+        assert_eq!(wide.iter().collect::<Vec<_>>(), vec![64, 129]);
+        assert!(narrow.is_subset(&wide));
+        assert!(!wide.is_subset(&narrow));
+    }
+
+    #[test]
+    #[should_panic(expected = "union of capacity")]
+    fn union_with_a_larger_set_panics() {
+        BitSet::new(64).union_with(&BitSet::new(65));
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Every word-wise operation against a `Vec<bool>` model.
+            #[test]
+            fn word_wise_operations_match_a_per_bit_model(
+                capacity in 1usize..200,
+                a_bits in prop::collection::vec(any::<bool>(), 200..201),
+                b_bits in prop::collection::vec(any::<bool>(), 200..201),
+            ) {
+                let members = |bits: &[bool]| -> Vec<usize> {
+                    (0..capacity).filter(|&i| bits[i]).collect()
+                };
+                let (in_a, in_b) = (members(&a_bits), members(&b_bits));
+                let (a, b) = (set_of(capacity, &in_a), set_of(capacity, &in_b));
+                prop_assert_eq!(a.iter().collect::<Vec<_>>(), in_a.clone());
+                prop_assert_eq!(
+                    a.iter_unset().collect::<Vec<_>>(),
+                    (0..capacity).filter(|&i| !a_bits[i]).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(a.len(), in_a.len());
+                prop_assert_eq!(a.is_subset(&b), in_a.iter().all(|i| in_b.contains(i)));
+                let mut union = a.clone();
+                union.union_with(&b);
+                prop_assert_eq!(
+                    union.iter().collect::<Vec<_>>(),
+                    (0..capacity).filter(|&i| a_bits[i] || b_bits[i]).collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::bitset::BitSet;
 use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
-use crate::history::{HbRelation, History, HistoryError, PartialHistory, Span};
+use crate::history::{complete_set, HbRelation, History, HistoryError, PartialHistory, Span};
 use crate::ids::ObjectId;
 use crate::op::Operation;
 use crate::spec::{CaSpec, Invocation};
@@ -238,6 +238,8 @@ pub(crate) struct CalDomain<'a, S: CaSpec> {
     /// The happens-before relation the search runs over: real-time `≺H`
     /// for CAL mode, a causal partial order for `--mode causal`.
     hb: HbRelation,
+    /// The spans a goal node must have matched.
+    complete: BitSet,
     /// Interchangeability classes for symmetry-reduced memo keys, built
     /// from `hb`'s constraint sets.
     sym: SymClasses,
@@ -275,7 +277,8 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         hb: HbRelation,
     ) -> Result<Self, HistoryError> {
         let sym = SymClasses::of_order(&spans, &hb);
-        Ok(CalDomain { spec, history, spans, hb, sym })
+        let complete = complete_set(&spans);
+        Ok(CalDomain { spec, history, spans, hb, complete, sym })
     }
 
     /// Grows `subset` over `minimal[from..]` and collects every non-empty
@@ -416,8 +419,7 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     fn is_goal(&self, node: &Self::Node) -> bool {
         // Success: every *complete* operation explained; unmatched pending
         // invocations are dropped by the chosen completion (Def. 2).
-        let (matched, _) = node;
-        (0..self.spans.len()).all(|i| matched.contains(i) || !self.spans[i].is_complete())
+        self.complete.is_subset(&node.0)
     }
 
     fn expand(
@@ -428,11 +430,8 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     ) {
         let (matched, state) = node;
         // Minimal operations: unmatched, with every hb-predecessor matched.
-        let minimal: Vec<usize> = (0..self.spans.len())
-            .filter(|&i| {
-                !matched.contains(i) && self.hb.preds(i).iter().all(|&j| matched.contains(j))
-            })
-            .collect();
+        let mut minimal: Vec<usize> = Vec::new();
+        self.hb.minimal(matched, &mut minimal);
         obs.on_frontier(minimal.len());
         let max_size = self.spec.get().max_element_size().max(1);
         let mut subset: Vec<usize> = Vec::with_capacity(max_size);

@@ -9,6 +9,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::action::{Action, ActionKind};
+use crate::bitset::BitSet;
 use crate::ids::{Method, ObjectId, ThreadId, Value};
 use crate::op::Operation;
 
@@ -95,6 +96,17 @@ impl Span {
     pub fn operation_with_ret(&self, ret: Value) -> Operation {
         Operation::new(self.thread, self.object, self.method, self.arg, ret)
     }
+}
+
+/// The spans a search has to explain before it may stop: the complete ones
+/// (a pending invocation may be dropped by the completion, Def. 2). Sized
+/// like the checkers' matched sets, so `is_subset` compares them directly.
+pub(crate) fn complete_set(spans: &[Span]) -> BitSet {
+    let mut complete = BitSet::new(spans.len().max(1));
+    for (i, _) in spans.iter().enumerate().filter(|(_, s)| s.is_complete()) {
+        complete.insert(i);
+    }
+    complete
 }
 
 /// A finite sequence of invocation and response actions (Def. 2).
@@ -447,8 +459,11 @@ impl fmt::Display for History {
 ///
 /// Every checker consults the ordering of a history only through this
 /// interface: which spans must precede which ([`precedes`]), which pairs
-/// may sit in one CA-element ([`concurrent`]), and the pred/succ constraint
-/// sets that drive minimal-operation enumeration and symmetry reduction.
+/// may sit in one CA-element ([`concurrent`]), which unmatched spans may go
+/// next ([`minimal`]), and the per-span constraint data that agreement
+/// ([`pred_count`], [`for_each_succ`]) and symmetry reduction
+/// ([`constraint_key`]) need. None of these hands out a stored list, so an
+/// instance is free to answer from whatever it keeps.
 /// The classical real-time order `≺H` (Def. 3) is the total-order instance
 /// ([`HbRelation::real_time`]); weak-memory-plausible happens-before
 /// orders — session order plus explicit `hb` edges — are the genuinely
@@ -456,6 +471,10 @@ impl fmt::Display for History {
 ///
 /// [`precedes`]: PartialHistory::precedes
 /// [`concurrent`]: PartialHistory::concurrent
+/// [`minimal`]: PartialHistory::minimal
+/// [`pred_count`]: PartialHistory::pred_count
+/// [`for_each_succ`]: PartialHistory::for_each_succ
+/// [`constraint_key`]: PartialHistory::constraint_key
 pub trait PartialHistory {
     /// Number of spans the relation is defined over.
     fn len(&self) -> usize;
@@ -475,11 +494,37 @@ pub trait PartialHistory {
         i != j && !self.precedes(i, j) && !self.precedes(j, i)
     }
 
-    /// The spans that happen-before span `i`, ascending.
-    fn preds(&self, i: usize) -> &[usize];
+    /// Replaces the contents of `out` with the minimal spans of what
+    /// `matched` leaves: every span not in `matched` all of whose
+    /// predecessors are, ascending. `matched` need not be downward closed.
+    fn minimal(&self, matched: &BitSet, out: &mut Vec<usize>);
 
-    /// The spans that span `i` happens-before, ascending.
-    fn succs(&self, i: usize) -> &[usize];
+    /// How many spans happen-before span `i`.
+    fn pred_count(&self, i: usize) -> usize;
+
+    /// Calls `f` on every span that span `i` happens-before, ascending.
+    fn for_each_succ(&self, i: usize, f: impl FnMut(usize));
+
+    /// What the order constrains span `i` by, as a value: two spans of one
+    /// relation have equal keys iff they have the same predecessors and
+    /// the same successors.
+    fn constraint_key(&self, i: usize) -> ConstraintKey<'_>;
+}
+
+/// The order constraints on one span ([`PartialHistory::constraint_key`]):
+/// comparable and hashable, so spans can be grouped by it. Keys of
+/// different relations are not comparable in any meaningful way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ConstraintKey<'a>(KeyShape<'a>);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum KeyShape<'a> {
+    /// Real time: the predecessors are the first `pred_rank` spans of the
+    /// response order and the successors are the spans from `succ_start`
+    /// on, so the two numbers name the two sets.
+    Ranks { pred_rank: usize, succ_start: usize },
+    /// Closed partial order: the two sets themselves.
+    Sets { before: &'a BitSet, after: &'a BitSet },
 }
 
 /// A malformed happens-before declaration: edges that point outside the
@@ -530,11 +575,15 @@ impl Error for HbError {}
 /// workhorse [`PartialHistory`] instance every checker threads through its
 /// search domain.
 ///
-/// Internally the relation is transitively closed up front: `before[j]`
-/// is the full set of spans that happen-before `j`, so [`precedes`] is one
-/// bitset probe and the pred/succ lists the checkers iterate are
-/// precomputed.
+/// One type, two private shapes, chosen by the constructor. The real-time
+/// order is determined by the `2n` action indices of its spans, so
+/// [`real_time`] keeps those plus two rank arrays — `O(n)` memory,
+/// [`precedes`] one comparison. A causal order is an arbitrary acyclic
+/// relation, so [`causal`] keeps its transitive closure as one
+/// predecessor and one successor bitset per span — [`precedes`] one probe.
 ///
+/// [`real_time`]: HbRelation::real_time
+/// [`causal`]: HbRelation::causal
 /// [`precedes`]: PartialHistory::precedes
 ///
 /// # Examples
@@ -558,33 +607,102 @@ impl Error for HbError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct HbRelation {
-    /// `before[j]` = the set of spans `i` with `i ≺hb j` (closed).
-    before: Vec<crate::bitset::BitSet>,
-    /// Ascending pred lists, derived from `before`.
-    preds: Vec<Vec<usize>>,
-    /// Ascending succ lists, derived from `before`.
-    succs: Vec<Vec<usize>>,
-    /// Whether this is exactly the real-time order `≺H` of the spans it
-    /// was built from (lets consumers keep real-time-only fast paths such
-    /// as per-object decomposition).
-    real_time: bool,
+    shape: Shape,
+}
+
+#[derive(Debug, Clone)]
+enum Shape {
+    Ranks(RankOrder),
+    Closed(ClosedOrder),
+}
+
+/// The response index standing for "no response": larger than every
+/// invocation index, so a pending span precedes nothing.
+const PENDING: usize = usize::MAX;
+
+/// The real-time order of spans listed in invocation order, which makes
+/// span index and invocation rank the same thing.
+#[derive(Debug, Clone)]
+struct RankOrder {
+    /// Invocation index of each span; ascending.
+    inv: Vec<usize>,
+    /// Response index of each span, [`PENDING`] if it has none.
+    resp: Vec<usize>,
+    /// `pred_rank[j]` = how many spans respond before `inv[j]`.
+    pred_rank: Vec<usize>,
+    /// `succ_start[i]` = the first span invoked after `resp[i]`; the
+    /// successors of `i` are exactly `succ_start[i]..n`.
+    succ_start: Vec<usize>,
+}
+
+impl RankOrder {
+    /// # Panics
+    ///
+    /// Panics unless `inv` is ascending and no span responds before it is
+    /// invoked: every answer below leans on both.
+    fn new(inv: Vec<usize>, resp: Vec<usize>) -> Self {
+        assert!(
+            inv.windows(2).all(|w| w[0] <= w[1]) && inv.iter().zip(&resp).all(|(i, r)| i <= r),
+            "the real-time order is built over spans in invocation order"
+        );
+        let mut responses: Vec<usize> = resp.iter().copied().filter(|&r| r != PENDING).collect();
+        responses.sort_unstable();
+        let pred_rank = inv.iter().map(|&v| responses.partition_point(|&r| r < v)).collect();
+        let succ_start = resp.iter().map(|&r| inv.partition_point(|&v| v <= r)).collect();
+        RankOrder { inv, resp, pred_rank, succ_start }
+    }
+
+    fn precedes(&self, i: usize, j: usize) -> bool {
+        matches!((self.resp.get(i), self.inv.get(j)), (Some(r), Some(v)) if r < v)
+    }
+
+    /// One ascending pass over the unmatched spans, carrying the earliest
+    /// response among those passed. An unmatched `j` that precedes `i` has
+    /// `inv[j] ≤ resp[j] < inv[i]`, hence `j < i`: it has been passed, so
+    /// the carried response decides `i`. And once that response lies before
+    /// `inv[i]` it lies before every later invocation too, so the pass
+    /// ends there.
+    fn minimal(&self, matched: &BitSet, out: &mut Vec<usize>) {
+        let mut earliest_resp = PENDING;
+        for i in matched.iter_unset().take_while(|&i| i < self.inv.len()) {
+            if earliest_resp < self.inv[i] {
+                break;
+            }
+            out.push(i);
+            earliest_resp = earliest_resp.min(self.resp[i]);
+        }
+    }
+}
+
+/// A transitively closed relation, held in both directions.
+#[derive(Debug, Clone)]
+struct ClosedOrder {
+    /// `before[j]` = the set of spans `i` with `i ≺hb j`.
+    before: Vec<BitSet>,
+    /// `after[i]` = the set of spans `j` with `i ≺hb j`.
+    after: Vec<BitSet>,
+}
+
+impl ClosedOrder {
+    fn minimal(&self, matched: &BitSet, out: &mut Vec<usize>) {
+        let unmatched = matched.iter_unset().take_while(|&i| i < self.before.len());
+        out.extend(unmatched.filter(|&i| self.before[i].is_subset(matched)));
+    }
 }
 
 impl HbRelation {
     /// The real-time order `≺H` (Def. 3) of `spans`: the total-order
     /// instance of [`PartialHistory`]. `a ≺H b` iff `a`'s response
-    /// precedes `b`'s invocation.
+    /// precedes `b`'s invocation. `O(n log n)` time, `O(n)` memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `spans` are in invocation order with each response
+    /// after its invocation, as [`History::spans`] yields them.
     pub fn real_time(spans: &[Span]) -> Self {
-        let n = spans.len();
-        let mut before = vec![crate::bitset::BitSet::new(n.max(1)); n];
-        for (j, b) in spans.iter().enumerate() {
-            for (i, a) in spans.iter().enumerate() {
-                if i != j && History::spans_precede(a, b) {
-                    before[j].insert(i);
-                }
-            }
-        }
-        Self::finish(before, true)
+        let inv = spans.iter().map(|s| s.inv).collect();
+        let resp = spans.iter().map(|s| s.resp.unwrap_or(PENDING)).collect();
+        HbRelation { shape: Shape::Ranks(RankOrder::new(inv, resp)) }
     }
 
     /// A causal happens-before order: per-thread *session order* (each
@@ -633,93 +751,133 @@ impl HbRelation {
         for &(from, to) in edges {
             add(&mut adj, &mut indeg, from, to);
         }
-        // Kahn topological order; closure accumulates along it.
+        // Kahn topological order; `before` accumulates along it and
+        // `after` against it, a word at a time. A finished set is moved out
+        // while its neighbours absorb it (self edges were refused above).
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut before = vec![crate::bitset::BitSet::new(n.max(1)); n];
-        let mut seen = 0usize;
+        let mut topo: Vec<usize> = Vec::with_capacity(n);
+        let mut before = vec![BitSet::new(n.max(1)); n];
         while let Some(u) = queue.pop() {
-            seen += 1;
-            // Each node leaves the queue exactly once, so its successor
-            // list can be consumed rather than re-indexed.
-            let succs = std::mem::take(&mut adj[u]);
-            for v in succs {
-                // before[v] ∪= before[u] ∪ {u}
-                let add_set: Vec<usize> = before[u].iter().collect();
-                for i in add_set {
-                    before[v].insert(i);
-                }
+            topo.push(u);
+            let done = std::mem::replace(&mut before[u], BitSet::new(0));
+            for &v in &adj[u] {
+                before[v].union_with(&done);
                 before[v].insert(u);
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     queue.push(v);
                 }
             }
+            before[u] = done;
         }
-        if seen != n {
+        if topo.len() != n {
             let op = (0..n).find(|&i| indeg[i] > 0).unwrap_or(0);
             return Err(HbError::Cycle { op });
         }
-        Ok(Self::finish(before, false))
+        let mut after = vec![BitSet::new(n.max(1)); n];
+        for &u in topo.iter().rev() {
+            let mut reach = std::mem::replace(&mut after[u], BitSet::new(0));
+            for &v in &adj[u] {
+                reach.union_with(&after[v]);
+                reach.insert(v);
+            }
+            after[u] = reach;
+        }
+        Ok(HbRelation { shape: Shape::Closed(ClosedOrder { before, after }) })
     }
 
-    /// Whether this relation is exactly the real-time order of the spans
-    /// it was built from. Consumers use this to keep real-time-only fast
-    /// paths (per-object decomposition, `(maxinv, minresp)` witness
-    /// merging) without consulting span timestamps themselves.
+    /// Whether this relation is the real-time order of the spans it was
+    /// built from — it is exactly when [`HbRelation::real_time`] built it.
+    /// Consumers use this to keep real-time-only fast paths (per-object
+    /// decomposition, `(maxinv, minresp)` witness merging) without
+    /// consulting span timestamps themselves.
     pub fn is_real_time(&self) -> bool {
-        self.real_time
+        matches!(self.shape, Shape::Ranks(_))
     }
 
     /// Restricts the relation to the spans in `keep` (ascending old
     /// indices), renumbering to positions in `keep`. Ordering derived
     /// transitively *through* a removed span is preserved — the closure
-    /// was computed before the restriction — which is what completion
-    /// (dropping pending invocations, Def. 2) requires.
+    /// was computed before the restriction, and the real-time order of a
+    /// subset is the restriction of the real-time order — which is what
+    /// completion (dropping pending invocations, Def. 2) requires.
     ///
     /// # Panics
     ///
-    /// Panics if `keep` contains an index out of range.
+    /// Panics if `keep` contains an index out of range, or is not ascending
+    /// where the relation is a real-time order.
     pub fn restrict(&self, keep: &[usize]) -> HbRelation {
-        let m = keep.len();
-        let mut before = vec![crate::bitset::BitSet::new(m.max(1)); m];
-        for (new_j, &old_j) in keep.iter().enumerate() {
-            for (new_i, &old_i) in keep.iter().enumerate() {
-                if new_i != new_j && self.before[old_j].contains(old_i) {
-                    before[new_j].insert(new_i);
+        let shape = match &self.shape {
+            Shape::Ranks(r) => Shape::Ranks(RankOrder::new(
+                keep.iter().map(|&k| r.inv[k]).collect(),
+                keep.iter().map(|&k| r.resp[k]).collect(),
+            )),
+            Shape::Closed(c) => {
+                let mut renumbered = vec![usize::MAX; c.before.len()];
+                for (new, &old) in keep.iter().enumerate() {
+                    renumbered[old] = new;
                 }
+                let project = |sets: &[BitSet]| -> Vec<BitSet> {
+                    keep.iter()
+                        .map(|&old| {
+                            let mut set = BitSet::new(keep.len().max(1));
+                            let kept = sets[old].iter().map(|i| renumbered[i]);
+                            kept.filter(|&new| new != usize::MAX).for_each(|new| set.insert(new));
+                            set
+                        })
+                        .collect()
+                };
+                Shape::Closed(ClosedOrder { before: project(&c.before), after: project(&c.after) })
             }
-        }
-        Self::finish(before, self.real_time)
-    }
-
-    fn finish(before: Vec<crate::bitset::BitSet>, real_time: bool) -> Self {
-        let n = before.len();
-        let preds: Vec<Vec<usize>> = before.iter().map(|b| b.iter().collect()).collect();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (j, ps) in preds.iter().enumerate() {
-            for &i in ps {
-                succs[i].push(j);
-            }
-        }
-        HbRelation { before, preds, succs, real_time }
+        };
+        HbRelation { shape }
     }
 }
 
 impl PartialHistory for HbRelation {
     fn len(&self) -> usize {
-        self.before.len()
+        match &self.shape {
+            Shape::Ranks(r) => r.inv.len(),
+            Shape::Closed(c) => c.before.len(),
+        }
     }
 
     fn precedes(&self, i: usize, j: usize) -> bool {
-        j < self.before.len() && self.before[j].contains(i)
+        match &self.shape {
+            Shape::Ranks(r) => r.precedes(i, j),
+            Shape::Closed(c) => c.before.get(j).is_some_and(|b| b.contains(i)),
+        }
     }
 
-    fn preds(&self, i: usize) -> &[usize] {
-        &self.preds[i]
+    fn minimal(&self, matched: &BitSet, out: &mut Vec<usize>) {
+        out.clear();
+        match &self.shape {
+            Shape::Ranks(r) => r.minimal(matched, out),
+            Shape::Closed(c) => c.minimal(matched, out),
+        }
     }
 
-    fn succs(&self, i: usize) -> &[usize] {
-        &self.succs[i]
+    fn pred_count(&self, i: usize) -> usize {
+        match &self.shape {
+            Shape::Ranks(r) => r.pred_rank[i],
+            Shape::Closed(c) => c.before[i].len(),
+        }
+    }
+
+    fn for_each_succ(&self, i: usize, f: impl FnMut(usize)) {
+        match &self.shape {
+            Shape::Ranks(r) => (r.succ_start[i]..r.inv.len()).for_each(f),
+            Shape::Closed(c) => c.after[i].iter().for_each(f),
+        }
+    }
+
+    fn constraint_key(&self, i: usize) -> ConstraintKey<'_> {
+        ConstraintKey(match &self.shape {
+            Shape::Ranks(r) => {
+                KeyShape::Ranks { pred_rank: r.pred_rank[i], succ_start: r.succ_start[i] }
+            }
+            Shape::Closed(c) => KeyShape::Sets { before: &c.before[i], after: &c.after[i] },
+        })
     }
 }
 

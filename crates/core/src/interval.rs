@@ -31,7 +31,7 @@ use std::hash::Hash;
 
 use crate::bitset::BitSet;
 use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
-use crate::history::{HbRelation, History, HistoryError, PartialHistory, Span};
+use crate::history::{complete_set, HbRelation, History, HistoryError, PartialHistory, Span};
 use crate::ids::Value;
 use crate::op::Operation;
 use crate::spec::{Invocation, SeqSpec};
@@ -363,13 +363,16 @@ struct IntervalDomain<'a, S: IntervalSpec> {
     /// [`PartialHistory`] here — interval-linearizability is defined
     /// against `≺H`.
     hb: HbRelation,
+    /// The spans a goal node must have closed.
+    complete: BitSet,
 }
 
 impl<'a, S: IntervalSpec> IntervalDomain<'a, S> {
     fn new(history: Cow<'a, History>, spec: SpecRef<'a, S>) -> Result<Self, HistoryError> {
         let spans = history.try_spans()?;
         let hb = HbRelation::real_time(&spans);
-        Ok(IntervalDomain { spec, spans, hb })
+        let complete = complete_set(&spans);
+        Ok(IntervalDomain { spec, spans, hb, complete })
     }
 
     /// Grows the opening subset over `openable[from..]` and collects every
@@ -527,9 +530,7 @@ impl<S: IntervalSpec> SearchDomain for IntervalDomain<'_, S> {
     }
 
     fn is_goal(&self, node: &Self::Node) -> bool {
-        node.open.is_empty()
-            && (0..self.spans.len())
-                .all(|i| node.done.contains(i) || !self.spans[i].is_complete())
+        node.open.is_empty() && self.complete.is_subset(&node.done)
     }
 
     fn expand(
@@ -540,10 +541,9 @@ impl<S: IntervalSpec> SearchDomain for IntervalDomain<'_, S> {
     ) {
         // Operations that may open here: neither done nor open, and every
         // ≺H-predecessor is already done (its interval closed earlier).
-        let openable: Vec<usize> = (0..self.spans.len())
-            .filter(|&i| !node.done.contains(i) && node.open.iter().all(|&(j, _)| j != i))
-            .filter(|&i| self.hb.preds(i).iter().all(|&j| node.done.contains(j)))
-            .collect();
+        let mut openable: Vec<usize> = Vec::new();
+        self.hb.minimal(&node.done, &mut openable);
+        openable.retain(|&i| node.open.iter().all(|&(j, _)| j != i));
         obs.on_frontier(openable.len());
         let max_new = self.spec.get().max_active().saturating_sub(node.open.len());
         // Enumerate opening subsets (including empty when something is

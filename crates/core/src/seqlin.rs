@@ -21,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::bitset::BitSet;
 use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
-use crate::history::{HbRelation, History, HistoryError, PartialHistory, Span};
+use crate::history::{complete_set, HbRelation, History, HistoryError, PartialHistory, Span};
 use crate::ids::ObjectId;
 use crate::op::Operation;
 use crate::spec::{Invocation, SeqSpec};
@@ -166,6 +166,8 @@ struct SeqDomain<'a, S: SeqSpec> {
     /// [`PartialHistory`] here — classical linearizability is defined
     /// against `≺H` (causal relaxations go through `crate::causal`).
     hb: HbRelation,
+    /// The spans a goal node must have matched.
+    complete: BitSet,
     /// Interchangeability classes for symmetry-reduced memo keys.
     sym: SymClasses,
 }
@@ -175,7 +177,8 @@ impl<'a, S: SeqSpec> SeqDomain<'a, S> {
         let spans = history.try_spans()?;
         let hb = HbRelation::real_time(&spans);
         let sym = SymClasses::of_order(&spans, &hb);
-        Ok(SeqDomain { spec, history, spans, hb, sym })
+        let complete = complete_set(&spans);
+        Ok(SeqDomain { spec, history, spans, hb, complete, sym })
     }
 }
 
@@ -188,8 +191,7 @@ impl<S: SeqSpec> SearchDomain for SeqDomain<'_, S> {
     }
 
     fn is_goal(&self, node: &Self::Node) -> bool {
-        let (matched, _) = node;
-        (0..self.spans.len()).all(|i| matched.contains(i) || !self.spans[i].is_complete())
+        self.complete.is_subset(&node.0)
     }
 
     fn expand(
@@ -199,11 +201,8 @@ impl<S: SeqSpec> SearchDomain for SeqDomain<'_, S> {
         out: &mut Vec<(Self::Step, Self::Node)>,
     ) {
         let (matched, state) = node;
-        let minimal: Vec<usize> = (0..self.spans.len())
-            .filter(|&i| {
-                !matched.contains(i) && self.hb.preds(i).iter().all(|&j| matched.contains(j))
-            })
-            .collect();
+        let mut minimal: Vec<usize> = Vec::new();
+        self.hb.minimal(matched, &mut minimal);
         obs.on_frontier(minimal.len());
         for &i in &minimal {
             let span = &self.spans[i];

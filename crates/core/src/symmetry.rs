@@ -56,6 +56,8 @@
 //! [`CheckOptions::symmetry`](crate::engine::CheckOptions) rather than
 //! applying it unconditionally.
 
+use std::collections::HashMap;
+
 use crate::bitset::BitSet;
 use crate::history::{HbRelation, PartialHistory, Span};
 
@@ -79,48 +81,38 @@ impl SymClasses {
 
     /// Computes the interchangeability classes of `spans` under an
     /// arbitrary happens-before relation: constraint sets (condition 2)
-    /// are the relation's pred/succ sets instead of `≺H`'s. See the
+    /// are the relation's pred/succ sets instead of `≺H`'s, compared
+    /// through [`PartialHistory::constraint_key`]. See the
     /// module docs for why the soundness argument carries over to partial
     /// orders.
     pub fn of_order(spans: &[Span], hb: &HbRelation) -> Self {
+        // One grouping pass on (condition 1, condition 2). Preds alone
+        // would let the first and last clone of a chain merge, so the
+        // constraint key carries both sides. `first[i]` is the first span
+        // with `i`'s key; most spans are alone with theirs, so a class is
+        // allocated only once its size is known to be at least two.
         let n = spans.len();
-        // Pred sets as sorted slices double as set fingerprints; succs
-        // are implied by preds over a fixed span set *only* if we check
-        // them too (preds alone would let a "first" clone and "last"
-        // clone of a chain merge), so compare both.
+        let mut first_with = HashMap::with_capacity(n);
+        let mut first: Vec<usize> = Vec::with_capacity(n);
+        let mut size = vec![0usize; n];
+        for (i, s) in spans.iter().enumerate() {
+            // `ret` covers completeness: both pending, or equal values.
+            let same_op = (s.object, s.method, s.arg, s.ret);
+            let f = *first_with.entry((same_op, hb.constraint_key(i))).or_insert(i);
+            first.push(f);
+            size[f] += 1;
+        }
+        // Classes in first-member order, members ascending.
+        let mut class_of = vec![usize::MAX; n];
         let mut classes: Vec<Vec<usize>> = Vec::new();
-        let mut assigned = vec![false; n];
-        for i in 0..n {
-            if assigned[i] {
-                continue;
+        for (i, &f) in first.iter().enumerate().filter(|&(_, &f)| size[f] >= 2) {
+            if f == i {
+                class_of[f] = classes.len();
+                classes.push(Vec::with_capacity(size[f]));
             }
-            let mut class = vec![i];
-            for j in (i + 1)..n {
-                if assigned[j] {
-                    continue;
-                }
-                if Self::interchangeable(&spans[i], &spans[j])
-                    && hb.preds(i) == hb.preds(j)
-                    && hb.succs(i) == hb.succs(j)
-                {
-                    class.push(j);
-                }
-            }
-            for &m in &class {
-                assigned[m] = true;
-            }
-            if class.len() >= 2 {
-                classes.push(class);
-            }
+            classes[class_of[f]].push(i);
         }
         SymClasses { classes }
-    }
-
-    /// Same operation as far as any spec can tell (modulo thread id).
-    fn interchangeable(a: &Span, b: &Span) -> bool {
-        a.object == b.object && a.method == b.method && a.arg == b.arg && a.ret == b.ret
-        // `ret` equality covers completeness: both None (pending) or
-        // both Some(equal value).
     }
 
     /// True when no span is interchangeable with another: the reduction

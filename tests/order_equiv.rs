@@ -1,0 +1,292 @@
+//! Equivalence oracle for the order layer: both private shapes of
+//! [`HbRelation`] against the definitions they replace.
+//!
+//! The reference is a plain `n × n` boolean matrix, filled for real time by
+//! the all-pairs loop over [`History::spans_precede`] (Def. 3, the loop
+//! `HbRelation::real_time` used to run) and for causal orders by a per-bit
+//! transitive closure of session order plus the declared edges. Every
+//! question a checker asks of an order is answered from the matrix by its
+//! definition and compared: `precedes` / `concurrent` on every pair,
+//! `pred_count`, successor sets, `minimal` for arbitrary and for
+//! downward-closed matched sets, `restrict`, and the symmetry classes (the
+//! old pairwise grouping, kept here, against `SymClasses::of_order`).
+//!
+//! The rank shape is additionally compared with the *closed* shape of the
+//! same order — `HbRelation::causal` fed every real-time pair as an edge —
+//! so the two representations meet on identical input.
+
+use cal::core::bitset::BitSet;
+use cal::core::gen::interleave;
+use cal::core::history::{HbRelation, PartialHistory, Span};
+use cal::core::symmetry::SymClasses;
+use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+// --- generation --------------------------------------------------------------
+
+/// Few distinct operations, so that interchangeable spans are common.
+fn arb_op() -> impl Strategy<Value = (Method, i64, i64, bool)> {
+    (any::<bool>(), 0i64..2, 0i64..2, any::<bool>()).prop_map(|(write, arg, ret, complete)| {
+        (if write { Method("write") } else { Method("read") }, arg, ret, complete)
+    })
+}
+
+/// A well-formed history of up to six threads, each a chain of up to 27
+/// operations (about one history in five crosses the 64-span word boundary)
+/// whose last one may stay pending, interleaved by seed.
+fn arb_history() -> impl Strategy<Value = History> {
+    (prop::collection::vec(prop::collection::vec(arb_op(), 0..28), 1..7), any::<u64>()).prop_map(
+        |(threads, seed)| {
+            let lists: Vec<Vec<Action>> = threads
+                .into_iter()
+                .enumerate()
+                .map(|(t, ops)| {
+                    let (t, last) = (ThreadId(t as u32), ops.len().saturating_sub(1));
+                    let mut out = Vec::new();
+                    for (i, (method, arg, ret, complete)) in ops.into_iter().enumerate() {
+                        out.push(Action::invoke(t, ObjectId(0), method, Value::Int(arg)));
+                        if complete || i < last {
+                            out.push(Action::response(t, ObjectId(0), method, Value::Int(ret)));
+                        }
+                    }
+                    out
+                })
+                .collect();
+            interleave(&lists, &mut StdRng::seed_from_u64(seed))
+        },
+    )
+}
+
+// --- the reference -----------------------------------------------------------
+
+/// `m[i][j]` iff span `i` precedes span `j`.
+type Matrix = Vec<Vec<bool>>;
+
+/// Def. 3 by the all-pairs loop.
+fn real_time_matrix(spans: &[Span]) -> Matrix {
+    let n = spans.len();
+    let mut m = vec![vec![false; n]; n];
+    for (i, a) in spans.iter().enumerate() {
+        for (j, b) in spans.iter().enumerate() {
+            m[i][j] = i != j && History::spans_precede(a, b);
+        }
+    }
+    m
+}
+
+/// Session order plus `edges`, closed one bit at a time.
+fn causal_matrix(spans: &[Span], edges: &[(usize, usize)]) -> Matrix {
+    let n = spans.len();
+    let mut m = vec![vec![false; n]; n];
+    for (j, b) in spans.iter().enumerate() {
+        for (i, a) in spans.iter().enumerate().take(j) {
+            m[i][j] = a.thread == b.thread;
+        }
+    }
+    for &(i, j) in edges {
+        m[i][j] = true;
+    }
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                m[i][j] |= m[i][k] && m[k][j];
+            }
+        }
+    }
+    m
+}
+
+fn restrict_matrix(m: &Matrix, keep: &[usize]) -> Matrix {
+    keep.iter().map(|&i| keep.iter().map(|&j| m[i][j]).collect()).collect()
+}
+
+fn minimal_by_definition(m: &Matrix, matched: &[bool]) -> Vec<usize> {
+    let n = m.len();
+    (0..n).filter(|&i| !matched[i] && (0..n).all(|j| !m[j][i] || matched[j])).collect()
+}
+
+/// Per span, its predecessor set (a column of the matrix) and its
+/// successor set (a row).
+fn constraint_sets(m: &Matrix) -> Vec<(Vec<bool>, Vec<bool>)> {
+    (0..m.len()).map(|i| (m.iter().map(|row| row[i]).collect(), m[i].clone())).collect()
+}
+
+/// The grouping `SymClasses::of_order` used to do: each unassigned span
+/// collects the later spans with the same operation, the same predecessors
+/// and the same successors.
+fn pairwise_classes(spans: &[Span], m: &Matrix) -> Vec<Vec<usize>> {
+    let n = spans.len();
+    let sets = constraint_sets(m);
+    let same_op = |a: &Span, b: &Span| {
+        a.object == b.object && a.method == b.method && a.arg == b.arg && a.ret == b.ret
+    };
+    let mut classes = Vec::new();
+    let mut assigned = vec![false; n];
+    for i in 0..n {
+        if assigned[i] {
+            continue;
+        }
+        let class: Vec<usize> = (i..n)
+            .filter(|&j| {
+                j == i
+                    || (!assigned[j] && same_op(&spans[i], &spans[j]) && sets[i] == sets[j])
+            })
+            .collect();
+        for &member in &class {
+            assigned[member] = true;
+        }
+        if class.len() >= 2 {
+            classes.push(class);
+        }
+    }
+    classes
+}
+
+// --- matched sets ------------------------------------------------------------
+
+fn bitset_of(matched: &[bool]) -> BitSet {
+    let mut set = BitSet::new(matched.len().max(1));
+    for (i, _) in matched.iter().enumerate().filter(|(_, &on)| on) {
+        set.insert(i);
+    }
+    set
+}
+
+/// Arbitrary subsets at three densities, then downward-closed ones: the
+/// sets a search actually reaches, grown by matching one minimal span at a
+/// time to a random size.
+fn matched_sets(m: &Matrix, rng: &mut StdRng) -> Vec<Vec<bool>> {
+    let n = m.len();
+    let mut sets: Vec<Vec<bool>> = [0.1, 0.5, 0.9]
+        .iter()
+        .map(|&density| (0..n).map(|_| rng.gen_bool(density)).collect())
+        .collect();
+    sets.push(vec![false; n]);
+    sets.push(vec![true; n]);
+    for _ in 0..4 {
+        let mut matched = vec![false; n];
+        for _ in 0..rng.gen_range(0..=n) {
+            let frontier = minimal_by_definition(m, &matched);
+            matched[frontier[rng.gen_range(0..frontier.len())]] = true;
+        }
+        sets.push(matched);
+    }
+    sets
+}
+
+// --- the comparison ----------------------------------------------------------
+
+/// Every answer `hb` gives over `spans`, against the matrix.
+fn assert_answers_match(hb: &HbRelation, spans: &[Span], m: &Matrix, rng: &mut StdRng, what: &str) {
+    let n = spans.len();
+    assert_eq!(hb.len(), n, "{what}: len");
+    let sets = constraint_sets(m);
+    let members = |set: &[bool]| (0..n).filter(|&j| set[j]).collect::<Vec<_>>();
+    for (i, (preds, succs)) in sets.iter().enumerate() {
+        for (j, (&j_before_i, &i_before_j)) in preds.iter().zip(succs).enumerate() {
+            assert_eq!(hb.precedes(i, j), i_before_j, "{what}: precedes({i}, {j})");
+            assert_eq!(
+                hb.concurrent(i, j),
+                i != j && !i_before_j && !j_before_i,
+                "{what}: concurrent({i}, {j})"
+            );
+            // Equal keys iff equal predecessor and successor sets.
+            assert_eq!(
+                hb.constraint_key(i) == hb.constraint_key(j),
+                sets[i] == sets[j],
+                "{what}: constraint keys of {i} and {j}"
+            );
+        }
+        assert_eq!(hb.pred_count(i), members(preds).len(), "{what}: pred_count({i})");
+        let mut visited = Vec::new();
+        hb.for_each_succ(i, |j| visited.push(j));
+        assert_eq!(visited, members(succs), "{what}: succs({i})");
+    }
+    // `minimal` replaces what the buffer held.
+    let mut out = vec![usize::MAX];
+    for matched in matched_sets(m, rng) {
+        hb.minimal(&bitset_of(&matched), &mut out);
+        assert_eq!(out, minimal_by_definition(m, &matched), "{what}: minimal of {matched:?}");
+    }
+    assert_eq!(
+        format!("{:?}", SymClasses::of_order(spans, hb)),
+        format!("SymClasses {{ classes: {:?} }}", pairwise_classes(spans, m)),
+        "{what}: symmetry classes"
+    );
+}
+
+/// `restrict` against the restricted matrix, over a random ascending
+/// subset of the spans.
+fn assert_restriction_matches(
+    hb: &HbRelation,
+    spans: &[Span],
+    m: &Matrix,
+    rng: &mut StdRng,
+    what: &str,
+) -> Vec<usize> {
+    let keep: Vec<usize> = (0..spans.len()).filter(|_| rng.gen_bool(0.6)).collect();
+    let kept: Vec<Span> = keep.iter().map(|&i| spans[i]).collect();
+    let restricted = hb.restrict(&keep);
+    assert_eq!(restricted.is_real_time(), hb.is_real_time(), "{what}: restriction keeps the shape");
+    assert_answers_match(&restricted, &kept, &restrict_matrix(m, &keep), rng, what);
+    keep
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The rank shape is the all-pairs real-time order, and so is the
+    /// closed shape built from the all-pairs edges.
+    #[test]
+    fn ranks_are_the_all_pairs_real_time_order(h in arb_history(), seed in any::<u64>()) {
+        let spans = h.spans();
+        let m = real_time_matrix(&spans);
+        let rng = &mut StdRng::seed_from_u64(seed);
+
+        let ranks = HbRelation::real_time(&spans);
+        prop_assert!(ranks.is_real_time());
+        assert_answers_match(&ranks, &spans, &m, rng, "ranks");
+
+        let edges: Vec<(usize, usize)> = (0..spans.len())
+            .flat_map(|i| (0..spans.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| m[i][j])
+            .collect();
+        let closed = HbRelation::causal(&spans, &edges).expect("real time is acyclic");
+        prop_assert!(!closed.is_real_time());
+        assert_answers_match(&closed, &spans, &m, rng, "closed real time");
+
+        // Restricting commutes with building: the real-time order of the
+        // kept spans is the restriction of the real-time order.
+        let keep = assert_restriction_matches(&ranks, &spans, &m, rng, "restricted ranks");
+        let kept: Vec<Span> = keep.iter().map(|&i| spans[i]).collect();
+        prop_assert_eq!(real_time_matrix(&kept), restrict_matrix(&m, &keep));
+        assert_answers_match(
+            &HbRelation::real_time(&kept), &kept, &restrict_matrix(&m, &keep), rng, "rebuilt ranks",
+        );
+        assert_restriction_matches(&closed, &spans, &m, rng, "restricted closed real time");
+    }
+
+    /// The word-wise closure is the per-bit closure of session order plus
+    /// the declared edges. Edges run forward in invocation order, as
+    /// session order does, so the declaration is acyclic.
+    #[test]
+    fn closed_shape_is_the_per_bit_closure(h in arb_history(), seed in any::<u64>()) {
+        let spans = h.spans();
+        let n = spans.len();
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let edges: Vec<(usize, usize)> = (0..if n < 2 { 0 } else { rng.gen_range(0..=n) })
+            .map(|_| {
+                let j = rng.gen_range(1..n);
+                (rng.gen_range(0..j), j)
+            })
+            .collect();
+        let m = causal_matrix(&spans, &edges);
+        let causal = HbRelation::causal(&spans, &edges).expect("forward edges are acyclic");
+        prop_assert!(!causal.is_real_time());
+        assert_answers_match(&causal, &spans, &m, rng, "causal");
+        // Order that runs through a dropped span survives its removal.
+        assert_restriction_matches(&causal, &spans, &m, rng, "restricted causal");
+    }
+}
