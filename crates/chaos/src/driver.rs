@@ -5,21 +5,16 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use cal_core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, CheckStats, Verdict};
-use cal_core::dsl::SpecDef;
-use cal_core::par::check_cal_par_with;
-use cal_core::spec::{CaSpec, SeqAsCa};
+use cal_core::check::{CheckError, CheckOptions, CheckOutcome, CheckStats, Verdict};
+use cal_core::spec::CaSpec;
+use cal_core::Value;
 use cal_core::{History, ObjectId, ThreadId};
 use cal_objects::hooks;
 use cal_objects::recorded::{
     RecordedDualStack, RecordedEliminationStack, RecordedExchanger, RecordedSyncQueue,
     RecordedTreiberStack,
 };
-use cal_specs::dual_stack::DualStackSpec;
-use cal_specs::exchanger::ExchangerSpec;
-use cal_specs::stack::StackSpec;
-use cal_specs::sync_queue::SyncQueueSpec;
-use cal_core::Value;
+use cal_specs::registry::{self, run_ca, CheckMode, Selected, Visitor};
 use cal_specs::vocab::{EXCHANGE, POP, PUSH, PUT, TAKE};
 
 use crate::faults::{Profile, SplitMix64};
@@ -80,6 +75,18 @@ impl TargetKind {
     /// Parses a CLI target name.
     pub fn parse(s: &str) -> Option<Self> {
         TargetKind::ALL.into_iter().find(|t| t.name() == s)
+    }
+
+    /// The registry specification the target's histories must satisfy.
+    pub fn spec(self) -> Selected {
+        let name = match self {
+            TargetKind::Exchanger | TargetKind::BuggyExchanger => registry::EXCHANGER,
+            TargetKind::TreiberStack => registry::STACK,
+            TargetKind::ElimStack => registry::FAILING_STACK,
+            TargetKind::DualStack => registry::DUAL_STACK,
+            TargetKind::SyncQueue => registry::SYNC_QUEUE,
+        };
+        Selected::builtin(name).expect("registry constants name BUILTINS rows")
     }
 }
 
@@ -148,11 +155,11 @@ pub struct RunConfig {
     /// Worker threads for the checker (not the workload); `> 1` routes the
     /// harvested history through the parallel checker.
     pub check_threads: usize,
-    /// A runtime-loaded `.cal` specification to check harvested histories
-    /// against instead of the target's built-in spec. The spec is
-    /// instantiated on the run's single object; compilation happens
-    /// before any run starts (the `chaos-soak` exit-3 contract).
-    pub spec: Option<Arc<SpecDef>>,
+    /// A specification to check harvested histories against instead of
+    /// the target's own ([`TargetKind::spec`]) — `chaos-soak --spec`. It
+    /// is instantiated on the run's single object; a `.cal` file behind
+    /// it was compiled before any run starts (the exit-3 contract).
+    pub spec: Option<Selected>,
 }
 
 impl Default for RunConfig {
@@ -355,33 +362,21 @@ impl LiveTarget {
             LiveTarget::Sync(q) => q.recorder().history(),
         }
     }
-
-    fn check(&self, h: &History, options: CheckOptions) -> Result<CheckOutcome, CheckError> {
-        match self {
-            LiveTarget::Exchanger(_) => dispatch(h, &ExchangerSpec::new(OBJ), &options),
-            LiveTarget::Treiber(_) => {
-                dispatch(h, &SeqAsCa::new(StackSpec::total(OBJ)), &options)
-            }
-            LiveTarget::Elim(_) => {
-                dispatch(h, &SeqAsCa::new(StackSpec::failing(OBJ)), &options)
-            }
-            LiveTarget::Dual(_) => dispatch(h, &DualStackSpec::with_timeouts(OBJ), &options),
-            LiveTarget::Sync(_) => dispatch(h, &SyncQueueSpec::new(OBJ), &options),
-        }
-    }
 }
 
-/// Routes a check through the parallel checker when the config asks for
-/// more than one checker thread.
-fn dispatch<S>(h: &History, spec: &S, options: &CheckOptions) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_cal_par_with(h, spec, options)
-    } else {
-        check_cal_with(h, spec, options)
+/// The check of one harvested history, waiting for the registry to say
+/// what type the spec has.
+struct Check<'a>(&'a History, CheckOptions);
+
+impl Visitor for Check<'_> {
+    type Out = Result<CheckOutcome, CheckError>;
+
+    fn ca<S>(self, spec: S) -> Self::Out
+    where
+        S: CaSpec + Sync,
+        S::State: Send + Sync,
+    {
+        run_ca(self.0, &spec, None, &self.1)
     }
 }
 
@@ -447,12 +442,8 @@ pub fn run_once(config: &RunConfig) -> RunOutcome {
     }
 
     let history = target.history();
-    // A loaded `.cal` spec shadows the target's built-in one, same
-    // policy as `cal-check --spec`.
-    let result = match &config.spec {
-        Some(def) => dispatch(&history, &def.to_ca(OBJ), &config.check_options()),
-        None => target.check(&history, config.check_options()),
-    };
+    let selected = config.spec.clone().unwrap_or_else(|| config.target.spec());
+    let result = selected.visit(CheckMode::Cal, OBJ, Check(&history, config.check_options()));
     let verdict = match result {
         Ok(CheckOutcome { verdict: Verdict::Cal(_), stats }) => ChaosVerdict::Passed(stats),
         Ok(CheckOutcome { verdict: Verdict::NotCal, stats }) => ChaosVerdict::Violation(stats),
@@ -615,13 +606,10 @@ mod tests {
 
     /// The shipped exchanger `.cal` file, compiled at test time — the
     /// same source the soak binary loads with `--spec`.
-    fn loaded_exchanger() -> Arc<SpecDef> {
+    fn loaded_exchanger() -> Selected {
         let file = cal_core::dsl::parse_str(include_str!("../../../specs/exchanger.cal"))
             .expect("shipped spec must compile");
-        match file.specs() {
-            [only] => Arc::clone(only),
-            many => panic!("expected one spec, got {}", many.len()),
-        }
+        Selected::resolve(Some(&file), None, CheckMode::Cal).expect("the file defines one spec")
     }
 
     /// A loaded spec drives the check instead of the built-in: the

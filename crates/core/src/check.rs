@@ -132,7 +132,7 @@ pub fn is_cal_with<S: CaSpec>(
 ///
 /// This is the oracle the differential tests use to cross-validate
 /// witnesses produced by the parallel checker
-/// ([`crate::par::check_cal_par`]).
+/// ([`crate::par::check_cal_par_with`]).
 pub fn witness_explains<S: CaSpec>(history: &History, spec: &S, witness: &CaTrace) -> bool {
     if history.validate().is_err() || !spec.accepts(witness) {
         return false;

@@ -37,11 +37,10 @@
 //! sequential search, parallel search, the shared memo table, stats sinks
 //! and uniform interrupt semantics from one audited implementation.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -165,13 +164,6 @@ impl CheckOptions {
     /// Returns the default options with a wall-clock `deadline`.
     pub fn with_deadline(deadline: Duration) -> Self {
         CheckOptions { deadline: Some(deadline), ..CheckOptions::default() }
-    }
-
-    /// Returns the default options with [`CheckOptions::threads`] set to
-    /// the machine's available parallelism.
-    pub fn parallel() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        CheckOptions { threads, ..CheckOptions::default() }
     }
 }
 
@@ -382,77 +374,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// even slow spec transitions keep deadline overshoot well under the
 /// deadline itself.
 const POLL_INTERVAL_MASK: u64 = 255;
-
-/// A concurrent failed-state table striped over N mutex-guarded shards.
-///
-/// Keys are domain search nodes; a key is inserted once the subtree below
-/// it has been exhaustively refuted, after which every worker prunes on
-/// it. Striping keeps the common case (distinct shards) contention-free
-/// without pulling in a lock-free map.
-///
-/// The parallel driver's hot path now uses the lock-free
-/// [`crate::fpmemo::FpMemo`] instead; this table remains as the simple,
-/// unbounded alternative (exact membership, no eviction) for callers
-/// that build their own drivers on the engine.
-pub struct ShardedMemo<K> {
-    shards: Box<[Mutex<HashSet<K>>]>,
-    mask: usize,
-}
-
-impl<K: Eq + Hash> ShardedMemo<K> {
-    /// Creates a table striped for `threads` workers (shard count is a
-    /// power of two, several shards per worker).
-    pub fn for_threads(threads: usize) -> Self {
-        Self::with_shards((threads.max(1) * 8).min(512))
-    }
-
-    /// Creates a table with `shards` stripes (rounded up to a power of
-    /// two, at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let stripes: Vec<Mutex<HashSet<K>>> = (0..n).map(|_| Mutex::new(HashSet::new())).collect();
-        ShardedMemo { shards: stripes.into_boxed_slice(), mask: n - 1 }
-    }
-
-    /// The stripe index `key` hashes to — stable for the table's lifetime,
-    /// and what per-shard memo statistics ([`crate::obs::StatsSink`]) are
-    /// keyed by.
-    pub fn shard_index(&self, key: &K) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) & self.mask
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<HashSet<K>> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// Whether `key` has been recorded as a refuted state.
-    pub fn contains(&self, key: &K) -> bool {
-        self.shard(key).lock().contains(key)
-    }
-
-    /// Records a refuted state; returns `true` if it was new.
-    pub fn insert(&self, key: K) -> bool {
-        self.shard(&key).lock().insert(key)
-    }
-
-    /// Total number of recorded states.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<K> fmt::Debug for ShardedMemo<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedMemo").field("shards", &self.shards.len()).finish()
-    }
-}
 
 /// The failed-state table behind a search: thread-private for the
 /// sequential driver, a reference to a shared lock-free fingerprint
@@ -1180,7 +1101,7 @@ impl Tally {
 
 /// Runs the parallel search over `domain`: per-object decomposition when
 /// [`SearchDomain::decompose`] offers at least two parts, root-frontier
-/// splitting with a shared [`ShardedMemo`] otherwise.
+/// splitting with a shared lock-free [`FpMemo`] otherwise.
 /// [`CheckOptions::threads`] sets the worker count; `max_nodes` bounds
 /// the *total* nodes across workers.
 ///

@@ -1,4 +1,4 @@
-//! Foreign-history interop: pluggable parsers for external trace formats.
+//! Foreign-history interop: parsers for external trace formats.
 //!
 //! The native line format ([`crate::text`]) is what our own recorders emit;
 //! the rest of the world logs histories differently. This module ingests
@@ -97,12 +97,6 @@ pub enum Format {
     KvLog,
 }
 
-impl Format {
-    /// All formats, in auto-detection (sniffing) order. Native is the
-    /// fallback: its sniff accepts anything, so it must come last.
-    pub const ALL: [Format; 3] = [Format::Jepsen, Format::KvLog, Format::Native];
-}
-
 impl fmt::Display for Format {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -165,105 +159,13 @@ fn fail<T>(line: usize, field: Option<&'static str>, message: impl Into<String>)
     Err(FormatError { line, field, message: message.into() })
 }
 
-/// One pluggable history parser. The three built-in implementations are
-/// [`NativeParser`], [`JepsenParser`] and [`KvLogParser`]; [`parsers`]
-/// returns them in sniffing order so [`detect`] picks the first whose
-/// [`sniff`](HistoryParser::sniff) accepts the input.
-pub trait HistoryParser {
-    /// The format this parser implements.
-    fn format(&self) -> Format;
-
-    /// Cheap shape test on the raw input: does this look like my format?
-    /// Only the first contentful line is consulted; sniffs must be fast
-    /// and must not allocate proportional to the input.
-    fn sniff(&self, input: &str) -> bool;
-
-    /// Parses the full input into a validated [`History`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a line/field-anchored [`FormatError`] on malformed input —
-    /// including ill-formed histories (nested invocations, mismatched
-    /// responses), whose errors are mapped back to the source line of the
-    /// offending action.
-    fn parse(&self, input: &str) -> Result<History, FormatError>;
-}
-
-/// Parser for the native line format ([`crate::text`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NativeParser;
-
-/// Parser for porcupine/Jepsen-style operation records.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JepsenParser;
-
-/// Parser for timestamped Put/Get logs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KvLogParser;
-
-impl HistoryParser for NativeParser {
-    fn format(&self) -> Format {
-        Format::Native
-    }
-
-    fn sniff(&self, _input: &str) -> bool {
-        true // fallback: anything that is not jepsen or kvlog
-    }
-
-    fn parse(&self, input: &str) -> Result<History, FormatError> {
-        let (actions, lines) = parse_native(input)?;
-        finish(actions, &lines)
-    }
-}
-
-impl HistoryParser for JepsenParser {
-    fn format(&self) -> Format {
-        Format::Jepsen
-    }
-
-    fn sniff(&self, input: &str) -> bool {
-        first_content_line(input).is_some_and(|t| sniff_line(t) == Format::Jepsen)
-    }
-
-    fn parse(&self, input: &str) -> Result<History, FormatError> {
-        let (actions, lines) = parse_jepsen(input)?;
-        finish(actions, &lines)
-    }
-}
-
-impl HistoryParser for KvLogParser {
-    fn format(&self) -> Format {
-        Format::KvLog
-    }
-
-    fn sniff(&self, input: &str) -> bool {
-        first_content_line(input).is_some_and(|t| sniff_line(t) == Format::KvLog)
-    }
-
-    fn parse(&self, input: &str) -> Result<History, FormatError> {
-        let (actions, lines) = parse_kvlog(input)?;
-        finish(actions, &lines)
-    }
-}
-
-/// The built-in parsers in sniffing order: jepsen, kvlog, then native as
-/// the unconditional fallback.
-pub fn parsers() -> [&'static dyn HistoryParser; 3] {
-    [&JepsenParser, &KvLogParser, &NativeParser]
-}
-
 /// Auto-detects the format of `input` by sniffing its first contentful
 /// line: a line opening with `{` or `[` is jepsen; a line whose first
 /// token is an integer timestamp followed by an integer-or-`-` stamp
 /// (with at least five tokens) is kvlog; anything else — including empty
 /// input — is native.
 pub fn detect(input: &str) -> Format {
-    for p in parsers() {
-        if p.sniff(input) {
-            return p.format();
-        }
-    }
-    Format::Native
+    first_content_line(input).map_or(Format::Native, sniff_line)
 }
 
 /// Parses `input` in the given format into a validated [`History`].

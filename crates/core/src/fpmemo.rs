@@ -1,9 +1,9 @@
 //! A lock-free, open-addressed fingerprint table for failed-state
 //! memoization.
 //!
-//! [`FpMemo`] replaces the mutex-striped [`ShardedMemo`] on the parallel
-//! hot path. It is a fixed-capacity, power-of-two array of slots probed
-//! linearly from a hash-derived index. Each slot carries:
+//! [`FpMemo`] is the memo the parallel search's workers share. It is a
+//! fixed-capacity, power-of-two array of slots probed linearly from a
+//! hash-derived index. Each slot carries:
 //!
 //! - a `tag` word packing a 48-bit **fingerprint** of the key's hash with
 //!   a 16-bit **generation** counter, published with a single atomic
@@ -41,8 +41,6 @@
 //! are reclaimable by subsequent inserts. Readers treat stale slots as
 //! empty, so an eviction is just a (sound) forced miss for the evicted
 //! states.
-//!
-//! [`ShardedMemo`]: crate::engine::ShardedMemo
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};

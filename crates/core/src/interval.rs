@@ -22,9 +22,7 @@
 //! candidate points, and budgets, deadlines, cancellation, memoization,
 //! [`crate::obs::StatsSink`] observability and the parallel driver
 //! ([`check_interval_par_with`]) come from the engine. The verdict is the
-//! common [`Verdict`] taxonomy with an [`IntervalWitness`] payload; the
-//! bespoke [`IntervalVerdict`] remains as a deprecated conversion target
-//! for one release.
+//! common [`Verdict`] taxonomy with an [`IntervalWitness`] payload.
 
 use std::fmt::{self, Debug};
 use std::hash::Hash;
@@ -154,46 +152,6 @@ impl fmt::Display for IntervalWitness {
     }
 }
 
-/// The bespoke outcome type of the pre-kernel interval checker.
-#[deprecated(
-    note = "use the common `Verdict<IntervalWitness>` returned by `check_interval`; \
-            convert with `IntervalVerdict::from` during migration"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IntervalVerdict {
-    /// Interval-linearizable, with the witness point sequence.
-    Linearizable(Vec<IntervalPoint>),
-    /// No witness exists.
-    NotLinearizable,
-    /// The node budget ran out first.
-    ResourcesExhausted,
-    /// A deadline or cancellation stopped the search first.
-    Interrupted {
-        /// What stopped the search.
-        reason: InterruptReason,
-    },
-}
-
-#[allow(deprecated)]
-impl IntervalVerdict {
-    /// Returns `true` for [`IntervalVerdict::Linearizable`].
-    pub fn is_linearizable(&self) -> bool {
-        matches!(self, IntervalVerdict::Linearizable(_))
-    }
-}
-
-#[allow(deprecated)]
-impl From<Verdict<IntervalWitness>> for IntervalVerdict {
-    fn from(v: Verdict<IntervalWitness>) -> Self {
-        match v {
-            Verdict::Cal(w) => IntervalVerdict::Linearizable(w.into_points()),
-            Verdict::NotCal => IntervalVerdict::NotLinearizable,
-            Verdict::ResourcesExhausted => IntervalVerdict::ResourcesExhausted,
-            Verdict::Interrupted { reason } => IntervalVerdict::Interrupted { reason },
-        }
-    }
-}
-
 /// Decides interval-linearizability of `history` w.r.t. `spec`.
 ///
 /// The outcome uses the common [`Verdict`] taxonomy with an
@@ -224,27 +182,9 @@ pub fn check_interval_with<S: IntervalSpec>(
     Ok(engine::search(&domain, options)?.map_witness(IntervalWitness::new))
 }
 
-/// Parallel interval-linearizability check with [`CheckOptions::parallel`];
-/// see [`check_interval_par_with`].
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed
-/// and [`CheckError::SpecPanicked`] if the specification panics.
-pub fn check_interval_par<S>(
-    history: &History,
-    spec: &S,
-) -> Result<CheckOutcome<IntervalWitness>, CheckError>
-where
-    S: IntervalSpec + Sync,
-    S::State: Send + Sync,
-{
-    check_interval_par_with(history, spec, &CheckOptions::parallel())
-}
-
 /// Like [`check_interval_with`], run on the engine's parallel driver
 /// ([`engine::search_par`]): the candidate first points are enumerated
-/// once and split across workers sharing one sharded memo table and a
+/// once and split across workers sharing one lock-free memo table and a
 /// global node budget — inherited from the shared kernel, with the same
 /// verdict and interrupt semantics as the CAL checker.
 ///

@@ -72,9 +72,7 @@ use crate::ids::ObjectId;
 ///
 /// Shard indices reported by the search come from the shared memo's
 /// key-hash bucketing (the lock-free [`crate::fpmemo::FpMemo`] reports
-/// `hash mod MEMO_SHARD_BUCKETS`; the mutex-striped
-/// [`crate::par::ShardedMemo`] reports its stripe index, up to 512,
-/// folded into this many buckets). The sequential checker's private memo
+/// `hash mod MEMO_SHARD_BUCKETS`). The sequential checker's private memo
 /// always reports shard 0.
 pub const MEMO_SHARD_BUCKETS: usize = 64;
 

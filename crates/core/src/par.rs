@@ -22,8 +22,6 @@
 //!    skewed root split no longer strands cores. A shared node counter
 //!    makes [`CheckOptions::max_nodes`] a global budget, and an internal
 //!    stop latch winds every worker down as soon as one finds a witness.
-//!    (The simpler unbounded mutex-striped [`ShardedMemo`] remains
-//!    available for callers that need exact, eviction-free memoization.)
 //!
 //! Both drivers live in the shared search kernel ([`crate::engine`]) and
 //! are inherited by every checker; this module merely instantiates them
@@ -39,53 +37,8 @@ use crate::history::History;
 use crate::spec::CaSpec;
 
 pub use crate::check::{CheckError, CheckOptions, CheckOutcome, CheckStats};
-pub use crate::engine::ShardedMemo;
 
-/// Decides whether `history` is CAL w.r.t. `spec` using
-/// [`CheckOptions::parallel`] (one worker per available core).
-///
-/// Same verdict semantics as [`crate::check::check_cal`]; see
-/// [`check_cal_par_with`].
-///
-/// # Examples
-///
-/// ```
-/// use cal_core::par::check_cal_par;
-/// use cal_core::text::parse_history;
-/// # use cal_core::spec::{CaSpec, Invocation};
-/// # use cal_core::trace::CaElement;
-/// # use cal_core::Value;
-/// # #[derive(Debug)]
-/// # struct AnySingleton;
-/// # impl CaSpec for AnySingleton {
-/// #     type State = ();
-/// #     fn initial(&self) {}
-/// #     fn step(&self, _: &(), e: &CaElement) -> Option<()> { (e.len() == 1).then_some(()) }
-/// #     fn completions_of(&self, _: &Invocation) -> Vec<Value> { vec![] }
-/// # }
-/// let h = parse_history(
-///     "t1 inv o0.noop 0\n\
-///      t2 inv o0.noop 0\n\
-///      t1 res o0.noop 0\n\
-///      t2 res o0.noop 0\n",
-/// )
-/// .unwrap();
-/// let outcome = check_cal_par(&h, &AnySingleton).unwrap();
-/// assert!(outcome.verdict.is_cal());
-/// ```
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed.
-pub fn check_cal_par<S>(history: &History, spec: &S) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    check_cal_par_with(history, spec, &CheckOptions::parallel())
-}
-
-/// Like [`check_cal_par`], with explicit [`CheckOptions`]
+/// Decides whether `history` is CAL w.r.t. `spec` on the parallel driver
 /// ([`CheckOptions::threads`] sets the worker count).
 ///
 /// Always returns the same verdict as the sequential
@@ -375,16 +328,5 @@ mod tests {
         let pending = History::from_actions(vec![inv_on(o, 1, 3)]);
         let outcome = check_cal_par_with(&pending, &spec, &threads_options(4)).unwrap();
         assert!(outcome.verdict.is_cal());
-    }
-
-    #[test]
-    fn sharded_memo_inserts_and_finds() {
-        let memo: ShardedMemo<(u32, u32)> = ShardedMemo::with_shards(7);
-        assert!(memo.is_empty());
-        assert!(memo.insert((1, 2)));
-        assert!(!memo.insert((1, 2)));
-        assert!(memo.contains(&(1, 2)));
-        assert!(!memo.contains(&(2, 1)));
-        assert_eq!(memo.len(), 1);
     }
 }

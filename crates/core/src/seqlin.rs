@@ -83,25 +83,10 @@ pub fn check_linearizable_with<S: SeqSpec>(
     Ok(engine::search(&domain, options)?.map_witness(steps_to_trace))
 }
 
-/// Parallel linearizability check using [`CheckOptions::parallel`]; see
-/// [`check_linearizable_par_with`].
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed
-/// and [`CheckError::SpecPanicked`] if the specification panics.
-pub fn check_linearizable_par<S>(history: &History, spec: &S) -> Result<CheckOutcome, CheckError>
-where
-    S: SeqSpec + Sync,
-    S::State: Send + Sync,
-{
-    check_linearizable_par_with(history, spec, &CheckOptions::parallel())
-}
-
 /// Like [`check_linearizable_with`], but run on the engine's parallel
 /// driver ([`engine::search_par`]): per-object decomposition when
 /// [`SeqSpec::restrict`] covers every object in the history, root-frontier
-/// splitting with a shared [`crate::par::ShardedMemo`] otherwise.
+/// splitting with a shared lock-free [`crate::fpmemo::FpMemo`] otherwise.
 /// Inherited from the shared kernel — the same driver the CAL checker
 /// uses, with identical verdict and interrupt semantics.
 ///

@@ -18,7 +18,9 @@
 //!   sequential baselines for checker calibration;
 //! - [`kv::KvMapSpec`] — a map of independent per-key registers, the spec
 //!   family for imported distributed-system traces (`cal_core::format`);
-//! - [`gen`] — random legal traces for tests and benchmarks.
+//! - [`gen`] — random legal traces for tests and benchmarks;
+//! - [`registry`] — the front door: the table of built-in names, `--spec`
+//!   resolution, mode lifting and driver choice every binary goes through.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,6 +32,7 @@ pub mod exchanger;
 pub mod gen;
 pub mod kv;
 pub mod register;
+pub mod registry;
 pub mod snapshot;
 pub mod stack;
 pub mod sync_queue;

@@ -10,7 +10,7 @@
 //!                  [--hb auto|session|real-time] [--object <N>]
 //!                  [--format auto|native|jepsen|kvlog]
 //!                  [--deadline-ms <N>] [--max-nodes <N>] [--threads <N>]
-//!                  [--stats] [--stats-json <PATH>] [--explain]
+//!                  [--no-symmetry] [--stats] [--stats-json <PATH>] [--explain]
 //!        cal-check <SPEC> --batch <DIR> [--spec <FILE.cal>]
 //!                  [--mode cal|seq|interval|causal] [--hb auto|session|real-time]
 //!                  [--object <N>] [--format auto|native|jepsen|kvlog]
@@ -19,9 +19,8 @@
 //!                  [--threads <N>] [--check-threads <N>] [--ops <N>]
 //!                  [--mode <M>] [--deadline-ms <N>]
 //!
-//!   SPEC     exchanger | elim-array | sync-queue | dual-stack (concurrency-aware)
-//!            stack | failing-stack | register | counter | kv (sequential)
-//!            write-snapshot                                  (interval)
+//!   SPEC     a built-in — `--help` lists them, from the one table in
+//!            `cal_specs::registry` — or a name defined by `--spec`
 //!   FILE     history file, or - for stdin
 //!   DIR      directory of history files, checked concurrently
 //!   PROFILE  light | heavy | starvation
@@ -43,6 +42,10 @@
 //! may be omitted; with several, name one. Mode gating is as for the
 //! built-ins: `kind seq` specs check in every `--mode`, `kind ca` specs
 //! only under `--mode cal`.
+//!
+//! `--max-nodes` bounds the search (decimal or `0x` hex; exhausting it is
+//! verdict `undecided`), and `--no-symmetry` turns off symmetry reduction
+//! over interchangeable operations (file mode).
 //!
 //! `--mode` selects the checker, all of which run on the shared search
 //! kernel: `cal` (concurrency-aware linearizability; sequential specs
@@ -99,46 +102,19 @@ use std::time::{Duration, Instant};
 
 use cal::chaos::driver::{run_once, ChaosVerdict, Mode, RunConfig, TargetKind};
 use cal::chaos::Profile;
-use cal::core::causal::{check_causal_par_with, check_causal_with};
-use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
-use cal::core::dsl::{self, SpecDef};
-use cal::core::history::HbRelation;
-use cal::core::interval::{
-    check_interval_par_with, check_interval_with, IntervalSpec, IntervalWitness, SeqAsInterval,
-};
-use cal::core::format::{self, Format};
-use cal::core::obs::{CountingSink, SearchReport};
-use cal::core::par::check_cal_par_with;
-use cal::core::seqlin::{check_linearizable_par_with, check_linearizable_with};
-use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
-use cal::core::text::format_trace;
-use cal::core::trace::CaTrace;
-use cal::core::{History, ObjectId};
-use cal::specs::dual_stack::DualStackSpec;
-use cal::specs::elim_array::ElimArraySpec;
-use cal::specs::exchanger::ExchangerSpec;
-use cal::specs::kv::KvMapSpec;
-use cal::specs::register::{CounterSpec, RegisterSpec};
-use cal::specs::snapshot::WriteSnapshotSpec;
-use cal::specs::stack::StackSpec;
-use cal::specs::sync_queue::SyncQueueSpec;
-
 use cal::cli::{
-    parse_seed, EXIT_ACCEPTED, EXIT_ERROR, EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
+    self, parse_seed, Args, EXIT_ACCEPTED, EXIT_ERROR, EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
 };
-
-/// Broken-pipe-safe printing: all output goes through these macros, which
-/// bubble `io::Error` up to [`main`] where `BrokenPipe` becomes a clean
-/// exit 0 (so `cal-check ... | head` never panics).
-macro_rules! outln {
-    ($($t:tt)*) => { writeln!(io::stdout(), $($t)*) }
-}
-macro_rules! out {
-    ($($t:tt)*) => { write!(io::stdout(), $($t)*) }
-}
-macro_rules! errln {
-    ($($t:tt)*) => { writeln!(io::stderr(), $($t)*) }
-}
+use cal::core::check::{CheckError, CheckOptions, CheckOutcome, Verdict};
+use cal::core::format::{self, Format};
+use cal::core::history::HbRelation;
+use cal::core::interval::{IntervalSpec, IntervalWitness};
+use cal::core::obs::{CountingSink, SearchReport, StatsSink};
+use cal::core::spec::{CaSpec, SeqSpec};
+use cal::core::text::format_trace;
+use cal::core::{History, ObjectId};
+use cal::specs::registry::{self, run_ca, run_interval, run_seq, CheckMode, Selected, Visitor};
+use cal::{errln, outln};
 
 fn usage() -> io::Result<ExitCode> {
     errln!(
@@ -155,8 +131,7 @@ fn usage() -> io::Result<ExitCode> {
          \x20                [--threads <N>] [--check-threads <N>] [--ops <N>] [--mode <M>]\n\
          \x20                [--deadline-ms <N>]\n\
          \n\
-         SPEC:    exchanger | elim-array | sync-queue | dual-stack | stack | failing-stack |\n\
-         \x20        register | counter | kv | write-snapshot\n\
+         SPEC:    {}\n\
          FILE:    history file (native, jepsen, or kvlog format), or - for stdin\n\
          DIR:     directory of history files, checked concurrently\n\
          PROFILE: light | heavy | starvation\n\
@@ -178,20 +153,10 @@ fn usage() -> io::Result<ExitCode> {
          --stats-json   write the SearchReport as JSON to PATH, or - for stdout (file mode)\n\
          --explain      print why the verdict was slow or undecided (file mode)\n\
          \n\
-         exit status: 0 accepted, 1 rejected, 2 undecided, 3 input/checker error, 4 usage"
+         exit status: 0 accepted, 1 rejected, 2 undecided, 3 input/checker error, 4 usage",
+        registry::builtin_names(None)
     )?;
     Ok(ExitCode::from(EXIT_USAGE))
-}
-
-/// Which checker a file/batch invocation runs. All four are thin domains
-/// over the same `cal_core::engine` search kernel; `causal` is the CAL
-/// domain with the order relation swapped to happens-before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CheckerMode {
-    Cal,
-    Seq,
-    Interval,
-    Causal,
 }
 
 /// How `--mode causal` derives the happens-before order from the input
@@ -223,289 +188,185 @@ impl HbPolicy {
     }
 }
 
-fn main() -> ExitCode {
-    match try_main() {
-        Ok(code) => code,
-        // A reader (head, a closed pager, …) hung up: that is a normal way
-        // for output to end, not an error.
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::from(EXIT_ACCEPTED),
-        Err(e) => {
-            let _ = writeln!(io::stderr(), "cal-check: io error: {e}");
-            ExitCode::from(EXIT_ERROR)
+/// The parsed command line; `None`/`false` is "flag not given".
+#[derive(Default)]
+struct Cli {
+    spec_name: Option<String>,
+    spec_file: Option<String>,
+    file: Option<String>,
+    batch: Option<String>,
+    object: Option<ObjectId>,
+    deadline: Option<Duration>,
+    chaos_profile: Option<Profile>,
+    seed: u64,
+    target: Option<TargetKind>,
+    threads: Option<usize>,
+    check_threads: Option<usize>,
+    ops: Option<usize>,
+    chaos_mode: Option<Mode>,
+    mode: Option<CheckMode>,
+    hb: Option<HbPolicy>,
+    format: Option<Format>,
+    max_nodes: Option<u64>,
+    no_symmetry: bool,
+    stats: bool,
+    stats_json: Option<String>,
+    explain: bool,
+}
+
+impl Cli {
+    /// `None` is a usage error: an unknown flag, or a missing or
+    /// malformed value.
+    fn parse(mut args: Args) -> Option<Cli> {
+        let mut cli = Cli::default();
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--object" => cli.object = Some(ObjectId(args.value()?)),
+                "--deadline-ms" => cli.deadline = Some(Duration::from_millis(args.value()?)),
+                "--chaos" => cli.chaos_profile = Some(args.with(Profile::parse)?),
+                "--batch" => cli.batch = Some(args.next()?),
+                "--spec" => cli.spec_file = Some(args.next()?),
+                "--seed" => cli.seed = args.with(parse_seed)?,
+                "--target" => cli.target = Some(args.with(TargetKind::parse)?),
+                "--threads" => cli.threads = Some(args.positive()?),
+                "--check-threads" => cli.check_threads = Some(args.positive()?),
+                "--ops" => cli.ops = Some(args.positive()?),
+                // `--mode` is overloaded: checker selection in file/batch
+                // mode, schedule selection in chaos mode. The value
+                // disambiguates.
+                "--mode" => {
+                    let m = args.next()?;
+                    match CheckMode::parse(&m) {
+                        Some(mode) => cli.mode = Some(mode),
+                        None => cli.chaos_mode = Some(Mode::parse(&m)?),
+                    }
+                }
+                "--hb" => cli.hb = Some(args.with(HbPolicy::parse)?),
+                "--format" => cli.format = args.format("cal-check")?,
+                "--max-nodes" => cli.max_nodes = Some(args.with(parse_seed).filter(|n| *n > 0)?),
+                "--no-symmetry" => cli.no_symmetry = true,
+                "--stats" => cli.stats = true,
+                "--stats-json" => cli.stats_json = Some(args.next()?),
+                "--explain" => cli.explain = true,
+                "-h" | "--help" => return None,
+                _ if cli.spec_name.is_none() => cli.spec_name = Some(a),
+                _ if cli.file.is_none() => cli.file = Some(a),
+                _ => return None,
+            }
         }
+        Some(cli)
+    }
+
+    /// Whether any flag that only file mode understands was given.
+    fn file_mode_flags(&self) -> bool {
+        self.stats || self.explain || self.stats_json.is_some() || self.no_symmetry
     }
 }
 
-fn try_main() -> io::Result<ExitCode> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut spec_name = None;
-    let mut spec_file: Option<String> = None;
-    let mut file = None;
-    let mut batch = None;
-    let mut object = None;
-    let mut deadline = None;
-    let mut chaos_profile = None;
-    let mut seed = 0u64;
-    let mut target = TargetKind::Exchanger;
-    let mut threads = None;
-    let mut check_threads = None;
-    let mut ops = None;
-    let mut chaos_mode: Option<Mode> = None;
-    let mut checker_mode: Option<CheckerMode> = None;
-    let mut hb_policy: Option<HbPolicy> = None;
-    let mut trace_format: Option<Format> = None;
-    let mut max_nodes: Option<u64> = None;
-    let mut no_symmetry = false;
-    let mut stats = false;
-    let mut stats_json: Option<String> = None;
-    let mut explain = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--object" => match it.next().and_then(|n| n.parse::<u32>().ok()) {
-                Some(n) => object = Some(ObjectId(n)),
-                None => return usage(),
-            },
-            "--deadline-ms" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(ms) => deadline = Some(Duration::from_millis(ms)),
-                None => return usage(),
-            },
-            "--chaos" => match it.next().and_then(|p| Profile::parse(p)) {
-                Some(p) => chaos_profile = Some(p),
-                None => return usage(),
-            },
-            "--batch" => match it.next() {
-                Some(d) => batch = Some(d.clone()),
-                None => return usage(),
-            },
-            "--spec" => match it.next() {
-                Some(p) => spec_file = Some(p.clone()),
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|n| parse_seed(n)) {
-                Some(s) => seed = s,
-                None => return usage(),
-            },
-            "--target" => match it.next().and_then(|t| TargetKind::parse(t)) {
-                Some(t) => target = t,
-                None => return usage(),
-            },
-            "--threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => threads = Some(n),
-                _ => return usage(),
-            },
-            "--check-threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => check_threads = Some(n),
-                _ => return usage(),
-            },
-            "--ops" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => ops = Some(n),
-                _ => return usage(),
-            },
-            // `--mode` is overloaded: checker selection in file/batch mode,
-            // schedule selection in chaos mode. The value disambiguates.
-            "--mode" => match it.next().map(String::as_str) {
-                Some("cal") => checker_mode = Some(CheckerMode::Cal),
-                Some("seq") => checker_mode = Some(CheckerMode::Seq),
-                Some("interval") => checker_mode = Some(CheckerMode::Interval),
-                Some("causal") => checker_mode = Some(CheckerMode::Causal),
-                Some(m) => match Mode::parse(m) {
-                    Some(m) => chaos_mode = Some(m),
-                    None => return usage(),
-                },
-                None => return usage(),
-            },
-            "--hb" => match it.next().and_then(|p| HbPolicy::parse(p)) {
-                Some(p) => hb_policy = Some(p),
-                None => return usage(),
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("auto") => trace_format = None,
-                Some(f) => match f.parse::<Format>() {
-                    Ok(f) => trace_format = Some(f),
-                    Err(e) => {
-                        let _ = errln!("cal-check: {e}");
-                        return usage();
-                    }
-                },
-                None => return usage(),
-            },
-            "--max-nodes" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n > 0 => max_nodes = Some(n),
-                _ => return usage(),
-            },
-            "--no-symmetry" => no_symmetry = true,
-            "--stats" => stats = true,
-            "--stats-json" => match it.next() {
-                Some(p) => stats_json = Some(p.clone()),
-                None => return usage(),
-            },
-            "--explain" => explain = true,
-            "-h" | "--help" => return usage(),
-            _ if spec_name.is_none() => spec_name = Some(a.clone()),
-            _ if file.is_none() => file = Some(a.clone()),
-            _ => return usage(),
-        }
-    }
+fn main() -> ExitCode {
+    cli::main("cal-check", try_main)
+}
 
-    if let Some(profile) = chaos_profile {
-        if spec_name.is_some()
-            || spec_file.is_some()
-            || file.is_some()
-            || batch.is_some()
-            || checker_mode.is_some()
+fn try_main() -> io::Result<ExitCode> {
+    let Some(mut cli) = Cli::parse(Args::from_env()) else {
+        return usage();
+    };
+    if let Some(profile) = cli.chaos_profile {
+        // Spec, input, checker-mode, stats, format, budget and search
+        // flags are file-mode only.
+        if cli.spec_name.is_some()
+            || cli.spec_file.is_some()
+            || cli.batch.is_some()
+            || cli.mode.is_some()
+            || cli.file_mode_flags()
+            || cli.format.is_some()
+            || cli.max_nodes.is_some()
+            || cli.hb.is_some()
         {
             return usage();
         }
-        if stats
-            || explain
-            || stats_json.is_some()
-            || trace_format.is_some()
-            || max_nodes.is_some()
-            || no_symmetry
-            || hb_policy.is_some()
-        {
-            return usage(); // stats/format/budget/search flags are file-mode only
-        }
-        let mode = chaos_mode.unwrap_or(Mode::Deterministic);
-        let mut config = RunConfig { seed, target, profile, mode, ..RunConfig::default() };
-        if let Some(t) = threads {
-            config.threads = t;
-        }
-        if let Some(t) = check_threads {
-            config.check_threads = t;
-        }
-        if let Some(o) = ops {
-            config.ops_per_thread = o;
-        }
-        if let Some(d) = deadline {
-            config.deadline = Some(d);
-        }
-        return run_chaos(&config);
+        let defaults = RunConfig::default();
+        return run_chaos(&RunConfig {
+            seed: cli.seed,
+            target: cli.target.unwrap_or(defaults.target),
+            profile,
+            mode: cli.chaos_mode.unwrap_or(defaults.mode),
+            threads: cli.threads.unwrap_or(defaults.threads),
+            check_threads: cli.check_threads.unwrap_or(defaults.check_threads),
+            ops_per_thread: cli.ops.unwrap_or(defaults.ops_per_thread),
+            deadline: cli.deadline.or(defaults.deadline),
+            ..defaults
+        });
     }
-    if chaos_mode.is_some() {
-        return usage(); // deterministic|stress make sense only with --chaos
+    let mode = cli.mode.unwrap_or(CheckMode::Cal);
+    // deterministic|stress make sense only with --chaos, and --hb chooses
+    // the order source for --mode causal only.
+    if cli.chaos_mode.is_some() || (cli.hb.is_some() && mode != CheckMode::Causal) {
+        return usage();
     }
-    let mode = checker_mode.unwrap_or(CheckerMode::Cal);
-    if hb_policy.is_some() && mode != CheckerMode::Causal {
-        return usage(); // --hb chooses the order source for --mode causal only
-    }
-    let hb_policy = hb_policy.unwrap_or_default();
 
     // Loading happens before any history is read, so a bad .cal file
     // fails fast (exit 3) even when the input would come from stdin.
-    let loaded: Option<dsl::SpecFile> = match &spec_file {
-        Some(path) => {
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    errln!("cal-check: cannot read {path}: {e}")?;
-                    return Ok(ExitCode::from(EXIT_ERROR));
-                }
-            };
-            match dsl::parse_str(&src) {
-                Ok(f) => Some(f),
-                Err(diag) => {
-                    errln!("cal-check: {path}: {diag}")?;
-                    return Ok(ExitCode::from(EXIT_ERROR));
-                }
-            }
+    let loaded = match cli.spec_file.as_deref().map(registry::load).transpose() {
+        Ok(loaded) => loaded,
+        Err(e) => {
+            errln!("cal-check: {e}")?;
+            return Ok(ExitCode::from(EXIT_ERROR));
         }
-        None => None,
     };
     // With --spec, a single positional that names no loaded spec is the
     // input file — `cal-check --spec one.cal trace.hist` just works.
-    if let Some(sf) = &loaded {
-        if file.is_none() {
-            if let Some(name) = &spec_name {
-                if sf.get(name).is_none() {
-                    file = spec_name.take();
-                }
-            }
+    if let (Some(file), None, Some(name)) = (&loaded, &cli.file, &cli.spec_name) {
+        if file.get(name).is_none() {
+            cli.file = cli.spec_name.take();
         }
     }
-
-    let selected = match (&loaded, &spec_name) {
-        (Some(sf), Some(name)) => match sf.get(name) {
-            Some(def) => Selected::Loaded(Arc::clone(def)),
-            None if known_spec(name) => Selected::Builtin(name.clone()),
-            None => {
-                errln!("cal-check: unknown spec {name:?} (not in {} either)", spec_file.unwrap())?;
-                return usage();
-            }
-        },
-        (Some(sf), None) => match sf.specs() {
-            [only] => Selected::Loaded(Arc::clone(only)),
-            many => {
-                errln!(
-                    "cal-check: {} defines {} specs ({}); name one as the SPEC argument",
-                    spec_file.unwrap(),
-                    many.len(),
-                    sf.names().join(", ")
-                )?;
-                return usage();
-            }
-        },
-        (None, Some(name)) => {
-            if !known_spec(name) {
-                errln!("cal-check: unknown spec {name:?}")?;
-                return usage();
-            }
-            Selected::Builtin(name.clone())
-        }
-        (None, None) => return usage(),
-    };
-    if !selected.supports(mode) {
-        errln!("cal-check: spec {:?} is not checkable in this --mode", selected.name())?;
-        return usage();
-    }
-
-    if let Some(dir) = batch {
-        if file.is_some() || stats || explain || stats_json.is_some() || no_symmetry {
+    let selected = match Selected::resolve(loaded.as_ref(), cli.spec_name.as_deref(), mode) {
+        Ok(selected) => selected,
+        Err(e) => {
+            errln!("cal-check: {e}")?;
             return usage();
         }
-        return run_batch(
-            &selected,
-            mode,
-            hb_policy,
-            trace_format,
-            &dir,
-            object,
-            deadline,
-            max_nodes,
-            threads.unwrap_or(1),
-        );
+    };
+    let hb = cli.hb.unwrap_or_default();
+    let job = Job { selected, mode, hb, format: cli.format, object: cli.object };
+    let mut options = CheckOptions {
+        deadline: cli.deadline,
+        threads: cli.threads.unwrap_or(1),
+        symmetry: !cli.no_symmetry,
+        ..CheckOptions::default()
+    };
+    if let Some(n) = cli.max_nodes {
+        options.max_nodes = n;
     }
 
-    let Some(file) = file else {
+    if let Some(dir) = &cli.batch {
+        if cli.file.is_some() || cli.file_mode_flags() {
+            return usage();
+        }
+        return run_batch(&job, dir, options);
+    }
+
+    let Some(file) = &cli.file else {
         return usage();
     };
-    let input = match read_input(&file) {
+    let input = match read_input(file) {
         Ok(s) => s,
         Err(e) => {
             errln!("cal-check: cannot read {file}: {e}")?;
             return Ok(ExitCode::from(EXIT_ERROR));
         }
     };
-    let mut options =
-        CheckOptions { deadline, threads: threads.unwrap_or(1), ..CheckOptions::default() };
-    if let Some(n) = max_nodes {
-        options.max_nodes = n;
-    }
-    if no_symmetry {
-        options.symmetry = false;
-    }
-    let want_report = stats || explain || stats_json.is_some();
-    let (checked, report) =
-        check_input(&selected, mode, hb_policy, trace_format, &input, object, &options, want_report);
+    let want_report = cli.stats || cli.explain || cli.stats_json.is_some();
+    let (checked, report) = job.check(&input, &options, want_report);
     if let Some(report) = &report {
-        if stats {
+        if cli.stats {
             errln!("stats: {}", report.summary())?;
         }
-        if explain {
+        if cli.explain {
             errln!("{}", report.explain())?;
         }
-        if let Some(path) = &stats_json {
+        if let Some(path) = &cli.stats_json {
             let json = report.to_json();
             if path == "-" {
                 outln!("{json}")?;
@@ -518,7 +379,7 @@ fn try_main() -> io::Result<ExitCode> {
     match checked {
         Checked::Accepted { adjective, witness } => {
             outln!("{adjective}: yes")?;
-            out!("{witness}")?;
+            write!(io::stdout(), "{witness}")?;
             io::stdout().flush()?;
             Ok(ExitCode::from(EXIT_ACCEPTED))
         }
@@ -577,312 +438,157 @@ enum Checked {
     Error(String),
 }
 
-/// The specification a file/batch invocation checks against: a built-in
-/// (by name) or a spec compiled from a `--spec` file. Loaded specs shadow
-/// built-ins on name collision.
-#[derive(Clone)]
-enum Selected {
-    Builtin(String),
-    Loaded(Arc<SpecDef>),
-}
-
-impl Selected {
-    fn name(&self) -> &str {
-        match self {
-            Selected::Builtin(name) => name,
-            Selected::Loaded(def) => def.name(),
-        }
-    }
-
-    /// Mode gating, uniform with the built-ins: sequential specs check
-    /// everywhere, concurrency-aware specs only under `--mode cal` or
-    /// `--mode causal` (the same membership search, weaker order).
-    fn supports(&self, mode: CheckerMode) -> bool {
-        match self {
-            Selected::Builtin(name) => spec_supports(name, mode),
-            Selected::Loaded(def) => {
-                def.is_sequential()
-                    || matches!(mode, CheckerMode::Cal | CheckerMode::Causal)
-            }
-        }
-    }
-}
-
-fn known_spec(name: &str) -> bool {
-    matches!(
-        name,
-        "exchanger"
-            | "elim-array"
-            | "sync-queue"
-            | "dual-stack"
-            | "stack"
-            | "failing-stack"
-            | "register"
-            | "counter"
-            | "kv"
-            | "write-snapshot"
-    )
-}
-
-/// Which `--mode`s can check which spec: concurrency-aware specs are
-/// CAL-only, sequential specs work in every mode (lifted to singleton
-/// elements / singleton intervals), `write-snapshot` is interval-native.
-fn spec_supports(name: &str, mode: CheckerMode) -> bool {
-    match name {
-        "exchanger" | "elim-array" | "sync-queue" | "dual-stack" => {
-            matches!(mode, CheckerMode::Cal | CheckerMode::Causal)
-        }
-        "stack" | "failing-stack" | "register" | "counter" | "kv" => true,
-        "write-snapshot" => mode == CheckerMode::Interval,
-        _ => false,
-    }
-}
-
-/// Parses `input` (in the explicit format, or sniffed) and checks it
-/// against the named specification with the selected checker. With
-/// `want_report` a [`CountingSink`] rides along and the checker's
-/// [`SearchReport`] is returned next to the result (absent when parsing or
-/// the checker itself failed).
-///
-/// Parse and validation errors are line-anchored: `cal_core::format`
-/// tracks the source line of every action, so even well-formedness
-/// failures (nested invocation, mismatched response) name the offending
-/// input line.
-#[allow(clippy::too_many_arguments)]
-fn check_input(
-    selected: &Selected,
-    mode: CheckerMode,
-    hb_policy: HbPolicy,
-    trace_format: Option<Format>,
-    input: &str,
+/// What a file/batch invocation checks every input against.
+struct Job {
+    selected: Selected,
+    mode: CheckMode,
+    hb: HbPolicy,
+    /// Pinned input format; `None` sniffs each input.
+    format: Option<Format>,
+    /// Pinned object; `None` takes the first one each history mentions.
     object: Option<ObjectId>,
-    options: &CheckOptions,
-    want_report: bool,
-) -> (Checked, Option<SearchReport>) {
-    let fmt = trace_format.unwrap_or_else(|| format::detect(input));
-    // Causal mode parses with annotations so kvlog `hb` metadata reaches
-    // the order; the other modes ignore causality metadata by design.
-    let (history, hb_edges) = if mode == CheckerMode::Causal {
-        match format::parse_annotated(fmt, input) {
-            Ok(a) => (a.history, a.hb_edges),
+}
+
+impl Job {
+    /// Parses `input` (in the pinned format, or sniffed), builds the
+    /// order the mode asks for, and checks it against the selected spec.
+    /// With `want_report` a [`CountingSink`] rides along and the
+    /// checker's [`SearchReport`] is returned next to the result (absent
+    /// when parsing or the checker itself failed).
+    ///
+    /// Parse and validation errors are line-anchored: `cal_core::format`
+    /// tracks the source line of every action, so even well-formedness
+    /// failures (nested invocation, mismatched response) name the
+    /// offending input line.
+    fn check(
+        &self,
+        input: &str,
+        options: &CheckOptions,
+        want_report: bool,
+    ) -> (Checked, Option<SearchReport>) {
+        let fmt = self.format.unwrap_or_else(|| format::detect(input));
+        // Causal mode parses with annotations so kvlog `hb` metadata
+        // reaches the order; the other modes ignore causality metadata by
+        // design.
+        let parsed = if self.mode == CheckMode::Causal {
+            format::parse_annotated(fmt, input).map(|a| (a.history, a.hb_edges))
+        } else {
+            format::parse_as(fmt, input).map(|h| (h, None))
+        };
+        let (history, hb_edges) = match parsed {
+            Ok(parsed) => parsed,
             Err(e) => return (Checked::Error(format!("parse error ({fmt}): {e}")), None),
+        };
+        let order = match self.order(&history, hb_edges.as_deref()) {
+            Ok(order) => order,
+            Err(e) => return (Checked::Error(e), None),
+        };
+        let object =
+            self.object.or_else(|| history.objects().first().copied()).unwrap_or(ObjectId(0));
+        let sink = want_report.then(|| Arc::new(CountingSink::new()));
+        let options =
+            CheckOptions { sink: sink.clone().map(|s| s as Arc<dyn StatsSink>), ..options.clone() };
+        let run = Run {
+            history: &history,
+            order: order.as_ref(),
+            options: &options,
+            adjective: self.selected.adjective(self.mode),
+            sink: sink.as_deref(),
+            start: Instant::now(),
+        };
+        self.selected.visit(self.mode, object, run)
+    }
+
+    /// The happens-before order `--mode causal` searches under (`None`:
+    /// the mode checks against real time, as every other mode does).
+    fn order(
+        &self,
+        history: &History,
+        hb_edges: Option<&[(usize, usize)]>,
+    ) -> Result<Option<HbRelation>, String> {
+        if self.mode != CheckMode::Causal {
+            return Ok(None);
         }
-    } else {
-        match format::parse_as(fmt, input) {
-            Ok(h) => (h, None),
-            Err(e) => return (Checked::Error(format!("parse error ({fmt}): {e}")), None),
-        }
-    };
-    let object = object.or_else(|| history.objects().first().copied()).unwrap_or(ObjectId(0));
-    let sink = want_report.then(|| Arc::new(CountingSink::new()));
-    let options = CheckOptions {
-        sink: sink.clone().map(|s| s as Arc<dyn cal::core::obs::StatsSink>),
-        ..options.clone()
-    };
-    let start = Instant::now();
-    const CA: &str = "concurrency-aware linearizable";
-    const LIN: &str = "linearizable";
-    const INT: &str = "interval-linearizable";
-    const CCA: &str = "causally concurrency-aware linearizable";
-    const CLIN: &str = "causally linearizable";
-    match mode {
-        CheckerMode::Cal => {
-            if let Selected::Loaded(def) = selected {
-                // A seq-kind spec lifted to singleton elements is checked
-                // for classical linearizability, same as SeqAsCa built-ins.
-                let adjective = if def.is_sequential() { LIN } else { CA };
-                let result = run_ca(&history, &def.to_ca(object), &options);
-                return render(result, adjective, format_trace, &sink, &options, start);
-            }
-            let Selected::Builtin(spec_name) = selected else { unreachable!() };
-            let (result, adjective) = match spec_name.as_str() {
-                "exchanger" => (run_ca(&history, &ExchangerSpec::new(object), &options), CA),
-                "elim-array" => (run_ca(&history, &ElimArraySpec::new(object), &options), CA),
-                "sync-queue" => (run_ca(&history, &SyncQueueSpec::new(object), &options), CA),
-                "dual-stack" => {
-                    (run_ca(&history, &DualStackSpec::with_timeouts(object), &options), CA)
-                }
-                "stack" => {
-                    (run_ca(&history, &SeqAsCa::new(StackSpec::total(object)), &options), LIN)
-                }
-                "failing-stack" => {
-                    (run_ca(&history, &SeqAsCa::new(StackSpec::failing(object)), &options), LIN)
-                }
-                "register" => {
-                    (run_ca(&history, &SeqAsCa::new(RegisterSpec::new(object)), &options), LIN)
-                }
-                "counter" => {
-                    (run_ca(&history, &SeqAsCa::new(CounterSpec::new(object)), &options), LIN)
-                }
-                "kv" => (run_ca(&history, &SeqAsCa::new(KvMapSpec::new()), &options), LIN),
-                other => return (Checked::Error(format!("unknown spec {other:?}")), None),
-            };
-            render(result, adjective, format_trace, &sink, &options, start)
-        }
-        CheckerMode::Seq => {
-            if let Selected::Loaded(def) = selected {
-                let result = match def.to_seq(object) {
-                    Some(spec) => run_seq(&history, &spec, &options),
-                    None => {
-                        return (
-                            Checked::Error(format!("spec {:?} is not sequential", def.name())),
-                            None,
-                        )
-                    }
-                };
-                return render(result, LIN, format_trace, &sink, &options, start);
-            }
-            let Selected::Builtin(spec_name) = selected else { unreachable!() };
-            let result = match spec_name.as_str() {
-                "stack" => run_seq(&history, &StackSpec::total(object), &options),
-                "failing-stack" => run_seq(&history, &StackSpec::failing(object), &options),
-                "register" => run_seq(&history, &RegisterSpec::new(object), &options),
-                "counter" => run_seq(&history, &CounterSpec::new(object), &options),
-                "kv" => run_seq(&history, &KvMapSpec::new(), &options),
-                other => {
-                    return (Checked::Error(format!("spec {other:?} is not sequential")), None)
-                }
-            };
-            render(result, LIN, format_trace, &sink, &options, start)
-        }
-        CheckerMode::Interval => {
-            if let Selected::Loaded(def) = selected {
-                let result = match def.to_seq(object) {
-                    Some(spec) => run_interval(&history, &SeqAsInterval::new(spec), &options),
-                    None => {
-                        return (
-                            Checked::Error(format!(
-                                "spec {:?} has no interval reading",
-                                def.name()
-                            )),
-                            None,
-                        )
-                    }
-                };
-                return render(result, INT, format_interval_witness, &sink, &options, start);
-            }
-            let Selected::Builtin(spec_name) = selected else { unreachable!() };
-            let result = match spec_name.as_str() {
-                "write-snapshot" => {
-                    run_interval(&history, &WriteSnapshotSpec::new(object, 4), &options)
-                }
-                "stack" => {
-                    run_interval(&history, &SeqAsInterval::new(StackSpec::total(object)), &options)
-                }
-                "failing-stack" => run_interval(
-                    &history,
-                    &SeqAsInterval::new(StackSpec::failing(object)),
-                    &options,
-                ),
-                "register" => run_interval(
-                    &history,
-                    &SeqAsInterval::new(RegisterSpec::new(object)),
-                    &options,
-                ),
-                "counter" => {
-                    run_interval(&history, &SeqAsInterval::new(CounterSpec::new(object)), &options)
-                }
-                "kv" => run_interval(&history, &SeqAsInterval::new(KvMapSpec::new()), &options),
-                other => {
-                    return (
-                        Checked::Error(format!("spec {other:?} has no interval reading")),
-                        None,
-                    )
-                }
-            };
-            render(result, INT, format_interval_witness, &sink, &options, start)
-        }
-        CheckerMode::Causal => {
-            let spans = match history.try_spans() {
-                Ok(s) => s,
-                Err(e) => return (Checked::Error(format!("ill-formed history: {e}")), None),
-            };
-            let hb = match hb_policy {
-                HbPolicy::RealTime => Ok(HbRelation::real_time(&spans)),
-                HbPolicy::Session => {
-                    HbRelation::causal(&spans, hb_edges.as_deref().unwrap_or(&[]))
-                }
-                HbPolicy::Auto => match &hb_edges {
-                    Some(edges) => HbRelation::causal(&spans, edges),
-                    None => Ok(HbRelation::real_time(&spans)),
-                },
-            };
-            let hb = match hb {
-                Ok(hb) => hb,
-                Err(e) => return (Checked::Error(format!("happens-before: {e}")), None),
-            };
-            if let Selected::Loaded(def) = selected {
-                let adjective = if def.is_sequential() { CLIN } else { CCA };
-                let result = run_causal(&history, &def.to_ca(object), &hb, &options);
-                return render(result, adjective, format_trace, &sink, &options, start);
-            }
-            let Selected::Builtin(spec_name) = selected else { unreachable!() };
-            let (result, adjective) = match spec_name.as_str() {
-                "exchanger" => {
-                    (run_causal(&history, &ExchangerSpec::new(object), &hb, &options), CCA)
-                }
-                "elim-array" => {
-                    (run_causal(&history, &ElimArraySpec::new(object), &hb, &options), CCA)
-                }
-                "sync-queue" => {
-                    (run_causal(&history, &SyncQueueSpec::new(object), &hb, &options), CCA)
-                }
-                "dual-stack" => (
-                    run_causal(&history, &DualStackSpec::with_timeouts(object), &hb, &options),
-                    CCA,
-                ),
-                "stack" => (
-                    run_causal(&history, &SeqAsCa::new(StackSpec::total(object)), &hb, &options),
-                    CLIN,
-                ),
-                "failing-stack" => (
-                    run_causal(&history, &SeqAsCa::new(StackSpec::failing(object)), &hb, &options),
-                    CLIN,
-                ),
-                "register" => (
-                    run_causal(&history, &SeqAsCa::new(RegisterSpec::new(object)), &hb, &options),
-                    CLIN,
-                ),
-                "counter" => (
-                    run_causal(&history, &SeqAsCa::new(CounterSpec::new(object)), &hb, &options),
-                    CLIN,
-                ),
-                "kv" => {
-                    (run_causal(&history, &SeqAsCa::new(KvMapSpec::new()), &hb, &options), CLIN)
-                }
-                other => return (Checked::Error(format!("unknown spec {other:?}")), None),
-            };
-            render(result, adjective, format_trace, &sink, &options, start)
-        }
+        let spans = history.try_spans().map_err(|e| format!("ill-formed history: {e}"))?;
+        let hb = match (self.hb, hb_edges) {
+            (HbPolicy::RealTime, _) | (HbPolicy::Auto, None) => Ok(HbRelation::real_time(&spans)),
+            (HbPolicy::Session, edges) => HbRelation::causal(&spans, edges.unwrap_or(&[])),
+            (HbPolicy::Auto, Some(edges)) => HbRelation::causal(&spans, edges),
+        };
+        hb.map(Some).map_err(|e| format!("happens-before: {e}"))
     }
 }
 
-/// Folds a checker outcome (any witness type) into a renderable
-/// [`Checked`] plus, if a sink rode along, its [`SearchReport`].
-fn render<W>(
-    result: Result<CheckOutcome<W>, CheckError>,
+/// One check, waiting for the registry to say what type the spec has.
+struct Run<'a> {
+    history: &'a History,
+    order: Option<&'a HbRelation>,
+    options: &'a CheckOptions,
     adjective: &'static str,
-    format_witness: impl Fn(&W) -> String,
-    sink: &Option<Arc<CountingSink>>,
-    options: &CheckOptions,
+    sink: Option<&'a CountingSink>,
     start: Instant,
-) -> (Checked, Option<SearchReport>) {
-    let report = match (sink, &result) {
-        (Some(sink), Ok(outcome)) => Some(sink.report(outcome, options, start.elapsed())),
-        _ => None,
-    };
-    let checked = match result {
-        Ok(outcome) => match outcome.verdict {
-            Verdict::Cal(witness) => {
-                Checked::Accepted { adjective, witness: format_witness(&witness) }
+}
+
+impl Visitor for Run<'_> {
+    type Out = (Checked, Option<SearchReport>);
+
+    fn ca<S>(self, spec: S) -> Self::Out
+    where
+        S: CaSpec + Sync,
+        S::State: Send + Sync,
+    {
+        self.render(run_ca(self.history, &spec, self.order, self.options), format_trace)
+    }
+
+    fn seq<S>(self, spec: S) -> Self::Out
+    where
+        S: SeqSpec + Sync,
+        S::State: Send + Sync,
+    {
+        self.render(run_seq(self.history, &spec, self.options), format_trace)
+    }
+
+    fn interval<S>(self, spec: S) -> Self::Out
+    where
+        S: IntervalSpec + Sync,
+        S::State: Send + Sync,
+    {
+        self.render(run_interval(self.history, &spec, self.options), format_interval_witness)
+    }
+}
+
+impl Run<'_> {
+    /// Folds a checker outcome (any witness type) into a renderable
+    /// [`Checked`] plus, if a sink rode along, its [`SearchReport`].
+    fn render<W>(
+        &self,
+        result: Result<CheckOutcome<W>, CheckError>,
+        format_witness: impl Fn(&W) -> String,
+    ) -> (Checked, Option<SearchReport>) {
+        let adjective = self.adjective;
+        let report = match (self.sink, &result) {
+            (Some(sink), Ok(outcome)) => {
+                Some(sink.report(outcome, self.options, self.start.elapsed()))
             }
-            Verdict::NotCal => Checked::Rejected { adjective },
-            Verdict::ResourcesExhausted => Checked::Undecided("node budget exhausted".to_string()),
-            Verdict::Interrupted { reason } => Checked::Undecided(format!("interrupted ({reason})")),
-        },
-        Err(e) => Checked::Error(e.to_string()),
-    };
-    (checked, report)
+            _ => None,
+        };
+        let checked = match result {
+            Ok(outcome) => match outcome.verdict {
+                Verdict::Cal(witness) => {
+                    Checked::Accepted { adjective, witness: format_witness(&witness) }
+                }
+                Verdict::NotCal => Checked::Rejected { adjective },
+                Verdict::ResourcesExhausted => {
+                    Checked::Undecided("node budget exhausted".to_string())
+                }
+                Verdict::Interrupted { reason } => {
+                    Checked::Undecided(format!("interrupted ({reason})"))
+                }
+            },
+            Err(e) => Checked::Error(e.to_string()),
+        };
+        (checked, report)
+    }
 }
 
 /// One witness point per line, matching the trace format's line-oriented
@@ -891,94 +597,12 @@ fn format_interval_witness(witness: &IntervalWitness) -> String {
     witness.points().iter().map(|p| format!("{p}\n")).collect()
 }
 
-/// Dispatches to the sequential or parallel CAL checker per
-/// [`CheckOptions::threads`].
-fn run_ca<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_cal_par_with(history, spec, options)
-    } else {
-        check_cal_with(history, spec, options)
-    }
-}
-
-/// Like [`run_ca`] for the causal checker: the same membership search
-/// constrained by a happens-before order instead of `≺H`.
-fn run_causal<S>(
-    history: &History,
-    spec: &S,
-    hb: &HbRelation,
-    options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_causal_par_with(history, spec, hb, options)
-    } else {
-        check_causal_with(history, spec, hb, options)
-    }
-}
-
-/// Like [`run_ca`] for the classical linearizability checker.
-fn run_seq<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome<CaTrace>, CheckError>
-where
-    S: SeqSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_linearizable_par_with(history, spec, options)
-    } else {
-        check_linearizable_with(history, spec, options)
-    }
-}
-
-/// Like [`run_ca`] for the interval-linearizability checker.
-fn run_interval<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome<IntervalWitness>, CheckError>
-where
-    S: IntervalSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_interval_par_with(history, spec, options)
-    } else {
-        check_interval_with(history, spec, options)
-    }
-}
-
-/// Checks every regular file under `dir` against the named specification,
-/// spreading files across `threads` workers (each file is checked with a
+/// Checks every regular file under `dir`, spreading files across
+/// `options.threads` workers (each file is checked with a
 /// single-threaded search — the parallelism is across files). With
 /// `--format auto` each file is sniffed independently, so one directory
 /// may mix native, jepsen, and kvlog traces.
-#[allow(clippy::too_many_arguments)]
-fn run_batch(
-    selected: &Selected,
-    mode: CheckerMode,
-    hb_policy: HbPolicy,
-    trace_format: Option<Format>,
-    dir: &str,
-    object: Option<ObjectId>,
-    deadline: Option<Duration>,
-    max_nodes: Option<u64>,
-    threads: usize,
-) -> io::Result<ExitCode> {
+fn run_batch(job: &Job, dir: &str, options: CheckOptions) -> io::Result<ExitCode> {
     let mut files: Vec<std::path::PathBuf> = match std::fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(|e| e.ok())
@@ -995,32 +619,17 @@ fn run_batch(
         errln!("cal-check: no files in {dir}")?;
         return Ok(ExitCode::from(EXIT_ERROR));
     }
-    let mut options = CheckOptions { deadline, threads: 1, ..CheckOptions::default() };
-    if let Some(n) = max_nodes {
-        options.max_nodes = n;
-    }
+    let workers = options.threads.min(files.len());
+    let options = CheckOptions { threads: 1, ..options };
     let results: Mutex<Vec<Option<Checked>>> = Mutex::new((0..files.len()).map(|_| None).collect());
     let next = AtomicUsize::new(0);
-    let workers = threads.max(1).min(files.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
                 let Some(path) = files.get(idx) else { break };
                 let checked = match std::fs::read_to_string(path) {
-                    Ok(input) => {
-                        check_input(
-                            selected,
-                            mode,
-                            hb_policy,
-                            trace_format,
-                            &input,
-                            object,
-                            &options,
-                            false,
-                        )
-                        .0
-                    }
+                    Ok(input) => job.check(&input, &options, false).0,
                     Err(e) => Checked::Error(format!("cannot read: {e}")),
                 };
                 results.lock().unwrap()[idx] = Some(checked);

@@ -11,8 +11,9 @@
 //!                  [--error-budget <N>] [--listen <ADDR:PORT>] [--ack]
 //!                  [--stats-json <PATH|->] [--stats-every <N>] [--quiet]
 //!
-//!   SPEC     exchanger | elim-array | sync-queue | dual-stack (concurrency-aware)
-//!            stack | failing-stack | register | counter | kv  (sequential)
+//!   SPEC     a built-in checkable under `cal-check --mode cal` — `--help`
+//!            lists them, from the one table in `cal_specs::registry` — or a
+//!            name defined by `--spec`
 //!
 //!   --spec <FILE.cal>       load user specs from a .cal file
 //!                           (docs/SPEC_DSL.md) — loaded names shadow the
@@ -115,32 +116,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cal::cli::{
-    install_shutdown_handler, parse_seed, shutdown_requested, EXIT_ACCEPTED, EXIT_ERROR,
-    EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
+    self, install_shutdown_handler, parse_seed, shutdown_requested, Args, EXIT_ACCEPTED,
+    EXIT_ERROR, EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
 };
 use cal::core::check::CheckOptions;
-use cal::core::dsl;
 use cal::core::format::{Format, StreamDecoder, WireItem};
-use cal::core::spec::{CaSpec, SeqAsCa};
+use cal::core::spec::CaSpec;
 use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict, UndecidedWhy};
 use cal::core::{ObjectId, ThreadId};
-use cal::specs::dual_stack::DualStackSpec;
-use cal::specs::elim_array::ElimArraySpec;
-use cal::specs::exchanger::ExchangerSpec;
-use cal::specs::kv::KvMapSpec;
-use cal::specs::register::{CounterSpec, RegisterSpec};
-use cal::specs::stack::StackSpec;
-use cal::specs::sync_queue::SyncQueueSpec;
+use cal::specs::registry::{self, CheckMode, Selected, Visitor};
+use cal::{errln, outln};
 use parking_lot::Mutex;
-
-/// Broken-pipe-safe printing, same contract as `cal-check`: `io::Error`
-/// bubbles to [`main`], where `BrokenPipe` is a clean exit 0.
-macro_rules! outln {
-    ($($t:tt)*) => { writeln!(io::stdout(), $($t)*) }
-}
-macro_rules! errln {
-    ($($t:tt)*) => { writeln!(io::stderr(), $($t)*) }
-}
 
 fn usage() -> io::Result<ExitCode> {
     errln!(
@@ -150,8 +136,7 @@ fn usage() -> io::Result<ExitCode> {
          \x20                [--error-budget <N>] [--listen <ADDR:PORT>] [--ack]\n\
          \x20                [--stats-json <PATH|->] [--stats-every <N>] [--quiet]\n\
          \n\
-         SPEC: exchanger | elim-array | sync-queue | dual-stack | stack | failing-stack |\n\
-         \x20     register | counter | kv\n\
+         SPEC: {}\n\
          \n\
          --spec loads user specs from a .cal file (docs/SPEC_DSL.md); loaded names\n\
          shadow built-ins, and with a single-spec file SPEC may be omitted\n\
@@ -162,13 +147,16 @@ fn usage() -> io::Result<ExitCode> {
          jepsen, or kvlog format (--format auto sniffs the first line and latches);\n\
          control lines: 'bye' (end of stream), 'abandon t<N>' (client death)\n\
          \n\
-         exit status: 0 consistent, 1 violation, 2 undecided, 3 input/checker error, 4 usage"
+         exit status: 0 consistent, 1 violation, 2 undecided, 3 input/checker error, 4 usage",
+        registry::builtin_names(Some(CheckMode::Cal))
     )?;
     Ok(ExitCode::from(EXIT_USAGE))
 }
 
 /// Parsed command line.
 struct Cfg {
+    spec_name: Option<String>,
+    spec_file: Option<String>,
     /// Pinned wire format; `None` sniffs the first contentful line.
     format: Option<Format>,
     object: ObjectId,
@@ -188,184 +176,114 @@ struct Cfg {
     causal: bool,
 }
 
-fn main() -> ExitCode {
-    match try_main() {
-        Ok(code) => code,
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::from(EXIT_ACCEPTED),
-        Err(e) => {
-            let _ = writeln!(io::stderr(), "cal-serve: io error: {e}");
-            ExitCode::from(EXIT_ERROR)
+impl Cfg {
+    /// `None` is a usage error: an unknown flag, or a missing or
+    /// malformed value.
+    fn parse(mut args: Args) -> Option<Cfg> {
+        let mut cfg = Cfg {
+            spec_name: None,
+            spec_file: None,
+            format: None,
+            object: ObjectId(0),
+            window: 4096,
+            checkpoint_every: 128,
+            max_states: 64,
+            max_nodes: CheckOptions::default().max_nodes,
+            deadline: None,
+            error_budget: 16,
+            listen: None,
+            ack: false,
+            stats_json: None,
+            stats_every: 0,
+            quiet: false,
+            causal: false,
+        };
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--format" => cfg.format = args.format("cal-serve")?,
+                "--object" => cfg.object = ObjectId(args.value()?),
+                "--window" => cfg.window = args.value()?,
+                "--checkpoint-every" => cfg.checkpoint_every = args.positive()?,
+                "--max-states" => cfg.max_states = args.positive()?,
+                "--max-nodes" => cfg.max_nodes = args.with(parse_seed).filter(|n| *n > 0)?,
+                "--deadline-ms" => cfg.deadline = Some(Duration::from_millis(args.value()?)),
+                "--error-budget" => cfg.error_budget = args.value()?,
+                "--listen" => cfg.listen = Some(args.next()?),
+                "--spec" => cfg.spec_file = Some(args.next()?),
+                "--ack" => cfg.ack = true,
+                "--stats-json" => cfg.stats_json = Some(args.next()?),
+                "--stats-every" => cfg.stats_every = args.value()?,
+                "--quiet" => cfg.quiet = true,
+                "--causal" => cfg.causal = true,
+                "-h" | "--help" => return None,
+                _ if cfg.spec_name.is_none() => cfg.spec_name = Some(a),
+                _ => return None,
+            }
         }
+        Some(cfg)
     }
+}
+
+fn main() -> ExitCode {
+    cli::main("cal-serve", try_main)
 }
 
 fn try_main() -> io::Result<ExitCode> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut spec_name: Option<String> = None;
-    let mut spec_file: Option<String> = None;
-    let mut cfg = Cfg {
-        format: None,
-        object: ObjectId(0),
-        window: 4096,
-        checkpoint_every: 128,
-        max_states: 64,
-        max_nodes: CheckOptions::default().max_nodes,
-        deadline: None,
-        error_budget: 16,
-        listen: None,
-        ack: false,
-        stats_json: None,
-        stats_every: 0,
-        quiet: false,
-        causal: false,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--format" => match it.next() {
-                Some(f) if f == "auto" => cfg.format = None,
-                Some(f) => match f.parse::<Format>() {
-                    Ok(fmt) => cfg.format = Some(fmt),
-                    Err(e) => {
-                        errln!("cal-serve: {e}")?;
-                        return usage();
-                    }
-                },
-                None => return usage(),
-            },
-            "--object" => match it.next().and_then(|n| n.parse::<u32>().ok()) {
-                Some(n) => cfg.object = ObjectId(n),
-                None => return usage(),
-            },
-            "--window" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => cfg.window = n,
-                None => return usage(),
-            },
-            "--checkpoint-every" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.checkpoint_every = n,
-                _ => return usage(),
-            },
-            "--max-states" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.max_states = n,
-                _ => return usage(),
-            },
-            "--max-nodes" => match it.next().and_then(|n| parse_seed(n)) {
-                Some(n) if n > 0 => cfg.max_nodes = n,
-                _ => return usage(),
-            },
-            "--deadline-ms" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(ms) => cfg.deadline = Some(Duration::from_millis(ms)),
-                None => return usage(),
-            },
-            "--error-budget" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) => cfg.error_budget = n,
-                None => return usage(),
-            },
-            "--listen" => match it.next() {
-                Some(addr) => cfg.listen = Some(addr.clone()),
-                None => return usage(),
-            },
-            "--spec" => match it.next() {
-                Some(p) => spec_file = Some(p.clone()),
-                None => return usage(),
-            },
-            "--ack" => cfg.ack = true,
-            "--stats-json" => match it.next() {
-                Some(p) => cfg.stats_json = Some(p.clone()),
-                None => return usage(),
-            },
-            "--stats-every" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) => cfg.stats_every = n,
-                None => return usage(),
-            },
-            "--quiet" => cfg.quiet = true,
-            "--causal" => cfg.causal = true,
-            "-h" | "--help" => return usage(),
-            _ if spec_name.is_none() => spec_name = Some(a.clone()),
-            _ => return usage(),
-        }
-    }
-    // `--spec` loads and compiles before any event is read, so a bad
-    // .cal file fails fast with its diagnostic (exit 3). Loaded names
-    // shadow built-ins, same policy as cal-check.
-    if let Some(path) = &spec_file {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                errln!("cal-serve: cannot read {path}: {e}")?;
-                return Ok(ExitCode::from(EXIT_ERROR));
-            }
-        };
-        let loaded = match dsl::parse_str(&src) {
-            Ok(f) => f,
-            Err(diag) => {
-                errln!("cal-serve: {path}: {diag}")?;
-                return Ok(ExitCode::from(EXIT_ERROR));
-            }
-        };
-        let def = match (&spec_name, loaded.specs()) {
-            (Some(name), _) => match loaded.get(name) {
-                Some(def) => Some(Arc::clone(def)),
-                None => None, // fall through to the built-in dispatch
-            },
-            (None, [only]) => Some(Arc::clone(only)),
-            (None, many) => {
-                errln!(
-                    "cal-serve: {path} defines {} specs ({}); name one as the SPEC argument",
-                    many.len(),
-                    loaded.names().join(", ")
-                )?;
-                return usage();
-            }
-        };
-        if let Some(def) = def {
-            install_shutdown_handler();
-            return run(def.to_ca(cfg.object), &cfg);
-        }
-    }
-    let Some(spec_name) = spec_name else {
+    let Some(cfg) = Cfg::parse(Args::from_env()) else {
         return usage();
     };
-    install_shutdown_handler();
-    let o = cfg.object;
-    match spec_name.as_str() {
-        "exchanger" => run(ExchangerSpec::new(o), &cfg),
-        "elim-array" => run(ElimArraySpec::new(o), &cfg),
-        "sync-queue" => run(SyncQueueSpec::new(o), &cfg),
-        "dual-stack" => run(DualStackSpec::with_timeouts(o), &cfg),
-        "stack" => run(SeqAsCa::new(StackSpec::total(o)), &cfg),
-        "failing-stack" => run(SeqAsCa::new(StackSpec::failing(o)), &cfg),
-        "register" => run(SeqAsCa::new(RegisterSpec::new(o)), &cfg),
-        "counter" => run(SeqAsCa::new(CounterSpec::new(o)), &cfg),
-        "kv" => run(SeqAsCa::new(KvMapSpec::new()), &cfg),
-        other => {
-            errln!("cal-serve: unknown spec {other:?}")?;
-            usage()
+    // `--spec` loads and compiles before any event is read, so a bad
+    // .cal file fails fast with its diagnostic (exit 3).
+    let loaded = match cfg.spec_file.as_deref().map(registry::load).transpose() {
+        Ok(loaded) => loaded,
+        Err(e) => {
+            errln!("cal-serve: {e}")?;
+            return Ok(ExitCode::from(EXIT_ERROR));
         }
-    }
+    };
+    // The stream checker decides CAL membership, so it serves exactly the
+    // specs `cal-check --mode cal` does.
+    let name = cfg.spec_name.as_deref();
+    let selected = match Selected::resolve(loaded.as_ref(), name, CheckMode::Cal) {
+        Ok(selected) => selected,
+        Err(e) => {
+            errln!("cal-serve: {e}")?;
+            return usage();
+        }
+    };
+    install_shutdown_handler();
+    selected.visit(CheckMode::Cal, cfg.object, Serve(&cfg))
 }
 
-fn run<S>(spec: S, cfg: &Cfg) -> io::Result<ExitCode>
-where
-    S: CaSpec + Send + 'static,
-    S::State: Send,
-{
-    let options = StreamOptions {
-        max_window: cfg.window,
-        checkpoint_every: cfg.checkpoint_every,
-        max_states: cfg.max_states,
-        check: CheckOptions {
-            max_nodes: cfg.max_nodes,
-            deadline: cfg.deadline,
-            ..CheckOptions::default()
-        },
-        causal: cfg.causal,
-    };
-    let checker = StreamChecker::new(spec, options);
-    let decoder = StreamDecoder::new(cfg.format);
-    match &cfg.listen {
-        None => serve_stdin(checker, decoder, cfg),
-        Some(addr) => serve_tcp(checker, decoder, cfg, addr),
+/// The daemon, waiting for the registry to say what type the spec has.
+struct Serve<'a>(&'a Cfg);
+
+impl Visitor for Serve<'_> {
+    type Out = io::Result<ExitCode>;
+
+    fn ca<S>(self, spec: S) -> io::Result<ExitCode>
+    where
+        S: CaSpec + Send + 'static,
+        S::State: Send,
+    {
+        let cfg = self.0;
+        let options = StreamOptions {
+            max_window: cfg.window,
+            checkpoint_every: cfg.checkpoint_every,
+            max_states: cfg.max_states,
+            check: CheckOptions {
+                max_nodes: cfg.max_nodes,
+                deadline: cfg.deadline,
+                ..CheckOptions::default()
+            },
+            causal: cfg.causal,
+        };
+        let checker = StreamChecker::new(spec, options);
+        let decoder = StreamDecoder::new(cfg.format);
+        match &cfg.listen {
+            None => serve_stdin(checker, decoder, cfg),
+            Some(addr) => serve_tcp(checker, decoder, cfg, addr),
+        }
     }
 }
 

@@ -21,9 +21,13 @@
 //! spec (docs/SPEC_DSL.md) instead of the target's built-in one, with the
 //! same compile-before-input contract as `cal-check`/`cal-serve`: the file
 //! compiles before any run starts, and a compile failure prints its
-//! diagnostic and exits 3. A multi-spec file needs `--spec-name` to pick
-//! one. Because the loaded spec replaces the per-target built-ins, `--spec`
-//! requires a single explicit `--target` (not `all`).
+//! diagnostic and exits 3. `--spec-name` names the spec, under the one
+//! rule all three binaries share: a name the file defines shadows the
+//! built-in of that name, a name it lacks falls back to the built-ins, a
+//! one-spec file needs no name, and a command line that does not select
+//! exactly one spec is a usage error. Because the selected spec replaces
+//! the per-target ones, `--spec` requires a single explicit `--target`
+//! (not `all`).
 //!
 //! `--threads` sizes the *workload*; `--check-threads` sizes the CAL
 //! checker run on each harvested history (> 1 engages the parallel
@@ -38,7 +42,8 @@
 //! 0 = every run passed (including a SIGINT/SIGTERM-interrupted soak,
 //! which flushes its per-target aggregates first), 1 = a failure was
 //! found (reproducer printed), 3 = a `--spec` file that cannot be read
-//! or does not compile, 4 = usage error.
+//! or does not compile, 4 = usage error. A closed output pipe
+//! (`chaos-soak ... | head -1`) ends the soak with exit 0.
 //! ```
 //!
 //! Examples:
@@ -48,22 +53,23 @@
 //! cargo run --bin chaos-soak -- --target buggy-exchanger --secs 10   # finds the planted bug
 //! ```
 
+use std::cell::Cell;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-
-use std::sync::Arc;
 
 use cal::chaos::driver::{soak_interruptible, Mode, RunConfig, SoakResult, TargetKind};
 use cal::chaos::Profile;
 use cal::cli::{
-    install_shutdown_handler, parse_seed, shutdown_requested, EXIT_ERROR, EXIT_REJECTED,
-    EXIT_USAGE,
+    self, install_shutdown_handler, parse_seed, shutdown_requested, Args, EXIT_ACCEPTED,
+    EXIT_ERROR, EXIT_REJECTED, EXIT_USAGE,
 };
 use cal::core::check::CheckStats;
-use cal::core::dsl;
+use cal::specs::registry::{self, CheckMode, Selected};
+use cal::{errln, outln};
 
-fn usage() -> ExitCode {
-    eprintln!(
+fn usage() -> io::Result<ExitCode> {
+    errln!(
         "usage: chaos-soak [--seed <N>] [--secs <S>] [--target <T>|all]\n\
          \x20                 [--spec <FILE.cal>] [--spec-name <NAME>]\n\
          \x20                 [--threads <N>] [--check-threads <N>] [--ops <N>]\n\
@@ -75,9 +81,13 @@ fn usage() -> ExitCode {
          --spec: check against a runtime-loaded .cal spec (docs/SPEC_DSL.md) instead of\n\
          \x20       the target's built-in; compiled before any run, compile failure exits 3;\n\
          \x20       requires a single explicit --target\n\
-         --stats: periodic progress lines + per-target search-cost aggregate keyed by seed"
-    );
-    ExitCode::from(EXIT_USAGE)
+         --spec-name: which spec: one the --spec file defines, else a built-in; a\n\
+         \x20       one-spec file needs no name. Built-ins:\n\
+         \x20       {}\n\
+         --stats: periodic progress lines + per-target search-cost aggregate keyed by seed",
+        registry::builtin_names(Some(CheckMode::Cal))
+    )?;
+    Ok(ExitCode::from(EXIT_USAGE))
 }
 
 /// Per-target aggregation of checker statistics across seeded runs.
@@ -106,132 +116,105 @@ impl TargetAgg {
         }
     }
 
-    fn print(&self, target: TargetKind) {
+    fn print(&self, target: TargetKind) -> io::Result<()> {
         let Some(first) = self.first_seed else {
-            println!("  stats[{target}]: no checked runs");
-            return;
+            return outln!("  stats[{target}]: no checked runs");
         };
         let mean = self.nodes as f64 / self.runs as f64;
-        println!(
+        outln!(
             "  stats[{target}]: seeds {first:#x}..={:#x}, {} runs, {} nodes total (mean {mean:.1}), \
              {} elements, {} memo hits",
             self.last_seed, self.runs, self.nodes, self.elements, self.memo_hits,
-        );
+        )?;
         if let Some((seed, nodes)) = self.worst {
-            println!("  stats[{target}]: most expensive seed {seed:#x} ({nodes} nodes)");
+            outln!("  stats[{target}]: most expensive seed {seed:#x} ({nodes} nodes)")?;
         }
+        Ok(())
+    }
+}
+
+/// The parsed command line.
+struct Cli {
+    config: RunConfig,
+    /// `None` soaks every healthy target.
+    target: Option<TargetKind>,
+    secs: u64,
+    stats: bool,
+    spec_file: Option<String>,
+    spec_name: Option<String>,
+}
+
+impl Cli {
+    /// `None` is a usage error: an unknown flag, or a missing or
+    /// malformed value.
+    fn parse(mut args: Args) -> Option<Cli> {
+        let mut cli = Cli {
+            config: RunConfig::default(),
+            target: None,
+            secs: 10,
+            stats: false,
+            spec_file: None,
+            spec_name: None,
+        };
+        let config = &mut cli.config;
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--seed" => config.seed = args.with(parse_seed)?,
+                "--secs" => cli.secs = args.positive()?,
+                "--target" => {
+                    let t = args.next()?;
+                    cli.target = if t == "all" { None } else { Some(TargetKind::parse(&t)?) };
+                }
+                "--threads" => config.threads = args.positive()?,
+                "--check-threads" => config.check_threads = args.positive()?,
+                "--ops" => config.ops_per_thread = args.positive()?,
+                "--profile" => config.profile = args.with(Profile::parse)?,
+                "--mode" => config.mode = args.with(Mode::parse)?,
+                "--deadline-ms" => config.deadline = Some(Duration::from_millis(args.value()?)),
+                "--spec" => cli.spec_file = Some(args.next()?),
+                "--spec-name" => cli.spec_name = Some(args.next()?),
+                "--stats" => cli.stats = true,
+                _ => return None,
+            }
+        }
+        Some(cli)
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = RunConfig::default();
-    let mut targets: Option<Vec<TargetKind>> = None; // None = all healthy targets
-    let mut secs = 10u64;
-    let mut stats = false;
-    let mut spec_file: Option<String> = None;
-    let mut spec_name: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => match it.next().and_then(|n| parse_seed(n)) {
-                Some(s) => config.seed = s,
-                None => return usage(),
-            },
-            "--secs" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(s) if s > 0 => secs = s,
-                _ => return usage(),
-            },
-            "--target" => match it.next() {
-                Some(t) if t == "all" => targets = None,
-                Some(t) => match TargetKind::parse(t) {
-                    Some(t) => targets = Some(vec![t]),
-                    None => return usage(),
-                },
-                None => return usage(),
-            },
-            "--threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => config.threads = n,
-                _ => return usage(),
-            },
-            "--check-threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => config.check_threads = n,
-                _ => return usage(),
-            },
-            "--ops" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => config.ops_per_thread = n,
-                _ => return usage(),
-            },
-            "--profile" => match it.next().and_then(|p| Profile::parse(p)) {
-                Some(p) => config.profile = p,
-                None => return usage(),
-            },
-            "--mode" => match it.next().and_then(|m| Mode::parse(m)) {
-                Some(m) => config.mode = m,
-                None => return usage(),
-            },
-            "--deadline-ms" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(ms) => config.deadline = Some(Duration::from_millis(ms)),
-                None => return usage(),
-            },
-            "--spec" => match it.next() {
-                Some(p) => spec_file = Some(p.clone()),
-                None => return usage(),
-            },
-            "--spec-name" => match it.next() {
-                Some(n) => spec_name = Some(n.clone()),
-                None => return usage(),
-            },
-            "--stats" => stats = true,
-            _ => return usage(),
-        }
-    }
+    cli::main("chaos-soak", try_main)
+}
+
+fn try_main() -> io::Result<ExitCode> {
+    let Some(Cli { mut config, target, secs, stats, spec_file, spec_name }) =
+        Cli::parse(Args::from_env())
+    else {
+        return usage();
+    };
 
     // `--spec` compiles before any run starts, so a bad .cal file fails
     // fast with its diagnostic (exit 3) — the contract shared with
-    // `cal-check` and `cal-serve`. The loaded spec replaces the target's
-    // built-in, so it only makes sense against one explicit target.
+    // `cal-check` and `cal-serve`. The selected spec replaces the
+    // target's own, so it only makes sense against one explicit target.
     if let Some(path) = &spec_file {
-        if targets.as_ref().is_none_or(|t| t.len() != 1) {
-            eprintln!("chaos-soak: --spec requires a single explicit --target");
+        if target.is_none() {
+            errln!("chaos-soak: --spec requires a single explicit --target")?;
             return usage();
         }
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
+        let loaded = match registry::load(path) {
+            Ok(loaded) => loaded,
             Err(e) => {
-                eprintln!("chaos-soak: cannot read {path}: {e}");
-                return ExitCode::from(EXIT_ERROR);
+                errln!("chaos-soak: {e}")?;
+                return Ok(ExitCode::from(EXIT_ERROR));
             }
         };
-        let loaded = match dsl::parse_str(&src) {
-            Ok(f) => f,
-            Err(diag) => {
-                eprintln!("chaos-soak: {path}: {diag}");
-                return ExitCode::from(EXIT_ERROR);
+        match Selected::resolve(Some(&loaded), spec_name.as_deref(), CheckMode::Cal) {
+            Ok(selected) => config.spec = Some(selected),
+            Err(e) => {
+                errln!("chaos-soak: {e} (--spec-name)")?;
+                return usage();
             }
-        };
-        let def = match (&spec_name, loaded.specs()) {
-            (Some(name), _) => match loaded.get(name) {
-                Some(def) => Arc::clone(def),
-                None => {
-                    eprintln!(
-                        "chaos-soak: {path} defines no spec {name:?} (has: {})",
-                        loaded.names().join(", ")
-                    );
-                    return ExitCode::from(EXIT_ERROR);
-                }
-            },
-            (None, [only]) => Arc::clone(only),
-            (None, many) => {
-                eprintln!(
-                    "chaos-soak: {path} defines {} specs ({}); pick one with --spec-name",
-                    many.len(),
-                    loaded.names().join(", ")
-                );
-                return ExitCode::from(EXIT_ERROR);
-            }
-        };
-        config.spec = Some(def);
+        }
     } else if spec_name.is_some() {
         return usage(); // --spec-name is meaningless without --spec
     }
@@ -241,15 +224,19 @@ fn main() -> ExitCode {
     install_shutdown_handler();
 
     // The planted bug is opt-in: `all` soaks only the healthy objects.
-    let targets = targets.unwrap_or_else(|| {
-        TargetKind::ALL.into_iter().filter(|t| *t != TargetKind::BuggyExchanger).collect()
-    });
+    let targets = target.map_or_else(
+        || TargetKind::ALL.into_iter().filter(|t| *t != TargetKind::BuggyExchanger).collect(),
+        |t| vec![t],
+    );
     let per_target = Duration::from_secs(secs) / targets.len() as u32;
+    // A reader that hung up ends the soak at the next run boundary; the
+    // print after it then reports the broken pipe to `main` (exit 0).
+    let hung_up = Cell::new(false);
 
     let mut total_runs = 0u64;
     for target in targets {
         let cfg = RunConfig { target, ..config.clone() };
-        println!(
+        outln!(
             "soaking {target} for {:.1}s (seed {:#x}, {} threads x {} ops, {} profile, {} mode)",
             per_target.as_secs_f64(),
             cfg.seed,
@@ -257,46 +244,48 @@ fn main() -> ExitCode {
             cfg.ops_per_thread,
             cfg.profile,
             cfg.mode,
-        );
+        )?;
         let mut agg = TargetAgg::default();
         let mut last_progress = Instant::now();
-        let result = soak_interruptible(&cfg, per_target, shutdown_requested, |outcome, elapsed| {
+        let stop = || shutdown_requested() || hung_up.get();
+        let result = soak_interruptible(&cfg, per_target, stop, |outcome, elapsed| {
             if let Some(s) = outcome.verdict.stats() {
                 agg.add(outcome.config.seed, s);
             }
             if stats && last_progress.elapsed() >= Duration::from_secs(2) {
-                println!(
+                let printed = outln!(
                     "  [{:5.1}s] {} runs, {} nodes searched, at seed {:#x}",
                     elapsed.as_secs_f64(),
                     agg.runs,
                     agg.nodes,
                     outcome.config.seed,
                 );
+                hung_up.set(printed.is_err());
                 last_progress = Instant::now();
             }
         });
         match result {
             SoakResult::Clean { runs } => {
                 total_runs += runs;
-                println!("  {runs} seeded runs passed");
+                outln!("  {runs} seeded runs passed")?;
                 if stats {
-                    agg.print(target);
+                    agg.print(target)?;
                 }
                 if shutdown_requested() {
-                    println!("soak interrupted: {total_runs} runs completed, aggregates flushed");
-                    return ExitCode::SUCCESS;
+                    outln!("soak interrupted: {total_runs} runs completed, aggregates flushed")?;
+                    return Ok(ExitCode::from(EXIT_ACCEPTED));
                 }
             }
             SoakResult::Failed { runs, report } => {
-                println!("  failure on run {runs}; shrunk to a minimal reproducer:");
-                print!("{report}");
+                outln!("  failure on run {runs}; shrunk to a minimal reproducer:")?;
+                write!(io::stdout(), "{report}")?;
                 if stats {
-                    agg.print(target);
+                    agg.print(target)?;
                 }
-                return ExitCode::from(EXIT_REJECTED);
+                return Ok(ExitCode::from(EXIT_REJECTED));
             }
         }
     }
-    println!("soak clean: {total_runs} runs, every history explainable");
-    ExitCode::SUCCESS
+    outln!("soak clean: {total_runs} runs, every history explainable")?;
+    Ok(ExitCode::from(EXIT_ACCEPTED))
 }

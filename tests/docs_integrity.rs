@@ -10,12 +10,16 @@
 //!   code named on its fence line.
 //! - The shipped `specs/*.cal` files compile and define the spec their
 //!   filename promises.
+//! - Where `README.md` and `docs/SPEC_DSL.md` list the built-in
+//!   specifications, they list exactly the rows of
+//!   `cal_specs::registry::BUILTINS`, in its order.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
 use cal::core::dsl;
+use cal::specs::registry::BUILTINS;
 
 fn doc(path: &str) -> String {
     let p = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(path);
@@ -162,4 +166,21 @@ fn shipped_spec_files_compile_and_define_their_namesake() {
         count += 1;
     }
     assert!(count >= 5, "expected at least 5 shipped specs/*.cal files, found {count}");
+}
+
+/// The backticked words of `text` between `from` and `to`.
+fn backticked<'a>(text: &'a str, from: &str, to: &str) -> Vec<&'a str> {
+    let start = text.find(from).unwrap_or_else(|| panic!("no {from:?} in the document"));
+    let list = &text[start + from.len()..];
+    let list = &list[..list.find(to).unwrap_or_else(|| panic!("no {to:?} after {from:?}"))];
+    list.split('`').skip(1).step_by(2).collect()
+}
+
+#[test]
+fn docs_list_exactly_the_registry_builtins() {
+    let table: Vec<&str> = BUILTINS.iter().map(|(name, _)| *name).collect();
+    let readme = doc("README.md");
+    assert_eq!(backticked(&readme, "| `<SPEC>` | ", " — "), table, "README.md cal-check <SPEC> row");
+    let manual = doc("docs/SPEC_DSL.md");
+    assert_eq!(backticked(&manual, "falls back to the\n  built-ins: ", ".\n"), table, "SPEC_DSL.md");
 }

@@ -1,0 +1,217 @@
+//! The front door, from outside: `cal-check`, `cal-serve` and
+//! `chaos-soak` name, gate and resolve specifications the way the one
+//! table in `cal_specs::registry` says — and say so in their `--help`.
+
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+
+use cal::specs::registry::{CheckMode, Selected, BUILTINS};
+
+const CHECK: &str = env!("CARGO_BIN_EXE_cal-check");
+const SERVE: &str = env!("CARGO_BIN_EXE_cal-serve");
+const SOAK: &str = env!("CARGO_BIN_EXE_chaos-soak");
+
+fn run(exe: &str, args: &[&str], stdin: &str) -> Output {
+    let mut child = Command::new(exe)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("{exe} spawns: {e}"));
+    // A binary that rejects its command line exits without reading.
+    let _ = child.stdin.take().expect("stdin piped").write_all(stdin.as_bytes());
+    child.wait_with_output().expect("binary exits")
+}
+
+fn code(exe: &str, args: &[&str], stdin: &str) -> i32 {
+    let out = run(exe, args, stdin);
+    out.status.code().unwrap_or_else(|| panic!("{exe} {args:?} died on a signal"))
+}
+
+/// A scratch directory of `.cal` files and traces, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("front-door-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        Scratch(dir)
+    }
+
+    fn file(&self, name: &str, text: &str) -> String {
+        let path = self.0.join(name);
+        std::fs::write(&path, text).expect("write fixture");
+        path.to_str().expect("utf-8 temp path").to_string()
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn shipped(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs").join(name);
+    std::fs::read_to_string(path).expect("shipped spec")
+}
+
+/// (a) Every built-in under every `--mode`: a usage error exactly where
+/// the table says the pairing has no reading, and otherwise a verdict
+/// about the property `Selected::adjective` names. Two pending
+/// invocations are explainable by every specification (both are dropped),
+/// so every supported pairing accepts.
+#[test]
+fn every_builtin_in_every_mode_is_gated_and_named_by_the_table() {
+    let pending = "t1 inv o0.read ()\nt2 inv o0.read ()\n";
+    for (name, kind) in BUILTINS {
+        let selected = Selected::builtin(name).expect("a BUILTINS row");
+        for (flag, mode) in CheckMode::ALL {
+            let out = run(CHECK, &[name, "-", "--mode", flag], pending);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            if kind.supports(mode) {
+                assert_eq!(out.status.code(), Some(0), "{name} --mode {flag}: {stdout}");
+                let verdict = format!("{}: yes", selected.adjective(mode));
+                assert_eq!(stdout.lines().next(), Some(verdict.as_str()), "{name} --mode {flag}");
+            } else {
+                assert_eq!(out.status.code(), Some(4), "{name} --mode {flag}: {stdout}");
+            }
+        }
+    }
+}
+
+/// The `"--flag"` string literals of a binary's source: the arms of its
+/// argument parser (but for `--help`, which is how the text is asked for).
+fn parser_flags(source: &str) -> Vec<&str> {
+    let mut flags: Vec<&str> = source
+        .split('"')
+        .filter(|s| s.len() > 2 && s.starts_with("--") && *s != "--help")
+        .filter(|s| s[2..].bytes().all(|b| b.is_ascii_lowercase() || b == b'-'))
+        .collect();
+    flags.sort_unstable();
+    flags.dedup();
+    flags
+}
+
+/// (b) `--help` is keyed to the registry and to the parser, not to a
+/// pasted string: it names every built-in the binary serves and every
+/// flag the parser has an arm for — and so does the module documentation.
+#[test]
+fn help_names_every_served_builtin_and_every_flag() {
+    let binaries = [
+        (CHECK, include_str!("../src/bin/cal-check.rs"), None, 18),
+        (SERVE, include_str!("../src/bin/cal-serve.rs"), Some(CheckMode::Cal), 15),
+        (SOAK, include_str!("../src/bin/chaos-soak.rs"), Some(CheckMode::Cal), 12),
+    ];
+    for (exe, source, serves, at_least) in binaries {
+        let out = run(exe, &["--help"], "");
+        assert_eq!(out.status.code(), Some(4), "{exe} --help is the usage exit");
+        let help = String::from_utf8_lossy(&out.stderr);
+        let words: Vec<&str> =
+            help.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).collect();
+        for (name, kind) in BUILTINS {
+            let served = serves.is_none_or(|mode| kind.supports(mode));
+            assert_eq!(words.contains(&name), served, "{exe} --help and built-in {name}");
+        }
+        let flags = parser_flags(source);
+        assert!(flags.len() >= at_least, "{exe}: found only {flags:?} in the parser");
+        let module_doc: String = source.lines().filter(|l| l.starts_with("//!")).collect();
+        for flag in flags {
+            assert!(words.contains(&flag), "{exe} --help omits {flag}");
+            assert!(module_doc.contains(flag), "{exe}'s module documentation omits {flag}");
+        }
+    }
+}
+
+/// A register that starts at 7: `read -> 7` tells it from the built-in.
+const REGISTER_FROM_SEVEN: &str = "spec register { kind seq; var val: int = 7; \
+     rule write(a) { when a.ret == unit; effect val = a.arg; } \
+     rule read(a) { when a.ret == val; } \
+     complete write { yield unit; } complete read { yield 7; } }";
+const READS_SEVEN: &str = "t1 inv o0.read ()\nt1 res o0.read 7\n";
+const READS_ZERO: &str = "t1 inv o0.read ()\nt1 res o0.read 0\n";
+
+/// (c) The resolution matrix on `cal-check` and `cal-serve`, which spell
+/// the name as the positional SPEC: exit 0 and 1 tell which spec judged
+/// the trace.
+#[test]
+fn check_and_serve_resolve_by_one_rule() {
+    let dir = Scratch::new("resolve");
+    let one = dir.file("one.cal", REGISTER_FROM_SEVEN);
+    let two = dir.file("two.cal", &format!("{REGISTER_FROM_SEVEN}\n{}", shipped("counter.cal")));
+    let broken = dir.file("broken.cal", "spec broken { kind ca\n");
+    let seven = dir.file("seven.hist", READS_SEVEN);
+    let zero = dir.file("zero.hist", READS_ZERO);
+
+    // cal-check reads a file; cal-serve reads the same lines on stdin.
+    let both = |spec_args: &[&str], trace: &str, want: i32, what: &str| {
+        let path = if trace == READS_SEVEN { &seven } else { &zero };
+        let check: Vec<&str> = spec_args.iter().copied().chain([path.as_str()]).collect();
+        assert_eq!(code(CHECK, &check, ""), want, "cal-check, {what}");
+        let serve: Vec<&str> = spec_args.iter().copied().chain(["--quiet"]).collect();
+        assert_eq!(code(SERVE, &serve, trace), want, "cal-serve, {what}");
+    };
+    both(&["register"], READS_ZERO, 0, "a built-in");
+    both(&["register"], READS_SEVEN, 1, "a built-in");
+    both(&["--spec", &two, "counter"], READS_ZERO, 1, "a loaded name (no `read` rule)");
+    both(&["--spec", &two, "register"], READS_SEVEN, 0, "a loaded name shadows the built-in");
+    both(&["--spec", &two, "register"], READS_ZERO, 1, "a loaded name shadows the built-in");
+    both(&["--spec", &one], READS_SEVEN, 0, "a one-spec file needs no name");
+    both(&["--spec", &two, "kv"], READS_ZERO, 0, "a name the file lacks falls back");
+    both(&["--spec", &two], READS_ZERO, 4, "a multi-spec file with no name");
+    both(&["--spec", &two, "nope"], READS_ZERO, 4, "a name nobody defines");
+    both(&["nope"], READS_ZERO, 4, "a name nobody defines");
+    both(&["--spec", "/nonexistent/nope.cal", "register"], READS_ZERO, 3, "a missing file");
+    both(&["--spec", &broken, "register"], READS_ZERO, 3, "a file that does not compile");
+    // `cal-check --spec one.cal trace.hist`: the lone positional names no
+    // loaded spec, so it is the input.
+    assert_eq!(code(CHECK, &["--spec", &one, &seven], ""), 0);
+    assert_eq!(code(CHECK, &["--spec", &one, "-"], READS_ZERO), 1);
+}
+
+/// (c) The same matrix on `chaos-soak`, which spells the name
+/// `--spec-name` and judges a live exchanger: a spec with no `exchange`
+/// rule fails the first run (exit 1), the real one soaks clean (exit 0).
+#[test]
+fn soak_resolves_by_the_same_rule() {
+    let dir = Scratch::new("soak");
+    let refuses = "{ kind ca; rule idle(a: idle) { when a.ret == unit; } }";
+    let one = dir.file("one.cal", &shipped("exchanger.cal"));
+    let shadow = dir.file("shadow.cal", &format!("spec exchanger {refuses}"));
+    let two = dir.file("two.cal", &format!("{}\nspec never {refuses}", shipped("exchanger.cal")));
+    let broken = dir.file("broken.cal", "spec broken { kind ca\n");
+
+    let soak = |spec_args: &[&str], target: &str, want: i32, what: &str| {
+        let args: Vec<&str> =
+            spec_args.iter().copied().chain(["--target", target, "--secs", "1"]).collect();
+        let out = run(SOAK, &args, "");
+        let said = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(want), "chaos-soak, {what}: {said}");
+    };
+    let exchanger = "exchanger";
+    soak(&["--spec", &two, "--spec-name", "never"], exchanger, 1, "a loaded name");
+    soak(&["--spec", &two, "--spec-name", exchanger], exchanger, 0, "a loaded name");
+    soak(&["--spec", &shadow, "--spec-name", exchanger], exchanger, 1, "a loaded name shadows");
+    soak(&["--spec", &shadow], exchanger, 1, "a one-spec file needs no name");
+    soak(&["--spec", &one, "--spec-name", "sync-queue"], "sync-queue", 0, "a lacking name falls back");
+    soak(&["--spec", &two], exchanger, 4, "a multi-spec file with no name");
+    soak(&["--spec", &two, "--spec-name", "nope"], exchanger, 4, "a name nobody defines");
+    soak(&["--spec", &one, "--spec-name", "write-snapshot"], exchanger, 4, "no CA-trace reading");
+    soak(&["--spec", "/nonexistent/nope.cal"], exchanger, 3, "a missing file");
+    soak(&["--spec", &broken], exchanger, 3, "a file that does not compile");
+}
+
+/// `--max-nodes` takes the same spellings in both binaries that have it.
+#[test]
+fn max_nodes_is_decimal_or_hex_everywhere() {
+    for budget in ["1000", "0x3e8"] {
+        assert_eq!(code(CHECK, &["register", "-", "--max-nodes", budget], READS_ZERO), 0);
+        assert_eq!(code(SERVE, &["register", "--quiet", "--max-nodes", budget], READS_ZERO), 0);
+    }
+    for bad in ["0", "0x", "many"] {
+        assert_eq!(code(CHECK, &["register", "-", "--max-nodes", bad], READS_ZERO), 4);
+        assert_eq!(code(SERVE, &["register", "--quiet", "--max-nodes", bad], READS_ZERO), 4);
+    }
+}

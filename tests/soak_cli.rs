@@ -102,3 +102,27 @@ fn loaded_spec_soaks_and_catches_the_planted_bug() {
     let stdout = String::from_utf8_lossy(&caught.stdout);
     assert!(stdout.contains("minimal reproducer"), "reproducer printed: {stdout}");
 }
+
+/// `chaos-soak ... | head -1`: the reader takes the first line and hangs
+/// up. Rust ignores SIGPIPE, so the next `println!` used to panic (exit
+/// 101); a closed pipe is the end of output under the shared contract —
+/// exit 0, nothing about a panic on stderr.
+#[test]
+fn broken_stdout_pipe_exits_cleanly() {
+    use std::io::{BufRead, BufReader};
+    let mut child = Command::new(EXE)
+        .args(["--seed", "1", "--secs", "1", "--target", "exchanger", "--stats"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("chaos-soak spawns");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("first line");
+    assert!(first.starts_with("soaking exchanger"), "first line: {first}");
+    drop(stdout);
+    let output = child.wait_with_output().expect("chaos-soak exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "CLI panicked on a broken pipe: {stderr}");
+}
