@@ -17,9 +17,8 @@
 
 use std::collections::HashMap;
 
-use cal_core::format::{StreamDecoder, WireItem};
 use cal_core::spec::CaSpec;
-use cal_core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
+use cal_core::stream::{Ingest, Reply, StreamOptions, StreamVerdict};
 use cal_core::{Action, ActionKind, History, ThreadId, Value};
 
 use crate::faults::SplitMix64;
@@ -140,49 +139,25 @@ fn jval(v: Value) -> String {
     }
 }
 
-/// Replays a foreign wire text through a [`StreamDecoder`] and a fresh
-/// [`StreamChecker`] with `cal-serve`'s stdin policy: malformed lines
-/// are quarantined (counted, not fatal), an abandoned thread is sealed
-/// through the specification's timeout-admission completions, and
-/// saturation forces a checkpoint and one retry before explicit
+/// Replays a foreign wire text through [`Ingest::line`] — the policy
+/// `cal-serve` runs on a sniffed stream, not a copy of it: malformed
+/// lines are quarantined (counted, not fatal), an abandoned thread is
+/// sealed through the specification's timeout-admission completions,
+/// and saturation forces a checkpoint and one retry before explicit
 /// degradation. Returns the closing verdict and the quarantine count.
 pub fn replay_foreign<S: CaSpec>(
     spec: S,
     opts: StreamOptions,
     input: &str,
 ) -> (StreamVerdict, u64) {
-    let mut checker = StreamChecker::new(spec, opts);
-    let mut decoder = StreamDecoder::new(None);
-    let mut quarantined = 0u64;
-    'stream: for (i, line) in input.lines().enumerate() {
-        match decoder.decode_line(i + 1, line) {
-            Err(_) => quarantined += 1,
-            Ok(items) => {
-                for item in items {
-                    match item {
-                        WireItem::Abandon(t) => checker.abandon_thread(t),
-                        WireItem::HbEdge { from, to } => {
-                            if checker.push_hb_edge(from, to) == Push::Refused {
-                                break 'stream;
-                            }
-                        }
-                        WireItem::Action(action) => match checker.push(action) {
-                            Push::Admitted => {}
-                            Push::Rejected(_) => quarantined += 1,
-                            Push::Refused => break 'stream,
-                            Push::Saturated => {
-                                checker.checkpoint();
-                                if checker.push(action) == Push::Saturated {
-                                    checker.degrade();
-                                }
-                            }
-                        },
-                    }
-                }
-            }
+    let mut ingest = Ingest::new(spec, opts, None);
+    let mut invoked = Vec::new();
+    for line in input.lines() {
+        if matches!(ingest.line(line, false, &mut invoked), Reply::Refused | Reply::Bye) {
+            break;
         }
     }
-    (checker.finish(), quarantined)
+    (ingest.checker.finish(), ingest.quarantined())
 }
 
 #[cfg(test)]

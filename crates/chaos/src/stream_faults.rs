@@ -7,9 +7,9 @@
 //! `abandon` control event), not the [`cal_core::Action`] level, so a fault can
 //! produce exactly the malformed input a real socket can: a half line
 //! cut mid-token, a line that parses as nothing at all. [`replay`]
-//! drives the perturbed stream through a [`StreamChecker`] with the same
-//! quarantine/backpressure/degradation policy as `cal-serve`'s stdin
-//! loop, and the tests pin the family's soundness contract:
+//! drives the perturbed stream through [`Ingest`], the
+//! quarantine/backpressure/degradation policy `cal-serve` itself runs,
+//! and the tests pin the family's soundness contract:
 //!
 //! - **Truncate** keeps a prefix of a consistent stream, so by prefix
 //!   closure the verdict stays `consistent` or degrades to `undecided` —
@@ -25,8 +25,9 @@
 //!   quarantined against the error budget and must not perturb the
 //!   verdict while the budget holds.
 
+use cal_core::format::Format;
 use cal_core::spec::CaSpec;
-use cal_core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
+use cal_core::stream::{Ingest, Reply, StreamOptions, StreamVerdict};
 use cal_core::text::{format_history, parse_action_line};
 use cal_core::{History, ThreadId};
 
@@ -165,39 +166,30 @@ fn parse(line: &str) -> Option<cal_core::Action> {
     parse_action_line(1, line).ok().flatten()
 }
 
-/// Replays a perturbed stream through a fresh [`StreamChecker`] with
-/// `cal-serve`'s stdin policy: parse errors and ill-formed events are
-/// quarantined (counted, not fatal), saturation forces a checkpoint and
-/// one retry before explicit degradation, and a refused stream stops the
-/// replay. Returns the closing verdict and the quarantine count.
+/// Replays a perturbed stream through [`Ingest::line`] — the policy
+/// `cal-serve` runs, not a copy of it: parse errors and ill-formed
+/// events are quarantined (counted, not fatal), saturation forces a
+/// checkpoint and one retry before explicit degradation, and a refused
+/// stream stops the replay. Returns the closing verdict and the
+/// quarantine count.
 pub fn replay<S: CaSpec>(
     spec: S,
     opts: StreamOptions,
     events: &[StreamEvent],
 ) -> (StreamVerdict, u64) {
-    let mut checker = StreamChecker::new(spec, opts);
-    let mut quarantined = 0u64;
-    'stream: for event in events {
+    let mut ingest = Ingest::new(spec, opts, Some(Format::Native));
+    let mut invoked = Vec::new();
+    for event in events {
         match event {
-            StreamEvent::Abandon(t) => checker.abandon_thread(*t),
-            StreamEvent::Line(line) => match parse_action_line(1, line) {
-                Err(_) => quarantined += 1,
-                Ok(None) => {}
-                Ok(Some(action)) => match checker.push(action) {
-                    Push::Admitted => {}
-                    Push::Rejected(_) => quarantined += 1,
-                    Push::Refused => break 'stream,
-                    Push::Saturated => {
-                        checker.checkpoint();
-                        if checker.push(action) == Push::Saturated {
-                            checker.degrade();
-                        }
-                    }
-                },
-            },
+            StreamEvent::Abandon(t) => ingest.checker.abandon_thread(*t),
+            StreamEvent::Line(line) => {
+                if matches!(ingest.line(line, false, &mut invoked), Reply::Refused | Reply::Bye) {
+                    break;
+                }
+            }
         }
     }
-    (checker.finish(), quarantined)
+    (ingest.checker.finish(), ingest.quarantined())
 }
 
 #[cfg(test)]

@@ -157,7 +157,9 @@ pub fn check_causal_with<S: CaSpec>(
     hb: &HbRelation,
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
-    let domain = CalDomain::with_order(Cow::Borrowed(history), SpecRef::Borrowed(spec), hb.clone())?;
+    let domain = CalDomain::with_order(Cow::Borrowed(history), SpecRef::Borrowed(spec), |_| {
+        Ok::<_, HistoryError>(hb.clone())
+    })?;
     Ok(engine::search(&domain, options)?.map_witness(steps_to_trace))
 }
 
@@ -179,7 +181,9 @@ where
     S: CaSpec + Sync,
     S::State: Send + Sync,
 {
-    let domain = CalDomain::with_order(Cow::Borrowed(history), SpecRef::Borrowed(spec), hb.clone())?;
+    let domain = CalDomain::with_order(Cow::Borrowed(history), SpecRef::Borrowed(spec), |_| {
+        Ok::<_, HistoryError>(hb.clone())
+    })?;
     Ok(engine::search_par(&domain, options)?.map_witness(steps_to_trace))
 }
 

@@ -243,6 +243,9 @@ pub(crate) struct CalDomain<'a, S: CaSpec> {
     /// Interchangeability classes for symmetry-reduced memo keys, built
     /// from `hb`'s constraint sets.
     sym: SymClasses,
+    /// The state the search starts in; `None` is the specification's
+    /// initial state, asked for inside the engine's panic guard.
+    start: Option<S::State>,
 }
 
 impl<'a, S: CaSpec> CalDomain<'a, S> {
@@ -252,33 +255,30 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         history: Cow<'a, History>,
         spec: SpecRef<'a, S>,
     ) -> Result<Self, HistoryError> {
-        let spans = history.try_spans()?;
-        let hb = HbRelation::real_time(&spans);
-        Self::from_parts(history, spec, spans, hb)
+        Self::with_order(history, spec, |spans| Ok(HbRelation::real_time(spans)))
     }
 
-    /// Builds the domain over an explicit happens-before relation (the
-    /// causal checker's entry point). `hb` must have been built over this
-    /// history's spans.
-    pub(crate) fn with_order(
+    /// Builds the domain over the happens-before relation `order` makes
+    /// of the history's spans (the causal checker's and the streaming
+    /// window's entry point), validating the history first.
+    pub(crate) fn with_order<E: From<HistoryError>>(
         history: Cow<'a, History>,
         spec: SpecRef<'a, S>,
-        hb: HbRelation,
-    ) -> Result<Self, HistoryError> {
+        order: impl FnOnce(&[Span]) -> Result<HbRelation, E>,
+    ) -> Result<Self, E> {
         let spans = history.try_spans()?;
+        let hb = order(&spans)?;
         debug_assert_eq!(hb.len(), spans.len(), "hb relation built over a different history");
-        Self::from_parts(history, spec, spans, hb)
-    }
-
-    fn from_parts(
-        history: Cow<'a, History>,
-        spec: SpecRef<'a, S>,
-        spans: Vec<Span>,
-        hb: HbRelation,
-    ) -> Result<Self, HistoryError> {
         let sym = SymClasses::of_order(&spans, &hb);
         let complete = complete_set(&spans);
-        Ok(CalDomain { spec, history, spans, hb, complete, sym })
+        Ok(CalDomain { spec, history, spans, hb, complete, sym, start: None })
+    }
+
+    /// Starts every later search from `state` instead of the
+    /// specification's initial state: how the streaming checker searches
+    /// one window from each state its retired prefix can end in.
+    pub(crate) fn resume_from(&mut self, state: S::State) {
+        self.start = Some(state);
     }
 
     /// Grows `subset` over `minimal[from..]` and collects every non-empty
@@ -413,7 +413,8 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     type Step = CalStep;
 
     fn initial(&self) -> Self::Node {
-        (BitSet::new(self.spans.len().max(1)), self.spec.get().initial())
+        let start = self.start.clone().unwrap_or_else(|| self.spec.get().initial());
+        (BitSet::new(self.spans.len().max(1)), start)
     }
 
     fn is_goal(&self, node: &Self::Node) -> bool {
@@ -451,7 +452,8 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
         // partial order the cross-object session edges make objects
         // non-independent, so the parallel driver falls back to
         // root-frontier splitting.
-        if !self.hb.is_real_time() {
+        // A resumed start state cannot be restricted to one object either.
+        if !self.hb.is_real_time() || self.start.is_some() {
             return None;
         }
         let objects = self.history.objects();

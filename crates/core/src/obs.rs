@@ -59,7 +59,7 @@
 //! to no-ops); see `examples/observability.rs` for a full custom sink
 //! driving a live elimination stack.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -492,51 +492,34 @@ impl SearchReport {
     /// Shard hits are emitted sparsely (`{"bucket": hits, ...}`, nonzero
     /// buckets only) to keep reports small.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        push_field(&mut out, "verdict", &format!("\"{}\"", self.verdict));
-        match &self.interrupted {
-            Some(cause) => push_field(&mut out, "interrupted", &format!("\"{cause}\"")),
-            None => push_field(&mut out, "interrupted", "null"),
-        }
-        push_field(&mut out, "exhausted", if self.exhausted { "true" } else { "false" });
-        push_field(&mut out, "wall_ms", &format!("{:.3}", self.wall_ms));
-        push_field(&mut out, "threads", &self.threads.to_string());
-        push_field(&mut out, "max_nodes", &self.max_nodes.to_string());
-        push_field(&mut out, "nodes", &self.nodes.to_string());
-        push_field(&mut out, "elements_tried", &self.elements_tried.to_string());
-        push_field(&mut out, "memo_hits", &self.memo_hits.to_string());
-        push_field(&mut out, "memo_misses", &self.memo_misses.to_string());
-        push_field(&mut out, "memo_inserts", &self.memo_inserts.to_string());
-        let shards: Vec<String> = self
-            .memo_shard_hits
-            .iter()
-            .enumerate()
-            .filter(|(_, &h)| h > 0)
-            .map(|(i, h)| format!("\"{i}\": {h}"))
-            .collect();
-        push_field(&mut out, "memo_shard_hits", &format!("{{{}}}", shards.join(", ")));
-        push_field(&mut out, "active_shards", &self.active_shards.to_string());
-        push_field(&mut out, "frontier_max", &self.frontier_max.to_string());
-        push_field(&mut out, "frontier_mean", &format!("{:.3}", self.frontier_mean));
-        push_field(&mut out, "root_branches", &self.root_branches.to_string());
-        push_field(&mut out, "root_workers", &self.root_workers.to_string());
-        push_field(&mut out, "steals", &self.steals.to_string());
-        let objects: Vec<String> = self
-            .objects
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{\"object\": {}, \"wall_ms\": {:.3}, \"outcome\": \"{}\"}}",
-                    o.object.0, o.wall_ms, o.outcome
-                )
-            })
-            .collect();
-        push_field(&mut out, "objects", &format!("[{}]", objects.join(", ")));
-        // Drop the trailing ", ".
-        out.truncate(out.len() - 2);
-        out.push('}');
-        out
+        let shards = self.memo_shard_hits.iter().enumerate().filter(|(_, &h)| h > 0);
+        let shards = shards.fold(JsonLine::new(), |line, (i, h)| line.num(&i.to_string(), h));
+        let rows = self.objects.iter().map(|o| {
+            let row = JsonLine::new().num("object", o.object.0).ms("wall_ms", o.wall_ms);
+            row.str("outcome", o.outcome.name()).finish()
+        });
+        let interrupted = self.interrupted.as_ref().map_or("null".into(), |c| format!("\"{c}\""));
+        JsonLine::new()
+            .str("verdict", &self.verdict)
+            .num("interrupted", interrupted)
+        .num("exhausted", self.exhausted)
+        .ms("wall_ms", self.wall_ms)
+        .num("threads", self.threads)
+        .num("max_nodes", self.max_nodes)
+        .num("nodes", self.nodes)
+        .num("elements_tried", self.elements_tried)
+        .num("memo_hits", self.memo_hits)
+        .num("memo_misses", self.memo_misses)
+        .num("memo_inserts", self.memo_inserts)
+        .num("memo_shard_hits", shards.finish())
+        .num("active_shards", self.active_shards)
+        .num("frontier_max", self.frontier_max)
+        .ms("frontier_mean", self.frontier_mean)
+        .num("root_branches", self.root_branches)
+        .num("root_workers", self.root_workers)
+        .num("steals", self.steals)
+        .num("objects", format_args!("[{}]", rows.collect::<Vec<_>>().join(", ")))
+        .finish()
     }
 
     /// One compact human line: verdict, wall-clock and headline counters.
@@ -623,14 +606,38 @@ impl fmt::Display for SearchReport {
     }
 }
 
-/// Appends one `"key": value, ` JSON field; shared with the streaming
-/// report so `cal-serve` and `cal-check` emit the same wire style.
-pub(crate) fn push_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\": ");
-    out.push_str(value);
-    out.push_str(", ");
+/// The one writer of the `--stats-json` wire style, shared by
+/// [`SearchReport`], its object rows and the streaming report: a
+/// single-line JSON object, fields in call order, `", "` between them.
+pub(crate) struct JsonLine(String);
+
+impl JsonLine {
+    pub(crate) fn new() -> Self {
+        JsonLine(String::from("{"))
+    }
+
+    /// A number or boolean as its `Display` spells it, or a value that
+    /// is already JSON.
+    pub(crate) fn num(mut self, key: &str, value: impl fmt::Display) -> Self {
+        let sep = if self.0.len() > 1 { ", " } else { "" };
+        let _ = write!(self.0, "{sep}\"{key}\": {value}");
+        self
+    }
+
+    /// Milliseconds (or any ratio) to three decimal places.
+    pub(crate) fn ms(self, key: &str, value: f64) -> Self {
+        self.num(key, format_args!("{value:.3}"))
+    }
+
+    /// A string that needs no escaping (verdict and cause names).
+    pub(crate) fn str(self, key: &str, value: &str) -> Self {
+        self.num(key, format_args!("\"{value}\""))
+    }
+
+    pub(crate) fn finish(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -731,5 +738,42 @@ mod tests {
         let sink = CountingSink::new();
         let report = sample_report(&sink, Verdict::NotCal);
         assert_eq!(report.to_string(), report.summary());
+    }
+    /// The `cal-check --stats-json` wire line, byte for byte, with every
+    /// optional part present and then absent.
+    #[test]
+    fn report_json_golden() {
+        let sink = CountingSink::new();
+        sink.on_frontier(3);
+        sink.on_frontier(4);
+        sink.on_memo_hit(6);
+        sink.on_memo_hit(70);
+        sink.on_memo_hit(9);
+        sink.on_memo_miss(1);
+        sink.on_memo_insert(1);
+        sink.on_root_frontier(12, 4);
+        sink.on_object_done(ObjectId(3), Duration::from_micros(2500), ObjectOutcome::NotCal);
+        sink.on_object_done(ObjectId(1), Duration::from_millis(1), ObjectOutcome::Cal);
+        let interrupted = Verdict::Interrupted { reason: InterruptReason::DeadlineExceeded };
+        assert_eq!(
+            sample_report(&sink, interrupted).to_json(),
+            "{\"verdict\": \"interrupted\", \"interrupted\": \"deadline-exceeded\", \
+             \"exhausted\": false, \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \
+             \"nodes\": 7, \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 1, \
+             \"memo_inserts\": 1, \"memo_shard_hits\": {\"6\": 2, \"9\": 1}, \
+             \"active_shards\": 1, \"frontier_max\": 4, \"frontier_mean\": 3.500, \
+             \"root_branches\": 12, \"root_workers\": 4, \"steals\": 0, \"objects\": \
+             [{\"object\": 3, \"wall_ms\": 2.500, \"outcome\": \"not-cal\"}, \
+             {\"object\": 1, \"wall_ms\": 1.000, \"outcome\": \"cal\"}]}"
+        );
+        assert_eq!(
+            sample_report(&CountingSink::new(), Verdict::NotCal).to_json(),
+            "{\"verdict\": \"not-cal\", \"interrupted\": null, \"exhausted\": false, \
+             \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \"nodes\": 7, \
+             \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 0, \"memo_inserts\": 0, \
+             \"memo_shard_hits\": {}, \"active_shards\": 0, \"frontier_max\": 0, \
+             \"frontier_mean\": 0.000, \"root_branches\": 0, \"root_workers\": 0, \
+             \"steals\": 0, \"objects\": []}"
+        );
     }
 }

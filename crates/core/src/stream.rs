@@ -72,6 +72,15 @@
 //!   rendezvous spec may see a false violation — never a false
 //!   acceptance.
 //!
+//! ## Ingest
+//!
+//! [`StreamChecker`] takes typed events; a deployment has wire lines.
+//! [`Ingest`] is the one place a line becomes events: control lines, one
+//! decode, per-item admission, and the saturation policy just described
+//! (NAK where a resend is sound, else checkpoint, retry, degrade), each
+//! line answered with one [`Reply`]. `cal-serve` and the chaos replays
+//! are loops over [`Ingest::line`].
+//!
 //! ## Causal mode
 //!
 //! With [`StreamOptions::causal`] set, every window search runs over the
@@ -110,14 +119,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use crate::action::Action;
+use crate::causal::CausalOrderError;
 use crate::check::CalDomain;
 use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, SpecRef, Verdict};
+use crate::format::{Format, StreamDecoder, WireItem};
 use crate::history::{HbRelation, History, HistoryError, PartialHistory, Span};
-use crate::ids::{ThreadId, Value};
-use crate::obs::push_field;
+use crate::ids::ThreadId;
+use crate::obs::JsonLine;
 use crate::op::Operation;
-use crate::spec::{CaSpec, Invocation};
-use crate::trace::{CaElement, CaTrace};
+use crate::spec::CaSpec;
+use crate::trace::CaElement;
 
 /// Tuning knobs for a [`StreamChecker`].
 #[derive(Debug, Clone)]
@@ -297,33 +308,30 @@ impl StreamReport {
     /// Renders the report as a single-line JSON object, the
     /// `--stats-json` wire format of `cal-serve`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        push_field(&mut out, "verdict", &format!("\"{}\"", self.verdict));
-        push_field(&mut out, "wall_ms", &format!("{:.3}", self.wall_ms));
-        push_field(&mut out, "max_window", &self.max_window.to_string());
         let s = &self.stats;
-        push_field(&mut out, "events", &s.events.to_string());
-        push_field(&mut out, "rejected", &s.rejected.to_string());
-        push_field(&mut out, "saturated", &s.saturated.to_string());
-        push_field(&mut out, "refused", &s.refused.to_string());
-        push_field(&mut out, "window", &s.window.to_string());
-        push_field(&mut out, "peak_window", &s.peak_window.to_string());
-        push_field(&mut out, "states", &s.states.to_string());
-        push_field(&mut out, "peak_states", &s.peak_states.to_string());
-        push_field(&mut out, "retired_ops", &s.retired_ops.to_string());
-        push_field(&mut out, "retired_actions", &s.retired_actions.to_string());
-        push_field(&mut out, "retired_segments", &s.retired_segments.to_string());
-        push_field(&mut out, "checkpoints", &s.checkpoints.to_string());
-        push_field(&mut out, "abandoned", &s.abandoned.to_string());
-        push_field(&mut out, "hb_edges", &s.hb_edges.to_string());
-        push_field(&mut out, "late_edges", &s.late_edges.to_string());
-        push_field(&mut out, "nodes", &s.search.nodes.to_string());
-        push_field(&mut out, "elements_tried", &s.search.elements_tried.to_string());
-        push_field(&mut out, "memo_hits", &s.search.memo_hits.to_string());
-        out.truncate(out.len() - 2);
-        out.push('}');
-        out
+        JsonLine::new()
+            .str("verdict", &self.verdict)
+            .ms("wall_ms", self.wall_ms)
+            .num("max_window", self.max_window)
+            .num("events", s.events)
+            .num("rejected", s.rejected)
+            .num("saturated", s.saturated)
+            .num("refused", s.refused)
+            .num("window", s.window)
+            .num("peak_window", s.peak_window)
+            .num("states", s.states)
+            .num("peak_states", s.peak_states)
+            .num("retired_ops", s.retired_ops)
+            .num("retired_actions", s.retired_actions)
+            .num("retired_segments", s.retired_segments)
+            .num("checkpoints", s.checkpoints)
+            .num("abandoned", s.abandoned)
+            .num("hb_edges", s.hb_edges)
+            .num("late_edges", s.late_edges)
+            .num("nodes", s.search.nodes)
+            .num("elements_tried", s.search.elements_tried)
+            .num("memo_hits", s.search.memo_hits)
+            .finish()
     }
 
     /// One compact human line: verdict plus headline counters.
@@ -344,37 +352,6 @@ impl StreamReport {
             s.checkpoints,
             s.search.nodes,
         )
-    }
-}
-
-/// A [`CaSpec`] started from an arbitrary state: the wrapper that lets
-/// window segments be searched "from the middle" of the retired prefix.
-struct ResumeSpec<'s, S: CaSpec> {
-    inner: &'s S,
-    start: S::State,
-}
-
-impl<S: CaSpec> CaSpec for ResumeSpec<'_, S> {
-    type State = S::State;
-
-    fn initial(&self) -> S::State {
-        self.start.clone()
-    }
-
-    fn step(&self, state: &S::State, element: &CaElement) -> Option<S::State> {
-        self.inner.step(state, element)
-    }
-
-    fn max_element_size(&self) -> usize {
-        self.inner.max_element_size()
-    }
-
-    fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
-        self.inner.completions_of(inv)
-    }
-
-    fn completions_among(&self, inv: &Invocation, peers: &[Invocation]) -> Vec<Value> {
-        self.inner.completions_among(inv, peers)
     }
 }
 
@@ -498,25 +475,21 @@ impl<S: CaSpec> StreamChecker<S> {
         }
         // The cap counts open-or-undecided *invocations*; responses are
         // always admitted, since they only ever enable retirement.
-        if action.is_invoke() && self.opts.max_window > 0 {
-            let cap = self.opts.max_window;
-            let full = |w: &[Action]| w.iter().filter(|a| a.is_invoke()).count() >= cap;
-            if full(&self.window) {
-                self.retire(false);
-                if !self.violated && full(&self.window) {
-                    // Real memory pressure: now (and only now) seal
-                    // abandoned operations at a forced boundary to
-                    // reclaim space.
-                    self.retire(true);
-                }
-                if self.violated {
-                    self.stats.refused += 1;
-                    return Push::Refused;
-                }
-                if full(&self.window) {
-                    self.stats.saturated += 1;
-                    return Push::Saturated;
-                }
+        if action.is_invoke() && self.window_full() {
+            self.retire(false);
+            if !self.violated && self.window_full() {
+                // Real memory pressure: now (and only now) seal
+                // abandoned operations at a forced boundary to
+                // reclaim space.
+                self.retire(true);
+            }
+            if self.violated {
+                self.stats.refused += 1;
+                return Push::Refused;
+            }
+            if self.window_full() {
+                self.stats.saturated += 1;
+                return Push::Saturated;
             }
         }
         let at = self.window.len();
@@ -546,6 +519,15 @@ impl<S: CaSpec> StreamChecker<S> {
             self.checkpoint();
         }
         Push::Admitted
+    }
+
+    /// Whether the window holds its cap of `max_window` invocations (`0`
+    /// is no cap): every admitted invocation took an ordinal, and
+    /// retirement counts the ones it took.
+    fn window_full(&self) -> bool {
+        let open = (self.op_seq - self.stats.retired_ops) as usize;
+        debug_assert_eq!(open, self.window.iter().filter(|a| a.is_invoke()).count());
+        self.opts.max_window > 0 && open >= self.opts.max_window
     }
 
     /// Declares a happens-before edge between two operations, as 0-based
@@ -831,20 +813,30 @@ impl<S: CaSpec> StreamChecker<S> {
         HbRelation::causal(spans, &edges)
     }
 
-    /// The order every search over `segment` (a window prefix) runs
-    /// against: real time, or the causal relation in causal mode.
+    /// The one search problem of `window[..upto]`: spans, order (real
+    /// time, or the causal relation in causal mode) and symmetry classes
+    /// built once, then resumed from each reachable state in turn.
+    /// `spec` is `self.spec`, passed apart so that the domain borrows
+    /// that field alone and callers keep counting into `self.stats`
+    /// while it lives.
     ///
     /// # Errors
     ///
-    /// As [`StreamChecker::causal_relation`]; infallible outside causal
-    /// mode.
-    fn segment_order(&self, segment: &History) -> Result<HbRelation, crate::history::HbError> {
-        let spans = segment.spans();
-        if self.opts.causal {
-            self.causal_relation(&spans)
-        } else {
-            Ok(HbRelation::real_time(&spans))
-        }
+    /// As [`StreamChecker::causal_relation`]; admission keeps the window
+    /// well-formed, so outside causal mode this cannot fail.
+    fn window_domain<'s>(
+        &self,
+        spec: &'s S,
+        upto: usize,
+    ) -> Result<CalDomain<'s, S>, CausalOrderError> {
+        let segment = History::from_actions(self.window[..upto].to_vec());
+        CalDomain::with_order(Cow::Owned(segment), SpecRef::Borrowed(spec), |spans| {
+            if self.opts.causal {
+                Ok(self.causal_relation(spans)?)
+            } else {
+                Ok(HbRelation::real_time(spans))
+            }
+        })
     }
 
     /// The exact end-state set of `window[..cut]` from the current
@@ -895,9 +887,8 @@ impl<S: CaSpec> StreamChecker<S> {
             }
             return Some(next);
         }
-        let segment = History::from_actions(self.window[..cut].to_vec());
-        let hb = match self.segment_order(&segment) {
-            Ok(hb) => hb,
+        let mut domain = match self.window_domain(&self.spec, cut) {
+            Ok(domain) => domain,
             Err(e) => {
                 self.last_error = Some(e.to_string());
                 return None;
@@ -905,16 +896,7 @@ impl<S: CaSpec> StreamChecker<S> {
         };
         let mut next: Vec<S::State> = Vec::new();
         for q in &self.states {
-            let resume = ResumeSpec { inner: &self.spec, start: q.clone() };
-            let domain = match CalDomain::with_order(
-                Cow::Borrowed(&segment),
-                SpecRef::Owned(resume),
-                hb.clone(),
-            ) {
-                Ok(d) => d,
-                // Unreachable: admission keeps the window well-formed.
-                Err(_) => return None,
-            };
+            domain.resume_from(q.clone());
             match engine::enumerate_goals(&domain, &self.opts.check) {
                 Ok(e) => {
                     self.stats.search += e.stats;
@@ -943,9 +925,8 @@ impl<S: CaSpec> StreamChecker<S> {
             self.last_eval = StreamVerdict::Consistent;
             return;
         }
-        let segment = History::from_actions(self.window.clone());
-        let hb = match self.segment_order(&segment) {
-            Ok(hb) => hb,
+        let mut domain = match self.window_domain(&self.spec, self.window.len()) {
+            Ok(domain) => domain,
             Err(e) => {
                 self.last_error = Some(e.to_string());
                 self.last_eval = StreamVerdict::Undecided(UndecidedWhy::CheckerError);
@@ -954,15 +935,7 @@ impl<S: CaSpec> StreamChecker<S> {
         };
         let mut why: Option<UndecidedWhy> = None;
         for q in &self.states {
-            let resume = ResumeSpec { inner: &self.spec, start: q.clone() };
-            let domain = match CalDomain::with_order(
-                Cow::Borrowed(&segment),
-                SpecRef::Owned(resume),
-                hb.clone(),
-            ) {
-                Ok(d) => d,
-                Err(_) => return, // unreachable: the window is well-formed
-            };
+            domain.resume_from(q.clone());
             match engine::search(&domain, &self.opts.check) {
                 Ok(outcome) => {
                     self.stats.search += outcome.stats;
@@ -994,33 +967,140 @@ impl<S: CaSpec> StreamChecker<S> {
             Some(why) => self.last_eval = StreamVerdict::Undecided(why),
         }
     }
+}
 
-    /// Searches the *residual window* for one witness (the retired
-    /// prefix's witness is gone by design). Only meaningful while the
-    /// verdict is [`StreamVerdict::Consistent`].
-    pub fn window_witness(&mut self) -> Option<CaTrace> {
-        if self.window.is_empty() {
-            return Some(CaTrace::new());
+/// What one wire line did to the stream ([`Ingest::line`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// Blank, comment, or a handled `abandon` control line.
+    Ignored,
+    /// Every item the line decoded to took effect.
+    Admitted,
+    /// A parse error, an ill-formed event or a bad control line, with a
+    /// message anchored to the line number; counted in
+    /// [`Ingest::quarantined`] for the caller's error budget.
+    Quarantined(String),
+    /// Window saturated before the line had any effect: nothing was
+    /// admitted and the same line may be sent again.
+    Saturated,
+    /// The stream is closed (final verdict or degradation).
+    Refused,
+    /// The client said `bye`.
+    Bye,
+}
+
+/// The line-level ingest policy, in its only copy: how a raw wire line
+/// reaches a [`StreamChecker`]. `cal-serve` (stdin and `--listen`) and
+/// the chaos replays all feed lines through [`Ingest::line`]; the
+/// caller decides what to tell the client about each [`Reply`].
+#[derive(Debug)]
+pub struct Ingest<S: CaSpec> {
+    /// The checker the lines are admitted into — verdicts, counters and
+    /// reports are read here, and out-of-band client deaths declared
+    /// ([`StreamChecker::abandon_thread`]).
+    pub checker: StreamChecker<S>,
+    decoder: StreamDecoder,
+    /// Lines fed so far; the current one's number anchors its diagnostics.
+    lines: u64,
+    quarantined: u64,
+}
+
+impl<S: CaSpec> Ingest<S> {
+    /// An empty stream of `format` lines (`None` sniffs the first
+    /// contentful line and latches) checked against `spec`.
+    pub fn new(spec: S, opts: StreamOptions, format: Option<Format>) -> Self {
+        let checker = StreamChecker::new(spec, opts);
+        Ingest { checker, decoder: StreamDecoder::new(format), lines: 0, quarantined: 0 }
+    }
+
+    /// Lines answered [`Reply::Quarantined`] so far.
+    pub fn quarantined(&self) -> u64 {
+        self.quarantined
+    }
+
+    /// Feeds one raw line: the control lines `bye` and `abandon t<N>`
+    /// first, then exactly one decode (the decoder's state advances once
+    /// per line, whatever the format), then admission of each decoded
+    /// item. Threads seen invoking are appended to `invoked` even when
+    /// admission then fails, so a session can abandon them when its
+    /// client goes away.
+    ///
+    /// `nak` says the caller can hand a saturated line back to its
+    /// client. That is only sound when the resent line decodes the same
+    /// way twice and has touched nothing yet — the stateless native
+    /// format, before the line's first effect — and only then is the
+    /// answer [`Reply::Saturated`]. Everywhere else saturation resolves
+    /// here: force a checkpoint, retry the push once, then
+    /// [`StreamChecker::degrade`] and refuse.
+    pub fn line(&mut self, raw: &str, nak: bool, invoked: &mut Vec<ThreadId>) -> Reply {
+        self.lines += 1;
+        let reply = self.apply(raw, nak, invoked);
+        if matches!(reply, Reply::Quarantined(_)) {
+            self.quarantined += 1;
         }
-        let segment = History::from_actions(self.window.clone());
-        let hb = self.segment_order(&segment).ok()?;
-        for q in &self.states {
-            let resume = ResumeSpec { inner: &self.spec, start: q.clone() };
-            let Ok(domain) = CalDomain::with_order(
-                Cow::Borrowed(&segment),
-                SpecRef::Owned(resume),
-                hb.clone(),
-            ) else {
-                return None;
+        reply
+    }
+
+    fn apply(&mut self, raw: &str, nak: bool, invoked: &mut Vec<ThreadId>) -> Reply {
+        let line_no = self.lines;
+        let text = raw.trim();
+        if text == "bye" {
+            return Reply::Bye;
+        }
+        if let Some(rest) = text.strip_prefix("abandon ") {
+            return match rest.trim().strip_prefix('t').and_then(|n| n.parse().ok()) {
+                Some(n) => {
+                    self.checker.abandon_thread(ThreadId(n));
+                    Reply::Ignored
+                }
+                None => Reply::Quarantined(format!("line {line_no}: bad abandon target {rest:?}")),
             };
-            if let Ok(outcome) = engine::search(&domain, &self.opts.check) {
-                self.stats.search += outcome.stats;
-                if let Verdict::Cal(steps) = outcome.verdict {
-                    return Some(crate::check::steps_to_trace(steps));
+        }
+        let items = match self.decoder.decode_line(line_no as usize, raw) {
+            Ok(items) => items,
+            Err(e) => return Reply::Quarantined(e.to_string()),
+        };
+        if items.is_empty() {
+            return Reply::Ignored;
+        }
+        let can_nak = nak && self.decoder.format() == Some(Format::Native);
+        let mut effect = false;
+        for item in items {
+            match item {
+                WireItem::Abandon(t) => self.checker.abandon_thread(t),
+                WireItem::HbEdge { from, to } => {
+                    if self.checker.push_hb_edge(from, to) == Push::Refused {
+                        return Reply::Refused;
+                    }
+                }
+                WireItem::Action(action) => {
+                    if action.is_invoke() {
+                        invoked.push(action.thread());
+                    }
+                    let mut retried = false;
+                    loop {
+                        match self.checker.push(action) {
+                            Push::Admitted => break,
+                            Push::Rejected(e) => {
+                                return Reply::Quarantined(format!("line {line_no}: {e}"))
+                            }
+                            Push::Refused => return Reply::Refused,
+                            Push::Saturated if can_nak && !effect => return Reply::Saturated,
+                            Push::Saturated if retried => {
+                                self.checker.degrade();
+                                return Reply::Refused;
+                            }
+                            Push::Saturated => {
+                                self.checker.checkpoint();
+                                retried = true;
+                            }
+                        }
+                    }
                 }
             }
+            effect = true;
         }
-        None
+        Reply::Admitted
     }
 }
 
@@ -1028,8 +1108,8 @@ impl<S: CaSpec> StreamChecker<S> {
 mod tests {
     use super::*;
     use crate::check::check_cal;
-    use crate::ids::ObjectId;
-    use crate::spec::SeqAsCa;
+    use crate::ids::{ObjectId, Value};
+    use crate::spec::{Invocation, SeqAsCa};
     use crate::text::parse_history;
     use crate::Method;
 
@@ -1340,5 +1420,119 @@ mod tests {
         assert!(json.contains("\"verdict\": \"consistent\""), "{json}");
         assert!(json.contains("\"retired_ops\": 1"), "{json}");
         assert!(json.contains("\"max_window\": 4096"), "{json}");
+    }
+    /// The `--stats-json` wire line, byte for byte (the writer moved to
+    /// `obs::JsonLine`; the bytes did not).
+    #[test]
+    fn report_json_golden() {
+        let mut c = reg_checker(StreamOptions { checkpoint_every: 0, ..StreamOptions::default() });
+        feed(&mut c, "t0 inv o0.write 3\nt1 inv o0.write 4\nt0 res o0.write ()\nt1 res o0.write ()\n");
+        assert_eq!(c.push_hb_edge(0, 1), Push::Admitted);
+        c.checkpoint();
+        feed(&mut c, "t2 inv o0.read ()\nt2 res o0.read 4\nt3 inv o0.read ()\n");
+        c.abandon_thread(ThreadId(3));
+        c.finish();
+        assert_eq!(
+            c.report(Duration::from_micros(12345)).to_json(),
+            "{\"verdict\": \"consistent\", \"wall_ms\": 12.345, \"max_window\": 4096, \
+             \"events\": 7, \"rejected\": 0, \"saturated\": 0, \"refused\": 0, \"window\": 1, \
+             \"peak_window\": 4, \"states\": 1, \"peak_states\": 2, \"retired_ops\": 3, \
+             \"retired_actions\": 6, \"retired_segments\": 2, \"checkpoints\": 2, \
+             \"abandoned\": 1, \"hb_edges\": 1, \"late_edges\": 0, \"nodes\": 5, \
+             \"elements_tried\": 6, \"memo_hits\": 0}"
+        );
+    }
+
+    /// A window searched from two reachable states — evaluated while an
+    /// op is open, then retired — costs exactly what it cost when every
+    /// state rebuilt its own domain: the numbers are the parent's.
+    #[test]
+    fn window_from_two_states_keeps_its_state_set_and_node_counts() {
+        let work = |c: &StreamChecker<SeqAsCa<Reg>>| {
+            let s = c.stats();
+            (s.states, s.retired_segments, s.search.nodes, s.search.elements_tried)
+        };
+        let mut c = reg_checker(StreamOptions { checkpoint_every: 0, ..StreamOptions::default() });
+        feed(&mut c, "t0 inv o0.write 3\nt1 inv o0.write 4\nt0 res o0.write ()\nt1 res o0.write ()\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert_eq!(work(&c), (2, 1, 5, 4), "either write may come last");
+        // t3's write is open, so nothing retires: the window is searched
+        // from 3 (no witness reads 4) and from 4.
+        feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.write 5\nt2 res o0.read 4\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert_eq!(work(&c), (2, 1, 8, 9));
+        feed(&mut c, "t3 res o0.write ()\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert_eq!(work(&c), (1, 2, 14, 16), "the segment enumerates from both states to {{5}}");
+        assert_eq!(c.stats().peak_states, 2);
+        feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.read ()\nt2 res o0.read 4\nt3 res o0.read 4\n");
+        assert_eq!(c.finish(), StreamVerdict::Violation);
+        assert_eq!(work(&c), (1, 2, 15, 18));
+    }
+
+    fn reg_ingest(max_window: usize, format: Option<Format>) -> Ingest<SeqAsCa<Reg>> {
+        let opts = StreamOptions { max_window, checkpoint_every: 0, ..StreamOptions::default() };
+        Ingest::new(SeqAsCa::new(Reg), opts, format)
+    }
+
+    #[test]
+    fn ingest_control_lines_comments_and_quarantine() {
+        let mut i = reg_ingest(8, None);
+        let mut invoked = Vec::new();
+        assert_eq!(i.line("# a comment\n", false, &mut invoked), Reply::Ignored);
+        assert_eq!(i.line("   \n", false, &mut invoked), Reply::Ignored);
+        assert_eq!(i.line("t3 inv o0.write 1\n", false, &mut invoked), Reply::Admitted);
+        assert_eq!(i.line("abandon t3\n", false, &mut invoked), Reply::Ignored);
+        assert_eq!(i.checker.stats().abandoned, 1);
+        let Reply::Quarantined(why) = i.line("abandon x\n", false, &mut invoked) else {
+            panic!("a bad abandon target is quarantined");
+        };
+        assert!(why.starts_with("line 5: bad abandon target"), "{why}");
+        let Reply::Quarantined(why) = i.line("t1 flub\n", false, &mut invoked) else {
+            panic!("a parse error is quarantined");
+        };
+        assert!(why.contains("line 6"), "{why}");
+        // Ill-formed: t3 already has an operation open. The thread is
+        // still reported, so its session would abandon it.
+        let Reply::Quarantined(why) = i.line("t3 inv o0.write 2\n", false, &mut invoked) else {
+            panic!("a nested invocation is quarantined");
+        };
+        assert!(why.starts_with("line 7: "), "{why}");
+        assert_eq!(invoked, [ThreadId(3), ThreadId(3)]);
+        assert_eq!(i.quarantined(), 3);
+        assert_eq!(i.checker.stats().events, 1, "quarantined lines admit nothing");
+        assert_eq!(i.line("bye\n", false, &mut invoked), Reply::Bye);
+        assert_eq!(i.checker.finish(), StreamVerdict::Consistent);
+    }
+
+    #[test]
+    fn ingest_saturation_is_nakked_only_where_a_resend_is_sound() {
+        // Native, ack channel, no effect yet: handed back, and the same
+        // line is admitted once the window drains.
+        let mut i = reg_ingest(1, None);
+        let mut invoked = Vec::new();
+        assert_eq!(i.line("t0 inv o0.write 1\n", true, &mut invoked), Reply::Admitted);
+        assert_eq!(i.line("t1 inv o0.write 2\n", true, &mut invoked), Reply::Saturated);
+        assert_eq!(i.line("t1 inv o0.write 2\n", true, &mut invoked), Reply::Saturated);
+        assert_eq!(i.checker.stats().checkpoints, 0, "a NAK forces nothing");
+        assert_eq!(i.line("t0 res o0.write ()\n", true, &mut invoked), Reply::Admitted);
+        assert_eq!(i.line("t1 inv o0.write 2\n", true, &mut invoked), Reply::Admitted);
+        assert_eq!(i.checker.verdict(), StreamVerdict::Consistent);
+        assert_eq!(invoked, [ThreadId(0), ThreadId(1), ThreadId(1), ThreadId(1)]);
+
+        // No ack channel: checkpoint, one retry, then explicit degradation.
+        let mut i = reg_ingest(1, None);
+        assert_eq!(i.line("t0 inv o0.write 1\n", false, &mut invoked), Reply::Admitted);
+        assert_eq!(i.line("t1 inv o0.write 2\n", false, &mut invoked), Reply::Refused);
+        assert_eq!(i.checker.stats().checkpoints, 1);
+        assert_eq!(i.checker.verdict().to_string(), "undecided: window exceeded");
+        assert_eq!(i.line("t0 res o0.write ()\n", false, &mut invoked), Reply::Refused);
+
+        // A jepsen line has advanced the decoder: never handed back.
+        let mut i = reg_ingest(1, Some(Format::Jepsen));
+        let open = |p: u32| format!("{{:process {p}, :type :invoke, :f :write, :value {p}}}\n");
+        assert_eq!(i.line(&open(0), true, &mut invoked), Reply::Admitted);
+        assert_eq!(i.line(&open(1), true, &mut invoked), Reply::Refused);
+        assert_eq!(i.checker.verdict().to_string(), "undecided: window exceeded");
     }
 }

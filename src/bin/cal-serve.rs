@@ -47,10 +47,13 @@
 //!   --listen <ADDR:PORT>    serve TCP clients instead of stdin (port 0 picks
 //!                           a free port; the bound address is printed first)
 //!   --ack                   acknowledge every line: ok | ign | rej <why> |
-//!                           nak saturated | refused <verdict>
+//!                           nak saturated | refused <verdict>; a line that
+//!                           closes the stream gets its own ack, if any,
+//!                           then refused <verdict>
 //!   --stats-json <PATH|->   write the stream report JSON to PATH (latest
 //!                           snapshot) or append lines to stdout with -
 //!   --stats-every <N>       also emit a report every N admitted events
+//!                           (each time the count crosses a multiple of N)
 //!   --quiet                 suppress verdict-transition and summary lines
 //! ```
 //!
@@ -95,6 +98,22 @@
 //! pending has them abandoned automatically. An interrupting SIGINT or
 //! SIGTERM flushes a final report before exiting.
 //!
+//! ## One daemon, two transports
+//!
+//! The line policy lives in the library ([`cal::core::stream::Ingest`]);
+//! everything said about a line — ack, quarantine diagnostic, `verdict:`
+//! line, `--stats-every` snapshot — is `Daemon::feed`, and the closing
+//! report and exit code are `Daemon::finish`. Stdin mode owns the daemon;
+//! `--listen` shares the same value behind one lock. So both modes tell a
+//! client the same thing: a line that closes the stream (violation,
+//! degradation, exceeded error budget) gets its own ack, if it has one,
+//! followed by `refused <verdict>`; a verdict change prints `verdict: …`
+//! (unless `--quiet`) under `--listen` as on stdin; and a line's number
+//! in diagnostics is drawn under the same lock as its admission, so two
+//! TCP clients' lines are numbered in the order they were applied. A
+//! closing `undecided: checker error` is followed on stderr by
+//! `cal-serve: checker error: <message>`, `--quiet` or not.
+//!
 //! Exit status (the audited contract, shared with `cal-check`):
 //! 0 = consistent, 1 = violation, 2 = undecided (budget, deadline or
 //! window exceeded), 3 = input/checker error (including an exceeded
@@ -107,12 +126,12 @@
 //!   | cargo run --bin cal-serve -- exchanger --stats-json -
 //! ```
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cal::cli::{
@@ -120,9 +139,9 @@ use cal::cli::{
     EXIT_ERROR, EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
 };
 use cal::core::check::CheckOptions;
-use cal::core::format::{Format, StreamDecoder, WireItem};
+use cal::core::format::Format;
 use cal::core::spec::CaSpec;
-use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict, UndecidedWhy};
+use cal::core::stream::{Ingest, Reply, StreamOptions, StreamVerdict, UndecidedWhy};
 use cal::core::{ObjectId, ThreadId};
 use cal::specs::registry::{self, CheckMode, Selected, Visitor};
 use cal::{errln, outln};
@@ -278,120 +297,18 @@ impl Visitor for Serve<'_> {
             },
             causal: cfg.causal,
         };
-        let checker = StreamChecker::new(spec, options);
-        let decoder = StreamDecoder::new(cfg.format);
+        let daemon = Daemon {
+            cfg,
+            ingest: Ingest::new(spec, options, cfg.format),
+            start: Instant::now(),
+            budget_exceeded: false,
+            last_verdict: StreamVerdict::Consistent,
+        };
         match &cfg.listen {
-            None => serve_stdin(checker, decoder, cfg),
-            Some(addr) => serve_tcp(checker, decoder, cfg, addr),
+            None => serve_stdin(daemon),
+            Some(addr) => serve_tcp(daemon, addr),
         }
     }
-}
-
-/// What one input line did to the stream.
-enum Reply {
-    /// Blank, comment, or a handled control line.
-    Ignored,
-    /// The event entered the window.
-    Admitted,
-    /// Quarantined (ill-formed event or parse error): counts against the
-    /// error budget.
-    Quarantined(String),
-    /// Window saturated; the event was not admitted and may be retried.
-    Saturated,
-    /// The stream is closed (final verdict or degradation).
-    Refused,
-    /// The client said `bye`.
-    Bye,
-}
-
-/// Feeds one raw line to the checker: control lines first, then one
-/// decode (the decoder's state advances exactly once per line, whatever
-/// the format), then admission of each decoded item. `line_no` is only
-/// for error messages. `nak` says an ack channel exists for NAKing a
-/// saturated event back to the client; it only helps when retrying the
-/// line is sound — the native format, before the line has had any
-/// effect. Everywhere else saturation resolves in-line: force a
-/// checkpoint, retry the push once, then degrade explicitly. Threads
-/// seen invoking are appended to `invoked` (even when admission then
-/// fails) so TCP sessions can abandon them on disconnect.
-fn apply_line<S: CaSpec>(
-    checker: &mut StreamChecker<S>,
-    decoder: &mut StreamDecoder,
-    line_no: u64,
-    raw: &str,
-    nak: bool,
-    invoked: &mut Vec<ThreadId>,
-) -> Reply {
-    let text = raw.trim();
-    if text == "bye" {
-        return Reply::Bye;
-    }
-    if let Some(rest) = text.strip_prefix("abandon ") {
-        match rest.trim().strip_prefix('t').and_then(|n| n.parse::<u32>().ok()) {
-            Some(n) => {
-                checker.abandon_thread(ThreadId(n));
-                return Reply::Ignored;
-            }
-            None => {
-                return Reply::Quarantined(format!("line {line_no}: bad abandon target {rest:?}"))
-            }
-        }
-    }
-    let items = match decoder.decode_line(line_no as usize, raw) {
-        Ok(items) => items,
-        Err(e) => return Reply::Quarantined(e.to_string()),
-    };
-    if items.is_empty() {
-        return Reply::Ignored;
-    }
-    // NAK-and-retry re-decodes the resent line, which is only sound when
-    // decoding is stateless (native) and this line has not yet touched
-    // the checker — a jepsen or kvlog line has already advanced the
-    // decoder and would not decode the same way twice.
-    let can_nak = nak && decoder.format() == Some(Format::Native);
-    let mut effect = false;
-    for item in items {
-        match item {
-            WireItem::Abandon(t) => {
-                checker.abandon_thread(t);
-                effect = true;
-            }
-            WireItem::HbEdge { from, to } => match checker.push_hb_edge(from, to) {
-                Push::Refused => return Reply::Refused,
-                _ => effect = true,
-            },
-            WireItem::Action(action) => {
-                if action.is_invoke() {
-                    invoked.push(action.thread());
-                }
-                match checker.push(action) {
-                    Push::Admitted => effect = true,
-                    Push::Rejected(e) => {
-                        return Reply::Quarantined(format!("line {line_no}: {e}"))
-                    }
-                    Push::Refused => return Reply::Refused,
-                    Push::Saturated => {
-                        if can_nak && !effect {
-                            return Reply::Saturated;
-                        }
-                        checker.checkpoint();
-                        match checker.push(action) {
-                            Push::Admitted => effect = true,
-                            Push::Rejected(e) => {
-                                return Reply::Quarantined(format!("line {line_no}: {e}"))
-                            }
-                            Push::Refused => return Reply::Refused,
-                            Push::Saturated => {
-                                checker.degrade();
-                                return Reply::Refused;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Reply::Admitted
 }
 
 /// Emits the report to the `--stats-json` target: `-` appends a line to
@@ -411,29 +328,136 @@ fn emit_report(cfg: &Cfg, json: &str) -> io::Result<()> {
     }
 }
 
-/// Folds the final state into the exit-code contract.
-fn exit_for(verdict: &StreamVerdict, budget_exceeded: bool) -> ExitCode {
-    ExitCode::from(if budget_exceeded {
-        EXIT_ERROR
-    } else {
-        match verdict {
+/// What the session that fed a line does next.
+#[derive(PartialEq)]
+enum Next {
+    Continue,
+    /// The client said `bye`: stdin mode ends the stream, a TCP session
+    /// ends alone.
+    Bye,
+    /// The stream is closed for everyone: violation, degradation, or an
+    /// exceeded error budget.
+    Close,
+}
+
+/// The one daemon both modes run: the ingest policy
+/// ([`cal::core::stream::Ingest`]) plus everything said about it — acks,
+/// quarantine diagnostics against `--error-budget`, `verdict:` lines,
+/// `--stats-every` snapshots, the final report and the exit code.
+/// `serve_stdin` owns it outright; `serve_tcp` shares it behind one lock.
+struct Daemon<'a, S: CaSpec> {
+    cfg: &'a Cfg,
+    ingest: Ingest<S>,
+    start: Instant,
+    budget_exceeded: bool,
+    last_verdict: StreamVerdict,
+}
+
+impl<S: CaSpec> Daemon<'_, S> {
+    /// Feeds one raw line and says what it did: the `--ack` text for the
+    /// line's sender (empty when the line has no answer of its own) and
+    /// what its session does next. A line that closes the stream gets its
+    /// own ack, then `refused <verdict>`. `nak` and `invoked` are
+    /// [`Ingest::line`]'s.
+    fn feed(
+        &mut self,
+        raw: &str,
+        nak: bool,
+        invoked: &mut Vec<ThreadId>,
+    ) -> io::Result<(Cow<'static, str>, Next)> {
+        let cfg = self.cfg;
+        let before = self.ingest.checker.stats().events;
+        let mut next = Next::Continue;
+        let own: Cow<'static, str> = match self.ingest.line(raw, nak, invoked) {
+            Reply::Ignored => "ign".into(),
+            Reply::Admitted => "ok".into(),
+            Reply::Saturated => "nak saturated".into(),
+            Reply::Bye => {
+                next = Next::Bye;
+                "ok".into()
+            }
+            Reply::Refused => {
+                next = Next::Close;
+                "".into()
+            }
+            Reply::Quarantined(why) => {
+                if !cfg.quiet {
+                    errln!("cal-serve: quarantined: {why}")?;
+                }
+                let faults = self.ingest.quarantined();
+                if faults > cfg.error_budget {
+                    let budget = cfg.error_budget;
+                    errln!("cal-serve: error budget exceeded ({faults} > {budget}), refusing stream")?;
+                    self.budget_exceeded = true;
+                    next = Next::Close;
+                }
+                format!("rej {why}").into()
+            }
+        };
+        let verdict = self.ingest.checker.verdict();
+        let events = self.ingest.checker.stats().events;
+        if next == Next::Continue && verdict != self.last_verdict {
+            if !cfg.quiet {
+                outln!("verdict: {verdict} ({events} events)")?;
+                io::stdout().flush()?;
+            }
+            if verdict == StreamVerdict::Violation {
+                next = Next::Close;
+            }
+            self.last_verdict = verdict.clone();
+        }
+        if next != Next::Close {
+            // A snapshot each time the admitted-event count crosses a
+            // multiple of N, however many events the line carried.
+            if cfg.stats_every > 0 && events / cfg.stats_every > before / cfg.stats_every {
+                emit_report(cfg, &self.ingest.checker.report(self.start.elapsed()).to_json())?;
+            }
+            return Ok((own, next));
+        }
+        let refused = format!("refused {verdict}");
+        Ok((if own.is_empty() { refused } else { format!("{own}\n{refused}") }.into(), next))
+    }
+
+    /// Closes the stream: final checkpoint, report, summary, and the fold
+    /// of the closing state into the exit-code contract.
+    fn finish(&mut self) -> io::Result<ExitCode> {
+        let cfg = self.cfg;
+        let checker = &mut self.ingest.checker;
+        let verdict = checker.finish();
+        let report = checker.report(self.start.elapsed());
+        emit_report(cfg, &report.to_json())?;
+        if !cfg.quiet {
+            errln!("cal-serve: {}", report.summary())?;
+            outln!("verdict: {verdict} ({} events)", checker.stats().events)?;
+            io::stdout().flush()?;
+        }
+        let checker_error = verdict == StreamVerdict::Undecided(UndecidedWhy::CheckerError);
+        if let (true, Some(message)) = (checker_error, checker.last_error()) {
+            errln!("cal-serve: checker error: {message}")?;
+        }
+        Ok(ExitCode::from(match verdict {
+            _ if self.budget_exceeded || checker_error => EXIT_ERROR,
             StreamVerdict::Consistent => EXIT_ACCEPTED,
             StreamVerdict::Violation => EXIT_REJECTED,
-            StreamVerdict::Undecided(UndecidedWhy::CheckerError) => EXIT_ERROR,
             StreamVerdict::Undecided(_) => EXIT_UNDECIDED,
-        }
-    })
+        }))
+    }
+}
+
+/// Writes `text` (one or two ack lines) to a client that asked for acks.
+fn ack(on: bool, sink: &mut impl Write, text: &str) -> io::Result<()> {
+    if on && !text.is_empty() {
+        writeln!(sink, "{text}")?;
+        sink.flush()?;
+    }
+    Ok(())
 }
 
 /// The single-session mode: events arrive on stdin; backpressure means
 /// pausing reads (the pipe fills) and, if that cannot help, explicit
-/// degradation.
-fn serve_stdin<S: CaSpec>(
-    mut checker: StreamChecker<S>,
-    mut decoder: StreamDecoder,
-    cfg: &Cfg,
-) -> io::Result<ExitCode> {
-    let start = Instant::now();
+/// degradation. The daemon is owned, not shared: no lock on this path.
+fn serve_stdin<S: CaSpec>(mut daemon: Daemon<'_, S>) -> io::Result<ExitCode> {
+    let cfg = daemon.cfg;
     // A reader thread forwards lines over a channel so the main loop can
     // poll the shutdown flag: std's blocking read retries EINTR, so a
     // signal would otherwise go unnoticed until the next line. The
@@ -450,11 +474,8 @@ fn serve_stdin<S: CaSpec>(
             }
         }
     });
-    let mut lines = 0u64;
-    let mut faults = 0u64;
-    let mut budget_exceeded = false;
-    let mut last_verdict = checker.verdict();
-    'ingest: loop {
+    let mut invoked = Vec::new();
+    loop {
         if shutdown_requested() {
             if !cfg.quiet {
                 errln!("cal-serve: shutdown signal, flushing final report")?;
@@ -466,286 +487,128 @@ fn serve_stdin<S: CaSpec>(
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
         };
-        lines += 1;
-        let mut invoked = Vec::new();
-        let reply = apply_line(&mut checker, &mut decoder, lines, &line, false, &mut invoked);
-        match &reply {
-            Reply::Bye => {
-                ack(cfg, &mut io::stdout(), "ok")?;
-                break;
-            }
-            Reply::Ignored => ack(cfg, &mut io::stdout(), "ign")?,
-            Reply::Admitted => ack(cfg, &mut io::stdout(), "ok")?,
-            Reply::Quarantined(why) => {
-                faults += 1;
-                if !cfg.quiet {
-                    errln!("cal-serve: quarantined: {why}")?;
-                }
-                ack(cfg, &mut io::stdout(), &format!("rej {why}"))?;
-                if faults > cfg.error_budget {
-                    errln!(
-                        "cal-serve: error budget exceeded ({faults} > {}), refusing stream",
-                        cfg.error_budget
-                    )?;
-                    budget_exceeded = true;
-                    break;
-                }
-            }
-            Reply::Saturated => {
-                unreachable!("without an ack channel, saturation resolves in-line")
-            }
-            Reply::Refused => {
-                ack(cfg, &mut io::stdout(), &format!("refused {}", checker.verdict()))?;
-                // A refused stream can only end one way; drain nothing.
-                break;
-            }
-        }
-        let verdict = checker.verdict();
-        if verdict != last_verdict {
-            if !cfg.quiet {
-                outln!("verdict: {verdict} ({} events)", checker.stats().events)?;
-                io::stdout().flush()?;
-            }
-            if verdict == StreamVerdict::Violation {
-                break 'ingest;
-            }
-            last_verdict = verdict;
-        }
-        if cfg.stats_every > 0 && checker.stats().events.is_multiple_of(cfg.stats_every) {
-            emit_report(cfg, &checker.report(start.elapsed()).to_json())?;
+        invoked.clear();
+        // No ack channel a client could resend on: saturation resolves
+        // inside the ingest policy.
+        let (text, next) = daemon.feed(&line, false, &mut invoked)?;
+        ack(cfg.ack, &mut io::stdout(), &text)?;
+        if next != Next::Continue {
+            break;
         }
     }
-    let verdict = checker.finish();
-    let report = checker.report(start.elapsed());
-    emit_report(cfg, &report.to_json())?;
-    if !cfg.quiet {
-        errln!("cal-serve: {}", report.summary())?;
-        outln!("verdict: {verdict} ({} events)", checker.stats().events)?;
-        io::stdout().flush()?;
-    }
-    Ok(exit_for(&verdict, budget_exceeded))
-}
-
-fn ack(cfg: &Cfg, sink: &mut impl Write, text: &str) -> io::Result<()> {
-    if cfg.ack {
-        writeln!(sink, "{text}")?;
-        sink.flush()?;
-    }
-    Ok(())
-}
-
-/// State shared between the TCP accept loop and the per-client threads.
-struct Shared<S: CaSpec> {
-    checker: Mutex<StreamChecker<S>>,
-    /// One wire decoder for the whole stream, shared by every session.
-    /// Locked together with (and after) `checker` so a line's decode and
-    /// admission are atomic with respect to other clients.
-    decoder: Mutex<StreamDecoder>,
-    /// Which session an event thread last invoked from, for disconnect
-    /// handling.
-    owners: Mutex<HashMap<ThreadId, u64>>,
-    /// Live connections, so shutdown can unblock readers.
-    conns: Mutex<Vec<TcpStream>>,
-    lines: Mutex<u64>,
-    faults: Mutex<u64>,
-    /// Raised on violation, degradation or an exceeded error budget:
-    /// stop accepting, wind clients down.
-    fatal: AtomicBool,
-    budget_exceeded: AtomicBool,
-    start: Instant,
+    daemon.finish()
 }
 
 /// The multi-client mode: every connection is a session whose pending
 /// operations are abandoned if it disconnects; saturation NAKs the
 /// offending client (with `--ack`) instead of degrading the stream.
-fn serve_tcp<S>(
-    checker: StreamChecker<S>,
-    decoder: StreamDecoder,
-    cfg: &Cfg,
-    addr: &str,
-) -> io::Result<ExitCode>
+fn serve_tcp<S>(daemon: Daemon<'_, S>, addr: &str) -> io::Result<ExitCode>
 where
-    S: CaSpec + Send + 'static,
+    S: CaSpec + Send,
     S::State: Send,
 {
+    let cfg = daemon.cfg;
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     // Port 0 picks a free port; announce the real address first so
     // clients (and tests) can find it.
     outln!("cal-serve: listening on {}", listener.local_addr()?)?;
     io::stdout().flush()?;
-    let shared = Arc::new(Shared {
-        checker: Mutex::new(checker),
-        decoder: Mutex::new(decoder),
-        owners: Mutex::new(HashMap::new()),
-        conns: Mutex::new(Vec::new()),
-        lines: Mutex::new(0),
-        faults: Mutex::new(0),
-        fatal: AtomicBool::new(false),
-        budget_exceeded: AtomicBool::new(false),
-        start: Instant::now(),
-    });
-    let mut handles = Vec::new();
+    // A line's number, decode, admission and everything printed about it
+    // happen under this one lock, so sessions see one order.
+    let daemon = Mutex::new(daemon);
+    // Which session an event thread last invoked from, for disconnect
+    // handling. Never taken while holding `daemon` except at session end,
+    // where it is taken first.
+    let owners: Mutex<HashMap<ThreadId, u64>> = Mutex::new(HashMap::new());
+    // Raised when a line closes the stream: stop accepting, wind clients
+    // down.
+    let fatal = AtomicBool::new(false);
     let mut sessions = 0u64;
-    while !shutdown_requested() && !shared.fatal.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                sessions += 1;
-                let session = sessions;
-                if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().push(clone);
+    std::thread::scope(|scope| -> io::Result<()> {
+        // Live connections, so shutdown can unblock readers.
+        let mut conns: Vec<TcpStream> = Vec::new();
+        while !shutdown_requested() && !fatal.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    sessions += 1;
+                    let session = sessions;
+                    conns.extend(stream.try_clone().ok());
+                    let (daemon, owners, fatal) = (&daemon, &owners, &fatal);
+                    scope.spawn(move || client(daemon, owners, fatal, cfg.ack, stream, session));
                 }
-                let shared = Arc::clone(&shared);
-                let cfg = CfgLite::of(cfg);
-                handles.push(std::thread::spawn(move || client(shared, cfg, stream, session)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => {
-                errln!("cal-serve: accept error: {e}")?;
-                break;
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+                Err(e) => {
+                    errln!("cal-serve: accept error: {e}")?;
+                    break;
+                }
             }
         }
-    }
-    // Unblock every client reader, then wait for them to finish their
-    // disconnect handling (abandoning pending ops).
-    for conn in shared.conns.lock().iter() {
-        let _ = conn.shutdown(Shutdown::Both);
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
-    let mut checker = shared.checker.lock();
-    let verdict = checker.finish();
-    let report = checker.report(shared.start.elapsed());
-    emit_report(cfg, &report.to_json())?;
+        // Unblock every client reader; the scope then waits for them to
+        // finish their disconnect handling (abandoning pending ops).
+        for conn in &conns {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        Ok(())
+    })?;
     if !cfg.quiet {
         errln!("cal-serve: {sessions} sessions served")?;
-        errln!("cal-serve: {}", report.summary())?;
-        outln!("verdict: {verdict} ({} events)", checker.stats().events)?;
-        io::stdout().flush()?;
     }
-    Ok(exit_for(&verdict, shared.budget_exceeded.load(Ordering::SeqCst)))
+    daemon.into_inner().finish()
 }
 
-/// The slice of [`Cfg`] a client thread needs (cheap to clone per
-/// connection).
-#[derive(Clone)]
-struct CfgLite {
-    ack: bool,
-    quiet: bool,
-    error_budget: u64,
-}
-
-impl CfgLite {
-    fn of(cfg: &Cfg) -> Self {
-        CfgLite { ack: cfg.ack, quiet: cfg.quiet, error_budget: cfg.error_budget }
-    }
-}
-
-/// One client session: feed its lines to the shared checker, ack per the
+/// One client session: feed its lines to the shared daemon, ack per the
 /// policy, and abandon its pending operations when it goes away.
-fn client<S: CaSpec>(shared: Arc<Shared<S>>, cfg: CfgLite, stream: TcpStream, session: u64) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+fn client<S: CaSpec>(
+    daemon: &Mutex<Daemon<'_, S>>,
+    owners: &Mutex<HashMap<ThreadId, u64>>,
+    fatal: &AtomicBool,
+    acks: bool,
+    stream: TcpStream,
+    session: u64,
+) {
+    let Ok(mut writer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     let mut threads: HashSet<ThreadId> = HashSet::new();
-    loop {
-        if shutdown_requested() || shared.fatal.load(Ordering::SeqCst) {
+    let mut invoked = Vec::new();
+    while !shutdown_requested() && !fatal.load(Ordering::SeqCst) {
+        line.clear();
+        if !matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
             break;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Err(_) => break,
-            Ok(_) => {}
-        }
-        let line_no = {
-            let mut lines = shared.lines.lock();
-            *lines += 1;
-            *lines
-        };
-        let mut invoked = Vec::new();
-        let reply = {
-            let mut checker = shared.checker.lock();
-            let mut decoder = shared.decoder.lock();
-            apply_line(&mut checker, &mut decoder, line_no, &line, cfg.ack, &mut invoked)
-        };
+        // Saturation surfaces as a NAK only when this client can be told
+        // (`--ack`) and the resend is sound; `Ingest::line` decides.
+        let fed = daemon.lock().feed(&line, acks, &mut invoked);
         // Remember which threads this session drives, admitted or not, so
         // even a still-pending (or NAKed) first invocation is abandoned
         // on disconnect.
-        for t in invoked {
+        for t in invoked.drain(..) {
             threads.insert(t);
-            shared.owners.lock().insert(t, session);
+            owners.lock().insert(t, session);
         }
-        let closed = match &reply {
-            Reply::Bye => {
-                let _ = ack_to(&cfg, &mut writer, "ok");
+        // The daemon's own stdout or stderr failing ends the stream like
+        // any other closing line; `finish` then reports the error.
+        let (text, next) = fed.unwrap_or((Cow::Borrowed(""), Next::Close));
+        let _ = ack(acks, &mut writer, &text);
+        match next {
+            Next::Continue => {}
+            Next::Bye => break,
+            Next::Close => {
+                fatal.store(true, Ordering::SeqCst);
                 break;
             }
-            Reply::Ignored => {
-                let _ = ack_to(&cfg, &mut writer, "ign");
-                false
-            }
-            Reply::Admitted => {
-                let _ = ack_to(&cfg, &mut writer, "ok");
-                false
-            }
-            Reply::Quarantined(why) => {
-                let _ = ack_to(&cfg, &mut writer, &format!("rej {why}"));
-                if !cfg.quiet {
-                    let _ = errln!("cal-serve: quarantined: {why}");
-                }
-                let mut faults = shared.faults.lock();
-                *faults += 1;
-                if *faults > cfg.error_budget {
-                    let _ = errln!(
-                        "cal-serve: error budget exceeded ({} > {}), refusing stream",
-                        *faults,
-                        cfg.error_budget
-                    );
-                    shared.budget_exceeded.store(true, Ordering::SeqCst);
-                    true
-                } else {
-                    false
-                }
-            }
-            // Saturation only surfaces here when an ack channel exists
-            // and the retry is sound (native format, no effect yet): NAK
-            // and let the client retry. Every other case resolved inside
-            // apply_line.
-            Reply::Saturated => {
-                let _ = ack_to(&cfg, &mut writer, "nak saturated");
-                false
-            }
-            Reply::Refused => true,
-        };
-        let verdict = shared.checker.lock().verdict();
-        if closed || verdict == StreamVerdict::Violation {
-            let _ = ack_to(&cfg, &mut writer, &format!("refused {verdict}"));
-            shared.fatal.store(true, Ordering::SeqCst);
-            break;
         }
     }
     // Session over (clean or crashed): no one will ever respond to its
     // in-flight operations — seal them.
-    let owners = shared.owners.lock();
-    let mut checker = shared.checker.lock();
+    let owners = owners.lock();
+    let mut daemon = daemon.lock();
     for t in threads {
         if owners.get(&t) == Some(&session) {
-            checker.abandon_thread(t);
+            daemon.ingest.checker.abandon_thread(t);
         }
     }
-}
-
-fn ack_to(cfg: &CfgLite, writer: &mut TcpStream, text: &str) -> io::Result<()> {
-    if cfg.ack {
-        writeln!(writer, "{text}")?;
-        writer.flush()?;
-    }
-    Ok(())
 }

@@ -137,17 +137,15 @@ fn slow_producer_stall_is_tolerated() {
 }
 
 fn spawn_tcp() -> (Child, BufReader<std::process::ChildStdout>, String) {
+    spawn_tcp_with(&["exchanger", "--ack", "--checkpoint-every", "1", "--stats-json", "-"])
+}
+
+/// Starts `cal-serve <args> --listen 127.0.0.1:0` and reads the banner:
+/// the child, the rest of its stdout, and the address it bound.
+fn spawn_tcp_with(args: &[&str]) -> (Child, BufReader<std::process::ChildStdout>, String) {
     let mut child = Command::new(EXE)
-        .args([
-            "exchanger",
-            "--listen",
-            "127.0.0.1:0",
-            "--ack",
-            "--checkpoint-every",
-            "1",
-            "--stats-json",
-            "-",
-        ])
+        .args(args)
+        .args(["--listen", "127.0.0.1:0"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -234,4 +232,134 @@ fn tcp_violation_latches_for_all_clients() {
     let mut rest = String::new();
     stdout.read_to_string(&mut rest).unwrap();
     assert!(rest.contains("\"verdict\": \"violation\""), "final report: {rest}");
+}
+
+/// One `--ack` TCP client sends `input` and reads its acks: one per
+/// line, and a closing line's own ack and its `refused …` leave the
+/// daemon in one write, so the second is already buffered when the first
+/// has been read. A stream the daemon did not close itself is then ended
+/// with SIGTERM. Returns the ack transcript, the rest of the daemon's
+/// stdout, and its exit code.
+fn tcp_session(args: &[&str], input: &str) -> (Vec<String>, String, Option<i32>) {
+    let (mut child, mut stdout, addr) = spawn_tcp_with(args);
+    let mut client = TcpStream::connect(&addr).expect("connect");
+    client.write_all(input.as_bytes()).unwrap();
+    let mut reader = BufReader::new(client.try_clone().unwrap());
+    let mut acks = Vec::new();
+    let mut line = String::new();
+    while acks.len() < input.lines().count() || !reader.buffer().is_empty() {
+        line.clear();
+        if reader.read_line(&mut line).unwrap_or(0) == 0 {
+            break;
+        }
+        acks.push(line.trim_end().to_owned());
+    }
+    if !acks.last().is_some_and(|l| l.starts_with("refused ")) {
+        drop((client, reader));
+        // Let the session notice the disconnect before the shutdown.
+        std::thread::sleep(Duration::from_millis(200));
+        sigterm(&child);
+    }
+    let code = child.wait().expect("cal-serve exits").code();
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    (acks, rest, code)
+}
+
+fn events_reported(stdout: &str) -> Vec<u64> {
+    stdout.lines().filter(|l| l.contains("\"events\":")).map(|l| field(l, "events")).collect()
+}
+
+/// `--stats-every N` snapshots each time the admitted-event count
+/// crosses a multiple of N — not once per line that finds it on one
+/// (comments and blanks printed duplicates), not never when a two-event
+/// kvlog line steps over one, and in TCP mode too (it was ignored there).
+#[test]
+fn stats_every_snapshots_once_per_crossing_in_both_modes() {
+    let mut native = String::from("# header\n# another\n");
+    for i in 0..6 {
+        native.push_str(&format!("t0 inv o0.write {i}\n\nt0 res o0.write ()\n\n"));
+    }
+    let args = ["register", "--ack", "--stats-every", "4", "--stats-json", "-", "--quiet"];
+    let out = serve(&args, &native);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(events_reported(&String::from_utf8_lossy(&out.stdout)), [4, 8, 12, 12]);
+
+    let (_, stdout, code) = tcp_session(&args, &native);
+    assert_eq!(code, Some(0));
+    assert_eq!(events_reported(&stdout), [4, 8, 12, 12], "stdout: {stdout}");
+
+    // Two events a line: 3 is stepped over by the second line.
+    let kvlog = "1 2 c0 put 0 1\n3 4 c0 put 0 2\n5 6 c0 get 0 2\n";
+    let args = ["kv", "--format", "kvlog", "--stats-every", "3", "--stats-json", "-", "--quiet"];
+    let out = serve(&args, kvlog);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(events_reported(&String::from_utf8_lossy(&out.stdout)), [4, 6, 6]);
+}
+
+/// A checker error exits 3 *and says what it was*: here, declared `hb`
+/// edges that close a cycle.
+#[test]
+fn checker_error_names_its_cause() {
+    let input = "1 2 c0 put 0 1\n3 4 c1 put 0 2\nhb 1 2\nhb 2 1\n";
+    for quiet in [&[][..], &["--quiet"][..]] {
+        let out = serve(&[&["kv", "--causal", "--format", "kvlog"], quiet].concat(), input);
+        assert_eq!(out.status.code(), Some(3));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("cal-serve: checker error: ") && stderr.contains("cycle"),
+            "stderr: {stderr}"
+        );
+    }
+}
+
+fn parity_args(report: &str) -> [&str; 9] {
+    let (every, budget) = ("--checkpoint-every", "--error-budget");
+    ["exchanger", "--ack", "--quiet", every, "1", budget, "2", "--stats-json", report]
+}
+
+/// Stdin and TCP are one daemon: the same native trace through stdin
+/// `--ack` and through one TCP `--ack` client gets the same acks — a
+/// closing line's own ack, then `refused <verdict>` — the same exit code
+/// and the same final report.
+#[test]
+fn stdin_and_tcp_sessions_are_told_the_same() {
+    let accepting = "# two swaps\nt1 inv o0.exchange 3\nt2 inv o0.exchange 4\n\
+                     t1 res o0.exchange (true,4)\nt2 res o0.exchange (true,3)\nabandon t9\nbye\n";
+    let violating = "t1 inv o0.exchange 3\nt1 res o0.exchange (true,9)\nt2 inv o0.exchange 1\n";
+    // No operation is left open: a TCP session abandons its own on the
+    // way out, which a stdin stream has no occasion to.
+    let over_budget = "t1 inv o0.exchange 3\nt1 res o0.exchange (false,3)\nnot an event\n\
+                       t1 res o0.exchange (false,3)\nt7 res\n";
+    let cases = [
+        (accepting, 0, vec!["ign", "ok", "ok", "ok", "ok", "ign", "ok"]),
+        (violating, 1, vec!["ok", "ok", "refused violation"]),
+        (over_budget, 3, vec!["ok", "ok", "rej", "rej", "rej", "refused consistent"]),
+    ];
+    for (case, (input, code, want)) in cases.into_iter().enumerate() {
+        let report = |mode: &str| {
+            let name = format!("cal-serve-parity-{}-{case}-{mode}", std::process::id());
+            std::env::temp_dir().join(name).to_str().unwrap().to_owned()
+        };
+        let (stdin_report, tcp_report) = (report("stdin"), report("tcp"));
+        let final_report = |path: &str| {
+            let json = std::fs::read_to_string(path).expect("final report written");
+            let _ = std::fs::remove_file(path);
+            let wall = json.split("\"wall_ms\": ").nth(1).unwrap().split(',').next().unwrap();
+            json.replace(wall, "_")
+        };
+
+        let out = serve(&parity_args(&stdin_report), input);
+        let stdin_acks: Vec<String> =
+            String::from_utf8_lossy(&out.stdout).lines().map(str::to_owned).collect();
+        let (tcp_acks, _, tcp_code) = tcp_session(&parity_args(&tcp_report), input);
+
+        assert_eq!(stdin_acks.len(), want.len(), "case {case}: {stdin_acks:?}");
+        for (got, want) in stdin_acks.iter().zip(&want) {
+            assert!(got.starts_with(want), "case {case}: {stdin_acks:?}");
+        }
+        assert_eq!(stdin_acks, tcp_acks, "case {case}");
+        assert_eq!((out.status.code(), tcp_code), (Some(code), Some(code)), "case {case}");
+        assert_eq!(final_report(&stdin_report), final_report(&tcp_report), "case {case}");
+    }
 }
