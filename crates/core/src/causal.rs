@@ -35,7 +35,7 @@ use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
-use crate::check::{reconstruct_completion, steps_to_trace, CalDomain};
+use crate::check::{reconstruct_completion, CalDomain};
 use crate::engine::{self, SpecRef};
 use crate::history::{HbError, HbRelation, History, HistoryError};
 use crate::spec::CaSpec;
@@ -160,7 +160,7 @@ pub fn check_causal_with<S: CaSpec>(
     let domain = CalDomain::with_order(Cow::Borrowed(history), SpecRef::Borrowed(spec), |_| {
         Ok::<_, HistoryError>(hb.clone())
     })?;
-    Ok(engine::search(&domain, options)?.map_witness(steps_to_trace))
+    Ok(engine::search(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
 }
 
 /// Like [`check_causal_with`], on the engine's parallel driver. Per-object
@@ -184,7 +184,7 @@ where
     let domain = CalDomain::with_order(Cow::Borrowed(history), SpecRef::Borrowed(spec), |_| {
         Ok::<_, HistoryError>(hb.clone())
     })?;
-    Ok(engine::search_par(&domain, options)?.map_witness(steps_to_trace))
+    Ok(engine::search_par(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
 }
 
 /// Convenience predicate: `Ok(true)` iff the history is causally CAL

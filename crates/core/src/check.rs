@@ -25,7 +25,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use crate::bitset::BitSet;
 use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
 use crate::history::{complete_set, HbRelation, History, HistoryError, PartialHistory, Span};
-use crate::ids::ObjectId;
+use crate::ids::{ObjectId, Value};
 use crate::op::Operation;
 use crate::spec::{CaSpec, Invocation};
 use crate::symmetry::SymClasses;
@@ -81,12 +81,7 @@ pub fn check_cal_with<S: CaSpec>(
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
     let domain = CalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search(&domain, options)?.map_witness(steps_to_trace))
-}
-
-/// Assembles the engine's step sequence into a [`CaTrace`] witness.
-pub(crate) fn steps_to_trace(steps: Vec<CalStep>) -> CaTrace {
-    CaTrace::from_elements(steps.into_iter().map(|s| s.element).collect())
+    Ok(engine::search(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
 }
 
 /// Convenience predicate: `Ok(true)` iff the history is CAL w.r.t. `spec`.
@@ -217,13 +212,97 @@ pub(crate) fn reconstruct_completion(
     Some((completion, kept))
 }
 
-/// One step of a CAL witness: the CA-element extracted plus the span
-/// indices it matched (used to interleave per-object witnesses under
-/// decomposition without re-deriving op↦span assignments).
+/// One step of a CAL witness, as the search keeps it: the spans the
+/// CA-element matched and, for its pending members, the return values it
+/// completed them with. That is all a witness needs — the element is
+/// rebuilt from the spans by [`CalDomain::trace_of`], for the steps of a
+/// witness only — so a successor carries no copy of its element.
 #[derive(Debug, Clone)]
 pub(crate) struct CalStep {
-    pub(crate) element: CaElement,
+    subset: Subset,
+    /// One return value per pending member, in member order; empty (and
+    /// unallocated) for an element of complete operations.
+    completions: Vec<Value>,
+}
+
+/// The span indices of one CA-element, ascending. Elements are small —
+/// the paper's objects pair operations up — so up to four indices are
+/// kept in place, unused places holding `u32::MAX`.
+#[derive(Debug, Clone)]
+enum Subset {
+    Inline([u32; 4]),
+    Heap(Box<[usize]>),
+}
+
+impl Subset {
+    fn of(spans: &[usize]) -> Self {
+        let mut inline = [u32::MAX; 4];
+        if spans.len() > inline.len() {
+            return Subset::Heap(spans.into());
+        }
+        for (place, &i) in inline.iter_mut().zip(spans) {
+            match u32::try_from(i) {
+                Ok(i) if i != u32::MAX => *place = i,
+                _ => return Subset::Heap(spans.into()),
+            }
+        }
+        Subset::Inline(inline)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (inline, heap): (&[u32], &[usize]) = match self {
+            Subset::Inline(spans) => (spans, &[]),
+            Subset::Heap(spans) => (&[], spans),
+        };
+        let inline = inline.iter().take_while(|&&i| i != u32::MAX).map(|&i| i as usize);
+        inline.chain(heap.iter().copied())
+    }
+}
+
+/// The buffers one worker's candidate loop refills at every expansion
+/// ([`SearchDomain::Scratch`]), so that trying a candidate element — and
+/// rejecting it, as the search does with most — allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct CalScratch {
+    /// The node's minimal spans.
+    minimal: Vec<usize>,
+    candidate: Candidate,
+}
+
+/// The subset being tried as the next CA-element.
+#[derive(Debug, Default)]
+struct Candidate {
+    /// Its spans, in the order [`CalDomain::grow`] picked them.
     subset: Vec<usize>,
+    /// Its operations: lent to [`CaElement::new`], taken back once the
+    /// specification has seen the element.
+    ops: Vec<Operation>,
+    /// Its members as the specification sees them when asked to complete
+    /// one among the others, and those others.
+    invocations: Vec<Invocation>,
+    peers: Vec<Invocation>,
+    /// The return values proposed for its pending members, back to back.
+    rets: Vec<Value>,
+    /// Per pending member, in member order: its range of `rets` and the
+    /// one currently picked — the digits of a mixed-radix counter over the
+    /// completion choices, the first member's running fastest.
+    pending: Vec<Digit>,
+}
+
+#[derive(Debug)]
+struct Digit {
+    first: usize,
+    end: usize,
+    pick: usize,
+}
+
+/// What one expansion reads and writes besides the candidate itself.
+struct Expansion<'x, 'e, 'a, S: CaSpec> {
+    matched: &'x BitSet,
+    state: &'x S::State,
+    max_size: usize,
+    obs: &'x mut ExpandObs<'e, 'a>,
+    out: &'x mut Vec<(CalStep, (BitSet, S::State))>,
 }
 
 /// The CAL checker as a [`SearchDomain`]: nodes are `(matched-set,
@@ -281,41 +360,62 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         self.start = Some(state);
     }
 
-    /// Grows `subset` over `minimal[from..]` and collects every non-empty
-    /// prefix-closed choice accepted as a CA-element. Returns `false` when
-    /// a cooperative stop was requested mid-enumeration.
-    #[allow(clippy::too_many_arguments)]
+    /// The operations of the spans `subset`, the pending ones completed
+    /// with `rets` in turn.
+    fn operations<'s>(
+        &'s self,
+        subset: impl Iterator<Item = usize> + 's,
+        mut rets: impl Iterator<Item = Value> + 's,
+    ) -> impl Iterator<Item = Operation> + 's {
+        subset.map(move |i| {
+            let span = &self.spans[i];
+            span.operation().unwrap_or_else(|| {
+                span.operation_with_ret(rets.next().expect("a return value per pending member"))
+            })
+        })
+    }
+
+    /// Assembles the engine's step sequence into a [`CaTrace`] witness,
+    /// rebuilding each step's CA-element from the spans it matched.
+    pub(crate) fn trace_of(&self, steps: &[CalStep]) -> CaTrace {
+        let element = |step: &CalStep| {
+            let rets = step.completions.iter().copied();
+            let ops: Vec<Operation> = self.operations(step.subset.iter(), rets).collect();
+            CaElement::new(ops[0].object, ops).expect("the search built this element before")
+        };
+        steps.iter().map(element).collect()
+    }
+
+    /// Grows the candidate subset over `minimal[from..]` and tries every
+    /// non-empty prefix-closed choice as a CA-element. Returns `false`
+    /// when a cooperative stop was requested mid-enumeration.
     fn grow(
         &self,
         minimal: &[usize],
         from: usize,
-        max_size: usize,
-        subset: &mut Vec<usize>,
-        matched: &BitSet,
-        state: &S::State,
-        obs: &mut ExpandObs<'_, '_>,
-        out: &mut Vec<(CalStep, (BitSet, S::State))>,
+        c: &mut Candidate,
+        x: &mut Expansion<'_, '_, '_, S>,
     ) -> bool {
-        if !subset.is_empty() && !self.collect_elements(subset, matched, state, obs, out) {
+        if !c.subset.is_empty() && !self.try_subset(c, x) {
             return false;
         }
-        if subset.len() == max_size {
+        if c.subset.len() == x.max_size {
             return true;
         }
         for (k, &i) in minimal.iter().enumerate().skip(from) {
             // Same object as the rest of the subset.
-            if let Some(&first) = subset.first() {
+            if let Some(&first) = c.subset.first() {
                 if self.spans[i].object != self.spans[first].object {
                     continue;
                 }
                 // Pairwise concurrent (under hb) with all members.
-                if !subset.iter().all(|&j| self.hb.concurrent(i, j)) {
+                if !c.subset.iter().all(|&j| self.hb.concurrent(i, j)) {
                     continue;
                 }
             }
-            subset.push(i);
-            let keep = self.grow(minimal, k + 1, max_size, subset, matched, state, obs, out);
-            subset.pop();
+            c.subset.push(i);
+            let keep = self.grow(minimal, k + 1, c, x);
+            c.subset.pop();
             if !keep {
                 return false;
             }
@@ -323,85 +423,70 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         true
     }
 
-    /// Attempts `subset` as the next CA-element, enumerating completions
+    /// Attempts `c.subset` as the next CA-element, enumerating completions
     /// for pending members and recording every accepted successor.
     /// Returns `false` when a cooperative stop was requested.
-    fn collect_elements(
-        &self,
-        subset: &[usize],
-        matched: &BitSet,
-        state: &S::State,
-        obs: &mut ExpandObs<'_, '_>,
-        out: &mut Vec<(CalStep, (BitSet, S::State))>,
-    ) -> bool {
-        // Collect per-member candidate operations. Pending members are
-        // completed with values proposed by the spec, which may depend on
-        // the other members of the element (e.g. a successful exchange
-        // returns its partner's argument).
-        let invocations: Vec<Invocation> = subset
-            .iter()
-            .map(|&i| {
+    fn try_subset(&self, c: &mut Candidate, x: &mut Expansion<'_, '_, '_, S>) -> bool {
+        let spec = self.spec.get();
+        // Pending members are completed with values proposed by the spec,
+        // which may depend on the other members of the element (e.g. a
+        // successful exchange returns its partner's argument). Complete
+        // members have the one operation the history gives them.
+        c.rets.clear();
+        c.pending.clear();
+        if c.subset.iter().any(|&i| self.spans[i].ret.is_none()) {
+            c.invocations.clear();
+            c.invocations.extend(c.subset.iter().map(|&i| {
                 let s = &self.spans[i];
                 Invocation::new(s.thread, s.object, s.method, s.arg)
-            })
-            .collect();
-        let mut choices: Vec<Vec<Operation>> = Vec::with_capacity(subset.len());
-        for (k, &i) in subset.iter().enumerate() {
-            let s = &self.spans[i];
-            let ops = match s.operation() {
-                Some(op) => vec![op],
-                None => {
-                    let peers: Vec<Invocation> = invocations
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != k)
-                        .map(|(_, inv)| *inv)
-                        .collect();
-                    self.spec
-                        .get()
-                        .completions_among(&invocations[k], &peers)
-                        .into_iter()
-                        .map(|ret| s.operation_with_ret(ret))
-                        .collect()
+            }));
+            for (k, &i) in c.subset.iter().enumerate() {
+                if self.spans[i].ret.is_some() {
+                    continue;
                 }
-            };
-            if ops.is_empty() {
-                return true;
-            }
-            choices.push(ops);
-        }
-        let mut pick = vec![0usize; subset.len()];
-        loop {
-            if obs.should_stop() {
-                return false;
-            }
-            let ops: Vec<Operation> =
-                pick.iter().zip(&choices).map(|(&c, opts)| opts[c]).collect();
-            let object = ops[0].object;
-            if let Ok(element) = CaElement::new(object, ops) {
-                obs.on_element_tried();
-                if let Some(next) = self.spec.get().step(state, &element) {
-                    let mut next_matched = matched.clone();
-                    for &i in subset {
-                        next_matched.insert(i);
-                    }
-                    out.push((
-                        CalStep { element, subset: subset.to_vec() },
-                        (next_matched, next),
-                    ));
-                }
-            }
-            // Advance the mixed-radix counter over completion choices.
-            let mut d = 0;
-            loop {
-                if d == pick.len() {
+                c.peers.clear();
+                c.peers.extend(
+                    c.invocations.iter().enumerate().filter(|&(j, _)| j != k).map(|(_, inv)| *inv),
+                );
+                let first = c.rets.len();
+                c.rets.extend(spec.completions_among(&c.invocations[k], &c.peers));
+                if c.rets.len() == first {
                     return true;
                 }
-                pick[d] += 1;
-                if pick[d] < choices[d].len() {
+                c.pending.push(Digit { first, end: c.rets.len(), pick: first });
+            }
+        }
+        loop {
+            if x.obs.should_stop() {
+                return false;
+            }
+            let mut ops = std::mem::take(&mut c.ops);
+            ops.clear();
+            let picked = || c.pending.iter().map(|digit| c.rets[digit.pick]);
+            ops.extend(self.operations(c.subset.iter().copied(), picked()));
+            if let Ok(element) = CaElement::new(ops[0].object, ops) {
+                x.obs.on_element_tried();
+                if let Some(next) = spec.step(x.state, &element) {
+                    let mut next_matched = x.matched.clone();
+                    for &i in &c.subset {
+                        next_matched.insert(i);
+                    }
+                    let completions = picked().collect();
+                    let step = CalStep { subset: Subset::of(&c.subset), completions };
+                    x.out.push((step, (next_matched, next)));
+                }
+                c.ops = element.into_ops();
+            }
+            // Advance the counter over completion choices; with no pending
+            // member there is the one candidate.
+            let mut d = 0;
+            loop {
+                let Some(digit) = c.pending.get_mut(d) else { return true };
+                digit.pick += 1;
+                if digit.pick < digit.end {
                     break;
                 }
-                pick[d] = 0;
+                digit.pick = digit.first;
                 d += 1;
             }
         }
@@ -411,6 +496,7 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
 impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     type Node = (BitSet, S::State);
     type Step = CalStep;
+    type Scratch = CalScratch;
 
     fn initial(&self) -> Self::Node {
         let start = self.start.clone().unwrap_or_else(|| self.spec.get().initial());
@@ -426,17 +512,19 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     fn expand(
         &self,
         node: &Self::Node,
+        scratch: &mut CalScratch,
         obs: &mut ExpandObs<'_, '_>,
         out: &mut Vec<(Self::Step, Self::Node)>,
     ) {
         let (matched, state) = node;
+        let CalScratch { minimal, candidate } = scratch;
         // Minimal operations: unmatched, with every hb-predecessor matched.
-        let mut minimal: Vec<usize> = Vec::new();
-        self.hb.minimal(matched, &mut minimal);
+        self.hb.minimal(matched, minimal);
         obs.on_frontier(minimal.len());
         let max_size = self.spec.get().max_element_size().max(1);
-        let mut subset: Vec<usize> = Vec::with_capacity(max_size);
-        self.grow(&minimal, 0, max_size, &mut subset, matched, state, obs, out);
+        // (A specification that panicked mid-expansion left its subset.)
+        candidate.subset.clear();
+        self.grow(minimal, 0, candidate, &mut Expansion { matched, state, max_size, obs, out });
     }
 
     fn canonical_key(&self, node: &Self::Node) -> Option<Self::Node> {
@@ -480,12 +568,13 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     /// Interleaves per-object witnesses into a single sequence agreeing
     /// with the full history's real-time order; see
     /// [`engine::merge_by_order`] for the greedy argument. The k-th span
-    /// of `H|o` is the k-th object-`o` span of `H`: projection preserves
-    /// invocation order.
+    /// of `H|o` is the k-th object-`o` span of `H` — projection preserves
+    /// invocation order — and the merged steps are renumbered to it, so
+    /// that they read against this domain's spans.
     fn merge_witnesses(&self, parts: Vec<(ObjectId, Vec<CalStep>)>) -> Vec<CalStep> {
-        let mut by_object: HashMap<ObjectId, Vec<&Span>> = HashMap::new();
-        for span in &self.spans {
-            by_object.entry(span.object).or_default().push(span);
+        let mut by_object: HashMap<ObjectId, Vec<usize>> = HashMap::new();
+        for (i, span) in self.spans.iter().enumerate() {
+            by_object.entry(span.object).or_default().push(i);
         }
         let queues: Vec<VecDeque<(CalStep, usize, usize)>> = parts
             .into_iter()
@@ -494,14 +583,15 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
                 steps
                     .into_iter()
                     .map(|step| {
-                        let maxinv =
-                            step.subset.iter().map(|&k| object_spans[k].inv).max().unwrap_or(0);
-                        let minresp = step
-                            .subset
-                            .iter()
-                            .map(|&k| object_spans[k].resp.unwrap_or(usize::MAX))
+                        let subset: Vec<usize> =
+                            step.subset.iter().map(|k| object_spans[k]).collect();
+                        let spans = || subset.iter().map(|&i| &self.spans[i]);
+                        let maxinv = spans().map(|s| s.inv).max().unwrap_or(0);
+                        let minresp = spans()
+                            .map(|s| s.resp.unwrap_or(usize::MAX))
                             .min()
                             .unwrap_or(usize::MAX);
+                        let step = CalStep { subset: Subset::of(&subset), ..step };
                         (step, maxinv, minresp)
                     })
                     .collect()
@@ -515,7 +605,7 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
 mod tests {
     use super::*;
     use crate::action::Action;
-    use crate::ids::{Method, ObjectId, ThreadId, Value};
+    use crate::ids::{Method, ThreadId};
 
     const E: ObjectId = ObjectId(0);
     const EX: Method = Method("exchange");

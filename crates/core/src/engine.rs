@@ -26,8 +26,11 @@
 //! The search itself is an *iterative* DFS over an arena of successor
 //! entries: one `Vec` per worker holds every `(step, node)` on the
 //! current path's frontiers, frames address it by index, and the witness
-//! is reconstructed from frame indices only on success — no per-node
-//! boxing, no per-descent step clones, and backtracking is a truncate.
+//! is reconstructed from frame indices only on success — backtracking is
+//! a truncate, and what a node allocates is whatever its domain's node
+//! and step types do (for the CAL domain over a window-sized history:
+//! nothing, which `tests/alloc_budget.rs` asserts under a counting
+//! allocator).
 //!
 //! A checker plugs in by implementing [`SearchDomain`]: it names its
 //! search-node type (which doubles as the memo key — memo keys stay
@@ -403,17 +406,6 @@ impl<K: Eq + Hash + Clone> MemoTable<'_, K> {
             MemoTable::Shared(memo) => memo.contains(key),
         }
     }
-
-    fn insert(&mut self, key: K) {
-        match self {
-            MemoTable::Local(set) => {
-                set.insert(key);
-            }
-            MemoTable::Shared(memo) => {
-                memo.insert(&key);
-            }
-        }
-    }
 }
 
 /// A checker's view of one search problem: how to enumerate candidate
@@ -437,6 +429,13 @@ pub trait SearchDomain {
     /// point).
     type Step: Clone;
 
+    /// Buffers [`SearchDomain::expand`] refills instead of allocating: the
+    /// engine makes one per worker and search and lends it to every
+    /// expansion, so it carries capacity from node to node and nothing
+    /// else — an expansion must not read what the previous one left.
+    /// `()` for a domain that needs none.
+    type Scratch: Default;
+
     /// The root search node. May call specification code; the engine
     /// guards the call with `catch_unwind` and surfaces panics as
     /// [`CheckError::SpecPanicked`].
@@ -450,9 +449,10 @@ pub trait SearchDomain {
 
     /// Enumerates the successor steps of `node`, in the order the search
     /// should try them, pushing each onto `out` (the engine's per-worker
-    /// successor arena — domains append and never otherwise touch it, so
+    /// successor buffer — domains append and never otherwise touch it, so
     /// one growing buffer serves the whole search with no per-expansion
-    /// allocation). Domains call specification code *unguarded* here —
+    /// allocation; `scratch` is the same for whatever else an expansion
+    /// has to hold). Domains call specification code *unguarded* here —
     /// the engine wraps the whole call in `catch_unwind`, converts a
     /// panic into [`CheckError::SpecPanicked`] and discards whatever the
     /// interrupted call pushed. Long enumeration loops should poll
@@ -462,6 +462,7 @@ pub trait SearchDomain {
     fn expand(
         &self,
         node: &Self::Node,
+        scratch: &mut Self::Scratch,
         obs: &mut ExpandObs<'_, '_>,
         out: &mut Vec<(Self::Step, Self::Node)>,
     );
@@ -650,6 +651,7 @@ impl fmt::Debug for ExpandObs<'_, '_> {
 struct Cx<'a, D: SearchDomain> {
     ctl: Ctl<'a>,
     failed: MemoTable<'a, D::Node>,
+    scratch: D::Scratch,
 }
 
 /// [`SearchDomain::expand`] behind `catch_unwind`: a panicking spec
@@ -664,7 +666,8 @@ fn expand_guarded<D: SearchDomain>(
 ) -> bool {
     let len = out.len();
     let mut obs = ExpandObs { ctl: &mut cx.ctl };
-    match catch_unwind(AssertUnwindSafe(|| domain.expand(node, &mut obs, out))) {
+    let scratch = &mut cx.scratch;
+    match catch_unwind(AssertUnwindSafe(|| domain.expand(node, scratch, &mut obs, out))) {
         Ok(()) => true,
         Err(payload) => {
             out.truncate(len);
@@ -705,17 +708,21 @@ fn probe_memo<D: SearchDomain>(domain: &D, cx: &mut Cx<'_, D>, node: &D::Node) -
 }
 
 /// Records `node` as refuted (under the symmetry-canonical key when
-/// enabled).
+/// enabled). The private table takes the key it is given; the shared one
+/// boxes its own copy, so it is only shown one.
 fn insert_memo<D: SearchDomain>(domain: &D, cx: &mut Cx<'_, D>, node: &D::Node) {
-    let key: D::Node = if cx.ctl.options.symmetry {
-        domain.canonical_key(node).unwrap_or_else(|| node.clone())
-    } else {
-        node.clone()
-    };
+    let canon = if cx.ctl.options.symmetry { domain.canonical_key(node) } else { None };
     if let Some(sink) = cx.ctl.sink {
-        sink.on_memo_insert(cx.failed.shard_of(&key));
+        sink.on_memo_insert(cx.failed.shard_of(canon.as_ref().unwrap_or(node)));
     }
-    cx.failed.insert(key);
+    match &mut cx.failed {
+        MemoTable::Local(set) => {
+            set.insert(canon.unwrap_or_else(|| node.clone()));
+        }
+        MemoTable::Shared(memo) => {
+            memo.insert(canon.as_ref().unwrap_or(node));
+        }
+    }
 }
 
 /// One unit of work-stealing work: a subtree root plus the witness
@@ -827,10 +834,10 @@ fn run_tree<D: SearchDomain>(
     // contiguous per frame. Backtracking truncates; nothing is freed
     // node-by-node.
     let mut succs: Vec<(D::Step, D::Node)> = Vec::new();
-    // Scratch for one expansion, reused so domains never allocate a
+    // One expansion's successors, reused so domains never allocate a
     // fresh successor Vec; `Vec::append` moves its contents into the
     // arena and keeps the capacity.
-    let mut scratch: Vec<(D::Step, D::Node)> = Vec::new();
+    let mut expanded: Vec<(D::Step, D::Node)> = Vec::new();
     if !expand_guarded(domain, cx, root, &mut succs) {
         return None;
     }
@@ -899,11 +906,11 @@ fn run_tree<D: SearchDomain>(
         if cx.ctl.options.memoize && probe_memo(domain, cx, &succs[child].1) {
             continue;
         }
-        if !expand_guarded(domain, cx, &succs[child].1, &mut scratch) {
+        if !expand_guarded(domain, cx, &succs[child].1, &mut expanded) {
             continue; // panicked; the next parent poll unwinds
         }
         let succ_start = succs.len();
-        succs.append(&mut scratch);
+        succs.append(&mut expanded);
         frames.push(Frame {
             node_idx: Some(child),
             succ_start,
@@ -927,7 +934,8 @@ fn run_root<'m, D: SearchDomain>(
     start: Instant,
     steal: Option<&StealSupport<'_, D>>,
 ) -> RunResult<D::Step> {
-    let mut cx: Cx<'_, D> = Cx { ctl: Ctl::new(options, shared_nodes, stop, start), failed };
+    let ctl = Ctl::new(options, shared_nodes, stop, start);
+    let mut cx: Cx<'_, D> = Cx { ctl, failed, scratch: D::Scratch::default() };
     let witness = run_tree(domain, &mut cx, root, steal);
     RunResult {
         witness,
@@ -1018,8 +1026,12 @@ pub fn enumerate_goals<D: SearchDomain>(
     let mut visited: HashSet<D::Node> = HashSet::new();
     let mut goals: Vec<D::Node> = Vec::new();
     let mut stack: Vec<D::Node> = vec![root];
+    // One successor buffer and one scratch for the whole enumeration, as
+    // in `run_tree`; a node is cloned only if it is a goal.
+    let mut succs: Vec<(D::Step, D::Node)> = Vec::new();
+    let mut scratch = D::Scratch::default();
     while let Some(node) = stack.pop() {
-        if !visited.insert(node.clone()) {
+        if visited.contains(&node) {
             ctl.stats.memo_hits += 1;
             continue;
         }
@@ -1032,17 +1044,17 @@ pub fn enumerate_goals<D: SearchDomain>(
         if domain.is_goal(&node) {
             goals.push(node.clone());
         }
-        let mut succs = Vec::new();
         {
             let mut obs = ExpandObs { ctl: &mut ctl };
-            if let Err(payload) =
-                catch_unwind(AssertUnwindSafe(|| domain.expand(&node, &mut obs, &mut succs)))
-            {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
+                domain.expand(&node, &mut scratch, &mut obs, &mut succs)
+            })) {
                 ctl.panicked = Some(panic_message(payload));
                 break;
             }
         }
-        for (_, next) in succs {
+        visited.insert(node);
+        for (_, next) in succs.drain(..) {
             if !visited.contains(&next) {
                 stack.push(next);
             }
@@ -1170,8 +1182,11 @@ where
     let mut branches: Vec<(D::Step, D::Node)> = Vec::new();
     {
         let mut obs = ExpandObs { ctl: &mut root_ctl };
-        catch_unwind(AssertUnwindSafe(|| domain.expand(&root, &mut obs, &mut branches)))
-            .map_err(|p| CheckError::SpecPanicked(panic_message(p)))?;
+        let mut scratch = D::Scratch::default();
+        catch_unwind(AssertUnwindSafe(|| {
+            domain.expand(&root, &mut scratch, &mut obs, &mut branches)
+        }))
+        .map_err(|p| CheckError::SpecPanicked(panic_message(p)))?;
     }
     let root_stats = root_ctl.stats;
     if let Some(reason) = root_ctl.interrupted {
@@ -1566,6 +1581,7 @@ mod tests {
     impl SearchDomain for Countdown {
         type Node = u32;
         type Step = u32;
+        type Scratch = ();
 
         fn initial(&self) -> u32 {
             self.n
@@ -1575,7 +1591,13 @@ mod tests {
             *node == 0
         }
 
-        fn expand(&self, node: &u32, obs: &mut ExpandObs<'_, '_>, out: &mut Vec<(u32, u32)>) {
+        fn expand(
+            &self,
+            node: &u32,
+            (): &mut (),
+            obs: &mut ExpandObs<'_, '_>,
+            out: &mut Vec<(u32, u32)>,
+        ) {
             obs.on_frontier(2);
             for d in [1u32, 2] {
                 if obs.should_stop() {
@@ -1644,6 +1666,7 @@ mod tests {
     impl SearchDomain for DeadTree {
         type Node = (u32, u64);
         type Step = u32;
+        type Scratch = ();
 
         fn initial(&self) -> (u32, u64) {
             (0, 0)
@@ -1656,6 +1679,7 @@ mod tests {
         fn expand(
             &self,
             node: &(u32, u64),
+            (): &mut (),
             obs: &mut ExpandObs<'_, '_>,
             out: &mut Vec<(u32, (u32, u64))>,
         ) {
@@ -1742,13 +1766,14 @@ mod tests {
         impl SearchDomain for Panicky {
             type Node = u32;
             type Step = u32;
+            type Scratch = ();
             fn initial(&self) -> u32 {
                 1
             }
             fn is_goal(&self, node: &u32) -> bool {
                 *node == 0
             }
-            fn expand(&self, _: &u32, _: &mut ExpandObs<'_, '_>, _: &mut Vec<(u32, u32)>) {
+            fn expand(&self, _: &u32, (): &mut (), _: &mut ExpandObs<'_, '_>, _: &mut Vec<(u32, u32)>) {
                 panic!("domain bug")
             }
         }

@@ -9,7 +9,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::action::{Action, ActionKind};
-use crate::bitset::BitSet;
+use crate::bitset::{self, BitRows, BitSet};
 use crate::ids::{Method, ObjectId, ThreadId, Value};
 use crate::op::Operation;
 
@@ -524,7 +524,7 @@ enum KeyShape<'a> {
     /// on, so the two numbers name the two sets.
     Ranks { pred_rank: usize, succ_start: usize },
     /// Closed partial order: the two sets themselves.
-    Sets { before: &'a BitSet, after: &'a BitSet },
+    Sets { before: &'a [u64], after: &'a [u64] },
 }
 
 /// A malformed happens-before declaration: edges that point outside the
@@ -677,16 +677,16 @@ impl RankOrder {
 /// A transitively closed relation, held in both directions.
 #[derive(Debug, Clone)]
 struct ClosedOrder {
-    /// `before[j]` = the set of spans `i` with `i ≺hb j`.
-    before: Vec<BitSet>,
-    /// `after[i]` = the set of spans `j` with `i ≺hb j`.
-    after: Vec<BitSet>,
+    /// Row `j` = the set of spans `i` with `i ≺hb j`.
+    before: BitRows,
+    /// Row `i` = the set of spans `j` with `i ≺hb j`.
+    after: BitRows,
 }
 
 impl ClosedOrder {
     fn minimal(&self, matched: &BitSet, out: &mut Vec<usize>) {
         let unmatched = matched.iter_unset().take_while(|&i| i < self.before.len());
-        out.extend(unmatched.filter(|&i| self.before[i].is_subset(matched)));
+        out.extend(unmatched.filter(|&i| bitset::subset(self.before.row(i), matched.words())));
     }
 }
 
@@ -752,36 +752,32 @@ impl HbRelation {
             add(&mut adj, &mut indeg, from, to);
         }
         // Kahn topological order; `before` accumulates along it and
-        // `after` against it, a word at a time. A finished set is moved out
-        // while its neighbours absorb it (self edges were refused above).
+        // `after` against it, a word at a time: a finished row is absorbed
+        // by its neighbours' (self edges were refused above).
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut topo: Vec<usize> = Vec::with_capacity(n);
-        let mut before = vec![BitSet::new(n.max(1)); n];
+        let mut before = BitRows::new(n, n);
         while let Some(u) = queue.pop() {
             topo.push(u);
-            let done = std::mem::replace(&mut before[u], BitSet::new(0));
             for &v in &adj[u] {
-                before[v].union_with(&done);
-                before[v].insert(u);
+                before.union_rows(v, u);
+                before.insert(v, u);
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     queue.push(v);
                 }
             }
-            before[u] = done;
         }
         if topo.len() != n {
             let op = (0..n).find(|&i| indeg[i] > 0).unwrap_or(0);
             return Err(HbError::Cycle { op });
         }
-        let mut after = vec![BitSet::new(n.max(1)); n];
+        let mut after = BitRows::new(n, n);
         for &u in topo.iter().rev() {
-            let mut reach = std::mem::replace(&mut after[u], BitSet::new(0));
             for &v in &adj[u] {
-                reach.union_with(&after[v]);
-                reach.insert(v);
+                after.union_rows(u, v);
+                after.insert(u, v);
             }
-            after[u] = reach;
         }
         Ok(HbRelation { shape: Shape::Closed(ClosedOrder { before, after }) })
     }
@@ -817,15 +813,14 @@ impl HbRelation {
                 for (new, &old) in keep.iter().enumerate() {
                     renumbered[old] = new;
                 }
-                let project = |sets: &[BitSet]| -> Vec<BitSet> {
-                    keep.iter()
-                        .map(|&old| {
-                            let mut set = BitSet::new(keep.len().max(1));
-                            let kept = sets[old].iter().map(|i| renumbered[i]);
-                            kept.filter(|&new| new != usize::MAX).for_each(|new| set.insert(new));
-                            set
-                        })
-                        .collect()
+                let project = |sets: &BitRows| -> BitRows {
+                    let mut projected = BitRows::new(keep.len(), keep.len());
+                    for (row, &old) in keep.iter().enumerate() {
+                        let kept = bitset::ones(sets.row(old)).map(|i| renumbered[i]);
+                        kept.filter(|&new| new != usize::MAX)
+                            .for_each(|new| projected.insert(row, new));
+                    }
+                    projected
                 };
                 Shape::Closed(ClosedOrder { before: project(&c.before), after: project(&c.after) })
             }
@@ -845,7 +840,7 @@ impl PartialHistory for HbRelation {
     fn precedes(&self, i: usize, j: usize) -> bool {
         match &self.shape {
             Shape::Ranks(r) => r.precedes(i, j),
-            Shape::Closed(c) => c.before.get(j).is_some_and(|b| b.contains(i)),
+            Shape::Closed(c) => c.before.contains(j, i),
         }
     }
 
@@ -860,14 +855,14 @@ impl PartialHistory for HbRelation {
     fn pred_count(&self, i: usize) -> usize {
         match &self.shape {
             Shape::Ranks(r) => r.pred_rank[i],
-            Shape::Closed(c) => c.before[i].len(),
+            Shape::Closed(c) => c.before.row(i).iter().map(|w| w.count_ones() as usize).sum(),
         }
     }
 
     fn for_each_succ(&self, i: usize, f: impl FnMut(usize)) {
         match &self.shape {
             Shape::Ranks(r) => (r.succ_start[i]..r.inv.len()).for_each(f),
-            Shape::Closed(c) => c.after[i].iter().for_each(f),
+            Shape::Closed(c) => bitset::ones(c.after.row(i)).for_each(f),
         }
     }
 
@@ -876,7 +871,7 @@ impl PartialHistory for HbRelation {
             Shape::Ranks(r) => {
                 KeyShape::Ranks { pred_rank: r.pred_rank[i], succ_start: r.succ_start[i] }
             }
-            Shape::Closed(c) => KeyShape::Sets { before: &c.before[i], after: &c.after[i] },
+            Shape::Closed(c) => KeyShape::Sets { before: c.before.row(i), after: c.after.row(i) },
         })
     }
 }

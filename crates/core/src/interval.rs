@@ -460,6 +460,7 @@ impl<'a, S: IntervalSpec> IntervalDomain<'a, S> {
 impl<S: IntervalSpec> SearchDomain for IntervalDomain<'_, S> {
     type Node = IntervalNode<S::State>;
     type Step = IntervalPoint;
+    type Scratch = ();
 
     fn initial(&self) -> Self::Node {
         IntervalNode {
@@ -476,6 +477,7 @@ impl<S: IntervalSpec> SearchDomain for IntervalDomain<'_, S> {
     fn expand(
         &self,
         node: &Self::Node,
+        (): &mut (),
         obs: &mut ExpandObs<'_, '_>,
         out: &mut Vec<(Self::Step, Self::Node)>,
     ) {

@@ -31,7 +31,7 @@
 
 use std::borrow::Cow;
 
-use crate::check::{steps_to_trace, CalDomain};
+use crate::check::CalDomain;
 use crate::engine::{self, SpecRef};
 use crate::history::History;
 use crate::spec::CaSpec;
@@ -69,7 +69,7 @@ where
     S::State: Send + Sync,
 {
     let domain = CalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search_par(&domain, options)?.map_witness(steps_to_trace))
+    Ok(engine::search_par(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
 }
 
 #[cfg(test)]

@@ -170,6 +170,8 @@ impl<'a, S: SeqSpec> SeqDomain<'a, S> {
 impl<S: SeqSpec> SearchDomain for SeqDomain<'_, S> {
     type Node = (BitSet, S::State);
     type Step = SeqStep;
+    /// The node's minimal spans.
+    type Scratch = Vec<usize>;
 
     fn initial(&self) -> Self::Node {
         (BitSet::new(self.spans.len().max(1)), self.spec.get().initial())
@@ -182,28 +184,26 @@ impl<S: SeqSpec> SearchDomain for SeqDomain<'_, S> {
     fn expand(
         &self,
         node: &Self::Node,
+        minimal: &mut Vec<usize>,
         obs: &mut ExpandObs<'_, '_>,
         out: &mut Vec<(Self::Step, Self::Node)>,
     ) {
         let (matched, state) = node;
-        let mut minimal: Vec<usize> = Vec::new();
-        self.hb.minimal(matched, &mut minimal);
+        self.hb.minimal(matched, minimal);
         obs.on_frontier(minimal.len());
-        for &i in &minimal {
+        for &i in minimal.iter() {
             let span = &self.spans[i];
-            let candidates: Vec<Operation> = match span.operation() {
-                Some(op) => vec![op],
+            // A complete span is its own one candidate; a pending one gets
+            // the return values the spec proposes.
+            let proposed = match span.ret {
+                Some(_) => Vec::new(),
                 None => {
                     let inv = Invocation::new(span.thread, span.object, span.method, span.arg);
-                    self.spec
-                        .get()
-                        .completions_of(&inv)
-                        .into_iter()
-                        .map(|ret| span.operation_with_ret(ret))
-                        .collect()
+                    self.spec.get().completions_of(&inv)
                 }
             };
-            for op in candidates {
+            let completed = proposed.into_iter().map(|ret| span.operation_with_ret(ret));
+            for op in span.operation().into_iter().chain(completed) {
                 if obs.should_stop() {
                     return;
                 }

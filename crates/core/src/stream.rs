@@ -1445,29 +1445,31 @@ mod tests {
 
     /// A window searched from two reachable states — evaluated while an
     /// op is open, then retired — costs exactly what it cost when every
-    /// state rebuilt its own domain: the numbers are the parent's.
+    /// state rebuilt its own domain, and when the enumeration took a fresh
+    /// successor buffer a node: nodes, elements tried and revisits are
+    /// those of the commit before either change.
     #[test]
     fn window_from_two_states_keeps_its_state_set_and_node_counts() {
         let work = |c: &StreamChecker<SeqAsCa<Reg>>| {
             let s = c.stats();
-            (s.states, s.retired_segments, s.search.nodes, s.search.elements_tried)
+            (s.states, s.retired_segments, s.search.nodes, s.search.elements_tried, s.search.memo_hits)
         };
         let mut c = reg_checker(StreamOptions { checkpoint_every: 0, ..StreamOptions::default() });
         feed(&mut c, "t0 inv o0.write 3\nt1 inv o0.write 4\nt0 res o0.write ()\nt1 res o0.write ()\n");
         assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
-        assert_eq!(work(&c), (2, 1, 5, 4), "either write may come last");
+        assert_eq!(work(&c), (2, 1, 5, 4, 0), "either write may come last");
         // t3's write is open, so nothing retires: the window is searched
         // from 3 (no witness reads 4) and from 4.
         feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.write 5\nt2 res o0.read 4\n");
         assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
-        assert_eq!(work(&c), (2, 1, 8, 9));
+        assert_eq!(work(&c), (2, 1, 8, 9, 0));
         feed(&mut c, "t3 res o0.write ()\n");
         assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
-        assert_eq!(work(&c), (1, 2, 14, 16), "the segment enumerates from both states to {{5}}");
+        assert_eq!(work(&c), (1, 2, 14, 16, 0), "the segment enumerates from both states to {{5}}");
         assert_eq!(c.stats().peak_states, 2);
         feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.read ()\nt2 res o0.read 4\nt3 res o0.read 4\n");
         assert_eq!(c.finish(), StreamVerdict::Violation);
-        assert_eq!(work(&c), (1, 2, 15, 18));
+        assert_eq!(work(&c), (1, 2, 15, 18, 0));
     }
 
     fn reg_ingest(max_window: usize, format: Option<Format>) -> Ingest<SeqAsCa<Reg>> {

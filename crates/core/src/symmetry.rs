@@ -68,8 +68,12 @@ use crate::history::{HbRelation, PartialHistory, Span};
 /// be permuted and would cost a probe per memo operation for nothing.
 #[derive(Debug, Clone, Default)]
 pub struct SymClasses {
-    /// Each class: the member span indices, ascending.
+    /// Each class: the member span indices, ascending. Classes are in
+    /// first-member order.
     classes: Vec<Vec<usize>>,
+    /// `reach[c]` = the largest member of classes `0..=c`. Ascending, so
+    /// a binary search finds the first class that reaches an index.
+    reach: Vec<usize>,
 }
 
 impl SymClasses {
@@ -112,7 +116,20 @@ impl SymClasses {
             }
             classes[class_of[f]].push(i);
         }
-        SymClasses { classes }
+        let reach = classes
+            .iter()
+            .scan(0, |reach, class| {
+                *reach = class[class.len() - 1].max(*reach);
+                Some(*reach)
+            })
+            .collect();
+        SymClasses { classes, reach }
+    }
+
+    /// The non-singleton classes, in first-member order, members
+    /// ascending.
+    pub fn classes(&self) -> &[Vec<usize>] {
+        &self.classes
     }
 
     /// True when no span is interchangeable with another: the reduction
@@ -136,28 +153,32 @@ impl SymClasses {
     /// specific members are normalized to the class's first `count`
     /// (ascending). Returns `None` when `bits` is already canonical —
     /// the common case on small frontiers, kept allocation-free.
+    ///
+    /// Only classes straddling the frontier are looked at: one whose
+    /// members all lie below the first unmatched index is wholly matched,
+    /// one whose members all lie above the last matched index is wholly
+    /// unmatched, and both are their own canonical form. `bits` need not
+    /// be downward closed.
     pub fn canonical_bits(&self, bits: &BitSet) -> Option<BitSet> {
-        // First pass: detect non-canonical classes without allocating.
-        let mut dirty = false;
-        'scan: for class in &self.classes {
-            let mut expecting = true;
-            for &m in class {
-                let set = bits.contains(m);
-                if set && !expecting {
-                    // A gap before a set bit: not the prefix pattern.
-                    dirty = true;
-                    break 'scan;
-                }
-                if !set {
-                    expecting = false;
-                }
-            }
-        }
-        if !dirty {
+        let (lo, hi) = (bits.first_unset()?, bits.last_set()?);
+        let from = self.reach.partition_point(|&reach| reach < lo);
+        let straddling = || {
+            self.classes[from..]
+                .iter()
+                .take_while(move |class| class[0] <= hi)
+                .filter(move |class| class[class.len() - 1] >= lo)
+        };
+        // First pass: detect non-canonical classes without allocating. A
+        // set bit after a gap is not the prefix pattern.
+        let is_prefix = |class: &[usize]| {
+            let matched = class.iter().take_while(|&&m| bits.contains(m)).count();
+            !class[matched..].iter().any(|&m| bits.contains(m))
+        };
+        if straddling().all(|class| is_prefix(class)) {
             return None;
         }
         let mut canon = bits.clone();
-        for class in &self.classes {
+        for class in straddling() {
             let count = class.iter().filter(|&&m| bits.contains(m)).count();
             for (k, &m) in class.iter().enumerate() {
                 if k < count {

@@ -123,6 +123,13 @@ impl CaElement {
         &self.ops
     }
 
+    /// Takes the element apart into its operations, sorted — and their
+    /// buffer, which a caller trying one candidate element after another
+    /// hands back to [`CaElement::new`] instead of allocating the next.
+    pub fn into_ops(self) -> Vec<Operation> {
+        self.ops
+    }
+
     /// Number of operations in the element.
     pub fn len(&self) -> usize {
         self.ops.len()

@@ -358,7 +358,7 @@ fn try_main() -> io::Result<ExitCode> {
         }
     };
     let want_report = cli.stats || cli.explain || cli.stats_json.is_some();
-    let (checked, report) = job.check(&input, &options, want_report);
+    let (checked, report) = job.check(&input, &options, want_report, true);
     if let Some(report) = &report {
         if cli.stats {
             errln!("stats: {}", report.summary())?;
@@ -379,7 +379,7 @@ fn try_main() -> io::Result<ExitCode> {
     match checked {
         Checked::Accepted { adjective, witness } => {
             outln!("{adjective}: yes")?;
-            write!(io::stdout(), "{witness}")?;
+            write!(io::stdout(), "{}", witness.unwrap_or_default())?;
             io::stdout().flush()?;
             Ok(ExitCode::from(EXIT_ACCEPTED))
         }
@@ -432,7 +432,10 @@ fn read_input(file: &str) -> io::Result<String> {
 
 /// One history's check result, renderable in single-file or batch mode.
 enum Checked {
-    Accepted { adjective: &'static str, witness: String },
+    /// `witness` is its text where the caller asked for it: file mode
+    /// prints it, batch mode never does and must not pay for formatting
+    /// (or holding) one a file.
+    Accepted { adjective: &'static str, witness: Option<String> },
     Rejected { adjective: &'static str },
     Undecided(String),
     Error(String),
@@ -454,7 +457,8 @@ impl Job {
     /// order the mode asks for, and checks it against the selected spec.
     /// With `want_report` a [`CountingSink`] rides along and the
     /// checker's [`SearchReport`] is returned next to the result (absent
-    /// when parsing or the checker itself failed).
+    /// when parsing or the checker itself failed); with `want_witness` an
+    /// accepted history's witness is formatted into the result.
     ///
     /// Parse and validation errors are line-anchored: `cal_core::format`
     /// tracks the source line of every action, so even well-formedness
@@ -465,6 +469,7 @@ impl Job {
         input: &str,
         options: &CheckOptions,
         want_report: bool,
+        want_witness: bool,
     ) -> (Checked, Option<SearchReport>) {
         let fmt = self.format.unwrap_or_else(|| format::detect(input));
         // Causal mode parses with annotations so kvlog `hb` metadata
@@ -494,6 +499,7 @@ impl Job {
             options: &options,
             adjective: self.selected.adjective(self.mode),
             sink: sink.as_deref(),
+            want_witness,
             start: Instant::now(),
         };
         self.selected.visit(self.mode, object, run)
@@ -526,6 +532,7 @@ struct Run<'a> {
     options: &'a CheckOptions,
     adjective: &'static str,
     sink: Option<&'a CountingSink>,
+    want_witness: bool,
     start: Instant,
 }
 
@@ -574,9 +581,10 @@ impl Run<'_> {
         };
         let checked = match result {
             Ok(outcome) => match outcome.verdict {
-                Verdict::Cal(witness) => {
-                    Checked::Accepted { adjective, witness: format_witness(&witness) }
-                }
+                Verdict::Cal(witness) => Checked::Accepted {
+                    adjective,
+                    witness: self.want_witness.then(|| format_witness(&witness)),
+                },
                 Verdict::NotCal => Checked::Rejected { adjective },
                 Verdict::ResourcesExhausted => {
                     Checked::Undecided("node budget exhausted".to_string())
@@ -629,7 +637,7 @@ fn run_batch(job: &Job, dir: &str, options: CheckOptions) -> io::Result<ExitCode
                 let idx = next.fetch_add(1, Ordering::Relaxed);
                 let Some(path) = files.get(idx) else { break };
                 let checked = match std::fs::read_to_string(path) {
-                    Ok(input) => job.check(&input, &options, false).0,
+                    Ok(input) => job.check(&input, &options, false, false).0,
                     Err(e) => Checked::Error(format!("cannot read: {e}")),
                 };
                 results.lock().unwrap()[idx] = Some(checked);

@@ -1,0 +1,183 @@
+//! "A rejected candidate allocates nothing" and "a node costs a handful of
+//! allocations" as assertions: this test binary — and only it — runs under
+//! a counting global allocator.
+//!
+//! The counter is per thread, so the tests may run side by side; each
+//! counts the allocations its own thread makes between two readings,
+//! around calls that search on the calling thread. Counts are exact and
+//! repeat from run to run; the bounds leave room for the buffers that
+//! double as they grow (the successor arena, the frame stack, the memo
+//! table), not for anything per candidate or per node.
+//!
+//! On the commit before the candidate loop was rebuilt the same
+//! measurements read 48 allocations a node on the exchanger refutation
+//! (1,266,305 for 26,593 nodes; 90 now), 417 a checkpointed node on its
+//! stream (24,000,886 for 57,600; 217 now), and 234 against 831 on the
+//! all-rejected root of 36 and 136 candidates (25 against 30 now).
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
+use cal::core::spec::{CaSpec, SeqAsCa};
+use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
+use cal::core::History;
+use cal::specs::exchanger::ExchangerSpec;
+use cal::specs::register::RegisterSpec;
+use common::{exchanger_windows, identical_exchanges, pipelined_register_history, O};
+
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it never
+    // allocates and is sound at any point of a thread's life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter never touches the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(p, layout) }
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as above.
+        unsafe { System.realloc(p, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What `work` returns, and how many times this thread allocated (or
+/// reallocated) while it ran.
+fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The most a search may allocate per node it visits, everything counted:
+/// building the domain, the search's own buffers, the witness.
+const PER_NODE: u64 = 4;
+
+/// A search of thousands of nodes over a window-sized history allocates
+/// for its fixed costs and for buffers that double, and for nothing else:
+/// not once in a hundred nodes.
+fn assert_no_cost_per_node(what: &str, stats: &CheckStats, allocations: u64) {
+    assert!(stats.nodes > 1_000, "{what}: a search worth the name: {stats:?}");
+    assert!(
+        allocations * 100 <= stats.nodes,
+        "{what}: {allocations} allocations for {} nodes",
+        stats.nodes
+    );
+}
+
+/// One check of `history`, its verdict asserted: its counters and its
+/// allocations.
+fn check_counted<S: CaSpec>(history: &History, spec: &S, accepted: bool) -> (CheckStats, u64) {
+    let options = CheckOptions::default();
+    let (outcome, allocations) = counted(|| check_cal_with(history, spec, &options).unwrap());
+    assert_eq!(outcome.verdict.is_cal(), accepted, "{:?}", outcome.verdict);
+    assert!(accepted || outcome.verdict == Verdict::NotCal, "{:?}", outcome.verdict);
+    (outcome.stats, allocations)
+}
+
+#[test]
+fn a_rejected_candidate_allocates_nothing() {
+    // No two of these swap and none may succeed alone: the root's
+    // `k + C(k, 2)` candidates are all rejected and the search ends where
+    // it began.
+    let spec = ExchangerSpec::new(O);
+    let [(few, few_allocations), (many, many_allocations)] = [8u64, 16].map(|k| {
+        let (stats, allocations) = check_counted(&identical_exchanges(k as usize, 1), &spec, false);
+        assert_eq!((stats.nodes, stats.elements_tried), (1, k + k * (k - 1) / 2), "k = {k}");
+        (stats, allocations)
+    });
+    // A hundred more candidates, and nothing to show for them but a
+    // doubling here and there of what is sized by the history.
+    assert_eq!(many.elements_tried - few.elements_tried, 100);
+    assert!(
+        many_allocations.abs_diff(few_allocations) <= 8,
+        "{few_allocations} allocations for 36 rejected candidates, {many_allocations} for 136"
+    );
+}
+
+#[test]
+fn a_search_node_costs_a_handful_of_allocations() {
+    // The benchmark's refutation, three windows of it: 26,593 nodes, nine
+    // in ten of them memo hits, seventy candidates an expanded node.
+    let (stats, allocations) =
+        check_counted(&exchanger_windows(3, true), &ExchangerSpec::new(O), false);
+    assert!(stats.memo_hits > 0, "and a memo worth the name: {stats:?}");
+    assert_no_cost_per_node("exchanger refutation", &stats, allocations);
+    // At the benchmark's own size, 295 operations, a matched set no longer
+    // fits in its node: a heap block a successor, another a non-canonical
+    // memo key, and nothing else (234,461 for 144,865 nodes).
+    let (stats, allocations) =
+        check_counted(&exchanger_windows(14, true), &ExchangerSpec::new(O), false);
+    assert!(
+        allocations <= 2 * stats.nodes,
+        "14-window refutation: {allocations} allocations for {} nodes",
+        stats.nodes
+    );
+    // A small accepted history, one node an operation: here the fixed
+    // costs (spans, order, classes, witness) are most of the count.
+    let register = SeqAsCa::new(RegisterSpec::new(O));
+    let (stats, allocations) = check_counted(&pipelined_register_history(64), &register, true);
+    assert_eq!(stats.nodes, 64);
+    assert!(
+        allocations <= PER_NODE * stats.nodes,
+        "register history: {allocations} allocations for {} nodes",
+        stats.nodes
+    );
+}
+
+/// Every action of `history` pushed into a stream checker with `cal-serve`'s
+/// options, then `finish`: the checkpoint and retirement searches' counters,
+/// and the allocations of all of it.
+fn stream_counted<S: CaSpec>(history: &History, spec: S, consistent: bool) -> (CheckStats, u64) {
+    let mut checker = StreamChecker::new(spec, StreamOptions::default());
+    let (verdict, allocations) = counted(|| {
+        for &action in history.actions() {
+            if checker.push(action) != Push::Admitted {
+                break;
+            }
+        }
+        checker.finish()
+    });
+    let expected = if consistent { StreamVerdict::Consistent } else { StreamVerdict::Violation };
+    assert_eq!(verdict, expected);
+    (checker.stats().search, allocations)
+}
+
+#[test]
+fn a_checkpointed_node_costs_a_handful_of_allocations() {
+    // One window search and one retirement enumeration a window: the
+    // second is where `enumerate_goals` used to clone every node twice.
+    let (stats, allocations) =
+        stream_counted(&exchanger_windows(3, true), ExchangerSpec::new(O), false);
+    // (Nodes, elements tried, revisits: the enumeration's own, as they
+    // were before it shared a buffer.)
+    assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (57_600, 3_887_040, 0));
+    assert_no_cost_per_node("exchanger stream", &stats, allocations);
+    let register = SeqAsCa::new(RegisterSpec::new(O));
+    let (stats, allocations) = stream_counted(&pipelined_register_history(64), register, true);
+    assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (463, 1_219, 0));
+    assert!(
+        allocations <= PER_NODE * stats.nodes,
+        "register stream: {allocations} allocations for {} checkpointed nodes",
+        stats.nodes
+    );
+}

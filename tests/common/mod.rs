@@ -1,0 +1,90 @@
+//! Histories more than one test file builds.
+#![allow(dead_code)]
+
+use cal::core::gen::render_windowed;
+use cal::core::text::parse_history;
+use cal::core::{CaElement, CaTrace, History, ObjectId, Operation, ThreadId};
+use cal::specs::exchanger::{exchange_ok, fail_element, swap_element};
+use cal::specs::register::{read_op, write_op};
+
+pub const O: ObjectId = ObjectId(0);
+
+/// `k` pairwise-concurrent identical `exchange(0) -> (true, got)` calls.
+/// With `got = 0` and odd `k` any two of them swap but one is left over:
+/// unsatisfiable, super-exponential to refute naively, and maximally
+/// symmetric. With `got = 1` no two of them swap and none may succeed
+/// alone, so every candidate at the root is rejected.
+pub fn identical_exchanges(k: usize, got: i64) -> History {
+    let invs = (0..k).map(|t| format!("t{t} inv o0.exchange 0\n"));
+    let ress = (0..k).map(|t| format!("t{t} res o0.exchange (true,{got})\n"));
+    parse_history(&invs.chain(ress).collect::<String>()).expect("it parses")
+}
+
+/// The benchmark's `check-exchanger-refute` input (`benchmark/src/gen.rs`)
+/// without its seed: `windows` windows of twelve fully-overlapping
+/// CA-elements — nine swaps and three lone failures over four values,
+/// renamed, re-threaded and reordered from window to window. With `plant`,
+/// one failure of the last window gives way to a swap naming values nobody
+/// offered, which the search finds out only after it has tried every
+/// pairing of every window.
+pub fn exchanger_windows(windows: usize, plant: bool) -> History {
+    const WINDOW: usize = 12;
+    const THREADS: usize = 28;
+    const SWAPS: [(usize, usize); 9] =
+        [(0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (0, 2), (1, 1), (3, 0)];
+    const FAILS: [usize; 3] = [0, 1, 2];
+    let mut trace = CaTrace::new();
+    for w in 0..windows {
+        let name = |i: usize| ((i + w) % 4) as i64;
+        let mut next = 7 * w;
+        let mut take = || {
+            next += 1;
+            ThreadId((next % THREADS) as u32)
+        };
+        let mut elements: Vec<CaElement> = Vec::with_capacity(WINDOW);
+        for (a, b) in SWAPS {
+            elements.push(swap_element(O, take(), name(a), take(), name(b)));
+        }
+        let planted = plant && w + 1 == windows;
+        for &a in &FAILS[usize::from(planted)..] {
+            elements.push(fail_element(O, take(), name(a)));
+        }
+        if planted {
+            let (a, b) = (exchange_ok(O, take(), 100, 101), exchange_ok(O, take(), 102, 100));
+            elements.push(CaElement::pair(a, b).expect("two threads, one object"));
+        }
+        elements.rotate_left(5 * w % WINDOW);
+        trace.extend(elements);
+    }
+    render_windowed(&trace, WINDOW)
+}
+
+/// `ops` register operations by four clients, each taking effect at its
+/// invocation: client `k % 4` responds to its previous operation, then
+/// invokes operation `k`, so three or four operations are always open.
+/// The invocation order is a linearization and it is the order the search
+/// tries first, so a checker accepts in one node an operation — unless
+/// building or consulting the order costs more than the order does.
+pub fn pipelined_register_history(ops: usize) -> History {
+    let mut h = History::new();
+    let mut open: [Option<Operation>; 4] = [None; 4];
+    let mut stored = 0i64;
+    for k in 0..ops {
+        let (slot, t) = (k % 4, ThreadId((k % 4) as u32));
+        if let Some(done) = open[slot].take() {
+            h.push(done.response());
+        }
+        let op = if k % 2 == 0 {
+            stored = k as i64 + 1;
+            write_op(O, t, stored)
+        } else {
+            read_op(O, t, stored)
+        };
+        h.push(op.invocation());
+        open[slot] = Some(op);
+    }
+    for done in open.into_iter().flatten() {
+        h.push(done.response());
+    }
+    h
+}

@@ -13,6 +13,8 @@
 //! - Where `README.md` and `docs/SPEC_DSL.md` list the built-in
 //!   specifications, they list exactly the rows of
 //!   `cal_specs::registry::BUILTINS`, in its order.
+//! - EXPERIMENTS E14 quotes `BENCH_checker.json`: one table row per
+//!   series, its three numbers the file's, and the file's host line.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -183,4 +185,40 @@ fn docs_list_exactly_the_registry_builtins() {
     assert_eq!(backticked(&readme, "| `<SPEC>` | ", " — "), table, "README.md cal-check <SPEC> row");
     let manual = doc("docs/SPEC_DSL.md");
     assert_eq!(backticked(&manual, "falls back to the\n  built-ins: ", ".\n"), table, "SPEC_DSL.md");
+}
+
+/// What follows `"key": ` in `json`, up to the next comma or line end: a
+/// number or a quoted name of `BENCH_checker.json`, as the bench wrote it.
+fn json_field<'a>(json: &'a str, key: &str) -> &'a str {
+    let from = json.find(&format!("\"{key}\": ")).unwrap_or_else(|| panic!("no {key:?} in {json}"));
+    let value = &json[from + key.len() + 4..];
+    value[..value.find([',', '\n']).unwrap_or(value.len())].trim_matches('"')
+}
+
+#[test]
+fn e14_quotes_the_checker_bench_file() {
+    let file = doc("BENCH_checker.json");
+    let experiments = doc("EXPERIMENTS.md");
+    let start = experiments.find("## E14 ").expect("EXPERIMENTS.md has an E14");
+    let e14 = &experiments[start..];
+    let e14 = &e14[..e14.find("\n## E15 ").expect("E15 follows E14")];
+    // The bench writes one series a line.
+    let series: Vec<&str> = file.lines().filter(|line| line.contains("\"seq_ms\"")).collect();
+    assert_eq!(series.len(), 6, "series in BENCH_checker.json");
+    let rows: Vec<&str> = e14.lines().filter(|line| line.starts_with("| `")).collect();
+    assert_eq!(rows.len(), series.len(), "E14 has one table row per series");
+    for (row, line) in rows.iter().zip(series) {
+        let quoted = format!(
+            "| `{}` | {} | {} | {} |",
+            json_field(line, "name"),
+            json_field(line, "seq_ms"),
+            json_field(line, "par_ms"),
+            json_field(line, "speedup"),
+        );
+        assert!(row.starts_with(&quoted), "E14 row\n  {row}\nshould begin\n  {quoted}");
+    }
+    for key in ["host_cores", "threads", "degraded"] {
+        let quoted = format!("`\"{key}\": {}`", json_field(&file, key));
+        assert!(e14.contains(&quoted), "E14 should quote {quoted} from BENCH_checker.json");
+    }
 }

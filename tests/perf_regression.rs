@@ -21,6 +21,8 @@
 //!   frontier is narrower than the worker pool, donated subtrees are
 //!   stolen and counted.
 
+mod common;
+
 use cal::core::bitset::BitSet;
 use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, CheckOptions, Verdict};
@@ -29,30 +31,19 @@ use cal::core::history::{HbRelation, PartialHistory, Span};
 use cal::core::par::check_cal_par_with;
 use cal::core::seqlin::check_linearizable_with;
 use cal::core::spec::SeqAsCa;
-use cal::core::text::parse_history;
-use cal::core::{History, Method, ObjectId, Operation, ThreadId, Value};
+use cal::core::{History, Method, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
-use cal::specs::register::{read_op, write_op, RegisterSpec};
-
-const O: ObjectId = ObjectId(0);
+use cal::specs::register::RegisterSpec;
+use common::{exchanger_windows, identical_exchanges, pipelined_register_history, O};
 
 fn in_ci() -> bool {
     std::env::var("CI").is_ok_and(|v| v == "1" || v == "true")
 }
 
-/// `k` pairwise-concurrent identical `exchange(0) -> (true, 0)` calls,
-/// odd `k`: unsatisfiable, super-exponential to refute naively, and
-/// maximally symmetric — the calibration workload for both the memo and
-/// the symmetry reduction.
+/// Odd `k`: the calibration workload for both the memo and the symmetry
+/// reduction.
 fn hard_history(k: usize) -> History {
-    let mut text = String::new();
-    for t in 0..k {
-        text.push_str(&format!("t{t} inv o0.exchange 0\n"));
-    }
-    for t in 0..k {
-        text.push_str(&format!("t{t} res o0.exchange (true,0)\n"));
-    }
-    parse_history(&text).expect("hard history parses")
+    identical_exchanges(k, 0)
 }
 
 #[test]
@@ -102,6 +93,24 @@ fn memoization_still_pays_for_itself() {
         (with.stats.nodes, without.stats.nodes),
         (2_305, 31_033),
         "nodes with the failed-state memo, without"
+    );
+}
+
+/// The benchmark's headline search, counter for counter: fourteen windows
+/// of the paper's exchanger, the violation planted last, one thread. The
+/// three numbers were taken on the commit before the candidate loop and
+/// the canonicalisation were rebuilt, and pin that rebuild — and whatever
+/// follows it — to the same search: the same nodes in the same order, the
+/// same candidates put to the specification, the same memo answers.
+#[test]
+fn benchmark_shaped_refutation_is_the_same_search() {
+    let h = exchanger_windows(14, true);
+    let outcome = check_cal_with(&h, &ExchangerSpec::new(O), &CheckOptions::default()).unwrap();
+    assert_eq!(outcome.verdict, Verdict::NotCal);
+    assert_eq!(
+        (outcome.stats.nodes, outcome.stats.elements_tried, outcome.stats.memo_hits),
+        (144_865, 1_050_768, 129_326),
+        "nodes, elements tried, memo hits"
     );
 }
 
@@ -168,36 +177,6 @@ fn real_time_order_builds_over_a_million_spans() {
     }
 }
 
-/// `ops` register operations by four clients, each taking effect at its
-/// invocation: client `k % 4` responds to its previous operation, then
-/// invokes operation `k`, so three or four operations are always open.
-/// The invocation order is a linearization and it is the order the search
-/// tries first, so a checker accepts in one node an operation — unless
-/// building or consulting the order costs more than the order does.
-fn pipelined_register_history(ops: usize) -> History {
-    let mut h = History::new();
-    let mut open: [Option<Operation>; 4] = [None; 4];
-    let mut stored = 0i64;
-    for k in 0..ops {
-        let (slot, t) = (k % 4, ThreadId((k % 4) as u32));
-        if let Some(done) = open[slot].take() {
-            h.push(done.response());
-        }
-        let op = if k % 2 == 0 {
-            stored = k as i64 + 1;
-            write_op(O, t, stored)
-        } else {
-            read_op(O, t, stored)
-        };
-        h.push(op.invocation());
-        open[slot] = Some(op);
-    }
-    for done in open.into_iter().flatten() {
-        h.push(done.response());
-    }
-    h
-}
-
 #[test]
 fn long_history_is_accepted_in_one_node_an_operation() {
     const OPS: u64 = 20_000;
@@ -242,6 +221,7 @@ struct DeadTree {
 impl SearchDomain for DeadTree {
     type Node = (u32, u64);
     type Step = u32;
+    type Scratch = ();
 
     fn initial(&self) -> (u32, u64) {
         (0, 0)
@@ -254,6 +234,7 @@ impl SearchDomain for DeadTree {
     fn expand(
         &self,
         node: &(u32, u64),
+        (): &mut (),
         obs: &mut ExpandObs<'_, '_>,
         out: &mut Vec<(u32, (u32, u64))>,
     ) {
