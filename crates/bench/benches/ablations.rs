@@ -88,13 +88,13 @@ fn bench_pruning(c: &mut Criterion) {
     group.finish();
 }
 
-/// Recorder overhead: exercising an exchanger with no recording, with the
-/// mutex recorder, and with the lock-free recorder — quantifies how much
-/// the observation perturbs the observed object.
+/// Recorder overhead: exercising an exchanger with no recording and with
+/// the mutex recorder — quantifies how much the observation perturbs the
+/// observed object.
 fn bench_recorder_overhead(c: &mut Criterion) {
     use cal_core::{Method, ObjectId as Oid, ThreadId};
     use cal_objects::exchanger::Exchanger;
-    use cal_objects::record::{LockFreeRecorder, Recorder};
+    use cal_objects::record::Recorder;
     use std::sync::Arc;
     const OPS: i64 = 300;
     const EXCHANGE: Method = Method("exchange");
@@ -125,16 +125,6 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("mutex", threads), &threads, |b, &t| {
             b.iter(|| {
                 let rec = Recorder::new();
-                run(t, |tid, v, (ok, got)| {
-                    rec.invoke(tid, Oid(0), EXCHANGE, Value::Int(v));
-                    rec.response(tid, Oid(0), EXCHANGE, Value::Pair(ok, got));
-                });
-                rec.len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("lockfree", threads), &threads, |b, &t| {
-            b.iter(|| {
-                let rec = LockFreeRecorder::new();
                 run(t, |tid, v, (ok, got)| {
                     rec.invoke(tid, Oid(0), EXCHANGE, Value::Int(v));
                     rec.response(tid, Oid(0), EXCHANGE, Value::Pair(ok, got));

@@ -51,8 +51,7 @@ impl Eq for BitSet {}
 
 impl Hash for BitSet {
     /// Words, then capacity: what deriving `Hash` on a word vector and a
-    /// capacity fed the hasher, so memo fingerprints — and the shard
-    /// attribution `--stats-json` reports from them — are what they were.
+    /// capacity fed the hasher, so memo fingerprints are what they were.
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.words().hash(state);
         self.capacity.hash(state);
@@ -168,23 +167,6 @@ impl BitSet {
     /// Returns `true` if every element of `self` is also in `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
         subset(self.words(), other.words())
-    }
-
-    /// Adds every element of `other` to `self`, a word at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` has a larger capacity than `self`.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert!(
-            other.capacity <= self.capacity,
-            "union of capacity {} into capacity {}",
-            other.capacity,
-            self.capacity
-        );
-        for (w, &o) in self.words_mut().iter_mut().zip(other.words()) {
-            *w |= o;
-        }
     }
 }
 
@@ -360,24 +342,21 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_union_at_word_boundaries() {
+    fn subset_at_word_boundaries() {
         for capacity in [63usize, 64, 65] {
             let low = set_of(capacity, &[0, 61]);
             let high = set_of(capacity, &[capacity - 1]);
             assert!(BitSet::new(capacity).is_subset(&low));
             assert!(low.is_subset(&low));
             assert!(!low.is_subset(&high) && !high.is_subset(&low));
-            let mut both = low.clone();
-            both.union_with(&high);
+            let both = set_of(capacity, &[0, 61, capacity - 1]);
             assert!(low.is_subset(&both) && high.is_subset(&both));
             assert!(!both.is_subset(&low));
             assert_eq!(both.len(), 3);
         }
-        // A smaller set unions into, and is compared against, a larger one.
-        let mut wide = set_of(130, &[129]);
+        // A smaller set is compared against a larger one.
+        let wide = set_of(130, &[64, 129]);
         let narrow = set_of(65, &[64]);
-        wide.union_with(&narrow);
-        assert_eq!(wide.iter().collect::<Vec<_>>(), vec![64, 129]);
         assert!(narrow.is_subset(&wide));
         assert!(!wide.is_subset(&narrow));
     }
@@ -398,12 +377,6 @@ mod tests {
         assert!(!rows.contains(3, 1) && !rows.contains(1, 500));
         assert!(subset(rows.row(2), rows.row(1)) && !subset(rows.row(1), rows.row(2)));
         assert_eq!(BitRows::new(0, 0).len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "union of capacity")]
-    fn union_with_a_larger_set_panics() {
-        BitSet::new(64).union_with(&BitSet::new(65));
     }
 
     mod model {
@@ -433,12 +406,6 @@ mod tests {
                 prop_assert_eq!(a.first_unset(), (0..capacity).find(|&i| !a_bits[i]));
                 prop_assert_eq!(a.last_set(), in_a.last().copied());
                 prop_assert_eq!(a.is_subset(&b), in_a.iter().all(|i| in_b.contains(i)));
-                let mut union = a.clone();
-                union.union_with(&b);
-                prop_assert_eq!(
-                    union.iter().collect::<Vec<_>>(),
-                    (0..capacity).filter(|&i| a_bits[i] || b_bits[i]).collect::<Vec<_>>()
-                );
             }
         }
     }

@@ -20,8 +20,9 @@
 //!   [`CheckOptions::symmetry`]);
 //! - [`crate::obs::StatsSink`] event emission;
 //! - the [`Verdict`] / [`InterruptReason`] outcome taxonomy;
-//! - the parallel driver: per-object decomposition and work-stealing
-//!   root-frontier splitting ([`search_par`], [`CheckOptions::stealing`]).
+//! - the parallel driver ([`search_par`]): per-object decomposition, or
+//!   the root frontier split across workers that share one mutex-guarded
+//!   task pool and hand untried subtrees to whichever worker runs dry.
 //!
 //! The search itself is an *iterative* DFS over an arena of successor
 //! entries: one `Vec` per worker holds every `(step, node)` on the
@@ -49,7 +50,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::Mutex;
 
 use crate::fpmemo::FpMemo;
@@ -120,15 +120,9 @@ pub struct CheckOptions {
     pub cancel: Option<CancelToken>,
     /// Worker threads for the parallel drivers ([`search_par`], used by
     /// [`crate::par::check_cal_par_with`] and the other `_par` entry
-    /// points). The sequential entry points ignore it. Defaults to 1.
+    /// points). The sequential entry points ignore it. Defaults to 1;
+    /// 0 means 1.
     pub threads: usize,
-    /// Work-stealing for the parallel frontier search: workers donate
-    /// untried subtrees from their shallowest frame to idle thieves, so
-    /// a skewed root frontier no longer leaves workers dying with their
-    /// branch. On by default; off reverts to static root-branch claiming
-    /// (the ablation benchmark measures the difference). The sequential
-    /// entry points ignore it.
-    pub stealing: bool,
     /// Symmetry reduction ([`crate::symmetry`]): memo keys are
     /// canonicalized under permutation of interchangeable operations
     /// (same object/method/argument/return, identical real-time
@@ -153,7 +147,6 @@ impl fmt::Debug for CheckOptions {
             .field("deadline", &self.deadline)
             .field("cancel", &self.cancel)
             .field("threads", &self.threads)
-            .field("stealing", &self.stealing)
             .field("symmetry", &self.symmetry)
             .field("sink", &self.sink.as_ref().map(|_| "StatsSink"))
             .finish()
@@ -178,7 +171,6 @@ impl Default for CheckOptions {
             deadline: None,
             cancel: None,
             threads: 1,
-            stealing: true,
             symmetry: true,
             sink: None,
         }
@@ -292,8 +284,10 @@ pub struct CheckStats {
     pub elements_tried: u64,
     /// Failed states pruned via the memo table.
     pub memo_hits: u64,
-    /// Subtrees stolen from another worker's deque (always 0 on the
-    /// sequential path and with [`CheckOptions::stealing`] off).
+    /// Donated subtrees run by a worker other than their donor: the
+    /// frontier search's running workers hand untried subtrees to the
+    /// shared pool when a peer is idle (always 0 on the sequential path
+    /// and with one worker, where nobody is ever idle).
     pub steals: u64,
 }
 
@@ -390,16 +384,6 @@ pub(crate) enum MemoTable<'m, K: Eq + Hash + Clone> {
 }
 
 impl<K: Eq + Hash + Clone> MemoTable<'_, K> {
-    /// The shard bucket `key` lives in, for per-shard memo attribution:
-    /// always 0 for the private table, the fingerprint bucket for the
-    /// shared one.
-    fn shard_of(&self, key: &K) -> usize {
-        match self {
-            MemoTable::Local(_) => 0,
-            MemoTable::Shared(memo) => memo.bucket_of(key),
-        }
-    }
-
     fn contains(&self, key: &K) -> bool {
         match self {
             MemoTable::Local(set) => set.contains(key),
@@ -696,12 +680,12 @@ fn probe_memo<D: SearchDomain>(domain: &D, cx: &mut Cx<'_, D>, node: &D::Node) -
     if cx.failed.contains(key) {
         cx.ctl.stats.memo_hits += 1;
         if let Some(sink) = cx.ctl.sink {
-            sink.on_memo_hit(cx.failed.shard_of(key));
+            sink.on_memo_hit();
         }
         true
     } else {
         if let Some(sink) = cx.ctl.sink {
-            sink.on_memo_miss(cx.failed.shard_of(key));
+            sink.on_memo_miss();
         }
         false
     }
@@ -713,7 +697,7 @@ fn probe_memo<D: SearchDomain>(domain: &D, cx: &mut Cx<'_, D>, node: &D::Node) -
 fn insert_memo<D: SearchDomain>(domain: &D, cx: &mut Cx<'_, D>, node: &D::Node) {
     let canon = if cx.ctl.options.symmetry { domain.canonical_key(node) } else { None };
     if let Some(sink) = cx.ctl.sink {
-        sink.on_memo_insert(cx.failed.shard_of(canon.as_ref().unwrap_or(node)));
+        sink.on_memo_insert();
     }
     match &mut cx.failed {
         MemoTable::Local(set) => {
@@ -725,24 +709,80 @@ fn insert_memo<D: SearchDomain>(domain: &D, cx: &mut Cx<'_, D>, node: &D::Node) 
     }
 }
 
-/// One unit of work-stealing work: a subtree root plus the witness
+/// One unit of frontier-search work: a subtree root plus the witness
 /// prefix (steps from the search root down to — and including — the
 /// step that produced `node`).
 struct Task<D: SearchDomain> {
     node: D::Node,
     prefix: Vec<D::Step>,
+    /// The worker that donated this subtree; `None` for a root branch.
+    donor: Option<usize>,
 }
 
-/// The stealing hooks a frontier worker threads into its tree search.
-struct StealSupport<'s, D: SearchDomain> {
-    /// Number of workers currently idle and hunting for work; polled
-    /// (relaxed) once per expansion, donation only happens when > 0.
-    hungry: &'s AtomicUsize,
-    /// Tasks created but not yet completed, for termination detection.
-    /// Incremented *before* a donated task is published.
-    outstanding: &'s AtomicUsize,
-    /// The donating worker's own deque; thieves steal from its other end.
-    worker: &'s Worker<Task<D>>,
+/// The frontier search's work pool: every subtree no worker is running
+/// yet, in one queue behind one mutex, bundled with the two counters the
+/// workers coordinate through. Root branches are seeded in the order the
+/// sequential search would try them and taken from the front; donated
+/// subtrees join at the back (they are only ever pushed while a peer
+/// finds the queue empty).
+struct Pool<D: SearchDomain> {
+    tasks: Mutex<VecDeque<Task<D>>>,
+    /// Tasks pushed and not yet finished — queued or running. Zero means
+    /// the search is over: nothing is queued and no running task is left
+    /// to donate.
+    outstanding: AtomicUsize,
+    /// Workers that found the queue empty and are waiting; polled
+    /// (relaxed) once per expansion, and a running search donates only
+    /// when it is > 0 — so a lone worker never donates.
+    hungry: AtomicUsize,
+}
+
+impl<D: SearchDomain> Pool<D> {
+    fn new(tasks: VecDeque<Task<D>>) -> Self {
+        Pool {
+            outstanding: AtomicUsize::new(tasks.len()),
+            tasks: Mutex::new(tasks),
+            hungry: AtomicUsize::new(0),
+        }
+    }
+
+    /// Publishes `task`, counting it first: a peer may take and finish it
+    /// at once, and its decrement must never bring the count to zero
+    /// while the donor's own task is still running.
+    fn push(&self, task: Task<D>) {
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
+        self.tasks.lock().push_back(task);
+    }
+
+    fn take(&self) -> Option<Task<D>> {
+        self.tasks.lock().pop_front()
+    }
+
+    /// Marks a taken task finished (after everything it will ever donate
+    /// has been pushed).
+    fn finish(&self) {
+        self.outstanding.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// For a worker that found the queue empty: `false` when the search
+    /// is over, otherwise advertises the hunger for one scheduler yield
+    /// and returns `true` (try [`Pool::take`] again).
+    fn wait(&self) -> bool {
+        if self.outstanding.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
+        self.hungry.fetch_add(1, Ordering::SeqCst);
+        std::thread::yield_now();
+        self.hungry.fetch_sub(1, Ordering::SeqCst);
+        true
+    }
+}
+
+/// What a frontier worker's tree search needs in order to donate.
+struct Donate<'s, D: SearchDomain> {
+    pool: &'s Pool<D>,
+    /// The donating worker's index, recorded in [`Task::donor`].
+    donor: usize,
     /// The running task's witness prefix, cloned into donations.
     prefix: &'s [D::Step],
 }
@@ -759,49 +799,127 @@ struct Frame {
     succ_end: usize,
     /// Next successor to try (absolute arena index).
     cursor: usize,
-    /// A child of this frame was donated to a thief: the subtree was not
+    /// A child of this frame was donated to the pool: the subtree was not
     /// fully explored *here*, so the frame's node must not be memoized
     /// as refuted, and neither may any ancestor.
     donated: bool,
 }
 
-/// Donates the shallowest spare subtree to an idle thief: the *last*
-/// untried child of the shallowest frame with at least two remaining
-/// (so the owner keeps local work), pushed onto the owner's own deque
-/// where thieves steal FIFO. Returns `false` when nothing is spare.
+/// Donates the shallowest spare subtree to the pool: the *last* untried
+/// child of the shallowest frame with at least two remaining (so the
+/// donor keeps local work), if there is one.
 fn try_donate<D: SearchDomain>(
     frames: &mut [Frame],
     succs: &[(D::Step, D::Node)],
-    sc: &StealSupport<'_, D>,
-) -> bool {
+    to: &Donate<'_, D>,
+) {
     let Some(fi) = frames.iter().position(|f| f.succ_end - f.cursor >= 2) else {
-        return false;
+        return;
     };
     let donated_idx = frames[fi].succ_end - 1;
     // Witness prefix of the donated subtree: the running task's prefix,
     // the steps taken down to frame `fi`'s node, then the donated step.
-    let mut prefix: Vec<D::Step> = Vec::with_capacity(sc.prefix.len() + fi + 2);
-    prefix.extend(sc.prefix.iter().cloned());
+    let mut prefix: Vec<D::Step> = Vec::with_capacity(to.prefix.len() + fi + 2);
+    prefix.extend(to.prefix.iter().cloned());
     prefix.extend(frames[..=fi].iter().filter_map(|f| f.node_idx).map(|i| succs[i].0.clone()));
     prefix.push(succs[donated_idx].0.clone());
     let node = succs[donated_idx].1.clone();
     frames[fi].succ_end = donated_idx;
     frames[fi].donated = true;
-    // Publish only after the accounting increment: a thief may complete
-    // the task immediately, and its decrement must never race the count
-    // to zero while the task is in flight.
-    sc.outstanding.fetch_add(1, Ordering::SeqCst);
-    sc.worker.push(Task { node, prefix });
-    true
+    to.pool.push(Task { node, prefix, donor: Some(to.donor) });
 }
 
-/// What one worker's search produced.
-struct RunResult<T> {
+/// How a search ended: one worker's DFS, or several folded together with
+/// [`Tally::absorb`]. [`Tally::verdict`] is the only place an end state
+/// becomes a [`Verdict`].
+struct Tally<T> {
     witness: Option<Vec<T>>,
     stats: CheckStats,
-    interrupted: Option<InterruptReason>,
-    exhausted: bool,
     panicked: Option<String>,
+    /// [`CheckOptions::deadline`] elapsed.
+    deadline: bool,
+    /// The user's [`CheckOptions::cancel`] token fired.
+    cancelled: bool,
+    /// The node budget was spent.
+    exhausted: bool,
+    /// The parallel driver's internal stop latch wound the search down
+    /// because a sibling had already decided the run. Never the cause of
+    /// an aggregate verdict — the sibling's own end state outranks it —
+    /// but it keeps a stopped search from reading as a refutation.
+    stopped: bool,
+}
+
+impl<T> Default for Tally<T> {
+    fn default() -> Self {
+        Tally {
+            witness: None,
+            stats: CheckStats::default(),
+            panicked: None,
+            deadline: false,
+            cancelled: false,
+            exhausted: false,
+            stopped: false,
+        }
+    }
+}
+
+impl<T> Tally<T> {
+    /// The end state of one DFS, classifying its interrupt (an internal
+    /// stop is *not* a user cancellation).
+    fn of(ctl: Ctl<'_>, witness: Option<Vec<T>>) -> Self {
+        let cancelled = ctl.interrupted == Some(InterruptReason::Cancelled);
+        let by_user = ctl.options.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        Tally {
+            witness,
+            stats: ctl.stats,
+            panicked: ctl.panicked,
+            deadline: ctl.interrupted == Some(InterruptReason::DeadlineExceeded),
+            cancelled: cancelled && by_user,
+            exhausted: ctl.exhausted,
+            stopped: cancelled && !by_user,
+        }
+    }
+
+    /// Folds a sibling search into this one: counters add, causes
+    /// accumulate, the first witness and the first panic are kept.
+    fn absorb(&mut self, other: Tally<T>) {
+        self.stats += other.stats;
+        self.witness = self.witness.take().or(other.witness);
+        self.panicked = self.panicked.take().or(other.panicked);
+        self.deadline |= other.deadline;
+        self.cancelled |= other.cancelled;
+        self.exhausted |= other.exhausted;
+        self.stopped |= other.stopped;
+    }
+
+    /// The verdict precedence, spelled out once: a spec panic is an
+    /// error; then witness, deadline, user cancellation, spent budget,
+    /// internal stop; a search that ended for none of these reasons ran
+    /// to completion and refuted its problem. Takes the witness and the
+    /// panic message out of the tally; counters and causes stay.
+    fn verdict(&mut self) -> Result<Verdict<Vec<T>>, CheckError> {
+        if let Some(msg) = self.panicked.take() {
+            return Err(CheckError::SpecPanicked(msg));
+        }
+        Ok(if let Some(witness) = self.witness.take() {
+            Verdict::Cal(witness)
+        } else if self.deadline {
+            Verdict::Interrupted { reason: InterruptReason::DeadlineExceeded }
+        } else if self.cancelled {
+            Verdict::Interrupted { reason: InterruptReason::Cancelled }
+        } else if self.exhausted {
+            Verdict::ResourcesExhausted
+        } else if self.stopped {
+            Verdict::Interrupted { reason: InterruptReason::Cancelled }
+        } else {
+            Verdict::NotCal
+        })
+    }
+
+    /// [`Tally::verdict`] with the stats attached.
+    fn outcome(mut self) -> Result<CheckOutcome<Vec<T>>, CheckError> {
+        Ok(CheckOutcome { verdict: self.verdict()?, stats: self.stats })
+    }
 }
 
 /// The one backtracking search every checker shares, as an iterative
@@ -819,7 +937,7 @@ fn run_tree<D: SearchDomain>(
     domain: &D,
     cx: &mut Cx<'_, D>,
     root: &D::Node,
-    steal: Option<&StealSupport<'_, D>>,
+    donate: Option<&Donate<'_, D>>,
 ) -> Option<Vec<D::Step>> {
     if domain.is_goal(root) {
         return Some(Vec::new());
@@ -877,10 +995,10 @@ fn run_tree<D: SearchDomain>(
             succs.truncate(succ_start);
             continue;
         }
-        // Feed idle thieves before descending further.
-        if let Some(sc) = steal {
-            if sc.hungry.load(Ordering::Relaxed) > 0 {
-                try_donate(&mut frames, &succs, sc);
+        // Feed idle peers before descending further.
+        if let Some(to) = donate {
+            if to.pool.hungry.load(Ordering::Relaxed) > 0 {
+                try_donate(&mut frames, &succs, to);
             }
         }
         // The parent loop's stop poll.
@@ -932,18 +1050,12 @@ fn run_root<'m, D: SearchDomain>(
     shared_nodes: Option<&'m AtomicU64>,
     stop: Option<&'m CancelToken>,
     start: Instant,
-    steal: Option<&StealSupport<'_, D>>,
-) -> RunResult<D::Step> {
+    donate: Option<&Donate<'_, D>>,
+) -> Tally<D::Step> {
     let ctl = Ctl::new(options, shared_nodes, stop, start);
     let mut cx: Cx<'_, D> = Cx { ctl, failed, scratch: D::Scratch::default() };
-    let witness = run_tree(domain, &mut cx, root, steal);
-    RunResult {
-        witness,
-        stats: cx.ctl.stats,
-        interrupted: cx.ctl.interrupted,
-        exhausted: cx.ctl.exhausted,
-        panicked: cx.ctl.panicked,
-    }
+    let witness = run_tree(domain, &mut cx, root, donate);
+    Tally::of(cx.ctl, witness)
 }
 
 /// [`SearchDomain::initial`] behind `catch_unwind`.
@@ -964,7 +1076,7 @@ pub fn search<D: SearchDomain>(
     options: &CheckOptions,
 ) -> Result<CheckOutcome<Vec<D::Step>>, CheckError> {
     let root = initial_guarded(domain)?;
-    let r = run_root(
+    run_root(
         domain,
         options,
         &root,
@@ -973,8 +1085,8 @@ pub fn search<D: SearchDomain>(
         None,
         Instant::now(),
         None,
-    );
-    finish_run(r)
+    )
+    .outcome()
 }
 
 /// Every distinct end state of an exhaustive exploration: the result of
@@ -1067,50 +1179,6 @@ pub fn enumerate_goals<D: SearchDomain>(
     Ok(Enumeration { goals, complete, stats: ctl.stats })
 }
 
-/// Converts one completed [`RunResult`] into a [`CheckOutcome`].
-fn finish_run<T>(r: RunResult<T>) -> Result<CheckOutcome<Vec<T>>, CheckError> {
-    if let Some(msg) = r.panicked {
-        return Err(CheckError::SpecPanicked(msg));
-    }
-    let verdict = if let Some(witness) = r.witness {
-        Verdict::Cal(witness)
-    } else if let Some(reason) = r.interrupted {
-        Verdict::Interrupted { reason }
-    } else if r.exhausted {
-        Verdict::ResourcesExhausted
-    } else {
-        Verdict::NotCal
-    };
-    Ok(CheckOutcome { verdict, stats: r.stats })
-}
-
-/// Per-worker aggregation of a frontier or decomposed run.
-#[derive(Default)]
-struct Tally {
-    stats: CheckStats,
-    deadline: bool,
-    user_cancelled: bool,
-    exhausted: bool,
-}
-
-impl Tally {
-    /// Folds one finished sub-search into the tally, classifying its
-    /// interrupt (an internal stop is *not* a user cancellation).
-    fn absorb<T>(&mut self, r: &RunResult<T>, options: &CheckOptions) {
-        self.stats += r.stats;
-        match r.interrupted {
-            Some(InterruptReason::DeadlineExceeded) => self.deadline = true,
-            Some(InterruptReason::Cancelled)
-                if options.cancel.as_ref().is_some_and(CancelToken::is_cancelled) =>
-            {
-                self.user_cancelled = true;
-            }
-            _ => {}
-        }
-        self.exhausted |= r.exhausted;
-    }
-}
-
 /// Runs the parallel search over `domain`: per-object decomposition when
 /// [`SearchDomain::decompose`] offers at least two parts, root-frontier
 /// splitting with a shared lock-free [`FpMemo`] otherwise.
@@ -1140,15 +1208,12 @@ where
 
 /// Whole-problem search with the root frontier split across workers.
 ///
-/// Root branches seed a shared [`Injector`]; each worker owns a
-/// work-stealing deque ([`Worker`]/[`Stealer`]) into which its running
-/// search donates untried subtrees whenever another worker goes idle
-/// (`hungry > 0`). Idle workers drain their own deque first (LIFO,
-/// depth-first locality), then the injector, then steal FIFO — the
-/// shallowest, largest subtrees — from peers. Termination is detected
-/// with an `outstanding` task counter; with
-/// [`CheckOptions::stealing`] off, no donations happen and workers
-/// simply drain the injector, reproducing the old static split.
+/// The root is expanded once and its branches seed a [`Pool`], in the
+/// order the sequential search would try them. Each worker takes a task,
+/// runs the DFS below it against the shared [`FpMemo`], and — whenever a
+/// peer has found the pool empty — donates its shallowest spare subtree
+/// back to the pool. The search is over when the pool's `outstanding`
+/// count reaches zero, or as soon as one worker finds a witness.
 fn frontier_search<D>(
     domain: &D,
     options: &CheckOptions,
@@ -1161,125 +1226,61 @@ where
     let start = Instant::now();
     let root = initial_guarded(domain)?;
     if domain.is_goal(&root) {
-        return Ok(CheckOutcome { verdict: Verdict::Cal(Vec::new()), stats: CheckStats::default() });
-    }
-    let sink = options.sink.as_deref();
-    if options.max_nodes == 0 {
-        if let Some(sink) = sink {
-            sink.on_budget_exhausted(0);
-        }
-        return Ok(CheckOutcome {
-            verdict: Verdict::ResourcesExhausted,
-            stats: CheckStats::default(),
-        });
+        return Tally { witness: Some(Vec::new()), ..Tally::default() }.outcome();
     }
     // The root expansion is one node, mirroring the sequential search.
-    let mut root_ctl = Ctl::new(options, None, None, start);
-    root_ctl.stats.nodes = 1;
-    if let Some(sink) = sink {
-        sink.on_node();
-    }
+    let mut cx: Cx<'_, D> = Cx {
+        ctl: Ctl::new(options, None, None, start),
+        failed: MemoTable::Local(HashSet::new()),
+        scratch: D::Scratch::default(),
+    };
     let mut branches: Vec<(D::Step, D::Node)> = Vec::new();
-    {
-        let mut obs = ExpandObs { ctl: &mut root_ctl };
-        let mut scratch = D::Scratch::default();
-        catch_unwind(AssertUnwindSafe(|| {
-            domain.expand(&root, &mut scratch, &mut obs, &mut branches)
-        }))
-        .map_err(|p| CheckError::SpecPanicked(panic_message(p)))?;
+    if cx.ctl.charge_node() {
+        expand_guarded(domain, &mut cx, &root, &mut branches);
     }
-    let root_stats = root_ctl.stats;
-    if let Some(reason) = root_ctl.interrupted {
-        return Ok(CheckOutcome { verdict: Verdict::Interrupted { reason }, stats: root_stats });
-    }
-    if branches.is_empty() {
-        return Ok(CheckOutcome { verdict: Verdict::NotCal, stats: root_stats });
+    let mut total: Tally<D::Step> = Tally::of(cx.ctl, None);
+    if branches.is_empty() || total.deadline || total.cancelled {
+        // Spent budget, panic, interrupt or a dead root: already decided.
+        return total.outcome();
     }
 
-    // With stealing, every requested worker is useful even when the root
-    // frontier is narrower than the thread count: idle workers steal
-    // donated subtrees. Without it, extra workers would only spin.
-    let stealing = options.stealing && options.threads > 1;
-    let workers = if stealing {
-        options.threads
-    } else {
-        options.threads.max(1).min(branches.len())
-    };
+    // Every requested worker is useful even when the root frontier is
+    // narrower than the thread count: idle workers are fed donations.
+    let workers = options.threads.max(1);
+    let sink = options.sink.as_deref();
     if let Some(sink) = sink {
         sink.on_root_frontier(branches.len(), workers);
     }
     let memo: FpMemo<D::Node> = FpMemo::new();
-    let nodes = AtomicU64::new(root_stats.nodes);
+    let nodes = AtomicU64::new(total.stats.nodes);
     let stop = CancelToken::new();
-    let injector: Injector<Task<D>> = Injector::new();
-    let outstanding = AtomicUsize::new(branches.len());
-    for (step, node) in branches {
-        injector.push(Task { node, prefix: vec![step] });
-    }
-    let hungry = AtomicUsize::new(0);
-    let deques: Vec<Worker<Task<D>>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<Task<D>>> = deques.iter().map(Worker::stealer).collect();
-    let witness: Mutex<Option<Vec<D::Step>>> = Mutex::new(None);
-    let panicked: Mutex<Option<String>> = Mutex::new(None);
-
-    let tallies: Vec<Tally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = deques
+    let pool: Pool<D> = Pool::new(
+        branches
             .into_iter()
-            .enumerate()
-            .map(|(wi, my)| {
-                let stealers = &stealers;
-                let injector = &injector;
-                let outstanding = &outstanding;
-                let hungry = &hungry;
-                let stop = &stop;
-                let witness = &witness;
-                let panicked = &panicked;
-                let memo = &memo;
-                let nodes = &nodes;
+            .map(|(step, node)| Task { node, prefix: vec![step], donor: None })
+            .collect(),
+    );
+
+    let tallies: Vec<Tally<D::Step>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|me| {
+                let (pool, memo, nodes, stop) = (&pool, &memo, &nodes, &stop);
                 scope.spawn(move || {
                     let mut tally = Tally::default();
-                    loop {
-                        if stop.is_cancelled() {
-                            break;
-                        }
-                        // Own donations first (deepest, warm caches),
-                        // then fresh root branches, then theft.
-                        let mut stolen = false;
-                        let task =
-                            my.pop().or_else(|| injector.steal().success()).or_else(|| {
-                                for (si, s) in stealers.iter().enumerate() {
-                                    if si == wi {
-                                        continue;
-                                    }
-                                    if let Steal::Success(t) = s.steal() {
-                                        stolen = true;
-                                        return Some(t);
-                                    }
-                                }
-                                None
-                            });
-                        let Some(task) = task else {
-                            if outstanding.load(Ordering::SeqCst) == 0 {
-                                break;
+                    while !stop.is_cancelled() {
+                        let Some(task) = pool.take() else {
+                            if pool.wait() {
+                                continue;
                             }
-                            hungry.fetch_add(1, Ordering::SeqCst);
-                            std::thread::yield_now();
-                            hungry.fetch_sub(1, Ordering::SeqCst);
-                            continue;
+                            break;
                         };
-                        if stolen {
+                        if task.donor.is_some_and(|donor| donor != me) {
                             tally.stats.steals += 1;
                             if let Some(sink) = sink {
                                 sink.on_steal();
                             }
                         }
-                        let support = StealSupport {
-                            hungry,
-                            outstanding,
-                            worker: &my,
-                            prefix: &task.prefix,
-                        };
-                        let mut r = run_root(
+                        let mut run = run_root(
                             domain,
                             options,
                             &task.node,
@@ -1287,31 +1288,21 @@ where
                             Some(nodes),
                             Some(stop),
                             start,
-                            stealing.then_some(&support),
+                            Some(&Donate { pool, donor: me, prefix: &task.prefix }),
                         );
-                        outstanding.fetch_sub(1, Ordering::SeqCst);
-                        if let Some(msg) = r.panicked.take() {
-                            tally.stats += r.stats;
-                            let mut slot = panicked.lock();
-                            if slot.is_none() {
-                                *slot = Some(msg);
-                            }
-                            stop.cancel();
-                            break;
-                        }
-                        if let Some(tail) = r.witness.take() {
-                            tally.stats += r.stats;
+                        pool.finish();
+                        if let Some(tail) = run.witness.take() {
                             let mut full = task.prefix;
                             full.extend(tail);
-                            let mut slot = witness.lock();
-                            if slot.is_none() {
-                                *slot = Some(full);
-                            }
+                            run.witness = Some(full);
+                        }
+                        tally.absorb(run);
+                        if tally.witness.is_some() || tally.panicked.is_some() {
+                            // Siblings cannot change the verdict any more.
                             stop.cancel();
                             break;
                         }
-                        tally.absorb(&r, options);
-                        if r.interrupted.is_some() || r.exhausted {
+                        if tally.deadline || tally.cancelled || tally.exhausted {
                             break;
                         }
                     }
@@ -1321,58 +1312,22 @@ where
             .collect();
         handles.into_iter().map(|h| h.join().expect("checker worker panicked")).collect()
     });
-
-    if let Some(msg) = panicked.into_inner() {
-        return Err(CheckError::SpecPanicked(msg));
-    }
-    let mut stats = root_stats;
-    let mut deadline = false;
-    let mut user_cancelled = false;
-    let mut exhausted = false;
     for tally in tallies {
-        stats += tally.stats;
-        deadline |= tally.deadline;
-        user_cancelled |= tally.user_cancelled;
-        exhausted |= tally.exhausted;
+        total.absorb(tally);
     }
-    let verdict = if let Some(w) = witness.into_inner() {
-        Verdict::Cal(w)
-    } else if deadline {
-        Verdict::Interrupted { reason: InterruptReason::DeadlineExceeded }
-    } else if user_cancelled {
-        Verdict::Interrupted { reason: InterruptReason::Cancelled }
-    } else if exhausted {
-        Verdict::ResourcesExhausted
-    } else {
-        Verdict::NotCal
-    };
-    Ok(CheckOutcome { verdict, stats })
+    total.outcome()
 }
 
-/// One per-object subsearch's result under decomposition.
-struct SubResult<T> {
-    object: ObjectId,
-    witness: Option<Vec<T>>,
-    /// `true` when the subsearch completed and refuted the subproblem.
-    not_cal: bool,
-    tally: Tally,
-    panicked: Option<String>,
-}
-
-/// Classifies a finished subsearch for
+/// Names a finished subsearch's end for
 /// [`crate::obs::StatsSink::on_object_done`].
-fn classify_subresult<T>(result: &SubResult<T>) -> crate::obs::ObjectOutcome {
+fn object_outcome<W>(verdict: &Result<Verdict<W>, CheckError>) -> crate::obs::ObjectOutcome {
     use crate::obs::ObjectOutcome;
-    if result.panicked.is_some() {
-        ObjectOutcome::SpecPanicked
-    } else if result.witness.is_some() {
-        ObjectOutcome::Cal
-    } else if result.not_cal {
-        ObjectOutcome::NotCal
-    } else if result.tally.exhausted {
-        ObjectOutcome::Exhausted
-    } else {
-        ObjectOutcome::Interrupted
+    match verdict {
+        Err(_) => ObjectOutcome::SpecPanicked,
+        Ok(Verdict::Cal(_)) => ObjectOutcome::Cal,
+        Ok(Verdict::NotCal) => ObjectOutcome::NotCal,
+        Ok(Verdict::ResourcesExhausted) => ObjectOutcome::Exhausted,
+        Ok(Verdict::Interrupted { .. }) => ObjectOutcome::Interrupted,
     }
 }
 
@@ -1396,38 +1351,35 @@ where
     let stop = CancelToken::new();
     let next = AtomicUsize::new(0);
 
-    let results: Vec<SubResult<D::Step>> = std::thread::scope(|scope| {
+    // Per part: its object, its counters and causes, and its own verdict.
+    type Part<T> = (ObjectId, Tally<T>, Result<Verdict<Vec<T>>, CheckError>);
+    let results: Vec<Part<D::Step>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut mine: Vec<SubResult<D::Step>> = Vec::new();
-                    loop {
-                        if stop.is_cancelled() {
-                            break;
-                        }
+                    let mut mine: Vec<Part<D::Step>> = Vec::new();
+                    while !stop.is_cancelled() {
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         let Some((object, sub)) = parts.get(idx) else { break };
                         if let Some(sink) = sink {
                             sink.on_object_start(*object);
                         }
                         let sub_start = Instant::now();
-                        let result = check_part(*object, sub, options, &nodes, &stop, start);
+                        let mut tally = check_part(sub, options, &nodes, &stop, start);
+                        let verdict = tally.verdict();
                         if let Some(sink) = sink {
                             sink.on_object_done(
                                 *object,
                                 sub_start.elapsed(),
-                                classify_subresult(&result),
+                                object_outcome(&verdict),
                             );
                         }
-                        let decisive_negative = result.not_cal
-                            || result.panicked.is_some()
-                            || result.tally.exhausted
-                            || result.tally.deadline
-                            || result.tally.user_cancelled;
-                        mine.push(result);
-                        if decisive_negative {
-                            // Siblings cannot change the aggregate verdict;
-                            // wind everyone down.
+                        let accepted = matches!(verdict, Ok(Verdict::Cal(_)));
+                        mine.push((*object, tally, verdict));
+                        if !accepted {
+                            // Refuted, undecided or panicked: siblings
+                            // cannot change the aggregate verdict; wind
+                            // everyone down.
                             stop.cancel();
                             break;
                         }
@@ -1442,83 +1394,54 @@ where
             .collect()
     });
 
-    let mut stats = CheckStats::default();
-    let mut deadline = false;
-    let mut user_cancelled = false;
-    let mut exhausted = false;
-    let mut not_cal = false;
+    let mut total: Tally<D::Step> = Tally::default();
+    let mut refuted = false;
     let mut witnesses: Vec<(ObjectId, Vec<D::Step>)> = Vec::new();
-    for result in results {
-        stats += result.tally.stats;
-        if let Some(msg) = result.panicked {
-            return Err(CheckError::SpecPanicked(msg));
-        }
-        deadline |= result.tally.deadline;
-        user_cancelled |= result.tally.user_cancelled;
-        exhausted |= result.tally.exhausted;
-        not_cal |= result.not_cal;
-        if let Some(steps) = result.witness {
-            witnesses.push((result.object, steps));
+    for (object, tally, verdict) in results {
+        total.absorb(tally);
+        match verdict? {
+            Verdict::Cal(steps) => witnesses.push((object, steps)),
+            Verdict::NotCal => refuted = true,
+            Verdict::ResourcesExhausted | Verdict::Interrupted { .. } => {}
         }
     }
-    // A refuted subproblem is decisive regardless of interrupts elsewhere:
-    // membership implies per-object membership (locality).
-    let verdict = if not_cal {
-        Verdict::NotCal
-    } else if deadline {
-        Verdict::Interrupted { reason: InterruptReason::DeadlineExceeded }
-    } else if user_cancelled {
-        Verdict::Interrupted { reason: InterruptReason::Cancelled }
-    } else if exhausted {
-        Verdict::ResourcesExhausted
+    if refuted {
+        // A refuted subproblem is decisive regardless of interrupts
+        // elsewhere: membership implies per-object membership (locality).
+        return Ok(CheckOutcome { verdict: Verdict::NotCal, stats: total.stats });
+    }
+    if witnesses.len() == part_count {
+        total.witness = Some(parent.merge_witnesses(witnesses));
     } else {
-        debug_assert_eq!(witnesses.len(), part_count, "every subcheck must have decided");
-        Verdict::Cal(parent.merge_witnesses(witnesses))
-    };
-    Ok(CheckOutcome { verdict, stats })
+        // Some part is undecided or never ran: the ladder names the
+        // cause, and a bare stop is not a refutation.
+        total.stopped = true;
+    }
+    total.outcome()
 }
 
 /// Runs one decomposed part's DFS, charging the shared node budget and
 /// observing the shared stop latch.
 fn check_part<D: SearchDomain>(
-    object: ObjectId,
     sub: &D,
     options: &CheckOptions,
     nodes: &AtomicU64,
     stop: &CancelToken,
     start: Instant,
-) -> SubResult<D::Step> {
-    let root = match catch_unwind(AssertUnwindSafe(|| sub.initial())) {
-        Ok(n) => n,
-        Err(p) => {
-            return SubResult {
-                object,
-                witness: None,
-                not_cal: false,
-                tally: Tally::default(),
-                panicked: Some(panic_message(p)),
-            }
-        }
-    };
-    let mut r = run_root(
-        sub,
-        options,
-        &root,
-        MemoTable::Local(HashSet::new()),
-        Some(nodes),
-        Some(stop),
-        start,
-        None,
-    );
-    let mut tally = Tally::default();
-    let panicked = r.panicked.take();
-    let witness = r.witness.take();
-    tally.absorb(&r, options);
-    let not_cal = panicked.is_none()
-        && witness.is_none()
-        && r.interrupted.is_none()
-        && !r.exhausted;
-    SubResult { object, witness, not_cal, tally, panicked }
+) -> Tally<D::Step> {
+    match catch_unwind(AssertUnwindSafe(|| sub.initial())) {
+        Ok(root) => run_root(
+            sub,
+            options,
+            &root,
+            MemoTable::Local(HashSet::new()),
+            Some(nodes),
+            Some(stop),
+            start,
+            None,
+        ),
+        Err(p) => Tally { panicked: Some(panic_message(p)), ..Tally::default() },
+    }
 }
 
 /// A reference to a domain's specification: borrowed at the top level,
@@ -1698,19 +1621,67 @@ mod tests {
     }
 
     #[test]
-    fn stealing_off_matches_stealing_on() {
-        for n in [4u32, 9, 13] {
-            for threads in [2, 4] {
-                let on = CheckOptions { threads, ..CheckOptions::default() };
-                let off = CheckOptions { threads, stealing: false, ..CheckOptions::default() };
-                let a = search_par(&Countdown { n, dead_end: false }, &on).unwrap();
-                let b = search_par(&Countdown { n, dead_end: false }, &off).unwrap();
-                let wa = a.verdict.witness().expect("witness with stealing");
-                let wb = b.verdict.witness().expect("witness without stealing");
-                assert_eq!(wa.iter().sum::<u32>(), n, "threads={threads}");
-                assert_eq!(wb.iter().sum::<u32>(), n, "threads={threads}");
-            }
+    fn zero_threads_means_one_worker() {
+        let options = CheckOptions { threads: 0, ..CheckOptions::default() };
+        let found = search_par(&Countdown { n: 6, dead_end: false }, &options).unwrap();
+        assert_eq!(found.verdict.witness().expect("witness").iter().sum::<u32>(), 6);
+        // A refutation is the telling half: zero workers would leave the
+        // pool untouched and call the empty tally a refutation after one
+        // node.
+        let tree = DeadTree { width: 3, depth: 4, stall_ms: 0 };
+        let seq = search(&tree, &CheckOptions::default()).unwrap();
+        let par = search_par(&tree, &options).unwrap();
+        assert_eq!(par.verdict, Verdict::NotCal);
+        assert_eq!(par.stats.nodes, seq.stats.nodes);
+        assert_eq!(par.stats.steals, 0, "a lone worker never donates");
+    }
+
+    fn task(n: u32, donor: Option<usize>) -> Task<Countdown> {
+        Task { node: n, prefix: Vec::new(), donor }
+    }
+
+    #[test]
+    fn pool_hands_out_every_task_exactly_once() {
+        const TASKS: u32 = 1000;
+        let pool: Pool<Countdown> = Pool::new((0..TASKS / 2).map(|n| task(n, None)).collect());
+        for n in TASKS / 2..TASKS {
+            pool.push(task(n, Some(0)));
         }
+        let mut taken: Vec<u32> = std::thread::scope(|scope| {
+            let takers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut got = Vec::new();
+                        while let Some(task) = pool.take() {
+                            got.push(task.node);
+                            pool.finish();
+                        }
+                        got
+                    })
+                })
+                .collect();
+            takers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        taken.sort_unstable();
+        assert_eq!(taken, (0..TASKS).collect::<Vec<_>>(), "no task lost or duplicated");
+        assert!(!pool.wait(), "all finished: the search is over");
+    }
+
+    #[test]
+    fn pool_is_drained_only_after_the_last_donation_finishes() {
+        let pool: Pool<Countdown> = Pool::new(VecDeque::from([task(9, None)]));
+        let root = pool.take().expect("seeded");
+        assert!(pool.take().is_none());
+        assert!(pool.wait(), "the root task is still running");
+        pool.push(task(7, Some(0)));
+        pool.finish(); // the donor is done, its donation is not
+        assert!(pool.wait(), "a donated task is queued");
+        let donated = pool.take().expect("donated");
+        assert_eq!((root.node, donated.node, donated.donor), (9, 7, Some(0)));
+        assert!(pool.wait(), "a donated task is running");
+        pool.finish();
+        assert!(!pool.wait());
+        assert_eq!(pool.hungry.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -67,12 +67,11 @@
 //! CAL mode reads annotated files unchanged.
 //!
 //! ```
-//! use cal_core::format::{parse_auto, Format};
-//! let (fmt, h) = parse_auto(
-//!     "{:process 0, :type :invoke, :f :write, :value 3}\n\
-//!      {:process 0, :type :ok, :f :write, :value 3}\n",
-//! )?;
-//! assert_eq!(fmt, Format::Jepsen);
+//! use cal_core::format::{detect, parse_as, Format};
+//! let input = "{:process 0, :type :invoke, :f :write, :value 3}\n\
+//!              {:process 0, :type :ok, :f :write, :value 3}\n";
+//! assert_eq!(detect(input), Format::Jepsen);
+//! let h = parse_as(Format::Jepsen, input)?;
 //! assert_eq!(h.len(), 2);
 //! assert!(h.is_complete());
 //! # Ok::<(), cal_core::format::FormatError>(())
@@ -181,17 +180,6 @@ pub fn parse_as(format: Format, input: &str) -> Result<History, FormatError> {
         Format::KvLog => parse_kvlog(input)?,
     };
     finish(actions, &lines)
-}
-
-/// Sniffs the format ([`detect`]) and parses. Returns the detected format
-/// alongside the history so callers can report what they ingested.
-///
-/// # Errors
-///
-/// As [`parse_as`], for the detected format.
-pub fn parse_auto(input: &str) -> Result<(Format, History), FormatError> {
-    let format = detect(input);
-    parse_as(format, input).map(|h| (format, h))
 }
 
 /// A parsed history together with any causality metadata the input
@@ -1378,13 +1366,6 @@ mod tests {
         assert_eq!(detect(""), Format::Native);
         // a native line never has a leading integer token:
         assert_eq!(detect("t0 inv o0.write 1\n"), Format::Native);
-    }
-
-    #[test]
-    fn parse_auto_reports_format() {
-        let (f, h) = parse_auto(KVLOG_OK).unwrap();
-        assert_eq!(f, Format::KvLog);
-        assert_eq!(h.len(), 6);
     }
 
     const NATIVE_SAMPLE: &str = "\

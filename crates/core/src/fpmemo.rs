@@ -46,8 +46,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::obs::MEMO_SHARD_BUCKETS;
-
 /// Tag value of a slot that has never been claimed.
 const EMPTY: u64 = 0;
 /// Tag value of a slot mid-publication: probes skip it, inserts move on.
@@ -84,10 +82,8 @@ struct Slot<K> {
 }
 
 /// A bounded, lock-free set of refuted search states. See the module
-/// docs for the design; the API mirrors what the engine's memo path
-/// needs: [`contains`](FpMemo::contains), [`insert`](FpMemo::insert) and
-/// a [`bucket_of`](FpMemo::bucket_of) used only for per-shard sink
-/// attribution.
+/// docs for the design; the API is what the engine's memo path needs:
+/// [`contains`](FpMemo::contains) and [`insert`](FpMemo::insert).
 pub struct FpMemo<K> {
     slots: Box<[Slot<K>]>,
     mask: u64,
@@ -275,13 +271,6 @@ impl<K: Hash + Eq + Clone> FpMemo<K> {
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
-
-    /// The observability bucket a key falls into, for per-shard sink
-    /// attribution (`StatsSink::on_memo_hit(shard)` and friends). Stable
-    /// per key; in `0..MEMO_SHARD_BUCKETS`.
-    pub fn bucket_of(&self, key: &K) -> usize {
-        (hash_of(key) as usize) & (MEMO_SHARD_BUCKETS - 1)
-    }
 }
 
 impl<K: Hash + Eq + Clone> Default for FpMemo<K> {
@@ -396,16 +385,6 @@ mod tests {
         // No cross-contamination: keys never inserted are never present.
         for k in [99_999u64, 123_456, 777_777] {
             assert!(!memo.contains(&k));
-        }
-    }
-
-    #[test]
-    fn bucket_is_stable_and_bounded() {
-        let memo: FpMemo<u64> = FpMemo::new();
-        for k in 0..100u64 {
-            let b = memo.bucket_of(&k);
-            assert!(b < MEMO_SHARD_BUCKETS);
-            assert_eq!(b, memo.bucket_of(&k));
         }
     }
 }

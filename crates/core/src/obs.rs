@@ -10,8 +10,8 @@
 //!
 //! - [`StatsSink`] is a callback trait the search invokes at its
 //!   instrumentation points (node expansions, element attempts, memo
-//!   probes per shard, frontier widths, per-object decomposition
-//!   timings, budget exhaustion and interrupt causes). Every method has
+//!   probes, frontier widths, per-object decomposition timings, budget
+//!   exhaustion and interrupt causes). Every method has
 //!   a no-op default. The sink is optional — [`CheckOptions::sink`] is
 //!   `None` by default, and the search guards every callback behind one
 //!   branch on that `Option`, so a disabled sink costs a predictable
@@ -67,14 +67,6 @@ use parking_lot::Mutex;
 
 use crate::check::{CheckOptions, CheckOutcome, InterruptReason, Verdict};
 use crate::ids::ObjectId;
-
-/// Number of shard buckets a [`CountingSink`] tracks memo traffic in.
-///
-/// Shard indices reported by the search come from the shared memo's
-/// key-hash bucketing (the lock-free [`crate::fpmemo::FpMemo`] reports
-/// `hash mod MEMO_SHARD_BUCKETS`). The sequential checker's private memo
-/// always reports shard 0.
-pub const MEMO_SHARD_BUCKETS: usize = 64;
 
 /// How one object's subsearch ended under the per-object decomposition
 /// of [`crate::par::check_cal_par_with`].
@@ -134,20 +126,14 @@ pub trait StatsSink: Send + Sync {
     /// A candidate CA-element was tried against the specification.
     fn on_element_tried(&self) {}
 
-    /// A memo probe hit a previously refuted state in `shard`.
-    fn on_memo_hit(&self, shard: usize) {
-        let _ = shard;
-    }
+    /// A memo probe hit a previously refuted state.
+    fn on_memo_hit(&self) {}
 
-    /// A memo probe missed in `shard` (the state was not yet refuted).
-    fn on_memo_miss(&self, shard: usize) {
-        let _ = shard;
-    }
+    /// A memo probe missed (the state was not yet refuted).
+    fn on_memo_miss(&self) {}
 
-    /// A refuted state was inserted into `shard`.
-    fn on_memo_insert(&self, shard: usize) {
-        let _ = shard;
-    }
+    /// A refuted state was inserted into the memo table.
+    fn on_memo_insert(&self) {}
 
     /// The parallel frontier search enumerated `branches` legal first
     /// elements and split them across `workers` workers.
@@ -155,8 +141,9 @@ pub trait StatsSink: Send + Sync {
         let _ = (branches, workers);
     }
 
-    /// A worker stole a subtree task from a peer's deque (work-stealing
-    /// path only; injector hand-offs of root branches are not steals).
+    /// A frontier-search worker took a subtree another worker had
+    /// donated to the shared pool (taking a root branch, or one's own
+    /// donation back, is not a steal).
     fn on_steal(&self) {}
 
     /// The per-object decomposition started checking `object`.
@@ -211,8 +198,6 @@ pub struct CountingSink {
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     memo_inserts: AtomicU64,
-    shard_hits: [AtomicU64; MEMO_SHARD_BUCKETS],
-    shard_inserts: [AtomicU64; MEMO_SHARD_BUCKETS],
     root_branches: AtomicU64,
     root_workers: AtomicU64,
     steals: AtomicU64,
@@ -233,8 +218,6 @@ impl Default for CountingSink {
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
             memo_inserts: AtomicU64::new(0),
-            shard_hits: std::array::from_fn(|_| AtomicU64::new(0)),
-            shard_inserts: std::array::from_fn(|_| AtomicU64::new(0)),
             root_branches: AtomicU64::new(0),
             root_workers: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -299,19 +282,10 @@ impl CountingSink {
         self.root_branches.load(Ordering::Relaxed)
     }
 
-    /// Subtree tasks stolen from peer deques (0 when work-stealing did
-    /// not run or never fired).
+    /// Donated subtrees taken by a worker other than their donor (0 when
+    /// the frontier search did not run or nobody went idle).
     pub fn steals(&self) -> u64 {
         self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Per-object subsearch rows recorded so far (decomposition path).
-    pub fn object_reports(&self) -> Vec<ObjectReport> {
-        self.objects.lock().clone()
-    }
-
-    fn bucket(shard: usize) -> usize {
-        shard % MEMO_SHARD_BUCKETS
     }
 
     /// Snapshots everything into a [`SearchReport`].
@@ -329,10 +303,6 @@ impl CountingSink {
         wall: Duration,
     ) -> SearchReport {
         let (verdict, interrupted) = verdict_strings(&outcome.verdict);
-        let shard_hits: Vec<u64> =
-            self.shard_hits.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        let active_shards =
-            self.shard_inserts.iter().filter(|c| c.load(Ordering::Relaxed) > 0).count();
         SearchReport {
             verdict,
             wall_ms: wall.as_secs_f64() * 1e3,
@@ -343,8 +313,6 @@ impl CountingSink {
             memo_hits: outcome.stats.memo_hits,
             memo_misses: self.memo_misses(),
             memo_inserts: self.memo_inserts(),
-            memo_shard_hits: shard_hits,
-            active_shards,
             frontier_max: self.frontier_max(),
             frontier_mean: self.frontier_mean(),
             root_branches: self.root_branches(),
@@ -352,7 +320,7 @@ impl CountingSink {
             steals: outcome.stats.steals,
             interrupted,
             exhausted: matches!(outcome.verdict, Verdict::ResourcesExhausted),
-            objects: self.object_reports(),
+            objects: self.objects.lock().clone(),
         }
     }
 }
@@ -389,18 +357,16 @@ impl StatsSink for CountingSink {
         self.elements.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn on_memo_hit(&self, shard: usize) {
+    fn on_memo_hit(&self) {
         self.memo_hits.fetch_add(1, Ordering::Relaxed);
-        self.shard_hits[Self::bucket(shard)].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn on_memo_miss(&self, _shard: usize) {
+    fn on_memo_miss(&self) {
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn on_memo_insert(&self, shard: usize) {
+    fn on_memo_insert(&self) {
         self.memo_inserts.fetch_add(1, Ordering::Relaxed);
-        self.shard_inserts[Self::bucket(shard)].fetch_add(1, Ordering::Relaxed);
     }
 
     fn on_root_frontier(&self, branches: usize, workers: usize) {
@@ -460,11 +426,6 @@ pub struct SearchReport {
     pub memo_misses: u64,
     /// Refuted states inserted into the memo table.
     pub memo_inserts: u64,
-    /// Memo hits folded into [`MEMO_SHARD_BUCKETS`] shard buckets — an
-    /// imbalance here points at memo contention on hot stripes.
-    pub memo_shard_hits: Vec<u64>,
-    /// Shard buckets that received at least one insert.
-    pub active_shards: usize,
     /// Widest frontier of minimal operations at any node.
     pub frontier_max: u64,
     /// Mean frontier width across all nodes.
@@ -474,8 +435,8 @@ pub struct SearchReport {
     pub root_branches: u64,
     /// Workers the root frontier was split across (0 if not run).
     pub root_workers: u64,
-    /// Subtree tasks stolen from peer deques by idle workers (from the
-    /// authoritative [`crate::check::CheckStats`]; 0 without stealing).
+    /// Donated subtrees run by a worker other than their donor (from the
+    /// authoritative [`crate::check::CheckStats`]).
     pub steals: u64,
     /// `Some("deadline-exceeded" | "cancelled")` when the search was
     /// interrupted.
@@ -488,12 +449,7 @@ pub struct SearchReport {
 
 impl SearchReport {
     /// Serializes the report as compact single-line JSON.
-    ///
-    /// Shard hits are emitted sparsely (`{"bucket": hits, ...}`, nonzero
-    /// buckets only) to keep reports small.
     pub fn to_json(&self) -> String {
-        let shards = self.memo_shard_hits.iter().enumerate().filter(|(_, &h)| h > 0);
-        let shards = shards.fold(JsonLine::new(), |line, (i, h)| line.num(&i.to_string(), h));
         let rows = self.objects.iter().map(|o| {
             let row = JsonLine::new().num("object", o.object.0).ms("wall_ms", o.wall_ms);
             row.str("outcome", o.outcome.name()).finish()
@@ -511,8 +467,6 @@ impl SearchReport {
         .num("memo_hits", self.memo_hits)
         .num("memo_misses", self.memo_misses)
         .num("memo_inserts", self.memo_inserts)
-        .num("memo_shard_hits", shards.finish())
-        .num("active_shards", self.active_shards)
         .num("frontier_max", self.frontier_max)
         .ms("frontier_mean", self.frontier_mean)
         .num("root_branches", self.root_branches)
@@ -551,12 +505,11 @@ impl SearchReport {
         let probes = self.memo_hits + self.memo_misses;
         if probes > 0 {
             lines.push(format!(
-                "memo:    {} hits / {} misses ({:.1}% hit rate), {} inserts over {} active shard bucket(s)",
+                "memo:    {} hits / {} misses ({:.1}% hit rate), {} inserts",
                 self.memo_hits,
                 self.memo_misses,
                 self.memo_hits as f64 * 100.0 / probes as f64,
-                self.memo_inserts,
-                self.active_shards
+                self.memo_inserts
             ));
         }
         if self.frontier_max > 0 {
@@ -661,9 +614,9 @@ mod tests {
         sink.on_frontier(3);
         sink.on_frontier(5);
         sink.on_element_tried();
-        sink.on_memo_hit(70); // folds into bucket 70 % 64 = 6
-        sink.on_memo_miss(1);
-        sink.on_memo_insert(1);
+        sink.on_memo_hit();
+        sink.on_memo_miss();
+        sink.on_memo_insert();
         sink.on_root_frontier(12, 4);
         sink.on_interrupt(InterruptReason::DeadlineExceeded);
         sink.on_budget_exhausted(100);
@@ -677,7 +630,7 @@ mod tests {
         assert_eq!(sink.memo_misses(), 1);
         assert_eq!(sink.memo_inserts(), 1);
         assert_eq!(sink.root_branches(), 12);
-        let objects = sink.object_reports();
+        let objects = sink.objects.lock().clone();
         assert_eq!(objects.len(), 1);
         assert_eq!(objects[0].object, ObjectId(3));
         assert_eq!(objects[0].outcome, ObjectOutcome::NotCal);
@@ -696,15 +649,12 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_and_sparse() {
+    fn json_is_well_formed() {
         let sink = CountingSink::new();
-        sink.on_memo_hit(6);
-        sink.on_memo_hit(6);
         let report = sample_report(&sink, Verdict::NotCal);
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"nodes\": 7"), "{json}");
-        assert!(json.contains("\"memo_shard_hits\": {\"6\": 2}"), "{json}");
         assert!(json.contains("\"interrupted\": null"), "{json}");
         assert!(!json.contains('\n'), "single line expected: {json}");
     }
@@ -746,11 +696,9 @@ mod tests {
         let sink = CountingSink::new();
         sink.on_frontier(3);
         sink.on_frontier(4);
-        sink.on_memo_hit(6);
-        sink.on_memo_hit(70);
-        sink.on_memo_hit(9);
-        sink.on_memo_miss(1);
-        sink.on_memo_insert(1);
+        sink.on_memo_hit();
+        sink.on_memo_miss();
+        sink.on_memo_insert();
         sink.on_root_frontier(12, 4);
         sink.on_object_done(ObjectId(3), Duration::from_micros(2500), ObjectOutcome::NotCal);
         sink.on_object_done(ObjectId(1), Duration::from_millis(1), ObjectOutcome::Cal);
@@ -760,8 +708,7 @@ mod tests {
             "{\"verdict\": \"interrupted\", \"interrupted\": \"deadline-exceeded\", \
              \"exhausted\": false, \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \
              \"nodes\": 7, \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 1, \
-             \"memo_inserts\": 1, \"memo_shard_hits\": {\"6\": 2, \"9\": 1}, \
-             \"active_shards\": 1, \"frontier_max\": 4, \"frontier_mean\": 3.500, \
+             \"memo_inserts\": 1, \"frontier_max\": 4, \"frontier_mean\": 3.500, \
              \"root_branches\": 12, \"root_workers\": 4, \"steals\": 0, \"objects\": \
              [{\"object\": 3, \"wall_ms\": 2.500, \"outcome\": \"not-cal\"}, \
              {\"object\": 1, \"wall_ms\": 1.000, \"outcome\": \"cal\"}]}"
@@ -771,7 +718,7 @@ mod tests {
             "{\"verdict\": \"not-cal\", \"interrupted\": null, \"exhausted\": false, \
              \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \"nodes\": 7, \
              \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 0, \"memo_inserts\": 0, \
-             \"memo_shard_hits\": {}, \"active_shards\": 0, \"frontier_max\": 0, \
+             \"frontier_max\": 0, \
              \"frontier_mean\": 0.000, \"root_branches\": 0, \"root_workers\": 0, \
              \"steals\": 0, \"objects\": []}"
         );

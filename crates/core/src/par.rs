@@ -11,15 +11,15 @@
 //!    history by object id, checks the subhistories concurrently, and
 //!    merges the per-object witnesses back into one trace whose
 //!    interleaving respects the full history's real-time order.
-//! 2. **Work-stealing frontier splitting with a shared memo table.** When
-//!    the history cannot be decomposed (single object, or objects coupled
-//!    through a composed specification), the candidate *first* CA-elements
-//!    are enumerated once into a global injector, and workers run the
-//!    arena-based DFS against one shared lock-free fingerprint table
+//! 2. **Frontier splitting with a shared memo table.** When the history
+//!    cannot be decomposed (single object, or objects coupled through a
+//!    composed specification), the candidate *first* CA-elements are
+//!    enumerated once into one mutex-guarded task pool, and workers run
+//!    the arena-based DFS against one shared lock-free fingerprint table
 //!    ([`crate::fpmemo::FpMemo`]) so pruning discovered by one worker
-//!    benefits all of them. Idle workers steal deep subtrees from busy
-//!    peers' Chase–Lev-style deques ([`CheckOptions::stealing`]), so a
-//!    skewed root split no longer strands cores. A shared node counter
+//!    benefits all of them. A busy worker donates its shallowest spare
+//!    subtree to the pool whenever a peer has run dry, so a skewed root
+//!    split does not strand cores. A shared node counter
 //!    makes [`CheckOptions::max_nodes`] a global budget, and an internal
 //!    stop latch winds every worker down as soon as one finds a witness.
 //!
@@ -53,7 +53,8 @@ pub use crate::check::{CheckError, CheckOptions, CheckOutcome, CheckStats};
 /// restricted to every one of them ([`CaSpec::restrict`]), the check
 /// decomposes into independent per-object subchecks (CAL locality) run in
 /// parallel; otherwise the top-level frontier of candidate first elements
-/// is split across work-stealing workers sharing one lock-free memo table.
+/// is split across workers sharing one task pool and one lock-free memo
+/// table.
 ///
 /// # Errors
 ///

@@ -66,54 +66,6 @@ impl Recorder {
     }
 }
 
-/// A lock-free recorder built on a linearizable FIFO queue
-/// (`crossbeam`'s `SegQueue`): appends never block, and the drain order is
-/// consistent with real time because the queue itself is linearizable.
-/// Use when the mutex recorder's serialization would perturb a
-/// measurement; see the `recorder_overhead` ablation benchmark.
-#[derive(Debug, Default)]
-pub struct LockFreeRecorder {
-    log: crossbeam::queue::SegQueue<Action>,
-}
-
-impl LockFreeRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        LockFreeRecorder::default()
-    }
-
-    /// Records an invocation. Call immediately *before* starting the
-    /// operation.
-    pub fn invoke(&self, thread: ThreadId, object: ObjectId, method: Method, arg: Value) {
-        self.log.push(Action::invoke(thread, object, method, arg));
-    }
-
-    /// Records a response. Call immediately *after* the operation returns.
-    pub fn response(&self, thread: ThreadId, object: ObjectId, method: Method, ret: Value) {
-        self.log.push(Action::response(thread, object, method, ret));
-    }
-
-    /// Number of recorded actions so far.
-    pub fn len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// Drains the recorded actions into a history. Call after all
-    /// recording threads have finished.
-    pub fn into_history(self) -> History {
-        let mut actions = Vec::with_capacity(self.log.len());
-        while let Some(a) = self.log.pop() {
-            actions.push(a);
-        }
-        History::from_actions(actions)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,38 +109,5 @@ mod tests {
         r.invoke(ThreadId(0), ObjectId(0), Method("m"), Value::Unit);
         let h = r.into_history();
         assert_eq!(h.len(), 1);
-    }
-
-    #[test]
-    fn lock_free_recorder_single_thread_order() {
-        let r = LockFreeRecorder::new();
-        assert!(r.is_empty());
-        r.invoke(ThreadId(0), ObjectId(0), Method("m"), Value::Int(1));
-        r.response(ThreadId(0), ObjectId(0), Method("m"), Value::Int(2));
-        assert_eq!(r.len(), 2);
-        let h = r.into_history();
-        assert!(h.is_sequential());
-        assert!(h.is_complete());
-    }
-
-    #[test]
-    fn lock_free_recorder_concurrent_history_well_formed() {
-        let r = Arc::new(LockFreeRecorder::new());
-        std::thread::scope(|s| {
-            for t in 0..8u32 {
-                let r = Arc::clone(&r);
-                s.spawn(move || {
-                    for i in 0..200 {
-                        r.invoke(ThreadId(t), ObjectId(0), Method("op"), Value::Int(i));
-                        r.response(ThreadId(t), ObjectId(0), Method("op"), Value::Int(i));
-                    }
-                });
-            }
-        });
-        let r = Arc::into_inner(r).expect("all threads joined");
-        let h = r.into_history();
-        assert_eq!(h.len(), 8 * 400);
-        assert!(h.is_well_formed());
-        assert!(h.is_complete());
     }
 }

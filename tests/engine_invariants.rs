@@ -1,6 +1,6 @@
 //! Engine invariants locking in the parallel-search rebuild: whatever
-//! combination of worker count, memoization, work-stealing and symmetry
-//! reduction a check runs with, the *decided* verdict is the same — the
+//! combination of worker count, memoization and symmetry reduction a
+//! check runs with, the *decided* verdict is the same — the
 //! arena DFS, the lock-free fingerprint memo and subtree donation are
 //! pure optimizations, never semantics. Alongside the differential
 //! matrix, fingerprint-collision soundness for [`FpMemo`] and
@@ -112,25 +112,14 @@ fn option_matrix() -> Vec<CheckOptions> {
     for threads in [1usize, 2, 4, 8] {
         matrix.push(CheckOptions { threads, ..CheckOptions::default() });
     }
-    for (memoize, stealing, symmetry) in
-        [(false, true, true), (true, false, true), (true, true, false), (false, false, false)]
-    {
-        matrix.push(CheckOptions {
-            threads: 4,
-            memoize,
-            stealing,
-            symmetry,
-            ..CheckOptions::default()
-        });
+    for (memoize, symmetry) in [(false, true), (true, false), (false, false)] {
+        matrix.push(CheckOptions { threads: 4, memoize, symmetry, ..CheckOptions::default() });
     }
     matrix
 }
 
 fn label(o: &CheckOptions) -> String {
-    format!(
-        "threads={} memoize={} stealing={} symmetry={}",
-        o.threads, o.memoize, o.stealing, o.symmetry
-    )
+    format!("threads={} memoize={} symmetry={}", o.threads, o.memoize, o.symmetry)
 }
 
 /// Runs `check` over the whole option matrix and asserts every decided

@@ -288,20 +288,3 @@ fn stealing_neither_loses_nor_duplicates_nodes() {
         );
     }
 }
-
-#[test]
-fn stealing_off_disables_the_steal_counter() {
-    let options = CheckOptions {
-        threads: 8,
-        memoize: false,
-        stealing: false,
-        ..CheckOptions::default()
-    };
-    let outcome = engine::search_par(
-        &DeadTree { width: 3, depth: 8, stall_ms: 0 },
-        &options,
-    )
-    .unwrap();
-    assert_eq!(outcome.verdict, Verdict::NotCal);
-    assert_eq!(outcome.stats.steals, 0, "static splitting must never report steals");
-}
