@@ -1,17 +1,22 @@
 //! The chaos run driver: builds a live recorded object, runs a seeded
 //! workload against it under an injector, harvests the history, and pipes
 //! it into the deadline-aware CAL checker.
+//!
+//! Everything the harness knows about a target — CLI name, registry
+//! spec, constructor, operation mix — is its row of the private
+//! `TARGETS` table; the public [`TargetKind`] surface and both binaries'
+//! `--help` read that table.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cal_core::check::{CheckError, CheckOptions, CheckOutcome, CheckStats, Verdict};
 use cal_core::spec::CaSpec;
-use cal_core::Value;
-use cal_core::{History, ObjectId, ThreadId};
-use cal_objects::hooks;
+use cal_core::{History, Method, ObjectId, ThreadId, Value};
+use cal_objects::hooks::{self, ChaosHooks};
+use cal_objects::record::Recorder;
 use cal_objects::recorded::{
-    RecordedDualStack, RecordedEliminationStack, RecordedExchanger, RecordedSyncQueue,
+    Recorded, RecordedDualStack, RecordedEliminationStack, RecordedExchanger, RecordedSyncQueue,
     RecordedTreiberStack,
 };
 use cal_specs::registry::{self, run_ca, CheckMode, Selected, Visitor};
@@ -49,44 +54,130 @@ pub enum TargetKind {
     SyncQueue,
 }
 
+/// The one object of every run.
+const OBJ: ObjectId = ObjectId(0);
+/// Spin budgets are kept tiny: chaos points, not spinning, provide the
+/// waiting windows, and small budgets keep deterministic runs short.
+const SPIN: usize = 6;
+
+/// One target: its CLI name, the registry specification its histories
+/// must satisfy, and how to build a fresh object under its operation mix.
+struct Row {
+    kind: TargetKind,
+    name: &'static str,
+    spec: &'static str,
+    build: fn() -> Box<dyn Live>,
+}
+
+/// The targets, in CLI order.
+const TARGETS: [Row; 6] = [
+    Row {
+        kind: TargetKind::Exchanger,
+        name: "exchanger",
+        spec: registry::EXCHANGER,
+        build: || live(RecordedExchanger::new(OBJ), exchange),
+    },
+    Row {
+        kind: TargetKind::BuggyExchanger,
+        name: "buggy-exchanger",
+        spec: registry::EXCHANGER,
+        build: || live(RecordedExchanger::new_misdelivering(OBJ), exchange),
+    },
+    Row {
+        kind: TargetKind::TreiberStack,
+        name: "treiber-stack",
+        spec: registry::STACK,
+        build: || live(RecordedTreiberStack::new(OBJ), treiber_push_or_pop),
+    },
+    Row {
+        kind: TargetKind::ElimStack,
+        name: "elim-stack",
+        spec: registry::FAILING_STACK,
+        build: || live(RecordedEliminationStack::new(OBJ, 2, SPIN), elim_push_or_pop),
+    },
+    Row {
+        kind: TargetKind::DualStack,
+        name: "dual-stack",
+        spec: registry::DUAL_STACK,
+        build: || live(RecordedDualStack::new(OBJ), dual_push_or_pop),
+    },
+    Row {
+        kind: TargetKind::SyncQueue,
+        name: "sync-queue",
+        spec: registry::SYNC_QUEUE,
+        build: || live(RecordedSyncQueue::new(OBJ, SPIN), put_or_take),
+    },
+];
+
+fn exchange(e: &RecordedExchanger, turn: &Turn, rng: &mut SplitMix64) {
+    let spin = SPIN + rng.index(SPIN);
+    turn.op(e, EXCHANGE, Value::Int(turn.v), |t| e.exchange(t, turn.v, spin));
+}
+
+fn treiber_push_or_pop(s: &RecordedTreiberStack, turn: &Turn, rng: &mut SplitMix64) {
+    if rng.chance(128) {
+        turn.op(s, PUSH, Value::Int(turn.v), |t| s.push(t, turn.v));
+    } else {
+        turn.op(s, POP, Value::Unit, |t| s.pop(t));
+    }
+}
+
+fn elim_push_or_pop(s: &RecordedEliminationStack, turn: &Turn, rng: &mut SplitMix64) {
+    if rng.chance(128) {
+        turn.op(s, PUSH, Value::Int(turn.v), |t| s.push(t, turn.v));
+    } else {
+        let rounds = 1 + rng.index(3);
+        turn.op(s, POP, Value::Unit, |t| s.try_pop(t, rounds));
+    }
+}
+
+fn dual_push_or_pop(s: &RecordedDualStack, turn: &Turn, rng: &mut SplitMix64) {
+    if rng.chance(128) {
+        turn.op(s, PUSH, Value::Int(turn.v), |t| s.push(t, turn.v));
+    } else {
+        let patience = 1 + rng.index(3);
+        turn.op(s, POP, Value::Unit, |t| s.try_pop(t, patience));
+    }
+}
+
+fn put_or_take(q: &RecordedSyncQueue, turn: &Turn, rng: &mut SplitMix64) {
+    let (put, attempts) = (rng.chance(128), 1 + rng.index(3));
+    if put {
+        turn.op(q, PUT, Value::Int(turn.v), |t| q.try_put(t, turn.v, attempts));
+    } else {
+        turn.op(q, TAKE, Value::Unit, |t| q.try_take(t, attempts));
+    }
+}
+
 impl TargetKind {
     /// All checkable targets, in CLI order.
-    pub const ALL: [TargetKind; 6] = [
-        TargetKind::Exchanger,
-        TargetKind::BuggyExchanger,
-        TargetKind::TreiberStack,
-        TargetKind::ElimStack,
-        TargetKind::DualStack,
-        TargetKind::SyncQueue,
-    ];
+    pub const ALL: [TargetKind; 6] = {
+        let mut all = [TargetKind::Exchanger; TARGETS.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = TARGETS[i].kind;
+            i += 1;
+        }
+        all
+    };
+
+    fn row(self) -> &'static Row {
+        TARGETS.iter().find(|row| row.kind == self).expect("every target has its row")
+    }
 
     /// The target's CLI name.
     pub fn name(self) -> &'static str {
-        match self {
-            TargetKind::Exchanger => "exchanger",
-            TargetKind::BuggyExchanger => "buggy-exchanger",
-            TargetKind::TreiberStack => "treiber-stack",
-            TargetKind::ElimStack => "elim-stack",
-            TargetKind::DualStack => "dual-stack",
-            TargetKind::SyncQueue => "sync-queue",
-        }
+        self.row().name
     }
 
     /// Parses a CLI target name.
     pub fn parse(s: &str) -> Option<Self> {
-        TargetKind::ALL.into_iter().find(|t| t.name() == s)
+        TARGETS.iter().find(|row| row.name == s).map(|row| row.kind)
     }
 
     /// The registry specification the target's histories must satisfy.
     pub fn spec(self) -> Selected {
-        let name = match self {
-            TargetKind::Exchanger | TargetKind::BuggyExchanger => registry::EXCHANGER,
-            TargetKind::TreiberStack => registry::STACK,
-            TargetKind::ElimStack => registry::FAILING_STACK,
-            TargetKind::DualStack => registry::DUAL_STACK,
-            TargetKind::SyncQueue => registry::SYNC_QUEUE,
-        };
-        Selected::builtin(name).expect("registry constants name BUILTINS rows")
+        Selected::builtin(self.row().spec).expect("registry constants name BUILTINS rows")
     }
 }
 
@@ -109,6 +200,9 @@ pub enum Mode {
 }
 
 impl Mode {
+    /// Both modes, in CLI order.
+    pub const ALL: [Mode; 2] = [Mode::Deterministic, Mode::Stress];
+
     /// The mode's CLI name.
     pub fn name(self) -> &'static str {
         match self {
@@ -119,11 +213,7 @@ impl Mode {
 
     /// Parses a CLI mode name.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "deterministic" => Some(Mode::Deterministic),
-            "stress" => Some(Mode::Stress),
-            _ => None,
-        }
+        Mode::ALL.into_iter().find(|m| m.name() == s)
     }
 }
 
@@ -184,7 +274,6 @@ impl RunConfig {
     pub fn check_options(&self) -> CheckOptions {
         CheckOptions {
             max_nodes: self.max_nodes,
-            memoize: true,
             deadline: self.deadline,
             threads: self.check_threads,
             ..CheckOptions::default()
@@ -255,111 +344,59 @@ pub struct RunOutcome {
     pub verdict: ChaosVerdict,
 }
 
-/// The object every run talks to, behind one op vocabulary.
-enum LiveTarget {
-    Exchanger(RecordedExchanger),
-    Treiber(RecordedTreiberStack),
-    Elim(RecordedEliminationStack),
-    Dual(RecordedDualStack),
-    Sync(RecordedSyncQueue),
+/// A target's operation mix: draws the shape of one operation from the
+/// worker's RNG and takes the [`Turn`] on the object.
+type Mix<T> = fn(&Recorded<T>, &Turn, &mut SplitMix64);
+
+/// A live object as a run sees it, whatever its type: the log it
+/// records into, and its row's [`Mix`] bound to it.
+trait Live: Send + Sync {
+    fn recorder(&self) -> &Recorder;
+    fn op(&self, turn: &Turn, rng: &mut SplitMix64);
 }
 
-const OBJ: ObjectId = ObjectId(0);
-/// Spin budgets are kept tiny: chaos points, not spinning, provide the
-/// waiting windows, and small budgets keep deterministic runs short.
-const SPIN: usize = 6;
-
-impl LiveTarget {
-    fn build(kind: TargetKind) -> Self {
-        match kind {
-            TargetKind::Exchanger => LiveTarget::Exchanger(RecordedExchanger::new(OBJ)),
-            TargetKind::BuggyExchanger => {
-                LiveTarget::Exchanger(RecordedExchanger::new_misdelivering(OBJ))
-            }
-            TargetKind::TreiberStack => LiveTarget::Treiber(RecordedTreiberStack::new(OBJ)),
-            TargetKind::ElimStack => LiveTarget::Elim(RecordedEliminationStack::new(OBJ, 2, SPIN)),
-            TargetKind::DualStack => LiveTarget::Dual(RecordedDualStack::new(OBJ)),
-            TargetKind::SyncQueue => LiveTarget::Sync(RecordedSyncQueue::new(OBJ, SPIN)),
-        }
+impl<T: Send + Sync> Live for (Recorded<T>, Mix<T>) {
+    fn recorder(&self) -> &Recorder {
+        self.0.recorder()
     }
 
-    /// Runs (or, if `abandon`, merely records the invocation of) worker
-    /// `t`'s `i`-th operation. The op shape depends only on `(rng, t, i)`
-    /// so an abandoned op consumes the same randomness as a real one.
-    fn op(&self, t: ThreadId, i: usize, rng: &mut SplitMix64, abandon: bool) {
-        // A value unique to (worker, op): misdelivery and duplication
-        // bugs become visible in the history.
-        let v = (t.0 as i64) * 1_000_000 + i as i64;
-        match self {
-            LiveTarget::Exchanger(e) => {
-                if abandon {
-                    e.recorder().invoke(t, OBJ, EXCHANGE, Value::Int(v));
-                } else {
-                    e.exchange(t, v, SPIN + rng.index(SPIN));
-                }
-            }
-            LiveTarget::Treiber(s) => {
-                if rng.chance(128) {
-                    if abandon {
-                        s.recorder().invoke(t, OBJ, PUSH, Value::Int(v));
-                    } else {
-                        s.push(t, v);
-                    }
-                } else if abandon {
-                    s.recorder().invoke(t, OBJ, POP, Value::Unit);
-                } else {
-                    s.pop(t);
-                }
-            }
-            LiveTarget::Elim(s) => {
-                if rng.chance(128) {
-                    if abandon {
-                        s.recorder().invoke(t, OBJ, PUSH, Value::Int(v));
-                    } else {
-                        s.push(t, v);
-                    }
-                } else if abandon {
-                    s.recorder().invoke(t, OBJ, POP, Value::Unit);
-                } else {
-                    s.try_pop(t, 1 + rng.index(3));
-                }
-            }
-            LiveTarget::Dual(s) => {
-                if rng.chance(128) {
-                    if abandon {
-                        s.recorder().invoke(t, OBJ, PUSH, Value::Int(v));
-                    } else {
-                        s.push(t, v);
-                    }
-                } else if abandon {
-                    s.recorder().invoke(t, OBJ, POP, Value::Unit);
-                } else {
-                    s.try_pop(t, 1 + rng.index(3));
-                }
-            }
-            LiveTarget::Sync(q) => {
-                if rng.chance(128) {
-                    if abandon {
-                        q.recorder().invoke(t, OBJ, PUT, Value::Int(v));
-                    } else {
-                        q.try_put(t, v, 1 + rng.index(3));
-                    }
-                } else if abandon {
-                    q.recorder().invoke(t, OBJ, TAKE, Value::Unit);
-                } else {
-                    q.try_take(t, 1 + rng.index(3));
-                }
-            }
-        }
+    fn op(&self, turn: &Turn, rng: &mut SplitMix64) {
+        (self.1)(&self.0, turn, rng)
     }
+}
 
-    fn history(&self) -> History {
-        match self {
-            LiveTarget::Exchanger(e) => e.recorder().history(),
-            LiveTarget::Treiber(s) => s.recorder().history(),
-            LiveTarget::Elim(s) => s.recorder().history(),
-            LiveTarget::Dual(s) => s.recorder().history(),
-            LiveTarget::Sync(q) => q.recorder().history(),
+fn live<T: Send + Sync + 'static>(object: Recorded<T>, mix: Mix<T>) -> Box<dyn Live> {
+    Box::new((object, mix))
+}
+
+/// One worker's turn at the object: who it is, the value it offers, and
+/// whether it dies inside the operation.
+struct Turn {
+    thread: ThreadId,
+    /// A value unique to (worker, op): misdelivery and duplication bugs
+    /// become visible in the history.
+    v: i64,
+    abandons: bool,
+}
+
+impl Turn {
+    /// Performs `call` — or, for a worker that abandons, only logs that
+    /// it invoked `method(arg)`, the invocation `call` would have logged
+    /// (`an_abandoned_turn_invokes_what_a_completed_one_does` holds the
+    /// two together). A mix draws an operation's whole shape before it
+    /// gets here, so an abandoned operation consumes the same randomness
+    /// as a completed one.
+    fn op<T, R>(
+        &self,
+        object: &Recorded<T>,
+        method: Method,
+        arg: Value,
+        call: impl FnOnce(ThreadId) -> R,
+    ) {
+        if self.abandons {
+            object.abandon(self.thread, method, arg);
+        } else {
+            call(self.thread);
         }
     }
 }
@@ -388,60 +425,50 @@ impl Visitor for Check<'_> {
 /// registry is global.
 pub fn run_once(config: &RunConfig) -> RunOutcome {
     let _serial = run_lock();
-    let target = LiveTarget::build(config.target);
+    let target = (config.target.row().build)();
     let plan = config.profile.plan();
 
-    match config.mode {
-        Mode::Deterministic => {
-            let sched = Scheduler::new(config.threads, config.seed, plan);
-            let _hooks = hooks::install(Arc::clone(&sched) as Arc<dyn hooks::ChaosHooks>);
-            std::thread::scope(|scope| {
-                for w in 0..config.threads {
-                    let sched = &sched;
-                    let target = &target;
-                    scope.spawn(move || {
-                        let _id = enter_worker(w, config.seed);
-                        let _reg = hooks::register_current_thread();
-                        let mut rng = SplitMix64::for_worker(config.seed, w);
-                        sched.wait_for_turn(w);
-                        for i in 0..config.ops_per_thread {
-                            let abandon = plan.abandon_prob > 0 && rng.chance(plan.abandon_prob);
-                            target.op(ThreadId(w as u32), i, &mut rng, abandon);
-                            if abandon {
-                                // The worker dies mid-operation: its
-                                // invocation stays pending forever.
-                                break;
-                            }
-                        }
-                        sched.finish(w);
-                    });
+    // The two modes differ in the injector, and in that deterministic
+    // workers take turns on the scheduler's token.
+    let sched = (config.mode == Mode::Deterministic)
+        .then(|| Scheduler::new(config.threads, config.seed, plan));
+    let injector: Arc<dyn ChaosHooks> = match &sched {
+        Some(sched) => Arc::clone(sched) as _,
+        None => StressInjector::new(config.threads, plan),
+    };
+    let installed = hooks::install(injector);
+    std::thread::scope(|scope| {
+        for w in 0..config.threads {
+            let (sched, target) = (sched.as_deref(), &*target);
+            scope.spawn(move || {
+                let _id = enter_worker(w, config.seed);
+                let _reg = hooks::register_current_thread();
+                let mut rng = SplitMix64::for_worker(config.seed, w);
+                if let Some(sched) = sched {
+                    sched.wait_for_turn(w);
+                }
+                for i in 0..config.ops_per_thread {
+                    let turn = Turn {
+                        thread: ThreadId(w as u32),
+                        v: (w as i64) * 1_000_000 + i as i64,
+                        abandons: plan.abandon_prob > 0 && rng.chance(plan.abandon_prob),
+                    };
+                    target.op(&turn, &mut rng);
+                    if turn.abandons {
+                        // The worker dies mid-operation: its invocation
+                        // stays pending forever.
+                        break;
+                    }
+                }
+                if let Some(sched) = sched {
+                    sched.finish(w);
                 }
             });
         }
-        Mode::Stress => {
-            let inj = StressInjector::new(config.threads, plan);
-            let _hooks = hooks::install(inj as Arc<dyn hooks::ChaosHooks>);
-            std::thread::scope(|scope| {
-                for w in 0..config.threads {
-                    let target = &target;
-                    scope.spawn(move || {
-                        let _id = enter_worker(w, config.seed);
-                        let _reg = hooks::register_current_thread();
-                        let mut rng = SplitMix64::for_worker(config.seed, w);
-                        for i in 0..config.ops_per_thread {
-                            let abandon = plan.abandon_prob > 0 && rng.chance(plan.abandon_prob);
-                            target.op(ThreadId(w as u32), i, &mut rng, abandon);
-                            if abandon {
-                                break;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-    }
+    });
+    drop(installed);
 
-    let history = target.history();
+    let history = target.recorder().history();
     let selected = config.spec.clone().unwrap_or_else(|| config.target.spec());
     let result = selected.visit(CheckMode::Cal, OBJ, Check(&history, config.check_options()));
     let verdict = match result {
@@ -477,26 +504,16 @@ pub enum SoakResult {
 /// elapses or a run fails. A failure is re-run and greedily shrunk to a
 /// minimal reproducer (same seed, smaller workload).
 pub fn soak(config: &RunConfig, budget: Duration) -> SoakResult {
-    soak_with(config, budget, |_, _| {})
+    soak_interruptible(config, budget, || false, |_, _| {})
 }
 
 /// Like [`soak`], invoking `on_run` after every completed run with the
-/// run's outcome and the wall-clock elapsed since the soak started —
-/// the hook the `chaos-soak` binary hangs its progress lines and
-/// per-seed search-statistics aggregation on. The failing run (if any)
-/// is observed before shrinking begins.
-pub fn soak_with(
-    config: &RunConfig,
-    budget: Duration,
-    on_run: impl FnMut(&RunOutcome, Duration),
-) -> SoakResult {
-    soak_interruptible(config, budget, || false, on_run)
-}
-
-/// Like [`soak_with`], additionally polling `stop` between runs: when it
-/// returns `true` the soak ends early with a [`SoakResult::Clean`] tally
-/// of the runs completed so far. This is the cancellation point the
-/// `chaos-soak` binary wires its SIGINT/SIGTERM flag into, so an
+/// run's outcome and the wall-clock elapsed since the soak started (the
+/// failing run, if any, is observed before shrinking begins), and
+/// polling `stop` between runs: when it returns `true` the soak ends
+/// early with a [`SoakResult::Clean`] tally of the runs completed so
+/// far. `chaos-soak` hangs its progress lines and per-seed aggregates on
+/// the first and its SIGINT/SIGTERM flag on the second, so an
 /// interrupted soak still flushes its per-target aggregates instead of
 /// dying mid-loop. `stop` is checked *before* each run, never mid-run —
 /// a run that has started always completes and is observed by `on_run`.
@@ -537,8 +554,28 @@ mod tests {
             assert_eq!(TargetKind::parse(t.name()), Some(t));
         }
         assert_eq!(TargetKind::parse("bogus"), None);
-        for m in [Mode::Deterministic, Mode::Stress] {
+        for m in Mode::ALL {
             assert_eq!(Mode::parse(m.name()), Some(m));
+        }
+    }
+
+    /// `Turn::op` is handed an operation's invocation next to its call;
+    /// this holds the two together. From the same RNG state, what an
+    /// abandoning worker logs is what a completing one logs first.
+    #[test]
+    fn an_abandoned_turn_invokes_what_a_completed_one_does() {
+        for row in &TARGETS {
+            for seed in 0..32 {
+                let invocation = |abandons| {
+                    let object = (row.build)();
+                    let turn = Turn { thread: ThreadId(1), v: 7, abandons };
+                    object.op(&turn, &mut SplitMix64::for_worker(seed, 0));
+                    let history = object.recorder().history();
+                    assert_eq!(history.len(), if abandons { 1 } else { 2 });
+                    history.actions()[0]
+                };
+                assert_eq!(invocation(true), invocation(false), "{} seed {seed}", row.name);
+            }
         }
     }
 

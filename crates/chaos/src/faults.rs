@@ -89,6 +89,9 @@ pub enum Profile {
 }
 
 impl Profile {
+    /// Every profile, in CLI order.
+    pub const ALL: [Profile; 3] = [Profile::Light, Profile::Heavy, Profile::Starvation];
+
     /// The fault plan this profile stands for.
     pub fn plan(self) -> FaultPlan {
         match self {
@@ -133,12 +136,7 @@ impl Profile {
 
     /// Parses a CLI profile name.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "light" => Some(Profile::Light),
-            "heavy" => Some(Profile::Heavy),
-            "starvation" => Some(Profile::Starvation),
-            _ => None,
-        }
+        Profile::ALL.into_iter().find(|p| p.name() == s)
     }
 }
 
@@ -179,7 +177,7 @@ mod tests {
 
     #[test]
     fn profiles_parse_round_trip() {
-        for p in [Profile::Light, Profile::Heavy, Profile::Starvation] {
+        for p in Profile::ALL {
             assert_eq!(Profile::parse(p.name()), Some(p));
         }
         assert_eq!(Profile::parse("nope"), None);

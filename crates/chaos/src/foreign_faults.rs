@@ -17,9 +17,10 @@
 
 use std::collections::HashMap;
 
+use cal_core::format::write_jepsen_record;
 use cal_core::spec::CaSpec;
 use cal_core::stream::{Ingest, Reply, StreamOptions, StreamVerdict};
-use cal_core::{Action, ActionKind, History, ThreadId, Value};
+use cal_core::{ActionKind, History, ThreadId, Value};
 
 use crate::faults::SplitMix64;
 
@@ -105,38 +106,18 @@ fn render_with_cuts(history: &History, cuts: &[usize]) -> String {
         if cuts.contains(&i) {
             // The ack never reached the observer: outcome unknown, the
             // process is retired, the client restarts fresh.
-            out.push_str(&record(p, "info", a, Value::Unit));
+            write_jepsen_record(&mut out, p, "info", a, Value::Unit);
             out.push_str(&format!("; process {p} crashed; client restarts as {fresh}\n"));
             process.insert(a.thread(), fresh);
             fresh += 1;
         } else {
             match a.kind() {
-                ActionKind::Invoke(arg) => out.push_str(&record(p, "invoke", a, arg)),
-                ActionKind::Response(ret) => out.push_str(&record(p, "ok", a, ret)),
+                ActionKind::Invoke(arg) => write_jepsen_record(&mut out, p, "invoke", a, arg),
+                ActionKind::Response(ret) => write_jepsen_record(&mut out, p, "ok", a, ret),
             }
         }
     }
     out
-}
-
-fn record(process: u32, kind: &str, a: &Action, value: Value) -> String {
-    format!(
-        "{{:process {process}, :type :{kind}, :f :{}, :value {}, :key {}}}\n",
-        a.method().0,
-        jval(value),
-        a.object().0
-    )
-}
-
-/// The EDN spelling of a wire value, matching what the Jepsen parser
-/// reads back (`nil`, booleans, integers, `[bool int]` pairs).
-fn jval(v: Value) -> String {
-    match v {
-        Value::Unit => "nil".to_owned(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(n) => n.to_string(),
-        Value::Pair(b, n) => format!("[{b} {n}]"),
-    }
 }
 
 /// Replays a foreign wire text through [`Ingest::line`] — the policy
@@ -167,7 +148,7 @@ mod tests {
     use cal_core::format::{parse_as, Format};
     use cal_core::seqlin::is_linearizable;
     use cal_core::spec::SeqAsCa;
-    use cal_core::ObjectId;
+    use cal_core::{Action, ObjectId};
     use cal_specs::kv::KvMapSpec;
     use cal_specs::vocab::{READ, WRITE};
 

@@ -4,7 +4,7 @@
 
 use cal_core::check::CheckStats;
 
-use crate::driver::RunOutcome;
+use crate::driver::{RunConfig, RunOutcome};
 
 /// The kind of failure a chaos run surfaced. Shrinking preserves the
 /// class so a reproducer demonstrates the same problem.
@@ -34,7 +34,7 @@ impl std::fmt::Display for FailureClass {
 #[derive(Debug)]
 pub struct FailureReport {
     /// The minimal failing configuration (seed included).
-    pub config: crate::driver::RunConfig,
+    pub config: RunConfig,
     /// The failure class the shrinker preserved.
     pub class: FailureClass,
     /// The verdict text of the minimal run.
@@ -72,17 +72,33 @@ impl FailureReport {
         self
     }
 
-    /// The CLI invocation that replays this exact failure.
+    /// The CLI invocation that replays this exact failure: the shape,
+    /// and every checker setting that differs from
+    /// [`RunConfig::default`] — an `undecided` found under a 50 ms
+    /// deadline is not reproduced by a run under the default 2 s. The
+    /// path of a `--spec` file is not part of the configuration, so it is
+    /// left for the reader to fill in next to the spec's name.
     pub fn repro_command(&self) -> String {
-        format!(
+        let (config, defaults) = (&self.config, RunConfig::default());
+        let mut command = format!(
             "chaos-soak --seed {:#x} --target {} --threads {} --ops {} --profile {} --mode {}",
-            self.config.seed,
-            self.config.target,
-            self.config.threads,
-            self.config.ops_per_thread,
-            self.config.profile,
-            self.config.mode,
-        )
+            config.seed,
+            config.target,
+            config.threads,
+            config.ops_per_thread,
+            config.profile,
+            config.mode,
+        );
+        if config.check_threads != defaults.check_threads {
+            command += &format!(" --check-threads {}", config.check_threads);
+        }
+        if let Some(deadline) = config.deadline.filter(|d| Some(*d) != defaults.deadline) {
+            command += &format!(" --deadline-ms {}", deadline.as_millis());
+        }
+        if let Some(spec) = &config.spec {
+            command += &format!(" --spec <FILE.cal> --spec-name {}", spec.name());
+        }
+        command
     }
 }
 
@@ -128,6 +144,27 @@ mod tests {
         assert!(text.contains("0xbeef"), "seed missing:\n{text}");
         assert!(text.contains("chaos-soak --seed 0xbeef"), "repro missing:\n{text}");
         assert!(text.contains("exchanger"), "target missing:\n{text}");
+    }
+
+    /// A failure found under non-default checker settings is reported
+    /// with them: without `--deadline-ms 50` an `undecided` replays under
+    /// the 2 s default and passes.
+    #[test]
+    fn repro_carries_non_default_checker_settings() {
+        let repro = |config: RunConfig| {
+            FailureReport::new(run_once(&config), FailureClass::Undecided).repro_command()
+        };
+        let plain = repro(RunConfig { seed: 0xBEEF, ..Default::default() });
+        assert!(plain.ends_with("--mode deterministic"), "defaults are not spelled out: {plain}");
+        let tuned = repro(RunConfig {
+            seed: 0xBEEF,
+            check_threads: 4,
+            deadline: Some(std::time::Duration::from_millis(50)),
+            spec: Some(TargetKind::Exchanger.spec()),
+            ..Default::default()
+        });
+        let spec = "--spec <FILE.cal> --spec-name exchanger";
+        assert_eq!(tuned, format!("{plain} --check-threads 4 --deadline-ms 50 {spec}"));
     }
 
     #[test]

@@ -769,18 +769,36 @@ pub fn format_jepsen(history: &History) -> String {
     for a in history.actions() {
         let kind = if a.is_invoke() { "invoke" } else { "ok" };
         let value = a.arg().or_else(|| a.ret()).expect("every action carries a value");
-        out.push_str(&format!(
-            "{{:process {}, :type :{}, :f :{}, :key {}, :value {}}}\n",
-            a.thread().0,
-            kind,
-            a.method(),
-            a.object().0,
-            jepsen_value(value),
-        ));
+        write_jepsen_record(&mut out, a.thread().0, kind, a, value);
     }
     out
 }
 
+/// Appends the jepsen record of `action` to `out` as process `process`
+/// saw it: `kind` is the record's `:type` (`invoke`, `ok`, `fail` or
+/// `info`) and `value` its `:value`, which for a lost acknowledgement is
+/// not the action's own. The one writer of this wire shape:
+/// [`format_jepsen`] and the chaos harness's foreign-trace faults both
+/// spell records through it.
+pub fn write_jepsen_record(
+    out: &mut String,
+    process: u32,
+    kind: &str,
+    action: &Action,
+    value: Value,
+) {
+    out.push_str(&format!(
+        "{{:process {}, :type :{}, :f :{}, :key {}, :value {}}}\n",
+        process,
+        kind,
+        action.method(),
+        action.object().0,
+        jepsen_value(value),
+    ));
+}
+
+/// The EDN spelling of a wire value, matching what the jepsen parser
+/// reads back (`nil`, booleans, integers, `[bool int]` pairs).
 fn jepsen_value(v: Value) -> String {
     match v {
         Value::Unit => "nil".to_string(),

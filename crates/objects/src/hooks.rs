@@ -276,13 +276,14 @@ impl Backoff {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
 
-    /// Serializes the install/uninstall tests (the registry is global).
-    static INSTALL_LOCK: Mutex<()> = Mutex::new(());
+    /// Serializes every test in this crate that installs hooks (the
+    /// registry is global).
+    pub(crate) static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 
     struct Counter {
         points: AtomicUsize,

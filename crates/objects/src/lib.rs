@@ -10,8 +10,9 @@
 //! - [`elim_stack::EliminationStack`] — Hendler et al.'s elimination
 //!   stack;
 //! - [`sync_queue::SyncQueue`] — the exchanger-based synchronous queue;
-//! - [`record::Recorder`] and the [`recorded`] wrappers — history
-//!   recording for offline CAL / linearizability checking of real runs;
+//! - [`record::Recorder`] and [`recorded::Recorded`], the one wrapper
+//!   with the one recording bracket — history recording for offline CAL /
+//!   linearizability checking of real runs;
 //! - [`hooks`] — chaos instrumentation points and capped-exponential
 //!   backoff, the substrate of the `cal-chaos` fault-injection harness.
 

@@ -23,11 +23,12 @@
 //!            `cal_specs::registry` — or a name defined by `--spec`
 //!   FILE     history file, or - for stdin
 //!   DIR      directory of history files, checked concurrently
-//!   PROFILE  light | heavy | starvation
-//!   T        exchanger | buggy-exchanger | treiber-stack | elim-stack |
-//!            dual-stack | sync-queue       (default exchanger)
+//!   PROFILE  a fault profile — `--help` lists them (`Profile::ALL`)
+//!   T        a live object (default exchanger) — `--help` lists them, one
+//!            row each in `cal_chaos::driver` (`TargetKind::ALL`)
 //!   M        file/batch mode: cal | seq | interval | causal (default cal)
-//!            chaos mode:      deterministic | stress        (default deterministic)
+//!            chaos mode: a scheduling model (default deterministic) —
+//!            `--help` lists them (`Mode::ALL`)
 //!
 //! `--format` selects the input trace format (default `auto`: sniff each
 //! input, first contentful line wins). The `kv` spec — a map of
@@ -103,7 +104,8 @@ use std::time::{Duration, Instant};
 use cal::chaos::driver::{run_once, ChaosVerdict, Mode, RunConfig, TargetKind};
 use cal::chaos::Profile;
 use cal::cli::{
-    self, parse_seed, Args, EXIT_ACCEPTED, EXIT_ERROR, EXIT_REJECTED, EXIT_UNDECIDED, EXIT_USAGE,
+    self, one_of, parse_seed, Args, EXIT_ACCEPTED, EXIT_ERROR, EXIT_REJECTED, EXIT_UNDECIDED,
+    EXIT_USAGE,
 };
 use cal::core::check::{CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::format::{self, Format};
@@ -134,10 +136,10 @@ fn usage() -> io::Result<ExitCode> {
          SPEC:    {}\n\
          FILE:    history file (native, jepsen, or kvlog format), or - for stdin\n\
          DIR:     directory of history files, checked concurrently\n\
-         PROFILE: light | heavy | starvation\n\
-         T:       exchanger | buggy-exchanger | treiber-stack | elim-stack | dual-stack | sync-queue\n\
+         PROFILE: {}\n\
+         T:       {}\n\
          M:       cal | seq | interval | causal (file/batch; default cal)\n\
-         \x20        — deterministic | stress (chaos)\n\
+         \x20        — {} (chaos)\n\
          \n\
          --spec         load user specs from a .cal file (docs/SPEC_DSL.md); loaded\n\
          \x20              names shadow built-ins, and with a single-spec file the\n\
@@ -154,7 +156,10 @@ fn usage() -> io::Result<ExitCode> {
          --explain      print why the verdict was slow or undecided (file mode)\n\
          \n\
          exit status: 0 accepted, 1 rejected, 2 undecided, 3 input/checker error, 4 usage",
-        registry::builtin_names(None)
+        registry::builtin_names(None),
+        one_of(Profile::ALL),
+        one_of(TargetKind::ALL),
+        one_of(Mode::ALL),
     )?;
     Ok(ExitCode::from(EXIT_USAGE))
 }

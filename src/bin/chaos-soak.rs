@@ -9,13 +9,14 @@
 //!                   [--profile <P>] [--mode <M>] [--deadline-ms <N>]
 //!                   [--stats]
 //!
-//!   T  exchanger | buggy-exchanger | treiber-stack | elim-stack |
-//!      dual-stack | sync-queue | all            (default all)
-//!   P  light | heavy | starvation               (default heavy)
-//!   M  deterministic | stress                   (default deterministic)
+//!   T  a live object, or `all` (the default)
+//!   P  a fault profile                          (default heavy)
+//!   M  a scheduling model                       (default deterministic)
 //!
-//! `all` soaks every target except the deliberately broken
-//! buggy-exchanger, splitting the time budget evenly.
+//! `--help` lists the values of T, P and M from the tables that define
+//! them: `TargetKind::ALL` (one row per target in `cal_chaos::driver`),
+//! `Profile::ALL` and `Mode::ALL`. `all` soaks every target except the
+//! deliberately broken exchanger, splitting the time budget evenly.
 //!
 //! `--spec <FILE.cal>` checks harvested histories against a runtime-loaded
 //! spec (docs/SPEC_DSL.md) instead of the target's built-in one, with the
@@ -61,7 +62,7 @@ use std::time::{Duration, Instant};
 use cal::chaos::driver::{soak_interruptible, Mode, RunConfig, SoakResult, TargetKind};
 use cal::chaos::Profile;
 use cal::cli::{
-    self, install_shutdown_handler, parse_seed, shutdown_requested, Args, EXIT_ACCEPTED,
+    self, install_shutdown_handler, one_of, parse_seed, shutdown_requested, Args, EXIT_ACCEPTED,
     EXIT_ERROR, EXIT_REJECTED, EXIT_USAGE,
 };
 use cal::core::check::CheckStats;
@@ -75,9 +76,9 @@ fn usage() -> io::Result<ExitCode> {
          \x20                 [--threads <N>] [--check-threads <N>] [--ops <N>]\n\
          \x20                 [--profile <P>] [--mode <M>] [--deadline-ms <N>] [--stats]\n\
          \n\
-         T: exchanger | buggy-exchanger | treiber-stack | elim-stack | dual-stack | sync-queue | all\n\
-         P: light | heavy | starvation\n\
-         M: deterministic | stress\n\
+         T: {} | all\n\
+         P: {}\n\
+         M: {}\n\
          --spec: check against a runtime-loaded .cal spec (docs/SPEC_DSL.md) instead of\n\
          \x20       the target's built-in; compiled before any run, compile failure exits 3;\n\
          \x20       requires a single explicit --target\n\
@@ -85,6 +86,9 @@ fn usage() -> io::Result<ExitCode> {
          \x20       one-spec file needs no name. Built-ins:\n\
          \x20       {}\n\
          --stats: periodic progress lines + per-target search-cost aggregate keyed by seed",
+        one_of(TargetKind::ALL),
+        one_of(Profile::ALL),
+        one_of(Mode::ALL),
         registry::builtin_names(Some(CheckMode::Cal))
     )?;
     Ok(ExitCode::from(EXIT_USAGE))

@@ -109,6 +109,14 @@ impl Iterator for Args {
     }
 }
 
+/// `a | b | c`: how `--help` spells a closed set of values. Each such
+/// line is generated from the table that defines the set
+/// (`TargetKind::ALL`, `Profile::ALL`, `Mode::ALL`), the way the SPEC
+/// line comes from the registry.
+pub fn one_of<T: std::fmt::Display>(values: impl IntoIterator<Item = T>) -> String {
+    values.into_iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" | ")
+}
+
 /// Accepts decimal or `0x`-prefixed hex seeds.
 pub fn parse_seed(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {

@@ -122,3 +122,56 @@ fn healthy_targets_soak_clean() {
         }
     }
 }
+
+/// FNV-1a over the history's text: a digest that is a function of the
+/// bytes alone, so a table recorded by one build holds for the next.
+fn fold(digest: u64, text: &str) -> u64 {
+    text.bytes().fold(digest, |d, b| (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// The seeds every cell of [`REPLAY`] folds, each with its own shape.
+const REPLAY_SEEDS: [u64; 8] = [0, 1, 2, 7, 42, 0xBEEF, 0xCA11, 9_999];
+
+fn replay_digest(target: TargetKind, profile: Profile) -> u64 {
+    REPLAY_SEEDS.iter().enumerate().fold(0xCBF2_9CE4_8422_2325, |digest, (i, &seed)| {
+        let config = RunConfig {
+            seed,
+            threads: 2 + i % 3,
+            ops_per_thread: 3 + i % 4,
+            target,
+            profile,
+            ..RunConfig::default()
+        };
+        fold(digest, &run_once(&config).history.to_string())
+    })
+}
+
+/// Replay across versions: the digests below were recorded at the commit
+/// before the recorded objects moved onto one `Recorded<T>` bracket and
+/// the driver onto one table of targets. A seed printed in an old
+/// failure report is a reproducer only while deterministic mode yields
+/// the same history for the same `(seed, target, profile, shape)` — RNG
+/// draws in the same order, `OpStart` / `OpEnd` at the same places — so
+/// this is pinned, not just compared between two runs of one build.
+/// Rows follow `TargetKind::ALL`, columns `Profile::ALL`.
+const REPLAY: [[u64; 3]; 6] = [
+    [0xa5ce84b47a8df702, 0x484fb42417c076b1, 0x46118278d1c2b6e3], // exchanger
+    [0xd510f6efd3325689, 0x080a455b053685cd, 0xe1868bd067815be6], // buggy-exchanger
+    [0xf54594fb5f487563, 0x60ce0e277cf4af17, 0x5a7e3ff16d53bf46], // treiber-stack
+    [0x2b89c8d1d6015729, 0xb245f7e5a0629a13, 0xd8d78a67b442d4bc], // elim-stack
+    [0xadaefd769673b957, 0x18991c61bc212d24, 0x8308c6ae35eccfdd], // dual-stack
+    [0xf7930307c39d6ae6, 0xba035df67411ebe2, 0x3ad45f5403e2c572], // sync-queue
+];
+
+#[test]
+fn deterministic_histories_replay_across_versions() {
+    for (target, row) in TargetKind::ALL.into_iter().zip(REPLAY) {
+        for (profile, pinned) in Profile::ALL.into_iter().zip(row) {
+            assert_eq!(
+                replay_digest(target, profile),
+                pinned,
+                "{target} under {profile}: an old seed no longer replays to its history"
+            );
+        }
+    }
+}

@@ -6,6 +6,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
+use cal::chaos::driver::{Mode, TargetKind};
+use cal::chaos::Profile;
 use cal::specs::registry::{CheckMode, Selected, BUILTINS};
 
 const CHECK: &str = env!("CARGO_BIN_EXE_cal-check");
@@ -95,17 +97,28 @@ fn parser_flags(source: &str) -> Vec<&str> {
     flags
 }
 
-/// (b) `--help` is keyed to the registry and to the parser, not to a
-/// pasted string: it names every built-in the binary serves and every
-/// flag the parser has an arm for — and so does the module documentation.
+/// The values `help` lists, `|`-separated, on its line labelled `label`.
+fn listed<'a>(help: &'a str, label: &str) -> Vec<&'a str> {
+    let line = help.lines().find_map(|l| l.strip_prefix(label)).unwrap_or_default();
+    line.split('|').map(str::trim).collect()
+}
+
+/// (b) `--help` is keyed to the registry, to the chaos tables and to the
+/// parser, not to a pasted string: it names every built-in the binary
+/// serves, exactly the chaos targets and profiles and every scheduling
+/// model (on the two binaries that run chaos workloads), and every flag
+/// the parser has an arm for — and so does the module documentation.
 #[test]
 fn help_names_every_served_builtin_and_every_flag() {
+    // Per binary: the built-ins it serves, the fewest flags its parser
+    // must show, and the labels of its chaos target and profile lines.
+    let cal = Some(CheckMode::Cal);
     let binaries = [
-        (CHECK, include_str!("../src/bin/cal-check.rs"), None, 18),
-        (SERVE, include_str!("../src/bin/cal-serve.rs"), Some(CheckMode::Cal), 15),
-        (SOAK, include_str!("../src/bin/chaos-soak.rs"), Some(CheckMode::Cal), 12),
+        (CHECK, include_str!("../src/bin/cal-check.rs"), None, 18, Some(("T:", "PROFILE:"))),
+        (SERVE, include_str!("../src/bin/cal-serve.rs"), cal, 15, None),
+        (SOAK, include_str!("../src/bin/chaos-soak.rs"), cal, 12, Some(("T:", "P:"))),
     ];
-    for (exe, source, serves, at_least) in binaries {
+    for (exe, source, serves, at_least, chaos) in binaries {
         let out = run(exe, &["--help"], "");
         assert_eq!(out.status.code(), Some(4), "{exe} --help is the usage exit");
         let help = String::from_utf8_lossy(&out.stderr);
@@ -114,6 +127,16 @@ fn help_names_every_served_builtin_and_every_flag() {
         for (name, kind) in BUILTINS {
             let served = serves.is_none_or(|mode| kind.supports(mode));
             assert_eq!(words.contains(&name), served, "{exe} --help and built-in {name}");
+        }
+        if let Some((targets, profiles)) = chaos {
+            // `all` is chaos-soak's extra target value, not a target.
+            let mut listed_targets = listed(&help, targets);
+            listed_targets.retain(|t| *t != "all");
+            assert_eq!(listed_targets, TargetKind::ALL.map(TargetKind::name), "{exe} --help");
+            assert_eq!(listed(&help, profiles), Profile::ALL.map(Profile::name), "{exe} --help");
+        }
+        for mode in Mode::ALL {
+            assert_eq!(words.contains(&mode.name()), chaos.is_some(), "{exe} --help and {mode}");
         }
         let flags = parser_flags(source);
         assert!(flags.len() >= at_least, "{exe}: found only {flags:?} in the parser");
