@@ -77,8 +77,9 @@
 //! # Ok::<(), cal_core::format::FormatError>(())
 //! ```
 
+use std::borrow::Cow;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::action::Action;
 use crate::history::{History, HistoryError};
@@ -225,6 +226,9 @@ pub fn parse_annotated(format: Format, input: &str) -> Result<Annotated, FormatE
 /// Strips a `#` comment, ignoring `#` inside double-quoted strings (jepsen
 /// records may carry string keys).
 fn strip_comment(text: &str) -> &str {
+    if !text.contains('#') {
+        return text;
+    }
     let (mut in_str, mut esc) = (false, false);
     for (i, c) in text.char_indices() {
         if esc {
@@ -348,18 +352,32 @@ fn parse_native(input: &str) -> Result<(Vec<Action>, Vec<usize>), FormatError> {
 // Jepsen
 // ---------------------------------------------------------------------------
 
-/// A parsed EDN/JSON scalar or vector from one jepsen record field.
+/// A parsed EDN/JSON scalar or vector from one jepsen record field,
+/// borrowing from the line it was scanned from: a keyword is a slice of
+/// the line, and so is a string unless an escape had to be resolved.
 #[derive(Debug, Clone, PartialEq)]
-enum JVal {
+enum JVal<'a> {
     Nil,
     Bool(bool),
     Int(i64),
-    Str(String),
-    Kw(String),
-    Vec(Vec<JVal>),
+    Str(Cow<'a, str>),
+    Kw(&'a str),
+    Vec(Vec<JVal<'a>>),
 }
 
-impl fmt::Display for JVal {
+impl<'a> JVal<'a> {
+    /// The text of a keyword or string — the two spellings of a name
+    /// (`:invoke` / `"invoke"`); anything else is handed back.
+    fn into_word(self) -> Result<Cow<'a, str>, Self> {
+        match self {
+            JVal::Kw(w) => Ok(Cow::Borrowed(w)),
+            JVal::Str(w) => Ok(w),
+            other => Err(other),
+        }
+    }
+}
+
+impl fmt::Display for JVal<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JVal::Nil => f.write_str("nil"),
@@ -381,12 +399,14 @@ impl fmt::Display for JVal {
     }
 }
 
-fn ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | '/' | '?' | '!' | '*' | '+')
+fn ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b'/' | b'?' | b'!' | b'*' | b'+')
 }
 
-/// A character cursor over one record line, carrying the source line
-/// number for error anchoring.
+/// A byte cursor over one record line, carrying the source line number
+/// for error anchoring. Everything the grammar names is ASCII, so only
+/// string bodies and stray non-ASCII bytes are ever decoded as `char`s;
+/// `pos` always rests on a character boundary.
 struct Scan<'a> {
     src: &'a str,
     pos: usize,
@@ -398,37 +418,69 @@ impl<'a> Scan<'a> {
         Scan { src, pos: 0, line }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
+    /// The character at the cursor: what a non-ASCII byte begins, or the
+    /// one a diagnostic names.
+    fn peek_char(&self) -> Option<char> {
+        self.src[self.pos..].chars().next()
     }
 
     /// EDN treats commas as whitespace, which also covers JSON separators.
     fn skip_ws(&mut self) {
-        while let Some(c) = self.peek() {
-            if c.is_whitespace() || c == ',' {
-                self.bump();
-            } else {
-                break;
+        loop {
+            match self.peek() {
+                Some(b' ' | b',' | b'\t'..=b'\r') => self.pos += 1,
+                Some(0x80..) => match self.peek_char() {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => return,
+                },
+                _ => return,
             }
         }
     }
 
-    fn take_while(&mut self, f: impl Fn(char) -> bool) -> &'a str {
+    fn take_while(&mut self, f: impl Fn(u8) -> bool) -> &'a str {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if f(c) {
-                self.bump();
-            } else {
-                break;
-            }
+        while self.peek().is_some_and(&f) {
+            self.pos += 1;
         }
         &self.src[start..self.pos]
+    }
+
+    /// The body of a string whose opening quote is at the cursor, up to
+    /// and over its closing quote: a slice of the line, or an owned copy
+    /// from the first escape on.
+    fn string(&mut self) -> Result<Cow<'a, str>, FormatError> {
+        self.pos += 1;
+        let body = self.take_while(|b| b != b'"' && b != b'\\');
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(body));
+        }
+        let mut out = String::from(body);
+        let mut chars = self.src[self.pos..].chars();
+        loop {
+            match chars.next() {
+                None => return Err(self.err(None, "unterminated string")),
+                Some('"') => {
+                    self.pos = self.src.len() - chars.as_str().len();
+                    return Ok(Cow::Owned(out));
+                }
+                Some('\\') => match chars.next() {
+                    Some('"') => out.push('"'),
+                    Some('\\') => out.push('\\'),
+                    Some('n') => out.push('\n'),
+                    Some('t') => out.push('\t'),
+                    other => {
+                        return Err(self.err(None, format!("unsupported string escape {other:?}")))
+                    }
+                },
+                Some(c) => out.push(c),
+            }
+        }
     }
 
     fn err(&self, field: Option<&'static str>, message: impl Into<String>) -> FormatError {
@@ -436,17 +488,17 @@ impl<'a> Scan<'a> {
     }
 }
 
-fn jval(s: &mut Scan<'_>) -> Result<JVal, FormatError> {
+fn jval<'a>(s: &mut Scan<'a>) -> Result<JVal<'a>, FormatError> {
     s.skip_ws();
     match s.peek() {
-        Some('[') => {
-            s.bump();
+        Some(b'[') => {
+            s.pos += 1;
             let mut items = Vec::new();
             loop {
                 s.skip_ws();
                 match s.peek() {
-                    Some(']') => {
-                        s.bump();
+                    Some(b']') => {
+                        s.pos += 1;
                         return Ok(JVal::Vec(items));
                     }
                     None => return Err(s.err(None, "unterminated vector: missing ']'")),
@@ -454,54 +506,35 @@ fn jval(s: &mut Scan<'_>) -> Result<JVal, FormatError> {
                 }
             }
         }
-        Some('"') => {
-            s.bump();
-            let mut out = String::new();
-            loop {
-                match s.bump() {
-                    None => return Err(s.err(None, "unterminated string")),
-                    Some('"') => return Ok(JVal::Str(out)),
-                    Some('\\') => match s.bump() {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        Some('n') => out.push('\n'),
-                        Some('t') => out.push('\t'),
-                        other => {
-                            return Err(s.err(None, format!("unsupported string escape {other:?}")))
-                        }
-                    },
-                    Some(c) => out.push(c),
-                }
-            }
-        }
-        Some(':') => {
-            s.bump();
-            let w = s.take_while(ident_char);
+        Some(b'"') => s.string().map(JVal::Str),
+        Some(b':') => {
+            s.pos += 1;
+            let w = s.take_while(ident_byte);
             if w.is_empty() {
                 Err(s.err(None, "empty keyword after ':'"))
             } else {
-                Ok(JVal::Kw(w.to_string()))
+                Ok(JVal::Kw(w))
             }
         }
-        Some(c) if c == '-' || c.is_ascii_digit() => {
-            let w = s.take_while(|c| c == '-' || c.is_ascii_digit());
+        Some(b) if b == b'-' || b.is_ascii_digit() => {
+            let w = s.take_while(|b| b == b'-' || b.is_ascii_digit());
             w.parse::<i64>().map(JVal::Int).map_err(|_| s.err(None, format!("bad integer {w:?}")))
         }
-        Some(c) if ident_char(c) => {
-            let w = s.take_while(ident_char);
-            match w {
-                "nil" | "null" => Ok(JVal::Nil),
-                "true" => Ok(JVal::Bool(true)),
-                "false" => Ok(JVal::Bool(false)),
-                _ => Ok(JVal::Kw(w.to_string())),
-            }
+        Some(b) if ident_byte(b) => match s.take_while(ident_byte) {
+            "nil" | "null" => Ok(JVal::Nil),
+            "true" => Ok(JVal::Bool(true)),
+            "false" => Ok(JVal::Bool(false)),
+            w => Ok(JVal::Kw(w)),
+        },
+        Some(_) => {
+            let c = s.peek_char().expect("the cursor is on a character");
+            Err(s.err(None, format!("unexpected character {c:?}")))
         }
-        Some(c) => Err(s.err(None, format!("unexpected character {c:?}"))),
         None => Err(s.err(None, "unexpected end of record")),
     }
 }
 
-fn jval_to_value(line: usize, field: Option<&'static str>, v: &JVal) -> Result<Value, FormatError> {
+fn jval_to_value(line: usize, field: Option<&'static str>, v: &JVal<'_>) -> Result<Value, FormatError> {
     match v {
         JVal::Nil => Ok(Value::Unit),
         JVal::Bool(b) => Ok(Value::Bool(*b)),
@@ -522,58 +555,55 @@ enum RecordKind {
     Info,
 }
 
+/// One record's fields, borrowed from its line.
 #[derive(Debug)]
-struct JepsenRecord {
+struct JepsenRecord<'a> {
     process: u32,
     kind: RecordKind,
-    f: Option<String>,
-    value: JVal,
-    key: Option<JVal>,
+    f: Option<Cow<'a, str>>,
+    value: JVal<'a>,
+    key: Option<JVal<'a>>,
 }
 
-fn parse_record(line: usize, text: &str) -> Result<JepsenRecord, FormatError> {
+fn parse_record(line: usize, text: &str) -> Result<JepsenRecord<'_>, FormatError> {
     let mut s = Scan::new(line, text);
     s.skip_ws();
-    if s.bump() != Some('{') {
+    if s.peek() != Some(b'{') {
         return Err(s.err(None, "expected '{' to open a record"));
     }
+    s.pos += 1;
     let (mut process, mut ktype, mut f, mut value, mut key) = (None, None, None, None, None);
     loop {
         s.skip_ws();
-        match s.peek() {
-            Some('}') => {
-                s.bump();
+        let name = match s.peek() {
+            Some(b'}') => {
+                s.pos += 1;
                 break;
             }
             None => return Err(s.err(None, "unterminated record: missing '}'")),
-            _ => {}
-        }
-        let (name, quoted) = match s.peek() {
-            Some(':') => {
-                s.bump();
-                let w = s.take_while(ident_char);
+            Some(b':') => {
+                s.pos += 1;
+                let w = s.take_while(ident_byte);
                 if w.is_empty() {
                     return Err(s.err(None, "empty field name after ':'"));
                 }
-                (w.to_string(), false)
+                Cow::Borrowed(w)
             }
-            Some('"') => match jval(&mut s)? {
-                JVal::Str(w) => (w, true),
-                _ => unreachable!("a '\"' token always parses to JVal::Str"),
-            },
+            Some(b'"') => {
+                let w = s.string()?;
+                // JSON spelling: consume the ':' separator after a quoted name.
+                // After an EDN keyword name a following ':' starts the *value*
+                // keyword (`:type :invoke`), so it must stay.
+                s.skip_ws();
+                if s.peek() == Some(b':') {
+                    s.pos += 1;
+                }
+                w
+            }
             _ => return Err(s.err(None, "expected a field name like :process or \"process\"")),
         };
-        if quoted {
-            // JSON spelling: consume the ':' separator after a quoted name.
-            // After an EDN keyword name a following ':' starts the *value*
-            // keyword (`:type :invoke`), so it must stay.
-            s.skip_ws();
-            if s.peek() == Some(':') {
-                s.bump();
-            }
-        }
         let v = jval(&mut s)?;
-        match name.as_str() {
+        match &*name {
             "process" => process = Some(v),
             "type" => ktype = Some(v),
             "f" => f = Some(v),
@@ -594,8 +624,8 @@ fn parse_record(line: usize, text: &str) -> Result<JepsenRecord, FormatError> {
         }
         None => return fail(line, Some(":process"), "missing required field"),
     };
-    let kind = match &ktype {
-        Some(JVal::Kw(w)) | Some(JVal::Str(w)) => match w.as_str() {
+    let kind = match ktype.map(JVal::into_word) {
+        Some(Ok(w)) => match &*w {
             "invoke" => RecordKind::Invoke,
             "ok" => RecordKind::Ok,
             "fail" => RecordKind::Fail,
@@ -604,15 +634,14 @@ fn parse_record(line: usize, text: &str) -> Result<JepsenRecord, FormatError> {
                 return fail(line, Some(":type"), format!("expected invoke, ok, fail, or info, found {other:?}"))
             }
         },
-        Some(other) => {
+        Some(Err(other)) => {
             return fail(line, Some(":type"), format!("expected a keyword or string, found {other}"))
         }
         None => return fail(line, Some(":type"), "missing required field"),
     };
-    let f = match f {
-        None => None,
-        Some(JVal::Kw(w)) | Some(JVal::Str(w)) => Some(w),
-        Some(other) => {
+    let f = match f.map(JVal::into_word).transpose() {
+        Ok(f) => f,
+        Err(other) => {
             return fail(line, Some(":f"), format!("expected a keyword or string, found {other}"))
         }
     };
@@ -663,7 +692,8 @@ impl JepsenState {
                 let object = match &rec.key {
                     None => self.keys.int_key(line, Some(":key"), 0)?,
                     Some(JVal::Int(n)) => self.keys.int_key(line, Some(":key"), *n)?,
-                    Some(JVal::Str(w)) | Some(JVal::Kw(w)) => self.keys.name_key(line, Some(":key"), w)?,
+                    Some(JVal::Str(w)) => self.keys.name_key(line, Some(":key"), w)?,
+                    Some(JVal::Kw(w)) => self.keys.name_key(line, Some(":key"), w)?,
                     Some(other) => {
                         return fail(line, Some(":key"), format!("expected an integer or string key, found {other}"))
                     }
@@ -787,25 +817,17 @@ pub fn write_jepsen_record(
     action: &Action,
     value: Value,
 ) {
-    out.push_str(&format!(
-        "{{:process {}, :type :{}, :f :{}, :key {}, :value {}}}\n",
-        process,
-        kind,
-        action.method(),
-        action.object().0,
-        jepsen_value(value),
-    ));
-}
-
-/// The EDN spelling of a wire value, matching what the jepsen parser
-/// reads back (`nil`, booleans, integers, `[bool int]` pairs).
-fn jepsen_value(v: Value) -> String {
-    match v {
-        Value::Unit => "nil".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(n) => n.to_string(),
-        Value::Pair(b, n) => format!("[{b} {n}]"),
-    }
+    let (method, key) = (action.method(), action.object().0);
+    let _ = write!(out, "{{:process {process}, :type :{kind}, :f :{method}, :key {key}, :value ");
+    // The EDN spelling of a wire value, matching what the jepsen parser
+    // reads back (`nil`, booleans, integers, `[bool int]` pairs).
+    let _ = match value {
+        Value::Unit => out.write_str("nil"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Int(n) => write!(out, "{n}"),
+        Value::Pair(b, n) => write!(out, "[{b} {n}]"),
+    };
+    out.push_str("}\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -862,7 +884,7 @@ fn parse_kvlog_line(line: usize, text: &str, keys: &mut KeyMap) -> Result<KvLine
     let key_tok = toks[4];
     let object = if let Ok(n) = key_tok.parse::<i64>() {
         keys.int_key(line, Some("key"), n)?
-    } else if !key_tok.is_empty() && key_tok.chars().all(ident_char) {
+    } else if !key_tok.is_empty() && key_tok.bytes().all(ident_byte) {
         keys.name_key(line, Some("key"), key_tok)?
     } else {
         return fail(line, Some("key"), format!("bad key {key_tok:?}"));
@@ -1151,38 +1173,59 @@ impl StreamDecoder {
     /// Returns a line/field-anchored [`FormatError`] for malformed lines;
     /// the decoder stays usable afterwards (the line had no effect).
     pub fn decode_line(&mut self, line: usize, raw: &str) -> Result<Vec<WireItem>, FormatError> {
+        let mut items = Vec::new();
+        self.decode_into(line, raw, &mut items).map(|()| items)
+    }
+
+    /// [`StreamDecoder::decode_line`] into a buffer the caller keeps:
+    /// the line's effects are appended to `items`, which a loop over
+    /// lines clears and lends again, so a line costs no allocation of
+    /// its own. (An empty `items` is grown to exactly the line's size.)
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamDecoder::decode_line`]; `items` is then as it was.
+    pub fn decode_into(
+        &mut self,
+        line: usize,
+        raw: &str,
+        items: &mut Vec<WireItem>,
+    ) -> Result<(), FormatError> {
         let text = strip_comment(raw).trim();
         if text.is_empty() || text.starts_with(';') {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let format = *self.format.get_or_insert_with(|| sniff_line(text));
+        let mut emit = |batch: &[WireItem]| {
+            items.reserve_exact(batch.len());
+            items.extend_from_slice(batch);
+        };
         match format {
-            Format::Native => match text::parse_action_line(line, raw) {
-                Ok(Some(a)) => Ok(vec![WireItem::Action(a)]),
-                Ok(None) => Ok(Vec::new()),
-                Err(e) => Err(e.into()),
-            },
+            Format::Native => {
+                if let Some(a) = text::parse_action_line(line, raw)? {
+                    emit(&[WireItem::Action(a)]);
+                }
+            }
             Format::Jepsen => match self.jepsen.step(line, text)? {
-                JStep::Invoke(a) | JStep::Complete(a) => Ok(vec![WireItem::Action(a)]),
-                JStep::Fail(t) | JStep::Info(t) => Ok(vec![WireItem::Abandon(t)]),
+                JStep::Invoke(a) | JStep::Complete(a) => emit(&[WireItem::Action(a)]),
+                JStep::Fail(t) | JStep::Info(t) => emit(&[WireItem::Abandon(t)]),
             },
             Format::KvLog => {
                 if text.split_whitespace().next() == Some("hb") {
-                    return match parse_hb_line(line, text)? {
-                        HbDecl::Session => Ok(Vec::new()),
-                        HbDecl::Edge(i, j) => Ok(vec![WireItem::HbEdge { from: i - 1, to: j - 1 }]),
-                    };
+                    if let HbDecl::Edge(i, j) = parse_hb_line(line, text)? {
+                        emit(&[WireItem::HbEdge { from: i - 1, to: j - 1 }]);
+                    }
+                    return Ok(());
                 }
                 let kv = parse_kvlog_line(line, text, &mut self.kv_keys)?;
-                let t = kv.inv.thread();
-                let mut items = vec![WireItem::Action(kv.inv)];
-                match kv.res {
-                    Some(res) => items.push(WireItem::Action(res)),
-                    None => items.push(WireItem::Abandon(t)),
-                }
-                Ok(items)
+                let end = match kv.res {
+                    Some(res) => WireItem::Action(res),
+                    None => WireItem::Abandon(kv.inv.thread()),
+                };
+                emit(&[WireItem::Action(kv.inv), end]);
             }
         }
+        Ok(())
     }
 }
 

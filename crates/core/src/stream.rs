@@ -79,7 +79,13 @@
 //! decode, per-item admission, and the saturation policy just described
 //! (NAK where a resend is sound, else checkpoint, retry, degrade), each
 //! line answered with one [`Reply`]. `cal-serve` and the chaos replays
-//! are loops over [`Ingest::line`].
+//! are loops over [`Ingest::line`]. In front of it, for a deployment
+//! that has bytes rather than lines, [`LineSplitter`] is the one place
+//! bytes become lines: cut at `\n` in the block a `read` returned,
+//! lines numbered whatever they hold, and a line that is not UTF-8 or
+//! has no end within [`MAX_LINE_BYTES`] handed over as a [`LineFault`]
+//! for [`Ingest::fault`] to quarantine — never mistaken for end of
+//! input, never buffered without bound.
 //!
 //! ## Causal mode
 //!
@@ -115,6 +121,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -1000,6 +1007,9 @@ pub struct Ingest<S: CaSpec> {
     /// ([`StreamChecker::abandon_thread`]).
     pub checker: StreamChecker<S>,
     decoder: StreamDecoder,
+    /// What the current line decoded to: one buffer, lent to the decoder
+    /// line after line.
+    items: Vec<WireItem>,
     /// Lines fed so far; the current one's number anchors its diagnostics.
     lines: u64,
     quarantined: u64,
@@ -1010,7 +1020,13 @@ impl<S: CaSpec> Ingest<S> {
     /// contentful line and latches) checked against `spec`.
     pub fn new(spec: S, opts: StreamOptions, format: Option<Format>) -> Self {
         let checker = StreamChecker::new(spec, opts);
-        Ingest { checker, decoder: StreamDecoder::new(format), lines: 0, quarantined: 0 }
+        Ingest {
+            checker,
+            decoder: StreamDecoder::new(format),
+            items: Vec::new(),
+            lines: 0,
+            quarantined: 0,
+        }
     }
 
     /// Lines answered [`Reply::Quarantined`] so far.
@@ -1041,6 +1057,15 @@ impl<S: CaSpec> Ingest<S> {
         reply
     }
 
+    /// Counts a line the wire could not deliver as text
+    /// ([`LineSplitter`]): it takes its number like any other and is
+    /// quarantined as `line N: <fault>`.
+    pub fn fault(&mut self, fault: LineFault) -> Reply {
+        self.lines += 1;
+        self.quarantined += 1;
+        Reply::Quarantined(format!("line {}: {fault}", self.lines))
+    }
+
     fn apply(&mut self, raw: &str, nak: bool, invoked: &mut Vec<ThreadId>) -> Reply {
         let line_no = self.lines;
         let text = raw.trim();
@@ -1056,17 +1081,26 @@ impl<S: CaSpec> Ingest<S> {
                 None => Reply::Quarantined(format!("line {line_no}: bad abandon target {rest:?}")),
             };
         }
-        let items = match self.decoder.decode_line(line_no as usize, raw) {
-            Ok(items) => items,
-            Err(e) => return Reply::Quarantined(e.to_string()),
+        let mut items = std::mem::take(&mut self.items);
+        items.clear();
+        let reply = match self.decoder.decode_into(line_no as usize, raw, &mut items) {
+            Ok(()) => self.admit(&items, nak, invoked),
+            Err(e) => Reply::Quarantined(e.to_string()),
         };
+        self.items = items;
+        reply
+    }
+
+    /// Admission of what line `self.lines` decoded to, item by item.
+    fn admit(&mut self, items: &[WireItem], nak: bool, invoked: &mut Vec<ThreadId>) -> Reply {
         if items.is_empty() {
             return Reply::Ignored;
         }
+        let line_no = self.lines;
         let can_nak = nak && self.decoder.format() == Some(Format::Native);
         let mut effect = false;
         for item in items {
-            match item {
+            match *item {
                 WireItem::Abandon(t) => self.checker.abandon_thread(t),
                 WireItem::HbEdge { from, to } => {
                     if self.checker.push_hb_edge(from, to) == Push::Refused {
@@ -1101,6 +1135,132 @@ impl<S: CaSpec> Ingest<S> {
             effect = true;
         }
         Reply::Admitted
+    }
+}
+
+/// The longest line (its `\n` not counted) a [`LineSplitter`] hands over
+/// as text; a longer one is a [`LineFault::TooLong`].
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Why a line of the byte stream never became text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineFault {
+    /// The line's bytes are not UTF-8.
+    InvalidUtf8,
+    /// The line is longer than [`MAX_LINE_BYTES`].
+    TooLong,
+}
+
+impl fmt::Display for LineFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LineFault::InvalidUtf8 => f.write_str("invalid UTF-8"),
+            LineFault::TooLong => write!(f, "longer than {MAX_LINE_BYTES} bytes"),
+        }
+    }
+}
+
+/// The byte → line step in front of [`Ingest::line`], in its only copy:
+/// `cal-serve` hands it whatever each `read` returned — from stdin or
+/// from a client's socket — and feeds the daemon what comes out.
+///
+/// Lines are what [`std::io::BufRead::lines`] would yield: cut at `\n`,
+/// the `\n` or `\r\n` stripped, a final unterminated line handed over
+/// by [`LineSplitter::finish`]. A line wholly inside one block is a slice
+/// of it; only a line straddling blocks is copied, into one carried
+/// buffer. Unlike `lines`, a line that is not UTF-8 does not end the
+/// stream and a line without end does not grow the buffer: each is one
+/// [`LineFault`], counted as a line, and the bytes of an over-long line
+/// are dropped as they arrive. Memory is [`MAX_LINE_BYTES`] at most.
+#[derive(Debug, Default)]
+pub struct LineSplitter {
+    /// The start of the line the last block ended in, up to the cap
+    /// (stale once that line has been handed out: `tail_len` is 0).
+    tail: Vec<u8>,
+    /// How long that line is so far, dropped bytes included.
+    tail_len: usize,
+}
+
+/// The lines of one block ([`LineSplitter::split`]), drained with
+/// [`Lines::next_line`]. Not an `Iterator`: a line may borrow the
+/// splitter's carried buffer.
+#[derive(Debug)]
+pub struct Lines<'a> {
+    splitter: &'a mut LineSplitter,
+    rest: &'a [u8],
+}
+
+/// One line, or why it is none.
+pub type RawLine<'a> = Result<&'a str, LineFault>;
+
+/// Where the first `\n` of `bytes` is. `skip_until` on a slice is std's
+/// word-at-a-time `memchr`; `position` goes a byte at a time and was
+/// most of the splitter's cost.
+fn newline(bytes: &[u8]) -> Option<usize> {
+    let mut cursor = bytes;
+    let skipped = cursor.skip_until(b'\n').expect("reading a slice cannot fail");
+    bytes[..skipped].ends_with(b"\n").then(|| skipped - 1)
+}
+
+fn raw_line(bytes: &[u8], len: usize, terminated: bool) -> RawLine<'_> {
+    if len > MAX_LINE_BYTES {
+        return Err(LineFault::TooLong);
+    }
+    let bytes = match bytes {
+        [body @ .., b'\r'] if terminated => body,
+        _ => bytes,
+    };
+    std::str::from_utf8(bytes).map_err(|_| LineFault::InvalidUtf8)
+}
+
+impl LineSplitter {
+    /// A splitter at the start of a stream.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The lines that end in `block`, in order; what follows the last
+    /// newline is carried into the next call once the lines are drained.
+    pub fn split<'a>(&'a mut self, block: &'a [u8]) -> Lines<'a> {
+        Lines { splitter: self, rest: block }
+    }
+
+    /// End of stream: the unterminated last line, if there is one.
+    pub fn finish(&mut self) -> Option<RawLine<'_>> {
+        let len = std::mem::take(&mut self.tail_len);
+        (len > 0).then(|| raw_line(&self.tail, len, false))
+    }
+
+    /// Appends `bytes` to the carried line: counted in full, kept up to
+    /// the cap (past it the line is a fault and its text is never read).
+    fn carry(&mut self, bytes: &[u8]) {
+        if self.tail_len == 0 {
+            self.tail.clear();
+        }
+        let room = MAX_LINE_BYTES - self.tail.len();
+        self.tail.extend_from_slice(&bytes[..bytes.len().min(room)]);
+        self.tail_len = self.tail_len.saturating_add(bytes.len());
+    }
+}
+
+impl Lines<'_> {
+    /// The next line that ends in this block, or `None` once the rest of
+    /// the block has been carried over.
+    pub fn next_line(&mut self) -> Option<RawLine<'_>> {
+        let splitter = &mut *self.splitter;
+        let Some(end) = newline(self.rest) else {
+            splitter.carry(self.rest);
+            self.rest = &[];
+            return None;
+        };
+        let (line, rest) = (&self.rest[..end], &self.rest[end + 1..]);
+        self.rest = rest;
+        if splitter.tail_len == 0 {
+            return Some(raw_line(line, line.len(), true));
+        }
+        splitter.carry(line);
+        let len = std::mem::take(&mut splitter.tail_len);
+        Some(raw_line(&splitter.tail, len, true))
     }
 }
 
@@ -1505,6 +1665,66 @@ mod tests {
         assert_eq!(i.checker.stats().events, 1, "quarantined lines admit nothing");
         assert_eq!(i.line("bye\n", false, &mut invoked), Reply::Bye);
         assert_eq!(i.checker.finish(), StreamVerdict::Consistent);
+    }
+
+    /// The lines `splitter` cuts from `blocks` and the stream's end, owned.
+    fn split_all(blocks: &[&[u8]]) -> Vec<Result<String, LineFault>> {
+        let mut splitter = LineSplitter::new();
+        let mut out = Vec::new();
+        for block in blocks {
+            let mut lines = splitter.split(block);
+            while let Some(raw) = lines.next_line() {
+                out.push(raw.map(str::to_owned));
+            }
+        }
+        out.extend(splitter.finish().map(|raw| raw.map(str::to_owned)));
+        out
+    }
+
+    #[test]
+    fn splitter_cuts_lines_wherever_the_reads_fall() {
+        let ok = |s: &str| Ok(s.to_owned());
+        assert_eq!(split_all(&[b"a\r\nb", b"b\n", b"\nlast\r"]), [ok("a"), ok("bb"), ok(""), ok("last\r")]);
+        assert_eq!(split_all(&[b"one", b" li", b"ne\n"]), [ok("one line")]);
+        assert_eq!(split_all(&[b"a\n"]), [ok("a")]);
+        assert_eq!(split_all(&[]), []);
+        assert_eq!(split_all(&[b"ok\n\xff", b"\xfe\nok\n"]), [ok("ok"), Err(LineFault::InvalidUtf8), ok("ok")]);
+    }
+
+    #[test]
+    fn splitter_drops_a_line_without_end_as_it_arrives() {
+        let mut splitter = LineSplitter::new();
+        let block = [b'x'; 16 * 1024];
+        for _ in 0..1_024 {
+            assert!(splitter.split(&block).next_line().is_none());
+        }
+        assert!(splitter.tail.capacity() <= 2 * MAX_LINE_BYTES, "{}", splitter.tail.capacity());
+        let mut lines = splitter.split(b"\nt0 inv o0.write 1\n");
+        assert_eq!(lines.next_line(), Some(Err(LineFault::TooLong)));
+        assert_eq!(lines.next_line(), Some(Ok("t0 inv o0.write 1")));
+        assert_eq!(lines.next_line(), None);
+        // Exactly at the cap is a line; one byte over is not.
+        let at_cap = [&[b'y'; MAX_LINE_BYTES][..], b"\n"].concat();
+        assert!(matches!(split_all(&[&at_cap]).as_slice(), [Ok(line)] if line.len() == MAX_LINE_BYTES));
+        let over = [&[b'y'; MAX_LINE_BYTES + 1][..], b"\n"].concat();
+        assert_eq!(split_all(&[&over[..7], &over[7..]]), [Err(LineFault::TooLong)]);
+    }
+
+    #[test]
+    fn a_line_that_is_no_text_takes_a_number_and_is_quarantined() {
+        let mut i = reg_ingest(8, None);
+        let mut invoked = Vec::new();
+        assert_eq!(i.line("t0 inv o0.write 1", false, &mut invoked), Reply::Admitted);
+        assert_eq!(i.fault(LineFault::InvalidUtf8), Reply::Quarantined("line 2: invalid UTF-8".into()));
+        assert_eq!(
+            i.fault(LineFault::TooLong),
+            Reply::Quarantined("line 3: longer than 65536 bytes".into())
+        );
+        let Reply::Quarantined(why) = i.line("t1 flub", false, &mut invoked) else {
+            panic!("a parse error is quarantined");
+        };
+        assert!(why.starts_with("line 4: "), "{why}");
+        assert_eq!(i.quarantined(), 3);
     }
 
     #[test]

@@ -79,6 +79,14 @@
 //! operation via the specification's timeout-admission completions at
 //! the next retirement boundary.
 //!
+//! A line ends at `\n` (`\r\n` is stripped too; the last line needs no
+//! terminator) and takes the next line number, whatever it holds. A line
+//! that is not UTF-8 is quarantined as `line N: invalid UTF-8` and a
+//! line of more than 65536 bytes as `line N: longer than 65536 bytes`
+//! (its bytes are dropped as they arrive, so a stream with no newline
+//! costs no memory); both count against `--error-budget` like any other
+//! malformed line, and the stream goes on.
+//!
 //! ## Backpressure and degradation
 //!
 //! When the window cap is hit and retirement cannot free space, TCP
@@ -99,6 +107,17 @@
 //! SIGTERM flushes a final report before exiting.
 //!
 //! ## One daemon, two transports
+//!
+//! Both transports move bytes, not lines: a `read` of up to 16 KiB
+//! returns whatever has arrived — one line from a client that waits for
+//! its ack, a full block from a pipe — and
+//! [`cal::core::stream::LineSplitter`], the one byte → line step, cuts
+//! it in place into the `&str` lines the daemon is fed; only a line that
+//! straddles two reads is copied. A `--listen` session reads and splits
+//! on its own thread. Stdin is read by a reader thread that hands each
+//! block to the main loop over a channel two deep, so the main loop can
+//! wait with a timeout and notice a signal within 100 ms; between lines
+//! it polls the same flag.
 //!
 //! The line policy lives in the library ([`cal::core::stream::Ingest`]);
 //! everything said about a line — ack, quarantine diagnostic, `verdict:`
@@ -128,7 +147,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -141,7 +160,9 @@ use cal::cli::{
 use cal::core::check::CheckOptions;
 use cal::core::format::Format;
 use cal::core::spec::CaSpec;
-use cal::core::stream::{Ingest, Reply, StreamOptions, StreamVerdict, UndecidedWhy};
+use cal::core::stream::{
+    Ingest, LineSplitter, RawLine, Reply, StreamOptions, StreamVerdict, UndecidedWhy,
+};
 use cal::core::{ObjectId, ThreadId};
 use cal::specs::registry::{self, CheckMode, Selected, Visitor};
 use cal::{errln, outln};
@@ -354,21 +375,25 @@ struct Daemon<'a, S: CaSpec> {
 }
 
 impl<S: CaSpec> Daemon<'_, S> {
-    /// Feeds one raw line and says what it did: the `--ack` text for the
-    /// line's sender (empty when the line has no answer of its own) and
-    /// what its session does next. A line that closes the stream gets its
-    /// own ack, then `refused <verdict>`. `nak` and `invoked` are
-    /// [`Ingest::line`]'s.
+    /// Feeds one line as the splitter handed it over and says what it
+    /// did: the `--ack` text for the line's sender (empty when the line
+    /// has no answer of its own) and what its session does next. A line
+    /// that closes the stream gets its own ack, then `refused <verdict>`.
+    /// `nak` and `invoked` are [`Ingest::line`]'s.
     fn feed(
         &mut self,
-        raw: &str,
+        raw: RawLine<'_>,
         nak: bool,
         invoked: &mut Vec<ThreadId>,
     ) -> io::Result<(Cow<'static, str>, Next)> {
         let cfg = self.cfg;
         let before = self.ingest.checker.stats().events;
         let mut next = Next::Continue;
-        let own: Cow<'static, str> = match self.ingest.line(raw, nak, invoked) {
+        let reply = match raw {
+            Ok(text) => self.ingest.line(text, nak, invoked),
+            Err(fault) => self.ingest.fault(fault),
+        };
+        let own: Cow<'static, str> = match reply {
             Reply::Ignored => "ign".into(),
             Reply::Admitted => "ok".into(),
             Reply::Saturated => "nak saturated".into(),
@@ -453,47 +478,76 @@ fn ack(on: bool, sink: &mut impl Write, text: &str) -> io::Result<()> {
     Ok(())
 }
 
+/// The most one `read` is asked for, on stdin and on a client's socket.
+/// Three of these are the most stdin mode holds: two in the channel, one
+/// being split.
+const BLOCK_BYTES: usize = 16 * 1024;
+
 /// The single-session mode: events arrive on stdin; backpressure means
 /// pausing reads (the pipe fills) and, if that cannot help, explicit
 /// degradation. The daemon is owned, not shared: no lock on this path.
 fn serve_stdin<S: CaSpec>(mut daemon: Daemon<'_, S>) -> io::Result<ExitCode> {
     let cfg = daemon.cfg;
-    // A reader thread forwards lines over a channel so the main loop can
-    // poll the shutdown flag: std's blocking read retries EINTR, so a
-    // signal would otherwise go unnoticed until the next line. The
-    // channel is bounded: when the checker falls behind, the reader
+    // A reader thread, so the main loop can wait with a timeout and see
+    // the shutdown flag within 100 ms: a blocking `read` is restarted
+    // after a signal, which would otherwise go unnoticed until the next
+    // byte. It moves bytes, not lines: whatever one `read` returned —
+    // one line from a client waiting for its ack, a full block from a
+    // pipe — crosses the channel as it is, and the main loop splits it.
+    // The channel is two deep: when the checker falls behind, the reader
     // blocks on send, stops draining stdin, and the pipe fills — that
     // *is* the backpressure, and it keeps ingest memory O(1) instead of
-    // buffering an unbounded backlog of a fast producer's lines.
-    let (tx, rx) = std::sync::mpsc::sync_channel::<String>(1024);
+    // buffering an unbounded backlog of a fast producer's bytes.
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<u8>>(2);
     std::thread::spawn(move || {
-        for line in io::stdin().lock().lines() {
-            let Ok(line) = line else { break };
-            if tx.send(line).is_err() {
-                break;
+        let mut stdin = io::stdin().lock();
+        let mut block = [0u8; BLOCK_BYTES];
+        loop {
+            match stdin.read(&mut block) {
+                Ok(n) if n > 0 => {
+                    if tx.send(block[..n].to_vec()).is_err() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // End of input; an unreadable stdin ends the stream too.
+                Ok(_) | Err(_) => break,
             }
         }
     });
+    let mut splitter = LineSplitter::new();
     let mut invoked = Vec::new();
-    loop {
-        if shutdown_requested() {
-            if !cfg.quiet {
-                errln!("cal-serve: shutdown signal, flushing final report")?;
-            }
-            break;
-        }
-        let line = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(line) => line,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-        };
+    // No ack channel a client could resend on: saturation resolves
+    // inside the ingest policy.
+    let mut feed = |raw: RawLine<'_>| -> io::Result<Next> {
         invoked.clear();
-        // No ack channel a client could resend on: saturation resolves
-        // inside the ingest policy.
-        let (text, next) = daemon.feed(&line, false, &mut invoked)?;
+        let (text, next) = daemon.feed(raw, false, &mut invoked)?;
         ack(cfg.ack, &mut io::stdout(), &text)?;
-        if next != Next::Continue {
-            break;
+        Ok(next)
+    };
+    let interrupted = || -> io::Result<bool> {
+        let stop = shutdown_requested();
+        if stop && !cfg.quiet {
+            errln!("cal-serve: shutdown signal, flushing final report")?;
+        }
+        Ok(stop)
+    };
+    'stream: while !interrupted()? {
+        let block = match rx.recv_timeout(Duration::from_millis(100)) {
+            Ok(block) => block,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                if let Some(raw) = splitter.finish() {
+                    feed(raw)?;
+                }
+                break;
+            }
+        };
+        let mut lines = splitter.split(&block);
+        while let Some(raw) = lines.next_line() {
+            if feed(raw)? != Next::Continue || interrupted()? {
+                break 'stream;
+            }
         }
     }
     daemon.finish()
@@ -570,18 +624,16 @@ fn client<S: CaSpec>(
     session: u64,
 ) {
     let Ok(mut writer) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut stream = stream;
+    let mut block = [0u8; BLOCK_BYTES];
+    let mut splitter = LineSplitter::new();
     let mut threads: HashSet<ThreadId> = HashSet::new();
     let mut invoked = Vec::new();
-    while !shutdown_requested() && !fatal.load(Ordering::SeqCst) {
-        line.clear();
-        if !matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
-            break;
-        }
+    // Feeds one of the session's lines; false once the session is over.
+    let mut feed = |raw: RawLine<'_>| -> bool {
         // Saturation surfaces as a NAK only when this client can be told
         // (`--ack`) and the resend is sound; `Ingest::line` decides.
-        let fed = daemon.lock().feed(&line, acks, &mut invoked);
+        let fed = daemon.lock().feed(raw, acks, &mut invoked);
         // Remember which threads this session drives, admitted or not, so
         // even a still-pending (or NAKed) first invocation is abandoned
         // on disconnect.
@@ -593,12 +645,29 @@ fn client<S: CaSpec>(
         // any other closing line; `finish` then reports the error.
         let (text, next) = fed.unwrap_or((Cow::Borrowed(""), Next::Close));
         let _ = ack(acks, &mut writer, &text);
-        match next {
-            Next::Continue => {}
-            Next::Bye => break,
-            Next::Close => {
-                fatal.store(true, Ordering::SeqCst);
-                break;
+        if next == Next::Close {
+            fatal.store(true, Ordering::SeqCst);
+        }
+        next == Next::Continue
+    };
+    let live = || !shutdown_requested() && !fatal.load(Ordering::SeqCst);
+    'session: while live() {
+        let n = match stream.read(&mut block) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // A connection torn down mid-line: the line never arrived.
+            Err(_) => break,
+        };
+        if n == 0 {
+            if let Some(raw) = splitter.finish() {
+                feed(raw);
+            }
+            break;
+        }
+        let mut lines = splitter.split(&block[..n]);
+        while let Some(raw) = lines.next_line() {
+            if !(feed(raw) && live()) {
+                break 'session;
             }
         }
     }

@@ -14,6 +14,12 @@
 //! (1,266,305 for 26,593 nodes; 90 now), 417 a checkpointed node on its
 //! stream (24,000,886 for 57,600; 217 now), and 234 against 831 on the
 //! all-rejected root of 36 and 136 candidates (25 against 30 now).
+//!
+//! The wire in front of the stream checker is held to the same kind of
+//! statement: a Jepsen record costs `decode_line` the `Vec` it returns
+//! (eight allocations before its scanner borrowed from the line), costs
+//! `Ingest::line` nothing over the pushes it ends in, and costs the
+//! byte → line splitter nothing.
 
 mod common;
 
@@ -21,8 +27,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
+use cal::core::format::{format_jepsen, StreamDecoder};
 use cal::core::spec::{CaSpec, SeqAsCa};
-use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
+use cal::core::stream::{
+    Ingest, LineSplitter, Push, Reply, StreamChecker, StreamOptions, StreamVerdict,
+};
 use cal::core::History;
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::register::RegisterSpec;
@@ -179,5 +188,62 @@ fn a_checkpointed_node_costs_a_handful_of_allocations() {
         allocations <= PER_NODE * stats.nodes,
         "register stream: {allocations} allocations for {} checkpointed nodes",
         stats.nodes
+    );
+}
+
+/// What grows once or twice in a whole stream and never per record: the
+/// decoder's table of open invocations, the buffers `Ingest` and the
+/// splitter lend and take back.
+const ONCE_A_STREAM: u64 = 8;
+
+#[test]
+fn a_jepsen_record_costs_nothing_on_its_way_to_the_checker() {
+    let history = pipelined_register_history(4_096);
+    let text = format_jepsen(&history);
+    let records = history.len() as u64;
+
+    let mut splitter = LineSplitter::new();
+    let (lines, allocations) = counted(|| {
+        let mut n = 0;
+        for block in text.as_bytes().chunks(16 * 1024) {
+            let mut lines = splitter.split(block);
+            while let Some(raw) = lines.next_line() {
+                raw.expect("the records are text");
+                n += 1;
+            }
+        }
+        n
+    });
+    assert_eq!(lines, records);
+    assert!(allocations <= ONCE_A_STREAM, "splitter: {allocations} allocations");
+
+    let mut decoder = StreamDecoder::new(None);
+    let (items, allocations) = counted(|| {
+        let decoded = text.lines().enumerate().map(|(i, line)| decoder.decode_line(i + 1, line));
+        decoded.map(|items| items.expect("the records decode").len() as u64).sum::<u64>()
+    });
+    assert_eq!(items, records);
+    assert!(
+        allocations <= records + ONCE_A_STREAM,
+        "decode_line: {allocations} allocations for {records} records"
+    );
+
+    // The same actions pushed with no wire in front of them, then the
+    // lines through the whole ingest policy.
+    let register = || SeqAsCa::new(RegisterSpec::new(O));
+    let (_, pushed) = stream_counted(&history, register(), true);
+    let mut ingest = Ingest::new(register(), StreamOptions::default(), None);
+    let mut invoked = Vec::new();
+    let (verdict, ingested) = counted(|| {
+        for line in text.lines() {
+            invoked.clear();
+            assert_eq!(ingest.line(line, false, &mut invoked), Reply::Admitted);
+        }
+        ingest.checker.finish()
+    });
+    assert_eq!(verdict, StreamVerdict::Consistent);
+    assert!(
+        ingested <= pushed + ONCE_A_STREAM,
+        "Ingest::line: {ingested} allocations for {records} records, {pushed} pushing them"
     );
 }

@@ -15,6 +15,8 @@
 //!   `cal_specs::registry::BUILTINS`, in its order.
 //! - EXPERIMENTS E14 quotes `BENCH_checker.json`: one table row per
 //!   series, its three numbers the file's, and the file's host line.
+//! - EXPERIMENTS E20 quotes `BENCH_serve.json` the same way: one row per
+//!   `pipeline` run, one per layer metric, one per core count.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -195,13 +197,17 @@ fn json_field<'a>(json: &'a str, key: &str) -> &'a str {
     value[..value.find([',', '\n']).unwrap_or(value.len())].trim_matches('"')
 }
 
+/// The part of EXPERIMENTS.md from `## <name> ` to the next `## `.
+fn experiment(experiments: &str, name: &str) -> String {
+    let start = experiments.find(&format!("## {name} ")).unwrap_or_else(|| panic!("no {name}"));
+    let section = &experiments[start..];
+    section[..section[3..].find("\n## ").map_or(section.len(), |end| end + 3)].to_owned()
+}
+
 #[test]
 fn e14_quotes_the_checker_bench_file() {
     let file = doc("BENCH_checker.json");
-    let experiments = doc("EXPERIMENTS.md");
-    let start = experiments.find("## E14 ").expect("EXPERIMENTS.md has an E14");
-    let e14 = &experiments[start..];
-    let e14 = &e14[..e14.find("\n## E15 ").expect("E15 follows E14")];
+    let e14 = experiment(&doc("EXPERIMENTS.md"), "E14");
     // The bench writes one series a line.
     let series: Vec<&str> = file.lines().filter(|line| line.contains("\"seq_ms\"")).collect();
     assert_eq!(series.len(), 6, "series in BENCH_checker.json");
@@ -220,5 +226,41 @@ fn e14_quotes_the_checker_bench_file() {
     for key in ["host_cores", "threads", "degraded"] {
         let quoted = format!("`\"{key}\": {}`", json_field(&file, key));
         assert!(e14.contains(&quoted), "E14 should quote {quoted} from BENCH_checker.json");
+    }
+}
+
+#[test]
+fn e20_quotes_the_serve_bench_file() {
+    let file = doc("BENCH_serve.json");
+    let e20 = experiment(&doc("EXPERIMENTS.md"), "E20");
+    // One line of the file a table row: the row begins with the line's
+    // values, in the line's order.
+    let rows_of = |marker: &str, keys: &[&str], code: bool| {
+        let lines: Vec<&str> = file.lines().filter(|line| line.contains(marker)).collect();
+        assert!(!lines.is_empty(), "no {marker} lines in BENCH_serve.json");
+        for line in lines {
+            let mut quoted = String::from("|");
+            for (i, key) in keys.iter().enumerate() {
+                let tick = if code && i == 0 { "`" } else { "" };
+                quoted += &format!(" {tick}{}{tick} |", json_field(line, key));
+            }
+            assert!(e20.contains(&quoted), "E20 should have a row beginning\n  {quoted}");
+        }
+    };
+    let run = [
+        "pair", "first", "parent_s", "parent_q1", "parent_q3", "parent_repetitions",
+        "change_s", "change_q1", "change_q3", "change_repetitions",
+    ];
+    rows_of("\"pair\"", &run, false);
+    let series = [
+        "workload", "seed", "pairs", "parent_s", "parent_q1", "parent_q3",
+        "change_s", "change_q1", "change_q3", "ratio", "change_lower_in",
+    ];
+    rows_of("\"series\": \"", &series, true);
+    rows_of("\"metric\"", &["metric", "parent", "change"], true);
+    rows_of("\"cores\"", &["cores", "parent_s", "change_s"], false);
+    for key in ["host_cores", "seed", "events"] {
+        let quoted = format!("`\"{key}\": {}`", json_field(&file, key));
+        assert!(e20.contains(&quoted), "E20 should quote {quoted} from BENCH_serve.json");
     }
 }

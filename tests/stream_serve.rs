@@ -2,28 +2,48 @@
 //! trace replays through the daemon with bounded-window retirement, a
 //! TCP client is killed mid-stream without upsetting anyone, a slow
 //! producer stalls the feed across the daemon's poll interval, and every
-//! path lands on its documented exit code.
+//! path lands on its documented exit code. In front of all of it, the
+//! byte → line step: whatever the read boundaries and whatever the bytes,
+//! the daemon is fed what `BufRead::lines` would have fed it, and a line
+//! that is no text is counted and quarantined, not taken for end of input.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Output, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use cal::core::spec::SeqAsCa;
+use cal::core::stream::{
+    Ingest, LineFault, LineSplitter, RawLine, Reply, StreamOptions, MAX_LINE_BYTES,
+};
+use cal::core::ObjectId;
+use cal::specs::register::RegisterSpec;
+use proptest::prelude::*;
 
 const EXE: &str = env!("CARGO_BIN_EXE_cal-serve");
 
 /// Runs `cal-serve` with `input` on stdin and waits for it.
 fn serve(args: &[&str], input: &str) -> Output {
-    let mut child = Command::new(EXE)
+    serve_bytes(args, input.as_bytes())
+}
+
+/// Starts `cal-serve <args>` with all three of its streams piped.
+fn spawn_piped(args: &[&str]) -> Child {
+    Command::new(EXE)
         .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("cal-serve spawns");
+        .expect("cal-serve spawns")
+}
+
+fn serve_bytes(args: &[&str], input: &[u8]) -> Output {
+    let mut child = spawn_piped(args);
     let mut stdin = child.stdin.take().unwrap();
     let input = input.to_owned();
     let feeder = std::thread::spawn(move || {
-        let _ = stdin.write_all(input.as_bytes());
+        let _ = stdin.write_all(&input);
     });
     let out = child.wait_with_output().expect("cal-serve exits");
     feeder.join().unwrap();
@@ -117,13 +137,7 @@ fn usage_errors_exit_four() {
 /// interval must not wedge or error the stream.
 #[test]
 fn slow_producer_stall_is_tolerated() {
-    let mut child = Command::new(EXE)
-        .args(["register", "--ack", "--quiet"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("cal-serve spawns");
+    let mut child = spawn_piped(&["register", "--ack", "--quiet"]);
     let mut stdin = child.stdin.take().unwrap();
     stdin.write_all(b"t0 inv o0.write 5\n").unwrap();
     stdin.flush().unwrap();
@@ -361,5 +375,213 @@ fn stdin_and_tcp_sessions_are_told_the_same() {
         assert_eq!(stdin_acks, tcp_acks, "case {case}");
         assert_eq!((out.status.code(), tcp_code), (Some(code), Some(code)), "case {case}");
         assert_eq!(final_report(&stdin_report), final_report(&tcp_report), "case {case}");
+    }
+}
+
+/// A stale read behind a line that is not UTF-8. `lines()` took the bad
+/// line for end of input, so the daemon said `consistent (2 events)` and
+/// exited 0.
+const STALE_READ_BEHIND_BAD_BYTES: &[u8] =
+    b"t1 inv o0.write 1\nt1 res o0.write ()\n\xff\xfe\nt1 inv o0.read ()\nt1 res o0.read 7\n";
+
+#[test]
+fn a_line_that_is_not_utf8_is_quarantined_and_the_stream_goes_on() {
+    let out = serve_bytes(&["register"], STALE_READ_BEHIND_BAD_BYTES);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("cal-serve: quarantined: line 3: invalid UTF-8"), "stderr: {stderr}");
+
+    // Over `--listen` the session used to be dropped at the bad line, the
+    // rest of its bytes unread.
+    let args = ["register", "--ack", "--quiet", "--checkpoint-every", "1"];
+    let (mut child, _stdout, addr) = spawn_tcp_with(&args);
+    let mut client = TcpStream::connect(&addr).expect("connect");
+    client.write_all(STALE_READ_BEHIND_BAD_BYTES).unwrap();
+    let acks: Vec<String> =
+        BufReader::new(client.try_clone().unwrap()).lines().map_while(Result::ok).collect();
+    assert_eq!(acks[..3], ["ok", "ok", "rej line 3: invalid UTF-8"], "acks: {acks:?}");
+    assert_eq!(acks.last().map(String::as_str), Some("refused violation"), "acks: {acks:?}");
+    assert_eq!(child.wait().expect("cal-serve exits").code(), Some(1));
+}
+
+#[test]
+fn a_line_without_end_is_quarantined_at_the_cap() {
+    let mut input = b"t0 inv o0.write 5\n".to_vec();
+    input.resize(input.len() + 3 * MAX_LINE_BYTES, b'x');
+    input.extend_from_slice(b"\nt0 res o0.write ()\nt0 res\n");
+    let out = serve_bytes(&["register", "--ack"], &input);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let acks = String::from_utf8_lossy(&out.stdout);
+    let want = format!("ok\nrej line 2: longer than {MAX_LINE_BYTES} bytes\nok\nrej line 4: ");
+    assert!(acks.starts_with(&want), "acks: {acks}");
+}
+
+/// A client that sends one line and waits for its answer gets it: the
+/// daemon takes what a `read` returned and does not wait for a block to
+/// fill.
+#[test]
+fn an_ack_client_that_waits_on_every_line_completes_a_thousand_round_trips() {
+    let mut child = spawn_piped(&["register", "--ack", "--quiet"]);
+    let mut stdin = child.stdin.take().unwrap();
+    let mut acks = BufReader::new(child.stdout.take().unwrap());
+    let mut ack = String::new();
+    for i in 0..1_000 {
+        let line = if i % 2 == 0 { "t0 inv o0.write 5\n" } else { "t0 res o0.write ()\n" };
+        stdin.write_all(line.as_bytes()).unwrap();
+        stdin.flush().unwrap();
+        ack.clear();
+        acks.read_line(&mut ack).unwrap();
+        assert_eq!(ack, "ok\n", "round trip {i}");
+    }
+    drop(stdin);
+    assert_eq!(child.wait().expect("cal-serve exits").code(), Some(0));
+}
+
+#[test]
+fn sigterm_on_an_idle_stdin_flushes_the_final_report_within_a_second() {
+    let mut child = spawn_piped(&["register", "--ack", "--stats-json", "-"]);
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    // The ack says the daemon is up and has taken the line; the second
+    // line has no end yet, and stdin stays open and silent behind it.
+    stdin.write_all(b"t0 inv o0.write 5\nt0 res o0.wr").unwrap();
+    stdin.flush().unwrap();
+    let mut ack = String::new();
+    stdout.read_line(&mut ack).unwrap();
+    assert_eq!(ack, "ok\n");
+    let asked = Instant::now();
+    sigterm(&child);
+    let status = child.wait().expect("cal-serve exits");
+    assert!(asked.elapsed() < Duration::from_secs(1), "took {:?}", asked.elapsed());
+    assert_eq!(status.code(), Some(0));
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert_eq!(events_reported(&rest), [1], "final report: {rest}");
+    drop(stdin);
+}
+
+/// The lines of `bytes` by the rules the splitter states, worked out from
+/// the whole stream at once.
+fn lines_of(bytes: &[u8]) -> Vec<Result<String, LineFault>> {
+    let mut lines: Vec<&[u8]> = bytes.split(|b| *b == b'\n').collect();
+    // What follows the last newline is a line only if it is not empty,
+    // and keeps its `\r`.
+    let unterminated = lines.pop().filter(|last| !last.is_empty());
+    let terminated = lines.into_iter().map(|line| (line, line.strip_suffix(b"\r").unwrap_or(line)));
+    terminated
+        .chain(unterminated.map(|line| (line, line)))
+        .map(|(line, text)| match String::from_utf8(text.to_vec()) {
+            // The cap is on what precedes the `\n`.
+            _ if line.len() > MAX_LINE_BYTES => Err(LineFault::TooLong),
+            Ok(text) => Ok(text),
+            Err(_) => Err(LineFault::InvalidUtf8),
+        })
+        .collect()
+}
+
+fn register_ingest() -> Ingest<SeqAsCa<RegisterSpec>> {
+    let options = StreamOptions { checkpoint_every: 4, ..StreamOptions::default() };
+    Ingest::new(SeqAsCa::new(RegisterSpec::new(ObjectId(0))), options, None)
+}
+
+/// Every reply, then the closing verdict, report and quarantine count.
+fn transcript(
+    ingest: &mut Ingest<SeqAsCa<RegisterSpec>>,
+    replies: Vec<Reply>,
+) -> (Vec<Reply>, String, u64) {
+    let verdict = ingest.checker.finish();
+    let report = ingest.checker.report(Duration::ZERO).to_json();
+    (replies, format!("{verdict} {report}"), ingest.quarantined())
+}
+
+fn feed(ingest: &mut Ingest<SeqAsCa<RegisterSpec>>, raw: RawLine<'_>) -> Reply {
+    match raw {
+        Ok(text) => ingest.line(text, false, &mut Vec::new()),
+        Err(fault) => ingest.fault(fault),
+    }
+}
+
+/// One line of a hostile stream, terminator included (or left off).
+fn wire_line() -> impl Strategy<Value = Vec<u8>> {
+    let text = |s: &'static str| Just(s.as_bytes().to_vec()).boxed();
+    prop_oneof![
+        (0u32..2, 0i64..3).prop_map(|(t, v)| format!("t{t} inv o0.write {v}\n").into_bytes()),
+        (0u32..2).prop_map(|t| format!("t{t} res o0.write ()\r\n").into_bytes()),
+        (0u32..2).prop_map(|t| format!("t{t} inv o0.read ()\n").into_bytes()),
+        (0u32..2, 0i64..3).prop_map(|(t, v)| format!("t{t} res o0.read {v}\n").into_bytes()),
+        text("\n"),
+        text("\r\n"),
+        text("  # a comment\n"),
+        text("not an event\r\n"),
+        text("abandon t1\n"),
+        text("abandon nobody\n"),
+        text("t0 inv o0.wr\u{e9}te 1\n"),
+        text("t0 inv o0.write 1"),
+        text("\r"),
+        Just(b"\xff\xfe\n".to_vec()),
+        Just(b"t0 inv o0.write \xc3\n".to_vec()),
+        (0usize..3).prop_map(|over| {
+            let mut line = vec![b'x'; MAX_LINE_BYTES - 1 + over];
+            line.extend_from_slice(b"\r\n");
+            line
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// However the reads fall — a byte at a time, a line across two and
+    /// three blocks, the whole stream in one — the daemon's ingest sees
+    /// the same lines under the same numbers, so it says and concludes
+    /// the same.
+    #[test]
+    fn the_splitter_feeds_what_lines_would_have(
+        lines in prop::collection::vec(wire_line(), 0..24),
+        most in prop_oneof![Just(1usize), Just(7), Just(64), Just(100_000), Just(usize::MAX)],
+        seed in any::<u64>(),
+    ) {
+        // Only the stream's last line may go without its newline.
+        let last = lines.len().saturating_sub(1);
+        let bytes: Vec<u8> = lines
+            .iter()
+            .enumerate()
+            .flat_map(|(i, line)| {
+                let open = i < last && !line.ends_with(b"\n");
+                line.iter().copied().chain(open.then_some(b'\n'))
+            })
+            .collect();
+
+        let expected = lines_of(&bytes);
+        if expected.iter().all(Result::is_ok) {
+            let std_lines: Vec<String> = bytes.lines().map(Result::unwrap).collect();
+            let ours: Vec<String> = expected.iter().cloned().map(Result::unwrap).collect();
+            prop_assert_eq!(ours, std_lines);
+        }
+        let mut by_line = register_ingest();
+        let replies = expected
+            .iter()
+            .map(|line| feed(&mut by_line, line.as_deref().map_err(|fault| *fault)))
+            .collect();
+        let by_line = transcript(&mut by_line, replies);
+
+        let mut by_block = register_ingest();
+        let mut splitter = LineSplitter::new();
+        let mut replies = Vec::new();
+        let mut rng = proptest::test_runner::TestRng::deterministic(seed);
+        let mut rest = &bytes[..];
+        while !rest.is_empty() {
+            let n = 1 + rng.index(most.min(rest.len()));
+            let (block, after) = rest.split_at(n);
+            rest = after;
+            let mut lines = splitter.split(block);
+            while let Some(raw) = lines.next_line() {
+                replies.push(feed(&mut by_block, raw));
+            }
+        }
+        if let Some(raw) = splitter.finish() {
+            replies.push(feed(&mut by_block, raw));
+        }
+        prop_assert_eq!(transcript(&mut by_block, replies), by_line);
     }
 }
