@@ -1,19 +1,19 @@
-//! # cal-bench — shared helpers for the experiment benchmarks
+//! # cal-bench — workload builders for the experiment runner
 //!
-//! Each bench target in `benches/` regenerates one experiment row/series of
-//! `EXPERIMENTS.md`; this crate hosts the workload builders they share.
+//! The `cal-bench` binary (`src/main.rs`) measures every series
+//! `EXPERIMENTS.md` quotes; this library hosts the seeded workload
+//! builders its experiments share.
 
 #![warn(missing_docs)]
 
-use cal_core::compose::TraceMap;
-use cal_core::gen::{render, render_loose};
+use cal_core::gen::render_loose;
 use cal_core::{CaTrace, History};
 use cal_specs::elim_stack::FEsMap;
 use cal_specs::gen::{random_elim_subobject_trace, random_exchanger_trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The standard object ids used across the benches.
+/// The standard object ids used across the experiments.
 pub mod ids {
     use cal_core::ObjectId;
     /// The elimination stack.
@@ -34,7 +34,7 @@ pub fn exchanger_history(seed: u64, threads: u32, elements: usize, moves: usize)
     render_loose(&trace, &mut rng, moves)
 }
 
-/// A deterministic exchanger trace (for agreement/replay benches).
+/// A deterministic exchanger trace (for the agreement series).
 pub fn exchanger_trace(seed: u64, threads: u32, elements: usize) -> CaTrace {
     let mut rng = StdRng::seed_from_u64(seed);
     random_exchanger_trace(&mut rng, ids::E0, threads, elements)
@@ -47,22 +47,9 @@ pub fn elim_subobject_trace(seed: u64, threads: u32, elements: usize) -> CaTrace
     random_elim_subobject_trace(&mut rng, &fes(), threads, elements)
 }
 
-/// The bench-standard `F_ES`.
+/// The experiments' `F_ES`.
 pub fn fes() -> FEsMap {
     FEsMap::new(ids::ES, ids::S, ids::AR)
-}
-
-/// The abstract elimination-stack history rendered (loosely) from a
-/// subobject trace — the input of the monolithic checking path.
-pub fn abstract_es_history(seed: u64, threads: u32, elements: usize, moves: usize) -> History {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sub = random_elim_subobject_trace(&mut rng, &fes(), threads, elements);
-    let mapped = fes().apply(&sub);
-    if moves == 0 {
-        render(&mapped)
-    } else {
-        render_loose(&mapped, &mut rng, moves)
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +64,5 @@ mod tests {
         let t = elim_subobject_trace(1, 3, 8);
         assert_eq!(t.len(), 8);
         assert!(exchanger_trace(1, 3, 5).len() == 5);
-        let ah = abstract_es_history(1, 3, 12, 8);
-        assert!(ah.is_well_formed());
     }
 }

@@ -560,34 +560,45 @@ impl fmt::Display for SearchReport {
 }
 
 /// The one writer of the `--stats-json` wire style, shared by
-/// [`SearchReport`], its object rows and the streaming report: a
-/// single-line JSON object, fields in call order, `", "` between them.
-pub(crate) struct JsonLine(String);
+/// [`SearchReport`], its object rows, the streaming report and the
+/// experiment runner's `BENCH_experiments.json`: a single-line JSON
+/// object, fields in call order, `", "` between them.
+///
+/// ```
+/// use cal_core::obs::JsonLine;
+/// let line = JsonLine::new().str("name", "e8").num("nodes", 7).ms("wall_ms", 0.25).finish();
+/// assert_eq!(line, r#"{"name": "e8", "nodes": 7, "wall_ms": 0.250}"#);
+/// ```
+#[derive(Debug)]
+pub struct JsonLine(String);
 
 impl JsonLine {
-    pub(crate) fn new() -> Self {
+    /// An object with no fields yet.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
         JsonLine(String::from("{"))
     }
 
     /// A number or boolean as its `Display` spells it, or a value that
     /// is already JSON.
-    pub(crate) fn num(mut self, key: &str, value: impl fmt::Display) -> Self {
+    pub fn num(mut self, key: &str, value: impl fmt::Display) -> Self {
         let sep = if self.0.len() > 1 { ", " } else { "" };
         let _ = write!(self.0, "{sep}\"{key}\": {value}");
         self
     }
 
     /// Milliseconds (or any ratio) to three decimal places.
-    pub(crate) fn ms(self, key: &str, value: f64) -> Self {
+    pub fn ms(self, key: &str, value: f64) -> Self {
         self.num(key, format_args!("{value:.3}"))
     }
 
     /// A string that needs no escaping (verdict and cause names).
-    pub(crate) fn str(self, key: &str, value: &str) -> Self {
+    pub fn str(self, key: &str, value: &str) -> Self {
         self.num(key, format_args!("\"{value}\""))
     }
 
-    pub(crate) fn finish(mut self) -> String {
+    /// Closes the object and returns the line.
+    pub fn finish(mut self) -> String {
         self.0.push('}');
         self.0
     }

@@ -26,8 +26,11 @@
 //! o0 { t3 exchange 7 -> (false,7) }
 //! ```
 
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
+
+use parking_lot::Mutex;
 
 use crate::action::Action;
 use crate::history::History;
@@ -70,14 +73,17 @@ fn parse_object(line: usize, s: &str) -> Result<ObjectId, ParseError> {
     }
 }
 
-/// Interns the method name. Method names are `&'static str`; parsing leaks
-/// each *distinct* name once, which is bounded by the client's vocabulary.
-/// Shared with the foreign-format decoders in [`crate::format`], so every
-/// parser agrees on one interned vocabulary.
+/// Interns the method name. Method names are `&'static str`: the nine
+/// names of the built-in vocabulary are constants, found by a scan that
+/// takes no lock; any other name is leaked the *first* time it is seen
+/// and found in a process-wide table from then on, so memory is bounded
+/// by the client's vocabulary, not by the length of its stream. Shared
+/// with the foreign-format decoders in [`crate::format`], so every parser
+/// agrees on one interned vocabulary.
 pub(crate) fn parse_method(line: usize, s: &str) -> Result<Method, ParseError> {
-    // Well-known names avoid leaking in the common case.
     const KNOWN: &[&str] =
         &["exchange", "push", "pop", "put", "take", "read", "write", "inc", "noop"];
+    static OTHERS: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
     if s.is_empty() || !s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
         return err(line, format!("invalid method name {s:?}"));
     }
@@ -86,7 +92,13 @@ pub(crate) fn parse_method(line: usize, s: &str) -> Result<Method, ParseError> {
             return Ok(Method(k));
         }
     }
-    Ok(Method(Box::leak(s.to_owned().into_boxed_str())))
+    let mut others = OTHERS.lock();
+    if let Some(name) = others.get(s) {
+        return Ok(Method(name));
+    }
+    let name: &'static str = Box::leak(s.to_owned().into_boxed_str());
+    others.insert(name);
+    Ok(Method(name))
 }
 
 fn parse_value(line: usize, s: &str) -> Result<Value, ParseError> {

@@ -247,3 +247,43 @@ fn a_jepsen_record_costs_nothing_on_its_way_to_the_checker() {
         "Ingest::line: {ingested} allocations for {records} records, {pushed} pushing them"
     );
 }
+
+#[test]
+fn a_method_name_outside_the_vocabulary_is_leaked_once() {
+    use cal::core::format::{Format, WireItem};
+    use cal::core::text::parse_action_line;
+    const LINES: usize = 100_000;
+
+    // `cas` is none of the nine built-in names: the first line interns it,
+    // every later one finds it.
+    let first = parse_action_line(1, "t0 inv o0.cas 1").unwrap().unwrap().method().0;
+    let (_, allocations) = counted(|| {
+        for line in 2..=LINES {
+            let method = parse_action_line(line, "t0 inv o0.cas 1").unwrap().unwrap().method().0;
+            assert!(std::ptr::eq(method, first), "line {line}: a second copy of the name");
+        }
+    });
+    assert_eq!(allocations, 0, "parse_action_line after the first line");
+
+    // The decoders share the table; a line costs them the `Vec` they
+    // return and nothing for the name, whichever format spells it.
+    let native = ["t0 inv o0.cas 1", "t0 res o0.cas true"];
+    let jepsen = [
+        "{:process 0, :type :invoke, :f :cas, :value 1}",
+        "{:process 0, :type :ok, :f :cas, :value 1}",
+    ];
+    for (format, pair) in [(Format::Native, native), (Format::Jepsen, jepsen)] {
+        let mut decoder = StreamDecoder::new(Some(format));
+        let (_, allocations) = counted(|| {
+            for line in 0..LINES {
+                let items = decoder.decode_line(line + 1, pair[line % 2]).unwrap();
+                let [WireItem::Action(action)] = items[..] else { panic!("{format}: {items:?}") };
+                assert!(std::ptr::eq(action.method().0, first), "{format}, line {}", line + 1);
+            }
+        });
+        assert!(
+            allocations <= LINES as u64 + ONCE_A_STREAM,
+            "{format}: {allocations} allocations for {LINES} lines"
+        );
+    }
+}

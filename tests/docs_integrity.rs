@@ -13,8 +13,10 @@
 //! - Where `README.md` and `docs/SPEC_DSL.md` list the built-in
 //!   specifications, they list exactly the rows of
 //!   `cal_specs::registry::BUILTINS`, in its order.
-//! - EXPERIMENTS E14 quotes `BENCH_checker.json`: one table row per
-//!   series, its three numbers the file's, and the file's host line.
+//! - EXPERIMENTS quotes `BENCH_experiments.json`: every series of the
+//!   file is a table row of its section, digit for digit; a numeric table
+//!   row in those sections that is no series needs the section to say
+//!   `not measured on this host`; the preamble quotes the file's host line.
 //! - EXPERIMENTS E20 quotes `BENCH_serve.json` the same way: one row per
 //!   `pipeline` run, one per layer metric, one per core count.
 
@@ -190,11 +192,15 @@ fn docs_list_exactly_the_registry_builtins() {
 }
 
 /// What follows `"key": ` in `json`, up to the next comma or line end: a
-/// number or a quoted name of `BENCH_checker.json`, as the bench wrote it.
-fn json_field<'a>(json: &'a str, key: &str) -> &'a str {
-    let from = json.find(&format!("\"{key}\": ")).unwrap_or_else(|| panic!("no {key:?} in {json}"));
+/// number or a quoted name of a `BENCH_*.json` file, as its writer wrote it.
+fn json_field_opt<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let from = json.find(&format!("\"{key}\": "))?;
     let value = &json[from + key.len() + 4..];
-    value[..value.find([',', '\n']).unwrap_or(value.len())].trim_matches('"')
+    Some(value[..value.find([',', '\n', '}']).unwrap_or(value.len())].trim_matches('"'))
+}
+
+fn json_field<'a>(json: &'a str, key: &str) -> &'a str {
+    json_field_opt(json, key).unwrap_or_else(|| panic!("no {key:?} in {json}"))
 }
 
 /// The part of EXPERIMENTS.md from `## <name> ` to the next `## `.
@@ -204,28 +210,97 @@ fn experiment(experiments: &str, name: &str) -> String {
     section[..section[3..].find("\n## ").map_or(section.len(), |end| end + 3)].to_owned()
 }
 
-#[test]
-fn e14_quotes_the_checker_bench_file() {
-    let file = doc("BENCH_checker.json");
-    let e14 = experiment(&doc("EXPERIMENTS.md"), "E14");
-    // The bench writes one series a line.
-    let series: Vec<&str> = file.lines().filter(|line| line.contains("\"seq_ms\"")).collect();
-    assert_eq!(series.len(), 6, "series in BENCH_checker.json");
-    let rows: Vec<&str> = e14.lines().filter(|line| line.starts_with("| `")).collect();
-    assert_eq!(rows.len(), series.len(), "E14 has one table row per series");
-    for (row, line) in rows.iter().zip(series) {
-        let quoted = format!(
-            "| `{}` | {} | {} | {} |",
-            json_field(line, "name"),
-            json_field(line, "seq_ms"),
-            json_field(line, "par_ms"),
-            json_field(line, "speedup"),
-        );
-        assert!(row.starts_with(&quoted), "E14 row\n  {row}\nshould begin\n  {quoted}");
+/// Where EXPERIMENTS quotes `BENCH_experiments.json`: the section, the
+/// prefix of the series names its table holds, and the fields a row gives
+/// after the four every row starts with (`—` where a series has none).
+const QUOTED: &[(&str, &str, &[&str])] = &[
+    ("E14", "decompose/", &["nodes", "nodes_min", "nodes_max", "ratio"]),
+    ("E14", "seqlin/frontier-", &["nodes", "nodes_min", "nodes_max", "ratio"]),
+    ("E2", "model_check/exchanger_", &["paths"]),
+    ("E4", "model_check/elim_stack_modular/", &["paths"]),
+    ("E5", "verify_elim_stack/", &["nodes", "ratio"]),
+    ("E6", "stack_throughput/", &["ops_per_s", "ratio"]),
+    ("E6", "elimination_k_sweep/", &["ops_per_s"]),
+    ("E7", "exchanger_throughput/threads/", &["ops", "paired_min", "paired_max", "ops_per_s"]),
+    ("E7", "exchanger_throughput/spin/", &["ops", "paired_min", "paired_max", "ops_per_s"]),
+    ("E8", "cal_check/", &["nodes", "elements_tried"]),
+    ("E8", "agree/", &[]),
+    ("E8", "seqlin_vs_singleton_cal/", &["nodes", "ratio"]),
+    (
+        "E13",
+        "exchanger_throughput/arena_vs_single/",
+        &["ops", "paired_min", "paired_max", "ops_per_s", "ratio"],
+    ),
+    (
+        "E16",
+        "stream/replay-throughput/",
+        &["events_per_s", "peak_window", "retired_actions", "retired_segments", "checkpoints"],
+    ),
+    ("Ablations", "ablation/memoization_reject/", &["nodes", "ratio"]),
+    ("Ablations", "ablation/scheduler_pruning/", &["paths", "ratio"]),
+    ("Ablations", "ablation/recorder_overhead/", &["ratio"]),
+];
+
+/// The data rows of `section`'s Markdown tables (header and rule lines
+/// skipped) that carry a number outside code spans.
+fn numeric_rows(section: &str) -> Vec<&str> {
+    let mut rows = Vec::new();
+    let mut in_table = 0;
+    for line in section.lines() {
+        in_table = if line.starts_with('|') { in_table + 1 } else { 0 };
+        let prose = line.split('`').step_by(2);
+        if in_table > 2 && prose.flat_map(str::chars).any(|c| c.is_ascii_digit()) {
+            rows.push(line);
+        }
     }
-    for key in ["host_cores", "threads", "degraded"] {
-        let quoted = format!("`\"{key}\": {}`", json_field(&file, key));
-        assert!(e14.contains(&quoted), "E14 should quote {quoted} from BENCH_checker.json");
+    rows
+}
+
+#[test]
+fn experiments_quote_the_bench_file() {
+    let file = doc("BENCH_experiments.json");
+    let experiments = doc("EXPERIMENTS.md");
+    // The runner writes one series a line.
+    let series: Vec<&str> = file.lines().filter(|line| line.contains("\"median_us\"")).collect();
+    let mut quoted = vec![false; series.len()];
+    let sections: BTreeSet<&str> = QUOTED.iter().map(|(section, ..)| *section).collect();
+    for section in sections {
+        let text = experiment(&experiments, section);
+        let mut expected = Vec::new();
+        for (_, prefix, extras) in QUOTED.iter().filter(|(s, ..)| *s == section) {
+            let before = expected.len();
+            for (i, line) in series.iter().enumerate() {
+                if json_field(line, "name").starts_with(prefix) {
+                    let mut row = format!("| `{}` |", json_field(line, "name"));
+                    for key in ["median_us", "q1_us", "q3_us", "samples"].iter().chain(*extras) {
+                        row += &format!(" {} |", json_field_opt(line, key).unwrap_or("—"));
+                    }
+                    assert!(text.contains(&row), "{section} should have a row beginning\n  {row}");
+                    expected.push(row);
+                    quoted[i] = true;
+                }
+            }
+            assert!(expected.len() > before, "no `{prefix}*` series in BENCH_experiments.json");
+        }
+        // The converse: a table row with numbers in it is a series of the
+        // file, or the section says why it is not.
+        for row in numeric_rows(&text) {
+            assert!(
+                expected.iter().any(|e| row.starts_with(e.as_str()))
+                    || text.contains("not measured on this host"),
+                "{section} has a table row no series backs, and no `not measured on this host`:\n  {row}"
+            );
+        }
+    }
+    for (line, quoted) in series.iter().zip(quoted) {
+        assert!(quoted, "no EXPERIMENTS table quotes {}", json_field(line, "name"));
+    }
+    let preamble = &experiments[..experiments.find("\n## ").expect("sections")];
+    for key in ["commit", "host_cores", "workers", "min_samples", "min_time_ms"] {
+        let value = json_field(&file, key);
+        let quote = if key == "commit" { "\"" } else { "" };
+        let cited = format!("`\"{key}\": {quote}{value}{quote}`");
+        assert!(preamble.contains(&cited), "the Environment paragraph should quote {cited}");
     }
 }
 
