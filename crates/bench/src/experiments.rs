@@ -20,10 +20,13 @@ use cal_objects::{exchanger::Exchanger, stack::TreiberStack};
 use cal_rg::check_exchanger_rg;
 use cal_sim::models::{elim_array::ElimArrayModel, elim_stack::ElimStackModel};
 use cal_sim::{models::exchanger::ExchangerModel, Explorer, OpRequest, Workload};
+use cal_specs::gen::kv_bursts;
+use cal_specs::kv::KvMapSpec;
 use cal_specs::register::{inc_op, read_op, write_op, CounterSpec, RegisterSpec};
 use cal_specs::vocab::{EXCHANGE, POP, PUSH};
 use cal_specs::{elim_array::FArMap, elim_stack::modular_stack_check};
 use cal_specs::{exchanger::ExchangerSpec, stack::StackSpec};
+use rand::{rngs::StdRng, SeedableRng};
 
 use crate::timing::Bench;
 
@@ -402,6 +405,31 @@ pub fn e16(b: &mut Bench) {
     let long = stream(250_000);
     b.exact("stream/replay-throughput/stream-1m", WINDOW, || replay(&long))
         .rate("events", 1_000_000);
+
+    // Many objects: sixteen keys, four and eight clients, a quiescent cut
+    // every 64 operations or so, `cal-serve`'s own options. Every closed
+    // segment is retired key by key, so what an event costs in search
+    // nodes does not grow with the clients.
+    let kv = SeqAsCa::new(KvMapSpec::new());
+    for clients in [4u32, 8] {
+        let actions = kv_bursts(&mut StdRng::seed_from_u64(7), clients, 16, 100);
+        let actions = actions.actions();
+        let replay = || {
+            let mut c = StreamChecker::new(kv.clone(), StreamOptions::default());
+            for &action in actions {
+                assert_eq!(c.push(action), Push::Admitted);
+            }
+            assert_eq!(c.finish(), StreamVerdict::Consistent);
+            let s = c.stats();
+            [s.search.nodes, s.peak_states as u64, s.peak_window as u64, s.retired_segments]
+        };
+        b.exact(
+            format!("stream/kv-concurrent/{clients}-clients"),
+            ["nodes", "peak_states", "peak_window", "retired_segments"],
+            replay,
+        )
+        .rate("events", actions.len() as u64);
+    }
 }
 
 /// A rejecting register history: `n` pairwise-concurrent writes of distinct

@@ -354,10 +354,18 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
     }
 
     /// Starts every later search from `state` instead of the
-    /// specification's initial state: how the streaming checker searches
-    /// one window from each state its retired prefix can end in.
+    /// specification's initial state: how the streaming checker looks for
+    /// one witness of its window from each state the retired prefix can
+    /// end in.
     pub(crate) fn resume_from(&mut self, state: S::State) {
         self.start = Some(state);
+    }
+
+    /// The node a search of this history from `state` starts at: nothing
+    /// matched yet. The streaming checker's retirement hands one per
+    /// reachable state to [`engine::enumerate_goals`].
+    pub(crate) fn root(&self, state: S::State) -> (BitSet, S::State) {
+        (BitSet::new(self.spans.len().max(1)), state)
     }
 
     /// The operations of the spans `subset`, the pending ones completed
@@ -499,8 +507,7 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     type Scratch = CalScratch;
 
     fn initial(&self) -> Self::Node {
-        let start = self.start.clone().unwrap_or_else(|| self.spec.get().initial());
-        (BitSet::new(self.spans.len().max(1)), start)
+        self.root(self.start.clone().unwrap_or_else(|| self.spec.get().initial()))
     }
 
     fn is_goal(&self, node: &Self::Node) -> bool {

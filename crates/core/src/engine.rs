@@ -1089,26 +1089,25 @@ pub fn search<D: SearchDomain>(
     .outcome()
 }
 
-/// Every distinct end state of an exhaustive exploration: the result of
+/// How an exhaustive exploration ended: the result of
 /// [`enumerate_goals`].
 #[derive(Debug, Clone)]
-pub struct Enumeration<N> {
-    /// The distinct goal nodes reached, in discovery order.
-    pub goals: Vec<N>,
+pub struct Enumeration {
     /// `true` when the exploration ran to exhaustion: every node
-    /// reachable from the root was visited, so `goals` is the *complete*
-    /// set. `false` when the node budget, the deadline or a cancellation
-    /// stopped it early — the caller must not treat `goals` as closed.
+    /// reachable from a root was visited, so the goals reported are the
+    /// *complete* set. `false` when the node budget, the deadline or a
+    /// cancellation stopped it early — the caller must not treat them as
+    /// closed.
     pub complete: bool,
     /// Work accounting, in the same units as a [`search`] run.
     pub stats: CheckStats,
 }
 
-/// Exhaustively enumerates the distinct *goal* nodes reachable from the
-/// domain's initial node.
+/// Exhaustively explores everything reachable from `roots`, handing each
+/// distinct *goal* node to `on_goal` as it is discovered.
 ///
 /// Where [`search`] stops at the first witness, this keeps exploring and
-/// collects every distinct goal node. It is the window-retirement hook the
+/// reports every distinct goal node. It is the window-retirement hook the
 /// streaming checker ([`crate::stream`]) builds on: the goal nodes of a
 /// decided window prefix carry every specification state the prefix can
 /// end in, after which the prefix's actions — and every memoized search
@@ -1119,11 +1118,18 @@ pub struct Enumeration<N> {
 /// a fresh memo and uses this enumeration, whose visited set lives and
 /// dies with the call, at the boundary itself.)
 ///
+/// The roots share one traversal and one visited set: the first root's
+/// subtree is explored first, in [`search`]'s order, and a later root
+/// pays only for the nodes no earlier one reached — a node carries its
+/// state, so what lies below it does not depend on the root it was
+/// reached from. Goals are nodes, not states: a caller that wants the
+/// distinct end *states* keeps the set itself, and clones only those.
+///
 /// The full visited set doubles as the memo table here (completeness
 /// requires one), so [`CheckOptions::memoize`] is ignored; revisits are
 /// counted as `memo_hits`. Budget, deadline and cancellation are honoured
-/// exactly as in [`search`]; when any of them fires, the partial result is
-/// returned with `complete = false`.
+/// exactly as in [`search`]; when any of them fires, what was reported so
+/// far stands and the result says `complete = false`.
 ///
 /// # Errors
 ///
@@ -1131,15 +1137,17 @@ pub struct Enumeration<N> {
 /// panics during the enumeration.
 pub fn enumerate_goals<D: SearchDomain>(
     domain: &D,
+    roots: Vec<D::Node>,
     options: &CheckOptions,
-) -> Result<Enumeration<D::Node>, CheckError> {
-    let root = initial_guarded(domain)?;
+    mut on_goal: impl FnMut(&D::Node),
+) -> Result<Enumeration, CheckError> {
     let mut ctl = Ctl::new(options, None, None, Instant::now());
     let mut visited: HashSet<D::Node> = HashSet::new();
-    let mut goals: Vec<D::Node> = Vec::new();
-    let mut stack: Vec<D::Node> = vec![root];
+    // Popped from the back: the first root goes last.
+    let mut stack = roots;
+    stack.reverse();
     // One successor buffer and one scratch for the whole enumeration, as
-    // in `run_tree`; a node is cloned only if it is a goal.
+    // in `run_tree`; a node is moved, never cloned.
     let mut succs: Vec<(D::Step, D::Node)> = Vec::new();
     let mut scratch = D::Scratch::default();
     while let Some(node) = stack.pop() {
@@ -1154,7 +1162,7 @@ pub fn enumerate_goals<D: SearchDomain>(
             break;
         }
         if domain.is_goal(&node) {
-            goals.push(node.clone());
+            on_goal(&node);
         }
         {
             let mut obs = ExpandObs { ctl: &mut ctl };
@@ -1176,7 +1184,7 @@ pub fn enumerate_goals<D: SearchDomain>(
         return Err(CheckError::SpecPanicked(msg));
     }
     let complete = ctl.interrupted.is_none() && !ctl.exhausted && stack.is_empty();
-    Ok(Enumeration { goals, complete, stats: ctl.stats })
+    Ok(Enumeration { complete, stats: ctl.stats })
 }
 
 /// Runs the parallel search over `domain`: per-object decomposition when

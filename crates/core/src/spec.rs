@@ -110,6 +110,19 @@ pub trait CaSpec {
     /// subhistories independently; returning `None` for any object forces
     /// the whole-history search, which is always sound.
     ///
+    /// A specification that restricts at all answers `Some` for exactly
+    /// the objects it admits an element on: **`None` after `Some` for
+    /// another object means the specification admits no element on it** —
+    /// [`CaSpec::step`] is `None` for every element there, in every state —
+    /// and `restrict(o)` itself admits elements on `o` alone. The batch
+    /// checker can fall back to the whole history when it meets such an
+    /// object; the streaming checker ([`crate::stream`]) cannot, once it
+    /// has retired a prefix object by object, and instead treats the
+    /// object as this sentence reads: explainable iff none of its
+    /// operations completes. Every specification in this repository is of
+    /// that kind, held to it by `tests/front_door.rs`. A specification
+    /// that couples its objects must return `None` for all of them.
+    ///
     /// The default returns `None` (no decomposition).
     fn restrict(&self, object: ObjectId) -> Option<Self>
     where
@@ -150,7 +163,8 @@ pub trait SeqSpec {
     }
 
     /// The specification restricted to a single object; same contract as
-    /// [`CaSpec::restrict`]. The default returns `None`.
+    /// [`CaSpec::restrict`], `None` after `Some` included (with
+    /// [`SeqSpec::apply`] for `step`). The default returns `None`.
     fn restrict(&self, object: ObjectId) -> Option<Self>
     where
         Self: Sized,

@@ -13,34 +13,59 @@
 //! ## The retirement invariant
 //!
 //! Let `R` be the retired prefix and `W` the current window, so the
-//! admitted history is `R · W`. The checker maintains:
+//! admitted history is `R · W`, and write `H|o` for a history's actions
+//! on object `o`. The checker holds one *part* per object admitted so
+//! far — the object, `spec.restrict(o)`, and a set `Q_o` of that
+//! specification's states — and maintains:
 //!
-//! > `states` is exactly the set of spec states `q` such that some
-//! > CA-trace witnessing `R` (Def. 5 agreement + spec acceptance) leaves
-//! > the specification in `q`.
+//! > `Q_o` is exactly the set of states `q` such that some CA-trace
+//! > witnessing `R|o` (Def. 5 agreement + acceptance by
+//! > `spec.restrict(o)`) leaves that specification in `q`.
+//!
+//! The states some witness of `R` leaves the *whole* specification in
+//! are then the product `Q = ∏ Q_o`, by locality: a CA-element is a set
+//! of operations on one object, so a trace explains `R` iff each of its
+//! per-object projections explains `R|o`, any choice of per-object
+//! witnesses interleaves into a whole one, and [`CaSpec::restrict`]'s
+//! contract makes acceptance per object too. The checker holds the
+//! factors and never builds the product; [`StreamStats::states`] is its
+//! size.
 //!
 //! Retirement happens only at *closed boundaries*: window cuts where
 //! every operation invoked before the cut has responded (or, under
 //! forced retirement, was explicitly abandoned) before it. Real-time
 //! order then forces every
 //! CA-element of any witness to fall entirely on one side of the cut, so
-//! witnesses of `R · seg` factor as (witness of `R`) · (witness of `seg`
-//! from the reached state) — the invariant is preserved *exactly* by
-//! taking the union, over current states, of the end states of an
-//! exhaustive segment enumeration ([`crate::engine::enumerate_goals`]).
-//! Consequences:
+//! witnesses of `(R · seg)|o` factor as (witness of `R|o`) · (witness of
+//! `seg|o` from the reached state) — the invariant is preserved *exactly*
+//! by replacing, for each object the segment touches, `Q_o` with the end
+//! states of one exhaustive enumeration of `seg|o` rooted at every state
+//! of `Q_o` ([`crate::engine::enumerate_goals`]); the other parts are
+//! untouched. Consequences:
 //!
-//! - `states = ∅` means no completion of `R` is explainable; since CAL
+//! - some `Q_o = ∅` means no completion of `R` is explainable; since CAL
 //!   is prefix-closed (for the prefix-closed specifications this crate
 //!   ships), **no extension can recover** — the violation verdict is
 //!   final and the stream is refused.
-//! - A checkpoint verdict for `R · W` is computed by searching only `W`
-//!   from each reachable state: exact parity with a batch check of the
-//!   full history.
+//! - A checkpoint verdict for `R · W` is computed by searching only
+//!   `W|o`, for each object with operations in the window, from the
+//!   states of `Q_o` until one has a witness: exact parity with a batch
+//!   check of the full history.
 //! - Failed-node memo entries never survive a boundary: each
 //!   per-checkpoint search runs with a fresh memo (a node refuted
 //!   against one window can become satisfiable when new events arrive),
 //!   and the enumeration's visited set lives and dies with the call.
+//!
+//! There is one evaluator — a loop over the parts a segment touches —
+//! and the stream that cannot be split is its one-part case: when the
+//! first object admitted is one the specification does not restrict to
+//! (the default [`CaSpec::restrict`]), and in causal mode, whose order
+//! crosses objects, a single part decides every object with the
+//! specification as it is, and the loop is the joint search over the
+//! whole window. An object the specification answers `None` for *after*
+//! restricting to another is, by the contract, one it admits no element
+//! on: it gets the specification as it is for a part, and is explainable
+//! iff none of its operations completes.
 //!
 //! ## Graceful degradation
 //!
@@ -120,6 +145,7 @@
 //!   Declare edges no later than their target operation's response.
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt;
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -131,7 +157,7 @@ use crate::check::CalDomain;
 use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, SpecRef, Verdict};
 use crate::format::{Format, StreamDecoder, WireItem};
 use crate::history::{HbRelation, History, HistoryError, PartialHistory, Span};
-use crate::ids::ThreadId;
+use crate::ids::{ObjectId, ThreadId};
 use crate::obs::JsonLine;
 use crate::op::Operation;
 use crate::spec::CaSpec;
@@ -152,9 +178,12 @@ pub struct StreamOptions {
     /// admitted actions. `0` disables automatic checkpoints (the caller
     /// drives them, e.g. on a timer).
     pub checkpoint_every: usize,
-    /// Upper bound on the reachable-state set carried across a
-    /// retirement boundary. A segment whose enumeration exceeds it is
-    /// kept in the window instead (bounded memory beats eager GC).
+    /// Upper bound on each per-object set of reachable states carried
+    /// across a retirement boundary — what is held, and what every later
+    /// search of that object's operations is multiplied by; the sets'
+    /// product, which [`StreamStats::states`] reports, is never built. A
+    /// segment that would leave some object with more is kept in the
+    /// window instead (bounded memory beats eager GC).
     pub max_states: usize,
     /// Budget/deadline/sink for each per-checkpoint search and each
     /// retirement enumeration.
@@ -271,7 +300,8 @@ pub struct StreamStats {
     pub window: usize,
     /// High-water mark of `window`.
     pub peak_window: usize,
-    /// Current reachable-state set size.
+    /// Current reachable-state set size: the product of the per-object
+    /// sets' sizes (saturating), of which only the factors are held.
     pub states: usize,
     /// High-water mark of `states`.
     pub peak_states: usize,
@@ -369,8 +399,10 @@ pub struct StreamChecker<S: CaSpec> {
     opts: StreamOptions,
     /// Undecided suffix of the admitted history.
     window: Vec<Action>,
-    /// Spec states reachable by some witness of the retired prefix.
-    states: Vec<S::State>,
+    /// The states reachable by some witness of the retired prefix, as a
+    /// product: one part per object admitted so far, or the one part that
+    /// decides every object (see [`Part`]).
+    parts: Vec<Part<S>>,
     /// Open invocations: `(thread, index into window)`.
     pending: Vec<(ThreadId, usize)>,
     /// Window indices of pending invocations whose client is gone.
@@ -403,11 +435,56 @@ pub struct StreamChecker<S: CaSpec> {
     stats: StreamStats,
 }
 
+/// One factor of the reachable-state set `Q = ∏ Q_o` (module docs, "The
+/// retirement invariant"): an object, the specification restricted to it,
+/// and the states of that specification some witness of the object's
+/// retired operations ends in.
+struct Part<S: CaSpec> {
+    /// The object whose operations this part decides; `None` decides
+    /// every object's — the one part of a stream that is not split.
+    object: Option<ObjectId>,
+    /// `spec.restrict(object)`. `None` is the stream's own specification:
+    /// in the unsplit part, and for an object the specification does not
+    /// restrict to after restricting to another — by
+    /// [`CaSpec::restrict`]'s contract it admits no element there, so the
+    /// object's operations are explainable iff none of them is complete.
+    spec: Option<S>,
+    /// `Q_o`, in discovery order; never empty.
+    reach: Vec<S::State>,
+}
+
+/// What a closed segment did to the parts it touches
+/// ([`StreamChecker::retire_segment`]).
+enum Segment {
+    /// Each holds the segment's end states.
+    Retired,
+    /// One has none: no witness explains the segment.
+    Refuted,
+    /// Undecided — budget, deadline, a panicking specification, a part
+    /// over `max_states` — and the parts are as they were.
+    Stays,
+}
+
+impl Segment {
+    /// Why a part may not hold `len` end states, if it may not: over
+    /// `max_states` and the segment stays in the window, none and it is
+    /// refuted.
+    fn unless_held(len: usize, max_states: usize) -> Option<Segment> {
+        if len > max_states {
+            Some(Segment::Stays)
+        } else if len == 0 {
+            Some(Segment::Refuted)
+        } else {
+            None
+        }
+    }
+}
+
 impl<S: CaSpec> fmt::Debug for StreamChecker<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamChecker")
             .field("window", &self.window.len())
-            .field("states", &self.states.len())
+            .field("states", &self.stats.states)
             .field("verdict", &self.verdict())
             .finish_non_exhaustive()
     }
@@ -415,15 +492,15 @@ impl<S: CaSpec> fmt::Debug for StreamChecker<S> {
 
 impl<S: CaSpec> StreamChecker<S> {
     /// Creates a checker with an empty window and the spec's initial
-    /// state as the only reachable state.
+    /// state as the only reachable state (of every object, once it is
+    /// admitted: the empty product).
     pub fn new(spec: S, opts: StreamOptions) -> Self {
-        let states = vec![spec.initial()];
         let stats = StreamStats { states: 1, peak_states: 1, ..StreamStats::default() };
         StreamChecker {
             spec,
             opts,
             window: Vec::new(),
-            states,
+            parts: Vec::new(),
             pending: Vec::new(),
             abandoned: Vec::new(),
             edges: Vec::new(),
@@ -510,6 +587,7 @@ impl<S: CaSpec> StreamChecker<S> {
                 self.pending.swap_remove(p);
             }
             None => {
+                self.admit_object(action.object());
                 self.pending.push((thread, at));
                 match self.last_seen.iter_mut().find(|(t, _)| *t == thread) {
                     Some(entry) => entry.1 = self.op_seq,
@@ -526,6 +604,51 @@ impl<S: CaSpec> StreamChecker<S> {
             self.checkpoint();
         }
         Push::Admitted
+    }
+
+    /// Gives `object` its part the first time one of its operations is
+    /// admitted: the specification restricted to it, in its initial
+    /// state. A stream whose first object the specification does not
+    /// restrict to is not split at all — one part decides every object
+    /// with the specification as it is — and neither is a causal stream,
+    /// whose session edges cross objects.
+    fn admit_object(&mut self, object: ObjectId) {
+        let Err(at) = self.find_part(object) else { return };
+        let spec = if self.opts.causal { None } else { self.spec.restrict(object) };
+        let unsplit = spec.is_none() && self.parts.is_empty();
+        let initial = spec.as_ref().unwrap_or(&self.spec).initial();
+        let object = (!unsplit).then_some(object);
+        self.parts.insert(at, Part { object, spec, reach: vec![initial] });
+    }
+
+    /// Where the part deciding `object`'s operations is, or would go:
+    /// the parts are kept in object order, so that finding one — twice an
+    /// operation on the solo path — is a few comparisons however many
+    /// keys a stream spreads over, and never a scan.
+    fn find_part(&self, object: ObjectId) -> Result<usize, usize> {
+        match self.parts.first() {
+            Some(unsplit) if unsplit.object.is_none() => Ok(0),
+            _ => self.parts.binary_search_by_key(&Some(object), |p| p.object),
+        }
+    }
+
+    /// The part deciding `object`'s operations, for an object of the
+    /// window (admission gave it one).
+    fn part_of(&self, object: ObjectId) -> usize {
+        self.find_part(object).expect("every admitted object has a part")
+    }
+
+    /// The parts `window[..upto]` holds operations of, in order of first
+    /// appearance. (A response's invocation is in the window before it.)
+    fn touched(&self, upto: usize) -> Vec<usize> {
+        let mut touched = Vec::new();
+        for a in self.window[..upto].iter().filter(|a| a.is_invoke()) {
+            let k = self.part_of(a.object());
+            if !touched.contains(&k) {
+                touched.push(k);
+            }
+        }
+        touched
     }
 
     /// Whether the window holds its cap of `max_window` invocations (`0`
@@ -754,25 +877,22 @@ impl<S: CaSpec> StreamChecker<S> {
     }
 
     /// Retires closed segments off the front of the window until none
-    /// remains, a segment resists (budget, deadline, or a state set over
-    /// `max_states`), or the state set empties (violation — final).
-    /// `force` additionally seals abandoned operations at the boundary
-    /// (see [`StreamChecker::first_cut`]).
+    /// remains, a segment resists (budget, deadline, or a part's state set
+    /// over `max_states`), or a part's state set empties (violation —
+    /// final). `force` additionally seals abandoned operations at the
+    /// boundary (see [`StreamChecker::first_cut`]).
     fn retire(&mut self, force: bool) {
         while !self.violated {
             let Some(cut) = self.first_cut(force) else { break };
-            let Some(next) = self.segment_states(cut) else { break };
-            if next.len() > self.opts.max_states {
-                break;
-            }
-            if next.is_empty() {
-                self.violated = true;
-                break;
+            match self.retire_segment(cut) {
+                Segment::Retired => {}
+                Segment::Refuted => {
+                    self.violated = true;
+                    break;
+                }
+                Segment::Stays => break,
             }
             let ops = self.window[..cut].iter().filter(|a| a.is_invoke()).count();
-            self.states = next;
-            self.stats.states = self.states.len();
-            self.stats.peak_states = self.stats.peak_states.max(self.states.len());
             self.stats.retired_segments += 1;
             self.stats.retired_actions += cut as u64;
             self.stats.retired_ops += ops as u64;
@@ -795,6 +915,14 @@ impl<S: CaSpec> StreamChecker<S> {
             self.edges.retain(|&(f, t)| f >= base && t >= base);
         }
         self.stats.window = self.window.len();
+    }
+
+    /// Reports `|Q|` after a part changed size: the product of the
+    /// parts' sizes, which is never built.
+    fn count_states(&mut self) {
+        let states = self.parts.iter().fold(1usize, |n, p| n.saturating_mul(p.reach.len()));
+        self.stats.states = states;
+        self.stats.peak_states = self.stats.peak_states.max(states);
     }
 
     /// Causal mode: the happens-before relation of a window-prefix
@@ -820,12 +948,13 @@ impl<S: CaSpec> StreamChecker<S> {
         HbRelation::causal(spans, &edges)
     }
 
-    /// The one search problem of `window[..upto]`: spans, order (real
-    /// time, or the causal relation in causal mode) and symmetry classes
-    /// built once, then resumed from each reachable state in turn.
-    /// `spec` is `self.spec`, passed apart so that the domain borrows
-    /// that field alone and callers keep counting into `self.stats`
-    /// while it lives.
+    /// The one search problem of a part over `window[..upto]` — of the
+    /// actions on `object` there, or of them all for the unsplit part:
+    /// spans, order (real time, or the causal relation in causal mode)
+    /// and symmetry classes built once, then searched from each of the
+    /// part's states. `spec` is the part's, passed apart so that the
+    /// domain borrows that alone and callers keep counting into
+    /// `self.stats` while it lives.
     ///
     /// # Errors
     ///
@@ -835,8 +964,17 @@ impl<S: CaSpec> StreamChecker<S> {
         &self,
         spec: &'s S,
         upto: usize,
+        object: Option<ObjectId>,
     ) -> Result<CalDomain<'s, S>, CausalOrderError> {
-        let segment = History::from_actions(self.window[..upto].to_vec());
+        // (The causal relation counts spans by admission order: it reads
+        // against the whole window, which is what a causal stream's one
+        // part is given.)
+        debug_assert!(object.is_none() || !self.opts.causal);
+        let actions = &self.window[..upto];
+        let segment = History::from_actions(match object {
+            None => actions.to_vec(),
+            Some(o) => actions.iter().filter(|a| a.object() == o).copied().collect(),
+        });
         CalDomain::with_order(Cow::Owned(segment), SpecRef::Borrowed(spec), |spans| {
             if self.opts.causal {
                 Ok(self.causal_relation(spans)?)
@@ -846,18 +984,19 @@ impl<S: CaSpec> StreamChecker<S> {
         })
     }
 
-    /// The exact end-state set of `window[..cut]` from the current
-    /// states, or `None` when the enumeration could not be completed
-    /// (budget, deadline, or a panicking spec) and the segment must stay.
-    fn segment_states(&mut self, cut: usize) -> Option<Vec<S::State>> {
+    /// Advances every part the closed segment `window[..cut]` touches to
+    /// the exact set of states the segment's operations on its object can
+    /// leave it in, from the states it holds now — every touched part or,
+    /// when one of them cannot be decided, none.
+    fn retire_segment(&mut self, cut: usize) -> Segment {
         // Fast path: a single complete op admits exactly one witness
         // element (complete ops cannot be dropped and have no one to
-        // share an element with), so step the spec directly instead of
-        // building a search domain. This is what makes a mostly-
-        // sequential replay stream at millions of ops without search
-        // overhead. In causal mode the path is taken only when no
-        // declared edge touches the op (ordinal `retired_ops`), so a
-        // malformed declaration still reaches the relation builder.
+        // share an element with), so step the one part it touches
+        // directly instead of building a search domain. This is what
+        // makes a mostly-sequential replay stream at millions of ops
+        // without search overhead. In causal mode the path is taken only
+        // when no declared edge touches the op (ordinal `retired_ops`),
+        // so a malformed declaration still reaches the relation builder.
         let solo_op_untouched = || {
             let o = self.stats.retired_ops;
             self.edges.iter().all(|&(f, t)| f != o && t != o)
@@ -876,103 +1015,147 @@ impl<S: CaSpec> StreamChecker<S> {
                 res.ret().expect("responses carry a return value"),
             );
             let element = CaElement::singleton(op);
-            let mut next: Vec<S::State> = Vec::new();
-            for q in &self.states {
+            // In place, so that the stream's commonest step allocates
+            // nothing of its own: the successors go behind the states
+            // they come from, which are dropped once every one of them
+            // has been stepped — or the successors are, and the part is
+            // as it was.
+            let k = self.part_of(inv.object());
+            let Part { spec, reach, .. } = &mut self.parts[k];
+            let spec = spec.as_ref().unwrap_or(&self.spec);
+            let held = reach.len();
+            for i in 0..held {
                 self.stats.search.elements_tried += 1;
-                match catch_unwind(AssertUnwindSafe(|| self.spec.step(q, &element))) {
+                match catch_unwind(AssertUnwindSafe(|| spec.step(&reach[i], &element))) {
                     Ok(Some(q2)) => {
-                        if !next.contains(&q2) {
-                            next.push(q2);
+                        if !reach[held..].contains(&q2) {
+                            reach.push(q2);
                         }
                     }
                     Ok(None) => {}
                     Err(payload) => {
+                        reach.truncate(held);
                         self.last_error = Some(crate::engine::panic_message(payload));
-                        return None;
+                        return Segment::Stays;
                     }
                 }
             }
-            return Some(next);
-        }
-        let mut domain = match self.window_domain(&self.spec, cut) {
-            Ok(domain) => domain,
-            Err(e) => {
-                self.last_error = Some(e.to_string());
-                return None;
+            if let Some(undone) = Segment::unless_held(reach.len() - held, self.opts.max_states) {
+                reach.truncate(held);
+                return undone;
             }
-        };
-        let mut next: Vec<S::State> = Vec::new();
-        for q in &self.states {
-            domain.resume_from(q.clone());
-            match engine::enumerate_goals(&domain, &self.opts.check) {
+            reach.drain(..held);
+            if reach.len() != held {
+                self.count_states();
+            }
+            return Segment::Retired;
+        }
+        // One traversal a part: every state it holds is a root, a node
+        // reached from two of them is expanded once, and the distinct end
+        // states are kept as they are discovered.
+        let mut staged: Vec<(usize, Vec<S::State>)> = Vec::new();
+        for k in self.touched(cut) {
+            let part = &self.parts[k];
+            let spec = part.spec.as_ref().unwrap_or(&self.spec);
+            let domain = match self.window_domain(spec, cut, part.object) {
+                Ok(domain) => domain,
+                Err(e) => {
+                    self.last_error = Some(e.to_string());
+                    return Segment::Stays;
+                }
+            };
+            let roots = part.reach.iter().map(|q| domain.root(q.clone())).collect();
+            let mut next: Vec<S::State> = Vec::new();
+            let mut seen: HashSet<S::State> = HashSet::new();
+            let done = engine::enumerate_goals(&domain, roots, &self.opts.check, |(_, state)| {
+                if !seen.contains(state) {
+                    seen.insert(state.clone());
+                    next.push(state.clone());
+                }
+            });
+            match done {
                 Ok(e) => {
                     self.stats.search += e.stats;
                     if !e.complete {
-                        return None;
-                    }
-                    for (_, state) in e.goals {
-                        if !next.contains(&state) {
-                            next.push(state);
-                        }
+                        return Segment::Stays;
                     }
                 }
                 Err(e) => {
                     self.last_error = Some(e.to_string());
-                    return None;
+                    return Segment::Stays;
                 }
             }
+            if let Some(undone) = Segment::unless_held(next.len(), self.opts.max_states) {
+                return undone;
+            }
+            staged.push((k, next));
         }
-        Some(next)
+        for (k, next) in staged {
+            self.parts[k].reach = next;
+        }
+        self.count_states();
+        Segment::Retired
     }
 
-    /// Re-checks the residual window from each reachable state, setting
-    /// `last_eval` (or latching the violation when every state refutes).
+    /// Re-checks the residual window part by part, each from the states
+    /// it holds, setting `last_eval` (or latching the violation when some
+    /// part's every state refutes its share of the window).
     fn evaluate(&mut self) {
-        if self.window.is_empty() {
-            self.last_eval = StreamVerdict::Consistent;
-            return;
-        }
-        let mut domain = match self.window_domain(&self.spec, self.window.len()) {
-            Ok(domain) => domain,
-            Err(e) => {
-                self.last_error = Some(e.to_string());
-                self.last_eval = StreamVerdict::Undecided(UndecidedWhy::CheckerError);
-                return;
-            }
-        };
-        let mut why: Option<UndecidedWhy> = None;
-        for q in &self.states {
-            domain.resume_from(q.clone());
-            match engine::search(&domain, &self.opts.check) {
-                Ok(outcome) => {
-                    self.stats.search += outcome.stats;
-                    match outcome.verdict {
-                        Verdict::Cal(_) => {
-                            self.last_eval = StreamVerdict::Consistent;
-                            return;
-                        }
-                        Verdict::NotCal => {}
-                        Verdict::ResourcesExhausted => {
-                            why.get_or_insert(UndecidedWhy::ResourcesExhausted);
-                        }
-                        Verdict::Interrupted { reason } => {
-                            why.get_or_insert(UndecidedWhy::Interrupted(reason));
-                        }
-                    }
-                }
+        let upto = self.window.len();
+        let mut undecided: Option<UndecidedWhy> = None;
+        for k in self.touched(upto) {
+            let part = &self.parts[k];
+            let spec = part.spec.as_ref().unwrap_or(&self.spec);
+            let mut domain = match self.window_domain(spec, upto, part.object) {
+                Ok(domain) => domain,
                 Err(e) => {
                     self.last_error = Some(e.to_string());
-                    why.get_or_insert(UndecidedWhy::CheckerError);
+                    self.last_eval = StreamVerdict::Undecided(UndecidedWhy::CheckerError);
+                    return;
+                }
+            };
+            let mut explained = false;
+            let mut why: Option<UndecidedWhy> = None;
+            for q in &part.reach {
+                domain.resume_from(q.clone());
+                match engine::search(&domain, &self.opts.check) {
+                    Ok(outcome) => {
+                        self.stats.search += outcome.stats;
+                        match outcome.verdict {
+                            Verdict::Cal(_) => {
+                                explained = true;
+                                break;
+                            }
+                            Verdict::NotCal => {}
+                            Verdict::ResourcesExhausted => {
+                                why.get_or_insert(UndecidedWhy::ResourcesExhausted);
+                            }
+                            Verdict::Interrupted { reason } => {
+                                why.get_or_insert(UndecidedWhy::Interrupted(reason));
+                            }
+                        }
+                    }
+                    Err(e) => {
+                        self.last_error = Some(e.to_string());
+                        why.get_or_insert(UndecidedWhy::CheckerError);
+                    }
+                }
+            }
+            match why {
+                _ if explained => {}
+                // Every state the part holds *refuted* its object's
+                // operations: no completion of the admitted history is
+                // explainable, and prefix closure makes that final.
+                None => {
+                    self.violated = true;
+                    return;
+                }
+                Some(why) => {
+                    undecided.get_or_insert(why);
                 }
             }
         }
-        match why {
-            // Every reachable state *refuted* the window: no completion
-            // of the admitted history is explainable, and prefix closure
-            // makes that final.
-            None => self.violated = true,
-            Some(why) => self.last_eval = StreamVerdict::Undecided(why),
-        }
+        self.last_eval = undecided.map_or(StreamVerdict::Consistent, StreamVerdict::Undecided);
     }
 }
 
@@ -1603,11 +1786,13 @@ mod tests {
         );
     }
 
-    /// A window searched from two reachable states — evaluated while an
-    /// op is open, then retired — costs exactly what it cost when every
-    /// state rebuilt its own domain, and when the enumeration took a fresh
-    /// successor buffer a node: nodes, elements tried and revisits are
-    /// those of the commit before either change.
+    /// A window searched from two reachable states, evaluated while an op
+    /// is open, then retired. The evaluation costs exactly what it cost
+    /// when every state rebuilt its own domain; the retirement is one
+    /// traversal from both states, which meet at "read 4, then write 5"
+    /// and expand it once — a node and a candidate fewer than the two
+    /// traversals it replaces (14 nodes and 16 elements after the third
+    /// checkpoint, 15 and 18 at the end).
     #[test]
     fn window_from_two_states_keeps_its_state_set_and_node_counts() {
         let work = |c: &StreamChecker<SeqAsCa<Reg>>| {
@@ -1625,11 +1810,54 @@ mod tests {
         assert_eq!(work(&c), (2, 1, 8, 9, 0));
         feed(&mut c, "t3 res o0.write ()\n");
         assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
-        assert_eq!(work(&c), (1, 2, 14, 16, 0), "the segment enumerates from both states to {{5}}");
+        assert_eq!(work(&c), (1, 2, 13, 15, 0), "the segment enumerates from both states to {{5}}");
         assert_eq!(c.stats().peak_states, 2);
         feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.read ()\nt2 res o0.read 4\nt3 res o0.read 4\n");
         assert_eq!(c.finish(), StreamVerdict::Violation);
-        assert_eq!(work(&c), (1, 2, 15, 18, 0));
+        assert_eq!(work(&c), (1, 2, 14, 17, 0));
+    }
+
+    /// A specification that panics while a lone operation is stepped in
+    /// place — after an earlier state of the part has already produced
+    /// its successor — leaves the part as it was and the operation in the
+    /// window.
+    #[test]
+    fn a_panic_while_stepping_in_place_leaves_the_part_as_it_was() {
+        #[derive(Debug, Clone)]
+        struct Touchy;
+        impl crate::spec::SeqSpec for Touchy {
+            type State = i64;
+            fn initial(&self) -> i64 {
+                0
+            }
+            fn apply(&self, state: &i64, op: &Operation) -> Option<i64> {
+                match (op.ret, *state) {
+                    (Value::Int(13), 4) => panic!("spec bug: thirteen read from four"),
+                    (Value::Int(13), _) => Some(*state),
+                    _ => Reg.apply(state, op),
+                }
+            }
+            fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+                Reg.completions_of(inv)
+            }
+        }
+        let opts = StreamOptions { checkpoint_every: 0, ..StreamOptions::default() };
+        let mut c = StreamChecker::new(SeqAsCa::new(Touchy), opts);
+        let push_all = |c: &mut StreamChecker<SeqAsCa<Touchy>>, text: &str| {
+            for action in parse_history(text).unwrap().actions() {
+                assert_eq!(c.push(*action), Push::Admitted);
+            }
+        };
+        push_all(&mut c, "t0 inv o0.write 3\nt1 inv o0.write 4\nt0 res o0.write ()\nt1 res o0.write ()\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert_eq!((c.stats().states, c.stats().retired_segments), (2, 1));
+        // From 3 the read steps; from 4 the specification panics.
+        push_all(&mut c, "t2 inv o0.read ()\nt2 res o0.read 13\n");
+        c.checkpoint();
+        assert!(c.last_error().unwrap().contains("spec bug"), "{:?}", c.last_error());
+        let s = c.stats();
+        assert_eq!((s.states, s.retired_segments, s.window), (2, 1, 2), "nothing retired, nothing lost");
+        assert_eq!(c.parts[0].reach, [3, 4]);
     }
 
     fn reg_ingest(max_window: usize, format: Option<Format>) -> Ingest<SeqAsCa<Reg>> {

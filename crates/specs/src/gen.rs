@@ -1,7 +1,8 @@
 //! Random generation of specification-level CA-traces, used by the checker
 //! validation tests and the scaling benchmarks.
 
-use cal_core::{CaElement, CaTrace, ObjectId, ThreadId};
+use cal_core::gen::interleave;
+use cal_core::{Action, CaElement, CaTrace, History, ObjectId, ThreadId, Value};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -9,7 +10,7 @@ use crate::elim_stack::FEsMap;
 use crate::exchanger::{fail_element, swap_element};
 use crate::stack::{pop_fail, pop_ok, push_fail, push_ok};
 use crate::sync_queue::{put_timeout_element, take_timeout_element, transfer_element};
-use crate::vocab::POP_SENTINEL;
+use crate::vocab::{POP_SENTINEL, READ, WRITE};
 
 /// Generates a random legal exchanger trace: `elements` CA-elements, each a
 /// swap between two distinct random threads or a singleton failure.
@@ -154,6 +155,59 @@ pub fn random_elim_subobject_trace<R: Rng>(
     trace
 }
 
+/// Generates a linearizable key-value history over `keys` keys (the `kv`
+/// specification's registers, [`crate::kv::KvMapSpec`]) in the shape a
+/// streaming checker's cost depends on: `bursts` bursts in which each of
+/// `clients` clients runs about `64 / clients` operations (give or take an
+/// eighth) back to back, scheduled against one another by [`interleave`],
+/// and none starts the next burst before all have finished this one — a
+/// quiescent cut, and the only kind there is. An operation takes effect
+/// at its invocation: a write stores a fresh value, a read returns what
+/// its key holds then, so the invocation order is a linearization. One
+/// client makes the stream sequential: every operation is a closed segment
+/// of its own.
+pub fn kv_bursts<R: Rng>(rng: &mut R, clients: u32, keys: u32, bursts: usize) -> History {
+    let mut store = vec![0i64; keys as usize];
+    let mut fresh = 0i64;
+    let mut history = History::new();
+    for _ in 0..bursts {
+        let mean = (64 / clients as usize).max(1);
+        let per_client: Vec<Vec<Action>> = (0..clients)
+            .map(|c| {
+                let (t, ops) = (ThreadId(c), rng.gen_range(mean - mean / 8..=mean + mean / 8));
+                (0..ops)
+                    .flat_map(|_| {
+                        let key = ObjectId(rng.gen_range(0..keys));
+                        // Values are filled in below, in schedule order.
+                        let (method, arg) =
+                            if rng.gen_bool(0.5) { (WRITE, Value::Int(0)) } else { (READ, Value::Unit) };
+                        [Action::invoke(t, key, method, arg), Action::response(t, key, method, Value::Unit)]
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut owed = vec![Value::Unit; clients as usize];
+        for action in interleave(&per_client, rng).actions() {
+            let (t, key, method) = (action.thread(), action.object(), action.method());
+            let cell = &mut store[key.0 as usize];
+            history.push(match (action.is_invoke(), method == WRITE) {
+                (true, true) => {
+                    fresh += 1;
+                    *cell = fresh;
+                    owed[t.0 as usize] = Value::Unit;
+                    Action::invoke(t, key, method, Value::Int(fresh))
+                }
+                (true, false) => {
+                    owed[t.0 as usize] = Value::Int(*cell);
+                    *action
+                }
+                (false, _) => Action::response(t, key, method, owed[t.0 as usize]),
+            });
+        }
+    }
+    history
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +246,19 @@ mod tests {
         for n in [0, 5, 60] {
             let t = random_elim_subobject_trace(&mut rng, &f, 4, n);
             assert!(modular_stack_check(&f, &t), "generated trace failed modular check");
+        }
+    }
+
+    #[test]
+    fn kv_bursts_are_linearizable_and_cut_between_bursts() {
+        use cal_core::seqlin::is_linearizable;
+        let mut rng = StdRng::seed_from_u64(5);
+        for clients in [1, 3] {
+            let h = kv_bursts(&mut rng, clients, 4, 3);
+            assert!(h.is_well_formed() && h.is_complete());
+            assert!(is_linearizable(&h, &crate::kv::KvMapSpec::new()).unwrap());
+            // Sequential with one client; with three, some pair overlaps.
+            assert_eq!(h.is_sequential(), clients == 1);
         }
     }
 

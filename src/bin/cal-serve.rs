@@ -39,8 +39,8 @@
 //!                           in the search window (default 4096, 0 = unbounded)
 //!   --checkpoint-every <N>  retire + re-evaluate every N admitted events
 //!                           (default 128)
-//!   --max-states <N>        cap on reachable states carried across a
-//!                           retirement boundary (default 64)
+//!   --max-states <N>        cap on the reachable states carried across a
+//!                           retirement boundary, per object (default 64)
 //!   --max-nodes / --deadline-ms   per-checkpoint search budget
 //!   --error-budget <N>      malformed or ill-formed events tolerated before
 //!                           the stream is refused (default 16)

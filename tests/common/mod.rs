@@ -6,6 +6,8 @@ use cal::core::text::parse_history;
 use cal::core::{CaElement, CaTrace, History, ObjectId, Operation, ThreadId};
 use cal::specs::exchanger::{exchange_ok, fail_element, swap_element};
 use cal::specs::register::{read_op, write_op};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 pub const O: ObjectId = ObjectId(0);
 
@@ -87,4 +89,10 @@ pub fn pipelined_register_history(ops: usize) -> History {
         h.push(done.response());
     }
     h
+}
+
+/// [`cal::specs::gen::kv_bursts`] over sixteen keys, a hundred bursts,
+/// seed 7: the stream the node and allocation pins are taken on.
+pub fn kv_stream(clients: u32) -> History {
+    cal::specs::gen::kv_bursts(&mut StdRng::seed_from_u64(7), clients, 16, 100)
 }

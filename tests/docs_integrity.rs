@@ -236,6 +236,11 @@ const QUOTED: &[(&str, &str, &[&str])] = &[
         "stream/replay-throughput/",
         &["events_per_s", "peak_window", "retired_actions", "retired_segments", "checkpoints"],
     ),
+    (
+        "E16",
+        "stream/kv-concurrent/",
+        &["events_per_s", "nodes", "peak_states", "peak_window", "retired_segments"],
+    ),
     ("Ablations", "ablation/memoization_reject/", &["nodes", "ratio"]),
     ("Ablations", "ablation/scheduler_pruning/", &["paths", "ratio"]),
     ("Ablations", "ablation/recorder_overhead/", &["ratio"]),
@@ -304,22 +309,26 @@ fn experiments_quote_the_bench_file() {
     }
 }
 
-#[test]
-fn e20_quotes_the_serve_bench_file() {
-    let file = doc("BENCH_serve.json");
-    let e20 = experiment(&doc("EXPERIMENTS.md"), "E20");
-    // One line of the file a table row: the row begins with the line's
-    // values, in the line's order.
+/// `BENCH_serve.json` holds one object an experiment, each recorded with
+/// `pipeline` as alternating parent / change pairs. One line of it a
+/// table row of that experiment's section: the row begins with the
+/// line's values, in the line's order.
+fn section_quotes_the_serve_bench_file(id: &str, header: &[&str], own: (&str, &[&str], bool)) {
+    let whole = doc("BENCH_serve.json");
+    let from = whole.find(&format!("\n  \"{id}\": {{")).unwrap_or_else(|| panic!("no {id} object"));
+    let file = &whole[from + 1..];
+    let file = &file[..file.find("\n  },").or(file.find("\n  }\n")).expect("the object closes")];
+    let section = experiment(&doc("EXPERIMENTS.md"), id);
     let rows_of = |marker: &str, keys: &[&str], code: bool| {
         let lines: Vec<&str> = file.lines().filter(|line| line.contains(marker)).collect();
-        assert!(!lines.is_empty(), "no {marker} lines in BENCH_serve.json");
+        assert!(!lines.is_empty(), "no {marker} lines in BENCH_serve.json's {id}");
         for line in lines {
             let mut quoted = String::from("|");
             for (i, key) in keys.iter().enumerate() {
                 let tick = if code && i == 0 { "`" } else { "" };
                 quoted += &format!(" {tick}{}{tick} |", json_field(line, key));
             }
-            assert!(e20.contains(&quoted), "E20 should have a row beginning\n  {quoted}");
+            assert!(section.contains(&quoted), "{id} should have a row beginning\n  {quoted}");
         }
     };
     let run = [
@@ -333,9 +342,26 @@ fn e20_quotes_the_serve_bench_file() {
     ];
     rows_of("\"series\": \"", &series, true);
     rows_of("\"metric\"", &["metric", "parent", "change"], true);
-    rows_of("\"cores\"", &["cores", "parent_s", "change_s"], false);
-    for key in ["host_cores", "seed", "events"] {
-        let quoted = format!("`\"{key}\": {}`", json_field(&file, key));
-        assert!(e20.contains(&quoted), "E20 should quote {quoted} from BENCH_serve.json");
+    for key in header {
+        let quoted = format!("`\"{key}\": {}`", json_field(file, key));
+        assert!(section.contains(&quoted), "{id} should quote {quoted} from BENCH_serve.json");
     }
+    // And the rows only this experiment has.
+    let (marker, keys, code) = own;
+    rows_of(marker, keys, code);
+}
+
+#[test]
+fn e20_quotes_the_serve_bench_file() {
+    // Its own rows: the one-core / two-core pair.
+    let pinned = ("\"cores\"", &["cores", "parent_s", "change_s"][..], false);
+    section_quotes_the_serve_bench_file("E20", &["host_cores", "seed", "events"], pinned);
+}
+
+#[test]
+fn e21_quotes_the_serve_bench_file() {
+    // Its own rows: the streams sized beside the benchmark's workload.
+    let stream = ["stream", "events", "parent_s", "parent_nodes", "change_s", "change_nodes"];
+    let header = ["host_cores", "seed", "unseen_seed", "events"];
+    section_quotes_the_serve_bench_file("E21", &header, ("\"stream\"", &stream, true));
 }

@@ -8,7 +8,9 @@ use std::process::{Command, Output, Stdio};
 
 use cal::chaos::driver::{Mode, TargetKind};
 use cal::chaos::Profile;
-use cal::specs::registry::{CheckMode, Selected, BUILTINS};
+use cal::core::spec::CaSpec;
+use cal::core::{CaElement, Method, ObjectId, Operation, ThreadId, Value};
+use cal::specs::registry::{self, CheckMode, Selected, Visitor, BUILTINS};
 
 const CHECK: &str = env!("CARGO_BIN_EXE_cal-check");
 const SERVE: &str = env!("CARGO_BIN_EXE_cal-serve");
@@ -237,4 +239,110 @@ fn max_nodes_is_decimal_or_hex_everywhere() {
         assert_eq!(code(CHECK, &["register", "-", "--max-nodes", bad], READS_ZERO), 4);
         assert_eq!(code(SERVE, &["register", "--quiet", "--max-nodes", bad], READS_ZERO), 4);
     }
+}
+
+/// Every operation the contract below is probed with: each method a
+/// shipped specification knows, over a few arguments and return values.
+fn probe_operations(thread: ThreadId, object: ObjectId) -> Vec<Operation> {
+    let methods = ["exchange", "push", "pop", "put", "take", "read", "write", "inc", "get"];
+    let args = [Value::Unit, Value::Int(0), Value::Int(1)];
+    let mut rets = vec![Value::Unit, Value::Bool(true), Value::Bool(false)];
+    for v in [0, 1] {
+        rets.extend([Value::Int(v), Value::Pair(true, v), Value::Pair(false, v)]);
+    }
+    let mut ops = Vec::new();
+    for method in methods {
+        for arg in args {
+            for &ret in &rets {
+                ops.push(Operation::new(thread, object, Method(method), arg, ret));
+            }
+        }
+    }
+    ops
+}
+
+/// `element`, on `object` instead.
+fn moved_to(element: &CaElement, object: ObjectId) -> CaElement {
+    let ops = element.ops().iter().map(|op| Operation { object, ..*op }).collect();
+    CaElement::new(object, ops).expect("the same threads, one object")
+}
+
+/// [`CaSpec::restrict`]'s contract, on one specification made for
+/// `HOME`: it restricts to exactly the objects it admits an element on,
+/// and a restriction admits nothing anywhere else.
+struct RestrictsToWhatItAdmits<'a>(&'a str);
+
+const HOME: ObjectId = ObjectId(0);
+const ELSEWHERE: ObjectId = ObjectId(5);
+
+impl Visitor for RestrictsToWhatItAdmits<'_> {
+    type Out = ();
+
+    fn ca<S>(self, spec: S)
+    where
+        S: CaSpec + Send + Sync + 'static,
+        S::State: Send + Sync,
+    {
+        let name = self.0;
+        let initial = spec.initial();
+        let singles = probe_operations(ThreadId(1), HOME).into_iter().map(CaElement::singleton);
+        let pairs = probe_operations(ThreadId(1), HOME).into_iter().flat_map(|a| {
+            let partners = probe_operations(ThreadId(2), HOME).into_iter();
+            partners.map(move |b| CaElement::pair(a, b).expect("two threads, one object"))
+        });
+        let admitted: Vec<CaElement> =
+            singles.chain(pairs).filter(|e| spec.step(&initial, e).is_some()).collect();
+        assert!(!admitted.is_empty(), "{name}: no probe element is admitted on {HOME}");
+        let at_home = spec.restrict(HOME).unwrap_or_else(|| panic!("{name} restricts to {HOME}"));
+        assert!(at_home.restrict(ELSEWHERE).is_none(), "{name}|{HOME} restricts to {ELSEWHERE}");
+        let elsewhere = spec.restrict(ELSEWHERE);
+        for element in &admitted {
+            let moved = moved_to(element, ELSEWHERE);
+            assert!(at_home.step(&at_home.initial(), element).is_some(), "{name}|{HOME}: {element}");
+            assert!(at_home.step(&at_home.initial(), &moved).is_none(), "{name}|{HOME}: {moved}");
+            // `Some` exactly where an element is admitted: a `None` beside
+            // a `Some` means no element at all, which is what lets a stream
+            // that has already split give the object a part.
+            assert_eq!(
+                spec.step(&initial, &moved).is_some(),
+                elsewhere.is_some(),
+                "{name} on {moved}, restricting to {ELSEWHERE}: {}",
+                elsewhere.is_some()
+            );
+            if let Some(there) = &elsewhere {
+                assert!(there.step(&there.initial(), &moved).is_some(), "{name}|{ELSEWHERE}: {moved}");
+                assert!(there.step(&there.initial(), element).is_none(), "{name}|{ELSEWHERE}: {element}");
+            }
+        }
+    }
+}
+
+/// (d) Every specification the front door can hand a stream — each
+/// built-in with a CA-trace reading and each spec of each shipped
+/// `specs/*.cal` — keeps `restrict`'s contract, which the streaming
+/// checker's per-object state sets rest on.
+#[test]
+fn every_spec_restricts_to_exactly_the_objects_it_admits() {
+    let mut checked = 0;
+    for (name, kind) in BUILTINS {
+        if kind.supports(CheckMode::Cal) {
+            let selected = Selected::builtin(name).expect("a BUILTINS row");
+            selected.visit(CheckMode::Cal, HOME, RestrictsToWhatItAdmits(name));
+            checked += 1;
+        }
+    }
+    let shipped = Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
+    for entry in std::fs::read_dir(shipped).expect("specs/ is there") {
+        let path = entry.expect("a directory entry").path();
+        if path.extension().is_some_and(|ext| ext == "cal") {
+            let path = path.to_str().expect("a utf-8 path");
+            let file = registry::load(path).unwrap_or_else(|e| panic!("{e}"));
+            for def in file.specs() {
+                let what = format!("{path}: {}", def.name());
+                Selected::Loaded(def.clone()).visit(CheckMode::Cal, HOME, RestrictsToWhatItAdmits(&what));
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 9 + 5, "nine built-ins and five shipped files: {checked}");
 }

@@ -102,6 +102,25 @@ fn violation_exits_one_and_is_final() {
     assert!(stdout.contains("\"verdict\": \"violation\""), "stdout: {stdout}");
 }
 
+/// An operation on an object the specification does not admit is a
+/// violation as soon as it completes, whether the object arrives before
+/// anything else (the stream is never split) or after the admitted one
+/// has a part of its own (the stranger gets the part its `None` implies).
+#[test]
+fn a_completed_operation_on_an_unadmitted_object_is_a_violation() {
+    let admitted = "t0 inv o0.write 1\nt0 res o0.write ()\n";
+    let stranger = "t1 inv o1.write 1\nt1 res o1.write ()\n";
+    for input in [format!("{admitted}{stranger}"), format!("{stranger}{admitted}")] {
+        let out = serve(&["register", "--stats-json", "-"], &input);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{input}stdout: {stdout}");
+        assert!(stdout.contains("\"verdict\": \"violation\""), "{input}stdout: {stdout}");
+    }
+    // Left open, it is dropped like any pending operation.
+    let out = serve(&["register", "--quiet"], &format!("{admitted}t1 inv o1.write 1\n"));
+    assert_eq!(out.status.code(), Some(0));
+}
+
 #[test]
 fn window_overflow_degrades_to_the_documented_verdict() {
     // Five open invocations on distinct threads against a window of 2:
