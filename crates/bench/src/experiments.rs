@@ -10,7 +10,6 @@ use cal_core::check::{check_cal, check_cal_with, CheckOptions, CheckOutcome, Ver
 use cal_core::compose::TraceMap;
 use cal_core::gen::{render, render_windowed};
 use cal_core::par::check_cal_par_with;
-use cal_core::seqlin::{check_linearizable, check_linearizable_par_with, check_linearizable_with};
 use cal_core::spec::{CaSpec, PerObject, SeqAsCa};
 use cal_core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
 use cal_core::{Action, CaElement, History, ObjectId, Operation, ThreadId, Value};
@@ -22,7 +21,7 @@ use cal_sim::models::{elim_array::ElimArrayModel, elim_stack::ElimStackModel};
 use cal_sim::{models::exchanger::ExchangerModel, Explorer, OpRequest, Workload};
 use cal_specs::gen::kv_bursts;
 use cal_specs::kv::KvMapSpec;
-use cal_specs::register::{inc_op, read_op, write_op, CounterSpec, RegisterSpec};
+use cal_specs::register::{read_op, write_op, RegisterSpec};
 use cal_specs::vocab::{EXCHANGE, POP, PUSH};
 use cal_specs::{elim_array::FArMap, elim_stack::modular_stack_check};
 use cal_specs::{exchanger::ExchangerSpec, stack::StackSpec};
@@ -96,15 +95,16 @@ pub fn e4(b: &mut Bench) {
 /// E5 — the paper's central claim, quantified: verifying the elimination
 /// stack *modularly* (subobject trace lifted through `F_ES`, replayed
 /// against the sequential stack spec, witness agreement — near-linear
-/// passes) against *monolithically* (a Wing–Gong search over the
-/// client-visible history). Accepting runs, then a corrupted execution (a
+/// passes) against *monolithically* (the CAL search over the client-visible
+/// history with the stack spec lifted to singleton elements — the
+/// Wing–Gong search). Accepting runs, then a corrupted execution (a
 /// pop of a never-pushed value) that the search must exhaust its space to
 /// refute while the replay fails where it stands.
 pub fn e5(b: &mut Bench) {
     const THREADS: u32 = 16;
     const WINDOW: usize = 8;
     let f = fes();
-    let spec = StackSpec::total(ids::ES);
+    let spec = SeqAsCa::new(StackSpec::total(ids::ES));
     for n in [8, 16, 32, 64, 128] {
         let sub = elim_subobject_trace(3, THREADS, n);
         let history = render_windowed(&f.apply(&sub), WINDOW);
@@ -116,7 +116,7 @@ pub fn e5(b: &mut Bench) {
             []
         });
         b.exact(format!("verify_elim_stack/accept/monolithic/{n}"), SEARCH, || {
-            accepted(check_linearizable(&history, &spec).unwrap())
+            accepted(check_cal(&history, &spec).unwrap())
         });
         b.versus(&modular);
 
@@ -131,7 +131,7 @@ pub fn e5(b: &mut Bench) {
             []
         });
         b.exact(format!("verify_elim_stack/reject/monolithic/{n}"), SEARCH, || {
-            refuted(check_linearizable(&history, &spec).unwrap())
+            refuted(check_cal(&history, &spec).unwrap())
         });
         b.versus(&modular);
     }
@@ -238,17 +238,9 @@ pub fn e13(b: &mut Bench) {
     }
 }
 
-/// `n` pairwise-concurrent counter increments returning 0, 1, …, n − 1.
-fn concurrent_increments(n: usize) -> History {
-    let inc = |i, ret| inc_op(ids::E0, ThreadId(i as u32), ret);
-    let invocations = (0..n).map(|i| inc(i, 0).invocation());
-    let responses = (0..n).map(|i| inc(i, i as i64).response());
-    History::from_actions(invocations.chain(responses).collect())
-}
-
 /// E8 — checker scalability on accepting instances: CAL membership against
-/// history length and thread count, `⊑CAL` agreement on a logged witness,
-/// and the classical checker against CAL restricted to singletons.
+/// history length and thread count, and `⊑CAL` agreement on a logged
+/// witness.
 pub fn e8(b: &mut Bench) {
     let spec = ExchangerSpec::new(ids::E0);
     for n in [4, 8, 16, 32, 64] {
@@ -270,17 +262,6 @@ pub fn e8(b: &mut Bench) {
             assert!(agrees_bool(&h, &t));
             []
         });
-    }
-    for n in [4, 8, 16] {
-        let h = concurrent_increments(n);
-        let seqlin = format!("seqlin_vs_singleton_cal/seqlin/{n}");
-        let counter = CounterSpec::new(ids::E0);
-        b.exact(&*seqlin, SEARCH, || accepted(check_linearizable(&h, &counter).unwrap()));
-        let ca = SeqAsCa::new(CounterSpec::new(ids::E0));
-        b.exact(format!("seqlin_vs_singleton_cal/cal_singleton/{n}"), SEARCH, || {
-            accepted(check_cal(&h, &ca).unwrap())
-        });
-        b.versus(&seqlin);
     }
 }
 
@@ -306,8 +287,9 @@ fn hard_cal_stack_block(object: ObjectId, base: u32, k: i64) -> Vec<Action> {
 /// value never pushed; a sequential decomposed checker grinds through the
 /// healthy three first, the parallel one is done when any worker reaches
 /// the bad object and cancels the rest (asserted ≥ 1.8×).
-/// **seqlin/frontier-stack-8**: one adversarial block, the classical
-/// checker alone against the frontier split across the workers.
+/// **cal/frontier-stack-8**: one adversarial block against the sequential
+/// stack spec lifted to singletons, one worker against the frontier split
+/// across the workers.
 pub fn e14(b: &mut Bench) {
     const OBJECTS: u32 = 4;
     let mut actions: Vec<Action> =
@@ -349,14 +331,14 @@ pub fn e14(b: &mut Bench) {
     assert!(speedup >= 1.8, "refute-last speedup {speedup:.2}x below the 1.8x floor");
 
     let h = History::from_actions(hard_cal_stack_block(ObjectId(0), 0, 8));
-    let spec = StackSpec::total(ObjectId(0));
-    b.ranged("seqlin/frontier-stack-8/par", SEARCH, || {
-        accepted(check_linearizable_par_with(&h, &spec, &many).unwrap())
+    let spec = SeqAsCa::new(StackSpec::total(ObjectId(0)));
+    b.ranged("cal/frontier-stack-8/par", SEARCH, || {
+        accepted(check_cal_par_with(&h, &spec, &many).unwrap())
     });
-    b.exact("seqlin/frontier-stack-8/seq", SEARCH, || {
-        accepted(check_linearizable_with(&h, &spec, &one).unwrap())
+    b.exact("cal/frontier-stack-8/seq", SEARCH, || {
+        accepted(check_cal_with(&h, &spec, &one).unwrap())
     });
-    b.versus("seqlin/frontier-stack-8/par");
+    b.versus("cal/frontier-stack-8/par");
 }
 
 /// E16 — streaming replay at verdict parity. `pairs` overlapping exchange
@@ -450,14 +432,14 @@ fn rejecting_register_history(n: usize) -> History {
 /// (identical `(shared, locals, history, trace)` states have identical
 /// subtrees), and what recording costs the object being observed.
 pub fn ablations(b: &mut Bench) {
-    let spec = RegisterSpec::new(ObjectId(0));
+    let spec = SeqAsCa::new(RegisterSpec::new(ObjectId(0)));
     let without = CheckOptions { memoize: false, ..CheckOptions::default() };
     for n in [5, 6, 7, 8] {
         let h = rejecting_register_history(n);
         let on = format!("ablation/memoization_reject/memo_on/{n}");
-        b.exact(&*on, SEARCH, || refuted(check_linearizable(&h, &spec).unwrap()));
+        b.exact(&*on, SEARCH, || refuted(check_cal(&h, &spec).unwrap()));
         b.exact(format!("ablation/memoization_reject/memo_off/{n}"), SEARCH, || {
-            refuted(check_linearizable_with(&h, &spec, &without).unwrap())
+            refuted(check_cal_with(&h, &spec, &without).unwrap())
         });
         b.versus(&on);
     }

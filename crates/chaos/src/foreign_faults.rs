@@ -144,9 +144,8 @@ pub fn replay_foreign<S: CaSpec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cal_core::check::check_cal;
+    use cal_core::check::{check_cal, is_cal};
     use cal_core::format::{parse_as, Format};
-    use cal_core::seqlin::is_linearizable;
     use cal_core::spec::SeqAsCa;
     use cal_core::{Action, ObjectId};
     use cal_specs::kv::KvMapSpec;
@@ -203,7 +202,6 @@ mod tests {
             assert!(wire.contains(":info"), "seed {seed}: no crash recorded:\n{wire}");
             let parsed = parse_as(Format::Jepsen, &wire)
                 .unwrap_or_else(|e| panic!("seed {seed}: perturbed trace must parse: {e}"));
-            assert!(is_linearizable(&parsed, &KvMapSpec::new()).unwrap(), "seed {seed}");
             assert!(
                 check_cal(&parsed, &SeqAsCa::new(KvMapSpec::new())).unwrap().verdict.is_cal(),
                 "seed {seed}"
@@ -233,7 +231,7 @@ mod tests {
             let wire = perturb_foreign(ForeignFault::Partition, seed.wrapping_mul(37), &h);
             let parsed = parse_as(Format::Jepsen, &wire)
                 .unwrap_or_else(|e| panic!("seed {seed}: perturbed trace must parse: {e}"));
-            assert!(is_linearizable(&parsed, &KvMapSpec::new()).unwrap(), "seed {seed}");
+            assert!(is_cal(&parsed, &SeqAsCa::new(KvMapSpec::new())).unwrap(), "seed {seed}");
         }
     }
 

@@ -24,7 +24,7 @@ enum Words {
 }
 
 /// A compact set of indices `0..capacity`, hashable so it can key a memo
-/// table in the CAL and linearizability checkers.
+/// table in the CAL and interval checkers.
 ///
 /// # Examples
 ///

@@ -13,11 +13,16 @@
 //! unassigned (dropping them, per Def. 2's completions). Failed search
 //! states are memoized on `(matched-set, spec-state)`.
 //!
+//! Classical linearizability is this search's singleton-element fragment:
+//! a sequential specification lifted by [`crate::spec::SeqAsCa`] admits
+//! only one-operation elements, so the search extracts one minimal
+//! operation at a time — the Wing–Gong search, with nothing of its own.
+//!
 //! This module is a thin *domain* over the shared search kernel
 //! ([`crate::engine`]): `CalDomain` enumerates candidate CA-elements,
 //! while budgets, deadlines, memoization, observability and parallelism
-//! live in the engine and are shared with the classical ([`crate::seqlin`])
-//! and interval ([`crate::interval`]) checkers.
+//! live in the engine and are shared with the interval
+//! ([`crate::interval`]) checker, the one other search definition.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};

@@ -1,14 +1,14 @@
 //! The generic membership-search kernel shared by every checker.
 //!
-//! The CAL checker ([`crate::check`]), the classical linearizability
-//! checker ([`crate::seqlin`]) and the interval-linearizability checker
-//! ([`crate::interval`]) are all instances of one problem: an ordered
+//! The CAL checker ([`crate::check`] — classical linearizability is its
+//! singleton-element fragment) and the interval-linearizability checker
+//! ([`crate::interval`]) are both instances of one problem: an ordered
 //! backtracking search for a *witness* — a sequence of steps accepted by a
 //! stateful specification that explains every complete operation of a
 //! history. They differ only in how candidate steps are enumerated and
-//! what a step is (a CA-element, a single operation, an interval point).
+//! what a step is (a CA-element, an interval point).
 //!
-//! This module owns everything that used to be triplicated across them:
+//! This module owns everything the two definitions share:
 //!
 //! - the node budget ([`CheckOptions::max_nodes`]) with a private or
 //!   shared (cross-worker) counter;
@@ -196,7 +196,7 @@ impl fmt::Display for InterruptReason {
 }
 
 /// The outcome of a membership check, generic over the witness type `W`
-/// (a [`CaTrace`] for the CAL and linearizability checkers, an
+/// (a [`CaTrace`] for the CAL checker, an
 /// [`crate::interval::IntervalWitness`] for the interval checker).
 ///
 /// # Examples
@@ -396,21 +396,20 @@ impl<K: Eq + Hash + Clone> MemoTable<'_, K> {
 /// steps and assemble witnesses. Everything else — budgets, deadlines,
 /// memoization, parallelism, stats — is the engine's job.
 ///
-/// The three in-tree domains are the CAL checker ([`crate::check`],
-/// steps are CA-elements), the classical linearizability checker
-/// ([`crate::seqlin`], steps are single operations) and the
+/// The two in-tree domains are the CAL checker ([`crate::check`], steps
+/// are CA-elements; on a sequential spec lifted by
+/// [`crate::spec::SeqAsCa`], single operations) and the
 /// interval-linearizability checker ([`crate::interval`], steps are
 /// interval points).
 pub trait SearchDomain {
     /// A search node. Doubles as the failed-state memo key, which is why
-    /// it stays domain-local: the CAL and linearizability checkers key on
+    /// it stays domain-local: the CAL checker keys on
     /// `(matched-set, spec-state)`, the interval checker additionally
     /// carries its open-interval set — collapsing them onto one key type
     /// would either lose pruning or conflate distinct residual states.
     type Node: Clone + Eq + Hash + fmt::Debug;
 
-    /// One step of a witness (a CA-element, an operation, an interval
-    /// point).
+    /// One step of a witness (a CA-element, an interval point).
     type Step: Clone;
 
     /// Buffers [`SearchDomain::expand`] refills instead of allocating: the

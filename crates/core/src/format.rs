@@ -846,10 +846,20 @@ struct KvLine {
 }
 
 fn parse_kvlog_line(line: usize, text: &str, keys: &mut KeyMap) -> Result<KvLine, FormatError> {
-    let toks: Vec<&str> = text.split_whitespace().collect();
-    if !(5..=6).contains(&toks.len()) {
+    // A line is five or six tokens, scanned into six slots: no allocation.
+    let mut slots = [""; 6];
+    let mut n = 0;
+    for tok in text.split_whitespace() {
+        let Some(slot) = slots.get_mut(n) else {
+            return fail(line, None, KV_USAGE);
+        };
+        *slot = tok;
+        n += 1;
+    }
+    if n < 5 {
         return fail(line, None, KV_USAGE);
     }
+    let toks = &slots[..n];
     let start: u64 = toks[0]
         .parse()
         .map_err(|_| FormatError { line, field: Some("start"), message: format!("bad invocation timestamp {:?}", toks[0]) })?;
@@ -874,12 +884,15 @@ fn parse_kvlog_line(line: usize, text: &str, keys: &mut KeyMap) -> Result<KvLine
         .parse()
         .map_err(|_| FormatError { line, field: Some("client"), message: format!("bad client id {c:?} (expected e.g. c0 or 0)") })?;
     let t = ThreadId(client);
-    let is_write = match toks[3].to_ascii_lowercase().as_str() {
-        "put" | "write" | "set" => true,
-        "get" | "read" => false,
-        other => {
-            return fail(line, Some("op"), format!("unknown operation {other:?} (expected put or get)"))
-        }
+    let op = toks[3];
+    let spelled = |words: &[&str]| words.iter().any(|w| op.eq_ignore_ascii_case(w));
+    let is_write = if spelled(&["put", "write", "set"]) {
+        true
+    } else if spelled(&["get", "read"]) {
+        false
+    } else {
+        let other = op.to_ascii_lowercase();
+        return fail(line, Some("op"), format!("unknown operation {other:?} (expected put or get)"));
     };
     let key_tok = toks[4];
     let object = if let Ok(n) = key_tok.parse::<i64>() {

@@ -17,8 +17,8 @@
 //! operations in one point are pairwise concurrent in `H`. CAL is the
 //! special case where every interval has length one.
 //!
-//! Like the other two checkers, this module is a thin domain over the
-//! shared search kernel ([`crate::engine`]): `IntervalDomain` enumerates
+//! Like the CAL checker, this module is a thin domain over the shared
+//! search kernel ([`crate::engine`]): `IntervalDomain` enumerates
 //! candidate points, and budgets, deadlines, cancellation, memoization,
 //! [`crate::obs::StatsSink`] observability and the parallel driver
 //! ([`check_interval_par_with`]) come from the engine. The verdict is the
@@ -770,7 +770,8 @@ mod tests {
         let spec = SeqAsInterval::new(Flag);
         assert!(is_interval_linearizable(&good, &spec).unwrap());
         assert!(!is_interval_linearizable(&bad, &spec).unwrap());
-        assert!(crate::seqlin::is_linearizable(&good, &Flag).unwrap());
-        assert!(!crate::seqlin::is_linearizable(&bad, &Flag).unwrap());
+        let lin = crate::spec::SeqAsCa::new(Flag);
+        assert!(crate::check::is_cal(&good, &lin).unwrap());
+        assert!(!crate::check::is_cal(&bad, &lin).unwrap());
     }
 }

@@ -16,9 +16,12 @@
 //!   [`CaTrace`]s (Def. 4);
 //! - the agreement relation `H ⊑CAL T` ([`agree`], Def. 5);
 //! - a CAL membership checker over stateful trace specifications
-//!   ([`check`], Def. 6, [`spec::CaSpec`]);
-//! - a classical linearizability checker as the singleton-element special
-//!   case ([`seqlin`], [`spec::SeqSpec`]);
+//!   ([`check`], Def. 6, [`spec::CaSpec`]), which is also the classical
+//!   linearizability checker: a sequential specification
+//!   ([`spec::SeqSpec`]) lifted to singleton elements ([`spec::SeqAsCa`])
+//!   is CAL's singleton-element fragment;
+//! - an interval-linearizability checker ([`interval`]), the one other
+//!   search definition;
 //! - the `F_o` view-function machinery for compositional verification of
 //!   objects built from subobjects ([`compose`]);
 //! - generators of sound and adversarial histories ([`gen`]).
@@ -90,7 +93,6 @@ pub mod interval;
 pub mod obs;
 pub mod op;
 pub mod par;
-pub mod seqlin;
 pub mod spec;
 pub mod stream;
 pub mod symmetry;

@@ -1,7 +1,8 @@
 //! Checker observability: search statistics sinks and structured run
 //! reports.
 //!
-//! The CAL membership search ([`crate::check`], [`crate::par`]) is an
+//! The membership search ([`crate::check`], [`crate::par`] — and
+//! [`crate::interval`] over the same kernel) is an
 //! exponential backtracking search whose cost profile — where the nodes
 //! went, how wide the frontier was, whether the memo table pruned or
 //! merely contended — is invisible from a bare [`Verdict`]. This module
@@ -295,7 +296,8 @@ impl CountingSink {
     /// agrees with the checker even if the sink was shared across runs);
     /// `options` supplies the budget and thread count; `wall` is the
     /// caller-measured wall-clock of the run. Generic over the witness
-    /// type, so reports work for CAL, seqlin and interval outcomes alike.
+    /// type, so reports work for CAL (sequential specs included) and
+    /// interval outcomes alike.
     pub fn report<W>(
         &self,
         outcome: &CheckOutcome<W>,

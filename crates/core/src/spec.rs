@@ -178,7 +178,9 @@ pub trait SeqSpec {
 /// are all singletons.
 ///
 /// CAL with a `SeqAsCa` specification coincides with classical
-/// linearizability, which is how the paper relates the two notions.
+/// linearizability, which is how the paper relates the two notions — and
+/// how this crate checks linearizability: there is no second search for
+/// it, only [`crate::check`] over this adapter.
 ///
 /// # Examples
 ///

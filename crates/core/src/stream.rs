@@ -1,7 +1,7 @@
 //! Online (streaming) CAL checking with bounded memory.
 //!
-//! The batch checkers ([`crate::check`], [`crate::seqlin`],
-//! [`crate::interval`]) need the complete history up front, so a live
+//! The batch checkers ([`crate::check`], [`crate::interval`]) need the
+//! complete history up front, so a live
 //! deployment must either buffer unboundedly or not check at all while
 //! traffic flows. [`StreamChecker`] closes that gap: events are pushed
 //! one [`Action`] at a time, the checker keeps only a bounded *window* of

@@ -261,8 +261,8 @@ mod tests {
     use super::*;
     use crate::hooks::ChaosHooks;
     use cal_core::check::is_cal;
+    use cal_core::spec::SeqAsCa;
     use cal_core::Action;
-    use cal_core::seqlin::check_linearizable;
     use cal_specs::exchanger::ExchangerSpec;
     use cal_specs::stack::StackSpec;
     use cal_specs::sync_queue::SyncQueueSpec;
@@ -394,8 +394,8 @@ mod tests {
             }
         });
         let h = s.recorder().history();
-        let outcome = check_linearizable(&h, &StackSpec::total(ObjectId(0))).unwrap();
-        assert!(outcome.verdict.is_cal(), "history not linearizable:\n{h}");
+        let linearizable = is_cal(&h, &SeqAsCa::new(StackSpec::total(ObjectId(0)))).unwrap();
+        assert!(linearizable, "history not linearizable:\n{h}");
     }
 
     #[test]
@@ -409,8 +409,8 @@ mod tests {
             }
         });
         let h = s.recorder().history();
-        let outcome = check_linearizable(&h, &StackSpec::total(ObjectId(0))).unwrap();
-        assert!(outcome.verdict.is_cal(), "history not linearizable:\n{h}");
+        let linearizable = is_cal(&h, &SeqAsCa::new(StackSpec::total(ObjectId(0)))).unwrap();
+        assert!(linearizable, "history not linearizable:\n{h}");
     }
 
     #[test]

@@ -344,8 +344,7 @@ mod tests {
     use crate::sched::{Explorer, Workload};
     use cal_core::agree::agrees_bool;
     use cal_core::check::is_cal;
-    use cal_core::seqlin::is_linearizable;
-    use cal_core::spec::CaSpec;
+    use cal_core::spec::{CaSpec, SeqAsCa};
     use cal_specs::exchanger::ExchangerSpec;
     use cal_specs::stack::StackSpec;
 
@@ -459,7 +458,7 @@ mod tests {
         // unobservable under the failing spec, which allows any pop to
         // fail spuriously; the duplication is the safety violation.)
         let model = FaultyStackModel::new(E, StackBug::PopWithoutCas);
-        let spec = StackSpec::failing(E);
+        let spec = SeqAsCa::new(StackSpec::failing(E));
         let w = Workload::new(vec![
             vec![OpRequest::new(PUSH, Value::Int(1))],
             vec![OpRequest::new(POP, Value::Unit)],
@@ -467,7 +466,7 @@ mod tests {
         ]);
         let mut rejected = false;
         Explorer::new(&model, w).max_paths(100_000).run(|e| {
-            if !is_linearizable(&e.history, &spec).unwrap() {
+            if !is_cal(&e.history, &spec).unwrap() {
                 rejected = true;
             }
         });
@@ -477,14 +476,14 @@ mod tests {
     #[test]
     fn pop_wrong_value_is_caught() {
         let model = FaultyStackModel::new(E, StackBug::PopWrongValue);
-        let spec = StackSpec::failing(E);
+        let spec = SeqAsCa::new(StackSpec::failing(E));
         let w = Workload::new(vec![
             vec![OpRequest::new(PUSH, Value::Int(1)), OpRequest::new(PUSH, Value::Int(2))],
             vec![OpRequest::new(POP, Value::Unit)],
         ]);
         let mut rejected = false;
         Explorer::new(&model, w).max_paths(100_000).run(|e| {
-            if !is_linearizable(&e.history, &spec).unwrap() {
+            if !is_cal(&e.history, &spec).unwrap() {
                 rejected = true;
             }
         });

@@ -327,8 +327,8 @@ mod tests {
     use super::*;
     use crate::sched::{Explorer, Workload};
     use cal_core::agree::agrees_bool;
-    use cal_core::seqlin::is_linearizable;
-    use cal_core::spec::SeqSpec;
+    use cal_core::check::is_cal;
+    use cal_core::spec::{SeqAsCa, SeqSpec};
     use cal_specs::stack::StackSpec;
 
     const S: ObjectId = ObjectId(0);
@@ -379,6 +379,7 @@ mod tests {
     fn every_interleaving_linearizable_wrt_failing_spec() {
         let m = FailingStackModel::new(S);
         let spec = StackSpec::failing(S);
+        let lin = SeqAsCa::new(spec.clone());
         let w = Workload::new(vec![vec![push(1), pop()], vec![push(2), pop()]]);
         let mut execs = 0;
         Explorer::new(&m, w).run(|e| {
@@ -387,7 +388,7 @@ mod tests {
             let ops: Vec<_> = e.trace.all_ops();
             assert!(spec.accepts(&ops), "trace {} illegal", e.trace);
             assert!(agrees_bool(&e.history, &e.trace));
-            assert!(is_linearizable(&e.history, &spec).unwrap());
+            assert!(is_cal(&e.history, &lin).unwrap());
         });
         assert!(execs > 5);
     }

@@ -251,12 +251,13 @@ mod tests {
 
     #[test]
     fn kv_bursts_are_linearizable_and_cut_between_bursts() {
-        use cal_core::seqlin::is_linearizable;
+        use cal_core::check::is_cal;
+        use cal_core::spec::SeqAsCa;
         let mut rng = StdRng::seed_from_u64(5);
         for clients in [1, 3] {
             let h = kv_bursts(&mut rng, clients, 4, 3);
             assert!(h.is_well_formed() && h.is_complete());
-            assert!(is_linearizable(&h, &crate::kv::KvMapSpec::new()).unwrap());
+            assert!(is_cal(&h, &SeqAsCa::new(crate::kv::KvMapSpec::new())).unwrap());
             // Sequential with one client; with three, some pair overlaps.
             assert_eq!(h.is_sequential(), clients == 1);
         }

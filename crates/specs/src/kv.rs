@@ -133,8 +133,7 @@ pub fn get_op(key: ObjectId, t: ThreadId, v: i64) -> Operation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cal_core::check::check_cal;
-    use cal_core::seqlin::is_linearizable;
+    use cal_core::check::{check_cal, is_cal};
     use cal_core::spec::SeqAsCa;
     use cal_core::History;
 
@@ -204,7 +203,6 @@ mod tests {
             r.response(),
         ]);
         // read may see 1 only if b linearized before a — still admissible:
-        assert!(is_linearizable(&h, &KvMapSpec::new()).unwrap());
         assert!(check_cal(&h, &SeqAsCa::new(KvMapSpec::new())).unwrap().verdict.is_cal());
     }
 
@@ -221,7 +219,6 @@ mod tests {
             r.invocation(),
             r.response(),
         ]);
-        assert!(!is_linearizable(&h, &KvMapSpec::new()).unwrap());
         assert!(!check_cal(&h, &SeqAsCa::new(KvMapSpec::new())).unwrap().verdict.is_cal());
     }
 
@@ -235,8 +232,8 @@ mod tests {
         ]);
         // default universe only proposes 0, but dropping the pending read
         // is always admissible:
-        assert!(is_linearizable(&h, &KvMapSpec::new()).unwrap());
+        assert!(is_cal(&h, &SeqAsCa::new(KvMapSpec::new())).unwrap());
         let with5 = KvMapSpec::new().with_read_universe(vec![0, 5]);
-        assert!(is_linearizable(&h, &with5).unwrap());
+        assert!(is_cal(&h, &SeqAsCa::new(with5)).unwrap());
     }
 }

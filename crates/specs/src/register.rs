@@ -157,7 +157,8 @@ pub fn inc_op(object: ObjectId, t: ThreadId, n: i64) -> Operation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cal_core::seqlin::is_linearizable;
+    use cal_core::check::is_cal;
+    use cal_core::spec::SeqAsCa;
     use cal_core::History;
 
     const R: ObjectId = ObjectId(0);
@@ -196,7 +197,7 @@ mod tests {
             b.response(),
             a.response(),
         ]);
-        assert!(is_linearizable(&h, &CounterSpec::new(R)).unwrap());
+        assert!(is_cal(&h, &SeqAsCa::new(CounterSpec::new(R))).unwrap());
     }
 
     #[test]
@@ -209,7 +210,7 @@ mod tests {
             a.response(),
             b.response(),
         ]);
-        assert!(!is_linearizable(&h, &CounterSpec::new(R)).unwrap());
+        assert!(!is_cal(&h, &SeqAsCa::new(CounterSpec::new(R))).unwrap());
     }
 
     #[test]

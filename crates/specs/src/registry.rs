@@ -7,7 +7,9 @@
 //! is the table of names, [`Selected::resolve`] turns a command line's
 //! `--spec FILE` and name into one spec, [`Selected::visit`] hands it —
 //! lifted as the [`CheckMode`] asks — to a [`Visitor`], and
-//! [`run_ca`] / [`run_seq`] / [`run_interval`] pick the search driver.
+//! [`run_ca`] / [`run_interval`] pick the search driver: one per search
+//! definition, since classical linearizability is CAL's singleton
+//! fragment and `seq` reads a sequential spec exactly as `cal` does.
 //! `cal-check`, `cal-serve`, `chaos-soak` and the chaos driver all go
 //! through here; none of them names a spec type.
 //!
@@ -26,7 +28,6 @@ use cal_core::interval::{
     check_interval_par_with, check_interval_with, IntervalSpec, IntervalWitness, SeqAsInterval,
 };
 use cal_core::par::check_cal_par_with;
-use cal_core::seqlin::{check_linearizable_par_with, check_linearizable_with};
 use cal_core::spec::{CaSpec, SeqAsCa, SeqSpec};
 use cal_core::{History, ObjectId};
 
@@ -51,13 +52,16 @@ pub enum Kind {
     Interval,
 }
 
-/// Which checker runs (`cal-check --mode`). All four are domains over the
-/// one search kernel; `Causal` is `Cal` under a happens-before order.
+/// Which property is checked (`cal-check --mode`). There are two search
+/// definitions, CAL and interval; `Seq` is `Cal` gated to sequential
+/// specs, `Causal` is `Cal` under a happens-before order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckMode {
     /// Concurrency-aware linearizability.
     Cal,
-    /// Classical linearizability.
+    /// Classical linearizability: CAL's singleton-element fragment, so the
+    /// same search as `Cal` on a sequential spec, and no reading of a
+    /// concurrency-aware one.
     Seq,
     /// Interval-linearizability.
     Interval,
@@ -244,7 +248,6 @@ impl Selected {
         assert!(self.kind().supports(mode), "{:?} has no {mode:?} reading", self.name());
         match self {
             Selected::Loaded(def) => match (mode, def.to_seq(object)) {
-                (CheckMode::Seq, Some(spec)) => visitor.seq(spec),
                 (CheckMode::Interval, Some(spec)) => visitor.interval(SeqAsInterval::new(spec)),
                 _ => visitor.ca(def.to_ca(object)),
             },
@@ -265,42 +268,32 @@ impl Selected {
     }
 }
 
-/// The three readings of a sequential specification: singleton elements,
-/// itself, singleton intervals.
+/// The two readings of a sequential specification: singleton elements
+/// (`cal`, `seq`, `causal`) and singleton intervals.
 fn lift<S, V: Visitor>(mode: CheckMode, spec: S, visitor: V) -> V::Out
 where
     S: SeqSpec + Send + Sync + 'static,
     S::State: Send + Sync,
 {
     match mode {
-        CheckMode::Cal | CheckMode::Causal => visitor.ca(SeqAsCa::new(spec)),
-        CheckMode::Seq => visitor.seq(spec),
         CheckMode::Interval => visitor.interval(SeqAsInterval::new(spec)),
+        _ => visitor.ca(SeqAsCa::new(spec)),
     }
 }
 
 /// What a front end does with the selected spec once its concrete type is
-/// known. `seq` and `interval` are reached only under [`CheckMode::Seq`]
-/// and [`CheckMode::Interval`], so a front end that offers neither mode
-/// (`cal-serve`, the chaos driver) implements `ca` alone.
+/// known. `interval` is reached only under [`CheckMode::Interval`], so a
+/// front end that does not offer it (`cal-serve`, the chaos driver)
+/// implements `ca` alone.
 pub trait Visitor: Sized {
     /// What the visit produces.
     type Out;
 
-    /// The spec as a set of CA-traces (`cal`, `causal`).
+    /// The spec as a set of CA-traces (`cal`, `seq`, `causal`).
     fn ca<S>(self, spec: S) -> Self::Out
     where
         S: CaSpec + Send + Sync + 'static,
         S::State: Send + Sync;
-
-    /// The spec as a sequential specification (`seq`).
-    fn seq<S>(self, _spec: S) -> Self::Out
-    where
-        S: SeqSpec + Sync,
-        S::State: Send + Sync,
-    {
-        unreachable!("this front end never visits under CheckMode::Seq")
-    }
 
     /// The spec as an interval-sequential specification (`interval`).
     fn interval<S>(self, _spec: S) -> Self::Out
@@ -335,27 +328,6 @@ where
         (None, true) => check_cal_par_with(history, spec, options),
         (Some(hb), false) => check_causal_with(history, spec, hb, options),
         (Some(hb), true) => check_causal_par_with(history, spec, hb, options),
-    }
-}
-
-/// Like [`run_ca`] for classical linearizability.
-///
-/// # Errors
-///
-/// As the `cal_core` checker it runs.
-pub fn run_seq<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError>
-where
-    S: SeqSpec + Sync,
-    S::State: Send + Sync,
-{
-    if options.threads > 1 {
-        check_linearizable_par_with(history, spec, options)
-    } else {
-        check_linearizable_with(history, spec, options)
     }
 }
 
@@ -395,10 +367,6 @@ mod tests {
             S: CaSpec + Send + Sync + 'static,
         {
             "ca"
-        }
-
-        fn seq<S: SeqSpec + Sync>(self, _: S) -> &'static str {
-            "seq"
         }
 
         fn interval<S: IntervalSpec + Sync>(self, _: S) -> &'static str {
@@ -441,7 +409,7 @@ mod tests {
     }
 
     /// Every row has a constructor, and each supported mode gets the
-    /// reading it names.
+    /// reading it names: `seq` is the CA reading of a sequential spec.
     #[test]
     fn every_row_visits_in_every_supported_mode() {
         for (name, kind) in BUILTINS {
@@ -449,13 +417,32 @@ mod tests {
             assert_eq!((selected.name(), selected.kind()), (name, kind));
             for (_, mode) in CheckMode::ALL.into_iter().filter(|(_, m)| kind.supports(*m)) {
                 let want = match mode {
-                    CheckMode::Cal | CheckMode::Causal => "ca",
-                    CheckMode::Seq => "seq",
                     CheckMode::Interval => "interval",
+                    _ => "ca",
                 };
                 assert_eq!(selected.visit(mode, ObjectId(0), Reading), want, "{name} {mode:?}");
             }
         }
+    }
+
+    /// A loaded `kind seq` spec reads as the builtins do; a `kind ca` one
+    /// has the CA reading alone.
+    #[test]
+    fn loaded_specs_visit_like_the_builtins() {
+        let seq = dsl::parse_str(include_str!("../../../specs/register.cal")).unwrap();
+        let selected = Selected::resolve(Some(&seq), None, CheckMode::Seq).unwrap();
+        for (mode, reading) in [
+            (CheckMode::Cal, "ca"),
+            (CheckMode::Seq, "ca"),
+            (CheckMode::Causal, "ca"),
+            (CheckMode::Interval, "interval"),
+        ] {
+            assert_eq!(selected.visit(mode, ObjectId(0), Reading), reading, "{mode:?}");
+        }
+        let ca = dsl::parse_str(include_str!("../../../specs/exchanger.cal")).unwrap();
+        assert!(Selected::resolve(Some(&ca), None, CheckMode::Seq).is_err());
+        let selected = Selected::resolve(Some(&ca), None, CheckMode::Causal).unwrap();
+        assert_eq!(selected.visit(CheckMode::Causal, ObjectId(0), Reading), "ca");
     }
 
     #[test]

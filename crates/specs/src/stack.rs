@@ -165,8 +165,8 @@ pub fn pop_fail(object: ObjectId, t: cal_core::ThreadId) -> Operation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cal_core::seqlin::is_linearizable;
-    use cal_core::spec::SeqSpec;
+    use cal_core::check::is_cal;
+    use cal_core::spec::{SeqAsCa, SeqSpec};
     use cal_core::{History, ThreadId};
 
     const S: ObjectId = ObjectId(0);
@@ -232,7 +232,8 @@ mod tests {
                 push.response(),
                 pop.response(),
             ]);
-            assert!(is_linearizable(&h, &StackSpec::total(S)).unwrap(), "pop {pop} should linearize");
+            let linearizable = is_cal(&h, &SeqAsCa::new(StackSpec::total(S))).unwrap();
+            assert!(linearizable, "pop {pop} should linearize");
         }
     }
 
@@ -242,7 +243,7 @@ mod tests {
             pop_ok(S, t(1), 42).invocation(),
             pop_ok(S, t(1), 42).response(),
         ]);
-        assert!(!is_linearizable(&h, &StackSpec::total(S)).unwrap());
+        assert!(!is_cal(&h, &SeqAsCa::new(StackSpec::total(S))).unwrap());
     }
 
     #[test]
@@ -256,7 +257,7 @@ mod tests {
             push.response(),
             pop_ok(S, t(2), 5).invocation(),
         ]);
-        assert!(is_linearizable(&h, &spec).unwrap());
+        assert!(is_cal(&h, &SeqAsCa::new(spec.clone())).unwrap());
         let inv = Invocation::new(t(2), S, POP, Value::Unit);
         assert!(spec.completions_of(&inv).contains(&Value::Pair(true, 5)));
     }

@@ -6,8 +6,9 @@
 //! cargo run --example elimination_stack
 //! ```
 
-use cal::core::check::Verdict;
-use cal::core::{seqlin, ObjectId};
+use cal::core::check::{check_cal, Verdict};
+use cal::core::spec::SeqAsCa;
+use cal::core::ObjectId;
 use cal::objects::recorded::{run_threads, RecordedEliminationStack};
 use cal::specs::stack::StackSpec;
 
@@ -37,8 +38,9 @@ fn main() {
         history.operations().len()
     );
 
-    let spec = StackSpec::total(ES);
-    let outcome = seqlin::check_linearizable(&history, &spec).expect("well-formed");
+    // Linearizability is CAL over the stack spec lifted to singletons.
+    let spec = SeqAsCa::new(StackSpec::total(ES));
+    let outcome = check_cal(&history, &spec).expect("well-formed");
     match outcome.verdict {
         Verdict::Cal(witness) => {
             println!("verdict: linearizable ✓ ({} linearization steps)", witness.len());

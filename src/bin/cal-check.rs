@@ -42,20 +42,22 @@
 //! `register`. If the file defines exactly one spec, the positional SPEC
 //! may be omitted; with several, name one. Mode gating is as for the
 //! built-ins: `kind seq` specs check in every `--mode`, `kind ca` specs
-//! only under `--mode cal`.
+//! under `--mode cal` and `--mode causal`.
 //!
 //! `--max-nodes` bounds the search (decimal or `0x` hex; exhausting it is
 //! verdict `undecided`), and `--no-symmetry` turns off symmetry reduction
 //! over interchangeable operations (file mode).
 //!
-//! `--mode` selects the checker, all of which run on the shared search
-//! kernel: `cal` (concurrency-aware linearizability; sequential specs
-//! are lifted to singleton elements), `seq` (classical linearizability;
-//! sequential specs only), `interval` (interval-linearizability;
-//! sequential specs become singleton-interval specs, plus the
-//! interval-native `write-snapshot`), or `causal` (the CAL membership
-//! search constrained by a happens-before *partial* order instead of the
-//! real-time total order — the weak-memory reading of a trace).
+//! `--mode` selects the property, checked by one of two searches on the
+//! shared kernel: `cal` (concurrency-aware linearizability; sequential
+//! specs are lifted to singleton elements), `seq` (classical
+//! linearizability — CAL's singleton fragment, so the same search as
+//! `cal` on a sequential spec; sequential specs only), `interval`
+//! (interval-linearizability; sequential specs become singleton-interval
+//! specs, plus the interval-native `write-snapshot`), or `causal` (the
+//! CAL membership search constrained by a happens-before *partial* order
+//! instead of the real-time total order — the weak-memory reading of a
+//! trace).
 //!
 //! `--hb` picks causal mode's order source. `auto` (the default) uses
 //! the trace's declared causality metadata — kvlog `hb session` / `hb
@@ -112,10 +114,10 @@ use cal::core::format::{self, Format};
 use cal::core::history::HbRelation;
 use cal::core::interval::{IntervalSpec, IntervalWitness};
 use cal::core::obs::{CountingSink, SearchReport, StatsSink};
-use cal::core::spec::{CaSpec, SeqSpec};
+use cal::core::spec::CaSpec;
 use cal::core::text::format_trace;
 use cal::core::{History, ObjectId};
-use cal::specs::registry::{self, run_ca, run_interval, run_seq, CheckMode, Selected, Visitor};
+use cal::specs::registry::{self, run_ca, run_interval, CheckMode, Selected, Visitor};
 use cal::{errln, outln};
 
 fn usage() -> io::Result<ExitCode> {
@@ -550,14 +552,6 @@ impl Visitor for Run<'_> {
         S::State: Send + Sync,
     {
         self.render(run_ca(self.history, &spec, self.order, self.options), format_trace)
-    }
-
-    fn seq<S>(self, spec: S) -> Self::Out
-    where
-        S: SeqSpec + Sync,
-        S::State: Send + Sync,
-    {
-        self.render(run_seq(self.history, &spec, self.options), format_trace)
     }
 
     fn interval<S>(self, spec: S) -> Self::Out

@@ -3,8 +3,8 @@
 //! Umbrella crate re-exporting the whole CAL toolkit:
 //!
 //! - [`core`] *(re-export of `cal-core`)* — the CAL formalism: histories,
-//!   CA-traces, the `⊑CAL` agreement relation, the CAL membership checker
-//!   and the classical linearizability checker.
+//!   CA-traces, the `⊑CAL` agreement relation, and the CAL membership
+//!   checker — classical linearizability is its singleton fragment.
 //! - [`specs`] *(re-export of `cal-specs`)* — ready-made specifications:
 //!   exchanger, elimination array, stacks, elimination stack, synchronous
 //!   queue, plus the paper's `F_AR`/`F_ES` view functions.

@@ -17,9 +17,10 @@
 //!
 //! The wire in front of the stream checker is held to the same kind of
 //! statement: a Jepsen record costs `decode_line` the `Vec` it returns
-//! (eight allocations before its scanner borrowed from the line), costs
-//! `Ingest::line` nothing over the pushes it ends in, and costs the
-//! byte → line splitter nothing.
+//! (eight allocations before its scanner borrowed from the line), and so
+//! does a kvlog line (four before its tokens went into six fixed slots);
+//! a record costs `Ingest::line` nothing over the pushes it ends in, and
+//! costs the byte → line splitter nothing.
 
 mod common;
 
@@ -27,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
-use cal::core::format::{format_jepsen, StreamDecoder};
+use cal::core::format::{format_jepsen, format_kvlog, StreamDecoder};
 use cal::core::spec::{CaSpec, SeqAsCa};
 use cal::core::stream::{
     Ingest, LineSplitter, Push, Reply, StreamChecker, StreamOptions, StreamVerdict,
@@ -237,16 +238,22 @@ fn a_jepsen_record_costs_nothing_on_its_way_to_the_checker() {
     assert_eq!(lines, records);
     assert!(allocations <= ONCE_A_STREAM, "splitter: {allocations} allocations");
 
-    let mut decoder = StreamDecoder::new(None);
-    let (items, allocations) = counted(|| {
-        let decoded = text.lines().enumerate().map(|(i, line)| decoder.decode_line(i + 1, line));
-        decoded.map(|items| items.expect("the records decode").len() as u64).sum::<u64>()
-    });
-    assert_eq!(items, records);
-    assert!(
-        allocations <= records + ONCE_A_STREAM,
-        "decode_line: {allocations} allocations for {records} records"
-    );
+    // The same history as a kvlog too: an operation a line, both of its
+    // actions decoded from it.
+    let kvlog = format_kvlog(&history).expect("a register history");
+    for (format, wire) in [("jepsen", &text), ("kvlog", &kvlog)] {
+        let mut decoder = StreamDecoder::new(None);
+        let (items, allocations) = counted(|| {
+            let decoded =
+                wire.lines().enumerate().map(|(i, line)| decoder.decode_line(i + 1, line));
+            decoded.map(|items| items.expect("the records decode").len() as u64).sum::<u64>()
+        });
+        assert_eq!(items, records, "{format}");
+        assert!(
+            allocations <= records + ONCE_A_STREAM,
+            "{format} decode_line: {allocations} allocations for {records} records"
+        );
+    }
 
     // The same actions pushed with no wire in front of them, then the
     // lines through the whole ingest policy.

@@ -1,21 +1,19 @@
 //! E10 — property-based validation of the agreement relation and the
 //! checkers: spec-generated traces render to accepted histories (for any
-//! rendering), semantic corruptions are rejected, and the classical
-//! linearizability checker coincides with the CAL checker on
-//! singleton-element specifications.
+//! rendering), and semantic corruptions are rejected. (Linearizability is
+//! CAL over a singleton-element spec; `tests/cross_checker.rs` holds that
+//! search to an independent reference.)
 
 use cal::core::agree::{agrees, agrees_bool};
 use cal::core::check::is_cal;
-use cal::core::gen::{interleave, render, render_loose, mutate, Mutation};
-use cal::core::spec::SeqAsCa;
-use cal::core::{seqlin, History, ObjectId, ThreadId, Value};
+use cal::core::gen::{render, render_loose, mutate, Mutation};
+use cal::core::{History, ObjectId, Value};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::gen::{random_exchanger_trace, random_sync_queue_trace};
-use cal::specs::register::{inc_op, CounterSpec};
 use cal::specs::sync_queue::SyncQueueSpec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const OBJ: ObjectId = ObjectId(0);
 
@@ -91,30 +89,6 @@ proptest! {
         let witness = outcome.verdict.witness().expect("legal history").clone();
         let agreement = agrees(&h, &witness).expect("witness must agree");
         prop_assert_eq!(agreement.assignment.len(), h.operations().len());
-    }
-
-    /// Classical linearizability == CAL restricted to singleton elements,
-    /// on random concurrent counter histories (sound and unsound alike).
-    #[test]
-    fn seqlin_coincides_with_singleton_cal(seed in 0u64..5_000, threads in 1u32..4, per in 1usize..4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Random per-thread `inc` results in 0..threads*per (often wrong).
-        let per_thread: Vec<Vec<cal::core::Action>> = (0..threads)
-            .map(|t| {
-                (0..per)
-                    .flat_map(|_| {
-                        let ret = rng.gen_range(0..(threads as i64) * per as i64);
-                        let op = inc_op(OBJ, ThreadId(t), ret);
-                        [op.invocation(), op.response()]
-                    })
-                    .collect()
-            })
-            .collect();
-        let h = interleave(&per_thread, &mut rng);
-        let spec = CounterSpec::new(OBJ);
-        let lin = seqlin::is_linearizable(&h, &spec).unwrap();
-        let cal_verdict = is_cal(&h, &SeqAsCa::new(spec)).unwrap();
-        prop_assert_eq!(lin, cal_verdict, "checkers disagree on {}", h);
     }
 }
 

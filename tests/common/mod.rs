@@ -1,9 +1,14 @@
-//! Histories more than one test file builds.
+//! Histories more than one test file builds, and the CAL-membership
+//! reference they are held to.
 #![allow(dead_code)]
 
+use std::collections::HashSet;
+
 use cal::core::gen::render_windowed;
+use cal::core::history::Span;
+use cal::core::spec::{CaSpec, Invocation};
 use cal::core::text::parse_history;
-use cal::core::{CaElement, CaTrace, History, ObjectId, Operation, ThreadId};
+use cal::core::{Action, CaElement, CaTrace, History, ObjectId, Operation, ThreadId};
 use cal::specs::exchanger::{exchange_ok, fail_element, swap_element};
 use cal::specs::register::{read_op, write_op};
 use rand::rngs::StdRng;
@@ -95,4 +100,87 @@ pub fn pipelined_register_history(ops: usize) -> History {
 /// seed 7: the stream the node and allocation pins are taken on.
 pub fn kv_stream(clients: u32) -> History {
     cal::specs::gen::kv_bursts(&mut StdRng::seed_from_u64(7), clients, 16, 100)
+}
+
+// --- the reference -----------------------------------------------------------
+//
+// CAL membership written out over nothing but `CaSpec::step` and Def. 3's
+// real-time order (`History::spans_precede`): no engine, no `HbRelation`,
+// no symmetry classes, no `FpMemo` — none of what the checkers share, so a
+// bug there cannot hide by agreeing with itself.
+
+/// Every way to complete the spans `subset` into operations: a complete
+/// span is its operation, a pending one takes each value the
+/// specification proposes for it among the others.
+fn completions<S: CaSpec>(spec: &S, spans: &[Span], subset: &[usize]) -> Vec<Vec<Operation>> {
+    let invocations: Vec<Invocation> = subset
+        .iter()
+        .map(|&i| Invocation::new(spans[i].thread, spans[i].object, spans[i].method, spans[i].arg))
+        .collect();
+    let mut out: Vec<Vec<Operation>> = vec![Vec::new()];
+    for (k, &i) in subset.iter().enumerate() {
+        let choices: Vec<Operation> = match spans[i].operation() {
+            Some(op) => vec![op],
+            None => {
+                let peers: Vec<Invocation> = (0..subset.len())
+                    .filter(|&j| j != k)
+                    .map(|j| invocations[j])
+                    .collect();
+                let rets = spec.completions_among(&invocations[k], &peers);
+                rets.into_iter().map(|ret| spans[i].operation_with_ret(ret)).collect()
+            }
+        };
+        out = out
+            .into_iter()
+            .flat_map(|ops| choices.iter().map(move |&op| [&ops[..], &[op]].concat()))
+            .collect();
+    }
+    out
+}
+
+/// Every state some explanation of `segment` leaves `spec` in, started
+/// from any of `from`: all ways to take a CA-element — same-object
+/// minimal operations under Def. 3's real-time order, pending ones
+/// completed or left out — until every complete operation is taken.
+pub fn end_states<S: CaSpec>(spec: &S, segment: &[Action], from: &[S::State]) -> Vec<S::State> {
+    let spans = History::from_actions(segment.to_vec()).spans();
+    let n = spans.len();
+    assert!(n <= 32, "a reference for small windows");
+    let complete = (0..n).filter(|&i| spans[i].is_complete()).fold(0u64, |m, i| m | 1 << i);
+    let mut ends: Vec<S::State> = Vec::new();
+    let mut seen: HashSet<(u64, S::State)> = HashSet::new();
+    let mut stack: Vec<(u64, S::State)> = from.iter().map(|q| (0, q.clone())).collect();
+    while let Some((matched, state)) = stack.pop() {
+        if !seen.insert((matched, state.clone())) {
+            continue;
+        }
+        if matched & complete == complete && !ends.contains(&state) {
+            ends.push(state.clone());
+        }
+        let has = |i: usize| matched >> i & 1 == 1;
+        let minimal: Vec<usize> = (0..n)
+            .filter(|&i| {
+                !has(i) && (0..n).all(|j| has(j) || !History::spans_precede(&spans[j], &spans[i]))
+            })
+            .collect();
+        for pick in 1u32..1 << minimal.len() {
+            if pick.count_ones() as usize > spec.max_element_size().max(1) {
+                continue;
+            }
+            let subset: Vec<usize> =
+                (0..minimal.len()).filter(|&b| pick >> b & 1 == 1).map(|b| minimal[b]).collect();
+            let object = spans[subset[0]].object;
+            if subset.iter().any(|&i| spans[i].object != object) {
+                continue;
+            }
+            let taken = subset.iter().fold(matched, |m, &i| m | 1 << i);
+            for ops in completions(spec, &spans, &subset) {
+                let Ok(element) = CaElement::new(object, ops) else { continue };
+                if let Some(next) = spec.step(&state, &element) {
+                    stack.push((taken, next));
+                }
+            }
+        }
+    }
+    ends
 }

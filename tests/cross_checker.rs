@@ -1,22 +1,29 @@
-//! Cross-checker differential suite: on singleton-only (sequential)
-//! specifications, all three checkers are deciding the *same* property —
-//! classical linearizability. CAL with every operation lifted to a
-//! singleton element ([`SeqAsCa`]) and interval-linearizability with
-//! every interval confined to one point ([`SeqAsInterval`]) both collapse
-//! to it. Since the three checkers are now thin domains over one search
-//! kernel, this suite asserts they agree verdict-for-verdict, sequentially
-//! and through the shared parallel driver at several thread counts.
+//! Cross-checker differential suite against an independent reference. On
+//! a sequential specification, CAL with every operation lifted to a
+//! singleton element ([`SeqAsCa`]) and interval-linearizability with every
+//! interval confined to one point ([`SeqAsInterval`]) both decide
+//! classical linearizability. Both searches run on the shared kernel — the
+//! engine, `HbRelation`'s minimal sets, symmetry classes, `FpMemo` — so a
+//! kernel bug would agree with itself if they were compared only with each
+//! other. Each is held instead to [`end_states`], a membership reference
+//! written over nothing but `CaSpec::step` and Def. 3's real-time order, on
+//! every generated history, accepted and rejected alike: the CAL search
+//! sequentially and at 1, 2 and 4 threads with symmetry and memoization
+//! each on and off, the interval search sequentially and in parallel.
 
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::gen::interleave;
 use cal::core::interval::{check_interval_par_with, check_interval_with, SeqAsInterval};
 use cal::core::par::check_cal_par_with;
-use cal::core::seqlin::{check_linearizable_par_with, check_linearizable_with};
-use cal::core::spec::{SeqAsCa, SeqSpec};
-use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
+use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
+use cal::core::{Action, History, Method, ObjectId, Operation, ThreadId, Value};
+use cal::specs::kv::KvMapSpec;
 use cal::specs::register::{read_op, write_op, CounterSpec, RegisterSpec};
 use cal::specs::stack::StackSpec;
 use proptest::prelude::*;
+
+mod common;
+use common::end_states;
 
 const O: ObjectId = ObjectId(0);
 
@@ -94,33 +101,41 @@ fn category<W>(r: &Result<CheckOutcome<W>, CheckError>) -> String {
     }
 }
 
-/// The oracle: the CAL checker (singleton elements), the seqlin checker
-/// and the interval checker (singleton intervals) return the same verdict
-/// on `h`, sequentially and via the shared parallel driver at 1, 2 and 4
-/// threads.
+/// The reference's verdict: is `h` linearizable w.r.t. `spec`?
+fn reference<S: SeqSpec + Clone>(h: &History, spec: &S) -> bool {
+    let lin = SeqAsCa::new(spec.clone());
+    !end_states(&lin, h.actions(), &[lin.initial()]).is_empty()
+}
+
+/// The oracle: the reference decides `h`, and every configuration of both
+/// searches returns that verdict.
 fn assert_cross_agreement<S>(h: &History, spec: &S)
 where
     S: SeqSpec + Clone + Sync,
     S::State: Send + Sync,
 {
-    let options = CheckOptions::default();
-    let cal = category(&check_cal_with(h, &SeqAsCa::new(spec.clone()), &options));
-    let seq = category(&check_linearizable_with(h, spec, &options));
-    let interval = category(&check_interval_with(h, &SeqAsInterval::new(spec.clone()), &options));
-    assert_eq!(cal, seq, "CAL vs seqlin disagree\nhistory:\n{h}");
-    assert_eq!(cal, interval, "CAL vs interval disagree\nhistory:\n{h}");
+    let expected = if reference(h, spec) { "accepted" } else { "rejected" };
+    let ca = SeqAsCa::new(spec.clone());
+    for symmetry in [true, false] {
+        for memoize in [true, false] {
+            let options = CheckOptions { symmetry, memoize, ..CheckOptions::default() };
+            let what = format!("symmetry={symmetry} memoize={memoize}");
+            let cal = category(&check_cal_with(h, &ca, &options));
+            assert_eq!(cal, expected, "CAL ({what}) vs the reference\nhistory:\n{h}");
+            for threads in [1usize, 2, 4] {
+                let par = CheckOptions { threads, ..options.clone() };
+                let pcal = category(&check_cal_par_with(h, &ca, &par));
+                assert_eq!(pcal, expected, "CAL ({what} threads={threads})\nhistory:\n{h}");
+            }
+        }
+    }
+    let interval = SeqAsInterval::new(spec.clone());
+    let seq = category(&check_interval_with(h, &interval, &CheckOptions::default()));
+    assert_eq!(seq, expected, "interval vs the reference\nhistory:\n{h}");
     for threads in [1usize, 2, 4] {
         let par = CheckOptions { threads, ..CheckOptions::default() };
-        let pcal = category(&check_cal_par_with(h, &SeqAsCa::new(spec.clone()), &par));
-        let pseq = category(&check_linearizable_par_with(h, spec, &par));
-        let pinterval =
-            category(&check_interval_par_with(h, &SeqAsInterval::new(spec.clone()), &par));
-        assert_eq!(cal, pcal, "threads={threads}: parallel CAL diverged\nhistory:\n{h}");
-        assert_eq!(cal, pseq, "threads={threads}: parallel seqlin diverged\nhistory:\n{h}");
-        assert_eq!(
-            cal, pinterval,
-            "threads={threads}: parallel interval diverged\nhistory:\n{h}"
-        );
+        let pinterval = category(&check_interval_par_with(h, &interval, &par));
+        assert_eq!(pinterval, expected, "interval (threads={threads})\nhistory:\n{h}");
     }
 }
 
@@ -144,27 +159,80 @@ proptest! {
     }
 }
 
-/// A handful of fixed histories with known verdicts, so the agreement
-/// suite cannot vacuously pass on generator quirks.
+/// Fixed register histories with known verdicts, so the agreement suite
+/// cannot vacuously pass on generator quirks — and so the reference is
+/// itself held to an answer.
 #[test]
 fn fixed_register_histories_agree_with_known_verdicts() {
     let spec = RegisterSpec::new(O);
-    // Accepted: write 5 then read 5.
-    let w = write_op(O, ThreadId(1), 5);
-    let r = read_op(O, ThreadId(2), 5);
-    let good =
-        History::from_actions(vec![w.invocation(), w.response(), r.invocation(), r.response()]);
-    // Rejected: the read returns a stale value after the write completed.
-    let stale = read_op(O, ThreadId(2), 0);
-    let bad = History::from_actions(vec![
-        w.invocation(),
-        w.response(),
-        stale.invocation(),
-        stale.response(),
-    ]);
-    let options = CheckOptions::default();
-    assert!(check_linearizable_with(&good, &spec, &options).unwrap().verdict.is_cal());
-    assert!(!check_linearizable_with(&bad, &spec, &options).unwrap().verdict.is_cal());
-    assert_cross_agreement(&good, &spec);
-    assert_cross_agreement(&bad, &spec);
+    let write = write_op(O, ThreadId(1), 5);
+    let read = |v| read_op(O, ThreadId(2), v);
+    let after = |r: Operation| {
+        History::from_actions(vec![
+            write.invocation(),
+            write.response(),
+            r.invocation(),
+            r.response(),
+        ])
+    };
+    let overlapping = |r: Operation| {
+        History::from_actions(vec![
+            write.invocation(),
+            r.invocation(),
+            write.response(),
+            r.response(),
+        ])
+    };
+    // The write never responds: it may take effect or be dropped.
+    let pending = |r: Operation| {
+        History::from_actions(vec![write.invocation(), r.invocation(), r.response()])
+    };
+    let cases = [
+        ("read 5 after write 5", after(read(5)), true),
+        ("stale read of 0 after write 5 completed", after(read(0)), false),
+        ("read 0 overlapping write 5", overlapping(read(0)), true),
+        ("read 5 overlapping write 5", overlapping(read(5)), true),
+        ("read 3 overlapping write 5", overlapping(read(3)), false),
+        ("read 0 beside a pending write 5", pending(read(0)), true),
+        ("read 5 beside a pending write 5", pending(read(5)), true),
+    ];
+    for (what, h, linearizable) in cases {
+        assert_eq!(reference(&h, &spec), linearizable, "{what}");
+        assert_cross_agreement(&h, &spec);
+    }
+}
+
+/// Two registers whose operations interleave, and a response with no
+/// invocation.
+#[test]
+fn fixed_two_object_and_ill_formed_histories_have_known_verdicts() {
+    let o1 = ObjectId(1);
+    let spec = KvMapSpec::new();
+    let ops = [
+        write_op(O, ThreadId(1), 5),
+        write_op(o1, ThreadId(2), 7),
+        read_op(O, ThreadId(1), 5),
+        read_op(o1, ThreadId(2), 7),
+    ];
+    let actions = ops.iter().flat_map(|op| [op.invocation(), op.response()]);
+    let h = History::from_actions(actions.collect());
+    assert!(reference(&h, &spec));
+    assert_cross_agreement(&h, &spec);
+    let ca = SeqAsCa::new(spec.clone());
+    for threads in [1usize, 2, 4] {
+        let options = CheckOptions { threads, ..CheckOptions::default() };
+        let outcome = check_cal_par_with(&h, &ca, &options).unwrap();
+        let witness = outcome.verdict.witness().expect("accepted");
+        assert_eq!(witness.len(), 4, "threads={threads}");
+        assert!(witness.elements().iter().all(|e| e.len() == 1), "threads={threads}");
+    }
+
+    let orphan = Action::response(ThreadId(1), O, Method("read"), Value::Int(0));
+    let ill = History::from_actions(vec![orphan]);
+    let options = CheckOptions { threads: 2, ..CheckOptions::default() };
+    let interval = SeqAsInterval::new(spec);
+    assert!(check_cal_with(&ill, &ca, &CheckOptions::default()).is_err());
+    assert!(check_cal_par_with(&ill, &ca, &options).is_err());
+    assert!(check_interval_with(&ill, &interval, &CheckOptions::default()).is_err());
+    assert!(check_interval_par_with(&ill, &interval, &options).is_err());
 }

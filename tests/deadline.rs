@@ -1,15 +1,15 @@
 //! E15 — deadline regression: on a state space far beyond the node
 //! budget, `check_cal_with` honours a ~50 ms wall-clock deadline within
 //! 2×, returns partial statistics instead of panicking, and reports the
-//! interruption as such. Since all three checkers run on the shared
-//! search kernel, the same properties are asserted for the seqlin and
-//! interval checkers on their own hard instances.
+//! interruption as such. Since both searches run on the shared kernel,
+//! the same properties are asserted for CAL on a sequential spec and for
+//! the interval checker on their own hard instances.
 
 use std::time::{Duration, Instant};
 
 use cal::core::check::{check_cal_with, CheckOptions, Verdict};
 use cal::core::interval::check_interval_with;
-use cal::core::seqlin::check_linearizable_with;
+use cal::core::spec::SeqAsCa;
 use cal::core::text::parse_history;
 use cal::core::{History, ObjectId, ThreadId};
 use cal::specs::exchanger::ExchangerSpec;
@@ -133,12 +133,12 @@ fn hard_seq_history(k: usize) -> History {
 }
 
 #[test]
-fn seqlin_deadline_is_honoured_within_2x() {
+fn sequential_spec_deadline_is_honoured_within_2x() {
     let history = hard_seq_history(11);
-    let spec = RegisterSpec::new(ObjectId(0));
+    let spec = SeqAsCa::new(RegisterSpec::new(ObjectId(0)));
     let deadline = Duration::from_millis(50);
     let start = Instant::now();
-    let outcome = check_linearizable_with(&history, &spec, &hard_options(deadline))
+    let outcome = check_cal_with(&history, &spec, &hard_options(deadline))
         .expect("interrupted checks are outcomes, not errors");
     let elapsed = start.elapsed();
     assert!(
@@ -151,12 +151,11 @@ fn seqlin_deadline_is_honoured_within_2x() {
 }
 
 #[test]
-fn seqlin_budget_exhaustion_is_a_result_not_a_panic() {
+fn sequential_spec_budget_exhaustion_is_a_result_not_a_panic() {
     let history = hard_seq_history(11);
-    let spec = RegisterSpec::new(ObjectId(0));
+    let spec = SeqAsCa::new(RegisterSpec::new(ObjectId(0)));
     let options = CheckOptions { max_nodes: 10_000, memoize: false, ..CheckOptions::default() };
-    let outcome =
-        check_linearizable_with(&history, &spec, &options).expect("exhaustion is an outcome");
+    let outcome = check_cal_with(&history, &spec, &options).expect("exhaustion is an outcome");
     assert!(matches!(outcome.verdict, Verdict::ResourcesExhausted));
     assert!(outcome.stats.nodes >= 10_000);
 }

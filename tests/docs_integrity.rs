@@ -215,7 +215,7 @@ fn experiment(experiments: &str, name: &str) -> String {
 /// after the four every row starts with (`—` where a series has none).
 const QUOTED: &[(&str, &str, &[&str])] = &[
     ("E14", "decompose/", &["nodes", "nodes_min", "nodes_max", "ratio"]),
-    ("E14", "seqlin/frontier-", &["nodes", "nodes_min", "nodes_max", "ratio"]),
+    ("E14", "cal/frontier-", &["nodes", "nodes_min", "nodes_max", "ratio"]),
     ("E2", "model_check/exchanger_", &["paths"]),
     ("E4", "model_check/elim_stack_modular/", &["paths"]),
     ("E5", "verify_elim_stack/", &["nodes", "ratio"]),
@@ -225,7 +225,6 @@ const QUOTED: &[(&str, &str, &[&str])] = &[
     ("E7", "exchanger_throughput/spin/", &["ops", "paired_min", "paired_max", "ops_per_s"]),
     ("E8", "cal_check/", &["nodes", "elements_tried"]),
     ("E8", "agree/", &[]),
-    ("E8", "seqlin_vs_singleton_cal/", &["nodes", "ratio"]),
     (
         "E13",
         "exchanger_throughput/arena_vs_single/",

@@ -12,7 +12,6 @@ use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, V
 use cal::core::dsl::{self, SpecDef};
 use cal::core::gen::interleave;
 use cal::core::par::check_cal_par_with;
-use cal::core::seqlin::{check_linearizable_par_with, check_linearizable_with};
 use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
@@ -153,31 +152,30 @@ where
 }
 
 /// The oracle for sequential families: the interpreted spec agrees with
-/// the native one under the seqlin checker *and* under the CAL checker
-/// with singleton lifting, sequentially and in parallel.
+/// the native one under the CAL checker with singleton lifting — both its
+/// sequential reading lifted by [`SeqAsCa`] and its own CA reading, which
+/// is what `--mode cal` and `--mode seq` check a loaded `kind seq` spec
+/// with — sequentially and in parallel.
 fn assert_seq_agreement<S>(h: &History, name: &str, native: &S)
 where
     S: SeqSpec + Clone + Sync,
     S::State: Send + Sync,
 {
     let def = shipped(name);
-    let interpreted = def.to_seq(O).expect("shipped seq spec has a sequential reading");
+    let lifted = SeqAsCa::new(def.to_seq(O).expect("shipped seq spec has a sequential reading"));
+    let own = def.to_ca(O);
     let options = CheckOptions::default();
-    let want = category(&check_linearizable_with(h, native, &options));
-    let got = category(&check_linearizable_with(h, &interpreted, &options));
-    assert_eq!(want, got, "{name}: DSL vs native diverge (seqlin)\nhistory:\n{h}");
-    let want_ca = category(&check_cal_with(h, &SeqAsCa::new(native.clone()), &options));
-    let got_ca = category(&check_cal_with(h, &def.to_ca(O), &options));
-    assert_eq!(want_ca, got_ca, "{name}: DSL vs native diverge (CAL lift)\nhistory:\n{h}");
+    let want = category(&check_cal_with(h, &SeqAsCa::new(native.clone()), &options));
+    let got = category(&check_cal_with(h, &lifted, &options));
+    assert_eq!(want, got, "{name}: DSL vs native diverge (seq reading)\nhistory:\n{h}");
+    let got_ca = category(&check_cal_with(h, &own, &options));
+    assert_eq!(want, got_ca, "{name}: DSL vs native diverge (CA reading)\nhistory:\n{h}");
     for threads in [1usize, 2, 4] {
         let par = CheckOptions { threads, ..CheckOptions::default() };
-        let pseq = category(&check_linearizable_par_with(h, &interpreted, &par));
-        let pca = category(&check_cal_par_with(h, &def.to_ca(O), &par));
-        assert_eq!(want, pseq, "{name}: threads={threads}: parallel seqlin diverged\nhistory:\n{h}");
-        assert_eq!(
-            want_ca, pca,
-            "{name}: threads={threads}: parallel CAL lift diverged\nhistory:\n{h}"
-        );
+        let pseq = category(&check_cal_par_with(h, &lifted, &par));
+        let pca = category(&check_cal_par_with(h, &own, &par));
+        assert_eq!(want, pseq, "{name}: threads={threads}: seq reading diverged\nhistory:\n{h}");
+        assert_eq!(want, pca, "{name}: threads={threads}: CA reading diverged\nhistory:\n{h}");
     }
 }
 
@@ -239,7 +237,7 @@ fn fixed_exchanger_histories_have_known_verdicts() {
 #[test]
 fn fixed_stack_histories_have_known_verdicts() {
     let def = shipped("stack");
-    let spec = def.to_seq(O).unwrap();
+    let spec = SeqAsCa::new(def.to_seq(O).unwrap());
     let options = CheckOptions::default();
     let (push, pop) = (Method("push"), Method("pop"));
     // push 1; push 2; pop -> (true, 2) — LIFO, accepted.
@@ -251,7 +249,7 @@ fn fixed_stack_histories_have_known_verdicts() {
         Action::invoke(ThreadId(1), O, pop, Value::Unit),
         Action::response(ThreadId(1), O, pop, Value::Pair(true, 2)),
     ]);
-    assert_eq!(category(&check_linearizable_with(&good, &spec, &options)), "accepted");
+    assert_eq!(category(&check_cal_with(&good, &spec, &options)), "accepted");
     // pop -> (true, 1) after pushing only 2 — FIFO order, rejected.
     let bad = History::from_actions(vec![
         Action::invoke(ThreadId(1), O, push, Value::Int(1)),
@@ -261,5 +259,5 @@ fn fixed_stack_histories_have_known_verdicts() {
         Action::invoke(ThreadId(1), O, pop, Value::Unit),
         Action::response(ThreadId(1), O, pop, Value::Pair(true, 1)),
     ]);
-    assert_eq!(category(&check_linearizable_with(&bad, &spec, &options)), "rejected");
+    assert_eq!(category(&check_cal_with(&bad, &spec, &options)), "rejected");
 }

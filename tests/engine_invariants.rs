@@ -19,7 +19,6 @@ use cal::core::par::check_cal_par_with;
 use cal::core::gen::interleave;
 use cal::core::interval::{check_interval_par_with, check_interval_with};
 use cal::core::obs::{CountingSink, StatsSink};
-use cal::core::seqlin::{check_linearizable_par_with, check_linearizable_with};
 use cal::core::spec::SeqAsCa;
 use cal::core::text::parse_history;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
@@ -185,20 +184,11 @@ proptest! {
     }
 
     #[test]
-    fn seqlin_verdict_invariant_across_engine_options(h in history_of(arb_register_op())) {
-        let spec = RegisterSpec::new(O).with_read_universe(vec![0, 1, 2]);
-        assert_matrix_invariant(
-            &h,
-            |o| check_linearizable_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_linearizable_par_with(&h, &spec, o).expect("well-formed").verdict,
-        );
-    }
-
-    #[test]
     fn cal_via_seq_adapter_verdict_invariant(h in history_of(arb_register_op())) {
-        // The same register family through the CAL checker's singleton
-        // embedding: exercises CalDomain's symmetry classes on a spec
-        // whose ops rarely clone, i.e. the `is_trivial` fast path.
+        // The register family through the CAL checker's singleton
+        // embedding — classical linearizability: exercises CalDomain's
+        // symmetry classes on a spec whose ops rarely clone, i.e. the
+        // `is_trivial` fast path.
         let spec = SeqAsCa::new(RegisterSpec::new(O).with_read_universe(vec![0, 1, 2]));
         assert_matrix_invariant(
             &h,

@@ -157,6 +157,9 @@ const REGISTER_FROM_SEVEN: &str = "spec register { kind seq; var val: int = 7; \
      complete write { yield unit; } complete read { yield 7; } }";
 const READS_SEVEN: &str = "t1 inv o0.read ()\nt1 res o0.read 7\n";
 const READS_ZERO: &str = "t1 inv o0.read ()\nt1 res o0.read 0\n";
+/// Fig. 1's swap: two overlapping exchanges of 3 and 4.
+const SWAP: &str = "t1 inv o0.exchange 3\nt2 inv o0.exchange 4\n\
+     t1 res o0.exchange (true,4)\nt2 res o0.exchange (true,3)\n";
 
 /// (c) The resolution matrix on `cal-check` and `cal-serve`, which spell
 /// the name as the positional SPEC: exit 0 and 1 tell which spec judged
@@ -194,6 +197,14 @@ fn check_and_serve_resolve_by_one_rule() {
     // loaded spec, so it is the input.
     assert_eq!(code(CHECK, &["--spec", &one, &seven], ""), 0);
     assert_eq!(code(CHECK, &["--spec", &one, "-"], READS_ZERO), 1);
+    // A loaded `kind ca` spec has the CA reading alone: `cal` and `causal`
+    // check it, `seq` and `interval` refuse it as usage.
+    let exchanger = dir.file("exchanger.cal", &shipped("exchanger.cal"));
+    let swap = dir.file("swap.hist", SWAP);
+    for (mode, want) in [("cal", 0), ("causal", 0), ("seq", 4), ("interval", 4)] {
+        let args = ["--spec", &exchanger, &swap, "--mode", mode];
+        assert_eq!(code(CHECK, &args, ""), want, "a loaded kind ca spec under --mode {mode}");
+    }
 }
 
 /// (c) The same matrix on `chaos-soak`, which spells the name

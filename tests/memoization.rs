@@ -1,4 +1,5 @@
-//! Memoization behaviour of all three checkers, sequential and parallel:
+//! Memoization behaviour of both searches — CAL, on concurrency-aware and
+//! on sequential specs, and interval — sequential and parallel:
 //! the failed-state memo table must actually fire on backtracking-heavy
 //! histories, turning it off must never change a verdict, and the
 //! [`CountingSink`] must account for every probe — hits plus misses
@@ -10,7 +11,7 @@ use cal::core::check::{check_cal_with, CheckOptions, Verdict};
 use cal::core::interval::check_interval_with;
 use cal::core::obs::{CountingSink, StatsSink};
 use cal::core::par::check_cal_par_with;
-use cal::core::seqlin::check_linearizable_with;
+use cal::core::spec::SeqAsCa;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::register::{read_op, write_op, RegisterSpec};
@@ -96,8 +97,8 @@ fn disabling_memoization_never_changes_the_verdict() {
 /// `k` pairwise-concurrent writes of distinct values plus one concurrent
 /// read of a never-written value: unsatisfiable, and distinct orders of
 /// the same write set converge on the same `(matched, value)` residue
-/// whenever their final writes agree — memo fodder for the seqlin
-/// domain.
+/// whenever their final writes agree — memo fodder for the CAL search on
+/// a sequential spec.
 fn hard_seq_history(k: usize) -> History {
     let writes: Vec<_> = (0..k).map(|i| write_op(O, ThreadId(i as u32), i as i64)).collect();
     let read = read_op(O, ThreadId(k as u32), 99);
@@ -144,25 +145,25 @@ fn assert_memo_accounting(sink: &CountingSink, nodes: u64, what: &str) {
 }
 
 #[test]
-fn memo_fires_in_the_seqlin_checker() {
+fn memo_fires_on_a_sequential_spec() {
     let h = hard_seq_history(6);
-    let spec = RegisterSpec::new(O);
+    let spec = SeqAsCa::new(RegisterSpec::new(O));
     let sink = Arc::new(CountingSink::new());
     let options = CheckOptions {
         sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
         ..CheckOptions::default()
     };
-    let out = check_linearizable_with(&h, &spec, &options).unwrap();
+    let out = check_cal_with(&h, &spec, &options).unwrap();
     assert!(matches!(out.verdict, Verdict::NotCal));
-    assert_memo_accounting(&sink, out.stats.nodes, "seqlin");
+    assert_memo_accounting(&sink, out.stats.nodes, "sequential spec");
     assert_eq!(sink.memo_hits(), out.stats.memo_hits, "sink and stats must agree");
 
     let off = CheckOptions { memoize: false, ..CheckOptions::default() };
-    let without = check_linearizable_with(&h, &spec, &off).unwrap();
+    let without = check_cal_with(&h, &spec, &off).unwrap();
     assert!(matches!(without.verdict, Verdict::NotCal), "memoize off changed the verdict");
     assert!(
         out.stats.nodes < without.stats.nodes,
-        "seqlin memo saved nothing: {} vs {} nodes",
+        "sequential-spec memo saved nothing: {} vs {} nodes",
         out.stats.nodes,
         without.stats.nodes
     );

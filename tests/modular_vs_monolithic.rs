@@ -4,7 +4,9 @@
 
 use cal::core::compose::{Composed, TraceMap};
 use cal::core::gen::{render, render_loose};
-use cal::core::{seqlin, History, ObjectId};
+use cal::core::check::is_cal;
+use cal::core::spec::SeqAsCa;
+use cal::core::{History, ObjectId};
 use cal::specs::elim_stack::{modular_stack_check, FEsMap};
 use cal::specs::gen::random_elim_subobject_trace;
 use cal::specs::stack::StackSpec;
@@ -21,9 +23,10 @@ fn fes() -> FEsMap {
 }
 
 /// The monolithic path: take the abstract ES history (rendered from the
-/// mapped trace) and search for a linearization from scratch.
+/// mapped trace) and search for a linearization from scratch — CAL over
+/// the stack spec lifted to singleton elements.
 fn monolithic_accepts(history: &History) -> bool {
-    seqlin::is_linearizable(history, &StackSpec::total(ES)).unwrap()
+    is_cal(history, &SeqAsCa::new(StackSpec::total(ES))).unwrap()
 }
 
 #[test]

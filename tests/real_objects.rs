@@ -3,7 +3,8 @@
 //! of this library follows.
 
 use cal::core::check::is_cal;
-use cal::core::{seqlin, ObjectId};
+use cal::core::spec::SeqAsCa;
+use cal::core::ObjectId;
 use cal::objects::recorded::{
     run_threads, RecordedEliminationStack, RecordedExchanger, RecordedTreiberStack,
 };
@@ -51,8 +52,8 @@ fn treiber_real_run_is_linearizable() {
         }
     });
     let h = s.recorder().history();
-    let out = seqlin::check_linearizable(&h, &StackSpec::total(OBJ)).unwrap();
-    assert!(out.verdict.is_cal(), "not linearizable:\n{h}");
+    let linearizable = is_cal(&h, &SeqAsCa::new(StackSpec::total(OBJ))).unwrap();
+    assert!(linearizable, "not linearizable:\n{h}");
 }
 
 #[test]
@@ -66,8 +67,8 @@ fn elimination_stack_real_run_is_linearizable() {
         }
     });
     let h = s.recorder().history();
-    let out = seqlin::check_linearizable(&h, &StackSpec::total(OBJ)).unwrap();
-    assert!(out.verdict.is_cal(), "not linearizable:\n{h}");
+    let linearizable = is_cal(&h, &SeqAsCa::new(StackSpec::total(OBJ))).unwrap();
+    assert!(linearizable, "not linearizable:\n{h}");
 }
 
 #[test]
@@ -85,6 +86,6 @@ fn elimination_stack_balanced_producers_consumers() {
         }
     });
     let h = s.recorder().history();
-    let out = seqlin::check_linearizable(&h, &StackSpec::total(OBJ)).unwrap();
-    assert!(out.verdict.is_cal(), "not linearizable:\n{h}");
+    let linearizable = is_cal(&h, &SeqAsCa::new(StackSpec::total(OBJ))).unwrap();
+    assert!(linearizable, "not linearizable:\n{h}");
 }

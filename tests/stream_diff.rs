@@ -11,11 +11,10 @@
 //! that to two references at once: the batch verdict of
 //! [`run_ca`] at one and two threads, and [`Joint`] — the retirement this
 //! replaced, one state set over the whole specification with every closed
-//! segment enumerated as one joint problem, written out here over nothing
-//! but [`CaSpec::step`] and Def. 3 — whose verdict, `|Q|`, peak `|Q|` and
-//! retired-segment count the product must reproduce after every event.
-
-use std::collections::HashSet;
+//! segment enumerated as one joint problem, written out here over
+//! `tests/common`'s reference (nothing but [`CaSpec::step`] and Def. 3) —
+//! whose verdict, `|Q|`, peak `|Q|` and retired-segment count the product
+//! must reproduce after every event.
 
 use cal::core::check::{check_cal, CheckOptions, Verdict};
 use cal::core::gen::{interleave, mutate, render_loose, Mutation};
@@ -31,6 +30,9 @@ use cal::specs::sync_queue::SyncQueueSpec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::end_states;
 
 const OBJ: ObjectId = ObjectId(0);
 
@@ -187,86 +189,6 @@ enum Event {
     Action(Action),
     /// The thread's client is gone; its open operation never responds.
     Abandon(ThreadId),
-}
-
-/// Every way to complete the spans `subset` into operations: a complete
-/// span is its operation, a pending one takes each value the
-/// specification proposes for it among the others.
-fn completions<S: CaSpec>(
-    spec: &S,
-    spans: &[cal::core::history::Span],
-    subset: &[usize],
-) -> Vec<Vec<Operation>> {
-    let invocations: Vec<Invocation> = subset
-        .iter()
-        .map(|&i| Invocation::new(spans[i].thread, spans[i].object, spans[i].method, spans[i].arg))
-        .collect();
-    let mut out: Vec<Vec<Operation>> = vec![Vec::new()];
-    for (k, &i) in subset.iter().enumerate() {
-        let choices: Vec<Operation> = match spans[i].operation() {
-            Some(op) => vec![op],
-            None => {
-                let peers: Vec<Invocation> = (0..subset.len())
-                    .filter(|&j| j != k)
-                    .map(|j| invocations[j])
-                    .collect();
-                let rets = spec.completions_among(&invocations[k], &peers);
-                rets.into_iter().map(|ret| spans[i].operation_with_ret(ret)).collect()
-            }
-        };
-        out = out
-            .into_iter()
-            .flat_map(|ops| choices.iter().map(move |&op| [&ops[..], &[op]].concat()))
-            .collect();
-    }
-    out
-}
-
-/// Every state some explanation of `segment` leaves `spec` in, started
-/// from any of `from`: all ways to take a CA-element — same-object
-/// minimal operations under Def. 3's real-time order, pending ones
-/// completed or left out — until every complete operation is taken.
-fn end_states<S: CaSpec>(spec: &S, segment: &[Action], from: &[S::State]) -> Vec<S::State> {
-    let spans = History::from_actions(segment.to_vec()).spans();
-    let n = spans.len();
-    assert!(n <= 32, "a reference for small windows");
-    let complete = (0..n).filter(|&i| spans[i].is_complete()).fold(0u64, |m, i| m | 1 << i);
-    let mut ends: Vec<S::State> = Vec::new();
-    let mut seen: HashSet<(u64, S::State)> = HashSet::new();
-    let mut stack: Vec<(u64, S::State)> = from.iter().map(|q| (0, q.clone())).collect();
-    while let Some((matched, state)) = stack.pop() {
-        if !seen.insert((matched, state.clone())) {
-            continue;
-        }
-        if matched & complete == complete && !ends.contains(&state) {
-            ends.push(state.clone());
-        }
-        let has = |i: usize| matched >> i & 1 == 1;
-        let minimal: Vec<usize> = (0..n)
-            .filter(|&i| {
-                !has(i) && (0..n).all(|j| has(j) || !History::spans_precede(&spans[j], &spans[i]))
-            })
-            .collect();
-        for pick in 1u32..1 << minimal.len() {
-            if pick.count_ones() as usize > spec.max_element_size().max(1) {
-                continue;
-            }
-            let subset: Vec<usize> =
-                (0..minimal.len()).filter(|&b| pick >> b & 1 == 1).map(|b| minimal[b]).collect();
-            let object = spans[subset[0]].object;
-            if subset.iter().any(|&i| spans[i].object != object) {
-                continue;
-            }
-            let taken = subset.iter().fold(matched, |m, &i| m | 1 << i);
-            for ops in completions(spec, &spans, &subset) {
-                let Ok(element) = CaElement::new(object, ops) else { continue };
-                if let Some(next) = spec.step(&state, &element) {
-                    stack.push((taken, next));
-                }
-            }
-        }
-    }
-    ends
 }
 
 /// What the two checkers are compared on after every event.
