@@ -11,7 +11,9 @@
 //! object accepted by the specification. Pending invocations may join an
 //! element (completing them with a spec-proposed return value) or remain
 //! unassigned (dropping them, per Def. 2's completions). Failed search
-//! states are memoized on `(matched-set, spec-state)`.
+//! states are memoized on `(matched-set, spec-state)`. Interchangeable
+//! operations are matched in one order, so one successor is generated
+//! per orbit of them ([`crate::symmetry`]).
 //!
 //! Classical linearizability is this search's singleton-element fragment:
 //! a sequential specification lifted by [`crate::spec::SeqAsCa`] admits
@@ -306,6 +308,8 @@ struct Expansion<'x, 'e, 'a, S: CaSpec> {
     matched: &'x BitSet,
     state: &'x S::State,
     max_size: usize,
+    /// Generate one successor per orbit of interchangeable spans.
+    symmetry: bool,
     obs: &'x mut ExpandObs<'e, 'a>,
     out: &'x mut Vec<(CalStep, (BitSet, S::State))>,
 }
@@ -324,8 +328,8 @@ pub(crate) struct CalDomain<'a, S: CaSpec> {
     hb: HbRelation,
     /// The spans a goal node must have matched.
     complete: BitSet,
-    /// Interchangeability classes for symmetry-reduced memo keys, built
-    /// from `hb`'s constraint sets.
+    /// Interchangeability classes, built from `hb`'s constraint sets:
+    /// [`CalDomain::grow`] matches each one as a prefix.
     sym: SymClasses,
     /// The state the search starts in; `None` is the specification's
     /// initial state, asked for inside the engine's panic guard.
@@ -400,8 +404,10 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
     }
 
     /// Grows the candidate subset over `minimal[from..]` and tries every
-    /// non-empty prefix-closed choice as a CA-element. Returns `false`
-    /// when a cooperative stop was requested mid-enumeration.
+    /// non-empty prefix-closed choice as a CA-element — with symmetry
+    /// reduction on, every choice that takes each clone class's unmatched
+    /// members as a prefix. Returns `false` when a cooperative stop was
+    /// requested mid-enumeration.
     fn grow(
         &self,
         minimal: &[usize],
@@ -416,6 +422,12 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
             return true;
         }
         for (k, &i) in minimal.iter().enumerate().skip(from) {
+            // One successor per orbit: a clone joins only behind the one
+            // before it, so every class is matched as a prefix.
+            let behind = |p: usize| !x.matched.contains(p) && !c.subset.contains(&p);
+            if x.symmetry && self.sym.prev_clone(i).is_some_and(behind) {
+                continue;
+            }
             // Same object as the rest of the subset.
             if let Some(&first) = c.subset.first() {
                 if self.spans[i].object != self.spans[first].object {
@@ -534,16 +546,11 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
         self.hb.minimal(matched, minimal);
         obs.on_frontier(minimal.len());
         let max_size = self.spec.get().max_element_size().max(1);
+        let symmetry = obs.symmetry();
         // (A specification that panicked mid-expansion left its subset.)
         candidate.subset.clear();
-        self.grow(minimal, 0, candidate, &mut Expansion { matched, state, max_size, obs, out });
-    }
-
-    fn canonical_key(&self, node: &Self::Node) -> Option<Self::Node> {
-        if self.sym.is_trivial() {
-            return None;
-        }
-        self.sym.canonical_bits(&node.0).map(|bits| (bits, node.1.clone()))
+        let x = &mut Expansion { matched, state, max_size, symmetry, obs, out };
+        self.grow(minimal, 0, candidate, x);
     }
 
     fn decompose(&self) -> Option<Vec<(ObjectId, Self)>> {
@@ -618,6 +625,8 @@ mod tests {
     use super::*;
     use crate::action::Action;
     use crate::ids::{Method, ThreadId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const E: ObjectId = ObjectId(0);
     const EX: Method = Method("exchange");
@@ -806,8 +815,9 @@ mod tests {
 
     /// A hard unsatisfiable workload: an odd number of identical
     /// concurrent exchanges, all claiming success. Only pairs are legal
-    /// elements, so the (memoization-free) search backtracks over every
-    /// pairing before concluding NotCal.
+    /// elements, so the search — without memoization or symmetry
+    /// reduction, which would match the clones in one order — backtracks
+    /// over every pairing before concluding NotCal.
     fn hard_history(k: u32) -> History {
         let mut acts: Vec<Action> = (1..=k).map(|t| inv(t, 0)).collect();
         acts.extend((1..=k).map(|t| res(t, true, 0)));
@@ -815,7 +825,12 @@ mod tests {
     }
 
     fn unbounded_no_memo() -> CheckOptions {
-        CheckOptions { max_nodes: u64::MAX, memoize: false, ..CheckOptions::default() }
+        CheckOptions {
+            max_nodes: u64::MAX,
+            memoize: false,
+            symmetry: false,
+            ..CheckOptions::default()
+        }
     }
 
     #[test]
@@ -877,5 +892,159 @@ mod tests {
             Err(CheckError::Undecided(Verdict::ResourcesExhausted)) => {}
             other => panic!("expected Undecided, got {other:?}"),
         }
+    }
+
+    // --- one successor per orbit ---------------------------------------------
+
+    /// A register as a sequential spec, for histories of identical writes.
+    #[derive(Debug)]
+    struct MiniRegister;
+
+    impl crate::spec::SeqSpec for MiniRegister {
+        type State = i64;
+
+        fn initial(&self) -> i64 {
+            0
+        }
+
+        fn apply(&self, state: &i64, op: &Operation) -> Option<i64> {
+            match op.method.0 {
+                "write" => op.arg.as_int(),
+                _ => (op.ret == Value::Int(*state)).then_some(*state),
+            }
+        }
+
+        fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+            match inv.method.0 {
+                "write" => vec![Value::Unit],
+                _ => vec![Value::Int(0), Value::Int(1)],
+            }
+        }
+    }
+
+    /// `windows` windows of `width` fully-overlapping operations, each
+    /// drawn by `op` from a few shapes, so that a window is full of clones;
+    /// in the last window one operation in three stays pending.
+    fn windowed(
+        rng: &mut StdRng,
+        windows: usize,
+        width: usize,
+        op: impl Fn(&mut StdRng, ThreadId) -> Operation,
+    ) -> History {
+        let mut actions = Vec::new();
+        for w in 0..windows {
+            let ops: Vec<Operation> =
+                (0..width).map(|t| op(rng, ThreadId((w * width + t) as u32))).collect();
+            actions.extend(ops.iter().map(Operation::invocation));
+            let last = w + 1 == windows;
+            for op in &ops {
+                if !(last && rng.gen_range(0..3) == 0) {
+                    actions.push(op.response());
+                }
+            }
+        }
+        History::from_actions(actions)
+    }
+
+    fn exchange(rng: &mut StdRng, t: ThreadId) -> Operation {
+        let v = rng.gen_range(0..2);
+        let ret = match rng.gen_range(0..3) {
+            0 => Value::Pair(false, v),
+            got => Value::Pair(true, got - 1),
+        };
+        Operation::new(t, E, EX, Value::Int(v), ret)
+    }
+
+    fn register_op(rng: &mut StdRng, t: ThreadId) -> Operation {
+        let v = rng.gen_range(0..2);
+        if rng.gen_bool(0.5) {
+            Operation::new(t, E, Method("write"), Value::Int(v), Value::Unit)
+        } else {
+            Operation::new(t, E, Method("read"), Value::Unit, Value::Int(v))
+        }
+    }
+
+    /// A matched set's canonical form by a scan of every class: each class
+    /// matched as a prefix of its members, as many as `bits` matches.
+    fn canonical_by_full_scan(classes: &[Vec<usize>], bits: &BitSet) -> BitSet {
+        let mut canon = bits.clone();
+        for class in classes {
+            let count = class.iter().filter(|&&m| bits.contains(m)).count();
+            for (k, &m) in class.iter().enumerate() {
+                if k < count {
+                    canon.insert(m);
+                } else {
+                    canon.remove(m);
+                }
+            }
+        }
+        canon
+    }
+
+    type NodeOf<S> = (BitSet, <S as CaSpec>::State);
+
+    fn successors<S: CaSpec>(
+        domain: &CalDomain<'_, S>,
+        node: &NodeOf<S>,
+        symmetry: bool,
+    ) -> HashSet<NodeOf<S>> {
+        let options = CheckOptions { symmetry, ..CheckOptions::default() };
+        let mut out = Vec::new();
+        let scratch = &mut CalScratch::default();
+        engine::observe(&options, |obs| domain.expand(node, scratch, obs, &mut out));
+        out.into_iter().map(|(_, next)| next).collect()
+    }
+
+    fn reachable<S: CaSpec>(domain: &CalDomain<'_, S>, symmetry: bool) -> HashSet<NodeOf<S>> {
+        let mut seen = HashSet::new();
+        let mut stack = vec![domain.initial()];
+        while let Some(node) = stack.pop() {
+            if seen.insert(node.clone()) {
+                stack.extend(successors(domain, &node, symmetry));
+            }
+        }
+        seen
+    }
+
+    /// Symmetry at the move generator is exact: at every node the search
+    /// reaches without it, the canonical forms of the node's successors
+    /// are exactly the successors the generator makes of the node's
+    /// canonical form — and the nodes reached with it are exactly the
+    /// canonical forms of those reached without. Returns whether the
+    /// history had a node that is not its own canonical form.
+    fn assert_one_successor_per_orbit<S: CaSpec>(history: &History, spec: &S) -> bool {
+        let domain = CalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec)).unwrap();
+        let classes = domain.sym.classes();
+        let canon = |(bits, state): &NodeOf<S>| {
+            (canonical_by_full_scan(classes, bits), state.clone())
+        };
+        let all = reachable(&domain, false);
+        for node in &all {
+            let orbits: HashSet<NodeOf<S>> =
+                successors(&domain, node, false).iter().map(canon).collect();
+            assert_eq!(
+                successors(&domain, &canon(node), true),
+                orbits,
+                "successors of {node:?} under {classes:?}:\n{history}"
+            );
+        }
+        let orbits: HashSet<NodeOf<S>> = all.iter().map(canon).collect();
+        assert_eq!(reachable(&domain, true), orbits, "orbits under {classes:?}:\n{history}");
+        all.len() > orbits.len()
+    }
+
+    #[test]
+    fn symmetry_generates_one_successor_per_orbit() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let register = crate::spec::SeqAsCa::new(MiniRegister);
+        let mut collapsed = 0;
+        for _ in 0..24 {
+            let (windows, width) = (rng.gen_range(1..3), rng.gen_range(2..6));
+            let h = windowed(&mut rng, windows, width, exchange);
+            collapsed += usize::from(assert_one_successor_per_orbit(&h, &MiniExchanger));
+            let h = windowed(&mut rng, windows, width, register_op);
+            collapsed += usize::from(assert_one_successor_per_orbit(&h, &register));
+        }
+        assert!(collapsed >= 12, "only {collapsed} of 48 histories had a sibling to drop");
     }
 }

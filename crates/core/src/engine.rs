@@ -15,9 +15,8 @@
 //! - deadline / cancellation polling at one tick cadence
 //!   ([`CheckOptions::deadline`], [`CancelToken`]);
 //! - failed-state memoization, thread-private (`MemoTable`) or shared
-//!   and lock-free ([`crate::fpmemo::FpMemo`]), optionally canonicalized
-//!   under operation symmetry ([`crate::symmetry`],
-//!   [`CheckOptions::symmetry`]);
+//!   and lock-free ([`crate::fpmemo::FpMemo`]), keyed on nodes exactly as
+//!   the domain generated them;
 //! - [`crate::obs::StatsSink`] event emission;
 //! - the [`Verdict`] / [`InterruptReason`] outcome taxonomy;
 //! - the parallel driver ([`search_par`]): per-object decomposition, or
@@ -40,6 +39,17 @@
 //! per-object decomposition with witness merging. In exchange it inherits
 //! sequential search, parallel search, the shared memo table, stats sinks
 //! and uniform interrupt semantics from one audited implementation.
+//!
+//! Symmetry reduction ([`CheckOptions::symmetry`]) is the domain's, not
+//! the engine's: the CAL domain generates one successor per orbit of
+//! interchangeable operations ([`crate::symmetry`]), so every node it
+//! creates is its own canonical form and the memo, the frontier search
+//! and [`enumerate_goals`] need no symmetry code of their own. For the
+//! enumeration this means its visited set holds one node an orbit where
+//! it held every member; the goal *states* it reports are unchanged,
+//! because a within-class swap leaves the state an element leads to as
+//! it was, so every orbit's goals end in the states its canonical goal
+//! ends in.
 
 use std::collections::{HashSet, VecDeque};
 use std::error::Error;
@@ -123,14 +133,16 @@ pub struct CheckOptions {
     /// points). The sequential entry points ignore it. Defaults to 1;
     /// 0 means 1.
     pub threads: usize,
-    /// Symmetry reduction ([`crate::symmetry`]): memo keys are
-    /// canonicalized under permutation of interchangeable operations
-    /// (same object/method/argument/return, identical real-time
-    /// constraints), collapsing the `C(n, k)` ways of matching `k` of
-    /// `n` clones onto one memo entry. On by default. Sound for
-    /// specifications that consume thread ids only through equality
-    /// tests *within* a candidate element (all in-tree specs); a spec
-    /// that discriminates on absolute thread ids must turn this off.
+    /// Symmetry reduction ([`crate::symmetry`]): of the successors that
+    /// differ only in which of several interchangeable operations (same
+    /// object/method/argument/return, identical order constraints) they
+    /// match, one successor per orbit is generated — of the `C(n, k)` ways
+    /// of matching `k` of `n` clones, one — for every search and every
+    /// goal enumeration. On by default. Sound for specifications that
+    /// consume thread ids only through equality tests *within* a
+    /// candidate element and keep none in their state (all in-tree
+    /// specs); a spec that discriminates on absolute thread ids must turn
+    /// this off.
     pub symmetry: bool,
     /// Observability sink the search reports events to
     /// ([`crate::obs::StatsSink`]). `None` (the default) disables
@@ -450,20 +462,6 @@ pub trait SearchDomain {
         out: &mut Vec<(Self::Step, Self::Node)>,
     );
 
-    /// The symmetry-canonical memo key for `node`, or `None` when the
-    /// node is its own canonical form (the common case, kept
-    /// allocation-free). Only consulted when [`CheckOptions::symmetry`]
-    /// is on. The default — no domain symmetry — never canonicalizes.
-    ///
-    /// Implementations must guarantee that two nodes with the same
-    /// canonical key have equi-satisfiable residual search problems; see
-    /// [`crate::symmetry`] for the soundness argument the CAL and
-    /// linearizability domains rely on.
-    fn canonical_key(&self, node: &Self::Node) -> Option<Self::Node> {
-        let _ = node;
-        None
-    }
-
     /// Splits the problem into independent per-object subdomains, when
     /// the domain supports locality-based decomposition. `None` (the
     /// default) means the parallel driver falls back to root-frontier
@@ -615,6 +613,13 @@ impl ExpandObs<'_, '_> {
         }
     }
 
+    /// Whether [`CheckOptions::symmetry`] is on: a domain that knows its
+    /// interchangeable operations then generates one successor per orbit
+    /// of them, and every node it creates is its own canonical form.
+    pub fn symmetry(&self) -> bool {
+        self.ctl.options.symmetry
+    }
+
     /// Polls the deadline / cancellation state at the shared tick
     /// cadence. Once it returns `true` the domain should stop enumerating
     /// and return the successors collected so far — the engine winds the
@@ -622,6 +627,15 @@ impl ExpandObs<'_, '_> {
     pub fn should_stop(&mut self) -> bool {
         self.ctl.should_stop()
     }
+}
+
+/// Runs `f` with the observer of a search over `options` that has not
+/// started: how a domain's own tests drive [`SearchDomain::expand`] one
+/// node at a time.
+#[cfg(test)]
+pub(crate) fn observe<R>(options: &CheckOptions, f: impl FnOnce(&mut ExpandObs<'_, '_>) -> R) -> R {
+    let mut ctl = Ctl::new(options, None, None, Instant::now());
+    f(&mut ExpandObs { ctl: &mut ctl })
 }
 
 impl fmt::Debug for ExpandObs<'_, '_> {
@@ -660,23 +674,10 @@ fn expand_guarded<D: SearchDomain>(
     }
 }
 
-/// Probes the memo table for `node` (under the symmetry-canonical key
-/// when enabled), counting the hit or miss. `true` means the node is a
-/// known refuted state and the search must prune.
-fn probe_memo<D: SearchDomain>(domain: &D, cx: &mut Cx<'_, D>, node: &D::Node) -> bool {
-    let canon;
-    let key: &D::Node = if cx.ctl.options.symmetry {
-        match domain.canonical_key(node) {
-            Some(c) => {
-                canon = c;
-                &canon
-            }
-            None => node,
-        }
-    } else {
-        node
-    };
-    if cx.failed.contains(key) {
+/// Probes the memo table for `node`, counting the hit or miss. `true`
+/// means the node is a known refuted state and the search must prune.
+fn probe_memo<D: SearchDomain>(cx: &mut Cx<'_, D>, node: &D::Node) -> bool {
+    if cx.failed.contains(node) {
         cx.ctl.stats.memo_hits += 1;
         if let Some(sink) = cx.ctl.sink {
             sink.on_memo_hit();
@@ -690,20 +691,18 @@ fn probe_memo<D: SearchDomain>(domain: &D, cx: &mut Cx<'_, D>, node: &D::Node) -
     }
 }
 
-/// Records `node` as refuted (under the symmetry-canonical key when
-/// enabled). The private table takes the key it is given; the shared one
-/// boxes its own copy, so it is only shown one.
-fn insert_memo<D: SearchDomain>(domain: &D, cx: &mut Cx<'_, D>, node: &D::Node) {
-    let canon = if cx.ctl.options.symmetry { domain.canonical_key(node) } else { None };
+/// Records `node` as refuted. The private table keeps a clone; the
+/// shared one boxes its own copy, so it is only shown the node.
+fn insert_memo<D: SearchDomain>(cx: &mut Cx<'_, D>, node: &D::Node) {
     if let Some(sink) = cx.ctl.sink {
         sink.on_memo_insert();
     }
     match &mut cx.failed {
         MemoTable::Local(set) => {
-            set.insert(canon.unwrap_or_else(|| node.clone()));
+            set.insert(node.clone());
         }
         MemoTable::Shared(memo) => {
-            memo.insert(canon.as_ref().unwrap_or(node));
+            memo.insert(node);
         }
     }
 }
@@ -944,7 +943,7 @@ fn run_tree<D: SearchDomain>(
     if cx.ctl.should_stop() || !cx.ctl.charge_node() {
         return None;
     }
-    if cx.ctl.options.memoize && probe_memo(domain, cx, root) {
+    if cx.ctl.options.memoize && probe_memo(cx, root) {
         return None;
     }
     // The arena: every (step, node) on the current path's frontiers,
@@ -981,9 +980,9 @@ fn run_tree<D: SearchDomain>(
                 match node_idx {
                     Some(i) => {
                         let (_, ref node) = succs[i];
-                        insert_memo(domain, cx, node);
+                        insert_memo(cx, node);
                     }
-                    None => insert_memo(domain, cx, root),
+                    None => insert_memo(cx, root),
                 }
             }
             if donated {
@@ -1020,7 +1019,7 @@ fn run_tree<D: SearchDomain>(
         if !cx.ctl.charge_node() {
             continue; // budget spent: no expansion, but siblings still get goal tests
         }
-        if cx.ctl.options.memoize && probe_memo(domain, cx, &succs[child].1) {
+        if cx.ctl.options.memoize && probe_memo(cx, &succs[child].1) {
             continue;
         }
         if !expand_guarded(domain, cx, &succs[child].1, &mut expanded) {

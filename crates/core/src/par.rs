@@ -146,6 +146,9 @@ mod tests {
 
     /// An odd number of identical concurrent success-claiming exchanges:
     /// NotCal, with heavy backtracking.
+    /// `k` identical concurrent exchanges all claiming success: odd `k`
+    /// is unsatisfiable, and super-exponential to refute with neither the
+    /// memo nor symmetry reduction.
     fn hard_history(o: ObjectId, k: u32, base_thread: u32) -> Vec<Action> {
         let mut acts: Vec<Action> = (0..k).map(|t| inv_on(o, base_thread + t, 0)).collect();
         acts.extend((0..k).map(|t| res_on(o, base_thread + t, true, 0)));
@@ -306,6 +309,7 @@ mod tests {
             cancel: Some(token),
             max_nodes: u64::MAX,
             memoize: false,
+            symmetry: false,
             threads: 4,
             ..CheckOptions::default()
         };

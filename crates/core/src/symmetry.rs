@@ -10,10 +10,17 @@
 //! are identical.
 //!
 //! This module computes, once per history, the **interchangeability
-//! classes** of spans and provides a canonicalization of matched
-//! bit-sets under permutation within each class. The engine then keys
-//! its failed-state memo on the canonical form, so all `C(n, k)` ways of
-//! matching `k` ops out of an `n`-clone class share one memo entry.
+//! classes** of spans, and for each span the member of its class just
+//! before it ([`SymClasses::prev_clone`]). The CAL domain's move
+//! generator lets a span join a candidate element only once its previous
+//! clone is matched or already in the element, so every class is matched
+//! as a prefix of its members: of all the successors that differ only in
+//! *which* `k` clones of an `n`-clone class they match, exactly one is
+//! generated — one successor per orbit. Every node the search creates is
+//! then its own canonical form, so the memo needs no canonical key, and
+//! the sequential search, the parallel frontier search and the streaming
+//! window's goal enumeration all inherit the reduction from the one move
+//! generator.
 //!
 //! ## Soundness
 //!
@@ -30,7 +37,10 @@
 //! sees operations only through [`crate::op::Operation`]-level data
 //! (condition 1 makes `i` and `j` identical there *except* the thread
 //! id), and the minimal-candidate frontier is determined by the
-//! happens-before order (condition 2 makes it invariant).
+//! happens-before order (condition 2 makes it invariant). In particular
+//! class members are minimal together, so whenever a clone is a
+//! candidate, so is every unmatched clone before it, and the prefix
+//! choice of an element is always available where any other choice is.
 //!
 //! The argument is order-generic: the search consults the ordering only
 //! through pred sets (minimality) and pairwise concurrency (element
@@ -50,30 +60,33 @@
 //! within a class permutes threads injectively. Specifications in this crate consume
 //! thread ids only through *intra-element* equality tests (e.g. "an
 //! exchange pair must come from two distinct threads"), which injective
-//! renaming preserves. A spec that discriminated on absolute thread ids
-//! (or stored them in its state) would break this assumption, which is
-//! why the engine exposes the reduction behind
+//! renaming preserves, and never keep them in their state — so a swap
+//! leaves the state an element leads to unchanged, and the set of states
+//! a goal can end in (what the streaming window keeps) is the same with
+//! the reduction as without it. A spec that discriminated on absolute
+//! thread ids (or stored them in its state) would break this assumption,
+//! which is why the engine exposes the reduction behind
 //! [`CheckOptions::symmetry`](crate::engine::CheckOptions) rather than
 //! applying it unconditionally.
 
 use std::collections::HashMap;
 
-use crate::bitset::BitSet;
 use crate::history::{HbRelation, PartialHistory, Span};
 
 /// Interchangeability classes of a history's spans, precomputed once and
 /// shared read-only across search workers.
 ///
 /// Only classes with at least two members are stored — singletons cannot
-/// be permuted and would cost a probe per memo operation for nothing.
+/// be permuted.
 #[derive(Debug, Clone, Default)]
 pub struct SymClasses {
     /// Each class: the member span indices, ascending. Classes are in
     /// first-member order.
     classes: Vec<Vec<usize>>,
-    /// `reach[c]` = the largest member of classes `0..=c`. Ascending, so
-    /// a binary search finds the first class that reaches an index.
-    reach: Vec<usize>,
+    /// Per span, the member of its class just before it, `u32::MAX` for
+    /// the first member or a span with no clone. Empty when there are no
+    /// classes.
+    prev: Vec<u32>,
 }
 
 impl SymClasses {
@@ -109,21 +122,21 @@ impl SymClasses {
         // Classes in first-member order, members ascending.
         let mut class_of = vec![usize::MAX; n];
         let mut classes: Vec<Vec<usize>> = Vec::new();
+        let mut prev = Vec::new();
         for (i, &f) in first.iter().enumerate().filter(|&(_, &f)| size[f] >= 2) {
             if f == i {
                 class_of[f] = classes.len();
                 classes.push(Vec::with_capacity(size[f]));
+            } else {
+                prev.resize(n, u32::MAX);
+                // An index past `u32` keeps no clone: less reduction, never
+                // a wrong one.
+                let last = *classes[class_of[f]].last().expect("the first member is in");
+                prev[i] = u32::try_from(last).unwrap_or(u32::MAX);
             }
             classes[class_of[f]].push(i);
         }
-        let reach = classes
-            .iter()
-            .scan(0, |reach, class| {
-                *reach = class[class.len() - 1].max(*reach);
-                Some(*reach)
-            })
-            .collect();
-        SymClasses { classes, reach }
+        SymClasses { classes, prev }
     }
 
     /// The non-singleton classes, in first-member order, members
@@ -132,63 +145,12 @@ impl SymClasses {
         &self.classes
     }
 
-    /// True when no span is interchangeable with another: the reduction
-    /// is a no-op and callers can skip canonicalization entirely.
-    pub fn is_trivial(&self) -> bool {
-        self.classes.is_empty()
-    }
-
-    /// Number of non-singleton classes.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// True when there are no non-singleton classes.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-
-    /// Canonicalizes a matched set under within-class permutation: for
-    /// each class, the *count* of matched members is preserved but the
-    /// specific members are normalized to the class's first `count`
-    /// (ascending). Returns `None` when `bits` is already canonical —
-    /// the common case on small frontiers, kept allocation-free.
-    ///
-    /// Only classes straddling the frontier are looked at: one whose
-    /// members all lie below the first unmatched index is wholly matched,
-    /// one whose members all lie above the last matched index is wholly
-    /// unmatched, and both are their own canonical form. `bits` need not
-    /// be downward closed.
-    pub fn canonical_bits(&self, bits: &BitSet) -> Option<BitSet> {
-        let (lo, hi) = (bits.first_unset()?, bits.last_set()?);
-        let from = self.reach.partition_point(|&reach| reach < lo);
-        let straddling = || {
-            self.classes[from..]
-                .iter()
-                .take_while(move |class| class[0] <= hi)
-                .filter(move |class| class[class.len() - 1] >= lo)
-        };
-        // First pass: detect non-canonical classes without allocating. A
-        // set bit after a gap is not the prefix pattern.
-        let is_prefix = |class: &[usize]| {
-            let matched = class.iter().take_while(|&&m| bits.contains(m)).count();
-            !class[matched..].iter().any(|&m| bits.contains(m))
-        };
-        if straddling().all(|class| is_prefix(class)) {
-            return None;
-        }
-        let mut canon = bits.clone();
-        for class in straddling() {
-            let count = class.iter().filter(|&&m| bits.contains(m)).count();
-            for (k, &m) in class.iter().enumerate() {
-                if k < count {
-                    canon.insert(m);
-                } else {
-                    canon.remove(m);
-                }
-            }
-        }
-        Some(canon)
+    /// The member of span `i`'s class just before it, or `None` when `i`
+    /// is the first of its class or has no clone. A generator that lets
+    /// `i` into an element only when this clone is matched or already in
+    /// the element generates one successor per orbit.
+    pub fn prev_clone(&self, i: usize) -> Option<usize> {
+        self.prev.get(i).filter(|&&p| p != u32::MAX).map(|&p| p as usize)
     }
 }
 
@@ -219,7 +181,7 @@ mod tests {
             span(3, Some(13), 4, 9, Some(Value::Int(1))),
         ];
         let sym = SymClasses::of(&spans);
-        assert_eq!(sym.len(), 1);
+        assert_eq!(sym.classes().len(), 1);
         assert_eq!(sym.classes[0], vec![0, 1, 2]);
     }
 
@@ -231,41 +193,26 @@ mod tests {
             span(2, Some(3), 1, 5, Some(Value::Int(1))),
         ];
         let sym = SymClasses::of(&spans);
-        assert!(sym.is_trivial(), "ordered clones are not interchangeable");
+        assert!(sym.classes().is_empty(), "ordered clones are not interchangeable");
+        assert_eq!(sym.prev_clone(1), None);
     }
 
     #[test]
-    fn canonicalization_normalizes_to_prefix() {
+    fn each_clone_points_at_the_one_before_it() {
+        // Two interleaved classes, {0, 2, 4} and {1, 3}, and a singleton.
         let spans = vec![
             span(0, Some(10), 1, 5, Some(Value::Int(1))),
-            span(1, Some(11), 2, 5, Some(Value::Int(1))),
+            span(1, Some(11), 2, 6, Some(Value::Int(1))),
             span(2, Some(12), 3, 5, Some(Value::Int(1))),
+            span(3, Some(13), 4, 6, Some(Value::Int(1))),
+            span(4, Some(14), 5, 5, Some(Value::Int(1))),
+            span(5, Some(15), 6, 7, Some(Value::Int(1))),
         ];
         let sym = SymClasses::of(&spans);
-        // {2} and {1} both canonicalize to {0}.
-        let mut b = BitSet::new(3);
-        b.insert(2);
-        let canon = sym.canonical_bits(&b).expect("non-canonical");
-        assert!(canon.contains(0) && !canon.contains(1) && !canon.contains(2));
-        let mut b1 = BitSet::new(3);
-        b1.insert(1);
-        assert_eq!(sym.canonical_bits(&b1), Some(canon.clone()));
-        // {0} is already canonical: zero-alloc fast path.
-        let mut b0 = BitSet::new(3);
-        b0.insert(0);
-        assert_eq!(sym.canonical_bits(&b0), None);
-        // {0,2} ≡ {0,1}.
-        let mut b02 = BitSet::new(3);
-        b02.insert(0);
-        b02.insert(2);
-        let c = sym.canonical_bits(&b02).expect("non-canonical");
-        assert!(c.contains(0) && c.contains(1) && !c.contains(2));
-        // Full set is canonical.
-        let mut all = BitSet::new(3);
-        for i in 0..3 {
-            all.insert(i);
-        }
-        assert_eq!(sym.canonical_bits(&all), None);
+        assert_eq!(sym.classes(), [vec![0, 2, 4], vec![1, 3]]);
+        let prev: Vec<Option<usize>> = (0..spans.len()).map(|i| sym.prev_clone(i)).collect();
+        assert_eq!(prev, [None, None, Some(0), Some(1), Some(2), None]);
+        assert_eq!(sym.prev_clone(99), None, "out of range");
     }
 
     #[test]
@@ -277,15 +224,16 @@ mod tests {
             span(0, Some(1), 1, 5, Some(Value::Int(1))),
             span(2, Some(3), 2, 5, Some(Value::Int(1))),
         ];
-        assert!(SymClasses::of(&spans).is_trivial());
+        assert!(SymClasses::of(&spans).classes().is_empty());
         let causal = HbRelation::causal(&spans, &[]).unwrap();
         let sym = SymClasses::of_order(&spans, &causal);
-        assert_eq!(sym.len(), 1);
+        assert_eq!(sym.classes().len(), 1);
         assert_eq!(sym.classes[0], vec![0, 1]);
+        assert_eq!(sym.prev_clone(1), Some(0));
         // An explicit hb edge restores the ordering constraint and splits
         // the class again.
         let edged = HbRelation::causal(&spans, &[(0, 1)]).unwrap();
-        assert!(SymClasses::of_order(&spans, &edged).is_trivial());
+        assert!(SymClasses::of_order(&spans, &edged).classes().is_empty());
     }
 
     #[test]
@@ -295,6 +243,6 @@ mod tests {
             span(1, None, 2, 5, None),
         ];
         let sym = SymClasses::of(&spans);
-        assert!(sym.is_trivial());
+        assert!(sym.classes().is_empty());
     }
 }

@@ -15,6 +15,7 @@
 //!                  [--mode cal|seq|interval|causal] [--hb auto|session|real-time]
 //!                  [--object <N>] [--format auto|native|jepsen|kvlog]
 //!                  [--deadline-ms <N>] [--max-nodes <N>] [--threads <N>]
+//!                  [--no-symmetry]
 //!        cal-check --chaos <PROFILE> [--seed <N>] [--target <T>]
 //!                  [--threads <N>] [--check-threads <N>] [--ops <N>]
 //!                  [--mode <M>] [--deadline-ms <N>]
@@ -46,7 +47,7 @@
 //!
 //! `--max-nodes` bounds the search (decimal or `0x` hex; exhausting it is
 //! verdict `undecided`), and `--no-symmetry` turns off symmetry reduction
-//! over interchangeable operations (file mode).
+//! over interchangeable operations (file and batch mode).
 //!
 //! `--mode` selects the property, checked by one of two searches on the
 //! shared kernel: `cal` (concurrency-aware linearizability; sequential
@@ -131,6 +132,7 @@ fn usage() -> io::Result<ExitCode> {
          \x20                [--mode cal|seq|interval|causal] [--hb auto|session|real-time]\n\
          \x20                [--object <N>] [--format auto|native|jepsen|kvlog]\n\
          \x20                [--deadline-ms <N>] [--max-nodes <N>] [--threads <N>]\n\
+         \x20                [--no-symmetry]\n\
          \x20      cal-check --chaos <PROFILE> [--seed <N>] [--target <T>]\n\
          \x20                [--threads <N>] [--check-threads <N>] [--ops <N>] [--mode <M>]\n\
          \x20                [--deadline-ms <N>]\n\
@@ -152,7 +154,7 @@ fn usage() -> io::Result<ExitCode> {
          \x20              real-time forces the total order (causal ≡ cal)\n\
          --format       input trace format; auto (default) sniffs each input\n\
          --max-nodes    search node budget; exhausting it is verdict `undecided` (exit 2)\n\
-         --no-symmetry  disable symmetry reduction over interchangeable ops (file mode)\n\
+         --no-symmetry  disable symmetry reduction over interchangeable ops\n\
          --stats        print a one-line search summary to stderr (file mode)\n\
          --stats-json   write the SearchReport as JSON to PATH, or - for stdout (file mode)\n\
          --explain      print why the verdict was slow or undecided (file mode)\n\
@@ -266,7 +268,7 @@ impl Cli {
 
     /// Whether any flag that only file mode understands was given.
     fn file_mode_flags(&self) -> bool {
-        self.stats || self.explain || self.stats_json.is_some() || self.no_symmetry
+        self.stats || self.explain || self.stats_json.is_some()
     }
 }
 
@@ -286,6 +288,7 @@ fn try_main() -> io::Result<ExitCode> {
             || cli.batch.is_some()
             || cli.mode.is_some()
             || cli.file_mode_flags()
+            || cli.no_symmetry
             || cli.format.is_some()
             || cli.max_nodes.is_some()
             || cli.hb.is_some()

@@ -11,9 +11,12 @@
 //!
 //! On the commit before the candidate loop was rebuilt the same
 //! measurements read 48 allocations a node on the exchanger refutation
-//! (1,266,305 for 26,593 nodes; 90 now), 417 a checkpointed node on its
-//! stream (24,000,886 for 57,600; 217 now), and 234 against 831 on the
-//! all-rejected root of 36 and 136 candidates (25 against 30 now).
+//! (1,266,305 for 26,593 nodes; 90 after), 417 a checkpointed node on its
+//! stream (24,000,886 for 57,600; 217 after), and 234 against 831 on the
+//! all-rejected root of 36 and 136 candidates (25 against 30 after). Since
+//! symmetry reduction generates one successor per orbit, the refutation
+//! visits 12,913 nodes for 84 allocations and its stream 2,880 for 208;
+//! the symmetry-free stream is kept as the per-node case.
 //!
 //! The wire in front of the stream checker is held to the same kind of
 //! statement: a Jepsen record costs `decode_line` the `Vec` it returns
@@ -95,11 +98,15 @@ fn assert_no_cost_per_node(what: &str, stats: &CheckStats, allocations: u64) {
     );
 }
 
-/// One check of `history`, its verdict asserted: its counters and its
-/// allocations.
-fn check_counted<S: CaSpec>(history: &History, spec: &S, accepted: bool) -> (CheckStats, u64) {
-    let options = CheckOptions::default();
-    let (outcome, allocations) = counted(|| check_cal_with(history, spec, &options).unwrap());
+/// One check of `history` under `options`, its verdict asserted: its
+/// counters and its allocations.
+fn check_counted<S: CaSpec>(
+    history: &History,
+    spec: &S,
+    options: &CheckOptions,
+    accepted: bool,
+) -> (CheckStats, u64) {
+    let (outcome, allocations) = counted(|| check_cal_with(history, spec, options).unwrap());
     assert_eq!(outcome.verdict.is_cal(), accepted, "{:?}", outcome.verdict);
     assert!(accepted || outcome.verdict == Verdict::NotCal, "{:?}", outcome.verdict);
     (outcome.stats, allocations)
@@ -109,10 +116,13 @@ fn check_counted<S: CaSpec>(history: &History, spec: &S, accepted: bool) -> (Che
 fn a_rejected_candidate_allocates_nothing() {
     // No two of these swap and none may succeed alone: the root's
     // `k + C(k, 2)` candidates are all rejected and the search ends where
-    // it began.
+    // it began. (Symmetry reduction off: on, the clones would be tried in
+    // one order only, one lone call and one pair.)
     let spec = ExchangerSpec::new(O);
+    let options = CheckOptions { symmetry: false, ..CheckOptions::default() };
     let [(few, few_allocations), (many, many_allocations)] = [8u64, 16].map(|k| {
-        let (stats, allocations) = check_counted(&identical_exchanges(k as usize, 1), &spec, false);
+        let history = identical_exchanges(k as usize, 1);
+        let (stats, allocations) = check_counted(&history, &spec, &options, false);
         assert_eq!((stats.nodes, stats.elements_tried), (1, k + k * (k - 1) / 2), "k = {k}");
         (stats, allocations)
     });
@@ -127,17 +137,19 @@ fn a_rejected_candidate_allocates_nothing() {
 
 #[test]
 fn a_search_node_costs_a_handful_of_allocations() {
-    // The benchmark's refutation, three windows of it: 26,593 nodes, nine
-    // in ten of them memo hits, seventy candidates an expanded node.
+    // The benchmark's refutation, three windows of it: 12,913 nodes, three
+    // in four of them memo hits, thirty-seven candidates an expanded node.
+    let options = CheckOptions::default();
     let (stats, allocations) =
-        check_counted(&exchanger_windows(3, true), &ExchangerSpec::new(O), false);
+        check_counted(&exchanger_windows(3, true), &ExchangerSpec::new(O), &options, false);
     assert!(stats.memo_hits > 0, "and a memo worth the name: {stats:?}");
     assert_no_cost_per_node("exchanger refutation", &stats, allocations);
     // At the benchmark's own size, 295 operations, a matched set no longer
-    // fits in its node: a heap block a successor, another a non-canonical
-    // memo key, and nothing else (234,461 for 144,865 nodes).
+    // fits in its node: a heap block a successor, another a memo entry,
+    // and nothing else (86,709 for 70,993 nodes; 234,461 for 144,865 when
+    // every symmetric sibling was generated and given a canonical key).
     let (stats, allocations) =
-        check_counted(&exchanger_windows(14, true), &ExchangerSpec::new(O), false);
+        check_counted(&exchanger_windows(14, true), &ExchangerSpec::new(O), &options, false);
     assert!(
         allocations <= 2 * stats.nodes,
         "14-window refutation: {allocations} allocations for {} nodes",
@@ -146,7 +158,8 @@ fn a_search_node_costs_a_handful_of_allocations() {
     // A small accepted history, one node an operation: here the fixed
     // costs (spans, order, classes, witness) are most of the count.
     let register = SeqAsCa::new(RegisterSpec::new(O));
-    let (stats, allocations) = check_counted(&pipelined_register_history(64), &register, true);
+    let (stats, allocations) =
+        check_counted(&pipelined_register_history(64), &register, &options, true);
     assert_eq!(stats.nodes, 64);
     assert!(
         allocations <= PER_NODE * stats.nodes,
@@ -155,11 +168,16 @@ fn a_search_node_costs_a_handful_of_allocations() {
     );
 }
 
-/// Every action of `history` pushed into a stream checker with `cal-serve`'s
-/// options, then `finish`: the checkpoint and retirement searches' counters,
-/// and the allocations of all of it.
-fn stream_counted<S: CaSpec>(history: &History, spec: S, consistent: bool) -> (CheckStats, u64) {
-    let mut checker = StreamChecker::new(spec, StreamOptions::default());
+/// Every action of `history` pushed into a stream checker with `opts`
+/// (`cal-serve`'s are the default), then `finish`: the checkpoint and
+/// retirement searches' counters, and the allocations of all of it.
+fn stream_counted<S: CaSpec>(
+    history: &History,
+    spec: S,
+    opts: StreamOptions,
+    consistent: bool,
+) -> (CheckStats, u64) {
+    let mut checker = StreamChecker::new(spec, opts);
     let (verdict, allocations) = counted(|| {
         for &action in history.actions() {
             if checker.push(action) != Push::Admitted {
@@ -177,14 +195,30 @@ fn stream_counted<S: CaSpec>(history: &History, spec: S, consistent: bool) -> (C
 fn a_checkpointed_node_costs_a_handful_of_allocations() {
     // One window search and one retirement enumeration a window: the
     // second is where `enumerate_goals` used to clone every node twice.
-    let (stats, allocations) =
-        stream_counted(&exchanger_windows(3, true), ExchangerSpec::new(O), false);
+    // Symmetry reduction off, the enumeration visits every symmetric
+    // sibling, and not one node in a hundred allocates.
+    let history = exchanger_windows(3, true);
+    let check = CheckOptions { symmetry: false, ..CheckOptions::default() };
+    let opts = StreamOptions { check, ..StreamOptions::default() };
+    let (stats, allocations) = stream_counted(&history, ExchangerSpec::new(O), opts, false);
     // (Nodes, elements tried, revisits: the enumeration's own, as they
     // were before it shared a buffer.)
     assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (57_600, 3_887_040, 0));
     assert_no_cost_per_node("exchanger stream", &stats, allocations);
+    // On, as `cal-serve` runs it: one successor per orbit, and what is
+    // left is each window's fixed cost (its spans, order and classes).
+    let opts = StreamOptions::default();
+    let (stats, allocations) = stream_counted(&history, ExchangerSpec::new(O), opts, false);
+    assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (2_880, 106_160, 0));
+    assert!(
+        allocations <= PER_NODE * stats.nodes,
+        "exchanger stream: {allocations} allocations for {} checkpointed nodes",
+        stats.nodes
+    );
     let register = SeqAsCa::new(RegisterSpec::new(O));
-    let (stats, allocations) = stream_counted(&pipelined_register_history(64), register, true);
+    let opts = StreamOptions::default();
+    let (stats, allocations) =
+        stream_counted(&pipelined_register_history(64), register, opts, true);
     assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (463, 1_219, 0));
     assert!(
         allocations <= PER_NODE * stats.nodes,
@@ -200,7 +234,8 @@ fn a_sequential_operation_retires_without_an_allocation_of_the_checkers() {
     // stepped in place, and nothing is searched (`serve-kv-sequential`
     // lives here, 200,000 times a run).
     let history = kv_stream(1);
-    let (stats, allocations) = stream_counted(&history, SeqAsCa::new(KvMapSpec::new()), true);
+    let kv = SeqAsCa::new(KvMapSpec::new());
+    let (stats, allocations) = stream_counted(&history, kv, StreamOptions::default(), true);
     assert_eq!((stats.nodes, stats.elements_tried), (0, history.len() as u64 / 2));
     // What is left is the specification's, two an operation: the singleton
     // element's `Vec` and the successor state. The commit before allocated
@@ -258,7 +293,7 @@ fn a_jepsen_record_costs_nothing_on_its_way_to_the_checker() {
     // The same actions pushed with no wire in front of them, then the
     // lines through the whole ingest policy.
     let register = || SeqAsCa::new(RegisterSpec::new(O));
-    let (_, pushed) = stream_counted(&history, register(), true);
+    let (_, pushed) = stream_counted(&history, register(), StreamOptions::default(), true);
     let mut ingest = Ingest::new(register(), StreamOptions::default(), None);
     let mut invoked = Vec::new();
     let (verdict, ingested) = counted(|| {

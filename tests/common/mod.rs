@@ -12,7 +12,7 @@ use cal::core::{Action, CaElement, CaTrace, History, ObjectId, Operation, Thread
 use cal::specs::exchanger::{exchange_ok, fail_element, swap_element};
 use cal::specs::register::{read_op, write_op};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 pub const O: ObjectId = ObjectId(0);
 
@@ -64,6 +64,60 @@ pub fn exchanger_windows(windows: usize, plant: bool) -> History {
         trace.extend(elements);
     }
     render_windowed(&trace, WINDOW)
+}
+
+/// `windows` windows of fully-overlapping operations: each window holds
+/// `width` CA-elements drawn from `shapes` — few, so that a window is full
+/// of clones, the operations symmetry reduction matches in one order —
+/// every operation on a thread of its own. In the last window one in
+/// three of the drawn operations stays pending, and `plant`'s operations
+/// (complete) join them. Without a plant the history is CAL by
+/// construction; a plant is meant to make it unexplainable.
+pub fn clone_windows(
+    rng: &mut StdRng,
+    windows: usize,
+    width: usize,
+    shapes: &[CaElement],
+    plant: &[Operation],
+) -> History {
+    let mut actions = Vec::new();
+    let mut thread = 0u32;
+    for w in 0..windows {
+        let last = w + 1 == windows;
+        let mut ops: Vec<Operation> = Vec::new();
+        for _ in 0..width {
+            for &op in shapes[rng.gen_range(0..shapes.len())].ops() {
+                thread += 1;
+                ops.push(Operation { thread: ThreadId(thread), ..op });
+            }
+        }
+        let drawn = ops.len();
+        if last {
+            for &op in plant {
+                thread += 1;
+                ops.push(Operation { thread: ThreadId(thread), ..op });
+            }
+        }
+        actions.extend(ops.iter().map(Operation::invocation));
+        for (k, op) in ops.iter().enumerate() {
+            if !(last && k < drawn && rng.gen_range(0..3) == 0) {
+                actions.push(op.response());
+            }
+        }
+    }
+    History::from_actions(actions)
+}
+
+/// Exchanger elements over two values, so that a window repeats each
+/// operation shape: swaps of 0 and 1, swaps of 0 with 0, lone failures.
+pub fn exchanger_shapes() -> Vec<CaElement> {
+    let t = ThreadId;
+    vec![
+        swap_element(O, t(0), 0, t(1), 1),
+        swap_element(O, t(0), 0, t(1), 0),
+        fail_element(O, t(0), 0),
+        fail_element(O, t(0), 1),
+    ]
 }
 
 /// `ops` register operations by four clients, each taking effect at its
@@ -138,14 +192,34 @@ fn completions<S: CaSpec>(spec: &S, spans: &[Span], subset: &[usize]) -> Vec<Vec
     out
 }
 
+/// Every subset of `minimal` of one to `max` members, each ascending.
+fn subsets_up_to(minimal: &[usize], max: usize) -> Vec<Vec<usize>> {
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    let mut open: Vec<(Vec<usize>, usize)> = vec![(Vec::new(), 0)];
+    while let Some((subset, from)) = open.pop() {
+        for (k, &i) in minimal.iter().enumerate().skip(from) {
+            let grown = [&subset[..], &[i]].concat();
+            if grown.len() < max {
+                open.push((grown.clone(), k + 1));
+            }
+            out.push(grown);
+        }
+    }
+    out
+}
+
 /// Every state some explanation of `segment` leaves `spec` in, started
-/// from any of `from`: all ways to take a CA-element — same-object
-/// minimal operations under Def. 3's real-time order, pending ones
-/// completed or left out — until every complete operation is taken.
+/// from any of `from`: all ways to take a CA-element — up to
+/// `max_element_size` same-object minimal operations under Def. 3's
+/// real-time order (minimal operations are pairwise concurrent: an
+/// unmatched one before another would keep that one from being minimal),
+/// pending ones completed or left out — until every complete operation is
+/// taken. Every clone of a clone class is tried in every position, so
+/// this is no place for wide windows of them.
 pub fn end_states<S: CaSpec>(spec: &S, segment: &[Action], from: &[S::State]) -> Vec<S::State> {
     let spans = History::from_actions(segment.to_vec()).spans();
     let n = spans.len();
-    assert!(n <= 32, "a reference for small windows");
+    assert!(n <= 64, "a reference for small windows");
     let complete = (0..n).filter(|&i| spans[i].is_complete()).fold(0u64, |m, i| m | 1 << i);
     let mut ends: Vec<S::State> = Vec::new();
     let mut seen: HashSet<(u64, S::State)> = HashSet::new();
@@ -163,12 +237,7 @@ pub fn end_states<S: CaSpec>(spec: &S, segment: &[Action], from: &[S::State]) ->
                 !has(i) && (0..n).all(|j| has(j) || !History::spans_precede(&spans[j], &spans[i]))
             })
             .collect();
-        for pick in 1u32..1 << minimal.len() {
-            if pick.count_ones() as usize > spec.max_element_size().max(1) {
-                continue;
-            }
-            let subset: Vec<usize> =
-                (0..minimal.len()).filter(|&b| pick >> b & 1 == 1).map(|b| minimal[b]).collect();
+        for subset in subsets_up_to(&minimal, spec.max_element_size().max(1)) {
             let object = spans[subset[0]].object;
             if subset.iter().any(|&i| spans[i].object != object) {
                 continue;

@@ -10,20 +10,33 @@
 //! every generated history, accepted and rejected alike: the CAL search
 //! sequentially and at 1, 2 and 4 threads with symmetry and memoization
 //! each on and off, the interval search sequentially and in parallel.
+//!
+//! The CA-families are held to the same reference with elements of up to
+//! their `max_element_size`: the exchanger and the synchronous queue, on
+//! windows of fully-overlapping operations full of clones — the histories
+//! symmetry reduction matches in one order — some legal by construction,
+//! some with a swap nobody offered or one clone too many planted last.
 
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::gen::interleave;
 use cal::core::interval::{check_interval_par_with, check_interval_with, SeqAsInterval};
 use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
-use cal::core::{Action, History, Method, ObjectId, Operation, ThreadId, Value};
+use cal::core::{Action, CaElement, History, Method, ObjectId, Operation, ThreadId, Value};
+use cal::specs::exchanger::{exchange_ok, ExchangerSpec};
 use cal::specs::kv::KvMapSpec;
 use cal::specs::register::{read_op, write_op, CounterSpec, RegisterSpec};
 use cal::specs::stack::StackSpec;
+use cal::specs::sync_queue::{
+    put_timeout_element, take_timeout_element, transfer_element, SyncQueueSpec,
+};
+use cal::specs::vocab::TAKE;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 mod common;
-use common::end_states;
+use common::{clone_windows, end_states, exchanger_shapes};
 
 const O: ObjectId = ObjectId(0);
 
@@ -101,34 +114,43 @@ fn category<W>(r: &Result<CheckOutcome<W>, CheckError>) -> String {
     }
 }
 
-/// The reference's verdict: is `h` linearizable w.r.t. `spec`?
-fn reference<S: SeqSpec + Clone>(h: &History, spec: &S) -> bool {
-    let lin = SeqAsCa::new(spec.clone());
-    !end_states(&lin, h.actions(), &[lin.initial()]).is_empty()
+/// The reference's verdict: is `h` CAL w.r.t. `spec`?
+fn reference<S: CaSpec>(h: &History, spec: &S) -> bool {
+    !end_states(spec, h.actions(), &[spec.initial()]).is_empty()
 }
 
-/// The oracle: the reference decides `h`, and every configuration of both
-/// searches returns that verdict.
+/// The CAL half of the oracle: the reference decides `h`, and the CAL
+/// search returns that verdict in every configuration. Returns it.
+fn assert_cal_agreement<S>(h: &History, ca: &S) -> &'static str
+where
+    S: CaSpec + Sync,
+    S::State: Send + Sync,
+{
+    let expected = if reference(h, ca) { "accepted" } else { "rejected" };
+    for symmetry in [true, false] {
+        for memoize in [true, false] {
+            let options = CheckOptions { symmetry, memoize, ..CheckOptions::default() };
+            let what = format!("symmetry={symmetry} memoize={memoize}");
+            let cal = category(&check_cal_with(h, ca, &options));
+            assert_eq!(cal, expected, "CAL ({what}) vs the reference\nhistory:\n{h}");
+            for threads in [1usize, 2, 4] {
+                let par = CheckOptions { threads, ..options.clone() };
+                let pcal = category(&check_cal_par_with(h, ca, &par));
+                assert_eq!(pcal, expected, "CAL ({what} threads={threads})\nhistory:\n{h}");
+            }
+        }
+    }
+    expected
+}
+
+/// The oracle on a sequential spec: the CAL half over [`SeqAsCa`], and
+/// every configuration of the interval search returns the same verdict.
 fn assert_cross_agreement<S>(h: &History, spec: &S)
 where
     S: SeqSpec + Clone + Sync,
     S::State: Send + Sync,
 {
-    let expected = if reference(h, spec) { "accepted" } else { "rejected" };
-    let ca = SeqAsCa::new(spec.clone());
-    for symmetry in [true, false] {
-        for memoize in [true, false] {
-            let options = CheckOptions { symmetry, memoize, ..CheckOptions::default() };
-            let what = format!("symmetry={symmetry} memoize={memoize}");
-            let cal = category(&check_cal_with(h, &ca, &options));
-            assert_eq!(cal, expected, "CAL ({what}) vs the reference\nhistory:\n{h}");
-            for threads in [1usize, 2, 4] {
-                let par = CheckOptions { threads, ..options.clone() };
-                let pcal = category(&check_cal_par_with(h, &ca, &par));
-                assert_eq!(pcal, expected, "CAL ({what} threads={threads})\nhistory:\n{h}");
-            }
-        }
-    }
+    let expected = assert_cal_agreement(h, &SeqAsCa::new(spec.clone()));
     let interval = SeqAsInterval::new(spec.clone());
     let seq = category(&check_interval_with(h, &interval, &CheckOptions::default()));
     assert_eq!(seq, expected, "interval vs the reference\nhistory:\n{h}");
@@ -139,8 +161,59 @@ where
     }
 }
 
+/// Synchronous-queue elements over one value: transfers and timeouts.
+fn sync_queue_shapes() -> Vec<CaElement> {
+    let t = ThreadId;
+    vec![
+        transfer_element(O, t(0), 1, t(1)),
+        transfer_element(O, t(0), 1, t(1)),
+        put_timeout_element(O, t(0), 1),
+        take_timeout_element(O, t(0)),
+    ]
+}
+
+/// What a clone-window case plants in its last window: nothing (the
+/// history is CAL), a swap nobody offered (one side got 101, which no call
+/// offers: the history is not), or one clone too many (a success no
+/// complete call is left to pair with — a pending one may be).
+fn plant(which: u8, too_many: Operation) -> Vec<Operation> {
+    let t = ThreadId(0);
+    match which {
+        0 => Vec::new(),
+        1 => vec![exchange_ok(O, t, 100, 101), exchange_ok(O, t, 102, 100)],
+        _ => vec![too_many],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn exchanger_checkers_agree_on_clone_windows(
+        seed in any::<u64>(), windows in 1usize..3, width in 1usize..4, which in 0u8..3,
+    ) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let planted = plant(which, exchange_ok(O, ThreadId(0), 0, 0));
+        let h = clone_windows(rng, windows, width, &exchanger_shapes(), &planted);
+        let verdict = assert_cal_agreement(&h, &ExchangerSpec::new(O));
+        if which < 2 {
+            prop_assert_eq!(verdict == "accepted", which == 0, "{}", h);
+        }
+    }
+
+    #[test]
+    fn sync_queue_checkers_agree_on_clone_windows(
+        seed in any::<u64>(), windows in 1usize..3, width in 1usize..4, which in 0u8..3,
+    ) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let take = Operation::new(ThreadId(0), O, TAKE, Value::Unit, Value::Pair(true, 1));
+        let planted = plant(which, take);
+        let h = clone_windows(rng, windows, width, &sync_queue_shapes(), &planted);
+        let verdict = assert_cal_agreement(&h, &SyncQueueSpec::new(O));
+        if which < 2 {
+            prop_assert_eq!(verdict == "accepted", which == 0, "{}", h);
+        }
+    }
 
     #[test]
     fn register_checkers_agree(h in history_of(arb_register_op())) {
@@ -197,7 +270,7 @@ fn fixed_register_histories_agree_with_known_verdicts() {
         ("read 5 beside a pending write 5", pending(read(5)), true),
     ];
     for (what, h, linearizable) in cases {
-        assert_eq!(reference(&h, &spec), linearizable, "{what}");
+        assert_eq!(reference(&h, &SeqAsCa::new(spec.clone())), linearizable, "{what}");
         assert_cross_agreement(&h, &spec);
     }
 }
@@ -216,7 +289,7 @@ fn fixed_two_object_and_ill_formed_histories_have_known_verdicts() {
     ];
     let actions = ops.iter().flat_map(|op| [op.invocation(), op.response()]);
     let h = History::from_actions(actions.collect());
-    assert!(reference(&h, &spec));
+    assert!(reference(&h, &SeqAsCa::new(spec.clone())));
     assert_cross_agreement(&h, &spec);
     let ca = SeqAsCa::new(spec.clone());
     for threads in [1usize, 2, 4] {

@@ -19,7 +19,8 @@ use cal::specs::snapshot::{view, write_snapshot_op, WriteSnapshotSpec};
 /// `k` pairwise-concurrent `exchange(0) -> (true, 0)` calls: every pair
 /// of them can explain each other, but an odd `k` leaves one call that no
 /// rule covers, so the search must refute every way of pairing the rest —
-/// super-exponential without memoization.
+/// super-exponential without memoization and without symmetry reduction
+/// (which would match the clones in one order and decide in a few nodes).
 fn hard_history(k: usize) -> History {
     let mut text = String::new();
     for t in 0..k {
@@ -37,6 +38,7 @@ fn hard_options(deadline: Duration) -> CheckOptions {
         // deadline, not the node cap, must be what stops it.
         max_nodes: u64::MAX,
         memoize: false,
+        symmetry: false,
         deadline: Some(deadline),
         ..CheckOptions::default()
     }
@@ -110,6 +112,7 @@ fn node_budget_exhaustion_is_a_result_not_a_panic() {
     let options = CheckOptions {
         max_nodes: 10_000,
         memoize: false,
+        symmetry: false,
         ..CheckOptions::default()
     };
     let outcome = check_cal_with(&history, &spec, &options).expect("exhaustion is an outcome");

@@ -188,7 +188,7 @@ proptest! {
         // The register family through the CAL checker's singleton
         // embedding — classical linearizability: exercises CalDomain's
         // symmetry classes on a spec whose ops rarely clone, i.e. the
-        // `is_trivial` fast path.
+        // generator with no previous clone to wait for.
         let spec = SeqAsCa::new(RegisterSpec::new(O).with_read_universe(vec![0, 1, 2]));
         assert_matrix_invariant(
             &h,
@@ -349,8 +349,9 @@ impl StatsSink for CancelAfter {
 }
 
 /// `k` pairwise-concurrent identical exchanges, odd `k`: unsatisfiable,
-/// and with memoization off the refutation is super-exponential — the
-/// search cannot finish before any plausible cancellation point.
+/// and with memoization and symmetry reduction off the refutation is
+/// super-exponential — the search cannot finish before any plausible
+/// cancellation point.
 fn unbounded_history(k: usize) -> History {
     let mut text = String::new();
     for t in 0..k {
@@ -385,6 +386,7 @@ proptest! {
         let options = CheckOptions {
             threads,
             memoize: false,
+            symmetry: false,
             cancel: Some(sink.token.clone()),
             sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
             ..CheckOptions::default()

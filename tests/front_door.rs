@@ -239,6 +239,33 @@ fn soak_resolves_by_the_same_rule() {
     soak(&["--spec", &broken], exchanger, 3, "a file that does not compile");
 }
 
+/// `--no-symmetry` is a search option, taken wherever `cal-check` searches
+/// a history it was given — one file, or a `--batch` directory — with the
+/// verdicts the search gives with the reduction on; chaos mode checks with
+/// options of its own and refuses it as usage.
+#[test]
+fn no_symmetry_is_taken_in_file_and_batch_mode() {
+    let dir = Scratch::new("no-symmetry");
+    let swap = dir.file("swap.hist", SWAP);
+    // Three identical successful exchanges: two swap, the third is left.
+    let odd = "t1 inv o0.exchange 0\nt2 inv o0.exchange 0\nt3 inv o0.exchange 0\n\
+         t1 res o0.exchange (true,0)\nt2 res o0.exchange (true,0)\nt3 res o0.exchange (true,0)\n";
+    dir.file("odd.hist", odd);
+    let batch = dir.0.to_str().expect("utf-8 temp path");
+    for flags in [&[][..], &["--no-symmetry"]] {
+        let run_with = |args: &[&str]| {
+            let args: Vec<&str> = args.iter().chain(flags).copied().collect();
+            run(CHECK, &args, "")
+        };
+        assert_eq!(run_with(&["exchanger", &swap]).status.code(), Some(0), "{flags:?}");
+        let out = run_with(&["exchanger", "--batch", batch]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "--batch {flags:?}: {stdout}");
+        assert!(stdout.contains("2 files, 1 rejected"), "--batch {flags:?}: {stdout}");
+    }
+    assert_eq!(code(CHECK, &["--chaos", "light", "--no-symmetry"], ""), 4);
+}
+
 /// `--max-nodes` takes the same spellings in both binaries that have it.
 #[test]
 fn max_nodes_is_decimal_or_hex_everywhere() {

@@ -5,6 +5,8 @@
 //! [`CountingSink`] must account for every probe — hits plus misses
 //! equal charged nodes, with inserts bounded by misses.
 
+mod common;
+
 use std::sync::Arc;
 
 use cal::core::check::{check_cal_with, CheckOptions, Verdict};
@@ -21,8 +23,10 @@ const O: ObjectId = ObjectId(0);
 
 /// `k` pairwise-concurrent identical successful exchanges. For odd `k`
 /// one operation is always left unmatched, so every maximal matching
-/// fails and the DFS revisits the same residue states exponentially
-/// often — the adversarial case the memo table exists for.
+/// fails and, with symmetry reduction off, the DFS revisits the same
+/// residue states exponentially often — the adversarial case the memo
+/// table exists for. (With it on, the clones are matched in one order
+/// and no residue is reached twice.)
 fn hard_history(k: u32) -> History {
     let mut actions = Vec::new();
     for t in 0..k {
@@ -34,11 +38,17 @@ fn hard_history(k: u32) -> History {
     History::from_actions(actions)
 }
 
+/// Symmetry reduction off: the memo alone stands between `hard_history`
+/// and its exponential revisits.
+fn no_symmetry() -> CheckOptions {
+    CheckOptions { symmetry: false, ..CheckOptions::default() }
+}
+
 #[test]
 fn memo_fires_on_backtracking_heavy_history() {
     let h = hard_history(7);
     let spec = ExchangerSpec::new(O);
-    let out = check_cal_with(&h, &spec, &CheckOptions::default()).unwrap();
+    let out = check_cal_with(&h, &spec, &no_symmetry()).unwrap();
     assert!(matches!(out.verdict, Verdict::NotCal));
     assert!(
         out.stats.memo_hits > 0,
@@ -51,7 +61,7 @@ fn memo_fires_on_backtracking_heavy_history() {
 fn memo_fires_in_the_parallel_checker_too() {
     let h = hard_history(7);
     let spec = ExchangerSpec::new(O);
-    let options = CheckOptions { threads: 4, ..CheckOptions::default() };
+    let options = CheckOptions { threads: 4, ..no_symmetry() };
     let out = check_cal_par_with(&h, &spec, &options).unwrap();
     assert!(matches!(out.verdict, Verdict::NotCal));
     assert!(
@@ -196,19 +206,25 @@ fn memo_fires_in_the_interval_checker() {
 
 #[test]
 fn cal_memo_accounting_with_counting_sink() {
-    // The original CAL family through the same accounting lens. Symmetry
-    // is left on (the default): canonicalized keys must still satisfy
-    // one-probe-per-node exactly.
-    let h = hard_history(7);
+    // The original CAL family through the same accounting lens, with
+    // symmetry reduction off; then the benchmark's windowed refutation
+    // with it on, where the memo still fires between orbits and one
+    // successor per orbit must still satisfy one-probe-per-node exactly.
     let spec = ExchangerSpec::new(O);
-    let sink = Arc::new(CountingSink::new());
-    let options = CheckOptions {
-        sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
-        ..CheckOptions::default()
-    };
-    let out = check_cal_with(&h, &spec, &options).unwrap();
-    assert!(matches!(out.verdict, Verdict::NotCal));
-    assert_memo_accounting(&sink, out.stats.nodes, "cal");
+    for (what, h, symmetry) in [
+        ("cal", hard_history(7), false),
+        ("cal, symmetry on", common::exchanger_windows(2, true), true),
+    ] {
+        let sink = Arc::new(CountingSink::new());
+        let options = CheckOptions {
+            symmetry,
+            sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
+            ..CheckOptions::default()
+        };
+        let out = check_cal_with(&h, &spec, &options).unwrap();
+        assert!(matches!(out.verdict, Verdict::NotCal));
+        assert_memo_accounting(&sink, out.stats.nodes, what);
+    }
 }
 
 #[test]
@@ -217,8 +233,8 @@ fn memoization_saves_work() {
     // reduce explored nodes on the adversarial history.
     let h = hard_history(7);
     let spec = ExchangerSpec::new(O);
-    let on = check_cal_with(&h, &spec, &CheckOptions::default()).unwrap();
-    let off_options = CheckOptions { memoize: false, ..CheckOptions::default() };
+    let on = check_cal_with(&h, &spec, &no_symmetry()).unwrap();
+    let off_options = CheckOptions { memoize: false, ..no_symmetry() };
     let off = check_cal_with(&h, &spec, &off_options).unwrap();
     assert!(
         on.stats.nodes < off.stats.nodes,

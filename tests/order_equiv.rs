@@ -8,12 +8,9 @@
 //! question a checker asks of an order is answered from the matrix by its
 //! definition and compared: `precedes` / `concurrent` on every pair,
 //! `pred_count`, successor sets, `minimal` for arbitrary and for
-//! downward-closed matched sets, `restrict`, the symmetry classes (the
-//! old pairwise grouping, kept here, against `SymClasses::of_order`) and
-//! the canonical form of every one of those matched sets (the old scan of
-//! every class of the whole history, kept here, against the shipped
-//! `SymClasses::canonical_bits`, which looks only at the classes that
-//! straddle the matched frontier).
+//! downward-closed matched sets, `restrict`, and the symmetry classes (the
+//! old pairwise grouping, kept here, against `SymClasses::of_order`, and
+//! each member's previous clone against the class lists).
 //!
 //! The rank shape is additionally compared with the *closed* shape of the
 //! same order — `HbRelation::causal` fed every real-time pair as an edge —
@@ -148,41 +145,6 @@ fn pairwise_classes(spans: &[Span], m: &Matrix) -> Vec<Vec<usize>> {
     classes
 }
 
-/// `SymClasses::canonical_bits` as it was before it learnt to skip: every
-/// class scanned for a set bit after a gap, then every class rewritten to
-/// its first `count` members.
-fn full_scan_canonical_bits(classes: &[Vec<usize>], bits: &BitSet) -> Option<BitSet> {
-    let mut dirty = false;
-    'scan: for class in classes {
-        let mut expecting = true;
-        for &m in class {
-            let set = bits.contains(m);
-            if set && !expecting {
-                dirty = true;
-                break 'scan;
-            }
-            if !set {
-                expecting = false;
-            }
-        }
-    }
-    if !dirty {
-        return None;
-    }
-    let mut canon = bits.clone();
-    for class in classes {
-        let count = class.iter().filter(|&&m| bits.contains(m)).count();
-        for (k, &m) in class.iter().enumerate() {
-            if k < count {
-                canon.insert(m);
-            } else {
-                canon.remove(m);
-            }
-        }
-    }
-    Some(canon)
-}
-
 // --- matched sets ------------------------------------------------------------
 
 fn bitset_of(matched: &[bool]) -> BitSet {
@@ -244,19 +206,21 @@ fn assert_answers_match(hb: &HbRelation, spans: &[Span], m: &Matrix, rng: &mut S
         assert_eq!(visited, members(succs), "{what}: succs({i})");
     }
     let sym = SymClasses::of_order(spans, hb);
-    assert_eq!(sym.classes(), pairwise_classes(spans, m), "{what}: symmetry classes");
+    let classes = pairwise_classes(spans, m);
+    assert_eq!(sym.classes(), classes, "{what}: symmetry classes");
+    let mut prev = vec![None; n];
+    for class in &classes {
+        for pair in class.windows(2) {
+            prev[pair[1]] = Some(pair[0]);
+        }
+    }
+    assert_eq!((0..n).map(|i| sym.prev_clone(i)).collect::<Vec<_>>(), prev, "{what}: clones");
     // `minimal` replaces what the buffer held.
     let mut out = vec![usize::MAX];
     for matched in matched_sets(m, rng) {
         let bits = bitset_of(&matched);
         hb.minimal(&bits, &mut out);
         assert_eq!(out, minimal_by_definition(m, &matched), "{what}: minimal of {matched:?}");
-        assert_eq!(
-            sym.canonical_bits(&bits),
-            full_scan_canonical_bits(sym.classes(), &bits),
-            "{what}: canonical form of {matched:?} under {:?}",
-            sym.classes()
-        );
     }
 }
 

@@ -6,8 +6,8 @@
 //! What is locked in:
 //!
 //! - symmetry reduction collapses the `C(n, k)` interchangeable-op
-//!   explosion by orders of magnitude (k=11: exactly 126 nodes against
-//!   14,081, ≈ 110×);
+//!   explosion by orders of magnitude (k=11: exactly 6 nodes against
+//!   14,081 — one successor per orbit matches the clones in one order);
 //! - failed-state memoization still pays for itself on the adversarial
 //!   exchanger family (k=9: exactly 2,305 nodes against 31,033, ≈ 13×);
 //!   both pairs are pinned exactly, so a change to the order in which
@@ -29,7 +29,7 @@ mod common;
 
 use cal::core::bitset::BitSet;
 use cal::core::causal::check_causal_with;
-use cal::core::check::{check_cal_with, CheckOptions, Verdict};
+use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
 use cal::core::engine::{self, ExpandObs, SearchDomain};
 use cal::core::history::{HbRelation, PartialHistory, Span};
 use cal::core::par::check_cal_par_with;
@@ -66,11 +66,11 @@ fn symmetry_reduction_collapses_interchangeable_ops() {
     assert_eq!(on.verdict, Verdict::NotCal);
     assert_eq!(off.verdict, Verdict::NotCal);
     // Exact: node counts are a function of the enumeration order alone.
-    // A broken canonicalization lands near 1×; a reordered frontier or a
+    // A broken clone rule lands near 1×; a reordered frontier or a
     // regrouped class moves either number.
     assert_eq!(
         (on.stats.nodes, off.stats.nodes),
-        (126, 14_081),
+        (6, 14_081),
         "nodes with symmetry reduction, without"
     );
     if !in_ci() {
@@ -103,20 +103,26 @@ fn memoization_still_pays_for_itself() {
 
 /// The benchmark's headline search, counter for counter: fourteen windows
 /// of the paper's exchanger, the violation planted last, one thread. The
-/// three numbers were taken on the commit before the candidate loop and
-/// the canonicalisation were rebuilt, and pin that rebuild — and whatever
-/// follows it — to the same search: the same nodes in the same order, the
-/// same candidates put to the specification, the same memo answers.
+/// orbits it expands — its memo misses — are the 15,539 the search
+/// expanded when symmetry canonicalized memo keys instead of moves, and
+/// generated every symmetric sibling only to find it in the memo (144,865
+/// nodes, 1,050,768 candidates, 129,326 hits). One successor per orbit
+/// keeps every one of those expansions and drops the siblings; the pin
+/// holds whatever follows to the same search: the same nodes in the same
+/// order, the same candidates put to the specification, the same memo
+/// answers.
 #[test]
 fn benchmark_shaped_refutation_is_the_same_search() {
     let h = exchanger_windows(14, true);
     let outcome = check_cal_with(&h, &ExchangerSpec::new(O), &CheckOptions::default()).unwrap();
     assert_eq!(outcome.verdict, Verdict::NotCal);
+    let CheckStats { nodes, elements_tried, memo_hits, .. } = outcome.stats;
     assert_eq!(
-        (outcome.stats.nodes, outcome.stats.elements_tried, outcome.stats.memo_hits),
-        (144_865, 1_050_768, 129_326),
+        (nodes, elements_tried, memo_hits),
+        (70_993, 541_584, 55_454),
         "nodes, elements tried, memo hits"
     );
+    assert_eq!(nodes - memo_hits, 15_539, "orbits expanded");
 }
 
 #[test]
@@ -303,7 +309,7 @@ fn stealing_neither_loses_nor_duplicates_nodes() {
 /// the eight-client one on the commit before, 2.2 and 18.5 an event.
 #[test]
 fn a_multi_key_stream_costs_about_a_node_an_event() {
-    for (clients, nodes, per_event) in [(4u32, 11_333u64, 1.0f64), (8, 10_944, 1.1)] {
+    for (clients, nodes, per_event) in [(4u32, 11_231u64, 1.0f64), (8, 10_722, 1.1)] {
         let history = kv_stream(clients);
         let mut checker =
             StreamChecker::new(SeqAsCa::new(KvMapSpec::new()), StreamOptions::default());

@@ -157,8 +157,9 @@ fn stats_json_dash_writes_to_stdout() {
 #[test]
 fn explain_flag_names_the_interrupt_cause() {
     let exe = env!("CARGO_BIN_EXE_cal-check");
-    // 13 identical concurrent "successful" exchanges: unsatisfiable and
-    // big enough that a zero deadline always fires at the first poll.
+    // 13 identical concurrent "successful" exchanges: unsatisfiable and,
+    // without symmetry reduction, big enough that a zero deadline always
+    // fires at the first poll.
     let mut input = String::new();
     for t in 1..=13 {
         input.push_str(&format!("t{t} inv o0.exchange 0\n"));
@@ -167,7 +168,7 @@ fn explain_flag_names_the_interrupt_cause() {
         input.push_str(&format!("t{t} res o0.exchange (true,0)\n"));
     }
     let mut child = Command::new(exe)
-        .args(["exchanger", "-", "--deadline-ms", "0", "--explain"])
+        .args(["exchanger", "-", "--deadline-ms", "0", "--explain", "--no-symmetry"])
         .stdin(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())

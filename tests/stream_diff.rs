@@ -14,7 +14,9 @@
 //! segment enumerated as one joint problem, written out here over
 //! `tests/common`'s reference (nothing but [`CaSpec::step`] and Def. 3) —
 //! whose verdict, `|Q|`, peak `|Q|` and retired-segment count the product
-//! must reproduce after every event.
+//! must reproduce after every event. Exchanger windows full of clones are
+//! held to it too, with symmetry reduction on and off: their closed
+//! segments are what the retirement enumeration walks one orbit at a time.
 
 use cal::core::check::{check_cal, CheckOptions, Verdict};
 use cal::core::gen::{interleave, mutate, render_loose, Mutation};
@@ -32,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::end_states;
+use common::{clone_windows, end_states, exchanger_shapes};
 
 const OBJ: ObjectId = ObjectId(0);
 
@@ -336,13 +338,20 @@ fn gauges_of<S: CaSpec>(checker: &StreamChecker<S>) -> Gauges {
 /// after every event, then holds the closing verdict to the batch
 /// checker's at one and two threads. A stream that sealed an abandoned
 /// operation is only held to soundness there: it may reject what batch
-/// accepts, never accept what batch rejects.
-fn assert_product_is_the_joint_set<S>(spec: S, events: &[Event], max_window: usize, rng: &mut StdRng)
-where
+/// accepts, never accept what batch rejects. `symmetry` is every search's
+/// [`CheckOptions::symmetry`], the stream's and the batch checker's alike.
+fn assert_product_is_the_joint_set<S>(
+    spec: S,
+    events: &[Event],
+    max_window: usize,
+    symmetry: bool,
+    rng: &mut StdRng,
+) where
     S: CaSpec + Clone + Sync,
     S::State: Send + Sync,
 {
-    let opts = StreamOptions { max_window, checkpoint_every: 0, ..StreamOptions::default() };
+    let check = CheckOptions { symmetry, ..CheckOptions::default() };
+    let opts = StreamOptions { max_window, checkpoint_every: 0, check, ..StreamOptions::default() };
     let mut checker = StreamChecker::new(spec.clone(), opts);
     let mut joint = Joint::new(spec.clone(), max_window);
     let mut admitted = History::new();
@@ -375,7 +384,7 @@ where
     let closing = gauges_of(&checker);
     assert_eq!(closing, joint.gauges(), "at the end of {events:?}");
     for threads in [1usize, 2] {
-        let options = CheckOptions { threads, ..CheckOptions::default() };
+        let options = CheckOptions { threads, symmetry, ..CheckOptions::default() };
         let batch = run_ca(&admitted, &spec, None, &options).expect("batch check must not error");
         match batch.verdict {
             Verdict::Cal(_) if joint.sealed => {}
@@ -508,7 +517,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for (stale, deaths) in [(false, false), (true, false), (true, true)] {
             let events = kv_events(&mut rng, clients, keys, ops, stale, deaths);
-            assert_product_is_the_joint_set(kv_spec(), &events, 0, &mut rng);
+            assert_product_is_the_joint_set(kv_spec(), &events, 0, true, &mut rng);
         }
     }
 
@@ -523,7 +532,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let events = kv_events(&mut rng, clients, keys, ops, seed % 2 == 0, true);
         let max_window = rng.gen_range(clients as usize..clients as usize + 3);
-        assert_product_is_the_joint_set(kv_spec(), &events, max_window, &mut rng);
+        assert_product_is_the_joint_set(kv_spec(), &events, max_window, true, &mut rng);
     }
 
     /// A specification that cannot be split is the one-part case of the
@@ -534,7 +543,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let events = kv_events(&mut rng, clients, keys, ops, seed % 2 == 0, seed % 3 == 0);
-        assert_product_is_the_joint_set(Whole(kv_spec()), &events, 0, &mut rng);
+        assert_product_is_the_joint_set(Whole(kv_spec()), &events, 0, true, &mut rng);
     }
 
     /// Two exchangers behind one `PerObject`: elements of two operations,
@@ -557,7 +566,28 @@ proptest! {
         }
         let events: Vec<Event> = h.actions().iter().map(|&a| Event::Action(a)).collect();
         let spec = PerObject::new(objects.map(|o| (o, ExchangerSpec::new(o))).to_vec());
-        assert_product_is_the_joint_set(spec, &events, 0, &mut rng);
+        assert_product_is_the_joint_set(spec, &events, 0, true, &mut rng);
+    }
+
+    /// Exchanger windows full of clones, some with one clone too many
+    /// planted last: every window is a closed segment, enumerated one
+    /// successor per orbit with symmetry reduction on and every symmetric
+    /// sibling with it off, and both must keep the joint set's states.
+    #[test]
+    fn exchanger_clone_windows_stream_as_the_joint_set(
+        seed in 0u64..5_000, windows in 1usize..4, width in 1usize..4, plant in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let planted: Vec<Operation> = if plant {
+            vec![Operation::new(ThreadId(0), OBJ, Method("exchange"), Value::Int(0), Value::Pair(true, 0))]
+        } else {
+            Vec::new()
+        };
+        let h = clone_windows(&mut rng, windows, width, &exchanger_shapes(), &planted);
+        let events: Vec<Event> = h.actions().iter().map(|&a| Event::Action(a)).collect();
+        for symmetry in [true, false] {
+            assert_product_is_the_joint_set(ExchangerSpec::new(OBJ), &events, 0, symmetry, &mut rng);
+        }
     }
 
     /// One operation on an object the specification does not admit, first
@@ -577,7 +607,7 @@ proptest! {
             events.insert(at, Event::Action(Action::response(stranger, ObjectId(1), Method("write"), Value::Unit)));
         }
         let spec = SeqAsCa::new(RegisterSpec::new(OBJ));
-        assert_product_is_the_joint_set(spec.clone(), &events, 0, &mut rng);
+        assert_product_is_the_joint_set(spec.clone(), &events, 0, true, &mut rng);
         let mut checker = StreamChecker::new(spec, StreamOptions::default());
         for event in &events {
             if let Event::Action(action) = *event {
