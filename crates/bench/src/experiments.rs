@@ -51,7 +51,8 @@ fn one_exchange_each(threads: u32) -> Workload {
 }
 
 /// E2 — what the exhaustive sweeps behind Theorem "the exchanger is CAL"
-/// cost: schedules explored, and every rely/guarantee obligation on each.
+/// cost: schedules explored, and every rely/guarantee obligation on every
+/// step of the pruned state graph.
 pub fn e2(b: &mut Bench) {
     const E: ObjectId = ObjectId(0);
     let model = ExchangerModel::new(E);
@@ -61,15 +62,16 @@ pub fn e2(b: &mut Bench) {
             [Explorer::new(&model, w.clone()).run(|_| {}).paths]
         });
     }
-    let w = one_exchange_each(2);
-    b.exact("model_check/exchanger_rg/2x1", ["paths"], || {
-        let mut n = 0;
-        Explorer::new(&model, w.clone()).record_transitions(true).visit_duplicates().run(|e| {
-            check_exchanger_rg(E, e).unwrap();
-            n += 1;
+    let exchange = |v| OpRequest::new(EXCHANGE, Value::Int(v));
+    let two_by_two = Workload::new(vec![vec![exchange(0), exchange(1)], vec![exchange(2), exchange(3)]]);
+    for (name, w) in [("2x1", one_exchange_each(2)), ("3x1", one_exchange_each(3)), ("2x2", two_by_two)] {
+        b.exact(format!("model_check/exchanger_rg/{name}"), ["edges"], || {
+            let stats = Explorer::new(&model, w.clone()).edges(|step| {
+                check_exchanger_rg(E, step).unwrap();
+            });
+            [stats.edges]
         });
-        [n]
-    });
+    }
 }
 
 /// E4 — the modular check of the elimination stack on every schedule of

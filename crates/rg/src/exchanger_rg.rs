@@ -1,7 +1,9 @@
 //! Machine-checked rendition of the exchanger proof (§5.1, Figs. 1 and 4).
 //!
-//! The paper's proof has three ingredients, each of which becomes an
-//! executable check over the transition logs produced by `cal-sim`:
+//! The paper's proof has four ingredients, each of which becomes an
+//! executable check of one step of the state graph `cal-sim`'s explorer
+//! walks ([`Explorer::edges`](cal_sim::Explorer::edges) reports every step
+//! out of every reachable state once):
 //!
 //! 1. **Guarantee conformance** — every shared-state transition must be an
 //!    instance of one of Fig. 4's actions (`INIT`, `CLEAN`, `PASS`,
@@ -12,26 +14,32 @@
 //!    `R_t = IRRELEVANT ∨ ∃t' ≠ t. G_{t'}` by construction.
 //! 2. **The global invariant `J`** — `g` never holds an unsatisfied offer
 //!    of a thread that is not currently inside `exchange` — checked after
-//!    every transition.
+//!    every step.
 //! 3. **The proof-outline assertions** of Fig. 1 (`A`, `B(k)` and the
 //!    line-16/26/28/30/32 disjunctions) — evaluated at each thread's
-//!    current program point after *every* transition, which checks both
-//!    that each step establishes its postcondition and that the assertions
-//!    are **stable** under the interference of the other threads.
+//!    current program point after *every* step, which checks both that each
+//!    step establishes its postcondition and that the assertions are
+//!    **stable** under the interference of the other threads.
+//! 4. **`exchange`'s postcondition** (Fig. 1) — on the step that returns,
+//!    the thread's projection of the trace is `T` and one element more, and
+//!    the value returned is the one that element records for it.
+//!
+//! The proof's logical variable `T = 𝒯_E|t` at `t`'s invocation is read off
+//! the state as the number of `t`'s responses in the history. That is exact
+//! because (4) holds on every step: each completed exchange logged exactly
+//! one element mentioning its thread.
 
 use std::error::Error;
 use std::fmt;
 
-use cal_core::{CaElement, ObjectId, Operation, ThreadId, Value};
+use cal_core::{Action, CaElement, CaTrace, History, ObjectId, Operation, ThreadId, Value};
 use cal_sim::models::exchanger::{ExchangerLocal, ExchangerShared, Hole, Offer};
-use cal_sim::sched::{Execution, Transition, TransitionKind};
+use cal_sim::sched::{Edge, StepKind};
 use cal_specs::vocab::EXCHANGE;
 
 /// A violation of a rely/guarantee obligation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RgViolation {
-    /// Index of the offending transition in the execution's log.
-    pub transition: usize,
     /// The thread whose obligation failed.
     pub thread: ThreadId,
     /// Human-readable description of the failed obligation.
@@ -40,101 +48,76 @@ pub struct RgViolation {
 
 impl fmt::Display for RgViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "transition {} by {}: {}", self.transition, self.thread, self.reason)
+        write!(f, "{}: {}", self.thread, self.reason)
     }
 }
 
 impl Error for RgViolation {}
 
-/// The full §5.1 check for one explored execution of the exchanger model:
-/// guarantee conformance, invariant `J`, and the Fig. 1 proof outline.
-///
-/// The execution must have been produced with transition recording enabled
-/// (otherwise there is nothing to check and an empty log passes trivially
-/// only for the empty workload).
+/// One step of the exchanger model.
+type Step<'a> = Edge<'a, ExchangerShared, ExchangerLocal>;
+
+/// The full §5.1 check of one step of the exchanger model: guarantee
+/// conformance, invariant `J`, the Fig. 1 proof outline and, on a step
+/// that returns, `exchange`'s postcondition.
 ///
 /// # Errors
 ///
 /// Returns the first violated obligation.
-pub fn check_exchanger_rg(
-    object: ObjectId,
-    execution: &Execution<ExchangerShared, ExchangerLocal>,
-) -> Result<(), RgViolation> {
-    let mut baselines: Vec<Option<usize>> = Vec::new();
-    for (i, tr) in execution.transitions.iter().enumerate() {
-        let t = tr.thread;
-        let ti = t.0 as usize;
-        if baselines.len() < tr.locals.len() {
-            baselines.resize(tr.locals.len(), None);
-        }
-        if tr.kind == TransitionKind::Invoke {
-            // Record the logical variable T = 𝒯_E|t at invocation.
-            baselines[ti] = Some(mentions(execution, tr.trace_before, t));
-        }
-        check_action(object, i, tr, execution)?;
-        check_invariant_j(i, tr)?;
-        check_outline(object, i, tr, execution, &baselines)?;
-        if matches!(tr.kind, TransitionKind::Step { completed: true }) {
-            baselines[ti] = None;
-        }
-    }
-    Ok(())
+pub fn check_exchanger_rg(object: ObjectId, step: &Step<'_>) -> Result<(), RgViolation> {
+    check_action(object, step)?;
+    check_invariant_j(step)?;
+    check_postcondition(step)?;
+    check_outline(object, step)
 }
 
-/// Number of CA-elements among the first `len` that mention thread `t` —
-/// the length of the projection `𝒯|t` (Def. 4).
-fn mentions(
-    execution: &Execution<ExchangerShared, ExchangerLocal>,
-    len: usize,
-    t: ThreadId,
-) -> usize {
-    execution.trace.elements()[..len].iter().filter(|e| e.mentions_thread(t)).count()
+/// The length of the projection `𝒯|t` (Def. 4).
+fn mentions(trace: &CaTrace, t: ThreadId) -> usize {
+    trace.elements().iter().filter(|e| e.mentions_thread(t)).count()
 }
 
-fn violation(
-    transition: usize,
-    thread: ThreadId,
-    reason: impl Into<String>,
-) -> Result<(), RgViolation> {
-    Err(RgViolation { transition, thread, reason: reason.into() })
+/// The last element of `trace` that mentions `t`.
+fn last_mentioning(trace: &CaTrace, t: ThreadId) -> Option<&CaElement> {
+    trace.elements().iter().rfind(|e| e.mentions_thread(t))
 }
 
-/// Fig. 4 guarantee conformance for one transition.
-fn check_action(
-    object: ObjectId,
-    i: usize,
-    tr: &Transition<ExchangerShared, ExchangerLocal>,
-    execution: &Execution<ExchangerShared, ExchangerLocal>,
-) -> Result<(), RgViolation> {
-    let t = tr.thread;
-    let pre = &tr.pre;
-    let post = &tr.post;
-    let delta: &[CaElement] = &execution.trace.elements()[tr.trace_before..tr.trace_after];
-    if tr.kind == TransitionKind::Invoke {
+/// How many of `t`'s operations have returned.
+fn responses(history: &History, t: ThreadId) -> usize {
+    history.actions().iter().filter(|a| a.thread() == t && a.is_response()).count()
+}
+
+pub(crate) fn violation(thread: ThreadId, reason: impl Into<String>) -> Result<(), RgViolation> {
+    Err(RgViolation { thread, reason: reason.into() })
+}
+
+/// Fig. 4 guarantee conformance for one step.
+fn check_action(object: ObjectId, step: &Step<'_>) -> Result<(), RgViolation> {
+    let (t, pre, post, delta) = (step.thread, step.pre, step.post, step.logged);
+    if step.kind == StepKind::Invoke {
         if pre != post || !delta.is_empty() {
-            return violation(i, t, "invocation must not touch shared state");
+            return violation(t, "invocation must not touch shared state");
         }
         return Ok(());
     }
-    match tr.label {
+    match step.label {
         None => {
             // Environment-invisible: reads, or a private allocation (the
             // failed init CAS still allocated the offer).
             if post.g != pre.g {
-                return violation(i, t, "unlabelled step changed g");
+                return violation(t, "unlabelled step changed g");
             }
             if !delta.is_empty() {
-                return violation(i, t, "unlabelled step extended the trace");
+                return violation(t, "unlabelled step extended the trace");
             }
             if post.offers.len() > pre.offers.len() + 1
                 || post.offers[..pre.offers.len()] != pre.offers[..]
             {
-                return violation(i, t, "unlabelled step mutated published offers");
+                return violation(t, "unlabelled step mutated published offers");
             }
             if post.offers.len() == pre.offers.len() + 1 {
                 let fresh = post.offers[pre.offers.len()];
                 if fresh.tid != t || fresh.hole != Hole::Null {
-                    return violation(i, t, "allocated offer must be fresh and owned");
+                    return violation(t, "allocated offer must be fresh and owned");
                 }
             }
             Ok(())
@@ -143,35 +126,35 @@ fn check_action(
             // [∃n. g⃐ = null ∧ n.tid = t ∧ n.hole = null ∧ g = n]_g
             let n = pre.offers.len();
             if pre.g.is_some() {
-                return violation(i, t, "INIT requires g = null");
+                return violation(t, "INIT requires g = null");
             }
             if post.g != Some(n)
                 || post.offers.len() != n + 1
                 || post.offers[..n] != pre.offers[..]
                 || post.offers[n] != (Offer { tid: t, data: post.offers[n].data, hole: Hole::Null })
             {
-                return violation(i, t, "INIT must publish a fresh own offer");
+                return violation(t, "INIT must publish a fresh own offer");
             }
             if !delta.is_empty() {
-                return violation(i, t, "INIT must not extend the trace");
+                return violation(t, "INIT must not extend the trace");
             }
             Ok(())
         }
         Some("PASS") => {
             // [g.hole⃐ = null ∧ g.tid = t ∧ g.hole = fail]_{g.hole}
             if post.g != pre.g || !delta.is_empty() {
-                return violation(i, t, "PASS may only flip one hole");
+                return violation(t, "PASS may only flip one hole");
             }
             let changed: Vec<usize> = diff_offers(pre, post);
             let [n] = changed[..] else {
-                return violation(i, t, "PASS must change exactly one offer");
+                return violation(t, "PASS must change exactly one offer");
             };
             let (before, after) = (pre.offers[n], post.offers[n]);
             if before.tid != t
                 || before.hole != Hole::Null
                 || after != (Offer { hole: Hole::Fail, ..before })
             {
-                return violation(i, t, "PASS must set own null hole to fail");
+                return violation(t, "PASS must set own null hole to fail");
             }
             Ok(())
         }
@@ -179,73 +162,69 @@ fn check_action(
             // [∃n ≠ fail. n.tid = t ∧ g.hole⃐ = null ∧ g.tid ≠ t ∧
             //  g.hole = n ∧ 𝒯 = 𝒯⃐ · E.swap(g.tid, g.data, t, n.data)]
             let Some(c) = pre.g else {
-                return violation(i, t, "XCHG requires g ≠ null");
+                return violation(t, "XCHG requires g ≠ null");
             };
             if post.g != pre.g {
-                return violation(i, t, "XCHG must not change g");
+                return violation(t, "XCHG must not change g");
             }
             let changed = diff_offers(pre, post);
             if changed != [c] {
-                return violation(i, t, "XCHG must change exactly the offer in g");
+                return violation(t, "XCHG must change exactly the offer in g");
             }
             let (before, after) = (pre.offers[c], post.offers[c]);
             if before.hole != Hole::Null || before.tid == t {
-                return violation(i, t, "XCHG requires an unmatched foreign offer in g");
+                return violation(t, "XCHG requires an unmatched foreign offer in g");
             }
             let Hole::Matched(n) = after.hole else {
-                return violation(i, t, "XCHG must match the hole");
+                return violation(t, "XCHG must match the hole");
             };
             if (Offer { hole: Hole::Null, ..after }) != before {
-                return violation(i, t, "XCHG may only write the hole");
+                return violation(t, "XCHG may only write the hole");
             }
             let own = post.offers[n];
             if own.tid != t {
-                return violation(i, t, "XCHG must install the matcher's own offer");
+                return violation(t, "XCHG must install the matcher's own offer");
             }
             let expected = swap_element(object, before.tid, before.data, t, own.data);
             if delta != [expected.clone()] {
-                return violation(
-                    i,
-                    t,
-                    format!("XCHG must log {expected}, logged {:?}", delta),
-                );
+                return violation(t, format!("XCHG must log {expected}, logged {delta:?}"));
             }
             Ok(())
         }
         Some("CLEAN") => {
             // [g⃐.hole ≠ null ∧ g = null]_g
             let Some(c) = pre.g else {
-                return violation(i, t, "CLEAN requires g ≠ null");
+                return violation(t, "CLEAN requires g ≠ null");
             };
             if pre.offers[c].hole == Hole::Null {
-                return violation(i, t, "CLEAN requires a satisfied or passed offer");
+                return violation(t, "CLEAN requires a satisfied or passed offer");
             }
             if post.g.is_some() || post.offers != pre.offers || !delta.is_empty() {
-                return violation(i, t, "CLEAN may only null g");
+                return violation(t, "CLEAN may only null g");
             }
             Ok(())
         }
         Some("FAIL") => {
             // [∃d. 𝒯 = 𝒯⃐ · E.{(t, ex(d) ▷ (false, d))}]_𝒯
             if pre != post {
-                return violation(i, t, "FAIL must not touch shared memory");
+                return violation(t, "FAIL must not touch shared memory");
             }
             let [e] = delta else {
-                return violation(i, t, "FAIL must log exactly one element");
+                return violation(t, "FAIL must log exactly one element");
             };
             let [op] = e.ops() else {
-                return violation(i, t, "FAIL element must be a singleton");
+                return violation(t, "FAIL element must be a singleton");
             };
             let ok = e.object() == object
                 && op.thread == t
                 && op.method == EXCHANGE
                 && matches!((op.arg.as_int(), op.ret.as_pair()), (Some(d), Some((false, r))) if d == r);
             if !ok {
-                return violation(i, t, format!("FAIL element malformed: {e}"));
+                return violation(t, format!("FAIL element malformed: {e}"));
             }
             Ok(())
         }
-        Some(other) => violation(i, t, format!("unknown action label {other}")),
+        Some(other) => violation(t, format!("unknown action label {other}")),
     }
 }
 
@@ -269,59 +248,60 @@ fn swap_element(object: ObjectId, t: ThreadId, v: i64, t2: ThreadId, v2: i64) ->
 /// Invariant `J`: `∀t. g ≠ null ∧ g.hole = null ⟹ InE(g.tid)` — the offer
 /// in `g`, while unsatisfied, belongs to a thread currently executing
 /// `exchange`.
-fn check_invariant_j(
-    i: usize,
-    tr: &Transition<ExchangerShared, ExchangerLocal>,
-) -> Result<(), RgViolation> {
-    if let Some(n) = tr.post.g {
-        let offer = tr.post.offers[n];
-        if offer.hole == Hole::Null {
-            let active = tr
-                .locals
-                .get(offer.tid.0 as usize)
-                .map(|l| l.is_some())
-                .unwrap_or(false);
-            if !active {
-                return violation(
-                    i,
-                    tr.thread,
-                    format!("J violated: g holds unsatisfied offer of inactive {}", offer.tid),
-                );
-            }
-        }
+fn check_invariant_j(step: &Step<'_>) -> Result<(), RgViolation> {
+    let Some(n) = step.post.g else { return Ok(()) };
+    let offer = step.post.offers[n];
+    let active = step.locals.get(offer.tid.0 as usize).is_some_and(Option::is_some);
+    if offer.hole == Hole::Null && !active {
+        return violation(
+            step.thread,
+            format!("J violated: g holds unsatisfied offer of inactive {}", offer.tid),
+        );
+    }
+    Ok(())
+}
+
+/// Fig. 1's postcondition of `exchange`, on the step that returns:
+/// `𝒯_E|t = T · e` for one element `e`, and the value returned is the one
+/// `e` records for `t`.
+fn check_postcondition(step: &Step<'_>) -> Result<(), RgViolation> {
+    if step.kind != (StepKind::Step { completed: true }) {
+        return Ok(());
+    }
+    let t = step.thread;
+    // T counts t's earlier exchanges, so with this one t has returned T + 1 times.
+    let (logged, returned) = (mentions(step.trace, t), responses(step.history, t));
+    if logged != returned {
+        return violation(t, format!("returns with {logged} logged elements after {returned} exchanges"));
+    }
+    let ret = step.history.actions().last().and_then(Action::ret);
+    let own = last_mentioning(step.trace, t)
+        .and_then(|e| e.ops().iter().find(|op| op.thread == t))
+        .map(|op| op.ret);
+    if own != ret {
+        return violation(t, format!("returns {ret:?}, but its last logged element says {own:?}"));
     }
     Ok(())
 }
 
 /// Fig. 1's proof-outline assertions, evaluated for every in-flight thread
-/// at its current program point. Because this runs after *every*
-/// transition, it checks stability under interference, not just
-/// establishment.
-fn check_outline(
-    object: ObjectId,
-    i: usize,
-    tr: &Transition<ExchangerShared, ExchangerLocal>,
-    execution: &Execution<ExchangerShared, ExchangerLocal>,
-    baselines: &[Option<usize>],
-) -> Result<(), RgViolation> {
-    let shared = &tr.post;
-    let trace_len = tr.trace_after;
-    for (ui, local) in tr.locals.iter().enumerate() {
-        let Some(local) = local else { continue };
+/// at its current program point. Because this runs after *every* step, it
+/// checks stability under interference, not just establishment.
+fn check_outline(object: ObjectId, step: &Step<'_>) -> Result<(), RgViolation> {
+    let shared = step.post;
+    for (ui, local) in step.locals.iter().enumerate() {
+        let Some(local) = *local else { continue };
         let u = ThreadId(ui as u32);
-        let Some(baseline) = baselines.get(ui).copied().flatten() else { continue };
-        let logged = mentions(execution, trace_len, u);
+        // T, u's logged elements at its invocation: one per exchange it
+        // has completed (the postcondition holds on every step).
+        let baseline = responses(step.history, u);
+        let logged = mentions(step.trace, u);
         // A's trace conjunct: 𝒯_E|u = T. B's: 𝒯_E|u = T · E.swap(…).
         let a_trace = logged == baseline;
         let b_trace = |partner: Offer, own_value: i64| -> bool {
-            if logged != baseline + 1 {
-                return false;
-            }
-            let last = execution.trace.elements()[..trace_len]
-                .iter()
-                .rfind(|e| e.mentions_thread(u))
-                .expect("logged > 0");
-            *last == swap_element(object, u, own_value, partner.tid, partner.data)
+            logged == baseline + 1
+                && last_mentioning(step.trace, u)
+                    == Some(&swap_element(object, u, own_value, partner.tid, partner.data))
         };
         // A's memory conjuncts, parameterized by the own offer.
         let a_mem = |n: usize, v: i64| -> bool {
@@ -380,7 +360,6 @@ fn check_outline(
         };
         if !ok {
             return violation(
-                i,
                 u,
                 format!("proof-outline assertion violated at {local:?} (shared {shared:?})"),
             );
@@ -389,77 +368,78 @@ fn check_outline(
     Ok(())
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cal_sim::models::exchanger::ExchangerModel;
-    use cal_sim::sched::{Explorer, Workload};
-    use cal_sim::OpRequest;
+    use cal_sim::models::faulty::{ExchangerBug, FaultyExchangerModel};
+    use cal_sim::{Explorer, Model, OpRequest, Workload};
 
     const E: ObjectId = ObjectId(0);
 
-    fn exchange(v: i64) -> OpRequest {
-        OpRequest::new(EXCHANGE, Value::Int(v))
+    /// `threads` threads with one exchange each, of distinct values.
+    fn one_each(threads: i64) -> Workload {
+        let exchange = |v| vec![OpRequest::new(EXCHANGE, Value::Int(v))];
+        Workload::new((0..threads).map(|t| exchange(t + 3)).collect())
     }
 
-    fn check_all(workload: Workload) -> u64 {
-        let m = ExchangerModel::new(E);
-        let mut execs = 0;
-        Explorer::new(&m, workload)
-            .record_transitions(true)
-            .visit_duplicates()
-            .run(|e| {
-                execs += 1;
-                check_exchanger_rg(E, e).unwrap_or_else(|v| panic!("{v}\nhistory:\n{}", e.history));
-            });
-        execs
-    }
-
-    #[test]
-    fn single_thread_obligations_hold() {
-        assert!(check_all(Workload::new(vec![vec![exchange(1)]])) > 0);
+    /// How many steps of `model`'s state graph under `workload` violate an
+    /// obligation, and how many steps there are.
+    fn violating_steps<M>(model: &M, workload: Workload) -> (u64, u64)
+    where
+        M: Model<Shared = ExchangerShared, Local = ExchangerLocal>,
+    {
+        let mut bad = 0;
+        let stats = Explorer::new(model, workload)
+            .edges(|step| bad += u64::from(check_exchanger_rg(E, step).is_err()));
+        (bad, stats.edges)
     }
 
     #[test]
-    fn two_thread_obligations_hold_on_every_schedule() {
-        let n = check_all(Workload::new(vec![vec![exchange(3)], vec![exchange(4)]]));
-        assert!(n > 10);
+    fn the_correct_model_passes_every_step() {
+        let model = ExchangerModel::new(E);
+        assert_eq!(violating_steps(&model, one_each(1)).0, 0);
+        assert_eq!(violating_steps(&model, one_each(2)), (0, 194));
     }
 
     #[test]
-    fn sequential_ops_per_thread_hold() {
-        let n = check_all(Workload::new(vec![vec![exchange(1), exchange(2)], vec![exchange(9)]]));
-        assert!(n > 10);
+    fn every_exchanger_bug_fails_at_two_and_three_threads() {
+        for bug in [ExchangerBug::ReturnOwnValue, ExchangerBug::MatchWithoutCas, ExchangerBug::WrongSwapLog]
+        {
+            let model = FaultyExchangerModel::new(E, bug);
+            for threads in [2, 3] {
+                let (bad, steps) = violating_steps(&model, one_each(threads));
+                assert!(bad > 0, "{bug:?} passes all {steps} steps at {threads}x1");
+            }
+        }
+        // Memory and trace are the correct algorithm's; only the returned
+        // value is wrong, and only the postcondition looks at it.
+        let model = FaultyExchangerModel::new(E, ExchangerBug::ReturnOwnValue);
+        assert_eq!(violating_steps(&model, one_each(2)), (12, 194));
     }
 
     #[test]
-    fn corrupted_execution_is_rejected() {
-        // Sanity: the checker is not vacuous. Take a valid execution and
-        // corrupt one XCHG transition's logged element.
-        let m = ExchangerModel::new(E);
-        let w = Workload::new(vec![vec![exchange(3)], vec![exchange(4)]]);
-        let mut found = false;
-        Explorer::new(&m, w).record_transitions(true).run(|e| {
-            if found {
+    fn a_corrupted_step_is_rejected() {
+        // Sanity: the checker is not vacuous. Take each valid XCHG step and
+        // pretend it also flipped g.
+        let model = ExchangerModel::new(E);
+        let mut xchgs = 0;
+        Explorer::new(&model, one_each(2)).edges(|step| {
+            if step.label != Some("XCHG") {
                 return;
             }
-            if let Some(pos) =
-                e.transitions.iter().position(|tr| tr.label == Some("XCHG"))
-            {
-                let mut bad = e.clone();
-                // Pretend the XCHG also flipped g.
-                bad.transitions[pos].post.g = None;
-                assert!(check_exchanger_rg(E, &bad).is_err());
-                found = true;
-            }
+            xchgs += 1;
+            assert_eq!(check_exchanger_rg(E, step), Ok(()));
+            let post = ExchangerShared { g: None, ..step.post.clone() };
+            assert!(check_exchanger_rg(E, &Edge { post: &post, ..step.clone() }).is_err());
         });
-        assert!(found, "expected at least one XCHG transition");
+        assert!(xchgs > 0, "expected an XCHG step");
     }
 
     #[test]
-    fn violation_display_mentions_thread() {
-        let v = RgViolation { transition: 3, thread: ThreadId(1), reason: "x".into() };
-        assert!(v.to_string().contains("t1"));
-        assert!(v.to_string().contains("transition 3"));
+    fn violation_display_names_the_thread() {
+        let v = RgViolation { thread: ThreadId(1), reason: "x".into() };
+        assert_eq!(v.to_string(), "t1: x");
     }
 }

@@ -2,19 +2,22 @@
 //!
 //! The paper proves the exchanger concurrency-aware linearizable with a
 //! rely/guarantee program logic (§5.1, Fig. 4). This crate renders that
-//! proof executable: over the transition logs produced by `cal-sim`'s
-//! exhaustive scheduler, it checks
+//! proof executable: on every step of the state graph `cal-sim`'s
+//! exhaustive scheduler walks ([`cal_sim::Explorer::edges`]), it checks
 //!
-//! - **guarantee conformance** — every transition instantiates one of the
-//!   Fig. 4 actions (`INIT`, `CLEAN`, `PASS`, `XCHG`, `FAIL`) or is
+//! - **guarantee conformance** — the step instantiates one of the Fig. 4
+//!   actions (`INIT`, `CLEAN`, `PASS`, `XCHG`, `FAIL`) or is
 //!   environment-invisible;
-//! - **the global invariant `J`** of §5.1;
+//! - **the global invariant `J`** of §5.1, after the step;
 //! - **the proof-outline assertions** of Fig. 1 (`A`, `B(k)` and the
-//!   per-line disjunctions), at every program point after every transition
-//!   — establishment *and* stability under interference.
+//!   per-line disjunctions), at every in-flight thread's program point after
+//!   the step — establishment *and* stability under interference;
+//! - **`exchange`'s postcondition**, on the step that returns.
 //!
-//! Exhausting these checks over all interleavings of bounded clients is
-//! the executable analogue of the paper's deductive proof.
+//! Each obligation is a property of one step or of the state after it, so
+//! checking every edge of the pruned graph once covers every interleaving
+//! of the bounded clients: the executable analogue of the paper's
+//! deductive proof. [`check_stack_rg`] does the same for the central stack.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,76 +1,58 @@
 //! Machine-checked obligations for the central stack of Fig. 2, in the
-//! style of the exchanger proof: every transition must be one of the
-//! stack's atomic actions, the heap invariant must hold throughout, and
-//! the logged trace must stay a well-defined stack history (`WFS`, §4).
+//! style of the exchanger proof and, like it, checked one step of the state
+//! graph at a time: every step must be one of the stack's atomic actions,
+//! the heap invariant must hold after it, and the trace after it must be a
+//! well-defined stack history (`WFS`, §4).
 
 use cal_core::spec::SeqSpec;
-use cal_core::{CaElement, ObjectId, ThreadId, Value};
+use cal_core::{CaElement, ObjectId, Value};
 use cal_sim::models::stack::{StackLocal, StackShared};
-use cal_sim::sched::{Execution, Transition, TransitionKind};
+use cal_sim::sched::{Edge, StepKind};
 use cal_specs::stack::StackSpec;
 use cal_specs::vocab::{POP, PUSH};
 
-use crate::exchanger_rg::RgViolation;
+use crate::exchanger_rg::{violation, RgViolation};
 
-/// The full obligation check for one explored execution of the failing
-/// stack model: action conformance per transition, the acyclic-reachability
-/// invariant, and `WFS` of the logged trace.
+/// One step of the failing stack model.
+type Step<'a> = Edge<'a, StackShared, StackLocal>;
+
+/// The full obligation check of one step of the failing stack model: action
+/// conformance, the acyclic-reachability invariant, and `WFS` of the
+/// logged trace.
 ///
 /// # Errors
 ///
 /// Returns the first violated obligation.
-pub fn check_stack_rg(
-    object: ObjectId,
-    execution: &Execution<StackShared, StackLocal>,
-) -> Result<(), RgViolation> {
-    for (i, tr) in execution.transitions.iter().enumerate() {
-        check_action(object, i, tr, execution)?;
-        check_invariant(i, tr)?;
+pub fn check_stack_rg(object: ObjectId, step: &Step<'_>) -> Result<(), RgViolation> {
+    check_action(object, step)?;
+    check_invariant(step)?;
+    check_wfs(object, step)
+}
+
+/// `WFS(𝒯_S)` after a step that logs: replaying the operations of the
+/// trace in order is possible and reproduces the reported results (§4).
+/// A step that logs nothing leaves the trace as the step before it did.
+fn check_wfs(object: ObjectId, step: &Step<'_>) -> Result<(), RgViolation> {
+    if step.logged.is_empty() {
+        return Ok(());
     }
-    // WFS(𝒯_S): replaying the successful operations in trace order is
-    // possible and reproduces the reported results (§4).
     let spec = StackSpec::failing(object);
     let mut state = spec.initial();
-    for (k, element) in execution.trace.elements().iter().enumerate() {
+    for element in step.trace.elements() {
         let [op] = element.ops() else {
-            return Err(RgViolation {
-                transition: k,
-                thread: ThreadId(0),
-                reason: format!("stack elements are singletons, found {element}"),
-            });
+            return violation(step.thread, format!("stack elements are singletons, found {element}"));
         };
-        match spec.apply(&state, op) {
-            Some(next) => state = next,
-            None => {
-                return Err(RgViolation {
-                    transition: k,
-                    thread: op.thread,
-                    reason: format!("trace violates WFS at element {element}"),
-                })
-            }
-        }
+        let Some(next) = spec.apply(&state, op) else {
+            return violation(op.thread, format!("trace violates WFS at element {element}"));
+        };
+        state = next;
     }
     Ok(())
 }
 
-fn violation(
-    transition: usize,
-    thread: ThreadId,
-    reason: impl Into<String>,
-) -> Result<(), RgViolation> {
-    Err(RgViolation { transition, thread, reason: reason.into() })
-}
-
-fn check_action(
-    object: ObjectId,
-    i: usize,
-    tr: &Transition<StackShared, StackLocal>,
-    execution: &Execution<StackShared, StackLocal>,
-) -> Result<(), RgViolation> {
-    let t = tr.thread;
-    let pre = &tr.pre;
-    let post = &tr.post;
-    let delta: &[CaElement] = &execution.trace.elements()[tr.trace_before..tr.trace_after];
+/// Conformance of one step to the stack's atomic actions.
+fn check_action(object: ObjectId, step: &Step<'_>) -> Result<(), RgViolation> {
+    let (t, pre, post, delta) = (step.thread, step.pre, step.post, step.logged);
     let singleton = |delta: &[CaElement]| -> Option<cal_core::Operation> {
         match delta {
             [e] => match e.ops() {
@@ -80,113 +62,110 @@ fn check_action(
             _ => None,
         }
     };
-    if tr.kind == TransitionKind::Invoke {
+    if step.kind == StepKind::Invoke {
         if pre != post || !delta.is_empty() {
-            return violation(i, t, "invocation must not touch shared state");
+            return violation(t, "invocation must not touch shared state");
         }
         return Ok(());
     }
-    match tr.label {
+    match step.label {
         None => {
             // Reads, or a private cell allocation (push's line 12).
             if post.top != pre.top {
-                return violation(i, t, "unlabelled step changed top");
+                return violation(t, "unlabelled step changed top");
             }
             if !delta.is_empty() {
-                return violation(i, t, "unlabelled step extended the trace");
+                return violation(t, "unlabelled step extended the trace");
             }
             if post.cells.len() > pre.cells.len() + 1
                 || post.cells[..pre.cells.len()] != pre.cells[..]
             {
-                return violation(i, t, "unlabelled step mutated published cells");
+                return violation(t, "unlabelled step mutated published cells");
             }
             Ok(())
         }
         Some("PUSH") => {
             let Some(op) = singleton(delta) else {
-                return violation(i, t, "PUSH must log one own element");
+                return violation(t, "PUSH must log one own element");
             };
             if op.method != PUSH || op.ret != Value::Bool(true) {
-                return violation(i, t, format!("PUSH logged wrong element {op}"));
+                return violation(t, format!("PUSH logged wrong element {op}"));
             }
             let Some(n) = post.top else {
-                return violation(i, t, "PUSH must set top");
+                return violation(t, "PUSH must set top");
             };
             if post.cells != pre.cells {
-                return violation(i, t, "PUSH may only swing top");
+                return violation(t, "PUSH may only swing top");
             }
             let cell = post.cells[n];
             if cell.next != pre.top {
-                return violation(i, t, "pushed cell must point at the old top");
+                return violation(t, "pushed cell must point at the old top");
             }
             if op.arg != Value::Int(cell.data) {
-                return violation(i, t, "PUSH element must carry the pushed value");
+                return violation(t, "PUSH element must carry the pushed value");
             }
             Ok(())
         }
         Some("PUSH-FAIL") => {
             if pre != post {
-                return violation(i, t, "PUSH-FAIL must not touch shared state");
+                return violation(t, "PUSH-FAIL must not touch shared state");
             }
             let Some(op) = singleton(delta) else {
-                return violation(i, t, "PUSH-FAIL must log one own element");
+                return violation(t, "PUSH-FAIL must log one own element");
             };
             (op.method == PUSH && op.ret == Value::Bool(false))
                 .then_some(())
                 .ok_or(())
-                .or_else(|_| violation(i, t, format!("PUSH-FAIL logged wrong element {op}")))
+                .or_else(|_| violation(t, format!("PUSH-FAIL logged wrong element {op}")))
         }
         Some("POP") => {
             let Some(op) = singleton(delta) else {
-                return violation(i, t, "POP must log one own element");
+                return violation(t, "POP must log one own element");
             };
             let Some(h) = pre.top else {
-                return violation(i, t, "POP requires a non-empty stack");
+                return violation(t, "POP requires a non-empty stack");
             };
             if post.cells != pre.cells {
-                return violation(i, t, "POP may only swing top");
+                return violation(t, "POP may only swing top");
             }
             if post.top != pre.cells[h].next {
-                return violation(i, t, "POP must swing top to the next cell");
+                return violation(t, "POP must swing top to the next cell");
             }
             if op.method != POP || op.ret != Value::Pair(true, pre.cells[h].data) {
-                return violation(i, t, format!("POP element must report the popped value, got {op}"));
+                return violation(t, format!("POP element must report the popped value, got {op}"));
             }
             Ok(())
         }
         Some("POP-FAIL") | Some("POP-EMPTY") => {
             if pre != post {
-                return violation(i, t, "failing POP must not touch shared state");
+                return violation(t, "failing POP must not touch shared state");
             }
-            if tr.label == Some("POP-EMPTY") && pre.top.is_some() {
-                return violation(i, t, "POP-EMPTY requires an empty stack");
+            if step.label == Some("POP-EMPTY") && pre.top.is_some() {
+                return violation(t, "POP-EMPTY requires an empty stack");
             }
             let Some(op) = singleton(delta) else {
-                return violation(i, t, "failing POP must log one own element");
+                return violation(t, "failing POP must log one own element");
             };
             (op.method == POP && op.ret == Value::Pair(false, 0))
                 .then_some(())
                 .ok_or(())
-                .or_else(|_| violation(i, t, format!("failing POP logged wrong element {op}")))
+                .or_else(|_| violation(t, format!("failing POP logged wrong element {op}")))
         }
-        Some(other) => violation(i, t, format!("unknown action label {other}")),
+        Some(other) => violation(t, format!("unknown action label {other}")),
     }
 }
 
 /// Heap invariant: the chain from `top` is acyclic and within the arena.
-fn check_invariant(
-    i: usize,
-    tr: &Transition<StackShared, StackLocal>,
-) -> Result<(), RgViolation> {
-    let s = &tr.post;
+fn check_invariant(step: &Step<'_>) -> Result<(), RgViolation> {
+    let s = step.post;
     let mut seen = vec![false; s.cells.len()];
     let mut cur = s.top;
     while let Some(k) = cur {
         if k >= s.cells.len() {
-            return violation(i, tr.thread, "top chain escapes the arena");
+            return violation(step.thread, "top chain escapes the arena");
         }
         if seen[k] {
-            return violation(i, tr.thread, "top chain is cyclic");
+            return violation(step.thread, "top chain is cyclic");
         }
         seen[k] = true;
         cur = s.cells[k].next;
@@ -197,9 +176,9 @@ fn check_invariant(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cal_sim::models::faulty::{FaultyStackModel, StackBug};
     use cal_sim::models::stack::FailingStackModel;
-    use cal_sim::sched::{Explorer, Workload};
-    use cal_sim::OpRequest;
+    use cal_sim::{Explorer, Model, OpRequest, Workload};
 
     const S: ObjectId = ObjectId(0);
 
@@ -211,63 +190,51 @@ mod tests {
         OpRequest::new(POP, Value::Unit)
     }
 
-    fn check_all(w: Workload) -> u64 {
-        let m = FailingStackModel::new(S);
-        let mut n = 0;
-        Explorer::new(&m, w)
-            .record_transitions(true)
-            .visit_duplicates()
-            .run(|e| {
-                n += 1;
-                check_stack_rg(S, e)
-                    .unwrap_or_else(|v| panic!("{v}\nhistory:\n{}", e.history));
-            });
-        n
+    /// How many steps of `model`'s state graph under `workload` violate an
+    /// obligation, and how many steps there are.
+    fn violating_steps<M>(model: &M, workload: Workload) -> (u64, u64)
+    where
+        M: Model<Shared = StackShared, Local = StackLocal>,
+    {
+        let mut bad = 0;
+        let stats = Explorer::new(model, workload)
+            .edges(|step| bad += u64::from(check_stack_rg(S, step).is_err()));
+        (bad, stats.edges)
+    }
+
+    fn push_pop_pop() -> Workload {
+        Workload::new(vec![vec![push(1)], vec![pop()], vec![pop()]])
     }
 
     #[test]
-    fn single_thread_obligations_hold() {
-        assert!(check_all(Workload::new(vec![vec![push(1), pop(), pop()]])) > 0);
+    fn the_correct_model_passes_every_step() {
+        let model = FailingStackModel::new(S);
+        assert_eq!(violating_steps(&model, Workload::new(vec![vec![push(1), pop(), pop()]])).0, 0);
+        assert_eq!(violating_steps(&model, push_pop_pop()), (0, 531));
     }
 
     #[test]
-    fn two_thread_obligations_hold_on_every_schedule() {
-        let n = check_all(Workload::new(vec![vec![push(1), pop()], vec![push(2), pop()]]));
-        assert!(n > 100);
+    fn every_stack_bug_fails() {
+        for (bug, failing) in [(StackBug::PopWithoutCas, 146), (StackBug::PopWrongValue, 230)] {
+            let model = FaultyStackModel::new(S, bug);
+            assert_eq!(violating_steps(&model, push_pop_pop()), (failing, 531), "{bug:?}");
+        }
     }
 
     #[test]
-    fn three_thread_obligations_hold_budgeted() {
-        let m = FailingStackModel::new(S);
-        let w = Workload::new(vec![vec![push(1)], vec![push(2)], vec![pop()]]);
-        let mut n = 0u64;
-        Explorer::new(&m, w)
-            .record_transitions(true)
-            .visit_duplicates()
-            .max_paths(30_000)
-            .run(|e| {
-                n += 1;
-                check_stack_rg(S, e).unwrap_or_else(|v| panic!("{v}"));
-            });
-        assert!(n > 100);
-    }
-
-    #[test]
-    fn corrupted_transition_is_rejected() {
-        let m = FailingStackModel::new(S);
-        let w = Workload::new(vec![vec![push(1)]]);
-        let mut found = false;
-        Explorer::new(&m, w).record_transitions(true).run(|e| {
-            if found {
+    fn a_corrupted_step_is_rejected() {
+        // Take each valid PUSH step and pretend the push vanished.
+        let model = FailingStackModel::new(S);
+        let mut pushes = 0;
+        Explorer::new(&model, Workload::new(vec![vec![push(1)]])).edges(|step| {
+            if step.label != Some("PUSH") {
                 return;
             }
-            if let Some(pos) = e.transitions.iter().position(|tr| tr.label == Some("PUSH")) {
-                let mut bad = e.clone();
-                bad.transitions[pos].post.top = None; // pretend the push vanished
-                assert!(check_stack_rg(S, &bad).is_err());
-                found = true;
-            }
+            pushes += 1;
+            assert_eq!(check_stack_rg(S, step), Ok(()));
+            let post = StackShared { top: None, ..step.post.clone() };
+            assert!(check_stack_rg(S, &Edge { post: &post, ..step.clone() }).is_err());
         });
-        assert!(found);
+        assert_eq!(pushes, 1);
     }
 }

@@ -5,13 +5,15 @@
 //! *step machine* in which every step is one shared-memory access, and a
 //! scheduler explores **all** interleavings of bounded client programs
 //! (or seeded random samples of larger ones). Each explored schedule
-//! yields the client-visible [`cal_core::History`], the auxiliary trace
-//! `𝒯` logged at the paper's instrumentation points, and optionally a
-//! transition log consumed by the rely/guarantee checker in `cal-rg`.
+//! yields the client-visible [`cal_core::History`] and the auxiliary trace
+//! `𝒯` logged at the paper's instrumentation points; each step of the
+//! explored state graph, with the state on both sides of it, is what the
+//! rely/guarantee checker in `cal-rg` checks.
 //!
 //! - [`model`] — the [`model::Model`] trait, step outcomes and the logging
 //!   context;
-//! - [`sched`] — the exhaustive DFS [`sched::Explorer`] and random
+//! - [`sched`] — the exhaustive DFS [`sched::Explorer`] (terminal
+//!   executions or every edge of the pruned state graph) and random
 //!   sampler;
 //! - [`models`] — the exchanger (Fig. 1), failing and retrying stacks,
 //!   elimination array, elimination stack (Fig. 2) and synchronous queue;
@@ -28,4 +30,4 @@ pub mod sched;
 pub mod weakmem;
 
 pub use model::{Model, OpRequest, StepCtx, StepOutcome};
-pub use sched::{Execution, ExploreStats, Explorer, Transition, TransitionKind, Workload};
+pub use sched::{Edge, Execution, ExploreStats, Explorer, StepKind, Workload};

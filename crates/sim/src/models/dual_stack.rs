@@ -351,15 +351,16 @@ mod tests {
     }
 
     #[test]
-    fn two_pushers_one_popper_budgeted() {
+    fn two_pushers_one_popper_exhaustive() {
         let spec = DualStackSpec::new(S);
         let w = Workload::new(vec![vec![push(1)], vec![push(2)], vec![pop()]]);
-        Explorer::new(&model(), w).max_paths(60_000).run(|e| {
+        let stats = Explorer::new(&model(), w).run(|e| {
             assert!(spec.accepts(&e.trace), "illegal trace {} for {}", e.trace, e.history);
             if e.history.is_complete() {
                 assert!(agrees_bool(&e.history, &e.trace));
             }
         });
+        assert_eq!(stats.paths, 2_012, "pruned schedules");
     }
 
     #[test]

@@ -36,9 +36,7 @@ fn model_check() {
     ]);
     let mut transfers = 0u64;
     let mut timeouts = 0u64;
-    // The retry loop grows the offer arena, so schedules do not collapse
-    // under pruning; a budget keeps the demonstration quick.
-    let stats = Explorer::new(&model, workload).max_paths(30_000).run(|e| {
+    let stats = Explorer::new(&model, workload).run(|e| {
         let mapped = fq.apply(&e.trace);
         assert!(spec.accepts(&mapped), "illegal queue trace {mapped}");
         assert!(agrees_bool(&e.history, &mapped), "trace does not explain history");

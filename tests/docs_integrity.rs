@@ -216,7 +216,8 @@ fn experiment(experiments: &str, name: &str) -> String {
 const QUOTED: &[(&str, &str, &[&str])] = &[
     ("E14", "decompose/", &["nodes", "nodes_min", "nodes_max", "ratio"]),
     ("E14", "cal/frontier-", &["nodes", "nodes_min", "nodes_max", "ratio"]),
-    ("E2", "model_check/exchanger_", &["paths"]),
+    ("E2", "model_check/exchanger_cal/", &["paths"]),
+    ("E2", "model_check/exchanger_rg/", &["edges"]),
     ("E4", "model_check/elim_stack_modular/", &["paths"]),
     ("E5", "verify_elim_stack/", &["nodes", "ratio"]),
     ("E6", "stack_throughput/", &["ops_per_s", "ratio"]),

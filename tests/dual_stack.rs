@@ -50,7 +50,7 @@ fn exhaustive_push_pop_with_fulfillment() {
 fn popped_values_match_pushes() {
     let model = DualStackModel::new(S, 2, 2);
     let w = Workload::new(vec![vec![push(1)], vec![push(2)], vec![pop()]]);
-    Explorer::new(&model, w).max_paths(60_000).run(|e| {
+    Explorer::new(&model, w).run(|e| {
         for op in e.history.operations() {
             if op.method == POP {
                 let v = op.ret.as_int().unwrap();

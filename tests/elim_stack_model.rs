@@ -1,12 +1,15 @@
 //! E3/E4 — the elimination array and the elimination stack, verified
-//! modularly over all interleavings of bounded clients (§5).
+//! modularly over all interleavings of bounded clients (§5), and the
+//! central stack's rely/guarantee obligations on every step.
 
 use cal::core::agree::agrees_bool;
 use cal::core::compose::{Composed, TraceMap};
 use cal::core::spec::CaSpec;
 use cal::core::{ObjectId, Value};
+use cal::rg::check_stack_rg;
 use cal::sim::models::elim_array::ElimArrayModel;
 use cal::sim::models::elim_stack::ElimStackModel;
+use cal::sim::models::stack::FailingStackModel;
 use cal::sim::{Explorer, OpRequest, Workload};
 use cal::specs::elim_array::{ElimArraySpec, FArMap};
 use cal::specs::elim_stack::{modular_stack_check, FEsMap};
@@ -55,13 +58,14 @@ fn elim_array_k2_all_interleavings_conform() {
     let spec = ElimArraySpec::new(AR);
     let w = Workload::new(vec![vec![exchange(1)], vec![exchange(2)], vec![exchange(3)]]);
     let mut n = 0;
-    Explorer::new(&model, w).max_paths(150_000).run(|e| {
+    let stats = Explorer::new(&model, w).run(|e| {
         n += 1;
         let mapped = far.apply(&e.trace);
         assert!(spec.accepts(&mapped), "illegal mapped trace {mapped}");
         assert!(agrees_bool(&e.history, &mapped));
     });
     assert!(n > 100);
+    assert_eq!(stats.paths, 4_512, "pruned schedules");
 }
 
 #[test]
@@ -111,12 +115,13 @@ fn push_push_pop_exhaustive_modular_check() {
     let (model, far, fes) = es_model(1, 1);
     let w = Workload::new(vec![vec![push(1)], vec![push(2)], vec![pop()]]);
     let mut n = 0u64;
-    Explorer::new(&model, w).max_paths(120_000).run(|e| {
+    let stats = Explorer::new(&model, w).run(|e| {
         n += 1;
         let lifted = far.apply(&e.trace);
         assert!(modular_stack_check(&fes, &lifted), "failed: {}", e.trace);
     });
     assert!(n > 100);
+    assert_eq!(stats.paths, 1_668, "pruned schedules, as EXPERIMENTS E4 quotes them");
 }
 
 #[test]
@@ -141,7 +146,7 @@ fn complete_histories_agree_with_abstract_trace() {
 fn popped_values_were_pushed() {
     let (model, _, _) = es_model(1, 1);
     let w = Workload::new(vec![vec![push(1)], vec![push(2)], vec![pop()]]);
-    Explorer::new(&model, w).max_paths(120_000).run(|e| {
+    Explorer::new(&model, w).run(|e| {
         for op in e.history.operations() {
             if op.method == POP {
                 if let Some((true, v)) = op.ret.as_pair() {
@@ -150,6 +155,22 @@ fn popped_values_were_pushed() {
             }
         }
     });
+}
+
+// ---------- the central stack S of Fig. 2 ----------
+
+#[test]
+fn central_stack_obligations_hold_on_every_step() {
+    let model = FailingStackModel::new(S);
+    for (workload, steps) in [
+        (Workload::new(vec![vec![push(1), pop()], vec![push(2), pop()]]), 1_238),
+        (Workload::new(vec![vec![push(1)], vec![push(2)], vec![pop()]]), 1_094),
+    ] {
+        let stats = Explorer::new(&model, workload).edges(|step| {
+            check_stack_rg(S, step).unwrap_or_else(|v| panic!("{v}\nhistory:\n{}", step.history));
+        });
+        assert_eq!(stats.edges, steps);
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! E2 — exhaustive verification of the exchanger model (Fig. 1):
 //! every interleaving of bounded clients is CAL w.r.t. the §4
-//! specification, with the logged trace as witness, and every transition
-//! discharges the Fig. 4 rely/guarantee obligations.
+//! specification, with the logged trace as witness, and every step of the
+//! pruned state graph discharges the §5.1 rely/guarantee obligations
+//! (Fig. 4 actions, `J`, the Fig. 1 outline and postcondition).
 
 use cal::core::agree::agrees_bool;
 use cal::core::check::is_cal;
@@ -9,7 +10,7 @@ use cal::core::spec::CaSpec;
 use cal::core::{ObjectId, Value};
 use cal::rg::check_exchanger_rg;
 use cal::sim::models::exchanger::ExchangerModel;
-use cal::sim::{Explorer, OpRequest, Workload};
+use cal::sim::{Explorer, ExploreStats, OpRequest, Workload};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::vocab::EXCHANGE;
 
@@ -88,37 +89,41 @@ fn full_cal_search_agrees_with_witness_check() {
     });
 }
 
+/// Checks the rely/guarantee obligations on every step of the pruned state
+/// graph of `workload`.
+fn assert_rg_on_every_step(workload: Workload) -> ExploreStats {
+    let model = ExchangerModel::new(E);
+    Explorer::new(&model, workload).edges(|step| {
+        check_exchanger_rg(E, step).unwrap_or_else(|v| {
+            panic!("RG violation: {v}\nhistory:\n{}\ntrace: {}", step.history, step.trace)
+        });
+    })
+}
+
+#[test]
+fn rg_obligations_hold_two_threads() {
+    let w = Workload::new(vec![vec![exchange(1)], vec![exchange(2)]]);
+    assert_eq!(assert_rg_on_every_step(w).edges, 194);
+}
+
 #[test]
 fn rg_obligations_hold_two_threads_two_ops() {
-    let model = ExchangerModel::new(E);
     let w = Workload::new(vec![vec![exchange(1), exchange(2)], vec![exchange(3)]]);
-    let mut n = 0u64;
-    Explorer::new(&model, w)
-        .record_transitions(true)
-        .visit_duplicates()
-        .run(|e| {
-            n += 1;
-            check_exchanger_rg(E, e).unwrap_or_else(|v| {
-                panic!("RG violation: {v}\nhistory:\n{}\ntrace: {}", e.history, e.trace)
-            });
-        });
-    assert!(n > 100);
+    assert_eq!(assert_rg_on_every_step(w).edges, 949);
 }
 
 #[test]
 fn rg_obligations_hold_three_threads() {
-    let model = ExchangerModel::new(E);
     let w = Workload::new(vec![vec![exchange(1)], vec![exchange(2)], vec![exchange(3)]]);
-    let mut n = 0u64;
-    Explorer::new(&model, w)
-        .record_transitions(true)
-        .visit_duplicates()
-        .max_paths(50_000)
-        .run(|e| {
-            n += 1;
-            check_exchanger_rg(E, e).unwrap_or_else(|v| panic!("RG violation: {v}"));
-        });
-    assert!(n > 1_000);
+    let stats = assert_rg_on_every_step(w);
+    // The terminal states are `run`'s pruned schedules of the same sweep.
+    assert_eq!((stats.edges, stats.paths), (22_017, 1_374));
+}
+
+#[test]
+fn rg_obligations_hold_two_threads_two_ops_each() {
+    let w = Workload::new(vec![vec![exchange(1), exchange(2)], vec![exchange(3), exchange(4)]]);
+    assert_eq!(assert_rg_on_every_step(w).edges, 8_820);
 }
 
 #[test]

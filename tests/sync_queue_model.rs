@@ -51,13 +51,14 @@ fn mixed_roles_exhaustive() {
     let spec = SyncQueueSpec::new(Q);
     let w = Workload::new(vec![vec![put(5)], vec![take()], vec![take()]]);
     let mut n = 0;
-    Explorer::new(&model, w).max_paths(100_000).run(|e| {
+    let stats = Explorer::new(&model, w).run(|e| {
         n += 1;
         let mapped = fq.apply(&e.trace);
         assert!(spec.accepts(&mapped), "illegal {mapped} for {}", e.history);
         assert!(agrees_bool(&e.history, &mapped));
     });
     assert!(n > 50);
+    assert_eq!(stats.paths, 1_374, "pruned schedules");
 }
 
 #[test]
