@@ -23,8 +23,8 @@ enum Words {
     Heap(Box<[u64]>),
 }
 
-/// A compact set of indices `0..capacity`, hashable so it can key a memo
-/// table in the CAL and interval checkers.
+/// A compact set of indices `0..capacity`, hashable so it can key the
+/// search's memo table.
 ///
 /// # Examples
 ///

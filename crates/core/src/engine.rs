@@ -1,14 +1,15 @@
 //! The generic membership-search kernel shared by every checker.
 //!
-//! The CAL checker ([`crate::check`] — classical linearizability is its
-//! singleton-element fragment) and the interval-linearizability checker
-//! ([`crate::interval`]) are both instances of one problem: an ordered
-//! backtracking search for a *witness* — a sequence of steps accepted by a
-//! stateful specification that explains every complete operation of a
-//! history. They differ only in how candidate steps are enumerated and
-//! what a step is (a CA-element, an interval point).
+//! Every checker is an instance of one problem: an ordered backtracking
+//! search for a *witness* — a sequence of steps accepted by a stateful
+//! specification that explains every complete operation of a history.
+//! There is one search definition on it, the CAL domain ([`crate::check`],
+//! steps are CA-elements): classical linearizability is its
+//! singleton-element fragment, interval-linearizability its reading over a
+//! history whose operations are split into open and close halves
+//! ([`crate::interval`]), and causal mode runs it under a partial order.
 //!
-//! This module owns everything the two definitions share:
+//! This module owns everything apart from candidate enumeration:
 //!
 //! - the node budget ([`CheckOptions::max_nodes`]) with a private or
 //!   shared (cross-worker) counter;
@@ -208,8 +209,8 @@ impl fmt::Display for InterruptReason {
 }
 
 /// The outcome of a membership check, generic over the witness type `W`
-/// (a [`CaTrace`] for the CAL checker, an
-/// [`crate::interval::IntervalWitness`] for the interval checker).
+/// (a [`CaTrace`], or the [`crate::interval::IntervalWitness`] an
+/// interval check reads its trace back as).
 ///
 /// # Examples
 ///
@@ -408,20 +409,18 @@ impl<K: Eq + Hash + Clone> MemoTable<'_, K> {
 /// steps and assemble witnesses. Everything else — budgets, deadlines,
 /// memoization, parallelism, stats — is the engine's job.
 ///
-/// The two in-tree domains are the CAL checker ([`crate::check`], steps
-/// are CA-elements; on a sequential spec lifted by
-/// [`crate::spec::SeqAsCa`], single operations) and the
-/// interval-linearizability checker ([`crate::interval`], steps are
-/// interval points).
+/// The one production domain is the CAL checker ([`crate::check`], steps
+/// are CA-elements — on a sequential spec lifted by
+/// [`crate::spec::SeqAsCa`], single operations; on an interval spec over
+/// split operations, interval points).
 pub trait SearchDomain {
-    /// A search node. Doubles as the failed-state memo key, which is why
-    /// it stays domain-local: the CAL checker keys on
-    /// `(matched-set, spec-state)`, the interval checker additionally
-    /// carries its open-interval set — collapsing them onto one key type
-    /// would either lose pruning or conflate distinct residual states.
+    /// A search node. Doubles as the failed-state memo key: the CAL
+    /// domain keys on `(matched-set, spec-state)`, and a spec that carries
+    /// more residual state (the interval reading's open intervals) carries
+    /// it in its spec state.
     type Node: Clone + Eq + Hash + fmt::Debug;
 
-    /// One step of a witness (a CA-element, an interval point).
+    /// One step of a witness (a CA-element).
     type Step: Clone;
 
     /// Buffers [`SearchDomain::expand`] refills instead of allocating: the

@@ -14,29 +14,48 @@
 //! [`IntervalSpec`] if there is a sequence of points and a map
 //! `i ↦ [l_i, r_i]` such that (i) the spec accepts every point given its
 //! opening/active/closing sets, (ii) `i ≺H j ⟹ r_i < l_j`, and (iii)
-//! operations in one point are pairwise concurrent in `H`. CAL is the
-//! special case where every interval has length one.
+//! operations in one point are pairwise concurrent in `H`; a history with
+//! pending invocations is, if one of its completions is. Every point opens
+//! or closes something, and opens and closes operations of one object.
+//! CAL is the special case where every interval has length one.
 //!
-//! Like the CAL checker, this module is a thin domain over the shared
-//! search kernel ([`crate::engine`]): `IntervalDomain` enumerates
-//! candidate points, and budgets, deadlines, cancellation, memoization,
-//! [`crate::obs::StatsSink`] observability and the parallel driver
-//! ([`check_interval_par_with`]) come from the engine. The verdict is the
-//! common [`Verdict`] taxonomy with an [`IntervalWitness`] payload.
+//! There is no search of its own here. [`IntervalAsCa`] splits every
+//! operation into an open and a close half, so that one CA-element of the
+//! split history is one interval point, and the CAL search
+//! ([`crate::check`]) decides the split history against it — with the
+//! kernel's candidate loop, memo, symmetry reduction, budgets, deadlines
+//! and parallel frontier. The verdict is the common
+//! [`Verdict`](crate::engine::Verdict) taxonomy;
+//! [`IntervalAsCa::witness`] turns its witness into an
+//! [`IntervalWitness`].
+//!
+//! The reduction is exact, and three places show why:
+//!
+//! - **No empty points.** A CA-element is non-empty, and each of its
+//!   spans opens, closes or ends, so every point makes progress — the
+//!   definition's points, and no stuttering ones.
+//! - **Singleton intervals.** An operation's two halves are concurrent, so
+//!   both may sit in one element: the operation opens and closes at the
+//!   same point.
+//! - **Pending operations.** A pending operation's halves are both
+//!   pending. Its completion is picked once, when its open half joins an
+//!   element, and kept with the open interval; its close half only names
+//!   the interval it closes. The `end` span, after every complete half,
+//!   is taken only when nothing is open, so an interval that opens also
+//!   closes — or the operation is dropped, never opened.
 
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::fmt::{self, Debug};
 use std::hash::Hash;
+use std::ops::Range;
 
-use crate::bitset::BitSet;
-use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
-use crate::history::{complete_set, HbRelation, History, HistoryError, PartialHistory, Span};
-use crate::ids::Value;
+use crate::action::Action;
+use crate::history::{History, HistoryError, Span};
+use crate::ids::{Method, ObjectId, ThreadId, Value};
 use crate::op::Operation;
-use crate::spec::{Invocation, SeqSpec};
-
-pub use crate::engine::{CheckError, CheckOptions, CheckOutcome, InterruptReason, Verdict};
-
-use std::borrow::Cow;
+use crate::spec::{CaSpec, Invocation, SeqSpec};
+use crate::trace::{CaElement, CaTrace};
 
 /// An interval-sequential specification: a stateful acceptor over interval
 /// points.
@@ -62,7 +81,9 @@ pub trait IntervalSpec {
     ) -> Option<Self::State>;
 
     /// Bound on the number of simultaneously active operations the
-    /// specification admits; limits the checker's branching.
+    /// specification admits: part of the definition, since a point with
+    /// more is rejected. `usize::MAX` leaves the bound to the history,
+    /// whose points can hold no more operations than are concurrent in it.
     fn max_active(&self) -> usize {
         4
     }
@@ -111,29 +132,9 @@ pub struct IntervalWitness {
 }
 
 impl IntervalWitness {
-    /// Wraps a point sequence as a witness.
-    pub fn new(points: Vec<IntervalPoint>) -> Self {
-        IntervalWitness { points }
-    }
-
     /// The witness points, in order.
     pub fn points(&self) -> &[IntervalPoint] {
         &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the witness has no points (empty or pending-only history).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Consumes the witness, yielding its points.
-    pub fn into_points(self) -> Vec<IntervalPoint> {
-        self.points
     }
 }
 
@@ -152,78 +153,256 @@ impl fmt::Display for IntervalWitness {
     }
 }
 
-/// Decides interval-linearizability of `history` w.r.t. `spec`.
+/// The method of the `end` span a split history closes with.
+const END: Method = Method("end");
+
+/// An interval: the span's index and its operation.
+type Entry = (usize, Operation);
+
+/// Interval-linearizability as CAL over split operations: an
+/// [`IntervalSpec`] read as a [`CaSpec`] over a history in which every
+/// operation is split into an *open half* and a *close half*.
 ///
-/// The outcome uses the common [`Verdict`] taxonomy with an
-/// [`IntervalWitness`] payload ([`Verdict::Cal`] meaning
-/// *interval-linearizable*), plus the engine's [`crate::check::CheckStats`].
+/// [`IntervalAsCa::new`] builds the split history: the checked history's
+/// threads are numbered densely, `d = 0, 1, …`; span `i` of thread `d`
+/// becomes an open half on thread `2d` and a close half on thread
+/// `2d + 1`, both invoked where `i` is invoked and responding where `i`
+/// responds (or both pending), both carrying `i` as their argument and,
+/// when `i` is complete, as their return value; one complete `end` span on
+/// a thread of its own follows everything. Its real-time order is
+/// constraint (ii) exactly — every half of `i` precedes every half of `j`
+/// iff `i ≺H j` — and an operation's own two halves are concurrent.
 ///
-/// # Errors
+/// Each CA-element of the split history is one interval point: its open
+/// halves open their operations (a pending one with the completion the
+/// element picked for it through [`IntervalSpec::completions_of`]), its
+/// close halves close operations that are open or opening here, and the
+/// wrapped spec's [`IntervalSpec::step`] judges the point. `end` is taken
+/// only when no interval is open, and nothing is after it. So the CA
+/// search over the split history decides interval-linearizability, and
+/// [`IntervalAsCa::witness`] reads its witness back as points.
 ///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed.
-pub fn check_interval<S: IntervalSpec>(
-    history: &History,
-    spec: &S,
-) -> Result<CheckOutcome<IntervalWitness>, CheckError> {
-    check_interval_with(history, spec, &CheckOptions::default())
+/// Because every half carries its span's index, the only interchangeable
+/// spans of a split history are an operation's own two halves, and
+/// symmetry reduction lets the close half in only behind the open one —
+/// which [`CaSpec::may_join`] requires anyway.
+#[derive(Debug)]
+pub struct IntervalAsCa<'a, S> {
+    spec: &'a S,
+    /// The checked history's spans; a half's argument indexes them.
+    spans: Vec<Span>,
+    /// Per span, the thread of its open half; its close half's is the next.
+    openers: Vec<ThreadId>,
+    /// The thread of the `end` span.
+    end: ThreadId,
 }
 
-/// Like [`check_interval`], with explicit options.
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed.
-pub fn check_interval_with<S: IntervalSpec>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome<IntervalWitness>, CheckError> {
-    let domain = IntervalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search(&domain, options)?.map_witness(IntervalWitness::new))
+/// The state of an [`IntervalAsCa`] search: the wrapped spec's state and
+/// the intervals open in it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct IntervalState<St> {
+    spec: St,
+    /// Every open interval, by span index.
+    open: Vec<Entry>,
+    /// `end` was taken.
+    ended: bool,
 }
 
-/// Like [`check_interval_with`], run on the engine's parallel driver
-/// ([`engine::search_par`]): the candidate first points are enumerated
-/// once and split across workers sharing one lock-free memo table and a
-/// global node budget — inherited from the shared kernel, with the same
-/// verdict and interrupt semantics as the CAL checker.
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed
-/// and [`CheckError::SpecPanicked`] if the specification panics.
-pub fn check_interval_par_with<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome<IntervalWitness>, CheckError>
-where
-    S: IntervalSpec + Sync,
-    S::State: Send + Sync,
-{
-    let domain = IntervalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search_par(&domain, options)?.map_witness(IntervalWitness::new))
-}
-
-/// Convenience predicate for [`check_interval`].
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] for ill-formed histories,
-/// [`CheckError::SpecPanicked`] when the spec panics, and
-/// [`CheckError::Undecided`] when the budget runs out before the search
-/// decides.
-pub fn is_interval_linearizable<S: IntervalSpec>(
-    history: &History,
-    spec: &S,
-) -> Result<bool, CheckError> {
-    match check_interval(history, spec)?.verdict {
-        Verdict::Cal(_) => Ok(true),
-        Verdict::NotCal => Ok(false),
-        Verdict::ResourcesExhausted => Err(CheckError::Undecided(Verdict::ResourcesExhausted)),
-        Verdict::Interrupted { reason } => {
-            Err(CheckError::Undecided(Verdict::Interrupted { reason }))
+impl<'a, S: IntervalSpec> IntervalAsCa<'a, S> {
+    /// Splits `history` for a check against `spec`: the specification,
+    /// and the split history to check against it.
+    ///
+    /// # Errors
+    ///
+    /// The well-formedness violation, if `history` is not well-formed.
+    pub fn new(spec: &'a S, history: &History) -> Result<(Self, History), HistoryError> {
+        let spans = history.try_spans()?;
+        // Per thread: its dense number and the span it is in.
+        let mut threads: HashMap<ThreadId, (u32, usize)> = HashMap::new();
+        let mut openers = Vec::with_capacity(spans.len());
+        let mut actions = Vec::with_capacity(2 * history.len() + 2);
+        for action in history.actions() {
+            let next = u32::try_from(threads.len()).expect("fewer than 2^31 threads");
+            let (d, i) = threads.entry(action.thread()).or_insert((next, 0));
+            let half: fn(ThreadId, ObjectId, Method, Value) -> Action = if action.is_invoke() {
+                *i = openers.len();
+                openers.push(ThreadId(2 * *d));
+                Action::invoke
+            } else {
+                Action::response
+            };
+            for thread in [ThreadId(2 * *d), ThreadId(2 * *d + 1)] {
+                actions.push(half(thread, action.object(), action.method(), index(*i)));
+            }
         }
+        let end = ThreadId(2 * threads.len() as u32);
+        actions.push(Action::invoke(end, ObjectId(0), END, Value::Unit));
+        actions.push(Action::response(end, ObjectId(0), END, Value::Unit));
+        Ok((IntervalAsCa { spec, spans, openers, end }, History::from_actions(actions)))
+    }
+
+    /// Reads a witness of the split history back as interval points (the
+    /// `end` element is none).
+    pub fn witness(&self, trace: &CaTrace) -> IntervalWitness {
+        let mut open = Vec::new();
+        let mut points = Vec::new();
+        for element in trace.elements().iter().map(CaElement::ops) {
+            let mut ops = Vec::new();
+            if let Some((closing, opening)) = self.point(&open, element, &mut ops) {
+                let (opening, closing) = (ops[opening].to_vec(), ops[closing].to_vec());
+                points.push(IntervalPoint { active: ops, opening, closing });
+                open = self.still_open(&open, element);
+            }
+        }
+        IntervalWitness { points }
+    }
+
+    /// Whether `thread` holds open halves (not close halves, not `end`).
+    fn is_opener(&self, thread: ThreadId) -> bool {
+        thread.0.is_multiple_of(2) && thread != self.end
+    }
+
+    /// The span a half's argument names.
+    fn span(arg: Value) -> usize {
+        arg.as_int().expect("a half's argument is its span index") as usize
+    }
+
+    /// The intervals `element` opens — a pending span's operation
+    /// completed with the value the element picked — and whether `element`
+    /// closes each too, its close half then right after it.
+    fn opening<'e>(&'e self, element: &'e [Operation]) -> impl Iterator<Item = (Entry, bool)> + 'e {
+        let opens = |(_, op): &(usize, &Operation)| self.is_opener(op.thread);
+        element.iter().enumerate().filter(opens).map(|(k, op)| {
+            let (i, next) = (Self::span(op.arg), element.get(k + 1));
+            let span = &self.spans[i];
+            let opened = span.operation().unwrap_or_else(|| span.operation_with_ret(op.ret));
+            ((i, opened), next.is_some_and(|c| c.thread.0 == op.thread.0 + 1))
+        })
+    }
+
+    /// Whether `element`, a candidate point while span `i` is open or
+    /// opening, closes its interval. An element's operations are sorted, so
+    /// by thread; and of the close halves on `i`'s thread only `i`'s can be
+    /// minimal then: the thread's earlier operations precede `i`, its later
+    /// ones follow it.
+    fn closes(&self, element: &[Operation], i: usize) -> bool {
+        let thread = ThreadId(self.openers[i].0 + 1);
+        element.binary_search_by_key(&thread, |op| op.thread).is_ok()
+    }
+
+    /// Lays the point `element` makes out in `ops` — open and staying,
+    /// open and closing, opening and closing, opening and staying, so that
+    /// all of `ops` is the active set — and returns where its closing and
+    /// opening sets are. `None` if `element` is no point: it holds `end`,
+    /// closes an interval that is neither open nor opening, or makes more
+    /// than [`IntervalSpec::max_active`] operations active.
+    fn point(
+        &self,
+        open: &[Entry],
+        element: &[Operation],
+        ops: &mut Vec<Operation>,
+    ) -> Option<(Range<usize>, Range<usize>)> {
+        let was_open = |closing| {
+            open.iter().filter(move |e| self.closes(element, e.0) == closing).map(|e| e.1)
+        };
+        let opening = |closing| self.opening(element).filter(move |e| e.1 == closing);
+        ops.clear();
+        ops.extend(was_open(false));
+        let closing = ops.len();
+        ops.extend(was_open(true).chain(opening(true).map(|((_, op), _)| op)));
+        let closing = closing..ops.len();
+        ops.extend(opening(false).map(|((_, op), _)| op));
+        // Every member opens, or closes what is open or opening here.
+        let halves = ops.len() - open.len() + closing.len();
+        (halves == element.len() && ops.len() <= self.spec.max_active())
+            .then_some((closing, open.len()..ops.len()))
+    }
+
+    /// The intervals open after the point `element`, by span index.
+    fn still_open(&self, open: &[Entry], element: &[Operation]) -> Vec<Entry> {
+        let staying = open.iter().copied().filter(|&(i, _)| !self.closes(element, i));
+        let mut next: Vec<Entry> =
+            staying.chain(self.opening(element).filter(|e| !e.1).map(|e| e.0)).collect();
+        next.sort_unstable_by_key(|&(i, _)| i);
+        next
+    }
+}
+
+thread_local! {
+    /// The buffer [`IntervalAsCa`]'s `step` lays a point out in, one per
+    /// search worker, so that trying a point — and rejecting it, as the
+    /// search does with most — allocates nothing.
+    static POINT: Cell<Vec<Operation>> = const { Cell::new(Vec::new()) };
+}
+
+/// A span index as a half's payload.
+fn index(i: usize) -> Value {
+    Value::Int(i64::try_from(i).expect("fewer than 2^63 spans"))
+}
+
+impl<S: IntervalSpec> CaSpec for IntervalAsCa<'_, S> {
+    type State = IntervalState<S::State>;
+
+    fn initial(&self) -> Self::State {
+        IntervalState { spec: self.spec.initial(), open: Vec::new(), ended: false }
+    }
+
+    fn step(&self, state: &Self::State, element: &CaElement) -> Option<Self::State> {
+        let element = element.ops();
+        if state.ended {
+            return None;
+        }
+        if let [op] = element {
+            if op.thread == self.end {
+                let ended = IntervalState { ended: true, ..state.clone() };
+                return state.open.is_empty().then_some(ended);
+            }
+        }
+        let mut ops = POINT.take();
+        let spec = self.point(&state.open, element, &mut ops).and_then(|(closing, opening)| {
+            self.spec.step(&state.spec, &ops, &ops[opening], &ops[closing])
+        });
+        POINT.set(ops);
+        let spec = spec?;
+        Some(IntervalState { spec, open: self.still_open(&state.open, element), ended: false })
+    }
+
+    /// A point opens at most [`IntervalSpec::max_active`] operations and
+    /// closes at most that many again.
+    fn max_element_size(&self) -> usize {
+        self.spec.max_active().saturating_mul(2)
+    }
+
+    /// An open half's are the operation's; a close half proposes a
+    /// placeholder, as it closes what its open half opened.
+    fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+        if !self.is_opener(inv.thread) {
+            return vec![Value::Unit];
+        }
+        let s = &self.spans[Self::span(inv.arg)];
+        self.spec.completions_of(&Invocation::new(s.thread, s.object, s.method, s.arg))
+    }
+
+    /// Refuses company for `end`, an open half past
+    /// [`IntervalSpec::max_active`], and a close half whose operation is
+    /// neither open nor opening among `members` (an open half comes
+    /// before its close half).
+    fn may_join(
+        &self,
+        state: &Self::State,
+        next: &Invocation,
+        mut members: impl Iterator<Item = Invocation>,
+    ) -> bool {
+        if next.thread == self.end {
+            return members.next().is_none();
+        }
+        if self.is_opener(next.thread) {
+            let budget = self.spec.max_active().saturating_sub(state.open.len());
+            return members.filter(|m| self.is_opener(m.thread)).count() < budget;
+        }
+        let i = Self::span(next.arg);
+        state.open.binary_search_by_key(&i, |&(j, _)| j).is_ok()
+            || members.any(|m| m.thread == self.openers[i] && m.arg == next.arg)
     }
 }
 
@@ -241,11 +420,6 @@ impl<S: SeqSpec> SeqAsInterval<S> {
     /// Wraps a sequential specification.
     pub fn new(inner: S) -> Self {
         SeqAsInterval { inner }
-    }
-
-    /// The wrapped specification.
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 }
 
@@ -280,236 +454,58 @@ impl<S: SeqSpec> IntervalSpec for SeqAsInterval<S> {
     }
 }
 
-/// A search node: closed operations, currently open intervals (span index
-/// plus the chosen operation, sorted by index) and the spec state. Also
-/// the memo key — the open set is part of the residual state, which is why
-/// interval memo keys cannot collapse onto the CAL checker's
-/// `(matched-set, state)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct IntervalNode<St> {
-    done: BitSet,
-    open: Vec<(usize, Operation)>,
-    state: St,
-}
-
-/// The interval checker as a [`SearchDomain`]: steps are interval points,
-/// and expansion enumerates opening subsets (pairwise concurrent, bounded
-/// by [`IntervalSpec::max_active`]), completion choices for pending
-/// openers, and closing subsets, keeping every point the spec accepts.
-struct IntervalDomain<'a, S: IntervalSpec> {
-    spec: SpecRef<'a, S>,
-    spans: Vec<Span>,
-    /// The order the search runs over: always the real-time instance of
-    /// [`PartialHistory`] here — interval-linearizability is defined
-    /// against `≺H`.
-    hb: HbRelation,
-    /// The spans a goal node must have closed.
-    complete: BitSet,
-}
-
-impl<'a, S: IntervalSpec> IntervalDomain<'a, S> {
-    fn new(history: Cow<'a, History>, spec: SpecRef<'a, S>) -> Result<Self, HistoryError> {
-        let spans = history.try_spans()?;
-        let hb = HbRelation::real_time(&spans);
-        let complete = complete_set(&spans);
-        Ok(IntervalDomain { spec, spans, hb, complete })
-    }
-
-    /// Grows the opening subset over `openable[from..]` and collects every
-    /// candidate point. Returns `false` when a cooperative stop was
-    /// requested mid-enumeration.
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_openings(
-        &self,
-        openable: &[usize],
-        from: usize,
-        max_new: usize,
-        opening: &mut Vec<usize>,
-        node: &IntervalNode<S::State>,
-        obs: &mut ExpandObs<'_, '_>,
-        out: &mut Vec<(IntervalPoint, IntervalNode<S::State>)>,
-    ) -> bool {
-        // A candidate point needs something active: either already-open
-        // intervals or at least one opener.
-        if (!node.open.is_empty() || !opening.is_empty())
-            && !self.collect_points(opening, node, obs, out)
-        {
-            return false;
-        }
-        if opening.len() == max_new {
-            return true;
-        }
-        for (k, &i) in openable.iter().enumerate().skip(from) {
-            // New ops must be pairwise concurrent with the already-chosen
-            // openings and with everything currently open.
-            let concurrent = opening.iter().all(|&j| self.hb.concurrent(i, j))
-                && node.open.iter().all(|&(j, _)| self.hb.concurrent(i, j));
-            if !concurrent {
-                continue;
-            }
-            opening.push(i);
-            let keep = self.enumerate_openings(openable, k + 1, max_new, opening, node, obs, out);
-            opening.pop();
-            if !keep {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Enumerates completion choices for the opening set and closing
-    /// subsets of the active set, collecting every point the spec accepts.
-    /// Returns `false` when a cooperative stop was requested.
-    fn collect_points(
-        &self,
-        opening: &[usize],
-        node: &IntervalNode<S::State>,
-        obs: &mut ExpandObs<'_, '_>,
-        out: &mut Vec<(IntervalPoint, IntervalNode<S::State>)>,
-    ) -> bool {
-        // Resolve the operations of the opening set (pending invocations
-        // get spec-proposed completions).
-        let mut opening_choices: Vec<Vec<Operation>> = Vec::with_capacity(opening.len());
-        for &i in opening {
-            let s = &self.spans[i];
-            let choices = match s.operation() {
-                Some(op) => vec![op],
-                None => {
-                    let inv = Invocation::new(s.thread, s.object, s.method, s.arg);
-                    self.spec
-                        .get()
-                        .completions_of(&inv)
-                        .into_iter()
-                        .map(|ret| s.operation_with_ret(ret))
-                        .collect()
-                }
-            };
-            if choices.is_empty() {
-                return true;
-            }
-            opening_choices.push(choices);
-        }
-        let mut pick = vec![0usize; opening.len()];
-        loop {
-            if obs.should_stop() {
-                return false;
-            }
-            let opening_ops: Vec<(usize, Operation)> = opening
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| (i, opening_choices[k][pick[k]]))
-                .collect();
-            // Active set = open ∪ opening.
-            let mut active: Vec<(usize, Operation)> = node.open.clone();
-            active.extend(opening_ops.iter().copied());
-            // Enumerate closing subsets of the active set (2^|active|,
-            // bounded by max_active).
-            let m = active.len();
-            for mask in 0..(1u32 << m) {
-                let closing: Vec<(usize, Operation)> =
-                    (0..m).filter(|&b| mask & (1 << b) != 0).map(|b| active[b]).collect();
-                // A point must make progress: open or close something.
-                if opening.is_empty() && closing.is_empty() {
-                    continue;
-                }
-                let active_ops: Vec<Operation> = active.iter().map(|&(_, o)| o).collect();
-                let opening_only: Vec<Operation> = opening_ops.iter().map(|&(_, o)| o).collect();
-                let closing_ops: Vec<Operation> = closing.iter().map(|&(_, o)| o).collect();
-                obs.on_element_tried();
-                if let Some(next) =
-                    self.spec.get().step(&node.state, &active_ops, &opening_only, &closing_ops)
-                {
-                    // Commit: move closings to done, keep the rest open.
-                    let mut next_open: Vec<(usize, Operation)> = active
-                        .iter()
-                        .filter(|&&(i, _)| !closing.iter().any(|&(j, _)| j == i))
-                        .copied()
-                        .collect();
-                    next_open.sort_unstable_by_key(|&(i, _)| i);
-                    let mut next_done = node.done.clone();
-                    for &(i, _) in &closing {
-                        next_done.insert(i);
-                    }
-                    out.push((
-                        IntervalPoint {
-                            active: active_ops,
-                            opening: opening_only,
-                            closing: closing_ops,
-                        },
-                        IntervalNode { done: next_done, open: next_open, state: next },
-                    ));
-                }
-            }
-            // Advance completion choices.
-            let mut d = 0;
-            loop {
-                if d == pick.len() {
-                    return true;
-                }
-                pick[d] += 1;
-                if pick[d] < opening_choices[d].len() {
-                    break;
-                }
-                pick[d] = 0;
-                d += 1;
-            }
-        }
-    }
-}
-
-impl<S: IntervalSpec> SearchDomain for IntervalDomain<'_, S> {
-    type Node = IntervalNode<S::State>;
-    type Step = IntervalPoint;
-    type Scratch = ();
-
-    fn initial(&self) -> Self::Node {
-        IntervalNode {
-            done: BitSet::new(self.spans.len().max(1)),
-            open: Vec::new(),
-            state: self.spec.get().initial(),
-        }
-    }
-
-    fn is_goal(&self, node: &Self::Node) -> bool {
-        node.open.is_empty() && self.complete.is_subset(&node.done)
-    }
-
-    fn expand(
-        &self,
-        node: &Self::Node,
-        (): &mut (),
-        obs: &mut ExpandObs<'_, '_>,
-        out: &mut Vec<(Self::Step, Self::Node)>,
-    ) {
-        // Operations that may open here: neither done nor open, and every
-        // ≺H-predecessor is already done (its interval closed earlier).
-        let mut openable: Vec<usize> = Vec::new();
-        self.hb.minimal(&node.done, &mut openable);
-        openable.retain(|&i| node.open.iter().all(|&(j, _)| j != i));
-        obs.on_frontier(openable.len());
-        let max_new = self.spec.get().max_active().saturating_sub(node.open.len());
-        // Enumerate opening subsets (including empty when something is
-        // already open), then closing subsets (non-trivial points only).
-        let mut opening: Vec<usize> = Vec::new();
-        self.enumerate_openings(&openable, 0, max_new, &mut opening, node, obs, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::Action;
-    use crate::ids::{Method, ObjectId, ThreadId};
+    use crate::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
+    use crate::par::check_cal_par_with;
 
     const O: ObjectId = ObjectId(0);
     const WS: Method = Method("write_snapshot");
 
+    /// The interval reading of `h` under `spec`: the CAL search over the
+    /// split history, on the parallel driver when `options` asks for it.
+    fn check_with<S>(
+        h: &History,
+        spec: &S,
+        options: &CheckOptions,
+    ) -> Result<CheckOutcome<IntervalWitness>, CheckError>
+    where
+        S: IntervalSpec + Sync,
+        S::State: Send + Sync,
+    {
+        let (split, halves) = IntervalAsCa::new(spec, h)?;
+        let outcome = if options.threads > 1 {
+            check_cal_par_with(&halves, &split, options)?
+        } else {
+            check_cal_with(&halves, &split, options)?
+        };
+        Ok(outcome.map_witness(|trace| split.witness(&trace)))
+    }
+
+    fn check<S: IntervalSpec + Sync>(h: &History, spec: &S) -> CheckOutcome<IntervalWitness>
+    where
+        S::State: Send + Sync,
+    {
+        check_with(h, spec, &CheckOptions::default()).expect("well-formed")
+    }
+
+    fn accepts<S: IntervalSpec + Sync>(h: &History, spec: &S) -> bool
+    where
+        S::State: Send + Sync,
+    {
+        let verdict = check(h, spec).verdict;
+        assert!(!verdict.is_undecided(), "{verdict:?}");
+        verdict.is_cal()
+    }
+
     /// Write-snapshot over values 0..63: `write_snapshot(v)` returns the
     /// bitmask of all values written by operations whose interval started
     /// no later than this one's end. State = bitmask written so far;
-    /// opening adds values; closing ops must return the current mask.
+    /// opening adds values; closing ops must return the current mask. At
+    /// most `.0` operations are active at once.
     #[derive(Debug)]
-    struct WriteSnapshot;
+    struct WriteSnapshot(usize);
 
     impl IntervalSpec for WriteSnapshot {
         type State = i64;
@@ -541,6 +537,10 @@ mod tests {
             Some(mask)
         }
 
+        fn max_active(&self) -> usize {
+            self.0
+        }
+
         fn completions_of(&self, _inv: &Invocation) -> Vec<Value> {
             Vec::new()
         }
@@ -564,14 +564,14 @@ mod tests {
             b.invocation(),
             b.response(),
         ]);
-        assert!(is_interval_linearizable(&h, &WriteSnapshot).unwrap());
+        assert!(accepts(&h, &WriteSnapshot(4)));
     }
 
     #[test]
     fn wrong_snapshot_rejected() {
         let a = ws(1, 1, mask(&[1, 5])); // claims to have seen 5
         let h = History::from_actions(vec![a.invocation(), a.response()]);
-        assert!(!is_interval_linearizable(&h, &WriteSnapshot).unwrap());
+        assert!(!accepts(&h, &WriteSnapshot(4)));
     }
 
     #[test]
@@ -584,7 +584,7 @@ mod tests {
             a.response(),
             b.response(),
         ]);
-        assert!(is_interval_linearizable(&h, &WriteSnapshot).unwrap());
+        assert!(accepts(&h, &WriteSnapshot(4)));
     }
 
     /// The Castañeda–Rajsbaum–Raynal separation scenario (§6 of the
@@ -605,7 +605,7 @@ mod tests {
             c.response(),
             a.response(),
         ]);
-        let outcome = check_interval(&h, &WriteSnapshot).unwrap();
+        let outcome = check(&h, &WriteSnapshot(4));
         assert!(outcome.stats.nodes > 0, "engine stats populated");
         let witness = outcome.verdict.witness().expect("expected interval-linearizable");
         // A must be active at (at least) two points.
@@ -667,7 +667,7 @@ mod tests {
         ]);
         assert!(!crate::check::is_cal(&h, &OnePointWs).unwrap());
         // …while the interval spec accepts it (previous test).
-        assert!(is_interval_linearizable(&h, &WriteSnapshot).unwrap());
+        assert!(accepts(&h, &WriteSnapshot(4)));
     }
 
     #[test]
@@ -681,7 +681,7 @@ mod tests {
             c.invocation(),
             c.response(),
         ]);
-        assert!(!is_interval_linearizable(&h, &WriteSnapshot).unwrap());
+        assert!(!accepts(&h, &WriteSnapshot(4)));
     }
 
     #[test]
@@ -692,12 +692,12 @@ mod tests {
             a.response(),
             Action::invoke(ThreadId(2), O, WS, Value::Int(2)),
         ]);
-        assert!(is_interval_linearizable(&h, &WriteSnapshot).unwrap());
+        assert!(accepts(&h, &WriteSnapshot(4)));
     }
 
     #[test]
     fn empty_history_is_interval_linearizable() {
-        assert!(is_interval_linearizable(&History::new(), &WriteSnapshot).unwrap());
+        assert!(accepts(&History::new(), &WriteSnapshot(4)));
     }
 
     #[test]
@@ -715,7 +715,7 @@ mod tests {
         ]);
         for threads in [1, 2, 8] {
             let options = CheckOptions { threads, ..CheckOptions::default() };
-            let outcome = check_interval_par_with(&h, &WriteSnapshot, &options).unwrap();
+            let outcome = check_with(&h, &WriteSnapshot(4), &options).unwrap();
             assert!(outcome.verdict.is_cal(), "threads={threads}: {:?}", outcome.verdict);
         }
         // And a refutation, across thread counts.
@@ -723,7 +723,7 @@ mod tests {
         let h = History::from_actions(vec![bad.invocation(), bad.response()]);
         for threads in [1, 4] {
             let options = CheckOptions { threads, ..CheckOptions::default() };
-            let outcome = check_interval_par_with(&h, &WriteSnapshot, &options).unwrap();
+            let outcome = check_with(&h, &WriteSnapshot(4), &options).unwrap();
             assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
         }
     }
@@ -768,10 +768,118 @@ mod tests {
             get_stale.response(),
         ]);
         let spec = SeqAsInterval::new(Flag);
-        assert!(is_interval_linearizable(&good, &spec).unwrap());
-        assert!(!is_interval_linearizable(&bad, &spec).unwrap());
+        assert!(accepts(&good, &spec));
+        assert!(!accepts(&bad, &spec));
         let lin = crate::spec::SeqAsCa::new(Flag);
         assert!(crate::check::is_cal(&good, &lin).unwrap());
         assert!(!crate::check::is_cal(&bad, &lin).unwrap());
+    }
+
+    #[test]
+    fn split_history_halves_every_operation() {
+        // Threads 5 and 9, densely renumbered 0 and 1; t9's call pending.
+        let a = ws(5, 1, mask(&[1]));
+        let h = History::from_actions(vec![
+            a.invocation(),
+            Action::invoke(ThreadId(9), O, WS, Value::Int(2)),
+            a.response(),
+        ]);
+        let (_, halves) = IntervalAsCa::new(&WriteSnapshot(4), &h).unwrap();
+        let spans = halves.spans();
+        let shape: Vec<_> = spans.iter().map(|s| (s.thread.0, s.arg, s.ret)).collect();
+        let (zero, one) = (Value::Int(0), Value::Int(1));
+        assert_eq!(
+            shape,
+            [
+                (0, zero, Some(zero)),
+                (1, zero, Some(zero)),
+                (2, one, None),
+                (3, one, None),
+                (4, Value::Unit, Some(Value::Unit)),
+            ]
+        );
+        // Real time is constraint (ii): the halves of one operation are
+        // concurrent, and `end` follows every complete half.
+        assert!(History::spans_concurrent(&spans[0], &spans[1]));
+        assert!(History::spans_precede(&spans[1], &spans[4]));
+        assert!(History::spans_concurrent(&spans[3], &spans[4]));
+        let ill = History::from_actions(vec![a.response()]);
+        assert!(IntervalAsCa::new(&WriteSnapshot(4), &ill).is_err());
+    }
+
+    #[test]
+    fn end_waits_for_every_open_interval() {
+        // A pending write the spec completes, so that it may open.
+        #[derive(Debug)]
+        struct Completing;
+        impl IntervalSpec for Completing {
+            type State = i64;
+            fn initial(&self) -> i64 {
+                0
+            }
+            fn step(&self, s: &i64, a: &[Operation], o: &[Operation], c: &[Operation]) -> Option<i64> {
+                WriteSnapshot(4).step(s, a, o, c)
+            }
+            fn completions_of(&self, _: &Invocation) -> Vec<Value> {
+                vec![Value::Int(mask(&[1]))]
+            }
+        }
+        let h = History::from_actions(vec![Action::invoke(ThreadId(0), O, WS, Value::Int(1))]);
+        let (split, halves) = IntervalAsCa::new(&Completing, &h).unwrap();
+        let [open, close, end] = halves.spans()[..] else { panic!("three spans") };
+        let ret = Value::Int(mask(&[1]));
+        let element = |span: Span, ret| CaElement::singleton(span.operation_with_ret(ret));
+        let start = split.initial();
+        let opened = split.step(&start, &element(open, ret)).expect("the write opens");
+        assert_eq!(split.step(&opened, &element(end, Value::Unit)), None, "open at the end");
+        let closed = split.step(&opened, &element(close, Value::Unit)).expect("and closes");
+        let ended = split.step(&closed, &element(end, Value::Unit)).expect("then it may end");
+        assert_eq!(split.step(&ended, &element(open, ret)), None, "nothing after the end");
+        // The search opens it once, with its completion, or drops it.
+        let witness = check(&h, &Completing).verdict.witness().cloned().unwrap();
+        assert!(witness.points().iter().all(|p| p.active.iter().all(|op| op.ret == ret)));
+    }
+
+    #[test]
+    fn a_close_half_waits_for_its_open_half_and_opens_keep_to_the_budget() {
+        let (a, b) = (ws(0, 1, mask(&[1, 2])), ws(1, 2, mask(&[1, 2])));
+        let h = History::from_actions(vec![
+            a.invocation(),
+            b.invocation(),
+            a.response(),
+            b.response(),
+        ]);
+        let spec = WriteSnapshot(1);
+        let (split, halves) = IntervalAsCa::new(&spec, &h).unwrap();
+        let spans = halves.spans();
+        let inv = |i: usize| {
+            let s = &spans[i];
+            Invocation::new(s.thread, s.object, s.method, s.arg)
+        };
+        let start = split.initial();
+        let may_join = |i, members: &[usize]| {
+            split.may_join(&start, &inv(i), members.iter().map(|&j| inv(j)))
+        };
+        assert!(may_join(0, &[]), "an open half");
+        assert!(may_join(1, &[0]), "a close half behind its open half");
+        assert!(!may_join(1, &[]), "a close half alone");
+        assert!(!may_join(3, &[0]), "another operation's close half");
+        assert!(!may_join(2, &[0]), "a second open half past max_active 1");
+        assert!(!may_join(4, &[0]), "company for `end`");
+        // Both must be active together, which max_active 1 rules out.
+        assert!(!accepts(&h, &spec));
+        assert!(accepts(&h, &WriteSnapshot(2)));
+    }
+
+    #[test]
+    fn five_concurrent_snapshots_need_five_active() {
+        let ops: Vec<Operation> = (1..=5).map(|v| ws(v as u32, v, mask(&[1, 2, 3, 4, 5]))).collect();
+        let mut actions: Vec<Action> = ops.iter().map(Operation::invocation).collect();
+        actions.extend(ops.iter().map(Operation::response));
+        let h = History::from_actions(actions);
+        assert!(!accepts(&h, &WriteSnapshot(4)));
+        let outcome = check(&h, &WriteSnapshot(usize::MAX));
+        let witness = outcome.verdict.witness().expect("interval-linearizable");
+        assert!(witness.points().iter().any(|p| p.active.len() == 5), "{witness}");
     }
 }

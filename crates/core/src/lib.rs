@@ -20,8 +20,8 @@
 //!   linearizability checker: a sequential specification
 //!   ([`spec::SeqSpec`]) lifted to singleton elements ([`spec::SeqAsCa`])
 //!   is CAL's singleton-element fragment;
-//! - an interval-linearizability checker ([`interval`]), the one other
-//!   search definition;
+//! - interval-linearizability ([`interval`]) as the same search over a
+//!   history whose operations are split into an open and a close half;
 //! - the `F_o` view-function machinery for compositional verification of
 //!   objects built from subobjects ([`compose`]);
 //! - generators of sound and adversarial histories ([`gen`]).

@@ -88,6 +88,25 @@ pub trait CaSpec {
         self.completions_of(inv)
     }
 
+    /// Whether `next` may join a candidate CA-element that already holds
+    /// `members`, in `state`. The search grows an element span by span in
+    /// the history's invocation order, so `members` all come before
+    /// `next`; `false` prunes `next` *and every element grown from
+    /// `members` and `next` by later spans*, so it must be monotone: a
+    /// refusal must stay right however many later spans would join.
+    ///
+    /// The default admits everything and leaves judging the element to
+    /// [`CaSpec::step`]; a spec overrides this to refuse early what `step`
+    /// would reject at every size.
+    fn may_join(
+        &self,
+        _state: &Self::State,
+        _next: &Invocation,
+        _members: impl Iterator<Item = Invocation>,
+    ) -> bool {
+        true
+    }
+
     /// Returns `true` if the full trace is accepted from the initial state.
     fn accepts(&self, trace: &CaTrace) -> bool {
         let mut state = self.initial();

@@ -7,9 +7,11 @@
 //! is the table of names, [`Selected::resolve`] turns a command line's
 //! `--spec FILE` and name into one spec, [`Selected::visit`] hands it —
 //! lifted as the [`CheckMode`] asks — to a [`Visitor`], and
-//! [`run_ca`] / [`run_interval`] pick the search driver: one per search
-//! definition, since classical linearizability is CAL's singleton
-//! fragment and `seq` reads a sequential spec exactly as `cal` does.
+//! [`run_ca`] picks the search driver. There is one search: classical
+//! linearizability is CAL's singleton fragment, so `seq` reads a
+//! sequential spec exactly as `cal` does, and [`run_interval`] is
+//! [`run_ca`] over a history whose operations are split into open and
+//! close halves.
 //! `cal-check`, `cal-serve`, `chaos-soak` and the chaos driver all go
 //! through here; none of them names a spec type.
 //!
@@ -24,9 +26,7 @@ use cal_core::causal::{check_causal_par_with, check_causal_with};
 use cal_core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome};
 use cal_core::dsl::{self, SpecDef, SpecFile};
 use cal_core::history::HbRelation;
-use cal_core::interval::{
-    check_interval_par_with, check_interval_with, IntervalSpec, IntervalWitness, SeqAsInterval,
-};
+use cal_core::interval::{IntervalAsCa, IntervalSpec, IntervalWitness, SeqAsInterval};
 use cal_core::par::check_cal_par_with;
 use cal_core::spec::{CaSpec, SeqAsCa, SeqSpec};
 use cal_core::{History, ObjectId};
@@ -52,9 +52,9 @@ pub enum Kind {
     Interval,
 }
 
-/// Which property is checked (`cal-check --mode`). There are two search
-/// definitions, CAL and interval; `Seq` is `Cal` gated to sequential
-/// specs, `Causal` is `Cal` under a happens-before order.
+/// Which property is checked (`cal-check --mode`). Every mode is the CAL
+/// search: `Seq` is `Cal` gated to sequential specs, `Interval` is `Cal`
+/// over split operations, `Causal` is `Cal` under a happens-before order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckMode {
     /// Concurrency-aware linearizability.
@@ -63,7 +63,8 @@ pub enum CheckMode {
     /// same search as `Cal` on a sequential spec, and no reading of a
     /// concurrency-aware one.
     Seq,
-    /// Interval-linearizability.
+    /// Interval-linearizability: CAL over the history with every operation
+    /// split into an open and a close half.
     Interval,
     /// CAL membership under a happens-before partial order.
     Causal,
@@ -261,7 +262,9 @@ impl Selected {
                 REGISTER => lift(mode, RegisterSpec::new(object), visitor),
                 COUNTER => lift(mode, CounterSpec::new(object), visitor),
                 KV => lift(mode, KvMapSpec::new(), visitor),
-                WRITE_SNAPSHOT => visitor.interval(WriteSnapshotSpec::new(object, 4)),
+                // Unbounded: a point's active operations are pairwise concurrent,
+                // so the history's own peak concurrency bounds the search.
+                WRITE_SNAPSHOT => visitor.interval(WriteSnapshotSpec::new(object, usize::MAX)),
                 other => unreachable!("{other:?} has a BUILTINS row but no constructor"),
             },
         }
@@ -331,11 +334,14 @@ where
     }
 }
 
-/// Like [`run_ca`] for interval-linearizability.
+/// Checks `history` for interval-linearizability: [`run_ca`] over the
+/// history with its operations split into open and close halves, against
+/// the spec read one point per CA-element ([`IntervalAsCa`]), the witness
+/// read back as interval points.
 ///
 /// # Errors
 ///
-/// As the `cal_core` checker it runs.
+/// As [`run_ca`].
 pub fn run_interval<S>(
     history: &History,
     spec: &S,
@@ -345,11 +351,9 @@ where
     S: IntervalSpec + Sync,
     S::State: Send + Sync,
 {
-    if options.threads > 1 {
-        check_interval_par_with(history, spec, options)
-    } else {
-        check_interval_with(history, spec, options)
-    }
+    let (split, halves) = IntervalAsCa::new(spec, history)?;
+    let outcome = run_ca(&halves, &split, None, options)?;
+    Ok(outcome.map_witness(|trace| split.witness(&trace)))
 }
 
 #[cfg(test)]

@@ -184,7 +184,8 @@ mod tests {
     use super::*;
     use cal_core::check::is_cal;
     use cal_core::gen::render;
-    use cal_core::interval::is_interval_linearizable;
+    use crate::registry::run_interval;
+    use cal_core::check::CheckOptions;
     use cal_core::spec::CaSpec;
     use cal_core::{CaTrace, History};
 
@@ -192,6 +193,10 @@ mod tests {
 
     fn t(n: u32) -> ThreadId {
         ThreadId(n)
+    }
+
+    fn interval_linearizable(h: &History, spec: &WriteSnapshotSpec) -> bool {
+        run_interval(h, spec, &CheckOptions::default()).unwrap().verdict.is_cal()
     }
 
     fn spec() -> ImmediateSnapshotSpec {
@@ -270,7 +275,7 @@ mod tests {
             c.response(),
             a.response(),
         ]);
-        assert!(is_interval_linearizable(&h, &WriteSnapshotSpec::new(O, 4)).unwrap());
+        assert!(interval_linearizable(&h, &WriteSnapshotSpec::new(O, 4)));
         // The one-point (CAL) reading of the same object rejects it. The
         // CAL analogue of write-snapshot coincides with the immediate
         // snapshot's element shape:
@@ -307,7 +312,7 @@ mod tests {
     fn interval_spec_rejects_foreign_ops() {
         let bad = Operation::new(t(1), ObjectId(9), WRITE_SNAPSHOT, Value::Int(1), Value::Int(2));
         let h = History::from_actions(vec![bad.invocation(), bad.response()]);
-        assert!(!is_interval_linearizable(&h, &WriteSnapshotSpec::new(O, 2)).unwrap());
+        assert!(!interval_linearizable(&h, &WriteSnapshotSpec::new(O, 2)));
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! cargo run --release --example snapshots
 //! ```
 
-use cal::core::check::is_cal;
-use cal::core::interval::{check_interval, Verdict};
+use cal::core::check::{is_cal, CheckOptions, Verdict};
 use cal::core::{History, ObjectId, ThreadId};
 use cal::objects::snapshot::ImmediateSnapshot;
 use cal::sim::models::snapshot::ImmediateSnapshotModel;
 use cal::sim::{Explorer, OpRequest, Workload};
+use cal::specs::registry::run_interval;
 use cal::specs::snapshot::{
     im_snap_op, view, write_snapshot_op, ImmediateSnapshotSpec, WriteSnapshotSpec, IM_SNAP,
 };
@@ -96,7 +96,8 @@ fn write_snapshot_separation() {
         c.response(),
         a.response(),
     ]);
-    let outcome = check_interval(&h, &WriteSnapshotSpec::new(O, 4)).unwrap();
+    let spec = WriteSnapshotSpec::new(O, usize::MAX);
+    let outcome = run_interval(&h, &spec, &CheckOptions::default()).unwrap();
     match outcome.verdict {
         Verdict::Cal(witness) => {
             println!("write-snapshot separation history: interval-linearizable ✓");

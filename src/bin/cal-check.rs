@@ -49,13 +49,15 @@
 //! verdict `undecided`), and `--no-symmetry` turns off symmetry reduction
 //! over interchangeable operations (file and batch mode).
 //!
-//! `--mode` selects the property, checked by one of two searches on the
-//! shared kernel: `cal` (concurrency-aware linearizability; sequential
-//! specs are lifted to singleton elements), `seq` (classical
-//! linearizability — CAL's singleton fragment, so the same search as
-//! `cal` on a sequential spec; sequential specs only), `interval`
-//! (interval-linearizability; sequential specs become singleton-interval
-//! specs, plus the interval-native `write-snapshot`), or `causal` (the
+//! `--mode` selects the property, every one checked by the one CA search:
+//! `cal` (concurrency-aware linearizability; sequential specs are lifted
+//! to singleton elements), `seq` (classical linearizability — CAL's
+//! singleton fragment, so the same search as `cal` on a sequential spec;
+//! sequential specs only), `interval` (interval-linearizability, the CA
+//! search over the history with every operation split into an open and a
+//! close half; sequential specs become singleton-interval specs, plus the
+//! interval-native `write-snapshot`, served with no bound on how many
+//! operations are active at once), or `causal` (the
 //! CAL membership search constrained by a happens-before *partial* order
 //! instead of the real-time total order — the weak-memory reading of a
 //! trace).

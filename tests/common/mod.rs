@@ -1,16 +1,18 @@
-//! Histories more than one test file builds, and the CAL-membership
-//! reference they are held to.
+//! Histories more than one test file builds, and the CAL and
+//! interval-linearizability references they are held to.
 #![allow(dead_code)]
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use cal::core::gen::render_windowed;
 use cal::core::history::Span;
+use cal::core::interval::{IntervalSpec, IntervalWitness};
 use cal::core::spec::{CaSpec, Invocation};
 use cal::core::text::parse_history;
 use cal::core::{Action, CaElement, CaTrace, History, ObjectId, Operation, ThreadId};
 use cal::specs::exchanger::{exchange_ok, fail_element, swap_element};
 use cal::specs::register::{read_op, write_op};
+use cal::specs::snapshot::{view, write_snapshot_op};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,6 +27,19 @@ pub fn identical_exchanges(k: usize, got: i64) -> History {
     let invs = (0..k).map(|t| format!("t{t} inv o0.exchange 0\n"));
     let ress = (0..k).map(|t| format!("t{t} res o0.exchange (true,{got})\n"));
     parse_history(&invs.chain(ress).collect::<String>()).expect("it parses")
+}
+
+/// `k` pairwise-concurrent `write_snapshot(i) ▷ {i}` calls: at most one of
+/// them can close with a view of its own value alone, so `k ≥ 2` is not
+/// interval-linearizable, and refuting it means trying every way of
+/// opening and closing the calls point by point.
+pub fn lone_view_snapshots(k: usize) -> History {
+    let ops: Vec<Operation> = (0..k)
+        .map(|i| write_snapshot_op(O, ThreadId(i as u32), i as i64, view(&[i as i64])))
+        .collect();
+    let mut actions: Vec<Action> = ops.iter().map(Operation::invocation).collect();
+    actions.extend(ops.iter().map(Operation::response));
+    History::from_actions(actions)
 }
 
 /// The benchmark's `check-exchanger-refute` input (`benchmark/src/gen.rs`)
@@ -162,6 +177,199 @@ pub fn kv_stream(clients: u32) -> History {
 // real-time order (`History::spans_precede`): no engine, no `HbRelation`,
 // no symmetry classes, no `FpMemo` — none of what the checkers share, so a
 // bug there cannot hide by agreeing with itself.
+
+// --- the interval reference ----------------------------------------------------
+//
+// Interval-linearizability written out the same way, over nothing but
+// `IntervalSpec::step` and Def. 3's real-time order: no engine, no
+// `HbRelation`, no symmetry classes, no `FpMemo`, and no split history.
+
+/// Every subset of `items`, the empty one included, each in `items` order.
+fn all_subsets<T: Copy>(items: &[T]) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = vec![Vec::new()];
+    for &item in items {
+        let with: Vec<Vec<T>> = out.iter().map(|s| [&s[..], &[item]].concat()).collect();
+        out.extend(with);
+    }
+    out
+}
+
+/// Every way to open the spans `opening` as operations: a complete span is
+/// its operation, a pending one takes each value the specification
+/// proposes for it.
+fn openings<S: IntervalSpec>(
+    spec: &S,
+    spans: &[Span],
+    opening: &[usize],
+) -> Vec<Vec<(usize, Operation)>> {
+    let mut out: Vec<Vec<(usize, Operation)>> = vec![Vec::new()];
+    for &i in opening {
+        let s = &spans[i];
+        let choices: Vec<Operation> = match s.operation() {
+            Some(op) => vec![op],
+            None => {
+                let inv = Invocation::new(s.thread, s.object, s.method, s.arg);
+                let rets = spec.completions_of(&inv);
+                rets.into_iter().map(|ret| s.operation_with_ret(ret)).collect()
+            }
+        };
+        out = out
+            .into_iter()
+            .flat_map(|ops| choices.iter().map(move |&op| [&ops[..], &[(i, op)]].concat()))
+            .collect();
+    }
+    out
+}
+
+fn ops_of(entries: &[(usize, Operation)]) -> Vec<Operation> {
+    entries.iter().map(|&(_, op)| op).collect()
+}
+
+/// Every state some interval linearization of `history` leaves `spec` in:
+/// all ways to take a point — open spans whose real-time predecessors are
+/// all closed (a pending one completed with each value the spec proposes,
+/// or never opened), close any of the open and opening ones, at least one
+/// of either, all of one object, at most `max_active` active — until every
+/// complete span is closed and nothing is open. Operations active at one
+/// point are then pairwise concurrent: one before another would have had
+/// to close before the other could open.
+pub fn interval_end_states<S: IntervalSpec>(spec: &S, history: &History) -> Vec<S::State> {
+    let spans = history.spans();
+    let n = spans.len();
+    assert!(n <= 64, "a reference for small histories");
+    let complete = (0..n).filter(|&i| spans[i].is_complete()).fold(0u64, |m, i| m | 1 << i);
+    let mut ends: Vec<S::State> = Vec::new();
+    type Node<St> = (u64, Vec<(usize, Operation)>, St);
+    let mut seen: HashSet<Node<S::State>> = HashSet::new();
+    let mut stack: Vec<Node<S::State>> = vec![(0, Vec::new(), spec.initial())];
+    while let Some(node) = stack.pop() {
+        if !seen.insert(node.clone()) {
+            continue;
+        }
+        let (closed, open, state) = node;
+        if open.is_empty() && closed & complete == complete && !ends.contains(&state) {
+            ends.push(state.clone());
+        }
+        let done = |i: usize| closed >> i & 1 == 1 || open.iter().any(|&(j, _)| j == i);
+        let openable: Vec<usize> = (0..n)
+            .filter(|&i| {
+                !done(i)
+                    && (0..n).all(|j| {
+                        closed >> j & 1 == 1 || !History::spans_precede(&spans[j], &spans[i])
+                    })
+            })
+            .collect();
+        for opening in all_subsets(&openable) {
+            if open.len() + opening.len() > spec.max_active() {
+                continue;
+            }
+            for opened in openings(spec, &spans, &opening) {
+                let active: Vec<(usize, Operation)> = [&open[..], &opened[..]].concat();
+                for closing in all_subsets(&active) {
+                    let touched = || opened.iter().chain(&closing).map(|&(_, op)| op.object);
+                    let first = touched().next();
+                    if first.is_none() || touched().any(|o| Some(o) != first) {
+                        continue;
+                    }
+                    let (all, new, gone) = (ops_of(&active), ops_of(&opened), ops_of(&closing));
+                    if let Some(next) = spec.step(&state, &all, &new, &gone) {
+                        let closed = closing.iter().fold(closed, |m, &(i, _)| m | 1 << i);
+                        let still: Vec<(usize, Operation)> =
+                            active.iter().filter(|e| !closing.contains(e)).copied().collect();
+                        stack.push((closed, still, next));
+                    }
+                }
+            }
+        }
+    }
+    ends
+}
+
+/// Replays an interval witness against `spec` and `history`: every point
+/// opens or closes something, all of one object, opens each thread's next
+/// operation (its
+/// complete ones in order, then possibly its pending one, completed),
+/// closes only active operations, lists the active set exactly, keeps
+/// within `max_active` and is accepted by the spec in turn; every interval
+/// closes, every complete operation has one, and real-time order holds
+/// between intervals.
+pub fn replay_interval<S: IntervalSpec>(
+    spec: &S,
+    history: &History,
+    witness: &IntervalWitness,
+) -> Result<(), String> {
+    let spans = history.spans();
+    let mut next_of: HashMap<ThreadId, usize> = HashMap::new();
+    let mut state = spec.initial();
+    let mut open: Vec<(usize, Operation)> = Vec::new();
+    let mut interval: Vec<Option<(usize, usize)>> = vec![None; spans.len()];
+    for (k, point) in witness.points().iter().enumerate() {
+        let mut touched = point.opening.iter().chain(&point.closing).map(|op| op.object);
+        let Some(object) = touched.next() else {
+            return Err(format!("point {k} opens and closes nothing"));
+        };
+        if touched.any(|o| o != object) {
+            return Err(format!("point {k} opens or closes operations of two objects"));
+        }
+        let mut active = open.clone();
+        for op in &point.opening {
+            let nth = next_of.entry(op.thread).or_insert(0);
+            let Some(i) = (0..spans.len()).filter(|&i| spans[i].thread == op.thread).nth(*nth)
+            else {
+                return Err(format!("point {k} opens {op}, one more than its thread invoked"));
+            };
+            *nth += 1;
+            let s = &spans[i];
+            let fits = match s.operation() {
+                Some(real) => real == *op,
+                None => (s.object, s.method, s.arg) == (op.object, op.method, op.arg),
+            };
+            if !fits {
+                return Err(format!("point {k} opens {op} where its thread invoked span {i}"));
+            }
+            interval[i] = Some((k, usize::MAX));
+            active.push((i, *op));
+        }
+        let mut listed = point.active.clone();
+        let mut ours = ops_of(&active);
+        listed.sort();
+        ours.sort();
+        if listed != ours {
+            return Err(format!("point {k} lists active {listed:?}, not {ours:?}"));
+        }
+        if active.len() > spec.max_active() {
+            return Err(format!("point {k} has {} active operations", active.len()));
+        }
+        for op in &point.closing {
+            let Some(at) = active.iter().position(|&(_, a)| a == *op) else {
+                return Err(format!("point {k} closes {op}, which is not active"));
+            };
+            let (i, _) = active.remove(at);
+            interval[i] = interval[i].map(|(first, _)| (first, k));
+        }
+        let Some(next) = spec.step(&state, &point.active, &point.opening, &point.closing) else {
+            return Err(format!("the spec rejects point {k}: {point}"));
+        };
+        state = next;
+        open = active;
+    }
+    if let Some(&(i, _)) = open.first() {
+        return Err(format!("span {i}'s interval never closes"));
+    }
+    for (i, s) in spans.iter().enumerate() {
+        if s.is_complete() && interval[i].is_none() {
+            return Err(format!("complete span {i} has no interval"));
+        }
+        for (j, t) in spans.iter().enumerate() {
+            if let (Some((_, last)), Some((first, _))) = (interval[i], interval[j]) {
+                if History::spans_precede(s, t) && last >= first {
+                    return Err(format!("span {i} precedes span {j}, but their intervals meet"));
+                }
+            }
+        }
+    }
+    Ok(())
+}
 
 /// Every way to complete the spans `subset` into operations: a complete
 /// span is its operation, a pending one takes each value the

@@ -1,42 +1,53 @@
-//! Cross-checker differential suite against an independent reference. On
-//! a sequential specification, CAL with every operation lifted to a
-//! singleton element ([`SeqAsCa`]) and interval-linearizability with every
-//! interval confined to one point ([`SeqAsInterval`]) both decide
-//! classical linearizability. Both searches run on the shared kernel — the
-//! engine, `HbRelation`'s minimal sets, symmetry classes, `FpMemo` — so a
-//! kernel bug would agree with itself if they were compared only with each
-//! other. Each is held instead to [`end_states`], a membership reference
-//! written over nothing but `CaSpec::step` and Def. 3's real-time order, on
-//! every generated history, accepted and rejected alike: the CAL search
-//! sequentially and at 1, 2 and 4 threads with symmetry and memoization
-//! each on and off, the interval search sequentially and in parallel.
+//! Cross-checker differential suite against independent references. Both
+//! readings run the one CA search — the engine, `HbRelation`'s minimal
+//! sets, symmetry classes, `FpMemo` — so a kernel bug would agree with
+//! itself if they were compared only with each other. Each is held instead
+//! to a reference written over nothing but the specification's `step` and
+//! Def. 3's real-time order, on every generated history, accepted and
+//! rejected alike, at 1, 2 and 4 threads with symmetry and memoization
+//! each on and off:
 //!
-//! The CA-families are held to the same reference with elements of up to
-//! their `max_element_size`: the exchanger and the synchronous queue, on
-//! windows of fully-overlapping operations full of clones — the histories
-//! symmetry reduction matches in one order — some legal by construction,
-//! some with a swap nobody offered or one clone too many planted last.
+//! - CAL to [`end_states`], on sequential specs lifted to singleton
+//!   elements ([`SeqAsCa`]) and on the CA-families with elements of up to
+//!   their `max_element_size` — the exchanger, the synchronous queue, the
+//!   elimination array and the dual stack, on windows of fully-overlapping
+//!   operations full of clones (the histories symmetry reduction matches
+//!   in one order), some legal by construction, some with an operation
+//!   nobody offered or one clone too many planted last;
+//! - interval-linearizability (the CA search over split operations) to
+//!   [`interval_end_states`], which never splits anything, every accepted
+//!   witness replayed by [`replay_interval`]: on the sequential families
+//!   confined to one-point intervals ([`SeqAsInterval`], which must also
+//!   agree with CAL), on write-snapshot histories with pending calls, on a
+//!   snapshot whose pending calls complete, and on a spec whose return
+//!   value is the length of the operation's interval.
 
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::gen::interleave;
-use cal::core::interval::{check_interval_par_with, check_interval_with, SeqAsInterval};
+use cal::core::interval::{IntervalSpec, SeqAsInterval};
 use cal::core::par::check_cal_par_with;
-use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
+use cal::core::spec::{CaSpec, Invocation, SeqAsCa, SeqSpec};
 use cal::core::{Action, CaElement, History, Method, ObjectId, Operation, ThreadId, Value};
+use cal::specs::dual_stack::{dual_pop_op, fulfillment_element, DualStackSpec};
+use cal::specs::elim_array::ElimArraySpec;
 use cal::specs::exchanger::{exchange_ok, ExchangerSpec};
 use cal::specs::kv::KvMapSpec;
 use cal::specs::register::{read_op, write_op, CounterSpec, RegisterSpec};
+use cal::specs::registry::run_interval;
+use cal::specs::snapshot::{WriteSnapshotSpec, WRITE_SNAPSHOT};
 use cal::specs::stack::StackSpec;
 use cal::specs::sync_queue::{
     put_timeout_element, take_timeout_element, transfer_element, SyncQueueSpec,
 };
-use cal::specs::vocab::TAKE;
+use cal::specs::vocab::{CANCEL_SENTINEL, TAKE};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{clone_windows, end_states, exchanger_shapes};
+use common::{
+    clone_windows, end_states, exchanger_shapes, interval_end_states, replay_interval,
+};
 
 const O: ObjectId = ObjectId(0);
 
@@ -68,6 +79,18 @@ fn arb_stack_op() -> BoxedStrategy<OpShape> {
             .prop_map(|(ok, v, c)| (Method("pop"), Value::Unit, Value::Pair(ok, v), c)),
     ]
     .boxed()
+}
+
+/// `write_snapshot(v) ▷ view` over values 0..3 and views over them.
+fn arb_snapshot_op() -> BoxedStrategy<OpShape> {
+    (0i64..3, 0i64..8, any::<bool>())
+        .prop_map(|(v, view, c)| (WRITE_SNAPSHOT, Value::Int(v), Value::Int(view), c))
+        .boxed()
+}
+
+/// `tick() ▷ n`: claims its interval is `n` points long.
+fn arb_tick_op() -> BoxedStrategy<OpShape> {
+    (1i64..4, any::<bool>()).prop_map(|(n, c)| (TICK, Value::Unit, Value::Int(n), c)).boxed()
 }
 
 /// Builds a history: up to 3 threads × up to 3 ops on one object,
@@ -143,21 +166,124 @@ where
     expected
 }
 
-/// The oracle on a sequential spec: the CAL half over [`SeqAsCa`], and
-/// every configuration of the interval search returns the same verdict.
+/// The interval half of the oracle: the reference decides `h`, and
+/// `run_interval` returns that verdict in every configuration, every
+/// witness it accepts with replaying. Returns the verdict.
+fn assert_interval_agreement<S>(h: &History, spec: &S) -> &'static str
+where
+    S: IntervalSpec + Sync,
+    S::State: Send + Sync,
+{
+    let expected =
+        if interval_end_states(spec, h).is_empty() { "rejected" } else { "accepted" };
+    for symmetry in [true, false] {
+        for memoize in [true, false] {
+            for threads in [1usize, 2, 4] {
+                let options = CheckOptions { symmetry, memoize, threads, ..CheckOptions::default() };
+                let what = format!("symmetry={symmetry} memoize={memoize} threads={threads}");
+                let outcome = run_interval(h, spec, &options);
+                assert_eq!(category(&outcome), expected, "interval ({what})\nhistory:\n{h}");
+                if let Ok(CheckOutcome { verdict: Verdict::Cal(witness), .. }) = &outcome {
+                    if let Err(e) = replay_interval(spec, h, witness) {
+                        panic!("interval ({what}): {e}\nwitness: {witness}\nhistory:\n{h}");
+                    }
+                }
+            }
+        }
+    }
+    expected
+}
+
+/// The oracle on a sequential spec: the CAL half over [`SeqAsCa`], the
+/// interval half over [`SeqAsInterval`], and the two verdicts equal.
 fn assert_cross_agreement<S>(h: &History, spec: &S)
 where
     S: SeqSpec + Clone + Sync,
     S::State: Send + Sync,
 {
-    let expected = assert_cal_agreement(h, &SeqAsCa::new(spec.clone()));
-    let interval = SeqAsInterval::new(spec.clone());
-    let seq = category(&check_interval_with(h, &interval, &CheckOptions::default()));
-    assert_eq!(seq, expected, "interval vs the reference\nhistory:\n{h}");
-    for threads in [1usize, 2, 4] {
-        let par = CheckOptions { threads, ..CheckOptions::default() };
-        let pinterval = category(&check_interval_par_with(h, &interval, &par));
-        assert_eq!(pinterval, expected, "interval (threads={threads})\nhistory:\n{h}");
+    let cal = assert_cal_agreement(h, &SeqAsCa::new(spec.clone()));
+    let interval = assert_interval_agreement(h, &SeqAsInterval::new(spec.clone()));
+    assert_eq!(interval, cal, "one-point intervals vs singleton elements\nhistory:\n{h}");
+}
+
+/// [`WriteSnapshotSpec`] whose pending calls complete — with the view of
+/// every value, so a pending write that opens can close only once all
+/// three values are written, or its interval never closes.
+#[derive(Debug, Clone, Copy)]
+struct CompletingSnapshot(WriteSnapshotSpec);
+
+impl IntervalSpec for CompletingSnapshot {
+    type State = i64;
+
+    fn initial(&self) -> i64 {
+        self.0.initial()
+    }
+
+    fn step(
+        &self,
+        state: &i64,
+        active: &[Operation],
+        opening: &[Operation],
+        closing: &[Operation],
+    ) -> Option<i64> {
+        self.0.step(state, active, opening, closing)
+    }
+
+    fn max_active(&self) -> usize {
+        self.0.max_active()
+    }
+
+    fn completions_of(&self, _inv: &Invocation) -> Vec<Value> {
+        vec![Value::Int(0b111)]
+    }
+}
+
+const TICK: Method = Method("tick");
+
+/// `tick() ▷ n` returns the number of points its interval spans: a spec
+/// that tells every interval's length apart, so clone operations must be
+/// free to open and close in either order.
+#[derive(Debug, Clone, Copy)]
+struct IntervalLength;
+
+impl IntervalSpec for IntervalLength {
+    /// Every active operation with the points it has spanned so far.
+    type State = Vec<(Operation, i64)>;
+
+    fn initial(&self) -> Self::State {
+        Vec::new()
+    }
+
+    fn step(
+        &self,
+        state: &Self::State,
+        active: &[Operation],
+        opening: &[Operation],
+        closing: &[Operation],
+    ) -> Option<Self::State> {
+        let mut next = Vec::with_capacity(active.len());
+        for op in active {
+            let so_far = state.iter().find(|(o, _)| o == op).map(|&(_, n)| n);
+            if op.method != TICK || so_far.is_some() == opening.contains(op) {
+                return None;
+            }
+            let length = so_far.unwrap_or(0) + 1;
+            if !closing.contains(op) {
+                next.push((*op, length));
+            } else if op.ret != Value::Int(length) {
+                return None;
+            }
+        }
+        next.sort();
+        Some(next)
+    }
+
+    fn max_active(&self) -> usize {
+        usize::MAX
+    }
+
+    fn completions_of(&self, _inv: &Invocation) -> Vec<Value> {
+        vec![Value::Int(1), Value::Int(2)]
     }
 }
 
@@ -172,16 +298,47 @@ fn sync_queue_shapes() -> Vec<CaElement> {
     ]
 }
 
+/// Dual-stack elements that leave the data stack as they found it, so
+/// that any order of them is legal: fulfillments of two values, one of
+/// them twice, and a timed-out reservation.
+fn dual_stack_shapes() -> Vec<CaElement> {
+    let t = ThreadId;
+    vec![
+        fulfillment_element(O, t(0), 0, t(1)),
+        fulfillment_element(O, t(0), 0, t(1)),
+        fulfillment_element(O, t(0), 1, t(1)),
+        CaElement::singleton(dual_pop_op(O, t(0), CANCEL_SENTINEL)),
+    ]
+}
+
 /// What a clone-window case plants in its last window: nothing (the
-/// history is CAL), a swap nobody offered (one side got 101, which no call
-/// offers: the history is not), or one clone too many (a success no
-/// complete call is left to pair with — a pending one may be).
-fn plant(which: u8, too_many: Operation) -> Vec<Operation> {
-    let t = ThreadId(0);
+/// history is CAL), `unoffered` — operations answered with a value no call
+/// offers (the history is not) — or one clone too many (a success no
+/// complete call is left to pair with; a pending one may be).
+fn plant(which: u8, unoffered: &[Operation], too_many: Operation) -> Vec<Operation> {
     match which {
         0 => Vec::new(),
-        1 => vec![exchange_ok(O, t, 100, 101), exchange_ok(O, t, 102, 100)],
+        1 => unoffered.to_vec(),
         _ => vec![too_many],
+    }
+}
+
+/// A swap nobody offered: one side got 101, which no call offers.
+fn unoffered_swap() -> [Operation; 2] {
+    let t = ThreadId(0);
+    [exchange_ok(O, t, 100, 101), exchange_ok(O, t, 102, 100)]
+}
+
+/// Holds a CA-family to the reference on one clone-window case, and a
+/// legal or unoffered plant to its known verdict.
+fn assert_clone_window<S>(spec: &S, h: &History, which: u8)
+where
+    S: CaSpec + Sync,
+    S::State: Send + Sync,
+{
+    let verdict = assert_cal_agreement(h, spec);
+    if which < 2 {
+        assert_eq!(verdict == "accepted", which == 0, "{h}");
     }
 }
 
@@ -193,12 +350,19 @@ proptest! {
         seed in any::<u64>(), windows in 1usize..3, width in 1usize..4, which in 0u8..3,
     ) {
         let rng = &mut StdRng::seed_from_u64(seed);
-        let planted = plant(which, exchange_ok(O, ThreadId(0), 0, 0));
+        let planted = plant(which, &unoffered_swap(), exchange_ok(O, ThreadId(0), 0, 0));
         let h = clone_windows(rng, windows, width, &exchanger_shapes(), &planted);
-        let verdict = assert_cal_agreement(&h, &ExchangerSpec::new(O));
-        if which < 2 {
-            prop_assert_eq!(verdict == "accepted", which == 0, "{}", h);
-        }
+        assert_clone_window(&ExchangerSpec::new(O), &h, which);
+    }
+
+    #[test]
+    fn elim_array_checkers_agree_on_clone_windows(
+        seed in any::<u64>(), windows in 1usize..3, width in 1usize..4, which in 0u8..3,
+    ) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let planted = plant(which, &unoffered_swap(), exchange_ok(O, ThreadId(0), 1, 0));
+        let h = clone_windows(rng, windows, width, &exchanger_shapes(), &planted);
+        assert_clone_window(&ElimArraySpec::new(O), &h, which);
     }
 
     #[test]
@@ -207,12 +371,21 @@ proptest! {
     ) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let take = Operation::new(ThreadId(0), O, TAKE, Value::Unit, Value::Pair(true, 1));
-        let planted = plant(which, take);
+        let planted = plant(which, &unoffered_swap(), take);
         let h = clone_windows(rng, windows, width, &sync_queue_shapes(), &planted);
-        let verdict = assert_cal_agreement(&h, &SyncQueueSpec::new(O));
-        if which < 2 {
-            prop_assert_eq!(verdict == "accepted", which == 0, "{}", h);
-        }
+        assert_clone_window(&SyncQueueSpec::new(O), &h, which);
+    }
+
+    #[test]
+    fn dual_stack_checkers_agree_on_clone_windows(
+        seed in any::<u64>(), windows in 1usize..3, width in 1usize..4, which in 0u8..3,
+    ) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        // A pop of a value nobody pushes; a pop one push short.
+        let unoffered = [dual_pop_op(O, ThreadId(0), 101)];
+        let planted = plant(which, &unoffered, dual_pop_op(O, ThreadId(0), 0));
+        let h = clone_windows(rng, windows, width, &dual_stack_shapes(), &planted);
+        assert_clone_window(&DualStackSpec::with_timeouts(O), &h, which);
     }
 
     #[test]
@@ -229,6 +402,38 @@ proptest! {
     #[test]
     fn stack_checkers_agree(h in history_of(arb_stack_op())) {
         assert_cross_agreement(&h, &StackSpec::failing(O));
+    }
+
+    #[test]
+    fn write_snapshot_checkers_agree(h in history_of(arb_snapshot_op())) {
+        // Bounded below the three threads' peak concurrency, and unbounded.
+        for max_active in [2, usize::MAX] {
+            assert_interval_agreement(&h, &WriteSnapshotSpec::new(O, max_active));
+        }
+    }
+
+    #[test]
+    fn completing_snapshot_checkers_agree(h in history_of(arb_snapshot_op())) {
+        assert_interval_agreement(&h, &CompletingSnapshot(WriteSnapshotSpec::new(O, usize::MAX)));
+    }
+
+    #[test]
+    fn interval_length_checkers_agree(h in history_of(arb_tick_op())) {
+        assert_interval_agreement(&h, &IntervalLength);
+    }
+
+    #[test]
+    fn interval_length_checkers_agree_on_clone_windows(
+        seed in any::<u64>(), windows in 1usize..3, width in 1usize..4,
+    ) {
+        // Windows full of clone ticks, whose intervals must be free to
+        // overlap in any order: two concurrent `tick() ▷ 3` need it.
+        let ticks: Vec<CaElement> = (1..4)
+            .map(|n| Operation::new(ThreadId(0), O, TICK, Value::Unit, Value::Int(n)))
+            .map(CaElement::singleton)
+            .collect();
+        let h = clone_windows(&mut StdRng::seed_from_u64(seed), windows, width, &ticks, &[]);
+        assert_interval_agreement(&h, &IntervalLength);
     }
 }
 
@@ -306,6 +511,8 @@ fn fixed_two_object_and_ill_formed_histories_have_known_verdicts() {
     let interval = SeqAsInterval::new(spec);
     assert!(check_cal_with(&ill, &ca, &CheckOptions::default()).is_err());
     assert!(check_cal_par_with(&ill, &ca, &options).is_err());
-    assert!(check_interval_with(&ill, &interval, &CheckOptions::default()).is_err());
-    assert!(check_interval_par_with(&ill, &interval, &options).is_err());
+    for options in [CheckOptions::default(), options] {
+        let outcome = run_interval(&ill, &interval, &options);
+        assert!(matches!(outcome, Err(CheckError::IllFormed(_))), "{outcome:?}");
+    }
 }

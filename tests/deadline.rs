@@ -1,20 +1,22 @@
 //! E15 — deadline regression: on a state space far beyond the node
 //! budget, `check_cal_with` honours a ~50 ms wall-clock deadline within
 //! 2×, returns partial statistics instead of panicking, and reports the
-//! interruption as such. Since both searches run on the shared kernel,
-//! the same properties are asserted for CAL on a sequential spec and for
-//! the interval checker on their own hard instances.
+//! interruption as such. Every mode is that one search, so the same
+//! properties are asserted for CAL on a sequential spec and for the
+//! interval reading (over split operations) on their own hard instances.
 
 use std::time::{Duration, Instant};
 
 use cal::core::check::{check_cal_with, CheckOptions, Verdict};
-use cal::core::interval::check_interval_with;
 use cal::core::spec::SeqAsCa;
 use cal::core::text::parse_history;
 use cal::core::{History, ObjectId, ThreadId};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::register::{read_op, write_op, RegisterSpec};
-use cal::specs::snapshot::{view, write_snapshot_op, WriteSnapshotSpec};
+use cal::specs::registry::run_interval;
+use cal::specs::snapshot::WriteSnapshotSpec;
+
+mod common;
 
 /// `k` pairwise-concurrent `exchange(0) -> (true, 0)` calls: every pair
 /// of them can explain each other, but an odd `k` leaves one call that no
@@ -163,18 +165,11 @@ fn sequential_spec_budget_exhaustion_is_a_result_not_a_panic() {
     assert!(outcome.stats.nodes >= 10_000);
 }
 
-/// `k` pairwise-concurrent `write_snapshot(i) ▷ {i}` calls: at most one of
-/// them can ever close with a singleton view, so for `k ≥ 2` the instance
-/// is unsatisfiable — but the point enumeration (opening subsets up to
-/// `max_active`, closing subsets of the active set) is enormous.
+/// [`common::lone_view_snapshots`]: unsatisfiable for `k ≥ 2`, and the
+/// point enumeration (opening subsets up to `max_active`, closing subsets
+/// of the active set) is enormous.
 fn hard_interval_history(k: usize) -> History {
-    let o = ObjectId(0);
-    let ops: Vec<_> =
-        (0..k).map(|i| write_snapshot_op(o, ThreadId(i as u32), i as i64, view(&[i as i64]))).collect();
-    let mut actions = Vec::new();
-    actions.extend(ops.iter().map(|op| op.invocation()));
-    actions.extend(ops.iter().map(|op| op.response()));
-    History::from_actions(actions)
+    common::lone_view_snapshots(k)
 }
 
 #[test]
@@ -183,7 +178,7 @@ fn interval_deadline_is_honoured_within_2x() {
     let spec = WriteSnapshotSpec::new(ObjectId(0), 4);
     let deadline = Duration::from_millis(50);
     let start = Instant::now();
-    let outcome = check_interval_with(&history, &spec, &hard_options(deadline))
+    let outcome = run_interval(&history, &spec, &hard_options(deadline))
         .expect("interrupted checks are outcomes, not errors");
     let elapsed = start.elapsed();
     assert!(
@@ -200,7 +195,7 @@ fn interval_budget_exhaustion_is_a_result_not_a_panic() {
     let history = hard_interval_history(10);
     let spec = WriteSnapshotSpec::new(ObjectId(0), 4);
     let options = CheckOptions { max_nodes: 5_000, memoize: false, ..CheckOptions::default() };
-    let outcome = check_interval_with(&history, &spec, &options).expect("exhaustion is an outcome");
+    let outcome = run_interval(&history, &spec, &options).expect("exhaustion is an outcome");
     assert!(matches!(outcome.verdict, Verdict::ResourcesExhausted));
     assert!(outcome.stats.nodes >= 5_000);
 }

@@ -17,13 +17,13 @@ use cal::core::fpmemo::FpMemo;
 use cal::core::history::HbRelation;
 use cal::core::par::check_cal_par_with;
 use cal::core::gen::interleave;
-use cal::core::interval::{check_interval_par_with, check_interval_with};
 use cal::core::obs::{CountingSink, StatsSink};
 use cal::core::spec::SeqAsCa;
 use cal::core::text::parse_history;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::register::RegisterSpec;
+use cal::specs::registry::run_interval;
 use cal::specs::snapshot::WriteSnapshotSpec;
 use cal::specs::sync_queue::SyncQueueSpec;
 use proptest::prelude::*;
@@ -237,12 +237,11 @@ proptest! {
 
     #[test]
     fn interval_verdict_invariant_across_engine_options(h in history_of(arb_snapshot_op())) {
+        // The interval reading is the CAL search over split operations;
+        // `run_interval` takes the parallel driver above one thread.
         let spec = WriteSnapshotSpec::new(O, 3);
-        assert_matrix_invariant(
-            &h,
-            |o| check_interval_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_interval_par_with(&h, &spec, o).expect("well-formed").verdict,
-        );
+        let interval = |o: &CheckOptions| run_interval(&h, &spec, o).expect("well-formed").verdict;
+        assert_matrix_invariant(&h, interval, interval);
     }
 }
 

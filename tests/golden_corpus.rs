@@ -6,7 +6,10 @@
 //! and asserts the verdict matches the recorded expectation (validating
 //! the witness whenever the verdict is CAL). Fixtures whose spec the
 //! `cal-check` binary knows are additionally run through the binary in
-//! every supported `--mode`, pinning the documented exit code.
+//! every supported `--mode`, pinning the documented exit code. The
+//! fixtures under `tests/corpus/interval/` name the interval-native
+//! `write-snapshot`: their verdicts are interval-linearizability's, and
+//! an accepted witness must replay under `tests/common`'s reference.
 //!
 //! Expectations: `cal` (accepted, exit 0), `not-cal` (rejected, exit 1),
 //! `undecided` (budget exhausted under the fixture's `# max-nodes:`,
@@ -43,6 +46,7 @@ use cal::core::check::{check_cal_with, witness_explains, CheckOptions, Verdict};
 use cal::core::dsl;
 use cal::core::format::{parse_annotated, Format};
 use cal::core::history::HbRelation;
+use cal::core::interval::IntervalSpec;
 use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, PerObject, SeqAsCa};
 use cal::core::{History, ObjectId};
@@ -51,8 +55,12 @@ use cal::specs::elim_array::ElimArraySpec;
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::kv::KvMapSpec;
 use cal::specs::register::{CounterSpec, RegisterSpec};
+use cal::specs::registry::run_interval;
+use cal::specs::snapshot::WriteSnapshotSpec;
 use cal::specs::stack::StackSpec;
 use cal::specs::sync_queue::SyncQueueSpec;
+
+mod common;
 
 const O: ObjectId = ObjectId(0);
 const O1: ObjectId = ObjectId(1);
@@ -223,6 +231,32 @@ where
     }
 }
 
+/// Runs one fixture against an interval-native spec, sequentially and in
+/// parallel; an accepted witness must replay under the reference.
+fn run_interval_fixture<S>(fx: &Fixture, spec: &S)
+where
+    S: IntervalSpec + Sync,
+    S::State: Send + Sync,
+{
+    let Some(history) = &fx.history else { return };
+    for threads in [1usize, 2, 8] {
+        let options = CheckOptions { threads, ..CheckOptions::default() };
+        let outcome = run_interval(history, spec, &options)
+            .unwrap_or_else(|e| panic!("{}: interval checker errored: {e}", fx.name));
+        match (fx.expect, &outcome.verdict) {
+            (Expect::Cal, Verdict::Cal(w)) => {
+                if let Err(e) = common::replay_interval(spec, history, w) {
+                    panic!("{}: threads={threads} produced a witness that does not replay: {e}", fx.name);
+                }
+            }
+            (Expect::NotCal, Verdict::NotCal) => {}
+            (want, got) => {
+                panic!("{}: threads={threads} returned {got:?}, expected {want:?}", fx.name)
+            }
+        }
+    }
+}
+
 /// Runs one fixture in causal mode: the happens-before order is the
 /// declared edges when the trace is annotated and the real-time order
 /// otherwise (the binary's `--hb auto` policy), and the expected verdict
@@ -274,6 +308,15 @@ trait FixtureRunner {
     where
         S: CaSpec + Sync,
         S::State: Send + Sync;
+
+    /// An interval-native spec, which has an interval reading only.
+    fn run_interval<S>(&self, fx: &Fixture, spec: &S)
+    where
+        S: IntervalSpec + Sync,
+        S::State: Send + Sync,
+    {
+        let _ = (fx, spec);
+    }
 }
 
 struct CalRunner;
@@ -285,6 +328,14 @@ impl FixtureRunner for CalRunner {
         S::State: Send + Sync,
     {
         run_fixture(fx, spec);
+    }
+
+    fn run_interval<S>(&self, fx: &Fixture, spec: &S)
+    where
+        S: IntervalSpec + Sync,
+        S::State: Send + Sync,
+    {
+        run_interval_fixture(fx, spec);
     }
 }
 
@@ -310,6 +361,8 @@ fn dispatch(fx: &Fixture, runner: &impl FixtureRunner) {
         "register" => runner.run(fx, &SeqAsCa::new(RegisterSpec::new(O))),
         "counter" => runner.run(fx, &SeqAsCa::new(CounterSpec::new(O))),
         "kv" => runner.run(fx, &SeqAsCa::new(KvMapSpec::new())),
+        // As `cal-check` serves it: unbounded.
+        "write-snapshot" => runner.run_interval(fx, &WriteSnapshotSpec::new(O, usize::MAX)),
         "two-exchangers" => runner.run(
             fx,
             &PerObject::new(vec![(O, ExchangerSpec::new(O)), (O1, ExchangerSpec::new(O1))]),
@@ -324,6 +377,7 @@ fn binary_modes(spec: &str) -> &'static [&'static str] {
     match spec {
         "exchanger" | "elim-array" | "sync-queue" | "dual-stack" => &["cal"],
         "stack" | "register" | "counter" | "kv" => &["cal", "seq", "interval"],
+        "write-snapshot" => &["interval"],
         _ => &[],
     }
 }
@@ -428,7 +482,7 @@ fn corpus_covers_both_verdict_classes_per_spec_family() {
 fn corpus_exit_codes_match_in_causal_mode() {
     let exe = env!("CARGO_BIN_EXE_cal-check");
     for fx in &load_corpus() {
-        if binary_modes(&fx.spec).is_empty() {
+        if !binary_modes(&fx.spec).contains(&"cal") {
             continue;
         }
         let mut cmd = Command::new(exe);

@@ -1,5 +1,6 @@
-//! Memoization behaviour of both searches — CAL, on concurrency-aware and
-//! on sequential specs, and interval — sequential and parallel:
+//! Memoization behaviour of the search in every reading — CAL on
+//! concurrency-aware and on sequential specs, and interval over split
+//! operations — sequential and parallel:
 //! the failed-state memo table must actually fire on backtracking-heavy
 //! histories, turning it off must never change a verdict, and the
 //! [`CountingSink`] must account for every probe — hits plus misses
@@ -10,14 +11,14 @@ mod common;
 use std::sync::Arc;
 
 use cal::core::check::{check_cal_with, CheckOptions, Verdict};
-use cal::core::interval::check_interval_with;
 use cal::core::obs::{CountingSink, StatsSink};
 use cal::core::par::check_cal_par_with;
 use cal::core::spec::SeqAsCa;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::register::{read_op, write_op, RegisterSpec};
-use cal::specs::snapshot::{view, write_snapshot_op, WriteSnapshotSpec};
+use cal::specs::registry::run_interval;
+use cal::specs::snapshot::WriteSnapshotSpec;
 
 const O: ObjectId = ObjectId(0);
 
@@ -120,19 +121,6 @@ fn hard_seq_history(k: usize) -> History {
     History::from_actions(actions)
 }
 
-/// `k` pairwise-concurrent `write_snapshot(i) ▷ {i}` calls: at most one
-/// can close with a singleton view, so `k ≥ 2` is unsatisfiable and the
-/// interval point search revisits shared `(done, open, state)` residues.
-fn hard_interval_history(k: usize) -> History {
-    let ops: Vec<_> = (0..k)
-        .map(|i| write_snapshot_op(O, ThreadId(i as u32), i as i64, view(&[i as i64])))
-        .collect();
-    let mut actions = Vec::new();
-    actions.extend(ops.iter().map(|op| op.invocation()));
-    actions.extend(ops.iter().map(|op| op.response()));
-    History::from_actions(actions)
-}
-
 /// Runs a sequential memoized check with a [`CountingSink`] attached and
 /// asserts the memo accounting invariants shared by every domain on the
 /// engine: the memo actually fired, every charged node was probed
@@ -181,20 +169,22 @@ fn memo_fires_on_a_sequential_spec() {
 
 #[test]
 fn memo_fires_in_the_interval_checker() {
-    let h = hard_interval_history(6);
+    // Not interval-linearizable; distinct point orders converge on one
+    // `(matched halves, open intervals, view)` residue.
+    let h = common::lone_view_snapshots(6);
     let spec = WriteSnapshotSpec::new(O, 3);
     let sink = Arc::new(CountingSink::new());
     let options = CheckOptions {
         sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
         ..CheckOptions::default()
     };
-    let out = check_interval_with(&h, &spec, &options).unwrap();
+    let out = run_interval(&h, &spec, &options).unwrap();
     assert!(matches!(out.verdict, Verdict::NotCal));
     assert_memo_accounting(&sink, out.stats.nodes, "interval");
     assert_eq!(sink.memo_hits(), out.stats.memo_hits, "sink and stats must agree");
 
     let off = CheckOptions { memoize: false, ..CheckOptions::default() };
-    let without = check_interval_with(&h, &spec, &off).unwrap();
+    let without = run_interval(&h, &spec, &off).unwrap();
     assert!(matches!(without.verdict, Verdict::NotCal), "memoize off changed the verdict");
     assert!(
         out.stats.nodes < without.stats.nodes,

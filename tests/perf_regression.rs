@@ -12,6 +12,9 @@
 //!   exchanger family (k=9: exactly 2,305 nodes against 31,033, ≈ 13×);
 //!   both pairs are pinned exactly, so a change to the order in which
 //!   the search enumerates minimal operations fails loudly;
+//! - interval-linearizability over split operations is a point-by-point
+//!   search: the same nodes and the same points put to the specification
+//!   as enumerating points directly;
 //! - the order layer scales: the real-time order over 10⁶ spans builds,
 //!   and a 20,000-operation history is accepted in one node an operation
 //!   by every checker that searches under it;
@@ -39,7 +42,12 @@ use cal::core::{History, Method, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::kv::KvMapSpec;
 use cal::specs::register::RegisterSpec;
-use common::{exchanger_windows, identical_exchanges, kv_stream, pipelined_register_history, O};
+use cal::specs::registry::run_interval;
+use cal::specs::snapshot::WriteSnapshotSpec;
+use common::{
+    exchanger_windows, identical_exchanges, kv_stream, lone_view_snapshots,
+    pipelined_register_history, O,
+};
 
 fn in_ci() -> bool {
     std::env::var("CI").is_ok_and(|v| v == "1" || v == "true")
@@ -123,6 +131,27 @@ fn benchmark_shaped_refutation_is_the_same_search() {
         "nodes, elements tried, memo hits"
     );
     assert_eq!(nodes - memo_hits, 15_539, "orbits expanded");
+}
+
+/// Interval-linearizability as the CAL search over split operations is
+/// the search that enumerates points directly, node for node: a point is
+/// an element of open and close halves, so the elements the CA kernel
+/// tries are exactly the points — opening subsets within `max_active`,
+/// closing subsets of the active set — and its memo key carries exactly a
+/// direct search's `(closed, open, state)` node. Pinned at a direct
+/// search's one-thread counts, on the memo test's refutation and on the
+/// deadline test's at eight calls; one `may_join` refusal too many or too
+/// few moves them.
+#[test]
+fn interval_reading_is_the_same_search() {
+    for (calls, max_active, counts) in [(6, 3, (834, 6_273)), (8, 4, (8_271, 113_550))] {
+        let h = lone_view_snapshots(calls);
+        let spec = WriteSnapshotSpec::new(O, max_active);
+        let outcome = run_interval(&h, &spec, &CheckOptions::default()).unwrap();
+        assert_eq!(outcome.verdict, Verdict::NotCal);
+        let CheckStats { nodes, elements_tried, .. } = outcome.stats;
+        assert_eq!((nodes, elements_tried), counts, "{calls} calls: nodes, elements tried");
+    }
 }
 
 #[test]
