@@ -27,7 +27,8 @@
 //! Two consequences of a genuinely partial order are handled here rather
 //! than in the engine: per-object decomposition is disabled (session
 //! edges cross objects, so objects are no longer independent; the
-//! parallel driver falls back to root-frontier splitting), and symmetry
+//! history is searched whole, its root's branches split across threads
+//! when several are asked for), and symmetry
 //! classes are recomputed from hb constraint sets
 //! ([`crate::symmetry::SymClasses::of_order`]).
 
@@ -163,9 +164,10 @@ pub fn check_causal_with<S: CaSpec>(
     Ok(engine::search(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
 }
 
-/// Like [`check_causal_with`], on the engine's parallel driver. Per-object
-/// decomposition is disabled under a genuinely partial order, so the
-/// driver uses root-frontier splitting with a shared memo.
+/// Like [`check_causal_with`], on [`CheckOptions::threads`] workers.
+/// Per-object decomposition is disabled under a genuinely partial order,
+/// so above one thread the root's branches are split across the workers,
+/// which share one memo; at one thread this is [`check_causal_with`].
 ///
 /// # Errors
 ///
@@ -218,7 +220,7 @@ pub fn is_causal<S: CaSpec>(
 /// dropped pending invocation — the closure is computed before the
 /// restriction — so dropping an operation never relaxes constraints
 /// between survivors. This is the oracle the causal differential tests
-/// use to cross-validate witnesses from the parallel driver.
+/// use to cross-validate witnesses from the multi-threaded search.
 pub fn witness_explains_causal<S: CaSpec>(
     history: &History,
     spec: &S,

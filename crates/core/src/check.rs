@@ -565,8 +565,7 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
         // Per-object decomposition (and the `(maxinv, minresp)` witness
         // merge below) is justified by real-time locality; under a causal
         // partial order the cross-object session edges make objects
-        // non-independent, so the parallel driver falls back to
-        // root-frontier splitting.
+        // non-independent, so the history is searched whole.
         // A resumed start state cannot be restricted to one object either.
         if !self.hb.is_real_time() || self.start.is_some() {
             return None;

@@ -6,8 +6,8 @@
 //! per-element transition rules (guards and effects), return-value
 //! completions, and CA-element arity constraints. Files compile through a
 //! lexer → parser → validation pipeline into an interpreted [`SpecDef`]
-//! that every checker mode (`cal`, `seq`, `interval`, `causal`), the parallel
-//! and work-stealing search, symmetry reduction, streaming, and chaos all
+//! that every checker mode (`cal`, `seq`, `interval`, `causal`), the
+//! per-object and parallel search, symmetry reduction, streaming, and chaos all
 //! consume unchanged — a loaded spec is just another
 //! [`CaSpec`](crate::spec::CaSpec).
 //!

@@ -457,14 +457,14 @@ impl<S: SeqSpec> IntervalSpec for SeqAsInterval<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
+    use crate::check::{CheckError, CheckOptions, CheckOutcome, Verdict};
     use crate::par::check_cal_par_with;
 
     const O: ObjectId = ObjectId(0);
     const WS: Method = Method("write_snapshot");
 
     /// The interval reading of `h` under `spec`: the CAL search over the
-    /// split history, on the parallel driver when `options` asks for it.
+    /// split history, on `options.threads` workers.
     fn check_with<S>(
         h: &History,
         spec: &S,
@@ -475,11 +475,7 @@ mod tests {
         S::State: Send + Sync,
     {
         let (split, halves) = IntervalAsCa::new(spec, h)?;
-        let outcome = if options.threads > 1 {
-            check_cal_par_with(&halves, &split, options)?
-        } else {
-            check_cal_with(&halves, &split, options)?
-        };
+        let outcome = check_cal_par_with(&halves, &split, options)?;
         Ok(outcome.map_witness(|trace| split.witness(&trace)))
     }
 

@@ -1,33 +1,31 @@
 //! Parallel CAL membership checking.
 //!
-//! Two levels of parallelism, both justified by the structure of the
-//! problem rather than bolted on:
+//! The engine's one task runner ([`crate::engine::search_par`]) hands a
+//! task list to `min(threads, tasks)` workers. Which tasks there are is
+//! decided by the input, not by the thread count:
 //!
-//! 1. **Per-object decomposition** (CAL locality). A CA-trace set built
-//!    from independent per-object specifications constrains each object's
+//! 1. **Per-object parts** (CAL locality). A CA-trace set built from
+//!    independent per-object specifications constrains each object's
 //!    elements separately, so a history is CAL iff every per-object
 //!    subhistory is CAL w.r.t. the restricted specification
-//!    ([`crate::spec::CaSpec::restrict`]). The pre-pass partitions the
-//!    history by object id, checks the subhistories concurrently, and
-//!    merges the per-object witnesses back into one trace whose
+//!    ([`crate::spec::CaSpec::restrict`]). Such a history is checked
+//!    part by part at every thread count — the sequential
+//!    [`crate::check::check_cal_with`] included — and the per-object
+//!    witnesses are merged, in part order, into one trace whose
 //!    interleaving respects the full history's real-time order.
-//! 2. **Frontier splitting with a shared memo table.** When the history
-//!    cannot be decomposed (single object, or objects coupled through a
-//!    composed specification), the candidate *first* CA-elements are
-//!    enumerated once into one mutex-guarded task pool, and workers run
-//!    the arena-based DFS against one shared lock-free fingerprint table
-//!    ([`crate::fpmemo::FpMemo`]) so pruning discovered by one worker
-//!    benefits all of them. A busy worker donates its shallowest spare
-//!    subtree to the pool whenever a peer has run dry, so a skewed root
-//!    split does not strand cores. A shared node counter
-//!    makes [`CheckOptions::max_nodes`] a global budget, and an internal
-//!    stop latch winds every worker down as soon as one finds a witness.
+//! 2. **Root branches with a shared memo table.** When the history does
+//!    not decompose (single object, or objects coupled through a
+//!    composed specification) and more than one thread is asked for, the
+//!    candidate *first* CA-elements are enumerated once and each is a
+//!    task; the workers run the arena-based DFS against one shared
+//!    lock-free fingerprint table ([`crate::fpmemo::FpMemo`]) so pruning
+//!    discovered by one worker benefits all of them.
 //!
-//! Both drivers live in the shared search kernel ([`crate::engine`]) and
-//! are inherited by every checker; this module merely instantiates them
-//! for the CAL domain ([`crate::check`]). Both paths reuse
-//! [`CheckOptions::deadline`] / [`CheckOptions::cancel`] for cooperative
-//! interruption and aggregate per-worker [`CheckStats`].
+//! Either way a shared node counter makes [`CheckOptions::max_nodes`] a
+//! global budget, a stop latch winds every worker down as soon as one
+//! task decides the run, [`CheckOptions::deadline`] /
+//! [`CheckOptions::cancel`] interrupt cooperatively, and per-task
+//! [`CheckStats`] are summed.
 
 use std::borrow::Cow;
 
@@ -38,8 +36,8 @@ use crate::spec::CaSpec;
 
 pub use crate::check::{CheckError, CheckOptions, CheckOutcome, CheckStats};
 
-/// Decides whether `history` is CAL w.r.t. `spec` on the parallel driver
-/// ([`CheckOptions::threads`] sets the worker count).
+/// Decides whether `history` is CAL w.r.t. `spec` on
+/// [`CheckOptions::threads`] workers.
 ///
 /// Always returns the same verdict as the sequential
 /// [`crate::check::check_cal_with`] on decided inputs: `Cal` exactly when
@@ -53,8 +51,8 @@ pub use crate::check::{CheckError, CheckOptions, CheckOutcome, CheckStats};
 /// restricted to every one of them ([`CaSpec::restrict`]), the check
 /// decomposes into independent per-object subchecks (CAL locality) run in
 /// parallel; otherwise the top-level frontier of candidate first elements
-/// is split across workers sharing one task pool and one lock-free memo
-/// table.
+/// is split across the workers, which share one lock-free memo table. At
+/// one thread this is [`crate::check::check_cal_with`].
 ///
 /// # Errors
 ///
@@ -250,6 +248,81 @@ mod tests {
         for threads in [1, 4] {
             let outcome = check_cal_par_with(&h, &spec, &threads_options(threads)).unwrap();
             assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
+        }
+    }
+
+    /// [`MiniExchanger`] that sleeps `stall_ms` in every step.
+    #[derive(Debug, Clone)]
+    struct Stalling {
+        inner: MiniExchanger,
+        stall_ms: u64,
+    }
+
+    impl CaSpec for Stalling {
+        type State = ();
+
+        fn initial(&self) {}
+
+        fn step(&self, state: &(), e: &CaElement) -> Option<()> {
+            std::thread::sleep(std::time::Duration::from_millis(self.stall_ms));
+            self.inner.step(state, e)
+        }
+
+        fn max_element_size(&self) -> usize {
+            2
+        }
+
+        fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+            self.inner.completions_of(inv)
+        }
+
+        fn completions_among(&self, inv: &Invocation, peers: &[Invocation]) -> Vec<Value> {
+            self.inner.completions_among(inv, peers)
+        }
+
+        fn restrict(&self, object: ObjectId) -> Option<Self> {
+            (object == self.inner.0).then(|| self.clone())
+        }
+    }
+
+    #[test]
+    fn the_witness_does_not_depend_on_which_part_finishes_first() {
+        // Four objects, one swap each, all pairwise concurrent: the merge
+        // may emit their elements in any order, so it must pick one that
+        // no schedule changes. The assertion holds on every schedule; the
+        // stalls only make the adversarial ones likely: every part stalls
+        // a little, so that every worker is busy at once, and one part —
+        // the first, then the second — long enough to finish last on two
+        // and four threads.
+        let objects: Vec<ObjectId> = (0..4).map(ObjectId).collect();
+        let mut actions: Vec<Action> = Vec::new();
+        for (k, &o) in objects.iter().enumerate() {
+            let t = 2 * k as u32 + 1;
+            actions.extend([inv_on(o, t, 1), inv_on(o, t + 1, 2)]);
+        }
+        for (k, &o) in objects.iter().enumerate() {
+            let t = 2 * k as u32 + 1;
+            actions.extend([res_on(o, t, true, 2), res_on(o, t + 1, true, 1)]);
+        }
+        let h = History::from_actions(actions);
+        for slow in &objects[..2] {
+            let spec = PerObject::new(
+                objects
+                    .iter()
+                    .map(|&o| {
+                        let stall_ms = if o == *slow { 20 } else { 2 };
+                        (o, Stalling { inner: MiniExchanger(o), stall_ms })
+                    })
+                    .collect(),
+            );
+            let witness = |threads| {
+                let outcome = check_cal_par_with(&h, &spec, &threads_options(threads)).unwrap();
+                outcome.verdict.witness().expect("CAL").to_string()
+            };
+            let one = witness(1);
+            for threads in [2, 4] {
+                assert_eq!(witness(threads), one, "o{} slow, threads={threads}", slow.0);
+            }
         }
     }
 

@@ -124,10 +124,10 @@ pub trait CaSpec {
     ///
     /// Contract: if `restrict(o)` returns `Some` for **every** object `o`
     /// occurring in a trace `T`, then `self` accepts `T` iff each
-    /// `restrict(o)` accepts the projection `T|o`. The parallel checker
-    /// ([`crate::par::check_cal_par_with`]) uses this to check per-object
-    /// subhistories independently; returning `None` for any object forces
-    /// the whole-history search, which is always sound.
+    /// `restrict(o)` accepts the projection `T|o`. The CAL checker uses
+    /// this to check per-object subhistories independently, at every
+    /// thread count; returning `None` for any object forces the
+    /// whole-history search, which is always sound.
     ///
     /// A specification that restricts at all answers `Some` for exactly
     /// the objects it admits an element on: **`None` after `Some` for
@@ -272,7 +272,7 @@ impl<S: SeqSpec> CaSpec for SeqAsCa<S> {
 /// is `{T | ∀o. part_o accepts T|o}`.
 ///
 /// This is exactly the shape [`CaSpec::restrict`]'s locality contract
-/// describes, so the parallel checker decomposes a `PerObject` check into
+/// describes, so the CAL checker decomposes a `PerObject` check into
 /// independent per-object subchecks. Elements on objects without a part
 /// are rejected.
 ///

@@ -18,7 +18,7 @@
 //! *which* `k` clones of an `n`-clone class they match, exactly one is
 //! generated — one successor per orbit. Every node the search creates is
 //! then its own canonical form, so the memo needs no canonical key, and
-//! the sequential search, the parallel frontier search and the streaming
+//! the search on one thread or several and the streaming
 //! window's goal enumeration all inherit the reduction from the one move
 //! generator.
 //!

@@ -22,8 +22,8 @@
 
 use std::sync::Arc;
 
-use cal_core::causal::{check_causal_par_with, check_causal_with};
-use cal_core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome};
+use cal_core::causal::check_causal_par_with;
+use cal_core::check::{CheckError, CheckOptions, CheckOutcome};
 use cal_core::dsl::{self, SpecDef, SpecFile};
 use cal_core::history::HbRelation;
 use cal_core::interval::{IntervalAsCa, IntervalSpec, IntervalWitness, SeqAsInterval};
@@ -310,8 +310,7 @@ pub trait Visitor: Sized {
 
 /// Checks `history` against a CA specification: under the real-time
 /// order when `order` is `None`, under that happens-before order
-/// otherwise; on the parallel driver when [`CheckOptions::threads`] asks
-/// for more than one worker.
+/// otherwise, on [`CheckOptions::threads`] workers.
 ///
 /// # Errors
 ///
@@ -326,11 +325,9 @@ where
     S: CaSpec + Sync,
     S::State: Send + Sync,
 {
-    match (order, options.threads > 1) {
-        (None, false) => check_cal_with(history, spec, options),
-        (None, true) => check_cal_par_with(history, spec, options),
-        (Some(hb), false) => check_causal_with(history, spec, hb, options),
-        (Some(hb), true) => check_causal_par_with(history, spec, hb, options),
+    match order {
+        None => check_cal_par_with(history, spec, options),
+        Some(hb) => check_causal_par_with(history, spec, hb, options),
     }
 }
 

@@ -71,8 +71,12 @@
 //! order, making `causal` agree with `cal` on every input (the
 //! differential anchor the test-suite pins).
 //!
-//! In file mode `--threads` sets the checker's worker threads (the
-//! parallel driver engages above 1, in every mode); in batch mode it
+//! In file mode `--threads` sets how many of the checker's tasks run at
+//! once, in every mode; it never changes how a check is split. A history
+//! over several independently specified objects is checked object by
+//! object at every thread count, and one that is not is searched from its
+//! root, whose branches are split across the threads above 1. In batch
+//! mode it
 //! sizes the pool of files checked concurrently; in chaos mode it sets
 //! the *workload* threads and `--check-threads` the checker's.
 //!

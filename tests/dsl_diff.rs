@@ -1,7 +1,7 @@
 //! Differential suite for the spec DSL: the `.cal` programs shipped in
 //! `specs/` and their native Rust counterparts must decide identically.
 //! Each family is driven over random histories and compared verdict-for-
-//! verdict — sequentially and through the shared parallel driver at 1, 2
+//! verdict — sequentially and through the parallel entry point at 1, 2
 //! and 4 threads — so the interpreter cannot silently diverge from the
 //! hand-written specifications on any reachable code path (guards,
 //! effects, element shapes, or pending-operation completions).

@@ -1,10 +1,10 @@
 //! Engine invariants locking in the parallel-search rebuild: whatever
 //! combination of worker count, memoization and symmetry reduction a
 //! check runs with, the *decided* verdict is the same — the
-//! arena DFS, the lock-free fingerprint memo and subtree donation are
+//! arena DFS, the lock-free fingerprint memo and the task runner are
 //! pure optimizations, never semantics. Alongside the differential
 //! matrix, fingerprint-collision soundness for [`FpMemo`] and
-//! cancellation-under-stealing accounting are property-tested here.
+//! cancellation accounting across workers are property-tested here.
 
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -201,7 +201,7 @@ proptest! {
     fn causal_verdict_invariant_across_engine_options(h in history_of(arb_exchange_op())) {
         // A genuinely *partial* order — session order only — through the
         // same matrix: the hb-constraint symmetry classes, the memo keyed
-        // on hb frontiers and root-frontier splitting (per-object
+        // on hb frontiers and the root-branch split (per-object
         // decomposition is off under a partial order) must all be
         // verdict-preserving.
         let spec = ExchangerSpec::new(O);
@@ -238,7 +238,7 @@ proptest! {
     #[test]
     fn interval_verdict_invariant_across_engine_options(h in history_of(arb_snapshot_op())) {
         // The interval reading is the CAL search over split operations;
-        // `run_interval` takes the parallel driver above one thread.
+        // `run_interval` splits the root's branches above one thread.
         let spec = WriteSnapshotSpec::new(O, 3);
         let interval = |o: &CheckOptions| run_interval(&h, &spec, o).expect("well-formed").verdict;
         assert_matrix_invariant(&h, interval, interval);
@@ -323,7 +323,7 @@ proptest! {
     }
 }
 
-// --- cancellation under stealing -------------------------------------------
+// --- cancellation across workers -------------------------------------------
 
 /// A sink that fires a [`CancelToken`] after a randomized number of node
 /// expansions, from whichever worker happens to cross the line.
@@ -341,9 +341,6 @@ impl StatsSink for CancelAfter {
         if self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.after {
             self.token.cancel();
         }
-    }
-    fn on_steal(&self) {
-        self.inner.on_steal();
     }
 }
 
@@ -365,10 +362,10 @@ fn unbounded_history(k: usize) -> History {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cancelling mid-search under work-stealing yields `Interrupted`
+    /// Cancelling mid-search across several workers yields `Interrupted`
     /// with exact node accounting: every expanded node was charged once
-    /// to the aggregated stats and once to the sink — donated subtrees
-    /// are neither lost nor double-counted on the way down.
+    /// to the aggregated stats and once to the sink — no task's nodes are
+    /// lost or double-counted on the way down.
     #[test]
     fn cancellation_under_stealing_loses_no_nodes(
         after in 1u64..400,

@@ -2,7 +2,7 @@
 //! recursively — native `.hist` histories next to foreign `.jepsen` and
 //! `.kvlog` traces) carries a `# spec:` and `# expect:` header. For each
 //! fixture this test parses the history in its format, runs the
-//! sequential checker and the parallel checker at 1, 2 and 8 threads,
+//! sequential checker and the parallel checker at 1, 2, 4 and 8 threads,
 //! and asserts the verdict matches the recorded expectation (validating
 //! the witness whenever the verdict is CAL). Fixtures whose spec the
 //! `cal-check` binary knows are additionally run through the binary in
@@ -223,7 +223,7 @@ where
     let seq = check_cal_with(history, spec, &options)
         .unwrap_or_else(|e| panic!("{}: sequential checker errored: {e}", fx.name));
     check("sequential", &seq.verdict);
-    for threads in [1usize, 2, 8] {
+    for threads in [1usize, 2, 4, 8] {
         let par_options = CheckOptions { threads, ..options.clone() };
         let par = check_cal_par_with(history, spec, &par_options)
             .unwrap_or_else(|e| panic!("{}: parallel checker errored: {e}", fx.name));
@@ -239,7 +239,7 @@ where
     S::State: Send + Sync,
 {
     let Some(history) = &fx.history else { return };
-    for threads in [1usize, 2, 8] {
+    for threads in [1usize, 2, 4, 8] {
         let options = CheckOptions { threads, ..CheckOptions::default() };
         let outcome = run_interval(history, spec, &options)
             .unwrap_or_else(|e| panic!("{}: interval checker errored: {e}", fx.name));
@@ -292,7 +292,7 @@ where
     let seq = check_causal_with(history, spec, &hb, &options)
         .unwrap_or_else(|e| panic!("{}: sequential causal checker errored: {e}", fx.name));
     check("causal sequential", &seq.verdict);
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let par_options = CheckOptions { threads, ..options.clone() };
         let par = check_causal_par_with(history, spec, &hb, &par_options)
             .unwrap_or_else(|e| panic!("{}: parallel causal checker errored: {e}", fx.name));

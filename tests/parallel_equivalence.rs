@@ -1,8 +1,12 @@
 //! Differential testing of the parallel checker against the sequential
 //! one: for arbitrary generated histories and every specification in
-//! `cal-specs`, `check_cal_par_with` at 1, 2 and 8 threads must return
+//! `cal-specs`, `check_cal_par_with` at 1, 2, 4 and 8 threads must return
 //! the same verdict as `check_cal_with` — and, when the verdict is CAL,
 //! a witness the sequential machinery validates ([`witness_explains`]).
+//! Both entry points split a multi-object history by object at every
+//! thread count, so there the reference is the whole-history search
+//! (the spec with its locality hidden), and the merged witness must be
+//! the same at every thread count.
 
 use std::sync::Arc;
 
@@ -10,8 +14,8 @@ use cal::core::check::{check_cal_with, witness_explains, CheckOptions, Verdict};
 use cal::core::gen::interleave;
 use cal::core::obs::{CountingSink, StatsSink};
 use cal::core::par::check_cal_par_with;
-use cal::core::spec::{CaSpec, PerObject, SeqAsCa};
-use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
+use cal::core::spec::{CaSpec, Invocation, PerObject, SeqAsCa};
+use cal::core::{Action, CaElement, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::dual_stack::DualStackSpec;
 use cal::specs::elim_array::ElimArraySpec;
 use cal::specs::exchanger::ExchangerSpec;
@@ -182,11 +186,24 @@ where
     let options = CheckOptions::default();
     let seq = check_cal_with(h, spec, &options);
     assert_sink_is_inert(h, spec, &options, &seq, false);
-    for threads in [1usize, 2, 8] {
+    assert_parallel_matches(h, spec, &seq);
+}
+
+/// `check_cal_par_with` at 1, 2, 4 and 8 threads returns `reference`'s
+/// verdict, with a witness that explains `h`.
+fn assert_parallel_matches<S>(
+    h: &History,
+    spec: &S,
+    reference: &Result<cal::core::check::CheckOutcome, cal::core::check::CheckError>,
+) where
+    S: CaSpec + Sync,
+    S::State: Send + Sync,
+{
+    for threads in [1usize, 2, 4, 8] {
         let par_options = CheckOptions { threads, ..CheckOptions::default() };
         let par = check_cal_par_with(h, spec, &par_options);
         assert_sink_is_inert(h, spec, &par_options, &par, true);
-        match (&seq, &par) {
+        match (reference, &par) {
             (Ok(s), Ok(p)) => match (&s.verdict, &p.verdict) {
                 (Verdict::Cal(_), Verdict::Cal(w)) => {
                     assert!(
@@ -204,6 +221,66 @@ where
                 panic!("threads={threads}: sequential {a:?} vs parallel {b:?}\nhistory:\n{h}")
             }
         }
+    }
+}
+
+/// A specification with its locality hidden: `restrict` keeps its
+/// default `None`, so every check of it searches the whole history.
+#[derive(Debug)]
+struct Whole<'a, S>(&'a S);
+
+impl<S: CaSpec> CaSpec for Whole<'_, S> {
+    type State = S::State;
+
+    fn initial(&self) -> S::State {
+        self.0.initial()
+    }
+
+    fn step(&self, state: &S::State, element: &CaElement) -> Option<S::State> {
+        self.0.step(state, element)
+    }
+
+    fn max_element_size(&self) -> usize {
+        self.0.max_element_size()
+    }
+
+    fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+        self.0.completions_of(inv)
+    }
+
+    fn completions_among(&self, inv: &Invocation, peers: &[Invocation]) -> Vec<Value> {
+        self.0.completions_among(inv, peers)
+    }
+
+    fn may_join(
+        &self,
+        state: &S::State,
+        next: &Invocation,
+        members: impl Iterator<Item = Invocation>,
+    ) -> bool {
+        self.0.may_join(state, next, members)
+    }
+}
+
+/// The multi-object oracle: the checker, which splits `h` by object at
+/// every thread count, agrees with the whole-history search, and its
+/// merged witness is the same at every thread count.
+fn assert_decomposition_equivalent<S>(h: &History, spec: &S)
+where
+    S: CaSpec + Sync,
+    S::State: Send + Sync,
+{
+    let whole = check_cal_with(h, &Whole(spec), &CheckOptions::default());
+    assert_equivalent(h, spec);
+    assert_parallel_matches(h, spec, &whole);
+    let witness = |threads| {
+        let options = CheckOptions { threads, ..CheckOptions::default() };
+        let outcome = check_cal_par_with(h, spec, &options).ok()?;
+        outcome.verdict.witness().map(ToString::to_string)
+    };
+    let one = witness(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(witness(threads), one, "threads={threads}: witness moved\nhistory:\n{h}");
     }
 }
 
@@ -249,14 +326,13 @@ proptest! {
 
     #[test]
     fn multi_object_decomposition_equivalent(h in history_of(arb_exchange_op(), 2)) {
-        // Two independent exchangers: the parallel checker takes the
-        // per-object decomposition path, the sequential one does not —
-        // exactly the asymmetry this differential test targets.
+        // Two independent exchangers: every thread count takes the
+        // per-object path; the reference does not.
         let spec = PerObject::new(vec![
             (O, ExchangerSpec::new(O)),
             (O2, ExchangerSpec::new(O2)),
         ]);
-        assert_equivalent(&h, &spec);
+        assert_decomposition_equivalent(&h, &spec);
     }
 
     #[test]
@@ -265,6 +341,6 @@ proptest! {
             (O, SeqAsCa::new(RegisterSpec::new(O).with_read_universe(vec![0, 1, 2]))),
             (O2, SeqAsCa::new(RegisterSpec::new(O2).with_read_universe(vec![0, 1, 2]))),
         ]);
-        assert_equivalent(&h, &spec);
+        assert_decomposition_equivalent(&h, &spec);
     }
 }

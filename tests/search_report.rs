@@ -11,7 +11,7 @@ use std::time::Instant;
 use cal::core::check::{check_cal_with, CheckOptions};
 use cal::core::obs::{CountingSink, ObjectOutcome, SearchReport, StatsSink};
 use cal::core::par::check_cal_par_with;
-use cal::core::spec::PerObject;
+use cal::core::spec::{CaSpec, PerObject};
 use cal::core::text::parse_history;
 use cal::core::ObjectId;
 use cal::specs::exchanger::ExchangerSpec;
@@ -76,6 +76,9 @@ fn parallel_frontier_report_records_branches_and_workers() {
     assert_eq!(sink.elements_tried(), outcome.stats.elements_tried);
 }
 
+/// Decomposition is the input's, not the thread count's: one object row
+/// per object at one thread as at four, and the nodes are the sum of the
+/// per-object searches.
 #[test]
 fn decomposed_report_has_one_outcome_per_object() {
     let h = parse_history(&fixture("two_exchangers.hist")).unwrap();
@@ -84,19 +87,35 @@ fn decomposed_report_has_one_outcome_per_object() {
     let spec = PerObject::new(
         objects.iter().map(|&o| (o, ExchangerSpec::new(o))).collect::<Vec<_>>(),
     );
-    let sink = Arc::new(CountingSink::new());
-    let options = counted_options(&sink, 4);
-    let start = Instant::now();
-    let outcome = check_cal_par_with(&h, &spec, &options).unwrap();
-    let report = sink.report(&outcome, &options, start.elapsed());
+    let per_object: u64 = objects
+        .iter()
+        .map(|&o| {
+            let part = spec.restrict(o).expect("restrictable");
+            let outcome =
+                check_cal_with(&h.project_object(o), &part, &CheckOptions::default()).unwrap();
+            outcome.stats.nodes
+        })
+        .sum();
+    for threads in [1, 4] {
+        let sink = Arc::new(CountingSink::new());
+        let options = counted_options(&sink, threads);
+        let start = Instant::now();
+        let outcome = if threads == 1 {
+            check_cal_with(&h, &spec, &options).unwrap()
+        } else {
+            check_cal_par_with(&h, &spec, &options).unwrap()
+        };
+        let report = sink.report(&outcome, &options, start.elapsed());
 
-    assert_eq!(report.verdict, "cal");
-    assert_eq!(report.objects.len(), objects.len());
-    for object in report.objects {
-        assert_eq!(object.outcome, ObjectOutcome::Cal, "o{}", object.object.0);
-        assert!(object.wall_ms >= 0.0);
+        assert_eq!(report.verdict, "cal", "threads={threads}");
+        assert_eq!(report.objects.len(), objects.len(), "threads={threads}");
+        for object in report.objects {
+            assert_eq!(object.outcome, ObjectOutcome::Cal, "o{}", object.object.0);
+            assert!(object.wall_ms >= 0.0);
+        }
+        assert_eq!(outcome.stats.nodes, per_object, "threads={threads}");
+        assert_eq!(sink.nodes(), outcome.stats.nodes);
     }
-    assert_eq!(sink.nodes(), outcome.stats.nodes);
 }
 
 /// Minimal JSON shape validation without a JSON parser: balanced braces,
