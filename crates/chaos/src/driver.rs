@@ -495,8 +495,9 @@ pub enum SoakResult {
     Failed {
         /// Runs completed before (and including) the failing one.
         runs: u64,
-        /// The shrunk failure, ready to print.
-        report: FailureReport,
+        /// The shrunk failure, ready to print (boxed: it is far larger
+        /// than the clean tally).
+        report: Box<FailureReport>,
     },
 }
 
@@ -535,7 +536,7 @@ pub fn soak_interruptible(
         runs += 1;
         on_run(&outcome, start.elapsed());
         if let Some(class) = outcome.verdict.class() {
-            let report = shrink::shrink_failure(outcome, class);
+            let report = Box::new(shrink::shrink_failure(outcome, class));
             return SoakResult::Failed { runs, report };
         }
         if start.elapsed() >= budget {

@@ -18,7 +18,8 @@
 //! - failed-state memoization, thread-private (`MemoTable`) or shared
 //!   and lock-free ([`crate::fpmemo::FpMemo`]), keyed on nodes exactly as
 //!   the domain generated them;
-//! - [`crate::obs::StatsSink`] event emission;
+//! - the search's counters ([`CheckStats`]), and the few live events a
+//!   [`crate::obs::StatsSink`] receives while a search runs;
 //! - the [`Verdict`] / [`InterruptReason`] outcome taxonomy;
 //! - per-object decomposition, decided by the input: a problem whose
 //!   [`SearchDomain::decompose`] offers at least two parts is searched part
@@ -148,10 +149,12 @@ pub struct CheckOptions {
     /// specs); a spec that discriminates on absolute thread ids must turn
     /// this off.
     pub symmetry: bool,
-    /// Observability sink the search reports events to
-    /// ([`crate::obs::StatsSink`]). `None` (the default) disables
-    /// observability entirely: each instrumentation point reduces to one
-    /// never-taken branch, no allocation, no atomics.
+    /// Observability sink the search reports its live events to
+    /// ([`crate::obs::StatsSink`]: frontier widths, per-object results,
+    /// interrupts). Every count is in [`CheckOutcome::stats`] whether or
+    /// not a sink is attached. `None` (the default) reduces each of the
+    /// three event points to one never-taken branch, with no allocation
+    /// and no atomics.
     pub sink: Option<Arc<dyn StatsSink>>,
 }
 
@@ -291,15 +294,32 @@ impl<W: fmt::Display> fmt::Display for Verdict<W> {
     }
 }
 
-/// Search statistics, for the checker-scalability experiments.
+/// The search's counters: the one place a search counts what it did.
+/// A report ([`crate::obs::SearchReport`]) takes every count from here;
+/// searches folded together (parts, root branches, stream checkpoints)
+/// add field by field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckStats {
-    /// Search nodes expanded.
+    /// Search nodes charged to the budget; [`search`] expands every one
+    /// that a memo hit does not prune.
     pub nodes: u64,
     /// Candidate steps tried (spec transition calls).
     pub elements_tried: u64,
-    /// Failed states pruned via the memo table.
+    /// Memo probes that found a refuted state, pruning its subtree (for
+    /// [`enumerate_goals`], revisits of its visited set).
     pub memo_hits: u64,
+    /// Memo probes that missed. With [`CheckOptions::memoize`] on, every
+    /// node is probed once, so hits + misses = nodes on one thread.
+    pub memo_misses: u64,
+    /// Refuted states recorded in the memo table (at most the misses).
+    pub memo_inserts: u64,
+    /// Legal first elements a search split across the task runner (0
+    /// when no search split its root).
+    pub root_branches: u64,
+    /// Workers the root's branches were split across (0 if not split):
+    /// `min(threads, root_branches)`, since a worker is started only for
+    /// a branch it can take.
+    pub root_workers: u64,
     /// Always 0: no search hands work from one worker to another. The
     /// field stays so that code reading it still compiles.
     pub steals: u64,
@@ -310,6 +330,10 @@ impl std::ops::AddAssign for CheckStats {
         self.nodes += other.nodes;
         self.elements_tried += other.elements_tried;
         self.memo_hits += other.memo_hits;
+        self.memo_misses += other.memo_misses;
+        self.memo_inserts += other.memo_inserts;
+        self.root_branches += other.root_branches;
+        self.root_workers += other.root_workers;
         self.steals += other.steals;
     }
 }
@@ -486,7 +510,7 @@ pub trait SearchDomain {
 }
 
 /// Non-generic per-search control state: budget, tick polling, interrupt
-/// latches and the stats sink.
+/// latches, the counters and the stats sink.
 struct Ctl<'a> {
     options: &'a CheckOptions,
     sink: Option<&'a dyn StatsSink>,
@@ -573,26 +597,18 @@ impl<'a> Ctl<'a> {
             None => self.stats.nodes,
         };
         if spent >= self.options.max_nodes {
-            if !self.exhausted {
-                if let Some(sink) = self.sink {
-                    sink.on_budget_exhausted(self.options.max_nodes);
-                }
-            }
             self.exhausted = true;
             return false;
         }
         self.stats.nodes += 1;
-        if let Some(sink) = self.sink {
-            sink.on_node();
-        }
         true
     }
 }
 
 /// The engine-side observer a domain's [`SearchDomain::expand`] reports
-/// to: frontier widths, candidate attempts and cooperative-stop polls,
-/// all forwarded to the shared stats and the configured
-/// [`crate::obs::StatsSink`].
+/// to: frontier widths (forwarded to the configured
+/// [`crate::obs::StatsSink`]), candidate attempts (counted in
+/// [`CheckStats`]) and cooperative-stop polls.
 pub struct ExpandObs<'e, 'a> {
     ctl: &'e mut Ctl<'a>,
 }
@@ -606,12 +622,9 @@ impl ExpandObs<'_, '_> {
         }
     }
 
-    /// Reports one candidate transition attempt against the spec.
+    /// Counts one candidate transition attempt against the spec.
     pub fn on_element_tried(&mut self) {
         self.ctl.stats.elements_tried += 1;
-        if let Some(sink) = self.ctl.sink {
-            sink.on_element_tried();
-        }
     }
 
     /// Whether [`CheckOptions::symmetry`] is on: a domain that knows its
@@ -680,14 +693,9 @@ fn expand_guarded<D: SearchDomain>(
 fn probe_memo<D: SearchDomain>(cx: &mut Cx<'_, D>, node: &D::Node) -> bool {
     if cx.failed.contains(node) {
         cx.ctl.stats.memo_hits += 1;
-        if let Some(sink) = cx.ctl.sink {
-            sink.on_memo_hit();
-        }
         true
     } else {
-        if let Some(sink) = cx.ctl.sink {
-            sink.on_memo_miss();
-        }
+        cx.ctl.stats.memo_misses += 1;
         false
     }
 }
@@ -695,9 +703,7 @@ fn probe_memo<D: SearchDomain>(cx: &mut Cx<'_, D>, node: &D::Node) -> bool {
 /// Records `node` as refuted. The private table keeps a clone; the
 /// shared one boxes its own copy, so it is only shown the node.
 fn insert_memo<D: SearchDomain>(cx: &mut Cx<'_, D>, node: &D::Node) {
-    if let Some(sink) = cx.ctl.sink {
-        sink.on_memo_insert();
-    }
+    cx.ctl.stats.memo_inserts += 1;
     match &mut cx.failed {
         MemoTable::Local(set) => {
             set.insert(node.clone());
@@ -1140,9 +1146,8 @@ where
         return total.outcome();
     }
     let runner = Runner::new(options, start, total.stats.nodes);
-    if let Some(sink) = options.sink.as_deref() {
-        sink.on_root_frontier(branches.len(), runner.workers(branches.len()));
-    }
+    total.stats.root_branches = branches.len() as u64;
+    total.stats.root_workers = runner.workers(branches.len()) as u64;
     let memo: FpMemo<D::Node> = FpMemo::new();
     let done = runner.run_all(branches.len(), |i| {
         let (step, node) = &branches[i];
@@ -1247,17 +1252,13 @@ fn run_part<D: SearchDomain>(
     runner: &Runner<'_>,
     (object, part): &(ObjectId, D),
 ) -> (Tally<D::Step>, bool) {
-    let sink = runner.options.sink.as_deref();
-    if let Some(sink) = sink {
-        sink.on_object_start(*object);
-    }
     let part_start = Instant::now();
     let tally = match catch_unwind(AssertUnwindSafe(|| part.initial())) {
         Ok(root) => run_root(part, &root, MemoTable::Local(HashSet::new()), runner.ctl()),
         Err(p) => Tally { panicked: Some(panic_message(p)), ..Tally::default() },
     };
     let outcome = tally.object_outcome();
-    if let Some(sink) = sink {
+    if let Some(sink) = runner.options.sink.as_deref() {
         sink.on_object_done(*object, part_start.elapsed(), outcome);
     }
     (tally, outcome != ObjectOutcome::Cal)

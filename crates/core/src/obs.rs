@@ -9,19 +9,22 @@
 //! makes the search observable without slowing it down when nobody is
 //! watching:
 //!
-//! - [`StatsSink`] is a callback trait the search invokes at its
-//!   instrumentation points (node expansions, element attempts, memo
-//!   probes, frontier widths, per-object decomposition timings, budget
-//!   exhaustion and interrupt causes). Every method has
-//!   a no-op default. The sink is optional — [`CheckOptions::sink`] is
-//!   `None` by default, and the search guards every callback behind one
-//!   branch on that `Option`, so a disabled sink costs a predictable
-//!   never-taken branch per event and no allocation.
-//! - [`CountingSink`] is the batteries-included implementation: lock-free
-//!   atomic counters, safe to share across the parallel checker's
-//!   workers.
+//! - Every count of a search — nodes, elements tried, memo hits, misses
+//!   and inserts, the root split — is in the outcome's
+//!   [`crate::check::CheckStats`], counted once, sink or no sink.
+//! - [`StatsSink`] is a callback trait for the events no count can carry
+//!   while a search runs: the frontier width of each expansion, each
+//!   object's result under decomposition, and interrupt causes. Every
+//!   method has a no-op default. The sink is optional —
+//!   [`CheckOptions::sink`] is `None` by default, and the search guards
+//!   every callback behind one branch on that `Option`, so a disabled
+//!   sink costs a predictable never-taken branch per event and no
+//!   allocation.
+//! - [`CountingSink`] is the batteries-included implementation: frontier
+//!   counters in lock-free atomics and the per-object rows, safe to share
+//!   across the parallel checker's workers.
 //! - [`SearchReport`] is the structured end-of-run summary a
-//!   [`CountingSink`] produces, serializable as JSON
+//!   [`CountingSink`] produces from a run's outcome, serializable as JSON
 //!   ([`SearchReport::to_json`]) and renderable as a human explanation of
 //!   why a verdict was slow or undecided ([`SearchReport::explain`]).
 //!
@@ -105,47 +108,24 @@ impl fmt::Display for ObjectOutcome {
     }
 }
 
-/// A sink for search events, threaded through the sequential and
-/// parallel checkers via [`CheckOptions::sink`].
+/// A sink for the live events of a search, threaded through the
+/// sequential and parallel checkers via [`CheckOptions::sink`]. Counts
+/// are not events: they are in the outcome's
+/// [`crate::check::CheckStats`].
 ///
 /// Implementations must be thread-safe: the parallel checker invokes the
 /// sink concurrently from every worker. All methods default to no-ops,
-/// so a custom sink implements only the events it cares about. Callbacks
-/// happen on the search's hot path — keep them cheap (atomic counters,
-/// not locks or I/O).
+/// so a custom sink implements only the events it cares about.
+/// [`StatsSink::on_frontier`] happens once per expansion, on the search's
+/// hot path — keep it cheap (atomic counters, not locks or I/O).
 pub trait StatsSink: Send + Sync {
-    /// A search node was expanded (after it was charged to the budget).
-    fn on_node(&self) {}
-
     /// A node's frontier of minimal operations had `width` candidates.
-    /// Called once per expanded node, in expansion order, so the stream
-    /// of widths tracks frontier shape over time.
+    /// Called once per expansion, in expansion order, so the stream of
+    /// widths tracks frontier shape over time; a search
+    /// ([`crate::engine::search`], [`crate::engine::search_par`]) makes
+    /// as many calls as it has nodes less memo hits.
     fn on_frontier(&self, width: usize) {
         let _ = width;
-    }
-
-    /// A candidate CA-element was tried against the specification.
-    fn on_element_tried(&self) {}
-
-    /// A memo probe hit a previously refuted state.
-    fn on_memo_hit(&self) {}
-
-    /// A memo probe missed (the state was not yet refuted).
-    fn on_memo_miss(&self) {}
-
-    /// A refuted state was inserted into the memo table.
-    fn on_memo_insert(&self) {}
-
-    /// A search that does not decompose, on several threads, enumerated
-    /// `branches` legal first elements and split them across `workers`
-    /// workers: the configured threads, but never more than `branches`.
-    fn on_root_frontier(&self, branches: usize, workers: usize) {
-        let _ = (branches, workers);
-    }
-
-    /// The per-object decomposition started checking `object`.
-    fn on_object_start(&self, object: ObjectId) {
-        let _ = object;
     }
 
     /// The per-object decomposition finished `object` after `wall` with
@@ -158,12 +138,6 @@ pub trait StatsSink: Send + Sync {
     /// parallel checker may report this once per worker.
     fn on_interrupt(&self, reason: InterruptReason) {
         let _ = reason;
-    }
-
-    /// The node budget (`max_nodes`) was spent. The parallel checker may
-    /// report this once per worker.
-    fn on_budget_exhausted(&self, max_nodes: u64) {
-        let _ = max_nodes;
     }
 }
 
@@ -179,80 +153,25 @@ pub struct ObjectReport {
     pub outcome: ObjectOutcome,
 }
 
-/// A lock-free [`StatsSink`] aggregating every event into atomic
-/// counters, from which a [`SearchReport`] can be produced.
+/// A [`StatsSink`] keeping the frontier widths in lock-free atomic
+/// counters and the per-object rows, from which — with a run's outcome —
+/// a [`SearchReport`] is produced.
 ///
-/// Cheap enough to leave attached in production: every callback is one
-/// or two relaxed atomic increments (object timings take a short mutex,
-/// but fire once per object, not per node).
-#[derive(Debug)]
+/// Cheap enough to leave attached in production: each expansion costs
+/// three relaxed atomic operations (object rows take a short mutex, but
+/// arrive once per object, not per node).
+#[derive(Debug, Default)]
 pub struct CountingSink {
-    nodes: AtomicU64,
     frontier_max: AtomicU64,
     frontier_sum: AtomicU64,
     frontier_samples: AtomicU64,
-    elements: AtomicU64,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
-    memo_inserts: AtomicU64,
-    root_branches: AtomicU64,
-    root_workers: AtomicU64,
-    deadline_interrupts: AtomicU64,
-    cancel_interrupts: AtomicU64,
-    budget_exhaustions: AtomicU64,
     objects: Mutex<Vec<ObjectReport>>,
-}
-
-impl Default for CountingSink {
-    fn default() -> Self {
-        CountingSink {
-            nodes: AtomicU64::new(0),
-            frontier_max: AtomicU64::new(0),
-            frontier_sum: AtomicU64::new(0),
-            frontier_samples: AtomicU64::new(0),
-            elements: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-            memo_inserts: AtomicU64::new(0),
-            root_branches: AtomicU64::new(0),
-            root_workers: AtomicU64::new(0),
-            deadline_interrupts: AtomicU64::new(0),
-            cancel_interrupts: AtomicU64::new(0),
-            budget_exhaustions: AtomicU64::new(0),
-            objects: Mutex::new(Vec::new()),
-        }
-    }
 }
 
 impl CountingSink {
     /// Creates a sink with every counter at zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Nodes expanded so far.
-    pub fn nodes(&self) -> u64 {
-        self.nodes.load(Ordering::Relaxed)
-    }
-
-    /// Candidate elements tried so far.
-    pub fn elements_tried(&self) -> u64 {
-        self.elements.load(Ordering::Relaxed)
-    }
-
-    /// Memo probes that hit a refuted state.
-    pub fn memo_hits(&self) -> u64 {
-        self.memo_hits.load(Ordering::Relaxed)
-    }
-
-    /// Memo probes that missed.
-    pub fn memo_misses(&self) -> u64 {
-        self.memo_misses.load(Ordering::Relaxed)
-    }
-
-    /// Refuted states inserted into the memo table.
-    pub fn memo_inserts(&self) -> u64 {
-        self.memo_inserts.load(Ordering::Relaxed)
     }
 
     /// Widest frontier of minimal operations seen at any node.
@@ -271,19 +190,13 @@ impl CountingSink {
         }
     }
 
-    /// Root branches split across workers (0 when no search split its
-    /// root).
-    pub fn root_branches(&self) -> u64 {
-        self.root_branches.load(Ordering::Relaxed)
-    }
-
     /// Snapshots everything into a [`SearchReport`].
     ///
-    /// `outcome` supplies the authoritative verdict and [`crate::check::CheckStats`]
-    /// (node/element/memo-hit totals are taken from there, so the report
-    /// agrees with the checker even if the sink was shared across runs);
-    /// `options` supplies the budget and thread count; `wall` is the
-    /// caller-measured wall-clock of the run. Generic over the witness
+    /// `outcome` supplies the verdict and every count (its
+    /// [`crate::check::CheckStats`]); the sink adds the frontier widths
+    /// and object rows it saw. `options` supplies the budget and thread
+    /// count; `wall` is the caller-measured wall-clock of the run.
+    /// Generic over the witness
     /// type, so reports work for CAL (sequential specs included) and
     /// interval outcomes alike.
     pub fn report<W>(
@@ -301,12 +214,12 @@ impl CountingSink {
             nodes: outcome.stats.nodes,
             elements_tried: outcome.stats.elements_tried,
             memo_hits: outcome.stats.memo_hits,
-            memo_misses: self.memo_misses(),
-            memo_inserts: self.memo_inserts(),
+            memo_misses: outcome.stats.memo_misses,
+            memo_inserts: outcome.stats.memo_inserts,
             frontier_max: self.frontier_max(),
             frontier_mean: self.frontier_mean(),
-            root_branches: self.root_branches(),
-            root_workers: self.root_workers.load(Ordering::Relaxed),
+            root_branches: outcome.stats.root_branches,
+            root_workers: outcome.stats.root_workers,
             interrupted,
             exhausted: matches!(outcome.verdict, Verdict::ResourcesExhausted),
             objects: self.objects.lock().clone(),
@@ -331,36 +244,11 @@ fn verdict_strings<W>(verdict: &Verdict<W>) -> (String, Option<String>) {
 }
 
 impl StatsSink for CountingSink {
-    fn on_node(&self) {
-        self.nodes.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn on_frontier(&self, width: usize) {
         let w = width as u64;
         self.frontier_max.fetch_max(w, Ordering::Relaxed);
         self.frontier_sum.fetch_add(w, Ordering::Relaxed);
         self.frontier_samples.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_element_tried(&self) {
-        self.elements.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_memo_hit(&self) {
-        self.memo_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_memo_miss(&self) {
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_memo_insert(&self) {
-        self.memo_inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_root_frontier(&self, branches: usize, workers: usize) {
-        self.root_branches.store(branches as u64, Ordering::Relaxed);
-        self.root_workers.store(workers as u64, Ordering::Relaxed);
     }
 
     fn on_object_done(&self, object: ObjectId, wall: Duration, outcome: ObjectOutcome) {
@@ -369,19 +257,6 @@ impl StatsSink for CountingSink {
             wall_ms: wall.as_secs_f64() * 1e3,
             outcome,
         });
-    }
-
-    fn on_interrupt(&self, reason: InterruptReason) {
-        match reason {
-            InterruptReason::DeadlineExceeded => {
-                self.deadline_interrupts.fetch_add(1, Ordering::Relaxed)
-            }
-            InterruptReason::Cancelled => self.cancel_interrupts.fetch_add(1, Ordering::Relaxed),
-        };
-    }
-
-    fn on_budget_exhausted(&self, _max_nodes: u64) {
-        self.budget_exhaustions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -400,8 +275,9 @@ pub struct SearchReport {
     pub threads: usize,
     /// The node budget ([`CheckOptions::max_nodes`]).
     pub max_nodes: u64,
-    /// Search nodes expanded (from the authoritative
-    /// [`crate::check::CheckStats`]).
+    /// Search nodes charged to the budget. This and every count below
+    /// but the two frontier fields come from the run's
+    /// [`crate::check::CheckStats`].
     pub nodes: u64,
     /// Candidate CA-elements tried.
     pub elements_tried: u64,
@@ -592,54 +468,56 @@ mod tests {
     use super::*;
     use crate::check::CheckStats;
 
-    fn sample_report(sink: &CountingSink, verdict: Verdict) -> SearchReport {
-        let outcome = CheckOutcome {
-            verdict,
-            stats: CheckStats { nodes: 7, elements_tried: 9, memo_hits: 2, ..CheckStats::default() },
-        };
+    fn sample_stats() -> CheckStats {
+        CheckStats { nodes: 7, elements_tried: 9, memo_hits: 2, ..CheckStats::default() }
+    }
+
+    fn report_of(sink: &CountingSink, verdict: Verdict, stats: CheckStats) -> SearchReport {
+        let outcome = CheckOutcome { verdict, stats };
         sink.report(&outcome, &CheckOptions::default(), Duration::from_millis(5))
     }
 
+    fn sample_report(sink: &CountingSink, verdict: Verdict) -> SearchReport {
+        report_of(sink, verdict, sample_stats())
+    }
+
     #[test]
-    fn counting_sink_counts_every_event() {
+    fn counting_sink_keeps_frontier_widths_and_object_rows() {
         let sink = CountingSink::new();
-        sink.on_node();
-        sink.on_node();
         sink.on_frontier(3);
         sink.on_frontier(5);
-        sink.on_element_tried();
-        sink.on_memo_hit();
-        sink.on_memo_miss();
-        sink.on_memo_insert();
-        sink.on_root_frontier(12, 4);
         sink.on_interrupt(InterruptReason::DeadlineExceeded);
-        sink.on_budget_exhausted(100);
         sink.on_object_done(ObjectId(3), Duration::from_millis(2), ObjectOutcome::NotCal);
 
-        assert_eq!(sink.nodes(), 2);
         assert_eq!(sink.frontier_max(), 5);
         assert!((sink.frontier_mean() - 4.0).abs() < 1e-9);
-        assert_eq!(sink.elements_tried(), 1);
-        assert_eq!(sink.memo_hits(), 1);
-        assert_eq!(sink.memo_misses(), 1);
-        assert_eq!(sink.memo_inserts(), 1);
-        assert_eq!(sink.root_branches(), 12);
         let objects = sink.objects.lock().clone();
         assert_eq!(objects.len(), 1);
         assert_eq!(objects[0].object, ObjectId(3));
         assert_eq!(objects[0].outcome, ObjectOutcome::NotCal);
     }
 
+    /// Every count in the report is the outcome's, so a sink reused
+    /// across runs changes only the frontier and object parts.
     #[test]
-    fn report_prefers_authoritative_stats() {
+    fn report_takes_every_count_from_the_outcome() {
+        let stats = CheckStats {
+            memo_misses: 5,
+            memo_inserts: 4,
+            root_branches: 3,
+            root_workers: 2,
+            ..sample_stats()
+        };
         let sink = CountingSink::new();
-        sink.on_node(); // sink saw 1 node; the outcome says 7
-        let report = sample_report(&sink, Verdict::NotCal);
-        assert_eq!(report.nodes, 7);
-        assert_eq!(report.elements_tried, 9);
-        assert_eq!(report.memo_hits, 2);
-        assert_eq!(report.verdict, "not-cal");
-        assert_eq!(report.interrupted, None);
+        let first = report_of(&sink, Verdict::NotCal, stats);
+        let second = report_of(&sink, Verdict::NotCal, stats);
+        assert_eq!(first, second);
+        let counts = (first.nodes, first.elements_tried, first.memo_hits, first.memo_misses);
+        assert_eq!(counts, (7, 9, 2, 5));
+        let rest = (first.memo_inserts, first.root_branches, first.root_workers);
+        assert_eq!(rest, (4, 3, 2));
+        assert_eq!(first.verdict, "not-cal");
+        assert_eq!(first.interrupted, None);
     }
 
     #[test]
@@ -690,15 +568,18 @@ mod tests {
         let sink = CountingSink::new();
         sink.on_frontier(3);
         sink.on_frontier(4);
-        sink.on_memo_hit();
-        sink.on_memo_miss();
-        sink.on_memo_insert();
-        sink.on_root_frontier(12, 4);
         sink.on_object_done(ObjectId(3), Duration::from_micros(2500), ObjectOutcome::NotCal);
         sink.on_object_done(ObjectId(1), Duration::from_millis(1), ObjectOutcome::Cal);
         let interrupted = Verdict::Interrupted { reason: InterruptReason::DeadlineExceeded };
+        let stats = CheckStats {
+            memo_misses: 1,
+            memo_inserts: 1,
+            root_branches: 12,
+            root_workers: 4,
+            ..sample_stats()
+        };
         assert_eq!(
-            sample_report(&sink, interrupted).to_json(),
+            report_of(&sink, interrupted, stats).to_json(),
             "{\"verdict\": \"interrupted\", \"interrupted\": \"deadline-exceeded\", \
              \"exhausted\": false, \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \
              \"nodes\": 7, \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 1, \

@@ -53,11 +53,6 @@ impl ElimArrayModel {
         ElimArrayModel { array, slot_objects }
     }
 
-    /// The exchanger subobject ids.
-    pub fn slot_objects(&self) -> &[ObjectId] {
-        &self.slot_objects
-    }
-
     /// Number of slots `K`.
     pub fn slots(&self) -> usize {
         self.slot_objects.len()

@@ -145,11 +145,6 @@ impl ExchangerModel {
     pub fn new(object: ObjectId) -> Self {
         ExchangerModel { object }
     }
-
-    /// The modelled object.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
-    }
 }
 
 /// One step of the exchanger algorithm, reusable by composite models

@@ -217,16 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn three_processes_sampled_are_cal() {
-        let m = ImmediateSnapshotModel::new(O, 3);
-        let spec = ImmediateSnapshotSpec::new(O, 3);
-        let w = Workload::new(vec![vec![snap(1)], vec![snap(2)], vec![snap(3)]]);
-        Explorer::new(&m, w).sample(41, 1_500, |e| {
-            assert!(is_cal(&e.history, &spec).unwrap(), "not CAL: {}", e.history);
-        });
-    }
-
-    #[test]
     fn three_processes_exhaustive_are_cal() {
         let m = ImmediateSnapshotModel::new(O, 3);
         let spec = ImmediateSnapshotSpec::new(O, 3);
@@ -245,7 +235,7 @@ mod tests {
         // The snapshot property: any two returned views are comparable.
         let m = ImmediateSnapshotModel::new(O, 3);
         let w = Workload::new(vec![vec![snap(1)], vec![snap(2)], vec![snap(3)]]);
-        Explorer::new(&m, w).sample(43, 1_500, |e| {
+        Explorer::new(&m, w).run(|e| {
             let views: Vec<i64> =
                 e.history.operations().iter().filter_map(|o| o.ret.as_int()).collect();
             for &a in &views {
@@ -264,7 +254,7 @@ mod tests {
     fn own_value_always_in_view() {
         let m = ImmediateSnapshotModel::new(O, 3);
         let w = Workload::new(vec![vec![snap(1)], vec![snap(2)], vec![snap(3)]]);
-        Explorer::new(&m, w).sample(47, 1_000, |e| {
+        Explorer::new(&m, w).run(|e| {
             for op in e.history.operations() {
                 let v = op.arg.as_int().unwrap();
                 let mask = op.ret.as_int().unwrap();

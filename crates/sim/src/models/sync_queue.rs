@@ -53,11 +53,6 @@ impl SyncQueueModel {
         SyncQueueModel { queue, exchanger, max_attempts }
     }
 
-    /// The encapsulated exchanger's object id.
-    pub fn exchanger_object(&self) -> ObjectId {
-        self.exchanger
-    }
-
     fn offer_of(op: QOp) -> i64 {
         match op {
             QOp::Put { v } => v,

@@ -139,11 +139,6 @@ pub fn exchange_ok(object: ObjectId, t: ThreadId, v: i64, got: i64) -> Operation
     Operation::new(t, object, EXCHANGE, Value::Int(v), Value::Pair(true, got))
 }
 
-/// The failed-exchange operation `(t, ex(v) ▷ (false, v))`.
-pub fn exchange_fail(object: ObjectId, t: ThreadId, v: i64) -> Operation {
-    Operation::new(t, object, EXCHANGE, Value::Int(v), Value::Pair(false, v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,26 +20,24 @@ use cal::objects::recorded::{run_threads, RecordedEliminationStack};
 use cal::specs::stack::StackSpec;
 
 /// A custom sink: implement only the events you care about — every
-/// [`StatsSink`] method defaults to a no-op. This one tracks the node
-/// count and the widest frontier seen, printing a progress line every
-/// few thousand expansions. All methods take `&self` and may be called
-/// from several checker threads at once, so state is atomic.
+/// [`StatsSink`] method defaults to a no-op. This one counts expansions
+/// (one `on_frontier` each) and tracks the widest frontier seen, printing
+/// a progress line every few thousand expansions. All methods take
+/// `&self` and may be called from several checker threads at once, so
+/// state is atomic. The search's own counts are in the outcome's stats.
 #[derive(Default)]
 struct ProgressSink {
-    nodes: AtomicU64,
+    expansions: AtomicU64,
     widest: AtomicU64,
 }
 
 impl StatsSink for ProgressSink {
-    fn on_node(&self) {
-        let n = self.nodes.fetch_add(1, Ordering::Relaxed) + 1;
+    fn on_frontier(&self, width: usize) {
+        self.widest.fetch_max(width as u64, Ordering::Relaxed);
+        let n = self.expansions.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(4096) {
             eprintln!("  ...{n} nodes expanded");
         }
-    }
-
-    fn on_frontier(&self, width: usize) {
-        self.widest.fetch_max(width as u64, Ordering::Relaxed);
     }
 
     fn on_interrupt(&self, reason: InterruptReason) {
@@ -77,14 +75,16 @@ fn main() {
     };
     let outcome = check_cal_with(&history, &spec, &options).expect("well-formed");
     println!(
-        "custom sink: {} nodes, widest frontier {}",
-        progress.nodes.load(Ordering::Relaxed),
+        "custom sink: {} expansions ({} nodes, {} memo hits), widest frontier {}",
+        progress.expansions.load(Ordering::Relaxed),
+        outcome.stats.nodes,
+        outcome.stats.memo_hits,
         progress.widest.load(Ordering::Relaxed),
     );
 
     // 2. The counting sink: a fresh run of the same check, folded into a
-    // structured report. `report()` wants the outcome so its headline
-    // counters come from the checker's own authoritative stats.
+    // structured report. `report()` wants the outcome: every count comes
+    // from its stats, the sink adds frontier widths and object rows.
     let counting = Arc::new(CountingSink::new());
     let options = CheckOptions {
         sink: Some(Arc::clone(&counting) as Arc<dyn StatsSink>),

@@ -1,12 +1,18 @@
-//! Histories more than one test file builds, and the CAL and
-//! interval-linearizability references they are held to.
+//! Histories more than one test file builds, the CAL and
+//! interval-linearizability references they are held to, and a stats
+//! sink that counts its events.
 #![allow(dead_code)]
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
+use cal::core::check::{CheckOptions, CheckStats, InterruptReason};
 use cal::core::gen::render_windowed;
 use cal::core::history::Span;
 use cal::core::interval::{IntervalSpec, IntervalWitness};
+use cal::core::obs::{CountingSink, ObjectOutcome, StatsSink};
 use cal::core::spec::{CaSpec, Invocation};
 use cal::core::text::parse_history;
 use cal::core::{Action, CaElement, CaTrace, History, ObjectId, Operation, ThreadId};
@@ -460,4 +466,66 @@ pub fn end_states<S: CaSpec>(spec: &S, segment: &[Action], from: &[S::State]) ->
         }
     }
     ends
+}
+
+/// A stats sink that counts each event it receives and passes the
+/// frontier widths and object rows on to a [`CountingSink`]. The search counts nodes and memo hits in its own
+/// [`CheckStats`]; the events counted here are the independent check on
+/// them: one `on_frontier` per expansion, so the calls are the nodes
+/// less the memo hits.
+#[derive(Debug, Default)]
+pub struct EventCounter {
+    /// The sink a [`cal::core::obs::SearchReport`] is taken from.
+    pub inner: CountingSink,
+    frontiers: AtomicU64,
+    objects: AtomicU64,
+    interrupts: AtomicU64,
+}
+
+impl EventCounter {
+    /// `options` with this sink attached.
+    pub fn attach(self: &Arc<Self>, options: &CheckOptions) -> CheckOptions {
+        CheckOptions { sink: Some(Arc::clone(self) as Arc<dyn StatsSink>), ..options.clone() }
+    }
+
+    /// `on_frontier` calls so far.
+    pub fn frontiers(&self) -> u64 {
+        self.frontiers.load(Ordering::Relaxed)
+    }
+
+    /// `on_object_done` calls so far.
+    pub fn objects(&self) -> u64 {
+        self.objects.load(Ordering::Relaxed)
+    }
+
+    /// `on_interrupt` calls so far.
+    pub fn interrupts(&self) -> u64 {
+        self.interrupts.load(Ordering::Relaxed)
+    }
+
+    /// Asserts that the sink saw one `on_frontier` for each node `stats`
+    /// charged that no memo hit pruned.
+    pub fn assert_one_frontier_per_expansion(&self, stats: &CheckStats, what: &str) {
+        assert_eq!(
+            self.frontiers(),
+            stats.nodes - stats.memo_hits,
+            "{what}: one on_frontier per expansion ({stats:?})"
+        );
+    }
+}
+
+impl StatsSink for EventCounter {
+    fn on_frontier(&self, width: usize) {
+        self.frontiers.fetch_add(1, Ordering::Relaxed);
+        self.inner.on_frontier(width);
+    }
+
+    fn on_object_done(&self, object: ObjectId, wall: Duration, outcome: ObjectOutcome) {
+        self.objects.fetch_add(1, Ordering::Relaxed);
+        self.inner.on_object_done(object, wall, outcome);
+    }
+
+    fn on_interrupt(&self, _reason: InterruptReason) {
+        self.interrupts.fetch_add(1, Ordering::Relaxed);
+    }
 }

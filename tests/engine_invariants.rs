@@ -17,7 +17,7 @@ use cal::core::fpmemo::FpMemo;
 use cal::core::history::HbRelation;
 use cal::core::par::check_cal_par_with;
 use cal::core::gen::interleave;
-use cal::core::obs::{CountingSink, StatsSink};
+use cal::core::obs::StatsSink;
 use cal::core::spec::SeqAsCa;
 use cal::core::text::parse_history;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
@@ -326,18 +326,17 @@ proptest! {
 // --- cancellation across workers -------------------------------------------
 
 /// A sink that fires a [`CancelToken`] after a randomized number of node
-/// expansions, from whichever worker happens to cross the line.
+/// expansions (one `on_frontier` each), from whichever worker happens to
+/// cross the line.
 #[derive(Debug)]
 struct CancelAfter {
     token: CancelToken,
     after: u64,
     seen: AtomicU64,
-    inner: CountingSink,
 }
 
 impl StatsSink for CancelAfter {
-    fn on_node(&self) {
-        self.inner.on_node();
+    fn on_frontier(&self, _width: usize) {
         if self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.after {
             self.token.cancel();
         }
@@ -363,9 +362,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Cancelling mid-search across several workers yields `Interrupted`
-    /// with exact node accounting: every expanded node was charged once
-    /// to the aggregated stats and once to the sink — no task's nodes are
-    /// lost or double-counted on the way down.
+    /// with exact node accounting: every charged node (the memo is off)
+    /// is counted once in the aggregated stats and reaches the sink as
+    /// one expansion — no task's nodes are lost or double-counted on the
+    /// way down.
     #[test]
     fn cancellation_under_stealing_loses_no_nodes(
         after in 1u64..400,
@@ -377,7 +377,6 @@ proptest! {
             token: CancelToken::new(),
             after,
             seen: AtomicU64::new(0),
-            inner: CountingSink::new(),
         });
         let options = CheckOptions {
             threads,
@@ -394,7 +393,7 @@ proptest! {
         );
         prop_assert!(outcome.stats.nodes >= after.min(outcome.stats.nodes));
         prop_assert_eq!(
-            sink.inner.nodes(),
+            sink.seen.load(Ordering::Relaxed),
             outcome.stats.nodes,
             "sink and stats disagree on expanded nodes (threads={}, after={})",
             threads,

@@ -3,15 +3,15 @@
 //! operations — sequential and parallel:
 //! the failed-state memo table must actually fire on backtracking-heavy
 //! histories, turning it off must never change a verdict, and the
-//! [`CountingSink`] must account for every probe — hits plus misses
-//! equal charged nodes, with inserts bounded by misses.
+//! search's [`CheckStats`] must account for every probe — hits plus
+//! misses equal charged nodes, with inserts bounded by misses — while a
+//! sink sees one expansion for every node no hit pruned.
 
 mod common;
 
 use std::sync::Arc;
 
-use cal::core::check::{check_cal_with, CheckOptions, Verdict};
-use cal::core::obs::{CountingSink, StatsSink};
+use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
 use cal::core::par::check_cal_par_with;
 use cal::core::spec::SeqAsCa;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
@@ -19,6 +19,7 @@ use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::register::{read_op, write_op, RegisterSpec};
 use cal::specs::registry::run_interval;
 use cal::specs::snapshot::WriteSnapshotSpec;
+use common::EventCounter;
 
 const O: ObjectId = ObjectId(0);
 
@@ -121,40 +122,38 @@ fn hard_seq_history(k: usize) -> History {
     History::from_actions(actions)
 }
 
-/// Runs a sequential memoized check with a [`CountingSink`] attached and
-/// asserts the memo accounting invariants shared by every domain on the
-/// engine: the memo actually fired, every charged node was probed
-/// exactly once (hits + misses = nodes), and inserts happened but never
-/// outnumbered misses (only a missed state can be newly refuted).
-fn assert_memo_accounting(sink: &CountingSink, nodes: u64, what: &str) {
-    assert!(sink.memo_hits() > 0, "{what}: expected memo hits, got none");
-    assert!(sink.memo_inserts() > 0, "{what}: expected memo inserts, got none");
+/// Asserts the memo accounting invariants of a sequential memoized check
+/// shared by every domain on the engine: the memo actually fired, every
+/// charged node was probed exactly once (hits + misses = nodes), inserts
+/// happened but never outnumbered misses (only a missed state can be
+/// newly refuted), and the attached sink saw one expansion for every
+/// node no hit pruned.
+fn assert_memo_accounting(sink: &EventCounter, stats: &CheckStats, what: &str) {
+    assert!(stats.memo_hits > 0, "{what}: expected memo hits, got none");
+    assert!(stats.memo_inserts > 0, "{what}: expected memo inserts, got none");
     assert_eq!(
-        sink.memo_hits() + sink.memo_misses(),
-        nodes,
+        stats.memo_hits + stats.memo_misses,
+        stats.nodes,
         "{what}: every charged node must be probed exactly once"
     );
     assert!(
-        sink.memo_inserts() <= sink.memo_misses(),
+        stats.memo_inserts <= stats.memo_misses,
         "{what}: inserts ({}) cannot exceed misses ({})",
-        sink.memo_inserts(),
-        sink.memo_misses()
+        stats.memo_inserts,
+        stats.memo_misses
     );
+    sink.assert_one_frontier_per_expansion(stats, what);
 }
 
 #[test]
 fn memo_fires_on_a_sequential_spec() {
     let h = hard_seq_history(6);
     let spec = SeqAsCa::new(RegisterSpec::new(O));
-    let sink = Arc::new(CountingSink::new());
-    let options = CheckOptions {
-        sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
-        ..CheckOptions::default()
-    };
+    let sink = Arc::new(EventCounter::default());
+    let options = sink.attach(&CheckOptions::default());
     let out = check_cal_with(&h, &spec, &options).unwrap();
     assert!(matches!(out.verdict, Verdict::NotCal));
-    assert_memo_accounting(&sink, out.stats.nodes, "sequential spec");
-    assert_eq!(sink.memo_hits(), out.stats.memo_hits, "sink and stats must agree");
+    assert_memo_accounting(&sink, &out.stats, "sequential spec");
 
     let off = CheckOptions { memoize: false, ..CheckOptions::default() };
     let without = check_cal_with(&h, &spec, &off).unwrap();
@@ -173,15 +172,11 @@ fn memo_fires_in_the_interval_checker() {
     // `(matched halves, open intervals, view)` residue.
     let h = common::lone_view_snapshots(6);
     let spec = WriteSnapshotSpec::new(O, 3);
-    let sink = Arc::new(CountingSink::new());
-    let options = CheckOptions {
-        sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
-        ..CheckOptions::default()
-    };
+    let sink = Arc::new(EventCounter::default());
+    let options = sink.attach(&CheckOptions::default());
     let out = run_interval(&h, &spec, &options).unwrap();
     assert!(matches!(out.verdict, Verdict::NotCal));
-    assert_memo_accounting(&sink, out.stats.nodes, "interval");
-    assert_eq!(sink.memo_hits(), out.stats.memo_hits, "sink and stats must agree");
+    assert_memo_accounting(&sink, &out.stats, "interval");
 
     let off = CheckOptions { memoize: false, ..CheckOptions::default() };
     let without = run_interval(&h, &spec, &off).unwrap();
@@ -205,15 +200,11 @@ fn cal_memo_accounting_with_counting_sink() {
         ("cal", hard_history(7), false),
         ("cal, symmetry on", common::exchanger_windows(2, true), true),
     ] {
-        let sink = Arc::new(CountingSink::new());
-        let options = CheckOptions {
-            symmetry,
-            sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
-            ..CheckOptions::default()
-        };
+        let sink = Arc::new(EventCounter::default());
+        let options = sink.attach(&CheckOptions { symmetry, ..CheckOptions::default() });
         let out = check_cal_with(&h, &spec, &options).unwrap();
         assert!(matches!(out.verdict, Verdict::NotCal));
-        assert_memo_accounting(&sink, out.stats.nodes, what);
+        assert_memo_accounting(&sink, &out.stats, what);
     }
 }
 

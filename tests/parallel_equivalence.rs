@@ -8,11 +8,12 @@
 //! (the spec with its locality hidden), and the merged witness must be
 //! the same at every thread count.
 
+mod common;
+
 use std::sync::Arc;
 
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, Verdict};
 use cal::core::gen::interleave;
-use cal::core::obs::{CountingSink, StatsSink};
 use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, Invocation, PerObject, SeqAsCa};
 use cal::core::{Action, CaElement, History, Method, ObjectId, ThreadId, Value};
@@ -22,6 +23,7 @@ use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::register::{CounterSpec, RegisterSpec};
 use cal::specs::stack::StackSpec;
 use cal::specs::sync_queue::SyncQueueSpec;
+use common::EventCounter;
 use proptest::prelude::*;
 
 const O: ObjectId = ObjectId(0);
@@ -136,10 +138,10 @@ fn category(r: &Result<cal::core::check::CheckOutcome, cal::core::check::CheckEr
     }
 }
 
-/// Re-runs a check with a [`CountingSink`] attached and asserts the
-/// verdict category is unchanged — observation must not perturb the
-/// search. For deterministic (sequential) runs the sink's node count
-/// must also agree with the checker's own stats.
+/// Re-runs a check with a stats sink attached and asserts the verdict
+/// category is unchanged — observation must not perturb the search —
+/// and that the sink saw one expansion for every node the checker's own
+/// stats charged and no memo hit pruned, at every thread count.
 fn assert_sink_is_inert<S>(
     h: &History,
     spec: &S,
@@ -150,11 +152,8 @@ fn assert_sink_is_inert<S>(
     S: CaSpec + Sync,
     S::State: Send + Sync,
 {
-    let sink = Arc::new(CountingSink::new());
-    let counted = CheckOptions {
-        sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
-        ..options.clone()
-    };
+    let sink = Arc::new(EventCounter::default());
+    let counted = sink.attach(options);
     let observed = if parallel {
         check_cal_par_with(h, spec, &counted)
     } else {
@@ -167,12 +166,8 @@ fn assert_sink_is_inert<S>(
         options.threads,
     );
     if let Ok(outcome) = &observed {
-        assert_eq!(
-            sink.nodes(),
-            outcome.stats.nodes,
-            "sink and CheckStats disagree on nodes (threads={})\nhistory:\n{h}",
-            options.threads,
-        );
+        let what = format!("threads={}\nhistory:\n{h}", options.threads);
+        sink.assert_one_frontier_per_expansion(&outcome.stats, &what);
     }
 }
 

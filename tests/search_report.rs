@@ -1,32 +1,40 @@
 //! The observability layer end to end: a [`CountingSink`] attached to a
 //! check produces a [`SearchReport`] with nonzero node/memo counters on
-//! real corpus fixtures, the report's counters agree with the checker's
-//! own [`CheckStats`], and the `cal-check --stats-json` surface emits the
+//! real corpus fixtures, every count in the report is the checker's own
+//! [`CheckStats`], a sink sees one event per expansion and no other
+//! per-node event, and the `cal-check --stats-json` surface emits the
 //! same report through the binary.
+
+mod common;
 
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cal::core::check::{check_cal_with, CheckOptions};
+use cal::core::check::{check_cal_with, CheckOptions, CheckStats};
 use cal::core::obs::{CountingSink, ObjectOutcome, SearchReport, StatsSink};
 use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, PerObject};
 use cal::core::text::parse_history;
-use cal::core::ObjectId;
+use cal::core::{History, ObjectId};
 use cal::specs::exchanger::ExchangerSpec;
+use common::EventCounter;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/corpus/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
-fn counted_options(sink: &Arc<CountingSink>, threads: usize) -> CheckOptions {
-    CheckOptions {
-        sink: Some(Arc::clone(sink) as Arc<dyn StatsSink>),
-        threads,
-        ..CheckOptions::default()
-    }
+fn counted_options(sink: &Arc<EventCounter>, threads: usize) -> CheckOptions {
+    sink.attach(&CheckOptions { threads, ..CheckOptions::default() })
+}
+
+/// Every count in `report` is `stats`'s.
+fn assert_report_counts(report: &SearchReport, stats: &CheckStats) {
+    let counts = (report.nodes, report.elements_tried, report.memo_hits, report.memo_misses);
+    assert_eq!(counts, (stats.nodes, stats.elements_tried, stats.memo_hits, stats.memo_misses));
+    let rest = (report.memo_inserts, report.root_branches, report.root_workers);
+    assert_eq!(rest, (stats.memo_inserts, stats.root_branches, stats.root_workers));
 }
 
 /// The three-way delivery cycle backtracks enough to exercise nodes,
@@ -35,22 +43,22 @@ fn counted_options(sink: &Arc<CountingSink>, threads: usize) -> CheckOptions {
 fn sequential_report_counters_are_nonzero_and_consistent() {
     let h = parse_history(&fixture("fig3_three_way_cycle.hist")).unwrap();
     let spec = ExchangerSpec::new(ObjectId(0));
-    let sink = Arc::new(CountingSink::new());
+    let sink = Arc::new(EventCounter::default());
     let options = counted_options(&sink, 1);
     let start = Instant::now();
     let outcome = check_cal_with(&h, &spec, &options).unwrap();
-    let report = sink.report(&outcome, &options, start.elapsed());
+    let report = sink.inner.report(&outcome, &options, start.elapsed());
+    let stats = outcome.stats;
 
     assert_eq!(report.verdict, "not-cal");
     assert!(report.nodes > 0, "no nodes counted: {report:?}");
     assert!(report.elements_tried > 0);
-    // Sink and authoritative stats must agree event for event.
-    assert_eq!(sink.nodes(), outcome.stats.nodes);
-    assert_eq!(sink.elements_tried(), outcome.stats.elements_tried);
-    assert_eq!(sink.memo_hits(), outcome.stats.memo_hits);
-    // Every expanded node probes the memo exactly once (memoize is on).
-    assert_eq!(sink.memo_hits() + sink.memo_misses(), outcome.stats.nodes);
-    assert!(sink.memo_inserts() > 0, "a refuting search must record failed states");
+    assert_report_counts(&report, &stats);
+    sink.assert_one_frontier_per_expansion(&stats, "cycle");
+    // Every charged node probes the memo exactly once (memoize is on).
+    assert_eq!(stats.memo_hits + stats.memo_misses, stats.nodes);
+    assert!(stats.memo_inserts > 0, "a refuting search must record failed states");
+    assert!(stats.memo_inserts <= stats.memo_misses);
     assert!(report.frontier_max >= 3, "three concurrent ops at the root");
     assert!(report.wall_ms >= 0.0);
 }
@@ -62,18 +70,19 @@ fn parallel_frontier_report_records_branches_and_workers() {
     // nonempty frontier (the cycle fixture refutes at the root instead).
     let h = parse_history(&fixture("fig1_swap.hist")).unwrap();
     let spec = ExchangerSpec::new(ObjectId(0));
-    let sink = Arc::new(CountingSink::new());
+    let sink = Arc::new(EventCounter::default());
     let options = counted_options(&sink, 4);
     let start = Instant::now();
     let outcome = check_cal_par_with(&h, &spec, &options).unwrap();
-    let report = sink.report(&outcome, &options, start.elapsed());
+    let report = sink.inner.report(&outcome, &options, start.elapsed());
 
     assert_eq!(report.verdict, "cal");
     assert!(report.nodes > 0);
     assert!(report.root_branches > 0, "frontier split must report its branches");
     assert!(report.root_workers >= 1);
-    assert_eq!(sink.nodes(), outcome.stats.nodes, "sink and stats disagree on nodes");
-    assert_eq!(sink.elements_tried(), outcome.stats.elements_tried);
+    assert!(report.root_workers <= report.root_branches.min(4));
+    assert_report_counts(&report, &outcome.stats);
+    sink.assert_one_frontier_per_expansion(&outcome.stats, "fig1_swap, 4 threads");
 }
 
 /// Decomposition is the input's, not the thread count's: one object row
@@ -97,7 +106,7 @@ fn decomposed_report_has_one_outcome_per_object() {
         })
         .sum();
     for threads in [1, 4] {
-        let sink = Arc::new(CountingSink::new());
+        let sink = Arc::new(EventCounter::default());
         let options = counted_options(&sink, threads);
         let start = Instant::now();
         let outcome = if threads == 1 {
@@ -105,7 +114,7 @@ fn decomposed_report_has_one_outcome_per_object() {
         } else {
             check_cal_par_with(&h, &spec, &options).unwrap()
         };
-        let report = sink.report(&outcome, &options, start.elapsed());
+        let report = sink.inner.report(&outcome, &options, start.elapsed());
 
         assert_eq!(report.verdict, "cal", "threads={threads}");
         assert_eq!(report.objects.len(), objects.len(), "threads={threads}");
@@ -114,7 +123,65 @@ fn decomposed_report_has_one_outcome_per_object() {
             assert!(object.wall_ms >= 0.0);
         }
         assert_eq!(outcome.stats.nodes, per_object, "threads={threads}");
-        assert_eq!(sink.nodes(), outcome.stats.nodes);
+        assert_eq!(sink.objects(), objects.len() as u64, "threads={threads}");
+        sink.assert_one_frontier_per_expansion(&outcome.stats, "two exchangers");
+    }
+}
+
+/// Runs one check through `check_cal_par_with` (`par`) or
+/// `check_cal_with` with an [`EventCounter`] attached, and holds the
+/// sink's events to the outcome's stats: one `on_frontier` per
+/// expansion, one `on_object_done` per part, no interrupt.
+fn assert_sink_budget<S>(h: &History, spec: &S, par: bool, options: &CheckOptions, parts: usize)
+where
+    S: CaSpec + Sync,
+    S::State: Send + Sync,
+{
+    let (threads, memoize) = (options.threads, options.memoize);
+    let what = format!("par={par}, threads={threads}, memoize={memoize}, parts={parts}");
+    let sink = Arc::new(EventCounter::default());
+    let options = sink.attach(options);
+    let outcome =
+        if par { check_cal_par_with(h, spec, &options) } else { check_cal_with(h, spec, &options) };
+    let stats = outcome.unwrap().stats;
+    assert!(stats.nodes > 1, "{what}: {stats:?}");
+    sink.assert_one_frontier_per_expansion(&stats, &what);
+    assert_eq!(sink.objects(), parts as u64, "{what}");
+    assert_eq!(sink.interrupts(), 0, "{what}");
+    if !memoize {
+        assert_eq!((stats.memo_hits, stats.memo_misses, stats.memo_inserts), (0, 0, 0), "{what}");
+        assert_eq!(sink.frontiers(), stats.nodes, "{what}");
+    } else if threads == 1 {
+        assert_eq!(stats.memo_hits + stats.memo_misses, stats.nodes, "{what}: {stats:?}");
+    }
+    assert!(stats.memo_inserts <= stats.memo_misses, "{what}: {stats:?}");
+    // Only the parallel entry above one thread splits a root, and only
+    // of a history that does not decompose.
+    let split = par && threads > 1 && parts == 0;
+    assert_eq!(stats.root_branches > 0, split, "{what}: {stats:?}");
+}
+
+/// The sink's budget: at 1, 2 and 4 threads, through both entry points,
+/// with the memo on and off, a check calls `on_frontier` once per
+/// expansion and no other per-node event — on a single-object
+/// refutation, whose root is split over the workers, and on a history
+/// that decomposes by object.
+#[test]
+fn a_sink_sees_one_frontier_per_expansion_and_no_other_per_node_event() {
+    let single = common::identical_exchanges(7, 0);
+    let two = parse_history(&fixture("two_exchangers.hist")).unwrap();
+    let objects = two.objects();
+    let per_object =
+        PerObject::new(objects.iter().map(|&o| (o, ExchangerSpec::new(o))).collect::<Vec<_>>());
+    for par in [false, true] {
+        for threads in [1, 2, 4] {
+            for memoize in [true, false] {
+                let options =
+                    CheckOptions { threads, memoize, symmetry: false, ..CheckOptions::default() };
+                assert_sink_budget(&single, &ExchangerSpec::new(ObjectId(0)), par, &options, 0);
+                assert_sink_budget(&two, &per_object, par, &options, objects.len());
+            }
+        }
     }
 }
 
@@ -208,7 +275,8 @@ fn report_survives_a_quiet_run_without_sink_events() {
     let h = parse_history("").unwrap();
     let spec = ExchangerSpec::new(ObjectId(0));
     let sink = Arc::new(CountingSink::new());
-    let options = counted_options(&sink, 1);
+    let sink_dyn = Arc::clone(&sink) as Arc<dyn StatsSink>;
+    let options = CheckOptions { sink: Some(sink_dyn), ..CheckOptions::default() };
     let start = Instant::now();
     let outcome = check_cal_with(&h, &spec, &options).unwrap();
     let report: SearchReport = sink.report(&outcome, &options, start.elapsed());
