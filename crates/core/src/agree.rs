@@ -22,7 +22,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::bitset::BitSet;
-use crate::history::{HbRelation, History, PartialHistory, Span};
+use crate::history::{HbRelation, History, Span};
 use crate::op::Operation;
 use crate::trace::CaTrace;
 

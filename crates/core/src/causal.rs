@@ -244,7 +244,6 @@ mod tests {
     use super::*;
     use crate::action::Action;
     use crate::check;
-    use crate::history::PartialHistory;
     use crate::ids::{Method, ObjectId, ThreadId, Value};
     use crate::op::Operation;
     use crate::spec::{Invocation, SeqAsCa, SeqSpec};

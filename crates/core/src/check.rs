@@ -32,9 +32,8 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::bitset::BitSet;
 use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
-use crate::history::{complete_set, HbRelation, History, HistoryError, PartialHistory, Span};
+use crate::history::{Cut, HbRelation, History, HistoryError, Span};
 use crate::ids::{ObjectId, Value};
 use crate::op::Operation;
 use crate::spec::{CaSpec, Invocation};
@@ -308,17 +307,18 @@ struct Digit {
 
 /// What one expansion reads and writes besides the candidate itself.
 struct Expansion<'x, 'e, 'a, S: CaSpec> {
-    matched: &'x BitSet,
+    matched: &'x Cut,
     state: &'x S::State,
     max_size: usize,
     /// Generate one successor per orbit of interchangeable spans.
     symmetry: bool,
     obs: &'x mut ExpandObs<'e, 'a>,
-    out: &'x mut Vec<(CalStep, (BitSet, S::State))>,
+    out: &'x mut Vec<(CalStep, (Cut, S::State))>,
 }
 
 /// The CAL checker as a [`SearchDomain`]: nodes are `(matched-set,
-/// spec-state)` pairs (also the memo key), steps are CA-elements, and
+/// spec-state)` pairs (also the memo key), the matched set a [`Cut`] of
+/// the order's chain cover, steps are CA-elements, and
 /// expansion enumerates subsets of minimal operations that are same-object,
 /// pairwise concurrent and accepted by the specification, completing
 /// pending members with spec-proposed return values.
@@ -329,8 +329,10 @@ pub(crate) struct CalDomain<'a, S: CaSpec> {
     /// The happens-before relation the search runs over: real-time `≺H`
     /// for CAL mode, a causal partial order for `--mode causal`.
     hb: HbRelation,
-    /// The spans a goal node must have matched.
-    complete: BitSet,
+    /// The cut a goal node must reach: every complete span, which is a
+    /// prefix of every chain (a pending span precedes nothing in real
+    /// time and is last in its session).
+    goal: Cut,
     /// Interchangeability classes, built from `hb`'s constraint sets:
     /// [`CalDomain::grow`] matches each one as a prefix.
     sym: SymClasses,
@@ -361,8 +363,11 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         let hb = order(&spans)?;
         debug_assert_eq!(hb.len(), spans.len(), "hb relation built over a different history");
         let sym = SymClasses::of_order(&spans, &hb);
-        let complete = complete_set(&spans);
-        Ok(CalDomain { spec, history, spans, hb, complete, sym, start: None })
+        let mut goal = hb.empty_cut();
+        for (i, _) in spans.iter().enumerate().filter(|(_, s)| s.is_complete()) {
+            hb.take(&mut goal, i);
+        }
+        Ok(CalDomain { spec, history, spans, hb, goal, sym, start: None })
     }
 
     /// Starts every later search from `state` instead of the
@@ -376,8 +381,8 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
     /// The node a search of this history from `state` starts at: nothing
     /// matched yet. The streaming checker's retirement hands one per
     /// reachable state to [`engine::enumerate_goals`].
-    pub(crate) fn root(&self, state: S::State) -> (BitSet, S::State) {
-        (BitSet::new(self.spans.len().max(1)), state)
+    pub(crate) fn root(&self, state: S::State) -> (Cut, S::State) {
+        (self.hb.empty_cut(), state)
     }
 
     /// Span `i` as the specification sees an operation it may complete.
@@ -434,7 +439,7 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         for (k, &i) in minimal.iter().enumerate().skip(from) {
             // One successor per orbit: a clone joins only behind the one
             // before it, so every class is matched as a prefix.
-            let behind = |p: usize| !x.matched.contains(p) && !c.subset.contains(&p);
+            let behind = |p: usize| !self.hb.contains(x.matched, p) && !c.subset.contains(&p);
             if x.symmetry && self.sym.prev_clone(i).is_some_and(behind) {
                 continue;
             }
@@ -501,8 +506,10 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
                 x.obs.on_element_tried();
                 if let Some(next) = spec.step(x.state, &element) {
                     let mut next_matched = x.matched.clone();
+                    // At most one member a chain: minimal spans are
+                    // pairwise concurrent.
                     for &i in &c.subset {
-                        next_matched.insert(i);
+                        self.hb.take(&mut next_matched, i);
                     }
                     let completions = picked().collect();
                     let step = CalStep { subset: Subset::of(&c.subset), completions };
@@ -527,7 +534,7 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
 }
 
 impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
-    type Node = (BitSet, S::State);
+    type Node = (Cut, S::State);
     type Step = CalStep;
     type Scratch = CalScratch;
 
@@ -538,7 +545,7 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     fn is_goal(&self, node: &Self::Node) -> bool {
         // Success: every *complete* operation explained; unmatched pending
         // invocations are dropped by the chosen completion (Def. 2).
-        self.complete.is_subset(&node.0)
+        self.hb.reaches(&node.0, &self.goal)
     }
 
     fn expand(
@@ -972,23 +979,23 @@ mod tests {
     }
 
     /// A matched set's canonical form by a scan of every class: each class
-    /// matched as a prefix of its members, as many as `bits` matches.
-    fn canonical_by_full_scan(classes: &[Vec<usize>], bits: &BitSet) -> BitSet {
-        let mut canon = bits.clone();
+    /// matched as a prefix of its members, as many as `cut` matches.
+    fn canonical_by_full_scan(hb: &HbRelation, classes: &[Vec<usize>], cut: &Cut) -> Cut {
+        let mut matched: Vec<bool> = (0..hb.len()).map(|i| hb.contains(cut, i)).collect();
         for class in classes {
-            let count = class.iter().filter(|&&m| bits.contains(m)).count();
+            let count = class.iter().filter(|&&m| matched[m]).count();
             for (k, &m) in class.iter().enumerate() {
-                if k < count {
-                    canon.insert(m);
-                } else {
-                    canon.remove(m);
-                }
+                matched[m] = k < count;
             }
+        }
+        let mut canon = hb.empty_cut();
+        for i in (0..hb.len()).filter(|&i| matched[i]) {
+            hb.take(&mut canon, i);
         }
         canon
     }
 
-    type NodeOf<S> = (BitSet, <S as CaSpec>::State);
+    type NodeOf<S> = (Cut, <S as CaSpec>::State);
 
     fn successors<S: CaSpec>(
         domain: &CalDomain<'_, S>,
@@ -1022,8 +1029,8 @@ mod tests {
     fn assert_one_successor_per_orbit<S: CaSpec>(history: &History, spec: &S) -> bool {
         let domain = CalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec)).unwrap();
         let classes = domain.sym.classes();
-        let canon = |(bits, state): &NodeOf<S>| {
-            (canonical_by_full_scan(classes, bits), state.clone())
+        let canon = |(cut, state): &NodeOf<S>| {
+            (canonical_by_full_scan(&domain.hb, classes, cut), state.clone())
         };
         let all = reachable(&domain, false);
         for node in &all {

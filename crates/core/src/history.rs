@@ -9,7 +9,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::action::{Action, ActionKind};
-use crate::bitset::{self, BitRows, BitSet};
 use crate::ids::{Method, ObjectId, ThreadId, Value};
 use crate::op::Operation;
 
@@ -96,17 +95,6 @@ impl Span {
     pub fn operation_with_ret(&self, ret: Value) -> Operation {
         Operation::new(self.thread, self.object, self.method, self.arg, ret)
     }
-}
-
-/// The spans a search has to explain before it may stop: the complete ones
-/// (a pending invocation may be dropped by the completion, Def. 2). Sized
-/// like the checkers' matched sets, so `is_subset` compares them directly.
-pub(crate) fn complete_set(spans: &[Span]) -> BitSet {
-    let mut complete = BitSet::new(spans.len().max(1));
-    for (i, _) in spans.iter().enumerate().filter(|(_, s)| s.is_complete()) {
-        complete.insert(i);
-    }
-    complete
 }
 
 /// A finite sequence of invocation and response actions (Def. 2).
@@ -454,64 +442,7 @@ impl fmt::Display for History {
     }
 }
 
-/// An order relation over the spans of one history — the *partial history*
-/// abstraction the checkers search under.
-///
-/// Every checker consults the ordering of a history only through this
-/// interface: which spans must precede which ([`precedes`]), which pairs
-/// may sit in one CA-element ([`concurrent`]), which unmatched spans may go
-/// next ([`minimal`]), and the per-span constraint data that agreement
-/// ([`pred_count`], [`for_each_succ`]) and symmetry reduction
-/// ([`constraint_key`]) need. None of these hands out a stored list, so an
-/// instance is free to answer from whatever it keeps.
-/// The classical real-time order `≺H` (Def. 3) is the total-order instance
-/// ([`HbRelation::real_time`]); weak-memory-plausible happens-before
-/// orders — session order plus explicit `hb` edges — are the genuinely
-/// partial instances ([`HbRelation::causal`]).
-///
-/// [`precedes`]: PartialHistory::precedes
-/// [`concurrent`]: PartialHistory::concurrent
-/// [`minimal`]: PartialHistory::minimal
-/// [`pred_count`]: PartialHistory::pred_count
-/// [`for_each_succ`]: PartialHistory::for_each_succ
-/// [`constraint_key`]: PartialHistory::constraint_key
-pub trait PartialHistory {
-    /// Number of spans the relation is defined over.
-    fn len(&self) -> usize;
-
-    /// Whether the relation is empty (no spans).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `true` iff span `i` happens-before span `j`. Irreflexive and
-    /// transitive by construction.
-    fn precedes(&self, i: usize, j: usize) -> bool;
-
-    /// `true` iff `i` and `j` are distinct and unordered — the pairs a
-    /// CA-element may contain.
-    fn concurrent(&self, i: usize, j: usize) -> bool {
-        i != j && !self.precedes(i, j) && !self.precedes(j, i)
-    }
-
-    /// Replaces the contents of `out` with the minimal spans of what
-    /// `matched` leaves: every span not in `matched` all of whose
-    /// predecessors are, ascending. `matched` need not be downward closed.
-    fn minimal(&self, matched: &BitSet, out: &mut Vec<usize>);
-
-    /// How many spans happen-before span `i`.
-    fn pred_count(&self, i: usize) -> usize;
-
-    /// Calls `f` on every span that span `i` happens-before, ascending.
-    fn for_each_succ(&self, i: usize, f: impl FnMut(usize));
-
-    /// What the order constrains span `i` by, as a value: two spans of one
-    /// relation have equal keys iff they have the same predecessors and
-    /// the same successors.
-    fn constraint_key(&self, i: usize) -> ConstraintKey<'_>;
-}
-
-/// The order constraints on one span ([`PartialHistory::constraint_key`]):
+/// The order constraints on one span ([`HbRelation::constraint_key`]):
 /// comparable and hashable, so spans can be grouped by it. Keys of
 /// different relations are not comparable in any meaningful way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -523,8 +454,9 @@ enum KeyShape<'a> {
     /// response order and the successors are the spans from `succ_start`
     /// on, so the two numbers name the two sets.
     Ranks { pred_rank: usize, succ_start: usize },
-    /// Closed partial order: the two sets themselves.
-    Sets { before: &'a [u64], after: &'a [u64] },
+    /// Clocks: the predecessors meet every chain in a prefix and the
+    /// successors in a suffix, so the two clocks name the two sets.
+    Clocks { pred: &'a [u32], succ: &'a [u32] },
 }
 
 /// A malformed happens-before declaration: edges that point outside the
@@ -571,25 +503,59 @@ impl fmt::Display for HbError {
 
 impl Error for HbError {}
 
+/// Words a [`Cut`] keeps in place; more go in one heap block.
+const INLINE_WORDS: usize = 2;
+
+/// A downward-closed set of spans, as a search matches them: per chain of
+/// its order's chain cover ([`HbRelation::chain`]), how many of the
+/// chain's spans it holds. A downward-closed set meets every chain in a
+/// prefix, so the counts name the set; a search matches only minimal
+/// spans, so every set it reaches is one. The counts are packed into
+/// fields of a power of two bits that hold the order's longest chain, in
+/// place up to two words (32 chains of up to 3 spans, 4 of up to 65,535).
+/// The order alone decides the shape, and only it can read the cut.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Cut(Words);
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
+}
+
+impl Cut {
+    fn words(&self) -> &[u64] {
+        match &self.0 {
+            Words::Inline(words) => words,
+            Words::Heap(words) => words,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Words::Inline(words) => words,
+            Words::Heap(words) => words,
+        }
+    }
+}
+
 /// A concrete happens-before relation over the spans of one history: the
-/// workhorse [`PartialHistory`] instance every checker threads through its
-/// search domain.
+/// order every checker consults, and only through this type.
 ///
-/// One type, two private shapes, chosen by the constructor. The real-time
-/// order is determined by the `2n` action indices of its spans, so
-/// [`real_time`] keeps those plus two rank arrays — `O(n)` memory,
-/// [`precedes`] one comparison. A causal order is an arbitrary acyclic
-/// relation, so [`causal`] keeps its transitive closure as one
-/// predecessor and one successor bitset per span — [`precedes`] one probe.
-///
-/// [`real_time`]: HbRelation::real_time
-/// [`causal`]: HbRelation::causal
-/// [`precedes`]: PartialHistory::precedes
+/// Every relation carries a *chain cover* of its spans — each span in
+/// exactly one chain, each chain totally ordered and listed in index
+/// order — and a matched set is a [`Cut`] of it, one count a chain. Two
+/// private shapes answer the rest, chosen by the constructor. The
+/// real-time order is determined by the `2n` action indices of its spans,
+/// so [`Self::real_time`] keeps those plus two ranks a span, and covers
+/// them by interval colouring: as many chains as spans ever open at once.
+/// A causal order is an arbitrary acyclic relation, so [`Self::causal`]
+/// covers it by its sessions and keeps two vector clocks a span.
 ///
 /// # Examples
 ///
 /// ```
-/// use cal_core::history::{HbRelation, PartialHistory};
+/// use cal_core::history::HbRelation;
 /// use cal_core::{Action, History, Method, ObjectId, ThreadId, Value};
 /// let o = ObjectId(0);
 /// let m = Method("op");
@@ -602,107 +568,178 @@ impl Error for HbError {}
 ///     Action::response(ThreadId(2), o, m, Value::Unit),
 /// ]);
 /// let spans = h.spans();
-/// assert!(HbRelation::real_time(&spans).precedes(0, 1));
-/// assert!(HbRelation::causal(&spans, &[]).unwrap().concurrent(0, 1));
+/// let real_time = HbRelation::real_time(&spans);
+/// assert!(real_time.precedes(0, 1));
+/// let causal = HbRelation::causal(&spans, &[]).unwrap();
+/// assert!(causal.concurrent(0, 1));
+/// // Nothing matched: real time lets only the first go, causal order both.
+/// let mut minimal = Vec::new();
+/// real_time.minimal(&real_time.empty_cut(), &mut minimal);
+/// assert_eq!(minimal, [0]);
+/// causal.minimal(&causal.empty_cut(), &mut minimal);
+/// assert_eq!(minimal, [0, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct HbRelation {
     shape: Shape,
+    cover: Cover,
 }
 
 #[derive(Debug, Clone)]
 enum Shape {
-    Ranks(RankOrder),
-    Closed(ClosedOrder),
+    Ranks(Vec<Ranked>),
+    Clocks(Clocks),
 }
 
 /// The response index standing for "no response": larger than every
 /// invocation index, so a pending span precedes nothing.
 const PENDING: usize = usize::MAX;
 
-/// The real-time order of spans listed in invocation order, which makes
-/// span index and invocation rank the same thing.
-#[derive(Debug, Clone)]
-struct RankOrder {
-    /// Invocation index of each span; ascending.
-    inv: Vec<usize>,
-    /// Response index of each span, [`PENDING`] if it has none.
-    resp: Vec<usize>,
-    /// `pred_rank[j]` = how many spans respond before `inv[j]`.
-    pred_rank: Vec<usize>,
-    /// `succ_start[i]` = the first span invoked after `resp[i]`; the
-    /// successors of `i` are exactly `succ_start[i]..n`.
-    succ_start: Vec<usize>,
+/// One span of a real-time order over spans listed in invocation order,
+/// which makes span index and invocation rank the same thing.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ranked {
+    /// Invocation index; ascending along the order.
+    inv: usize,
+    /// Response index, [`PENDING`] if there is none.
+    resp: usize,
+    /// How many spans respond before `inv`.
+    pred_rank: usize,
+    /// The first span invoked after `resp`: the successors are exactly
+    /// `succ_start..n`.
+    succ_start: usize,
 }
 
-impl RankOrder {
-    /// # Panics
-    ///
-    /// Panics unless `inv` is ascending and no span responds before it is
-    /// invoked: every answer below leans on both.
-    fn new(inv: Vec<usize>, resp: Vec<usize>) -> Self {
-        assert!(
-            inv.windows(2).all(|w| w[0] <= w[1]) && inv.iter().zip(&resp).all(|(i, r)| i <= r),
-            "the real-time order is built over spans in invocation order"
-        );
-        let mut responses: Vec<usize> = resp.iter().copied().filter(|&r| r != PENDING).collect();
-        responses.sort_unstable();
-        let pred_rank = inv.iter().map(|&v| responses.partition_point(|&r| r < v)).collect();
-        let succ_start = resp.iter().map(|&r| inv.partition_point(|&v| v <= r)).collect();
-        RankOrder { inv, resp, pred_rank, succ_start }
+/// A partial order as two vector clocks a span over the chain cover:
+/// `pred` row `i` holds, per chain, how many of its spans precede `i`;
+/// `succ` row `i`, per chain, the position of the first span `i`
+/// precedes (the chain's length when there is none). Rows are `width`
+/// counts long, back to back.
+#[derive(Debug, Clone)]
+struct Clocks {
+    width: usize,
+    pred: Vec<u32>,
+    succ: Vec<u32>,
+}
+
+impl Clocks {
+    fn pred(&self, i: usize) -> &[u32] {
+        &self.pred[i * self.width..][..self.width]
     }
 
-    fn precedes(&self, i: usize, j: usize) -> bool {
-        matches!((self.resp.get(i), self.inv.get(j)), (Some(r), Some(v)) if r < v)
+    fn succ(&self, i: usize) -> &[u32] {
+        &self.succ[i * self.width..][..self.width]
     }
+}
 
-    /// One ascending pass over the unmatched spans, carrying the earliest
-    /// response among those passed. An unmatched `j` that precedes `i` has
-    /// `inv[j] ≤ resp[j] < inv[i]`, hence `j < i`: it has been passed, so
-    /// the carried response decides `i`. And once that response lies before
-    /// `inv[i]` it lies before every later invocation too, so the pass
-    /// ends there.
-    fn minimal(&self, matched: &BitSet, out: &mut Vec<usize>) {
-        let mut earliest_resp = PENDING;
-        for i in matched.iter_unset().take_while(|&i| i < self.inv.len()) {
-            if earliest_resp < self.inv[i] {
-                break;
-            }
-            out.push(i);
-            earliest_resp = earliest_resp.min(self.resp[i]);
+/// A chain cover: every span in exactly one chain, and each chain totally
+/// ordered by the relation and listed in index order.
+#[derive(Debug, Clone)]
+struct Cover {
+    /// Per span, its chain and its position in that chain.
+    place: Vec<(u32, u32)>,
+    /// The chains back to back: chain `c` is `members[starts[c]..starts[c + 1]]`.
+    members: Vec<u32>,
+    starts: Vec<usize>,
+    /// A [`Cut`] keeps chain `c`'s count in bits `c << field_log2` on, in
+    /// a field of `1 << field_log2` bits: enough for the longest chain.
+    field_log2: u32,
+    /// The top bit of every field of a word.
+    tops: u64,
+}
+
+/// Puts the next span at the end of chain `c` of the chains whose lengths
+/// `lens` holds from its second entry on, opening the chain if `c` is the
+/// next one: the span's place in the cover.
+fn append(lens: &mut Vec<usize>, c: usize) -> (u32, u32) {
+    if c + 1 == lens.len() {
+        lens.push(0);
+    }
+    lens[c + 1] += 1;
+    (c as u32, lens[c + 1] as u32 - 1)
+}
+
+impl Cover {
+    /// The cover whose span `i` sits at `place[i]`, its chains `lens[1..]`
+    /// long, as [`append`] left them.
+    fn new(place: Vec<(u32, u32)>, lens: Vec<usize>) -> Self {
+        assert!(u32::try_from(place.len()).is_ok(), "an order over more than u32::MAX spans");
+        let longest = lens.iter().copied().max().unwrap_or(0);
+        let mut starts = lens;
+        for c in 1..starts.len() {
+            starts[c] += starts[c - 1];
         }
+        let mut members = vec![0; place.len()];
+        for (i, &(c, p)) in place.iter().enumerate() {
+            members[starts[c as usize] + p as usize] = i as u32;
+        }
+        let field_log2 = (usize::BITS - longest.leading_zeros()).next_power_of_two().ilog2();
+        // All ones over one field's mask sets the low bit of every field.
+        let bits = 1 << field_log2;
+        let tops = (u64::MAX / (u64::MAX >> (64 - bits))) << (bits - 1);
+        Cover { place, members, starts, field_log2, tops }
     }
-}
 
-/// A transitively closed relation, held in both directions.
-#[derive(Debug, Clone)]
-struct ClosedOrder {
-    /// Row `j` = the set of spans `i` with `i ≺hb j`.
-    before: BitRows,
-    /// Row `i` = the set of spans `j` with `i ≺hb j`.
-    after: BitRows,
-}
-
-impl ClosedOrder {
-    fn minimal(&self, matched: &BitSet, out: &mut Vec<usize>) {
-        let unmatched = matched.iter_unset().take_while(|&i| i < self.before.len());
-        out.extend(unmatched.filter(|&i| bitset::subset(self.before.row(i), matched.words())));
+    fn chain(&self, c: usize) -> &[u32] {
+        &self.members[self.starts[c]..self.starts[c + 1]]
     }
 }
 
 impl HbRelation {
     /// The real-time order `≺H` (Def. 3) of `spans`: the total-order
-    /// instance of [`PartialHistory`]. `a ≺H b` iff `a`'s response
-    /// precedes `b`'s invocation. `O(n log n)` time, `O(n)` memory.
+    /// instance. `a ≺H b` iff `a`'s response precedes `b`'s invocation.
+    /// `O(n log n)` time, `O(n)` memory.
     ///
     /// # Panics
     ///
     /// Panics unless `spans` are in invocation order with each response
     /// after its invocation, as [`History::spans`] yields them.
     pub fn real_time(spans: &[Span]) -> Self {
-        let inv = spans.iter().map(|s| s.inv).collect();
-        let resp = spans.iter().map(|s| s.resp.unwrap_or(PENDING)).collect();
-        HbRelation { shape: Shape::Ranks(RankOrder::new(inv, resp)) }
+        let resp = |s: &Span| s.resp.unwrap_or(PENDING);
+        Self::ranks(spans.iter().map(|s| Ranked { inv: s.inv, resp: resp(s), ..Ranked::default() }))
+    }
+
+    /// The real-time order of spans with these invocation and response
+    /// indices (the ranks are filled in here).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the invocations ascend and no span responds before it
+    /// is invoked: every answer leans on both.
+    fn ranks(spans: impl Iterator<Item = Ranked>) -> Self {
+        let mut spans: Vec<Ranked> = spans.collect();
+        let n = spans.len();
+        assert!(
+            spans.windows(2).all(|w| w[0].inv <= w[1].inv) && spans.iter().all(|s| s.inv <= s.resp),
+            "the real-time order is built over spans in invocation order"
+        );
+        let responded = (0..n).filter(|&i| spans[i].resp != PENDING);
+        let mut by_resp: Vec<(usize, usize)> = responded.map(|i| (spans[i].resp, i)).collect();
+        by_resp.sort_unstable();
+        // One sweep in invocation order along the responses in time order.
+        // The spans `by_resp[..freed]` respond before the one at hand: their
+        // number is its rank, and it is the first span invoked after those
+        // freed for it (after the others, none is). The chains of
+        // `by_resp[taken..freed]` are free, and the cover is greedy interval
+        // colouring: a span continues the chain freed earliest, or opens
+        // one. Each chain is then ordered in real time, and there are as
+        // many as the most spans ever open at once.
+        spans.iter_mut().for_each(|s| s.succ_start = n);
+        let (mut freed, mut taken) = (0, 0);
+        let mut place: Vec<(u32, u32)> = Vec::with_capacity(n);
+        let mut lens = Vec::with_capacity(8);
+        lens.push(0);
+        for i in 0..n {
+            while let Some(&(_, j)) = by_resp.get(freed).filter(|&&(r, _)| r < spans[i].inv) {
+                spans[j].succ_start = i;
+                freed += 1;
+            }
+            spans[i].pred_rank = freed;
+            let c = if taken < freed { place[by_resp[taken].1].0 as usize } else { lens.len() - 1 };
+            taken += usize::from(taken < freed);
+            place.push(append(&mut lens, c));
+        }
+        HbRelation { shape: Shape::Ranks(spans), cover: Cover::new(place, lens) }
     }
 
     /// A causal happens-before order: per-thread *session order* (each
@@ -712,7 +749,8 @@ impl HbRelation {
     ///
     /// This is the weak-memory reading of a trace: cross-thread real-time
     /// ordering is *not* assumed — only program order and whatever
-    /// synchronization the trace explicitly declares.
+    /// synchronization the trace explicitly declares. The sessions are
+    /// the chain cover.
     ///
     /// # Errors
     ///
@@ -729,39 +767,41 @@ impl HbRelation {
                 return Err(HbError::SelfEdge { op: from });
             }
         }
+        let mut threads: Vec<ThreadId> = Vec::new();
+        let sessions = spans.iter().map(|s| match threads.iter().position(|&t| t == s.thread) {
+            Some(c) => c,
+            None => {
+                threads.push(s.thread);
+                threads.len() - 1
+            }
+        });
+        let mut lens = vec![0];
+        let place = sessions.map(|c| append(&mut lens, c)).collect();
+        let (cover, width) = (Cover::new(place, lens), threads.len());
         // Direct adjacency: session chains plus declared edges.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indeg = vec![0usize; n];
-        let add = |adj: &mut Vec<Vec<usize>>, indeg: &mut Vec<usize>, u: usize, v: usize| {
-            if !adj[u].contains(&v) {
-                adj[u].push(v);
-                indeg[v] += 1;
-            }
-        };
-        let mut last_of_thread: Vec<(ThreadId, usize)> = Vec::new();
-        for (i, s) in spans.iter().enumerate() {
-            match last_of_thread.iter_mut().find(|(t, _)| *t == s.thread) {
-                Some(entry) => {
-                    add(&mut adj, &mut indeg, entry.1, i);
-                    entry.1 = i;
-                }
-                None => last_of_thread.push((s.thread, i)),
-            }
+        let session = (0..width).flat_map(|c| cover.chain(c).windows(2));
+        let session = session.map(|w| (w[0] as usize, w[1] as usize));
+        for (u, v) in session.chain(edges.iter().copied()) {
+            adj[u].push(v);
+            indeg[v] += 1;
         }
-        for &(from, to) in edges {
-            add(&mut adj, &mut indeg, from, to);
-        }
-        // Kahn topological order; `before` accumulates along it and
-        // `after` against it, a word at a time: a finished row is absorbed
-        // by its neighbours' (self edges were refused above).
+        // Kahn topological order; predecessor clocks accumulate along it
+        // and successor clocks against it: a finished clock is absorbed by
+        // its neighbours', which also take in the neighbour itself.
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut topo: Vec<usize> = Vec::with_capacity(n);
-        let mut before = BitRows::new(n, n);
+        let mut pred = vec![0u32; n * width];
         while let Some(u) = queue.pop() {
             topo.push(u);
+            let (chain, pos) = cover.place[u];
             for &v in &adj[u] {
-                before.union_rows(v, u);
-                before.insert(v, u);
+                for c in 0..width {
+                    pred[v * width + c] = pred[v * width + c].max(pred[u * width + c]);
+                }
+                let own = &mut pred[v * width + chain as usize];
+                *own = (*own).max(pos + 1);
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     queue.push(v);
@@ -772,14 +812,19 @@ impl HbRelation {
             let op = (0..n).find(|&i| indeg[i] > 0).unwrap_or(0);
             return Err(HbError::Cycle { op });
         }
-        let mut after = BitRows::new(n, n);
+        let lens = (0..width).map(|c| cover.chain(c).len() as u32);
+        let mut succ: Vec<u32> = lens.collect::<Vec<_>>().repeat(n);
         for &u in topo.iter().rev() {
             for &v in &adj[u] {
-                after.union_rows(u, v);
-                after.insert(u, v);
+                for c in 0..width {
+                    succ[u * width + c] = succ[u * width + c].min(succ[v * width + c]);
+                }
+                let (chain, pos) = cover.place[v];
+                let own = &mut succ[u * width + chain as usize];
+                *own = (*own).min(pos);
             }
         }
-        Ok(HbRelation { shape: Shape::Closed(ClosedOrder { before, after }) })
+        Ok(HbRelation { shape: Shape::Clocks(Clocks { width, pred, succ }), cover })
     }
 
     /// Whether this relation is the real-time order of the spans it was
@@ -793,86 +838,196 @@ impl HbRelation {
 
     /// Restricts the relation to the spans in `keep` (ascending old
     /// indices), renumbering to positions in `keep`. Ordering derived
-    /// transitively *through* a removed span is preserved — the closure
-    /// was computed before the restriction, and the real-time order of a
-    /// subset is the restriction of the real-time order — which is what
-    /// completion (dropping pending invocations, Def. 2) requires.
+    /// transitively *through* a removed span is preserved — the clocks
+    /// were computed before the restriction and only recount what they
+    /// reach of each chain, and the real-time order of a subset is the
+    /// restriction of the real-time order — which is what completion
+    /// (dropping pending invocations, Def. 2) requires.
     ///
     /// # Panics
     ///
     /// Panics if `keep` contains an index out of range, or is not ascending
     /// where the relation is a real-time order.
     pub fn restrict(&self, keep: &[usize]) -> HbRelation {
-        let shape = match &self.shape {
-            Shape::Ranks(r) => Shape::Ranks(RankOrder::new(
-                keep.iter().map(|&k| r.inv[k]).collect(),
-                keep.iter().map(|&k| r.resp[k]).collect(),
-            )),
-            Shape::Closed(c) => {
-                let mut renumbered = vec![usize::MAX; c.before.len()];
-                for (new, &old) in keep.iter().enumerate() {
-                    renumbered[old] = new;
-                }
-                let project = |sets: &BitRows| -> BitRows {
-                    let mut projected = BitRows::new(keep.len(), keep.len());
-                    for (row, &old) in keep.iter().enumerate() {
-                        let kept = bitset::ones(sets.row(old)).map(|i| renumbered[i]);
-                        kept.filter(|&new| new != usize::MAX)
-                            .for_each(|new| projected.insert(row, new));
-                    }
-                    projected
-                };
-                Shape::Closed(ClosedOrder { before: project(&c.before), after: project(&c.after) })
-            }
+        let clocks = match &self.shape {
+            Shape::Ranks(r) => return Self::ranks(keep.iter().map(|&k| r[k])),
+            Shape::Clocks(clocks) => clocks,
         };
-        HbRelation { shape }
+        // `below[starts[c] + c + p]` = how many of chain `c`'s first `p`
+        // spans are kept: what a clock's count `p` along `c` becomes.
+        let (cover, width) = (&self.cover, clocks.width);
+        let mut kept = vec![false; self.len()];
+        keep.iter().for_each(|&k| kept[k] = true);
+        let mut below = Vec::with_capacity(self.len() + width);
+        for c in 0..width {
+            below.push(0);
+            for &i in cover.chain(c) {
+                below.push(below.last().copied().unwrap_or(0) + u32::from(kept[i as usize]));
+            }
+        }
+        let recount = |clock: &[u32]| -> Vec<u32> {
+            let rows = keep.iter().map(|&k| &clock[k * width..][..width]);
+            let counts = rows.flat_map(|row| row.iter().enumerate());
+            counts.map(|(c, &p)| below[cover.starts[c] + c + p as usize]).collect()
+        };
+        let clocks = Clocks { width, pred: recount(&clocks.pred), succ: recount(&clocks.succ) };
+        let mut lens = vec![0; width + 1];
+        let place = keep.iter().map(|&k| append(&mut lens, cover.place[k].0 as usize)).collect();
+        HbRelation { shape: Shape::Clocks(clocks), cover: Cover::new(place, lens) }
     }
-}
 
-impl PartialHistory for HbRelation {
-    fn len(&self) -> usize {
+    /// Number of spans the relation is defined over.
+    pub fn len(&self) -> usize {
+        self.cover.place.len()
+    }
+
+    /// Whether the relation is empty (no spans).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `true` iff span `i` happens-before span `j`. Irreflexive and
+    /// transitive by construction.
+    pub fn precedes(&self, i: usize, j: usize) -> bool {
         match &self.shape {
-            Shape::Ranks(r) => r.inv.len(),
-            Shape::Closed(c) => c.before.len(),
+            Shape::Ranks(r) => matches!((r.get(i), r.get(j)), (Some(a), Some(b)) if a.resp < b.inv),
+            Shape::Clocks(k) => {
+                let (chain, pos) = self.cover.place[i];
+                j < self.len() && pos < k.pred(j)[chain as usize]
+            }
         }
     }
 
-    fn precedes(&self, i: usize, j: usize) -> bool {
+    /// `true` iff `i` and `j` are distinct and unordered — the pairs a
+    /// CA-element may contain.
+    pub fn concurrent(&self, i: usize, j: usize) -> bool {
+        i != j && !self.precedes(i, j) && !self.precedes(j, i)
+    }
+
+    /// How many spans happen-before span `i`.
+    pub fn pred_count(&self, i: usize) -> usize {
         match &self.shape {
-            Shape::Ranks(r) => r.precedes(i, j),
-            Shape::Closed(c) => c.before.contains(j, i),
+            Shape::Ranks(r) => r[i].pred_rank,
+            Shape::Clocks(k) => k.pred(i).iter().map(|&p| p as usize).sum(),
         }
     }
 
-    fn minimal(&self, matched: &BitSet, out: &mut Vec<usize>) {
-        out.clear();
+    /// Calls `f` on every span that span `i` happens-before, chain by
+    /// chain.
+    pub fn for_each_succ(&self, i: usize, mut f: impl FnMut(usize)) {
         match &self.shape {
-            Shape::Ranks(r) => r.minimal(matched, out),
-            Shape::Closed(c) => c.minimal(matched, out),
+            Shape::Ranks(r) => (r[i].succ_start..r.len()).for_each(f),
+            Shape::Clocks(k) => {
+                for (c, &first) in k.succ(i).iter().enumerate() {
+                    self.cover.chain(c)[first as usize..].iter().for_each(|&j| f(j as usize));
+                }
+            }
         }
     }
 
-    fn pred_count(&self, i: usize) -> usize {
-        match &self.shape {
-            Shape::Ranks(r) => r.pred_rank[i],
-            Shape::Closed(c) => c.before.row(i).iter().map(|w| w.count_ones() as usize).sum(),
-        }
-    }
-
-    fn for_each_succ(&self, i: usize, f: impl FnMut(usize)) {
-        match &self.shape {
-            Shape::Ranks(r) => (r.succ_start[i]..r.inv.len()).for_each(f),
-            Shape::Closed(c) => bitset::ones(c.after.row(i)).for_each(f),
-        }
-    }
-
-    fn constraint_key(&self, i: usize) -> ConstraintKey<'_> {
+    /// What the order constrains span `i` by, as a value: two spans of one
+    /// relation have equal keys iff they have the same predecessors and
+    /// the same successors.
+    pub fn constraint_key(&self, i: usize) -> ConstraintKey<'_> {
         ConstraintKey(match &self.shape {
             Shape::Ranks(r) => {
-                KeyShape::Ranks { pred_rank: r.pred_rank[i], succ_start: r.succ_start[i] }
+                KeyShape::Ranks { pred_rank: r[i].pred_rank, succ_start: r[i].succ_start }
             }
-            Shape::Closed(c) => KeyShape::Sets { before: c.before.row(i), after: c.after.row(i) },
+            Shape::Clocks(k) => KeyShape::Clocks { pred: k.pred(i), succ: k.succ(i) },
         })
+    }
+
+    /// Number of chains in the relation's chain cover.
+    pub fn width(&self) -> usize {
+        self.cover.starts.len() - 1
+    }
+
+    /// The spans of chain `c` of the cover, in order.
+    pub fn chain(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
+        self.cover.chain(c).iter().map(|&i| i as usize)
+    }
+
+    /// The cut that holds nothing.
+    pub fn empty_cut(&self) -> Cut {
+        let words = (self.width() << self.cover.field_log2).div_ceil(64);
+        Cut(if words <= INLINE_WORDS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; words].into_boxed_slice())
+        })
+    }
+
+    /// How many spans of chain `c` the cut holds.
+    fn count(&self, cut: &Cut, c: usize) -> usize {
+        let at = c << self.cover.field_log2;
+        let mask = u64::MAX >> (64 - (1 << self.cover.field_log2));
+        ((cut.words()[at / 64] >> (at % 64)) & mask) as usize
+    }
+
+    /// Whether `cut` holds span `i`.
+    pub fn contains(&self, cut: &Cut, i: usize) -> bool {
+        let (chain, pos) = self.cover.place[i];
+        (pos as usize) < self.count(cut, chain as usize)
+    }
+
+    /// Whether `cut` holds every span `other` holds.
+    pub fn reaches(&self, cut: &Cut, other: &Cut) -> bool {
+        // Field-wise `≥`, a word at a time: a field's low bits with its top
+        // bit set, minus the other's low bits, borrows from no neighbour
+        // and keeps that top bit iff the low bits compare `≥`; the top bits
+        // decide the rest.
+        let tops = self.cover.tops;
+        cut.words().iter().zip(other.words()).all(|(&a, &b)| {
+            let low = (a | tops) - (b & !tops);
+            ((a & !b) | (!(a ^ b) & low)) & tops == tops
+        })
+    }
+
+    /// Adds span `i`, the first of its chain that `cut` does not hold, to
+    /// `cut`.
+    pub fn take(&self, cut: &mut Cut, i: usize) {
+        let (chain, pos) = self.cover.place[i];
+        debug_assert_eq!(self.count(cut, chain as usize), pos as usize, "{i} is not next");
+        let at = (chain as usize) << self.cover.field_log2;
+        cut.words_mut()[at / 64] += 1 << (at % 64);
+    }
+
+    /// Replaces the contents of `out` with the minimal spans of what `cut`
+    /// leaves — every span it does not hold all of whose predecessors it
+    /// does — ascending. Only a chain's first span left can be one, so the
+    /// scan is over those heads.
+    pub fn minimal(&self, cut: &Cut, out: &mut Vec<usize>) {
+        out.clear();
+        let Cover { members, starts, field_log2, .. } = &self.cover;
+        let bits = 1 << field_log2;
+        let mask = u64::MAX >> (64 - bits);
+        let mut words = cut.words().iter();
+        let mut word = 0;
+        for (c, bounds) in starts.windows(2).enumerate() {
+            if c * bits % 64 == 0 {
+                word = words.next().copied().unwrap_or(0);
+            }
+            let head = bounds[0] + (word & mask) as usize;
+            word >>= bits % 64; // (a 64-bit field is the whole word)
+            if head < bounds[1] {
+                out.push(members[head] as usize);
+            }
+        }
+        out.sort_unstable();
+        match &self.shape {
+            // A span left responds after every earlier span of its chain,
+            // so the earliest response left is a head's; a head is minimal
+            // iff it is invoked before that response, which makes the
+            // minimal heads a prefix of the heads in invocation order.
+            Shape::Ranks(r) => {
+                let earliest = out.iter().map(|&h| r[h].resp).min().unwrap_or(PENDING);
+                out.truncate(out.partition_point(|&h| r[h].inv < earliest));
+            }
+            // A head is minimal iff the cut reaches its predecessor clock.
+            Shape::Clocks(k) => out.retain(|&h| {
+                k.pred(h).iter().enumerate().all(|(c, &p)| self.count(cut, c) >= p as usize)
+            }),
+        }
     }
 }
 

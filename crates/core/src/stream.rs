@@ -156,7 +156,7 @@ use crate::causal::CausalOrderError;
 use crate::check::CalDomain;
 use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, SpecRef, Verdict};
 use crate::format::{Format, StreamDecoder, WireItem};
-use crate::history::{HbRelation, History, HistoryError, PartialHistory, Span};
+use crate::history::{HbRelation, History, HistoryError, Span};
 use crate::ids::{ObjectId, ThreadId};
 use crate::obs::JsonLine;
 use crate::op::Operation;

@@ -6,8 +6,8 @@
 //! argument and return value, and the same real-time constraints — the
 //! search tree contains one isomorphic subtree per way of picking *which
 //! of them* is matched first. Memoization alone cannot collapse these:
-//! the matched bit-sets differ even though the residual search problems
-//! are identical.
+//! the matched sets differ even though the residual search problems are
+//! identical.
 //!
 //! This module computes, once per history, the **interchangeability
 //! classes** of spans, and for each span the member of its class just
@@ -30,7 +30,7 @@
 //!    completeness and return value;
 //! 2. they have identical order constraint sets: the same predecessors
 //!    and the same successors under the happens-before relation the
-//!    search runs over ([`crate::history::PartialHistory`]).
+//!    search runs over ([`crate::history::HbRelation`]).
 //!
 //! Swapping `i` and `j` in any matched set then maps every valid
 //! CA-trace extension to a valid one: the spec's transition relation
@@ -71,7 +71,7 @@
 
 use std::collections::HashMap;
 
-use crate::history::{HbRelation, PartialHistory, Span};
+use crate::history::{HbRelation, Span};
 
 /// Interchangeability classes of a history's spans, precomputed once and
 /// shared read-only across search workers.
@@ -99,7 +99,7 @@ impl SymClasses {
     /// Computes the interchangeability classes of `spans` under an
     /// arbitrary happens-before relation: constraint sets (condition 2)
     /// are the relation's pred/succ sets instead of `≺H`'s, compared
-    /// through [`PartialHistory::constraint_key`]. See the
+    /// through [`HbRelation::constraint_key`]. See the
     /// module docs for why the soundness argument carries over to partial
     /// orders.
     pub fn of_order(spans: &[Span], hb: &HbRelation) -> Self {

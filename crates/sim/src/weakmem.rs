@@ -159,7 +159,6 @@ mod tests {
     use crate::OpRequest;
     use cal_core::causal::is_causal;
     use cal_core::check::is_cal;
-    use cal_core::history::PartialHistory;
     use cal_core::ObjectId;
     use cal_specs::exchanger::ExchangerSpec;
     use cal_specs::vocab::EXCHANGE;

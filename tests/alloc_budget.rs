@@ -18,6 +18,14 @@
 //! visits 12,913 nodes for 84 allocations and its stream 2,880 for 208;
 //! the symmetry-free stream is kept as the per-node case.
 //!
+//! The same allocator keeps the bytes live on each thread and their peak,
+//! so that what a search keeps is held to the concurrency of the history
+//! rather than its length: a 100,000-operation history of four clients is
+//! checked in 64 MiB (the commit before matched sets were cuts of the
+//! order needed about 2 GiB, an `n`-bit set in every frame), and its causal
+//! order, with a reads-from edge a read, is built in 32 MiB (two `n × n`
+//! bit matrices, 2.5 GB, before the order kept vector clocks).
+//!
 //! The wire in front of the stream checker is held to the same kind of
 //! statement: a Jepsen record costs `decode_line` the `Vec` it returns
 //! (eight allocations before its scanner borrowed from the line), and so
@@ -32,6 +40,7 @@ use std::cell::Cell;
 
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
 use cal::core::format::{format_jepsen, format_kvlog, StreamDecoder};
+use cal::core::history::HbRelation;
 use cal::core::spec::{CaSpec, SeqAsCa};
 use cal::core::stream::{
     Ingest, LineSplitter, Push, Reply, StreamChecker, StreamOptions, StreamVerdict,
@@ -45,27 +54,43 @@ use common::{exchanger_windows, identical_exchanges, kv_stream, pipelined_regist
 struct Counting;
 
 thread_local! {
-    // Const-initialised and without a destructor, so touching it never
+    // Const-initialised and without a destructor, so touching them never
     // allocates and is sound at any point of a thread's life.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated on this thread and not yet freed (by any thread: a
+    // block freed elsewhere stays counted here), and the most there were.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Moves this thread's live byte count by `delta`, raising the peak with it.
+fn add_live(delta: i64) {
+    let live = LIVE.with(|live| {
+        live.set(live.get() + delta);
+        live.get()
+    });
+    PEAK.with(|peak| peak.set(peak.get().max(live)));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter never touches the returned memory.
+// `GlobalAlloc` contract; the counters never touch the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        add_live(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(p, layout) }
     }
 
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        add_live(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(p, layout, new_size) }
     }
@@ -80,6 +105,21 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = work();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// What `work` returns, and the most bytes this thread held live while it
+/// ran beyond what it held before.
+fn peak_live<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let out = work();
+    (out, (PEAK.with(Cell::get) - before) as u64)
+}
+
+const MIB: u64 = 1 << 20;
+
+fn in_ci() -> bool {
+    std::env::var("CI").is_ok_and(|v| v == "1" || v == "true")
 }
 
 /// The most a search may allocate per node it visits, everything counted:
@@ -144,17 +184,14 @@ fn a_search_node_costs_a_handful_of_allocations() {
         check_counted(&exchanger_windows(3, true), &ExchangerSpec::new(O), &options, false);
     assert!(stats.memo_hits > 0, "and a memo worth the name: {stats:?}");
     assert_no_cost_per_node("exchanger refutation", &stats, allocations);
-    // At the benchmark's own size, 295 operations, a matched set no longer
-    // fits in its node: a heap block a successor, another a memo entry,
-    // and nothing else (86,709 for 70,993 nodes; 234,461 for 144,865 when
-    // every symmetric sibling was generated and given a canonical key).
+    // At the benchmark's own size, 295 operations, the cut still fits in
+    // its node: 22 chains of at most 14 spans are 88 bits (181 allocations
+    // for 70,993 nodes; 86,709 when a node held a 295-bit set, a heap
+    // block a successor, and 234,461 for 144,865 when every symmetric
+    // sibling was generated and given a canonical key).
     let (stats, allocations) =
         check_counted(&exchanger_windows(14, true), &ExchangerSpec::new(O), &options, false);
-    assert!(
-        allocations <= 2 * stats.nodes,
-        "14-window refutation: {allocations} allocations for {} nodes",
-        stats.nodes
-    );
+    assert_no_cost_per_node("14-window refutation", &stats, allocations);
     // A small accepted history, one node an operation: here the fixed
     // costs (spans, order, classes, witness) are most of the count.
     let register = SeqAsCa::new(RegisterSpec::new(O));
@@ -348,4 +385,71 @@ fn a_method_name_outside_the_vocabulary_is_leaked_once() {
             "{format}: {allocations} allocations for {LINES} lines"
         );
     }
+}
+
+#[test]
+fn a_long_history_is_checked_in_memory_its_concurrency_bounds() {
+    // Four clients, three or four operations open at any time: a search
+    // node an operation, each a cut of four counts.
+    const OPS: u64 = 100_000;
+    let history = pipelined_register_history(OPS as usize);
+    let register = SeqAsCa::new(RegisterSpec::new(O));
+    let start = std::time::Instant::now();
+    let (outcome, peak) =
+        peak_live(|| check_cal_with(&history, &register, &CheckOptions::default()).unwrap());
+    assert!(outcome.verdict.is_cal(), "{:?}", outcome.verdict);
+    assert_eq!(outcome.stats.nodes, OPS);
+    assert!(peak < 64 * MIB, "{OPS} operations held {} MiB live", peak / MIB);
+    if !in_ci() {
+        assert!(start.elapsed().as_secs() < 60, "{OPS} operations took {:?}", start.elapsed());
+    }
+}
+
+/// Whether `to` is reachable from `from` along `succs`: the definition of
+/// the transitive closure, one search a pair.
+fn reachable(succs: &[Vec<usize>], from: usize, to: usize) -> bool {
+    let mut seen = vec![false; succs.len()];
+    let mut stack = succs[from].clone();
+    while let Some(i) = stack.pop() {
+        if i == to {
+            return true;
+        }
+        if !std::mem::replace(&mut seen[i], true) {
+            stack.extend(&succs[i]);
+        }
+    }
+    false
+}
+
+#[test]
+fn a_long_causal_order_is_built_in_memory_its_sessions_bound() {
+    use rand::{Rng, SeedableRng};
+    // Four sessions; every read declares the write it read from (the
+    // operation just before it) as a predecessor.
+    const OPS: usize = 100_000;
+    let spans = pipelined_register_history(OPS).spans();
+    let edges: Vec<(usize, usize)> = (1..OPS).step_by(2).map(|read| (read - 1, read)).collect();
+    let (hb, peak) = peak_live(|| HbRelation::causal(&spans, &edges).unwrap());
+    assert_eq!((hb.len(), hb.width()), (OPS, 4));
+    assert!(peak < 32 * MIB, "a causal order over {OPS} operations held {} MiB", peak / MIB);
+    // Against the closure by definition, on pairs near and far.
+    let mut succs = vec![Vec::new(); OPS];
+    for (i, s) in spans.iter().enumerate() {
+        if let Some(j) = (i + 1..OPS).find(|&j| spans[j].thread == s.thread) {
+            succs[i].push(j);
+        }
+    }
+    edges.iter().for_each(|&(from, to)| succs[from].push(to));
+    let rng = &mut rand::rngs::StdRng::seed_from_u64(33);
+    let mut ordered = 0;
+    for _ in 0..300 {
+        let i = rng.gen_range(0..OPS - 1);
+        let far = if rng.gen_bool(0.9) { OPS.min(i + 64) } else { OPS };
+        let j = rng.gen_range(i + 1..far);
+        let precedes = reachable(&succs, i, j);
+        assert_eq!(hb.precedes(i, j), precedes, "{i} before {j}");
+        assert!(!hb.precedes(j, i), "{j} before {i}: against invocation order");
+        ordered += usize::from(precedes);
+    }
+    assert!((50..250).contains(&ordered), "{ordered} of 300 pairs ordered: a sample worth it");
 }

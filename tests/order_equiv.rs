@@ -7,18 +7,20 @@
 //! transitive closure of session order plus the declared edges. Every
 //! question a checker asks of an order is answered from the matrix by its
 //! definition and compared: `precedes` / `concurrent` on every pair,
-//! `pred_count`, successor sets, `minimal` for arbitrary and for
-//! downward-closed matched sets, `restrict`, and the symmetry classes (the
-//! old pairwise grouping, kept here, against `SymClasses::of_order`, and
-//! each member's previous clone against the class lists).
+//! `pred_count`, successor sets, `minimal` and `contains` on the cuts a
+//! search reaches (grown by matching random minimal spans), `restrict`,
+//! and the symmetry classes (the old pairwise grouping, kept here, against
+//! `SymClasses::of_order`, and each member's previous clone against the
+//! class lists). The chain cover is held to its invariants: every span in
+//! exactly one chain, every chain totally ordered, and under real time as
+//! many chains as spans are ever open at once.
 //!
-//! The rank shape is additionally compared with the *closed* shape of the
+//! The rank shape is additionally compared with the *clock* shape of the
 //! same order — `HbRelation::causal` fed every real-time pair as an edge —
 //! so the two representations meet on identical input.
 
-use cal::core::bitset::BitSet;
 use cal::core::gen::interleave;
-use cal::core::history::{HbRelation, PartialHistory, Span};
+use cal::core::history::{HbRelation, Span};
 use cal::core::symmetry::SymClasses;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use proptest::prelude::*;
@@ -35,8 +37,7 @@ fn arb_op() -> impl Strategy<Value = (Method, i64, i64, bool)> {
 }
 
 /// A well-formed history of up to six threads, each a chain of up to 27
-/// operations (about one history in five crosses the 64-span word boundary)
-/// whose last one may stay pending, interleaved by seed.
+/// operations whose last one may stay pending, interleaved by seed.
 fn arb_history() -> impl Strategy<Value = History> {
     (prop::collection::vec(prop::collection::vec(arb_op(), 0..28), 1..7), any::<u64>()).prop_map(
         |(threads, seed)| {
@@ -145,36 +146,51 @@ fn pairwise_classes(spans: &[Span], m: &Matrix) -> Vec<Vec<usize>> {
     classes
 }
 
-// --- matched sets ------------------------------------------------------------
+// --- cuts ----------------------------------------------------------------------
 
-fn bitset_of(matched: &[bool]) -> BitSet {
-    let mut set = BitSet::new(matched.len().max(1));
-    for (i, _) in matched.iter().enumerate().filter(|(_, &on)| on) {
-        set.insert(i);
+/// The matched sets a search reaches, each with its cut: grown from
+/// nothing by matching one minimal span at a time, chosen at random, to
+/// the full set. `minimal` is checked at every step on the way.
+fn assert_cuts_match(hb: &HbRelation, m: &Matrix, rng: &mut StdRng, what: &str) {
+    let n = m.len();
+    // `minimal` replaces what the buffer held.
+    let mut out = vec![usize::MAX];
+    for _ in 0..3 {
+        let (mut matched, mut cut) = (vec![false; n], hb.empty_cut());
+        loop {
+            let contains: Vec<bool> = (0..n).map(|i| hb.contains(&cut, i)).collect();
+            assert_eq!(contains, matched, "{what}: contains");
+            hb.minimal(&cut, &mut out);
+            assert_eq!(out, minimal_by_definition(m, &matched), "{what}: minimal of {matched:?}");
+            let Some(&next) = out.get(rng.gen_range(0..out.len().max(1))) else { break };
+            hb.take(&mut cut, next);
+            matched[next] = true;
+        }
+        assert!(matched.iter().all(|&on| on), "{what}: a cut with no minimal span left is full");
     }
-    set
 }
 
-/// Arbitrary subsets at three densities, then downward-closed ones: the
-/// sets a search actually reaches, grown by matching one minimal span at a
-/// time to a random size.
-fn matched_sets(m: &Matrix, rng: &mut StdRng) -> Vec<Vec<bool>> {
-    let n = m.len();
-    let mut sets: Vec<Vec<bool>> = [0.1, 0.5, 0.9]
-        .iter()
-        .map(|&density| (0..n).map(|_| rng.gen_bool(density)).collect())
-        .collect();
-    sets.push(vec![false; n]);
-    sets.push(vec![true; n]);
-    for _ in 0..4 {
-        let mut matched = vec![false; n];
-        for _ in 0..rng.gen_range(0..=n) {
-            let frontier = minimal_by_definition(m, &matched);
-            matched[frontier[rng.gen_range(0..frontier.len())]] = true;
+/// The cover's invariants: every span in exactly one chain, and each
+/// chain totally ordered in the order it lists its spans.
+fn assert_cover_holds(hb: &HbRelation, m: &Matrix, what: &str) {
+    let mut chains_of = vec![0; m.len()];
+    for c in 0..hb.width() {
+        let chain: Vec<usize> = hb.chain(c).collect();
+        for pair in chain.windows(2) {
+            assert!(m[pair[0]][pair[1]], "{what}: chain {c} = {chain:?} is not ordered");
         }
-        sets.push(matched);
+        chain.iter().for_each(|&i| chains_of[i] += 1);
     }
-    sets
+    assert!(chains_of.iter().all(|&k| k == 1), "{what}: chains per span {chains_of:?}");
+}
+
+/// The most spans open at one instant: at some invocation, the spans
+/// invoked by then that have not responded.
+fn peak_concurrency(spans: &[Span]) -> usize {
+    let open_at = |t: usize| {
+        spans.iter().filter(move |s| s.inv <= t && s.resp.is_none_or(|r| r > t)).count()
+    };
+    spans.iter().map(|s| open_at(s.inv)).max().unwrap_or(0)
 }
 
 // --- the comparison ----------------------------------------------------------
@@ -203,6 +219,7 @@ fn assert_answers_match(hb: &HbRelation, spans: &[Span], m: &Matrix, rng: &mut S
         assert_eq!(hb.pred_count(i), members(preds).len(), "{what}: pred_count({i})");
         let mut visited = Vec::new();
         hb.for_each_succ(i, |j| visited.push(j));
+        visited.sort_unstable();
         assert_eq!(visited, members(succs), "{what}: succs({i})");
     }
     let sym = SymClasses::of_order(spans, hb);
@@ -215,13 +232,11 @@ fn assert_answers_match(hb: &HbRelation, spans: &[Span], m: &Matrix, rng: &mut S
         }
     }
     assert_eq!((0..n).map(|i| sym.prev_clone(i)).collect::<Vec<_>>(), prev, "{what}: clones");
-    // `minimal` replaces what the buffer held.
-    let mut out = vec![usize::MAX];
-    for matched in matched_sets(m, rng) {
-        let bits = bitset_of(&matched);
-        hb.minimal(&bits, &mut out);
-        assert_eq!(out, minimal_by_definition(m, &matched), "{what}: minimal of {matched:?}");
+    assert_cover_holds(hb, m, what);
+    if hb.is_real_time() {
+        assert_eq!(hb.width(), peak_concurrency(spans), "{what}: width");
     }
+    assert_cuts_match(hb, m, rng, what);
 }
 
 /// `restrict` against the restricted matrix, over a random ascending
@@ -245,7 +260,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The rank shape is the all-pairs real-time order, and so is the
-    /// closed shape built from the all-pairs edges.
+    /// clock shape built from the all-pairs edges.
     #[test]
     fn ranks_are_the_all_pairs_real_time_order(h in arb_history(), seed in any::<u64>()) {
         let spans = h.spans();
@@ -260,9 +275,9 @@ proptest! {
             .flat_map(|i| (0..spans.len()).map(move |j| (i, j)))
             .filter(|&(i, j)| m[i][j])
             .collect();
-        let closed = HbRelation::causal(&spans, &edges).expect("real time is acyclic");
-        prop_assert!(!closed.is_real_time());
-        assert_answers_match(&closed, &spans, &m, rng, "closed real time");
+        let clocks = HbRelation::causal(&spans, &edges).expect("real time is acyclic");
+        prop_assert!(!clocks.is_real_time());
+        assert_answers_match(&clocks, &spans, &m, rng, "clocked real time");
 
         // Restricting commutes with building: the real-time order of the
         // kept spans is the restriction of the real-time order.
@@ -272,14 +287,14 @@ proptest! {
         assert_answers_match(
             &HbRelation::real_time(&kept), &kept, &restrict_matrix(&m, &keep), rng, "rebuilt ranks",
         );
-        assert_restriction_matches(&closed, &spans, &m, rng, "restricted closed real time");
+        assert_restriction_matches(&clocks, &spans, &m, rng, "restricted clocked real time");
     }
 
-    /// The word-wise closure is the per-bit closure of session order plus
-    /// the declared edges. Edges run forward in invocation order, as
-    /// session order does, so the declaration is acyclic.
+    /// The clocks are the per-bit closure of session order plus the
+    /// declared edges. Edges run forward in invocation order, as session
+    /// order does, so the declaration is acyclic.
     #[test]
-    fn closed_shape_is_the_per_bit_closure(h in arb_history(), seed in any::<u64>()) {
+    fn causal_clocks_are_the_per_bit_closure(h in arb_history(), seed in any::<u64>()) {
         let spans = h.spans();
         let n = spans.len();
         let rng = &mut StdRng::seed_from_u64(seed);

@@ -31,11 +31,10 @@
 
 mod common;
 
-use cal::core::bitset::BitSet;
 use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
 use cal::core::engine::{self, ExpandObs, SearchDomain};
-use cal::core::history::{HbRelation, PartialHistory, Span};
+use cal::core::history::{HbRelation, Span};
 use cal::core::par::check_cal_par_with;
 use cal::core::spec::SeqAsCa;
 use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
@@ -203,13 +202,14 @@ fn real_time_order_builds_over_a_million_spans() {
     let start = std::time::Instant::now();
     let hb = HbRelation::real_time(&spans);
     assert_eq!(hb.len(), N);
+    assert_eq!(hb.width(), 4, "four spans are ever open at once");
     assert!(hb.concurrent(0, 3) && hb.precedes(0, 4) && !hb.precedes(4, 0));
     assert_eq!(hb.pred_count(N - 1), N - 4);
     let mut succs = 0;
     hb.for_each_succ(N - 6, |_| succs += 1);
     assert_eq!(succs, 2);
     let mut minimal = Vec::new();
-    hb.minimal(&BitSet::new(N), &mut minimal);
+    hb.minimal(&hb.empty_cut(), &mut minimal);
     assert_eq!(minimal, vec![0, 1, 2, 3]);
     if !in_ci() {
         assert!(
