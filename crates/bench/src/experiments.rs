@@ -19,7 +19,7 @@ use cal_objects::{exchanger::Exchanger, stack::TreiberStack};
 use cal_rg::check_exchanger_rg;
 use cal_sim::models::{elim_array::ElimArrayModel, elim_stack::ElimStackModel};
 use cal_sim::{models::exchanger::ExchangerModel, Explorer, OpRequest, Workload};
-use cal_specs::gen::kv_bursts;
+use cal_specs::gen::{exchanger_windows, kv_bursts};
 use cal_specs::kv::KvMapSpec;
 use cal_specs::register::{read_op, write_op, RegisterSpec};
 use cal_specs::vocab::{EXCHANGE, POP, PUSH};
@@ -283,15 +283,18 @@ fn hard_cal_stack_block(object: ObjectId, base: u32, k: i64) -> Vec<Action> {
     a
 }
 
-/// E14 — the two parallel-checker series whose sequential arm runs long
+/// E14 — the parallel-checker series whose sequential arm runs long
 /// enough to mean something. **decompose/refute-last-stacks**: four stack
 /// objects, the first three adversarial-but-CAL, the last with a pop of a
 /// value never pushed; a sequential decomposed checker grinds through the
 /// healthy three first, the parallel one is done when any worker reaches
 /// the bad object and cancels the rest (asserted ≥ 1.8×).
 /// **cal/frontier-stack-8**: one adversarial block against the sequential
-/// stack spec lifted to singletons, one worker against the frontier split
-/// across the workers.
+/// stack spec lifted to singletons, one worker against every worker on
+/// the root. **cal/refute-exchanger-14**: `check-exchanger-refute`'s
+/// fourteen windows, one worker against every worker on the root; the
+/// workers must add at most 15 % to the one-worker nodes on any host
+/// (asserted), and with two or more be ≥ 1.2× faster (asserted).
 pub fn e14(b: &mut Bench) {
     const OBJECTS: u32 = 4;
     let mut actions: Vec<Action> =
@@ -341,6 +344,30 @@ pub fn e14(b: &mut Bench) {
         accepted(check_cal_with(&h, &spec, &one).unwrap())
     });
     b.versus("cal/frontier-stack-8/par");
+
+    let h = exchanger_windows(ObjectId(0), 14, true);
+    let spec = ExchangerSpec::new(ObjectId(0));
+    let mut par_nodes = 0;
+    b.ranged("cal/refute-exchanger-14/par", SEARCH, || {
+        let counts = refuted(check_cal_par_with(&h, &spec, &many).unwrap());
+        par_nodes = par_nodes.max(counts[0]);
+        counts
+    });
+    let mut seq_nodes = 0;
+    b.exact("cal/refute-exchanger-14/seq", SEARCH, || {
+        let counts = refuted(check_cal_with(&h, &spec, &one).unwrap());
+        seq_nodes = counts[0];
+        counts
+    });
+    let speedup = b.versus("cal/refute-exchanger-14/par");
+    assert!(
+        par_nodes * 100 <= seq_nodes * 115,
+        "refute-exchanger-14: {par_nodes} nodes on {} workers against {seq_nodes} on one",
+        b.workers
+    );
+    if b.workers >= 2 {
+        assert!(speedup >= 1.2, "refute-exchanger-14 speedup {speedup:.2}x below the 1.2x floor");
+    }
 }
 
 /// E16 — streaming replay at verdict parity. `pairs` overlapping exchange

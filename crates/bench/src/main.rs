@@ -32,7 +32,7 @@ static EXPERIMENTS: [Experiment; 10] = [
     Experiment { id: "E7", title: "exchanger throughput and pairing rate", body: e7 },
     Experiment { id: "E8", title: "checker scalability on accepting instances", body: e8 },
     Experiment { id: "E13", title: "arena exchanger vs. single slot", body: e13 },
-    Experiment { id: "E14", title: "parallel checker: decomposition, frontier split", body: e14 },
+    Experiment { id: "E14", title: "parallel checker: decomposition, workers on the root", body: e14 },
     Experiment { id: "E16", title: "streaming replay throughput, retirement counters", body: e16 },
     Experiment { id: "ablations", title: "memoisation, pruning, recorder overhead", body: ablations },
 ];

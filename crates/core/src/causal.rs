@@ -27,8 +27,8 @@
 //! Two consequences of a genuinely partial order are handled here rather
 //! than in the engine: per-object decomposition is disabled (session
 //! edges cross objects, so objects are no longer independent; the
-//! history is searched whole, its root's branches split across threads
-//! when several are asked for), and symmetry
+//! history is searched whole, by every worker from the root when several
+//! threads are asked for), and symmetry
 //! classes are recomputed from hb constraint sets
 //! ([`crate::symmetry::SymClasses::of_order`]).
 
@@ -166,8 +166,9 @@ pub fn check_causal_with<S: CaSpec>(
 
 /// Like [`check_causal_with`], on [`CheckOptions::threads`] workers.
 /// Per-object decomposition is disabled under a genuinely partial order,
-/// so above one thread the root's branches are split across the workers,
-/// which share one memo; at one thread this is [`check_causal_with`].
+/// so above one thread every worker searches the root, in its own
+/// successor order, against one shared memo; at one thread this is
+/// [`check_causal_with`].
 ///
 /// # Errors
 ///

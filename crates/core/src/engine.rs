@@ -16,18 +16,19 @@
 //! - deadline / cancellation polling at one tick cadence
 //!   ([`CheckOptions::deadline`], [`CancelToken`]);
 //! - failed-state memoization, thread-private (`MemoTable`) or shared
-//!   and lock-free ([`crate::fpmemo::FpMemo`]), keyed on nodes exactly as
-//!   the domain generated them;
+//!   and lock-free ([`crate::fpmemo::FpMemo`]) between the workers that
+//!   search one root, keyed on nodes exactly as the domain generated
+//!   them;
 //! - the search's counters ([`CheckStats`]), and the few live events a
 //!   [`crate::obs::StatsSink`] receives while a search runs;
 //! - the [`Verdict`] / [`InterruptReason`] outcome taxonomy;
 //! - per-object decomposition, decided by the input: a problem whose
 //!   [`SearchDomain::decompose`] offers at least two parts is searched part
 //!   by part at every thread count;
-//! - one task runner for independent subsearches: those parts, or, on
-//!   several threads, the root's branches of a problem that does not
-//!   decompose, drained through one atomic cursor by `min(threads, tasks)`
-//!   workers under one node budget and one stop latch ([`search_par`]).
+//! - one task runner for subsearches ([`search_par`]): those parts, or,
+//!   on several threads, one whole-root DFS per worker (each in its own
+//!   successor order) of a problem that does not decompose, drained
+//!   under one node budget and one stop latch.
 //!
 //! The search itself is an *iterative* DFS over an arena of successor
 //! entries: one `Vec` per worker holds every `(step, node)` on the
@@ -296,7 +297,7 @@ impl<W: fmt::Display> fmt::Display for Verdict<W> {
 
 /// The search's counters: the one place a search counts what it did.
 /// A report ([`crate::obs::SearchReport`]) takes every count from here;
-/// searches folded together (parts, root branches, stream checkpoints)
+/// searches folded together (parts, a root's workers, stream checkpoints)
 /// add field by field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckStats {
@@ -313,12 +314,10 @@ pub struct CheckStats {
     pub memo_misses: u64,
     /// Refuted states recorded in the memo table (at most the misses).
     pub memo_inserts: u64,
-    /// Legal first elements a search split across the task runner (0
-    /// when no search split its root).
-    pub root_branches: u64,
-    /// Workers the root's branches were split across (0 if not split):
-    /// `min(threads, root_branches)`, since a worker is started only for
-    /// a branch it can take.
+    /// Workers that searched the root, each a whole DFS in its own
+    /// successor order: 0 at one thread and for a problem searched part
+    /// by part, [`CheckOptions::threads`] above one, and 1 there when
+    /// [`CheckOptions::memoize`] is off (the workers would share nothing).
     pub root_workers: u64,
     /// Always 0: no search hands work from one worker to another. The
     /// field stays so that code reading it still compiles.
@@ -332,7 +331,6 @@ impl std::ops::AddAssign for CheckStats {
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
         self.memo_inserts += other.memo_inserts;
-        self.root_branches += other.root_branches;
         self.root_workers += other.root_workers;
         self.steals += other.steals;
     }
@@ -411,13 +409,15 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 const POLL_INTERVAL_MASK: u64 = 255;
 
 /// The failed-state table behind a search: thread-private for a whole
-/// problem or one part, a reference to a shared lock-free fingerprint
-/// table ([`FpMemo`]) for the root's branches split across threads (so
-/// cross-worker pruning compounds without lock contention).
+/// problem on one thread or one part, a reference to a shared lock-free
+/// fingerprint table ([`FpMemo`]) for the workers that search one root
+/// together (so a subtree one of them exhausts prunes every other's
+/// without lock contention).
 pub(crate) enum MemoTable<'m, K: Eq + Hash + Clone> {
     /// A plain private hash set.
     Local(HashSet<K>),
-    /// A shared lock-free fingerprint table, one per split root.
+    /// A shared lock-free fingerprint table, one per root searched by
+    /// several workers.
     Shared(&'m FpMemo<K>),
 }
 
@@ -489,10 +489,10 @@ pub trait SearchDomain {
     /// Splits the problem into independent per-object subdomains, when
     /// the domain supports locality-based decomposition. The engine then
     /// searches the parts instead of the whole, at every thread count.
-    /// `None` (the default) means the problem is searched whole — from
-    /// one root, or on several threads with the root's branches split
-    /// across them. A single-element partition is treated as `None`. May
-    /// call specification code; the engine guards the call.
+    /// `None` (the default) means the problem is searched whole from its
+    /// root — on several threads by every worker at once, in different
+    /// successor orders. A single-element partition is treated as `None`.
+    /// May call specification code; the engine guards the call.
     fn decompose(&self) -> Option<Vec<(ObjectId, Self)>>
     where
         Self: Sized,
@@ -524,8 +524,8 @@ struct Ctl<'a> {
     /// replaces the private `stats.nodes` in the budget check, so
     /// `max_nodes` bounds the *total* across workers.
     shared_nodes: Option<&'a AtomicU64>,
-    /// Early-stop latch for parallel searches: fired by the driver when a
-    /// sibling worker found a witness (or panicked), making every other
+    /// Early-stop latch for parallel searches: fired by the task runner
+    /// when a sibling task's end decided the run, making every other
     /// worker wind down. Distinct from the user's [`CheckOptions::cancel`]
     /// so an internal stop is never mistaken for a user cancellation.
     stop: Option<&'a CancelToken>,
@@ -570,10 +570,11 @@ impl<'a> Ctl<'a> {
                     return self.latch_interrupt(InterruptReason::Cancelled);
                 }
             }
-            if let Some(stop) = self.stop {
-                if stop.is_cancelled() {
-                    return self.latch_interrupt(InterruptReason::Cancelled);
-                }
+            if self.stop.is_some_and(CancelToken::is_cancelled) {
+                // A sibling decided the run: no interrupt of the user's
+                // to report.
+                self.interrupted = Some(InterruptReason::Cancelled);
+                return true;
             }
         }
         false
@@ -663,6 +664,29 @@ struct Cx<'a, D: SearchDomain> {
     ctl: Ctl<'a>,
     failed: MemoTable<'a, D::Node>,
     scratch: D::Scratch,
+    order: Order,
+}
+
+/// The order a DFS tries a node's successors in: worker `i` of `w` on one
+/// root starts at offset `⌊i·len/w⌋` of the domain's order and wraps
+/// around, so worker 0 is the sequential search and the others exhaust
+/// other subtrees first, pruning one another through the shared memo.
+#[derive(Clone, Copy)]
+struct Order {
+    worker: usize,
+    workers: usize,
+}
+
+impl Order {
+    /// The domain's own order.
+    const SEQUENTIAL: Order = Order { worker: 0, workers: 1 };
+
+    /// Puts one expansion's successors in this order.
+    fn arrange<T>(self, succs: &mut [T]) {
+        if self.worker > 0 {
+            succs.rotate_left(self.worker * succs.len() / self.workers);
+        }
+    }
 }
 
 /// [`SearchDomain::expand`] behind `catch_unwind`: a panicking spec
@@ -735,17 +759,15 @@ struct Tally<T> {
     witness: Option<Vec<T>>,
     stats: CheckStats,
     panicked: Option<String>,
+    /// The DFS ran to the end without a witness. Sound under a shared
+    /// memo too: some worker had exhausted every entry it leaned on.
+    refuted: bool,
     /// [`CheckOptions::deadline`] elapsed.
     deadline: bool,
     /// The user's [`CheckOptions::cancel`] token fired.
     cancelled: bool,
     /// The node budget was spent.
     exhausted: bool,
-    /// The task runner's stop latch wound the search down because a
-    /// sibling task had already decided the run. Never the cause of
-    /// an aggregate verdict — the sibling's own end state outranks it —
-    /// but it keeps a stopped search from reading as a refutation.
-    stopped: bool,
 }
 
 impl<T> Default for Tally<T> {
@@ -754,10 +776,10 @@ impl<T> Default for Tally<T> {
             witness: None,
             stats: CheckStats::default(),
             panicked: None,
+            refuted: false,
             deadline: false,
             cancelled: false,
             exhausted: false,
-            stopped: false,
         }
     }
 }
@@ -769,13 +791,16 @@ impl<T> Tally<T> {
         let cancelled = ctl.interrupted == Some(InterruptReason::Cancelled);
         let by_user = ctl.options.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
         Tally {
+            refuted: witness.is_none()
+                && ctl.interrupted.is_none()
+                && ctl.panicked.is_none()
+                && !ctl.exhausted,
             witness,
             stats: ctl.stats,
             panicked: ctl.panicked,
             deadline: ctl.interrupted == Some(InterruptReason::DeadlineExceeded),
             cancelled: cancelled && by_user,
             exhausted: ctl.exhausted,
-            stopped: cancelled && !by_user,
         }
     }
 
@@ -785,37 +810,32 @@ impl<T> Tally<T> {
         self.stats += other.stats;
         self.witness = self.witness.take().or(other.witness);
         self.panicked = self.panicked.take().or(other.panicked);
+        self.refuted |= other.refuted;
         self.deadline |= other.deadline;
         self.cancelled |= other.cancelled;
         self.exhausted |= other.exhausted;
-        self.stopped |= other.stopped;
     }
 
     /// The verdict precedence, spelled out once: a spec panic is an
-    /// error; then witness, deadline, user cancellation, spent budget,
-    /// internal stop; a search that ended for none of these reasons ran
-    /// to completion and refuted its problem. [`Tally::verdict`] reads
-    /// it, adding the interrupt's cause.
+    /// error; then witness, refutation, deadline, user cancellation,
+    /// spent budget. A search that ended for none of these reasons was
+    /// wound down by the task runner's stop latch (or never ran) and is
+    /// undecided. [`Tally::verdict`] reads it, adding the interrupt's
+    /// cause.
     fn object_outcome(&self) -> ObjectOutcome {
         if self.panicked.is_some() {
             ObjectOutcome::SpecPanicked
         } else if self.witness.is_some() {
             ObjectOutcome::Cal
+        } else if self.refuted {
+            ObjectOutcome::NotCal
         } else if self.deadline || self.cancelled {
             ObjectOutcome::Interrupted
         } else if self.exhausted {
             ObjectOutcome::Exhausted
-        } else if self.stopped {
-            ObjectOutcome::Interrupted
         } else {
-            ObjectOutcome::NotCal
+            ObjectOutcome::Interrupted
         }
-    }
-
-    /// The search ran to the end and found no witness: what
-    /// [`Tally::verdict`] calls [`Verdict::NotCal`].
-    fn refuted(&self) -> bool {
-        self.object_outcome() == ObjectOutcome::NotCal
     }
 
     /// [`Tally::object_outcome`] as a verdict: a deadline is named as
@@ -882,6 +902,7 @@ fn run_tree<D: SearchDomain>(
     if !expand_guarded(domain, cx, root, &mut succs) {
         return None;
     }
+    cx.order.arrange(&mut succs);
     let mut frames: Vec<Frame> = vec![Frame {
         node_idx: None,
         succ_start: 0,
@@ -937,6 +958,7 @@ fn run_tree<D: SearchDomain>(
         if !expand_guarded(domain, cx, &succs[child].1, &mut expanded) {
             continue; // panicked; the next parent poll unwinds
         }
+        cx.order.arrange(&mut expanded);
         let succ_start = succs.len();
         succs.append(&mut expanded);
         frames.push(Frame {
@@ -949,15 +971,17 @@ fn run_tree<D: SearchDomain>(
     None
 }
 
-/// Runs one DFS from `root` to completion (or interruption): the whole
-/// problem's, with a private budget, or one [`Runner`] task's.
+/// Runs one DFS from `root` to completion (or interruption), trying
+/// successors in `order`: the whole problem's, with a private budget, or
+/// one [`Runner`] task's.
 fn run_root<'m, D: SearchDomain>(
     domain: &D,
     root: &D::Node,
     failed: MemoTable<'m, D::Node>,
     ctl: Ctl<'m>,
+    order: Order,
 ) -> Tally<D::Step> {
-    let mut cx: Cx<'_, D> = Cx { ctl, failed, scratch: D::Scratch::default() };
+    let mut cx: Cx<'_, D> = Cx { ctl, failed, scratch: D::Scratch::default(), order };
     let witness = run_tree(domain, &mut cx, root);
     Tally::of(cx.ctl, witness)
 }
@@ -991,13 +1015,13 @@ pub fn search<D: SearchDomain>(
     options: &CheckOptions,
 ) -> Result<CheckOutcome<Vec<D::Step>>, CheckError> {
     if let Some(parts) = parts_of(domain)? {
-        let runner = Runner::new(options, Instant::now(), 0);
+        let runner = Runner::new(options, Instant::now());
         let done = runner.work(parts.len(), |i| run_part(&runner, &parts[i]));
         return merge_parts(domain, &parts, done);
     }
     let root = initial_guarded(domain)?;
     let ctl = Ctl::new(options, None, None, Instant::now());
-    run_root(domain, &root, MemoTable::Local(HashSet::new()), ctl).outcome()
+    run_root(domain, &root, MemoTable::Local(HashSet::new()), ctl, Order::SEQUENTIAL).outcome()
 }
 
 /// How an exhaustive exploration ended: the result of
@@ -1101,8 +1125,10 @@ pub fn enumerate_goals<D: SearchDomain>(
 /// Runs the search over `domain` on [`CheckOptions::threads`] workers;
 /// `max_nodes` bounds the *total* nodes across them. At one thread this
 /// is [`search`]. Above one, the runner's tasks are the problem's parts
-/// when [`SearchDomain::decompose`] offers at least two, and otherwise
-/// the root's branches, sharing one lock-free [`FpMemo`].
+/// when [`SearchDomain::decompose`] offers at least two; otherwise every
+/// worker searches the whole root in its own `Order` against one
+/// lock-free [`FpMemo`], and the first to end decides — one worker when
+/// [`CheckOptions::memoize`] is off, as the workers would share nothing.
 ///
 /// # Errors
 ///
@@ -1121,60 +1147,37 @@ where
         return search(domain, options);
     }
     if let Some(parts) = parts_of(domain)? {
-        let runner = Runner::new(options, Instant::now(), 0);
+        let runner = Runner::new(options, Instant::now());
         let done = runner.run_all(parts.len(), |i| run_part(&runner, &parts[i]));
         return merge_parts(domain, &parts, done);
     }
-    let start = Instant::now();
+    let runner = Runner::new(options, Instant::now());
     let root = initial_guarded(domain)?;
-    if domain.is_goal(&root) {
-        return Tally { witness: Some(Vec::new()), ..Tally::default() }.outcome();
-    }
-    // The root expansion is one node, as in `search`.
-    let mut cx: Cx<'_, D> = Cx {
-        ctl: Ctl::new(options, None, None, start),
-        failed: MemoTable::Local(HashSet::new()),
-        scratch: D::Scratch::default(),
-    };
-    let mut branches: Vec<(D::Step, D::Node)> = Vec::new();
-    if cx.ctl.charge_node() {
-        expand_guarded(domain, &mut cx, &root, &mut branches);
-    }
-    let mut total: Tally<D::Step> = Tally::of(cx.ctl, None);
-    if branches.is_empty() || total.deadline || total.cancelled {
-        // Spent budget, panic, interrupt or a dead root: already decided.
-        return total.outcome();
-    }
-    let runner = Runner::new(options, start, total.stats.nodes);
-    total.stats.root_branches = branches.len() as u64;
-    total.stats.root_workers = runner.workers(branches.len()) as u64;
+    let workers = if options.memoize { options.threads } else { 1 };
     let memo: FpMemo<D::Node> = FpMemo::new();
-    let done = runner.run_all(branches.len(), |i| {
-        let (step, node) = &branches[i];
-        let mut tally = run_root(domain, node, MemoTable::Shared(&memo), runner.ctl());
-        if let Some(tail) = tally.witness.take() {
-            tally.witness = Some(std::iter::once(step.clone()).chain(tail).collect());
-        }
-        // A witness, a panic or an undecided branch decides the run.
-        let decided = !tally.refuted();
-        (tally, decided)
+    // Any worker's end decides the run: each one searches the whole root.
+    let done = runner.run_all(workers, |worker| {
+        let order = Order { worker, workers };
+        (run_root(domain, &root, MemoTable::Shared(&memo), runner.ctl(), order), true)
     });
+    let mut total: Tally<D::Step> = Tally::default();
     for (_, tally) in done {
         total.absorb(tally);
     }
+    total.stats.root_workers = workers as u64;
     total.outcome()
 }
 
-/// The one way the engine runs independent subsearches: a task list
-/// drained through one atomic cursor by `min(threads, tasks)` workers,
-/// every task charging one node budget and watching one stop latch. The
-/// tasks are a problem's per-object parts, or the root's branches of one
-/// that does not decompose.
+/// The one way the engine runs subsearches: a task list drained through
+/// one atomic cursor by `min(threads, tasks)` workers, every task
+/// charging one node budget and watching one stop latch. The tasks are a
+/// problem's per-object parts, or, for one that does not decompose, one
+/// whole-root DFS per worker.
 struct Runner<'a> {
     options: &'a CheckOptions,
     start: Instant,
-    /// Nodes charged so far by every task (and by a root expansion
-    /// before them): [`CheckOptions::max_nodes`] bounds the total.
+    /// Nodes charged so far by every task: [`CheckOptions::max_nodes`]
+    /// bounds the total.
     nodes: AtomicU64,
     /// Fired by a task whose end decides the run; every other task winds
     /// down at its next poll and no new one starts.
@@ -1184,11 +1187,11 @@ struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
-    fn new(options: &'a CheckOptions, start: Instant, spent: u64) -> Self {
+    fn new(options: &'a CheckOptions, start: Instant) -> Self {
         Runner {
             options,
             start,
-            nodes: AtomicU64::new(spent),
+            nodes: AtomicU64::new(0),
             stop: CancelToken::new(),
             next: AtomicUsize::new(0),
         }
@@ -1197,11 +1200,6 @@ impl<'a> Runner<'a> {
     /// The control state of one task's DFS.
     fn ctl(&self) -> Ctl<'_> {
         Ctl::new(self.options, Some(&self.nodes), Some(&self.stop), self.start)
-    }
-
-    /// The workers `tasks` tasks get.
-    fn workers(&self, tasks: usize) -> usize {
-        self.options.threads.max(1).min(tasks)
     }
 
     /// One worker: runs the tasks it takes off the cursor until none is
@@ -1223,7 +1221,7 @@ impl<'a> Runner<'a> {
         done
     }
 
-    /// Runs [`Runner::work`] on [`Runner::workers`] scoped threads — on
+    /// Runs [`Runner::work`] on `min(threads, tasks)` scoped threads — on
     /// the caller's thread when that is one — and returns the results in
     /// task order, whichever worker finished them when.
     fn run_all<R: Send>(
@@ -1231,7 +1229,7 @@ impl<'a> Runner<'a> {
         tasks: usize,
         run: impl Fn(usize) -> (R, bool) + Sync,
     ) -> Vec<(usize, R)> {
-        let workers = self.workers(tasks);
+        let workers = self.options.threads.max(1).min(tasks);
         if workers <= 1 {
             return self.work(tasks, run);
         }
@@ -1254,7 +1252,9 @@ fn run_part<D: SearchDomain>(
 ) -> (Tally<D::Step>, bool) {
     let part_start = Instant::now();
     let tally = match catch_unwind(AssertUnwindSafe(|| part.initial())) {
-        Ok(root) => run_root(part, &root, MemoTable::Local(HashSet::new()), runner.ctl()),
+        Ok(root) => {
+            run_root(part, &root, MemoTable::Local(HashSet::new()), runner.ctl(), Order::SEQUENTIAL)
+        }
         Err(p) => Tally { panicked: Some(panic_message(p)), ..Tally::default() },
     };
     let outcome = tally.object_outcome();
@@ -1266,8 +1266,9 @@ fn run_part<D: SearchDomain>(
 
 /// Folds the parts' tallies, in part order, into the whole problem's
 /// outcome. A refuted part is decisive whatever else happened: membership
-/// implies per-object membership (locality). Every part accepted merges
-/// their witnesses ([`SearchDomain::merge_witnesses`]); anything else is
+/// implies per-object membership (locality), and the ladder ranks a
+/// refutation above every interrupt. Every part accepted merges their
+/// witnesses ([`SearchDomain::merge_witnesses`]); anything else is
 /// undecided, and the ladder names the cause.
 fn merge_parts<D: SearchDomain>(
     domain: &D,
@@ -1275,24 +1276,15 @@ fn merge_parts<D: SearchDomain>(
     done: Vec<(usize, Tally<D::Step>)>,
 ) -> Result<CheckOutcome<Vec<D::Step>>, CheckError> {
     let mut total: Tally<D::Step> = Tally::default();
-    let mut refuted = false;
     let mut witnesses: Vec<(ObjectId, Vec<D::Step>)> = Vec::new();
     for (i, mut tally) in done {
-        refuted |= tally.refuted();
         if let Verdict::Cal(steps) = tally.verdict()? {
             witnesses.push((parts[i].0, steps));
         }
         total.absorb(tally);
     }
-    if refuted {
-        return Ok(CheckOutcome { verdict: Verdict::NotCal, stats: total.stats });
-    }
     if witnesses.len() == parts.len() {
         total.witness = Some(domain.merge_witnesses(witnesses));
-    } else {
-        // A part is undecided or never ran: a bare stop is not a
-        // refutation.
-        total.stopped = true;
     }
     total.outcome()
 }
@@ -1428,7 +1420,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_frontier_matches_sequential() {
+    fn every_worker_on_the_root_finds_a_witness() {
         for threads in [1, 2, 8] {
             let options = CheckOptions { threads, ..CheckOptions::default() };
             let outcome = search_par(&Countdown { n: 6, dead_end: false }, &options).unwrap();
@@ -1492,7 +1484,7 @@ mod tests {
     }
 
     #[test]
-    fn refutation_over_root_branches_matches_sequential() {
+    fn refutation_by_workers_on_the_root_matches_sequential() {
         let tree = DeadTree { width: 3, depth: 6 };
         let seq = search(&tree, &CheckOptions::default()).unwrap();
         assert_eq!(seq.verdict, Verdict::NotCal);
@@ -1500,9 +1492,61 @@ mod tests {
             let options = CheckOptions { threads, ..CheckOptions::default() };
             let outcome = search_par(&tree, &options).unwrap();
             assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
-            // Distinct states everywhere: the runner must neither lose nor
-            // double-count a branch, so the node total is exact.
-            assert_eq!(outcome.stats.nodes, seq.stats.nodes, "threads={threads}");
+            assert_eq!(outcome.stats.root_workers, threads as u64);
+            // Distinct states everywhere: the refuting worker reached every
+            // node or a memo entry whose subtree some worker exhausted, so
+            // every node was charged at least once, and by each worker at
+            // most once.
+            let nodes = outcome.stats.nodes;
+            assert!(nodes >= seq.stats.nodes, "threads={threads}: {nodes} lost a subtree");
+            assert!(nodes <= threads as u64 * seq.stats.nodes, "threads={threads}: {nodes}");
+        }
+    }
+
+    #[test]
+    fn worker_orders_rotate_every_frame_and_keep_worker_zero_sequential() {
+        let arranged = |worker, workers, len: usize| {
+            let mut succs: Vec<usize> = (0..len).collect();
+            Order { worker, workers }.arrange(&mut succs);
+            succs
+        };
+        assert_eq!(arranged(0, 2, 5), [0, 1, 2, 3, 4]);
+        assert_eq!(arranged(1, 2, 5), [2, 3, 4, 0, 1]);
+        assert_eq!(arranged(3, 4, 8), [6, 7, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(arranged(1, 2, 1), [0]);
+        assert_eq!(arranged(1, 2, 0), [] as [usize; 0]);
+    }
+
+    /// The fold over the workers that searched one root: a run to the
+    /// end decides over a sibling the latch stopped or whose budget ran
+    /// out, a witness over a stopped sibling; with no worker finished the
+    /// budget names the cause; a panic anywhere is an error.
+    #[test]
+    fn the_fold_ranks_a_finished_worker_over_its_siblings() {
+        let refuted = || Tally::<u32> { refuted: true, ..Tally::default() };
+        let witness = || Tally::<u32> { witness: Some(vec![1, 2]), ..Tally::default() };
+        let stopped = Tally::<u32>::default;
+        let exhausted = || Tally::<u32> { exhausted: true, ..Tally::default() };
+        let panicked = || Tally::<u32> { panicked: Some("bug".into()), ..Tally::default() };
+        let fold = |tallies: Vec<Tally<u32>>| {
+            let mut total = Tally::default();
+            for tally in tallies {
+                total.absorb(tally);
+            }
+            total.outcome().map(|outcome| outcome.verdict)
+        };
+        for sibling in [stopped, exhausted] {
+            assert_eq!(fold(vec![refuted(), sibling()]), Ok(Verdict::NotCal));
+            assert_eq!(fold(vec![sibling(), refuted()]), Ok(Verdict::NotCal));
+        }
+        assert_eq!(fold(vec![stopped(), witness()]), Ok(Verdict::Cal(vec![1, 2])));
+        assert_eq!(fold(vec![stopped(), exhausted()]), Ok(Verdict::ResourcesExhausted));
+        let cancelled = Verdict::Interrupted { reason: InterruptReason::Cancelled };
+        assert_eq!(fold(vec![stopped(), stopped()]), Ok(cancelled));
+        for sibling in [refuted, witness, stopped, exhausted] {
+            for tallies in [vec![panicked(), sibling()], vec![sibling(), panicked()]] {
+                assert_eq!(fold(tallies), Err(CheckError::SpecPanicked("bug".into())));
+            }
         }
     }
 
@@ -1510,7 +1554,7 @@ mod tests {
     fn runner_hands_out_every_task_exactly_once_in_task_order() {
         const TASKS: usize = 1000;
         let options = CheckOptions { threads: 4, ..CheckOptions::default() };
-        let runner = Runner::new(&options, Instant::now(), 0);
+        let runner = Runner::new(&options, Instant::now());
         let done = runner.run_all(TASKS, |i| (i * 2, false));
         assert_eq!(done, (0..TASKS).map(|i| (i, i * 2)).collect::<Vec<_>>());
     }
@@ -1518,7 +1562,7 @@ mod tests {
     #[test]
     fn a_deciding_task_stops_the_runner() {
         let options = CheckOptions::default();
-        let runner = Runner::new(&options, Instant::now(), 0);
+        let runner = Runner::new(&options, Instant::now());
         let done = runner.work(10, |i| ((), i == 3));
         assert_eq!(done.len(), 4, "tasks after the deciding one never start");
     }

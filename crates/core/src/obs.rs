@@ -10,7 +10,7 @@
 //! watching:
 //!
 //! - Every count of a search — nodes, elements tried, memo hits, misses
-//!   and inserts, the root split — is in the outcome's
+//!   and inserts, the workers on the root — is in the outcome's
 //!   [`crate::check::CheckStats`], counted once, sink or no sink.
 //! - [`StatsSink`] is a callback trait for the events no count can carry
 //!   while a search runs: the frontier width of each expansion, each
@@ -135,7 +135,9 @@ pub trait StatsSink: Send + Sync {
     }
 
     /// The search latched an interrupt (deadline or cancellation). The
-    /// parallel checker may report this once per worker.
+    /// parallel checker may report this once per worker; a worker wound
+    /// down because a sibling had already decided the run reports
+    /// nothing.
     fn on_interrupt(&self, reason: InterruptReason) {
         let _ = reason;
     }
@@ -218,7 +220,6 @@ impl CountingSink {
             memo_inserts: outcome.stats.memo_inserts,
             frontier_max: self.frontier_max(),
             frontier_mean: self.frontier_mean(),
-            root_branches: outcome.stats.root_branches,
             root_workers: outcome.stats.root_workers,
             interrupted,
             exhausted: matches!(outcome.verdict, Verdict::ResourcesExhausted),
@@ -291,12 +292,9 @@ pub struct SearchReport {
     pub frontier_max: u64,
     /// Mean frontier width across all nodes.
     pub frontier_mean: f64,
-    /// Legal first elements split across workers (0 if no search split
-    /// its root).
-    pub root_branches: u64,
-    /// Workers the root's branches were split across (0 if not split):
-    /// `min(threads, root_branches)`, since a worker is started only for
-    /// a branch it can take, so it can be smaller than `threads`.
+    /// Workers that searched the root, each in its own successor order
+    /// (0 at one thread and for a check made part by part; 1 above one
+    /// thread with the memo off, when the workers would share nothing).
     pub root_workers: u64,
     /// `Some("deadline-exceeded" | "cancelled")` when the search was
     /// interrupted.
@@ -329,7 +327,6 @@ impl SearchReport {
         .num("memo_inserts", self.memo_inserts)
         .num("frontier_max", self.frontier_max)
         .ms("frontier_mean", self.frontier_mean)
-        .num("root_branches", self.root_branches)
         .num("root_workers", self.root_workers)
         .num("objects", format_args!("[{}]", rows.collect::<Vec<_>>().join(", ")))
         .finish()
@@ -377,11 +374,8 @@ impl SearchReport {
                 self.frontier_max, self.frontier_mean
             ));
         }
-        if self.root_branches > 0 {
-            lines.push(format!(
-                "parallel: {} root branches split over {} workers",
-                self.root_branches, self.root_workers
-            ));
+        if self.root_workers > 0 {
+            lines.push(format!("parallel: {} worker(s) searched the root", self.root_workers));
         }
         if !self.objects.is_empty() {
             let slowest = self
@@ -504,7 +498,6 @@ mod tests {
         let stats = CheckStats {
             memo_misses: 5,
             memo_inserts: 4,
-            root_branches: 3,
             root_workers: 2,
             ..sample_stats()
         };
@@ -514,8 +507,7 @@ mod tests {
         assert_eq!(first, second);
         let counts = (first.nodes, first.elements_tried, first.memo_hits, first.memo_misses);
         assert_eq!(counts, (7, 9, 2, 5));
-        let rest = (first.memo_inserts, first.root_branches, first.root_workers);
-        assert_eq!(rest, (4, 3, 2));
+        assert_eq!((first.memo_inserts, first.root_workers), (4, 2));
         assert_eq!(first.verdict, "not-cal");
         assert_eq!(first.interrupted, None);
     }
@@ -574,7 +566,6 @@ mod tests {
         let stats = CheckStats {
             memo_misses: 1,
             memo_inserts: 1,
-            root_branches: 12,
             root_workers: 4,
             ..sample_stats()
         };
@@ -584,7 +575,7 @@ mod tests {
              \"exhausted\": false, \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \
              \"nodes\": 7, \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 1, \
              \"memo_inserts\": 1, \"frontier_max\": 4, \"frontier_mean\": 3.500, \
-             \"root_branches\": 12, \"root_workers\": 4, \"objects\": \
+             \"root_workers\": 4, \"objects\": \
              [{\"object\": 3, \"wall_ms\": 2.500, \"outcome\": \"not-cal\"}, \
              {\"object\": 1, \"wall_ms\": 1.000, \"outcome\": \"cal\"}]}"
         );
@@ -594,7 +585,7 @@ mod tests {
              \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \"nodes\": 7, \
              \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 0, \"memo_inserts\": 0, \
              \"frontier_max\": 0, \
-             \"frontier_mean\": 0.000, \"root_branches\": 0, \"root_workers\": 0, \
+             \"frontier_mean\": 0.000, \"root_workers\": 0, \
              \"objects\": []}"
         );
     }

@@ -13,13 +13,18 @@
 //!    [`crate::check::check_cal_with`] included — and the per-object
 //!    witnesses are merged, in part order, into one trace whose
 //!    interleaving respects the full history's real-time order.
-//! 2. **Root branches with a shared memo table.** When the history does
-//!    not decompose (single object, or objects coupled through a
-//!    composed specification) and more than one thread is asked for, the
-//!    candidate *first* CA-elements are enumerated once and each is a
-//!    task; the workers run the arena-based DFS against one shared
-//!    lock-free fingerprint table ([`crate::fpmemo::FpMemo`]) so pruning
-//!    discovered by one worker benefits all of them.
+//! 2. **Every worker on the root, one shared memo table.** When the
+//!    history does not decompose (single object, or objects coupled
+//!    through a composed specification) and more than one thread is
+//!    asked for, each worker runs the whole arena-based DFS from the
+//!    root against one lock-free fingerprint table
+//!    ([`crate::fpmemo::FpMemo`]). Worker `i` of `w` tries each node's
+//!    successors from offset `⌊i·len/w⌋` on, wrapping around (worker 0 in
+//!    the sequential order), so the workers exhaust different subtrees
+//!    first and each prunes the others' search with what it refuted. The
+//!    first worker to end decides: its witness accepts, its run to the
+//!    end refutes. With [`CheckOptions::memoize`] off the workers would
+//!    share nothing, and one worker searches the root.
 //!
 //! Either way a shared node counter makes [`CheckOptions::max_nodes`] a
 //! global budget, a stop latch winds every worker down as soon as one
@@ -50,8 +55,8 @@ pub use crate::check::{CheckError, CheckOptions, CheckOutcome, CheckStats};
 /// When the history touches several objects and the specification can be
 /// restricted to every one of them ([`CaSpec::restrict`]), the check
 /// decomposes into independent per-object subchecks (CAL locality) run in
-/// parallel; otherwise the top-level frontier of candidate first elements
-/// is split across the workers, which share one lock-free memo table. At
+/// parallel; otherwise every worker searches the whole history in its own
+/// successor order, and the workers share one lock-free memo table. At
 /// one thread this is [`crate::check::check_cal_with`].
 ///
 /// # Errors

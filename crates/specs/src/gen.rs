@@ -1,13 +1,13 @@
 //! Random generation of specification-level CA-traces, used by the checker
 //! validation tests and the scaling benchmarks.
 
-use cal_core::gen::interleave;
+use cal_core::gen::{interleave, render_windowed};
 use cal_core::{Action, CaElement, CaTrace, History, ObjectId, ThreadId, Value};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::elim_stack::FEsMap;
-use crate::exchanger::{fail_element, swap_element};
+use crate::exchanger::{exchange_ok, fail_element, swap_element};
 use crate::stack::{pop_fail, pop_ok, push_fail, push_ok};
 use crate::sync_queue::{put_timeout_element, take_timeout_element, transfer_element};
 use crate::vocab::{POP_SENTINEL, READ, WRITE};
@@ -45,6 +45,46 @@ pub fn random_exchanger_trace<R: Rng>(
         }
     }
     trace
+}
+
+/// The benchmark's `check-exchanger-refute` input (`benchmark/src/gen.rs`)
+/// without its seed, on `object`: `windows` windows of twelve
+/// fully-overlapping CA-elements — nine swaps and three lone failures over four values,
+/// renamed, re-threaded and reordered from window to window. With `plant`,
+/// one failure of the last window gives way to a swap naming values nobody
+/// offered, which the search finds out only after it has tried every
+/// pairing of every window.
+pub fn exchanger_windows(object: ObjectId, windows: usize, plant: bool) -> History {
+    const WINDOW: usize = 12;
+    const THREADS: usize = 28;
+    const SWAPS: [(usize, usize); 9] =
+        [(0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (0, 2), (1, 1), (3, 0)];
+    const FAILS: [usize; 3] = [0, 1, 2];
+    let mut trace = CaTrace::new();
+    for w in 0..windows {
+        let name = |i: usize| ((i + w) % 4) as i64;
+        let mut next = 7 * w;
+        let mut take = || {
+            next += 1;
+            ThreadId((next % THREADS) as u32)
+        };
+        let mut elements: Vec<CaElement> = Vec::with_capacity(WINDOW);
+        for (a, b) in SWAPS {
+            elements.push(swap_element(object, take(), name(a), take(), name(b)));
+        }
+        let planted = plant && w + 1 == windows;
+        for &a in &FAILS[usize::from(planted)..] {
+            elements.push(fail_element(object, take(), name(a)));
+        }
+        if planted {
+            let a = exchange_ok(object, take(), 100, 101);
+            let b = exchange_ok(object, take(), 102, 100);
+            elements.push(CaElement::pair(a, b).expect("two threads, one object"));
+        }
+        elements.rotate_left(5 * w % WINDOW);
+        trace.extend(elements);
+    }
+    render_windowed(&trace, WINDOW)
 }
 
 /// Generates a random legal synchronous-queue trace.

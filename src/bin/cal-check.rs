@@ -75,8 +75,8 @@
 //! once, in every mode; it never changes how a check is split. A history
 //! over several independently specified objects is checked object by
 //! object at every thread count, and one that is not is searched from its
-//! root, whose branches are split across the threads above 1. In batch
-//! mode it
+//! root by every thread at once, each trying successors in its own order
+//! against one shared memo. In batch mode it
 //! sizes the pool of files checked concurrently; in chaos mode it sets
 //! the *workload* threads and `--check-threads` the checker's.
 //!

@@ -9,14 +9,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cal::core::check::{CheckOptions, CheckStats, InterruptReason};
-use cal::core::gen::render_windowed;
 use cal::core::history::Span;
 use cal::core::interval::{IntervalSpec, IntervalWitness};
 use cal::core::obs::{CountingSink, ObjectOutcome, StatsSink};
 use cal::core::spec::{CaSpec, Invocation};
 use cal::core::text::parse_history;
-use cal::core::{Action, CaElement, CaTrace, History, ObjectId, Operation, ThreadId};
-use cal::specs::exchanger::{exchange_ok, fail_element, swap_element};
+use cal::core::{Action, CaElement, History, ObjectId, Operation, ThreadId};
+use cal::specs::exchanger::{fail_element, swap_element};
 use cal::specs::register::{read_op, write_op};
 use cal::specs::snapshot::{view, write_snapshot_op};
 use rand::rngs::StdRng;
@@ -48,43 +47,10 @@ pub fn lone_view_snapshots(k: usize) -> History {
     History::from_actions(actions)
 }
 
-/// The benchmark's `check-exchanger-refute` input (`benchmark/src/gen.rs`)
-/// without its seed: `windows` windows of twelve fully-overlapping
-/// CA-elements — nine swaps and three lone failures over four values,
-/// renamed, re-threaded and reordered from window to window. With `plant`,
-/// one failure of the last window gives way to a swap naming values nobody
-/// offered, which the search finds out only after it has tried every
-/// pairing of every window.
+/// [`cal::specs::gen::exchanger_windows`] on object `O`: the benchmark's
+/// `check-exchanger-refute` input without its seed.
 pub fn exchanger_windows(windows: usize, plant: bool) -> History {
-    const WINDOW: usize = 12;
-    const THREADS: usize = 28;
-    const SWAPS: [(usize, usize); 9] =
-        [(0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (0, 2), (1, 1), (3, 0)];
-    const FAILS: [usize; 3] = [0, 1, 2];
-    let mut trace = CaTrace::new();
-    for w in 0..windows {
-        let name = |i: usize| ((i + w) % 4) as i64;
-        let mut next = 7 * w;
-        let mut take = || {
-            next += 1;
-            ThreadId((next % THREADS) as u32)
-        };
-        let mut elements: Vec<CaElement> = Vec::with_capacity(WINDOW);
-        for (a, b) in SWAPS {
-            elements.push(swap_element(O, take(), name(a), take(), name(b)));
-        }
-        let planted = plant && w + 1 == windows;
-        for &a in &FAILS[usize::from(planted)..] {
-            elements.push(fail_element(O, take(), name(a)));
-        }
-        if planted {
-            let (a, b) = (exchange_ok(O, take(), 100, 101), exchange_ok(O, take(), 102, 100));
-            elements.push(CaElement::pair(a, b).expect("two threads, one object"));
-        }
-        elements.rotate_left(5 * w % WINDOW);
-        trace.extend(elements);
-    }
-    render_windowed(&trace, WINDOW)
+    cal::specs::gen::exchanger_windows(O, windows, plant)
 }
 
 /// `windows` windows of fully-overlapping operations: each window holds

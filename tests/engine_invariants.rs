@@ -238,7 +238,7 @@ proptest! {
     #[test]
     fn interval_verdict_invariant_across_engine_options(h in history_of(arb_snapshot_op())) {
         // The interval reading is the CAL search over split operations;
-        // `run_interval` splits the root's branches above one thread.
+        // Above one thread every `run_interval` worker searches the root.
         let spec = WriteSnapshotSpec::new(O, 3);
         let interval = |o: &CheckOptions| run_interval(&h, &spec, o).expect("well-formed").verdict;
         assert_matrix_invariant(&h, interval, interval);
@@ -344,8 +344,8 @@ impl StatsSink for CancelAfter {
 }
 
 /// `k` pairwise-concurrent identical exchanges, odd `k`: unsatisfiable,
-/// and with memoization and symmetry reduction off the refutation is
-/// super-exponential — the search cannot finish before any plausible
+/// and with symmetry reduction off the refutation is exponential even
+/// with the memo on — the search cannot finish before any plausible
 /// cancellation point.
 fn unbounded_history(k: usize) -> History {
     let mut text = String::new();
@@ -361,11 +361,11 @@ fn unbounded_history(k: usize) -> History {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cancelling mid-search across several workers yields `Interrupted`
-    /// with exact node accounting: every charged node (the memo is off)
-    /// is counted once in the aggregated stats and reaches the sink as
-    /// one expansion — no task's nodes are lost or double-counted on the
-    /// way down.
+    /// Cancelling mid-search across several workers on one root yields
+    /// `Interrupted` with exact node accounting: every charged node is
+    /// counted once in the aggregated stats, and every one the shared memo
+    /// did not prune reaches the sink as one expansion — no worker's nodes
+    /// are lost or double-counted on the way down.
     #[test]
     fn cancellation_under_stealing_loses_no_nodes(
         after in 1u64..400,
@@ -380,7 +380,6 @@ proptest! {
         });
         let options = CheckOptions {
             threads,
-            memoize: false,
             symmetry: false,
             cancel: Some(sink.token.clone()),
             sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
@@ -392,9 +391,10 @@ proptest! {
             "expected an interrupt, got {:?}", outcome.verdict
         );
         prop_assert!(outcome.stats.nodes >= after.min(outcome.stats.nodes));
+        prop_assert_eq!(outcome.stats.root_workers, threads as u64);
         prop_assert_eq!(
             sink.seen.load(Ordering::Relaxed),
-            outcome.stats.nodes,
+            outcome.stats.nodes - outcome.stats.memo_hits,
             "sink and stats disagree on expanded nodes (threads={}, after={})",
             threads,
             after

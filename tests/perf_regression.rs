@@ -21,9 +21,12 @@
 //!   63,829 checked key by key and merged back;
 //! - the parallel checker's shared fingerprint memo keeps cross-worker
 //!   duplication bounded: total nodes within 3× of the sequential run;
-//! - the task runner neither loses nor repeats a root branch: a
-//!   distinct-state refutation costs the same nodes on 1, 2, 4 and 8
-//!   workers;
+//! - workers that search one root in their own successor orders against
+//!   one memo add no nodes to the benchmark-shaped exchanger refutation:
+//!   at 2 and 4 threads it costs within 1.15× of its 70,993 sequential
+//!   nodes;
+//! - with the memo off one worker searches the root: a distinct-state
+//!   refutation costs the same nodes on 1, 2, 4 and 8 threads;
 //! - the streaming checker retires a multi-key stream key by key: a
 //!   16-key stream of four concurrent clients costs under one search
 //!   node an event, and so does one of eight (2.2 and 18.5 when every
@@ -153,6 +156,38 @@ fn interval_reading_is_the_same_search() {
         assert_eq!(outcome.verdict, Verdict::NotCal);
         let CheckStats { nodes, elements_tried, .. } = outcome.stats;
         assert_eq!((nodes, elements_tried), counts, "{calls} calls: nodes, elements tried");
+    }
+}
+
+/// Every worker searches the exchanger's root, worker `i` trying each
+/// node's successors from its own offset: the workers enter the windows'
+/// shared lattice of cuts from different ends, and what one exhausts the
+/// other finds in the memo. So a second worker's nodes are nodes the
+/// first would otherwise have visited itself, and the total stays within
+/// 1.15× of the one-thread search's (81,641 nodes; splitting the root's
+/// branches over two workers took 115k–131k). 70,993 is also a floor: a
+/// refutation charges a node for every edge of the lattice it reaches
+/// plus the root, in any order, and between them the workers reach every
+/// edge. One thread is still the sequential search, node for node.
+#[test]
+fn a_second_worker_adds_no_nodes() {
+    const SEQUENTIAL: u64 = 70_993;
+    let h = exchanger_windows(14, true);
+    let spec = ExchangerSpec::new(O);
+    let one = CheckOptions { threads: 1, ..CheckOptions::default() };
+    let seq = check_cal_par_with(&h, &spec, &one).unwrap();
+    assert_eq!((seq.verdict, seq.stats.nodes), (Verdict::NotCal, SEQUENTIAL));
+    for threads in [2usize, 4] {
+        for run in 0..5 {
+            let options = CheckOptions { threads, ..CheckOptions::default() };
+            let par = check_cal_par_with(&h, &spec, &options).unwrap();
+            let nodes = par.stats.nodes;
+            assert_eq!(par.verdict, Verdict::NotCal, "threads={threads}, run {run}");
+            assert!(
+                (SEQUENTIAL..=SEQUENTIAL * 115 / 100).contains(&nodes),
+                "threads={threads}, run {run}: {nodes} nodes against {SEQUENTIAL} on one thread"
+            );
+        }
     }
 }
 
@@ -313,8 +348,9 @@ impl SearchDomain for DeadTree {
 
 #[test]
 fn task_runner_neither_loses_nor_duplicates_nodes() {
-    // Three root branches over the workers; then a root with one branch,
-    // which every thread count runs as one task.
+    // With the memo off the workers would share nothing, so one worker
+    // searches the root at every thread count: a root with three
+    // branches, then one with one.
     for tree in [DeadTree { width: 3, depth: 8 }, DeadTree { width: 1, depth: 64 }] {
         let seq = engine::search(&tree, &CheckOptions::default()).unwrap();
         for threads in [2usize, 4, 8] {

@@ -33,8 +33,7 @@ fn counted_options(sink: &Arc<EventCounter>, threads: usize) -> CheckOptions {
 fn assert_report_counts(report: &SearchReport, stats: &CheckStats) {
     let counts = (report.nodes, report.elements_tried, report.memo_hits, report.memo_misses);
     assert_eq!(counts, (stats.nodes, stats.elements_tried, stats.memo_hits, stats.memo_misses));
-    let rest = (report.memo_inserts, report.root_branches, report.root_workers);
-    assert_eq!(rest, (stats.memo_inserts, stats.root_branches, stats.root_workers));
+    assert_eq!((report.memo_inserts, report.root_workers), (stats.memo_inserts, stats.root_workers));
 }
 
 /// The three-way delivery cycle backtracks enough to exercise nodes,
@@ -64,10 +63,9 @@ fn sequential_report_counters_are_nonzero_and_consistent() {
 }
 
 #[test]
-fn parallel_frontier_report_records_branches_and_workers() {
-    // fig1_swap is single-object, so the parallel checker takes the
-    // frontier-splitting path, and its successful swap gives the root a
-    // nonempty frontier (the cycle fixture refutes at the root instead).
+fn parallel_root_report_records_its_workers() {
+    // fig1_swap is single-object, so every parallel worker searches its
+    // root.
     let h = parse_history(&fixture("fig1_swap.hist")).unwrap();
     let spec = ExchangerSpec::new(ObjectId(0));
     let sink = Arc::new(EventCounter::default());
@@ -78,9 +76,7 @@ fn parallel_frontier_report_records_branches_and_workers() {
 
     assert_eq!(report.verdict, "cal");
     assert!(report.nodes > 0);
-    assert!(report.root_branches > 0, "frontier split must report its branches");
-    assert!(report.root_workers >= 1);
-    assert!(report.root_workers <= report.root_branches.min(4));
+    assert_eq!(report.root_workers, 4, "every worker searches the root");
     assert_report_counts(&report, &outcome.stats);
     sink.assert_one_frontier_per_expansion(&outcome.stats, "fig1_swap, 4 threads");
 }
@@ -155,10 +151,10 @@ where
         assert_eq!(stats.memo_hits + stats.memo_misses, stats.nodes, "{what}: {stats:?}");
     }
     assert!(stats.memo_inserts <= stats.memo_misses, "{what}: {stats:?}");
-    // Only the parallel entry above one thread splits a root, and only
-    // of a history that does not decompose.
-    let split = par && threads > 1 && parts == 0;
-    assert_eq!(stats.root_branches > 0, split, "{what}: {stats:?}");
+    // Only the parallel entry above one thread puts workers on a root,
+    // and only of a history that does not decompose.
+    let on_root = par && threads > 1 && parts == 0;
+    assert_eq!(stats.root_workers > 0, on_root, "{what}: {stats:?}");
 }
 
 /// The sink's budget: at 1, 2 and 4 threads, through both entry points,
