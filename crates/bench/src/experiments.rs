@@ -9,7 +9,6 @@ use cal_core::agree::agrees_bool;
 use cal_core::check::{check_cal, check_cal_with, CheckOptions, CheckOutcome, Verdict};
 use cal_core::compose::TraceMap;
 use cal_core::gen::{render, render_windowed};
-use cal_core::par::check_cal_par_with;
 use cal_core::spec::{CaSpec, PerObject, SeqAsCa};
 use cal_core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
 use cal_core::{Action, CaElement, History, ObjectId, Operation, ThreadId, Value};
@@ -314,7 +313,7 @@ pub fn e14(b: &mut Bench) {
     let many = CheckOptions { threads: b.workers, ..CheckOptions::default() };
 
     b.ranged("decompose/refute-last-stacks/par", SEARCH, || {
-        refuted(check_cal_par_with(&h, &spec, &many).unwrap())
+        refuted(check_cal_with(&h, &spec, &many).unwrap())
     });
     b.exact("decompose/refute-last-stacks/seq", SEARCH, || {
         // Each subhistory in object order, stopping at the first refutation.
@@ -338,7 +337,7 @@ pub fn e14(b: &mut Bench) {
     let h = History::from_actions(hard_cal_stack_block(ObjectId(0), 0, 8));
     let spec = SeqAsCa::new(StackSpec::total(ObjectId(0)));
     b.ranged("cal/frontier-stack-8/par", SEARCH, || {
-        accepted(check_cal_par_with(&h, &spec, &many).unwrap())
+        accepted(check_cal_with(&h, &spec, &many).unwrap())
     });
     b.exact("cal/frontier-stack-8/seq", SEARCH, || {
         accepted(check_cal_with(&h, &spec, &one).unwrap())
@@ -349,7 +348,7 @@ pub fn e14(b: &mut Bench) {
     let spec = ExchangerSpec::new(ObjectId(0));
     let mut par_nodes = 0;
     b.ranged("cal/refute-exchanger-14/par", SEARCH, || {
-        let counts = refuted(check_cal_par_with(&h, &spec, &many).unwrap());
+        let counts = refuted(check_cal_with(&h, &spec, &many).unwrap());
         par_nodes = par_nodes.max(counts[0]);
         counts
     });

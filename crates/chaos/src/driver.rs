@@ -408,11 +408,7 @@ struct Check<'a>(&'a History, CheckOptions);
 impl Visitor for Check<'_> {
     type Out = Result<CheckOutcome, CheckError>;
 
-    fn ca<S>(self, spec: S) -> Self::Out
-    where
-        S: CaSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn ca<S: CaSpec>(self, spec: S) -> Self::Out {
         run_ca(self.0, &spec, None, &self.1)
     }
 }

@@ -79,11 +79,23 @@ pub fn check_cal<S: CaSpec>(history: &History, spec: &S) -> Result<CheckOutcome,
     check_cal_with(history, spec, &CheckOptions::default())
 }
 
-/// Like [`check_cal`], with explicit [`CheckOptions`].
+/// Like [`check_cal`], with explicit [`CheckOptions`], on
+/// [`CheckOptions::threads`] workers.
+///
+/// When the history touches several objects and the specification can be
+/// restricted to every one of them ([`CaSpec::restrict`]), the check
+/// decomposes into independent per-object subchecks (CAL locality), at
+/// every thread count; otherwise above one thread every worker searches
+/// the whole history in its own successor order, and the workers share
+/// one lock-free memo table. Every thread count gives the same verdict on
+/// decided inputs — `Cal` exactly when a witness exists (possibly a
+/// different, equally valid one) — with `max_nodes` a budget on the
+/// *total* nodes across workers ([`crate::engine::search`]).
 ///
 /// # Errors
 ///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed.
+/// Returns [`CheckError::IllFormed`] if the history is not well-formed
+/// and [`CheckError::SpecPanicked`] if the specification panics.
 pub fn check_cal_with<S: CaSpec>(
     history: &History,
     spec: &S,
@@ -135,8 +147,7 @@ pub fn is_cal_with<S: CaSpec>(
 /// are dropped. Returns `false` for ill-formed histories.
 ///
 /// This is the oracle the differential tests use to cross-validate
-/// witnesses produced by the parallel checker
-/// ([`crate::par::check_cal_par_with`]).
+/// witnesses produced at every thread count.
 pub fn witness_explains<S: CaSpec>(history: &History, spec: &S, witness: &CaTrace) -> bool {
     if history.validate().is_err() || !spec.accepts(witness) {
         return false;

@@ -11,8 +11,8 @@
 //!
 //! This module owns everything apart from candidate enumeration:
 //!
-//! - the node budget ([`CheckOptions::max_nodes`]) with a private or
-//!   shared (cross-worker) counter;
+//! - the node budget ([`CheckOptions::max_nodes`]), one counter shared
+//!   by every worker of a search;
 //! - deadline / cancellation polling at one tick cadence
 //!   ([`CheckOptions::deadline`], [`CancelToken`]);
 //! - failed-state memoization, thread-private (`MemoTable`) or shared
@@ -25,10 +25,12 @@
 //! - per-object decomposition, decided by the input: a problem whose
 //!   [`SearchDomain::decompose`] offers at least two parts is searched part
 //!   by part at every thread count;
-//! - one task runner for subsearches ([`search_par`]): those parts, or,
-//!   on several threads, one whole-root DFS per worker (each in its own
-//!   successor order) of a problem that does not decompose, drained
-//!   under one node budget and one stop latch.
+//! - one task runner under every DFS ([`search`]): its tasks are those
+//!   parts, or one whole-root DFS per worker (each in its own successor
+//!   order) of a problem that does not decompose — one worker at one
+//!   thread — drained under one node budget and one stop latch
+//!   ([`run_tasks`] is the same drain for callers with tasks of their
+//!   own).
 //!
 //! The search itself is an *iterative* DFS over an arena of successor
 //! entries: one `Vec` per worker holds every `(step, node)` on the
@@ -44,7 +46,7 @@
 //! domain-local because what "same residual state" means differs per
 //! checker), enumerates successor steps, and optionally supports
 //! per-object decomposition with witness merging. In exchange it inherits
-//! sequential search, parallel search, the shared memo table, stats sinks
+//! the search at every thread count, the shared memo table, stats sinks
 //! and uniform interrupt semantics from one audited implementation.
 //!
 //! Symmetry reduction ([`CheckOptions::symmetry`]) is the domain's, not
@@ -64,7 +66,7 @@ use std::fmt;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::fpmemo::FpMemo;
@@ -133,11 +135,10 @@ pub struct CheckOptions {
     /// Cooperative cancellation: when the token fires, the search winds
     /// down and reports [`Verdict::Interrupted`]. `None` by default.
     pub cancel: Option<CancelToken>,
-    /// Worker threads for [`search_par`] (behind
-    /// [`crate::par::check_cal_par_with`] and the other `_par` entry
-    /// points): how many tasks run at once, never how a problem is split.
-    /// At 1 those entry points are their sequential twins, which ignore
-    /// it. Defaults to 1; 0 means 1.
+    /// Worker threads for [`search`] (behind
+    /// [`crate::check::check_cal_with`] and every other entry point): how
+    /// many tasks run at once, never how a problem is split. Defaults to
+    /// 1; 0 means 1.
     pub threads: usize,
     /// Symmetry reduction ([`crate::symmetry`]): of the successors that
     /// differ only in which of several interchangeable operations (same
@@ -438,15 +439,19 @@ impl<K: Eq + Hash + Clone> MemoTable<'_, K> {
 /// are CA-elements — on a sequential spec lifted by
 /// [`crate::spec::SeqAsCa`], single operations; on an interval spec over
 /// split operations, interval points).
-pub trait SearchDomain {
+///
+/// A domain, its nodes and its steps are shared between threads: at
+/// [`CheckOptions::threads`] above one, [`search`] runs its workers on
+/// scoped threads against one memo table.
+pub trait SearchDomain: Sync {
     /// A search node. Doubles as the failed-state memo key: the CAL
     /// domain keys on `(matched-set, spec-state)`, and a spec that carries
     /// more residual state (the interval reading's open intervals) carries
     /// it in its spec state.
-    type Node: Clone + Eq + Hash + fmt::Debug;
+    type Node: Clone + Eq + Hash + fmt::Debug + Send + Sync;
 
     /// One step of a witness (a CA-element).
-    type Step: Clone;
+    type Step: Clone + Send + Sync;
 
     /// Buffers [`SearchDomain::expand`] refills instead of allocating: the
     /// engine makes one per worker and search and lends it to every
@@ -509,8 +514,8 @@ pub trait SearchDomain {
     }
 }
 
-/// Non-generic per-search control state: budget, tick polling, interrupt
-/// latches, the counters and the stats sink.
+/// Non-generic per-worker control state: budget, tick polling, interrupt
+/// latches, the counters and the stats sink. Made by [`Runner::ctl`].
 struct Ctl<'a> {
     options: &'a CheckOptions,
     sink: Option<&'a dyn StatsSink>,
@@ -520,38 +525,17 @@ struct Ctl<'a> {
     exhausted: bool,
     interrupted: Option<InterruptReason>,
     panicked: Option<String>,
-    /// Global node counter for parallel searches; when present it
-    /// replaces the private `stats.nodes` in the budget check, so
-    /// `max_nodes` bounds the *total* across workers.
-    shared_nodes: Option<&'a AtomicU64>,
-    /// Early-stop latch for parallel searches: fired by the task runner
-    /// when a sibling task's end decided the run, making every other
-    /// worker wind down. Distinct from the user's [`CheckOptions::cancel`]
-    /// so an internal stop is never mistaken for a user cancellation.
-    stop: Option<&'a CancelToken>,
+    /// The runner's node counter, charged by every worker, so `max_nodes`
+    /// bounds the *total* across them.
+    nodes: &'a AtomicU64,
+    /// The runner's stop latch: fired when a sibling task's end decided
+    /// the run, making every other worker wind down. Distinct from the
+    /// user's [`CheckOptions::cancel`] so an internal stop is never
+    /// mistaken for a user cancellation.
+    stop: &'a CancelToken,
 }
 
-impl<'a> Ctl<'a> {
-    fn new(
-        options: &'a CheckOptions,
-        shared_nodes: Option<&'a AtomicU64>,
-        stop: Option<&'a CancelToken>,
-        start: Instant,
-    ) -> Self {
-        Ctl {
-            options,
-            sink: options.sink.as_deref(),
-            start,
-            ticks: 0,
-            stats: CheckStats::default(),
-            exhausted: false,
-            interrupted: None,
-            panicked: None,
-            shared_nodes,
-            stop,
-        }
-    }
-
+impl Ctl<'_> {
     /// `true` once the search must stop (interrupt already latched, spec
     /// panicked, or a periodic poll observes deadline/cancellation).
     fn should_stop(&mut self) -> bool {
@@ -570,7 +554,7 @@ impl<'a> Ctl<'a> {
                     return self.latch_interrupt(InterruptReason::Cancelled);
                 }
             }
-            if self.stop.is_some_and(CancelToken::is_cancelled) {
+            if self.stop.is_cancelled() {
                 // A sibling decided the run: no interrupt of the user's
                 // to report.
                 self.interrupted = Some(InterruptReason::Cancelled);
@@ -589,15 +573,10 @@ impl<'a> Ctl<'a> {
         true
     }
 
-    /// Charges one node against the budget (the shared counter when
-    /// present, the private one otherwise) and latches `exhausted` when
-    /// the budget is spent.
+    /// Charges one node against the runner's budget and latches
+    /// `exhausted` when the budget is spent.
     fn charge_node(&mut self) -> bool {
-        let spent = match self.shared_nodes {
-            Some(counter) => counter.fetch_add(1, Ordering::Relaxed),
-            None => self.stats.nodes,
-        };
-        if spent >= self.options.max_nodes {
+        if self.nodes.fetch_add(1, Ordering::Relaxed) >= self.options.max_nodes {
             self.exhausted = true;
             return false;
         }
@@ -649,7 +628,8 @@ impl ExpandObs<'_, '_> {
 /// node at a time.
 #[cfg(test)]
 pub(crate) fn observe<R>(options: &CheckOptions, f: impl FnOnce(&mut ExpandObs<'_, '_>) -> R) -> R {
-    let mut ctl = Ctl::new(options, None, None, Instant::now());
+    let runner = Runner::new(options, Instant::now());
+    let mut ctl = runner.ctl();
     f(&mut ExpandObs { ctl: &mut ctl })
 }
 
@@ -972,8 +952,7 @@ fn run_tree<D: SearchDomain>(
 }
 
 /// Runs one DFS from `root` to completion (or interruption), trying
-/// successors in `order`: the whole problem's, with a private budget, or
-/// one [`Runner`] task's.
+/// successors in `order`: one [`Runner`] task.
 fn run_root<'m, D: SearchDomain>(
     domain: &D,
     root: &D::Node,
@@ -1000,11 +979,24 @@ fn parts_of<D: SearchDomain>(domain: &D) -> Result<Option<Vec<(ObjectId, D)>>, C
     Ok(parts.filter(|parts| parts.len() >= 2))
 }
 
-/// Runs the search over `domain` on the caller's thread, returning the
-/// witness as the domain's step sequence. A problem that decomposes
-/// ([`SearchDomain::decompose`]) is searched part by part, in part order,
-/// stopping at the first part that is not accepted; any other problem is
-/// one DFS from its root.
+/// Runs the search over `domain` on [`CheckOptions::threads`] workers,
+/// returning the witness as the domain's step sequence; `max_nodes`
+/// bounds the *total* nodes across the workers. Every DFS is a task of
+/// one runner, and the tasks are decided by the input:
+///
+/// - a problem whose [`SearchDomain::decompose`] offers at least two
+///   parts is searched part by part, each with a private memo, stopping
+///   at the first part that is not accepted — in part order at one
+///   thread, `threads` parts at a time above one;
+/// - any other problem is searched whole from its root by one worker on
+///   a private memo when `threads` is 1 or [`CheckOptions::memoize`] is
+///   off (the workers would share nothing). Otherwise `threads` workers
+///   each search the root in their own successor order — worker 0 in the
+///   domain's — against one lock-free [`FpMemo`], and the first to end
+///   decides: its witness accepts, its run to the end refutes.
+///
+/// At one thread this is the same DFS, node for node, at every entry
+/// point.
 ///
 /// # Errors
 ///
@@ -1014,14 +1006,32 @@ pub fn search<D: SearchDomain>(
     domain: &D,
     options: &CheckOptions,
 ) -> Result<CheckOutcome<Vec<D::Step>>, CheckError> {
-    if let Some(parts) = parts_of(domain)? {
-        let runner = Runner::new(options, Instant::now());
-        let done = runner.work(parts.len(), |i| run_part(&runner, &parts[i]));
+    let parts = parts_of(domain)?;
+    let runner = Runner::new(options, Instant::now());
+    if let Some(parts) = parts {
+        let done = runner.run_all(parts.len(), |i| run_part(&runner, &parts[i]));
         return merge_parts(domain, &parts, done);
     }
     let root = initial_guarded(domain)?;
-    let ctl = Ctl::new(options, None, None, Instant::now());
-    run_root(domain, &root, MemoTable::Local(HashSet::new()), ctl, Order::SEQUENTIAL).outcome()
+    let threads = options.threads.max(1);
+    let workers = if options.memoize { threads } else { 1 };
+    let shared: Option<FpMemo<D::Node>> = (workers > 1).then(FpMemo::new);
+    // Any worker's end decides the run: each one searches the whole root.
+    let done = runner.run_all(workers, |worker| {
+        let failed = match &shared {
+            Some(memo) => MemoTable::Shared(memo),
+            None => MemoTable::Local(HashSet::new()),
+        };
+        (run_root(domain, &root, failed, runner.ctl(), Order { worker, workers }), true)
+    });
+    let mut total: Tally<D::Step> = Tally::default();
+    for (_, tally) in done {
+        total.absorb(tally);
+    }
+    if threads > 1 {
+        total.stats.root_workers = workers as u64;
+    }
+    total.outcome()
 }
 
 /// How an exhaustive exploration ended: the result of
@@ -1066,6 +1076,10 @@ pub struct Enumeration {
 /// exactly as in [`search`]; when any of them fires, what was reported so
 /// far stands and the result says `complete = false`.
 ///
+/// The enumeration is one DFS, on a node counter of its own, whatever
+/// [`CheckOptions::threads`] says: completeness needs the one visited
+/// set, and its callers (the stream's retirement) run at one thread.
+///
 /// # Errors
 ///
 /// Returns [`CheckError::SpecPanicked`] if the domain's specification
@@ -1076,7 +1090,8 @@ pub fn enumerate_goals<D: SearchDomain>(
     options: &CheckOptions,
     mut on_goal: impl FnMut(&D::Node),
 ) -> Result<Enumeration, CheckError> {
-    let mut ctl = Ctl::new(options, None, None, Instant::now());
+    let runner = Runner::new(options, Instant::now());
+    let mut ctl = runner.ctl();
     let mut visited: HashSet<D::Node> = HashSet::new();
     // Popped from the back: the first root goes last.
     let mut stack = roots;
@@ -1122,57 +1137,10 @@ pub fn enumerate_goals<D: SearchDomain>(
     Ok(Enumeration { complete, stats: ctl.stats })
 }
 
-/// Runs the search over `domain` on [`CheckOptions::threads`] workers;
-/// `max_nodes` bounds the *total* nodes across them. At one thread this
-/// is [`search`]. Above one, the runner's tasks are the problem's parts
-/// when [`SearchDomain::decompose`] offers at least two; otherwise every
-/// worker searches the whole root in its own `Order` against one
-/// lock-free [`FpMemo`], and the first to end decides — one worker when
-/// [`CheckOptions::memoize`] is off, as the workers would share nothing.
-///
-/// # Errors
-///
-/// Returns [`CheckError::SpecPanicked`] if the domain's specification
-/// panics during the search.
-pub fn search_par<D>(
-    domain: &D,
-    options: &CheckOptions,
-) -> Result<CheckOutcome<Vec<D::Step>>, CheckError>
-where
-    D: SearchDomain + Sync,
-    D::Node: Send + Sync,
-    D::Step: Send + Sync,
-{
-    if options.threads <= 1 {
-        return search(domain, options);
-    }
-    if let Some(parts) = parts_of(domain)? {
-        let runner = Runner::new(options, Instant::now());
-        let done = runner.run_all(parts.len(), |i| run_part(&runner, &parts[i]));
-        return merge_parts(domain, &parts, done);
-    }
-    let runner = Runner::new(options, Instant::now());
-    let root = initial_guarded(domain)?;
-    let workers = if options.memoize { options.threads } else { 1 };
-    let memo: FpMemo<D::Node> = FpMemo::new();
-    // Any worker's end decides the run: each one searches the whole root.
-    let done = runner.run_all(workers, |worker| {
-        let order = Order { worker, workers };
-        (run_root(domain, &root, MemoTable::Shared(&memo), runner.ctl(), order), true)
-    });
-    let mut total: Tally<D::Step> = Tally::default();
-    for (_, tally) in done {
-        total.absorb(tally);
-    }
-    total.stats.root_workers = workers as u64;
-    total.outcome()
-}
-
-/// The one way the engine runs subsearches: a task list drained through
-/// one atomic cursor by `min(threads, tasks)` workers, every task
-/// charging one node budget and watching one stop latch. The tasks are a
-/// problem's per-object parts, or, for one that does not decompose, one
-/// whole-root DFS per worker.
+/// The one way the engine runs subsearches: a task list drained by
+/// [`drain`], every task charging one node budget and watching one stop
+/// latch. The tasks are a problem's per-object parts, or, for one that
+/// does not decompose, one whole-root DFS per worker.
 struct Runner<'a> {
     options: &'a CheckOptions,
     start: Instant,
@@ -1182,65 +1150,110 @@ struct Runner<'a> {
     /// Fired by a task whose end decides the run; every other task winds
     /// down at its next poll and no new one starts.
     stop: CancelToken,
-    /// The next task to hand out.
-    next: AtomicUsize,
 }
 
 impl<'a> Runner<'a> {
     fn new(options: &'a CheckOptions, start: Instant) -> Self {
-        Runner {
-            options,
-            start,
-            nodes: AtomicU64::new(0),
-            stop: CancelToken::new(),
-            next: AtomicUsize::new(0),
-        }
+        Runner { options, start, nodes: AtomicU64::new(0), stop: CancelToken::new() }
     }
 
     /// The control state of one task's DFS.
     fn ctl(&self) -> Ctl<'_> {
-        Ctl::new(self.options, Some(&self.nodes), Some(&self.stop), self.start)
+        Ctl {
+            options: self.options,
+            sink: self.options.sink.as_deref(),
+            start: self.start,
+            ticks: 0,
+            stats: CheckStats::default(),
+            exhausted: false,
+            interrupted: None,
+            panicked: None,
+            nodes: &self.nodes,
+            stop: &self.stop,
+        }
     }
 
-    /// One worker: runs the tasks it takes off the cursor until none is
-    /// left or the latch fires. `run` returns a task's result and whether
-    /// that result decides the run. Each result keeps its task index.
-    fn work<R>(&self, tasks: usize, mut run: impl FnMut(usize) -> (R, bool)) -> Vec<(usize, R)> {
+    /// Drains `tasks` tasks on [`CheckOptions::threads`] workers under
+    /// this runner's stop latch.
+    fn run_all<R: Send>(
+        &self,
+        tasks: usize,
+        run: impl Fn(usize) -> (R, bool) + Sync,
+    ) -> Vec<(usize, R)> {
+        drain(self.options.threads, tasks, &self.stop, run)
+    }
+}
+
+/// The task runner's cursor drain: tasks `0..tasks` are handed out
+/// through one atomic cursor to `min(threads, tasks)` workers — the
+/// caller's thread alone when that is one — and each result comes back
+/// with its task index, in task order, whichever worker finished it when.
+/// `run` returns a task's result and whether that result decides the run:
+/// once one does, `stop` fires and no further task starts.
+fn drain<R: Send>(
+    threads: usize,
+    tasks: usize,
+    stop: &CancelToken,
+    run: impl Fn(usize) -> (R, bool) + Sync,
+) -> Vec<(usize, R)> {
+    let next = AtomicUsize::new(0);
+    let work = || {
         let mut done = Vec::new();
-        while !self.stop.is_cancelled() {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
+        while !stop.is_cancelled() {
+            let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= tasks {
                 break;
             }
             let (result, decided) = run(i);
             done.push((i, result));
             if decided {
-                self.stop.cancel();
+                stop.cancel();
             }
         }
         done
+    };
+    let workers = threads.max(1).min(tasks);
+    if workers <= 1 {
+        return work();
     }
+    let finished = Mutex::new(Vec::new());
+    on_workers(workers, &|| {
+        let mut done = work();
+        finished.lock().expect("no worker panics holding the lock").append(&mut done);
+    });
+    // Back into task order by index, not by a sort: a sort would be one
+    // more copy of the sort code for every result type a binary drains.
+    let mut slots: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
+    for (i, result) in finished.into_inner().expect("no worker panics holding the lock") {
+        slots[i] = Some(result);
+    }
+    slots.into_iter().enumerate().filter_map(|(i, slot)| Some((i, slot?))).collect()
+}
 
-    /// Runs [`Runner::work`] on `min(threads, tasks)` scoped threads — on
-    /// the caller's thread when that is one — and returns the results in
-    /// task order, whichever worker finished them when.
-    fn run_all<R: Send>(
-        &self,
-        tasks: usize,
-        run: impl Fn(usize) -> (R, bool) + Sync,
-    ) -> Vec<(usize, R)> {
-        let workers = self.options.threads.max(1).min(tasks);
-        if workers <= 1 {
-            return self.work(tasks, run);
+/// Runs `work` on `workers` threads at once, the caller's among them,
+/// and returns when every one has. `work` is a trait object so that a
+/// binary holds one copy of the thread code, not one for every search
+/// it is compiled for.
+fn on_workers(workers: usize, work: &(dyn Fn() + Sync)) {
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
         }
-        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                (0..workers).map(|_| scope.spawn(|| self.work(tasks, &run))).collect();
-            handles.into_iter().flat_map(|h| h.join().expect("checker worker panicked")).collect()
-        });
-        done.sort_unstable_by_key(|&(i, _)| i);
-        done
-    }
+        work();
+    });
+}
+
+/// Runs `run` on every task `0..tasks` with the search's task runner, on
+/// `min(threads, tasks)` workers, and returns the results in task order:
+/// the drain behind [`search`], for callers whose tasks are not searches
+/// (`cal-check --batch` checks one file a task).
+pub fn run_tasks<R: Send>(
+    threads: usize,
+    tasks: usize,
+    run: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let done = drain(threads, tasks, &CancelToken::new(), |i| (run(i), false));
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// One part as a [`Runner`] task: its own DFS with a private memo,
@@ -1423,7 +1436,7 @@ mod tests {
     fn every_worker_on_the_root_finds_a_witness() {
         for threads in [1, 2, 8] {
             let options = CheckOptions { threads, ..CheckOptions::default() };
-            let outcome = search_par(&Countdown { n: 6, dead_end: false }, &options).unwrap();
+            let outcome = search(&Countdown { n: 6, dead_end: false }, &options).unwrap();
             let witness = outcome.verdict.witness().expect("witness");
             assert_eq!(witness.iter().sum::<u32>(), 6, "threads={threads}");
         }
@@ -1471,14 +1484,14 @@ mod tests {
     #[test]
     fn zero_threads_means_one_worker() {
         let options = CheckOptions { threads: 0, ..CheckOptions::default() };
-        let found = search_par(&Countdown { n: 6, dead_end: false }, &options).unwrap();
+        let found = search(&Countdown { n: 6, dead_end: false }, &options).unwrap();
         assert_eq!(found.verdict.witness().expect("witness").iter().sum::<u32>(), 6);
         // A refutation is the telling half: zero workers would leave every
         // task untaken and call the empty tally a refutation after one
         // node.
         let tree = DeadTree { width: 3, depth: 4 };
         let seq = search(&tree, &CheckOptions::default()).unwrap();
-        let par = search_par(&tree, &options).unwrap();
+        let par = search(&tree, &options).unwrap();
         assert_eq!(par.verdict, Verdict::NotCal);
         assert_eq!(par.stats.nodes, seq.stats.nodes);
     }
@@ -1490,7 +1503,7 @@ mod tests {
         assert_eq!(seq.verdict, Verdict::NotCal);
         for threads in [2, 4, 8] {
             let options = CheckOptions { threads, ..CheckOptions::default() };
-            let outcome = search_par(&tree, &options).unwrap();
+            let outcome = search(&tree, &options).unwrap();
             assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
             assert_eq!(outcome.stats.root_workers, threads as u64);
             // Distinct states everywhere: the refuting worker reached every
@@ -1557,13 +1570,14 @@ mod tests {
         let runner = Runner::new(&options, Instant::now());
         let done = runner.run_all(TASKS, |i| (i * 2, false));
         assert_eq!(done, (0..TASKS).map(|i| (i, i * 2)).collect::<Vec<_>>());
+        assert_eq!(run_tasks(4, TASKS, |i| i * 2), (0..TASKS).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn a_deciding_task_stops_the_runner() {
         let options = CheckOptions::default();
         let runner = Runner::new(&options, Instant::now());
-        let done = runner.work(10, |i| ((), i == 3));
+        let done = runner.run_all(10, |i| ((), i == 3));
         assert_eq!(done.len(), 4, "tasks after the deciding one never start");
     }
 

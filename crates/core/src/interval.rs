@@ -59,9 +59,13 @@ use crate::trace::{CaElement, CaTrace};
 
 /// An interval-sequential specification: a stateful acceptor over interval
 /// points.
-pub trait IntervalSpec {
+///
+/// `Sync`, with `Send + Sync` states, for the reason
+/// [`crate::spec::CaSpec`] is: every front end may run the search over it
+/// on worker threads.
+pub trait IntervalSpec: Sync {
     /// Acceptor state.
-    type State: Clone + Eq + Hash + Debug;
+    type State: Clone + Eq + Hash + Debug + Send + Sync;
 
     /// The initial state.
     fn initial(&self) -> Self::State;
@@ -457,39 +461,28 @@ impl<S: SeqSpec> IntervalSpec for SeqAsInterval<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{CheckError, CheckOptions, CheckOutcome, Verdict};
-    use crate::par::check_cal_par_with;
-
+    use crate::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
+    
     const O: ObjectId = ObjectId(0);
     const WS: Method = Method("write_snapshot");
 
     /// The interval reading of `h` under `spec`: the CAL search over the
     /// split history, on `options.threads` workers.
-    fn check_with<S>(
+    fn check_with<S: IntervalSpec>(
         h: &History,
         spec: &S,
         options: &CheckOptions,
-    ) -> Result<CheckOutcome<IntervalWitness>, CheckError>
-    where
-        S: IntervalSpec + Sync,
-        S::State: Send + Sync,
-    {
+    ) -> Result<CheckOutcome<IntervalWitness>, CheckError> {
         let (split, halves) = IntervalAsCa::new(spec, h)?;
-        let outcome = check_cal_par_with(&halves, &split, options)?;
+        let outcome = check_cal_with(&halves, &split, options)?;
         Ok(outcome.map_witness(|trace| split.witness(&trace)))
     }
 
-    fn check<S: IntervalSpec + Sync>(h: &History, spec: &S) -> CheckOutcome<IntervalWitness>
-    where
-        S::State: Send + Sync,
-    {
+    fn check<S: IntervalSpec>(h: &History, spec: &S) -> CheckOutcome<IntervalWitness> {
         check_with(h, spec, &CheckOptions::default()).expect("well-formed")
     }
 
-    fn accepts<S: IntervalSpec + Sync>(h: &History, spec: &S) -> bool
-    where
-        S::State: Send + Sync,
-    {
+    fn accepts<S: IntervalSpec>(h: &History, spec: &S) -> bool {
         let verdict = check(h, spec).verdict;
         assert!(!verdict.is_undecided(), "{verdict:?}");
         verdict.is_cal()

@@ -113,8 +113,8 @@ impl fmt::Display for ObjectOutcome {
 /// are not events: they are in the outcome's
 /// [`crate::check::CheckStats`].
 ///
-/// Implementations must be thread-safe: the parallel checker invokes the
-/// sink concurrently from every worker. All methods default to no-ops,
+/// Implementations must be thread-safe: above one thread the search
+/// invokes the sink concurrently from every worker. All methods default to no-ops,
 /// so a custom sink implements only the events it cares about.
 /// [`StatsSink::on_frontier`] happens once per expansion, on the search's
 /// hot path — keep it cheap (atomic counters, not locks or I/O).
@@ -122,8 +122,8 @@ pub trait StatsSink: Send + Sync {
     /// A node's frontier of minimal operations had `width` candidates.
     /// Called once per expansion, in expansion order, so the stream of
     /// widths tracks frontier shape over time; a search
-    /// ([`crate::engine::search`], [`crate::engine::search_par`]) makes
-    /// as many calls as it has nodes less memo hits.
+    /// ([`crate::engine::search`]) makes as many calls as it has nodes
+    /// less memo hits.
     fn on_frontier(&self, width: usize) {
         let _ = width;
     }

@@ -1,86 +1,18 @@
-//! Parallel CAL membership checking.
+//! The parallel entry point's old name.
 //!
-//! The engine's one task runner ([`crate::engine::search_par`]) hands a
-//! task list to `min(threads, tasks)` workers. Which tasks there are is
-//! decided by the input, not by the thread count:
-//!
-//! 1. **Per-object parts** (CAL locality). A CA-trace set built from
-//!    independent per-object specifications constrains each object's
-//!    elements separately, so a history is CAL iff every per-object
-//!    subhistory is CAL w.r.t. the restricted specification
-//!    ([`crate::spec::CaSpec::restrict`]). Such a history is checked
-//!    part by part at every thread count — the sequential
-//!    [`crate::check::check_cal_with`] included — and the per-object
-//!    witnesses are merged, in part order, into one trace whose
-//!    interleaving respects the full history's real-time order.
-//! 2. **Every worker on the root, one shared memo table.** When the
-//!    history does not decompose (single object, or objects coupled
-//!    through a composed specification) and more than one thread is
-//!    asked for, each worker runs the whole arena-based DFS from the
-//!    root against one lock-free fingerprint table
-//!    ([`crate::fpmemo::FpMemo`]). Worker `i` of `w` tries each node's
-//!    successors from offset `⌊i·len/w⌋` on, wrapping around (worker 0 in
-//!    the sequential order), so the workers exhaust different subtrees
-//!    first and each prunes the others' search with what it refuted. The
-//!    first worker to end decides: its witness accepts, its run to the
-//!    end refutes. With [`CheckOptions::memoize`] off the workers would
-//!    share nothing, and one worker searches the root.
-//!
-//! Either way a shared node counter makes [`CheckOptions::max_nodes`] a
-//! global budget, a stop latch winds every worker down as soon as one
-//! task decides the run, [`CheckOptions::deadline`] /
-//! [`CheckOptions::cancel`] interrupt cooperatively, and per-task
-//! [`CheckStats`] are summed.
+//! [`check_cal_par_with`] is [`crate::check::check_cal_with`], which runs
+//! the one search ([`crate::engine::search`]) on
+//! [`crate::check::CheckOptions::threads`] workers. The name stays only
+//! because the benchmark harness imports it; it goes when that harness
+//! calls the un-suffixed entry point.
 
-use std::borrow::Cow;
-
-use crate::check::CalDomain;
-use crate::engine::{self, SpecRef};
-use crate::history::History;
-use crate::spec::CaSpec;
-
-pub use crate::check::{CheckError, CheckOptions, CheckOutcome, CheckStats};
-
-/// Decides whether `history` is CAL w.r.t. `spec` on
-/// [`CheckOptions::threads`] workers.
-///
-/// Always returns the same verdict as the sequential
-/// [`crate::check::check_cal_with`] on decided inputs: `Cal` exactly when
-/// a witness exists (possibly a different, equally valid witness) and
-/// `NotCal` exactly when none does. Undecided outcomes
-/// (`ResourcesExhausted`, `Interrupted`) arise under the same budgets,
-/// with `max_nodes` interpreted as a budget on the *total* nodes across
-/// workers.
-///
-/// When the history touches several objects and the specification can be
-/// restricted to every one of them ([`CaSpec::restrict`]), the check
-/// decomposes into independent per-object subchecks (CAL locality) run in
-/// parallel; otherwise every worker searches the whole history in its own
-/// successor order, and the workers share one lock-free memo table. At
-/// one thread this is [`crate::check::check_cal_with`].
-///
-/// # Errors
-///
-/// Returns [`CheckError::IllFormed`] if the history is not well-formed
-/// and [`CheckError::SpecPanicked`] if the specification panics.
-pub fn check_cal_par_with<S>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    let domain = CalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
-    Ok(engine::search_par(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
-}
+pub use crate::check::check_cal_with as check_cal_par_with;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::action::Action;
-    use crate::check::{check_cal_with, witness_explains, CancelToken, Verdict};
+    use crate::check::{check_cal_with, witness_explains, CancelToken, CheckOptions, Verdict};
+    use crate::history::History;
     use crate::ids::{Method, ObjectId, ThreadId, Value};
     use crate::spec::{CaSpec, Invocation, PerObject};
     use crate::trace::CaElement;
@@ -169,7 +101,7 @@ mod tests {
         ]);
         let spec = MiniExchanger(o);
         for threads in [1, 2, 8] {
-            let outcome = check_cal_par_with(&h, &spec, &threads_options(threads)).unwrap();
+            let outcome = check_cal_with(&h, &spec, &threads_options(threads)).unwrap();
             assert!(outcome.verdict.is_cal(), "threads={threads}: {:?}", outcome.verdict);
             let witness = outcome.verdict.witness().unwrap();
             assert!(witness_explains(&h, &spec, witness));
@@ -184,7 +116,7 @@ mod tests {
         let seq = check_cal_with(&h, &spec, &CheckOptions::default()).unwrap();
         assert_eq!(seq.verdict, Verdict::NotCal);
         for threads in [1, 2, 8] {
-            let outcome = check_cal_par_with(&h, &spec, &threads_options(threads)).unwrap();
+            let outcome = check_cal_with(&h, &spec, &threads_options(threads)).unwrap();
             assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
             assert!(outcome.stats.nodes > 0);
         }
@@ -205,7 +137,7 @@ mod tests {
             res_on(b, 2, true, 5),
         ]);
         let spec = PerObject::new(vec![(a, MiniExchanger(a)), (b, MiniExchanger(b))]);
-        let outcome = check_cal_par_with(&h, &spec, &threads_options(4)).unwrap();
+        let outcome = check_cal_with(&h, &spec, &threads_options(4)).unwrap();
         assert!(outcome.verdict.is_cal(), "{:?}", outcome.verdict);
         let witness = outcome.verdict.witness().unwrap();
         assert_eq!(witness.len(), 2);
@@ -228,7 +160,7 @@ mod tests {
             res_on(b, 4, true, 5),
         ]);
         let spec = PerObject::new(vec![(a, MiniExchanger(a)), (b, MiniExchanger(b))]);
-        let outcome = check_cal_par_with(&h, &spec, &threads_options(2)).unwrap();
+        let outcome = check_cal_with(&h, &spec, &threads_options(2)).unwrap();
         let witness = outcome.verdict.witness().expect("CAL");
         assert_eq!(witness.elements()[0].object(), a);
         assert_eq!(witness.elements()[1].object(), b);
@@ -251,7 +183,7 @@ mod tests {
         ]);
         let spec = PerObject::new(vec![(a, MiniExchanger(a)), (b, MiniExchanger(b))]);
         for threads in [1, 4] {
-            let outcome = check_cal_par_with(&h, &spec, &threads_options(threads)).unwrap();
+            let outcome = check_cal_with(&h, &spec, &threads_options(threads)).unwrap();
             assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
         }
     }
@@ -321,7 +253,7 @@ mod tests {
                     .collect(),
             );
             let witness = |threads| {
-                let outcome = check_cal_par_with(&h, &spec, &threads_options(threads)).unwrap();
+                let outcome = check_cal_with(&h, &spec, &threads_options(threads)).unwrap();
                 outcome.verdict.witness().expect("CAL").to_string()
             };
             let one = witness(1);
@@ -364,7 +296,7 @@ mod tests {
             res_on(b, 2, true, 5),
         ]);
         let spec = Coupled(MiniExchanger(a), MiniExchanger(b));
-        let outcome = check_cal_par_with(&h, &spec, &threads_options(4)).unwrap();
+        let outcome = check_cal_with(&h, &spec, &threads_options(4)).unwrap();
         assert!(outcome.verdict.is_cal(), "{:?}", outcome.verdict);
     }
 
@@ -374,7 +306,7 @@ mod tests {
         let h = History::from_actions(hard_history(o, 9, 1));
         let spec = MiniExchanger(o);
         let options = CheckOptions { max_nodes: 3, threads: 4, ..CheckOptions::default() };
-        let outcome = check_cal_par_with(&h, &spec, &options).unwrap();
+        let outcome = check_cal_with(&h, &spec, &options).unwrap();
         assert_eq!(outcome.verdict, Verdict::ResourcesExhausted);
     }
 
@@ -392,7 +324,7 @@ mod tests {
             ..CheckOptions::default()
         };
         let h = History::from_actions(hard_history(o, 13, 1));
-        let outcome = check_cal_par_with(&h, &MiniExchanger(o), &options).unwrap();
+        let outcome = check_cal_with(&h, &MiniExchanger(o), &options).unwrap();
         assert_eq!(
             outcome.verdict,
             Verdict::Interrupted { reason: crate::check::InterruptReason::Cancelled }
@@ -404,12 +336,12 @@ mod tests {
         let o = ObjectId(0);
         let spec = MiniExchanger(o);
         let empty = History::new();
-        assert!(check_cal_par_with(&empty, &spec, &threads_options(4))
+        assert!(check_cal_with(&empty, &spec, &threads_options(4))
             .unwrap()
             .verdict
             .is_cal());
         let pending = History::from_actions(vec![inv_on(o, 1, 3)]);
-        let outcome = check_cal_par_with(&pending, &spec, &threads_options(4)).unwrap();
+        let outcome = check_cal_with(&pending, &spec, &threads_options(4)).unwrap();
         assert!(outcome.verdict.is_cal());
     }
 }

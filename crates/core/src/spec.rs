@@ -49,10 +49,15 @@ impl Invocation {
 
 /// A concurrency-aware specification: a prefix-closed set of CA-traces,
 /// represented as a stateful acceptor (§4 of the paper).
-pub trait CaSpec {
+///
+/// A spec and its states are `Sync` (and states `Send`) because every
+/// front end may run the search on worker threads
+/// ([`crate::check::CheckOptions::threads`]): the workers share the spec
+/// and one memo table of its states.
+pub trait CaSpec: Sync {
     /// Acceptor state. For a stack this is the abstract stack contents; for
     /// the exchanger it is `()` (every element is judged locally).
-    type State: Clone + Eq + Hash + Debug;
+    type State: Clone + Eq + Hash + Debug + Send + Sync;
 
     /// The initial acceptor state.
     fn initial(&self) -> Self::State;
@@ -154,9 +159,12 @@ pub trait CaSpec {
 
 /// A sequential specification: a prefix-closed set of sequential histories,
 /// represented as a stateful acceptor over single operations.
-pub trait SeqSpec {
+///
+/// `Sync`, with `Send + Sync` states, for the reason [`CaSpec`] is: every
+/// front end may run the search over it on worker threads.
+pub trait SeqSpec: Sync {
     /// Acceptor state (e.g. abstract stack contents).
-    type State: Clone + Eq + Hash + Debug;
+    type State: Clone + Eq + Hash + Debug + Send + Sync;
 
     /// The initial acceptor state.
     fn initial(&self) -> Self::State;

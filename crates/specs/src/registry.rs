@@ -22,12 +22,11 @@
 
 use std::sync::Arc;
 
-use cal_core::causal::check_causal_par_with;
-use cal_core::check::{CheckError, CheckOptions, CheckOutcome};
+use cal_core::causal::check_causal_with;
+use cal_core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome};
 use cal_core::dsl::{self, SpecDef, SpecFile};
 use cal_core::history::HbRelation;
 use cal_core::interval::{IntervalAsCa, IntervalSpec, IntervalWitness, SeqAsInterval};
-use cal_core::par::check_cal_par_with;
 use cal_core::spec::{CaSpec, SeqAsCa, SeqSpec};
 use cal_core::{History, ObjectId};
 
@@ -273,11 +272,7 @@ impl Selected {
 
 /// The two readings of a sequential specification: singleton elements
 /// (`cal`, `seq`, `causal`) and singleton intervals.
-fn lift<S, V: Visitor>(mode: CheckMode, spec: S, visitor: V) -> V::Out
-where
-    S: SeqSpec + Send + Sync + 'static,
-    S::State: Send + Sync,
-{
+fn lift<S: SeqSpec + Send + 'static, V: Visitor>(mode: CheckMode, spec: S, visitor: V) -> V::Out {
     match mode {
         CheckMode::Interval => visitor.interval(SeqAsInterval::new(spec)),
         _ => visitor.ca(SeqAsCa::new(spec)),
@@ -293,17 +288,10 @@ pub trait Visitor: Sized {
     type Out;
 
     /// The spec as a set of CA-traces (`cal`, `seq`, `causal`).
-    fn ca<S>(self, spec: S) -> Self::Out
-    where
-        S: CaSpec + Send + Sync + 'static,
-        S::State: Send + Sync;
+    fn ca<S: CaSpec + Send + 'static>(self, spec: S) -> Self::Out;
 
     /// The spec as an interval-sequential specification (`interval`).
-    fn interval<S>(self, _spec: S) -> Self::Out
-    where
-        S: IntervalSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn interval<S: IntervalSpec>(self, _spec: S) -> Self::Out {
         unreachable!("this front end never visits under CheckMode::Interval")
     }
 }
@@ -315,19 +303,15 @@ pub trait Visitor: Sized {
 /// # Errors
 ///
 /// As the `cal_core` checker it runs.
-pub fn run_ca<S>(
+pub fn run_ca<S: CaSpec>(
     history: &History,
     spec: &S,
     order: Option<&HbRelation>,
     options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError>
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+) -> Result<CheckOutcome, CheckError> {
     match order {
-        None => check_cal_par_with(history, spec, options),
-        Some(hb) => check_causal_par_with(history, spec, hb, options),
+        None => check_cal_with(history, spec, options),
+        Some(hb) => check_causal_with(history, spec, hb, options),
     }
 }
 
@@ -339,15 +323,11 @@ where
 /// # Errors
 ///
 /// As [`run_ca`].
-pub fn run_interval<S>(
+pub fn run_interval<S: IntervalSpec>(
     history: &History,
     spec: &S,
     options: &CheckOptions,
-) -> Result<CheckOutcome<IntervalWitness>, CheckError>
-where
-    S: IntervalSpec + Sync,
-    S::State: Send + Sync,
-{
+) -> Result<CheckOutcome<IntervalWitness>, CheckError> {
     let (split, halves) = IntervalAsCa::new(spec, history)?;
     let outcome = run_ca(&halves, &split, None, options)?;
     Ok(outcome.map_witness(|trace| split.witness(&trace)))
@@ -363,14 +343,11 @@ mod tests {
     impl Visitor for Reading {
         type Out = &'static str;
 
-        fn ca<S>(self, _: S) -> &'static str
-        where
-            S: CaSpec + Send + Sync + 'static,
-        {
+        fn ca<S: CaSpec + Send + 'static>(self, _: S) -> &'static str {
             "ca"
         }
 
-        fn interval<S: IntervalSpec + Sync>(self, _: S) -> &'static str {
+        fn interval<S: IntervalSpec>(self, _: S) -> &'static str {
             "interval"
         }
     }

@@ -106,8 +106,7 @@
 
 use std::io::{self, Read, Write};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cal::chaos::driver::{run_once, ChaosVerdict, Mode, RunConfig, TargetKind};
@@ -117,6 +116,7 @@ use cal::cli::{
     EXIT_USAGE,
 };
 use cal::core::check::{CheckError, CheckOptions, CheckOutcome, Verdict};
+use cal::core::engine::run_tasks;
 use cal::core::format::{self, Format};
 use cal::core::history::HbRelation;
 use cal::core::interval::{IntervalSpec, IntervalWitness};
@@ -555,19 +555,11 @@ struct Run<'a> {
 impl Visitor for Run<'_> {
     type Out = (Checked, Option<SearchReport>);
 
-    fn ca<S>(self, spec: S) -> Self::Out
-    where
-        S: CaSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn ca<S: CaSpec>(self, spec: S) -> Self::Out {
         self.render(run_ca(self.history, &spec, self.order, self.options), format_trace)
     }
 
-    fn interval<S>(self, spec: S) -> Self::Out
-    where
-        S: IntervalSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn interval<S: IntervalSpec>(self, spec: S) -> Self::Out {
         self.render(run_interval(self.history, &spec, self.options), format_interval_witness)
     }
 }
@@ -614,8 +606,9 @@ fn format_interval_witness(witness: &IntervalWitness) -> String {
 }
 
 /// Checks every regular file under `dir`, spreading files across
-/// `options.threads` workers (each file is checked with a
-/// single-threaded search — the parallelism is across files). With
+/// `options.threads` workers of the search's task runner (each file is
+/// checked with a single-threaded search — the parallelism is across
+/// files). With
 /// `--format auto` each file is sniffed independently, so one directory
 /// may mix native, jepsen, and kvlog traces.
 fn run_batch(job: &Job, dir: &str, options: CheckOptions) -> io::Result<ExitCode> {
@@ -635,31 +628,21 @@ fn run_batch(job: &Job, dir: &str, options: CheckOptions) -> io::Result<ExitCode
         errln!("cal-check: no files in {dir}")?;
         return Ok(ExitCode::from(EXIT_ERROR));
     }
-    let workers = options.threads.min(files.len());
+    let threads = options.threads;
     let options = CheckOptions { threads: 1, ..options };
-    let results: Mutex<Vec<Option<Checked>>> = Mutex::new((0..files.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(path) = files.get(idx) else { break };
-                let checked = match std::fs::read_to_string(path) {
-                    Ok(input) => job.check(&input, &options, false, false).0,
-                    Err(e) => Checked::Error(format!("cannot read: {e}")),
-                };
-                results.lock().unwrap()[idx] = Some(checked);
-            });
+    let results = run_tasks(threads, files.len(), |idx| {
+        match std::fs::read_to_string(&files[idx]) {
+            Ok(input) => job.check(&input, &options, false, false).0,
+            Err(e) => Checked::Error(format!("cannot read: {e}")),
         }
     });
     let mut rejected = 0usize;
     let mut undecided = 0usize;
     let mut errors = 0usize;
     let mut first_error: Option<String> = None;
-    let results = results.into_inner().unwrap();
     for (path, checked) in files.iter().zip(results) {
         let name = path.display();
-        match checked.expect("every file was checked") {
+        match checked {
             Checked::Accepted { adjective, .. } => outln!("{name}: {adjective}: yes")?,
             Checked::Rejected { adjective } => {
                 outln!("{name}: {adjective}: NO")?;

@@ -301,11 +301,7 @@ struct Serve<'a>(&'a Cfg);
 impl Visitor for Serve<'_> {
     type Out = io::Result<ExitCode>;
 
-    fn ca<S>(self, spec: S) -> io::Result<ExitCode>
-    where
-        S: CaSpec + Send + 'static,
-        S::State: Send,
-    {
+    fn ca<S: CaSpec + Send + 'static>(self, spec: S) -> io::Result<ExitCode> {
         let cfg = self.0;
         let options = StreamOptions {
             max_window: cfg.window,
@@ -556,11 +552,7 @@ fn serve_stdin<S: CaSpec>(mut daemon: Daemon<'_, S>) -> io::Result<ExitCode> {
 /// The multi-client mode: every connection is a session whose pending
 /// operations are abandoned if it disconnects; saturation NAKs the
 /// offending client (with `--ack`) instead of degrading the stream.
-fn serve_tcp<S>(daemon: Daemon<'_, S>, addr: &str) -> io::Result<ExitCode>
-where
-    S: CaSpec + Send,
-    S::State: Send,
-{
+fn serve_tcp<S: CaSpec + Send>(daemon: Daemon<'_, S>, addr: &str) -> io::Result<ExitCode> {
     let cfg = daemon.cfg;
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;

@@ -8,11 +8,10 @@
 //! through [`witness_explains_causal`], so agreement is on evidence, not
 //! just on the verdict bit.
 
-use cal::core::causal::{check_causal_par_with, check_causal_with, witness_explains_causal};
+use cal::core::causal::{check_causal_with, witness_explains_causal};
 use cal::core::check::{check_cal_with, CheckOptions, Verdict};
 use cal::core::gen::interleave;
 use cal::core::history::HbRelation;
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, SeqAsCa};
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::dual_stack::DualStackSpec;
@@ -138,11 +137,7 @@ fn history_of(op: impl Strategy<Value = OpShape>) -> impl Strategy<Value = Histo
 /// real-time order, at 1, 2 and 4 threads, and asserts every decided
 /// verdict agrees with the sequential CAL baseline. Causal acceptances
 /// must come with a witness the causal oracle confirms.
-fn assert_causal_matches_cal<S>(h: &History, spec: &S)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn assert_causal_matches_cal<S: CaSpec>(h: &History, spec: &S) {
     let hb = HbRelation::real_time(&h.spans());
     assert!(hb.is_real_time(), "the anchor order must be recognized as total");
 
@@ -154,17 +149,8 @@ where
 
     for threads in [1usize, 2, 4] {
         let options = CheckOptions { threads, ..CheckOptions::default() };
-        let (cal, causal) = if threads == 1 {
-            (
-                check_cal_with(h, spec, &options).expect("well-formed").verdict,
-                check_causal_with(h, spec, &hb, &options).expect("well-formed").verdict,
-            )
-        } else {
-            (
-                check_cal_par_with(h, spec, &options).expect("well-formed").verdict,
-                check_causal_par_with(h, spec, &hb, &options).expect("well-formed").verdict,
-            )
-        };
+        let cal = check_cal_with(h, spec, &options).expect("well-formed").verdict;
+        let causal = check_causal_with(h, spec, &hb, &options).expect("well-formed").verdict;
         assert_eq!(
             baseline.is_cal(),
             cal.is_cal(),

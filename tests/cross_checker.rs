@@ -25,7 +25,6 @@
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::gen::interleave;
 use cal::core::interval::{IntervalSpec, SeqAsInterval};
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, Invocation, SeqAsCa, SeqSpec};
 use cal::core::{Action, CaElement, History, Method, ObjectId, Operation, ThreadId, Value};
 use cal::specs::dual_stack::{dual_pop_op, fulfillment_element, DualStackSpec};
@@ -144,11 +143,7 @@ fn reference<S: CaSpec>(h: &History, spec: &S) -> bool {
 
 /// The CAL half of the oracle: the reference decides `h`, and the CAL
 /// search returns that verdict in every configuration. Returns it.
-fn assert_cal_agreement<S>(h: &History, ca: &S) -> &'static str
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn assert_cal_agreement<S: CaSpec>(h: &History, ca: &S) -> &'static str {
     let expected = if reference(h, ca) { "accepted" } else { "rejected" };
     for symmetry in [true, false] {
         for memoize in [true, false] {
@@ -158,7 +153,7 @@ where
             assert_eq!(cal, expected, "CAL ({what}) vs the reference\nhistory:\n{h}");
             for threads in [1usize, 2, 4] {
                 let par = CheckOptions { threads, ..options.clone() };
-                let pcal = category(&check_cal_par_with(h, ca, &par));
+                let pcal = category(&check_cal_with(h, ca, &par));
                 assert_eq!(pcal, expected, "CAL ({what} threads={threads})\nhistory:\n{h}");
             }
         }
@@ -169,11 +164,7 @@ where
 /// The interval half of the oracle: the reference decides `h`, and
 /// `run_interval` returns that verdict in every configuration, every
 /// witness it accepts with replaying. Returns the verdict.
-fn assert_interval_agreement<S>(h: &History, spec: &S) -> &'static str
-where
-    S: IntervalSpec + Sync,
-    S::State: Send + Sync,
-{
+fn assert_interval_agreement<S: IntervalSpec>(h: &History, spec: &S) -> &'static str {
     let expected =
         if interval_end_states(spec, h).is_empty() { "rejected" } else { "accepted" };
     for symmetry in [true, false] {
@@ -196,11 +187,7 @@ where
 
 /// The oracle on a sequential spec: the CAL half over [`SeqAsCa`], the
 /// interval half over [`SeqAsInterval`], and the two verdicts equal.
-fn assert_cross_agreement<S>(h: &History, spec: &S)
-where
-    S: SeqSpec + Clone + Sync,
-    S::State: Send + Sync,
-{
+fn assert_cross_agreement<S: SeqSpec + Clone>(h: &History, spec: &S) {
     let cal = assert_cal_agreement(h, &SeqAsCa::new(spec.clone()));
     let interval = assert_interval_agreement(h, &SeqAsInterval::new(spec.clone()));
     assert_eq!(interval, cal, "one-point intervals vs singleton elements\nhistory:\n{h}");
@@ -331,11 +318,7 @@ fn unoffered_swap() -> [Operation; 2] {
 
 /// Holds a CA-family to the reference on one clone-window case, and a
 /// legal or unoffered plant to its known verdict.
-fn assert_clone_window<S>(spec: &S, h: &History, which: u8)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn assert_clone_window<S: CaSpec>(spec: &S, h: &History, which: u8) {
     let verdict = assert_cal_agreement(h, spec);
     if which < 2 {
         assert_eq!(verdict == "accepted", which == 0, "{h}");
@@ -499,7 +482,7 @@ fn fixed_two_object_and_ill_formed_histories_have_known_verdicts() {
     let ca = SeqAsCa::new(spec.clone());
     for threads in [1usize, 2, 4] {
         let options = CheckOptions { threads, ..CheckOptions::default() };
-        let outcome = check_cal_par_with(&h, &ca, &options).unwrap();
+        let outcome = check_cal_with(&h, &ca, &options).unwrap();
         let witness = outcome.verdict.witness().expect("accepted");
         assert_eq!(witness.len(), 4, "threads={threads}");
         assert!(witness.elements().iter().all(|e| e.len() == 1), "threads={threads}");
@@ -510,7 +493,7 @@ fn fixed_two_object_and_ill_formed_histories_have_known_verdicts() {
     let options = CheckOptions { threads: 2, ..CheckOptions::default() };
     let interval = SeqAsInterval::new(spec);
     assert!(check_cal_with(&ill, &ca, &CheckOptions::default()).is_err());
-    assert!(check_cal_par_with(&ill, &ca, &options).is_err());
+    assert!(check_cal_with(&ill, &ca, &options).is_err());
     for options in [CheckOptions::default(), options] {
         let outcome = run_interval(&ill, &interval, &options);
         assert!(matches!(outcome, Err(CheckError::IllFormed(_))), "{outcome:?}");

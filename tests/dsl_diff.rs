@@ -11,7 +11,6 @@ use std::sync::Arc;
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::dsl::{self, SpecDef};
 use cal::core::gen::interleave;
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, SeqAsCa, SeqSpec};
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
@@ -133,11 +132,7 @@ fn category<W>(r: &Result<CheckOutcome<W>, CheckError>) -> String {
 /// The oracle for concurrency-aware families: the interpreted spec and
 /// the native one agree under the CAL checker, sequentially and in
 /// parallel at 1, 2 and 4 threads.
-fn assert_ca_agreement<S>(h: &History, name: &str, native: &S)
-where
-    S: CaSpec + Clone + Sync,
-    S::State: Send + Sync,
-{
+fn assert_ca_agreement<S: CaSpec + Clone>(h: &History, name: &str, native: &S) {
     let def = shipped(name);
     let interpreted = def.to_ca(O);
     let options = CheckOptions::default();
@@ -146,7 +141,7 @@ where
     assert_eq!(want, got, "{name}: DSL vs native diverge\nhistory:\n{h}");
     for threads in [1usize, 2, 4] {
         let par = CheckOptions { threads, ..CheckOptions::default() };
-        let pgot = category(&check_cal_par_with(h, &interpreted, &par));
+        let pgot = category(&check_cal_with(h, &interpreted, &par));
         assert_eq!(want, pgot, "{name}: threads={threads}: parallel DSL diverged\nhistory:\n{h}");
     }
 }
@@ -156,11 +151,7 @@ where
 /// sequential reading lifted by [`SeqAsCa`] and its own CA reading, which
 /// is what `--mode cal` and `--mode seq` check a loaded `kind seq` spec
 /// with — sequentially and in parallel.
-fn assert_seq_agreement<S>(h: &History, name: &str, native: &S)
-where
-    S: SeqSpec + Clone + Sync,
-    S::State: Send + Sync,
-{
+fn assert_seq_agreement<S: SeqSpec + Clone>(h: &History, name: &str, native: &S) {
     let def = shipped(name);
     let lifted = SeqAsCa::new(def.to_seq(O).expect("shipped seq spec has a sequential reading"));
     let own = def.to_ca(O);
@@ -172,8 +163,8 @@ where
     assert_eq!(want, got_ca, "{name}: DSL vs native diverge (CA reading)\nhistory:\n{h}");
     for threads in [1usize, 2, 4] {
         let par = CheckOptions { threads, ..CheckOptions::default() };
-        let pseq = category(&check_cal_par_with(h, &lifted, &par));
-        let pca = category(&check_cal_par_with(h, &own, &par));
+        let pseq = category(&check_cal_with(h, &lifted, &par));
+        let pca = category(&check_cal_with(h, &own, &par));
         assert_eq!(want, pseq, "{name}: threads={threads}: seq reading diverged\nhistory:\n{h}");
         assert_eq!(want, pca, "{name}: threads={threads}: CA reading diverged\nhistory:\n{h}");
     }

@@ -11,11 +11,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cal::core::causal::{causal_order, check_causal_par_with, check_causal_with};
+use cal::core::causal::{causal_order, check_causal_with};
 use cal::core::check::{check_cal_with, CancelToken, CheckOptions, Verdict};
 use cal::core::fpmemo::FpMemo;
 use cal::core::history::HbRelation;
-use cal::core::par::check_cal_par_with;
 use cal::core::gen::interleave;
 use cal::core::obs::StatsSink;
 use cal::core::spec::SeqAsCa;
@@ -169,7 +168,7 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_cal_par_with(&h, &spec, o).expect("well-formed").verdict,
+            |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
         );
     }
 
@@ -179,7 +178,7 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_cal_par_with(&h, &spec, o).expect("well-formed").verdict,
+            |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
         );
     }
 
@@ -193,7 +192,7 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
-            |o| check_cal_par_with(&h, &spec, o).expect("well-formed").verdict,
+            |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
         );
     }
 
@@ -209,7 +208,7 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_causal_with(&h, &spec, &hb, o).expect("well-formed").verdict,
-            |o| check_causal_par_with(&h, &spec, &hb, o).expect("well-formed").verdict,
+            |o| check_causal_with(&h, &spec, &hb, o).expect("well-formed").verdict,
         );
     }
 
@@ -223,7 +222,7 @@ proptest! {
         assert_matrix_invariant(
             &h,
             |o| check_causal_with(&h, &spec, &hb, o).expect("well-formed").verdict,
-            |o| check_causal_par_with(&h, &spec, &hb, o).expect("well-formed").verdict,
+            |o| check_causal_with(&h, &spec, &hb, o).expect("well-formed").verdict,
         );
         let cal = check_cal_with(&h, &spec, &CheckOptions::default()).expect("well-formed");
         let causal = check_causal_with(&h, &spec, &hb, &CheckOptions::default())
@@ -385,7 +384,7 @@ proptest! {
             sink: Some(Arc::clone(&sink) as Arc<dyn StatsSink>),
             ..CheckOptions::default()
         };
-        let outcome = check_cal_par_with(&h, &spec, &options).expect("well-formed");
+        let outcome = check_cal_with(&h, &spec, &options).expect("well-formed");
         prop_assert!(
             matches!(outcome.verdict, Verdict::Interrupted { .. }),
             "expected an interrupt, got {:?}", outcome.verdict

@@ -18,7 +18,6 @@
 use cal::core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome, Verdict};
 use cal::core::format::{detect, format_jepsen, format_kvlog, parse_as, Format};
 use cal::core::gen::{interleave, render_loose};
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, SeqAsCa};
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::gen::{random_exchanger_trace, random_sync_queue_trace};
@@ -135,11 +134,7 @@ fn category<W>(r: &Result<CheckOutcome<W>, CheckError>) -> String {
 /// Serializes `h` in `format`, sniffs it, parses it back, and requires
 /// the identical history; then re-checks the parsed copy against `spec`
 /// at 1, 2 and 4 threads and requires the native verdict each time.
-fn assert_round_trip<S>(h: &History, format: Format, spec: &S)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn assert_round_trip<S: CaSpec>(h: &History, format: Format, spec: &S) {
     let wire = match format {
         Format::Jepsen => format_jepsen(h),
         Format::KvLog => {
@@ -157,7 +152,7 @@ where
     let native = category(&check_cal_with(h, spec, &options));
     for threads in [1usize, 2, 4] {
         let par = CheckOptions { threads, ..CheckOptions::default() };
-        let foreign = category(&check_cal_par_with(&back, spec, &par));
+        let foreign = category(&check_cal_with(&back, spec, &par));
         assert_eq!(
             native, foreign,
             "threads={threads}: verdict changed across the {format:?} round trip\nwire:\n{wire}"

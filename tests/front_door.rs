@@ -316,11 +316,7 @@ const ELSEWHERE: ObjectId = ObjectId(5);
 impl Visitor for RestrictsToWhatItAdmits<'_> {
     type Out = ();
 
-    fn ca<S>(self, spec: S)
-    where
-        S: CaSpec + Send + Sync + 'static,
-        S::State: Send + Sync,
-    {
+    fn ca<S: CaSpec + Send + 'static>(self, spec: S) {
         let name = self.0;
         let initial = spec.initial();
         let singles = probe_operations(ThreadId(1), HOME).into_iter().map(CaElement::singleton);

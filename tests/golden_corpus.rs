@@ -40,14 +40,13 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use cal::core::causal::{
-    causal_order, check_causal_par_with, check_causal_with, witness_explains_causal,
+    causal_order, check_causal_with, witness_explains_causal,
 };
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, Verdict};
 use cal::core::dsl;
 use cal::core::format::{parse_annotated, Format};
 use cal::core::history::HbRelation;
 use cal::core::interval::IntervalSpec;
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, PerObject, SeqAsCa};
 use cal::core::{History, ObjectId};
 use cal::specs::dual_stack::DualStackSpec;
@@ -198,11 +197,7 @@ fn load_corpus() -> Vec<Fixture> {
 }
 
 /// Runs one fixture against `spec`, sequentially and in parallel.
-fn run_fixture<S>(fx: &Fixture, spec: &S)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn run_fixture<S: CaSpec>(fx: &Fixture, spec: &S) {
     let Some(history) = &fx.history else { return };
     let check = |label: &str, verdict: &Verdict| match (fx.expect, verdict) {
         (Expect::Cal, Verdict::Cal(w)) => {
@@ -225,7 +220,7 @@ where
     check("sequential", &seq.verdict);
     for threads in [1usize, 2, 4, 8] {
         let par_options = CheckOptions { threads, ..options.clone() };
-        let par = check_cal_par_with(history, spec, &par_options)
+        let par = check_cal_with(history, spec, &par_options)
             .unwrap_or_else(|e| panic!("{}: parallel checker errored: {e}", fx.name));
         check(&format!("parallel({threads})"), &par.verdict);
     }
@@ -233,11 +228,7 @@ where
 
 /// Runs one fixture against an interval-native spec, sequentially and in
 /// parallel; an accepted witness must replay under the reference.
-fn run_interval_fixture<S>(fx: &Fixture, spec: &S)
-where
-    S: IntervalSpec + Sync,
-    S::State: Send + Sync,
-{
+fn run_interval_fixture<S: IntervalSpec>(fx: &Fixture, spec: &S) {
     let Some(history) = &fx.history else { return };
     for threads in [1usize, 2, 4, 8] {
         let options = CheckOptions { threads, ..CheckOptions::default() };
@@ -261,11 +252,7 @@ where
 /// declared edges when the trace is annotated and the real-time order
 /// otherwise (the binary's `--hb auto` policy), and the expected verdict
 /// is [`Fixture::causal_expect`].
-fn run_causal_fixture<S>(fx: &Fixture, spec: &S)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn run_causal_fixture<S: CaSpec>(fx: &Fixture, spec: &S) {
     let Some(history) = &fx.history else { return };
     let hb = match &fx.hb_edges {
         Some(edges) => causal_order(history, edges)
@@ -294,7 +281,7 @@ where
     check("causal sequential", &seq.verdict);
     for threads in [2usize, 4, 8] {
         let par_options = CheckOptions { threads, ..options.clone() };
-        let par = check_causal_par_with(history, spec, &hb, &par_options)
+        let par = check_causal_with(history, spec, &hb, &par_options)
             .unwrap_or_else(|e| panic!("{}: parallel causal checker errored: {e}", fx.name));
         check(&format!("causal parallel({threads})"), &par.verdict);
     }
@@ -304,17 +291,10 @@ where
 /// implemented once for CAL mode and once for causal mode so the
 /// spec-name dispatch below is written a single time.
 trait FixtureRunner {
-    fn run<S>(&self, fx: &Fixture, spec: &S)
-    where
-        S: CaSpec + Sync,
-        S::State: Send + Sync;
+    fn run<S: CaSpec>(&self, fx: &Fixture, spec: &S);
 
     /// An interval-native spec, which has an interval reading only.
-    fn run_interval<S>(&self, fx: &Fixture, spec: &S)
-    where
-        S: IntervalSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn run_interval<S: IntervalSpec>(&self, fx: &Fixture, spec: &S) {
         let _ = (fx, spec);
     }
 }
@@ -322,19 +302,11 @@ trait FixtureRunner {
 struct CalRunner;
 
 impl FixtureRunner for CalRunner {
-    fn run<S>(&self, fx: &Fixture, spec: &S)
-    where
-        S: CaSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn run<S: CaSpec>(&self, fx: &Fixture, spec: &S) {
         run_fixture(fx, spec);
     }
 
-    fn run_interval<S>(&self, fx: &Fixture, spec: &S)
-    where
-        S: IntervalSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn run_interval<S: IntervalSpec>(&self, fx: &Fixture, spec: &S) {
         run_interval_fixture(fx, spec);
     }
 }
@@ -342,11 +314,7 @@ impl FixtureRunner for CalRunner {
 struct CausalRunner;
 
 impl FixtureRunner for CausalRunner {
-    fn run<S>(&self, fx: &Fixture, spec: &S)
-    where
-        S: CaSpec + Sync,
-        S::State: Send + Sync,
-    {
+    fn run<S: CaSpec>(&self, fx: &Fixture, spec: &S) {
         run_causal_fixture(fx, spec);
     }
 }

@@ -12,7 +12,6 @@ mod common;
 use std::sync::Arc;
 
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::SeqAsCa;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
@@ -64,7 +63,7 @@ fn memo_fires_in_the_parallel_checker_too() {
     let h = hard_history(7);
     let spec = ExchangerSpec::new(O);
     let options = CheckOptions { threads: 4, ..no_symmetry() };
-    let out = check_cal_par_with(&h, &spec, &options).unwrap();
+    let out = check_cal_with(&h, &spec, &options).unwrap();
     assert!(matches!(out.verdict, Verdict::NotCal));
     assert!(
         out.stats.memo_hits > 0,
@@ -90,8 +89,8 @@ fn disabling_memoization_never_changes_the_verdict() {
         for threads in [2usize, 8] {
             let par_on = CheckOptions { threads, ..CheckOptions::default() };
             let par_off = CheckOptions { threads, memoize: false, ..CheckOptions::default() };
-            let p_with = check_cal_par_with(&h, &spec, &par_on).unwrap();
-            let p_without = check_cal_par_with(&h, &spec, &par_off).unwrap();
+            let p_with = check_cal_with(&h, &spec, &par_on).unwrap();
+            let p_without = check_cal_with(&h, &spec, &par_off).unwrap();
             assert_eq!(
                 matches!(with_memo.verdict, Verdict::Cal(_)),
                 matches!(p_with.verdict, Verdict::Cal(_)),

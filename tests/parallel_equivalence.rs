@@ -1,12 +1,12 @@
-//! Differential testing of the parallel checker against the sequential
-//! one: for arbitrary generated histories and every specification in
-//! `cal-specs`, `check_cal_par_with` at 1, 2, 4 and 8 threads must return
-//! the same verdict as `check_cal_with` — and, when the verdict is CAL,
-//! a witness the sequential machinery validates ([`witness_explains`]).
-//! Both entry points split a multi-object history by object at every
-//! thread count, so there the reference is the whole-history search
-//! (the spec with its locality hidden), and the merged witness must be
-//! the same at every thread count.
+//! Differential testing of the check on several threads against the
+//! check on one: for arbitrary generated histories and every
+//! specification in `cal-specs`, `check_cal_with` at 2, 4 and 8 threads
+//! must return the same verdict as at one — and, when the verdict is
+//! CAL, a witness the sequential machinery validates
+//! ([`witness_explains`]). The check splits a multi-object history by
+//! object at every thread count, so there the reference is the
+//! whole-history search (the spec with its locality hidden), and the
+//! merged witness must be the same at every thread count.
 
 mod common;
 
@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, Verdict};
 use cal::core::gen::interleave;
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, Invocation, PerObject, SeqAsCa};
 use cal::core::{Action, CaElement, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::dual_stack::DualStackSpec;
@@ -142,23 +141,14 @@ fn category(r: &Result<cal::core::check::CheckOutcome, cal::core::check::CheckEr
 /// category is unchanged — observation must not perturb the search —
 /// and that the sink saw one expansion for every node the checker's own
 /// stats charged and no memo hit pruned, at every thread count.
-fn assert_sink_is_inert<S>(
+fn assert_sink_is_inert<S: CaSpec>(
     h: &History,
     spec: &S,
     options: &CheckOptions,
     baseline: &Result<cal::core::check::CheckOutcome, cal::core::check::CheckError>,
-    parallel: bool,
-) where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+) {
     let sink = Arc::new(EventCounter::default());
-    let counted = sink.attach(options);
-    let observed = if parallel {
-        check_cal_par_with(h, spec, &counted)
-    } else {
-        check_cal_with(h, spec, &counted)
-    };
+    let observed = check_cal_with(h, spec, &sink.attach(options));
     assert_eq!(
         category(baseline),
         category(&observed),
@@ -173,31 +163,22 @@ fn assert_sink_is_inert<S>(
 
 /// The core oracle: sequential and parallel checks agree on `h`, and
 /// parallel CAL witnesses explain `h`. Panics on divergence.
-fn assert_equivalent<S>(h: &History, spec: &S)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
-    let options = CheckOptions::default();
-    let seq = check_cal_with(h, spec, &options);
-    assert_sink_is_inert(h, spec, &options, &seq, false);
+fn assert_equivalent<S: CaSpec>(h: &History, spec: &S) {
+    let seq = check_cal_with(h, spec, &CheckOptions::default());
     assert_parallel_matches(h, spec, &seq);
 }
 
-/// `check_cal_par_with` at 1, 2, 4 and 8 threads returns `reference`'s
+/// `check_cal_with` at 1, 2, 4 and 8 threads returns `reference`'s
 /// verdict, with a witness that explains `h`.
-fn assert_parallel_matches<S>(
+fn assert_parallel_matches<S: CaSpec>(
     h: &History,
     spec: &S,
     reference: &Result<cal::core::check::CheckOutcome, cal::core::check::CheckError>,
-) where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+) {
     for threads in [1usize, 2, 4, 8] {
         let par_options = CheckOptions { threads, ..CheckOptions::default() };
-        let par = check_cal_par_with(h, spec, &par_options);
-        assert_sink_is_inert(h, spec, &par_options, &par, true);
+        let par = check_cal_with(h, spec, &par_options);
+        assert_sink_is_inert(h, spec, &par_options, &par);
         match (reference, &par) {
             (Ok(s), Ok(p)) => match (&s.verdict, &p.verdict) {
                 (Verdict::Cal(_), Verdict::Cal(w)) => {
@@ -260,17 +241,13 @@ impl<S: CaSpec> CaSpec for Whole<'_, S> {
 /// The multi-object oracle: the checker, which splits `h` by object at
 /// every thread count, agrees with the whole-history search, and its
 /// merged witness is the same at every thread count.
-fn assert_decomposition_equivalent<S>(h: &History, spec: &S)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+fn assert_decomposition_equivalent<S: CaSpec>(h: &History, spec: &S) {
     let whole = check_cal_with(h, &Whole(spec), &CheckOptions::default());
     assert_equivalent(h, spec);
     assert_parallel_matches(h, spec, &whole);
     let witness = |threads| {
         let options = CheckOptions { threads, ..CheckOptions::default() };
-        let outcome = check_cal_par_with(h, spec, &options).ok()?;
+        let outcome = check_cal_with(h, spec, &options).ok()?;
         outcome.verdict.witness().map(ToString::to_string)
     };
     let one = witness(1);

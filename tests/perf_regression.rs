@@ -38,7 +38,6 @@ use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
 use cal::core::engine::{self, ExpandObs, SearchDomain};
 use cal::core::history::{HbRelation, Span};
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::SeqAsCa;
 use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
 use cal::core::{History, Method, ThreadId, Value};
@@ -175,12 +174,12 @@ fn a_second_worker_adds_no_nodes() {
     let h = exchanger_windows(14, true);
     let spec = ExchangerSpec::new(O);
     let one = CheckOptions { threads: 1, ..CheckOptions::default() };
-    let seq = check_cal_par_with(&h, &spec, &one).unwrap();
+    let seq = check_cal_with(&h, &spec, &one).unwrap();
     assert_eq!((seq.verdict, seq.stats.nodes), (Verdict::NotCal, SEQUENTIAL));
     for threads in [2usize, 4] {
         for run in 0..5 {
             let options = CheckOptions { threads, ..CheckOptions::default() };
-            let par = check_cal_par_with(&h, &spec, &options).unwrap();
+            let par = check_cal_with(&h, &spec, &options).unwrap();
             let nodes = par.stats.nodes;
             assert_eq!(par.verdict, Verdict::NotCal, "threads={threads}, run {run}");
             assert!(
@@ -197,7 +196,7 @@ fn shared_memo_bounds_parallel_duplication() {
     let spec = ExchangerSpec::new(O);
     let seq = check_cal_with(&h, &spec, &CheckOptions::default()).unwrap();
     for threads in [2usize, 4, 8] {
-        let par = check_cal_par_with(
+        let par = check_cal_with(
             &h,
             &spec,
             &CheckOptions { threads, ..CheckOptions::default() },
@@ -354,7 +353,7 @@ fn task_runner_neither_loses_nor_duplicates_nodes() {
     for tree in [DeadTree { width: 3, depth: 8 }, DeadTree { width: 1, depth: 64 }] {
         let seq = engine::search(&tree, &CheckOptions::default()).unwrap();
         for threads in [2usize, 4, 8] {
-            let par = engine::search_par(
+            let par = engine::search(
                 &tree,
                 &CheckOptions { threads, memoize: false, ..CheckOptions::default() },
             )

@@ -11,9 +11,10 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
+use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats};
+use cal::core::history::HbRelation;
 use cal::core::obs::{CountingSink, ObjectOutcome, SearchReport, StatsSink};
-use cal::core::par::check_cal_par_with;
 use cal::core::spec::{CaSpec, PerObject};
 use cal::core::text::parse_history;
 use cal::core::{History, ObjectId};
@@ -71,7 +72,7 @@ fn parallel_root_report_records_its_workers() {
     let sink = Arc::new(EventCounter::default());
     let options = counted_options(&sink, 4);
     let start = Instant::now();
-    let outcome = check_cal_par_with(&h, &spec, &options).unwrap();
+    let outcome = check_cal_with(&h, &spec, &options).unwrap();
     let report = sink.inner.report(&outcome, &options, start.elapsed());
 
     assert_eq!(report.verdict, "cal");
@@ -105,11 +106,7 @@ fn decomposed_report_has_one_outcome_per_object() {
         let sink = Arc::new(EventCounter::default());
         let options = counted_options(&sink, threads);
         let start = Instant::now();
-        let outcome = if threads == 1 {
-            check_cal_with(&h, &spec, &options).unwrap()
-        } else {
-            check_cal_par_with(&h, &spec, &options).unwrap()
-        };
+        let outcome = check_cal_with(&h, &spec, &options).unwrap();
         let report = sink.inner.report(&outcome, &options, start.elapsed());
 
         assert_eq!(report.verdict, "cal", "threads={threads}");
@@ -124,22 +121,36 @@ fn decomposed_report_has_one_outcome_per_object() {
     }
 }
 
-/// Runs one check through `check_cal_par_with` (`par`) or
-/// `check_cal_with` with an [`EventCounter`] attached, and holds the
-/// sink's events to the outcome's stats: one `on_frontier` per
-/// expansion, one `on_object_done` per part, no interrupt.
-fn assert_sink_budget<S>(h: &History, spec: &S, par: bool, options: &CheckOptions, parts: usize)
-where
-    S: CaSpec + Sync,
-    S::State: Send + Sync,
-{
+/// Runs one check through `check_cal_with`, or `check_causal_with`
+/// under the real-time order (`causal`), with an [`EventCounter`]
+/// attached, and holds the sink's events to the outcome's stats: one
+/// `on_frontier` per expansion, one `on_object_done` per part, no
+/// interrupt. The verdict is the entry point's at one thread, and the
+/// root's workers are what `threads` and `memoize` ask for.
+fn assert_sink_budget<S: CaSpec>(
+    h: &History,
+    spec: &S,
+    causal: bool,
+    options: &CheckOptions,
+    parts: usize,
+) {
     let (threads, memoize) = (options.threads, options.memoize);
-    let what = format!("par={par}, threads={threads}, memoize={memoize}, parts={parts}");
+    let what = format!("causal={causal}, threads={threads}, memoize={memoize}, parts={parts}");
+    let hb = HbRelation::real_time(&h.spans());
+    let check = |options: &CheckOptions| {
+        let outcome = if causal {
+            check_causal_with(h, spec, &hb, options)
+        } else {
+            check_cal_with(h, spec, options)
+        };
+        outcome.unwrap()
+    };
+    let one = check(&CheckOptions { threads: 1, ..options.clone() }).verdict;
     let sink = Arc::new(EventCounter::default());
-    let options = sink.attach(options);
-    let outcome =
-        if par { check_cal_par_with(h, spec, &options) } else { check_cal_with(h, spec, &options) };
-    let stats = outcome.unwrap().stats;
+    let outcome = check(&sink.attach(options));
+    assert_eq!(outcome.verdict.is_cal(), one.is_cal(), "{what}");
+    assert_eq!(outcome.verdict.is_undecided(), one.is_undecided(), "{what}");
+    let stats = outcome.stats;
     assert!(stats.nodes > 1, "{what}: {stats:?}");
     sink.assert_one_frontier_per_expansion(&stats, &what);
     assert_eq!(sink.objects(), parts as u64, "{what}");
@@ -151,17 +162,22 @@ where
         assert_eq!(stats.memo_hits + stats.memo_misses, stats.nodes, "{what}: {stats:?}");
     }
     assert!(stats.memo_inserts <= stats.memo_misses, "{what}: {stats:?}");
-    // Only the parallel entry above one thread puts workers on a root,
-    // and only of a history that does not decompose.
-    let on_root = par && threads > 1 && parts == 0;
-    assert_eq!(stats.root_workers > 0, on_root, "{what}: {stats:?}");
+    // Every entry point above one thread puts workers on a root, and only
+    // of a history that does not decompose: all of them when they share a
+    // memo, one when they would share nothing.
+    let on_root = match (threads > 1 && parts == 0, memoize) {
+        (false, _) => 0,
+        (true, true) => threads as u64,
+        (true, false) => 1,
+    };
+    assert_eq!(stats.root_workers, on_root, "{what}: {stats:?}");
 }
 
-/// The sink's budget: at 1, 2 and 4 threads, through both entry points,
-/// with the memo on and off, a check calls `on_frontier` once per
-/// expansion and no other per-node event — on a single-object
-/// refutation, whose root is split over the workers, and on a history
-/// that decomposes by object.
+/// The sink's budget: at 1, 2 and 4 threads, through the CAL and the
+/// causal entry point, with the memo on and off, a check calls
+/// `on_frontier` once per expansion and no other per-node event — on a
+/// single-object refutation, whose root every worker searches, and on a
+/// history that decomposes by object.
 #[test]
 fn a_sink_sees_one_frontier_per_expansion_and_no_other_per_node_event() {
     let single = common::identical_exchanges(7, 0);
@@ -169,13 +185,13 @@ fn a_sink_sees_one_frontier_per_expansion_and_no_other_per_node_event() {
     let objects = two.objects();
     let per_object =
         PerObject::new(objects.iter().map(|&o| (o, ExchangerSpec::new(o))).collect::<Vec<_>>());
-    for par in [false, true] {
+    for causal in [false, true] {
         for threads in [1, 2, 4] {
             for memoize in [true, false] {
                 let options =
                     CheckOptions { threads, memoize, symmetry: false, ..CheckOptions::default() };
-                assert_sink_budget(&single, &ExchangerSpec::new(ObjectId(0)), par, &options, 0);
-                assert_sink_budget(&two, &per_object, par, &options, objects.len());
+                assert_sink_budget(&single, &ExchangerSpec::new(ObjectId(0)), causal, &options, 0);
+                assert_sink_budget(&two, &per_object, causal, &options, objects.len());
             }
         }
     }

@@ -340,16 +340,13 @@ fn gauges_of<S: CaSpec>(checker: &StreamChecker<S>) -> Gauges {
 /// operation is only held to soundness there: it may reject what batch
 /// accepts, never accept what batch rejects. `symmetry` is every search's
 /// [`CheckOptions::symmetry`], the stream's and the batch checker's alike.
-fn assert_product_is_the_joint_set<S>(
+fn assert_product_is_the_joint_set<S: CaSpec + Clone>(
     spec: S,
     events: &[Event],
     max_window: usize,
     symmetry: bool,
     rng: &mut StdRng,
-) where
-    S: CaSpec + Clone + Sync,
-    S::State: Send + Sync,
-{
+) {
     let check = CheckOptions { symmetry, ..CheckOptions::default() };
     let opts = StreamOptions { max_window, checkpoint_every: 0, check, ..StreamOptions::default() };
     let mut checker = StreamChecker::new(spec.clone(), opts);
