@@ -25,19 +25,19 @@
 //!   anchor the test-suite pins).
 //!
 //! Two consequences of a genuinely partial order are handled here rather
-//! than in the engine: per-object decomposition is disabled (session
-//! edges cross objects, so objects are no longer independent; the
-//! history is searched whole, by every worker from the root when several
-//! threads are asked for), and symmetry
+//! than in the engine: the history is not split by object (session edges
+//! cross objects, so objects are no longer independent; the history is
+//! searched whole, by every worker from the root when several threads are
+//! asked for — over a real-time order the check is
+//! [`crate::check::check_cal_with`], which does split), and symmetry
 //! classes are recomputed from hb constraint sets
 //! ([`crate::symmetry::SymClasses::of_order`]).
 
-use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
-use crate::check::{reconstruct_completion, CalDomain};
-use crate::engine::{self, SpecRef};
+use crate::check::{check_cal_with, reconstruct_completion, CalDomain};
+use crate::engine;
 use crate::history::{HbError, HbRelation, History, HistoryError};
 use crate::spec::CaSpec;
 use crate::trace::CaTrace;
@@ -148,10 +148,11 @@ pub fn check_causal<S: CaSpec>(
 }
 
 /// Like [`check_causal`], with explicit [`CheckOptions`], on
-/// [`CheckOptions::threads`] workers. Per-object decomposition is disabled
-/// under a genuinely partial order, so above one thread every worker
-/// searches the root, in its own successor order, against one shared
-/// memo.
+/// [`CheckOptions::threads`] workers. Over a real-time order this *is*
+/// the CAL check, [`check_cal_with`], per-object split included. Under a
+/// genuinely partial order the history is searched whole — session edges
+/// cross objects — so above one thread every worker searches the root,
+/// in its own successor order, against one shared memo.
 ///
 /// # Errors
 ///
@@ -163,9 +164,10 @@ pub fn check_causal_with<S: CaSpec>(
     hb: &HbRelation,
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
-    let domain = CalDomain::with_order(Cow::Borrowed(history), SpecRef::Borrowed(spec), |_| {
-        Ok::<_, HistoryError>(hb.clone())
-    })?;
+    if hb.is_real_time() {
+        return check_cal_with(history, spec, options);
+    }
+    let domain = CalDomain::with_order(history, spec, |_| Ok::<_, HistoryError>(hb.clone()))?;
     Ok(engine::search(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
 }
 

@@ -27,12 +27,15 @@
 //! This module is a thin *domain* over the shared search kernel
 //! ([`crate::engine`]): `CalDomain` enumerates candidate CA-elements,
 //! while budgets, deadlines, memoization, observability and parallelism
-//! live in the engine.
+//! live in the engine. CAL's locality is this module's too:
+//! [`check_cal_with`] splits a history by object before it builds any
+//! domain, and merges the parts' witnesses.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::engine::{self, ExpandObs, SearchDomain, SpecRef};
+use crate::action::Action;
+use crate::engine::{self, panic_message, ExpandObs, SearchDomain};
 use crate::history::{Cut, HbRelation, History, HistoryError, Span};
 use crate::ids::{ObjectId, Value};
 use crate::op::Operation;
@@ -84,13 +87,16 @@ pub fn check_cal<S: CaSpec>(history: &History, spec: &S) -> Result<CheckOutcome,
 ///
 /// When the history touches several objects and the specification can be
 /// restricted to every one of them ([`CaSpec::restrict`]), the check
-/// decomposes into independent per-object subchecks (CAL locality), at
-/// every thread count; otherwise above one thread every worker searches
-/// the whole history in its own successor order, and the workers share
-/// one lock-free memo table. Every thread count gives the same verdict on
-/// decided inputs — `Cal` exactly when a witness exists (possibly a
-/// different, equally valid one) — with `max_nodes` a budget on the
-/// *total* nodes across workers ([`crate::engine::search`]).
+/// splits into independent per-object subchecks (CAL locality) before
+/// anything is built, at every thread count: one search problem per
+/// object's projection, and their witnesses interleaved into one that
+/// respects the whole history's real-time order. Otherwise the whole
+/// history is one problem, and above one thread every worker searches it
+/// in its own successor order, the workers sharing one lock-free memo
+/// table. Every thread count gives the same verdict on decided inputs —
+/// `Cal` exactly when a witness exists (possibly a different, equally
+/// valid one) — with `max_nodes` a budget on the *total* nodes across
+/// workers ([`crate::engine::search`]).
 ///
 /// # Errors
 ///
@@ -101,8 +107,116 @@ pub fn check_cal_with<S: CaSpec>(
     spec: &S,
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
-    let domain = CalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec))?;
+    if let Some(outcome) = check_by_object(history, spec, options)? {
+        return Ok(outcome);
+    }
+    let domain = CalDomain::new(history, spec)?;
     Ok(engine::search(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
+}
+
+/// [`check_cal_with`]'s per-object split: `None` when `history` touches
+/// fewer than two objects or `spec` does not restrict to every one of
+/// them. Otherwise each object's projection `H|o` is searched against
+/// `spec.restrict(o)`, objects in first-use order, and an acceptance is
+/// every part's witness interleaved by [`merge_by_order`].
+fn check_by_object<S: CaSpec>(
+    history: &History,
+    spec: &S,
+    options: &CheckOptions,
+) -> Result<Option<CheckOutcome>, CheckError> {
+    let objects = history.objects();
+    if objects.len() < 2 {
+        return Ok(None);
+    }
+    // A projection of an ill-formed history can be well-formed.
+    history.validate()?;
+    let restricted = catch_unwind(AssertUnwindSafe(|| {
+        objects.iter().map(|&o| spec.restrict(o)).collect::<Option<Vec<S>>>()
+    }))
+    .map_err(|p| CheckError::SpecPanicked(panic_message(p)))?;
+    let Some(specs) = restricted else {
+        return Ok(None);
+    };
+    let (projections, index) = project_by_object(history, &objects);
+    // Each projection is dropped once its domain is built.
+    let parts: Vec<(ObjectId, CalDomain<'_, S>)> = objects
+        .iter()
+        .zip(&specs)
+        .zip(projections)
+        .map(|((&o, spec), part)| {
+            let domain = CalDomain::new(&part, spec);
+            (o, domain.expect("a projection of a well-formed history is well-formed"))
+        })
+        .collect();
+    let outcome = engine::search_parts(&parts, options)?;
+    let outcome = outcome.map_witness(|witnesses| {
+        let keyed = parts.iter().zip(&index).zip(witnesses);
+        let queues = keyed.map(|(((_, part), index), steps)| {
+            steps.iter().map(|step| part.keyed_element(step, index)).collect()
+        });
+        queues.collect::<Vec<VecDeque<_>>>()
+    });
+    // The domains go before the merge allocates.
+    drop((parts, index));
+    Ok(Some(outcome.map_witness(|queues| merge_by_order(queues).into_iter().collect())))
+}
+
+/// Every projection `H|o` of `history` for `objects` (all the objects it
+/// touches) in one pass, with the index in `history` of each projected
+/// action.
+fn project_by_object(history: &History, objects: &[ObjectId]) -> (Vec<History>, Vec<Vec<usize>>) {
+    let part: HashMap<ObjectId, usize> = objects.iter().enumerate().map(|(k, &o)| (o, k)).collect();
+    let mut actions: Vec<Vec<Action>> = vec![Vec::new(); objects.len()];
+    let mut index: Vec<Vec<usize>> = vec![Vec::new(); objects.len()];
+    for (i, a) in history.actions().iter().enumerate() {
+        let k = part[&a.object()];
+        actions[k].push(*a);
+        index[k].push(i);
+    }
+    (actions.into_iter().map(History::from_actions).collect(), index)
+}
+
+/// Greedily interleaves per-object witness queues into one sequence
+/// respecting the full history's real-time order.
+///
+/// Each queue entry is `(step, maxinv, minresp)`: `maxinv` is the largest
+/// invocation index among the step's operations in the *full* history and
+/// `minresp` the smallest response index (`usize::MAX` for operations the
+/// checker completed). `F` must precede `E` in any agreeing witness iff
+/// `minresp(F) < maxinv(E)`. With `m` the minimum `minresp` over all
+/// remaining steps, any queue head with `maxinv ≤ m` can be emitted next
+/// — the queue holding the minimizing step always has one, because
+/// per-object witness order already respects the per-object real-time
+/// order. Ties go to the earliest queue.
+///
+/// Each queue keeps the minimum `minresp` of its every suffix, so `m` is
+/// a scan over the queues, not over the steps left: `O(n · queues)`.
+fn merge_by_order<T>(mut queues: Vec<VecDeque<(T, usize, usize)>>) -> Vec<T> {
+    // `tail_min[q][k]`: the smallest `minresp` among queue `q`'s last `k`
+    // steps, so `tail_min[q][queues[q].len()]` is its remaining minimum.
+    let tail_min: Vec<Vec<usize>> = queues
+        .iter()
+        .map(|q| {
+            let mut mins = vec![usize::MAX];
+            for item in q.iter().rev() {
+                mins.push(item.2.min(*mins.last().expect("starts non-empty")));
+            }
+            mins
+        })
+        .collect();
+    let total = queues.iter().map(VecDeque::len).sum();
+    let mut merged = Vec::with_capacity(total);
+    while merged.len() < total {
+        let m = queues.iter().zip(&tail_min).map(|(q, mins)| mins[q.len()]).min();
+        let m = m.expect("steps remain, so some queue does");
+        let q = queues
+            .iter()
+            .position(|q| q.front().is_some_and(|head| head.1 <= m))
+            .expect("per-object witnesses always have an emittable head");
+        let head = queues[q].pop_front().expect("chosen queue has a head");
+        merged.push(head.0);
+    }
+    merged
 }
 
 /// Convenience predicate: `Ok(true)` iff the history is CAL w.r.t. `spec`.
@@ -334,8 +448,7 @@ struct Expansion<'x, 'e, 'a, S: CaSpec> {
 /// pairwise concurrent and accepted by the specification, completing
 /// pending members with spec-proposed return values.
 pub(crate) struct CalDomain<'a, S: CaSpec> {
-    spec: SpecRef<'a, S>,
-    history: Cow<'a, History>,
+    spec: &'a S,
     spans: Vec<Span>,
     /// The happens-before relation the search runs over: real-time `≺H`
     /// for CAL mode, a causal partial order for `--mode causal`.
@@ -355,10 +468,7 @@ pub(crate) struct CalDomain<'a, S: CaSpec> {
 impl<'a, S: CaSpec> CalDomain<'a, S> {
     /// Builds the domain over the real-time order `≺H`, validating the
     /// history.
-    pub(crate) fn new(
-        history: Cow<'a, History>,
-        spec: SpecRef<'a, S>,
-    ) -> Result<Self, HistoryError> {
+    pub(crate) fn new(history: &History, spec: &'a S) -> Result<Self, HistoryError> {
         Self::with_order(history, spec, |spans| Ok(HbRelation::real_time(spans)))
     }
 
@@ -366,8 +476,8 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
     /// of the history's spans (the causal checker's and the streaming
     /// window's entry point), validating the history first.
     pub(crate) fn with_order<E: From<HistoryError>>(
-        history: Cow<'a, History>,
-        spec: SpecRef<'a, S>,
+        history: &History,
+        spec: &'a S,
         order: impl FnOnce(&[Span]) -> Result<HbRelation, E>,
     ) -> Result<Self, E> {
         let spans = history.try_spans()?;
@@ -378,7 +488,7 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         for (i, _) in spans.iter().enumerate().filter(|(_, s)| s.is_complete()) {
             hb.take(&mut goal, i);
         }
-        Ok(CalDomain { spec, history, spans, hb, goal, sym, start: None })
+        Ok(CalDomain { spec, spans, hb, goal, sym, start: None })
     }
 
     /// Starts every later search from `state` instead of the
@@ -420,12 +530,25 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
     /// Assembles the engine's step sequence into a [`CaTrace`] witness,
     /// rebuilding each step's CA-element from the spans it matched.
     pub(crate) fn trace_of(&self, steps: &[CalStep]) -> CaTrace {
-        let element = |step: &CalStep| {
-            let rets = step.completions.iter().copied();
-            let ops: Vec<Operation> = self.operations(step.subset.iter(), rets).collect();
-            CaElement::new(ops[0].object, ops).expect("the search built this element before")
-        };
-        steps.iter().map(element).collect()
+        steps.iter().map(|step| self.element_of(step)).collect()
+    }
+
+    /// The CA-element `step` matched, rebuilt from its spans.
+    fn element_of(&self, step: &CalStep) -> CaElement {
+        let rets = step.completions.iter().copied();
+        let ops: Vec<Operation> = self.operations(step.subset.iter(), rets).collect();
+        CaElement::new(ops[0].object, ops).expect("the search built this element before")
+    }
+
+    /// A [`merge_by_order`] entry: `step`'s element keyed by its
+    /// operations' `(maxinv, minresp)` in the whole history, of which
+    /// this domain's is a projection — `index` maps each of its action
+    /// indices to the whole history's.
+    fn keyed_element(&self, step: &CalStep, index: &[usize]) -> (CaElement, usize, usize) {
+        let spans = || step.subset.iter().map(|i| &self.spans[i]);
+        let maxinv = spans().map(|s| index[s.inv]).max().unwrap_or(0);
+        let minresp = spans().map(|s| s.resp.map_or(usize::MAX, |r| index[r])).min();
+        (self.element_of(step), maxinv, minresp.unwrap_or(usize::MAX))
     }
 
     /// Grows the candidate subset over `minimal[from..]` and tries every
@@ -462,7 +585,7 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
             }
             // The spec's early refusal, for `i` and every superset through it.
             let members = c.subset.iter().map(|&j| self.invocation(j));
-            if !self.spec.get().may_join(x.state, &self.invocation(i), members) {
+            if !self.spec.may_join(x.state, &self.invocation(i), members) {
                 continue;
             }
             c.subset.push(i);
@@ -479,7 +602,7 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
     /// for pending members and recording every accepted successor.
     /// Returns `false` when a cooperative stop was requested.
     fn try_subset(&self, c: &mut Candidate, x: &mut Expansion<'_, '_, '_, S>) -> bool {
-        let spec = self.spec.get();
+        let spec = self.spec;
         // Pending members are completed with values proposed by the spec,
         // which may depend on the other members of the element (e.g. a
         // successful exchange returns its partner's argument). Complete
@@ -550,7 +673,7 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     type Scratch = CalScratch;
 
     fn initial(&self) -> Self::Node {
-        self.root(self.start.clone().unwrap_or_else(|| self.spec.get().initial()))
+        self.root(self.start.clone().unwrap_or_else(|| self.spec.initial()))
     }
 
     fn is_goal(&self, node: &Self::Node) -> bool {
@@ -571,77 +694,12 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
         // Minimal operations: unmatched, with every hb-predecessor matched.
         self.hb.minimal(matched, minimal);
         obs.on_frontier(minimal.len());
-        let max_size = self.spec.get().max_element_size().max(1);
+        let max_size = self.spec.max_element_size().max(1);
         let symmetry = obs.symmetry();
         // (A specification that panicked mid-expansion left its subset.)
         candidate.subset.clear();
         let x = &mut Expansion { matched, state, max_size, symmetry, obs, out };
         self.grow(minimal, 0, candidate, x);
-    }
-
-    fn decompose(&self) -> Option<Vec<(ObjectId, Self)>> {
-        // Per-object decomposition (and the `(maxinv, minresp)` witness
-        // merge below) is justified by real-time locality; under a causal
-        // partial order the cross-object session edges make objects
-        // non-independent, so the history is searched whole.
-        // A resumed start state cannot be restricted to one object either.
-        if !self.hb.is_real_time() || self.start.is_some() {
-            return None;
-        }
-        let objects = self.history.objects();
-        if objects.len() < 2 {
-            return None;
-        }
-        let parts: Option<Vec<(ObjectId, S)>> =
-            objects.iter().map(|&o| self.spec.get().restrict(o).map(|s| (o, s))).collect();
-        Some(
-            parts?
-                .into_iter()
-                .map(|(o, s)| {
-                    let sub = CalDomain::new(
-                        Cow::Owned(self.history.project_object(o)),
-                        SpecRef::Owned(s),
-                    )
-                    .expect("projection of a well-formed history is well-formed");
-                    (o, sub)
-                })
-                .collect(),
-        )
-    }
-
-    /// Interleaves per-object witnesses into a single sequence agreeing
-    /// with the full history's real-time order; see
-    /// [`engine::merge_by_order`] for the greedy argument. The k-th span
-    /// of `H|o` is the k-th object-`o` span of `H` — projection preserves
-    /// invocation order — and the merged steps are renumbered to it, so
-    /// that they read against this domain's spans.
-    fn merge_witnesses(&self, parts: Vec<(ObjectId, Vec<CalStep>)>) -> Vec<CalStep> {
-        let mut by_object: HashMap<ObjectId, Vec<usize>> = HashMap::new();
-        for (i, span) in self.spans.iter().enumerate() {
-            by_object.entry(span.object).or_default().push(i);
-        }
-        let queues: Vec<VecDeque<(CalStep, usize, usize)>> = parts
-            .into_iter()
-            .map(|(object, steps)| {
-                let object_spans = by_object.get(&object).map(Vec::as_slice).unwrap_or(&[]);
-                steps
-                    .into_iter()
-                    .map(|step| {
-                        let subset: Vec<usize> =
-                            step.subset.iter().map(|k| object_spans[k]).collect();
-                        let spans = || subset.iter().map(|&i| &self.spans[i]);
-                        let maxinv = spans().map(|s| s.inv).max().unwrap_or(0);
-                        let minresp = spans()
-                            .map(|s| s.resp.unwrap_or(usize::MAX))
-                            .min()
-                            .unwrap_or(usize::MAX);
-                        let step = CalStep { subset: Subset::of(&subset), ..step };
-                        (step, maxinv, minresp)
-                    })
-                    .collect()
-            })
-            .collect();
-        engine::merge_by_order(queues)
     }
 }
 
@@ -1038,7 +1096,7 @@ mod tests {
     /// canonical forms of those reached without. Returns whether the
     /// history had a node that is not its own canonical form.
     fn assert_one_successor_per_orbit<S: CaSpec>(history: &History, spec: &S) -> bool {
-        let domain = CalDomain::new(Cow::Borrowed(history), SpecRef::Borrowed(spec)).unwrap();
+        let domain = CalDomain::new(history, spec).unwrap();
         let classes = domain.sym.classes();
         let canon = |(cut, state): &NodeOf<S>| {
             (canonical_by_full_scan(&domain.hb, classes, cut), state.clone())
@@ -1086,6 +1144,401 @@ mod tests {
             let h = windowed(&mut rng, windows, width, register_op);
             let (split, halves) = crate::interval::IntervalAsCa::new(&spec, &h).unwrap();
             assert!(!assert_one_successor_per_orbit(&halves, &split), "{h}");
+        }
+    }
+
+    // --- the per-object merge ------------------------------------------------
+
+    #[test]
+    fn merge_by_order_respects_precedence() {
+        // Queue A's step responds before queue B's step is invoked.
+        let queues = vec![
+            VecDeque::from([("a", 0, 1)]),
+            VecDeque::from([("b", 2, 3)]),
+        ];
+        assert_eq!(merge_by_order(queues), vec!["a", "b"]);
+    }
+
+    /// The reference merge: `m` is the minimum over every step left,
+    /// rescanned at each emit.
+    fn merge_by_scan<T>(mut queues: Vec<VecDeque<(T, usize, usize)>>) -> Vec<T> {
+        let mut merged = Vec::new();
+        while let Some(m) = queues.iter().flat_map(|q| q.iter().map(|item| item.2)).min() {
+            let q = queues.iter().position(|q| q.front().is_some_and(|head| head.1 <= m));
+            merged.push(queues[q.unwrap()].pop_front().unwrap().0);
+        }
+        merged
+    }
+
+    #[test]
+    fn merge_by_order_emits_what_the_full_scan_emits() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..500 {
+            // Step `j` of a sequence that respects real time: invoked in
+            // [10j, 10j + 10), responding later or never, so a step that
+            // responds before another is invoked comes first. Dealt out to
+            // the queues in order, each queue respects real time too.
+            let n = rng.gen_range(0..40usize);
+            let parts = rng.gen_range(1..6usize);
+            let mut queues = vec![VecDeque::new(); parts];
+            for j in 0..n {
+                let inv = 10 * j + rng.gen_range(0..10usize);
+                let resp =
+                    if rng.gen_range(0..8) == 0 { usize::MAX } else { inv + rng.gen_range(1..60usize) };
+                queues[rng.gen_range(0..parts)].push_back((j, inv, resp));
+            }
+            let mut span = vec![(0, 0); n];
+            for &(j, inv, resp) in queues.iter().flatten() {
+                span[j] = (inv, resp);
+            }
+            let merged = merge_by_order(queues.clone());
+            assert_eq!(merged, merge_by_scan(queues));
+            assert_eq!(merged.len(), n);
+            for (a, &first) in merged.iter().enumerate() {
+                for &later in &merged[a + 1..] {
+                    assert!(span[later].1 >= span[first].0, "{later} responds before {first}");
+                }
+            }
+        }
+    }
+
+    // --- splitting a check by object -----------------------------------------
+
+    /// Checks split by object, at every thread count.
+    mod split {
+        use crate::action::Action;
+        use crate::check::{check_cal_with, witness_explains, CancelToken, CheckOptions, Verdict};
+        use crate::history::History;
+        use crate::ids::{Method, ObjectId, ThreadId, Value};
+        use crate::spec::{CaSpec, Invocation, PerObject};
+        use crate::trace::CaElement;
+
+        const EX: Method = Method("exchange");
+
+        /// The exchanger-shaped spec from the sequential checker's tests.
+        #[derive(Debug, Clone)]
+        struct MiniExchanger(ObjectId);
+
+        impl CaSpec for MiniExchanger {
+            type State = ();
+
+            fn initial(&self) {}
+
+            fn step(&self, _: &(), e: &CaElement) -> Option<()> {
+                if e.object() != self.0 {
+                    return None;
+                }
+                match e.ops() {
+                    [a] => {
+                        let (ok, v) = a.ret.as_pair()?;
+                        (!ok && Value::Int(v) == a.arg).then_some(())
+                    }
+                    [a, b] => {
+                        let (oka, va) = a.ret.as_pair()?;
+                        let (okb, vb) = b.ret.as_pair()?;
+                        (oka && okb && a.arg == Value::Int(vb) && b.arg == Value::Int(va))
+                            .then_some(())
+                    }
+                    _ => None,
+                }
+            }
+
+            fn max_element_size(&self) -> usize {
+                2
+            }
+
+            fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+                let v = inv.arg.as_int().unwrap_or(0);
+                vec![Value::Pair(false, v)]
+            }
+
+            fn completions_among(&self, inv: &Invocation, peers: &[Invocation]) -> Vec<Value> {
+                let mut out = self.completions_of(inv);
+                out.extend(peers.iter().filter_map(|p| Some(Value::Pair(true, p.arg.as_int()?))));
+                out
+            }
+
+            fn restrict(&self, object: ObjectId) -> Option<Self> {
+                (object == self.0).then(|| self.clone())
+            }
+        }
+
+        fn inv_on(o: ObjectId, t: u32, v: i64) -> Action {
+            Action::invoke(ThreadId(t), o, EX, Value::Int(v))
+        }
+
+        fn res_on(o: ObjectId, t: u32, ok: bool, v: i64) -> Action {
+            Action::response(ThreadId(t), o, EX, Value::Pair(ok, v))
+        }
+
+        fn threads_options(threads: usize) -> CheckOptions {
+            CheckOptions { threads, ..CheckOptions::default() }
+        }
+
+        /// An odd number of identical concurrent success-claiming exchanges:
+        /// NotCal, with heavy backtracking.
+        /// `k` identical concurrent exchanges all claiming success: odd `k`
+        /// is unsatisfiable, and super-exponential to refute with neither the
+        /// memo nor symmetry reduction.
+        fn hard_history(o: ObjectId, k: u32, base_thread: u32) -> Vec<Action> {
+            let mut acts: Vec<Action> = (0..k).map(|t| inv_on(o, base_thread + t, 0)).collect();
+            acts.extend((0..k).map(|t| res_on(o, base_thread + t, true, 0)));
+            acts
+        }
+
+        #[test]
+        fn parallel_matches_sequential_on_swap() {
+            let o = ObjectId(0);
+            let h = History::from_actions(vec![
+                inv_on(o, 1, 3),
+                inv_on(o, 2, 4),
+                res_on(o, 1, true, 4),
+                res_on(o, 2, true, 3),
+            ]);
+            let spec = MiniExchanger(o);
+            for threads in [1, 2, 8] {
+                let outcome = check_cal_with(&h, &spec, &threads_options(threads)).unwrap();
+                assert!(outcome.verdict.is_cal(), "threads={threads}: {:?}", outcome.verdict);
+                let witness = outcome.verdict.witness().unwrap();
+                assert!(witness_explains(&h, &spec, witness));
+            }
+        }
+
+        #[test]
+        fn parallel_refutes_hard_history() {
+            let o = ObjectId(0);
+            let h = History::from_actions(hard_history(o, 7, 1));
+            let spec = MiniExchanger(o);
+            let seq = check_cal_with(&h, &spec, &CheckOptions::default()).unwrap();
+            assert_eq!(seq.verdict, Verdict::NotCal);
+            for threads in [1, 2, 8] {
+                let outcome = check_cal_with(&h, &spec, &threads_options(threads)).unwrap();
+                assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
+                assert!(outcome.stats.nodes > 0);
+            }
+        }
+
+        #[test]
+        fn decomposition_checks_objects_independently() {
+            // Two independent exchangers, both satisfiable.
+            let (a, b) = (ObjectId(0), ObjectId(1));
+            let h = History::from_actions(vec![
+                inv_on(a, 1, 3),
+                inv_on(a, 2, 4),
+                res_on(a, 1, true, 4),
+                res_on(a, 2, true, 3),
+                inv_on(b, 1, 5),
+                inv_on(b, 2, 6),
+                res_on(b, 1, true, 6),
+                res_on(b, 2, true, 5),
+            ]);
+            let spec = PerObject::new(vec![(a, MiniExchanger(a)), (b, MiniExchanger(b))]);
+            let outcome = check_cal_with(&h, &spec, &threads_options(4)).unwrap();
+            assert!(outcome.verdict.is_cal(), "{:?}", outcome.verdict);
+            let witness = outcome.verdict.witness().unwrap();
+            assert_eq!(witness.len(), 2);
+            assert!(witness_explains(&h, &spec, witness));
+        }
+
+        #[test]
+        fn decomposition_respects_cross_object_real_time_order() {
+            // Object a's swap completes strictly before object b's begins: the
+            // merged witness must put a's element first.
+            let (a, b) = (ObjectId(0), ObjectId(1));
+            let h = History::from_actions(vec![
+                inv_on(a, 1, 3),
+                inv_on(a, 2, 4),
+                res_on(a, 1, true, 4),
+                res_on(a, 2, true, 3),
+                inv_on(b, 3, 5),
+                inv_on(b, 4, 6),
+                res_on(b, 3, true, 6),
+                res_on(b, 4, true, 5),
+            ]);
+            let spec = PerObject::new(vec![(a, MiniExchanger(a)), (b, MiniExchanger(b))]);
+            let outcome = check_cal_with(&h, &spec, &threads_options(2)).unwrap();
+            let witness = outcome.verdict.witness().expect("CAL");
+            assert_eq!(witness.elements()[0].object(), a);
+            assert_eq!(witness.elements()[1].object(), b);
+            assert!(witness_explains(&h, &spec, witness));
+        }
+
+        #[test]
+        fn decomposition_finds_the_bad_object() {
+            // Object a fine; object b's swap is sequential (not CAL).
+            let (a, b) = (ObjectId(0), ObjectId(1));
+            let h = History::from_actions(vec![
+                inv_on(a, 1, 3),
+                inv_on(a, 2, 4),
+                res_on(a, 1, true, 4),
+                res_on(a, 2, true, 3),
+                inv_on(b, 1, 5),
+                res_on(b, 1, true, 6),
+                inv_on(b, 2, 6),
+                res_on(b, 2, true, 5),
+            ]);
+            let spec = PerObject::new(vec![(a, MiniExchanger(a)), (b, MiniExchanger(b))]);
+            for threads in [1, 4] {
+                let outcome = check_cal_with(&h, &spec, &threads_options(threads)).unwrap();
+                assert_eq!(outcome.verdict, Verdict::NotCal, "threads={threads}");
+            }
+        }
+
+        /// [`MiniExchanger`] that sleeps `stall_ms` in every step.
+        #[derive(Debug, Clone)]
+        struct Stalling {
+            inner: MiniExchanger,
+            stall_ms: u64,
+        }
+
+        impl CaSpec for Stalling {
+            type State = ();
+
+            fn initial(&self) {}
+
+            fn step(&self, state: &(), e: &CaElement) -> Option<()> {
+                std::thread::sleep(std::time::Duration::from_millis(self.stall_ms));
+                self.inner.step(state, e)
+            }
+
+            fn max_element_size(&self) -> usize {
+                2
+            }
+
+            fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+                self.inner.completions_of(inv)
+            }
+
+            fn completions_among(&self, inv: &Invocation, peers: &[Invocation]) -> Vec<Value> {
+                self.inner.completions_among(inv, peers)
+            }
+
+            fn restrict(&self, object: ObjectId) -> Option<Self> {
+                (object == self.inner.0).then(|| self.clone())
+            }
+        }
+
+        #[test]
+        fn the_witness_does_not_depend_on_which_part_finishes_first() {
+            // Four objects, one swap each, all pairwise concurrent: the merge
+            // may emit their elements in any order, so it must pick one that
+            // no schedule changes. The assertion holds on every schedule; the
+            // stalls only make the adversarial ones likely: every part stalls
+            // a little, so that every worker is busy at once, and one part —
+            // the first, then the second — long enough to finish last on two
+            // and four threads.
+            let objects: Vec<ObjectId> = (0..4).map(ObjectId).collect();
+            let mut actions: Vec<Action> = Vec::new();
+            for (k, &o) in objects.iter().enumerate() {
+                let t = 2 * k as u32 + 1;
+                actions.extend([inv_on(o, t, 1), inv_on(o, t + 1, 2)]);
+            }
+            for (k, &o) in objects.iter().enumerate() {
+                let t = 2 * k as u32 + 1;
+                actions.extend([res_on(o, t, true, 2), res_on(o, t + 1, true, 1)]);
+            }
+            let h = History::from_actions(actions);
+            for slow in &objects[..2] {
+                let spec = PerObject::new(
+                    objects
+                        .iter()
+                        .map(|&o| {
+                            let stall_ms = if o == *slow { 20 } else { 2 };
+                            (o, Stalling { inner: MiniExchanger(o), stall_ms })
+                        })
+                        .collect(),
+                );
+                let witness = |threads| {
+                    let outcome = check_cal_with(&h, &spec, &threads_options(threads)).unwrap();
+                    outcome.verdict.witness().expect("CAL").to_string()
+                };
+                let one = witness(1);
+                for threads in [2, 4] {
+                    assert_eq!(witness(threads), one, "o{} slow, threads={threads}", slow.0);
+                }
+            }
+        }
+
+        #[test]
+        fn multi_object_falls_back_without_restrict() {
+            /// A spec that refuses to restrict: forces whole-history search.
+            #[derive(Debug)]
+            struct Coupled(MiniExchanger, MiniExchanger);
+            impl CaSpec for Coupled {
+                type State = ();
+                fn initial(&self) {}
+                fn step(&self, _: &(), e: &CaElement) -> Option<()> {
+                    self.0.step(&(), e).or_else(|| self.1.step(&(), e))
+                }
+                fn max_element_size(&self) -> usize {
+                    2
+                }
+                fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+                    self.0.completions_of(inv)
+                }
+                fn completions_among(&self, inv: &Invocation, peers: &[Invocation]) -> Vec<Value> {
+                    self.0.completions_among(inv, peers)
+                }
+            }
+            let (a, b) = (ObjectId(0), ObjectId(1));
+            let h = History::from_actions(vec![
+                inv_on(a, 1, 3),
+                inv_on(a, 2, 4),
+                res_on(a, 1, true, 4),
+                res_on(a, 2, true, 3),
+                inv_on(b, 1, 5),
+                inv_on(b, 2, 6),
+                res_on(b, 1, true, 6),
+                res_on(b, 2, true, 5),
+            ]);
+            let spec = Coupled(MiniExchanger(a), MiniExchanger(b));
+            let outcome = check_cal_with(&h, &spec, &threads_options(4)).unwrap();
+            assert!(outcome.verdict.is_cal(), "{:?}", outcome.verdict);
+        }
+
+        #[test]
+        fn shared_budget_is_global() {
+            let o = ObjectId(0);
+            let h = History::from_actions(hard_history(o, 9, 1));
+            let spec = MiniExchanger(o);
+            let options = CheckOptions { max_nodes: 3, threads: 4, ..CheckOptions::default() };
+            let outcome = check_cal_with(&h, &spec, &options).unwrap();
+            assert_eq!(outcome.verdict, Verdict::ResourcesExhausted);
+        }
+
+        #[test]
+        fn cancelled_token_interrupts_parallel_search() {
+            let o = ObjectId(0);
+            let token = CancelToken::new();
+            token.cancel();
+            let options = CheckOptions {
+                cancel: Some(token),
+                max_nodes: u64::MAX,
+                memoize: false,
+                symmetry: false,
+                threads: 4,
+                ..CheckOptions::default()
+            };
+            let h = History::from_actions(hard_history(o, 13, 1));
+            let outcome = check_cal_with(&h, &MiniExchanger(o), &options).unwrap();
+            assert_eq!(
+                outcome.verdict,
+                Verdict::Interrupted { reason: crate::check::InterruptReason::Cancelled }
+            );
+        }
+
+        #[test]
+        fn empty_and_pending_only_histories_are_cal() {
+            let o = ObjectId(0);
+            let spec = MiniExchanger(o);
+            let empty = History::new();
+            assert!(check_cal_with(&empty, &spec, &threads_options(4))
+                .unwrap()
+                .verdict
+                .is_cal());
+            let pending = History::from_actions(vec![inv_on(o, 1, 3)]);
+            let outcome = check_cal_with(&pending, &spec, &threads_options(4)).unwrap();
+            assert!(outcome.verdict.is_cal());
         }
     }
 }

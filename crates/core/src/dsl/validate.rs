@@ -16,6 +16,7 @@ use super::eval::{Builtin, Expr, RtVal};
 use super::lex::Span;
 use super::{DiagCode, Diagnostic};
 use crate::ids::Method;
+use crate::text::intern_method;
 
 /// Whether a spec describes a sequential or a concurrency-aware object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,21 +102,6 @@ pub(crate) enum CItem {
 const MAX_ELEMENT_CAP: i64 = 8;
 /// Widest allowed `yield a .. b;` range (inclusive endpoints).
 const MAX_RANGE_WIDTH: i64 = 10_000;
-
-/// Interns a DSL method name, reusing the checker's well-known method
-/// names so `Method` comparisons against built-in vocab are pointer- and
-/// content-identical.
-fn intern_method(name: &str) -> Method {
-    const KNOWN: &[&str] = &[
-        "exchange", "push", "pop", "put", "take", "read", "write", "inc", "noop",
-    ];
-    for k in KNOWN {
-        if *k == name {
-            return Method(k);
-        }
-    }
-    Method(Box::leak(name.to_owned().into_boxed_str()))
-}
 
 fn err(code: DiagCode, message: impl Into<String>, span: Span) -> Diagnostic {
     Diagnostic::new(code, message, span.line, span.col)

@@ -22,15 +22,13 @@
 //! - the search's counters ([`CheckStats`]), and the few live events a
 //!   [`crate::obs::StatsSink`] receives while a search runs;
 //! - the [`Verdict`] / [`InterruptReason`] outcome taxonomy;
-//! - per-object decomposition, decided by the input: a problem whose
-//!   [`SearchDomain::decompose`] offers at least two parts is searched part
-//!   by part at every thread count;
-//! - one task runner under every DFS ([`search`]): its tasks are those
-//!   parts, or one whole-root DFS per worker (each in its own successor
-//!   order) of a problem that does not decompose — one worker at one
-//!   thread — drained under one node budget and one stop latch
-//!   ([`run_tasks`] is the same drain for callers with tasks of their
-//!   own).
+//! - one task runner under every DFS: its tasks are one whole-root DFS
+//!   per worker, each in its own successor order ([`search`]; one worker
+//!   at one thread), or the per-object parts a caller split the problem
+//!   into before building anything (`search_parts`, behind
+//!   [`crate::check::check_cal_with`]), drained under one node budget and
+//!   one stop latch ([`run_tasks`] is the same drain for callers with
+//!   tasks of their own).
 //!
 //! The search itself is an *iterative* DFS over an arena of successor
 //! entries: one `Vec` per worker holds every `(step, node)` on the
@@ -44,8 +42,7 @@
 //! A checker plugs in by implementing [`SearchDomain`]: it names its
 //! search-node type (which doubles as the memo key — memo keys stay
 //! domain-local because what "same residual state" means differs per
-//! checker), enumerates successor steps, and optionally supports
-//! per-object decomposition with witness merging. In exchange it inherits
+//! checker) and enumerates successor steps. In exchange it inherits
 //! the search at every thread count, the shared memo table, stats sinks
 //! and uniform interrupt semantics from one audited implementation.
 //!
@@ -60,7 +57,7 @@
 //! it was, so every orbit's goals end in the states its canonical goal
 //! ends in.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::hash::Hash;
@@ -431,9 +428,13 @@ impl<K: Eq + Hash + Clone> MemoTable<'_, K> {
     }
 }
 
-/// A checker's view of one search problem: how to enumerate candidate
-/// steps and assemble witnesses. Everything else — budgets, deadlines,
-/// memoization, parallelism, stats — is the engine's job.
+/// A checker's view of one search problem: what a search needs of it —
+/// a root ([`SearchDomain::initial`]), a goal test
+/// ([`SearchDomain::is_goal`]) and a node's successor steps
+/// ([`SearchDomain::expand`]). Everything else — budgets, deadlines,
+/// memoization, parallelism, stats — is the engine's job. Splitting a
+/// problem by object is neither's: it is a property of the input, and
+/// [`crate::check::check_cal_with`] decides it before any domain exists.
 ///
 /// The one production domain is the CAL checker ([`crate::check`], steps
 /// are CA-elements — on a sequential spec lifted by
@@ -490,28 +491,6 @@ pub trait SearchDomain: Sync {
         obs: &mut ExpandObs<'_, '_>,
         out: &mut Vec<(Self::Step, Self::Node)>,
     );
-
-    /// Splits the problem into independent per-object subdomains, when
-    /// the domain supports locality-based decomposition. The engine then
-    /// searches the parts instead of the whole, at every thread count.
-    /// `None` (the default) means the problem is searched whole from its
-    /// root — on several threads by every worker at once, in different
-    /// successor orders. A single-element partition is treated as `None`.
-    /// May call specification code; the engine guards the call.
-    fn decompose(&self) -> Option<Vec<(ObjectId, Self)>>
-    where
-        Self: Sized,
-    {
-        None
-    }
-
-    /// Merges per-object witnesses (as returned by the subdomains from
-    /// [`SearchDomain::decompose`]) into one witness respecting the full
-    /// history's real-time order. The default concatenation is only
-    /// correct for domains that never decompose.
-    fn merge_witnesses(&self, parts: Vec<(ObjectId, Vec<Self::Step>)>) -> Vec<Self::Step> {
-        parts.into_iter().flat_map(|(_, steps)| steps).collect()
-    }
 }
 
 /// Non-generic per-worker control state: budget, tick polling, interrupt
@@ -971,32 +950,20 @@ fn initial_guarded<D: SearchDomain>(domain: &D) -> Result<D::Node, CheckError> {
         .map_err(|p| CheckError::SpecPanicked(panic_message(p)))
 }
 
-/// [`SearchDomain::decompose`] behind `catch_unwind`, kept only when it
-/// offers at least two parts.
-fn parts_of<D: SearchDomain>(domain: &D) -> Result<Option<Vec<(ObjectId, D)>>, CheckError> {
-    let parts = catch_unwind(AssertUnwindSafe(|| domain.decompose()))
-        .map_err(|p| CheckError::SpecPanicked(panic_message(p)))?;
-    Ok(parts.filter(|parts| parts.len() >= 2))
-}
-
 /// Runs the search over `domain` on [`CheckOptions::threads`] workers,
 /// returning the witness as the domain's step sequence; `max_nodes`
 /// bounds the *total* nodes across the workers. Every DFS is a task of
-/// one runner, and the tasks are decided by the input:
-///
-/// - a problem whose [`SearchDomain::decompose`] offers at least two
-///   parts is searched part by part, each with a private memo, stopping
-///   at the first part that is not accepted — in part order at one
-///   thread, `threads` parts at a time above one;
-/// - any other problem is searched whole from its root by one worker on
-///   a private memo when `threads` is 1 or [`CheckOptions::memoize`] is
-///   off (the workers would share nothing). Otherwise `threads` workers
-///   each search the root in their own successor order — worker 0 in the
-///   domain's — against one lock-free [`FpMemo`], and the first to end
-///   decides: its witness accepts, its run to the end refutes.
+/// one runner. The root is searched by one worker on a private memo when
+/// `threads` is 1 or [`CheckOptions::memoize`] is off (the workers would
+/// share nothing). Otherwise `threads` workers each search the root in
+/// their own successor order — worker 0 in the domain's — against one
+/// lock-free [`FpMemo`], and the first to end decides: its witness
+/// accepts, its run to the end refutes.
 ///
 /// At one thread this is the same DFS, node for node, at every entry
-/// point.
+/// point. A problem that splits by object is not split here: the caller
+/// splits it before building a domain ([`crate::check::check_cal_with`])
+/// and hands the parts to `search_parts`.
 ///
 /// # Errors
 ///
@@ -1006,12 +973,7 @@ pub fn search<D: SearchDomain>(
     domain: &D,
     options: &CheckOptions,
 ) -> Result<CheckOutcome<Vec<D::Step>>, CheckError> {
-    let parts = parts_of(domain)?;
     let runner = Runner::new(options, Instant::now());
-    if let Some(parts) = parts {
-        let done = runner.run_all(parts.len(), |i| run_part(&runner, &parts[i]));
-        return merge_parts(domain, &parts, done);
-    }
     let root = initial_guarded(domain)?;
     let threads = options.threads.max(1);
     let workers = if options.memoize { threads } else { 1 };
@@ -1032,6 +994,58 @@ pub fn search<D: SearchDomain>(
         total.stats.root_workers = workers as u64;
     }
     total.outcome()
+}
+
+/// Searches independent parts of one problem (one object's subhistory
+/// each) as the tasks of one runner: each part from its own root on a
+/// private memo, in part order at one thread and `threads` parts at a
+/// time above one, under one node budget, reported to the sink as one
+/// object. The first part that is not accepted stops the rest.
+///
+/// The parts' tallies fold in part order. A refuted part is decisive
+/// whatever else happened: membership implies per-object membership
+/// (locality), and the ladder ranks a refutation above every interrupt.
+/// Every part accepted returns their witnesses, in part order, for the
+/// caller to merge; anything else is undecided, and the ladder names the
+/// cause. `root_workers` stays 0.
+///
+/// # Errors
+///
+/// Returns [`CheckError::SpecPanicked`] if a part's specification panics.
+pub(crate) fn search_parts<D: SearchDomain>(
+    parts: &[(ObjectId, D)],
+    options: &CheckOptions,
+) -> Result<CheckOutcome<Vec<Vec<D::Step>>>, CheckError> {
+    let runner = Runner::new(options, Instant::now());
+    let done = runner.run_all(parts.len(), |i| {
+        let (object, part) = &parts[i];
+        let part_start = Instant::now();
+        let tally = match catch_unwind(AssertUnwindSafe(|| part.initial())) {
+            Ok(root) => {
+                let failed = MemoTable::Local(HashSet::new());
+                run_root(part, &root, failed, runner.ctl(), Order::SEQUENTIAL)
+            }
+            Err(p) => Tally { panicked: Some(panic_message(p)), ..Tally::default() },
+        };
+        let outcome = tally.object_outcome();
+        if let Some(sink) = options.sink.as_deref() {
+            sink.on_object_done(*object, part_start.elapsed(), outcome);
+        }
+        (tally, outcome != ObjectOutcome::Cal)
+    });
+    let mut total: Tally<D::Step> = Tally::default();
+    let mut witnesses = Vec::with_capacity(parts.len());
+    for (_, mut tally) in done {
+        if let Verdict::Cal(steps) = tally.verdict()? {
+            witnesses.push(steps);
+        }
+        total.absorb(tally);
+    }
+    if witnesses.len() == parts.len() {
+        // Every part accepted: the ladder reads the run as accepted.
+        total.witness = Some(Vec::new());
+    }
+    Ok(total.outcome()?.map_witness(|_| witnesses))
 }
 
 /// How an exhaustive exploration ended: the result of
@@ -1139,8 +1153,8 @@ pub fn enumerate_goals<D: SearchDomain>(
 
 /// The one way the engine runs subsearches: a task list drained by
 /// [`drain`], every task charging one node budget and watching one stop
-/// latch. The tasks are a problem's per-object parts, or, for one that
-/// does not decompose, one whole-root DFS per worker.
+/// latch. The tasks are one whole-root DFS per worker, or a problem's
+/// per-object parts.
 struct Runner<'a> {
     options: &'a CheckOptions,
     start: Instant,
@@ -1254,113 +1268,6 @@ pub fn run_tasks<R: Send>(
 ) -> Vec<R> {
     let done = drain(threads, tasks, &CancelToken::new(), |i| (run(i), false));
     done.into_iter().map(|(_, result)| result).collect()
-}
-
-/// One part as a [`Runner`] task: its own DFS with a private memo,
-/// reported to the sink as one object. Anything but acceptance decides
-/// the run.
-fn run_part<D: SearchDomain>(
-    runner: &Runner<'_>,
-    (object, part): &(ObjectId, D),
-) -> (Tally<D::Step>, bool) {
-    let part_start = Instant::now();
-    let tally = match catch_unwind(AssertUnwindSafe(|| part.initial())) {
-        Ok(root) => {
-            run_root(part, &root, MemoTable::Local(HashSet::new()), runner.ctl(), Order::SEQUENTIAL)
-        }
-        Err(p) => Tally { panicked: Some(panic_message(p)), ..Tally::default() },
-    };
-    let outcome = tally.object_outcome();
-    if let Some(sink) = runner.options.sink.as_deref() {
-        sink.on_object_done(*object, part_start.elapsed(), outcome);
-    }
-    (tally, outcome != ObjectOutcome::Cal)
-}
-
-/// Folds the parts' tallies, in part order, into the whole problem's
-/// outcome. A refuted part is decisive whatever else happened: membership
-/// implies per-object membership (locality), and the ladder ranks a
-/// refutation above every interrupt. Every part accepted merges their
-/// witnesses ([`SearchDomain::merge_witnesses`]); anything else is
-/// undecided, and the ladder names the cause.
-fn merge_parts<D: SearchDomain>(
-    domain: &D,
-    parts: &[(ObjectId, D)],
-    done: Vec<(usize, Tally<D::Step>)>,
-) -> Result<CheckOutcome<Vec<D::Step>>, CheckError> {
-    let mut total: Tally<D::Step> = Tally::default();
-    let mut witnesses: Vec<(ObjectId, Vec<D::Step>)> = Vec::new();
-    for (i, mut tally) in done {
-        if let Verdict::Cal(steps) = tally.verdict()? {
-            witnesses.push((parts[i].0, steps));
-        }
-        total.absorb(tally);
-    }
-    if witnesses.len() == parts.len() {
-        total.witness = Some(domain.merge_witnesses(witnesses));
-    }
-    total.outcome()
-}
-
-/// A reference to a domain's specification: borrowed at the top level,
-/// owned by decomposed subdomains (restriction yields an owned spec).
-pub(crate) enum SpecRef<'a, S> {
-    /// The caller's specification, borrowed.
-    Borrowed(&'a S),
-    /// A restricted per-object specification, owned by the subdomain.
-    Owned(S),
-}
-
-impl<S> SpecRef<'_, S> {
-    pub(crate) fn get(&self) -> &S {
-        match self {
-            SpecRef::Borrowed(s) => s,
-            SpecRef::Owned(s) => s,
-        }
-    }
-}
-
-/// Greedily interleaves per-object witness queues into one sequence
-/// respecting the full history's real-time order.
-///
-/// Each queue entry is `(step, maxinv, minresp)`: `maxinv` is the largest
-/// invocation index among the step's operations in the *full* history and
-/// `minresp` the smallest response index (`usize::MAX` for operations the
-/// checker completed). `F` must precede `E` in any agreeing witness iff
-/// `minresp(F) < maxinv(E)`. With `m` the minimum `minresp` over all
-/// remaining steps, any queue head with `maxinv ≤ m` can be emitted next
-/// — the queue holding the minimizing step always has one, because
-/// per-object witness order already respects the per-object real-time
-/// order. Ties go to the earliest queue.
-///
-/// Each queue keeps the minimum `minresp` of its every suffix, so `m` is
-/// a scan over the queues, not over the steps left: `O(n · queues)`.
-pub(crate) fn merge_by_order<T>(mut queues: Vec<VecDeque<(T, usize, usize)>>) -> Vec<T> {
-    // `tail_min[q][k]`: the smallest `minresp` among queue `q`'s last `k`
-    // steps, so `tail_min[q][queues[q].len()]` is its remaining minimum.
-    let tail_min: Vec<Vec<usize>> = queues
-        .iter()
-        .map(|q| {
-            let mut mins = vec![usize::MAX];
-            for item in q.iter().rev() {
-                mins.push(item.2.min(*mins.last().expect("starts non-empty")));
-            }
-            mins
-        })
-        .collect();
-    let total = queues.iter().map(VecDeque::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    while merged.len() < total {
-        let m = queues.iter().zip(&tail_min).map(|(q, mins)| mins[q.len()]).min();
-        let m = m.expect("steps remain, so some queue does");
-        let q = queues
-            .iter()
-            .position(|q| q.front().is_some_and(|head| head.1 <= m))
-            .expect("per-object witnesses always have an emittable head");
-        let head = queues[q].pop_front().expect("chosen queue has a head");
-        merged.push(head.0);
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -1615,61 +1522,6 @@ mod tests {
         match search(&Panicky, &CheckOptions::default()) {
             Err(CheckError::SpecPanicked(msg)) => assert!(msg.contains("domain bug")),
             other => panic!("expected SpecPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn merge_by_order_respects_precedence() {
-        // Queue A's step responds before queue B's step is invoked.
-        let queues = vec![
-            VecDeque::from([("a", 0, 1)]),
-            VecDeque::from([("b", 2, 3)]),
-        ];
-        assert_eq!(merge_by_order(queues), vec!["a", "b"]);
-    }
-
-    /// The reference merge: `m` is the minimum over every step left,
-    /// rescanned at each emit.
-    fn merge_by_scan<T>(mut queues: Vec<VecDeque<(T, usize, usize)>>) -> Vec<T> {
-        let mut merged = Vec::new();
-        while let Some(m) = queues.iter().flat_map(|q| q.iter().map(|item| item.2)).min() {
-            let q = queues.iter().position(|q| q.front().is_some_and(|head| head.1 <= m));
-            merged.push(queues[q.unwrap()].pop_front().unwrap().0);
-        }
-        merged
-    }
-
-    #[test]
-    fn merge_by_order_emits_what_the_full_scan_emits() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..500 {
-            // Step `j` of a sequence that respects real time: invoked in
-            // [10j, 10j + 10), responding later or never, so a step that
-            // responds before another is invoked comes first. Dealt out to
-            // the queues in order, each queue respects real time too.
-            let n = rng.gen_range(0..40usize);
-            let parts = rng.gen_range(1..6usize);
-            let mut queues = vec![VecDeque::new(); parts];
-            for j in 0..n {
-                let inv = 10 * j + rng.gen_range(0..10usize);
-                let resp =
-                    if rng.gen_range(0..8) == 0 { usize::MAX } else { inv + rng.gen_range(1..60usize) };
-                queues[rng.gen_range(0..parts)].push_back((j, inv, resp));
-            }
-            let mut span = vec![(0, 0); n];
-            for &(j, inv, resp) in queues.iter().flatten() {
-                span[j] = (inv, resp);
-            }
-            let merged = merge_by_order(queues.clone());
-            assert_eq!(merged, merge_by_scan(queues));
-            assert_eq!(merged.len(), n);
-            for (a, &first) in merged.iter().enumerate() {
-                for &later in &merged[a + 1..] {
-                    assert!(span[later].1 >= span[first].0, "{later} responds before {first}");
-                }
-            }
         }
     }
 }

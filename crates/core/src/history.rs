@@ -829,9 +829,10 @@ impl HbRelation {
 
     /// Whether this relation is the real-time order of the spans it was
     /// built from — it is exactly when [`HbRelation::real_time`] built it.
-    /// Consumers use this to keep real-time-only fast paths (per-object
-    /// decomposition, `(maxinv, minresp)` witness merging) without
-    /// consulting span timestamps themselves.
+    /// [`crate::causal::check_causal_with`] reads it to hand a real-time
+    /// order to the CAL check, whose per-object split and `(maxinv,
+    /// minresp)` witness merge hold under real time only, without
+    /// consulting span timestamps itself.
     pub fn is_real_time(&self) -> bool {
         matches!(self.shape, Shape::Ranks(_))
     }

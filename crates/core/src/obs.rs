@@ -72,8 +72,8 @@ use parking_lot::Mutex;
 use crate::check::{CheckOptions, CheckOutcome, InterruptReason, Verdict};
 use crate::ids::ObjectId;
 
-/// How one object's subsearch ended when a check decomposed by object
-/// ([`crate::engine::SearchDomain::decompose`]).
+/// How one object's subsearch ended when a check split by object
+/// ([`crate::check::check_cal_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectOutcome {
     /// The subhistory is CAL (a witness was found).
@@ -301,7 +301,7 @@ pub struct SearchReport {
     pub interrupted: Option<String>,
     /// Whether the node budget was exhausted.
     pub exhausted: bool,
-    /// Per-object rows when the check decomposed (empty otherwise).
+    /// Per-object rows when the check split by object (empty otherwise).
     pub objects: Vec<ObjectReport>,
 }
 

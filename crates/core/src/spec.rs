@@ -139,10 +139,11 @@ pub trait CaSpec: Sync {
     /// another object means the specification admits no element on it** —
     /// [`CaSpec::step`] is `None` for every element there, in every state —
     /// and `restrict(o)` itself admits elements on `o` alone. The batch
-    /// checker can fall back to the whole history when it meets such an
-    /// object; the streaming checker ([`crate::stream`]) cannot, once it
-    /// has retired a prefix object by object, and instead treats the
-    /// object as this sentence reads: explainable iff none of its
+    /// check ([`crate::check::check_cal_with`]) asks every object before
+    /// it builds anything, and searches the whole history when one
+    /// answers `None`; the streaming checker ([`crate::stream`]) cannot,
+    /// once it has retired a prefix object by object, and instead treats
+    /// the object as this sentence reads: explainable iff none of its
     /// operations completes. Every specification in this repository is of
     /// that kind, held to it by `tests/front_door.rs`. A specification
     /// that couples its objects must return `None` for all of them.
@@ -280,7 +281,7 @@ impl<S: SeqSpec> CaSpec for SeqAsCa<S> {
 /// is `{T | ∀o. part_o accepts T|o}`.
 ///
 /// This is exactly the shape [`CaSpec::restrict`]'s locality contract
-/// describes, so the CAL checker decomposes a `PerObject` check into
+/// describes, so the CAL checker splits a `PerObject` check into
 /// independent per-object subchecks. Elements on objects without a part
 /// are rejected.
 ///

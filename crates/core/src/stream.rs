@@ -144,7 +144,6 @@
 //!   `undecided: late happens-before edge` and refuses further events.
 //!   Declare edges no later than their target operation's response.
 
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use std::io::BufRead;
@@ -154,7 +153,7 @@ use std::time::Duration;
 use crate::action::Action;
 use crate::causal::CausalOrderError;
 use crate::check::CalDomain;
-use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, SpecRef, Verdict};
+use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, Verdict};
 use crate::format::{Format, StreamDecoder, WireItem};
 use crate::history::{HbRelation, History, HistoryError, Span};
 use crate::ids::{ObjectId, ThreadId};
@@ -975,7 +974,7 @@ impl<S: CaSpec> StreamChecker<S> {
             None => actions.to_vec(),
             Some(o) => actions.iter().filter(|a| a.object() == o).copied().collect(),
         });
-        CalDomain::with_order(Cow::Owned(segment), SpecRef::Borrowed(spec), |spans| {
+        CalDomain::with_order(&segment, spec, |spans| {
             if self.opts.causal {
                 Ok(self.causal_relation(spans)?)
             } else {

@@ -73,32 +73,40 @@ fn parse_object(line: usize, s: &str) -> Result<ObjectId, ParseError> {
     }
 }
 
-/// Interns the method name. Method names are `&'static str`: the nine
-/// names of the built-in vocabulary are constants, found by a scan that
-/// takes no lock; any other name is leaked the *first* time it is seen
-/// and found in a process-wide table from then on, so memory is bounded
-/// by the client's vocabulary, not by the length of its stream. Shared
-/// with the foreign-format decoders in [`crate::format`], so every parser
-/// agrees on one interned vocabulary.
+/// Parses and interns a method name ([`intern_method`]). Shared with the
+/// foreign-format decoders in [`crate::format`], so every parser agrees on
+/// one interned vocabulary.
 pub(crate) fn parse_method(line: usize, s: &str) -> Result<Method, ParseError> {
-    const KNOWN: &[&str] =
-        &["exchange", "push", "pop", "put", "take", "read", "write", "inc", "noop"];
-    static OTHERS: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
     if s.is_empty() || !s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
         return err(line, format!("invalid method name {s:?}"));
     }
+    Ok(intern_method(s))
+}
+
+/// Interns a method name. Method names are `&'static str`: the nine names
+/// of the built-in vocabulary are constants, found by a scan that takes no
+/// lock; any other name is leaked the *first* time it is seen and found in
+/// a process-wide table from then on, so memory is bounded by the
+/// vocabulary, not by the length of a stream or the number of compiles.
+/// Every parser of a trace line and the spec language's compiler
+/// ([`crate::dsl`]) intern here, so a name is one pointer wherever it was
+/// read.
+pub(crate) fn intern_method(s: &str) -> Method {
+    const KNOWN: &[&str] =
+        &["exchange", "push", "pop", "put", "take", "read", "write", "inc", "noop"];
+    static OTHERS: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
     for k in KNOWN {
         if *k == s {
-            return Ok(Method(k));
+            return Method(k);
         }
     }
     let mut others = OTHERS.lock();
     if let Some(name) = others.get(s) {
-        return Ok(Method(name));
+        return Method(name);
     }
     let name: &'static str = Box::leak(s.to_owned().into_boxed_str());
     others.insert(name);
-    Ok(Method(name))
+    Method(name)
 }
 
 fn parse_value(line: usize, s: &str) -> Result<Value, ParseError> {

@@ -137,6 +137,33 @@ pub fn pipelined_register_history(ops: usize) -> History {
     h
 }
 
+/// `ops` operations on a map of sixteen registers by four clients, in
+/// rounds of four concurrent operations on four distinct keys; a key's
+/// visits alternate between a write of a fresh value and a read of what
+/// it holds. The history splits by key into sixteen sequential
+/// projections, and each is accepted in one search node an operation.
+pub fn kv_rounds(ops: usize) -> History {
+    let mut h = History::new();
+    let mut store = [0i64; 16];
+    for round in 0..ops.div_ceil(4) {
+        let first = 4 * round;
+        let round_ops: Vec<Operation> = (first..ops.min(first + 4))
+            .map(|k| {
+                let (t, key) = (ThreadId((k % 4) as u32), k % 16);
+                if (round / 4 + k % 4) % 2 == 0 {
+                    store[key] = k as i64 + 1;
+                    write_op(ObjectId(key as u32), t, store[key])
+                } else {
+                    read_op(ObjectId(key as u32), t, store[key])
+                }
+            })
+            .collect();
+        round_ops.iter().for_each(|op| h.push(op.invocation()));
+        round_ops.iter().for_each(|op| h.push(op.response()));
+    }
+    h
+}
+
 /// [`cal::specs::gen::kv_bursts`] over sixteen keys, a hundred bursts,
 /// seed 7: the stream the node and allocation pins are taken on.
 pub fn kv_stream(clients: u32) -> History {
