@@ -11,7 +11,7 @@ use cal_core::compose::TraceMap;
 use cal_core::gen::{render, render_windowed};
 use cal_core::spec::{CaSpec, PerObject, SeqAsCa};
 use cal_core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
-use cal_core::{Action, CaElement, History, ObjectId, Operation, ThreadId, Value};
+use cal_core::{Action, ActionKind, CaElement, History, ObjectId, Operation, ThreadId, Value};
 use cal_objects::record::Recorder;
 use cal_objects::{arena_exchanger::ArenaExchanger, elim_stack::EliminationStack};
 use cal_objects::{exchanger::Exchanger, stack::TreiberStack};
@@ -21,6 +21,7 @@ use cal_sim::{models::exchanger::ExchangerModel, Explorer, OpRequest, Workload};
 use cal_specs::gen::{exchanger_windows, kv_bursts};
 use cal_specs::kv::KvMapSpec;
 use cal_specs::register::{read_op, write_op, RegisterSpec};
+use cal_specs::registry::run_ca;
 use cal_specs::vocab::{EXCHANGE, POP, PUSH};
 use cal_specs::{elim_array::FArMap, elim_stack::modular_stack_check};
 use cal_specs::{exchanger::ExchangerSpec, stack::StackSpec};
@@ -240,8 +241,10 @@ pub fn e13(b: &mut Bench) {
 }
 
 /// E8 — checker scalability on accepting instances: CAL membership against
-/// history length and thread count, and `⊑CAL` agreement on a logged
-/// witness.
+/// history length and thread count, `⊑CAL` agreement on a logged
+/// witness, and a register whose writes are unique through the kernel
+/// and through the dispatch, which decides it by zones, and the same
+/// register with repeated values, which the dispatch sends to the search.
 pub fn e8(b: &mut Bench) {
     let spec = ExchangerSpec::new(ids::E0);
     for n in [4, 8, 16, 32, 64] {
@@ -264,6 +267,56 @@ pub fn e8(b: &mut Bench) {
             []
         });
     }
+    // Four clients writing fresh values to one key, as every benchmark
+    // register workload does: the search, then `run_ca`'s zones.
+    let register = SeqAsCa::new(RegisterSpec::new(ObjectId(0)));
+    let options = CheckOptions::default();
+    for ops in [1_000, 10_000, 100_000] {
+        let h = kv_bursts(&mut StdRng::seed_from_u64(8), 4, 1, ops / 64);
+        let kernel = format!("cal_check/register/{ops}");
+        b.exact(&*kernel, SEARCH, || accepted(check_cal_with(&h, &register, &options).unwrap()));
+        b.exact(format!("zones/register/{ops}"), ["nodes", "zones"], || {
+            let out = run_ca(&h, &register, None, &options).unwrap();
+            assert!(out.verdict.is_cal(), "expected an acceptance");
+            [out.stats.nodes, out.stats.zones]
+        });
+        b.versus(&kernel);
+    }
+    // The same histories, still accepted, with values that repeat, so the
+    // dispatch sends them to the search and the ratio is what trying zones
+    // first costs: every value folded onto 1..=8 (the first repeat ends
+    // the attempt at once), or one write of 1 appended (the attempt reads
+    // the whole history first).
+    for ops in [1_000, 10_000, 100_000] {
+        let h = kv_bursts(&mut StdRng::seed_from_u64(8), 4, 1, ops / 64);
+        let mut late = h.clone();
+        late.push_complete(write_op(ObjectId(0), ThreadId(0), 1));
+        for (name, h) in [("repeats", fold_values(&h, 8)), ("late_repeat", late)] {
+            let kernel = format!("cal_check/register_{name}/{ops}");
+            b.exact(&*kernel, SEARCH, || accepted(check_cal_with(&h, &register, &options).unwrap()));
+            b.exact(format!("fallback/register_{name}/{ops}"), ["nodes", "zones"], || {
+                let out = run_ca(&h, &register, None, &options).unwrap();
+                assert!(out.verdict.is_cal(), "expected an acceptance");
+                [out.stats.nodes, out.stats.zones]
+            });
+            b.versus(&kernel);
+        }
+    }
+}
+
+/// `history` with every written or read value `v > 0` replaced by
+/// `1 + (v - 1) % k`. A register history stays linearizable (the same
+/// order explains it), and each of the `k` values is written many times.
+fn fold_values(history: &History, k: i64) -> History {
+    let fold = |value: Value| match value {
+        Value::Int(v) if v > 0 => Value::Int(1 + (v - 1) % k),
+        other => other,
+    };
+    let actions = history.actions().iter().map(|a| match a.kind() {
+        ActionKind::Invoke(arg) => Action::invoke(a.thread(), a.object(), a.method(), fold(arg)),
+        ActionKind::Response(ret) => Action::response(a.thread(), a.object(), a.method(), fold(ret)),
+    });
+    History::from_actions(actions.collect())
 }
 
 /// An adversarial-but-CAL stack block: `k` pairwise-concurrent pushes, then

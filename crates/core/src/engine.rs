@@ -320,6 +320,9 @@ pub struct CheckStats {
     /// Always 0: no search hands work from one worker to another. The
     /// field stays so that code reading it still compiles.
     pub steals: u64,
+    /// Checks decided by zones ([`crate::zones`]) instead of a search: 1
+    /// for such a check, which costs no nodes, and 0 for a searched one.
+    pub zones: u64,
 }
 
 impl std::ops::AddAssign for CheckStats {
@@ -331,6 +334,7 @@ impl std::ops::AddAssign for CheckStats {
         self.memo_inserts += other.memo_inserts;
         self.root_workers += other.root_workers;
         self.steals += other.steals;
+        self.zones += other.zones;
     }
 }
 

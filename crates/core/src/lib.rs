@@ -22,6 +22,9 @@
 //!   is CAL's singleton-element fragment;
 //! - interval-linearizability ([`interval`]) as the same search over a
 //!   history whose operations are split into an open and a close half;
+//! - a decision procedure for registers and maps whose writes are unique
+//!   ([`zones`]), which the front door runs in place of the search on the
+//!   histories it qualifies for;
 //! - the `F_o` view-function machinery for compositional verification of
 //!   objects built from subobjects ([`compose`]);
 //! - generators of sound and adversarial histories ([`gen`]).
@@ -98,6 +101,7 @@ pub mod stream;
 pub mod symmetry;
 pub mod text;
 pub mod trace;
+pub mod zones;
 
 pub use action::{Action, ActionKind};
 pub use history::{History, HistoryError, Span};

@@ -14,7 +14,9 @@
 //!   [`crate::check::CheckStats`], counted once, sink or no sink.
 //! - [`StatsSink`] is a callback trait for the events no count can carry
 //!   while a search runs: the frontier width of each expansion, each
-//!   object's result under decomposition, and interrupt causes. Every
+//!   object's result under decomposition, and interrupt causes — plus the
+//!   reason a decision procedure ([`crate::zones`]) refuted a history
+//!   without searching it. Every
 //!   method has a no-op default. The sink is optional —
 //!   [`CheckOptions::sink`] is `None` by default, and the search guards
 //!   every callback behind one branch on that `Option`, so a disabled
@@ -141,6 +143,13 @@ pub trait StatsSink: Send + Sync {
     fn on_interrupt(&self, reason: InterruptReason) {
         let _ = reason;
     }
+
+    /// A decision procedure refuted the history without a search;
+    /// `reason` names the operations that conflict. Formatted only when a
+    /// sink is attached.
+    fn on_refutation(&self, reason: &str) {
+        let _ = reason;
+    }
 }
 
 /// One object's row in a [`SearchReport`] under per-object
@@ -168,6 +177,7 @@ pub struct CountingSink {
     frontier_sum: AtomicU64,
     frontier_samples: AtomicU64,
     objects: Mutex<Vec<ObjectReport>>,
+    refutation: Mutex<Option<String>>,
 }
 
 impl CountingSink {
@@ -221,6 +231,8 @@ impl CountingSink {
             frontier_max: self.frontier_max(),
             frontier_mean: self.frontier_mean(),
             root_workers: outcome.stats.root_workers,
+            zones: outcome.stats.zones,
+            refutation: self.refutation.lock().clone(),
             interrupted,
             exhausted: matches!(outcome.verdict, Verdict::ResourcesExhausted),
             objects: self.objects.lock().clone(),
@@ -259,6 +271,10 @@ impl StatsSink for CountingSink {
             outcome,
         });
     }
+
+    fn on_refutation(&self, reason: &str) {
+        *self.refutation.lock() = Some(reason.to_string());
+    }
 }
 
 /// A structured end-of-run summary of one CAL membership check.
@@ -296,6 +312,12 @@ pub struct SearchReport {
     /// (0 at one thread and for a check made part by part; 1 above one
     /// thread with the memo off, when the workers would share nothing).
     pub root_workers: u64,
+    /// Checks decided by zones ([`crate::zones`]) with no search, from the
+    /// run's [`crate::check::CheckStats`].
+    pub zones: u64,
+    /// Why a decision procedure refuted the history, in its operations
+    /// (shown by [`SearchReport::explain`], not serialized).
+    pub refutation: Option<String>,
     /// `Some("deadline-exceeded" | "cancelled")` when the search was
     /// interrupted.
     pub interrupted: Option<String>,
@@ -328,6 +350,7 @@ impl SearchReport {
         .num("frontier_max", self.frontier_max)
         .ms("frontier_mean", self.frontier_mean)
         .num("root_workers", self.root_workers)
+        .num("zones", self.zones)
         .num("objects", format_args!("[{}]", rows.collect::<Vec<_>>().join(", ")))
         .finish()
     }
@@ -346,18 +369,30 @@ impl SearchReport {
     }
 
     /// A multi-line human explanation of where the search spent its work
-    /// and — when the verdict is undecided — why it stopped.
+    /// and — when the verdict is undecided — why it stopped; or, for a
+    /// check zones decided, that no search ran and why a refutation is one.
     pub fn explain(&self) -> String {
         let mut lines = vec![format!("verdict: {} in {:.2} ms", self.verdict, self.wall_ms)];
+        if self.zones > 0 {
+            lines.push(
+                "procedure: zones (a register with unique writes), decided with no search"
+                    .to_string(),
+            );
+        }
+        if let Some(reason) = &self.refutation {
+            lines.push(format!("cause:   {reason}"));
+        }
         let budget_pct = if self.max_nodes == 0 {
             100.0
         } else {
             self.nodes as f64 * 100.0 / self.max_nodes as f64
         };
-        lines.push(format!(
-            "search:  {} nodes ({:.2}% of the {}-node budget), {} elements tried",
-            self.nodes, budget_pct, self.max_nodes, self.elements_tried
-        ));
+        if self.zones == 0 || self.nodes > 0 {
+            lines.push(format!(
+                "search:  {} nodes ({:.2}% of the {}-node budget), {} elements tried",
+                self.nodes, budget_pct, self.max_nodes, self.elements_tried
+            ));
+        }
         let probes = self.memo_hits + self.memo_misses;
         if probes > 0 {
             lines.push(format!(
@@ -575,7 +610,7 @@ mod tests {
              \"exhausted\": false, \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \
              \"nodes\": 7, \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 1, \
              \"memo_inserts\": 1, \"frontier_max\": 4, \"frontier_mean\": 3.500, \
-             \"root_workers\": 4, \"objects\": \
+             \"root_workers\": 4, \"zones\": 0, \"objects\": \
              [{\"object\": 3, \"wall_ms\": 2.500, \"outcome\": \"not-cal\"}, \
              {\"object\": 1, \"wall_ms\": 1.000, \"outcome\": \"cal\"}]}"
         );
@@ -585,7 +620,7 @@ mod tests {
              \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \"nodes\": 7, \
              \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 0, \"memo_inserts\": 0, \
              \"frontier_max\": 0, \
-             \"frontier_mean\": 0.000, \"root_workers\": 0, \
+             \"frontier_mean\": 0.000, \"root_workers\": 0, \"zones\": 0, \
              \"objects\": []}"
         );
     }

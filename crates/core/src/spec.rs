@@ -156,6 +156,17 @@ pub trait CaSpec: Sync {
         let _ = object;
         None
     }
+
+    /// What the specification is, for choosing the procedure that decides
+    /// a check against it: the CA search, or a decision procedure for the
+    /// shape ([`Shape`]). A shape is a promise about every `step`, so a
+    /// specification answers anything but [`Shape::Search`] only when
+    /// its transition function is exactly the one the shape describes.
+    ///
+    /// The default is [`Shape::Search`], which is always sound.
+    fn shape(&self) -> Shape {
+        Shape::Search
+    }
 }
 
 /// A sequential specification: a prefix-closed set of sequential histories,
@@ -199,6 +210,46 @@ pub trait SeqSpec: Sync {
     {
         let _ = object;
         None
+    }
+
+    /// What the specification is; same contract as [`CaSpec::shape`]
+    /// (with [`SeqSpec::apply`] for `step`), and forwarded by
+    /// [`SeqAsCa`]. The default is [`Shape::Search`].
+    fn shape(&self) -> Shape {
+        Shape::Search
+    }
+}
+
+/// What a specification is, as far as choosing a decision procedure goes
+/// ([`CaSpec::shape`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// Decided by the CA search alone.
+    Search,
+    /// A register, or a map of independent registers, each holding 0
+    /// before its first write.
+    Register(RegisterShape),
+}
+
+/// A register-shaped specification: each admitted object holds one
+/// integer, 0 before any write; a write method stores its `Int`
+/// argument and returns `()`, a read method returns the value held,
+/// whatever its argument, and nothing else is admitted. Objects are
+/// independent of each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegisterShape {
+    /// The methods that store their argument.
+    pub writes: &'static [Method],
+    /// The methods that return the value held.
+    pub reads: &'static [Method],
+    /// The one object admitted, or `None` when every object is.
+    pub object: Option<ObjectId>,
+}
+
+impl RegisterShape {
+    /// Whether the specification admits operations on `object`.
+    pub fn admits(&self, object: ObjectId) -> bool {
+        self.object.is_none_or(|o| o == object)
     }
 }
 
@@ -273,6 +324,10 @@ impl<S: SeqSpec> CaSpec for SeqAsCa<S> {
 
     fn restrict(&self, object: ObjectId) -> Option<Self> {
         self.inner.restrict(object).map(SeqAsCa::new)
+    }
+
+    fn shape(&self) -> Shape {
+        self.inner.shape()
     }
 }
 

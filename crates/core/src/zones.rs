@@ -1,0 +1,382 @@
+//! Registers and maps with unique writes, decided by zones instead of a
+//! search.
+//!
+//! Deciding linearizability is NP-complete in general, but not for a
+//! register whose written values are all distinct (Gibbons–Korach,
+//! *Testing shared memories*, SIAM J. Comput. 1997). Each read then names
+//! the one write of its value, and the initial value counts as a write
+//! before everything. Group each write with the reads of its value into a
+//! *cluster*. A cluster's *zone* runs between its earliest response `f`
+//! and its latest invocation `s`; it is *forward* when `f < s` and
+//! *backward* otherwise. A history is linearizable iff (Golab, Li and
+//! Shah, *Analyzing consistency properties for fun and profit*, PODC
+//! 2011):
+//!
+//! - every complete read returns a value some write wrote, or the initial
+//!   one;
+//! - no read responds before its write is invoked;
+//! - no two forward zones of one object overlap;
+//! - no backward zone lies inside a forward zone of its object.
+//!
+//! Objects are independent, so a map is one register per object and the
+//! conditions hold object by object. [`decide`] checks them in
+//! `O(n log n)` over the history's spans, with nothing of the CA search
+//! under it.
+//!
+//! **Pending operations.** A pending read is dropped: a read changes no
+//! state. A pending write that no complete read returned is dropped too:
+//! in any linearization no read follows it directly, so removing it
+//! changes no read. A pending write that a complete read returned is
+//! completed with `()` at the end of the history.
+//!
+//! **Which histories qualify.** Every operation is on an object the shape
+//! admits and calls one of its methods, and every write stores an `Int`
+//! other than the initial value 0, returns `()` if it completed, and is the
+//! only write of its value on its object. Anything else is
+//! [`Decision::Search`]: the caller runs the search. This is read off the
+//! actions before any span is built, so a history that goes to the search
+//! pays for one pass up to its first disqualifying action.
+//!
+//! **The witness.** Each operation is placed at a point of the history's
+//! action indices and the operations are sorted by `(point, cluster,
+//! write first)`. A forward cluster `[f, s]` puts its write at
+//! `max(inv_w, f)` and each read at `max(inv_r, point_w)`: every point
+//! lies inside its operation's interval (a read responds after `f` and
+//! after its write's invocation) and inside `[f, s]`. A backward cluster
+//! `[s, f]` puts all of its operations at one half-integer in `(s, f)`
+//! outside every forward zone of its object; one exists because forward
+//! zones are disjoint closed intervals and none contains `[s, f]`. So the
+//! clusters of one object occupy disjoint runs of the order, each a write
+//! followed by its reads, and an operation that responds before another
+//! is invoked sits at a smaller point.
+
+use std::collections::HashSet;
+use std::fmt;
+
+use crate::action::ActionKind;
+use crate::check::{CheckOptions, CheckOutcome, CheckStats, Verdict};
+use crate::history::{History, HistoryError, Span};
+use crate::ids::{ObjectId, Value};
+use crate::op::Operation;
+use crate::spec::RegisterShape;
+use crate::trace::{CaElement, CaTrace};
+
+/// What [`decide`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Decision {
+    /// Linearizable; the witness is attached.
+    Cal(CaTrace),
+    /// Not linearizable, for the reason given.
+    NotCal(Conflict),
+    /// The history does not qualify: decide it by the search.
+    Search,
+}
+
+impl Decision {
+    /// The decision as a check's outcome, costing no search node and
+    /// counted in [`CheckStats::zones`]; a refutation's reason goes to
+    /// [`CheckOptions::sink`]. `None` for [`Decision::Search`].
+    pub fn outcome(self, options: &CheckOptions) -> Option<CheckOutcome> {
+        let verdict = match self {
+            Decision::Cal(witness) => Verdict::Cal(witness),
+            Decision::NotCal(conflict) => {
+                if let Some(sink) = &options.sink {
+                    sink.on_refutation(&conflict.to_string());
+                }
+                Verdict::NotCal
+            }
+            Decision::Search => return None,
+        };
+        Some(CheckOutcome { verdict, stats: CheckStats { zones: 1, ..CheckStats::default() } })
+    }
+}
+
+/// A value's cluster as a refutation names it: its object, its value and
+/// the write that wrote it (`None` for the initial value).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClusterName {
+    /// The object the value is held by.
+    pub object: ObjectId,
+    /// The value.
+    pub value: i64,
+    /// The write of the value, as the history records it.
+    pub write: Option<Operation>,
+}
+
+impl fmt::Display for ClusterName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.write {
+            Some(write) => write!(f, "{}'s value {} written by {write}", self.object, self.value),
+            None => write!(f, "{}'s initial value {}", self.object, self.value),
+        }
+    }
+}
+
+/// Why a history is not linearizable, in its own operations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Conflict {
+    /// A complete read returned a value nothing wrote on its object.
+    UnwrittenRead {
+        /// The read.
+        read: Operation,
+    },
+    /// A read responded before the write of its value was invoked.
+    ReadBeforeWrite {
+        /// The read.
+        read: Operation,
+        /// The value's write.
+        write: Operation,
+    },
+    /// Two forward zones of one object overlap: each value must be held
+    /// over a stretch of the history, and the stretches overlap.
+    ForwardZonesOverlap {
+        /// The cluster whose zone starts first.
+        first: ClusterName,
+        /// The cluster whose zone starts inside the first's.
+        second: ClusterName,
+    },
+    /// A backward zone lies inside a forward zone: the inner value's
+    /// write must take effect while the outer value must be held.
+    BackwardInsideForward {
+        /// The backward cluster.
+        inner: ClusterName,
+        /// The forward cluster around it.
+        outer: ClusterName,
+    },
+}
+
+impl fmt::Display for Conflict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Conflict::UnwrittenRead { read } => {
+                write!(f, "the read {read} on {} returns a value nothing wrote", read.object)
+            }
+            Conflict::ReadBeforeWrite { read, write } => write!(
+                f,
+                "the read {read} on {} responds before {write}, the write of its value, is invoked",
+                read.object
+            ),
+            Conflict::ForwardZonesOverlap { first, second } => write!(
+                f,
+                "{first} and {second} must each be held from one of their operations' \
+                 response to another's invocation, and the two stretches overlap"
+            ),
+            Conflict::BackwardInsideForward { inner, outer } => write!(
+                f,
+                "{inner} must take effect inside the stretch where {outer} must be held"
+            ),
+        }
+    }
+}
+
+/// The value every object of a register shape holds before its first
+/// write ([`RegisterShape`]).
+const INITIAL: i64 = 0;
+
+/// No cluster: a dropped pending operation.
+const DROPPED: u32 = u32::MAX;
+
+/// One value's cluster. Times are action indices; the initial value's
+/// write is invoked at -2 and responds at -1.
+#[derive(Debug, Clone, Copy)]
+struct Cluster {
+    object: ObjectId,
+    value: i64,
+    /// The write's span, `None` for the initial value.
+    write: Option<usize>,
+    /// `f`: the earliest response among the write and its complete reads.
+    first_resp: i64,
+    /// `s`: the latest invocation among them.
+    last_inv: i64,
+    /// A pending write nobody read: no part of any explanation.
+    dropped: bool,
+}
+
+impl Cluster {
+    fn is_forward(&self) -> bool {
+        self.first_resp < self.last_inv
+    }
+}
+
+/// Decides `history` against a register-shaped specification, or returns
+/// [`Decision::Search`] when the history does not qualify (see the module
+/// documentation).
+///
+/// # Errors
+///
+/// The history's well-formedness violation, as [`History::try_spans`]
+/// reports it.
+pub fn decide(history: &History, shape: &RegisterShape) -> Result<Decision, HistoryError> {
+    if !qualifies(history, shape) {
+        return Ok(Decision::Search);
+    }
+    let spans = history.try_spans()?;
+    let mut clusters = clusters(&spans, shape, history.len() as i64);
+    let cluster_of = match join(&spans, shape, &mut clusters) {
+        Ok(cluster_of) => cluster_of,
+        Err(conflict) => return Ok(Decision::NotCal(*conflict)),
+    };
+    Ok(match place(&spans, &clusters, &cluster_of) {
+        Err(conflict) => Decision::NotCal(*conflict),
+        Ok(point) => {
+            let mut order: Vec<(i64, u32, bool, usize)> = (0..spans.len())
+                .filter(|&i| cluster_of[i] != DROPPED)
+                .map(|i| {
+                    let k = cluster_of[i];
+                    (point[i], k, clusters[k as usize].write != Some(i), i)
+                })
+                .collect();
+            order.sort_unstable();
+            let elements = order.into_iter().map(|(.., i)| {
+                let span = &spans[i];
+                CaElement::singleton(span.operation_with_ret(span.ret.unwrap_or(Value::Unit)))
+            });
+            Decision::Cal(CaTrace::from_elements(elements.collect()))
+        }
+    })
+}
+
+/// Whether `history` qualifies (see the module documentation), read off
+/// its actions before any span is built: a history the search must
+/// decide costs one pass that stops at its first disqualifying action.
+/// An ill-formed history may pass; [`History::try_spans`] then rejects
+/// it.
+fn qualifies(history: &History, shape: &RegisterShape) -> bool {
+    // At most one write per two actions: sized once, never rehashed.
+    let mut written = HashSet::with_capacity(history.len() / 2);
+    history.actions().iter().all(|a| {
+        let (object, method) = (a.object(), a.method());
+        let write = shape.writes.contains(&method);
+        match a.kind() {
+            _ if !shape.admits(object) => false,
+            ActionKind::Invoke(Value::Int(v)) if write => v != INITIAL && written.insert((object, v)),
+            ActionKind::Invoke(_) => !write && shape.reads.contains(&method),
+            ActionKind::Response(ret) => !write || ret == Value::Unit,
+        }
+    })
+}
+
+/// One cluster per write, and one per object whose initial value a
+/// complete read returns, sorted by `(object, value)`. A pending write
+/// responds at `end`.
+fn clusters(spans: &[Span], shape: &RegisterShape, end: i64) -> Vec<Cluster> {
+    let mut clusters = Vec::new();
+    for (i, span) in spans.iter().enumerate() {
+        let (value, write) = if shape.writes.contains(&span.method) {
+            (span.arg.as_int().expect("a qualified write stores an Int"), Some(i))
+        } else if span.ret == Some(Value::Int(INITIAL)) {
+            (INITIAL, None)
+        } else {
+            continue;
+        };
+        let (first_resp, last_inv) = match write {
+            Some(_) => (span.resp.map_or(end, |r| r as i64), span.inv as i64),
+            None => (-1, -2),
+        };
+        // Until a complete read returns its value.
+        let dropped = write.is_some() && !span.is_complete();
+        let object = span.object;
+        clusters.push(Cluster { object, value, write, first_resp, last_inv, dropped });
+    }
+    clusters.sort_unstable_by_key(|c| (c.object, c.value));
+    // Written values are unique and none is the initial value, so only
+    // an object's reads of its initial value share a key.
+    clusters.dedup_by_key(|c| (c.object, c.value));
+    clusters
+}
+
+/// Each span's cluster, every complete read joined to its value's;
+/// [`DROPPED`] for a pending read and for a pending write nobody read.
+fn join(
+    spans: &[Span],
+    shape: &RegisterShape,
+    clusters: &mut [Cluster],
+) -> Result<Vec<u32>, Box<Conflict>> {
+    let mut cluster_of = vec![DROPPED; spans.len()];
+    for (i, span) in spans.iter().enumerate() {
+        let is_write = shape.writes.contains(&span.method);
+        let value = match (is_write, span.ret) {
+            (true, _) => span.arg.as_int().expect("a qualified write stores an Int"),
+            (false, Some(Value::Int(v))) => v,
+            (false, Some(ret)) => {
+                return Err(Box::new(Conflict::UnwrittenRead { read: span.operation_with_ret(ret) }))
+            }
+            (false, None) => continue,
+        };
+        let found = clusters.binary_search_by_key(&(span.object, value), |c| (c.object, c.value));
+        let Ok(k) = found else {
+            let read = span.operation_with_ret(Value::Int(value));
+            return Err(Box::new(Conflict::UnwrittenRead { read }));
+        };
+        cluster_of[i] = k as u32;
+        if is_write {
+            continue;
+        }
+        let c = &mut clusters[k];
+        let resp = span.resp.expect("a read with a return responded");
+        if let Some(w) = c.write.filter(|&w| resp < spans[w].inv) {
+            let read = span.operation_with_ret(Value::Int(value));
+            let write = spans[w].operation_with_ret(Value::Unit);
+            return Err(Box::new(Conflict::ReadBeforeWrite { read, write }));
+        }
+        c.first_resp = c.first_resp.min(resp as i64);
+        c.last_inv = c.last_inv.max(span.inv as i64);
+        c.dropped = false;
+    }
+    for c in clusters.iter().filter(|c| c.dropped) {
+        cluster_of[c.write.expect("only a write is dropped")] = DROPPED;
+    }
+    Ok(cluster_of)
+}
+
+/// Each span's point, doubled so that a half-integer is odd (see the
+/// module documentation), or the first two clusters whose zones conflict.
+fn place(
+    spans: &[Span],
+    clusters: &[Cluster],
+    cluster_of: &[u32],
+) -> Result<Vec<i64>, Box<Conflict>> {
+    let name = |c: &Cluster| ClusterName {
+        object: c.object,
+        value: c.value,
+        write: c.write.map(|w| spans[w].operation_with_ret(Value::Unit)),
+    };
+    // Forward zones by (object, f): when adjacent ones of one object are
+    // disjoint, all of that object's are.
+    let mut forward: Vec<u32> =
+        (0..clusters.len() as u32).filter(|&k| clusters[k as usize].is_forward()).collect();
+    let zone_key = |k: &u32| (clusters[*k as usize].object, clusters[*k as usize].first_resp);
+    forward.sort_unstable_by_key(zone_key);
+    for pair in forward.windows(2) {
+        let (a, b) = (&clusters[pair[0] as usize], &clusters[pair[1] as usize]);
+        if a.object == b.object && b.first_resp < a.last_inv {
+            let (first, second) = (name(a), name(b));
+            return Err(Box::new(Conflict::ForwardZonesOverlap { first, second }));
+        }
+    }
+    // A backward cluster [s, f] sits at s + ½, or just past the one
+    // forward zone that can contain s + ½: the last of its object's to
+    // start before s.
+    let mut backward_at = vec![0i64; clusters.len()];
+    for (k, c) in clusters.iter().enumerate().filter(|(_, c)| !c.is_forward() && !c.dropped) {
+        let at = forward.partition_point(|z| zone_key(z) < (c.object, c.last_inv));
+        let around = at.checked_sub(1).map(|i| &clusters[forward[i] as usize]);
+        backward_at[k] = match around.filter(|z| z.object == c.object && z.last_inv > c.last_inv) {
+            Some(z) if z.last_inv > c.first_resp => {
+                let (inner, outer) = (name(c), name(z));
+                return Err(Box::new(Conflict::BackwardInsideForward { inner, outer }));
+            }
+            Some(z) => 2 * z.last_inv + 1,
+            None => 2 * c.last_inv + 1,
+        };
+    }
+    let point = spans.iter().zip(cluster_of).map(|(span, &k)| {
+        let Some(c) = clusters.get(k as usize) else { return 0 };
+        if !c.is_forward() {
+            return backward_at[k as usize];
+        }
+        let write_at = c.write.map_or(-1, |w| (spans[w].inv as i64).max(c.first_resp));
+        2 * (span.inv as i64).max(write_at)
+    });
+    Ok(point.collect())
+}

@@ -6,7 +6,7 @@
 //! are independent, [`SeqSpec::restrict`] narrows the spec to a single
 //! key, which is exactly what the per-object parallel decomposition needs.
 
-use cal_core::spec::{Invocation, SeqSpec};
+use cal_core::spec::{Invocation, RegisterShape, SeqSpec, Shape};
 use cal_core::{Method, ObjectId, Operation, ThreadId, Value};
 
 use crate::vocab::{PUT, READ, WRITE};
@@ -117,6 +117,14 @@ impl SeqSpec for KvMapSpec {
 
     fn restrict(&self, object: ObjectId) -> Option<Self> {
         self.admits(object).then(|| KvMapSpec { only: Some(object), ..self.clone() })
+    }
+
+    fn shape(&self) -> Shape {
+        Shape::Register(RegisterShape {
+            writes: &[WRITE, PUT],
+            reads: &[READ, GET],
+            object: self.only,
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Sequential register and counter specifications, used to calibrate the
 //! checkers against classical (singleton-element) objects.
 
-use cal_core::spec::{Invocation, SeqSpec};
+use cal_core::spec::{Invocation, RegisterShape, SeqSpec, Shape};
 use cal_core::{ObjectId, Operation, ThreadId, Value};
 
 use crate::vocab::{INC, READ, WRITE};
@@ -78,6 +78,14 @@ impl SeqSpec for RegisterSpec {
 
     fn restrict(&self, object: ObjectId) -> Option<Self> {
         (object == self.object).then(|| self.clone())
+    }
+
+    fn shape(&self) -> Shape {
+        Shape::Register(RegisterShape {
+            writes: &[WRITE],
+            reads: &[READ],
+            object: Some(self.object),
+        })
     }
 }
 

@@ -7,7 +7,9 @@
 //! is the table of names, [`Selected::resolve`] turns a command line's
 //! `--spec FILE` and name into one spec, [`Selected::visit`] hands it —
 //! lifted as the [`CheckMode`] asks — to a [`Visitor`], and
-//! [`run_ca`] picks the search driver. There is one search: classical
+//! [`run_ca`] picks the procedure: zones ([`cal_core::zones`]) for a
+//! register-shaped spec on a history that qualifies, the search for
+//! everything else. There is one search: classical
 //! linearizability is CAL's singleton fragment, so `seq` reads a
 //! sequential spec exactly as `cal` does, and [`run_interval`] is
 //! [`run_ca`] over a history whose operations are split into open and
@@ -27,7 +29,8 @@ use cal_core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome};
 use cal_core::dsl::{self, SpecDef, SpecFile};
 use cal_core::history::HbRelation;
 use cal_core::interval::{IntervalAsCa, IntervalSpec, IntervalWitness, SeqAsInterval};
-use cal_core::spec::{CaSpec, SeqAsCa, SeqSpec};
+use cal_core::spec::{CaSpec, SeqAsCa, SeqSpec, Shape};
+use cal_core::zones;
 use cal_core::{History, ObjectId};
 
 use crate::dual_stack::DualStackSpec;
@@ -300,6 +303,13 @@ pub trait Visitor: Sized {
 /// order when `order` is `None`, under that happens-before order
 /// otherwise, on [`CheckOptions::threads`] workers.
 ///
+/// This is the one place a check's procedure is chosen, by the spec's
+/// [`CaSpec::shape`]. In real time, a register-shaped spec goes to zones
+/// ([`cal_core::zones`]), which decides a history whose writes are
+/// unique with no search node ([`cal_core::check::CheckStats::zones`]);
+/// every other history, spec and order goes to the search. The node
+/// budget and the deadline in `options` bound the search only.
+///
 /// # Errors
 ///
 /// As the `cal_core` checker it runs.
@@ -309,9 +319,13 @@ pub fn run_ca<S: CaSpec>(
     order: Option<&HbRelation>,
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
-    match order {
-        None => check_cal_with(history, spec, options),
-        Some(hb) => check_causal_with(history, spec, hb, options),
+    match (order, spec.shape()) {
+        (Some(hb), _) => check_causal_with(history, spec, hb, options),
+        (None, Shape::Register(shape)) => match zones::decide(history, &shape)?.outcome(options) {
+            Some(decided) => Ok(decided),
+            None => check_cal_with(history, spec, options),
+        },
+        (None, Shape::Search) => check_cal_with(history, spec, options),
     }
 }
 

@@ -21,14 +21,14 @@ fn run(args: &[&str]) -> Output {
         .expect("cal-check runs")
 }
 
-/// Extracts `"nodes":N` from a SearchReport JSON line.
-fn json_nodes(stdout: &str) -> u64 {
-    let rest = stdout.split("\"nodes\":").nth(1).unwrap_or_else(|| {
-        panic!("no \"nodes\" field in output:\n{stdout}");
+/// Extracts `"key": N` from a SearchReport JSON line.
+fn json_count(stdout: &str, key: &str) -> u64 {
+    let rest = stdout.split(&format!("\"{key}\":")).nth(1).unwrap_or_else(|| {
+        panic!("no {key:?} field in output:\n{stdout}");
     });
     let digits: String =
         rest.trim_start().chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().expect("nodes field is a number")
+    digits.parse().expect("the field is a number")
 }
 
 #[test]
@@ -58,10 +58,12 @@ fn mode_interval_accepts_register_history() {
 
 #[test]
 fn stats_are_populated_in_every_mode() {
+    // Value 1 is put twice, so no mode can hand the history to zones:
+    // every one of them searches it.
     for mode in ["cal", "seq", "interval"] {
         let out = run(&[
-            "register",
-            &corpus("register_read_write.hist"),
+            "kv",
+            &corpus("foreign/undecided_budget.kvlog"),
             "--mode",
             mode,
             "--stats",
@@ -72,7 +74,40 @@ fn stats_are_populated_in_every_mode() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("stats:"), "mode {mode}: no --stats line, stderr: {stderr}");
-        assert!(json_nodes(&stdout) > 0, "mode {mode}: empty SearchReport\n{stdout}");
+        assert!(json_count(&stdout, "nodes") > 0, "mode {mode}: empty SearchReport\n{stdout}");
+        assert_eq!(json_count(&stdout, "zones"), 0, "mode {mode}\n{stdout}");
+    }
+}
+
+/// A register whose writes are unique is decided by zones under `cal` and
+/// `seq`, with no search node; `interval` still searches. A zones
+/// refutation names the two values whose zones conflict.
+#[test]
+fn unique_write_registers_are_decided_by_zones() {
+    for (mode, zones) in [("cal", 1), ("seq", 1), ("interval", 0)] {
+        let file = corpus("register_read_write.hist");
+        let out = run(&["register", &file, "--mode", mode, "--explain", "--stats-json", "-"]);
+        assert_eq!(out.status.code(), Some(0), "mode {mode}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(json_count(&stdout, "zones"), zones, "mode {mode}\n{stdout}");
+        assert_eq!(json_count(&stdout, "nodes") == 0, zones == 1, "mode {mode}\n{stdout}");
+        assert_eq!(stderr.contains("procedure: zones"), zones == 1, "mode {mode}: {stderr}");
+    }
+    let out = run(&["register", &corpus("register_stale_read.hist"), "--explain"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let cause = stderr.lines().find(|l| l.starts_with("cause:")).expect("a cause line");
+    assert!(cause.contains("write(1)") && cause.contains("write(2)"), "{stderr}");
+}
+
+/// `--max-nodes` bounds the search only: the budget that leaves a history
+/// with a repeated value undecided does not touch its unique-value twin.
+#[test]
+fn the_node_budget_bounds_the_search_only() {
+    for (file, code) in [("undecided_budget.kvlog", 2), ("unique_puts_overlapping.kvlog", 0)] {
+        let out = run(&["kv", &corpus(&format!("foreign/{file}")), "--max-nodes", "4"]);
+        assert_eq!(out.status.code(), Some(code), "{file}");
     }
 }
 

@@ -227,6 +227,8 @@ const QUOTED: &[(&str, &str, &[&str])] = &[
     ("E7", "exchanger_throughput/spin/", &["ops", "paired_min", "paired_max", "ops_per_s"]),
     ("E8", "cal_check/", &["nodes", "elements_tried"]),
     ("E8", "agree/", &[]),
+    ("E8", "zones/", &["nodes", "zones", "ratio"]),
+    ("E8", "fallback/", &["nodes", "zones", "ratio"]),
     (
         "E13",
         "exchanger_throughput/arena_vs_single/",

@@ -8,8 +8,9 @@
 //!
 //! Where objects are many the checker carries its reachable-state set as
 //! a product of per-object sets, and the second half of this file holds
-//! that to two references at once: the batch verdict of
-//! [`run_ca`] at one and two threads, and [`Joint`] — the retirement this
+//! that to two references at once: the batch verdicts of the kernel
+//! ([`check_cal_with`], at one and two threads) and of the dispatch
+//! ([`run_ca`]), and [`Joint`] — the retirement this
 //! replaced, one state set over the whole specification with every closed
 //! segment enumerated as one joint problem, written out here over
 //! `tests/common`'s reference (nothing but [`CaSpec::step`] and Def. 3) —
@@ -18,7 +19,7 @@
 //! held to it too, with symmetry reduction on and off: their closed
 //! segments are what the retirement enumeration walks one orbit at a time.
 
-use cal::core::check::{check_cal, CheckOptions, Verdict};
+use cal::core::check::{check_cal, check_cal_with, CheckOptions, Verdict};
 use cal::core::gen::{interleave, mutate, render_loose, Mutation};
 use cal::core::spec::{CaSpec, Invocation, PerObject, SeqAsCa};
 use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
@@ -335,11 +336,12 @@ fn gauges_of<S: CaSpec>(checker: &StreamChecker<S>) -> Gauges {
 
 /// Feeds `events` to the shipped checker and to [`Joint`] side by side,
 /// checkpointing both at the same rng-chosen moments and comparing them
-/// after every event, then holds the closing verdict to the batch
-/// checker's at one and two threads. A stream that sealed an abandoned
+/// after every event, then holds the closing verdict to the kernel's at
+/// one and two threads and to the dispatch's ([`run_ca`], which may decide
+/// by zones instead of searching). A stream that sealed an abandoned
 /// operation is only held to soundness there: it may reject what batch
 /// accepts, never accept what batch rejects. `symmetry` is every search's
-/// [`CheckOptions::symmetry`], the stream's and the batch checker's alike.
+/// [`CheckOptions::symmetry`], the stream's and the batch searches' alike.
 fn assert_product_is_the_joint_set<S: CaSpec + Clone>(
     spec: S,
     events: &[Event],
@@ -380,20 +382,26 @@ fn assert_product_is_the_joint_set<S: CaSpec + Clone>(
     joint.checkpoint();
     let closing = gauges_of(&checker);
     assert_eq!(closing, joint.gauges(), "at the end of {events:?}");
-    for threads in [1usize, 2] {
-        let options = CheckOptions { threads, symmetry, ..CheckOptions::default() };
-        let batch = run_ca(&admitted, &spec, None, &options).expect("batch check must not error");
-        match batch.verdict {
+    // The kernel at one and two threads, and the dispatch, which decides
+    // a unique-write register or map by zones instead.
+    let options = |threads| CheckOptions { threads, symmetry, ..CheckOptions::default() };
+    let references = [
+        ("check_cal_with, 1 thread", check_cal_with(&admitted, &spec, &options(1))),
+        ("check_cal_with, 2 threads", check_cal_with(&admitted, &spec, &options(2))),
+        ("run_ca", run_ca(&admitted, &spec, None, &options(1))),
+    ];
+    for (by, batch) in references {
+        match batch.expect("batch check must not error").verdict {
             Verdict::Cal(_) if joint.sealed => {}
             Verdict::Cal(_) => assert_eq!(
                 closing.verdict,
                 StreamVerdict::Consistent,
-                "batch ({threads} threads) accepted:\n{admitted}"
+                "batch ({by}) accepted:\n{admitted}"
             ),
             Verdict::NotCal => assert_eq!(
                 closing.verdict,
                 StreamVerdict::Violation,
-                "batch ({threads} threads) rejected:\n{admitted}"
+                "batch ({by}) rejected:\n{admitted}"
             ),
             Verdict::ResourcesExhausted | Verdict::Interrupted { .. } => {}
         }
