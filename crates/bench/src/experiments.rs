@@ -347,6 +347,10 @@ fn hard_cal_stack_block(object: ObjectId, base: u32, k: i64) -> Vec<Action> {
 /// fourteen windows, one worker against every worker on the root; the
 /// workers must add at most 15 % to the one-worker nodes on any host
 /// (asserted), and with two or more be ≥ 1.2× faster (asserted).
+/// **decompose/kv-keys/{16,1000,10000}**: 10⁵ map operations over that
+/// many keys with one value written twice, so `run_ca` falls back from
+/// zones to the per-key split; 10,000 keys must take at most 3× the time
+/// of 16 (asserted).
 pub fn e14(b: &mut Bench) {
     const OBJECTS: u32 = 4;
     let mut actions: Vec<Action> =
@@ -420,6 +424,52 @@ pub fn e14(b: &mut Bench) {
     if b.workers >= 2 {
         assert!(speedup >= 1.2, "refute-exchanger-14 speedup {speedup:.2}x below the 1.2x floor");
     }
+
+    // The split's cost in the number of keys: as many operations over
+    // more keys must not cost more than the per-key work they add.
+    let kv = SeqAsCa::new(KvMapSpec::new());
+    let mut ratio = 0.0;
+    for keys in [16, 1_000, 10_000] {
+        let h = kv_keys(100_000, keys);
+        b.exact(format!("decompose/kv-keys/{keys}"), ["nodes", "zones"], || {
+            let out = run_ca(&h, &kv, None, &one).unwrap();
+            assert!(out.verdict.is_cal(), "expected an acceptance");
+            [out.stats.nodes, out.stats.zones]
+        });
+        if keys > 16 {
+            ratio = b.versus("decompose/kv-keys/16");
+        }
+    }
+    assert!(ratio <= 3.0, "10,000 keys took {ratio:.2}x the time of 16");
+}
+
+/// `ops` operations on a map of `keys` registers by four clients, in
+/// rounds of four concurrent operations on consecutive keys, each a write
+/// of a fresh value or a read of what its key holds; the last rewrites
+/// its key's value, so no value is unique and [`run_ca`] searches the
+/// history split by key.
+fn kv_keys(ops: usize, keys: usize) -> History {
+    let mut h = History::new();
+    let mut store = vec![0i64; keys];
+    for round in 0..ops.div_ceil(4) {
+        let first = 4 * round;
+        let round_ops: Vec<Operation> = (first..ops.min(first + 4))
+            .map(|k| {
+                let (t, key, last) = (ThreadId((k % 4) as u32), k % keys, k + 1 == ops);
+                if last || (round / 4 + k % 4) % 2 == 0 {
+                    if !last {
+                        store[key] = k as i64 + 1;
+                    }
+                    write_op(ObjectId(key as u32), t, store[key])
+                } else {
+                    read_op(ObjectId(key as u32), t, store[key])
+                }
+            })
+            .collect();
+        round_ops.iter().for_each(|op| h.push(op.invocation()));
+        round_ops.iter().for_each(|op| h.push(op.response()));
+    }
+    h
 }
 
 /// E16 — streaming replay at verdict parity. `pairs` overlapping exchange

@@ -21,6 +21,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::action::Action;
 use crate::bitset::BitSet;
 use crate::history::{HbRelation, History, Span};
 use crate::op::Operation;
@@ -196,6 +197,81 @@ impl AgreeSearch<'_> {
         }
         false
     }
+}
+
+/// Reconstructs the completion of `history` implied by `witness` (see
+/// [`crate::check::witness_explains`]): every complete operation must
+/// appear in the trace exactly once, a pending invocation may appear once
+/// completed, absent pending invocations are dropped. Returns the
+/// completion plus the surviving spans' original indices (ascending) so
+/// order relations built over the original spans can be restricted to
+/// the completion.
+pub(crate) fn reconstruct_completion(
+    history: &History,
+    witness: &CaTrace,
+) -> Option<(History, Vec<usize>)> {
+    let spans = history.spans();
+    // Multiset of witness operations, minus each complete operation.
+    let mut counts: HashMap<Operation, i64> = HashMap::new();
+    for op in witness.all_ops() {
+        *counts.entry(op).or_insert(0) += 1;
+    }
+    for span in spans.iter().filter(|s| s.is_complete()) {
+        let op = span.operation().expect("complete span has an operation");
+        match counts.get_mut(&op) {
+            Some(c) if *c > 0 => *c -= 1,
+            _ => return None, // a complete operation the trace does not explain
+        }
+    }
+    // What remains must complete pending invocations, at most one per
+    // thread (well-formedness guarantees at most one pending per thread).
+    let mut completed_pending: Vec<(usize, Operation)> = Vec::new();
+    for (op, count) in counts {
+        match count {
+            0 => {}
+            1 => {
+                let Some(span) = spans.iter().find(|s| {
+                    !s.is_complete()
+                        && s.thread == op.thread
+                        && s.object == op.object
+                        && s.method == op.method
+                        && s.arg == op.arg
+                }) else {
+                    return None; // an op the history never invoked
+                };
+                completed_pending.push((span.inv, op));
+            }
+            _ => return None, // duplicated beyond the one pending slot
+        }
+    }
+    // Build the completion: drop uncompleted pending invocations, append
+    // responses for completed ones. Appending at the end adds no real-time
+    // constraints, matching the checker's treatment of completed pending
+    // operations.
+    let completed_invs: HashSet<usize> = completed_pending.iter().map(|&(inv, _)| inv).collect();
+    let dropped: HashSet<usize> = spans
+        .iter()
+        .filter(|s| !s.is_complete() && !completed_invs.contains(&s.inv))
+        .map(|s| s.inv)
+        .collect();
+    let mut actions: Vec<Action> = history
+        .actions()
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !dropped.contains(i))
+        .map(|(_, a)| *a)
+        .collect();
+    for (_, op) in &completed_pending {
+        actions.push(op.response());
+    }
+    let completion = History::from_actions(actions);
+    let kept: Vec<usize> = spans
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.is_complete() || completed_invs.contains(&s.inv))
+        .map(|(i, _)| i)
+        .collect();
+    Some((completion, kept))
 }
 
 #[cfg(test)]

@@ -36,7 +36,8 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::check::{check_cal_with, reconstruct_completion, CalDomain};
+use crate::agree::reconstruct_completion;
+use crate::check::{check_cal_with, CalDomain};
 use crate::engine;
 use crate::history::{HbError, HbRelation, History, HistoryError};
 use crate::spec::CaSpec;
@@ -167,7 +168,8 @@ pub fn check_causal_with<S: CaSpec>(
     if hb.is_real_time() {
         return check_cal_with(history, spec, options);
     }
-    let domain = CalDomain::with_order(history, spec, |_| Ok::<_, HistoryError>(hb.clone()))?;
+    let spans = history.try_spans()?;
+    let domain = CalDomain::new(&spans, hb, spec);
     Ok(engine::search(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
 }
 

@@ -27,16 +27,21 @@
 //! This module is a thin *domain* over the shared search kernel
 //! ([`crate::engine`]): `CalDomain` enumerates candidate CA-elements,
 //! while budgets, deadlines, memoization, observability and parallelism
-//! live in the engine. CAL's locality is this module's too:
-//! [`check_cal_with`] splits a history by object before it builds any
-//! domain, and merges the parts' witnesses.
+//! live in the engine. A domain borrows what it searches: a list of spans
+//! and an order over them, built by its caller.
+//!
+//! CAL's locality is this module's too: [`check_cal_with`] reads a
+//! history's spans once and, before it builds any domain, partitions
+//! them by object. Each part keeps the whole history's action indices,
+//! so no projected history is built, and an acceptance stitches the
+//! parts' witnesses by where their invocations fall.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::action::Action;
+use crate::agree::{agrees, reconstruct_completion};
 use crate::engine::{self, panic_message, ExpandObs, SearchDomain};
-use crate::history::{Cut, HbRelation, History, HistoryError, Span};
+use crate::history::{Cut, HbRelation, History, Span};
 use crate::ids::{ObjectId, Value};
 use crate::op::Operation;
 use crate::spec::{CaSpec, Invocation};
@@ -88,9 +93,10 @@ pub fn check_cal<S: CaSpec>(history: &History, spec: &S) -> Result<CheckOutcome,
 /// When the history touches several objects and the specification can be
 /// restricted to every one of them ([`CaSpec::restrict`]), the check
 /// splits into independent per-object subchecks (CAL locality) before
-/// anything is built, at every thread count: one search problem per
-/// object's projection, and their witnesses interleaved into one that
-/// respects the whole history's real-time order. Otherwise the whole
+/// any order is built, at every thread count: one search problem per
+/// object's share of the history's spans, and their witnesses
+/// interleaved into one that respects the whole history's real-time
+/// order. Otherwise the whole
 /// history is one problem, and above one thread every worker searches it
 /// in its own successor order, the workers sharing one lock-free memo
 /// table. Every thread count gives the same verdict on decided inputs —
@@ -107,116 +113,95 @@ pub fn check_cal_with<S: CaSpec>(
     spec: &S,
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
-    if let Some(outcome) = check_by_object(history, spec, options)? {
-        return Ok(outcome);
+    let spans = history.try_spans()?;
+    let objects = objects_of(&spans);
+    if let Some(specs) = restrict_to(spec, &objects)? {
+        return check_by_object(spans, &objects, &specs, options);
     }
-    let domain = CalDomain::new(history, spec)?;
+    let hb = HbRelation::real_time(&spans);
+    let domain = CalDomain::new(&spans, &hb, spec);
     Ok(engine::search(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
 }
 
-/// [`check_cal_with`]'s per-object split: `None` when `history` touches
-/// fewer than two objects or `spec` does not restrict to every one of
-/// them. Otherwise each object's projection `H|o` is searched against
-/// `spec.restrict(o)`, objects in first-use order, and an acceptance is
-/// every part's witness interleaved by [`merge_by_order`].
-fn check_by_object<S: CaSpec>(
-    history: &History,
-    spec: &S,
-    options: &CheckOptions,
-) -> Result<Option<CheckOutcome>, CheckError> {
-    let objects = history.objects();
+/// The objects `spans` touch, in first-use order, in one hashed pass. (An
+/// object is first used by an invocation, and spans are in invocation
+/// order.)
+fn objects_of(spans: &[Span]) -> Vec<ObjectId> {
+    let mut seen = HashSet::new();
+    spans.iter().map(|s| s.object).filter(|&o| seen.insert(o)).collect()
+}
+
+/// `spec` restricted to each of `objects`, when there are two or more and
+/// it restricts to every one: the case [`check_by_object`] splits.
+fn restrict_to<S: CaSpec>(spec: &S, objects: &[ObjectId]) -> Result<Option<Vec<S>>, CheckError> {
     if objects.len() < 2 {
         return Ok(None);
     }
-    // A projection of an ill-formed history can be well-formed.
-    history.validate()?;
-    let restricted = catch_unwind(AssertUnwindSafe(|| {
-        objects.iter().map(|&o| spec.restrict(o)).collect::<Option<Vec<S>>>()
-    }))
-    .map_err(|p| CheckError::SpecPanicked(panic_message(p)))?;
-    let Some(specs) = restricted else {
-        return Ok(None);
-    };
-    let (projections, index) = project_by_object(history, &objects);
-    // Each projection is dropped once its domain is built.
-    let parts: Vec<(ObjectId, CalDomain<'_, S>)> = objects
-        .iter()
-        .zip(&specs)
-        .zip(projections)
-        .map(|((&o, spec), part)| {
-            let domain = CalDomain::new(&part, spec);
-            (o, domain.expect("a projection of a well-formed history is well-formed"))
-        })
-        .collect();
-    let outcome = engine::search_parts(&parts, options)?;
-    let outcome = outcome.map_witness(|witnesses| {
-        let keyed = parts.iter().zip(&index).zip(witnesses);
-        let queues = keyed.map(|(((_, part), index), steps)| {
-            steps.iter().map(|step| part.keyed_element(step, index)).collect()
-        });
-        queues.collect::<Vec<VecDeque<_>>>()
-    });
-    // The domains go before the merge allocates.
-    drop((parts, index));
-    Ok(Some(outcome.map_witness(|queues| merge_by_order(queues).into_iter().collect())))
+    catch_unwind(AssertUnwindSafe(|| objects.iter().map(|&o| spec.restrict(o)).collect()))
+        .map_err(|p| CheckError::SpecPanicked(panic_message(p)))
 }
 
-/// Every projection `H|o` of `history` for `objects` (all the objects it
-/// touches) in one pass, with the index in `history` of each projected
-/// action.
-fn project_by_object(history: &History, objects: &[ObjectId]) -> (Vec<History>, Vec<Vec<usize>>) {
+/// [`check_cal_with`]'s per-object split: a history's `spans`
+/// partitioned by object, each part keeping the whole history's action
+/// indices, and searched against `specs`, the specification restricted
+/// to each of `objects` in turn. An acceptance is every part's witness
+/// [`stitch`]ed into one.
+fn check_by_object<S: CaSpec>(
+    spans: Vec<Span>,
+    objects: &[ObjectId],
+    specs: &[S],
+    options: &CheckOptions,
+) -> Result<CheckOutcome, CheckError> {
     let part: HashMap<ObjectId, usize> = objects.iter().enumerate().map(|(k, &o)| (o, k)).collect();
-    let mut actions: Vec<Vec<Action>> = vec![Vec::new(); objects.len()];
-    let mut index: Vec<Vec<usize>> = vec![Vec::new(); objects.len()];
-    for (i, a) in history.actions().iter().enumerate() {
-        let k = part[&a.object()];
-        actions[k].push(*a);
-        index[k].push(i);
+    let mut sizes = vec![0; objects.len()];
+    spans.iter().for_each(|s| sizes[part[&s.object]] += 1);
+    let mut parts: Vec<Vec<Span>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for s in spans {
+        parts[part[&s.object]].push(s);
     }
-    (actions.into_iter().map(History::from_actions).collect(), index)
+    let orders: Vec<HbRelation> = parts.iter().map(|spans| HbRelation::real_time(spans)).collect();
+    let domains: Vec<(ObjectId, CalDomain<'_, S>)> = objects
+        .iter()
+        .zip(specs)
+        .zip(parts.iter().zip(&orders))
+        .map(|((&o, spec), (spans, hb))| (o, CalDomain::new(spans, hb, spec)))
+        .collect();
+    let outcome = engine::search_parts(&domains, options)?.map_witness(|witnesses| {
+        let keyed = domains.iter().zip(witnesses).map(|((_, domain), steps)| {
+            steps.iter().map(|step| (domain.element_of(step), domain.last_invocation(step))).collect()
+        });
+        keyed.collect()
+    });
+    // The domains go before the stitch allocates.
+    drop(domains);
+    drop((orders, parts));
+    Ok(outcome.map_witness(|parts| stitch(parts).into_iter().collect()))
 }
 
-/// Greedily interleaves per-object witness queues into one sequence
-/// respecting the full history's real-time order.
+/// Interleaves per-part witnesses into one sequence respecting the whole
+/// history's real-time order. Each entry is an element and the largest
+/// invocation index among its operations; each element is put at its
+/// *point* — the running maximum of those indices along its part's
+/// witness — and the elements are sorted by `(point, part)`, stably, so
+/// every part keeps its order.
 ///
-/// Each queue entry is `(step, maxinv, minresp)`: `maxinv` is the largest
-/// invocation index among the step's operations in the *full* history and
-/// `minresp` the smallest response index (`usize::MAX` for operations the
-/// checker completed). `F` must precede `E` in any agreeing witness iff
-/// `minresp(F) < maxinv(E)`. With `m` the minimum `minresp` over all
-/// remaining steps, any queue head with `maxinv ≤ m` can be emitted next
-/// — the queue holding the minimizing step always has one, because
-/// per-object witness order already respects the per-object real-time
-/// order. Ties go to the earliest queue.
-///
-/// Each queue keeps the minimum `minresp` of its every suffix, so `m` is
-/// a scan over the queues, not over the steps left: `O(n · queues)`.
-fn merge_by_order<T>(mut queues: Vec<VecDeque<(T, usize, usize)>>) -> Vec<T> {
-    // `tail_min[q][k]`: the smallest `minresp` among queue `q`'s last `k`
-    // steps, so `tail_min[q][queues[q].len()]` is its remaining minimum.
-    let tail_min: Vec<Vec<usize>> = queues
-        .iter()
-        .map(|q| {
-            let mut mins = vec![usize::MAX];
-            for item in q.iter().rev() {
-                mins.push(item.2.min(*mins.last().expect("starts non-empty")));
-            }
-            mins
-        })
-        .collect();
-    let total = queues.iter().map(VecDeque::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    while merged.len() < total {
-        let m = queues.iter().zip(&tail_min).map(|(q, mins)| mins[q.len()]).min();
-        let m = m.expect("steps remain, so some queue does");
-        let q = queues
-            .iter()
-            .position(|q| q.front().is_some_and(|head| head.1 <= m))
-            .expect("per-object witnesses always have an emittable head");
-        let head = queues[q].pop_front().expect("chosen queue has a head");
-        merged.push(head.0);
+/// No precedence is inverted. Inside an element every invocation
+/// precedes every response, and a part's witness never places an element
+/// after one that must precede it, so every invocation up to and
+/// including element `F` in its part precedes `F`'s earliest response:
+/// `point(F) < minresp(F)`. If `F ≺H E`, then `minresp(F) < maxinv(E) ≤
+/// point(E)`, so `F` sorts first.
+fn stitch<T>(parts: Vec<Vec<(T, usize)>>) -> Vec<T> {
+    let mut placed: Vec<(usize, usize, T)> = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for (k, part) in parts.into_iter().enumerate() {
+        let mut point = 0;
+        for (item, maxinv) in part {
+            point = point.max(maxinv);
+            placed.push((point, k, item));
+        }
     }
-    merged
+    placed.sort_by_key(|&(point, k, _)| (point, k));
+    placed.into_iter().map(|(_, _, item)| item).collect()
 }
 
 /// Convenience predicate: `Ok(true)` iff the history is CAL w.r.t. `spec`.
@@ -267,83 +252,9 @@ pub fn witness_explains<S: CaSpec>(history: &History, spec: &S, witness: &CaTrac
         return false;
     }
     match reconstruct_completion(history, witness) {
-        Some((completion, _kept)) => crate::agree::agrees(&completion, witness).is_some(),
+        Some((completion, _kept)) => agrees(&completion, witness).is_some(),
         None => false,
     }
-}
-
-/// Reconstructs the completion of `history` implied by `witness` (see
-/// [`witness_explains`]): every complete operation must appear in the
-/// trace exactly once, a pending invocation may appear once completed,
-/// absent pending invocations are dropped. Returns the completion plus the
-/// surviving spans' original indices (ascending) so order relations built
-/// over the original spans can be restricted to the completion.
-pub(crate) fn reconstruct_completion(
-    history: &History,
-    witness: &CaTrace,
-) -> Option<(History, Vec<usize>)> {
-    let spans = history.spans();
-    // Multiset of witness operations, minus each complete operation.
-    let mut counts: HashMap<Operation, i64> = HashMap::new();
-    for op in witness.all_ops() {
-        *counts.entry(op).or_insert(0) += 1;
-    }
-    for span in spans.iter().filter(|s| s.is_complete()) {
-        let op = span.operation().expect("complete span has an operation");
-        match counts.get_mut(&op) {
-            Some(c) if *c > 0 => *c -= 1,
-            _ => return None, // a complete operation the trace does not explain
-        }
-    }
-    // What remains must complete pending invocations, at most one per
-    // thread (well-formedness guarantees at most one pending per thread).
-    let mut completed_pending: Vec<(usize, Operation)> = Vec::new();
-    for (op, count) in counts {
-        match count {
-            0 => {}
-            1 => {
-                let Some(span) = spans.iter().find(|s| {
-                    !s.is_complete()
-                        && s.thread == op.thread
-                        && s.object == op.object
-                        && s.method == op.method
-                        && s.arg == op.arg
-                }) else {
-                    return None; // an op the history never invoked
-                };
-                completed_pending.push((span.inv, op));
-            }
-            _ => return None, // duplicated beyond the one pending slot
-        }
-    }
-    // Build the completion: drop uncompleted pending invocations, append
-    // responses for completed ones. Appending at the end adds no real-time
-    // constraints, matching the checker's treatment of completed pending
-    // operations.
-    let completed_invs: HashSet<usize> = completed_pending.iter().map(|&(inv, _)| inv).collect();
-    let dropped: HashSet<usize> = spans
-        .iter()
-        .filter(|s| !s.is_complete() && !completed_invs.contains(&s.inv))
-        .map(|s| s.inv)
-        .collect();
-    let mut actions: Vec<crate::action::Action> = history
-        .actions()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !dropped.contains(i))
-        .map(|(_, a)| *a)
-        .collect();
-    for (_, op) in &completed_pending {
-        actions.push(op.response());
-    }
-    let completion = History::from_actions(actions);
-    let kept: Vec<usize> = spans
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_complete() || completed_invs.contains(&s.inv))
-        .map(|(i, _)| i)
-        .collect();
-    Some((completion, kept))
 }
 
 /// One step of a CAL witness, as the search keeps it: the spans the
@@ -449,10 +360,13 @@ struct Expansion<'x, 'e, 'a, S: CaSpec> {
 /// pending members with spec-proposed return values.
 pub(crate) struct CalDomain<'a, S: CaSpec> {
     spec: &'a S,
-    spans: Vec<Span>,
+    /// The spans searched, in invocation order. Their action indices are
+    /// read only for their relative order, so a part of a history keeps
+    /// the whole history's.
+    spans: &'a [Span],
     /// The happens-before relation the search runs over: real-time `≺H`
     /// for CAL mode, a causal partial order for `--mode causal`.
-    hb: HbRelation,
+    hb: &'a HbRelation,
     /// The cut a goal node must reach: every complete span, which is a
     /// prefix of every chain (a pending span precedes nothing in real
     /// time and is last in its session).
@@ -466,29 +380,16 @@ pub(crate) struct CalDomain<'a, S: CaSpec> {
 }
 
 impl<'a, S: CaSpec> CalDomain<'a, S> {
-    /// Builds the domain over the real-time order `≺H`, validating the
-    /// history.
-    pub(crate) fn new(history: &History, spec: &'a S) -> Result<Self, HistoryError> {
-        Self::with_order(history, spec, |spans| Ok(HbRelation::real_time(spans)))
-    }
-
-    /// Builds the domain over the happens-before relation `order` makes
-    /// of the history's spans (the causal checker's and the streaming
-    /// window's entry point), validating the history first.
-    pub(crate) fn with_order<E: From<HistoryError>>(
-        history: &History,
-        spec: &'a S,
-        order: impl FnOnce(&[Span]) -> Result<HbRelation, E>,
-    ) -> Result<Self, E> {
-        let spans = history.try_spans()?;
-        let hb = order(&spans)?;
-        debug_assert_eq!(hb.len(), spans.len(), "hb relation built over a different history");
-        let sym = SymClasses::of_order(&spans, &hb);
+    /// The search of `spans` — a well-formed history's, or a part of
+    /// them — over `hb`, a relation built over exactly those spans.
+    pub(crate) fn new(spans: &'a [Span], hb: &'a HbRelation, spec: &'a S) -> Self {
+        debug_assert_eq!(hb.len(), spans.len(), "hb relation built over different spans");
+        let sym = SymClasses::of_order(spans, hb);
         let mut goal = hb.empty_cut();
         for (i, _) in spans.iter().enumerate().filter(|(_, s)| s.is_complete()) {
             hb.take(&mut goal, i);
         }
-        Ok(CalDomain { spec, spans, hb, goal, sym, start: None })
+        CalDomain { spec, spans, hb, goal, sym, start: None }
     }
 
     /// Starts every later search from `state` instead of the
@@ -540,15 +441,10 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         CaElement::new(ops[0].object, ops).expect("the search built this element before")
     }
 
-    /// A [`merge_by_order`] entry: `step`'s element keyed by its
-    /// operations' `(maxinv, minresp)` in the whole history, of which
-    /// this domain's is a projection — `index` maps each of its action
-    /// indices to the whole history's.
-    fn keyed_element(&self, step: &CalStep, index: &[usize]) -> (CaElement, usize, usize) {
-        let spans = || step.subset.iter().map(|i| &self.spans[i]);
-        let maxinv = spans().map(|s| index[s.inv]).max().unwrap_or(0);
-        let minresp = spans().map(|s| s.resp.map_or(usize::MAX, |r| index[r])).min();
-        (self.element_of(step), maxinv, minresp.unwrap_or(usize::MAX))
+    /// The largest action index among the invocations `step` matched:
+    /// its entry in [`stitch`].
+    fn last_invocation(&self, step: &CalStep) -> usize {
+        step.subset.iter().map(|i| self.spans[i].inv).max().unwrap_or(0)
     }
 
     /// Grows the candidate subset over `minimal[from..]` and tries every
@@ -1096,10 +992,12 @@ mod tests {
     /// canonical forms of those reached without. Returns whether the
     /// history had a node that is not its own canonical form.
     fn assert_one_successor_per_orbit<S: CaSpec>(history: &History, spec: &S) -> bool {
-        let domain = CalDomain::new(history, spec).unwrap();
+        let spans = history.spans();
+        let hb = HbRelation::real_time(&spans);
+        let domain = CalDomain::new(&spans, &hb, spec);
         let classes = domain.sym.classes();
         let canon = |(cut, state): &NodeOf<S>| {
-            (canonical_by_full_scan(&domain.hb, classes, cut), state.clone())
+            (canonical_by_full_scan(domain.hb, classes, cut), state.clone())
         };
         let all = reachable(&domain, false);
         for node in &all {
@@ -1147,55 +1045,39 @@ mod tests {
         }
     }
 
-    // --- the per-object merge ------------------------------------------------
+    // --- stitching per-object witnesses ---------------------------------------
 
     #[test]
-    fn merge_by_order_respects_precedence() {
-        // Queue A's step responds before queue B's step is invoked.
-        let queues = vec![
-            VecDeque::from([("a", 0, 1)]),
-            VecDeque::from([("b", 2, 3)]),
-        ];
-        assert_eq!(merge_by_order(queues), vec!["a", "b"]);
-    }
-
-    /// The reference merge: `m` is the minimum over every step left,
-    /// rescanned at each emit.
-    fn merge_by_scan<T>(mut queues: Vec<VecDeque<(T, usize, usize)>>) -> Vec<T> {
-        let mut merged = Vec::new();
-        while let Some(m) = queues.iter().flat_map(|q| q.iter().map(|item| item.2)).min() {
-            let q = queues.iter().position(|q| q.front().is_some_and(|head| head.1 <= m));
-            merged.push(queues[q.unwrap()].pop_front().unwrap().0);
-        }
-        merged
-    }
-
-    #[test]
-    fn merge_by_order_emits_what_the_full_scan_emits() {
+    fn the_stitch_keeps_every_part_and_inverts_no_precedence() {
         let mut rng = StdRng::seed_from_u64(31);
         for _ in 0..500 {
             // Step `j` of a sequence that respects real time: invoked in
             // [10j, 10j + 10), responding later or never, so a step that
             // responds before another is invoked comes first. Dealt out to
-            // the queues in order, each queue respects real time too.
+            // the parts in order, each part respects real time too.
             let n = rng.gen_range(0..40usize);
             let parts = rng.gen_range(1..6usize);
-            let mut queues = vec![VecDeque::new(); parts];
-            for j in 0..n {
+            let mut dealt = vec![Vec::new(); parts];
+            let mut span = vec![(0, 0); n];
+            for (j, slot) in span.iter_mut().enumerate() {
                 let inv = 10 * j + rng.gen_range(0..10usize);
                 let resp =
                     if rng.gen_range(0..8) == 0 { usize::MAX } else { inv + rng.gen_range(1..60usize) };
-                queues[rng.gen_range(0..parts)].push_back((j, inv, resp));
+                *slot = (inv, resp);
+                dealt[rng.gen_range(0..parts)].push((j, inv));
             }
-            let mut span = vec![(0, 0); n];
-            for &(j, inv, resp) in queues.iter().flatten() {
-                span[j] = (inv, resp);
+            let stitched = stitch(dealt.clone());
+            let mut at = vec![usize::MAX; n];
+            for (k, &j) in stitched.iter().enumerate() {
+                assert_eq!(at[j], usize::MAX, "{j} emitted twice");
+                at[j] = k;
             }
-            let merged = merge_by_order(queues.clone());
-            assert_eq!(merged, merge_by_scan(queues));
-            assert_eq!(merged.len(), n);
-            for (a, &first) in merged.iter().enumerate() {
-                for &later in &merged[a + 1..] {
+            assert!(at.iter().all(|&k| k < n), "a step went missing");
+            for part in &dealt {
+                assert!(part.windows(2).all(|w| at[w[0].0] < at[w[1].0]), "part order lost");
+            }
+            for (a, &first) in stitched.iter().enumerate() {
+                for &later in &stitched[a + 1..] {
                     assert!(span[later].1 >= span[first].0, "{later} responds before {first}");
                 }
             }

@@ -166,33 +166,7 @@ impl History {
     ///
     /// Returns the first violation found, in action order.
     pub fn validate(&self) -> Result<(), HistoryError> {
-        // Pending invocation per thread: (object, method).
-        let mut pending: Vec<(ThreadId, ObjectId, Method)> = Vec::new();
-        for (index, a) in self.actions.iter().enumerate() {
-            let t = a.thread();
-            let slot = pending.iter().position(|(pt, _, _)| *pt == t);
-            match a.kind() {
-                ActionKind::Invoke(_) => {
-                    if slot.is_some() {
-                        return Err(HistoryError::NestedInvocation { index, thread: t });
-                    }
-                    pending.push((t, a.object(), a.method()));
-                }
-                ActionKind::Response(_) => match slot {
-                    None => {
-                        return Err(HistoryError::ResponseWithoutInvocation { index, thread: t })
-                    }
-                    Some(i) => {
-                        let (_, o, m) = pending[i];
-                        if o != a.object() || m != a.method() {
-                            return Err(HistoryError::MismatchedResponse { index, thread: t });
-                        }
-                        pending.swap_remove(i);
-                    }
-                },
-            }
-        }
-        Ok(())
+        validate(&self.actions)
     }
 
     /// Returns `true` if the history is well-formed (Def. 2).
@@ -255,30 +229,6 @@ impl History {
         }
     }
 
-    /// The threads that appear in the history, deduplicated, in first-use
-    /// order.
-    pub fn threads(&self) -> Vec<ThreadId> {
-        let mut ts = Vec::new();
-        for a in &self.actions {
-            if !ts.contains(&a.thread()) {
-                ts.push(a.thread());
-            }
-        }
-        ts
-    }
-
-    /// The objects that appear in the history, deduplicated, in first-use
-    /// order.
-    pub fn objects(&self) -> Vec<ObjectId> {
-        let mut os = Vec::new();
-        for a in &self.actions {
-            if !os.contains(&a.object()) {
-                os.push(a.object());
-            }
-        }
-        os
-    }
-
     /// Matches invocations with their responses, producing one [`Span`] per
     /// operation, in invocation order.
     ///
@@ -296,36 +246,7 @@ impl History {
     ///
     /// Returns the well-formedness violation, if any.
     pub fn try_spans(&self) -> Result<Vec<Span>, HistoryError> {
-        self.validate()?;
-        let mut spans: Vec<Span> = Vec::new();
-        // Pending span index per thread.
-        let mut pending: Vec<(ThreadId, usize)> = Vec::new();
-        for (index, a) in self.actions.iter().enumerate() {
-            match a.kind() {
-                ActionKind::Invoke(arg) => {
-                    pending.push((a.thread(), spans.len()));
-                    spans.push(Span {
-                        inv: index,
-                        resp: None,
-                        thread: a.thread(),
-                        object: a.object(),
-                        method: a.method(),
-                        arg,
-                        ret: None,
-                    });
-                }
-                ActionKind::Response(ret) => {
-                    let i = pending
-                        .iter()
-                        .position(|(t, _)| *t == a.thread())
-                        .expect("validated above");
-                    let (_, si) = pending.swap_remove(i);
-                    spans[si].resp = Some(index);
-                    spans[si].ret = Some(ret);
-                }
-            }
-        }
-        Ok(spans)
+        spans_of(&self.actions)
     }
 
     /// The completed operations of the history, in invocation order.
@@ -416,6 +337,69 @@ impl History {
             }
         }
     }
+}
+
+/// [`History::validate`] over a slice of actions.
+fn validate(actions: &[Action]) -> Result<(), HistoryError> {
+    // Pending invocation per thread: (object, method).
+    let mut pending: Vec<(ThreadId, ObjectId, Method)> = Vec::new();
+    for (index, a) in actions.iter().enumerate() {
+        let t = a.thread();
+        let slot = pending.iter().position(|(pt, _, _)| *pt == t);
+        match a.kind() {
+            ActionKind::Invoke(_) => {
+                if slot.is_some() {
+                    return Err(HistoryError::NestedInvocation { index, thread: t });
+                }
+                pending.push((t, a.object(), a.method()));
+            }
+            ActionKind::Response(_) => match slot {
+                None => return Err(HistoryError::ResponseWithoutInvocation { index, thread: t }),
+                Some(i) => {
+                    let (_, o, m) = pending[i];
+                    if o != a.object() || m != a.method() {
+                        return Err(HistoryError::MismatchedResponse { index, thread: t });
+                    }
+                    pending.swap_remove(i);
+                }
+            },
+        }
+    }
+    Ok(())
+}
+
+/// [`History::try_spans`] over a slice of actions: how the streaming
+/// checker reads its window's spans without copying the window into a
+/// [`History`]. Span indices are positions in `actions`.
+pub(crate) fn spans_of(actions: &[Action]) -> Result<Vec<Span>, HistoryError> {
+    validate(actions)?;
+    let mut spans: Vec<Span> = Vec::new();
+    // Pending span index per thread.
+    let mut pending: Vec<(ThreadId, usize)> = Vec::new();
+    for (index, a) in actions.iter().enumerate() {
+        match a.kind() {
+            ActionKind::Invoke(arg) => {
+                pending.push((a.thread(), spans.len()));
+                spans.push(Span {
+                    inv: index,
+                    resp: None,
+                    thread: a.thread(),
+                    object: a.object(),
+                    method: a.method(),
+                    arg,
+                    ret: None,
+                });
+            }
+            ActionKind::Response(ret) => {
+                let i =
+                    pending.iter().position(|(t, _)| *t == a.thread()).expect("validated above");
+                let (_, si) = pending.swap_remove(i);
+                spans[si].resp = Some(index);
+                spans[si].ret = Some(ret);
+            }
+        }
+    }
+    Ok(spans)
 }
 
 impl FromIterator<Action> for History {
@@ -830,9 +814,10 @@ impl HbRelation {
     /// Whether this relation is the real-time order of the spans it was
     /// built from — it is exactly when [`HbRelation::real_time`] built it.
     /// [`crate::causal::check_causal_with`] reads it to hand a real-time
-    /// order to the CAL check, whose per-object split and `(maxinv,
-    /// minresp)` witness merge hold under real time only, without
-    /// consulting span timestamps itself.
+    /// order to the CAL check, whose per-object split and witness stitch
+    /// (each element placed at the running maximum of its part's
+    /// invocation indices) hold under real time only, without consulting
+    /// span timestamps itself.
     pub fn is_real_time(&self) -> bool {
         matches!(self.shape, Shape::Ranks(_))
     }
@@ -1194,13 +1179,6 @@ mod tests {
         h.push_complete(Operation::new(ThreadId(1), E, EX, Value::Int(2), Value::Pair(false, 2)));
         assert!(h.is_sequential());
         assert!(h.is_complete());
-    }
-
-    #[test]
-    fn threads_and_objects_listed_in_first_use_order() {
-        let h = History::from_actions(vec![inv(2, 1), inv(1, 2), res(2, false, 1), res(1, false, 2)]);
-        assert_eq!(h.threads(), vec![ThreadId(2), ThreadId(1)]);
-        assert_eq!(h.objects(), vec![E]);
     }
 
     #[test]

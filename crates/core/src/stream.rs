@@ -151,11 +151,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use crate::action::Action;
-use crate::causal::CausalOrderError;
 use crate::check::CalDomain;
 use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, Verdict};
 use crate::format::{Format, StreamDecoder, WireItem};
-use crate::history::{HbRelation, History, HistoryError, Span};
+use crate::history::{spans_of, HbRelation, HistoryError, Span};
 use crate::ids::{ObjectId, ThreadId};
 use crate::obs::JsonLine;
 use crate::op::Operation;
@@ -637,17 +636,21 @@ impl<S: CaSpec> StreamChecker<S> {
         self.find_part(object).expect("every admitted object has a part")
     }
 
-    /// The parts `window[..upto]` holds operations of, in order of first
-    /// appearance. (A response's invocation is in the window before it.)
-    fn touched(&self, upto: usize) -> Vec<usize> {
-        let mut touched = Vec::new();
-        for a in self.window[..upto].iter().filter(|a| a.is_invoke()) {
-            let k = self.part_of(a.object());
-            if !touched.contains(&k) {
-                touched.push(k);
+    /// The spans of `window[..upto]`, read once and given to the parts
+    /// that decide them, parts in order of first appearance. Each span
+    /// keeps its window indices. (Admission keeps the window, and so its
+    /// every prefix, well-formed.)
+    fn spans_by_part(&self, upto: usize) -> Vec<(usize, Vec<Span>)> {
+        let spans = spans_of(&self.window[..upto]).expect("admission keeps the window well-formed");
+        let mut parts: Vec<(usize, Vec<Span>)> = Vec::new();
+        for span in spans {
+            let k = self.part_of(span.object);
+            match parts.iter_mut().find(|(j, _)| *j == k) {
+                Some((_, part)) => part.push(span),
+                None => parts.push((k, vec![span])),
             }
         }
-        touched
+        parts
     }
 
     /// Whether the window holds its cap of `max_window` invocations (`0`
@@ -816,7 +819,7 @@ impl<S: CaSpec> StreamChecker<S> {
         // by the hb-closure rules below. A malformed declaration (cycle)
         // blocks every cut here; `evaluate` surfaces the error.
         let window_hb = if self.opts.causal && !self.window.is_empty() {
-            let spans = History::from_actions(self.window.clone()).spans();
+            let spans = spans_of(&self.window).expect("admission keeps the window well-formed");
             match self.causal_relation(&spans) {
                 Ok(hb) => Some((hb, spans.len())),
                 Err(_) => return None,
@@ -947,40 +950,21 @@ impl<S: CaSpec> StreamChecker<S> {
         HbRelation::causal(spans, &edges)
     }
 
-    /// The one search problem of a part over `window[..upto]` — of the
-    /// actions on `object` there, or of them all for the unsplit part:
-    /// spans, order (real time, or the causal relation in causal mode)
-    /// and symmetry classes built once, then searched from each of the
-    /// part's states. `spec` is the part's, passed apart so that the
-    /// domain borrows that alone and callers keep counting into
-    /// `self.stats` while it lives.
+    /// The order a part's window spans are searched over: real time, or
+    /// the causal relation in causal mode (whose one part holds every
+    /// span of the window prefix, as [`StreamChecker::causal_relation`]
+    /// counts them).
     ///
     /// # Errors
     ///
-    /// As [`StreamChecker::causal_relation`]; admission keeps the window
-    /// well-formed, so outside causal mode this cannot fail.
-    fn window_domain<'s>(
-        &self,
-        spec: &'s S,
-        upto: usize,
-        object: Option<ObjectId>,
-    ) -> Result<CalDomain<'s, S>, CausalOrderError> {
-        // (The causal relation counts spans by admission order: it reads
-        // against the whole window, which is what a causal stream's one
-        // part is given.)
-        debug_assert!(object.is_none() || !self.opts.causal);
-        let actions = &self.window[..upto];
-        let segment = History::from_actions(match object {
-            None => actions.to_vec(),
-            Some(o) => actions.iter().filter(|a| a.object() == o).copied().collect(),
-        });
-        CalDomain::with_order(&segment, spec, |spans| {
-            if self.opts.causal {
-                Ok(self.causal_relation(spans)?)
-            } else {
-                Ok(HbRelation::real_time(spans))
-            }
-        })
+    /// As [`StreamChecker::causal_relation`]; outside causal mode this
+    /// cannot fail.
+    fn order(&self, spans: &[Span]) -> Result<HbRelation, crate::history::HbError> {
+        if self.opts.causal {
+            self.causal_relation(spans)
+        } else {
+            Ok(HbRelation::real_time(spans))
+        }
     }
 
     /// Advances every part the closed segment `window[..cut]` touches to
@@ -1053,16 +1037,17 @@ impl<S: CaSpec> StreamChecker<S> {
         // reached from two of them is expanded once, and the distinct end
         // states are kept as they are discovered.
         let mut staged: Vec<(usize, Vec<S::State>)> = Vec::new();
-        for k in self.touched(cut) {
-            let part = &self.parts[k];
-            let spec = part.spec.as_ref().unwrap_or(&self.spec);
-            let domain = match self.window_domain(spec, cut, part.object) {
-                Ok(domain) => domain,
+        for (k, spans) in self.spans_by_part(cut) {
+            let hb = match self.order(&spans) {
+                Ok(hb) => hb,
                 Err(e) => {
                     self.last_error = Some(e.to_string());
                     return Segment::Stays;
                 }
             };
+            let part = &self.parts[k];
+            let spec = part.spec.as_ref().unwrap_or(&self.spec);
+            let domain = CalDomain::new(&spans, &hb, spec);
             let roots = part.reach.iter().map(|q| domain.root(q.clone())).collect();
             let mut next: Vec<S::State> = Vec::new();
             let mut seen: HashSet<S::State> = HashSet::new();
@@ -1102,17 +1087,18 @@ impl<S: CaSpec> StreamChecker<S> {
     fn evaluate(&mut self) {
         let upto = self.window.len();
         let mut undecided: Option<UndecidedWhy> = None;
-        for k in self.touched(upto) {
-            let part = &self.parts[k];
-            let spec = part.spec.as_ref().unwrap_or(&self.spec);
-            let mut domain = match self.window_domain(spec, upto, part.object) {
-                Ok(domain) => domain,
+        for (k, spans) in self.spans_by_part(upto) {
+            let hb = match self.order(&spans) {
+                Ok(hb) => hb,
                 Err(e) => {
                     self.last_error = Some(e.to_string());
                     self.last_eval = StreamVerdict::Undecided(UndecidedWhy::CheckerError);
                     return;
                 }
             };
+            let part = &self.parts[k];
+            let spec = part.spec.as_ref().unwrap_or(&self.spec);
+            let mut domain = CalDomain::new(&spans, &hb, spec);
             let mut explained = false;
             let mut why: Option<UndecidedWhy> = None;
             for q in &part.reach {

@@ -95,7 +95,8 @@ proptest! {
     fn interleaved_histories_are_well_formed(h in arb_history()) {
         prop_assert!(h.is_well_formed());
         // Per-thread projections are sequential.
-        for t in h.threads() {
+        let threads: std::collections::HashSet<_> = h.actions().iter().map(|a| a.thread()).collect();
+        for t in threads {
             prop_assert!(h.project_thread(t).is_sequential());
         }
     }

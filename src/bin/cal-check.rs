@@ -504,8 +504,8 @@ impl Job {
             Ok(order) => order,
             Err(e) => return (Checked::Error(e), None),
         };
-        let object =
-            self.object.or_else(|| history.objects().first().copied()).unwrap_or(ObjectId(0));
+        let first = history.actions().first().map(|a| a.object());
+        let object = self.object.or(first).unwrap_or(ObjectId(0));
         let sink = want_report.then(|| Arc::new(CountingSink::new()));
         let options =
             CheckOptions { sink: sink.clone().map(|s| s as Arc<dyn StatsSink>), ..options.clone() };

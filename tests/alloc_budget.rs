@@ -26,8 +26,11 @@
 //! order, with a reads-from edge a read, is built in 32 MiB (two `n × n`
 //! bit matrices, 2.5 GB, before the order kept vector clocks). A history
 //! of as many operations over sixteen keys is split by key before any
-//! order is built, and checked in 48 MiB (53 when the whole history's
-//! order was built first and thrown away).
+//! order is built, and checked in 41 MiB (53 when the whole history's
+//! order was built first and thrown away, 42.5 when the history was
+//! projected by key). A causal check of 10⁵ operations over 64 sessions
+//! is held to 48 MiB: its order's vector clocks take 49 MiB, so the
+//! check must borrow the order, not copy it (93 MiB when it did).
 //!
 //! The wire in front of the stream checker is held to the same kind of
 //! statement: a Jepsen record costs `decode_line` the `Vec` it returns
@@ -41,6 +44,7 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, CheckStats, Verdict};
 use cal::core::format::{format_jepsen, format_kvlog, StreamDecoder};
 use cal::core::history::HbRelation;
@@ -48,10 +52,10 @@ use cal::core::spec::{CaSpec, SeqAsCa};
 use cal::core::stream::{
     Ingest, LineSplitter, Push, Reply, StreamChecker, StreamOptions, StreamVerdict,
 };
-use cal::core::History;
+use cal::core::{History, ThreadId};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::kv::KvMapSpec;
-use cal::specs::register::RegisterSpec;
+use cal::specs::register::{write_op, RegisterSpec};
 use common::{
     exchanger_windows, identical_exchanges, kv_rounds, kv_stream, pipelined_register_history, O,
 };
@@ -432,11 +436,13 @@ fn a_long_history_is_checked_in_memory_its_concurrency_bounds() {
 
 #[test]
 fn a_history_split_by_object_builds_no_order_of_the_whole() {
-    // Sixteen keys, four clients: the check splits into sixteen
-    // sequential projections before anything is built, so it holds their
-    // orders and nothing of the whole history's. Building the whole
-    // history's order, spans and symmetry classes first held 53.1 MiB
-    // live (42.5 without) and made 301,895 allocations, the bound below.
+    // Sixteen keys, four clients: the check partitions the history's
+    // spans by key before any order is built, so it holds sixteen
+    // sequential parts' orders and nothing of the whole history's.
+    // Building the whole history's order, spans and symmetry classes
+    // first held 53.1 MiB live and made 301,895 allocations; projecting
+    // the history by key, 42.5 MiB and 201,867; partitioning its spans,
+    // 37.4 MiB and 201,057.
     const OPS: u64 = 100_000;
     let history = kv_rounds(OPS as usize);
     let kv = SeqAsCa::new(KvMapSpec::new());
@@ -445,8 +451,8 @@ fn a_history_split_by_object_builds_no_order_of_the_whole() {
     });
     let witness = outcome.verdict.witness().expect("accepted");
     assert_eq!((outcome.stats.nodes, witness.len() as u64), (OPS, OPS));
-    assert!(peak < 48 * MIB, "{OPS} operations held {} MiB live", peak / MIB);
-    assert!(allocations <= 301_895, "{allocations} allocations for {OPS} operations");
+    assert!(peak < 41 * MIB, "{OPS} operations held {} MiB live", peak / MIB);
+    assert!(allocations <= 221_000, "{allocations} allocations for {OPS} operations");
     // The oracle is quadratic in the history's length and recurses once
     // an element: 1.6 s optimized, 90 s without on a 2-core host, so it
     // runs where this binary is meant to (`--release`), on a thread with
@@ -459,6 +465,30 @@ fn a_history_split_by_object_builds_no_order_of_the_whole() {
         });
         assert!(explained, "the merged witness does not explain the history");
     }
+}
+
+#[test]
+fn a_causal_check_lends_its_order_to_the_search() {
+    // Sixty-four sessions taking turns, one write each, chained by
+    // declared edges into one total order: a search node an operation.
+    // The order keeps two vector clocks of 64 counts a span, 49 MiB in
+    // all, built before the check; a check that copied it would hold
+    // that much again.
+    const OPS: usize = 100_000;
+    let mut history = History::new();
+    for k in 0..OPS {
+        history.push_complete(write_op(O, ThreadId((k % 64) as u32), k as i64 + 1));
+    }
+    let edges: Vec<(usize, usize)> = (1..OPS).map(|k| (k - 1, k)).collect();
+    let hb = HbRelation::causal(&history.spans(), &edges).unwrap();
+    assert_eq!(hb.width(), 64);
+    let register = SeqAsCa::new(RegisterSpec::new(O));
+    let (outcome, peak) = peak_live(|| {
+        check_causal_with(&history, &register, &hb, &CheckOptions::default()).unwrap()
+    });
+    assert!(outcome.verdict.is_cal(), "{:?}", outcome.verdict);
+    assert_eq!(outcome.stats.nodes, OPS as u64);
+    assert!(peak < 48 * MIB, "a causal check of {OPS} operations held {} MiB", peak / MIB);
 }
 
 /// Whether `to` is reachable from `from` along `succs`: the definition of
