@@ -350,7 +350,10 @@ fn hard_cal_stack_block(object: ObjectId, base: u32, k: i64) -> Vec<Action> {
 /// **decompose/kv-keys/{16,1000,10000}**: 10⁵ map operations over that
 /// many keys with one value written twice, so `run_ca` falls back from
 /// zones to the per-key split; 10,000 keys must take at most 3× the time
-/// of 16 (asserted).
+/// of 16 (asserted). **spans/clients/{100,10000}**: 10⁵ map writes of
+/// distinct values in rounds of that many concurrent clients, through
+/// `History::try_spans` and through `run_ca` (zones decide it); at 10,000
+/// clients each must take at most 3× the time of 100 (asserted).
 pub fn e14(b: &mut Bench) {
     const OBJECTS: u32 = 4;
     let mut actions: Vec<Action> =
@@ -441,6 +444,42 @@ pub fn e14(b: &mut Bench) {
         }
     }
     assert!(ratio <= 3.0, "10,000 keys took {ratio:.2}x the time of 16");
+
+    // Def. 2's cost in the number of clients open at once: matching a
+    // response to its invocation must not scan the other clients.
+    let histories = [100, 10_000].map(|clients| (clients, kv_clients(100_000, clients)));
+    for (clients, h) in &histories {
+        b.exact(format!("spans/clients/{clients}/try-spans"), ["spans"], || {
+            [h.try_spans().expect("a well-formed history").len() as u64]
+        });
+    }
+    let ratio = b.versus("spans/clients/100/try-spans");
+    assert!(ratio <= 3.0, "try_spans at 10,000 clients took {ratio:.2}x the time of 100");
+    for (clients, h) in &histories {
+        b.exact(format!("spans/clients/{clients}/run-ca"), ["nodes", "zones"], || {
+            let out = run_ca(h, &kv, None, &one).unwrap();
+            assert!(out.verdict.is_cal(), "expected an acceptance");
+            [out.stats.nodes, out.stats.zones]
+        });
+    }
+    let ratio = b.versus("spans/clients/100/run-ca");
+    assert!(ratio <= 3.0, "run_ca at 10,000 clients took {ratio:.2}x the time of 100");
+}
+
+/// `ops` writes of distinct values on a map of 16 registers by `clients`
+/// clients, in rounds of `clients` concurrent writes: every client
+/// invokes, then every client responds, in the same order. Every value is
+/// written once, so [`run_ca`] decides the history by zones.
+fn kv_clients(ops: usize, clients: usize) -> History {
+    let mut h = History::new();
+    for first in (0..ops).step_by(clients) {
+        let round: Vec<Operation> = (first..ops.min(first + clients))
+            .map(|k| write_op(ObjectId(k as u32 % 16), ThreadId((k % clients) as u32), k as i64 + 1))
+            .collect();
+        round.iter().for_each(|op| h.push(op.invocation()));
+        round.iter().for_each(|op| h.push(op.response()));
+    }
+    h
 }
 
 /// `ops` operations on a map of `keys` registers by four clients, in

@@ -78,11 +78,12 @@
 //! ```
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt::{self, Write as _};
 
 use crate::action::Action;
-use crate::history::{History, HistoryError};
+use crate::history::{History, HistoryError, Threads};
 use crate::ids::{Method, ObjectId, ThreadId, Value};
 use crate::text::{self, ParseError};
 
@@ -300,7 +301,7 @@ fn finish(actions: Vec<Action>, lines: &[usize]) -> Result<History, FormatError>
 /// so it is an error.
 #[derive(Debug, Default, Clone)]
 struct KeyMap {
-    names: Vec<String>,
+    names: HashMap<String, u32>,
     saw_int: bool,
 }
 
@@ -320,11 +321,12 @@ impl KeyMap {
         if self.saw_int {
             return fail(line, field, "cannot mix integer and string keys in one history");
         }
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return Ok(ObjectId(i as u32));
+        if let Some(&id) = self.names.get(name) {
+            return Ok(ObjectId(id));
         }
-        self.names.push(name.to_string());
-        Ok(ObjectId((self.names.len() - 1) as u32))
+        let id = self.names.len() as u32;
+        self.names.insert(name.to_string(), id);
+        Ok(ObjectId(id))
     }
 }
 
@@ -655,34 +657,48 @@ enum JStep {
     Invoke(Action),
     /// The matching response completing the process's pending operation.
     Complete(Action),
-    /// `:fail` — the operation did not happen; retract its invocation.
-    Fail(ThreadId),
+    /// `:fail` — the operation did not happen; retract its invocation,
+    /// the action at this index.
+    Fail(ThreadId, usize),
     /// `:info` — outcome unknown; the invocation stays pending forever.
     Info(ThreadId),
 }
 
 /// The per-process decode state shared by the batch parser and the
-/// streaming decoder: pending invocations, retired (crashed) processes,
-/// and the key-interning table.
+/// streaming decoder: one record a process, and the key-interning table.
 #[derive(Debug, Default)]
 struct JepsenState {
     keys: KeyMap,
-    /// Open invocations: process, key, method, and the invocation
-    /// argument (kept to recognize etcd-style echoed write acks).
-    pending: Vec<(ThreadId, ObjectId, Method, Value)>,
-    retired: Vec<ThreadId>,
+    processes: Threads<Process>,
+}
+
+/// A jepsen process, as its record in [`JepsenState`]'s table.
+#[derive(Debug, Default)]
+struct Process {
+    /// Its open invocation: key, method, the invocation argument (kept to
+    /// recognize etcd-style echoed write acks), and the index its action
+    /// took in the history.
+    pending: Option<(ObjectId, Method, Value, usize)>,
+    /// An `:info` retired it (it crashed); it may invoke no more.
+    retired: bool,
 }
 
 impl JepsenState {
-    fn step(&mut self, line: usize, text: &str) -> Result<JStep, FormatError> {
+    /// Decodes one record; `at` is the index an invocation's action takes
+    /// in the history (the streaming decoder, which builds none, passes 0).
+    fn step(&mut self, line: usize, text: &str, at: usize) -> Result<JStep, FormatError> {
         let rec = parse_record(line, text)?;
         let t = ThreadId(rec.process);
+        // A process gets its record when it first invokes: a record that
+        // is refused leaves the table as it was.
+        let found = self.processes.find(t);
+        let process = found.map(|slot| &self.processes.records[slot]);
         match rec.kind {
             RecordKind::Invoke => {
-                if self.retired.contains(&t) {
+                if process.is_some_and(|p| p.retired) {
                     return fail(line, Some(":process"), format!("process {} re-invoked after :info retired it", rec.process));
                 }
-                if self.pending.iter().any(|(p, _, _, _)| *p == t) {
+                if process.is_some_and(|p| p.pending.is_some()) {
                     return fail(line, Some(":process"), format!("process {} already has a pending operation", rec.process));
                 }
                 let Some(name) = rec.f.as_deref() else {
@@ -703,14 +719,15 @@ impl JepsenState {
                 } else {
                     jval_to_value(line, Some(":value"), &rec.value)?
                 };
-                self.pending.push((t, object, method, arg));
+                let slot = found.unwrap_or_else(|| self.processes.slot(t));
+                self.processes.records[slot].pending = Some((object, method, arg, at));
                 Ok(JStep::Invoke(Action::invoke(t, object, method, arg)))
             }
             RecordKind::Ok => {
-                let Some(i) = self.pending.iter().position(|(p, _, _, _)| *p == t) else {
+                let open = found.and_then(|slot| self.processes.records[slot].pending.take());
+                let Some((object, method, arg, _)) = open else {
                     return fail(line, Some(":process"), format!(":ok with no pending :invoke for process {}", rec.process));
                 };
-                let (_, object, method, arg) = self.pending.swap_remove(i);
                 // etcd-style harnesses ack a write/put with nil or by
                 // echoing the written value; both normalize to unit. A
                 // put with a genuinely different return value (a
@@ -725,20 +742,19 @@ impl JepsenState {
                 Ok(JStep::Complete(Action::response(t, object, method, ret)))
             }
             RecordKind::Fail => {
-                if !self.pending.iter().any(|(p, _, _, _)| *p == t) {
+                let open = found.and_then(|slot| self.processes.records[slot].pending.take());
+                let Some((_, _, _, at)) = open else {
                     return fail(line, Some(":process"), format!(":fail with no pending :invoke for process {}", rec.process));
-                }
-                self.pending.retain(|(p, _, _, _)| *p != t);
-                Ok(JStep::Fail(t))
+                };
+                Ok(JStep::Fail(t, at))
             }
-            RecordKind::Info => {
-                if !self.pending.iter().any(|(p, _, _, _)| *p == t) {
-                    return fail(line, Some(":process"), format!(":info with no pending :invoke for process {}", rec.process));
+            RecordKind::Info => match found.filter(|&slot| self.processes.records[slot].pending.is_some()) {
+                Some(slot) => {
+                    self.processes.records[slot] = Process { pending: None, retired: true };
+                    Ok(JStep::Info(t))
                 }
-                self.pending.retain(|(p, _, _, _)| *p != t);
-                self.retired.push(t);
-                Ok(JStep::Info(t))
-            }
+                None => fail(line, Some(":process"), format!(":info with no pending :invoke for process {}", rec.process)),
+            },
         }
     }
 }
@@ -746,45 +762,29 @@ impl JepsenState {
 fn parse_jepsen(input: &str) -> Result<(Vec<Action>, Vec<usize>), FormatError> {
     let mut state = JepsenState::default();
     let mut actions: Vec<Action> = Vec::new();
+    // The source line of each action; 0 marks an invocation a `:fail`
+    // retracted, dropped with its action once every line is read.
     let mut lines: Vec<usize> = Vec::new();
-    // Index into `actions` of each process's open invocation.
-    let mut open: Vec<(ThreadId, usize)> = Vec::new();
     for (i, raw) in input.lines().enumerate() {
         let line = i + 1;
         let text = strip_comment(raw).trim();
         if text.is_empty() || text.starts_with(';') {
             continue;
         }
-        match state.step(line, text)? {
-            JStep::Invoke(a) => {
-                open.push((a.thread(), actions.len()));
+        match state.step(line, text, actions.len())? {
+            JStep::Invoke(a) | JStep::Complete(a) => {
                 actions.push(a);
                 lines.push(line);
             }
-            JStep::Complete(a) => {
-                open.retain(|(t, _)| *t != a.thread());
-                actions.push(a);
-                lines.push(line);
-            }
-            JStep::Fail(t) => {
-                let idx = open
-                    .iter()
-                    .position(|(p, _)| *p == t)
-                    .expect("step() only yields Fail for a pending process");
-                let (_, at) = open.remove(idx);
-                actions.remove(at);
-                lines.remove(at);
-                for (_, j) in open.iter_mut() {
-                    if *j > at {
-                        *j -= 1;
-                    }
-                }
-            }
-            JStep::Info(t) => {
-                // The invocation stays in the history, pending forever.
-                open.retain(|(p, _)| *p != t);
-            }
+            JStep::Fail(_, at) => lines[at] = 0,
+            // The invocation stays in the history, pending forever.
+            JStep::Info(_) => {}
         }
+    }
+    if lines.contains(&0) {
+        let mut kept = lines.iter().map(|&line| line > 0);
+        actions.retain(|_| kept.next() == Some(true));
+        lines.retain(|&line| line > 0);
     }
     Ok((actions, lines))
 }
@@ -1096,7 +1096,8 @@ pub fn format_kvlog_annotated(
     edges: &[(usize, usize)],
 ) -> Result<String, FormatError> {
     let mut out = format_kvlog(history)?;
-    let ops = history.spans().len();
+    // One operation a span, and one span an invocation.
+    let ops = history.actions().iter().filter(|a| a.is_invoke()).count();
     if edges.is_empty() {
         out.push_str("hb session\n");
         return Ok(out);
@@ -1219,9 +1220,9 @@ impl StreamDecoder {
                     emit(&[WireItem::Action(a)]);
                 }
             }
-            Format::Jepsen => match self.jepsen.step(line, text)? {
+            Format::Jepsen => match self.jepsen.step(line, text, 0)? {
                 JStep::Invoke(a) | JStep::Complete(a) => emit(&[WireItem::Action(a)]),
-                JStep::Fail(t) | JStep::Info(t) => emit(&[WireItem::Abandon(t)]),
+                JStep::Fail(t, _) | JStep::Info(t) => emit(&[WireItem::Abandon(t)]),
             },
             Format::KvLog => {
                 if text.split_whitespace().next() == Some("hb") {

@@ -5,10 +5,12 @@
 //! notions of well-formedness, sequentiality, completeness, projections
 //! `H|t` / `H|o`, the real-time order `≺H` and completions `complete(H)`.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::action::{Action, ActionKind};
+use crate::action::Action;
 use crate::ids::{Method, ObjectId, ThreadId, Value};
 use crate::op::Operation;
 
@@ -178,41 +180,20 @@ impl History {
     /// of invocations and responses starting with an invocation, each
     /// response immediately preceded by its matching invocation.
     pub fn is_sequential(&self) -> bool {
-        if !self.actions.len().is_multiple_of(2) {
-            // A sequential history may end with a pending invocation; allow
-            // an odd length only when the final action is an invocation.
-            if let Some(last) = self.actions.last() {
-                if !last.is_invoke() {
-                    return false;
-                }
-            }
-        }
-        let mut i = 0;
-        while i < self.actions.len() {
-            let inv = &self.actions[i];
-            if !inv.is_invoke() {
-                return false;
-            }
-            if i + 1 == self.actions.len() {
-                return true; // trailing pending invocation
-            }
-            let res = &self.actions[i + 1];
-            if !res.is_response()
-                || res.thread() != inv.thread()
-                || res.object() != inv.object()
-                || res.method() != inv.method()
-            {
-                return false;
-            }
-            i += 2;
-        }
-        true
+        // Def. 2 on each pair: an invocation with nothing open, then its
+        // answer by the same thread, unless the history ends first.
+        self.actions.chunks(2).all(|pair| {
+            let answered = |res: &Action| {
+                res.thread() == pair[0].thread() && admit(res, 1, Some((0, &pair[0]))).is_ok()
+            };
+            admit(&pair[0], 0, None).is_ok() && pair.get(1).is_none_or(answered)
+        })
     }
 
     /// Returns `true` if the history is complete (Def. 2): well-formed and
     /// every invocation has a matching response.
     pub fn is_complete(&self) -> bool {
-        self.is_well_formed() && self.spans().iter().all(Span::is_complete)
+        self.try_spans().is_ok_and(|spans| spans.iter().all(Span::is_complete))
     }
 
     /// The projection `H|t`: the subsequence of actions of thread `t`.
@@ -285,117 +266,152 @@ impl History {
     where
         F: FnMut(&Span) -> Vec<Value>,
     {
-        let spans = self.spans();
-        let pending: Vec<&Span> = spans.iter().filter(|s| !s.is_complete()).collect();
-        // For each pending invocation: either drop it or append a response
-        // with one of the candidate return values.
-        let mut results = Vec::new();
-        let options: Vec<Vec<Option<Value>>> = pending
-            .iter()
-            .map(|s| {
-                let mut opts: Vec<Option<Value>> = vec![None];
-                opts.extend(candidate_rets(s).into_iter().map(Some));
-                opts
-            })
-            .collect();
-        let mut choice = vec![0usize; pending.len()];
-        loop {
-            // Materialize this choice: drop pending invocations with choice
-            // 0, append a response for the others.
-            let dropped: Vec<usize> = pending
-                .iter()
-                .zip(&choice)
-                .filter(|(_, &c)| c == 0)
-                .map(|(s, _)| s.inv)
+        // Each pending invocation is dropped, or answered with one of its
+        // candidates, in every way; a dropped action is `None` until the
+        // end, so every invocation keeps its index.
+        let mut completions: Vec<Vec<Option<Action>>> =
+            vec![self.actions.iter().copied().map(Some).collect()];
+        for s in self.spans().iter().filter(|s| !s.is_complete()) {
+            let answer = |ret| Some(Action::response(s.thread, s.object, s.method, ret));
+            let answers: Vec<_> = candidate_rets(s).into_iter().map(answer).collect();
+            completions = completions
+                .into_iter()
+                .flat_map(|c| {
+                    let answered: Vec<_> = answers.iter().map(|&r| [&c[..], &[r]].concat()).collect();
+                    let mut dropped = c;
+                    dropped[s.inv] = None;
+                    std::iter::once(dropped).chain(answered)
+                })
                 .collect();
-            let mut actions: Vec<Action> = self
-                .actions
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !dropped.contains(i))
-                .map(|(_, a)| *a)
-                .collect();
-            for (k, (s, &c)) in pending.iter().zip(&choice).enumerate() {
-                if c > 0 {
-                    let ret = options[k][c].expect("non-zero choices carry values");
-                    actions.push(Action::response(s.thread, s.object, s.method, ret));
-                }
-            }
-            results.push(History::from_actions(actions));
-            // Advance the mixed-radix counter; full wrap means done.
-            let mut i = 0;
-            loop {
-                if i == choice.len() {
-                    return results;
-                }
-                choice[i] += 1;
-                if choice[i] < options[i].len() {
-                    break;
-                }
-                choice[i] = 0;
-                i += 1;
-            }
         }
+        completions.into_iter().map(|c| c.into_iter().flatten().collect()).collect()
     }
 }
 
-/// [`History::validate`] over a slice of actions.
+/// One record a thread, found with one hashed lookup however many threads
+/// there are; slots are dense, in order of first appearance. Every pass
+/// that follows threads keeps its per-thread state in one.
+#[derive(Debug, Default)]
+pub(crate) struct Threads<R> {
+    slots: HashMap<ThreadId, usize, BuildHasherDefault<ThreadHash>>,
+    /// The records, by slot.
+    pub(crate) records: Vec<R>,
+}
+
+impl<R: Default> Threads<R> {
+    /// `thread`'s slot, if it has one.
+    pub(crate) fn find(&self, thread: ThreadId) -> Option<usize> {
+        self.slots.get(&thread).copied()
+    }
+
+    /// `thread`'s slot, made with a default record if it has none.
+    pub(crate) fn slot(&mut self, thread: ThreadId) -> usize {
+        let records = &mut self.records;
+        *self.slots.entry(thread).or_insert_with(|| {
+            records.push(R::default());
+            records.len() - 1
+        })
+    }
+}
+
+/// Fibonacci hashing, folded: the product's high half depends on every
+/// bit of the id, and the fold brings it down to the bits a table picks
+/// buckets by. Ids crafted to collide make a lookup probe every thread:
+/// what the scan this table replaced did on every lookup.
+#[derive(Default)]
+struct ThreadHash(u64);
+
+impl Hasher for ThreadHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        let product = (self.0 ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = product ^ (product >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(u32::from(b)));
+    }
+}
+
+/// What Def. 2 makes of an action that keeps its history well-formed.
+#[derive(Debug)]
+pub(crate) enum Matched {
+    /// An invocation, by a thread with none open.
+    Opens,
+    /// The response to its thread's open invocation, kept at this index.
+    Closes(usize),
+}
+
+/// Def. 2, in its one copy: whether `action`, the `index`-th of a history,
+/// keeps it well-formed, given its thread's open invocation `open` (where
+/// the caller keeps it, and the action) or `None`. It changes nothing: the
+/// caller commits the answer, or refuses the action for another reason.
+///
+/// # Errors
+///
+/// The violation, anchored at `index`.
+pub(crate) fn admit(
+    action: &Action,
+    index: usize,
+    open: Option<(usize, &Action)>,
+) -> Result<Matched, HistoryError> {
+    let thread = action.thread();
+    let answers = |inv: &Action| (inv.object(), inv.method()) == (action.object(), action.method());
+    match (action.is_invoke(), open) {
+        (true, None) => Ok(Matched::Opens),
+        (true, Some(_)) => Err(HistoryError::NestedInvocation { index, thread }),
+        (false, None) => Err(HistoryError::ResponseWithoutInvocation { index, thread }),
+        (false, Some((at, inv))) if answers(inv) => Ok(Matched::Closes(at)),
+        (false, Some(_)) => Err(HistoryError::MismatchedResponse { index, thread }),
+    }
+}
+
+/// [`History::validate`] over a slice of actions, building no spans.
 fn validate(actions: &[Action]) -> Result<(), HistoryError> {
-    // Pending invocation per thread: (object, method).
-    let mut pending: Vec<(ThreadId, ObjectId, Method)> = Vec::new();
+    // Per thread, the index of its open invocation.
+    let mut open: Threads<Option<usize>> = Threads::default();
     for (index, a) in actions.iter().enumerate() {
-        let t = a.thread();
-        let slot = pending.iter().position(|(pt, _, _)| *pt == t);
-        match a.kind() {
-            ActionKind::Invoke(_) => {
-                if slot.is_some() {
-                    return Err(HistoryError::NestedInvocation { index, thread: t });
-                }
-                pending.push((t, a.object(), a.method()));
-            }
-            ActionKind::Response(_) => match slot {
-                None => return Err(HistoryError::ResponseWithoutInvocation { index, thread: t }),
-                Some(i) => {
-                    let (_, o, m) = pending[i];
-                    if o != a.object() || m != a.method() {
-                        return Err(HistoryError::MismatchedResponse { index, thread: t });
-                    }
-                    pending.swap_remove(i);
-                }
-            },
-        }
+        let slot = open.slot(a.thread());
+        let at = &mut open.records[slot];
+        *at = match admit(a, index, at.map(|i| (i, &actions[i])))? {
+            Matched::Opens => Some(index),
+            Matched::Closes(_) => None,
+        };
     }
     Ok(())
 }
 
-/// [`History::try_spans`] over a slice of actions: how the streaming
-/// checker reads its window's spans without copying the window into a
-/// [`History`]. Span indices are positions in `actions`.
+/// [`History::try_spans`] over a slice of actions, in the same one pass
+/// that validates them: how the streaming checker reads its window's
+/// spans without copying the window into a [`History`]. Span indices are
+/// positions in `actions`.
 pub(crate) fn spans_of(actions: &[Action]) -> Result<Vec<Span>, HistoryError> {
-    validate(actions)?;
     let mut spans: Vec<Span> = Vec::new();
-    // Pending span index per thread.
-    let mut pending: Vec<(ThreadId, usize)> = Vec::new();
+    // Per thread, the index of its open span.
+    let mut open: Threads<Option<usize>> = Threads::default();
     for (index, a) in actions.iter().enumerate() {
-        match a.kind() {
-            ActionKind::Invoke(arg) => {
-                pending.push((a.thread(), spans.len()));
+        let slot = open.slot(a.thread());
+        let at = &mut open.records[slot];
+        match admit(a, index, at.map(|s| (s, &actions[spans[s].inv])))? {
+            Matched::Opens => {
+                *at = Some(spans.len());
                 spans.push(Span {
                     inv: index,
                     resp: None,
                     thread: a.thread(),
                     object: a.object(),
                     method: a.method(),
-                    arg,
+                    arg: a.arg().expect("an invocation carries an argument"),
                     ret: None,
                 });
             }
-            ActionKind::Response(ret) => {
-                let i =
-                    pending.iter().position(|(t, _)| *t == a.thread()).expect("validated above");
-                let (_, si) = pending.swap_remove(i);
-                spans[si].resp = Some(index);
-                spans[si].ret = Some(ret);
+            Matched::Closes(s) => {
+                *at = None;
+                spans[s].resp = Some(index);
+                spans[s].ret = a.ret();
             }
         }
     }
@@ -751,17 +767,11 @@ impl HbRelation {
                 return Err(HbError::SelfEdge { op: from });
             }
         }
-        let mut threads: Vec<ThreadId> = Vec::new();
-        let sessions = spans.iter().map(|s| match threads.iter().position(|&t| t == s.thread) {
-            Some(c) => c,
-            None => {
-                threads.push(s.thread);
-                threads.len() - 1
-            }
-        });
+        let mut threads: Threads<()> = Threads::default();
+        let sessions = spans.iter().map(|s| threads.slot(s.thread));
         let mut lens = vec![0];
         let place = sessions.map(|c| append(&mut lens, c)).collect();
-        let (cover, width) = (Cover::new(place, lens), threads.len());
+        let (cover, width) = (Cover::new(place, lens), threads.records.len());
         // Direct adjacency: session chains plus declared edges.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indeg = vec![0usize; n];

@@ -45,13 +45,12 @@
 //!   closes — or the operation is dropped, never opened.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt::{self, Debug};
 use std::hash::Hash;
 use std::ops::Range;
 
 use crate::action::Action;
-use crate::history::{History, HistoryError, Span};
+use crate::history::{History, HistoryError, Span, Threads};
 use crate::ids::{Method, ObjectId, ThreadId, Value};
 use crate::op::Operation;
 use crate::spec::{CaSpec, Invocation, SeqSpec};
@@ -221,25 +220,26 @@ impl<'a, S: IntervalSpec> IntervalAsCa<'a, S> {
     /// The well-formedness violation, if `history` is not well-formed.
     pub fn new(spec: &'a S, history: &History) -> Result<(Self, History), HistoryError> {
         let spans = history.try_spans()?;
-        // Per thread: its dense number and the span it is in.
-        let mut threads: HashMap<ThreadId, (u32, usize)> = HashMap::new();
+        // Per thread, by its dense number: the span it is in.
+        let mut threads: Threads<usize> = Threads::default();
         let mut openers = Vec::with_capacity(spans.len());
         let mut actions = Vec::with_capacity(2 * history.len() + 2);
         for action in history.actions() {
-            let next = u32::try_from(threads.len()).expect("fewer than 2^31 threads");
-            let (d, i) = threads.entry(action.thread()).or_insert((next, 0));
+            let slot = threads.slot(action.thread());
+            let d = u32::try_from(slot).expect("fewer than 2^31 threads");
+            let i = &mut threads.records[slot];
             let half: fn(ThreadId, ObjectId, Method, Value) -> Action = if action.is_invoke() {
                 *i = openers.len();
-                openers.push(ThreadId(2 * *d));
+                openers.push(ThreadId(2 * d));
                 Action::invoke
             } else {
                 Action::response
             };
-            for thread in [ThreadId(2 * *d), ThreadId(2 * *d + 1)] {
+            for thread in [ThreadId(2 * d), ThreadId(2 * d + 1)] {
                 actions.push(half(thread, action.object(), action.method(), index(*i)));
             }
         }
-        let end = ThreadId(2 * threads.len() as u32);
+        let end = ThreadId(2 * threads.records.len() as u32);
         actions.push(Action::invoke(end, ObjectId(0), END, Value::Unit));
         actions.push(Action::response(end, ObjectId(0), END, Value::Unit));
         Ok((IntervalAsCa { spec, spans, openers, end }, History::from_actions(actions)))

@@ -72,9 +72,10 @@
 //! Everything that can go wrong is a *result*, never a panic or an
 //! abort:
 //!
-//! - **Ill-formed events** (nested invocation, orphan response) are
-//!   rejected with the matching [`HistoryError`] and do not perturb the
-//!   window ([`Push::Rejected`]).
+//! - **Ill-formed events** are rejected by Def. 2's one rule, the batch's
+//!   own: with the [`HistoryError`] `History::try_spans` of the admitted
+//!   events plus this one gives, leaving the window as it was
+//!   ([`Push::Rejected`]).
 //! - **Window saturation**: when the invocation cap is reached and
 //!   retirement cannot free space, [`StreamChecker::push`] returns
 //!   [`Push::Saturated`] so the caller can apply backpressure (pause
@@ -154,7 +155,7 @@ use crate::action::Action;
 use crate::check::CalDomain;
 use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, Verdict};
 use crate::format::{Format, StreamDecoder, WireItem};
-use crate::history::{spans_of, HbRelation, HistoryError, Span};
+use crate::history::{admit, spans_of, HbRelation, HistoryError, Matched, Span, Threads};
 use crate::ids::{ObjectId, ThreadId};
 use crate::obs::JsonLine;
 use crate::op::Operation;
@@ -401,10 +402,8 @@ pub struct StreamChecker<S: CaSpec> {
     /// product: one part per object admitted so far, or the one part that
     /// decides every object (see [`Part`]).
     parts: Vec<Part<S>>,
-    /// Open invocations: `(thread, index into window)`.
-    pending: Vec<(ThreadId, usize)>,
-    /// Window indices of pending invocations whose client is gone.
-    abandoned: Vec<usize>,
+    /// A [`Client`] record for every thread that has invoked.
+    threads: Threads<Client>,
     /// Causal mode: declared happens-before edges by *global operation
     /// ordinal* (invocation admission order; the window's first
     /// operation has ordinal `stats.retired_ops`). Edges whose source
@@ -419,10 +418,6 @@ pub struct StreamChecker<S: CaSpec> {
     /// [`StreamChecker::finish`] ran: no further operation can arrive,
     /// so causal-mode cuts stop anticipating future operations.
     closed: bool,
-    /// Causal mode: each seen thread's most recent operation, as a
-    /// global ordinal — the proxy for the thread's future operations in
-    /// the hb-closure cut rule (see the module docs).
-    last_seen: Vec<(ThreadId, u64)>,
     /// Global ordinal of the next admitted invocation.
     op_seq: u64,
     /// Verdict of the last window evaluation (Consistent or a
@@ -431,6 +426,20 @@ pub struct StreamChecker<S: CaSpec> {
     last_error: Option<String>,
     since_checkpoint: usize,
     stats: StreamStats,
+}
+
+/// A thread of the stream, as its record in the stream's [`Threads`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Client {
+    /// Its open invocation, as an admitted-event ordinal: the window holds
+    /// event `e` at `e - retired_actions`. One below that was abandoned,
+    /// sealed and retired with its segment, and is open no more.
+    open: Option<u64>,
+    /// Its client is gone: under window pressure `open` may be sealed.
+    abandoned: bool,
+    /// Its latest operation's global ordinal: in causal mode the proxy for
+    /// its future operations in the hb-closure cut rule (module docs).
+    last: u64,
 }
 
 /// One factor of the reachable-state set `Q = ∏ Q_o` (module docs, "The
@@ -499,14 +508,12 @@ impl<S: CaSpec> StreamChecker<S> {
             opts,
             window: Vec::new(),
             parts: Vec::new(),
-            pending: Vec::new(),
-            abandoned: Vec::new(),
+            threads: Threads::default(),
             edges: Vec::new(),
             violated: false,
             degraded: false,
             stale: false,
             closed: false,
-            last_seen: Vec::new(),
             op_seq: 0,
             last_eval: StreamVerdict::Consistent,
             last_error: None,
@@ -524,37 +531,19 @@ impl<S: CaSpec> StreamChecker<S> {
             self.stats.refused += 1;
             return Push::Refused;
         }
-        // Incremental well-formedness: mirror `History::validate` so an
-        // ill-formed event never reaches (and never corrupts) the window.
-        // Error indices count admitted events, i.e. the index the action
-        // would have had in the admitted history.
+        // Def. 2 against the thread's record, before anything is committed:
+        // an ill-formed event never reaches the window, and its error's
+        // index counts admitted events, as the admitted history would.
         let index = self.stats.events as usize;
-        let thread = action.thread();
-        let mut closes: Option<usize> = None;
-        if action.is_invoke() {
-            if self.pending.iter().any(|&(t, _)| t == thread) {
+        let slot = self.threads.find(action.thread());
+        let open = slot.and_then(|slot| self.open_at(&self.threads.records[slot]));
+        let matched = match admit(&action, index, open.map(|at| (at, &self.window[at]))) {
+            Ok(matched) => matched,
+            Err(e) => {
                 self.stats.rejected += 1;
-                return Push::Rejected(HistoryError::NestedInvocation { index, thread });
+                return Push::Rejected(e);
             }
-        } else {
-            match self.pending.iter().position(|&(t, _)| t == thread) {
-                None => {
-                    self.stats.rejected += 1;
-                    return Push::Rejected(HistoryError::ResponseWithoutInvocation {
-                        index,
-                        thread,
-                    });
-                }
-                Some(p) => {
-                    let inv = self.window[self.pending[p].1];
-                    if inv.object() != action.object() || inv.method() != action.method() {
-                        self.stats.rejected += 1;
-                        return Push::Rejected(HistoryError::MismatchedResponse { index, thread });
-                    }
-                    closes = Some(p);
-                }
-            }
-        }
+        };
         // The cap counts open-or-undecided *invocations*; responses are
         // always admitted, since they only ever enable retirement.
         if action.is_invoke() && self.window_full() {
@@ -574,24 +563,18 @@ impl<S: CaSpec> StreamChecker<S> {
                 return Push::Saturated;
             }
         }
-        let at = self.window.len();
         self.window.push(action);
-        match closes {
-            Some(p) => {
-                let inv_at = self.pending[p].1;
-                // A response for an op previously abandoned: the client
-                // came back after all — un-seal it.
-                self.abandoned.retain(|&a| a != inv_at);
-                self.pending.swap_remove(p);
-            }
-            None => {
-                self.admit_object(action.object());
-                self.pending.push((thread, at));
-                match self.last_seen.iter_mut().find(|(t, _)| *t == thread) {
-                    Some(entry) => entry.1 = self.op_seq,
-                    None => self.last_seen.push((thread, self.op_seq)),
-                }
+        let slot = slot.unwrap_or_else(|| self.threads.slot(action.thread()));
+        let client = &mut self.threads.records[slot];
+        // A response for an op previously abandoned: the client came back
+        // after all — un-seal it.
+        client.abandoned = false;
+        match matched {
+            Matched::Closes(_) => client.open = None,
+            Matched::Opens => {
+                (client.open, client.last) = (Some(index as u64), self.op_seq);
                 self.op_seq += 1;
+                self.admit_object(action.object());
             }
         }
         self.stats.events += 1;
@@ -602,6 +585,12 @@ impl<S: CaSpec> StreamChecker<S> {
             self.checkpoint();
         }
         Push::Admitted
+    }
+
+    /// Where the window holds `client`'s open invocation, if it has one.
+    fn open_at(&self, client: &Client) -> Option<usize> {
+        let base = self.stats.retired_actions;
+        client.open.filter(|&e| e >= base).map(|e| (e - base) as usize)
     }
 
     /// Gives `object` its part the first time one of its operations is
@@ -711,11 +700,11 @@ impl<S: CaSpec> StreamChecker<S> {
         if self.violated || self.degraded || self.stale {
             return;
         }
-        if let Some(&(_, at)) = self.pending.iter().find(|&&(t, _)| t == thread) {
-            if !self.abandoned.contains(&at) {
-                self.abandoned.push(at);
-                self.stats.abandoned += 1;
-            }
+        let Some(slot) = self.threads.find(thread) else { return };
+        let client = self.threads.records[slot];
+        if self.open_at(&client).is_some() && !client.abandoned {
+            self.threads.records[slot].abandoned = true;
+            self.stats.abandoned += 1;
         }
     }
 
@@ -815,6 +804,12 @@ impl<S: CaSpec> StreamChecker<S> {
     /// [`finish`]: StreamChecker::finish
     fn first_cut(&self, force: bool) -> Option<usize> {
         let base = self.stats.retired_ops;
+        // Whether window invocation `i` is sealed here: its client is gone
+        // and it is still the client's open invocation.
+        let sealed = |i: usize, a: &Action| {
+            let client = self.threads.find(a.thread()).map(|slot| self.threads.records[slot]);
+            client.is_some_and(|c| c.abandoned && self.open_at(&c) == Some(i))
+        };
         // Causal mode: the window's happens-before relation, consulted
         // by the hb-closure rules below. A malformed declaration (cycle)
         // blocks every cut here; `evaluate` surfaces the error.
@@ -832,7 +827,7 @@ impl<S: CaSpec> StreamChecker<S> {
         for (i, a) in self.window.iter().enumerate() {
             if a.is_invoke() {
                 ops += 1;
-                if !(force && self.abandoned.contains(&i)) {
+                if !(force && sealed(i, a)) {
                     depth += 1;
                 }
             } else {
@@ -861,7 +856,7 @@ impl<S: CaSpec> StreamChecker<S> {
                     // boundary, present and wider; one already retired
                     // can never come to happen-after the segment.
                     if !self.closed {
-                        for &(_, l) in &self.last_seen {
+                        for l in self.threads.records.iter().map(|c| c.last) {
                             if l < base {
                                 return None;
                             }
@@ -898,17 +893,9 @@ impl<S: CaSpec> StreamChecker<S> {
             self.stats.retired_segments += 1;
             self.stats.retired_actions += cut as u64;
             self.stats.retired_ops += ops as u64;
+            // An open invocation below the cut is a sealed abandoned op,
+            // decided with the segment: `open_at` no longer finds it.
             self.window.drain(..cut);
-            // Pending entries below the cut are exactly the sealed
-            // abandoned ops: they were decided with the segment.
-            self.pending.retain(|&(_, at)| at >= cut);
-            for p in &mut self.pending {
-                p.1 -= cut;
-            }
-            self.abandoned.retain(|&at| at >= cut);
-            for a in &mut self.abandoned {
-                *a -= cut;
-            }
             // Edges wholly behind the new base are satisfied by the
             // enumeration that just consumed them; a retired source with
             // a live target is satisfied by segment order (hb-closure

@@ -184,3 +184,161 @@ proptest! {
                         reference.iter().copied().collect::<Vec<_>>());
     }
 }
+
+/// Well-formedness as it was decided before one rule did it: a scan over
+/// the threads with an open invocation for every action, then a second
+/// loop that matches responses into spans. The parity tests below hold
+/// the one rule to it.
+mod scan {
+    use cal_core::history::{HistoryError, Span};
+    use cal_core::{Action, ActionKind, Method, ObjectId, ThreadId};
+
+    pub fn validate(actions: &[Action]) -> Result<(), HistoryError> {
+        let mut pending: Vec<(ThreadId, ObjectId, Method)> = Vec::new();
+        for (index, a) in actions.iter().enumerate() {
+            let t = a.thread();
+            let slot = pending.iter().position(|(pt, _, _)| *pt == t);
+            match a.kind() {
+                ActionKind::Invoke(_) => {
+                    if slot.is_some() {
+                        return Err(HistoryError::NestedInvocation { index, thread: t });
+                    }
+                    pending.push((t, a.object(), a.method()));
+                }
+                ActionKind::Response(_) => match slot {
+                    None => {
+                        return Err(HistoryError::ResponseWithoutInvocation { index, thread: t })
+                    }
+                    Some(i) => {
+                        let (_, o, m) = pending[i];
+                        if o != a.object() || m != a.method() {
+                            return Err(HistoryError::MismatchedResponse { index, thread: t });
+                        }
+                        pending.swap_remove(i);
+                    }
+                },
+            }
+        }
+        Ok(())
+    }
+
+    pub fn spans(actions: &[Action]) -> Result<Vec<Span>, HistoryError> {
+        validate(actions)?;
+        let mut spans: Vec<Span> = Vec::new();
+        let mut pending: Vec<(ThreadId, usize)> = Vec::new();
+        for (index, a) in actions.iter().enumerate() {
+            match a.kind() {
+                ActionKind::Invoke(arg) => {
+                    pending.push((a.thread(), spans.len()));
+                    spans.push(Span {
+                        inv: index,
+                        resp: None,
+                        thread: a.thread(),
+                        object: a.object(),
+                        method: a.method(),
+                        arg,
+                        ret: None,
+                    });
+                }
+                ActionKind::Response(ret) => {
+                    let i = pending.iter().position(|(t, _)| *t == a.thread()).unwrap();
+                    let (_, si) = pending.swap_remove(i);
+                    spans[si].resp = Some(index);
+                    spans[si].ret = Some(ret);
+                }
+            }
+        }
+        Ok(spans)
+    }
+}
+
+/// A specification every history satisfies, so a stream of it never
+/// latches a verdict and refuses nothing.
+#[derive(Debug, Clone)]
+struct Anything;
+
+impl cal_core::spec::SeqSpec for Anything {
+    type State = ();
+    fn initial(&self) {}
+    fn apply(&self, _: &(), _: &Operation) -> Option<()> {
+        Some(())
+    }
+    fn completions_of(&self, _: &cal_core::spec::Invocation) -> Vec<Value> {
+        Vec::new()
+    }
+}
+
+/// Action sequences over four threads and two objects that are mostly
+/// well-formed, with nested invocations, orphan responses and mismatched
+/// responses mixed in: each move is a thread, what it does and a value.
+/// Moves 0–6 keep the thread well-formed (invoke if it has nothing open,
+/// else answer it), 7 invokes regardless, 8 answers on a random object
+/// and method, and 9 answers the open invocation's object with the other
+/// method.
+fn arb_ragged_actions() -> impl Strategy<Value = Vec<Action>> {
+    prop::collection::vec((0u32..4, 0u32..10, 0u32..2, any::<bool>(), -3i64..3), 0..40).prop_map(
+        |moves| {
+            const METHODS: [Method; 2] = [Method("push"), Method("pop")];
+            let mut open: [Option<(ObjectId, Method)>; 4] = [None; 4];
+            let mut out = Vec::new();
+            for (t, kind, o, m, v) in moves {
+                let (thread, value) = (ThreadId(t), Value::Int(v));
+                let (object, method) = (ObjectId(o), METHODS[usize::from(m)]);
+                let answer = |(o, m): (ObjectId, Method)| Action::response(thread, o, m, value);
+                let action = match (kind, open[t as usize]) {
+                    (0..=6, Some(inv)) => answer(inv),
+                    (0..=7, _) => Action::invoke(thread, object, method, value),
+                    (9, Some((o, m))) => answer((o, METHODS[usize::from(m == METHODS[0])])),
+                    _ => answer((object, method)),
+                };
+                // Follow the thread as a well-formed history would.
+                open[t as usize] = match (action.is_invoke(), open[t as usize]) {
+                    (true, None) => Some((action.object(), action.method())),
+                    (true, pending) => pending,
+                    (false, Some(inv)) if inv == (action.object(), action.method()) => None,
+                    (false, pending) => pending,
+                };
+                out.push(action);
+            }
+            out
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn one_rule_decides_as_the_scan_did(actions in arb_ragged_actions()) {
+        let h = History::from_actions(actions.clone());
+        prop_assert_eq!(h.validate(), scan::validate(&actions));
+        prop_assert_eq!(h.try_spans(), scan::spans(&actions));
+    }
+
+    #[test]
+    fn the_stream_rejects_what_the_batch_rejects(actions in arb_ragged_actions()) {
+        use cal_core::spec::SeqAsCa;
+        use cal_core::stream::{Push, StreamChecker, StreamOptions};
+        // Unbounded, and retiring after every event: admission reads the
+        // table across every retirement, and nothing is ever sealed.
+        let options = StreamOptions { max_window: 0, checkpoint_every: 1, ..StreamOptions::default() };
+        let mut stream = StreamChecker::new(SeqAsCa::new(Anything), options);
+        let mut admitted: Vec<Action> = Vec::new();
+        for (k, &action) in actions.iter().enumerate() {
+            if k % 5 == 4 {
+                // A client that leaves changes nothing about admission.
+                stream.abandon_thread(action.thread());
+            }
+            admitted.push(action);
+            let batch = History::from_actions(admitted.clone()).try_spans();
+            match stream.push(action) {
+                Push::Admitted => prop_assert!(batch.is_ok(), "admitted {} but {:?}", action, batch),
+                Push::Rejected(e) => {
+                    prop_assert_eq!(batch, Err(e));
+                    admitted.pop();
+                }
+                other => prop_assert!(false, "{} was neither admitted nor rejected: {:?}", action, other),
+            }
+        }
+    }
+}

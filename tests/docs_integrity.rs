@@ -217,6 +217,7 @@ const QUOTED: &[(&str, &str, &[&str])] = &[
     ("E14", "decompose/", &["nodes", "nodes_min", "nodes_max", "ratio"]),
     ("E14", "cal/frontier-", &["nodes", "nodes_min", "nodes_max", "ratio"]),
     ("E14", "cal/refute-", &["nodes", "nodes_min", "nodes_max", "ratio"]),
+    ("E14", "spans/clients/", &["spans", "nodes", "zones", "ratio"]),
     ("E2", "model_check/exchanger_cal/", &["paths"]),
     ("E2", "model_check/exchanger_rg/", &["edges"]),
     ("E4", "model_check/elim_stack_modular/", &["paths"]),
