@@ -11,7 +11,8 @@ use cal_core::compose::TraceMap;
 use cal_core::gen::{render, render_windowed};
 use cal_core::spec::{CaSpec, PerObject, SeqAsCa};
 use cal_core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
-use cal_core::{Action, ActionKind, CaElement, History, ObjectId, Operation, ThreadId, Value};
+use cal_core::{Action, ActionKind, CaElement, CaTrace, History};
+use cal_core::{ObjectId, Operation, ThreadId, Value};
 use cal_objects::record::Recorder;
 use cal_objects::{arena_exchanger::ArenaExchanger, elim_stack::EliminationStack};
 use cal_objects::{exchanger::Exchanger, stack::TreiberStack};
@@ -267,6 +268,15 @@ pub fn e8(b: &mut Bench) {
             []
         });
     }
+    // A 10⁵-operation witness on sixteen keys, four clients a round: the
+    // history `tests/common::kv_rounds` builds, validated against its
+    // linearization.
+    let t = kv_rounds_trace(100_000);
+    let h = render_windowed(&t, 4);
+    b.exact("agree/kv-rounds/100000", [], || {
+        assert!(agrees_bool(&h, &t));
+        []
+    });
     // Four clients writing fresh values to one key, as every benchmark
     // register workload does: the search, then `run_ca`'s zones.
     let register = SeqAsCa::new(RegisterSpec::new(ObjectId(0)));
@@ -302,6 +312,26 @@ pub fn e8(b: &mut Bench) {
             b.versus(&kernel);
         }
     }
+}
+
+/// The linearization of `ops` operations on a map of sixteen registers
+/// by four clients, in rounds of four operations on four distinct keys,
+/// a key's visits alternating between a write of a fresh value and a
+/// read of what it holds: one singleton element an operation. Rendered
+/// with windows of four, it is the history `tests/common::kv_rounds`
+/// builds.
+fn kv_rounds_trace(ops: usize) -> CaTrace {
+    let mut store = [0i64; 16];
+    let op = move |k: usize| {
+        let (t, key) = (ThreadId((k % 4) as u32), k % 16);
+        if (k / 16 + k % 4).is_multiple_of(2) {
+            store[key] = k as i64 + 1;
+            write_op(ObjectId(key as u32), t, store[key])
+        } else {
+            read_op(ObjectId(key as u32), t, store[key])
+        }
+    };
+    CaTrace::from_elements((0..ops).map(op).map(CaElement::singleton).collect())
 }
 
 /// `history` with every written or read value `v > 0` replaced by

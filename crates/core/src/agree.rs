@@ -8,22 +8,17 @@
 //! The relation is order-parametric: [`agrees`] instantiates it with the
 //! real-time order `≺H` (Def. 5 exactly), while [`agrees_under`] takes any
 //! [`HbRelation`] — the causal checker's oracle substitutes a
-//! happens-before partial order without changing the matching search.
+//! happens-before partial order.
 //!
-//! The search proceeds element-by-element: element `k` must be matched by a
-//! set of yet-unmatched operations that (a) equals `T_k` as a set and
-//! (b) consists only of *minimal* operations — ones all of whose
-//! order-predecessors were matched to earlier elements. Because equal
-//! operations can appear at several history positions, the match is found
-//! by backtracking with memoization; minimality is tracked incrementally
-//! with predecessor counts, so the common case (few duplicate operations)
-//! costs one count update per ordered pair of operations.
+//! No search is needed. An [`Operation`] carries its thread, and program
+//! order lies inside the order: real time orders a thread's spans, and a
+//! causal order contains its sessions. So `π` maps a thread's spans onto
+//! elements in program order, and the `k`-th operation of thread `t` in
+//! the trace can only be the `k`-th span of `t`. That forced assignment
+//! is one pass over the trace with a cursor a thread; what is left is one
+//! sweep of the elements against the order (`HbRelation::respects`).
 
-use std::collections::{HashMap, HashSet};
-
-use crate::action::Action;
-use crate::bitset::BitSet;
-use crate::history::{HbRelation, History, Span};
+use crate::history::{HbRelation, History, Span, Threads};
 use crate::op::Operation;
 use crate::trace::CaTrace;
 
@@ -75,7 +70,8 @@ pub fn agrees(history: &History, trace: &CaTrace) -> Option<Agreement> {
 /// over this history's spans: condition (ii) becomes `i ≺hb j ⟹ π(i) <
 /// π(j)` and element membership requires pairwise hb-concurrency. With
 /// [`HbRelation::real_time`] this is exactly [`agrees`]; with a causal
-/// order it is the agreement oracle of `--mode causal`.
+/// order it is the agreement oracle of `--mode causal`. The relation must
+/// order each thread's spans, as both constructors' do.
 ///
 /// # Panics
 ///
@@ -83,38 +79,8 @@ pub fn agrees(history: &History, trace: &CaTrace) -> Option<Agreement> {
 /// built over a different number of spans.
 pub fn agrees_under(history: &History, trace: &CaTrace, hb: &HbRelation) -> Option<Agreement> {
     let spans = history.spans();
-    assert!(
-        spans.iter().all(Span::is_complete),
-        "⊑CAL is defined on complete histories only"
-    );
-    assert_eq!(hb.len(), spans.len(), "hb relation built over a different history");
-    if spans.len() != trace.total_ops() {
-        // π must be total on operations and each element exactly matched,
-        // so the operation counts must be equal.
-        return None;
-    }
-    let n = spans.len();
-    // pending[i] = number of unmatched predecessors of i under hb.
-    let pending: Vec<usize> = (0..n).map(|i| hb.pred_count(i)).collect();
-    // Positions of each concrete operation value.
-    let mut by_op: HashMap<Operation, Vec<usize>> = HashMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        by_op.entry(s.operation().expect("complete")).or_default().push(i);
-    }
-    let mut search = AgreeSearch {
-        hb,
-        trace,
-        pending,
-        by_op,
-        matched: BitSet::new(n.max(1)),
-        assignment: vec![usize::MAX; n],
-        failed: HashSet::new(),
-    };
-    if search.element(0) {
-        Some(Agreement { assignment: search.assignment })
-    } else {
-        None
-    }
+    assert!(spans.iter().all(Span::is_complete), "⊑CAL is defined on complete histories only");
+    explain(&spans, trace, hb).map(|assignment| Agreement { assignment })
 }
 
 /// Convenience wrapper for [`agrees`] returning only a boolean.
@@ -122,156 +88,57 @@ pub fn agrees_bool(history: &History, trace: &CaTrace) -> bool {
     agrees(history, trace).is_some()
 }
 
-struct AgreeSearch<'a> {
-    hb: &'a HbRelation,
-    trace: &'a CaTrace,
-    pending: Vec<usize>,
-    by_op: HashMap<Operation, Vec<usize>>,
-    matched: BitSet,
-    assignment: Vec<usize>,
-    failed: HashSet<(usize, BitSet)>,
-}
-
-impl AgreeSearch<'_> {
-    fn element(&mut self, k: usize) -> bool {
-        if k == self.trace.len() {
-            return self.matched.len() == self.hb.len();
-        }
-        if self.failed.contains(&(k, self.matched.clone())) {
-            return false;
-        }
-        let element = &self.trace.elements()[k];
-        // For each (distinct) operation of the element, the candidate
-        // spans: unmatched, minimal, carrying exactly that operation.
-        let mut chosen: Vec<usize> = Vec::with_capacity(element.len());
-        if self.combos(k, 0, &mut chosen) {
-            return true;
-        }
-        self.failed.insert((k, self.matched.clone()));
-        false
+/// Def. 5 between `trace` and the completion of `spans` it implies
+/// (Def. 2): the forced assignment, then the sweep. A complete span must
+/// appear in the trace as its operation; a pending span may appear with
+/// the return value the trace gives it, or not at all, and is then
+/// dropped. Returns, per span, the element it went to — `usize::MAX` for a
+/// dropped span.
+///
+/// # Panics
+///
+/// Panics if `hb` was built over a different number of spans.
+pub(crate) fn explain(spans: &[Span], trace: &CaTrace, hb: &HbRelation) -> Option<Vec<usize>> {
+    assert_eq!(hb.len(), spans.len(), "hb relation built over a different history");
+    // Per thread, its first span not yet assigned; per span, its thread's
+    // next.
+    let mut cursor: Threads<Option<usize>> = Threads::default();
+    let mut next = vec![None; spans.len()];
+    for (i, s) in spans.iter().enumerate().rev() {
+        let slot = cursor.slot(s.thread);
+        next[i] = cursor.records[slot].replace(i);
     }
-
-    /// Chooses a span for operation `idx` of element `k`, then recurses.
-    fn combos(&mut self, k: usize, idx: usize, chosen: &mut Vec<usize>) -> bool {
-        let element = &self.trace.elements()[k];
-        if idx == element.len() {
-            // Commit this combination and move to the next element.
-            for &i in chosen.iter() {
-                self.matched.insert(i);
-                self.assignment[i] = k;
+    let mut element = vec![usize::MAX; spans.len()];
+    let mut members = Vec::with_capacity(trace.total_ops());
+    for (k, e) in trace.elements().iter().enumerate() {
+        for op in e.ops() {
+            let slot = cursor.find(op.thread)?;
+            let i = cursor.records[slot]?;
+            let s = &spans[i];
+            let Operation { object, method, arg, ret, .. } = *op;
+            if (s.object, s.method, s.arg) != (object, method, arg)
+                || s.ret.is_some_and(|r| r != ret)
+            {
+                return None;
             }
-            let hb = self.hb;
-            for &i in chosen.iter() {
-                hb.for_each_succ(i, |j| self.pending[j] -= 1);
-            }
-            if self.element(k + 1) {
-                return true;
-            }
-            for &i in chosen.iter() {
-                hb.for_each_succ(i, |j| self.pending[j] += 1);
-            }
-            for &i in chosen.iter() {
-                self.matched.remove(i);
-                self.assignment[i] = usize::MAX;
-            }
-            return false;
-        }
-        let target = element.ops()[idx];
-        let candidates = match self.by_op.get(&target) {
-            Some(c) => c.clone(),
-            None => return false,
-        };
-        for i in candidates {
-            if self.matched.contains(i) || self.pending[i] != 0 || chosen.contains(&i) {
-                continue;
-            }
-            // Members of one element must be pairwise concurrent under hb.
-            if !chosen.iter().all(|&j| self.hb.concurrent(i, j)) {
-                continue;
-            }
-            chosen.push(i);
-            if self.combos(k, idx + 1, chosen) {
-                return true;
-            }
-            chosen.pop();
-        }
-        false
-    }
-}
-
-/// Reconstructs the completion of `history` implied by `witness` (see
-/// [`crate::check::witness_explains`]): every complete operation must
-/// appear in the trace exactly once, a pending invocation may appear once
-/// completed, absent pending invocations are dropped. Returns the
-/// completion plus the surviving spans' original indices (ascending) so
-/// order relations built over the original spans can be restricted to
-/// the completion.
-pub(crate) fn reconstruct_completion(
-    history: &History,
-    witness: &CaTrace,
-) -> Option<(History, Vec<usize>)> {
-    let spans = history.spans();
-    // Multiset of witness operations, minus each complete operation.
-    let mut counts: HashMap<Operation, i64> = HashMap::new();
-    for op in witness.all_ops() {
-        *counts.entry(op).or_insert(0) += 1;
-    }
-    for span in spans.iter().filter(|s| s.is_complete()) {
-        let op = span.operation().expect("complete span has an operation");
-        match counts.get_mut(&op) {
-            Some(c) if *c > 0 => *c -= 1,
-            _ => return None, // a complete operation the trace does not explain
+            cursor.records[slot] = next[i];
+            element[i] = k;
+            members.push(i);
         }
     }
-    // What remains must complete pending invocations, at most one per
-    // thread (well-formedness guarantees at most one pending per thread).
-    let mut completed_pending: Vec<(usize, Operation)> = Vec::new();
-    for (op, count) in counts {
-        match count {
-            0 => {}
-            1 => {
-                let Some(span) = spans.iter().find(|s| {
-                    !s.is_complete()
-                        && s.thread == op.thread
-                        && s.object == op.object
-                        && s.method == op.method
-                        && s.arg == op.arg
-                }) else {
-                    return None; // an op the history never invoked
-                };
-                completed_pending.push((span.inv, op));
-            }
-            _ => return None, // duplicated beyond the one pending slot
-        }
+    // A thread's first span the trace left unassigned: a pending one is
+    // its last and is dropped, a complete one is an operation the trace
+    // does not explain.
+    if cursor.records.iter().flatten().any(|&i| spans[i].is_complete()) {
+        return None;
     }
-    // Build the completion: drop uncompleted pending invocations, append
-    // responses for completed ones. Appending at the end adds no real-time
-    // constraints, matching the checker's treatment of completed pending
-    // operations.
-    let completed_invs: HashSet<usize> = completed_pending.iter().map(|&(inv, _)| inv).collect();
-    let dropped: HashSet<usize> = spans
-        .iter()
-        .filter(|s| !s.is_complete() && !completed_invs.contains(&s.inv))
-        .map(|s| s.inv)
-        .collect();
-    let mut actions: Vec<Action> = history
-        .actions()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !dropped.contains(i))
-        .map(|(_, a)| *a)
-        .collect();
-    for (_, op) in &completed_pending {
-        actions.push(op.response());
-    }
-    let completion = History::from_actions(actions);
-    let kept: Vec<usize> = spans
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_complete() || completed_invs.contains(&s.inv))
-        .map(|(i, _)| i)
-        .collect();
-    Some((completion, kept))
+    let mut rest = &members[..];
+    let groups = trace.elements().iter().map(|e| {
+        let (group, tail) = rest.split_at(e.len());
+        rest = tail;
+        group
+    });
+    hb.respects(groups, |i| element[i] == usize::MAX).then_some(element)
 }
 
 #[cfg(test)]
@@ -386,10 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_operations_need_backtracking() {
+    fn duplicate_operations_map_in_program_order() {
         // The same thread performs two identical failed exchanges, with a
-        // different thread's op strictly between them. Matching the wrong
-        // occurrence first must be undone by backtracking.
+        // different thread's op strictly between them: the first copy in
+        // the trace is the first in the history.
         let h = History::from_actions(vec![
             inv(1, 5),
             res(1, false, 5),

@@ -36,7 +36,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::agree::reconstruct_completion;
+use crate::agree::explain;
 use crate::check::{check_cal_with, CalDomain};
 use crate::engine;
 use crate::history::{HbError, HbRelation, History, HistoryError};
@@ -201,30 +201,25 @@ pub fn is_causal<S: CaSpec>(
 
 /// Validates a causal-mode witness: the specification must accept
 /// `witness`, and the completion of `history` it implies must agree with
-/// it under `hb` restricted to the completion's surviving operations
-/// ([`crate::agree::agrees_under`]).
+/// it under `hb` (as [`crate::agree::agrees_under`] decides agreement).
 ///
-/// The restriction preserves ordering derived transitively *through* a
-/// dropped pending invocation — the closure is computed before the
-/// restriction — so dropping an operation never relaxes constraints
-/// between survivors. This is the oracle the causal differential tests
-/// use to cross-validate witnesses from the multi-threaded search.
+/// A pending invocation the completion drops binds nothing itself, but
+/// order derived transitively *through* it — the clocks close over it —
+/// still binds the survivors, so dropping an operation never relaxes
+/// constraints between them. This is the oracle the causal differential
+/// tests use to cross-validate witnesses from the multi-threaded search.
+///
+/// # Panics
+///
+/// Panics if `hb` was built over a different number of spans.
 pub fn witness_explains_causal<S: CaSpec>(
     history: &History,
     spec: &S,
     witness: &CaTrace,
     hb: &HbRelation,
 ) -> bool {
-    if history.validate().is_err() || !spec.accepts(witness) {
-        return false;
-    }
-    match reconstruct_completion(history, witness) {
-        Some((completion, kept)) => {
-            let restricted = hb.restrict(&kept);
-            crate::agree::agrees_under(&completion, witness, &restricted).is_some()
-        }
-        None => false,
-    }
+    let Ok(spans) = history.try_spans() else { return false };
+    spec.accepts(witness) && explain(&spans, witness, hb).is_some()
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::agree::{agrees, reconstruct_completion};
+use crate::agree::explain;
 use crate::engine::{self, panic_message, ExpandObs, SearchDomain};
 use crate::history::{Cut, HbRelation, History, Span};
 use crate::ids::{ObjectId, Value};
@@ -239,7 +239,7 @@ pub fn is_cal_with<S: CaSpec>(
 /// history: the specification must accept `witness`, and some completion
 /// of `history` (Def. 2) must agree with it (Def. 5).
 ///
-/// The completion is reconstructed from the witness itself: every complete
+/// The completion is the one the witness implies: every complete
 /// operation must appear in the trace exactly once; a thread's pending
 /// invocation may additionally appear once, completed with the return
 /// value the trace assigns it; pending invocations absent from the trace
@@ -248,13 +248,8 @@ pub fn is_cal_with<S: CaSpec>(
 /// This is the oracle the differential tests use to cross-validate
 /// witnesses produced at every thread count.
 pub fn witness_explains<S: CaSpec>(history: &History, spec: &S, witness: &CaTrace) -> bool {
-    if history.validate().is_err() || !spec.accepts(witness) {
-        return false;
-    }
-    match reconstruct_completion(history, witness) {
-        Some((completion, _kept)) => agrees(&completion, witness).is_some(),
-        None => false,
-    }
+    let Ok(spans) = history.try_spans() else { return false };
+    spec.accepts(witness) && explain(&spans, witness, &HbRelation::real_time(&spans)).is_some()
 }
 
 /// One step of a CAL witness, as the search keeps it: the spans the
@@ -1052,17 +1047,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         for _ in 0..500 {
             // Step `j` of a sequence that respects real time: invoked in
-            // [10j, 10j + 10), responding later or never, so a step that
-            // responds before another is invoked comes first. Dealt out to
-            // the parts in order, each part respects real time too.
+            // [10j, 10j + 10), or one time in four anywhere before that,
+            // and responding after every earlier step's invocation, or
+            // never, so a step that responds before another is invoked
+            // comes first. Dealt out to the parts in order, each part
+            // respects real time too, and a part's invocation points may
+            // fall.
             let n = rng.gen_range(0..40usize);
             let parts = rng.gen_range(1..6usize);
             let mut dealt = vec![Vec::new(); parts];
             let mut span = vec![(0, 0); n];
+            let mut latest = 0;
             for (j, slot) in span.iter_mut().enumerate() {
-                let inv = 10 * j + rng.gen_range(0..10usize);
+                let inv = match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..10 * j + 1),
+                    _ => 10 * j + rng.gen_range(0..10usize),
+                };
+                latest = latest.max(inv);
                 let resp =
-                    if rng.gen_range(0..8) == 0 { usize::MAX } else { inv + rng.gen_range(1..60usize) };
+                    if rng.gen_range(0..8) == 0 { usize::MAX } else { latest + rng.gen_range(1..60usize) };
                 *slot = (inv, resp);
                 dealt[rng.gen_range(0..parts)].push((j, inv));
             }

@@ -724,8 +724,9 @@ impl JepsenState {
                 Ok(JStep::Invoke(Action::invoke(t, object, method, arg)))
             }
             RecordKind::Ok => {
-                let open = found.and_then(|slot| self.processes.records[slot].pending.take());
-                let Some((object, method, arg, _)) = open else {
+                let Some((slot, (object, method, arg, _))) =
+                    found.zip(process.and_then(|p| p.pending))
+                else {
                     return fail(line, Some(":process"), format!(":ok with no pending :invoke for process {}", rec.process));
                 };
                 // etcd-style harnesses ack a write/put with nil or by
@@ -739,6 +740,8 @@ impl JepsenState {
                 } else {
                     jval_to_value(line, Some(":value"), &rec.value)?
                 };
+                // Only a record that converts closes the invocation.
+                self.processes.records[slot].pending = None;
                 Ok(JStep::Complete(Action::response(t, object, method, ret)))
             }
             RecordKind::Fail => {
@@ -1518,6 +1521,17 @@ t3 inv o0.write 5
         assert!(d.decode_line(5, "{:process oops").is_err());
         let again = d.decode_line(6, "{:process 2, :type :invoke, :f :write, :value 2}").unwrap();
         assert_eq!(again.len(), 1);
+    }
+
+    #[test]
+    fn jepsen_unconvertible_ok_is_anchored() {
+        // The record is refused before it closes its invocation; the
+        // batch stops at it either way, with this error.
+        let input = "{:process 0, :type :invoke, :f :read}\n\
+                     {:process 0, :type :ok, :f :read, :value \"x\"}\n";
+        let err = parse_as(Format::Jepsen, input).unwrap_err();
+        let why = "line 2: field :value: unsupported value \"x\" (expected nil, bool, int, or [bool int])";
+        assert_eq!(err.to_string(), why);
     }
 
     #[test]

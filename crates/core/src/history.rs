@@ -832,46 +832,6 @@ impl HbRelation {
         matches!(self.shape, Shape::Ranks(_))
     }
 
-    /// Restricts the relation to the spans in `keep` (ascending old
-    /// indices), renumbering to positions in `keep`. Ordering derived
-    /// transitively *through* a removed span is preserved — the clocks
-    /// were computed before the restriction and only recount what they
-    /// reach of each chain, and the real-time order of a subset is the
-    /// restriction of the real-time order — which is what completion
-    /// (dropping pending invocations, Def. 2) requires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep` contains an index out of range, or is not ascending
-    /// where the relation is a real-time order.
-    pub fn restrict(&self, keep: &[usize]) -> HbRelation {
-        let clocks = match &self.shape {
-            Shape::Ranks(r) => return Self::ranks(keep.iter().map(|&k| r[k])),
-            Shape::Clocks(clocks) => clocks,
-        };
-        // `below[starts[c] + c + p]` = how many of chain `c`'s first `p`
-        // spans are kept: what a clock's count `p` along `c` becomes.
-        let (cover, width) = (&self.cover, clocks.width);
-        let mut kept = vec![false; self.len()];
-        keep.iter().for_each(|&k| kept[k] = true);
-        let mut below = Vec::with_capacity(self.len() + width);
-        for c in 0..width {
-            below.push(0);
-            for &i in cover.chain(c) {
-                below.push(below.last().copied().unwrap_or(0) + u32::from(kept[i as usize]));
-            }
-        }
-        let recount = |clock: &[u32]| -> Vec<u32> {
-            let rows = keep.iter().map(|&k| &clock[k * width..][..width]);
-            let counts = rows.flat_map(|row| row.iter().enumerate());
-            counts.map(|(c, &p)| below[cover.starts[c] + c + p as usize]).collect()
-        };
-        let clocks = Clocks { width, pred: recount(&clocks.pred), succ: recount(&clocks.succ) };
-        let mut lens = vec![0; width + 1];
-        let place = keep.iter().map(|&k| append(&mut lens, cover.place[k].0 as usize)).collect();
-        HbRelation { shape: Shape::Clocks(clocks), cover: Cover::new(place, lens) }
-    }
-
     /// Number of spans the relation is defined over.
     pub fn len(&self) -> usize {
         self.cover.place.len()
@@ -898,27 +858,6 @@ impl HbRelation {
     /// CA-element may contain.
     pub fn concurrent(&self, i: usize, j: usize) -> bool {
         i != j && !self.precedes(i, j) && !self.precedes(j, i)
-    }
-
-    /// How many spans happen-before span `i`.
-    pub fn pred_count(&self, i: usize) -> usize {
-        match &self.shape {
-            Shape::Ranks(r) => r[i].pred_rank,
-            Shape::Clocks(k) => k.pred(i).iter().map(|&p| p as usize).sum(),
-        }
-    }
-
-    /// Calls `f` on every span that span `i` happens-before, chain by
-    /// chain.
-    pub fn for_each_succ(&self, i: usize, mut f: impl FnMut(usize)) {
-        match &self.shape {
-            Shape::Ranks(r) => (r[i].succ_start..r.len()).for_each(f),
-            Shape::Clocks(k) => {
-                for (c, &first) in k.succ(i).iter().enumerate() {
-                    self.cover.chain(c)[first as usize..].iter().for_each(|&j| f(j as usize));
-                }
-            }
-        }
     }
 
     /// What the order constrains span `i` by, as a value: two spans of one
@@ -1020,9 +959,65 @@ impl HbRelation {
                 out.truncate(out.partition_point(|&h| r[h].inv < earliest));
             }
             // A head is minimal iff the cut reaches its predecessor clock.
-            Shape::Clocks(k) => out.retain(|&h| {
-                k.pred(h).iter().enumerate().all(|(c, &p)| self.count(cut, c) >= p as usize)
-            }),
+            Shape::Clocks(k) => out.retain(|&h| self.reached(cut, k.pred(h))),
+        }
+    }
+
+    /// Whether `cut` holds, of every chain, at least as many spans as
+    /// `clock` counts.
+    fn reached(&self, cut: &Cut, clock: &[u32]) -> bool {
+        clock.iter().enumerate().all(|(c, &p)| self.count(cut, c) >= p as usize)
+    }
+
+    /// Whether taking `groups` of spans one after another, each group
+    /// whole, respects the order: every span's predecessors are taken in
+    /// earlier groups, so no two spans of one group are ordered either.
+    /// The spans `dropped` names are in no group: pending invocations a
+    /// completion leaves out (Def. 2). They bind nothing themselves, while
+    /// order that runs through them still binds. Under a causal order each
+    /// session's spans must come in program order, as the forced
+    /// assignment of [`crate::agree`] takes them. One pass, with an arm an
+    /// order shape, as [`Self::minimal`] has.
+    pub(crate) fn respects<'g>(
+        &self,
+        groups: impl IntoIterator<Item = &'g [usize]>,
+        dropped: impl Fn(usize) -> bool,
+    ) -> bool {
+        match &self.shape {
+            // `i ≺ j` iff `i` responds before `j` is invoked, so each group
+            // must respond, earliest, after the latest invocation up to and
+            // including it. A pending span responds at ∞ (`PENDING`), so
+            // a dropped one, in no group, binds nothing.
+            Shape::Ranks(r) => {
+                let mut latest = 0;
+                groups.into_iter().all(|g| {
+                    latest = g.iter().fold(latest, |l, &i| l.max(r[i].inv));
+                    g.iter().all(|&i| r[i].resp > latest)
+                })
+            }
+            // The cut is what earlier groups took, a dropped span taken as
+            // soon as the spans before it in its chain are; a group goes
+            // once the cut reaches each member's predecessor clock.
+            Shape::Clocks(k) => {
+                let mut cut = self.empty_cut();
+                let skip = |cut: &mut Cut, c: usize| {
+                    while let Some(&i) = self.cover.chain(c).get(self.count(cut, c)) {
+                        if !dropped(i as usize) {
+                            break;
+                        }
+                        self.take(cut, i as usize);
+                    }
+                };
+                (0..self.width()).for_each(|c| skip(&mut cut, c));
+                groups.into_iter().all(|g| {
+                    let ready = g.iter().all(|&i| self.reached(&cut, k.pred(i)));
+                    for &i in g.iter().filter(|_| ready) {
+                        self.take(&mut cut, i);
+                        skip(&mut cut, self.cover.place[i].0 as usize);
+                    }
+                    ready
+                })
+            }
         }
     }
 }

@@ -81,7 +81,6 @@
 
 pub mod action;
 pub mod agree;
-pub mod bitset;
 pub mod causal;
 pub mod check;
 pub mod compose;

@@ -1869,6 +1869,27 @@ mod tests {
         assert_eq!(i.checker.finish(), StreamVerdict::Consistent);
     }
 
+    #[test]
+    fn a_quarantined_ok_leaves_its_invocation_open() {
+        // A jepsen `:ok` whose value does not convert is refused before it
+        // takes the process's invocation: the client's corrected `:ok`
+        // closes it, and the process may invoke again.
+        let mut i = reg_ingest(8, Some(Format::Jepsen));
+        let mut invoked = Vec::new();
+        let mut line = |text: &str| i.line(text, false, &mut invoked);
+        assert_eq!(line("{:process 0, :type :invoke, :f :read}"), Reply::Admitted);
+        let Reply::Quarantined(why) = line("{:process 0, :type :ok, :f :read, :value \"x\"}") else {
+            panic!("an unconvertible value is quarantined");
+        };
+        assert!(why.starts_with("line 2: field :value: unsupported value"), "{why}");
+        assert_eq!(line("{:process 0, :type :ok, :f :read, :value 0}"), Reply::Admitted);
+        assert_eq!(line("{:process 0, :type :invoke, :f :write, :value 1}"), Reply::Admitted);
+        assert_eq!(line("{:process 0, :type :ok, :f :write, :value 1}"), Reply::Admitted);
+        assert_eq!(i.quarantined(), 1);
+        assert_eq!(i.checker.stats().events, 4);
+        assert_eq!(i.checker.finish(), StreamVerdict::Consistent);
+    }
+
     /// The lines `splitter` cuts from `blocks` and the stream's end, owned.
     fn split_all(blocks: &[&[u8]]) -> Vec<Result<String, LineFault>> {
         let mut splitter = LineSplitter::new();

@@ -1,6 +1,5 @@
 //! Property-based tests of the core data structures and invariants.
 
-use cal_core::bitset::BitSet;
 use cal_core::gen::{interleave, render, render_windowed};
 use cal_core::text::{format_history, format_trace, parse_history, parse_trace};
 use cal_core::{Action, CaElement, CaTrace, History, Method, ObjectId, Operation, ThreadId, Value};
@@ -164,24 +163,6 @@ proptest! {
         prop_assert!(cal_core::agree::agrees_bool(&h, &t));
         // The strict render agrees too.
         prop_assert!(cal_core::agree::agrees_bool(&render(&t), &t));
-    }
-
-    #[test]
-    fn bitset_models_a_set(ops in prop::collection::vec((0usize..64, any::<bool>()), 0..40)) {
-        let mut bs = BitSet::new(64);
-        let mut reference = std::collections::BTreeSet::new();
-        for (i, insert) in ops {
-            if insert {
-                bs.insert(i);
-                reference.insert(i);
-            } else {
-                bs.remove(i);
-                reference.remove(&i);
-            }
-        }
-        prop_assert_eq!(bs.len(), reference.len());
-        prop_assert_eq!(bs.iter().collect::<Vec<_>>(),
-                        reference.iter().copied().collect::<Vec<_>>());
     }
 }
 

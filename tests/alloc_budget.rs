@@ -453,18 +453,8 @@ fn a_history_split_by_object_builds_no_order_of_the_whole() {
     assert_eq!((outcome.stats.nodes, witness.len() as u64), (OPS, OPS));
     assert!(peak < 41 * MIB, "{OPS} operations held {} MiB live", peak / MIB);
     assert!(allocations <= 221_000, "{allocations} allocations for {OPS} operations");
-    // The oracle is quadratic in the history's length and recurses once
-    // an element: 1.6 s optimized, 90 s without on a 2-core host, so it
-    // runs where this binary is meant to (`--release`), on a thread with
-    // the stack for 10⁵ frames.
-    if !cfg!(debug_assertions) {
-        let explained = std::thread::scope(|scope| {
-            let oracle = std::thread::Builder::new().stack_size(1 << 28);
-            let oracle = oracle.spawn_scoped(scope, || witness_explains(&history, &kv, witness));
-            oracle.expect("a thread").join().expect("no panic")
-        });
-        assert!(explained, "the merged witness does not explain the history");
-    }
+    let explained = witness_explains(&history, &kv, witness);
+    assert!(explained, "the merged witness does not explain the history");
 }
 
 #[test]

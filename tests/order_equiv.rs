@@ -7,13 +7,14 @@
 //! transitive closure of session order plus the declared edges. Every
 //! question a checker asks of an order is answered from the matrix by its
 //! definition and compared: `precedes` / `concurrent` on every pair,
-//! `pred_count`, successor sets, `minimal` and `contains` on the cuts a
-//! search reaches (grown by matching random minimal spans), `restrict`,
-//! and the symmetry classes (the old pairwise grouping, kept here, against
-//! `SymClasses::of_order`, and each member's previous clone against the
-//! class lists). The chain cover is held to its invariants: every span in
-//! exactly one chain, every chain totally ordered, and under real time as
-//! many chains as spans are ever open at once.
+//! `minimal` and `contains` on the cuts a search reaches (grown by
+//! matching random minimal spans), and the symmetry classes (the old
+//! pairwise grouping, kept here, against `SymClasses::of_order`, and each
+//! member's previous clone against the class lists). The chain cover is
+//! held to its invariants: every span in exactly one chain, every chain
+//! totally ordered, and under real time as many chains as spans are ever
+//! open at once. Every order also holds each thread's spans in program
+//! order, the one premise of the agreement pass.
 //!
 //! The rank shape is additionally compared with the *clock* shape of the
 //! same order — `HbRelation::causal` fed every real-time pair as an edge —
@@ -200,7 +201,6 @@ fn assert_answers_match(hb: &HbRelation, spans: &[Span], m: &Matrix, rng: &mut S
     let n = spans.len();
     assert_eq!(hb.len(), n, "{what}: len");
     let sets = constraint_sets(m);
-    let members = |set: &[bool]| (0..n).filter(|&j| set[j]).collect::<Vec<_>>();
     for (i, (preds, succs)) in sets.iter().enumerate() {
         for (j, (&j_before_i, &i_before_j)) in preds.iter().zip(succs).enumerate() {
             assert_eq!(hb.precedes(i, j), i_before_j, "{what}: precedes({i}, {j})");
@@ -216,11 +216,6 @@ fn assert_answers_match(hb: &HbRelation, spans: &[Span], m: &Matrix, rng: &mut S
                 "{what}: constraint keys of {i} and {j}"
             );
         }
-        assert_eq!(hb.pred_count(i), members(preds).len(), "{what}: pred_count({i})");
-        let mut visited = Vec::new();
-        hb.for_each_succ(i, |j| visited.push(j));
-        visited.sort_unstable();
-        assert_eq!(visited, members(succs), "{what}: succs({i})");
     }
     let sym = SymClasses::of_order(spans, hb);
     let classes = pairwise_classes(spans, m);
@@ -237,23 +232,6 @@ fn assert_answers_match(hb: &HbRelation, spans: &[Span], m: &Matrix, rng: &mut S
         assert_eq!(hb.width(), peak_concurrency(spans), "{what}: width");
     }
     assert_cuts_match(hb, m, rng, what);
-}
-
-/// `restrict` against the restricted matrix, over a random ascending
-/// subset of the spans.
-fn assert_restriction_matches(
-    hb: &HbRelation,
-    spans: &[Span],
-    m: &Matrix,
-    rng: &mut StdRng,
-    what: &str,
-) -> Vec<usize> {
-    let keep: Vec<usize> = (0..spans.len()).filter(|_| rng.gen_bool(0.6)).collect();
-    let kept: Vec<Span> = keep.iter().map(|&i| spans[i]).collect();
-    let restricted = hb.restrict(&keep);
-    assert_eq!(restricted.is_real_time(), hb.is_real_time(), "{what}: restriction keeps the shape");
-    assert_answers_match(&restricted, &kept, &restrict_matrix(m, &keep), rng, what);
-    keep
 }
 
 proptest! {
@@ -279,15 +257,50 @@ proptest! {
         prop_assert!(!clocks.is_real_time());
         assert_answers_match(&clocks, &spans, &m, rng, "clocked real time");
 
-        // Restricting commutes with building: the real-time order of the
-        // kept spans is the restriction of the real-time order.
-        let keep = assert_restriction_matches(&ranks, &spans, &m, rng, "restricted ranks");
+        // The real-time order of a subset of the spans is the restriction
+        // of the real-time order.
+        let keep: Vec<usize> = (0..spans.len()).filter(|_| rng.gen_bool(0.6)).collect();
         let kept: Vec<Span> = keep.iter().map(|&i| spans[i]).collect();
         prop_assert_eq!(real_time_matrix(&kept), restrict_matrix(&m, &keep));
         assert_answers_match(
             &HbRelation::real_time(&kept), &kept, &restrict_matrix(&m, &keep), rng, "rebuilt ranks",
         );
-        assert_restriction_matches(&clocks, &spans, &m, rng, "restricted clocked real time");
+    }
+
+    /// The one premise of the agreement pass (`cal_core::agree`): every
+    /// order a check runs under holds each thread's spans in program
+    /// order — real time by well-formedness, a causal order because its
+    /// sessions are chains of it — whatever edges are declared, out of
+    /// pending spans too. Edges in any direction may close a cycle, and
+    /// such a declaration builds no order; forward ones never do.
+    #[test]
+    fn every_order_keeps_program_order(h in arb_history(), seed in any::<u64>()) {
+        let spans = h.spans();
+        let n = spans.len();
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let mut edges = |forward: bool| -> Vec<(usize, usize)> {
+            let count = if n < 2 { 0 } else { rng.gen_range(0..=n) };
+            let edge = |rng: &mut StdRng| match forward {
+                true => {
+                    let j = rng.gen_range(1..n);
+                    (rng.gen_range(0..j), j)
+                }
+                false => (rng.gen_range(0..n), rng.gen_range(0..n)),
+            };
+            (0..count).map(|_| edge(rng)).filter(|(i, j)| i != j).collect()
+        };
+        let (any, forward) = (edges(false), edges(true));
+        let causal = HbRelation::causal(&spans, &forward).expect("forward edges are acyclic");
+        let orders = [HbRelation::real_time(&spans), causal];
+        for hb in orders.iter().chain(HbRelation::causal(&spans, &any).ok().as_ref()) {
+            for (j, later) in spans.iter().enumerate() {
+                for (i, earlier) in spans[..j].iter().enumerate() {
+                    if earlier.thread == later.thread {
+                        prop_assert!(hb.precedes(i, j), "{i} and {j} of {} unordered", later.thread);
+                    }
+                }
+            }
+        }
     }
 
     /// The clocks are the per-bit closure of session order plus the
@@ -308,7 +321,5 @@ proptest! {
         let causal = HbRelation::causal(&spans, &edges).expect("forward edges are acyclic");
         prop_assert!(!causal.is_real_time());
         assert_answers_match(&causal, &spans, &m, rng, "causal");
-        // Order that runs through a dropped span survives its removal.
-        assert_restriction_matches(&causal, &spans, &m, rng, "restricted causal");
     }
 }

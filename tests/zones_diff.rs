@@ -350,8 +350,7 @@ fn large(seed: u64, ops: usize, keys: u32, plant: bool) -> History {
 
 /// Ten-thousand to hundred-thousand operation histories, accepted and
 /// planted, on a register and on a sixteen-key map: zones against the
-/// kernel. `witness_explains` is quadratic, so the 10⁵-operation
-/// witnesses are replayed in release builds only.
+/// kernel, and every accepted witness replayed.
 #[test]
 fn zones_agree_with_the_search_at_scale() {
     let register = SeqAsCa::new(RegisterSpec::new(O));
@@ -364,29 +363,23 @@ fn zones_agree_with_the_search_at_scale() {
     cases.push((pipelined_register_history(100_000), true, "register"));
     cases.push((kv_rounds(100_000), true, "kv"));
     for (h, accepted, spec) in &cases {
-        let replay = h.len() < 100_000 || !cfg!(debug_assertions);
         let verdict = match *spec {
-            "register" => assert_large(h, &register, replay),
-            _ => assert_large(h, &kv, replay),
+            "register" => assert_large(h, &register),
+            _ => assert_large(h, &kv),
         };
         assert_eq!(verdict == "cal", *accepted, "{spec}, {} actions", h.len());
     }
 }
 
-fn assert_large<S: CaSpec>(h: &History, spec: &S, replay: bool) -> &'static str {
+fn assert_large<S: CaSpec>(h: &History, spec: &S) -> &'static str {
     let options = CheckOptions::default();
     let decided = run_ca(h, spec, None, &options).expect("well-formed");
     assert_eq!((decided.stats.zones, decided.stats.nodes), (1, 0));
     let searched = check_cal_with(h, spec, &options).expect("well-formed");
     let verdict = verdict_name(&decided);
     assert_eq!(verdict, verdict_name(&searched), "zones vs the search, {} actions", h.len());
-    if let (Verdict::Cal(witness), true) = (&decided.verdict, replay) {
-        // The oracle recurses once an element: give it the stack for that.
-        let explained = std::thread::scope(|scope| {
-            let oracle = std::thread::Builder::new().stack_size(1 << 28);
-            let oracle = oracle.spawn_scoped(scope, || witness_explains(h, spec, witness));
-            oracle.expect("a thread").join().expect("no panic")
-        });
+    if let Verdict::Cal(witness) = &decided.verdict {
+        let explained = witness_explains(h, spec, witness);
         assert!(explained, "the zones witness does not explain {} actions", h.len());
     }
     verdict
