@@ -314,6 +314,46 @@ pub fn e8(b: &mut Bench) {
     }
 }
 
+/// E22 — the paper's exchanger decided by a matching against the search:
+/// `check-exchanger-refute`'s fourteen windows (the violation planted
+/// last), a thousand unplanted windows, and 2,001 identical concurrent
+/// `exchange(0) ▷ (true,0)` calls (any two swap, one is left over: the
+/// matching's graph is a clique, where symmetry makes the search
+/// linear), each through the kernel (`check_cal_with`, one worker) and
+/// through `run_ca`, which decides a stateless pair spec by a matching
+/// with no search node.
+pub fn e22(b: &mut Bench) {
+    let spec = ExchangerSpec::new(ObjectId(0));
+    let options = CheckOptions::default();
+    let counts = |out: &CheckOutcome| [out.stats.nodes, out.stats.matching];
+    let clones = |k: u32| {
+        let ok = Value::Pair(true, 0);
+        let op = |t| Operation::new(ThreadId(t), ObjectId(0), EXCHANGE, Value::Int(0), ok);
+        let ops: Vec<Operation> = (0..k).map(op).collect();
+        let invocations = ops.iter().map(Operation::invocation);
+        History::from_actions(invocations.chain(ops.iter().map(Operation::response)).collect())
+    };
+    let cases = [
+        ("refute-14", exchanger_windows(ObjectId(0), 14, true), false),
+        ("accept-1000", exchanger_windows(ObjectId(0), 1_000, false), true),
+        ("clones-2001", clones(2_001), false),
+    ];
+    for (case, h, cal) in cases {
+        let search = format!("pairs/search/{case}");
+        b.exact(&*search, ["nodes", "matching"], || {
+            let out = check_cal_with(&h, &spec, &options).unwrap();
+            assert_eq!(out.verdict.is_cal(), cal);
+            counts(&out)
+        });
+        b.exact(format!("pairs/matching/{case}"), ["nodes", "matching"], || {
+            let out = run_ca(&h, &spec, None, &options).unwrap();
+            assert_eq!(out.verdict.is_cal(), cal);
+            counts(&out)
+        });
+        b.versus(&search);
+    }
+}
+
 /// The linearization of `ops` operations on a map of sixteen registers
 /// by four clients, in rounds of four operations on four distinct keys,
 /// a key's visits alternating between a write of a fresh value and a

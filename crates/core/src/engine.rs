@@ -323,6 +323,10 @@ pub struct CheckStats {
     /// Checks decided by zones ([`crate::zones`]) instead of a search: 1
     /// for such a check, which costs no nodes, and 0 for a searched one.
     pub zones: u64,
+    /// Checks decided by a matching ([`crate::matching`]) instead of a
+    /// search: 1 for such a check, which costs no nodes, and 0 for a
+    /// searched one.
+    pub matching: u64,
 }
 
 impl std::ops::AddAssign for CheckStats {
@@ -335,6 +339,7 @@ impl std::ops::AddAssign for CheckStats {
         self.root_workers += other.root_workers;
         self.steals += other.steals;
         self.zones += other.zones;
+        self.matching += other.matching;
     }
 }
 

@@ -293,7 +293,7 @@ impl History {
 /// that follows threads keeps its per-thread state in one.
 #[derive(Debug, Default)]
 pub(crate) struct Threads<R> {
-    slots: HashMap<ThreadId, usize, BuildHasherDefault<ThreadHash>>,
+    slots: HashMap<ThreadId, usize, BuildHasherDefault<FoldHash>>,
     /// The records, by slot.
     pub(crate) records: Vec<R>,
 }
@@ -315,19 +315,24 @@ impl<R: Default> Threads<R> {
 }
 
 /// Fibonacci hashing, folded: the product's high half depends on every
-/// bit of the id, and the fold brings it down to the bits a table picks
-/// buckets by. Ids crafted to collide make a lookup probe every thread:
-/// what the scan this table replaced did on every lookup.
+/// bit of the word, and the fold brings it down to the bits a table picks
+/// buckets by. For keys that are small ids: thread ids crafted to
+/// collide make a lookup probe every thread, which is what the scan this
+/// table replaced did on every lookup.
 #[derive(Default)]
-struct ThreadHash(u64);
+pub(crate) struct FoldHash(u64);
 
-impl Hasher for ThreadHash {
+impl Hasher for FoldHash {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write_u32(&mut self, id: u32) {
-        let product = (self.0 ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.write_u64(u64::from(id));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let product = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 = product ^ (product >> 32);
     }
 

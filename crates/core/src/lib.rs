@@ -25,6 +25,10 @@
 //! - a decision procedure for registers and maps whose writes are unique
 //!   ([`zones`]), which the front door runs in place of the search on the
 //!   histories it qualifies for;
+//! - a decision procedure for stateless pair specifications — the
+//!   exchanger, the elimination array, the synchronous queue — by a
+//!   matching of concurrent legal pairs ([`matching`]), which the front
+//!   door runs in place of the search;
 //! - the `F_o` view-function machinery for compositional verification of
 //!   objects built from subobjects ([`compose`]);
 //! - generators of sound and adversarial histories ([`gen`]).
@@ -92,6 +96,7 @@ pub mod gen;
 pub mod history;
 pub mod ids;
 pub mod interval;
+pub mod matching;
 pub mod obs;
 pub mod op;
 pub mod par;

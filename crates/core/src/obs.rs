@@ -15,9 +15,9 @@
 //! - [`StatsSink`] is a callback trait for the events no count can carry
 //!   while a search runs: the frontier width of each expansion, each
 //!   object's result under decomposition, and interrupt causes — plus the
-//!   reason a decision procedure ([`crate::zones`]) refuted a history
-//!   without searching it. Every
-//!   method has a no-op default. The sink is optional —
+//!   reason a decision procedure ([`crate::zones`], [`crate::matching`])
+//!   refuted a history without searching it. Every method has a no-op
+//!   default. The sink is optional —
 //!   [`CheckOptions::sink`] is `None` by default, and the search guards
 //!   every callback behind one branch on that `Option`, so a disabled
 //!   sink costs a predictable never-taken branch per event and no
@@ -232,6 +232,7 @@ impl CountingSink {
             frontier_mean: self.frontier_mean(),
             root_workers: outcome.stats.root_workers,
             zones: outcome.stats.zones,
+            matching: outcome.stats.matching,
             refutation: self.refutation.lock().clone(),
             interrupted,
             exhausted: matches!(outcome.verdict, Verdict::ResourcesExhausted),
@@ -315,6 +316,9 @@ pub struct SearchReport {
     /// Checks decided by zones ([`crate::zones`]) with no search, from the
     /// run's [`crate::check::CheckStats`].
     pub zones: u64,
+    /// Checks decided by a matching ([`crate::matching`]) with no search,
+    /// from the run's [`crate::check::CheckStats`].
+    pub matching: u64,
     /// Why a decision procedure refuted the history, in its operations
     /// (shown by [`SearchReport::explain`], not serialized).
     pub refutation: Option<String>,
@@ -351,6 +355,7 @@ impl SearchReport {
         .ms("frontier_mean", self.frontier_mean)
         .num("root_workers", self.root_workers)
         .num("zones", self.zones)
+        .num("matching", self.matching)
         .num("objects", format_args!("[{}]", rows.collect::<Vec<_>>().join(", ")))
         .finish()
     }
@@ -370,12 +375,19 @@ impl SearchReport {
 
     /// A multi-line human explanation of where the search spent its work
     /// and — when the verdict is undecided — why it stopped; or, for a
-    /// check zones decided, that no search ran and why a refutation is one.
+    /// check zones or a matching decided, that no search ran and why a
+    /// refutation is one.
     pub fn explain(&self) -> String {
         let mut lines = vec![format!("verdict: {} in {:.2} ms", self.verdict, self.wall_ms)];
         if self.zones > 0 {
             lines.push(
                 "procedure: zones (a register with unique writes), decided with no search"
+                    .to_string(),
+            );
+        }
+        if self.matching > 0 {
+            lines.push(
+                "procedure: matching (a stateless pair specification), decided with no search"
                     .to_string(),
             );
         }
@@ -387,7 +399,7 @@ impl SearchReport {
         } else {
             self.nodes as f64 * 100.0 / self.max_nodes as f64
         };
-        if self.zones == 0 || self.nodes > 0 {
+        if self.zones + self.matching == 0 || self.nodes > 0 {
             lines.push(format!(
                 "search:  {} nodes ({:.2}% of the {}-node budget), {} elements tried",
                 self.nodes, budget_pct, self.max_nodes, self.elements_tried
@@ -610,7 +622,7 @@ mod tests {
              \"exhausted\": false, \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \
              \"nodes\": 7, \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 1, \
              \"memo_inserts\": 1, \"frontier_max\": 4, \"frontier_mean\": 3.500, \
-             \"root_workers\": 4, \"zones\": 0, \"objects\": \
+             \"root_workers\": 4, \"zones\": 0, \"matching\": 0, \"objects\": \
              [{\"object\": 3, \"wall_ms\": 2.500, \"outcome\": \"not-cal\"}, \
              {\"object\": 1, \"wall_ms\": 1.000, \"outcome\": \"cal\"}]}"
         );
@@ -620,7 +632,7 @@ mod tests {
              \"wall_ms\": 5.000, \"threads\": 1, \"max_nodes\": 4000000, \"nodes\": 7, \
              \"elements_tried\": 9, \"memo_hits\": 2, \"memo_misses\": 0, \"memo_inserts\": 0, \
              \"frontier_max\": 0, \
-             \"frontier_mean\": 0.000, \"root_workers\": 0, \"zones\": 0, \
+             \"frontier_mean\": 0.000, \"root_workers\": 0, \"zones\": 0, \"matching\": 0, \
              \"objects\": []}"
         );
     }

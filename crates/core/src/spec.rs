@@ -229,6 +229,15 @@ pub enum Shape {
     /// A register, or a map of independent registers, each holding 0
     /// before its first write.
     Register(RegisterShape),
+    /// A stateless pair specification, decided by a matching
+    /// ([`crate::matching`]): elements hold one or two operations
+    /// ([`CaSpec::max_element_size`] is at most 2), and `step` ignores
+    /// its state, so a trace is accepted iff each of its elements is.
+    /// `step` judges an element by its object and by its members'
+    /// methods, arguments and returns, not by which threads they are on
+    /// (they are on distinct ones), and [`CaSpec::completions_among`]
+    /// judges an invocation the same way.
+    Pairs,
 }
 
 /// A register-shaped specification: each admitted object holds one

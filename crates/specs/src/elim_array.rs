@@ -7,7 +7,7 @@
 //! the implementation from clients such as the elimination stack.
 
 use cal_core::compose::TraceMap;
-use cal_core::spec::{CaSpec, Invocation};
+use cal_core::spec::{CaSpec, Invocation, Shape};
 use cal_core::{CaElement, CaTrace, ObjectId, Operation, Value};
 
 use crate::exchanger::{exchange_completions, is_exchange_shape};
@@ -60,6 +60,10 @@ impl CaSpec for ElimArraySpec {
 
     fn restrict(&self, object: ObjectId) -> Option<Self> {
         (object == self.object).then_some(*self)
+    }
+
+    fn shape(&self) -> Shape {
+        Shape::Pairs
     }
 }
 

@@ -12,7 +12,7 @@
 //! exchange overlaps precisely the operation it swapped with, and a failed
 //! exchange overlaps nothing.
 
-use cal_core::spec::{CaSpec, Invocation};
+use cal_core::spec::{CaSpec, Invocation, Shape};
 use cal_core::{CaElement, ObjectId, Operation, ThreadId, Value};
 
 use crate::vocab::EXCHANGE;
@@ -112,6 +112,10 @@ impl CaSpec for ExchangerSpec {
 
     fn restrict(&self, object: ObjectId) -> Option<Self> {
         (object == self.object).then_some(*self)
+    }
+
+    fn shape(&self) -> Shape {
+        Shape::Pairs
     }
 }
 

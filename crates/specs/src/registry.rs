@@ -8,7 +8,8 @@
 //! `--spec FILE` and name into one spec, [`Selected::visit`] hands it —
 //! lifted as the [`CheckMode`] asks — to a [`Visitor`], and
 //! [`run_ca`] picks the procedure: zones ([`cal_core::zones`]) for a
-//! register-shaped spec on a history that qualifies, the search for
+//! register-shaped spec on a history that qualifies, a matching
+//! ([`cal_core::matching`]) for a stateless pair spec, the search for
 //! everything else. There is one search: classical
 //! linearizability is CAL's singleton fragment, so `seq` reads a
 //! sequential spec exactly as `cal` does, and [`run_interval`] is
@@ -30,7 +31,7 @@ use cal_core::dsl::{self, SpecDef, SpecFile};
 use cal_core::history::HbRelation;
 use cal_core::interval::{IntervalAsCa, IntervalSpec, IntervalWitness, SeqAsInterval};
 use cal_core::spec::{CaSpec, SeqAsCa, SeqSpec, Shape};
-use cal_core::zones;
+use cal_core::{matching, zones};
 use cal_core::{History, ObjectId};
 
 use crate::dual_stack::DualStackSpec;
@@ -306,9 +307,12 @@ pub trait Visitor: Sized {
 /// This is the one place a check's procedure is chosen, by the spec's
 /// [`CaSpec::shape`]. In real time, a register-shaped spec goes to zones
 /// ([`cal_core::zones`]), which decides a history whose writes are
-/// unique with no search node ([`cal_core::check::CheckStats::zones`]);
-/// every other history, spec and order goes to the search. The node
-/// budget and the deadline in `options` bound the search only.
+/// unique with no search node ([`cal_core::check::CheckStats::zones`]),
+/// and a stateless pair spec goes to a matching ([`cal_core::matching`]),
+/// which decides every history with no search node
+/// ([`cal_core::check::CheckStats::matching`]); every other history,
+/// spec and order goes to the search. The node budget and the deadline
+/// in `options` bound the search only.
 ///
 /// # Errors
 ///
@@ -325,6 +329,7 @@ pub fn run_ca<S: CaSpec>(
             Some(decided) => Ok(decided),
             None => check_cal_with(history, spec, options),
         },
+        (None, Shape::Pairs) => Ok(matching::decide(history, spec)?.outcome(options)),
         (None, Shape::Search) => check_cal_with(history, spec, options),
     }
 }

@@ -13,7 +13,7 @@
 //!   rendezvous attempt.
 
 use cal_core::compose::TraceMap;
-use cal_core::spec::{CaSpec, Invocation};
+use cal_core::spec::{CaSpec, Invocation, Shape};
 use cal_core::{CaElement, CaTrace, ObjectId, Operation, ThreadId, Value};
 
 use crate::vocab::{PUT, TAKE, TAKE_SENTINEL};
@@ -113,6 +113,10 @@ impl CaSpec for SyncQueueSpec {
 
     fn restrict(&self, object: ObjectId) -> Option<Self> {
         (object == self.object).then_some(*self)
+    }
+
+    fn shape(&self) -> Shape {
+        Shape::Pairs
     }
 }
 

@@ -50,7 +50,9 @@ fn undecided_exits_two() {
     // with a zero deadline: without symmetry reduction (which matches the
     // clones in one order and refutes them in a handful of nodes) the
     // first interrupt poll fires long before the search can refute it,
-    // so the verdict is Interrupted.
+    // so the verdict is Interrupted. The built-in exchanger is decided by
+    // a matching, which refutes the pile at once by parity; the `.cal`
+    // exchanger, the same spec, is searched.
     let mut input = String::new();
     for t in 1..=13 {
         input.push_str(&format!("t{t} inv o0.exchange 0\n"));
@@ -58,7 +60,9 @@ fn undecided_exits_two() {
     for t in 1..=13 {
         input.push_str(&format!("t{t} res o0.exchange (true,0)\n"));
     }
-    let output = run_with_stdin(&["exchanger", "-", "--deadline-ms", "0", "--no-symmetry"], &input);
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/exchanger.cal");
+    let args = ["exchanger", "-", "--spec", spec, "--deadline-ms", "0", "--no-symmetry"];
+    let output = run_with_stdin(&args, &input);
     assert_eq!(output.status.code(), Some(2), "stderr: {}", String::from_utf8_lossy(&output.stderr));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("undecided"), "{stderr}");

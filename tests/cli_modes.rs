@@ -101,6 +101,44 @@ fn unique_write_registers_are_decided_by_zones() {
     assert!(cause.contains("write(1)") && cause.contains("write(2)"), "{stderr}");
 }
 
+/// The three stateless pair specs are decided by a matching under `cal`,
+/// with no search node; `causal` and the `.cal` exchanger still search.
+/// A matching refutation names the Hall set: the operations short of
+/// partners, and the one partner they share.
+#[test]
+fn pair_specs_are_decided_by_matching() {
+    let spec_file = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/exchanger.cal");
+    for (spec, fixture) in [
+        ("exchanger", "fig1_swap.hist"),
+        ("elim-array", "elim_array_elimination.hist"),
+        ("sync-queue", "sync_queue_transfer.hist"),
+    ] {
+        let file = corpus(fixture);
+        let mut runs = vec![("cal", vec![spec, &file, "--mode", "cal"], 1)];
+        runs.push(("causal", vec![spec, &file, "--mode", "causal"], 0));
+        if spec == "exchanger" {
+            runs.push((".cal", vec![spec, &file, "--spec", spec_file], 0));
+        }
+        for (what, mut args, matching) in runs {
+            args.extend(["--explain", "--stats-json", "-"]);
+            let out = run(&args);
+            assert_eq!(out.status.code(), Some(0), "{spec} {what}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(json_count(&stdout, "matching"), matching, "{spec} {what}\n{stdout}");
+            assert_eq!(json_count(&stdout, "nodes") == 0, matching == 1, "{spec} {what}\n{stdout}");
+            let named = stderr.contains("procedure: matching");
+            assert_eq!(named, matching == 1, "{spec} {what}: {stderr}");
+        }
+    }
+    let out = run(&["exchanger", &corpus("exchanger_hall_violation.hist"), "--explain"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let cause = stderr.lines().find(|l| l.starts_with("cause:")).expect("a cause line");
+    assert!(cause.contains("Hall set") && cause.contains("t1") && cause.contains("t2"), "{stderr}");
+    assert!(cause.contains("1 other concurrent operation") && cause.contains("t3"), "{stderr}");
+}
+
 /// `--max-nodes` bounds the search only: the budget that leaves a history
 /// with a repeated value undecided does not touch its unique-value twin.
 #[test]

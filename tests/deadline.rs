@@ -257,10 +257,14 @@ mod cli {
         // `--no-symmetry` keeps the instance super-exponential: its 25
         // identical concurrent exchanges are exactly what the symmetry
         // reduction collapses, and a collapsed search decides well inside
-        // any deadline worth testing.
+        // any deadline worth testing. The `.cal` exchanger keeps the
+        // check on the search: the built-in is decided by a matching,
+        // which refutes the pile at once by parity.
         let (out, elapsed) = run_timed(&[
             "exchanger",
             file.to_str().unwrap(),
+            "--spec",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/specs/exchanger.cal"),
             "--deadline-ms",
             "40",
             "--no-symmetry",

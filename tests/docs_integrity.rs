@@ -230,6 +230,7 @@ const QUOTED: &[(&str, &str, &[&str])] = &[
     ("E8", "agree/", &[]),
     ("E8", "zones/", &["nodes", "zones", "ratio"]),
     ("E8", "fallback/", &["nodes", "zones", "ratio"]),
+    ("E22", "pairs/", &["nodes", "matching", "ratio"]),
     (
         "E13",
         "exchanger_throughput/arena_vs_single/",

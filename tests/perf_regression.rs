@@ -30,7 +30,9 @@
 //! - the streaming checker retires a multi-key stream key by key: a
 //!   16-key stream of four concurrent clients costs under one search
 //!   node an event, and so does one of eight (2.2 and 18.5 when every
-//!   closed segment was one joint problem over all sixteen keys).
+//!   closed segment was one joint problem over all sixteen keys);
+//! - the dispatch decides the benchmark-shaped exchanger refutation by a
+//!   matching, with no search node, while the kernel keeps its 70,993.
 
 mod common;
 
@@ -44,7 +46,7 @@ use cal::core::{History, Method, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::kv::KvMapSpec;
 use cal::specs::register::RegisterSpec;
-use cal::specs::registry::run_interval;
+use cal::specs::registry::{run_ca, run_interval};
 use cal::specs::snapshot::WriteSnapshotSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -135,6 +137,21 @@ fn benchmark_shaped_refutation_is_the_same_search() {
         "nodes, elements tried, memo hits"
     );
     assert_eq!(nodes - memo_hits, 15_539, "orbits expanded");
+}
+
+/// The same refutation through the dispatch, as `cal-check` runs it: the
+/// exchanger is a stateless pair specification, so `run_ca` decides it
+/// by a matching, with no search node, at any thread count. The kernel
+/// above still searches it, so the search stays measured in process.
+#[test]
+fn benchmark_shaped_refutation_is_decided_by_matching() {
+    let h = exchanger_windows(14, true);
+    for threads in [1usize, 2] {
+        let options = CheckOptions { threads, ..CheckOptions::default() };
+        let outcome = run_ca(&h, &ExchangerSpec::new(O), None, &options).unwrap();
+        assert_eq!(outcome.verdict, Verdict::NotCal);
+        assert_eq!((outcome.stats.nodes, outcome.stats.matching), (0, 1), "{threads} threads");
+    }
 }
 
 /// Interval-linearizability as the CAL search over split operations is

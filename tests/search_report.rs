@@ -21,6 +21,10 @@ use cal::core::{History, ObjectId};
 use cal::specs::exchanger::ExchangerSpec;
 use common::EventCounter;
 
+/// The exchanger as a `.cal` file: the built-in's spec, which the binary
+/// searches, where the built-in is decided by a matching with no node.
+const SEARCHED_EXCHANGER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/exchanger.cal");
+
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/corpus/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
@@ -228,7 +232,7 @@ fn stats_json_flag_emits_nonzero_counters() {
         format!("{}/tests/corpus/fig3_three_way_cycle.hist", env!("CARGO_MANIFEST_DIR"));
     let out_path = std::env::temp_dir().join(format!("cal-check-report-{}.json", std::process::id()));
     let output = Command::new(exe)
-        .args(["exchanger", &fixture_path, "--stats-json"])
+        .args(["exchanger", &fixture_path, "--spec", SEARCHED_EXCHANGER, "--stats-json"])
         .arg(&out_path)
         .output()
         .expect("cal-check runs");
@@ -250,7 +254,7 @@ fn stats_json_dash_writes_to_stdout() {
     let exe = env!("CARGO_BIN_EXE_cal-check");
     let fixture_path = format!("{}/tests/corpus/fig1_swap.hist", env!("CARGO_MANIFEST_DIR"));
     let output = Command::new(exe)
-        .args(["exchanger", &fixture_path, "--stats-json", "-"])
+        .args(["exchanger", &fixture_path, "--spec", SEARCHED_EXCHANGER, "--stats-json", "-"])
         .output()
         .expect("cal-check runs");
     assert_eq!(output.status.code(), Some(0));
@@ -277,7 +281,8 @@ fn explain_flag_names_the_interrupt_cause() {
         input.push_str(&format!("t{t} res o0.exchange (true,0)\n"));
     }
     let mut child = Command::new(exe)
-        .args(["exchanger", "-", "--deadline-ms", "0", "--explain", "--no-symmetry"])
+        .args(["exchanger", "-", "--spec", SEARCHED_EXCHANGER])
+        .args(["--deadline-ms", "0", "--explain", "--no-symmetry"])
         .stdin(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
