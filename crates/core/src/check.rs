@@ -36,12 +36,12 @@
 //! so no projected history is built, and an acceptance stitches the
 //! parts' witnesses by where their invocations fall.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::agree::explain;
 use crate::engine::{self, panic_message, ExpandObs, SearchDomain};
-use crate::history::{Cut, HbRelation, History, Span};
+use crate::history::{by_object, Cut, HbRelation, History, Span};
 use crate::ids::{ObjectId, Value};
 use crate::op::Operation;
 use crate::spec::{CaSpec, Invocation};
@@ -116,7 +116,7 @@ pub fn check_cal_with<S: CaSpec>(
     let spans = history.try_spans()?;
     let objects = objects_of(&spans);
     if let Some(specs) = restrict_to(spec, &objects)? {
-        return check_by_object(spans, &objects, &specs, options);
+        return check_by_object(by_object(spans), &specs, options);
     }
     let hb = HbRelation::real_time(&spans);
     let domain = CalDomain::new(&spans, &hb, spec);
@@ -141,30 +141,22 @@ fn restrict_to<S: CaSpec>(spec: &S, objects: &[ObjectId]) -> Result<Option<Vec<S
         .map_err(|p| CheckError::SpecPanicked(panic_message(p)))
 }
 
-/// [`check_cal_with`]'s per-object split: a history's `spans`
-/// partitioned by object, each part keeping the whole history's action
+/// [`check_cal_with`]'s per-object split: a history's spans grouped by
+/// object ([`by_object`]), each part keeping the whole history's action
 /// indices, and searched against `specs`, the specification restricted
-/// to each of `objects` in turn. An acceptance is every part's witness
+/// to each part's object in turn. An acceptance is every part's witness
 /// [`stitch`]ed into one.
 fn check_by_object<S: CaSpec>(
-    spans: Vec<Span>,
-    objects: &[ObjectId],
+    parts: Vec<(ObjectId, Vec<Span>)>,
     specs: &[S],
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
-    let part: HashMap<ObjectId, usize> = objects.iter().enumerate().map(|(k, &o)| (o, k)).collect();
-    let mut sizes = vec![0; objects.len()];
-    spans.iter().for_each(|s| sizes[part[&s.object]] += 1);
-    let mut parts: Vec<Vec<Span>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for s in spans {
-        parts[part[&s.object]].push(s);
-    }
-    let orders: Vec<HbRelation> = parts.iter().map(|spans| HbRelation::real_time(spans)).collect();
-    let domains: Vec<(ObjectId, CalDomain<'_, S>)> = objects
+    let orders: Vec<HbRelation> = parts.iter().map(|(_, spans)| HbRelation::real_time(spans)).collect();
+    let domains: Vec<(ObjectId, CalDomain<'_, S>)> = parts
         .iter()
         .zip(specs)
-        .zip(parts.iter().zip(&orders))
-        .map(|((&o, spec), (spans, hb))| (o, CalDomain::new(spans, hb, spec)))
+        .zip(&orders)
+        .map(|(((o, spans), spec), hb)| (*o, CalDomain::new(spans, hb, spec)))
         .collect();
     let outcome = engine::search_parts(&domains, options)?.map_witness(|witnesses| {
         let keyed = domains.iter().zip(witnesses).map(|((_, domain), steps)| {
@@ -369,9 +361,6 @@ pub(crate) struct CalDomain<'a, S: CaSpec> {
     /// Interchangeability classes, built from `hb`'s constraint sets:
     /// [`CalDomain::grow`] matches each one as a prefix.
     sym: SymClasses,
-    /// The state the search starts in; `None` is the specification's
-    /// initial state, asked for inside the engine's panic guard.
-    start: Option<S::State>,
 }
 
 impl<'a, S: CaSpec> CalDomain<'a, S> {
@@ -384,20 +373,12 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
         for (i, _) in spans.iter().enumerate().filter(|(_, s)| s.is_complete()) {
             hb.take(&mut goal, i);
         }
-        CalDomain { spec, spans, hb, goal, sym, start: None }
-    }
-
-    /// Starts every later search from `state` instead of the
-    /// specification's initial state: how the streaming checker looks for
-    /// one witness of its window from each state the retired prefix can
-    /// end in.
-    pub(crate) fn resume_from(&mut self, state: S::State) {
-        self.start = Some(state);
+        CalDomain { spec, spans, hb, goal, sym }
     }
 
     /// The node a search of this history from `state` starts at: nothing
-    /// matched yet. The streaming checker's retirement hands one per
-    /// reachable state to [`engine::enumerate_goals`].
+    /// matched yet. The streaming checker hands one per state a part of
+    /// its window holds to [`engine::enumerate_goals`].
     pub(crate) fn root(&self, state: S::State) -> (Cut, S::State) {
         (self.hb.empty_cut(), state)
     }
@@ -564,7 +545,7 @@ impl<S: CaSpec> SearchDomain for CalDomain<'_, S> {
     type Scratch = CalScratch;
 
     fn initial(&self) -> Self::Node {
-        self.root(self.start.clone().unwrap_or_else(|| self.spec.initial()))
+        self.root(self.spec.initial())
     }
 
     fn is_goal(&self, node: &Self::Node) -> bool {

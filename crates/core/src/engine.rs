@@ -1057,51 +1057,62 @@ pub(crate) fn search_parts<D: SearchDomain>(
     Ok(total.outcome()?.map_witness(|_| witnesses))
 }
 
-/// How an exhaustive exploration ended: the result of
-/// [`enumerate_goals`].
+/// The bound that cut an exploration short ([`Enumeration::cut_short`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// The node budget, [`CheckOptions::max_nodes`], was spent.
+    Nodes,
+    /// A deadline or a cancellation stopped it.
+    Interrupted(InterruptReason),
+}
+
+/// How an exploration ended: the result of [`enumerate_goals`].
 #[derive(Debug, Clone)]
 pub struct Enumeration {
-    /// `true` when the exploration ran to exhaustion: every node
-    /// reachable from a root was visited, so the goals reported are the
-    /// *complete* set. `false` when the node budget, the deadline or a
-    /// cancellation stopped it early — the caller must not treat them as
-    /// closed.
-    pub complete: bool,
+    /// The bound that ended the exploration before it was done, if one
+    /// did: the goals reported so far stand, but they are not every goal
+    /// there is, and no goal reported does not mean there is none. `None`
+    /// when it ran to exhaustion or `on_goal` stopped it.
+    pub cut_short: Option<Bound>,
     /// Work accounting, in the same units as a [`search`] run.
     pub stats: CheckStats,
 }
 
-/// Exhaustively explores everything reachable from `roots`, handing each
-/// distinct *goal* node to `on_goal` as it is discovered.
+/// Explores everything reachable from `roots`, handing each distinct
+/// *goal* node to `on_goal` as it is discovered, until `on_goal` returns
+/// `true`, nothing is left to visit, or a bound ends it.
 ///
-/// Where [`search`] stops at the first witness, this keeps exploring and
-/// reports every distinct goal node. It is the window-retirement hook the
-/// streaming checker ([`crate::stream`]) builds on: the goal nodes of a
-/// decided window prefix carry every specification state the prefix can
-/// end in, after which the prefix's actions — and every memoized search
-/// node referring to them — can be garbage-collected. (Failed-node memo
-/// entries must *not* survive a retirement boundary: a node refuted
-/// against one window can become satisfiable once new events extend it,
-/// which is why the streaming checker runs each per-checkpoint search with
-/// a fresh memo and uses this enumeration, whose visited set lives and
-/// dies with the call, at the boundary itself.)
+/// It is the streaming checker's one way to reach the engine
+/// ([`crate::stream`]), for both of its questions about a part of its
+/// window. A checkpoint asks whether some witness starts from a state the
+/// part holds, and stops at the first goal. A retirement asks for every
+/// state a witness can end in, and never stops: the goal nodes of a
+/// decided window prefix carry all of them, after which the prefix's
+/// actions can be garbage-collected. Nothing outlives the call — the
+/// visited set is the memo, and it lives and dies with the call — so a
+/// node refuted against one window is never carried to a window that
+/// new events have extended.
 ///
 /// The roots share one traversal and one visited set: the first root's
-/// subtree is explored first, in [`search`]'s order, and a later root
-/// pays only for the nodes no earlier one reached — a node carries its
-/// state, so what lies below it does not depend on the root it was
-/// reached from. Goals are nodes, not states: a caller that wants the
-/// distinct end *states* keeps the set itself, and clones only those.
+/// subtree is explored first, and a later root pays only for the nodes
+/// no earlier one reached — a node carries its state, so what lies below
+/// it does not depend on the root it was reached from. A node's
+/// successors are visited in [`search`]'s order, and each node is
+/// goal-tested before it is charged, as in [`search`]: a goal that ends
+/// the run costs no node. Unlike [`search`], a goal is expanded too, so
+/// that a pending operation may still join an element after it. Goals
+/// are nodes, not states: a caller that wants the distinct end *states*
+/// keeps the set itself, and clones only those.
 ///
-/// The full visited set doubles as the memo table here (completeness
-/// requires one), so [`CheckOptions::memoize`] is ignored; revisits are
-/// counted as `memo_hits`. Budget, deadline and cancellation are honoured
-/// exactly as in [`search`]; when any of them fires, what was reported so
-/// far stands and the result says `complete = false`.
+/// The full visited set doubles as the memo table here, so
+/// [`CheckOptions::memoize`] is ignored; revisits are counted as
+/// `memo_hits`. Budget, deadline and cancellation are honoured exactly as
+/// in [`search`], and [`Enumeration::cut_short`] names the one that
+/// fired.
 ///
 /// The enumeration is one DFS, on a node counter of its own, whatever
 /// [`CheckOptions::threads`] says: completeness needs the one visited
-/// set, and its callers (the stream's retirement) run at one thread.
+/// set.
 ///
 /// # Errors
 ///
@@ -1111,12 +1122,13 @@ pub fn enumerate_goals<D: SearchDomain>(
     domain: &D,
     roots: Vec<D::Node>,
     options: &CheckOptions,
-    mut on_goal: impl FnMut(&D::Node),
+    mut on_goal: impl FnMut(&D::Node) -> bool,
 ) -> Result<Enumeration, CheckError> {
     let runner = Runner::new(options, Instant::now());
     let mut ctl = runner.ctl();
     let mut visited: HashSet<D::Node> = HashSet::new();
-    // Popped from the back: the first root goes last.
+    // Popped from the back: the first root, and a node's first
+    // successor, are pushed last.
     let mut stack = roots;
     stack.reverse();
     // One successor buffer and one scratch for the whole enumeration, as
@@ -1128,14 +1140,11 @@ pub fn enumerate_goals<D: SearchDomain>(
             ctl.stats.memo_hits += 1;
             continue;
         }
-        if ctl.should_stop() {
-            break;
+        if domain.is_goal(&node) && on_goal(&node) {
+            return Ok(Enumeration { cut_short: None, stats: ctl.stats });
         }
-        if !ctl.charge_node() {
+        if ctl.should_stop() || !ctl.charge_node() {
             break;
-        }
-        if domain.is_goal(&node) {
-            on_goal(&node);
         }
         {
             let mut obs = ExpandObs { ctl: &mut ctl };
@@ -1147,17 +1156,17 @@ pub fn enumerate_goals<D: SearchDomain>(
             }
         }
         visited.insert(node);
-        for (_, next) in succs.drain(..) {
-            if !visited.contains(&next) {
-                stack.push(next);
-            }
-        }
+        let unseen = succs.drain(..).rev().map(|(_, next)| next).filter(|next| !visited.contains(next));
+        stack.extend(unseen);
     }
     if let Some(msg) = ctl.panicked {
         return Err(CheckError::SpecPanicked(msg));
     }
-    let complete = ctl.interrupted.is_none() && !ctl.exhausted && stack.is_empty();
-    Ok(Enumeration { complete, stats: ctl.stats })
+    let cut_short = match ctl.interrupted {
+        Some(reason) => Some(Bound::Interrupted(reason)),
+        None => ctl.exhausted.then_some(Bound::Nodes),
+    };
+    Ok(Enumeration { cut_short, stats: ctl.stats })
 }
 
 /// The one way the engine runs subsearches: a task list drained by
@@ -1356,6 +1365,32 @@ mod tests {
             let witness = outcome.verdict.witness().expect("witness");
             assert_eq!(witness.iter().sum::<u32>(), 6, "threads={threads}");
         }
+    }
+
+    /// The exploration visits a node's successors in the search's order
+    /// and charges no goal it stops at, so stopped at its first goal it
+    /// costs what the search costs; run to the end it charges every node,
+    /// and a spent budget is named.
+    #[test]
+    fn an_exploration_stopped_at_its_first_goal_costs_what_the_search_costs() {
+        let (domain, options) = (Countdown { n: 5, dead_end: false }, CheckOptions::default());
+        let searched = search(&domain, &options).unwrap().stats;
+        let mut goals = 0;
+        let stopped = enumerate_goals(&domain, vec![5], &options, |_| {
+            goals += 1;
+            true
+        })
+        .unwrap();
+        assert_eq!((goals, stopped.cut_short), (1, None));
+        assert_eq!(
+            (stopped.stats.nodes, stopped.stats.elements_tried),
+            (searched.nodes, searched.elements_tried)
+        );
+        let all = enumerate_goals(&domain, vec![5], &options, |_| false).unwrap();
+        assert_eq!((all.cut_short, all.stats.nodes), (None, 6));
+        let budget = CheckOptions { max_nodes: 2, ..CheckOptions::default() };
+        let cut = enumerate_goals(&domain, vec![5], &budget, |_| false).unwrap();
+        assert_eq!(cut.cut_short, Some(Bound::Nodes));
     }
 
     /// A branching tree with no goal anywhere: every node below the root

@@ -39,7 +39,7 @@
 //! witnesses of `(R · seg)|o` factor as (witness of `R|o`) · (witness of
 //! `seg|o` from the reached state) — the invariant is preserved *exactly*
 //! by replacing, for each object the segment touches, `Q_o` with the end
-//! states of one exhaustive enumeration of `seg|o` rooted at every state
+//! states of one exhaustive exploration of `seg|o` rooted at every state
 //! of `Q_o` ([`crate::engine::enumerate_goals`]); the other parts are
 //! untouched. Consequences:
 //!
@@ -47,22 +47,22 @@
 //!   is prefix-closed (for the prefix-closed specifications this crate
 //!   ships), **no extension can recover** — the violation verdict is
 //!   final and the stream is refused.
-//! - A checkpoint verdict for `R · W` is computed by searching only
-//!   `W|o`, for each object with operations in the window, from the
-//!   states of `Q_o` until one has a witness: exact parity with a batch
-//!   check of the full history.
-//! - Failed-node memo entries never survive a boundary: each
-//!   per-checkpoint search runs with a fresh memo (a node refuted
-//!   against one window can become satisfiable when new events arrive),
-//!   and the enumeration's visited set lives and dies with the call.
+//! - A checkpoint verdict for `R · W` is the same exploration of `W|o`,
+//!   for each object with operations in the window, from every state of
+//!   `Q_o`, stopped at its first goal: exact parity with a batch check of
+//!   the full history.
+//! - Nothing an exploration learns survives it: its visited set is its
+//!   memo and lives and dies with the call, so a node refuted against one
+//!   window is never carried to a window that new events have extended.
 //!
-//! There is one evaluator — a loop over the parts a segment touches —
-//! and the stream that cannot be split is its one-part case: when the
-//! first object admitted is one the specification does not restrict to
-//! (the default [`CaSpec::restrict`]), and in causal mode, whose order
-//! crosses objects, a single part decides every object with the
-//! specification as it is, and the loop is the joint search over the
-//! whole window. An object the specification answers `None` for *after*
+//! There is one evaluator — one exploration of each part a window prefix
+//! touches, asked for every end state at a boundary and for one witness
+//! at a checkpoint — and the stream that cannot be split is its one-part
+//! case: when the first object admitted is one the specification does not
+//! restrict to (the default [`CaSpec::restrict`]), and in causal mode,
+//! whose order crosses objects, a single part decides every object with
+//! the specification as it is, and its exploration is the joint one of
+//! the whole window. An object the specification answers `None` for *after*
 //! restricting to another is, by the contract, one it admits no element
 //! on: it gets the specification as it is for a part, and is explainable
 //! iff none of its operations completes.
@@ -115,7 +115,7 @@
 //!
 //! ## Causal mode
 //!
-//! With [`StreamOptions::causal`] set, every window search runs over the
+//! With [`StreamOptions::causal`] set, every window exploration runs over the
 //! causal happens-before order — per-thread session order plus edges
 //! declared via [`StreamChecker::push_hb_edge`] — instead of real time
 //! (see [`crate::causal`]). Two streaming-specific rules keep the
@@ -144,6 +144,15 @@
 //!   neither verdict can be trusted going forward — the stream latches
 //!   `undecided: late happens-before edge` and refuses further events.
 //!   Declare edges no later than their target operation's response.
+//! - **Awaited edges keep a refutation open**: an edge enters the
+//!   window's order once both its operations have arrived. While one
+//!   from an operation not yet admitted points into the window, that
+//!   operation's arrival can order the window so that a witness explains
+//!   it, so a checkpoint that finds none answers `undecided:
+//!   happens-before edge from a future operation` instead of latching the
+//!   violation ([`UndecidedWhy::FutureHbEdge`]); the cut rule above keeps
+//!   the edge's target from retiring meanwhile. [`StreamChecker::finish`]
+//!   ignores an edge whose source never arrived.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -153,9 +162,9 @@ use std::time::Duration;
 
 use crate::action::Action;
 use crate::check::CalDomain;
-use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, Verdict};
+use crate::engine::{self, Bound, CheckOptions, CheckStats, InterruptReason};
 use crate::format::{Format, StreamDecoder, WireItem};
-use crate::history::{admit, spans_of, HbRelation, HistoryError, Matched, Span, Threads};
+use crate::history::{admit, by_object, spans_of, HbRelation, HistoryError, Matched, Span, Threads};
 use crate::ids::{ObjectId, ThreadId};
 use crate::obs::JsonLine;
 use crate::op::Operation;
@@ -184,8 +193,8 @@ pub struct StreamOptions {
     /// segment that would leave some object with more is kept in the
     /// window instead (bounded memory beats eager GC).
     pub max_states: usize,
-    /// Budget/deadline/sink for each per-checkpoint search and each
-    /// retirement enumeration.
+    /// Budget/deadline/sink for each exploration of a window part, at a
+    /// checkpoint or a retirement.
     pub check: CheckOptions,
     /// Check against the causal happens-before order (session order plus
     /// [`StreamChecker::push_hb_edge`] edges) instead of real time. See
@@ -230,11 +239,12 @@ pub enum UndecidedWhy {
     /// The window cap was hit, backpressure failed, and the caller chose
     /// explicit degradation over unbounded growth.
     WindowExceeded,
-    /// A per-checkpoint search ran out of node budget.
+    /// An exploration of a window part ran out of node budget.
     ResourcesExhausted,
-    /// A per-checkpoint search was interrupted (deadline/cancellation).
+    /// An exploration of a window part was interrupted
+    /// (deadline/cancellation).
     Interrupted(InterruptReason),
-    /// The specification panicked during a search; see
+    /// The specification panicked during an exploration; see
     /// [`StreamChecker::last_error`].
     CheckerError,
     /// Causal mode: a declared happens-before edge arrived after its
@@ -242,6 +252,12 @@ pub enum UndecidedWhy {
     /// without the edge, so no further verdict can be trusted; this
     /// latches (see the module docs).
     LateHbEdge,
+    /// Causal mode: no witness explains the window, but a declared
+    /// happens-before edge from an operation not yet admitted points into
+    /// it, and the operation's arrival can supply one. Resolves at a later
+    /// checkpoint; [`StreamChecker::finish`] ignores the edge if its
+    /// source never arrived.
+    FutureHbEdge,
 }
 
 impl fmt::Display for UndecidedWhy {
@@ -252,6 +268,7 @@ impl fmt::Display for UndecidedWhy {
             UndecidedWhy::Interrupted(r) => write!(f, "interrupted ({r})"),
             UndecidedWhy::CheckerError => f.write_str("checker error"),
             UndecidedWhy::LateHbEdge => f.write_str("late happens-before edge"),
+            UndecidedWhy::FutureHbEdge => f.write_str("happens-before edge from a future operation"),
         }
     }
 }
@@ -321,8 +338,8 @@ pub struct StreamStats {
     /// Declared edges quarantined because their target was already
     /// retired ([`UndecidedWhy::LateHbEdge`]).
     pub late_edges: u64,
-    /// Accumulated search-kernel work across every checkpoint search and
-    /// retirement enumeration.
+    /// Accumulated search-kernel work across every exploration, at
+    /// checkpoints and retirements.
     pub search: CheckStats,
 }
 
@@ -472,19 +489,16 @@ enum Segment {
     Stays,
 }
 
-impl Segment {
-    /// Why a part may not hold `len` end states, if it may not: over
-    /// `max_states` and the segment stays in the window, none and it is
-    /// refuted.
-    fn unless_held(len: usize, max_states: usize) -> Option<Segment> {
-        if len > max_states {
-            Some(Segment::Stays)
-        } else if len == 0 {
-            Some(Segment::Refuted)
-        } else {
-            None
-        }
-    }
+/// What [`StreamChecker::explore`] found in a window prefix.
+enum Explored<Q> {
+    /// Every part it touches has a witness: each part's index and the
+    /// distinct states its witnesses end in (the first one only, when the
+    /// exploration stopped at its first goal).
+    Reached(Vec<(usize, Vec<Q>)>),
+    /// Some part has none, from any state it holds.
+    Refuted,
+    /// No part refutes, and some part could not be decided.
+    Undecided(UndecidedWhy),
 }
 
 impl<S: CaSpec> fmt::Debug for StreamChecker<S> {
@@ -626,20 +640,17 @@ impl<S: CaSpec> StreamChecker<S> {
     }
 
     /// The spans of `window[..upto]`, read once and given to the parts
-    /// that decide them, parts in order of first appearance. Each span
-    /// keeps its window indices. (Admission keeps the window, and so its
-    /// every prefix, well-formed.)
+    /// that decide them, parts in order of first appearance: grouped by
+    /// object in one hashed pass ([`by_object`]), or all given to the one
+    /// part of a stream that is not split. Each span keeps its window
+    /// indices. (Admission keeps the window, and so its every prefix,
+    /// well-formed.)
     fn spans_by_part(&self, upto: usize) -> Vec<(usize, Vec<Span>)> {
         let spans = spans_of(&self.window[..upto]).expect("admission keeps the window well-formed");
-        let mut parts: Vec<(usize, Vec<Span>)> = Vec::new();
-        for span in spans {
-            let k = self.part_of(span.object);
-            match parts.iter_mut().find(|(j, _)| *j == k) {
-                Some((_, part)) => part.push(span),
-                None => parts.push((k, vec![span])),
-            }
+        if self.parts.first().is_some_and(|p| p.object.is_none()) {
+            return (!spans.is_empty()).then_some((0, spans)).into_iter().collect();
         }
-        parts
+        by_object(spans).into_iter().map(|(o, spans)| (self.part_of(o), spans)).collect()
     }
 
     /// Whether the window holds its cap of `max_window` invocations (`0`
@@ -815,7 +826,7 @@ impl<S: CaSpec> StreamChecker<S> {
         // blocks every cut here; `evaluate` surfaces the error.
         let window_hb = if self.opts.causal && !self.window.is_empty() {
             let spans = spans_of(&self.window).expect("admission keeps the window well-formed");
-            match self.causal_relation(&spans) {
+            match self.order(&spans) {
                 Ok(hb) => Some((hb, spans.len())),
                 Err(_) => return None,
             }
@@ -914,44 +925,28 @@ impl<S: CaSpec> StreamChecker<S> {
         self.stats.peak_states = self.stats.peak_states.max(states);
     }
 
-    /// Causal mode: the happens-before relation of a window-prefix
-    /// segment — session order plus the declared edges falling inside it
-    /// (global ordinals rebased to segment span indices). Edges with a
-    /// not-yet-arrived endpoint constrain nothing inside the segment and
-    /// are excluded.
+    /// The order a part's spans of a window prefix are explored over: real
+    /// time or, in causal mode (whose one part holds every span of the
+    /// prefix), session order plus the declared edges falling inside the
+    /// prefix, global ordinals rebased to span indices. An edge with an
+    /// endpoint not yet arrived constrains nothing inside it and is left
+    /// out.
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::history::HbError`] for malformed declarations
-    /// (self-edges, cycles with session order); callers surface it as
-    /// [`UndecidedWhy::CheckerError`].
-    fn causal_relation(&self, spans: &[Span]) -> Result<HbRelation, crate::history::HbError> {
-        let base = self.stats.retired_ops;
-        let ops = spans.len() as u64;
-        let edges: Vec<(usize, usize)> = self
-            .edges
-            .iter()
-            .filter(|&&(f, t)| f < base + ops && t < base + ops)
-            .map(|&(f, t)| ((f - base) as usize, (t - base) as usize))
-            .collect();
-        HbRelation::causal(spans, &edges)
-    }
-
-    /// The order a part's window spans are searched over: real time, or
-    /// the causal relation in causal mode (whose one part holds every
-    /// span of the window prefix, as [`StreamChecker::causal_relation`]
-    /// counts them).
-    ///
-    /// # Errors
-    ///
-    /// As [`StreamChecker::causal_relation`]; outside causal mode this
-    /// cannot fail.
+    /// [`crate::history::HbError`] for a malformed declaration (a
+    /// self-edge, a cycle with session order); callers surface it as
+    /// [`UndecidedWhy::CheckerError`]. Outside causal mode this cannot
+    /// fail.
     fn order(&self, spans: &[Span]) -> Result<HbRelation, crate::history::HbError> {
-        if self.opts.causal {
-            self.causal_relation(spans)
-        } else {
-            Ok(HbRelation::real_time(spans))
+        if !self.opts.causal {
+            return Ok(HbRelation::real_time(spans));
         }
+        let (base, ops) = (self.stats.retired_ops, spans.len() as u64);
+        let inside = self.edges.iter().filter(|&&(f, t)| f < base + ops && t < base + ops);
+        let rebased = inside.map(|&(f, t)| ((f - base) as usize, (t - base) as usize));
+        let edges: Vec<(usize, usize)> = rebased.collect();
+        HbRelation::causal(spans, &edges)
     }
 
     /// Advances every part the closed segment `window[..cut]` touches to
@@ -1010,9 +1005,10 @@ impl<S: CaSpec> StreamChecker<S> {
                     }
                 }
             }
-            if let Some(undone) = Segment::unless_held(reach.len() - held, self.opts.max_states) {
+            let reached = reach.len() - held;
+            if reached == 0 || reached > self.opts.max_states {
                 reach.truncate(held);
-                return undone;
+                return if reached == 0 { Segment::Refuted } else { Segment::Stays };
             }
             reach.drain(..held);
             if reach.len() != held {
@@ -1020,114 +1016,95 @@ impl<S: CaSpec> StreamChecker<S> {
             }
             return Segment::Retired;
         }
-        // One traversal a part: every state it holds is a root, a node
-        // reached from two of them is expanded once, and the distinct end
-        // states are kept as they are discovered.
-        let mut staged: Vec<(usize, Vec<S::State>)> = Vec::new();
-        for (k, spans) in self.spans_by_part(cut) {
+        match self.explore(cut, false) {
+            Explored::Reached(reached) => {
+                if reached.iter().any(|(_, ends)| ends.len() > self.opts.max_states) {
+                    return Segment::Stays;
+                }
+                for (k, ends) in reached {
+                    self.parts[k].reach = ends;
+                }
+                self.count_states();
+                Segment::Retired
+            }
+            Explored::Refuted => Segment::Refuted,
+            Explored::Undecided(_) => Segment::Stays,
+        }
+    }
+
+    /// Re-checks the residual window, setting `last_eval`, or latching the
+    /// violation when some part's every state refutes its share of the
+    /// window — unless, in causal mode and while the stream is open, a
+    /// held edge from an operation not yet admitted points into the
+    /// window: that operation's arrival adds the edge to the window's
+    /// order, and a witness may exist then.
+    fn evaluate(&mut self) {
+        let awaited = !self.closed && self.edges.iter().any(|&(f, t)| f >= self.op_seq && t < self.op_seq);
+        self.last_eval = match self.explore(self.window.len(), true) {
+            Explored::Reached(_) => StreamVerdict::Consistent,
+            Explored::Undecided(why) => StreamVerdict::Undecided(why),
+            Explored::Refuted if awaited => StreamVerdict::Undecided(UndecidedWhy::FutureHbEdge),
+            Explored::Refuted => {
+                self.violated = true;
+                return;
+            }
+        };
+    }
+
+    /// The one exploration of `window[..upto]`, for a checkpoint and a
+    /// retirement alike: for each part, its spans read once, its order and
+    /// [`CalDomain`] built once, and one [`engine::enumerate_goals`] from
+    /// every state it holds. `first_goal` stops each part at its first
+    /// goal, as a checkpoint asks only for a witness; otherwise every
+    /// distinct end state is collected in discovery order, as a retirement
+    /// needs. A part with no witness refutes the prefix whatever the other
+    /// parts say; otherwise the first undecided part names the reason.
+    fn explore(&mut self, upto: usize, first_goal: bool) -> Explored<S::State> {
+        let mut reached = Vec::new();
+        let mut undecided = None;
+        for (k, spans) in self.spans_by_part(upto) {
             let hb = match self.order(&spans) {
                 Ok(hb) => hb,
                 Err(e) => {
                     self.last_error = Some(e.to_string());
-                    return Segment::Stays;
+                    undecided.get_or_insert(UndecidedWhy::CheckerError);
+                    continue;
                 }
             };
             let part = &self.parts[k];
             let spec = part.spec.as_ref().unwrap_or(&self.spec);
             let domain = CalDomain::new(&spans, &hb, spec);
             let roots = part.reach.iter().map(|q| domain.root(q.clone())).collect();
-            let mut next: Vec<S::State> = Vec::new();
+            let mut ends: Vec<S::State> = Vec::new();
             let mut seen: HashSet<S::State> = HashSet::new();
-            let done = engine::enumerate_goals(&domain, roots, &self.opts.check, |(_, state)| {
-                if !seen.contains(state) {
-                    seen.insert(state.clone());
-                    next.push(state.clone());
+            let run = engine::enumerate_goals(&domain, roots, &self.opts.check, |(_, q)| {
+                if !seen.contains(q) {
+                    seen.insert(q.clone());
+                    ends.push(q.clone());
                 }
+                first_goal
             });
-            match done {
-                Ok(e) => {
-                    self.stats.search += e.stats;
-                    if !e.complete {
-                        return Segment::Stays;
+            let why = match run {
+                Ok(run) => {
+                    self.stats.search += run.stats;
+                    match run.cut_short {
+                        None if ends.is_empty() => return Explored::Refuted,
+                        None => {
+                            reached.push((k, ends));
+                            continue;
+                        }
+                        Some(Bound::Nodes) => UndecidedWhy::ResourcesExhausted,
+                        Some(Bound::Interrupted(reason)) => UndecidedWhy::Interrupted(reason),
                     }
                 }
                 Err(e) => {
                     self.last_error = Some(e.to_string());
-                    return Segment::Stays;
-                }
-            }
-            if let Some(undone) = Segment::unless_held(next.len(), self.opts.max_states) {
-                return undone;
-            }
-            staged.push((k, next));
-        }
-        for (k, next) in staged {
-            self.parts[k].reach = next;
-        }
-        self.count_states();
-        Segment::Retired
-    }
-
-    /// Re-checks the residual window part by part, each from the states
-    /// it holds, setting `last_eval` (or latching the violation when some
-    /// part's every state refutes its share of the window).
-    fn evaluate(&mut self) {
-        let upto = self.window.len();
-        let mut undecided: Option<UndecidedWhy> = None;
-        for (k, spans) in self.spans_by_part(upto) {
-            let hb = match self.order(&spans) {
-                Ok(hb) => hb,
-                Err(e) => {
-                    self.last_error = Some(e.to_string());
-                    self.last_eval = StreamVerdict::Undecided(UndecidedWhy::CheckerError);
-                    return;
+                    UndecidedWhy::CheckerError
                 }
             };
-            let part = &self.parts[k];
-            let spec = part.spec.as_ref().unwrap_or(&self.spec);
-            let mut domain = CalDomain::new(&spans, &hb, spec);
-            let mut explained = false;
-            let mut why: Option<UndecidedWhy> = None;
-            for q in &part.reach {
-                domain.resume_from(q.clone());
-                match engine::search(&domain, &self.opts.check) {
-                    Ok(outcome) => {
-                        self.stats.search += outcome.stats;
-                        match outcome.verdict {
-                            Verdict::Cal(_) => {
-                                explained = true;
-                                break;
-                            }
-                            Verdict::NotCal => {}
-                            Verdict::ResourcesExhausted => {
-                                why.get_or_insert(UndecidedWhy::ResourcesExhausted);
-                            }
-                            Verdict::Interrupted { reason } => {
-                                why.get_or_insert(UndecidedWhy::Interrupted(reason));
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        self.last_error = Some(e.to_string());
-                        why.get_or_insert(UndecidedWhy::CheckerError);
-                    }
-                }
-            }
-            match why {
-                _ if explained => {}
-                // Every state the part holds *refuted* its object's
-                // operations: no completion of the admitted history is
-                // explainable, and prefix closure makes that final.
-                None => {
-                    self.violated = true;
-                    return;
-                }
-                Some(why) => {
-                    undecided.get_or_insert(why);
-                }
-            }
+            undecided.get_or_insert(why);
         }
-        self.last_eval = undecided.map_or(StreamVerdict::Consistent, StreamVerdict::Undecided);
+        undecided.map_or(Explored::Reached(reached), Explored::Undecided)
     }
 }
 
@@ -1422,7 +1399,7 @@ impl Lines<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::check_cal;
+    use crate::check::{check_cal, Verdict};
     use crate::ids::{ObjectId, Value};
     use crate::spec::{Invocation, SeqAsCa};
     use crate::text::parse_history;
@@ -1650,6 +1627,37 @@ mod tests {
         assert_eq!(c.stats().retired_ops, 2);
     }
 
+    /// A read of 1 that a write of 1 is declared to happen before, the
+    /// edge declared before the read responds and the write admitted
+    /// last. A checkpoint between them refutes the window, but the
+    /// awaited edge can undo that, so it is undecided and latches
+    /// nothing: the stream ends with the batch's verdict, checkpoint or
+    /// not. An edge whose source never arrives is ignored at `finish`.
+    #[test]
+    fn an_awaited_edge_keeps_a_causal_refutation_open() {
+        let read = "t0 inv o0.read ()\nt0 res o0.read 1\n";
+        let write = "t1 inv o0.write 1\nt1 res o0.write ()\n";
+        let history = parse_history(&format!("{read}{write}")).unwrap();
+        let hb = crate::causal::causal_order(&history, &[(1, 0)]).unwrap();
+        assert!(crate::causal::check_causal(&history, &SeqAsCa::new(Reg), &hb).unwrap().verdict.is_cal());
+        for (checkpoint, arrives) in [(false, true), (true, true), (true, false)] {
+            let mut c = causal_reg_checker(StreamOptions { checkpoint_every: 0, ..StreamOptions::default() });
+            feed(&mut c, "t0 inv o0.read ()\n");
+            assert_eq!(c.push_hb_edge(1, 0), Push::Admitted);
+            feed(&mut c, "t0 res o0.read 1\n");
+            if checkpoint {
+                assert_eq!(c.checkpoint(), StreamVerdict::Undecided(UndecidedWhy::FutureHbEdge));
+            }
+            if !arrives {
+                assert_eq!(c.finish(), StreamVerdict::Violation);
+                continue;
+            }
+            feed(&mut c, write);
+            assert_eq!(c.finish(), StreamVerdict::Consistent, "checkpoint: {checkpoint}");
+            assert_eq!(c.stats().retired_ops, 2);
+        }
+    }
+
     #[test]
     fn late_edge_into_retired_prefix_latches_undecided() {
         let mut c = causal_reg_checker(StreamOptions { checkpoint_every: 0, ..StreamOptions::default() });
@@ -1758,15 +1766,14 @@ mod tests {
         );
     }
 
-    /// A window searched from two reachable states, evaluated while an op
-    /// is open, then retired. The evaluation costs exactly what it cost
-    /// when every state rebuilt its own domain; the retirement is one
-    /// traversal from both states, which meet at "read 4, then write 5"
-    /// and expand it once — a node and a candidate fewer than the two
-    /// traversals it replaces (14 nodes and 16 elements after the third
-    /// checkpoint). The two closing reads are clones, so the last search
-    /// tries one of them alone, not each (17 elements without symmetry
-    /// reduction).
+    /// A window explored from two reachable states, evaluated while an op
+    /// is open, then retired. The first retirement finds 4 before 3, so
+    /// the evaluation starts from 4 and stops at its first goal: one node
+    /// charged, two candidates tried, and the goal itself charged nothing.
+    /// The retirement is one traversal from both states, which meet at
+    /// "write 5" and expand it once. The two closing reads are clones, so
+    /// the last exploration tries one of them alone, not each (14 elements
+    /// without symmetry reduction).
     #[test]
     fn window_from_two_states_keeps_its_state_set_and_node_counts() {
         let work = |c: &StreamChecker<SeqAsCa<Reg>>| {
@@ -1777,18 +1784,18 @@ mod tests {
         feed(&mut c, "t0 inv o0.write 3\nt1 inv o0.write 4\nt0 res o0.write ()\nt1 res o0.write ()\n");
         assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
         assert_eq!(work(&c), (2, 1, 5, 4, 0), "either write may come last");
-        // t3's write is open, so nothing retires: the window is searched
-        // from 3 (no witness reads 4) and from 4.
+        // t3's write is open, so nothing retires: the window is explored
+        // from 4, where "read 4" is a goal, and 3 is never reached.
         feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.write 5\nt2 res o0.read 4\n");
         assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
-        assert_eq!(work(&c), (2, 1, 8, 9, 0));
+        assert_eq!(work(&c), (2, 1, 6, 6, 0));
         feed(&mut c, "t3 res o0.write ()\n");
         assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
-        assert_eq!(work(&c), (1, 2, 13, 15, 0), "the segment enumerates from both states to {{5}}");
+        assert_eq!(work(&c), (1, 2, 11, 12, 0), "the segment enumerates from both states to {{5}}");
         assert_eq!(c.stats().peak_states, 2);
         feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.read ()\nt2 res o0.read 4\nt3 res o0.read 4\n");
         assert_eq!(c.finish(), StreamVerdict::Violation);
-        assert_eq!(work(&c), (1, 2, 14, 16, 0));
+        assert_eq!(work(&c), (1, 2, 12, 13, 0));
     }
 
     /// A specification that panics while a lone operation is stepped in
@@ -1825,13 +1832,14 @@ mod tests {
         push_all(&mut c, "t0 inv o0.write 3\nt1 inv o0.write 4\nt0 res o0.write ()\nt1 res o0.write ()\n");
         assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
         assert_eq!((c.stats().states, c.stats().retired_segments), (2, 1));
+        let held = c.parts[0].reach.clone();
         // From 3 the read steps; from 4 the specification panics.
         push_all(&mut c, "t2 inv o0.read ()\nt2 res o0.read 13\n");
         c.checkpoint();
         assert!(c.last_error().unwrap().contains("spec bug"), "{:?}", c.last_error());
         let s = c.stats();
         assert_eq!((s.states, s.retired_segments, s.window), (2, 1, 2), "nothing retired, nothing lost");
-        assert_eq!(c.parts[0].reach, [3, 4]);
+        assert_eq!(c.parts[0].reach, held);
     }
 
     fn reg_ingest(max_window: usize, format: Option<Format>) -> Ingest<SeqAsCa<Reg>> {

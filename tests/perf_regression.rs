@@ -384,16 +384,19 @@ fn task_runner_neither_loses_nor_duplicates_nodes() {
 }
 
 /// `cal-serve kv`'s work on a 16-key stream of concurrent clients, as a
-/// count: the nodes of every checkpoint search and retirement
-/// enumeration, per admitted event. A closed segment is enumerated key by
+/// count: the nodes of every exploration, at checkpoints and
+/// retirements, per admitted event. A closed segment is enumerated key by
 /// key, from that key's own reachable states, so what a burst costs is
 /// the sum over its keys of a few operations' interleavings — not their
 /// product, which is what it cost when the segment was one search over
 /// all the keys: 28,554 nodes for the four-client stream and 237,514 for
-/// the eight-client one on the commit before, 2.2 and 18.5 an event.
+/// the eight-client one on the commit before, 2.2 and 18.5 an event. A
+/// checkpoint's exploration stops at its first goal and charges it
+/// nothing, as the search does: the streams read 11,231 and 10,722 nodes
+/// when a checkpoint ran one search per held state.
 #[test]
 fn a_multi_key_stream_costs_about_a_node_an_event() {
-    for (clients, nodes, per_event) in [(4u32, 11_231u64, 1.0f64), (8, 10_722, 1.1)] {
+    for (clients, nodes, per_event) in [(4u32, 11_225u64, 1.0f64), (8, 10_710, 1.1)] {
         let history = kv_stream(clients);
         let mut checker =
             StreamChecker::new(SeqAsCa::new(KvMapSpec::new()), StreamOptions::default());

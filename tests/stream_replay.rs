@@ -117,3 +117,23 @@ fn overflowing_replay_degrades_instead_of_growing() {
     assert_eq!(s.events, 4);
     assert_eq!(s.peak_window, 4);
 }
+
+/// A causal stream whose write is declared to follow a read that has not
+/// arrived yet: the cut after the write is closed in time but not in
+/// happens-before, so nothing retires until the read comes, and the read
+/// of 0 is then explained by being ordered first.
+#[test]
+fn a_declared_edge_from_a_future_read_holds_back_the_write() {
+    let opts = StreamOptions { causal: true, checkpoint_every: 0, ..StreamOptions::default() };
+    let mut c = StreamChecker::new(SeqAsCa::new(RegisterSpec::new(OBJ)), opts);
+    let (t0, t1) = (ThreadId(0), ThreadId(1));
+    let (read, write) = (Method("read"), Method("write"));
+    assert_eq!(c.push(Action::invoke(t0, OBJ, write, Value::Int(1))), Push::Admitted);
+    assert_eq!(c.push(Action::response(t0, OBJ, write, Value::Unit)), Push::Admitted);
+    assert_eq!(c.push_hb_edge(1, 0), Push::Admitted);
+    assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+    assert_eq!(c.stats().retired_ops, 0, "the edge from op 1 blocks the cut after op 0");
+    assert_eq!(c.push(Action::invoke(t1, OBJ, read, Value::Unit)), Push::Admitted);
+    assert_eq!(c.push(Action::response(t1, OBJ, read, Value::Int(0))), Push::Admitted);
+    assert_eq!(c.finish(), StreamVerdict::Consistent);
+}
