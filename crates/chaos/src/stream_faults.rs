@@ -21,9 +21,12 @@
 //! - **ClientDeath** cuts one thread's events at a seeded point and
 //!   declares it abandoned; its pending operation is sealed through the
 //!   spec's completion machinery at the next retirement boundary.
-//! - **Malformed** splices garbage lines into the stream; they are
-//!   quarantined against the error budget and must not perturb the
-//!   verdict while the budget holds.
+//! - **Malformed** splices bad lines into the stream: garbage, and
+//!   copies of real lines with exactly one field — the thread, the
+//!   argument or the return value — made unconvertible, which a decoder
+//!   that converted a field before checking the next would half-apply.
+//!   They are quarantined against the error budget and must not perturb
+//!   the verdict while the budget holds.
 
 use cal_core::format::Format;
 use cal_core::spec::CaSpec;
@@ -44,7 +47,8 @@ pub enum StreamFault {
     /// One seeded client's events stop at a seeded point; the thread is
     /// declared dead (`abandon`).
     ClientDeath,
-    /// Garbage lines spliced in at seeded positions.
+    /// Bad lines spliced in at seeded positions: garbage, or a copy of a
+    /// real line with one field unconvertible.
     Malformed,
 }
 
@@ -146,20 +150,41 @@ pub fn perturb(fault: StreamFault, seed: u64, history: &History) -> Vec<StreamEv
             let mut splice: Vec<usize> =
                 (0..extra).map(|_| rng.index(lines.len() + 1)).collect();
             splice.sort_unstable();
+            let bad_line = |rng: &mut SplitMix64| {
+                if lines.is_empty() || rng.chance(128) {
+                    GARBAGE[rng.index(GARBAGE.len())].to_owned()
+                } else {
+                    corrupt(&lines[rng.index(lines.len())], rng)
+                }
+            };
             let mut splice = splice.into_iter().peekable();
-            for (i, line) in lines.into_iter().enumerate() {
+            for (i, line) in lines.iter().enumerate() {
                 while splice.peek() == Some(&i) {
                     splice.next();
-                    out.push(StreamEvent::Line(GARBAGE[rng.index(GARBAGE.len())].to_owned()));
+                    out.push(StreamEvent::Line(bad_line(&mut rng)));
                 }
-                out.push(StreamEvent::Line(line));
+                out.push(StreamEvent::Line(line.clone()));
             }
             for _ in splice {
-                out.push(StreamEvent::Line(GARBAGE[rng.index(GARBAGE.len())].to_owned()));
+                out.push(StreamEvent::Line(bad_line(&mut rng)));
             }
         }
     }
     out
+}
+
+/// A copy of the action line `line` with exactly one field made
+/// unconvertible, chosen by `rng`: the thread one past `u32::MAX`, or the
+/// value (the argument of an invocation, the return value of a response)
+/// one past `i64::MAX`. Each still looks like its field; neither converts.
+fn corrupt(line: &str, rng: &mut SplitMix64) -> String {
+    let mut fields: Vec<&str> = line.split_whitespace().collect();
+    if rng.chance(128) {
+        fields[0] = "t4294967296";
+    } else {
+        fields[3] = "9223372036854775808";
+    }
+    fields.join(" ")
 }
 
 fn parse(line: &str) -> Option<cal_core::Action> {
@@ -323,6 +348,40 @@ mod tests {
             assert_eq!(verdict, StreamVerdict::Consistent, "seed {seed}");
             assert!(quarantined >= 1, "seed {seed}: the splice must have been seen");
         }
+    }
+
+    /// Every spliced line parses as nothing, and each one that is not
+    /// garbage is a real line with exactly one field changed: over the
+    /// seeds, the thread, an argument and a return value each.
+    #[test]
+    fn malformed_copies_differ_from_a_real_line_in_one_field() {
+        let mut changed = [false; 3];
+        for seed in 0..24 {
+            let h = consistent_history(seed);
+            let real: Vec<String> =
+                cal_core::text::format_history(&h).lines().map(str::to_owned).collect();
+            let events = perturb(StreamFault::Malformed, seed.wrapping_mul(43), &h);
+            assert!(events.len() > real.len(), "seed {seed}");
+            for event in &events {
+                let StreamEvent::Line(line) = event else { panic!("seed {seed}: {event:?}") };
+                if real.contains(line) {
+                    continue;
+                }
+                assert!(parse_action_line(1, line).is_err(), "seed {seed}: {line:?}");
+                let fields: Vec<&str> = line.split_whitespace().collect();
+                let Some(source) = real.iter().find(|r| {
+                    let theirs: Vec<&str> = r.split_whitespace().collect();
+                    theirs.len() == fields.len()
+                        && theirs.iter().zip(&fields).filter(|(a, b)| a != b).count() == 1
+                }) else {
+                    continue; // garbage
+                };
+                let at = source.split_whitespace().zip(&fields).position(|(a, b)| a != *b).unwrap();
+                let kind = if at == 0 { 0 } else if fields[1] == "inv" { 1 } else { 2 };
+                changed[kind] = true;
+            }
+        }
+        assert_eq!(changed, [true; 3], "thread, argument, return value");
     }
 
     /// The whole family is deterministic: same fault, seed and history,

@@ -378,7 +378,8 @@ impl<'a, S: CaSpec> CalDomain<'a, S> {
 
     /// The node a search of this history from `state` starts at: nothing
     /// matched yet. The streaming checker hands one per state a part of
-    /// its window holds to [`engine::enumerate_goals`].
+    /// its window holds to [`engine::search_from`], which runs the batch's
+    /// DFS from all of them against one memo.
     pub(crate) fn root(&self, state: S::State) -> (Cut, S::State) {
         (self.hb.empty_cut(), state)
     }

@@ -30,14 +30,18 @@
 //!   one stop latch ([`run_tasks`] is the same drain for callers with
 //!   tasks of their own).
 //!
-//! The search itself is an *iterative* DFS over an arena of successor
-//! entries: one `Vec` per worker holds every `(step, node)` on the
-//! current path's frontiers, frames address it by index, and the witness
-//! is reconstructed from frame indices only on success — backtracking is
-//! a truncate, and what a node allocates is whatever its domain's node
-//! and step types do (for the CAL domain over a window-sized history:
-//! nothing, which `tests/alloc_budget.rs` asserts under a counting
-//! allocator).
+//! The search itself is one *iterative* DFS over an arena of successor
+//! entries: one `Vec` per worker holds every `(step, node)` on the current
+//! path's frontiers, frames address it by index, and the witness is
+//! reconstructed from frame indices only on success — backtracking is a
+//! truncate, and what a node allocates is whatever its domain's node and
+//! step types do (for the CAL domain over a window-sized history: nothing,
+//! which `tests/alloc_budget.rs` asserts under a counting allocator).
+//! [`search`] runs it from the domain's root to the first goal, and
+//! [`search_from`] from several roots to whichever goal its caller stops
+//! at — the streaming checker's every end state of a window. One memo
+//! rule serves both: a node is recorded once all below it was visited,
+//! and a revisit is charged as a node and counted as a memo hit.
 //!
 //! A checker plugs in by implementing [`SearchDomain`]: it names its
 //! search-node type (which doubles as the memo key — memo keys stay
@@ -49,19 +53,18 @@
 //! Symmetry reduction ([`CheckOptions::symmetry`]) is the domain's, not
 //! the engine's: the CAL domain generates one successor per orbit of
 //! interchangeable operations ([`crate::symmetry`]), so every node it
-//! creates is its own canonical form and the memo, the task runner
-//! and [`enumerate_goals`] need no symmetry code of their own. For the
-//! enumeration this means its visited set holds one node an orbit where
-//! it held every member; the goal *states* it reports are unchanged,
-//! because a within-class swap leaves the state an element leads to as
-//! it was, so every orbit's goals end in the states its canonical goal
-//! ends in.
+//! creates is its own canonical form and the memo and the task runner
+//! need no symmetry code of their own. A search run past its goals
+//! reports the same goal *states* with it as without: a within-class swap
+//! leaves the state an element leads to as it was, so every orbit's goals
+//! end in the states its canonical goal ends in.
 
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::slice;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -141,8 +144,8 @@ pub struct CheckOptions {
     /// differ only in which of several interchangeable operations (same
     /// object/method/argument/return, identical order constraints) they
     /// match, one successor per orbit is generated — of the `C(n, k)` ways
-    /// of matching `k` of `n` clones, one — for every search and every
-    /// goal enumeration. On by default. Sound for specifications that
+    /// of matching `k` of `n` clones, one — for every search. On by
+    /// default. Sound for specifications that
     /// consume thread ids only through equality tests *within* a
     /// candidate element and keep none in their state (all in-tree
     /// specs); a spec that discriminates on absolute thread ids must turn
@@ -299,13 +302,15 @@ impl<W: fmt::Display> fmt::Display for Verdict<W> {
 /// add field by field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckStats {
-    /// Search nodes charged to the budget; [`search`] expands every one
-    /// that a memo hit does not prune.
+    /// Search nodes charged to the budget: every node visited but a goal
+    /// that stopped the run, a memo hit included. Every one that a memo
+    /// hit does not prune is expanded.
     pub nodes: u64,
     /// Candidate steps tried (spec transition calls).
     pub elements_tried: u64,
-    /// Memo probes that found a refuted state, pruning its subtree (for
-    /// [`enumerate_goals`], revisits of its visited set).
+    /// Memo probes that found a node already explored, pruning its
+    /// subtree: a refuted node, or for [`search_from`] from several roots
+    /// or past its goals, a node whose goals were all handed over.
     pub memo_hits: u64,
     /// Memo probes that missed. With [`CheckOptions::memoize`] on, every
     /// node is probed once, so hits + misses = nodes on one thread.
@@ -561,6 +566,12 @@ impl Ctl<'_> {
         true
     }
 
+    /// Whether the search has run undisturbed so far: no interrupt, no
+    /// spec panic, budget left.
+    fn undisturbed(&self) -> bool {
+        self.interrupted.is_none() && self.panicked.is_none() && !self.exhausted
+    }
+
     /// Charges one node against the runner's budget and latches
     /// `exhausted` when the budget is spent.
     fn charge_node(&mut self) -> bool {
@@ -759,10 +770,7 @@ impl<T> Tally<T> {
         let cancelled = ctl.interrupted == Some(InterruptReason::Cancelled);
         let by_user = ctl.options.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
         Tally {
-            refuted: witness.is_none()
-                && ctl.interrupted.is_none()
-                && ctl.panicked.is_none()
-                && !ctl.exhausted,
+            refuted: witness.is_none() && ctl.undisturbed(),
             witness,
             stats: ctl.stats,
             panicked: ctl.panicked,
@@ -834,31 +842,64 @@ impl<T> Tally<T> {
     }
 }
 
+/// What visiting one node decided ([`visit`]).
+enum Visit {
+    /// A goal that `on_goal` stops the run at.
+    Goal,
+    /// Not expanded (budget spent, or a memo hit); siblings still visited.
+    Skip,
+    /// Not expanded, and the run winds down (interrupt or spec panic).
+    Halt,
+    /// Expanded: its successors are in `out`, in the worker's order.
+    Expanded,
+}
+
+/// Visits one node, roots and children alike: goal test → stop poll →
+/// budget charge → memo probe → expansion. A goal `on_goal` stops at
+/// costs no node; one it does not is expanded like any other node.
+fn visit<D: SearchDomain>(
+    domain: &D,
+    cx: &mut Cx<'_, D>,
+    node: &D::Node,
+    on_goal: &mut impl FnMut(&D::Node) -> bool,
+    out: &mut Vec<(D::Step, D::Node)>,
+) -> Visit {
+    if domain.is_goal(node) && on_goal(node) {
+        return Visit::Goal;
+    }
+    if cx.ctl.should_stop() {
+        return Visit::Halt;
+    }
+    if !cx.ctl.charge_node() || (cx.ctl.options.memoize && probe_memo(cx, node)) {
+        return Visit::Skip;
+    }
+    if !expand_guarded(domain, cx, node, out) {
+        return Visit::Halt;
+    }
+    cx.order.arrange(out);
+    Visit::Expanded
+}
+
 /// The one backtracking search every checker shares, as an iterative
-/// DFS over a per-worker successor arena.
+/// DFS over a per-worker successor arena: from each of `roots` in turn,
+/// against one memo table, until `on_goal` stops it at a goal.
 ///
-/// Check order per visited node faithfully mirrors the old recursive
-/// search: parent stop-poll → goal test → stop-poll → budget charge →
-/// memo probe → expansion. In particular a spent budget skips expansion
-/// but *not* sibling goal tests, and a frame is memo-inserted on pop
-/// only when its subtree genuinely completed (no interrupt, no panic,
-/// no exhaustion).
+/// A spent budget skips expansion but *not* sibling goal tests, and a
+/// frame is memo-inserted on pop only when its subtree genuinely
+/// completed (no interrupt, no panic, no exhaustion): everything below it
+/// was visited and `on_goal` stopped at none of it. Insertion after the
+/// subtree is sound because the search graph is acyclic — every step
+/// matches a span, so no node is met again while its frame is open. A
+/// later root then pays only for the nodes no earlier one reached.
 ///
-/// Returns the witness steps *below* `root` on success.
+/// Returns the witness steps below the root it started from, when
+/// `on_goal` stopped the run.
 fn run_tree<D: SearchDomain>(
     domain: &D,
     cx: &mut Cx<'_, D>,
-    root: &D::Node,
+    roots: &[D::Node],
+    on_goal: &mut impl FnMut(&D::Node) -> bool,
 ) -> Option<Vec<D::Step>> {
-    if domain.is_goal(root) {
-        return Some(Vec::new());
-    }
-    if cx.ctl.should_stop() || !cx.ctl.charge_node() {
-        return None;
-    }
-    if cx.ctl.options.memoize && probe_memo(cx, root) {
-        return None;
-    }
     // The arena: every (step, node) on the current path's frontiers,
     // contiguous per frame. Backtracking truncates; nothing is freed
     // node-by-node.
@@ -867,89 +908,69 @@ fn run_tree<D: SearchDomain>(
     // fresh successor Vec; `Vec::append` moves its contents into the
     // arena and keeps the capacity.
     let mut expanded: Vec<(D::Step, D::Node)> = Vec::new();
-    if !expand_guarded(domain, cx, root, &mut succs) {
-        return None;
-    }
-    cx.order.arrange(&mut succs);
-    let mut frames: Vec<Frame> = vec![Frame {
-        node_idx: None,
-        succ_start: 0,
-        succ_end: succs.len(),
-        cursor: 0,
-    }];
-    while !frames.is_empty() {
-        let fi = frames.len() - 1;
-        if frames[fi].cursor >= frames[fi].succ_end {
-            // Frame exhausted: memo-insert if proven, pop, reclaim the
-            // arena range.
-            let Frame { node_idx, succ_start, .. } = frames[fi];
-            frames.pop();
-            if cx.ctl.options.memoize
-                && cx.ctl.interrupted.is_none()
-                && cx.ctl.panicked.is_none()
-                && !cx.ctl.exhausted
-            {
-                match node_idx {
-                    Some(i) => {
-                        let (_, ref node) = succs[i];
-                        insert_memo(cx, node);
-                    }
-                    None => insert_memo(cx, root),
+    let mut frames: Vec<Frame> = Vec::new();
+    for root in roots {
+        match visit(domain, cx, root, on_goal, &mut expanded) {
+            Visit::Goal => return Some(Vec::new()),
+            Visit::Halt => return None,
+            Visit::Skip => continue,
+            Visit::Expanded => {}
+        }
+        succs.append(&mut expanded);
+        frames.push(Frame { node_idx: None, succ_start: 0, succ_end: succs.len(), cursor: 0 });
+        while let Some(frame) = frames.last_mut() {
+            if frame.cursor >= frame.succ_end {
+                // Frame exhausted: memo-insert if proven, pop, reclaim the
+                // arena range.
+                let Frame { node_idx, succ_start, .. } = *frame;
+                frames.pop();
+                if cx.ctl.options.memoize && cx.ctl.undisturbed() {
+                    insert_memo(cx, node_idx.map_or(root, |i| &succs[i].1));
+                }
+                succs.truncate(succ_start);
+                continue;
+            }
+            // The parent loop's stop poll.
+            if cx.ctl.should_stop() {
+                return None;
+            }
+            let child = frame.cursor;
+            frame.cursor += 1;
+            match visit(domain, cx, &succs[child].1, on_goal, &mut expanded) {
+                Visit::Goal => {
+                    let path = frames.iter().filter_map(|f| f.node_idx).chain([child]);
+                    return Some(path.map(|i| succs[i].0.clone()).collect());
+                }
+                Visit::Halt => return None,
+                Visit::Skip => {}
+                Visit::Expanded => {
+                    let succ_start = succs.len();
+                    succs.append(&mut expanded);
+                    frames.push(Frame {
+                        node_idx: Some(child),
+                        succ_start,
+                        succ_end: succs.len(),
+                        cursor: succ_start,
+                    });
                 }
             }
-            succs.truncate(succ_start);
-            continue;
         }
-        // The parent loop's stop poll.
-        if cx.ctl.should_stop() {
-            return None;
-        }
-        let fi = frames.len() - 1;
-        let child = frames[fi].cursor;
-        frames[fi].cursor += 1;
-        // Visit the child, in the recursive call's exact order.
-        if domain.is_goal(&succs[child].1) {
-            let mut witness: Vec<D::Step> =
-                frames.iter().filter_map(|f| f.node_idx).map(|i| succs[i].0.clone()).collect();
-            witness.push(succs[child].0.clone());
-            return Some(witness);
-        }
-        if cx.ctl.should_stop() {
-            continue; // latched; the next parent poll unwinds
-        }
-        if !cx.ctl.charge_node() {
-            continue; // budget spent: no expansion, but siblings still get goal tests
-        }
-        if cx.ctl.options.memoize && probe_memo(cx, &succs[child].1) {
-            continue;
-        }
-        if !expand_guarded(domain, cx, &succs[child].1, &mut expanded) {
-            continue; // panicked; the next parent poll unwinds
-        }
-        cx.order.arrange(&mut expanded);
-        let succ_start = succs.len();
-        succs.append(&mut expanded);
-        frames.push(Frame {
-            node_idx: Some(child),
-            succ_start,
-            succ_end: succs.len(),
-            cursor: succ_start,
-        });
     }
     None
 }
 
-/// Runs one DFS from `root` to completion (or interruption), trying
+/// Runs one DFS from `roots` to completion (or interruption), trying
 /// successors in `order`: one [`Runner`] task.
-fn run_root<'m, D: SearchDomain>(
+fn run_dfs<'m, D: SearchDomain>(
     domain: &D,
-    root: &D::Node,
+    roots: &[D::Node],
     failed: MemoTable<'m, D::Node>,
     ctl: Ctl<'m>,
     order: Order,
+    mut on_goal: impl FnMut(&D::Node) -> bool,
 ) -> Tally<D::Step> {
     let mut cx: Cx<'_, D> = Cx { ctl, failed, scratch: D::Scratch::default(), order };
-    let witness = run_tree(domain, &mut cx, root);
+    let witness = run_tree(domain, &mut cx, roots, &mut on_goal);
     Tally::of(cx.ctl, witness)
 }
 
@@ -993,7 +1014,8 @@ pub fn search<D: SearchDomain>(
             Some(memo) => MemoTable::Shared(memo),
             None => MemoTable::Local(HashSet::new()),
         };
-        (run_root(domain, &root, failed, runner.ctl(), Order { worker, workers }), true)
+        let order = Order { worker, workers };
+        (run_dfs(domain, slice::from_ref(&root), failed, runner.ctl(), order, |_| true), true)
     });
     let mut total: Tally<D::Step> = Tally::default();
     for (_, tally) in done {
@@ -1032,7 +1054,7 @@ pub(crate) fn search_parts<D: SearchDomain>(
         let tally = match catch_unwind(AssertUnwindSafe(|| part.initial())) {
             Ok(root) => {
                 let failed = MemoTable::Local(HashSet::new());
-                run_root(part, &root, failed, runner.ctl(), Order::SEQUENTIAL)
+                run_dfs(part, slice::from_ref(&root), failed, runner.ctl(), Order::SEQUENTIAL, |_| true)
             }
             Err(p) => Tally { panicked: Some(panic_message(p)), ..Tally::default() },
         };
@@ -1057,116 +1079,34 @@ pub(crate) fn search_parts<D: SearchDomain>(
     Ok(total.outcome()?.map_witness(|_| witnesses))
 }
 
-/// The bound that cut an exploration short ([`Enumeration::cut_short`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bound {
-    /// The node budget, [`CheckOptions::max_nodes`], was spent.
-    Nodes,
-    /// A deadline or a cancellation stopped it.
-    Interrupted(InterruptReason),
-}
-
-/// How an exploration ended: the result of [`enumerate_goals`].
-#[derive(Debug, Clone)]
-pub struct Enumeration {
-    /// The bound that ended the exploration before it was done, if one
-    /// did: the goals reported so far stand, but they are not every goal
-    /// there is, and no goal reported does not mean there is none. `None`
-    /// when it ran to exhaustion or `on_goal` stopped it.
-    pub cut_short: Option<Bound>,
-    /// Work accounting, in the same units as a [`search`] run.
-    pub stats: CheckStats,
-}
-
-/// Explores everything reachable from `roots`, handing each distinct
-/// *goal* node to `on_goal` as it is discovered, until `on_goal` returns
-/// `true`, nothing is left to visit, or a bound ends it.
+/// Runs [`search`]'s DFS from each of `roots` in turn, against one memo
+/// table, until `on_goal` stops it at a goal node: the streaming
+/// checker's one way to reach the engine ([`crate::stream`]). A goal
+/// `on_goal` does not stop at is expanded like any other node, so that a
+/// pending operation may still join an element after it.
 ///
-/// It is the streaming checker's one way to reach the engine
-/// ([`crate::stream`]), for both of its questions about a part of its
-/// window. A checkpoint asks whether some witness starts from a state the
-/// part holds, and stops at the first goal. A retirement asks for every
-/// state a witness can end in, and never stops: the goal nodes of a
-/// decided window prefix carry all of them, after which the prefix's
-/// actions can be garbage-collected. Nothing outlives the call — the
-/// visited set is the memo, and it lives and dies with the call — so a
-/// node refuted against one window is never carried to a window that
-/// new events have extended.
-///
-/// The roots share one traversal and one visited set: the first root's
-/// subtree is explored first, and a later root pays only for the nodes
-/// no earlier one reached — a node carries its state, so what lies below
-/// it does not depend on the root it was reached from. A node's
-/// successors are visited in [`search`]'s order, and each node is
-/// goal-tested before it is charged, as in [`search`]: a goal that ends
-/// the run costs no node. Unlike [`search`], a goal is expanded too, so
-/// that a pending operation may still join an element after it. Goals
-/// are nodes, not states: a caller that wants the distinct end *states*
-/// keeps the set itself, and clones only those.
-///
-/// The full visited set doubles as the memo table here, so
-/// [`CheckOptions::memoize`] is ignored; revisits are counted as
-/// `memo_hits`. Budget, deadline and cancellation are honoured exactly as
-/// in [`search`], and [`Enumeration::cut_short`] names the one that
-/// fired.
-///
-/// The enumeration is one DFS, on a node counter of its own, whatever
-/// [`CheckOptions::threads`] says: completeness needs the one visited
-/// set.
+/// It runs on one worker whatever [`CheckOptions::threads`] says, and
+/// always memoises whatever [`CheckOptions::memoize`] says: the memo keeps
+/// a node several roots reach from being expanded twice. Nothing outlives
+/// the call. [`Verdict::Cal`] means `on_goal` stopped the run, with the
+/// witness below the root it started from; [`Verdict::NotCal`], that all
+/// reachable from `roots` was explored; [`Verdict::ResourcesExhausted`] and
+/// [`Verdict::Interrupted`] name the bound that ended it first.
 ///
 /// # Errors
 ///
 /// Returns [`CheckError::SpecPanicked`] if the domain's specification
-/// panics during the enumeration.
-pub fn enumerate_goals<D: SearchDomain>(
+/// panics during the search.
+pub fn search_from<D: SearchDomain>(
     domain: &D,
-    roots: Vec<D::Node>,
+    roots: &[D::Node],
     options: &CheckOptions,
-    mut on_goal: impl FnMut(&D::Node) -> bool,
-) -> Result<Enumeration, CheckError> {
-    let runner = Runner::new(options, Instant::now());
-    let mut ctl = runner.ctl();
-    let mut visited: HashSet<D::Node> = HashSet::new();
-    // Popped from the back: the first root, and a node's first
-    // successor, are pushed last.
-    let mut stack = roots;
-    stack.reverse();
-    // One successor buffer and one scratch for the whole enumeration, as
-    // in `run_tree`; a node is moved, never cloned.
-    let mut succs: Vec<(D::Step, D::Node)> = Vec::new();
-    let mut scratch = D::Scratch::default();
-    while let Some(node) = stack.pop() {
-        if visited.contains(&node) {
-            ctl.stats.memo_hits += 1;
-            continue;
-        }
-        if domain.is_goal(&node) && on_goal(&node) {
-            return Ok(Enumeration { cut_short: None, stats: ctl.stats });
-        }
-        if ctl.should_stop() || !ctl.charge_node() {
-            break;
-        }
-        {
-            let mut obs = ExpandObs { ctl: &mut ctl };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                domain.expand(&node, &mut scratch, &mut obs, &mut succs)
-            })) {
-                ctl.panicked = Some(panic_message(payload));
-                break;
-            }
-        }
-        visited.insert(node);
-        let unseen = succs.drain(..).rev().map(|(_, next)| next).filter(|next| !visited.contains(next));
-        stack.extend(unseen);
-    }
-    if let Some(msg) = ctl.panicked {
-        return Err(CheckError::SpecPanicked(msg));
-    }
-    let cut_short = match ctl.interrupted {
-        Some(reason) => Some(Bound::Interrupted(reason)),
-        None => ctl.exhausted.then_some(Bound::Nodes),
-    };
-    Ok(Enumeration { cut_short, stats: ctl.stats })
+    on_goal: impl FnMut(&D::Node) -> bool,
+) -> Result<CheckOutcome<Vec<D::Step>>, CheckError> {
+    let options = CheckOptions { memoize: true, ..options.clone() };
+    let runner = Runner::new(&options, Instant::now());
+    let failed = MemoTable::Local(HashSet::new());
+    run_dfs(domain, roots, failed, runner.ctl(), Order::SEQUENTIAL, on_goal).outcome()
 }
 
 /// The one way the engine runs subsearches: a task list drained by
@@ -1367,30 +1307,92 @@ mod tests {
         }
     }
 
-    /// The exploration visits a node's successors in the search's order
-    /// and charges no goal it stops at, so stopped at its first goal it
-    /// costs what the search costs; run to the end it charges every node,
-    /// and a spent budget is named.
+    /// From the one root and stopped at its first goal, [`search_from`]
+    /// is [`search`], count for count; run past its goals it charges every
+    /// node it reaches, and a spent budget is named.
     #[test]
-    fn an_exploration_stopped_at_its_first_goal_costs_what_the_search_costs() {
+    fn a_search_from_one_root_stopped_at_its_first_goal_is_the_search() {
         let (domain, options) = (Countdown { n: 5, dead_end: false }, CheckOptions::default());
-        let searched = search(&domain, &options).unwrap().stats;
+        let searched = search(&domain, &options).unwrap();
         let mut goals = 0;
-        let stopped = enumerate_goals(&domain, vec![5], &options, |_| {
+        let stopped = search_from(&domain, &[5], &options, |_| {
             goals += 1;
             true
         })
         .unwrap();
-        assert_eq!((goals, stopped.cut_short), (1, None));
-        assert_eq!(
-            (stopped.stats.nodes, stopped.stats.elements_tried),
-            (searched.nodes, searched.elements_tried)
-        );
-        let all = enumerate_goals(&domain, vec![5], &options, |_| false).unwrap();
-        assert_eq!((all.cut_short, all.stats.nodes), (None, 6));
+        assert_eq!(goals, 1);
+        assert_eq!(stopped, searched);
+        let all = search_from(&domain, &[5], &options, |_| false).unwrap();
+        assert_eq!((all.verdict, all.stats.nodes - all.stats.memo_hits), (Verdict::NotCal, 6));
         let budget = CheckOptions { max_nodes: 2, ..CheckOptions::default() };
-        let cut = enumerate_goals(&domain, vec![5], &budget, |_| false).unwrap();
-        assert_eq!(cut.cut_short, Some(Bound::Nodes));
+        let cut = search_from(&domain, &[5], &budget, |_| false).unwrap();
+        assert_eq!(cut.verdict, Verdict::ResourcesExhausted);
+    }
+
+    /// Counts down from `root` by 2 or 3; the goals are `goals`. Every
+    /// state below a root is reached from every larger one, so roots
+    /// share most of what lies below them.
+    struct Descent {
+        root: u32,
+        goals: &'static [u32],
+    }
+
+    impl SearchDomain for Descent {
+        type Node = u32;
+        type Step = u32;
+        type Scratch = ();
+
+        fn initial(&self) -> u32 {
+            self.root
+        }
+
+        fn is_goal(&self, node: &u32) -> bool {
+            self.goals.contains(node)
+        }
+
+        fn expand(&self, node: &u32, (): &mut (), obs: &mut ExpandObs<'_, '_>, out: &mut Vec<(u32, u32)>) {
+            for d in [2u32, 3] {
+                obs.on_element_tried();
+                if d <= *node {
+                    out.push((d, *node - d));
+                }
+            }
+        }
+    }
+
+    /// Roots that share one memo lose no goal: a node is memoised only
+    /// once every goal below it was handed over, so a later root pruned
+    /// at it has nothing left to report there, and no shared node is
+    /// expanded twice. Stopped at its first goal, the run from several
+    /// roots accepts iff the search from one of them does.
+    #[test]
+    fn roots_that_share_one_memo_lose_no_goal() {
+        let options = CheckOptions::default();
+        let goals_from = |roots: &[u32], goals| {
+            let mut found = HashSet::new();
+            let run = search_from(&Descent { root: 0, goals }, roots, &options, |&g| {
+                found.insert(g);
+                false
+            })
+            .unwrap();
+            assert_eq!(run.verdict, Verdict::NotCal, "{roots:?}");
+            (found, run.stats)
+        };
+        for roots in [&[3u32, 8][..], &[8, 3], &[9, 5, 1], &[1, 2]] {
+            let (found, stats) = goals_from(roots, &[0, 1, 4]);
+            let union: HashSet<u32> = roots.iter().flat_map(|&r| goals_from(&[r], &[0, 1, 4]).0).collect();
+            assert_eq!(found, union, "{roots:?}");
+            // Steps of 2 and 3 reach every state at least 2 below a root:
+            // each such state, and each root, expanded once.
+            let reached = (0..10).filter(|&s| roots.iter().any(|&r| r == s || s + 2 <= r)).count() as u64;
+            assert_eq!((stats.memo_misses, stats.elements_tried), (reached, 2 * reached), "{roots:?}");
+            assert_eq!(stats.memo_hits + stats.memo_misses, stats.nodes, "{roots:?}");
+        }
+        for roots in [&[3u32, 5, 7][..], &[3, 5, 2], &[5, 3, 6], &[2, 1, 0]] {
+            let one = |root| search(&Descent { root, goals: &[4] }, &options).unwrap().verdict.is_cal();
+            let run = search_from(&Descent { root: 0, goals: &[4] }, roots, &options, |_| true).unwrap();
+            assert_eq!(run.verdict.is_cal(), roots.iter().any(|&r| one(r)), "{roots:?}");
+        }
     }
 
     /// A branching tree with no goal anywhere: every node below the root

@@ -39,9 +39,9 @@
 //! witnesses of `(R · seg)|o` factor as (witness of `R|o`) · (witness of
 //! `seg|o` from the reached state) — the invariant is preserved *exactly*
 //! by replacing, for each object the segment touches, `Q_o` with the end
-//! states of one exhaustive exploration of `seg|o` rooted at every state
-//! of `Q_o` ([`crate::engine::enumerate_goals`]); the other parts are
-//! untouched. Consequences:
+//! states of one exhaustive search of `seg|o` from every state of `Q_o`
+//! ([`crate::engine::search_from`], the batch's DFS run past its goals);
+//! the other parts are untouched. Consequences:
 //!
 //! - some `Q_o = ∅` means no completion of `R` is explainable; since CAL
 //!   is prefix-closed (for the prefix-closed specifications this crate
@@ -51,9 +51,14 @@
 //!   for each object with operations in the window, from every state of
 //!   `Q_o`, stopped at its first goal: exact parity with a batch check of
 //!   the full history.
-//! - Nothing an exploration learns survives it: its visited set is its
-//!   memo and lives and dies with the call, so a node refuted against one
-//!   window is never carried to a window that new events have extended.
+//! - An exploration's memo is the batch's — a node is recorded once
+//!   everything below it was visited, and a revisit is charged as a node
+//!   and counted as a memo hit, as in a batch search — and it lives and
+//!   dies with the call, so a node refuted against one window is never
+//!   carried to a window that new events have extended.
+//! - A part of a stateless pair specification ([`Shape::Pairs`]) retires
+//!   at its first goal too: its `step` ignores the state, so one end state
+//!   carries everything the part's future can use.
 //!
 //! There is one evaluator — one exploration of each part a window prefix
 //! touches, asked for every end state at a boundary and for one witness
@@ -118,7 +123,7 @@
 //! With [`StreamOptions::causal`] set, every window exploration runs over the
 //! causal happens-before order — per-thread session order plus edges
 //! declared via [`StreamChecker::push_hb_edge`] — instead of real time
-//! (see [`crate::causal`]). Two streaming-specific rules keep the
+//! (see [`crate::causal`]). Three streaming-specific rules keep the
 //! retirement invariant sound under a partial order:
 //!
 //! - **Cuts must be hb-closed, not just time-closed**: a segment retires
@@ -144,15 +149,15 @@
 //!   neither verdict can be trusted going forward — the stream latches
 //!   `undecided: late happens-before edge` and refuses further events.
 //!   Declare edges no later than their target operation's response.
-//! - **Awaited edges keep a refutation open**: an edge enters the
-//!   window's order once both its operations have arrived. While one
-//!   from an operation not yet admitted points into the window, that
-//!   operation's arrival can order the window so that a witness explains
-//!   it, so a checkpoint that finds none answers `undecided:
-//!   happens-before edge from a future operation` instead of latching the
-//!   violation ([`UndecidedWhy::FutureHbEdge`]); the cut rule above keeps
-//!   the edge's target from retiring meanwhile. [`StreamChecker::finish`]
-//!   ignores an edge whose source never arrived.
+//! - **A checkpoint's refutation stays open**: under a partial order a
+//!   seen thread's next operation need not follow the window, so its
+//!   arrival — or that of an awaited edge's source — can order the window
+//!   so that a witness explains it. While the stream is open a causal
+//!   checkpoint that finds none answers `undecided: a future operation
+//!   may still explain the window` instead of latching the violation
+//!   ([`UndecidedWhy::FutureOperation`]); [`StreamChecker::finish`]
+//!   latches it, and ignores an edge whose source never arrived.
+//!   Refutations at retirement stay final: their cuts are hb-closed.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -162,13 +167,13 @@ use std::time::Duration;
 
 use crate::action::Action;
 use crate::check::CalDomain;
-use crate::engine::{self, Bound, CheckOptions, CheckStats, InterruptReason};
+use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, Verdict};
 use crate::format::{Format, StreamDecoder, WireItem};
 use crate::history::{admit, by_object, spans_of, HbRelation, HistoryError, Matched, Span, Threads};
 use crate::ids::{ObjectId, ThreadId};
 use crate::obs::JsonLine;
 use crate::op::Operation;
-use crate::spec::CaSpec;
+use crate::spec::{CaSpec, Shape};
 use crate::trace::CaElement;
 
 /// Tuning knobs for a [`StreamChecker`].
@@ -252,12 +257,11 @@ pub enum UndecidedWhy {
     /// without the edge, so no further verdict can be trusted; this
     /// latches (see the module docs).
     LateHbEdge,
-    /// Causal mode: no witness explains the window, but a declared
-    /// happens-before edge from an operation not yet admitted points into
-    /// it, and the operation's arrival can supply one. Resolves at a later
-    /// checkpoint; [`StreamChecker::finish`] ignores the edge if its
-    /// source never arrived.
-    FutureHbEdge,
+    /// Causal mode: no witness explains the window, but the stream is
+    /// open, and under a partial order an operation still to come need
+    /// not follow the window — its arrival may supply one. Resolves at a
+    /// later checkpoint; [`StreamChecker::finish`] decides it.
+    FutureOperation,
 }
 
 impl fmt::Display for UndecidedWhy {
@@ -268,7 +272,9 @@ impl fmt::Display for UndecidedWhy {
             UndecidedWhy::Interrupted(r) => write!(f, "interrupted ({r})"),
             UndecidedWhy::CheckerError => f.write_str("checker error"),
             UndecidedWhy::LateHbEdge => f.write_str("late happens-before edge"),
-            UndecidedWhy::FutureHbEdge => f.write_str("happens-before edge from a future operation"),
+            UndecidedWhy::FutureOperation => {
+                f.write_str("a future operation may still explain the window")
+            }
         }
     }
 }
@@ -1016,7 +1022,9 @@ impl<S: CaSpec> StreamChecker<S> {
             }
             return Segment::Retired;
         }
-        match self.explore(cut, false) {
+        // A stateless pair specification's `step` ignores its state, so
+        // one end state carries everything the part's future can use.
+        match self.explore(cut, self.spec.shape() == Shape::Pairs) {
             Explored::Reached(reached) => {
                 if reached.iter().any(|(_, ends)| ends.len() > self.opts.max_states) {
                     return Segment::Stays;
@@ -1034,16 +1042,17 @@ impl<S: CaSpec> StreamChecker<S> {
 
     /// Re-checks the residual window, setting `last_eval`, or latching the
     /// violation when some part's every state refutes its share of the
-    /// window — unless, in causal mode and while the stream is open, a
-    /// held edge from an operation not yet admitted points into the
-    /// window: that operation's arrival adds the edge to the window's
-    /// order, and a witness may exist then.
+    /// window — unless the stream is causal and still open: under a
+    /// partial order a seen thread's next operation need not follow the
+    /// window, so it may yet explain it, and only [`StreamChecker::finish`]
+    /// makes a causal refutation final.
     fn evaluate(&mut self) {
-        let awaited = !self.closed && self.edges.iter().any(|&(f, t)| f >= self.op_seq && t < self.op_seq);
         self.last_eval = match self.explore(self.window.len(), true) {
             Explored::Reached(_) => StreamVerdict::Consistent,
             Explored::Undecided(why) => StreamVerdict::Undecided(why),
-            Explored::Refuted if awaited => StreamVerdict::Undecided(UndecidedWhy::FutureHbEdge),
+            Explored::Refuted if self.opts.causal && !self.closed => {
+                StreamVerdict::Undecided(UndecidedWhy::FutureOperation)
+            }
             Explored::Refuted => {
                 self.violated = true;
                 return;
@@ -1053,12 +1062,13 @@ impl<S: CaSpec> StreamChecker<S> {
 
     /// The one exploration of `window[..upto]`, for a checkpoint and a
     /// retirement alike: for each part, its spans read once, its order and
-    /// [`CalDomain`] built once, and one [`engine::enumerate_goals`] from
+    /// [`CalDomain`] built once, and one [`engine::search_from`] from
     /// every state it holds. `first_goal` stops each part at its first
     /// goal, as a checkpoint asks only for a witness; otherwise every
     /// distinct end state is collected in discovery order, as a retirement
-    /// needs. A part with no witness refutes the prefix whatever the other
-    /// parts say; otherwise the first undecided part names the reason.
+    /// needs. A part that collected no end state refutes the prefix
+    /// whatever the other parts say; otherwise the first undecided part
+    /// names the reason.
     fn explore(&mut self, upto: usize, first_goal: bool) -> Explored<S::State> {
         let mut reached = Vec::new();
         let mut undecided = None;
@@ -1074,10 +1084,10 @@ impl<S: CaSpec> StreamChecker<S> {
             let part = &self.parts[k];
             let spec = part.spec.as_ref().unwrap_or(&self.spec);
             let domain = CalDomain::new(&spans, &hb, spec);
-            let roots = part.reach.iter().map(|q| domain.root(q.clone())).collect();
+            let roots: Vec<_> = part.reach.iter().map(|q| domain.root(q.clone())).collect();
             let mut ends: Vec<S::State> = Vec::new();
             let mut seen: HashSet<S::State> = HashSet::new();
-            let run = engine::enumerate_goals(&domain, roots, &self.opts.check, |(_, q)| {
+            let run = engine::search_from(&domain, &roots, &self.opts.check, |(_, q)| {
                 if !seen.contains(q) {
                     seen.insert(q.clone());
                     ends.push(q.clone());
@@ -1087,14 +1097,14 @@ impl<S: CaSpec> StreamChecker<S> {
             let why = match run {
                 Ok(run) => {
                     self.stats.search += run.stats;
-                    match run.cut_short {
-                        None if ends.is_empty() => return Explored::Refuted,
-                        None => {
+                    match run.verdict {
+                        Verdict::Cal(_) | Verdict::NotCal if ends.is_empty() => return Explored::Refuted,
+                        Verdict::Cal(_) | Verdict::NotCal => {
                             reached.push((k, ends));
                             continue;
                         }
-                        Some(Bound::Nodes) => UndecidedWhy::ResourcesExhausted,
-                        Some(Bound::Interrupted(reason)) => UndecidedWhy::Interrupted(reason),
+                        Verdict::ResourcesExhausted => UndecidedWhy::ResourcesExhausted,
+                        Verdict::Interrupted { reason } => UndecidedWhy::Interrupted(reason),
                     }
                 }
                 Err(e) => {
@@ -1627,34 +1637,44 @@ mod tests {
         assert_eq!(c.stats().retired_ops, 2);
     }
 
-    /// A read of 1 that a write of 1 is declared to happen before, the
-    /// edge declared before the read responds and the write admitted
-    /// last. A checkpoint between them refutes the window, but the
-    /// awaited edge can undo that, so it is undecided and latches
-    /// nothing: the stream ends with the batch's verdict, checkpoint or
-    /// not. An edge whose source never arrives is ignored at `finish`.
+    /// A window a checkpoint refutes while the causal stream is open, and
+    /// an operation still to come that explains it: a read of 1 that a
+    /// write of 1 is declared to happen before, the write admitted last;
+    /// and, with no edge declared at all, a read of 1 on one thread after
+    /// a write of 2 on another, whose next operation need not follow the
+    /// read under a partial order. The checkpoint is undecided and latches
+    /// nothing, so the stream ends with the batch's verdict, checkpoint or
+    /// not; closed without the write (its edge's source never arriving),
+    /// the refutation is final.
     #[test]
-    fn an_awaited_edge_keeps_a_causal_refutation_open() {
-        let read = "t0 inv o0.read ()\nt0 res o0.read 1\n";
+    fn a_future_operation_keeps_a_causal_refutation_open() {
         let write = "t1 inv o0.write 1\nt1 res o0.write ()\n";
-        let history = parse_history(&format!("{read}{write}")).unwrap();
-        let hb = crate::causal::causal_order(&history, &[(1, 0)]).unwrap();
-        assert!(crate::causal::check_causal(&history, &SeqAsCa::new(Reg), &hb).unwrap().verdict.is_cal());
-        for (checkpoint, arrives) in [(false, true), (true, true), (true, false)] {
-            let mut c = causal_reg_checker(StreamOptions { checkpoint_every: 0, ..StreamOptions::default() });
-            feed(&mut c, "t0 inv o0.read ()\n");
-            assert_eq!(c.push_hb_edge(1, 0), Push::Admitted);
-            feed(&mut c, "t0 res o0.read 1\n");
-            if checkpoint {
-                assert_eq!(c.checkpoint(), StreamVerdict::Undecided(UndecidedWhy::FutureHbEdge));
+        let cases: [(&str, &[(usize, usize)]); 2] = [
+            ("t0 inv o0.read ()\nt0 res o0.read 1\n", &[(1, 0)]),
+            ("t1 inv o0.write 2\nt1 res o0.write ()\nt0 inv o0.read ()\nt0 res o0.read 1\n", &[]),
+        ];
+        for (head, edges) in cases {
+            let history = parse_history(&format!("{head}{write}")).unwrap();
+            let hb = crate::causal::causal_order(&history, edges).unwrap();
+            assert!(crate::causal::check_causal(&history, &SeqAsCa::new(Reg), &hb).unwrap().verdict.is_cal());
+            for (checkpoint, arrives) in [(false, true), (true, true), (true, false)] {
+                let mut c = causal_reg_checker(StreamOptions { checkpoint_every: 0, ..StreamOptions::default() });
+                feed(&mut c, head);
+                for &(from, to) in edges {
+                    assert_eq!(c.push_hb_edge(from, to), Push::Admitted);
+                }
+                if checkpoint {
+                    assert_eq!(c.checkpoint(), StreamVerdict::Undecided(UndecidedWhy::FutureOperation));
+                    assert_eq!(c.stats().retired_ops, 0, "{head}");
+                }
+                if !arrives {
+                    assert_eq!(c.finish(), StreamVerdict::Violation);
+                    continue;
+                }
+                feed(&mut c, write);
+                assert_eq!(c.finish(), StreamVerdict::Consistent, "{head} checkpoint: {checkpoint}");
+                assert_eq!(c.stats().retired_ops, history.len() as u64 / 2);
             }
-            if !arrives {
-                assert_eq!(c.finish(), StreamVerdict::Violation);
-                continue;
-            }
-            feed(&mut c, write);
-            assert_eq!(c.finish(), StreamVerdict::Consistent, "checkpoint: {checkpoint}");
-            assert_eq!(c.stats().retired_ops, 2);
         }
     }
 
@@ -1771,9 +1791,10 @@ mod tests {
     /// the evaluation starts from 4 and stops at its first goal: one node
     /// charged, two candidates tried, and the goal itself charged nothing.
     /// The retirement is one traversal from both states, which meet at
-    /// "write 5" and expand it once. The two closing reads are clones, so
-    /// the last exploration tries one of them alone, not each (14 elements
-    /// without symmetry reduction).
+    /// "write 5" and expand it once: the second meeting is charged as a
+    /// node and counted as a memo hit, as in a batch search. The two
+    /// closing reads are clones, so the last exploration tries one of
+    /// them alone, not each (14 elements without symmetry reduction).
     #[test]
     fn window_from_two_states_keeps_its_state_set_and_node_counts() {
         let work = |c: &StreamChecker<SeqAsCa<Reg>>| {
@@ -1791,11 +1812,11 @@ mod tests {
         assert_eq!(work(&c), (2, 1, 6, 6, 0));
         feed(&mut c, "t3 res o0.write ()\n");
         assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
-        assert_eq!(work(&c), (1, 2, 11, 12, 0), "the segment enumerates from both states to {{5}}");
+        assert_eq!(work(&c), (1, 2, 12, 12, 1), "the segment enumerates from both states to {{5}}");
         assert_eq!(c.stats().peak_states, 2);
         feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.read ()\nt2 res o0.read 4\nt3 res o0.read 4\n");
         assert_eq!(c.finish(), StreamVerdict::Violation);
-        assert_eq!(work(&c), (1, 2, 12, 13, 0));
+        assert_eq!(work(&c), (1, 2, 13, 13, 1));
     }
 
     /// A specification that panics while a lone operation is stepped in

@@ -137,3 +137,28 @@ fn a_declared_edge_from_a_future_read_holds_back_the_write() {
     assert_eq!(c.push(Action::response(t1, OBJ, read, Value::Int(0))), Push::Admitted);
     assert_eq!(c.finish(), StreamVerdict::Consistent);
 }
+
+/// A causal stream whose reader sees a value that a seen writer has not
+/// written yet: a write of 2 on one thread, then a read of 1 on another.
+/// A checkpoint finds no witness, but under a partial order the writer's
+/// next operation need not follow the read, and a write of 1 explains
+/// it — no edge is declared at all. So the checkpoint answers undecided
+/// and latches nothing, the write is admitted, and the stream ends with
+/// the batch's verdict: consistent.
+#[test]
+fn a_seen_writers_next_write_can_explain_a_causal_read() {
+    let opts = StreamOptions { causal: true, checkpoint_every: 0, ..StreamOptions::default() };
+    let mut c = StreamChecker::new(SeqAsCa::new(RegisterSpec::new(OBJ)), opts);
+    let (t0, t1) = (ThreadId(0), ThreadId(1));
+    let (read, write) = (Method("read"), Method("write"));
+    assert_eq!(c.push(Action::invoke(t1, OBJ, write, Value::Int(2))), Push::Admitted);
+    assert_eq!(c.push(Action::response(t1, OBJ, write, Value::Unit)), Push::Admitted);
+    assert_eq!(c.push(Action::invoke(t0, OBJ, read, Value::Unit)), Push::Admitted);
+    assert_eq!(c.push(Action::response(t0, OBJ, read, Value::Int(1))), Push::Admitted);
+    let verdict = c.checkpoint();
+    assert!(matches!(verdict, StreamVerdict::Undecided(_)), "{verdict}");
+    assert_eq!(c.stats().retired_ops, 0);
+    assert_eq!(c.push(Action::invoke(t1, OBJ, write, Value::Int(1))), Push::Admitted);
+    assert_eq!(c.push(Action::response(t1, OBJ, write, Value::Unit)), Push::Admitted);
+    assert_eq!(c.finish(), StreamVerdict::Consistent);
+}
