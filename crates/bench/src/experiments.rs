@@ -9,7 +9,7 @@ use cal_core::agree::agrees_bool;
 use cal_core::check::{check_cal, check_cal_with, CheckOptions, CheckOutcome, Verdict};
 use cal_core::compose::TraceMap;
 use cal_core::gen::{render, render_windowed};
-use cal_core::spec::{CaSpec, PerObject, SeqAsCa};
+use cal_core::spec::{CaSpec, PerObject, Searched, SeqAsCa};
 use cal_core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
 use cal_core::{Action, ActionKind, CaElement, CaTrace, History};
 use cal_core::{ObjectId, Operation, ThreadId, Value};
@@ -630,28 +630,66 @@ pub fn e16(b: &mut Bench) {
 
     // Many objects: sixteen keys, four and eight clients, a quiescent cut
     // every 64 operations or so, `cal-serve`'s own options. Every closed
-    // segment is retired key by key, so what an event costs in search
-    // nodes does not grow with the clients.
+    // segment is retired key by key, and every key's writes store fresh
+    // values, so zones decide every part that is not a lone operation's
+    // and nothing is searched.
     let kv = SeqAsCa::new(KvMapSpec::new());
     for clients in [4u32, 8] {
-        let actions = kv_bursts(&mut StdRng::seed_from_u64(7), clients, 16, 100);
-        let actions = actions.actions();
-        let replay = || {
-            let mut c = StreamChecker::new(kv.clone(), StreamOptions::default());
-            for &action in actions {
-                assert_eq!(c.push(action), Push::Admitted);
-            }
-            assert_eq!(c.finish(), StreamVerdict::Consistent);
-            let s = c.stats();
-            [s.search.nodes, s.peak_states as u64, s.peak_window as u64, s.retired_segments]
-        };
-        b.exact(
-            format!("stream/kv-concurrent/{clients}-clients"),
-            ["nodes", "peak_states", "peak_window", "retired_segments"],
-            replay,
-        )
+        let history = kv_bursts(&mut StdRng::seed_from_u64(7), clients, 16, 100);
+        let actions = history.actions();
+        b.exact(format!("stream/kv-concurrent/{clients}-clients"), KV_STREAM, || {
+            kv_replay(kv.clone(), actions)
+        })
         .rate("events", actions.len() as u64);
     }
+
+    // The monitor at length: 10⁶ events of four clients over sixteen keys,
+    // decided by zones, against the checkpoint search they replace — the
+    // same stream through `Searched`, which hides the register shape.
+    let history = kv_bursts(&mut StdRng::seed_from_u64(7), 4, 16, 7_816);
+    let actions = history.actions();
+    let events = actions.len() as u64;
+    b.exact("stream/kv-1m/search", KV_STREAM, || kv_replay(Searched(kv.clone()), actions))
+        .rate("events", events);
+    b.exact("stream/kv-1m/zones", KV_STREAM, || kv_replay(kv.clone(), actions))
+        .rate("events", events);
+    b.versus("stream/kv-1m/search");
+
+    // The same stream with its written values folded onto 1..=4, as a
+    // Jepsen register's are: most windows repeat a value or write one a
+    // key holds, so most parts fall back to the search, and the arm's
+    // failed attempts are what it costs over the search alone.
+    let fold = |v: Value| match v {
+        Value::Int(v) if v > 0 => Value::Int((v - 1) % 4 + 1),
+        v => v,
+    };
+    let folded: Vec<Action> = actions
+        .iter()
+        .map(|a| match a.kind() {
+            ActionKind::Invoke(v) => Action::invoke(a.thread(), a.object(), a.method(), fold(v)),
+            ActionKind::Response(v) => Action::response(a.thread(), a.object(), a.method(), fold(v)),
+        })
+        .collect();
+    b.exact("stream/kv-1m-repeats/search", KV_STREAM, || kv_replay(Searched(kv.clone()), &folded))
+        .rate("events", events);
+    b.exact("stream/kv-1m-repeats/zones", KV_STREAM, || kv_replay(kv.clone(), &folded))
+        .rate("events", events);
+    b.versus("stream/kv-1m-repeats/search");
+}
+
+/// What a kv stream series records beside its time.
+const KV_STREAM: [&str; 5] = ["nodes", "zones", "peak_states", "peak_window", "retired_segments"];
+
+/// `actions` pushed into a stream checker of `spec` with `cal-serve`'s
+/// options, accepted: its [`KV_STREAM`] counters.
+fn kv_replay<S: CaSpec>(spec: S, actions: &[Action]) -> [u64; 5] {
+    let mut c = StreamChecker::new(spec, StreamOptions::default());
+    for &action in actions {
+        assert_eq!(c.push(action), Push::Admitted);
+    }
+    assert_eq!(c.finish(), StreamVerdict::Consistent);
+    let s = c.stats();
+    [s.search.nodes, s.search.zones, s.peak_states as u64, s.peak_window as u64, s.retired_segments]
 }
 
 /// A rejecting register history: `n` pairwise-concurrent writes of distinct

@@ -240,6 +240,46 @@ pub enum Shape {
     Pairs,
 }
 
+/// `S` with every method forwarded but [`CaSpec::shape`], which is left
+/// [`Shape::Search`]: where `S` is decided by a procedure for its shape,
+/// this one is searched, with the same states, verdicts and end states.
+/// It holds a decision procedure to the search in tests and benchmarks.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct Searched<S>(pub S);
+
+impl<S: CaSpec> CaSpec for Searched<S> {
+    type State = S::State;
+
+    fn initial(&self) -> S::State {
+        self.0.initial()
+    }
+
+    fn step(&self, state: &S::State, element: &CaElement) -> Option<S::State> {
+        self.0.step(state, element)
+    }
+
+    fn max_element_size(&self) -> usize {
+        self.0.max_element_size()
+    }
+
+    fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+        self.0.completions_of(inv)
+    }
+
+    fn completions_among(&self, inv: &Invocation, peers: &[Invocation]) -> Vec<Value> {
+        self.0.completions_among(inv, peers)
+    }
+
+    fn may_join(&self, state: &S::State, next: &Invocation, members: impl Iterator<Item = Invocation>) -> bool {
+        self.0.may_join(state, next, members)
+    }
+
+    fn restrict(&self, object: ObjectId) -> Option<Self> {
+        self.0.restrict(object).map(Searched)
+    }
+}
+
 /// A register-shaped specification: each admitted object holds one
 /// integer, 0 before any write; a write method stores its `Int`
 /// argument and returns `()`, a read method returns the value held,
@@ -256,9 +296,25 @@ pub struct RegisterShape {
 }
 
 impl RegisterShape {
+    /// The value every admitted object holds before its first write.
+    pub const INITIAL: i64 = 0;
+
     /// Whether the specification admits operations on `object`.
     pub fn admits(&self, object: ObjectId) -> bool {
         self.object.is_none_or(|o| o == object)
+    }
+
+    /// The value `op`'s object holds once `op` took effect, for an
+    /// operation the specification accepts: a write's argument, a read's
+    /// return. `None` for an operation that is neither.
+    pub fn holds_after(&self, op: &Operation) -> Option<i64> {
+        if self.writes.contains(&op.method) {
+            op.arg.as_int()
+        } else if self.reads.contains(&op.method) {
+            op.ret.as_int()
+        } else {
+            None
+        }
     }
 }
 

@@ -60,6 +60,28 @@
 //!   at its first goal too: its `step` ignores the state, so one end state
 //!   carries everything the part's future can use.
 //!
+//! ## Zones
+//!
+//! A part whose specification has a register shape ([`Shape::Register`]:
+//! a register, or one key of a map of registers) is decided by zones
+//! ([`crate::zones`]) instead of the search wherever its window qualifies:
+//! the stream is in real time, every write of the part's spans stores an
+//! `Int` no other of them stores and no state the part holds holds, and,
+//! at a retirement, no span is pending. Each held state carries the value
+//! it holds, and zones run from that value as the initial write. A
+//! checkpoint asks whether they accept the spans from some held value. A
+//! retirement keeps, for each held value they accept from, every write
+//! whose cluster's earliest response follows every other cluster's latest
+//! invocation — the writes some witness ends with, each ending in the held
+//! state stepped by it — or the held state itself when the segment has no
+//! write ([`crate::zones`], *End values*, proves the rule). Everything
+//! else — causal mode, a repeated value, a write of a held value, a sealed
+//! abandoned operation, a specification of another shape — is searched as
+//! above. The search does not report the values its end states hold, so a
+//! part it retired is searched until its next lone operation names the
+//! value again. [`CheckStats::zones`] in [`StreamStats::search`] counts the
+//! parts zones decided.
+//!
 //! There is one evaluator — one exploration of each part a window prefix
 //! touches, asked for every end state at a boundary and for one witness
 //! at a checkpoint — and the stream that cannot be split is its one-part
@@ -170,11 +192,12 @@ use crate::check::CalDomain;
 use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, Verdict};
 use crate::format::{Format, StreamDecoder, WireItem};
 use crate::history::{admit, by_object, spans_of, HbRelation, HistoryError, Matched, Span, Threads};
-use crate::ids::{ObjectId, ThreadId};
+use crate::ids::{ObjectId, ThreadId, Value};
 use crate::obs::JsonLine;
 use crate::op::Operation;
-use crate::spec::{CaSpec, Shape};
+use crate::spec::{CaSpec, RegisterShape, Shape};
 use crate::trace::CaElement;
+use crate::zones::{self, Conflict, Zones};
 
 /// Tuning knobs for a [`StreamChecker`].
 #[derive(Debug, Clone)]
@@ -388,6 +411,7 @@ impl StreamReport {
             .num("hb_edges", s.hb_edges)
             .num("late_edges", s.late_edges)
             .num("nodes", s.search.nodes)
+            .num("zones", s.search.zones)
             .num("elements_tried", s.search.elements_tried)
             .num("memo_hits", s.search.memo_hits)
             .finish()
@@ -398,7 +422,7 @@ impl StreamReport {
         let s = &self.stats;
         format!(
             "{} in {:.1}ms: {} events, window {} (peak {}), {} states (peak {}), \
-             {} ops retired in {} segments, {} checkpoints, {} nodes",
+             {} ops retired in {} segments, {} checkpoints, {} nodes, {} zones",
             self.verdict,
             self.wall_ms,
             s.events,
@@ -410,6 +434,7 @@ impl StreamReport {
             s.retired_segments,
             s.checkpoints,
             s.search.nodes,
+            s.search.zones,
         )
     }
 }
@@ -479,9 +504,19 @@ struct Part<S: CaSpec> {
     /// [`CaSpec::restrict`]'s contract it admits no element there, so the
     /// object's operations are explainable iff none of them is complete.
     spec: Option<S>,
+    /// `spec`'s register shape, when it has one: the part is then decided
+    /// by zones wherever its window qualifies (module docs, "Zones").
+    register: Option<RegisterShape>,
     /// `Q_o`, in discovery order; never empty.
-    reach: Vec<S::State>,
+    reach: Vec<Held<S>>,
 }
+
+/// A state a part holds, beside the value it holds when the part has a
+/// register shape: the register's initial one, then the value a lone
+/// operation or zones left it holding. The search does not name the value
+/// of an end state, so a part the search retired holds `None` until its
+/// next lone operation names the value again, and searches until then.
+type Held<S> = (<S as CaSpec>::State, Option<i64>);
 
 /// What a closed segment did to the parts it touches
 /// ([`StreamChecker::retire_segment`]).
@@ -499,7 +534,10 @@ enum Segment {
 enum Explored<Q> {
     /// Every part it touches has a witness: each part's index and the
     /// distinct states its witnesses end in (the first one only, when the
-    /// exploration stopped at its first goal).
+    /// exploration stopped at its first goal — and for a part zones
+    /// decided there, where the window may hold pending operations, the
+    /// held state its witness starts from: a checkpoint reads only that
+    /// there is one).
     Reached(Vec<(usize, Vec<Q>)>),
     /// Some part has none, from any state it holds.
     Refuted,
@@ -624,8 +662,13 @@ impl<S: CaSpec> StreamChecker<S> {
         let spec = if self.opts.causal { None } else { self.spec.restrict(object) };
         let unsplit = spec.is_none() && self.parts.is_empty();
         let initial = spec.as_ref().unwrap_or(&self.spec).initial();
+        let register = match spec.as_ref().map(CaSpec::shape) {
+            Some(Shape::Register(shape)) => Some(shape),
+            _ => None,
+        };
+        let held = (initial, register.map(|_| RegisterShape::INITIAL));
         let object = (!unsplit).then_some(object);
-        self.parts.insert(at, Part { object, spec, reach: vec![initial] });
+        self.parts.insert(at, Part { object, spec, register, reach: vec![held] });
     }
 
     /// Where the part deciding `object`'s operations is, or would go:
@@ -784,6 +827,16 @@ impl<S: CaSpec> StreamChecker<S> {
     /// The stream's counters.
     pub fn stats(&self) -> &StreamStats {
         &self.stats
+    }
+
+    /// The states some witness of the retired prefix leaves each object's
+    /// specification in (module docs, "The retirement invariant"), in the
+    /// order they were found: one entry per object admitted so far, by
+    /// object, or one entry, `None`, for every object of a stream that is
+    /// not split.
+    pub fn held_states(&self) -> Vec<(Option<ObjectId>, Vec<S::State>)> {
+        let states = |p: &Part<S>| p.reach.iter().map(|(q, _)| q.clone()).collect();
+        self.parts.iter().map(|p| (p.object, states(p))).collect()
     }
 
     /// Snapshots a [`StreamReport`] after `wall` of runtime.
@@ -985,28 +1038,29 @@ impl<S: CaSpec> StreamChecker<S> {
                 inv.arg().expect("invocations carry an argument"),
                 res.ret().expect("responses carry a return value"),
             );
-            let element = CaElement::singleton(op);
             // In place, so that the stream's commonest step allocates
             // nothing of its own: the successors go behind the states
             // they come from, which are dropped once every one of them
             // has been stepped — or the successors are, and the part is
             // as it was.
             let k = self.part_of(inv.object());
-            let Part { spec, reach, .. } = &mut self.parts[k];
+            let Part { spec, register, reach, .. } = &mut self.parts[k];
+            let value = register.and_then(|shape| shape.holds_after(&op));
+            let element = CaElement::singleton(op);
             let spec = spec.as_ref().unwrap_or(&self.spec);
             let held = reach.len();
             for i in 0..held {
                 self.stats.search.elements_tried += 1;
-                match catch_unwind(AssertUnwindSafe(|| spec.step(&reach[i], &element))) {
+                match step_guarded(spec, &reach[i].0, &element) {
                     Ok(Some(q2)) => {
-                        if !reach[held..].contains(&q2) {
-                            reach.push(q2);
+                        if !reach[held..].iter().any(|(q, _)| *q == q2) {
+                            reach.push((q2, value));
                         }
                     }
                     Ok(None) => {}
-                    Err(payload) => {
+                    Err(message) => {
                         reach.truncate(held);
-                        self.last_error = Some(crate::engine::panic_message(payload));
+                        self.last_error = Some(message);
                         return Segment::Stays;
                     }
                 }
@@ -1061,18 +1115,39 @@ impl<S: CaSpec> StreamChecker<S> {
     }
 
     /// The one exploration of `window[..upto]`, for a checkpoint and a
-    /// retirement alike: for each part, its spans read once, its order and
-    /// [`CalDomain`] built once, and one [`engine::search_from`] from
-    /// every state it holds. `first_goal` stops each part at its first
-    /// goal, as a checkpoint asks only for a witness; otherwise every
-    /// distinct end state is collected in discovery order, as a retirement
-    /// needs. A part that collected no end state refutes the prefix
-    /// whatever the other parts say; otherwise the first undecided part
-    /// names the reason.
-    fn explore(&mut self, upto: usize, first_goal: bool) -> Explored<S::State> {
+    /// retirement alike: for each part, its spans read once, then zones
+    /// run from every value it holds where they decide it (module docs,
+    /// "Zones"), or else its order and [`CalDomain`] built once and one
+    /// [`engine::search_from`] from every state it holds. `first_goal`
+    /// stops each part at its first goal, as a checkpoint asks only for
+    /// a witness; otherwise every distinct end state is collected in
+    /// discovery order, as a retirement needs. A part that collected no
+    /// end state refutes the prefix whatever the other parts say;
+    /// otherwise the first undecided part names the reason.
+    fn explore(&mut self, upto: usize, first_goal: bool) -> Explored<Held<S>> {
         let mut reached = Vec::new();
         let mut undecided = None;
         for (k, spans) in self.spans_by_part(upto) {
+            // Zones decide a register part whose spans qualify from every
+            // value it holds, if none is pending at a retirement (module
+            // docs, "Zones"); the search decides the rest.
+            let part = &self.parts[k];
+            let complete = first_goal || spans.iter().all(Span::is_complete);
+            let decided = part.register.filter(|_| complete).and_then(|shape| {
+                let mut decided = Vec::with_capacity(part.reach.len());
+                for (_, value) in &part.reach {
+                    decided.push(zones::cluster(&spans, &shape, (*value)?, upto as i64)?);
+                }
+                Some(decided)
+            });
+            if let Some(ends) = decided.and_then(|decided| self.zone_ends(k, &spans, &decided, first_goal)) {
+                self.stats.search.zones += 1;
+                if ends.is_empty() {
+                    return Explored::Refuted;
+                }
+                reached.push((k, ends));
+                continue;
+            }
             let hb = match self.order(&spans) {
                 Ok(hb) => hb,
                 Err(e) => {
@@ -1084,13 +1159,13 @@ impl<S: CaSpec> StreamChecker<S> {
             let part = &self.parts[k];
             let spec = part.spec.as_ref().unwrap_or(&self.spec);
             let domain = CalDomain::new(&spans, &hb, spec);
-            let roots: Vec<_> = part.reach.iter().map(|q| domain.root(q.clone())).collect();
-            let mut ends: Vec<S::State> = Vec::new();
+            let roots: Vec<_> = part.reach.iter().map(|(q, _)| domain.root(q.clone())).collect();
+            let mut ends: Vec<Held<S>> = Vec::new();
             let mut seen: HashSet<S::State> = HashSet::new();
             let run = engine::search_from(&domain, &roots, &self.opts.check, |(_, q)| {
                 if !seen.contains(q) {
                     seen.insert(q.clone());
-                    ends.push(q.clone());
+                    ends.push((q.clone(), None));
                 }
                 first_goal
             });
@@ -1116,6 +1191,51 @@ impl<S: CaSpec> StreamChecker<S> {
         }
         undecided.map_or(Explored::Reached(reached), Explored::Undecided)
     }
+
+    /// The states part `k`'s witnesses of `spans` end in, read off the
+    /// zones run from each value it holds (`decided`, in the order of the
+    /// held states; module docs, "Zones"): for each held state they accept
+    /// from, every write some witness ends with, stepped from it — or the
+    /// state itself when the spans hold no write. Empty when they accept
+    /// from no held state. Stopped at its first goal, only the first held
+    /// state they accept from. `None` when the specification panics on or
+    /// rejects one of those writes, breaking its shape's promise: the
+    /// search then decides the part, and meets the fault itself.
+    fn zone_ends(
+        &self,
+        k: usize,
+        spans: &[Span],
+        decided: &[Result<Zones, Box<Conflict>>],
+        first_goal: bool,
+    ) -> Option<Vec<Held<S>>> {
+        let part = &self.parts[k];
+        let spec = part.spec.as_ref().unwrap_or(&self.spec);
+        let mut ends: Vec<Held<S>> = Vec::new();
+        for ((q, value), found) in part.reach.iter().zip(decided) {
+            let Ok(found) = found else { continue };
+            if first_goal {
+                return Some(vec![(q.clone(), *value)]);
+            }
+            let mut last = found.last_writes().peekable();
+            if last.peek().is_none() {
+                ends.push((q.clone(), *value));
+            }
+            for w in last {
+                let write = CaElement::singleton(spans[w].operation_with_ret(Value::Unit));
+                let q2 = step_guarded(spec, q, &write).ok()??;
+                if !ends.iter().any(|(end, _)| *end == q2) {
+                    ends.push((q2, spans[w].arg.as_int()));
+                }
+            }
+        }
+        Some(ends)
+    }
+}
+
+/// `spec.step(state, element)` with a panic of the specification caught:
+/// its message is the error.
+fn step_guarded<S: CaSpec>(spec: &S, state: &S::State, element: &CaElement) -> Result<Option<S::State>, String> {
+    catch_unwind(AssertUnwindSafe(|| spec.step(state, element))).map_err(crate::engine::panic_message)
 }
 
 /// What one wire line did to the stream ([`Ingest::line`]).
@@ -1782,7 +1902,7 @@ mod tests {
              \"peak_window\": 4, \"states\": 1, \"peak_states\": 2, \"retired_ops\": 3, \
              \"retired_actions\": 6, \"retired_segments\": 2, \"checkpoints\": 2, \
              \"abandoned\": 1, \"hb_edges\": 1, \"late_edges\": 0, \"nodes\": 5, \
-             \"elements_tried\": 6, \"memo_hits\": 0}"
+             \"zones\": 0, \"elements_tried\": 6, \"memo_hits\": 0}"
         );
     }
 
@@ -1817,6 +1937,176 @@ mod tests {
         feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.read ()\nt2 res o0.read 4\nt3 res o0.read 4\n");
         assert_eq!(c.finish(), StreamVerdict::Violation);
         assert_eq!(work(&c), (1, 2, 13, 13, 1));
+    }
+
+    /// [`Reg`] with its register shape declared, restricted to any object:
+    /// the stream decides its windows by zones where they qualify.
+    #[derive(Debug, Clone)]
+    struct ZonedReg;
+    impl crate::spec::SeqSpec for ZonedReg {
+        type State = i64;
+        fn initial(&self) -> i64 {
+            0
+        }
+        fn apply(&self, state: &i64, op: &Operation) -> Option<i64> {
+            Reg.apply(state, op)
+        }
+        fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+            Reg.completions_of(inv)
+        }
+        fn restrict(&self, _: ObjectId) -> Option<Self> {
+            Some(ZonedReg)
+        }
+        fn shape(&self) -> Shape {
+            Shape::Register(RegisterShape { writes: &[Method("write")], reads: &[Method("read")], object: None })
+        }
+    }
+
+    fn zoned_feed(checker: &mut StreamChecker<SeqAsCa<ZonedReg>>, text: &str) {
+        for action in parse_history(text).unwrap().actions() {
+            assert_eq!(checker.push(*action), Push::Admitted);
+        }
+    }
+
+    /// The window of `window_from_two_states_keeps_its_state_set_and_node_counts`,
+    /// decided by zones: the same state sets, and no node. Two concurrent
+    /// writes may each come last; a read of 4 and a write of 5 refute
+    /// from 3 and end in 5 from 4, since the read is invoked before the
+    /// write responds.
+    #[test]
+    fn zones_retire_a_register_window_to_the_writes_that_may_come_last() {
+        let work = |c: &StreamChecker<SeqAsCa<ZonedReg>>| {
+            let s = c.stats();
+            (s.states, s.retired_segments, s.search.nodes, s.search.zones)
+        };
+        let held = |c: &StreamChecker<SeqAsCa<ZonedReg>>| c.held_states();
+        let opts = StreamOptions { checkpoint_every: 0, ..StreamOptions::default() };
+        let mut c = StreamChecker::new(SeqAsCa::new(ZonedReg), opts);
+        zoned_feed(&mut c, "t0 inv o0.write 3\nt1 inv o0.write 4\nt0 res o0.write ()\nt1 res o0.write ()\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert_eq!(work(&c), (2, 1, 0, 1), "either write may come last");
+        assert_eq!(held(&c), [(Some(ObjectId(0)), vec![3, 4])]);
+        // t3's write is open: a checkpoint, accepted from 4.
+        zoned_feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.write 5\nt2 res o0.read 4\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert_eq!(work(&c), (2, 1, 0, 2));
+        zoned_feed(&mut c, "t3 res o0.write ()\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert_eq!(work(&c), (1, 2, 0, 3));
+        assert_eq!(held(&c), [(Some(ObjectId(0)), vec![5])]);
+        zoned_feed(&mut c, "t2 inv o0.read ()\nt3 inv o0.read ()\nt2 res o0.read 4\nt3 res o0.read 4\n");
+        assert_eq!(c.finish(), StreamVerdict::Violation);
+        assert_eq!(work(&c), (1, 2, 0, 4));
+    }
+
+    /// A repeated value sends its window to the search, which does not
+    /// name the values its end states hold: the part searches its next
+    /// window too, until a lone operation names the value, and the window
+    /// after that is decided by zones again.
+    #[test]
+    fn a_repeated_value_is_searched_until_a_lone_operation_names_the_value() {
+        let work = |c: &StreamChecker<SeqAsCa<ZonedReg>>| (c.stats().search.nodes, c.stats().search.zones);
+        let opts = StreamOptions { checkpoint_every: 0, ..StreamOptions::default() };
+        let mut c = StreamChecker::new(SeqAsCa::new(ZonedReg), opts);
+        zoned_feed(
+            &mut c,
+            "t0 inv o0.write 3\nt1 inv o0.write 3\nt2 inv o0.write 4\n\
+             t0 res o0.write ()\nt1 res o0.write ()\nt2 res o0.write ()\n",
+        );
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        let (nodes, zones) = work(&c);
+        assert!(nodes > 0 && zones == 0);
+        let mut held = c.parts[0].reach.clone();
+        held.sort_unstable();
+        assert_eq!(held, [(3, None), (4, None)]);
+        zoned_feed(&mut c, "t0 inv o0.write 5\nt1 inv o0.read ()\nt0 res o0.write ()\nt1 res o0.read 5\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        let (more, zones) = work(&c);
+        assert!(more > nodes && zones == 0, "the values are unknown: searched");
+        assert_eq!(c.parts[0].reach, [(5, None)]);
+        zoned_feed(&mut c, "t2 inv o0.read ()\nt2 res o0.read 5\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert_eq!(c.parts[0].reach, [(5, Some(5))]);
+        zoned_feed(&mut c, "t0 inv o0.write 6\nt1 inv o0.read ()\nt0 res o0.write ()\nt1 res o0.read 6\n");
+        assert_eq!(c.finish(), StreamVerdict::Consistent);
+        assert_eq!(work(&c), (more, 1));
+        assert_eq!(c.parts[0].reach, [(6, Some(6))]);
+    }
+
+    /// A write of the value a part holds goes to the search too: read from
+    /// that value, the write would fall into the held value's own cluster,
+    /// and the write of 7 before it would look like the last one. The
+    /// search ends the window in 5 — the write of 5 is invoked after the
+    /// write of 7 responds — so a read of 5 after it is consistent.
+    #[test]
+    fn a_write_of_a_held_value_is_searched() {
+        let opts = StreamOptions { checkpoint_every: 0, ..StreamOptions::default() };
+        let mut c = StreamChecker::new(SeqAsCa::new(ZonedReg), opts);
+        zoned_feed(&mut c, "t9 inv o0.write 5\nt9 res o0.write ()\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert_eq!(c.parts[0].reach, [(5, Some(5))]);
+        zoned_feed(
+            &mut c,
+            "t3 inv o0.read ()\nt0 inv o0.read ()\nt0 res o0.read 5\nt1 inv o0.write 7\n\
+             t1 res o0.write ()\nt2 inv o0.write 5\nt2 res o0.write ()\nt3 res o0.read 5\n",
+        );
+        assert_eq!(c.checkpoint(), StreamVerdict::Consistent);
+        assert!(c.stats().search.nodes > 0);
+        assert_eq!(c.stats().search.zones, 0);
+        assert_eq!(c.held_states(), [(Some(ObjectId(0)), vec![5])]);
+        zoned_feed(&mut c, "t0 inv o0.read ()\nt0 res o0.read 5\n");
+        assert_eq!(c.finish(), StreamVerdict::Consistent);
+    }
+
+    /// A specification that declares a register shape but rejects a write
+    /// of 7 and panics on a write of 8 breaks the shape's promise: zones
+    /// accept the window, the end state cannot be stepped, and the search
+    /// decides the part instead — refuting the 7, and naming the panic
+    /// with nothing retired.
+    #[test]
+    fn a_register_spec_that_breaks_its_shape_is_searched() {
+        #[derive(Debug, Clone)]
+        struct Broken;
+        impl crate::spec::SeqSpec for Broken {
+            type State = i64;
+            fn initial(&self) -> i64 {
+                0
+            }
+            fn apply(&self, state: &i64, op: &Operation) -> Option<i64> {
+                match op.arg {
+                    Value::Int(7) => None,
+                    Value::Int(8) => panic!("spec bug: eight written"),
+                    _ => Reg.apply(state, op),
+                }
+            }
+            fn completions_of(&self, inv: &Invocation) -> Vec<Value> {
+                Reg.completions_of(inv)
+            }
+            fn restrict(&self, _: ObjectId) -> Option<Self> {
+                Some(Broken)
+            }
+            fn shape(&self) -> Shape {
+                ZonedReg.shape()
+            }
+        }
+        let opts = StreamOptions { checkpoint_every: 0, ..StreamOptions::default() };
+        let feed = |c: &mut StreamChecker<SeqAsCa<Broken>>, text: &str| {
+            for action in parse_history(text).unwrap().actions() {
+                assert_eq!(c.push(*action), Push::Admitted);
+            }
+        };
+        let mut c = StreamChecker::new(SeqAsCa::new(Broken), opts.clone());
+        feed(&mut c, "t0 inv o0.write 6\nt1 inv o0.write 8\nt0 res o0.write ()\nt1 res o0.write ()\n");
+        c.checkpoint();
+        assert!(c.last_error().unwrap().contains("spec bug"), "{:?}", c.last_error());
+        let s = c.stats();
+        // Zones decided the checkpoint after it, which steps nothing; not
+        // the retirement.
+        assert_eq!((s.retired_segments, s.window, s.search.zones), (0, 4, 1), "nothing retired");
+        let mut c = StreamChecker::new(SeqAsCa::new(Broken), opts);
+        feed(&mut c, "t0 inv o0.write 6\nt1 inv o0.write 7\nt0 res o0.write ()\nt1 res o0.write ()\n");
+        assert_eq!(c.checkpoint(), StreamVerdict::Violation);
+        assert_eq!((c.stats().retired_segments, c.stats().search.zones), (0, 0));
     }
 
     /// A specification that panics while a lone operation is stepped in

@@ -49,6 +49,25 @@
 //! clusters of one object occupy disjoint runs of the order, each a write
 //! followed by its reads, and an operation that responds before another
 //! is invoked sits at a smaller point.
+//!
+//! **End values.** The streaming checker ([`crate::stream`]) retires a
+//! closed segment of one register by the values some witness of it can
+//! leave the register holding, run from each value the register may hold
+//! before it ([`cluster`], [`Zones::last_writes`]). With every operation
+//! complete, `v` is such a value iff the segment followed by a read of `v`
+//! that is invoked after everything is linearizable: that read must come
+//! last. The appended read turns `v`'s zone into `[f_v, ∞)`, which
+//! conflicts with no other zone iff every other cluster's `s` is below
+//! `f_v` — a forward zone `[f_u, s_u]` overlaps it iff `s_u > f_v`, and a
+//! backward zone `[s_u, f_u]` lies inside it iff `s_u > f_v`. When that
+//! holds, `v`'s old zone conflicts with nothing either: a forward
+//! `[f_v, s_v]` meets no zone that ends before `f_v`, and a backward
+//! `[s_v, f_v]` can only lie inside a forward zone that ends after `f_v`.
+//! So the segment plus the read is linearizable iff the segment is and
+//! every other cluster's latest invocation precedes `v`'s earliest
+//! response. The initial value is a write at −∞ (`f = −1`) and every
+//! write is invoked at 0 or later, so the initial value ends a segment iff
+//! it has no write.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -169,10 +188,6 @@ impl fmt::Display for Conflict {
     }
 }
 
-/// The value every object of a register shape holds before its first
-/// write ([`RegisterShape`]).
-const INITIAL: i64 = 0;
-
 /// No cluster: a dropped pending operation.
 const DROPPED: u32 = u32::MAX;
 
@@ -211,19 +226,16 @@ pub fn decide(history: &History, shape: &RegisterShape) -> Result<Decision, Hist
         return Ok(Decision::Search);
     }
     let spans = history.try_spans()?;
-    let mut clusters = clusters(&spans, shape, history.len() as i64);
-    let cluster_of = match join(&spans, shape, &mut clusters) {
-        Ok(cluster_of) => cluster_of,
-        Err(conflict) => return Ok(Decision::NotCal(*conflict)),
-    };
-    Ok(match place(&spans, &clusters, &cluster_of) {
-        Err(conflict) => Decision::NotCal(*conflict),
-        Ok(point) => {
+    Ok(match cluster(&spans, shape, RegisterShape::INITIAL, history.len() as i64) {
+        None => Decision::Search,
+        Some(Err(conflict)) => Decision::NotCal(*conflict),
+        Some(Ok(zones)) => {
+            let point = zones.points(&spans);
             let mut order: Vec<(i64, u32, bool, usize)> = (0..spans.len())
-                .filter(|&i| cluster_of[i] != DROPPED)
+                .filter(|&i| zones.cluster_of[i] != DROPPED)
                 .map(|i| {
-                    let k = cluster_of[i];
-                    (point[i], k, clusters[k as usize].write != Some(i), i)
+                    let k = zones.cluster_of[i];
+                    (point[i], k, zones.clusters[k as usize].write != Some(i), i)
                 })
                 .collect();
             order.sort_unstable();
@@ -234,6 +246,81 @@ pub fn decide(history: &History, shape: &RegisterShape) -> Result<Decision, Hist
             Decision::Cal(CaTrace::from_elements(elements.collect()))
         }
     })
+}
+
+/// A history's clusters, every span joined to its own and every zone
+/// checked against the others: what [`cluster`] found when the history is
+/// linearizable.
+#[derive(Debug)]
+pub struct Zones {
+    /// Sorted by `(object, value)`.
+    clusters: Vec<Cluster>,
+    /// Each span's cluster; [`DROPPED`] for a pending read and for a
+    /// pending write nobody read.
+    cluster_of: Vec<u32>,
+    /// Each backward cluster's doubled point (module documentation).
+    backward_at: Vec<i64>,
+}
+
+/// The one entry to the cluster code, under [`decide`] and the streaming
+/// checker's register parts: `spans` clustered with `initial` as every
+/// object's value before its first write, a pending write responding at
+/// `end`. `None` when the spans do not qualify — an operation on an
+/// object `shape` does not admit or calling none of its methods, a write
+/// that stores no `Int`, stores `initial`, stores what another write of
+/// its object stores, or completes with anything but `()`; otherwise the
+/// zones, or the first conflict among them.
+pub fn cluster(
+    spans: &[Span],
+    shape: &RegisterShape,
+    initial: i64,
+    end: i64,
+) -> Option<Result<Zones, Box<Conflict>>> {
+    let mut clusters = clusters(spans, shape, initial, end)?;
+    Some(join(spans, shape, &mut clusters).and_then(|cluster_of| {
+        let backward_at = check(spans, &clusters)?;
+        Ok(Zones { clusters, cluster_of, backward_at })
+    }))
+}
+
+impl Zones {
+    /// The writes whose value some witness leaves their object holding,
+    /// as span indices, for spans on one object that are all complete (see
+    /// the module documentation's *End values*): each write whose cluster's
+    /// earliest response follows every other cluster's latest invocation.
+    /// None when the spans hold no write, and the initial value is the one
+    /// they end in.
+    pub fn last_writes(&self) -> impl Iterator<Item = usize> + '_ {
+        // The latest and the second latest invocation, and whose the
+        // latest is: every cluster's "latest among the others" is one of
+        // the two.
+        let (mut top, mut second) = ((i64::MIN, usize::MAX), i64::MIN);
+        for (k, c) in self.clusters.iter().enumerate().filter(|(_, c)| !c.dropped) {
+            if c.last_inv > top.0 {
+                (second, top) = (top.0, (c.last_inv, k));
+            } else {
+                second = second.max(c.last_inv);
+            }
+        }
+        self.clusters.iter().enumerate().filter_map(move |(k, c)| {
+            let others = if k == top.1 { second } else { top.0 };
+            c.write.filter(|_| !c.dropped && others < c.first_resp)
+        })
+    }
+
+    /// Each span's point, doubled so that a half-integer is odd (see the
+    /// module documentation).
+    fn points(&self, spans: &[Span]) -> Vec<i64> {
+        let point = spans.iter().zip(&self.cluster_of).map(|(span, &k)| {
+            let Some(c) = self.clusters.get(k as usize) else { return 0 };
+            if !c.is_forward() {
+                return self.backward_at[k as usize];
+            }
+            let write_at = c.write.map_or(-1, |w| (spans[w].inv as i64).max(c.first_resp));
+            2 * (span.inv as i64).max(write_at)
+        });
+        point.collect()
+    }
 }
 
 /// Whether `history` qualifies (see the module documentation), read off
@@ -249,7 +336,9 @@ fn qualifies(history: &History, shape: &RegisterShape) -> bool {
         let write = shape.writes.contains(&method);
         match a.kind() {
             _ if !shape.admits(object) => false,
-            ActionKind::Invoke(Value::Int(v)) if write => v != INITIAL && written.insert((object, v)),
+            ActionKind::Invoke(Value::Int(v)) if write => {
+                v != RegisterShape::INITIAL && written.insert((object, v))
+            }
             ActionKind::Invoke(_) => !write && shape.reads.contains(&method),
             ActionKind::Response(ret) => !write || ret == Value::Unit,
         }
@@ -257,15 +346,23 @@ fn qualifies(history: &History, shape: &RegisterShape) -> bool {
 }
 
 /// One cluster per write, and one per object whose initial value a
-/// complete read returns, sorted by `(object, value)`. A pending write
-/// responds at `end`.
-fn clusters(spans: &[Span], shape: &RegisterShape, end: i64) -> Vec<Cluster> {
+/// complete read returns, sorted by `(object, value)`, or `None` when the
+/// spans do not qualify ([`cluster`]). A pending write responds at `end`.
+fn clusters(spans: &[Span], shape: &RegisterShape, initial: i64, end: i64) -> Option<Vec<Cluster>> {
     let mut clusters = Vec::new();
     for (i, span) in spans.iter().enumerate() {
+        if !shape.admits(span.object) {
+            return None;
+        }
         let (value, write) = if shape.writes.contains(&span.method) {
-            (span.arg.as_int().expect("a qualified write stores an Int"), Some(i))
-        } else if span.ret == Some(Value::Int(INITIAL)) {
-            (INITIAL, None)
+            match (span.arg, span.ret) {
+                (Value::Int(v), None | Some(Value::Unit)) if v != initial => (v, Some(i)),
+                _ => return None,
+            }
+        } else if !shape.reads.contains(&span.method) {
+            return None;
+        } else if span.ret == Some(Value::Int(initial)) {
+            (initial, None)
         } else {
             continue;
         };
@@ -279,10 +376,14 @@ fn clusters(spans: &[Span], shape: &RegisterShape, end: i64) -> Vec<Cluster> {
         clusters.push(Cluster { object, value, write, first_resp, last_inv, dropped });
     }
     clusters.sort_unstable_by_key(|c| (c.object, c.value));
-    // Written values are unique and none is the initial value, so only
-    // an object's reads of its initial value share a key.
-    clusters.dedup_by_key(|c| (c.object, c.value));
-    clusters
+    // No write stores the initial value, so two clusters of one key are
+    // two writes of one value, or two reads of the initial one.
+    let key = |c: &Cluster| (c.object, c.value);
+    if clusters.windows(2).any(|p| key(&p[0]) == key(&p[1]) && p[0].write.is_some()) {
+        return None;
+    }
+    clusters.dedup_by_key(|c| key(c));
+    Some(clusters)
 }
 
 /// Each span's cluster, every complete read joined to its value's;
@@ -329,13 +430,9 @@ fn join(
     Ok(cluster_of)
 }
 
-/// Each span's point, doubled so that a half-integer is odd (see the
-/// module documentation), or the first two clusters whose zones conflict.
-fn place(
-    spans: &[Span],
-    clusters: &[Cluster],
-    cluster_of: &[u32],
-) -> Result<Vec<i64>, Box<Conflict>> {
+/// Each backward cluster's doubled point (see the module documentation),
+/// or the first two clusters whose zones conflict.
+fn check(spans: &[Span], clusters: &[Cluster]) -> Result<Vec<i64>, Box<Conflict>> {
     let name = |c: &Cluster| ClusterName {
         object: c.object,
         value: c.value,
@@ -370,13 +467,5 @@ fn place(
             None => 2 * c.last_inv + 1,
         };
     }
-    let point = spans.iter().zip(cluster_of).map(|(span, &k)| {
-        let Some(c) = clusters.get(k as usize) else { return 0 };
-        if !c.is_forward() {
-            return backward_at[k as usize];
-        }
-        let write_at = c.write.map_or(-1, |w| (spans[w].inv as i64).max(c.first_resp));
-        2 * (span.inv as i64).max(write_at)
-    });
-    Ok(point.collect())
+    Ok(backward_at)
 }

@@ -50,7 +50,7 @@ use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, CheckStats, Verdict};
 use cal::core::format::{format_jepsen, format_kvlog, StreamDecoder};
 use cal::core::history::HbRelation;
-use cal::core::spec::{CaSpec, SeqAsCa};
+use cal::core::spec::{CaSpec, Searched, SeqAsCa};
 use cal::core::stream::{
     Ingest, LineSplitter, Push, Reply, StreamChecker, StreamOptions, StreamVerdict,
 };
@@ -269,10 +269,12 @@ fn a_checkpointed_node_costs_a_handful_of_allocations() {
         "exchanger stream: {allocations} allocations for {} checkpointed nodes",
         stats.nodes
     );
+    // A register's windows searched, as they are where zones do not
+    // decide them: `Searched` hides the built-in's register shape.
     let register = SeqAsCa::new(RegisterSpec::new(O));
     let opts = StreamOptions::default();
     let (stats, allocations) =
-        stream_counted(&pipelined_register_history(64), register, opts, true);
+        stream_counted(&pipelined_register_history(64), Searched(register.clone()), opts, true);
     // (463 nodes and no hit counted in the goal enumeration.)
     assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (641, 1_219, 178));
     assert!(
@@ -280,6 +282,13 @@ fn a_checkpointed_node_costs_a_handful_of_allocations() {
         "register stream: {allocations} allocations for {} checkpointed nodes",
         stats.nodes
     );
+    // The built-in, decided by zones: its one closed segment retires with
+    // no node, and the whole stream costs what its window and its one
+    // clustering allocate (34; the search above allocates a few a node).
+    let opts = StreamOptions::default();
+    let (stats, allocations) = stream_counted(&pipelined_register_history(64), register, opts, true);
+    assert_eq!((stats.nodes, stats.zones), (0, 1));
+    assert!(allocations <= 40, "register stream by zones: {allocations} allocations");
 }
 
 #[test]

@@ -243,8 +243,8 @@ const QUOTED: &[(&str, &str, &[&str])] = &[
     ),
     (
         "E16",
-        "stream/kv-concurrent/",
-        &["events_per_s", "nodes", "peak_states", "peak_window", "retired_segments"],
+        "stream/kv-",
+        &["events_per_s", "nodes", "zones", "peak_states", "peak_window", "retired_segments", "ratio"],
     ),
     ("Ablations", "ablation/memoization_reject/", &["nodes", "ratio"]),
     ("Ablations", "ablation/scheduler_pruning/", &["paths", "ratio"]),

@@ -40,8 +40,8 @@ use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
 use cal::core::engine::{self, ExpandObs, SearchDomain};
 use cal::core::history::{HbRelation, Span};
-use cal::core::spec::SeqAsCa;
-use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
+use cal::core::spec::{CaSpec, Searched, SeqAsCa};
+use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamStats, StreamVerdict};
 use cal::core::{History, Method, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::kv::KvMapSpec;
@@ -384,7 +384,9 @@ fn task_runner_neither_loses_nor_duplicates_nodes() {
 }
 
 /// `cal-serve kv`'s work on a 16-key stream of concurrent clients, as a
-/// count: the nodes of every exploration, at checkpoints and
+/// count of the search it runs where zones do not decide a key — here
+/// every key, through [`Searched`], which hides the register
+/// shape: the nodes of every exploration, at checkpoints and
 /// retirements, per admitted event. A closed segment is enumerated key by
 /// key, from that key's own reachable states, so what a burst costs is
 /// the sum over its keys of a few operations' interleavings — not their
@@ -402,15 +404,9 @@ fn task_runner_neither_loses_nor_duplicates_nodes() {
 fn a_multi_key_stream_costs_about_a_node_an_event() {
     for (clients, nodes, per_event) in [(4u32, 11_304u64, 1.0f64), (8, 11_068, 1.1)] {
         let history = kv_stream(clients);
-        let mut checker =
-            StreamChecker::new(SeqAsCa::new(KvMapSpec::new()), StreamOptions::default());
-        for &action in history.actions() {
-            assert_eq!(checker.push(action), Push::Admitted);
-        }
-        assert_eq!(checker.finish(), StreamVerdict::Consistent);
-        let stats = checker.stats();
-        assert_eq!(stats.events, history.len() as u64);
+        let stats = multi_key_stream(&history, Searched(SeqAsCa::new(KvMapSpec::new())));
         assert_eq!(stats.search.nodes, nodes, "{clients} clients, {} events", stats.events);
+        assert_eq!(stats.search.zones, 0);
         assert!(
             stats.search.nodes as f64 <= per_event * stats.events as f64,
             "{clients} clients: {} nodes for {} events",
@@ -418,4 +414,30 @@ fn a_multi_key_stream_costs_about_a_node_an_event() {
             stats.events
         );
     }
+}
+
+/// The same streams through the built-in `kv`, as `cal-serve kv` runs
+/// them: every key's writes store fresh values, so zones decide every part
+/// at every checkpoint and retirement that is not a lone operation's, and
+/// nothing is searched.
+#[test]
+fn a_multi_key_stream_is_decided_by_zones() {
+    for (clients, zones) in [(4u32, 4_693u64), (8, 2_790)] {
+        let history = kv_stream(clients);
+        let stats = multi_key_stream(&history, SeqAsCa::new(KvMapSpec::new()));
+        assert_eq!(stats.search.nodes, 0, "{clients} clients, {} events", stats.events);
+        assert_eq!(stats.search.zones, zones, "{clients} clients, {} events", stats.events);
+    }
+}
+
+/// Every action of `history` pushed into a stream checker with `cal-serve`'s
+/// options, accepted: its counters at the end.
+fn multi_key_stream<S: CaSpec>(history: &History, spec: S) -> StreamStats {
+    let mut checker = StreamChecker::new(spec, StreamOptions::default());
+    for &action in history.actions() {
+        assert_eq!(checker.push(action), Push::Admitted);
+    }
+    assert_eq!(checker.finish(), StreamVerdict::Consistent);
+    assert_eq!(checker.stats().events, history.len() as u64);
+    checker.stats().clone()
 }

@@ -19,9 +19,11 @@
 //! held to it too, with symmetry reduction on and off: their closed
 //! segments are what the retirement enumeration walks one orbit at a time.
 
+use std::collections::HashSet;
+
 use cal::core::check::{check_cal, check_cal_with, CheckOptions, Verdict};
 use cal::core::gen::{interleave, mutate, render_loose, Mutation};
-use cal::core::spec::{CaSpec, Invocation, PerObject, SeqAsCa};
+use cal::core::spec::{CaSpec, Invocation, PerObject, Searched, SeqAsCa};
 use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
 use cal::core::{Action, CaElement, CaTrace, History, Method, ObjectId, Operation, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
@@ -413,9 +415,19 @@ fn assert_product_is_the_joint_set<S: CaSpec + Clone>(
 /// operation's effect lands anywhere in its interval. With `stale`, one
 /// read in three returns the value its key held *before* the last write
 /// (a violation unless that write is still open); with `deaths`, a client
-/// now and then goes away with its operation open, and is abandoned. The
+/// now and then goes away with its operation open, and is abandoned; with
+/// `repeat`, one write in three stores 0, 1 or 2 instead of a fresh value,
+/// so values repeat and a write may store the value its key holds. The
 /// tail may be cut off, leaving operations pending and not abandoned.
-fn kv_events(rng: &mut StdRng, clients: u32, keys: u32, ops: usize, stale: bool, deaths: bool) -> Vec<Event> {
+fn kv_events(
+    rng: &mut StdRng,
+    clients: u32,
+    keys: u32,
+    ops: usize,
+    stale: bool,
+    deaths: bool,
+    repeat: bool,
+) -> Vec<Event> {
     #[derive(Clone, Copy)]
     enum Client {
         Idle,
@@ -437,6 +449,9 @@ fn kv_events(rng: &mut StdRng, clients: u32, keys: u32, ops: usize, stale: bool,
                 issued += 1;
                 let key = ObjectId(rng.gen_range(0..keys));
                 let write = rng.gen_bool(0.5).then(|| {
+                    if repeat && rng.gen_range(0..3) == 0 {
+                        return rng.gen_range(0..3);
+                    }
                     fresh += 1;
                     fresh
                 });
@@ -521,7 +536,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         for (stale, deaths) in [(false, false), (true, false), (true, true)] {
-            let events = kv_events(&mut rng, clients, keys, ops, stale, deaths);
+            let events = kv_events(&mut rng, clients, keys, ops, stale, deaths, false);
             assert_product_is_the_joint_set(kv_spec(), &events, 0, true, &mut rng);
         }
     }
@@ -535,7 +550,7 @@ proptest! {
         seed in 0u64..5_000, keys in 1u32..4, clients in 2u32..5, ops in 4usize..14,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let events = kv_events(&mut rng, clients, keys, ops, seed % 2 == 0, true);
+        let events = kv_events(&mut rng, clients, keys, ops, seed % 2 == 0, true, false);
         let max_window = rng.gen_range(clients as usize..clients as usize + 3);
         assert_product_is_the_joint_set(kv_spec(), &events, max_window, true, &mut rng);
     }
@@ -547,7 +562,7 @@ proptest! {
         seed in 0u64..5_000, keys in 1u32..4, clients in 2u32..4, ops in 1usize..10,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let events = kv_events(&mut rng, clients, keys, ops, seed % 2 == 0, seed % 3 == 0);
+        let events = kv_events(&mut rng, clients, keys, ops, seed % 2 == 0, seed % 3 == 0, false);
         assert_product_is_the_joint_set(Whole(kv_spec()), &events, 0, true, &mut rng);
     }
 
@@ -604,7 +619,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let stranger = ThreadId(9);
-        let mut events: Vec<Event> = kv_events(&mut rng, 2, 1, ops, false, false);
+        let mut events: Vec<Event> = kv_events(&mut rng, 2, 1, ops, false, false, false);
         let mut at = if first { 0 } else { rng.gen_range(1..=events.len().max(1)).min(events.len()) };
         events.insert(at, Event::Action(Action::invoke(stranger, ObjectId(1), Method("write"), Value::Int(1))));
         if completes {
@@ -624,4 +639,114 @@ proptest! {
         let expected = if completes { StreamVerdict::Violation } else { StreamVerdict::Consistent };
         prop_assert_eq!(checker.finish(), expected);
     }
+}
+
+// --- zones against the search ------------------------------------------------
+
+/// What the zones-against-search comparison saw, over every stream.
+#[derive(Debug, Default)]
+struct Tally {
+    consistent: u64,
+    violation: u64,
+    /// Part decisions zones made, in the checkers that had them.
+    zones: u64,
+    /// Nodes those checkers searched: the parts zones left to the search.
+    fallback_nodes: u64,
+    /// Streams that sealed an abandoned operation under window pressure.
+    sealed: u64,
+    /// Retirements that left some part more than one state.
+    several: u64,
+}
+
+/// Each part's states, as a set, by object.
+fn held_sets<S: CaSpec>(checker: &StreamChecker<S>) -> Vec<(Option<ObjectId>, HashSet<S::State>)> {
+    checker.held_states().into_iter().map(|(o, states)| (o, states.into_iter().collect())).collect()
+}
+
+/// Feeds `events` to a checker of `spec`, which has a register shape and
+/// is decided by zones where its windows qualify, and to one of
+/// [`Searched`]`(spec)`, which searches every window, with the same
+/// options, and holds them to each other after every event: what each push
+/// answered, the verdict, and every part's state set — so every retirement
+/// either made left the same end states. Returns the closing verdict.
+fn zones_match_the_search<S: CaSpec + Clone>(
+    spec: S,
+    events: &[Event],
+    opts: &StreamOptions,
+    tally: &mut Tally,
+) -> StreamVerdict {
+    let mut zoned = StreamChecker::new(spec.clone(), opts.clone());
+    let mut searched = StreamChecker::new(Searched(spec), opts.clone());
+    for (i, event) in events.iter().enumerate() {
+        match *event {
+            Event::Abandon(thread) => {
+                zoned.abandon_thread(thread);
+                searched.abandon_thread(thread);
+            }
+            Event::Action(action) => {
+                let pushed = zoned.push(action);
+                assert_eq!(pushed, searched.push(action), "event {i} of {events:?}");
+                if pushed != Push::Admitted {
+                    break;
+                }
+            }
+        }
+        assert_eq!(zoned.verdict(), searched.verdict(), "after event {i} of {events:?}");
+        assert_eq!(held_sets(&zoned), held_sets(&searched), "after event {i} of {events:?}");
+    }
+    let verdict = zoned.finish();
+    assert_eq!(verdict, searched.finish(), "at the end of {events:?}");
+    assert_eq!(held_sets(&zoned), held_sets(&searched), "at the end of {events:?}");
+    let (z, s) = (zoned.stats(), searched.stats());
+    assert_eq!(s.search.zones, 0);
+    tally.zones += z.search.zones;
+    tally.fallback_nodes += z.search.nodes;
+    tally.sealed += u64::from(z.abandoned > 0 && opts.max_window > 0 && z.retired_ops > 0);
+    tally.several += u64::from(z.peak_states > 1);
+    verdict
+}
+
+/// Zones against the search, on generated streams of the `register` and
+/// `kv` built-ins — stale reads planted in five of six, clients dying in
+/// one of five (sealed under a window of about one operation a client in
+/// half of those), values repeated and written over a held value in one
+/// of seven — with automatic checkpoints every 2, 8, 32 or 128 events, so
+/// that checkpoints fall while operations are pending. Each stream is held
+/// to the search after every event ([`zones_match_the_search`]), until ten
+/// thousand have ended each way.
+#[test]
+fn zones_decide_register_parts_as_the_search_does() {
+    let mut tally = Tally::default();
+    let mut seed = 0u64;
+    while tally.consistent.min(tally.violation) < 10_000 {
+        assert!(seed < 100_000, "too few of one polarity: {tally:?}");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let register = seed.is_multiple_of(2);
+        let every = [2usize, 8, 32, 128][(seed / 2 % 4) as usize];
+        let clients = rng.gen_range(2u32..5);
+        let keys = if register { 1 } else { rng.gen_range(2u32..5) };
+        let ops = rng.gen_range(6..14 + every / 4);
+        let (stale, deaths, repeat) = (!seed.is_multiple_of(6), seed.is_multiple_of(5), seed.is_multiple_of(7));
+        let events = kv_events(&mut rng, clients, keys, ops, stale, deaths, repeat);
+        let max_window = if deaths && rng.gen_bool(0.5) {
+            rng.gen_range(clients as usize..clients as usize + 3)
+        } else {
+            0
+        };
+        let opts = StreamOptions { max_window, checkpoint_every: every, ..StreamOptions::default() };
+        let verdict = if register {
+            zones_match_the_search(SeqAsCa::new(RegisterSpec::new(OBJ)), &events, &opts, &mut tally)
+        } else {
+            zones_match_the_search(kv_spec(), &events, &opts, &mut tally)
+        };
+        match verdict {
+            StreamVerdict::Consistent => tally.consistent += 1,
+            StreamVerdict::Violation => tally.violation += 1,
+            StreamVerdict::Undecided(_) => {}
+        }
+        seed += 1;
+    }
+    eprintln!("{seed} streams: {tally:?}");
+    assert!(tally.zones > 0 && tally.fallback_nodes > 0, "{tally:?}");
+    assert!(tally.sealed > 0 && tally.several > 0, "{tally:?}");
 }
