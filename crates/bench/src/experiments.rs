@@ -243,11 +243,13 @@ pub fn e13(b: &mut Bench) {
 
 /// E8 — checker scalability on accepting instances: CAL membership against
 /// history length and thread count, `⊑CAL` agreement on a logged
-/// witness, and a register whose writes are unique through the kernel
+/// witness, and a register whose writes are unique through the search
 /// and through the dispatch, which decides it by zones, and the same
 /// register with repeated values, which the dispatch sends to the search.
+/// (`Searched` hides the shapes that zones and the matching decide, so the
+/// search arms time the search.)
 pub fn e8(b: &mut Bench) {
-    let spec = ExchangerSpec::new(ids::E0);
+    let spec = Searched(ExchangerSpec::new(ids::E0));
     for n in [4, 8, 16, 32, 64] {
         let h = exchanger_history(42, 3, n, n);
         let name = format!("cal_check/elements/{n}");
@@ -280,11 +282,12 @@ pub fn e8(b: &mut Bench) {
     // Four clients writing fresh values to one key, as every benchmark
     // register workload does: the search, then `run_ca`'s zones.
     let register = SeqAsCa::new(RegisterSpec::new(ObjectId(0)));
+    let searched = Searched(register.clone());
     let options = CheckOptions::default();
     for ops in [1_000, 10_000, 100_000] {
         let h = kv_bursts(&mut StdRng::seed_from_u64(8), 4, 1, ops / 64);
         let kernel = format!("cal_check/register/{ops}");
-        b.exact(&*kernel, SEARCH, || accepted(check_cal_with(&h, &register, &options).unwrap()));
+        b.exact(&*kernel, SEARCH, || accepted(check_cal_with(&h, &searched, &options).unwrap()));
         b.exact(format!("zones/register/{ops}"), ["nodes", "zones"], || {
             let out = run_ca(&h, &register, None, &options).unwrap();
             assert!(out.verdict.is_cal(), "expected an acceptance");
@@ -294,16 +297,16 @@ pub fn e8(b: &mut Bench) {
     }
     // The same histories, still accepted, with values that repeat, so the
     // dispatch sends them to the search and the ratio is what trying zones
-    // first costs: every value folded onto 1..=8 (the first repeat ends
-    // the attempt at once), or one write of 1 appended (the attempt reads
-    // the whole history first).
+    // first costs: every value folded onto 1..=8, or one write of 1
+    // appended (either way the clustering reads the spans before it meets
+    // the repeat).
     for ops in [1_000, 10_000, 100_000] {
         let h = kv_bursts(&mut StdRng::seed_from_u64(8), 4, 1, ops / 64);
         let mut late = h.clone();
         late.push_complete(write_op(ObjectId(0), ThreadId(0), 1));
         for (name, h) in [("repeats", fold_values(&h, 8)), ("late_repeat", late)] {
             let kernel = format!("cal_check/register_{name}/{ops}");
-            b.exact(&*kernel, SEARCH, || accepted(check_cal_with(&h, &register, &options).unwrap()));
+            b.exact(&*kernel, SEARCH, || accepted(check_cal_with(&h, &searched, &options).unwrap()));
             b.exact(format!("fallback/register_{name}/{ops}"), ["nodes", "zones"], || {
                 let out = run_ca(&h, &register, None, &options).unwrap();
                 assert!(out.verdict.is_cal(), "expected an acceptance");
@@ -319,11 +322,12 @@ pub fn e8(b: &mut Bench) {
 /// last), a thousand unplanted windows, and 2,001 identical concurrent
 /// `exchange(0) ▷ (true,0)` calls (any two swap, one is left over: the
 /// matching's graph is a clique, where symmetry makes the search
-/// linear), each through the kernel (`check_cal_with`, one worker) and
-/// through `run_ca`, which decides a stateless pair spec by a matching
-/// with no search node.
+/// linear), each through the search (`check_cal_with` of the spec behind
+/// `Searched`, one worker) and through `run_ca`, which decides a
+/// stateless pair spec by a matching with no search node.
 pub fn e22(b: &mut Bench) {
     let spec = ExchangerSpec::new(ObjectId(0));
+    let searched = Searched(spec);
     let options = CheckOptions::default();
     let counts = |out: &CheckOutcome| [out.stats.nodes, out.stats.matching];
     let clones = |k: u32| {
@@ -341,7 +345,7 @@ pub fn e22(b: &mut Bench) {
     for (case, h, cal) in cases {
         let search = format!("pairs/search/{case}");
         b.exact(&*search, ["nodes", "matching"], || {
-            let out = check_cal_with(&h, &spec, &options).unwrap();
+            let out = check_cal_with(&h, &searched, &options).unwrap();
             assert_eq!(out.verdict.is_cal(), cal);
             counts(&out)
         });
@@ -418,9 +422,10 @@ fn hard_cal_stack_block(object: ObjectId, base: u32, k: i64) -> Vec<Action> {
 /// workers must add at most 15 % to the one-worker nodes on any host
 /// (asserted), and with two or more be ≥ 1.2× faster (asserted).
 /// **decompose/kv-keys/{16,1000,10000}**: 10⁵ map operations over that
-/// many keys with one value written twice, so `run_ca` falls back from
-/// zones to the per-key split; 10,000 keys must take at most 3× the time
-/// of 16 (asserted). **spans/clients/{100,10000}**: 10⁵ map writes of
+/// many keys with one value written twice, searched key by key (the spec
+/// behind `Searched`, which hides the shape zones would decide all keys
+/// but one by); 10,000 keys must take at most 3× the time of 16
+/// (asserted). **spans/clients/{100,10000}**: 10⁵ map writes of
 /// distinct values in rounds of that many concurrent clients, through
 /// `History::try_spans` and through `run_ca` (zones decide it); at 10,000
 /// clients each must take at most 3× the time of 100 (asserted).
@@ -475,7 +480,7 @@ pub fn e14(b: &mut Bench) {
     b.versus("cal/frontier-stack-8/par");
 
     let h = exchanger_windows(ObjectId(0), 14, true);
-    let spec = ExchangerSpec::new(ObjectId(0));
+    let spec = Searched(ExchangerSpec::new(ObjectId(0)));
     let mut par_nodes = 0;
     b.ranged("cal/refute-exchanger-14/par", SEARCH, || {
         let counts = refuted(check_cal_with(&h, &spec, &many).unwrap());
@@ -501,11 +506,12 @@ pub fn e14(b: &mut Bench) {
     // The split's cost in the number of keys: as many operations over
     // more keys must not cost more than the per-key work they add.
     let kv = SeqAsCa::new(KvMapSpec::new());
+    let searched = Searched(kv.clone());
     let mut ratio = 0.0;
     for keys in [16, 1_000, 10_000] {
         let h = kv_keys(100_000, keys);
         b.exact(format!("decompose/kv-keys/{keys}"), ["nodes", "zones"], || {
-            let out = run_ca(&h, &kv, None, &one).unwrap();
+            let out = check_cal_with(&h, &searched, &one).unwrap();
             assert!(out.verdict.is_cal(), "expected an acceptance");
             [out.stats.nodes, out.stats.zones]
         });
@@ -555,8 +561,8 @@ fn kv_clients(ops: usize, clients: usize) -> History {
 /// `ops` operations on a map of `keys` registers by four clients, in
 /// rounds of four concurrent operations on consecutive keys, each a write
 /// of a fresh value or a read of what its key holds; the last rewrites
-/// its key's value, so no value is unique and [`run_ca`] searches the
-/// history split by key.
+/// its key's value, so that key's values repeat and [`run_ca`] searches
+/// it.
 fn kv_keys(ops: usize, keys: usize) -> History {
     let mut h = History::new();
     let mut store = vec![0i64; keys];

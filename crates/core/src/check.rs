@@ -35,6 +35,9 @@
 //! them by object. Each part keeps the whole history's action indices,
 //! so no projected history is built, and an acceptance stitches the
 //! parts' witnesses by where their invocations fall.
+//! The procedure is chosen here too, part by part, for the batch and the
+//! stream alike: zones ([`crate::zones`]) or a matching
+//! ([`crate::matching`]) by the part's shape, else the search.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,10 +46,12 @@ use crate::agree::explain;
 use crate::engine::{self, panic_message, ExpandObs, SearchDomain};
 use crate::history::{by_object, Cut, HbRelation, History, Span};
 use crate::ids::{ObjectId, Value};
+use crate::matching;
 use crate::op::Operation;
-use crate::spec::{CaSpec, Invocation};
+use crate::spec::{CaSpec, Invocation, RegisterShape, Shape};
 use crate::symmetry::SymClasses;
 use crate::trace::{CaElement, CaTrace};
+use crate::zones::{self, Conflict, Zones};
 
 pub use crate::engine::{
     CancelToken, CheckError, CheckOptions, CheckOutcome, CheckStats, InterruptReason, Verdict,
@@ -90,19 +95,17 @@ pub fn check_cal<S: CaSpec>(history: &History, spec: &S) -> Result<CheckOutcome,
 /// Like [`check_cal`], with explicit [`CheckOptions`], on
 /// [`CheckOptions::threads`] workers.
 ///
-/// When the history touches several objects and the specification can be
-/// restricted to every one of them ([`CaSpec::restrict`]), the check
-/// splits into independent per-object subchecks (CAL locality) before
-/// any order is built, at every thread count: one search problem per
-/// object's share of the history's spans, and their witnesses
-/// interleaved into one that respects the whole history's real-time
-/// order. Otherwise the whole
-/// history is one problem, and above one thread every worker searches it
-/// in its own successor order, the workers sharing one lock-free memo
-/// table. Every thread count gives the same verdict on decided inputs —
-/// `Cal` exactly when a witness exists (possibly a different, equally
-/// valid one) — with `max_nodes` a budget on the *total* nodes across
-/// workers ([`crate::engine::search`]).
+/// When the specification restricts to every object the history touches
+/// ([`CaSpec::restrict`]), the check splits into per-object parts (CAL
+/// locality) before any order is built; otherwise the whole history is
+/// one part. Zones or a matching decide every part the specification's
+/// shape allows ([`CheckStats::zones`], [`CheckStats::matching`]), and a
+/// refuted one ends the check; only the rest are searched, a one-part
+/// history by every worker from the root against one shared memo. The
+/// witnesses are interleaved into one that respects real time. Every
+/// thread count gives the same verdict on decided inputs, with
+/// `max_nodes` a budget on the search's *total* nodes across workers
+/// ([`crate::engine::search`]).
 ///
 /// # Errors
 ///
@@ -114,26 +117,29 @@ pub fn check_cal_with<S: CaSpec>(
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
     let spans = history.try_spans()?;
-    let objects = objects_of(&spans);
-    if let Some(specs) = restrict_to(spec, &objects)? {
-        return check_by_object(by_object(spans), &specs, options);
+    if let Some(specs) = restrict_to(spec, &spans)? {
+        return check_by_object(spans, &specs, options);
+    }
+    let mut stats = CheckStats::default();
+    match decide_guarded(&spans, spec, &mut stats)? {
+        PartOutcome::Cal(witness, _) => {
+            let witness = witness.into_iter().map(|(element, _)| element).collect();
+            return Ok(CheckOutcome { verdict: Verdict::Cal(witness), stats });
+        }
+        PartOutcome::NotCal(reason) => return Ok(refuted(&reason, stats, options)),
+        PartOutcome::Search => {}
     }
     let hb = HbRelation::real_time(&spans);
     let domain = CalDomain::new(&spans, &hb, spec);
     Ok(engine::search(&domain, options)?.map_witness(|steps| domain.trace_of(&steps)))
 }
 
-/// The objects `spans` touch, in first-use order, in one hashed pass. (An
-/// object is first used by an invocation, and spans are in invocation
-/// order.)
-fn objects_of(spans: &[Span]) -> Vec<ObjectId> {
+/// `spec` restricted to each object `spans` touch, in first-use order
+/// (found in one hashed pass), when there are two or more and it restricts
+/// to every one: the case [`check_cal_with`] splits.
+fn restrict_to<S: CaSpec>(spec: &S, spans: &[Span]) -> Result<Option<Vec<S>>, CheckError> {
     let mut seen = HashSet::new();
-    spans.iter().map(|s| s.object).filter(|&o| seen.insert(o)).collect()
-}
-
-/// `spec` restricted to each of `objects`, when there are two or more and
-/// it restricts to every one: the case [`check_by_object`] splits.
-fn restrict_to<S: CaSpec>(spec: &S, objects: &[ObjectId]) -> Result<Option<Vec<S>>, CheckError> {
+    let objects: Vec<ObjectId> = spans.iter().map(|s| s.object).filter(|&o| seen.insert(o)).collect();
     if objects.len() < 2 {
         return Ok(None);
     }
@@ -141,33 +147,77 @@ fn restrict_to<S: CaSpec>(spec: &S, objects: &[ObjectId]) -> Result<Option<Vec<S
         .map_err(|p| CheckError::SpecPanicked(panic_message(p)))
 }
 
-/// [`check_cal_with`]'s per-object split: a history's spans grouped by
-/// object ([`by_object`]), each part keeping the whole history's action
-/// indices, and searched against `specs`, the specification restricted
-/// to each part's object in turn. An acceptance is every part's witness
-/// [`stitch`]ed into one.
-fn check_by_object<S: CaSpec>(
-    parts: Vec<(ObjectId, Vec<Span>)>,
-    specs: &[S],
-    options: &CheckOptions,
-) -> Result<CheckOutcome, CheckError> {
-    let orders: Vec<HbRelation> = parts.iter().map(|(_, spans)| HbRelation::real_time(spans)).collect();
-    let domains: Vec<(ObjectId, CalDomain<'_, S>)> = parts
+/// [`decide_part`] on a batch part, from `spec`'s initial state, with a
+/// panic of the specification caught.
+fn decide_guarded<S: CaSpec>(spans: &[Span], spec: &S, stats: &mut CheckStats) -> Result<PartOutcome<S>, CheckError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let start = [(spec.initial(), Some(RegisterShape::INITIAL))];
+        decide_part(spans, true, spec, &start, Want::Witness, stats)
+    }))
+    .map_err(|p| CheckError::SpecPanicked(panic_message(p)))
+}
+
+/// [`check_cal_with`]'s per-object split: each object's spans
+/// ([`by_object`]), with the whole history's action indices, offered to
+/// [`decide_part`] against its spec in `specs` and kept to be searched
+/// only when handed back. An acceptance [`stitch`]es every witness.
+fn check_by_object<S: CaSpec>(spans: Vec<Span>, specs: &[S], options: &CheckOptions) -> Result<CheckOutcome, CheckError> {
+    let mut stats = CheckStats::default();
+    let (mut witnesses, mut leftover) = (Vec::new(), Vec::new());
+    for (k, (object, members)) in by_object(&spans).into_iter().enumerate() {
+        let part: Vec<Span> = members.iter().map(|&i| spans[i]).collect();
+        match decide_guarded(&part, &specs[k], &mut stats)? {
+            PartOutcome::Cal(witness, _) => witnesses.push(Some(witness)),
+            PartOutcome::NotCal(reason) => return Ok(refuted(&reason, stats, options)),
+            PartOutcome::Search => {
+                witnesses.push(None);
+                leftover.push((object, k, part));
+            }
+        }
+    }
+    drop(spans);
+    let orders: Vec<HbRelation> = leftover.iter().map(|(_, _, part)| HbRelation::real_time(part)).collect();
+    let domains: Vec<(ObjectId, CalDomain<'_, S>)> = leftover
         .iter()
-        .zip(specs)
         .zip(&orders)
-        .map(|(((o, spans), spec), hb)| (*o, CalDomain::new(spans, hb, spec)))
+        .map(|((object, k, part), hb)| (*object, CalDomain::new(part, hb, &specs[*k])))
         .collect();
-    let outcome = engine::search_parts(&domains, options)?.map_witness(|witnesses| {
-        let keyed = domains.iter().zip(witnesses).map(|((_, domain), steps)| {
+    let searched = engine::search_parts(&domains, options)?.map_witness(|searched| {
+        let keyed = domains.iter().zip(searched).map(|((_, domain), steps)| {
             steps.iter().map(|step| (domain.element_of(step), domain.last_invocation(step))).collect()
         });
         keyed.collect()
     });
     // The domains go before the stitch allocates.
     drop(domains);
-    drop((orders, parts));
-    Ok(outcome.map_witness(|parts| stitch(parts).into_iter().collect()))
+    drop((orders, leftover));
+    Ok(stitched(witnesses, searched, stats))
+}
+
+/// The check's outcome from each part's witness — `decided`'s, else the
+/// next of `searched`'s — and `stats`, the procedures' counts.
+fn stitched(
+    decided: Vec<Option<Vec<(CaElement, usize)>>>,
+    searched: CheckOutcome<Vec<Vec<(CaElement, usize)>>>,
+    stats: CheckStats,
+) -> CheckOutcome {
+    let mut outcome = searched.map_witness(|searched| {
+        let mut searched = searched.into_iter();
+        let witnesses = decided.into_iter().map(|part| part.or_else(|| searched.next()));
+        stitch(witnesses.map(|part| part.expect("every part decided or searched")).collect())
+            .into_iter()
+            .collect()
+    });
+    outcome.stats += stats;
+    outcome
+}
+
+/// A refutation by a procedure, its reason handed to the sink.
+fn refuted(reason: &str, stats: CheckStats, options: &CheckOptions) -> CheckOutcome {
+    if let Some(sink) = &options.sink {
+        sink.on_refutation(reason);
+    }
+    CheckOutcome { verdict: Verdict::NotCal, stats }
 }
 
 /// Interleaves per-part witnesses into one sequence respecting the whole
@@ -194,6 +244,129 @@ fn stitch<T>(parts: Vec<Vec<(T, usize)>>) -> Vec<T> {
     }
     placed.sort_by_key(|&(point, k, _)| (point, k));
     placed.into_iter().map(|(_, _, item)| item).collect()
+}
+
+/// A state a part starts from or ends in, beside the value it holds when
+/// its specification has a register shape; `None` where that is unknown
+/// (the search does not name an end state's value).
+pub(crate) type Held<S> = (<S as CaSpec>::State, Option<i64>);
+
+/// What a caller of [`decide_part`] reads off a part it accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Want {
+    /// The witness from the first start that has one: the batch check.
+    Witness,
+    /// Only that some start has one: a stream checkpoint. Zones then build
+    /// no witness; the matching builds its own, and the caller drops it.
+    Verdict,
+    /// Every distinct state a witness ends in: a stream retirement.
+    Ends,
+}
+
+/// What [`decide_part`] found.
+pub(crate) enum PartOutcome<S: CaSpec> {
+    /// A witness exists: for [`Want::Witness`] its elements, each beside
+    /// the largest invocation index among its operations; for
+    /// [`Want::Ends`] the end states.
+    Cal(Vec<(CaElement, usize)>, Vec<Held<S>>),
+    /// No start has one, for the reason given.
+    NotCal(String),
+    /// No procedure decides the part: search it.
+    Search,
+}
+
+/// The one choice of a procedure, per part, for the batch and the window:
+/// `spans` (one object's, or a whole history's) against `spec` from each
+/// of `starts`, in real time only. A register shape goes to zones
+/// ([`zones::cluster`]) when every start's value is known, the spans
+/// qualify from each, and for [`Want::Ends`] none is pending; the end
+/// states are the writes a witness may end with, stepped from their start,
+/// or the start itself. A pair shape goes to the matching
+/// ([`matching::decide`]): `step` ignores the state, so one end state, the
+/// last element stepped from the first start, carries everything. The rest
+/// is [`PartOutcome::Search`], as is a part whose specification breaks its
+/// shape's promise on an end state's step. A decided part counts one in
+/// [`CheckStats::zones`] or [`CheckStats::matching`], at no node.
+pub(crate) fn decide_part<S: CaSpec>(
+    spans: &[Span],
+    real_time: bool,
+    spec: &S,
+    starts: &[Held<S>],
+    want: Want,
+    stats: &mut CheckStats,
+) -> PartOutcome<S> {
+    let decided = match spec.shape() {
+        _ if !real_time => None,
+        Shape::Register(shape) if want != Want::Ends || spans.iter().all(Span::is_complete) => {
+            // A pending write responds after every action of the part.
+            let end = spans.iter().map(|s| s.resp.unwrap_or(s.inv) as i64 + 1).max().unwrap_or(0);
+            let found: Option<Vec<_>> =
+                starts.iter().map(|(_, value)| zones::cluster(spans, &shape, (*value)?, end)).collect();
+            found.and_then(|found| by_zones(spans, spec, starts, found, want)).inspect(|_| stats.zones += 1)
+        }
+        Shape::Pairs => match catch_unwind(AssertUnwindSafe(|| matching::decide(spans, spec))) {
+            Err(_) => None,
+            Ok(Err(shortage)) => Some(PartOutcome::NotCal(shortage.to_string())),
+            Ok(Ok(witness)) if want != Want::Ends => Some(PartOutcome::Cal(witness, Vec::new())),
+            Ok(Ok(witness)) => {
+                let (q, value) = &starts[0];
+                let end = match witness.last() {
+                    Some((element, _)) => step_guarded(spec, q, element).ok().flatten(),
+                    None => Some(q.clone()),
+                };
+                end.map(|end| PartOutcome::Cal(Vec::new(), vec![(end, *value)]))
+            }
+        }
+        .inspect(|_| stats.matching += 1),
+        _ => None,
+    };
+    decided.unwrap_or(PartOutcome::Search)
+}
+
+/// What zones found from each of `starts`, as [`decide_part`]'s outcome;
+/// `None` where the specification breaks its shape's promise.
+fn by_zones<S: CaSpec>(
+    spans: &[Span],
+    spec: &S,
+    starts: &[Held<S>],
+    found: Vec<Result<Zones, Box<Conflict>>>,
+    want: Want,
+) -> Option<PartOutcome<S>> {
+    let mut ends = Vec::new();
+    for ((q, value), found) in starts.iter().zip(&found) {
+        let Ok(found) = found else { continue };
+        if want != Want::Ends {
+            let witness = if want == Want::Witness { found.witness(spans) } else { Vec::new() };
+            return Some(PartOutcome::Cal(witness, ends));
+        }
+        let mut last = found.last_writes().peekable();
+        if last.peek().is_none() {
+            ends.push((q.clone(), *value));
+        }
+        for w in last {
+            let write = CaElement::singleton(spans[w].operation_with_ret(Value::Unit));
+            let q2 = step_guarded(spec, q, &write).ok()??;
+            if !ends.iter().any(|(end, _)| *end == q2) {
+                ends.push((q2, spans[w].arg.as_int()));
+            }
+        }
+    }
+    Some(match found.into_iter().find_map(Result::err) {
+        Some(conflict) if ends.is_empty() => PartOutcome::NotCal(conflict.to_string()),
+        _ => PartOutcome::Cal(Vec::new(), ends),
+    })
+}
+
+/// `spec.step(state, element)` with a panic of the specification caught:
+/// its message is the error. Inlined: the stream's retirement of a lone
+/// operation, its commonest step, calls it once an event.
+#[inline]
+pub(crate) fn step_guarded<S: CaSpec>(
+    spec: &S,
+    state: &S::State,
+    element: &CaElement,
+) -> Result<Option<S::State>, String> {
+    catch_unwind(AssertUnwindSafe(|| spec.step(state, element))).map_err(panic_message)
 }
 
 /// Convenience predicate: `Ok(true)` iff the history is CAL w.r.t. `spec`.

@@ -325,12 +325,11 @@ pub struct CheckStats {
     /// Always 0: no search hands work from one worker to another. The
     /// field stays so that code reading it still compiles.
     pub steals: u64,
-    /// Checks decided by zones ([`crate::zones`]) instead of a search: 1
-    /// for such a check, which costs no nodes, and 0 for a searched one.
+    /// Parts (one object's share of a history or a window) decided by
+    /// zones ([`crate::zones`]) instead of a search, each at no node.
     pub zones: u64,
-    /// Checks decided by a matching ([`crate::matching`]) instead of a
-    /// search: 1 for such a check, which costs no nodes, and 0 for a
-    /// searched one.
+    /// Parts decided by a matching ([`crate::matching`]) instead of a
+    /// search, each at no node.
     pub matching: u64,
 }
 

@@ -423,24 +423,24 @@ pub(crate) fn spans_of(actions: &[Action]) -> Result<Vec<Span>, HistoryError> {
     Ok(spans)
 }
 
-/// `spans` grouped by object, in one hashed pass that sizes the groups
-/// and one that fills them: objects in order of first use, each group in
-/// span order. CAL's locality cuts along it, in the batch's per-object
-/// split and in the stream's parts.
-pub(crate) fn by_object(spans: Vec<Span>) -> Vec<(ObjectId, Vec<Span>)> {
+/// The indices of `spans` grouped by object, in one hashed pass that
+/// sizes the groups and one that fills them: objects in order of first
+/// use, each group in span order. CAL's locality cuts along it, in the
+/// batch's per-object split and in the stream's parts.
+pub(crate) fn by_object(spans: &[Span]) -> Vec<(ObjectId, Vec<usize>)> {
     let mut group: HashMap<ObjectId, usize> = HashMap::new();
     let mut sizes: Vec<(ObjectId, usize)> = Vec::new();
-    for s in &spans {
+    for s in spans {
         let g = *group.entry(s.object).or_insert(sizes.len());
         if g == sizes.len() {
             sizes.push((s.object, 0));
         }
         sizes[g].1 += 1;
     }
-    let mut groups: Vec<(ObjectId, Vec<Span>)> =
+    let mut groups: Vec<(ObjectId, Vec<usize>)> =
         sizes.into_iter().map(|(o, n)| (o, Vec::with_capacity(n))).collect();
-    for s in spans {
-        groups[group[&s.object]].1.push(s);
+    for (i, s) in spans.iter().enumerate() {
+        groups[group[&s.object]].1.push(i);
     }
     groups
 }

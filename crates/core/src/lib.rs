@@ -23,12 +23,11 @@
 //! - interval-linearizability ([`interval`]) as the same search over a
 //!   history whose operations are split into an open and a close half;
 //! - a decision procedure for registers and maps whose writes are unique
-//!   ([`zones`]), which the front door runs in place of the search on the
-//!   histories it qualifies for;
-//! - a decision procedure for stateless pair specifications — the
+//!   ([`zones`]), and one for stateless pair specifications — the
 //!   exchanger, the elimination array, the synchronous queue — by a
-//!   matching of concurrent legal pairs ([`matching`]), which the front
-//!   door runs in place of the search;
+//!   matching of concurrent legal pairs ([`matching`]): the CAL check and
+//!   the streaming checker run them in place of the search, object by
+//!   object, wherever a part qualifies;
 //! - the `F_o` view-function machinery for compositional verification of
 //!   objects built from subobjects ([`compose`]);
 //! - generators of sound and adversarial histories ([`gen`]).

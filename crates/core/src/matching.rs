@@ -67,46 +67,20 @@
 //! have fewer available partners than members; a blossom is a Tutte set
 //! inside a `(v→v)` class. [`Shortage`] names the operations.
 //!
-//! This module shares nothing with the CA search.
+//! This module shares nothing with the CA search. `check::decide_part`
+//! hands it one object's part of a history or a window.
 //!
 //! [`Shape::Pairs`]: crate::spec::Shape::Pairs
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasherDefault;
+use std::slice;
 
-use crate::check::{CheckOptions, CheckOutcome, CheckStats, Verdict};
-use crate::history::{FoldHash, History, HistoryError, Span};
+use crate::history::{FoldHash, Span};
 use crate::ids::{Method, ObjectId, Value};
 use crate::spec::{CaSpec, Invocation};
-use crate::trace::{CaElement, CaTrace};
-
-/// What [`decide`] found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Decision {
-    /// CAL; the witness is attached.
-    Cal(CaTrace),
-    /// Not CAL: these operations lack partners.
-    NotCal(Shortage),
-}
-
-impl Decision {
-    /// The decision as a check's outcome, costing no search node and
-    /// counted in [`CheckStats::matching`]; a refutation's reason goes to
-    /// [`CheckOptions::sink`].
-    pub fn outcome(self, options: &CheckOptions) -> CheckOutcome {
-        let verdict = match self {
-            Decision::Cal(witness) => Verdict::Cal(witness),
-            Decision::NotCal(shortage) => {
-                if let Some(sink) = &options.sink {
-                    sink.on_refutation(&shortage.to_string());
-                }
-                Verdict::NotCal
-            }
-        };
-        CheckOutcome { verdict, stats: CheckStats { matching: 1, ..CheckStats::default() } }
-    }
-}
+use crate::trace::CaElement;
 
 /// Why a history is not CAL against a pair specification: needy
 /// operations that find partners only among themselves and among fewer
@@ -163,25 +137,30 @@ impl fmt::Display for Shortage {
     }
 }
 
-/// Decides `history` against `spec`, which must be a stateless pair
-/// specification ([`crate::spec::Shape::Pairs`]); see the module
-/// documentation.
+/// Decides `spans`, a well-formed history's or a part of one, against
+/// `spec`, which must be a stateless pair specification
+/// ([`crate::spec::Shape::Pairs`]); see the module documentation. An
+/// acceptance is the witness, each element beside the largest invocation
+/// index among its operations.
 ///
 /// # Errors
 ///
-/// The history's well-formedness violation, as [`History::try_spans`]
-/// reports it.
-pub fn decide<S: CaSpec>(history: &History, spec: &S) -> Result<Decision, HistoryError> {
+/// The operations that lack partners.
+pub fn decide<S: CaSpec>(spans: &[Span], spec: &S) -> Result<Vec<(CaElement, usize)>, Shortage> {
     debug_assert!(spec.max_element_size() <= 2, "a pair specification's elements are pairs");
-    let spans = history.try_spans()?;
-    let graph = Graph::build(history.len(), &spans, spec);
+    // The graph code asks through these two, so that a binary holds one
+    // copy of it whatever the specifications it checks.
+    let state = spec.initial();
+    let legal = |e: &CaElement| spec.step(&state, e).is_some();
+    let complete = |inv: &Invocation, peer: &Invocation| spec.completions_among(inv, slice::from_ref(peer));
+    let graph = Graph::build(spans, &legal, &complete);
     let mut matcher = Matcher::new(&graph);
     for root in 0..spans.len() as u32 {
         if graph.needy(root) && matcher.mate[root as usize] == NONE && !matcher.cover(root) {
-            return Ok(Decision::NotCal(matcher.shortage(&spans)));
+            return Err(matcher.shortage(spans));
         }
     }
-    Ok(Decision::Cal(graph.witness(&spans, &matcher.mate)))
+    Ok(graph.witness(spans, &matcher.mate))
 }
 
 /// No vertex.
@@ -223,11 +202,17 @@ struct Graph {
 /// A table keyed by this module's own ids hashes with one multiplication.
 type Fold = BuildHasherDefault<FoldHash>;
 
+/// Whether the specification accepts an element.
+type Legal<'a> = &'a dyn Fn(&CaElement) -> bool;
+
+/// The values the specification proposes for a pending invocation beside
+/// one peer ([`CaSpec::completions_among`]).
+type Complete<'a> = &'a dyn Fn(&Invocation, &Invocation) -> Vec<Value>;
+
 impl Graph {
     /// The shapes, the cached answers and the edges, in one sweep over
-    /// the `len` actions `spans` come from.
-    fn build<S: CaSpec>(len: usize, spans: &[Span], spec: &S) -> Graph {
-        let state = spec.initial();
+    /// the actions `spans` come from.
+    fn build(spans: &[Span], legal: Legal<'_>, complete: Complete<'_>) -> Graph {
         // Shapes come from the input, so their table keeps the default
         // hasher; pairs of shape ids are this module's own.
         let mut ids: HashMap<ShapeKey, u32> = HashMap::new();
@@ -237,7 +222,7 @@ impl Graph {
             .map(|s| {
                 let key = ShapeKey { object: s.object, method: s.method, arg: s.arg, ret: s.ret };
                 *ids.entry(key).or_insert_with(|| {
-                    let alone = |op| spec.step(&state, &CaElement::singleton(op)).is_some();
+                    let alone = |op| legal(&CaElement::singleton(op));
                     needy.push(s.operation().is_some_and(|op| !alone(op)));
                     needy.len() as u32 - 1
                 })
@@ -246,14 +231,15 @@ impl Graph {
         let pairing = HashMap::default();
         let mut graph = Graph { shape_of, needy, pairing, start: Vec::new(), ends: Vec::new() };
         let mut edges: Vec<(u32, u32)> = Vec::new();
-        // The span each action belongs to.
-        let mut span_at = vec![0u32; len];
+        // The spans' actions in history order, each as its index and its
+        // span: a part's spans keep the indices of the whole history's
+        // actions, so the order is sorted out, not laid out.
+        let mut actions: Vec<(usize, u32)> = Vec::with_capacity(2 * spans.len());
         for (i, s) in spans.iter().enumerate() {
-            span_at[s.inv] = i as u32;
-            if let Some(r) = s.resp {
-                span_at[r] = i as u32;
-            }
+            actions.push((s.inv, i as u32));
+            actions.extend(s.resp.map(|r| (r, i as u32)));
         }
+        actions.sort_unstable();
         // Open spans by shape, each span's place in its list, and the
         // shapes with an open span, each shape's place in that list.
         let shapes = graph.needy.len();
@@ -261,7 +247,7 @@ impl Graph {
         let mut place = vec![0u32; spans.len()];
         let mut open_shapes: Vec<u32> = Vec::new();
         let mut shape_place = vec![0u32; shapes];
-        for (a, &i) in span_at.iter().enumerate() {
+        for (a, i) in actions {
             let sh = graph.shape_of[i as usize];
             if spans[i as usize].inv == a {
                 for &t in &open_shapes {
@@ -269,7 +255,7 @@ impl Graph {
                         continue;
                     }
                     let partner = open[t as usize][0] as usize;
-                    if graph.pair(spec, &state, spans, i as usize, partner) == Pairing::Never {
+                    if graph.pair(legal, complete, spans, i as usize, partner) == Pairing::Never {
                         continue;
                     }
                     edges.extend(open[t as usize].iter().map(|&j| (i, j)));
@@ -329,19 +315,12 @@ impl Graph {
         &self.ends[self.start[v as usize]..self.start[v as usize + 1]]
     }
 
-    /// Whether span `i`'s shape pairs with span `j`'s, asking `spec` on
-    /// the first two spans of those shapes to meet.
-    fn pair<S: CaSpec>(
-        &mut self,
-        spec: &S,
-        state: &S::State,
-        spans: &[Span],
-        i: usize,
-        j: usize,
-    ) -> Pairing {
+    /// Whether span `i`'s shape pairs with span `j`'s, asking the
+    /// specification on the first two spans of those shapes to meet.
+    fn pair(&mut self, legal: Legal<'_>, complete: Complete<'_>, spans: &[Span], i: usize, j: usize) -> Pairing {
         let key = pair_key(self.shape_of[i], self.shape_of[j]);
         *self.pairing.entry(key).or_insert_with(|| {
-            let legal = |a, b| CaElement::pair(a, b).is_ok_and(|e| spec.step(state, &e).is_some());
+            let legal = |a, b| CaElement::pair(a, b).is_ok_and(|e| legal(&e));
             let (a, b) = (&spans[i], &spans[j]);
             let (pending, partner) = match (a.operation(), b.operation()) {
                 (Some(x), Some(y)) if legal(x, y) => return Pairing::Legal,
@@ -351,7 +330,7 @@ impl Graph {
                 (None, None) => return Pairing::Never,
             };
             let invocation = |s: &Span| Invocation::new(s.thread, s.object, s.method, s.arg);
-            let rets = spec.completions_among(&invocation(pending), &[invocation(partner)]);
+            let rets = complete(&invocation(pending), &invocation(partner));
             let partner = partner.operation().expect("the partner is complete");
             let ret = rets.into_iter().find(|&r| legal(pending.operation_with_ret(r), partner));
             ret.map_or(Pairing::Never, Pairing::Completing)
@@ -364,9 +343,9 @@ impl Graph {
     }
 
     /// The witness `mate` implies: each pair, and each unmatched complete
-    /// operation alone, at its point; unmatched pending operations
-    /// dropped.
-    fn witness(&self, spans: &[Span], mate: &[u32]) -> CaTrace {
+    /// operation alone, at its point, which is the largest invocation
+    /// index among its operations; unmatched pending operations dropped.
+    fn witness(&self, spans: &[Span], mate: &[u32]) -> Vec<(CaElement, usize)> {
         let mut placed: Vec<(usize, CaElement)> = Vec::new();
         for (i, span) in spans.iter().enumerate() {
             let j = mate[i] as usize;
@@ -389,7 +368,7 @@ impl Graph {
             placed.push((spans[j].inv, element.expect("a matched pair is legal")));
         }
         placed.sort_unstable_by_key(|&(point, _)| point);
-        CaTrace::from_elements(placed.into_iter().map(|(_, e)| e).collect())
+        placed.into_iter().map(|(point, e)| (e, point)).collect()
     }
 }
 

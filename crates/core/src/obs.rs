@@ -313,10 +313,10 @@ pub struct SearchReport {
     /// (0 at one thread and for a check made part by part; 1 above one
     /// thread with the memo off, when the workers would share nothing).
     pub root_workers: u64,
-    /// Checks decided by zones ([`crate::zones`]) with no search, from the
+    /// Parts decided by zones ([`crate::zones`]) with no search, from the
     /// run's [`crate::check::CheckStats`].
     pub zones: u64,
-    /// Checks decided by a matching ([`crate::matching`]) with no search,
+    /// Parts decided by a matching ([`crate::matching`]) with no search,
     /// from the run's [`crate::check::CheckStats`].
     pub matching: u64,
     /// Why a decision procedure refuted the history, in its operations
@@ -327,7 +327,9 @@ pub struct SearchReport {
     pub interrupted: Option<String>,
     /// Whether the node budget was exhausted.
     pub exhausted: bool,
-    /// Per-object rows when the check split by object (empty otherwise).
+    /// Per-object rows for the parts searched when the check split by
+    /// object (empty otherwise; a part zones or a matching decided has
+    /// none).
     pub objects: Vec<ObjectReport>,
 }
 
@@ -374,22 +376,17 @@ impl SearchReport {
     }
 
     /// A multi-line human explanation of where the search spent its work
-    /// and — when the verdict is undecided — why it stopped; or, for a
-    /// check zones or a matching decided, that no search ran and why a
-    /// refutation is one.
+    /// and — when the verdict is undecided — why it stopped; and, for the
+    /// parts zones or a matching decided, that no search ran on them and
+    /// why a refutation is one.
     pub fn explain(&self) -> String {
         let mut lines = vec![format!("verdict: {} in {:.2} ms", self.verdict, self.wall_ms)];
-        if self.zones > 0 {
-            lines.push(
-                "procedure: zones (a register with unique writes), decided with no search"
-                    .to_string(),
-            );
-        }
-        if self.matching > 0 {
-            lines.push(
-                "procedure: matching (a stateless pair specification), decided with no search"
-                    .to_string(),
-            );
+        let procedures = [
+            (self.zones, "zones (a register with unique writes)"),
+            (self.matching, "matching (a stateless pair specification)"),
+        ];
+        for (parts, procedure) in procedures.into_iter().filter(|&(parts, _)| parts > 0) {
+            lines.push(format!("procedure: {procedure}, {parts} part(s) decided with no search"));
         }
         if let Some(reason) = &self.refutation {
             lines.push(format!("cause:   {reason}"));

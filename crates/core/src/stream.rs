@@ -56,31 +56,23 @@
 //!   and counted as a memo hit, as in a batch search — and it lives and
 //!   dies with the call, so a node refuted against one window is never
 //!   carried to a window that new events have extended.
-//! - A part of a stateless pair specification ([`Shape::Pairs`]) retires
-//!   at its first goal too: its `step` ignores the state, so one end state
-//!   carries everything the part's future can use.
 //!
-//! ## Zones
+//! ## Zones and the matching
 //!
-//! A part whose specification has a register shape ([`Shape::Register`]:
-//! a register, or one key of a map of registers) is decided by zones
-//! ([`crate::zones`]) instead of the search wherever its window qualifies:
-//! the stream is in real time, every write of the part's spans stores an
-//! `Int` no other of them stores and no state the part holds holds, and,
-//! at a retirement, no span is pending. Each held state carries the value
-//! it holds, and zones run from that value as the initial write. A
-//! checkpoint asks whether they accept the spans from some held value. A
-//! retirement keeps, for each held value they accept from, every write
-//! whose cluster's earliest response follows every other cluster's latest
-//! invocation — the writes some witness ends with, each ending in the held
-//! state stepped by it — or the held state itself when the segment has no
-//! write ([`crate::zones`], *End values*, proves the rule). Everything
-//! else — causal mode, a repeated value, a write of a held value, a sealed
-//! abandoned operation, a specification of another shape — is searched as
-//! above. The search does not report the values its end states hold, so a
+//! Each part is first offered, from every state it holds, to the batch's
+//! own choice of a procedure, `check::decide_part`; the search above
+//! decides only the parts it hands back. In real time, a register-shaped
+//! part ([`Shape::Register`]: a register, or one key of a map) is decided
+//! by zones ([`crate::zones`]) where its writes store `Int`s no other of
+//! them stores and no held state holds, and, at a retirement, no span is
+//! pending: zones run from the value each held state carries, and a
+//! retirement keeps each held state stepped by every write some witness
+//! ends with ([`crate::zones`], *End values*). A pair part is decided by
+//! the matching ([`crate::matching`]) and retires to one end state. The
+//! search does not report the values its end states hold, so a register
 //! part it retired is searched until its next lone operation names the
-//! value again. [`CheckStats::zones`] in [`StreamStats::search`] counts the
-//! parts zones decided.
+//! value again. [`CheckStats::zones`] and [`CheckStats::matching`] in
+//! [`StreamStats::search`] count the parts the two decided.
 //!
 //! There is one evaluator — one exploration of each part a window prefix
 //! touches, asked for every end state at a boundary and for one witness
@@ -184,20 +176,18 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::io::BufRead;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use crate::action::Action;
-use crate::check::CalDomain;
+use crate::check::{decide_part, step_guarded, CalDomain, Held, PartOutcome, Want};
 use crate::engine::{self, CheckOptions, CheckStats, InterruptReason, Verdict};
 use crate::format::{Format, StreamDecoder, WireItem};
 use crate::history::{admit, by_object, spans_of, HbRelation, HistoryError, Matched, Span, Threads};
-use crate::ids::{ObjectId, ThreadId, Value};
+use crate::ids::{ObjectId, ThreadId};
 use crate::obs::JsonLine;
 use crate::op::Operation;
 use crate::spec::{CaSpec, RegisterShape, Shape};
 use crate::trace::CaElement;
-use crate::zones::{self, Conflict, Zones};
 
 /// Tuning knobs for a [`StreamChecker`].
 #[derive(Debug, Clone)]
@@ -412,6 +402,7 @@ impl StreamReport {
             .num("late_edges", s.late_edges)
             .num("nodes", s.search.nodes)
             .num("zones", s.search.zones)
+            .num("matching", s.search.matching)
             .num("elements_tried", s.search.elements_tried)
             .num("memo_hits", s.search.memo_hits)
             .finish()
@@ -422,7 +413,7 @@ impl StreamReport {
         let s = &self.stats;
         format!(
             "{} in {:.1}ms: {} events, window {} (peak {}), {} states (peak {}), \
-             {} ops retired in {} segments, {} checkpoints, {} nodes, {} zones",
+             {} ops retired in {} segments, {} checkpoints, {} nodes, {} zones, {} matching",
             self.verdict,
             self.wall_ms,
             s.events,
@@ -435,6 +426,7 @@ impl StreamReport {
             s.checkpoints,
             s.search.nodes,
             s.search.zones,
+            s.search.matching,
         )
     }
 }
@@ -504,19 +496,12 @@ struct Part<S: CaSpec> {
     /// [`CaSpec::restrict`]'s contract it admits no element there, so the
     /// object's operations are explainable iff none of them is complete.
     spec: Option<S>,
-    /// `spec`'s register shape, when it has one: the part is then decided
-    /// by zones wherever its window qualifies (module docs, "Zones").
+    /// `spec`'s register shape, when it has one: it names the value a lone
+    /// operation leaves the part holding.
     register: Option<RegisterShape>,
     /// `Q_o`, in discovery order; never empty.
     reach: Vec<Held<S>>,
 }
-
-/// A state a part holds, beside the value it holds when the part has a
-/// register shape: the register's initial one, then the value a lone
-/// operation or zones left it holding. The search does not name the value
-/// of an end state, so a part the search retired holds `None` until its
-/// next lone operation names the value again, and searches until then.
-type Held<S> = (<S as CaSpec>::State, Option<i64>);
 
 /// What a closed segment did to the parts it touches
 /// ([`StreamChecker::retire_segment`]).
@@ -533,11 +518,8 @@ enum Segment {
 /// What [`StreamChecker::explore`] found in a window prefix.
 enum Explored<Q> {
     /// Every part it touches has a witness: each part's index and the
-    /// distinct states its witnesses end in (the first one only, when the
-    /// exploration stopped at its first goal — and for a part zones
-    /// decided there, where the window may hold pending operations, the
-    /// held state its witness starts from: a checkpoint reads only that
-    /// there is one).
+    /// distinct states its witnesses end in (at a checkpoint, the first one
+    /// only, or none for a part zones or the matching decided).
     Reached(Vec<(usize, Vec<Q>)>),
     /// Some part has none, from any state it holds.
     Refuted,
@@ -699,7 +681,8 @@ impl<S: CaSpec> StreamChecker<S> {
         if self.parts.first().is_some_and(|p| p.object.is_none()) {
             return (!spans.is_empty()).then_some((0, spans)).into_iter().collect();
         }
-        by_object(spans).into_iter().map(|(o, spans)| (self.part_of(o), spans)).collect()
+        let gather = |members: Vec<usize>| members.into_iter().map(|i| spans[i]).collect();
+        by_object(&spans).into_iter().map(|(o, members)| (self.part_of(o), gather(members))).collect()
     }
 
     /// Whether the window holds its cap of `max_window` invocations (`0`
@@ -1076,9 +1059,7 @@ impl<S: CaSpec> StreamChecker<S> {
             }
             return Segment::Retired;
         }
-        // A stateless pair specification's `step` ignores its state, so
-        // one end state carries everything the part's future can use.
-        match self.explore(cut, self.spec.shape() == Shape::Pairs) {
+        match self.explore(cut, Want::Ends) {
             Explored::Reached(reached) => {
                 if reached.iter().any(|(_, ends)| ends.len() > self.opts.max_states) {
                     return Segment::Stays;
@@ -1101,7 +1082,7 @@ impl<S: CaSpec> StreamChecker<S> {
     /// window, so it may yet explain it, and only [`StreamChecker::finish`]
     /// makes a causal refutation final.
     fn evaluate(&mut self) {
-        self.last_eval = match self.explore(self.window.len(), true) {
+        self.last_eval = match self.explore(self.window.len(), Want::Verdict) {
             Explored::Reached(_) => StreamVerdict::Consistent,
             Explored::Undecided(why) => StreamVerdict::Undecided(why),
             Explored::Refuted if self.opts.causal && !self.closed => {
@@ -1115,38 +1096,29 @@ impl<S: CaSpec> StreamChecker<S> {
     }
 
     /// The one exploration of `window[..upto]`, for a checkpoint and a
-    /// retirement alike: for each part, its spans read once, then zones
-    /// run from every value it holds where they decide it (module docs,
-    /// "Zones"), or else its order and [`CalDomain`] built once and one
-    /// [`engine::search_from`] from every state it holds. `first_goal`
-    /// stops each part at its first goal, as a checkpoint asks only for
-    /// a witness; otherwise every distinct end state is collected in
-    /// discovery order, as a retirement needs. A part that collected no
-    /// end state refutes the prefix whatever the other parts say;
+    /// retirement alike: for each part, its spans read once and offered to
+    /// [`decide_part`] from every state it holds, which decides it by
+    /// zones or by the matching where it can (module docs, "Zones and the
+    /// matching"); a part it hands back gets its order and [`CalDomain`]
+    /// built once and one [`engine::search_from`] from every state it
+    /// holds. `want` is [`Want::Verdict`] at a checkpoint, which asks each
+    /// part only for a witness, and [`Want::Ends`] at a retirement, which
+    /// collects every distinct end state in discovery order. A part that
+    /// has no witness refutes the prefix whatever the other parts say;
     /// otherwise the first undecided part names the reason.
-    fn explore(&mut self, upto: usize, first_goal: bool) -> Explored<Held<S>> {
+    fn explore(&mut self, upto: usize, want: Want) -> Explored<Held<S>> {
         let mut reached = Vec::new();
         let mut undecided = None;
         for (k, spans) in self.spans_by_part(upto) {
-            // Zones decide a register part whose spans qualify from every
-            // value it holds, if none is pending at a retirement (module
-            // docs, "Zones"); the search decides the rest.
             let part = &self.parts[k];
-            let complete = first_goal || spans.iter().all(Span::is_complete);
-            let decided = part.register.filter(|_| complete).and_then(|shape| {
-                let mut decided = Vec::with_capacity(part.reach.len());
-                for (_, value) in &part.reach {
-                    decided.push(zones::cluster(&spans, &shape, (*value)?, upto as i64)?);
+            let spec = part.spec.as_ref().unwrap_or(&self.spec);
+            match decide_part(&spans, !self.opts.causal, spec, &part.reach, want, &mut self.stats.search) {
+                PartOutcome::Cal(_, ends) => {
+                    reached.push((k, ends));
+                    continue;
                 }
-                Some(decided)
-            });
-            if let Some(ends) = decided.and_then(|decided| self.zone_ends(k, &spans, &decided, first_goal)) {
-                self.stats.search.zones += 1;
-                if ends.is_empty() {
-                    return Explored::Refuted;
-                }
-                reached.push((k, ends));
-                continue;
+                PartOutcome::NotCal(_) => return Explored::Refuted,
+                PartOutcome::Search => {}
             }
             let hb = match self.order(&spans) {
                 Ok(hb) => hb,
@@ -1156,8 +1128,6 @@ impl<S: CaSpec> StreamChecker<S> {
                     continue;
                 }
             };
-            let part = &self.parts[k];
-            let spec = part.spec.as_ref().unwrap_or(&self.spec);
             let domain = CalDomain::new(&spans, &hb, spec);
             let roots: Vec<_> = part.reach.iter().map(|(q, _)| domain.root(q.clone())).collect();
             let mut ends: Vec<Held<S>> = Vec::new();
@@ -1167,7 +1137,7 @@ impl<S: CaSpec> StreamChecker<S> {
                     seen.insert(q.clone());
                     ends.push((q.clone(), None));
                 }
-                first_goal
+                want != Want::Ends
             });
             let why = match run {
                 Ok(run) => {
@@ -1191,51 +1161,6 @@ impl<S: CaSpec> StreamChecker<S> {
         }
         undecided.map_or(Explored::Reached(reached), Explored::Undecided)
     }
-
-    /// The states part `k`'s witnesses of `spans` end in, read off the
-    /// zones run from each value it holds (`decided`, in the order of the
-    /// held states; module docs, "Zones"): for each held state they accept
-    /// from, every write some witness ends with, stepped from it — or the
-    /// state itself when the spans hold no write. Empty when they accept
-    /// from no held state. Stopped at its first goal, only the first held
-    /// state they accept from. `None` when the specification panics on or
-    /// rejects one of those writes, breaking its shape's promise: the
-    /// search then decides the part, and meets the fault itself.
-    fn zone_ends(
-        &self,
-        k: usize,
-        spans: &[Span],
-        decided: &[Result<Zones, Box<Conflict>>],
-        first_goal: bool,
-    ) -> Option<Vec<Held<S>>> {
-        let part = &self.parts[k];
-        let spec = part.spec.as_ref().unwrap_or(&self.spec);
-        let mut ends: Vec<Held<S>> = Vec::new();
-        for ((q, value), found) in part.reach.iter().zip(decided) {
-            let Ok(found) = found else { continue };
-            if first_goal {
-                return Some(vec![(q.clone(), *value)]);
-            }
-            let mut last = found.last_writes().peekable();
-            if last.peek().is_none() {
-                ends.push((q.clone(), *value));
-            }
-            for w in last {
-                let write = CaElement::singleton(spans[w].operation_with_ret(Value::Unit));
-                let q2 = step_guarded(spec, q, &write).ok()??;
-                if !ends.iter().any(|(end, _)| *end == q2) {
-                    ends.push((q2, spans[w].arg.as_int()));
-                }
-            }
-        }
-        Some(ends)
-    }
-}
-
-/// `spec.step(state, element)` with a panic of the specification caught:
-/// its message is the error.
-fn step_guarded<S: CaSpec>(spec: &S, state: &S::State, element: &CaElement) -> Result<Option<S::State>, String> {
-    catch_unwind(AssertUnwindSafe(|| spec.step(state, element))).map_err(crate::engine::panic_message)
 }
 
 /// What one wire line did to the stream ([`Ingest::line`]).
@@ -1902,7 +1827,7 @@ mod tests {
              \"peak_window\": 4, \"states\": 1, \"peak_states\": 2, \"retired_ops\": 3, \
              \"retired_actions\": 6, \"retired_segments\": 2, \"checkpoints\": 2, \
              \"abandoned\": 1, \"hb_edges\": 1, \"late_edges\": 0, \"nodes\": 5, \
-             \"zones\": 0, \"elements_tried\": 6, \"memo_hits\": 0}"
+             \"zones\": 0, \"matching\": 0, \"elements_tried\": 6, \"memo_hits\": 0}"
         );
     }
 

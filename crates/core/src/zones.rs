@@ -19,9 +19,10 @@
 //! - no backward zone lies inside a forward zone of its object.
 //!
 //! Objects are independent, so a map is one register per object and the
-//! conditions hold object by object. [`decide`] checks them in
-//! `O(n log n)` over the history's spans, with nothing of the CA search
-//! under it.
+//! conditions hold object by object. [`cluster`] checks them in
+//! `O(n log n)` over a part's spans, with nothing of the CA search under
+//! it; the one caller that chooses it over the search is
+//! `check::decide_part`, for the batch and the stream alike.
 //!
 //! **Pending operations.** A pending read is dropped: a read changes no
 //! state. A pending write that no complete read returned is dropped too:
@@ -29,13 +30,13 @@
 //! changes no read. A pending write that a complete read returned is
 //! completed with `()` at the end of the history.
 //!
-//! **Which histories qualify.** Every operation is on an object the shape
+//! **Which parts qualify.** Every operation is on an object the shape
 //! admits and calls one of its methods, and every write stores an `Int`
-//! other than the initial value 0, returns `()` if it completed, and is the
-//! only write of its value on its object. Anything else is
-//! [`Decision::Search`]: the caller runs the search. This is read off the
-//! actions before any span is built, so a history that goes to the search
-//! pays for one pass up to its first disqualifying action.
+//! other than the value the part starts from, returns `()` if it
+//! completed, and is the only write of its value on its object. Anything
+//! else makes [`cluster`] return `None`, and the caller searches the part.
+//! This is read off the part's spans as they are clustered, so a part that
+//! does not qualify costs one pass over them, and no other part is touched.
 //!
 //! **The witness.** Each operation is placed at a point of the history's
 //! action indices and the operations are sorted by `(point, cluster,
@@ -69,46 +70,13 @@
 //! write is invoked at 0 or later, so the initial value ends a segment iff
 //! it has no write.
 
-use std::collections::HashSet;
 use std::fmt;
 
-use crate::action::ActionKind;
-use crate::check::{CheckOptions, CheckOutcome, CheckStats, Verdict};
-use crate::history::{History, HistoryError, Span};
+use crate::history::Span;
 use crate::ids::{ObjectId, Value};
 use crate::op::Operation;
 use crate::spec::RegisterShape;
-use crate::trace::{CaElement, CaTrace};
-
-/// What [`decide`] found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Decision {
-    /// Linearizable; the witness is attached.
-    Cal(CaTrace),
-    /// Not linearizable, for the reason given.
-    NotCal(Conflict),
-    /// The history does not qualify: decide it by the search.
-    Search,
-}
-
-impl Decision {
-    /// The decision as a check's outcome, costing no search node and
-    /// counted in [`CheckStats::zones`]; a refutation's reason goes to
-    /// [`CheckOptions::sink`]. `None` for [`Decision::Search`].
-    pub fn outcome(self, options: &CheckOptions) -> Option<CheckOutcome> {
-        let verdict = match self {
-            Decision::Cal(witness) => Verdict::Cal(witness),
-            Decision::NotCal(conflict) => {
-                if let Some(sink) = &options.sink {
-                    sink.on_refutation(&conflict.to_string());
-                }
-                Verdict::NotCal
-            }
-            Decision::Search => return None,
-        };
-        Some(CheckOutcome { verdict, stats: CheckStats { zones: 1, ..CheckStats::default() } })
-    }
-}
+use crate::trace::CaElement;
 
 /// A value's cluster as a refutation names it: its object, its value and
 /// the write that wrote it (`None` for the initial value).
@@ -213,41 +181,6 @@ impl Cluster {
     }
 }
 
-/// Decides `history` against a register-shaped specification, or returns
-/// [`Decision::Search`] when the history does not qualify (see the module
-/// documentation).
-///
-/// # Errors
-///
-/// The history's well-formedness violation, as [`History::try_spans`]
-/// reports it.
-pub fn decide(history: &History, shape: &RegisterShape) -> Result<Decision, HistoryError> {
-    if !qualifies(history, shape) {
-        return Ok(Decision::Search);
-    }
-    let spans = history.try_spans()?;
-    Ok(match cluster(&spans, shape, RegisterShape::INITIAL, history.len() as i64) {
-        None => Decision::Search,
-        Some(Err(conflict)) => Decision::NotCal(*conflict),
-        Some(Ok(zones)) => {
-            let point = zones.points(&spans);
-            let mut order: Vec<(i64, u32, bool, usize)> = (0..spans.len())
-                .filter(|&i| zones.cluster_of[i] != DROPPED)
-                .map(|i| {
-                    let k = zones.cluster_of[i];
-                    (point[i], k, zones.clusters[k as usize].write != Some(i), i)
-                })
-                .collect();
-            order.sort_unstable();
-            let elements = order.into_iter().map(|(.., i)| {
-                let span = &spans[i];
-                CaElement::singleton(span.operation_with_ret(span.ret.unwrap_or(Value::Unit)))
-            });
-            Decision::Cal(CaTrace::from_elements(elements.collect()))
-        }
-    })
-}
-
 /// A history's clusters, every span joined to its own and every zone
 /// checked against the others: what [`cluster`] found when the history is
 /// linearizable.
@@ -262,8 +195,7 @@ pub struct Zones {
     backward_at: Vec<i64>,
 }
 
-/// The one entry to the cluster code, under [`decide`] and the streaming
-/// checker's register parts: `spans` clustered with `initial` as every
+/// The one entry to the cluster code: `spans` clustered with `initial` as every
 /// object's value before its first write, a pending write responding at
 /// `end`. `None` when the spans do not qualify — an operation on an
 /// object `shape` does not admit or calling none of its methods, a write
@@ -308,41 +240,33 @@ impl Zones {
         })
     }
 
-    /// Each span's point, doubled so that a half-integer is odd (see the
-    /// module documentation).
-    fn points(&self, spans: &[Span]) -> Vec<i64> {
-        let point = spans.iter().zip(&self.cluster_of).map(|(span, &k)| {
-            let Some(c) = self.clusters.get(k as usize) else { return 0 };
+    /// The witness the clusters imply (see the module documentation): each
+    /// operation a singleton element, a pending write a complete read
+    /// returned completed with `()`, sorted by `(point, cluster, write
+    /// first)`; each element beside its span's invocation index.
+    pub(crate) fn witness(&self, spans: &[Span]) -> Vec<(CaElement, usize)> {
+        // Each span's point, doubled so that a half-integer is odd.
+        let point = |i: usize, k: usize, c: &Cluster| {
             if !c.is_forward() {
-                return self.backward_at[k as usize];
+                return self.backward_at[k];
             }
             let write_at = c.write.map_or(-1, |w| (spans[w].inv as i64).max(c.first_resp));
-            2 * (span.inv as i64).max(write_at)
-        });
-        point.collect()
+            2 * (spans[i].inv as i64).max(write_at)
+        };
+        let mut order: Vec<(i64, u32, bool, usize)> = (0..spans.len())
+            .filter(|&i| self.cluster_of[i] != DROPPED)
+            .map(|i| {
+                let (k, c) = (self.cluster_of[i], &self.clusters[self.cluster_of[i] as usize]);
+                (point(i, k as usize, c), k, c.write != Some(i), i)
+            })
+            .collect();
+        order.sort_unstable();
+        let element = |i: usize| {
+            let span = &spans[i];
+            CaElement::singleton(span.operation_with_ret(span.ret.unwrap_or(Value::Unit)))
+        };
+        order.into_iter().map(|(.., i)| (element(i), spans[i].inv)).collect()
     }
-}
-
-/// Whether `history` qualifies (see the module documentation), read off
-/// its actions before any span is built: a history the search must
-/// decide costs one pass that stops at its first disqualifying action.
-/// An ill-formed history may pass; [`History::try_spans`] then rejects
-/// it.
-fn qualifies(history: &History, shape: &RegisterShape) -> bool {
-    // At most one write per two actions: sized once, never rehashed.
-    let mut written = HashSet::with_capacity(history.len() / 2);
-    history.actions().iter().all(|a| {
-        let (object, method) = (a.object(), a.method());
-        let write = shape.writes.contains(&method);
-        match a.kind() {
-            _ if !shape.admits(object) => false,
-            ActionKind::Invoke(Value::Int(v)) if write => {
-                v != RegisterShape::INITIAL && written.insert((object, v))
-            }
-            ActionKind::Invoke(_) => !write && shape.reads.contains(&method),
-            ActionKind::Response(ret) => !write || ret == Value::Unit,
-        }
-    })
 }
 
 /// One cluster per write, and one per object whose initial value a

@@ -7,10 +7,8 @@
 //! is the table of names, [`Selected::resolve`] turns a command line's
 //! `--spec FILE` and name into one spec, [`Selected::visit`] hands it —
 //! lifted as the [`CheckMode`] asks — to a [`Visitor`], and
-//! [`run_ca`] picks the procedure: zones ([`cal_core::zones`]) for a
-//! register-shaped spec on a history that qualifies, a matching
-//! ([`cal_core::matching`]) for a stateless pair spec, the search for
-//! everything else. There is one search: classical
+//! [`run_ca`] picks the order; the CAL check chooses each object's
+//! procedure by the spec's shape. There is one search: classical
 //! linearizability is CAL's singleton fragment, so `seq` reads a
 //! sequential spec exactly as `cal` does, and [`run_interval`] is
 //! [`run_ca`] over a history whose operations are split into open and
@@ -30,8 +28,7 @@ use cal_core::check::{check_cal_with, CheckError, CheckOptions, CheckOutcome};
 use cal_core::dsl::{self, SpecDef, SpecFile};
 use cal_core::history::HbRelation;
 use cal_core::interval::{IntervalAsCa, IntervalSpec, IntervalWitness, SeqAsInterval};
-use cal_core::spec::{CaSpec, SeqAsCa, SeqSpec, Shape};
-use cal_core::{matching, zones};
+use cal_core::spec::{CaSpec, SeqAsCa, SeqSpec};
 use cal_core::{History, ObjectId};
 
 use crate::dual_stack::DualStackSpec;
@@ -304,15 +301,10 @@ pub trait Visitor: Sized {
 /// order when `order` is `None`, under that happens-before order
 /// otherwise, on [`CheckOptions::threads`] workers.
 ///
-/// This is the one place a check's procedure is chosen, by the spec's
-/// [`CaSpec::shape`]. In real time, a register-shaped spec goes to zones
-/// ([`cal_core::zones`]), which decides a history whose writes are
-/// unique with no search node ([`cal_core::check::CheckStats::zones`]),
-/// and a stateless pair spec goes to a matching ([`cal_core::matching`]),
-/// which decides every history with no search node
-/// ([`cal_core::check::CheckStats::matching`]); every other history,
-/// spec and order goes to the search. The node budget and the deadline
-/// in `options` bound the search only.
+/// Only the order is chosen here: in real time [`check_cal_with`] decides
+/// each object's part by zones, a matching or the search, as the spec's
+/// shape allows; a partial order is searched whole
+/// ([`check_causal_with`]). The budgets in `options` bound the search.
 ///
 /// # Errors
 ///
@@ -323,14 +315,9 @@ pub fn run_ca<S: CaSpec>(
     order: Option<&HbRelation>,
     options: &CheckOptions,
 ) -> Result<CheckOutcome, CheckError> {
-    match (order, spec.shape()) {
-        (Some(hb), _) => check_causal_with(history, spec, hb, options),
-        (None, Shape::Register(shape)) => match zones::decide(history, &shape)?.outcome(options) {
-            Some(decided) => Ok(decided),
-            None => check_cal_with(history, spec, options),
-        },
-        (None, Shape::Pairs) => Ok(matching::decide(history, spec)?.outcome(options)),
-        (None, Shape::Search) => check_cal_with(history, spec, options),
+    match order {
+        Some(hb) => check_causal_with(history, spec, hb, options),
+        None => check_cal_with(history, spec, options),
     }
 }
 

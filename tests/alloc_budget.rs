@@ -168,8 +168,9 @@ fn a_rejected_candidate_allocates_nothing() {
     // No two of these swap and none may succeed alone: the root's
     // `k + C(k, 2)` candidates are all rejected and the search ends where
     // it began. (Symmetry reduction off: on, the clones would be tried in
-    // one order only, one lone call and one pair.)
-    let spec = ExchangerSpec::new(O);
+    // one order only, one lone call and one pair. `Searched` hides the
+    // built-in's pair shape, which a matching would decide.)
+    let spec = Searched(ExchangerSpec::new(O));
     let options = CheckOptions { symmetry: false, ..CheckOptions::default() };
     let [(few, few_allocations), (many, many_allocations)] = [8u64, 16].map(|k| {
         let history = identical_exchanges(k as usize, 1);
@@ -190,9 +191,12 @@ fn a_rejected_candidate_allocates_nothing() {
 fn a_search_node_costs_a_handful_of_allocations() {
     // The benchmark's refutation, three windows of it: 12,913 nodes, three
     // in four of them memo hits, thirty-seven candidates an expanded node.
+    // (`Searched` hides the shapes here, which zones and a matching would
+    // decide.)
     let options = CheckOptions::default();
+    let exchanger = Searched(ExchangerSpec::new(O));
     let (stats, allocations) =
-        check_counted(&exchanger_windows(3, true), &ExchangerSpec::new(O), &options, false);
+        check_counted(&exchanger_windows(3, true), &exchanger, &options, false);
     assert!(stats.memo_hits > 0, "and a memo worth the name: {stats:?}");
     assert_no_cost_per_node("exchanger refutation", &stats, allocations);
     // At the benchmark's own size, 295 operations, the cut still fits in
@@ -201,11 +205,11 @@ fn a_search_node_costs_a_handful_of_allocations() {
     // block a successor, and 234,461 for 144,865 when every symmetric
     // sibling was generated and given a canonical key).
     let (stats, allocations) =
-        check_counted(&exchanger_windows(14, true), &ExchangerSpec::new(O), &options, false);
+        check_counted(&exchanger_windows(14, true), &exchanger, &options, false);
     assert_no_cost_per_node("14-window refutation", &stats, allocations);
     // A small accepted history, one node an operation: here the fixed
     // costs (spans, order, classes, witness) are most of the count.
-    let register = SeqAsCa::new(RegisterSpec::new(O));
+    let register = Searched(SeqAsCa::new(RegisterSpec::new(O)));
     let (stats, allocations) =
         check_counted(&pipelined_register_history(64), &register, &options, true);
     assert_eq!(stats.nodes, 64);
@@ -245,25 +249,28 @@ fn a_checkpointed_node_costs_a_handful_of_allocations() {
     // run from the part's states: the second is where the stream's old
     // goal enumeration used to clone every node twice. Symmetry reduction
     // off, the search visits every symmetric sibling, and not one node in
-    // a hundred allocates.
+    // a hundred allocates. (`Searched` hides the built-in's pair shape,
+    // which a matching decides with no node.)
     let history = exchanger_windows(3, true);
+    let exchanger = Searched(ExchangerSpec::new(O));
     let check = CheckOptions { symmetry: false, ..CheckOptions::default() };
     let opts = StreamOptions { check, ..StreamOptions::default() };
-    let (stats, allocations) = stream_counted(&history, ExchangerSpec::new(O), opts, false);
-    // (Nodes, elements tried, memo hits. The exchanger is a stateless
-    // pair specification, so a retirement stops at its first goal as a
-    // checkpoint does. Run to the end, it read 447,363 nodes, 389,763 of
-    // them memo hits: a revisit is charged as a node, as in the batch.
-    // The goal enumeration that dropped revisits uncounted read 57,600.)
-    assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (84_889, 940_691, 73_345));
+    let (stats, allocations) = stream_counted(&history, exchanger.clone(), opts, false);
+    // (Nodes, elements tried, memo hits. A retirement runs to the end:
+    // 389,763 of the nodes are memo hits, a revisit charged as a node, as
+    // in the batch. Retirements stopped at their first goal read 84,889 /
+    // 940,691 / 73,345 here, and the goal enumeration that dropped
+    // revisits uncounted read 57,600.)
+    assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (447_363, 3_887_040, 389_763));
     assert_no_cost_per_node("exchanger stream", &stats, allocations);
     // On, as `cal-serve` runs it: one successor per orbit, and what is
     // left is each window's fixed cost (its spans, order and classes).
-    // (12,915 nodes and 10,035 hits with retirements run to the end;
-    // 2,880 and no hit counted in the goal enumeration.)
+    // (2,377 nodes, 27,887 elements and 1,777 hits when retirements
+    // stopped at their first goal; 2,880 nodes and no hit counted in the
+    // goal enumeration.)
     let opts = StreamOptions::default();
-    let (stats, allocations) = stream_counted(&history, ExchangerSpec::new(O), opts, false);
-    assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (2_377, 27_887, 1_777));
+    let (stats, allocations) = stream_counted(&history, exchanger, opts, false);
+    assert_eq!((stats.nodes, stats.elements_tried, stats.memo_hits), (12_915, 106_160, 10_035));
     assert!(
         allocations <= PER_NODE * stats.nodes,
         "exchanger stream: {allocations} allocations for {} checkpointed nodes",
@@ -440,7 +447,8 @@ fn a_long_history_is_checked_in_memory_its_concurrency_bounds() {
     // node an operation, each a cut of four counts.
     const OPS: u64 = 100_000;
     let history = pipelined_register_history(OPS as usize);
-    let register = SeqAsCa::new(RegisterSpec::new(O));
+    // (`Searched` hides the register shape, which zones would decide.)
+    let register = Searched(SeqAsCa::new(RegisterSpec::new(O)));
     let start = std::time::Instant::now();
     let (outcome, peak) =
         peak_live(|| check_cal_with(&history, &register, &CheckOptions::default()).unwrap());
@@ -460,12 +468,14 @@ fn a_history_split_by_object_builds_no_order_of_the_whole() {
     // Building the whole history's order, spans and symmetry classes
     // first held 53.1 MiB live and made 301,895 allocations; projecting
     // the history by key, 42.5 MiB and 201,867; partitioning its spans,
-    // 37.4 MiB and 201,057.
+    // 37.4 MiB and 201,057. (`Searched` hides the map's register shape,
+    // which zones would decide key by key.)
     const OPS: u64 = 100_000;
     let history = kv_rounds(OPS as usize);
     let kv = SeqAsCa::new(KvMapSpec::new());
+    let searched = Searched(kv.clone());
     let ((outcome, allocations), peak) = peak_live(|| {
-        counted(|| check_cal_with(&history, &kv, &CheckOptions::default()).unwrap())
+        counted(|| check_cal_with(&history, &searched, &CheckOptions::default()).unwrap())
     });
     let witness = outcome.verdict.witness().expect("accepted");
     assert_eq!((outcome.stats.nodes, witness.len() as u64), (OPS, OPS));

@@ -8,7 +8,7 @@
 use std::time::{Duration, Instant};
 
 use cal::core::check::{check_cal_with, CheckOptions, Verdict};
-use cal::core::spec::SeqAsCa;
+use cal::core::spec::{Searched, SeqAsCa};
 use cal::core::text::parse_history;
 use cal::core::{History, ObjectId, ThreadId};
 use cal::specs::exchanger::ExchangerSpec;
@@ -49,7 +49,7 @@ fn hard_options(deadline: Duration) -> CheckOptions {
 #[test]
 fn deadline_is_honoured_within_2x() {
     let history = hard_history(15);
-    let spec = ExchangerSpec::new(cal::core::ObjectId(0));
+    let spec = Searched(ExchangerSpec::new(cal::core::ObjectId(0)));
     let deadline = Duration::from_millis(50);
 
     let start = Instant::now();
@@ -72,7 +72,7 @@ fn deadline_is_honoured_within_2x() {
 #[test]
 fn interrupt_reason_names_the_deadline() {
     let history = hard_history(13);
-    let spec = ExchangerSpec::new(cal::core::ObjectId(0));
+    let spec = Searched(ExchangerSpec::new(cal::core::ObjectId(0)));
     let outcome = check_cal_with(&history, &spec, &hard_options(Duration::from_millis(20)))
         .expect("interrupted checks are outcomes, not errors");
     match outcome.verdict {
@@ -92,7 +92,7 @@ fn interrupt_reason_names_the_deadline() {
 #[test]
 fn repeated_deadline_checks_stay_bounded() {
     let history = hard_history(15);
-    let spec = ExchangerSpec::new(cal::core::ObjectId(0));
+    let spec = Searched(ExchangerSpec::new(cal::core::ObjectId(0)));
     let deadline = Duration::from_millis(50);
     for _ in 0..5 {
         let start = Instant::now();
@@ -110,7 +110,7 @@ fn repeated_deadline_checks_stay_bounded() {
 #[test]
 fn node_budget_exhaustion_is_a_result_not_a_panic() {
     let history = hard_history(15);
-    let spec = ExchangerSpec::new(cal::core::ObjectId(0));
+    let spec = Searched(ExchangerSpec::new(cal::core::ObjectId(0)));
     let options = CheckOptions {
         max_nodes: 10_000,
         memoize: false,

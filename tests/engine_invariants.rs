@@ -17,7 +17,7 @@ use cal::core::fpmemo::FpMemo;
 use cal::core::history::HbRelation;
 use cal::core::gen::interleave;
 use cal::core::obs::StatsSink;
-use cal::core::spec::SeqAsCa;
+use cal::core::spec::{Searched, SeqAsCa};
 use cal::core::text::parse_history;
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
@@ -164,7 +164,7 @@ proptest! {
 
     #[test]
     fn exchanger_verdict_invariant_across_engine_options(h in history_of(arb_exchange_op())) {
-        let spec = ExchangerSpec::new(O);
+        let spec = Searched(ExchangerSpec::new(O));
         assert_matrix_invariant(
             &h,
             |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
@@ -174,7 +174,7 @@ proptest! {
 
     #[test]
     fn sync_queue_verdict_invariant_across_engine_options(h in history_of(arb_queue_op())) {
-        let spec = SyncQueueSpec::new(O);
+        let spec = Searched(SyncQueueSpec::new(O));
         assert_matrix_invariant(
             &h,
             |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
@@ -188,7 +188,7 @@ proptest! {
         // embedding — classical linearizability: exercises CalDomain's
         // symmetry classes on a spec whose ops rarely clone, i.e. the
         // generator with no previous clone to wait for.
-        let spec = SeqAsCa::new(RegisterSpec::new(O).with_read_universe(vec![0, 1, 2]));
+        let spec = Searched(SeqAsCa::new(RegisterSpec::new(O).with_read_universe(vec![0, 1, 2])));
         assert_matrix_invariant(
             &h,
             |o| check_cal_with(&h, &spec, o).expect("well-formed").verdict,
@@ -203,7 +203,7 @@ proptest! {
         // on hb frontiers and the root-branch split (per-object
         // decomposition is off under a partial order) must all be
         // verdict-preserving.
-        let spec = ExchangerSpec::new(O);
+        let spec = Searched(ExchangerSpec::new(O));
         let hb = causal_order(&h, &[]).expect("well-formed");
         assert_matrix_invariant(
             &h,
@@ -217,7 +217,7 @@ proptest! {
         // The total-order instance through the matrix: causal mode on
         // `≺H` is CAL, so on top of self-consistency the baseline must
         // equal the CAL baseline (the differential anchor, ablated).
-        let spec = SyncQueueSpec::new(O);
+        let spec = Searched(SyncQueueSpec::new(O));
         let hb = HbRelation::real_time(&h.spans());
         assert_matrix_invariant(
             &h,
@@ -371,7 +371,7 @@ proptest! {
         threads in 2usize..5,
     ) {
         let h = unbounded_history(13);
-        let spec = ExchangerSpec::new(O);
+        let spec = Searched(ExchangerSpec::new(O));
         let sink = Arc::new(CancelAfter {
             token: CancelToken::new(),
             after,

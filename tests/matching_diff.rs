@@ -1,8 +1,8 @@
 //! The matching against the search and the reference: on the three
 //! stateless pair specifications — the exchanger, the elimination array
 //! and the synchronous queue — `run_ca` decides by a matching, and that
-//! verdict must be the CA search's (`check_cal_with`, the kernel, which
-//! never takes the matching path) and the kernel-free [`end_states`]
+//! verdict must be the CA search's (`check_cal_with` over the spec behind
+//! [`Searched`], which hides its shape) and the kernel-free [`end_states`]
 //! reference's. Every accepted witness must pass `witness_explains`; every
 //! refutation must name needy operations whose partners, recomputed here
 //! from the specification and the real-time order alone, are fewer than
@@ -22,10 +22,10 @@ use std::collections::HashSet;
 
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, CheckOutcome, Verdict};
 use cal::core::history::Span;
-use cal::core::matching::{self, Decision, Shortage};
-use cal::core::spec::{CaSpec, Invocation};
+use cal::core::matching::{self, Shortage};
+use cal::core::spec::{CaSpec, Invocation, Searched};
 use cal::core::text::parse_history;
-use cal::core::{Action, CaElement, History, Operation, ThreadId, Value};
+use cal::core::{Action, CaElement, CaTrace, History, Operation, ThreadId, Value};
 use cal::specs::elim_array::ElimArraySpec;
 use cal::specs::exchanger::{exchange_ok, ExchangerSpec};
 use cal::specs::registry::run_ca;
@@ -159,20 +159,20 @@ fn has_odd_cycle(h: &History) -> bool {
 /// Runs `h` through the dispatch, the kernel and the reference, asserts
 /// one verdict, a witness that explains `h` and a refutation that holds,
 /// and tallies the outcome.
-fn assert_matching_agrees<S: CaSpec>(spec: &S, h: &History, tally: &mut Tally) {
+fn assert_matching_agrees<S: CaSpec + Clone>(spec: &S, h: &History, tally: &mut Tally) {
     let options = CheckOptions::default();
     let decided = run_ca(h, spec, None, &options).expect("well-formed");
     assert_eq!((decided.stats.matching, decided.stats.nodes), (1, 0), "not matched\n{h}");
-    let searched = check_cal_with(h, spec, &options).expect("well-formed");
-    assert_eq!(searched.stats.matching, 0, "the kernel never takes the matching path");
+    let searched = check_cal_with(h, &Searched(spec.clone()), &options).expect("well-formed");
+    assert_eq!(searched.stats.matching, 0, "a searched spec never takes the matching path");
     let verdict = verdict_name(&decided);
     assert_eq!(verdict, verdict_name(&searched), "the matching vs the search\n{h}");
     let reference = !end_states(spec, h.actions(), &[spec.initial()]).is_empty();
     assert_eq!(verdict == "cal", reference, "the matching vs the reference\n{h}");
     tally.cases += 1;
     tally.odd_cycle += usize::from(has_odd_cycle(h));
-    match matching::decide(h, spec).expect("well-formed") {
-        Decision::Cal(witness) => {
+    match decide(h, spec) {
+        Ok(witness) => {
             assert!(witness_explains(h, spec, &witness), "witness {witness}\nfor\n{h}");
             tally.accepted += 1;
             let pending: HashSet<ThreadId> =
@@ -181,7 +181,7 @@ fn assert_matching_agrees<S: CaSpec>(spec: &S, h: &History, tally: &mut Tally) {
             tally.pending_partner += usize::from(pending.iter().any(|t| used.contains(t)));
             tally.pending_dropped += usize::from(pending.iter().any(|t| !used.contains(t)));
         }
-        Decision::NotCal(shortage) => {
+        Err(shortage) => {
             assert_shortage_holds(spec, h, &shortage);
             if shortage.groups == shortage.members.len() {
                 tally.hall += 1;
@@ -222,7 +222,7 @@ fn with_pending_tail(rng: &mut StdRng, h: &History, pending: &[Operation]) -> Hi
 /// Runs [`CASES`] cases of one family: clone windows of `shapes`, a plant
 /// drawn from `unoffered` and `too_many`, a pending tail drawn from
 /// `pending`.
-fn family<S: CaSpec>(
+fn family<S: CaSpec + Clone>(
     spec: &S,
     seed: u64,
     shapes: &[CaElement],
@@ -328,7 +328,7 @@ fn bend(rng: &mut StdRng, h: &History, mutation: u8, extra: Operation) -> Histor
 
 /// Holds a family to the search and the reference on [`staggered`]
 /// histories, bent one way in three.
-fn staggered_family<S: CaSpec>(spec: &S, seed: u64, shapes: &[CaElement], extra: Operation) {
+fn staggered_family<S: CaSpec + Clone>(spec: &S, seed: u64, shapes: &[CaElement], extra: Operation) {
     let rng = &mut StdRng::seed_from_u64(seed);
     let mut tally = Tally::default();
     for case in 0..STAGGERED_CASES {
@@ -415,7 +415,7 @@ fn benchmark_shaped_windows_agree_with_the_search() {
             let h = exchanger_windows(windows, plant);
             let options = CheckOptions::default();
             let decided = run_ca(&h, &spec, None, &options).expect("well-formed");
-            let searched = check_cal_with(&h, &spec, &options).expect("well-formed");
+            let searched = check_cal_with(&h, &Searched(spec), &options).expect("well-formed");
             assert_eq!(verdict_name(&decided), verdict_name(&searched), "{windows} windows");
             assert_eq!(decided.verdict.is_cal(), !plant, "{windows} windows");
             if let Verdict::Cal(witness) = &decided.verdict {
@@ -448,21 +448,27 @@ fn fixed_histories_decide_as_the_search_does() {
         assert_eq!(outcome.verdict.is_cal(), accepted, "{h}");
         assert_eq!(is_cal_by_search(&h, &exchanger), accepted, "{h}");
     }
-    let Decision::NotCal(shortage) = matching::decide(&parse(triangle), &exchanger).unwrap() else {
+    let Err(shortage) = decide(&parse(triangle), &exchanger) else {
         panic!("the triangle is refuted");
     };
     assert_eq!((shortage.members.len(), shortage.groups, shortage.partners.len()), (3, 1, 0));
     assert!(shortage.to_string().contains("odd group"), "{shortage}");
     let h = parse("t1 inv o0.put 5\nt2 inv o0.take ()\nt1 res o0.put true\n");
-    let Decision::Cal(witness) = matching::decide(&h, &queue).unwrap() else {
+    let Ok(witness) = decide(&h, &queue) else {
         panic!("the pending take completes the transfer");
     };
     assert!(witness_explains(&h, &queue, &witness), "{witness}");
     assert_eq!(witness.len(), 1);
 }
 
-fn is_cal_by_search<S: CaSpec>(h: &History, spec: &S) -> bool {
-    check_cal_with(h, spec, &CheckOptions::default()).unwrap().verdict.is_cal()
+fn is_cal_by_search<S: CaSpec + Clone>(h: &History, spec: &S) -> bool {
+    check_cal_with(h, &Searched(spec.clone()), &CheckOptions::default()).unwrap().verdict.is_cal()
+}
+
+/// The matching's own answer on all of `h`: the witness, or the shortage.
+fn decide<S: CaSpec>(h: &History, spec: &S) -> Result<CaTrace, Shortage> {
+    let witness = matching::decide(&h.spans(), spec)?;
+    Ok(witness.into_iter().map(|(element, _)| element).collect())
 }
 
 /// An ill-formed history is the search's error.
@@ -470,7 +476,7 @@ fn is_cal_by_search<S: CaSpec>(h: &History, spec: &S) -> bool {
 fn an_ill_formed_history_is_the_searchs_error() {
     let spec = ExchangerSpec::new(O);
     let h = parse_history("t1 inv o0.exchange 3\nt1 inv o0.exchange 4\n").expect("parses");
-    let kernel = check_cal_with(&h, &spec, &CheckOptions::default()).map(|_| ()).unwrap_err();
+    let kernel = check_cal_with(&h, &Searched(spec), &CheckOptions::default()).map(|_| ()).unwrap_err();
     let dispatched = run_ca(&h, &spec, None, &CheckOptions::default()).map(|_| ()).unwrap_err();
     assert_eq!(dispatched.to_string(), kernel.to_string());
 }

@@ -12,7 +12,7 @@ mod common;
 use std::sync::Arc;
 
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats, Verdict};
-use cal::core::spec::SeqAsCa;
+use cal::core::spec::{Searched, SeqAsCa};
 use cal::core::{Action, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::register::{read_op, write_op, RegisterSpec};
@@ -48,7 +48,7 @@ fn no_symmetry() -> CheckOptions {
 #[test]
 fn memo_fires_on_backtracking_heavy_history() {
     let h = hard_history(7);
-    let spec = ExchangerSpec::new(O);
+    let spec = Searched(ExchangerSpec::new(O));
     let out = check_cal_with(&h, &spec, &no_symmetry()).unwrap();
     assert!(matches!(out.verdict, Verdict::NotCal));
     assert!(
@@ -61,7 +61,7 @@ fn memo_fires_on_backtracking_heavy_history() {
 #[test]
 fn memo_fires_in_the_parallel_checker_too() {
     let h = hard_history(7);
-    let spec = ExchangerSpec::new(O);
+    let spec = Searched(ExchangerSpec::new(O));
     let options = CheckOptions { threads: 4, ..no_symmetry() };
     let out = check_cal_with(&h, &spec, &options).unwrap();
     assert!(matches!(out.verdict, Verdict::NotCal));
@@ -74,7 +74,7 @@ fn memo_fires_in_the_parallel_checker_too() {
 
 #[test]
 fn disabling_memoization_never_changes_the_verdict() {
-    let spec = ExchangerSpec::new(O);
+    let spec = Searched(ExchangerSpec::new(O));
     for k in [1u32, 2, 3, 5, 7] {
         let h = hard_history(k);
         let on = CheckOptions::default();
@@ -194,7 +194,7 @@ fn cal_memo_accounting_with_counting_sink() {
     // symmetry reduction off; then the benchmark's windowed refutation
     // with it on, where the memo still fires between orbits and one
     // successor per orbit must still satisfy one-probe-per-node exactly.
-    let spec = ExchangerSpec::new(O);
+    let spec = Searched(ExchangerSpec::new(O));
     for (what, h, symmetry) in [
         ("cal", hard_history(7), false),
         ("cal, symmetry on", common::exchanger_windows(2, true), true),
@@ -212,7 +212,7 @@ fn memoization_saves_work() {
     // Not a performance test per se, but the memo table should strictly
     // reduce explored nodes on the adversarial history.
     let h = hard_history(7);
-    let spec = ExchangerSpec::new(O);
+    let spec = Searched(ExchangerSpec::new(O));
     let on = check_cal_with(&h, &spec, &no_symmetry()).unwrap();
     let off_options = CheckOptions { memoize: false, ..no_symmetry() };
     let off = check_cal_with(&h, &spec, &off_options).unwrap();

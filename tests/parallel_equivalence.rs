@@ -6,7 +6,10 @@
 //! ([`witness_explains`]). The check splits a multi-object history by
 //! object at every thread count, so there the reference is the
 //! whole-history search (the spec with its locality hidden), and the
-//! merged witness must be the same at every thread count.
+//! merged witness must be the same at every thread count. The paper's
+//! pair objects and the register are held here behind `Searched`, which
+//! hides the shape a matching or zones would decide them by: it is the
+//! search that runs on several threads.
 
 mod common;
 
@@ -14,7 +17,7 @@ use std::sync::Arc;
 
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, Verdict};
 use cal::core::gen::interleave;
-use cal::core::spec::{CaSpec, Invocation, PerObject, SeqAsCa};
+use cal::core::spec::{CaSpec, Invocation, PerObject, Searched, SeqAsCa};
 use cal::core::{Action, CaElement, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::dual_stack::DualStackSpec;
 use cal::specs::elim_array::ElimArraySpec;
@@ -261,17 +264,17 @@ proptest! {
 
     #[test]
     fn exchanger_parallel_equivalent(h in history_of(arb_exchange_op(), 1)) {
-        assert_equivalent(&h, &ExchangerSpec::new(O));
+        assert_equivalent(&h, &Searched(ExchangerSpec::new(O)));
     }
 
     #[test]
     fn elim_array_parallel_equivalent(h in history_of(arb_exchange_op(), 1)) {
-        assert_equivalent(&h, &ElimArraySpec::new(O));
+        assert_equivalent(&h, &Searched(ElimArraySpec::new(O)));
     }
 
     #[test]
     fn sync_queue_parallel_equivalent(h in history_of(arb_queue_op(), 1)) {
-        assert_equivalent(&h, &SyncQueueSpec::new(O));
+        assert_equivalent(&h, &Searched(SyncQueueSpec::new(O)));
     }
 
     #[test]
@@ -287,7 +290,7 @@ proptest! {
 
     #[test]
     fn register_parallel_equivalent(h in history_of(arb_register_op(), 1)) {
-        let spec = SeqAsCa::new(RegisterSpec::new(O).with_read_universe(vec![0, 1, 2]));
+        let spec = Searched(SeqAsCa::new(RegisterSpec::new(O).with_read_universe(vec![0, 1, 2])));
         assert_equivalent(&h, &spec);
     }
 

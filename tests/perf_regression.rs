@@ -32,7 +32,10 @@
 //!   node an event, and so does one of eight (2.2 and 18.5 when every
 //!   closed segment was one joint problem over all sixteen keys);
 //! - the dispatch decides the benchmark-shaped exchanger refutation by a
-//!   matching, with no search node, while the kernel keeps its 70,993.
+//!   matching, with no search node, while the search keeps its 70,993;
+//! - the procedure is chosen key by key: one value written twice on one
+//!   key of a 128-key map sends that key alone to the search, and zones
+//!   decide the other 127.
 
 mod common;
 
@@ -42,12 +45,13 @@ use cal::core::engine::{self, ExpandObs, SearchDomain};
 use cal::core::history::{HbRelation, Span};
 use cal::core::spec::{CaSpec, Searched, SeqAsCa};
 use cal::core::stream::{Push, StreamChecker, StreamOptions, StreamStats, StreamVerdict};
-use cal::core::{History, Method, ThreadId, Value};
+use cal::core::{Action, ActionKind, History, Method, ObjectId, ThreadId, Value};
 use cal::specs::exchanger::ExchangerSpec;
 use cal::specs::kv::KvMapSpec;
 use cal::specs::register::RegisterSpec;
 use cal::specs::registry::{run_ca, run_interval};
 use cal::specs::snapshot::WriteSnapshotSpec;
+use cal::specs::vocab::WRITE;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use common::{
@@ -68,7 +72,7 @@ fn hard_history(k: usize) -> History {
 #[test]
 fn symmetry_reduction_collapses_interchangeable_ops() {
     let h = hard_history(11);
-    let spec = ExchangerSpec::new(O);
+    let spec = Searched(ExchangerSpec::new(O));
     let start = std::time::Instant::now();
     let on = check_cal_with(&h, &spec, &CheckOptions::default()).unwrap();
     let off = check_cal_with(
@@ -101,7 +105,7 @@ fn symmetry_reduction_collapses_interchangeable_ops() {
 #[test]
 fn memoization_still_pays_for_itself() {
     let h = hard_history(9);
-    let spec = ExchangerSpec::new(O);
+    let spec = Searched(ExchangerSpec::new(O));
     // Symmetry off isolates the memo's own contribution.
     let base = CheckOptions { symmetry: false, ..CheckOptions::default() };
     let with = check_cal_with(&h, &spec, &base).unwrap();
@@ -128,7 +132,8 @@ fn memoization_still_pays_for_itself() {
 #[test]
 fn benchmark_shaped_refutation_is_the_same_search() {
     let h = exchanger_windows(14, true);
-    let outcome = check_cal_with(&h, &ExchangerSpec::new(O), &CheckOptions::default()).unwrap();
+    let spec = Searched(ExchangerSpec::new(O));
+    let outcome = check_cal_with(&h, &spec, &CheckOptions::default()).unwrap();
     assert_eq!(outcome.verdict, Verdict::NotCal);
     let CheckStats { nodes, elements_tried, memo_hits, .. } = outcome.stats;
     assert_eq!(
@@ -189,7 +194,7 @@ fn interval_reading_is_the_same_search() {
 fn a_second_worker_adds_no_nodes() {
     const SEQUENTIAL: u64 = 70_993;
     let h = exchanger_windows(14, true);
-    let spec = ExchangerSpec::new(O);
+    let spec = Searched(ExchangerSpec::new(O));
     let one = CheckOptions { threads: 1, ..CheckOptions::default() };
     let seq = check_cal_with(&h, &spec, &one).unwrap();
     assert_eq!((seq.verdict, seq.stats.nodes), (Verdict::NotCal, SEQUENTIAL));
@@ -210,7 +215,7 @@ fn a_second_worker_adds_no_nodes() {
 #[test]
 fn shared_memo_bounds_parallel_duplication() {
     let h = hard_history(11);
-    let spec = ExchangerSpec::new(O);
+    let spec = Searched(ExchangerSpec::new(O));
     let seq = check_cal_with(&h, &spec, &CheckOptions::default()).unwrap();
     for threads in [2usize, 4, 8] {
         let par = check_cal_with(
@@ -273,7 +278,7 @@ fn real_time_order_builds_over_a_million_spans() {
 fn long_history_is_accepted_in_one_node_an_operation() {
     const OPS: u64 = 20_000;
     let h = pipelined_register_history(OPS as usize);
-    let ca = SeqAsCa::new(RegisterSpec::new(O));
+    let ca = Searched(SeqAsCa::new(RegisterSpec::new(O)));
     let options = CheckOptions::default();
     let start = std::time::Instant::now();
     let real_time = HbRelation::real_time(&h.spans());
@@ -305,8 +310,8 @@ fn long_multi_object_history_is_accepted_in_one_node_an_operation() {
     let ops = h.spans().len();
     assert_eq!(ops, 63_829);
     let start = std::time::Instant::now();
-    let outcome = check_cal_with(&h, &SeqAsCa::new(KvMapSpec::new()), &CheckOptions::default())
-        .expect("well-formed");
+    let kv = Searched(SeqAsCa::new(KvMapSpec::new()));
+    let outcome = check_cal_with(&h, &kv, &CheckOptions::default()).expect("well-formed");
     let Verdict::Cal(witness) = &outcome.verdict else {
         panic!("{:?}", outcome.verdict);
     };
@@ -440,4 +445,49 @@ fn multi_key_stream<S: CaSpec>(history: &History, spec: S) -> StreamStats {
     assert_eq!(checker.finish(), StreamVerdict::Consistent);
     assert_eq!(checker.stats().events, history.len() as u64);
     checker.stats().clone()
+}
+
+/// A generated 128-key map history whose every written value is fresh,
+/// but one: on the busiest key, the second write's value is renamed to
+/// the first's, and so are the reads that returned it, which keeps the
+/// history linearizable. Zones decide every other key, and the search
+/// spends on the whole history exactly what it spends on that key alone:
+/// the procedure is chosen per key. (When it was chosen for the history
+/// as a whole, the one repeat sent all 128 keys to the search.)
+#[test]
+fn a_repeated_value_sends_only_its_key_to_the_search() {
+    const KEYS: u32 = 128;
+    let h = cal::specs::gen::kv_bursts(&mut StdRng::seed_from_u64(11), 4, KEYS, 100);
+    let mut writes_on = vec![Vec::new(); KEYS as usize];
+    for a in h.actions() {
+        if let (true, ActionKind::Invoke(Value::Int(v))) = (a.method() == WRITE, a.kind()) {
+            writes_on[a.object().0 as usize].push(v);
+        }
+    }
+    let key = (0..KEYS).max_by_key(|&k| writes_on[k as usize].len()).expect("a key");
+    let (kept, renamed) = (writes_on[key as usize][0], writes_on[key as usize][1]);
+    let actions: Vec<Action> = h
+        .actions()
+        .iter()
+        .map(|a| {
+            let rename = |v: Value| if v == Value::Int(renamed) { Value::Int(kept) } else { v };
+            match a.kind() {
+                _ if a.object() != ObjectId(key) => *a,
+                ActionKind::Invoke(arg) => Action::invoke(a.thread(), a.object(), a.method(), rename(arg)),
+                ActionKind::Response(ret) => Action::response(a.thread(), a.object(), a.method(), rename(ret)),
+            }
+        })
+        .collect();
+    let h = History::from_actions(actions);
+    let kv = SeqAsCa::new(KvMapSpec::new());
+    let options = CheckOptions::default();
+    let outcome = run_ca(&h, &kv, None, &options).expect("well-formed");
+    assert!(outcome.verdict.is_cal(), "{:?}", outcome.verdict);
+    assert_eq!(outcome.stats.zones, u64::from(KEYS) - 1, "keys decided by zones");
+    let alone = h.project_object(ObjectId(key));
+    let searched = check_cal_with(&alone, &Searched(kv.clone()), &options).expect("well-formed");
+    assert!(searched.stats.nodes > 0);
+    assert_eq!(outcome.stats.nodes, searched.stats.nodes, "nodes: the repeated key's alone");
+    let whole = check_cal_with(&h, &Searched(kv), &options).expect("well-formed");
+    assert!(whole.stats.nodes > 20 * outcome.stats.nodes, "{} nodes searching every key", whole.stats.nodes);
 }

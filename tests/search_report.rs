@@ -15,7 +15,7 @@ use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, CheckOptions, CheckStats};
 use cal::core::history::HbRelation;
 use cal::core::obs::{CountingSink, ObjectOutcome, SearchReport, StatsSink};
-use cal::core::spec::{CaSpec, PerObject};
+use cal::core::spec::{CaSpec, PerObject, Searched};
 use cal::core::text::parse_history;
 use cal::core::{History, ObjectId};
 use cal::specs::exchanger::ExchangerSpec;
@@ -57,7 +57,7 @@ fn assert_report_counts(report: &SearchReport, stats: &CheckStats) {
 #[test]
 fn sequential_report_counters_are_nonzero_and_consistent() {
     let h = parse_history(&fixture("fig3_three_way_cycle.hist")).unwrap();
-    let spec = ExchangerSpec::new(ObjectId(0));
+    let spec = Searched(ExchangerSpec::new(ObjectId(0)));
     let sink = Arc::new(EventCounter::default());
     let options = counted_options(&sink, 1);
     let start = Instant::now();
@@ -83,7 +83,7 @@ fn parallel_root_report_records_its_workers() {
     // fig1_swap is single-object, so every parallel worker searches its
     // root.
     let h = parse_history(&fixture("fig1_swap.hist")).unwrap();
-    let spec = ExchangerSpec::new(ObjectId(0));
+    let spec = Searched(ExchangerSpec::new(ObjectId(0)));
     let sink = Arc::new(EventCounter::default());
     let options = counted_options(&sink, 4);
     let start = Instant::now();
@@ -205,7 +205,7 @@ fn a_sink_sees_one_frontier_per_expansion_and_no_other_per_node_event() {
             for memoize in [true, false] {
                 let options =
                     CheckOptions { threads, memoize, symmetry: false, ..CheckOptions::default() };
-                assert_sink_budget(&single, &ExchangerSpec::new(ObjectId(0)), causal, &options, 0);
+                assert_sink_budget(&single, &Searched(ExchangerSpec::new(ObjectId(0))), causal, &options, 0);
                 assert_sink_budget(&two, &per_object, causal, &options, objects.len());
             }
         }
@@ -301,7 +301,7 @@ fn report_survives_a_quiet_run_without_sink_events() {
     // An empty history decides at the root: the report must stay coherent
     // (no divide-by-zero in frontier_mean, valid JSON) with zero events.
     let h = parse_history("").unwrap();
-    let spec = ExchangerSpec::new(ObjectId(0));
+    let spec = Searched(ExchangerSpec::new(ObjectId(0)));
     let sink = Arc::new(CountingSink::new());
     let sink_dyn = Arc::clone(&sink) as Arc<dyn StatsSink>;
     let options = CheckOptions { sink: Some(sink_dyn), ..CheckOptions::default() };
