@@ -8,9 +8,11 @@ use cal_bench::{elim_subobject_trace, exchanger_history, exchanger_trace, fes, i
 use cal_core::agree::agrees_bool;
 use cal_core::check::{check_cal, check_cal_with, CheckOptions, CheckOutcome, Verdict};
 use cal_core::compose::TraceMap;
+use cal_core::format::{format_jepsen, format_kvlog, parse_as, Format, StreamDecoder};
 use cal_core::gen::{render, render_windowed};
 use cal_core::spec::{CaSpec, PerObject, Searched, SeqAsCa};
 use cal_core::stream::{Push, StreamChecker, StreamOptions, StreamVerdict};
+use cal_core::text::{format_history, parse_action_line};
 use cal_core::{Action, ActionKind, CaElement, CaTrace, History};
 use cal_core::{ObjectId, Operation, ThreadId, Value};
 use cal_objects::record::Recorder;
@@ -355,6 +357,58 @@ pub fn e22(b: &mut Bench) {
             counts(&out)
         });
         b.versus(&search);
+    }
+}
+
+/// E20 — what a line costs to decode, in process: the three wire formats
+/// of one fixed trace (four clients over sixteen keys, 64 bursts),
+/// each through the stream decoder a line at a time (`decode_into`, one
+/// buffer lent throughout, as `cal-serve` decodes) and through the batch
+/// parser over the whole text (`parse_as`, as `cal-check` reads a file);
+/// and the history line parser alone, which both native paths run.
+pub fn e20(b: &mut Bench) {
+    let history = kv_bursts(&mut StdRng::seed_from_u64(7), 4, 16, 64);
+    let native = format_history(&history);
+    let lines = native.lines().count() as u64;
+    assert_eq!(lines, history.len() as u64);
+    let per_line = |b: &mut Bench, name: &str, units: u64| {
+        let series = b.series.last_mut().expect("the series just measured");
+        series.field("ns_per_line", format_args!("{:.1}", series.median_us * 1e3 / units as f64));
+        assert_eq!(series.name, name);
+    };
+    let name = "decode/native/parse_action_line";
+    b.exact(name, ["lines"], || {
+        let parsed = native.lines().enumerate().map(|(i, line)| parse_action_line(i + 1, line));
+        [parsed.map(|action| u64::from(action.expect("it parses").is_some())).sum()]
+    });
+    per_line(b, name, lines);
+    let wires = [
+        ("native", Format::Native, native.clone()),
+        ("jepsen", Format::Jepsen, format_jepsen(&history)),
+        ("kvlog", Format::KvLog, format_kvlog(&history).expect("a register history")),
+    ];
+    for (spelling, format, text) in &wires {
+        let wire_lines = text.lines().count() as u64;
+        let name = format!("decode/{spelling}/decode_into");
+        b.exact(&*name, ["lines", "items"], || {
+            let mut decoder = StreamDecoder::new(Some(*format));
+            let mut items = Vec::new();
+            let mut decoded = 0;
+            for (i, line) in text.lines().enumerate() {
+                items.clear();
+                decoder.decode_into(i + 1, line, &mut items).expect("it decodes");
+                decoded += items.len() as u64;
+            }
+            [wire_lines, decoded]
+        });
+        per_line(b, &name, wire_lines);
+        let name = format!("decode/{spelling}/parse_as");
+        b.exact(&*name, ["lines", "actions"], || {
+            let parsed = parse_as(*format, text).expect("it parses");
+            assert_eq!(parsed, history);
+            [wire_lines, parsed.len() as u64]
+        });
+        per_line(b, &name, wire_lines);
     }
 }
 

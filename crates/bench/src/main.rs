@@ -13,7 +13,7 @@ mod timing;
 use std::process::{Command, ExitCode};
 
 use cal_core::obs::JsonLine;
-use experiments::{ablations, e13, e14, e16, e2, e22, e4, e5, e6, e7, e8};
+use experiments::{ablations, e13, e14, e16, e2, e20, e22, e4, e5, e6, e7, e8};
 use timing::{Bench, MIN_SAMPLES, MIN_TIME};
 
 /// One section of EXPERIMENTS.md that quotes measured numbers.
@@ -24,7 +24,7 @@ struct Experiment {
 }
 
 /// Every experiment, in EXPERIMENTS.md's order.
-static EXPERIMENTS: [Experiment; 11] = [
+static EXPERIMENTS: [Experiment; 12] = [
     Experiment { id: "E2", title: "exchanger model sweeps, RG obligations", body: e2 },
     Experiment { id: "E4", title: "elimination stack, modular check of every schedule", body: e4 },
     Experiment { id: "E5", title: "modular vs. monolithic verification cost", body: e5 },
@@ -34,6 +34,7 @@ static EXPERIMENTS: [Experiment; 11] = [
     Experiment { id: "E13", title: "arena exchanger vs. single slot", body: e13 },
     Experiment { id: "E14", title: "parallel checker: decomposition, workers on the root", body: e14 },
     Experiment { id: "E16", title: "streaming replay throughput, retirement counters", body: e16 },
+    Experiment { id: "E20", title: "decoding a line: native, jepsen, kvlog", body: e20 },
     Experiment { id: "E22", title: "pair specs: matching vs. search", body: e22 },
     Experiment { id: "ablations", title: "memoisation, pruning, recorder overhead", body: ablations },
 ];

@@ -48,7 +48,8 @@ use std::cell::Cell;
 
 use cal::core::causal::check_causal_with;
 use cal::core::check::{check_cal_with, witness_explains, CheckOptions, CheckStats, Verdict};
-use cal::core::format::{format_jepsen, format_kvlog, StreamDecoder};
+use cal::core::format::{format_jepsen, format_kvlog, parse_as, Format, StreamDecoder};
+use cal::core::text::format_history;
 use cal::core::history::HbRelation;
 use cal::core::spec::{CaSpec, Searched, SeqAsCa};
 use cal::core::stream::{
@@ -382,8 +383,53 @@ fn a_jepsen_record_costs_nothing_on_its_way_to_the_checker() {
 }
 
 #[test]
+fn a_history_line_costs_nothing_on_its_way_to_the_checker() {
+    // The native twin of the Jepsen pin above: the same history, one
+    // action a line, through the whole ingest policy.
+    let history = pipelined_register_history(4_096);
+    let text = format_history(&history);
+    let register = || SeqAsCa::new(RegisterSpec::new(O));
+    let (_, pushed) = stream_counted(&history, register(), StreamOptions::default(), true);
+    let mut ingest = Ingest::new(register(), StreamOptions::default(), None);
+    let mut invoked = Vec::new();
+    let (verdict, ingested) = counted(|| {
+        for line in text.lines() {
+            invoked.clear();
+            assert_eq!(ingest.line(line, false, &mut invoked), Reply::Admitted);
+        }
+        ingest.checker.finish()
+    });
+    assert_eq!(verdict, StreamVerdict::Consistent);
+    assert!(
+        ingested <= pushed + ONCE_A_STREAM,
+        "Ingest::line: {ingested} allocations for {} lines, {pushed} pushing them",
+        history.len()
+    );
+}
+
+#[test]
+fn a_native_file_parses_in_a_logarithmic_count_of_allocations() {
+    // `parse_as` walks the text once, admitting each action as it reads
+    // it: what it allocates is the actions' `Vec` doubling, and the
+    // per-thread table (four threads) growing, once.
+    let history = pipelined_register_history(4_096);
+    let text = format_history(&history);
+    assert_eq!(history.len(), 8_192);
+    let (parsed, allocations) = counted(|| parse_as(Format::Native, &text).expect("it parses"));
+    assert_eq!(parsed, history);
+    assert_eq!(allocations, PARSE_AS_8192_LINES, "parse_as on 8,192 lines");
+}
+
+/// What `parse_as(Format::Native, …)` allocates for 8,192 lines of four
+/// threads: twelve for the actions' `Vec` (capacity 4 doubling to 8,192),
+/// two for the table's map and one for its records. The two passes this
+/// replaced made 27: a `Vec` of source lines doubled beside the actions,
+/// and validation built its own table.
+const PARSE_AS_8192_LINES: u64 = 15;
+
+#[test]
 fn a_method_name_outside_the_vocabulary_is_leaked_once() {
-    use cal::core::format::{Format, WireItem};
+    use cal::core::format::WireItem;
     use cal::core::text::parse_action_line;
     const LINES: usize = 100_000;
 

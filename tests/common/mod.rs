@@ -3,6 +3,8 @@
 //! sink that counts its events.
 #![allow(dead_code)]
 
+pub mod decode_ref;
+
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -17,8 +17,10 @@
 //!   file is a table row of its section, digit for digit; a numeric table
 //!   row in those sections that is no series needs the section to say
 //!   `not measured on this host`; the preamble quotes the file's host line.
-//! - EXPERIMENTS E20 quotes `BENCH_serve.json` the same way: one row per
-//!   `pipeline` run, one per layer metric, one per core count.
+//! - EXPERIMENTS E20 and E21 quote `BENCH_serve.json` the same way: one
+//!   row per `pipeline` run or series, one per layer metric, one per core
+//!   count or stream; a numeric row of E20, which quotes both files, is
+//!   backed by one of them.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -230,6 +232,7 @@ const QUOTED: &[(&str, &str, &[&str])] = &[
     ("E8", "agree/", &[]),
     ("E8", "zones/", &["nodes", "zones", "ratio"]),
     ("E8", "fallback/", &["nodes", "zones", "ratio"]),
+    ("E20", "decode/", &["lines", "ns_per_line"]),
     ("E22", "pairs/", &["nodes", "matching", "ratio"]),
     (
         "E13",
@@ -293,10 +296,12 @@ fn experiments_quote_the_bench_file() {
             assert!(expected.len() > before, "no `{prefix}*` series in BENCH_experiments.json");
         }
         // The converse: a table row with numbers in it is a series of the
-        // file, or the section says why it is not.
+        // file, or a row of the section's `BENCH_serve.json` object, or
+        // the section says why it is neither.
+        let served = serve_rows(section);
         for row in numeric_rows(&text) {
             assert!(
-                expected.iter().any(|e| row.starts_with(e.as_str()))
+                expected.iter().chain(&served).any(|e| row.starts_with(e.as_str()))
                     || text.contains("not measured on this host"),
                 "{section} has a table row no series backs, and no `not measured on this host`:\n  {row}"
             );
@@ -314,17 +319,37 @@ fn experiments_quote_the_bench_file() {
     }
 }
 
+/// Rows only one experiment's object has: their marker, their keys, and
+/// whether the first is in code.
+type OwnRows = (&'static str, &'static [&'static str], bool);
+
 /// `BENCH_serve.json` holds one object an experiment, each recorded with
-/// `pipeline` as alternating parent / change pairs. One line of it a
-/// table row of that experiment's section: the row begins with the
-/// line's values, in the line's order.
-fn section_quotes_the_serve_bench_file(id: &str, header: &[&str], own: (&str, &[&str], bool)) {
+/// `pipeline` as alternating parent / change pairs: its header keys, and
+/// the rows only that experiment has.
+const SERVED: &[(&str, &[&str], OwnRows)] = &[
+    // E20's own rows: the one-core / two-core pair.
+    ("E20", &["host_cores", "seed", "events"], ("\"cores\"", &["cores", "parent_s", "change_s"], false)),
+    // E21's: the streams sized beside the benchmark's workload.
+    (
+        "E21",
+        &["host_cores", "seed", "unseen_seed", "events"],
+        ("\"stream\"", &["stream", "events", "parent_s", "parent_nodes", "change_s", "change_nodes"], true),
+    ),
+];
+
+/// The table rows `BENCH_serve.json`'s `id` object backs, each as it
+/// begins: one line of the object a row, the line's values in the line's
+/// order. None when `id` has no object.
+fn serve_rows(id: &str) -> Vec<String> {
+    let Some(&(_, _, own)) = SERVED.iter().find(|(served, ..)| *served == id) else {
+        return Vec::new();
+    };
     let whole = doc("BENCH_serve.json");
     let from = whole.find(&format!("\n  \"{id}\": {{")).unwrap_or_else(|| panic!("no {id} object"));
     let file = &whole[from + 1..];
     let file = &file[..file.find("\n  },").or(file.find("\n  }\n")).expect("the object closes")];
-    let section = experiment(&doc("EXPERIMENTS.md"), id);
-    let rows_of = |marker: &str, keys: &[&str], code: bool| {
+    let mut rows = Vec::new();
+    let mut rows_of = |marker: &str, keys: &[&str], code: bool| {
         let lines: Vec<&str> = file.lines().filter(|line| line.contains(marker)).collect();
         assert!(!lines.is_empty(), "no {marker} lines in BENCH_serve.json's {id}");
         for line in lines {
@@ -333,7 +358,7 @@ fn section_quotes_the_serve_bench_file(id: &str, header: &[&str], own: (&str, &[
                 let tick = if code && i == 0 { "`" } else { "" };
                 quoted += &format!(" {tick}{}{tick} |", json_field(line, key));
             }
-            assert!(section.contains(&quoted), "{id} should have a row beginning\n  {quoted}");
+            rows.push(quoted);
         }
     };
     let run = [
@@ -347,26 +372,33 @@ fn section_quotes_the_serve_bench_file(id: &str, header: &[&str], own: (&str, &[
     ];
     rows_of("\"series\": \"", &series, true);
     rows_of("\"metric\"", &["metric", "parent", "change"], true);
-    for key in header {
+    let (marker, keys, code) = own;
+    rows_of(marker, keys, code);
+    rows
+}
+
+/// Every row `BENCH_serve.json`'s `id` object backs is a table row of
+/// that experiment's section, and the section quotes the object's header.
+fn section_quotes_the_serve_bench_file(id: &str) {
+    let section = experiment(&doc("EXPERIMENTS.md"), id);
+    for quoted in serve_rows(id) {
+        assert!(section.contains(&quoted), "{id} should have a row beginning\n  {quoted}");
+    }
+    let whole = doc("BENCH_serve.json");
+    let file = &whole[whole.find(&format!("\n  \"{id}\": {{")).expect("the object")..];
+    let (_, header, _) = SERVED.iter().find(|(served, ..)| *served == id).expect("a served id");
+    for key in *header {
         let quoted = format!("`\"{key}\": {}`", json_field(file, key));
         assert!(section.contains(&quoted), "{id} should quote {quoted} from BENCH_serve.json");
     }
-    // And the rows only this experiment has.
-    let (marker, keys, code) = own;
-    rows_of(marker, keys, code);
 }
 
 #[test]
 fn e20_quotes_the_serve_bench_file() {
-    // Its own rows: the one-core / two-core pair.
-    let pinned = ("\"cores\"", &["cores", "parent_s", "change_s"][..], false);
-    section_quotes_the_serve_bench_file("E20", &["host_cores", "seed", "events"], pinned);
+    section_quotes_the_serve_bench_file("E20");
 }
 
 #[test]
 fn e21_quotes_the_serve_bench_file() {
-    // Its own rows: the streams sized beside the benchmark's workload.
-    let stream = ["stream", "events", "parent_s", "parent_nodes", "change_s", "change_nodes"];
-    let header = ["host_cores", "seed", "unseen_seed", "events"];
-    section_quotes_the_serve_bench_file("E21", &header, ("\"stream\"", &stream, true));
+    section_quotes_the_serve_bench_file("E21");
 }
